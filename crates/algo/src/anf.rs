@@ -76,6 +76,7 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
     }
 
     let threads = num_threads();
+    let topo = g.topology();
     let mut curve = Vec::with_capacity(max_hops);
     let mut next = cur.bits.clone();
     for _ in 0..max_hops {
@@ -97,8 +98,8 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
                     if g.slot_id(slot).is_none() {
                         continue;
                     }
-                    for &nbr in g.out_nbrs_of_slot(slot) {
-                        let ns = g.slot_of(nbr).expect("neighbor exists") * k;
+                    for &nbr in topo.out_row(slot) {
+                        let ns = nbr as usize * k;
                         for (w, &c) in win.iter_mut().zip(&cur_bits[ns..ns + k]) {
                             *w |= c;
                         }

@@ -158,6 +158,7 @@ fn brandes<G: DirectedTopology>(
     };
 
     let eng = FrontierEngine::with_threads(g, Direction::Out, threads);
+    let topo = eng.topology();
     let mut state = FrontierState::new(n_slots);
     let mut sigma = vec![0.0f64; n_slots];
     let mut delta = vec![0.0f64; n_slots];
@@ -167,14 +168,14 @@ fn brandes<G: DirectedTopology>(
         sigma[s] = 1.0;
         let bucket = |l: usize| state.level_starts[l] as usize..state.level_starts[l + 1] as usize;
         // Forward: path counts level by level. A node's count is the sum
-        // over in-neighbors exactly one level shallower (the engine's
-        // pull rows — slot-CSR, no hashing).
+        // over in-neighbors exactly one level shallower (the slot-CSR
+        // in-rows — no hashing).
         for l in 1..levels {
             let d0 = l as u32 - 1;
             for i in bucket(l) {
                 let w = state.visited[i] as usize;
                 let mut sw = 0.0;
-                for &u in eng.pull_nbrs(w) {
+                for &u in topo.in_row(w) {
                     if state.dist[u as usize] == d0 {
                         sw += sigma[u as usize];
                     }
@@ -190,7 +191,7 @@ fn brandes<G: DirectedTopology>(
             for i in bucket(l) {
                 let v = state.visited[i] as usize;
                 let mut dv = 0.0;
-                for &w in eng.push_nbrs(v) {
+                for &w in topo.out_row(v) {
                     let w = w as usize;
                     if state.dist[w] == d1 {
                         dv += sigma[v] / sigma[w] * (1.0 + delta[w]);

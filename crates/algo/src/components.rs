@@ -67,11 +67,13 @@ pub fn weakly_connected_components<G: DirectedTopology>(g: &G) -> Components {
 }
 
 /// Strongly connected components via an iterative Tarjan traversal
-/// (explicit stack, no recursion — safe on deep graphs).
+/// (explicit stack, no recursion — safe on deep graphs) over the
+/// graph's slot-CSR out-rows.
 pub fn strongly_connected_components<G: DirectedTopology>(g: &G) -> Components {
     let mut sp = ringo_trace::span!("algo.scc");
     sp.rows_in(g.node_count());
     let n_slots = g.n_slots();
+    let topo = g.topology();
     let mut index = vec![UNVISITED; n_slots];
     let mut lowlink = vec![0u32; n_slots];
     let mut on_stack = vec![false; n_slots];
@@ -94,11 +96,10 @@ pub fn strongly_connected_components<G: DirectedTopology>(g: &G) -> Components {
         frames.push((start, 0));
 
         while let Some(&mut (slot, ref mut child)) = frames.last_mut() {
-            let nbrs = g.out_nbrs_of_slot(slot);
+            let nbrs = topo.out_row(slot);
             if *child < nbrs.len() {
-                let nbr = nbrs[*child];
+                let ns = nbrs[*child] as usize;
                 *child += 1;
-                let ns = g.slot_of(nbr).expect("neighbor exists");
                 if index[ns] == UNVISITED {
                     index[ns] = next_index;
                     lowlink[ns] = next_index;

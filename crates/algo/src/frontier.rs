@@ -11,12 +11,12 @@
 //! * **Flat state.** Distances and parents are dense `u32` arrays indexed
 //!   by slot (`u32::MAX` = unvisited); no hash maps, no boxed iterators,
 //!   zero allocations per visited node.
-//! * **Slot-CSR adjacency.** Engine construction re-indexes the
-//!   adjacency lists from neighbor *ids* to neighbor *slots* once
-//!   (morsel-parallel, forward and reverse senses). That is the last
-//!   id→slot hash translation the engine ever performs — every
-//!   traversal step afterwards is pure array arithmetic, where the old
-//!   kernels paid a hash lookup per edge per run.
+//! * **Slot-CSR adjacency.** The engine walks the graph's
+//!   [`Topology`]: rows of neighbor *slots*, translated from ids once
+//!   per graph version and cached on the graph, so constructing an
+//!   engine is a cache hit and every traversal step is pure array
+//!   arithmetic — where the old kernels paid a hash lookup per edge per
+//!   run, and the first engine rebuilt its own CSR per call.
 //! * **Morsel-parallel expansion.** Frontiers are split into fixed-size
 //!   morsels claimed dynamically from the worker pool, so one hub node's
 //!   giant adjacency list does not serialize a level.
@@ -28,7 +28,7 @@
 //!   member, tracked in a [`ConcurrentBitset`]), and back to top-down
 //!   once the frontier shrinks below `live / beta`. `alpha`/`beta`
 //!   default to 15/18 and are tunable via `RINGO_BFS_ALPHA` /
-//!   `RINGO_BFS_BETA`.
+//!   `RINGO_BFS_BETA` (read once per process).
 //!
 //! **Determinism.** Distances are level-synchronous and therefore
 //! set-determined. Parents are tie-broken to the *minimum slot* among all
@@ -45,11 +45,10 @@
 //! switch points and worker busy-time.
 
 use crate::bfs::Direction;
-use ringo_concurrent::{
-    num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset, DisjointSlice,
-};
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_concurrent::{num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset};
+use ringo_graph::{DirectedTopology, NodeId, Topology};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "not reached" in [`FrontierState::dist`] and
 /// [`FrontierState::parent`].
@@ -67,11 +66,24 @@ const DEFAULT_ALPHA: u64 = 15;
 /// See [`DEFAULT_ALPHA`].
 const DEFAULT_BETA: u64 = 18;
 
-fn env_knob(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The process-wide `(alpha, beta)` from `RINGO_BFS_ALPHA` /
+/// `RINGO_BFS_BETA`, read once: a probe is a few milliseconds, and a
+/// knob that could change between two probes of one session would make
+/// their level structure incomparable.
+fn crossover_knobs() -> (u64, u64) {
+    static CACHED: OnceLock<(u64, u64)> = OnceLock::new();
+    let knob = |name: &str, default: u64| {
+        std::env::var(name)
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    };
+    *CACHED.get_or_init(|| {
+        (
+            knob("RINGO_BFS_ALPHA", DEFAULT_ALPHA),
+            knob("RINGO_BFS_BETA", DEFAULT_BETA),
+        )
+    })
 }
 
 /// Reusable per-run BFS state: flat slot-indexed arrays plus the visit
@@ -122,107 +134,58 @@ impl FrontierState {
     }
 }
 
-/// The engine: graph + traversal direction + crossover parameters +
-/// precomputed per-slot degrees (via the bulk
-/// [`DirectedTopology::degrees`] accessor) + slot-CSR adjacency in the
-/// push and pull senses. Construction is `O(V + E)`; running from many
-/// sources amortizes it (the routed kernels — components, betweenness,
-/// reachability — all reuse one engine).
+/// The engine: graph + its [`Topology`] + traversal direction +
+/// crossover parameters. Construction is a cache hit on a graph that has
+/// been traversed before (`O(V + E)` on the first use of a version), so
+/// one-shot probes and multi-source kernels — components, betweenness,
+/// reachability — cost the same per run.
 pub struct FrontierEngine<'g, G: DirectedTopology> {
     g: &'g G,
+    topo: Arc<Topology>,
     dir: Direction,
     threads: usize,
     alpha: u64,
     beta: u64,
-    deg: Vec<u32>,
     total_deg: u64,
     live: usize,
-    push_offs: Vec<usize>,
-    push_adj: Vec<u32>,
-    /// Empty for [`Direction::Both`], where pull == push.
-    pull_offs: Vec<usize>,
-    pull_adj: Vec<u32>,
 }
 
 impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
     /// Engine with the pool's thread count and the `RINGO_BFS_ALPHA` /
     /// `RINGO_BFS_BETA` environment knobs (defaults 15 / 18).
     pub fn new(g: &'g G, dir: Direction) -> Self {
-        Self::with_params(
-            g,
-            dir,
-            num_threads(),
-            env_knob("RINGO_BFS_ALPHA", DEFAULT_ALPHA),
-            env_knob("RINGO_BFS_BETA", DEFAULT_BETA),
-        )
+        Self::with_threads(g, dir, num_threads())
     }
 
     /// Engine with an explicit thread count but the environment crossover
     /// knobs — for callers that manage parallelism themselves (e.g.
     /// source-parallel betweenness runs its inner BFS single-threaded).
     pub fn with_threads(g: &'g G, dir: Direction, threads: usize) -> Self {
-        Self::with_params(
-            g,
-            dir,
-            threads,
-            env_knob("RINGO_BFS_ALPHA", DEFAULT_ALPHA),
-            env_knob("RINGO_BFS_BETA", DEFAULT_BETA),
-        )
+        let (alpha, beta) = crossover_knobs();
+        Self::with_params(g, dir, threads, alpha, beta)
     }
 
     /// Engine with explicit thread count and crossover parameters.
     /// `alpha = 0` forces pure top-down; a huge `alpha` *and* `beta`
     /// force bottom-up from the first parallel level.
     pub fn with_params(g: &'g G, dir: Direction, threads: usize, alpha: u64, beta: u64) -> Self {
-        let threads = threads.max(1);
-        let deg = g.degrees(dir);
-        let total_deg = deg.iter().map(|&d| u64::from(d)).sum();
-        let (push_offs, push_adj) = build_csr(g, dir, &deg, false, threads);
-        let (pull_offs, pull_adj) = match dir {
-            Direction::Both => (Vec::new(), Vec::new()),
-            Direction::Out => {
-                let rdeg = g.degrees(Direction::In);
-                build_csr(g, dir, &rdeg, true, threads)
-            }
-            Direction::In => {
-                let rdeg = g.degrees(Direction::Out);
-                build_csr(g, dir, &rdeg, true, threads)
-            }
-        };
+        let topo = g.topology();
         Self {
             g,
             dir,
-            threads,
+            threads: threads.max(1),
             alpha,
             beta,
-            deg,
-            total_deg,
+            total_deg: topo.total_degree(dir),
             live: g.node_count(),
-            push_offs,
-            push_adj,
-            pull_offs,
-            pull_adj,
+            topo,
         }
     }
 
-    /// Neighbor *slots* reachable from `slot` along the traversal
-    /// direction — the engine's slot-CSR row. Row order matches the
-    /// graph's adjacency order. Public because level-structured
-    /// algorithms (Brandes' sweeps) scan the same rows.
-    #[inline]
-    pub fn push_nbrs(&self, slot: usize) -> &[u32] {
-        &self.push_adj[self.push_offs[slot]..self.push_offs[slot + 1]]
-    }
-
-    /// Reverse rows: slots with a push-edge *into* `slot` (for
-    /// [`Direction::Both`] pull and push coincide).
-    #[inline]
-    pub fn pull_nbrs(&self, slot: usize) -> &[u32] {
-        if matches!(self.dir, Direction::Both) {
-            self.push_nbrs(slot)
-        } else {
-            &self.pull_adj[self.pull_offs[slot]..self.pull_offs[slot + 1]]
-        }
+    /// The slot-CSR rows this engine walks. Level-structured algorithms
+    /// (Brandes' sweeps) scan the same rows.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
     }
 
     /// The traversal direction this engine expands.
@@ -257,7 +220,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
 
         let mut lo = run_start;
         let mut level = 0u32;
-        let mut frontier_edges = u64::from(self.deg[src_slot]);
+        let mut frontier_edges = u64::from(self.topo.degree(src_slot, self.dir));
         let mut unexplored = self.total_deg - frontier_edges;
         let mut prev_bottom = false;
         let mut bits_cur: Option<ConcurrentBitset> = None;
@@ -331,16 +294,19 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         while i < hi {
             let u = state.visited[i];
             i += 1;
-            for &v in self.push_nbrs(u as usize) {
-                let vs = v as usize;
-                if state.dist[vs] == UNVISITED {
-                    state.dist[vs] = d1;
-                    state.parent[vs] = u;
-                    state.visited.push(v);
-                    next_edges += u64::from(self.deg[vs]);
-                } else if state.dist[vs] == d1 && u < state.parent[vs] {
-                    // Same-level rediscovery: keep the minimum-slot parent.
-                    state.parent[vs] = u;
+            for row in self.topo.rows(u as usize, self.dir) {
+                for &v in row {
+                    let vs = v as usize;
+                    if state.dist[vs] == UNVISITED {
+                        state.dist[vs] = d1;
+                        state.parent[vs] = u;
+                        state.visited.push(v);
+                        next_edges += u64::from(self.topo.degree(vs, self.dir));
+                    } else if state.dist[vs] == d1 && u < state.parent[vs] {
+                        // Same-level rediscovery: keep the minimum-slot
+                        // parent.
+                        state.parent[vs] = u;
+                    }
                 }
             }
         }
@@ -359,31 +325,33 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
             let mut buf: Vec<u32> = Vec::new();
             let mut edges = 0u64;
             for &u in &frontier[range] {
-                for &v in self.push_nbrs(u as usize) {
-                    let vs = v as usize;
-                    // ORDERING: Relaxed — the CAS claim needs only
-                    // atomicity (one winner per slot); parents are a
-                    // commutative fetch_min settled before the pool
-                    // barrier, and the next level reads both *after*
-                    // that barrier's synchronization.
-                    match dist[vs].compare_exchange(
-                        UNVISITED,
-                        d1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        // ORDERING: Relaxed fetch_min — commutative, and
-                        // settled before the pool barrier the next level
-                        // synchronizes on (see the claim comment above).
-                        Ok(_) => {
-                            parent[vs].fetch_min(u, Ordering::Relaxed);
-                            buf.push(v);
-                            edges += u64::from(self.deg[vs]);
+                for row in self.topo.rows(u as usize, self.dir) {
+                    for &v in row {
+                        let vs = v as usize;
+                        // ORDERING: Relaxed — the CAS claim needs only
+                        // atomicity (one winner per slot); parents are a
+                        // commutative fetch_min settled before the pool
+                        // barrier, and the next level reads both *after*
+                        // that barrier's synchronization.
+                        match dist[vs].compare_exchange(
+                            UNVISITED,
+                            d1,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        ) {
+                            // ORDERING: Relaxed fetch_min — commutative, and
+                            // settled before the pool barrier the next level
+                            // synchronizes on (see the claim comment above).
+                            Ok(_) => {
+                                parent[vs].fetch_min(u, Ordering::Relaxed);
+                                buf.push(v);
+                                edges += u64::from(self.topo.degree(vs, self.dir));
+                            }
+                            Err(cur) if cur == d1 => {
+                                parent[vs].fetch_min(u, Ordering::Relaxed);
+                            }
+                            Err(_) => {}
                         }
-                        Err(cur) if cur == d1 => {
-                            parent[vs].fetch_min(u, Ordering::Relaxed);
-                        }
-                        Err(_) => {}
                     }
                 }
             }
@@ -415,6 +383,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         let dist = as_atomic(&mut state.dist);
         let parent = as_atomic(&mut state.parent);
         let n_slots = self.g.n_slots();
+        let pull = self.dir.reversed();
         let (bufs, stats) = parallel_map_morsels(n_slots, self.threads, |_, range| {
             let mut buf: Vec<u32> = Vec::new();
             let mut edges = 0u64;
@@ -428,9 +397,11 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                     continue;
                 }
                 let mut best = UNVISITED;
-                for &us in self.pull_nbrs(vs) {
-                    if us < best && cur.get(us as usize) {
-                        best = us;
+                for row in self.topo.rows(vs, pull) {
+                    for &us in row {
+                        if us < best && cur.get(us as usize) {
+                            best = us;
+                        }
                     }
                 }
                 if best != UNVISITED {
@@ -440,7 +411,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                     parent[vs].store(best, Ordering::Relaxed);
                     next.set(vs);
                     buf.push(vs as u32);
-                    edges += u64::from(self.deg[vs]);
+                    edges += u64::from(self.topo.degree(vs, self.dir));
                 }
             }
             (buf, edges)
@@ -495,81 +466,6 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
 fn record_busy(stats: &ringo_concurrent::MorselStats) {
     let busy: u64 = stats.busy_ns.iter().sum();
     ringo_trace::counter("algo.bfs.busy_ns").add(busy);
-}
-
-/// Builds one sense of the engine's slot-CSR: `offs[s]..offs[s + 1]`
-/// indexes the neighbor-*slot* row of slot `s` in `adj`. `row_deg` must
-/// hold the row lengths for the requested sense (push: `degrees(dir)`;
-/// pull: degrees of the flipped direction), which lets the fill run as
-/// morsels over disjoint rows. This translation is the only id→slot
-/// hashing in the engine's lifetime.
-fn build_csr<G: DirectedTopology>(
-    g: &G,
-    dir: Direction,
-    row_deg: &[u32],
-    pull: bool,
-    threads: usize,
-) -> (Vec<usize>, Vec<u32>) {
-    let n = g.n_slots();
-    let mut offs = vec![0usize; n + 1];
-    for s in 0..n {
-        offs[s + 1] = offs[s] + row_deg[s] as usize;
-    }
-    let mut adj = vec![0u32; offs[n]];
-    {
-        let cell = DisjointSlice::new(&mut adj);
-        let offs = &offs;
-        parallel_for_morsels(n, threads, |_, range| {
-            for s in range {
-                if offs[s + 1] == offs[s] {
-                    continue;
-                }
-                let (a, b) = if pull {
-                    pull_slices(g, s, dir)
-                } else {
-                    push_slices(g, s, dir)
-                };
-                // SAFETY: rows `[offs[s], offs[s + 1])` are pairwise
-                // disjoint per slot, and morsels partition the slot
-                // range, so each row is written by exactly one worker.
-                let row = unsafe { cell.slice_mut(offs[s], offs[s + 1]) };
-                for (o, &id) in row.iter_mut().zip(a.iter().chain(b)) {
-                    *o = g.slot_of(id).expect("neighbor exists") as u32;
-                }
-            }
-        });
-    }
-    (offs, adj)
-}
-
-/// `(primary, secondary)` neighbor-id slices to *push along* for `dir`
-/// (the secondary slice is empty except for `Both`). Plain slices — no
-/// boxed iterator, no per-node allocation.
-#[inline]
-pub(crate) fn push_slices<G: DirectedTopology>(
-    g: &G,
-    slot: usize,
-    dir: Direction,
-) -> (&[NodeId], &[NodeId]) {
-    match dir {
-        Direction::Out => (g.out_nbrs_of_slot(slot), &[]),
-        Direction::In => (g.in_nbrs_of_slot(slot), &[]),
-        Direction::Both => (g.out_nbrs_of_slot(slot), g.in_nbrs_of_slot(slot)),
-    }
-}
-
-/// Reverse of [`push_slices`]: the slices a bottom-up *pull* scans.
-#[inline]
-pub(crate) fn pull_slices<G: DirectedTopology>(
-    g: &G,
-    slot: usize,
-    dir: Direction,
-) -> (&[NodeId], &[NodeId]) {
-    match dir {
-        Direction::Out => (g.in_nbrs_of_slot(slot), &[]),
-        Direction::In => (g.out_nbrs_of_slot(slot), &[]),
-        Direction::Both => (g.out_nbrs_of_slot(slot), g.in_nbrs_of_slot(slot)),
-    }
 }
 
 /// Views a `u32` slice as atomics for the parallel phases. The exclusive

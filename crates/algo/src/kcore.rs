@@ -6,7 +6,7 @@
 //! such that it survives in a subgraph of minimum degree `k`.
 
 use ringo_concurrent::IntHashTable;
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::UndirectedGraph;
 
 /// Computes the core number of every node, as id → core.
 ///
@@ -95,25 +95,7 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
 /// exists.
 pub fn k_core(g: &UndirectedGraph, k: u32) -> UndirectedGraph {
     let cores = core_numbers(g);
-    let keep = |id: NodeId| cores.get(id).is_some_and(|&c| c >= k);
-    let mut parts: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-    for slot in 0..g.n_slots() {
-        let id = match g.slot_id(slot) {
-            Some(id) => id,
-            None => continue,
-        };
-        if !keep(id) {
-            continue;
-        }
-        let nbrs: Vec<NodeId> = g
-            .nbrs_of_slot(slot)
-            .iter()
-            .copied()
-            .filter(|&n| keep(n))
-            .collect();
-        parts.push((id, nbrs));
-    }
-    UndirectedGraph::from_parts(parts)
+    g.induced(|id| cores.get(id).is_some_and(|&c| c >= k))
 }
 
 #[cfg(test)]

@@ -71,10 +71,9 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
             live[s] = true;
         }
     }
-    // Per-slot out-degree, fixed for the run.
-    let out_deg: Vec<u32> = (0..n_slots)
-        .map(|s| g.out_nbrs_of_slot(s).len() as u32)
-        .collect();
+    // Out-degrees and in-rows come from the slot-CSR view: the pull
+    // loop below reads neighbor slots directly, in adjacency order.
+    let topo = g.topology();
 
     let mut contrib = vec![0.0f64; n_slots];
     let mut next = vec![0.0f64; n_slots];
@@ -82,13 +81,12 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
         // contrib[u] = rank[u] / outdeg[u]; dangling mass collected apart.
         {
             let rank_ref = &rank;
-            let out_ref = &out_deg;
             let live_ref = &live;
             parallel_for_each_chunk_mut(&mut contrib, config.threads, |_, start, chunk| {
                 for (off, c) in chunk.iter_mut().enumerate() {
                     let s = start + off;
-                    *c = if live_ref[s] && out_ref[s] > 0 {
-                        rank_ref[s] / f64::from(out_ref[s])
+                    *c = if live_ref[s] && topo.out_degree(s) > 0 {
+                        rank_ref[s] / f64::from(topo.out_degree(s))
                     } else {
                         0.0
                     };
@@ -102,7 +100,7 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
             |range| {
                 let mut s = 0.0;
                 for i in range {
-                    if live[i] && out_deg[i] == 0 {
+                    if live[i] && topo.out_degree(i) == 0 {
                         s += rank[i];
                     }
                 }
@@ -123,11 +121,8 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
                         continue;
                     }
                     let mut acc = 0.0;
-                    for &u in g.in_nbrs_of_slot(s) {
-                        // Neighbor ids resolve to slots through the node
-                        // hash table — the per-edge lookup SNAP performs.
-                        let us = g.slot_of(u).expect("neighbor id must exist");
-                        acc += contrib_ref[us];
+                    for &us in topo.in_row(s) {
+                        acc += contrib_ref[us as usize];
                     }
                     *out = base + config.damping * acc;
                 }

@@ -51,14 +51,9 @@ const PAR_MIN_FRONTIER: usize = 256;
 /// count.
 pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
     let n_slots = g.n_slots();
-    let mut indeg = vec![0u32; n_slots];
-    let mut live = 0usize;
-    for (s, cell) in indeg.iter_mut().enumerate() {
-        if g.slot_id(s).is_some() {
-            live += 1;
-            *cell = g.in_nbrs_of_slot(s).len() as u32;
-        }
-    }
+    let topo = g.topology();
+    let mut indeg: Vec<u32> = (0..n_slots).map(|s| topo.in_degree(s)).collect();
+    let live = g.node_count();
     let mut frontier: Vec<u32> = (0..n_slots)
         .filter(|&s| g.slot_id(s).is_some() && indeg[s] == 0)
         .map(|s| s as u32)
@@ -77,14 +72,13 @@ pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
             let (bufs, _) = parallel_map_morsels(fr.len(), threads, |_, range| {
                 let mut buf: Vec<u32> = Vec::new();
                 for &u in &fr[range] {
-                    for &nbr in g.out_nbrs_of_slot(u as usize) {
-                        let ns = g.slot_of(nbr).expect("neighbor exists");
+                    for &ns in topo.out_row(u as usize) {
                         // ORDERING: Relaxed — the decrement only needs
                         // atomicity (exactly one worker sees the count
                         // hit zero); the next round reads after the pool
                         // barrier's synchronization.
-                        if indeg[ns].fetch_sub(1, Ordering::Relaxed) == 1 {
-                            buf.push(ns as u32);
+                        if indeg[ns as usize].fetch_sub(1, Ordering::Relaxed) == 1 {
+                            buf.push(ns);
                         }
                     }
                 }
@@ -94,11 +88,10 @@ pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
         } else {
             let mut buf: Vec<u32> = Vec::new();
             for &u in &frontier {
-                for &nbr in g.out_nbrs_of_slot(u as usize) {
-                    let ns = g.slot_of(nbr).expect("neighbor exists");
-                    indeg[ns] -= 1;
-                    if indeg[ns] == 0 {
-                        buf.push(ns as u32);
+                for &ns in topo.out_row(u as usize) {
+                    indeg[ns as usize] -= 1;
+                    if indeg[ns as usize] == 0 {
+                        buf.push(ns);
                     }
                 }
             }

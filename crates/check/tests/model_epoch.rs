@@ -98,9 +98,9 @@ fn compact_as_publish_racing_slab_readers() {
         let mut g = DirectedGraph::from_sorted_parts(
             vec![0, 1, 2],
             &[0, 0, 1, 3],
-            &[0, 0, 1],
+            Arc::from([0, 0, 1]),
             &[0, 2, 3, 3],
-            &[1, 2, 2],
+            Arc::from([1, 2, 2]),
         );
         g.del_edge(1, 2);
         let domain = Arc::new(EpochDomain::with_slots(4));

@@ -31,8 +31,9 @@
 use ringo_concurrent::{
     parallel_for, parallel_map, parallel_sort, radix_sort_pairs, DisjointSlice,
 };
-use ringo_graph::{DirectedGraph, NodeId, UndirectedGraph};
+use ringo_graph::{new_slab, DirectedGraph, NodeId, UndirectedGraph};
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
+use std::sync::Arc;
 
 /// Result alias reusing the table error type (conversions validate column
 /// names/types exactly like table operators).
@@ -81,9 +82,9 @@ pub fn table_to_graph(t: &Table, src_col: &str, dst_col: &str) -> Result<Directe
     let g = DirectedGraph::from_sorted_parts(
         parts.ids,
         &parts.in_off,
-        &parts.in_slab,
+        parts.in_slab,
         &parts.out_off,
-        &parts.out_slab,
+        parts.out_slab,
     );
     sp.rows_out(g.edge_count());
     Ok(g)
@@ -92,17 +93,19 @@ pub fn table_to_graph(t: &Table, src_col: &str, dst_col: &str) -> Result<Directe
 /// Slab-form directed adjacency produced by [`adjacency_parts`]: node `k`
 /// (ascending ids) owns `in_slab[in_off[k]..in_off[k + 1]]` and
 /// `out_slab[out_off[k]..out_off[k + 1]]`, both sorted and deduplicated.
+/// The slabs are already in the shared form the graph keeps, so
+/// [`DirectedGraph::from_sorted_parts`] takes them over without a copy.
 pub struct AdjacencyParts {
     /// Distinct node ids, ascending.
     pub ids: Vec<NodeId>,
     /// `ids.len() + 1` exclusive prefix offsets into `in_slab`.
     pub in_off: Vec<usize>,
     /// All in-neighbors, concatenated in node order.
-    pub in_slab: Vec<NodeId>,
+    pub in_slab: Arc<[NodeId]>,
     /// `ids.len() + 1` exclusive prefix offsets into `out_slab`.
     pub out_off: Vec<usize>,
     /// All out-neighbors, concatenated in node order.
-    pub out_slab: Vec<NodeId>,
+    pub out_slab: Arc<[NodeId]>,
 }
 
 /// The allocation-free fill phase of the sort-first conversion.
@@ -180,14 +183,14 @@ pub fn adjacency_parts(
 
     // Scatter pass: disjoint slab ranges per node, so concurrent writes
     // are contention-free and need no synchronization.
-    let mut in_slab = vec![0 as NodeId; *in_off.last().unwrap()];
-    let mut out_slab = vec![0 as NodeId; *out_off.last().unwrap()];
+    let mut in_slab = new_slab(*in_off.last().unwrap());
+    let mut out_slab = new_slab(*out_off.last().unwrap());
     {
         let mut sp = ringo_trace::span!("convert.fill.scatter");
         sp.rows_in(n);
         sp.rows_out(in_slab.len() + out_slab.len());
-        let in_cell = DisjointSlice::new(&mut in_slab);
-        let out_cell = DisjointSlice::new(&mut out_slab);
+        let in_cell = DisjointSlice::new(Arc::get_mut(&mut in_slab).expect("fresh slab"));
+        let out_cell = DisjointSlice::new(Arc::get_mut(&mut out_slab).expect("fresh slab"));
         parallel_for(n, threads, |_, range| {
             for k in range {
                 let (_, orun, irun) = nodes[k];
@@ -320,12 +323,12 @@ pub fn table_to_undirected(t: &Table, src_col: &str, dst_col: &str) -> Result<Un
         }
         off
     };
-    let mut slab = vec![0 as NodeId; *off.last().unwrap()];
+    let mut slab = new_slab(*off.last().unwrap());
     {
         let mut fsp = ringo_trace::span!("convert.fill.scatter");
         fsp.rows_in(n);
         fsp.rows_out(slab.len());
-        let cell = DisjointSlice::new(&mut slab);
+        let cell = DisjointSlice::new(Arc::get_mut(&mut slab).expect("fresh slab"));
         parallel_for(n, threads, |_, range| {
             for k in range {
                 // SAFETY: offsets partition the slab; node k's range is
@@ -336,7 +339,7 @@ pub fn table_to_undirected(t: &Table, src_col: &str, dst_col: &str) -> Result<Un
         });
     }
     let ids: Vec<NodeId> = runs.iter().map(|r| r.id).collect();
-    let g = UndirectedGraph::from_sorted_parts(ids, &off, &slab);
+    let g = UndirectedGraph::from_sorted_parts(ids, &off, slab);
     sp.rows_out(g.edge_count());
     Ok(g)
 }

@@ -26,7 +26,12 @@
 //!   mutated graph's adjacency into a fresh exact slab
 //!   (`DirectedGraph::compact`) produces a new immutable version, which
 //!   is published like any other — pinned readers keep traversing the
-//!   old slabs untouched.
+//!   old slabs untouched;
+//! * a publish **releases the displaced graph version's cached
+//!   `Topology`** (the slot-CSR view kernels traverse): derived
+//!   structure is cheap to recompute, so only the current version of a
+//!   name holds one, and a reader pinned to an older version rebuilds on
+//!   demand.
 //!
 //! Reclamation policy is governed by `RINGO_CATALOG_GC`: `auto` (the
 //! default) runs a collection after every publish, `manual` defers
@@ -264,7 +269,13 @@ impl Catalog {
             cardinality: data.cardinality(),
         };
         history.push(meta.clone());
-        map.insert(name.to_string(), CatalogEntry { meta, data });
+        let displaced = map.insert(name.to_string(), CatalogEntry { meta, data });
+        // Publish is invalidation: only the current version of a name
+        // keeps its cached topology. A snapshot still pinned to the
+        // displaced version rebuilds one on demand.
+        if let Some(Dataset::Graph(old)) = displaced.map(|e| e.data) {
+            old.release_topology();
+        }
         sp.rows_out(map.len());
         self.inner.root.publish(Arc::new(map));
         version

@@ -2,6 +2,7 @@
 //! in/out adjacency vectors per node.
 
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
+use crate::topology::{Topology, TopologyCell};
 use crate::traits::DirectedTopology;
 use crate::NodeId;
 use ringo_concurrent::IntHashTable;
@@ -50,6 +51,7 @@ pub struct DirectedGraph {
     free: Vec<u32>,
     n_nodes: usize,
     n_edges: usize,
+    topology: TopologyCell,
 }
 
 impl DirectedGraph {
@@ -63,9 +65,7 @@ impl DirectedGraph {
         Self {
             index: IntHashTable::with_capacity(nodes),
             nodes: Vec::with_capacity(nodes),
-            free: Vec::new(),
-            n_nodes: 0,
-            n_edges: 0,
+            ..Self::default()
         }
     }
 
@@ -99,6 +99,7 @@ impl DirectedGraph {
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
+        self.topology.clear();
         if self.index.contains(id) {
             return false;
         }
@@ -126,6 +127,7 @@ impl DirectedGraph {
     /// Adds the edge `src -> dst`, creating missing endpoints. Returns
     /// `false` if the edge already existed.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
+        self.topology.clear();
         self.add_node(src);
         self.add_node(dst);
         {
@@ -150,6 +152,7 @@ impl DirectedGraph {
     /// Deletes the edge `src -> dst`. Returns `false` if it did not exist.
     /// Cost is `O(out_deg(src) + in_deg(dst))`, not `O(E)`.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
+        self.topology.clear();
         let removed = match self.cell_mut(src) {
             Some(sc) => match sc.out_nbrs.binary_search(&dst) {
                 Ok(pos) => {
@@ -175,6 +178,7 @@ impl DirectedGraph {
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
+        self.topology.clear();
         let slot = match self.index.get(id) {
             Some(s) => *s,
             None => return false,
@@ -243,7 +247,8 @@ impl DirectedGraph {
 
     /// Approximate heap footprint in bytes: hash index + slot vector +
     /// adjacency vector capacities. This is what the paper's Table 2
-    /// reports as "In-memory Graph Size".
+    /// reports as "In-memory Graph Size" — the graph alone; a cached
+    /// [`Topology`] is reported by [`DirectedGraph::topology_bytes`].
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
         bytes += self.nodes.capacity() * std::mem::size_of::<Option<NodeCell>>();
@@ -252,6 +257,19 @@ impl DirectedGraph {
             bytes += c.in_nbrs.heap_bytes() + c.out_nbrs.heap_bytes();
         }
         bytes
+    }
+
+    /// Heap bytes of the cached [`Topology`], 0 when none is cached.
+    pub fn topology_bytes(&self) -> usize {
+        self.topology.bytes()
+    }
+
+    /// Drops the cached [`Topology`] (the next
+    /// [`DirectedTopology::topology`] call rebuilds it). The catalog calls
+    /// this on a version a publish displaces, so only the current version
+    /// of a name holds one.
+    pub fn release_topology(&self) {
+        self.topology.release();
     }
 
     /// Builds a graph from per-node parts `(id, in_nbrs, out_nbrs)` whose
@@ -282,9 +300,9 @@ impl DirectedGraph {
         g
     }
 
-    /// Bulk-builds a graph from slab-form adjacency produced by the
-    /// conversion fill phase: node `k` (with id `ids[k]`, strictly
-    /// ascending) owns `in_slab[in_off[k]..in_off[k+1]]` and
+    /// Bulk-builds a graph from slab-form adjacency (the conversion fill
+    /// phase, induced subgraphs): node `k` (with id `ids[k]`, distinct,
+    /// placed in slot `k`) owns `in_slab[in_off[k]..in_off[k+1]]` and
     /// `out_slab[out_off[k]..out_off[k+1]]`, each **sorted and
     /// deduplicated**, and the two orientations must be mutually
     /// consistent.
@@ -294,17 +312,19 @@ impl DirectedGraph {
     /// the load-factor limit) and installs each adjacency list as a
     /// copy-on-write **view into the shared slab** — no per-node
     /// allocation or copy at all; a node's list is only materialized as
-    /// a private `Vec` if that node is later mutated.
+    /// a private `Vec` if that node is later mutated. The graph takes
+    /// ownership of the slabs the producer filled in place (see
+    /// [`crate::new_slab`]), so the adjacency is never copied.
     ///
     /// # Panics
-    /// Panics on duplicate ids; debug builds also check that offsets are
-    /// monotone, slabs are fully covered, and runs are sorted.
+    /// Panics on duplicate ids; debug builds also check that slabs are
+    /// fully covered and runs are sorted.
     pub fn from_sorted_parts(
         ids: Vec<NodeId>,
         in_off: &[usize],
-        in_slab: &[NodeId],
+        in_slab: Arc<[NodeId]>,
         out_off: &[usize],
-        out_slab: &[NodeId],
+        out_slab: Arc<[NodeId]>,
     ) -> Self {
         let n = ids.len();
         assert_eq!(
@@ -319,11 +339,8 @@ impl DirectedGraph {
         );
         debug_assert_eq!(*in_off.last().unwrap_or(&0), in_slab.len());
         debug_assert_eq!(*out_off.last().unwrap_or(&0), out_slab.len());
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
         let mut g = Self::with_capacity(n);
         let n_edges = out_slab.len();
-        let in_buf: Arc<[NodeId]> = Arc::from(in_slab);
-        let out_buf: Arc<[NodeId]> = Arc::from(out_slab);
         for (k, id) in ids.into_iter().enumerate() {
             debug_assert!(in_slab[in_off[k]..in_off[k + 1]]
                 .windows(2)
@@ -333,8 +350,8 @@ impl DirectedGraph {
                 .all(|w| w[0] < w[1]));
             g.nodes.push(Some(NodeCell {
                 id,
-                in_nbrs: NbrList::slab(&in_buf, in_off[k], in_off[k + 1]),
-                out_nbrs: NbrList::slab(&out_buf, out_off[k], out_off[k + 1]),
+                in_nbrs: NbrList::slab(&in_slab, in_off[k], in_off[k + 1]),
+                out_nbrs: NbrList::slab(&out_slab, out_off[k], out_off[k + 1]),
             }));
             let prev = g.index.insert(id, k as u32);
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
@@ -369,6 +386,7 @@ impl DirectedGraph {
     /// compact the clone, publish it as the next version, and let the
     /// epoch machinery retire the old slabs once unpinned.
     pub fn compact(&mut self) -> CompactStats {
+        self.topology.clear();
         let before = self.adjacency_stats();
         let mut ins: Vec<&mut NbrList> = self
             .nodes
@@ -472,6 +490,10 @@ impl DirectedTopology for DirectedGraph {
 
     fn edge_count(&self) -> usize {
         self.n_edges
+    }
+
+    fn topology(&self) -> Arc<Topology> {
+        self.topology.get_or_build(|| Topology::build(self, false))
     }
 }
 
@@ -609,7 +631,13 @@ mod tests {
         let out_slab = [2i64, 3, 3, 1];
         let in_off = [0usize, 1, 2, 4];
         let in_slab = [3i64, 1, 1, 2];
-        let g = DirectedGraph::from_sorted_parts(ids, &in_off, &in_slab, &out_off, &out_slab);
+        let g = DirectedGraph::from_sorted_parts(
+            ids,
+            &in_off,
+            Arc::from(in_slab),
+            &out_off,
+            Arc::from(out_slab),
+        );
         let mut inc = DirectedGraph::new();
         for (s, d) in [(1, 2), (1, 3), (2, 3), (3, 1)] {
             inc.add_edge(s, d);
@@ -629,7 +657,8 @@ mod tests {
 
     #[test]
     fn from_sorted_parts_empty() {
-        let g = DirectedGraph::from_sorted_parts(Vec::new(), &[0], &[], &[0], &[]);
+        let g =
+            DirectedGraph::from_sorted_parts(Vec::new(), &[0], Arc::from([]), &[0], Arc::from([]));
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
     }
@@ -684,7 +713,7 @@ mod tests {
             }
             in_off.push(in_slab.len());
         }
-        DirectedGraph::from_sorted_parts(ids, &in_off, &in_slab, &out_off, &out_slab)
+        DirectedGraph::from_sorted_parts(ids, &in_off, in_slab.into(), &out_off, out_slab.into())
     }
 
     #[test]

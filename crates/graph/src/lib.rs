@@ -15,6 +15,9 @@
 //!   to quantify exactly the trade-off the paper describes.
 //! * [`DirectedTopology`] — slot-addressed read access implemented by both
 //!   directed representations so algorithms can run on either.
+//! * [`Topology`] — the dense slot-CSR view kernels traverse: neighbor
+//!   *slots* instead of ids, built once per graph version and cached on
+//!   the graph value.
 
 #![warn(missing_docs)]
 
@@ -22,6 +25,7 @@ pub mod csr;
 pub mod directed;
 pub mod io;
 mod nbrs;
+pub mod topology;
 pub mod traits;
 pub mod transform;
 pub mod undirected;
@@ -29,7 +33,8 @@ pub mod weighted;
 
 pub use csr::CsrGraph;
 pub use directed::DirectedGraph;
-pub use nbrs::{AdjacencyStats, CompactStats};
+pub use nbrs::{new_slab, AdjacencyStats, CompactStats};
+pub use topology::Topology;
 pub use traits::{DirectedTopology, Direction};
 pub use undirected::UndirectedGraph;
 pub use weighted::WeightedDigraph;

@@ -15,6 +15,14 @@ use crate::NodeId;
 use std::ops::Deref;
 use std::sync::Arc;
 
+/// A zero-filled adjacency slab of `len` ids, allocated once in its final
+/// shared form. Producers fill it in place through [`Arc::get_mut`] and
+/// hand it to a `from_sorted_parts` constructor, so bulk-built adjacency
+/// is written exactly once and never copied.
+pub fn new_slab(len: usize) -> Arc<[NodeId]> {
+    std::iter::repeat_n(0, len).collect()
+}
+
 /// One node's sorted neighbor list: either privately owned or a range of
 /// a bulk-load slab shared with the other nodes built in the same batch.
 #[derive(Clone, Debug)]

@@ -1,12 +1,14 @@
 //! Slot-addressed read access shared by the directed representations.
 
+use crate::topology::Topology;
 use crate::NodeId;
+use std::sync::Arc;
 
 /// Which edges a directed traversal follows.
 ///
 /// Lives in the graph layer (rather than with any one algorithm) because
-/// both the traversal kernels in `ringo-algo` and the bulk
-/// [`DirectedTopology::degrees`] accessor are parameterized by it.
+/// both the traversal kernels in `ringo-algo` and the row accessors of
+/// [`Topology`] are parameterized by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Follow out-edges (successors).
@@ -15,6 +17,17 @@ pub enum Direction {
     In,
     /// Treat edges as undirected.
     Both,
+}
+
+impl Direction {
+    /// The direction that walks every edge the other way.
+    pub fn reversed(self) -> Self {
+        match self {
+            Direction::Out => Direction::In,
+            Direction::In => Direction::Out,
+            Direction::Both => Direction::Both,
+        }
+    }
 }
 
 /// Read-only, slot-addressed view of a directed graph.
@@ -35,33 +48,23 @@ pub trait DirectedTopology: Sync {
     fn slot_id(&self, slot: usize) -> Option<NodeId>;
     /// Slot holding node `id`.
     fn slot_of(&self, id: NodeId) -> Option<usize>;
-    /// Sorted out-neighbor ids of the node in `slot`.
+    /// Sorted out-neighbor ids of the node in `slot` (empty when vacant).
     fn out_nbrs_of_slot(&self, slot: usize) -> &[NodeId];
-    /// Sorted in-neighbor ids of the node in `slot`.
+    /// Sorted in-neighbor ids of the node in `slot` (empty when vacant).
     fn in_nbrs_of_slot(&self, slot: usize) -> &[NodeId];
     /// Number of (live) nodes.
     fn node_count(&self) -> usize;
     /// Number of directed edges.
     fn edge_count(&self) -> usize;
 
-    /// Per-slot degree in the traversal sense of `dir` (vacant slots get
-    /// 0). Bulk accessor for frontier-style engines: the
-    /// direction-optimizing crossover heuristic needs the edge mass of a
-    /// frontier, and summing precomputed degrees is much cheaper than
-    /// re-touching adjacency lists every level.
-    fn degrees(&self, dir: Direction) -> Vec<u32> {
-        let mut deg = vec![0u32; self.n_slots()];
-        for (s, d) in deg.iter_mut().enumerate() {
-            if self.slot_id(s).is_some() {
-                *d = match dir {
-                    Direction::Out => self.out_nbrs_of_slot(s).len(),
-                    Direction::In => self.in_nbrs_of_slot(s).len(),
-                    Direction::Both => {
-                        self.out_nbrs_of_slot(s).len() + self.in_nbrs_of_slot(s).len()
-                    }
-                } as u32;
-            }
-        }
-        deg
+    /// The dense slot-CSR view of this graph (see [`Topology`]). The
+    /// default builds a fresh one per call; [`crate::DirectedGraph`] and
+    /// [`crate::UndirectedGraph`] override it with a per-version cache, so
+    /// repeated kernels on one graph translate ids to slots once.
+    fn topology(&self) -> Arc<Topology>
+    where
+        Self: Sized,
+    {
+        Arc::new(Topology::build(self, false))
     }
 }

@@ -2,39 +2,27 @@
 //! renumbering — the "powerful operations to construct various types of
 //! graphs" an exploratory workflow composes between algorithm runs.
 
-use crate::{DirectedGraph, NodeId, UndirectedGraph};
+use crate::{new_slab, DirectedGraph, DirectedTopology, NodeId, UndirectedGraph};
 use ringo_concurrent::IntHashTable;
+use std::sync::Arc;
 
 impl DirectedGraph {
     /// The subgraph induced by `nodes`: those nodes and every edge whose
     /// endpoints are both in the set. Unknown ids are ignored.
     pub fn subgraph(&self, nodes: &[NodeId]) -> DirectedGraph {
-        let mut keep: IntHashTable<()> = IntHashTable::with_capacity(nodes.len());
-        for &n in nodes {
-            if self.has_node(n) {
-                keep.insert(n, ());
-            }
-        }
-        let mut parts = Vec::with_capacity(keep.len());
-        for id in self.node_ids() {
-            if !keep.contains(id) {
-                continue;
-            }
-            let in_nbrs: Vec<NodeId> = self
-                .in_nbrs(id)
-                .iter()
-                .copied()
-                .filter(|n| keep.contains(*n))
-                .collect();
-            let out_nbrs: Vec<NodeId> = self
-                .out_nbrs(id)
-                .iter()
-                .copied()
-                .filter(|n| keep.contains(*n))
-                .collect();
-            parts.push((id, in_nbrs, out_nbrs));
-        }
-        DirectedGraph::from_parts(parts)
+        let keep = id_set(nodes);
+        self.induced(|id| keep.contains(id))
+    }
+
+    /// The subgraph induced by the nodes `keep` accepts, built in slab
+    /// form: an exact count pass sizes the two adjacency slabs, a second
+    /// pass fills them in place, and the result's lists are views into
+    /// them. Kept nodes keep their relative slot order.
+    pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> DirectedGraph {
+        let (slots, ids) = kept_slots(self, &keep);
+        let (in_off, in_slab) = filtered_slab(&slots, |s| self.in_nbrs_of_slot(s), &keep);
+        let (out_off, out_slab) = filtered_slab(&slots, |s| self.out_nbrs_of_slot(s), &keep);
+        DirectedGraph::from_sorted_parts(ids, &in_off, in_slab, &out_off, out_slab)
     }
 
     /// The reverse graph: every edge `u -> v` becomes `v -> u`. Cheap —
@@ -88,27 +76,72 @@ impl UndirectedGraph {
     /// The subgraph induced by `nodes` (see
     /// [`DirectedGraph::subgraph`]).
     pub fn subgraph(&self, nodes: &[NodeId]) -> UndirectedGraph {
-        let mut keep: IntHashTable<()> = IntHashTable::with_capacity(nodes.len());
-        for &n in nodes {
-            if self.has_node(n) {
-                keep.insert(n, ());
-            }
-        }
-        let mut parts = Vec::with_capacity(keep.len());
-        for id in self.node_ids() {
-            if !keep.contains(id) {
-                continue;
-            }
-            let nbrs: Vec<NodeId> = self
-                .nbrs(id)
-                .iter()
-                .copied()
-                .filter(|n| keep.contains(*n))
-                .collect();
-            parts.push((id, nbrs));
-        }
-        UndirectedGraph::from_parts(parts)
+        let keep = id_set(nodes);
+        self.induced(|id| keep.contains(id))
     }
+
+    /// The subgraph induced by the nodes `keep` accepts (see
+    /// [`DirectedGraph::induced`]).
+    pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> UndirectedGraph {
+        let (slots, ids) = kept_slots(self, &keep);
+        let (off, slab) = filtered_slab(&slots, |s| self.nbrs_of_slot(s), &keep);
+        UndirectedGraph::from_sorted_parts(ids, &off, slab)
+    }
+}
+
+fn id_set(nodes: &[NodeId]) -> IntHashTable<()> {
+    let mut set = IntHashTable::with_capacity(nodes.len());
+    for &n in nodes {
+        set.insert(n, ());
+    }
+    set
+}
+
+/// Live slots of `g` whose node `keep` accepts, with their ids.
+fn kept_slots<G: DirectedTopology>(
+    g: &G,
+    keep: &impl Fn(NodeId) -> bool,
+) -> (Vec<usize>, Vec<NodeId>) {
+    (0..g.n_slots())
+        .filter_map(|s| g.slot_id(s).filter(|&id| keep(id)).map(|id| (s, id)))
+        .unzip()
+}
+
+/// Slab-form copy of `nbrs(slot)` for each of `slots`, restricted to the
+/// ids `keep` accepts: an exact count pass yields the prefix offsets,
+/// then the slab is allocated at its final size and filled in place.
+/// `keep` is typically a hash probe, so the count pass remembers each
+/// verdict as one bit and the fill pass replays them.
+fn filtered_slab<'g>(
+    slots: &[usize],
+    nbrs: impl Fn(usize) -> &'g [NodeId],
+    keep: &impl Fn(NodeId) -> bool,
+) -> (Vec<usize>, Arc<[NodeId]>) {
+    let stored: usize = slots.iter().map(|&s| nbrs(s).len()).sum();
+    let mut verdicts = vec![0u64; stored.div_ceil(64)];
+    let mut off = Vec::with_capacity(slots.len() + 1);
+    let (mut seen, mut total) = (0usize, 0usize);
+    off.push(0);
+    for &s in slots {
+        for &n in nbrs(s) {
+            let kept = keep(n);
+            verdicts[seen / 64] |= u64::from(kept) << (seen % 64);
+            seen += 1;
+            total += usize::from(kept);
+        }
+        off.push(total);
+    }
+    let mut slab = new_slab(total);
+    let buf = Arc::get_mut(&mut slab).expect("fresh slab is unshared");
+    let kept = slots
+        .iter()
+        .flat_map(|&s| nbrs(s))
+        .enumerate()
+        .filter(|&(i, _)| verdicts[i / 64] >> (i % 64) & 1 == 1);
+    for (o, (_, &n)) in buf.iter_mut().zip(kept) {
+        *o = n;
+    }
+    (off, slab)
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! vector per node.
 
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
+use crate::topology::{Topology, TopologyCell};
 use crate::NodeId;
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
@@ -25,6 +26,7 @@ pub struct UndirectedGraph {
     free: Vec<u32>,
     n_nodes: usize,
     n_edges: usize,
+    topology: TopologyCell,
 }
 
 impl UndirectedGraph {
@@ -72,6 +74,7 @@ impl UndirectedGraph {
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
+        self.topology.clear();
         if self.index.contains(id) {
             return false;
         }
@@ -99,6 +102,7 @@ impl UndirectedGraph {
     /// Adds the undirected edge `{a, b}`, creating missing endpoints.
     /// Returns `false` if the edge already existed.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        self.topology.clear();
         self.add_node(a);
         self.add_node(b);
         {
@@ -122,6 +126,7 @@ impl UndirectedGraph {
 
     /// Deletes the undirected edge `{a, b}`. Returns `false` if absent.
     pub fn del_edge(&mut self, a: NodeId, b: NodeId) -> bool {
+        self.topology.clear();
         let removed = match self.cell_mut(a) {
             Some(ca) => match ca.nbrs.binary_search(&b) {
                 Ok(pos) => {
@@ -146,6 +151,7 @@ impl UndirectedGraph {
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
+        self.topology.clear();
         let slot = match self.index.get(id) {
             Some(s) => *s,
             None => return false,
@@ -225,6 +231,17 @@ impl UndirectedGraph {
         bytes
     }
 
+    /// Heap bytes of the cached [`Topology`], 0 when none is cached.
+    pub fn topology_bytes(&self) -> usize {
+        self.topology.bytes()
+    }
+
+    /// Drops the cached [`Topology`] (see
+    /// [`crate::DirectedGraph::release_topology`]).
+    pub fn release_topology(&self) {
+        self.topology.release();
+    }
+
     /// Adjacency-storage accounting (see
     /// [`crate::DirectedGraph::adjacency_stats`]).
     pub fn adjacency_stats(&self) -> AdjacencyStats {
@@ -239,6 +256,7 @@ impl UndirectedGraph {
     /// Rewrites every adjacency list into one fresh, exactly-sized
     /// shared slab (see [`crate::DirectedGraph::compact`]).
     pub fn compact(&mut self) -> CompactStats {
+        self.topology.clear();
         let before = self.adjacency_stats();
         let mut lists: Vec<&mut NbrList> = self
             .nodes
@@ -278,16 +296,17 @@ impl UndirectedGraph {
     }
 
     /// Bulk-builds a graph from slab-form adjacency: node `k` (id
-    /// `ids[k]`, strictly ascending) owns `slab[off[k]..off[k+1]]`,
-    /// sorted and deduplicated, with each edge `{a, b}` present in both
-    /// endpoints' runs (self-loops once). Undirected counterpart of
+    /// `ids[k]`, distinct, placed in slot `k`) owns
+    /// `slab[off[k]..off[k+1]]`, sorted and deduplicated, with each edge
+    /// `{a, b}` present in both endpoints' runs (self-loops once).
+    /// Undirected counterpart of
     /// [`crate::DirectedGraph::from_sorted_parts`]: one hash-table
-    /// reservation, and each adjacency list installed as a
-    /// copy-on-write view into the shared slab (no per-node copy).
+    /// reservation, each adjacency list installed as a copy-on-write
+    /// view into the slab, and the slab itself taken over, not copied.
     ///
     /// # Panics
     /// Panics on duplicate ids; debug builds also check sortedness.
-    pub fn from_sorted_parts(ids: Vec<NodeId>, off: &[usize], slab: &[NodeId]) -> Self {
+    pub fn from_sorted_parts(ids: Vec<NodeId>, off: &[usize], slab: Arc<[NodeId]>) -> Self {
         let n = ids.len();
         assert_eq!(
             off.len(),
@@ -295,11 +314,9 @@ impl UndirectedGraph {
             "off must have one bound per node plus one"
         );
         debug_assert_eq!(*off.last().unwrap_or(&0), slab.len());
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
         let mut g = Self::with_capacity(n);
         let mut edge_ends = 0usize;
         let mut self_loops = 0usize;
-        let buf: Arc<[NodeId]> = Arc::from(slab);
         for (k, id) in ids.into_iter().enumerate() {
             let nbrs = &slab[off[k]..off[k + 1]];
             debug_assert!(nbrs.windows(2).all(|w| w[0] < w[1]));
@@ -307,7 +324,7 @@ impl UndirectedGraph {
             self_loops += usize::from(nbrs.binary_search(&id).is_ok());
             g.nodes.push(Some(UNodeCell {
                 id,
-                nbrs: NbrList::slab(&buf, off[k], off[k + 1]),
+                nbrs: NbrList::slab(&slab, off[k], off[k + 1]),
             }));
             let prev = g.index.insert(id, k as u32);
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
@@ -368,6 +385,10 @@ impl crate::DirectedTopology for UndirectedGraph {
             .filter(|c| c.nbrs.binary_search(&c.id).is_ok())
             .count();
         2 * self.n_edges - self_loops
+    }
+
+    fn topology(&self) -> Arc<Topology> {
+        self.topology.get_or_build(|| Topology::build(self, true))
     }
 }
 
@@ -443,13 +464,13 @@ mod tests {
     fn from_sorted_parts_matches_from_parts() {
         // Same topology as `from_parts_counts_edges_with_self_loops`,
         // in slab form: node 1 -> [1, 2], node 2 -> [1].
-        let g = UndirectedGraph::from_sorted_parts(vec![1, 2], &[0, 2, 3], &[1, 2, 1]);
+        let g = UndirectedGraph::from_sorted_parts(vec![1, 2], &[0, 2, 3], Arc::from([1, 2, 1]));
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 2, "loop 1-1 plus edge 1-2");
         assert!(g.has_edge(1, 1));
         assert!(g.has_edge(2, 1));
         assert_eq!(g.nbrs(1), &[1, 2]);
-        let empty = UndirectedGraph::from_sorted_parts(Vec::new(), &[0], &[]);
+        let empty = UndirectedGraph::from_sorted_parts(Vec::new(), &[0], Arc::from([]));
         assert!(empty.is_empty());
     }
 
@@ -480,7 +501,7 @@ mod tests {
             }
             off.push(slab.len());
         }
-        let mut g = UndirectedGraph::from_sorted_parts(ids, &off, &slab);
+        let mut g = UndirectedGraph::from_sorted_parts(ids, &off, slab.into());
         for k in 0..8 {
             g.del_edge(k, k + 1);
         }

@@ -93,10 +93,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     // invariant established by the surrounding code (queued slots are
     // live, popped nodes have distances, neighbors exist in the graph).
     (
-        "crates/algo/src/anf.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/bfs.rs",
         "invariant expects in kernel loops",
     ),
@@ -125,10 +121,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/frontier.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/hits.rs",
         "invariant expects in kernel loops",
     ),
@@ -142,10 +134,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/algo/src/ktruss.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/pagerank.rs",
         "invariant expects in kernel loops",
     ),
     (
@@ -241,7 +229,7 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     ),
     (
         "crates/graph/src/transform.rs",
-        "cells ensured in the same call",
+        "ids mapped / slab unshared in the same call",
     ),
     (
         "crates/graph/src/undirected.rs",
@@ -328,11 +316,11 @@ const KNOB_INVENTORY: &[(&str, &str)] = &[
     ),
     (
         "RINGO_BFS_ALPHA",
-        "frontier engine: top-down to bottom-up crossover factor (0 forces top-down)",
+        "frontier engine: top-down to bottom-up crossover factor (0 forces top-down; read once per process)",
     ),
     (
         "RINGO_BFS_BETA",
-        "frontier engine: bottom-up to top-down crossover factor (MAX forces bottom-up)",
+        "frontier engine: bottom-up to top-down crossover factor (MAX forces bottom-up; read once per process)",
     ),
     (
         "RINGO_CATALOG_GC",

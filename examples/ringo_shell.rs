@@ -38,7 +38,7 @@ use ringo::algo::Direction;
 use ringo::gen::StackOverflowConfig;
 use ringo::trace::mem::{format_bytes, format_bytes_delta, TrackingAllocator};
 use ringo::{
-    Cmp, ColumnType, DatasetKind, DirectedGraph, Predicate, Ringo, Schema, Snapshot, Table,
+    Cmp, ColumnType, Dataset, DatasetKind, DirectedGraph, Predicate, Ringo, Schema, Snapshot, Table,
 };
 use std::io::{BufRead, Write};
 
@@ -128,8 +128,14 @@ impl Shell {
                         DatasetKind::Table => "rows",
                         DatasetKind::Graph => "edges",
                     };
+                    // The cached slot-CSR view is not part of the graph's
+                    // own `mem_size`, so it gets its own figure.
+                    let topology = match cat.get(&name).as_ref().and_then(Dataset::as_graph) {
+                        Some(g) => format!(", topology {}", format_bytes(g.topology_bytes())),
+                        None => String::new(),
+                    };
                     println!(
-                        "{} {name}: v{} (epoch {}), {} {unit}",
+                        "{} {name}: v{} (epoch {}), {} {unit}{topology}",
                         meta.kind, meta.version, meta.epoch, meta.cardinality
                     );
                 }
@@ -313,6 +319,16 @@ impl Shell {
                     cat.list().len(),
                     cat.retired_count(),
                     cat.pinned_readers()
+                );
+                let cached: usize = cat
+                    .list()
+                    .iter()
+                    .filter_map(|(name, _)| cat.get(name))
+                    .filter_map(|d| d.as_graph().map(|g| g.topology_bytes()))
+                    .sum();
+                println!(
+                    "topology: {} cached on current graph versions",
+                    format_bytes(cached)
                 );
                 println!(
                     "flight recorder: {} (events {} recorded, {} dropped across {} threads)",

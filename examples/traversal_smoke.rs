@@ -4,7 +4,10 @@
 //! Run with `RINGO_THREADS=4 RINGO_TRACE=1 RINGO_TRACE_JSON=out.json \
 //! cargo run --release --example traversal_smoke`. CI checks the dumped
 //! trace for `algo.bfs.topdown` *and* `algo.bfs.bottomup` spans, so a
-//! refactor that silently stops direction-optimizing fails the build.
+//! refactor that silently stops direction-optimizing fails the build,
+//! and for exactly one `graph.topology.build` span against at least two
+//! `graph.topology.hit` counts: the three traversals below share one
+//! graph version, so only the first may build its slot-CSR view.
 //! The example itself pins a distance checksum and cross-checks the
 //! forced top-down / forced bottom-up extremes against the default
 //! crossover — the engine's determinism contract, asserted end to end.

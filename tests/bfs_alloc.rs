@@ -8,19 +8,60 @@
 //! below a small constant allocation count (a single alloc-per-visit
 //! regression would exceed it by five orders of magnitude).
 //!
-//! Kept in its own test binary so concurrent sibling tests cannot
-//! inflate the process-global allocation counter mid-measurement.
+//! The engine also no longer owns a CSR: it walks the graph's cached
+//! `Topology`, so a second `bfs_distances` on the same graph must not
+//! allocate anything the size of one — pinned in *bytes*, since a CSR
+//! is a handful of huge allocations a count bound would wave through.
+//!
+//! Kept in its own test binary, and the two tests take `SERIAL`, so
+//! nothing else moves the process-global allocation counters
+//! mid-measurement.
 
-use ringo::algo::{FrontierEngine, FrontierState};
+use ringo::algo::{bfs_distances, FrontierEngine, FrontierState};
+use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
-use ringo::trace::mem::{alloc_count, TrackingAllocator};
+use ringo::trace::mem::{alloc_count, current_bytes, peak_bytes, reset_peak, TrackingAllocator};
 use ringo::{DirectedGraph, Direction};
+use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+#[test]
+fn second_bfs_on_the_same_graph_allocates_no_csr() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // Dense on purpose: 200k edges over 4k nodes, so the slot-CSR
+    // (~1.6 MB) dwarfs the per-run state and the distance table.
+    let edges = rmat(&RmatConfig {
+        scale: 12,
+        edges: 200_000,
+        seed: 5,
+        ..Default::default()
+    });
+    let g = ringo::convert::table_to_graph(&edges_to_table(&edges), "src", "dst").unwrap();
+    let src = g.node_ids().next().unwrap();
+
+    let first = bfs_distances(&g, src, Direction::Out);
+    let csr_bytes = g.topology_bytes();
+    assert!(csr_bytes > 1_000_000, "the first probe built the topology");
+
+    let live = current_bytes();
+    reset_peak();
+    let second = bfs_distances(&g, src, Direction::Out);
+    let transient = peak_bytes() - live;
+    assert_eq!(second.len(), first.len());
+    assert!(
+        transient < csr_bytes / 4,
+        "second BFS peaked {transient} B above the live heap; \
+         a rebuilt CSR would be {csr_bytes} B"
+    );
+}
+
 #[test]
 fn warmed_traversal_allocates_constant_not_per_visit() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     const N: i64 = 100_000;
     // Star-of-paths: one hub fanning out to 100 chains of 1000 nodes —
     // exercises both a wide level and deep narrow ones.
