@@ -4,7 +4,10 @@
 //! probing" as the backbone of both the graph's node index and the table
 //! engine's grouping/join operators, citing its cache friendliness for
 //! integer keys. [`IntHashTable`] is the sequential variant with proper
-//! deletion (backward-shift, no tombstones). [`ConcurrentIntTable`] is a
+//! deletion (backward-shift, no tombstones). [`KeyInterner`] maps
+//! fixed-width multi-word keys to dense first-appearance ids without a
+//! reserved key or a per-key allocation — the index under group-by,
+//! distinct and the set operations. [`ConcurrentIntTable`] is a
 //! fixed-capacity concurrent key set whose `insert` claims a slot with a
 //! compare-and-swap; callers attach per-slot payload in their own arrays of
 //! atomics — exactly the pattern Ringo uses when counting node degrees
@@ -215,6 +218,149 @@ impl<V> IntHashTable<V> {
         for (k, v) in old_keys.into_iter().zip(old_vals) {
             if k != EMPTY_KEY {
                 self.insert(k, v.expect("occupied slot"));
+            }
+        }
+    }
+}
+
+/// Id marking an empty [`KeyInterner`] slot.
+const NO_ID: u32 = u32::MAX;
+
+/// Hash of a fixed-width key, as [`KeyInterner`] places it (by the low
+/// bits — radix partitioners take the high ones, as with [`hash_i64`] in
+/// the join build). A single word goes through [`hash_i64`]
+/// alone — a bijection on 64 bits (add, xor-shift and odd multiply are
+/// each invertible), so two one-word keys hash equal only when they are
+/// equal; further words chain through the same finalizer.
+#[inline]
+pub fn hash_words(key: &[u64]) -> u64 {
+    let mut h = hash_i64(key[0] as i64);
+    for &w in &key[1..] {
+        h = hash_i64((h ^ w) as i64);
+    }
+    h
+}
+
+/// A sequential open-addressing, linear-probing map from fixed-width keys
+/// (`width` `u64` words each) to dense ids `0..len()`, handed out in
+/// first-insertion order — the grouping / dedup index of the table engine.
+///
+/// Unlike [`IntHashTable`] no key value is reserved: a slot holds the
+/// key's hash and its id, and emptiness lives in the id. A one-word key is
+/// identified by its hash alone ([`hash_i64`] is a bijection) and stored
+/// nowhere else; wider keys are stored once, in id order, in one flat
+/// arena, so inserting allocates only when the arena or the slot array
+/// doubles — never per key.
+#[derive(Clone, Debug)]
+pub struct KeyInterner {
+    width: usize,
+    /// `(hash, id)` per slot; `id == NO_ID` marks an empty slot.
+    slots: Vec<(u64, u32)>,
+    /// Key words of id `g` at `g * width..(g + 1) * width`; unused (and
+    /// empty) when `width == 1`.
+    keys: Vec<u64>,
+    len: u32,
+    mask: usize,
+}
+
+impl KeyInterner {
+    /// Creates an interner for keys of `width` words (at least one) that
+    /// can hold `cap` keys before growing.
+    pub fn with_capacity(width: usize, cap: usize) -> Self {
+        assert!(width >= 1, "keys have at least one word");
+        let slots = (cap.max(4) * 4 / 3 + 1).next_power_of_two();
+        Self {
+            width,
+            slots: vec![(0, NO_ID); slots],
+            keys: Vec::with_capacity(if width == 1 { 0 } else { cap * width }),
+            len: 0,
+            mask: slots - 1,
+        }
+    }
+
+    /// Number of distinct keys interned.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when no key has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Slot of `key` (hash `h`): `Ok(id)` when present, `Err(slot)` with
+    /// the empty slot that ends its probe sequence otherwise.
+    #[inline]
+    fn probe(&self, key: &[u64], h: u64) -> Result<u32, usize> {
+        debug_assert_eq!(key.len(), self.width);
+        let mut i = h as usize & self.mask;
+        loop {
+            let (sh, id) = self.slots[i];
+            if id == NO_ID {
+                return Err(i);
+            }
+            // One-word keys are equal exactly when their hashes are (see
+            // `hash_words`); wider keys confirm against the arena.
+            if sh == h && (self.width == 1 || self.key(id) == key) {
+                return Ok(id);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Returns the id of `key`, assigning the next dense id if it is new;
+    /// the flag says whether it was.
+    ///
+    /// `key` must hold exactly `width` words.
+    ///
+    /// # Panics
+    /// Panics when all `u32::MAX` ids are taken.
+    #[inline]
+    pub fn intern(&mut self, key: &[u64]) -> (u32, bool) {
+        if (self.len as usize + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let h = hash_words(key);
+        match self.probe(key, h) {
+            Ok(id) => (id, false),
+            Err(slot) => {
+                let id = self.len;
+                assert!(id < NO_ID, "KeyInterner id space exhausted");
+                self.slots[slot] = (h, id);
+                if self.width > 1 {
+                    self.keys.extend_from_slice(key);
+                }
+                self.len += 1;
+                (id, true)
+            }
+        }
+    }
+
+    /// The id of `key`, if it has been interned.
+    #[inline]
+    pub fn find(&self, key: &[u64]) -> Option<u32> {
+        self.probe(key, hash_words(key)).ok()
+    }
+
+    /// The words of key `id`.
+    #[inline]
+    fn key(&self, id: u32) -> &[u64] {
+        let at = id as usize * self.width;
+        &self.keys[at..at + self.width]
+    }
+
+    fn grow(&mut self) {
+        let new_slots = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![(0, NO_ID); new_slots]);
+        self.mask = new_slots - 1;
+        // Stored keys are distinct, so re-seating needs hashes only.
+        for (h, id) in old {
+            if id != NO_ID {
+                let mut i = h as usize & self.mask;
+                while self.slots[i].1 != NO_ID {
+                    i = (i + 1) & self.mask;
+                }
+                self.slots[i] = (h, id);
             }
         }
     }
@@ -442,6 +588,79 @@ mod tests {
         }
         for (k, v) in &reference {
             assert_eq!(ours.get(*k), Some(v));
+        }
+    }
+
+    /// `KeyInterner` tells one-word keys apart by `hash_i64` alone, so the
+    /// hash must stay a bijection: undo it step by step (odd multiplies
+    /// have inverses mod 2^64, `z ^ (z >> s)` unwinds `s` bits a round).
+    #[test]
+    fn hash_i64_is_invertible() {
+        fn inv_mul(c: u64) -> u64 {
+            (0..6).fold(c, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)))
+            })
+        }
+        fn unshift(z: u64, s: u32) -> u64 {
+            (0..64 / s).fold(z, |x, _| z ^ (x >> s))
+        }
+        let unhash = |h: u64| -> i64 {
+            let z = unshift(h, 31).wrapping_mul(inv_mul(0x94d0_49bb_1331_11eb));
+            let z = unshift(z, 27).wrapping_mul(inv_mul(0xbf58_476d_1ce4_e5b9));
+            unshift(z, 30).wrapping_sub(0x9e37_79b9_7f4a_7c15) as i64
+        };
+        let mut rng = Rng64::new(11);
+        let edges = [0, 1, -1, i64::MIN, i64::MAX, i64::MIN + 1, 1 << 32];
+        let random = (0..10_000).map(|_| rng.i64());
+        for k in edges.into_iter().chain(random) {
+            assert_eq!(unhash(hash_i64(k)), k);
+        }
+    }
+
+    #[test]
+    fn interner_assigns_dense_ids_in_first_insertion_order() {
+        let mut t = KeyInterner::with_capacity(1, 0);
+        // No reserved key: 0, u64::MAX and i64::MIN's bits are ordinary.
+        for (want, k) in [0u64, u64::MAX, 1 << 63, 7].into_iter().enumerate() {
+            assert_eq!(t.intern(&[k]), (want as u32, true));
+        }
+        assert_eq!(t.intern(&[u64::MAX]), (1, false));
+        assert_eq!(t.find(&[1 << 63]), Some(2));
+        assert_eq!(t.find(&[8]), None);
+        assert_eq!(t.len(), 4);
+        assert!(t.keys.is_empty(), "one-word keys live in their hash alone");
+    }
+
+    #[test]
+    fn interner_wide_keys_compare_every_word() {
+        let mut t = KeyInterner::with_capacity(3, 2);
+        assert_eq!(t.intern(&[1, 2, 3]), (0, true));
+        assert_eq!(t.intern(&[1, 2, 4]), (1, true));
+        assert_eq!(t.intern(&[3, 2, 1]), (2, true));
+        assert_eq!(t.intern(&[1, 2, 3]), (0, false));
+        assert_eq!(t.key(1), &[1, 2, 4]);
+        assert_eq!(t.find(&[1, 2, 5]), None);
+    }
+
+    #[test]
+    fn interner_randomized_against_std_hashmap() {
+        for width in [1usize, 2] {
+            let mut rng = Rng64::new(7);
+            let mut ours = KeyInterner::with_capacity(width, 0);
+            let mut reference: HashMap<Vec<u64>, u32> = HashMap::new();
+            for _ in 0..50_000 {
+                let key: Vec<u64> = (0..width).map(|_| rng.below(300) as u64).collect();
+                let next = reference.len() as u32;
+                let want = *reference.entry(key.clone()).or_insert(next);
+                assert_eq!(ours.intern(&key), (want, want == next));
+            }
+            assert_eq!(ours.len(), reference.len());
+            for (k, id) in &reference {
+                assert_eq!(ours.find(k), Some(*id));
+                if width > 1 {
+                    assert_eq!(ours.key(*id), k.as_slice());
+                }
+            }
         }
     }
 

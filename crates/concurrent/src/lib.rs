@@ -19,7 +19,9 @@
 //!   histograms, digit skipping, stable scatter), the fast path behind
 //!   the "sort-first" table-to-graph conversion and integer `order_by`,
 //! * [`hash_table`] — [`hash_table::IntHashTable`], a sequential
-//!   open-addressing / linear-probing map keyed by `i64`, and
+//!   open-addressing / linear-probing map keyed by `i64`,
+//!   [`hash_table::KeyInterner`], the same discipline for fixed-width
+//!   multi-word keys mapped to dense first-appearance ids, and
 //!   [`hash_table::ConcurrentIntTable`], a fixed-capacity concurrent set
 //!   with CAS insertion used during parallel graph construction,
 //! * [`atomic_vec`] — [`atomic_vec::ConcurrentVec`], a fixed-capacity
@@ -47,7 +49,7 @@ pub mod sync;
 pub use atomic_vec::ConcurrentVec;
 pub use bitset::ConcurrentBitset;
 pub use epoch::{EpochDomain, EpochGuard, OwnedEpochGuard, Versioned};
-pub use hash_table::{ConcurrentIntTable, IntHashTable};
+pub use hash_table::{ConcurrentIntTable, IntHashTable, KeyInterner};
 pub use parallel::{
     morsel_bounds, morsel_rows, num_threads, parallel_for, parallel_for_dynamic,
     parallel_for_morsels, parallel_for_morsels_traced, parallel_map, parallel_map_morsels,

@@ -575,7 +575,10 @@ mod tests {
     #[test]
     fn repeated_parallel_for_never_spawns_per_call() {
         // Warm the pool up, then check that 200 further dispatches change
-        // only the job counters — never the worker count.
+        // only the job counters — never the worker count. The stats are
+        // process-global and sibling tests dispatch on the same pool, so
+        // the deltas are lower bounds (the exact count is pinned on a
+        // dedicated pool in `pool::tests`).
         parallel_for(64, 4, |_, _| {});
         let before = crate::pool::pool_stats();
         for _ in 0..200 {
@@ -585,7 +588,7 @@ mod tests {
         }
         let after = crate::pool::pool_stats();
         assert_eq!(after.workers, before.workers, "pool size is constant");
-        assert_eq!(after.jobs_dispatched - before.jobs_dispatched, 200);
+        assert!(after.jobs_dispatched - before.jobs_dispatched >= 200);
         assert!(after.chunks_executed - before.chunks_executed >= 200);
     }
 

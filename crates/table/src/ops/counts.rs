@@ -1,100 +1,38 @@
-//! Parallel single-column value counting — the degree-distribution /
-//! activity-histogram primitive of the workflow, faster than a general
-//! group-by because each worker counts its chunk into a private open-
-//! addressing table and the partials merge at the end.
+//! Single-column value counting — the degree-distribution / activity-
+//! histogram primitive of the workflow: a count-only group-by (the shared
+//! morsel-parallel keyed kernel) re-sorted by frequency.
 
-use crate::{ColumnData, ColumnType, Result, Schema, StringPool, Table, TableError};
-use ringo_concurrent::{parallel_map, IntHashTable};
+use crate::{AggOp, ColumnType, Result, Table, TableError};
 
 impl Table {
     /// Counts occurrences of each distinct value in an int or str column,
     /// returning a table `(value, count)` sorted by descending count
     /// (ties by ascending value).
     pub fn value_counts(&self, col: &str) -> Result<Table> {
-        let i = self.schema.index_of(col)?;
-        match &self.cols[i] {
-            ColumnData::Int(v) => {
-                let parts: Vec<IntHashTable<u64>> = parallel_map(v.len(), self.threads, |range| {
-                    let mut m: IntHashTable<u64> = IntHashTable::new();
-                    for row in range {
-                        *m.get_or_insert_with(v[row], || 0) += 1;
-                    }
-                    m
-                });
-                let mut merged: IntHashTable<u64> = IntHashTable::new();
-                for part in parts {
-                    for (k, &c) in part.iter() {
-                        *merged.get_or_insert_with(k, || 0) += c;
-                    }
-                }
-                let mut pairs: Vec<(i64, u64)> = merged.iter().map(|(k, &c)| (k, c)).collect();
-                pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                let schema = Schema::new([
-                    (col.to_string(), ColumnType::Int),
-                    ("count".to_string(), ColumnType::Int),
-                ]);
-                let mut out = Table::from_parts(
-                    schema,
-                    vec![
-                        ColumnData::Int(pairs.iter().map(|p| p.0).collect()),
-                        ColumnData::Int(pairs.iter().map(|p| p.1 as i64).collect()),
-                    ],
-                    StringPool::new(),
-                )?;
-                out.threads = self.threads;
-                Ok(out)
-            }
-            ColumnData::Str(v) => {
-                // Symbols are dense enough to count by symbol, resolving
-                // to text only for the output.
-                let parts: Vec<IntHashTable<u64>> = parallel_map(v.len(), self.threads, |range| {
-                    let mut m: IntHashTable<u64> = IntHashTable::new();
-                    for row in range {
-                        *m.get_or_insert_with(i64::from(v[row]), || 0) += 1;
-                    }
-                    m
-                });
-                let mut merged: IntHashTable<u64> = IntHashTable::new();
-                for part in parts {
-                    for (k, &c) in part.iter() {
-                        *merged.get_or_insert_with(k, || 0) += c;
-                    }
-                }
-                let mut pairs: Vec<(&str, u64)> = merged
-                    .iter()
-                    .map(|(sym, &c)| (self.pool.get(sym as u32), c))
-                    .collect();
-                pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-                let mut pool = StringPool::new();
-                let syms: Vec<u32> = pairs.iter().map(|(s, _)| pool.intern(s)).collect();
-                let schema = Schema::new([
-                    (col.to_string(), ColumnType::Str),
-                    ("count".to_string(), ColumnType::Int),
-                ]);
-                let mut out = Table::from_parts(
-                    schema,
-                    vec![
-                        ColumnData::Str(syms),
-                        ColumnData::Int(pairs.iter().map(|p| p.1 as i64).collect()),
-                    ],
-                    pool,
-                )?;
-                out.threads = self.threads;
-                Ok(out)
-            }
-            ColumnData::Float(_) => Err(TableError::TypeMismatch {
+        let ty = self.schema.column_type(self.schema.index_of(col)?);
+        if ty == ColumnType::Float {
+            return Err(TableError::TypeMismatch {
                 column: col.to_string(),
                 expected: "int or str",
                 actual: "float",
-            }),
+            });
         }
+        let (groups, _) = self.group_by_sel(&[col], None, AggOp::Count, "count", None)?;
+        // Two stable passes: values ascending (strings by text), then
+        // counts descending, which keeps the value order among ties.
+        let by_value = groups.order_perm_sel(&[col], true, None)?;
+        let order = groups.order_perm_sel(&[groups.schema.name(1)], false, Some(&by_value))?;
+        let cols = groups.cols.iter().map(|c| c.gather_sel(&order)).collect();
+        let mut out = Table::from_parts(groups.schema.clone(), cols, groups.pool.clone())?;
+        out.threads = self.threads;
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AggOp, Value};
+    use crate::{Schema, Value};
 
     #[test]
     fn int_counts_sorted_by_frequency() {

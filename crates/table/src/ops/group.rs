@@ -1,14 +1,16 @@
 //! Group & aggregate, and distinct rows.
 //!
-//! Grouping hashes row keys over the grouping columns; Ringo's persistent
-//! row ids make "in-place grouping" (paper §2.3) possible by tagging each
-//! row with its group id instead of materializing per-group tables.
+//! Grouping interns fixed-width row keys (see [`crate::ops::rowkey`]) over
+//! the grouping columns; Ringo's persistent row ids make "in-place
+//! grouping" (paper §2.3) possible by tagging each row with its group id
+//! instead of materializing per-group tables.
 
-use crate::ops::rowkey::RowKey;
-use crate::{ColumnData, ColumnType, Result, Schema, Table, TableError};
-use ringo_concurrent::{parallel_map_morsels_traced, MorselStats};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use crate::{ColumnData, Result, Schema, Table, TableError};
+use ringo_concurrent::hash_table::hash_words;
+use ringo_concurrent::{
+    morsel_rows, parallel_map, parallel_map_morsels_traced, radix_sort_by_u64_key, KeyInterner,
+    MorselStats,
+};
 
 /// Aggregation functions for [`Table::group_by`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,15 +37,12 @@ impl Table {
     /// grouping" primitive: callers may attach the ids as a column via
     /// [`Table::add_int_column`] without copying the table.
     pub fn group_ids(&self, cols: &[&str]) -> Result<(Vec<i64>, usize)> {
-        let idx = self.col_indices(cols)?;
-        let mut groups: HashMap<RowKey, i64> = HashMap::new();
+        let enc = self.key_encoder(&self.col_indices(cols)?, None)?;
+        let mut groups = KeyInterner::with_capacity(enc.width(), 0);
         let mut ids = Vec::with_capacity(self.n_rows());
-        for row in 0..self.n_rows() {
-            let key = self.row_key(row, &idx);
-            let next = groups.len() as i64;
-            let id = *groups.entry(key).or_insert(next);
-            ids.push(id);
-        }
+        enc.for_each_key(self.n_rows(), |_, key| {
+            ids.push(i64::from(groups.intern(key).0));
+        });
         Ok((ids, groups.len()))
     }
 
@@ -65,26 +64,17 @@ impl Table {
     }
 
     /// Group-and-aggregate kernel shared by the eager verb and the lazy
-    /// executor: like [`Table::group_by`] but restricted to the rows of the
-    /// optional selection vector, hashing keys in `sel` order (so group ids
-    /// keep first-appearance order, exactly as if the selection had been
-    /// materialized first).
+    /// executor: like [`Table::group_by`] but over the rows of the optional
+    /// selection vector, in `sel` order (groups keep first-appearance
+    /// order, as if the selection had been materialized first).
     ///
-    /// Morsel-driven: each fixed-size row-range morsel builds a private
-    /// `key → accumulator` map, and the per-morsel partials are merged
-    /// sequentially in morsel order at the barrier. Because the morsel
-    /// partition depends only on the row count (never the thread count) and
-    /// every accumulator merge is associative in morsel order, the output
-    /// is bit-identical at every thread count.
-    ///
-    /// Accumulator representation (the correctness contract):
-    /// - Int `Sum`/`Min`/`Max`/`Mean` accumulate in `i64` — exact beyond
-    ///   2^53 where an `f64` accumulator silently rounds. Overflow policy:
-    ///   sums saturate at `i64::MIN`/`i64::MAX` rather than wrapping or
-    ///   panicking (documented, deterministic, and order-independent).
-    /// - `Var`/`Std` use Welford's online algorithm per morsel and Chan's
-    ///   parallel merge across morsels — no catastrophic cancellation for
-    ///   large-mean/small-spread data, unlike the naive `E[x²] − E[x]²`.
+    /// Two parallel passes (DESIGN.md, "Group-by"): each morsel encodes
+    /// its keys and radix-partitions them, with `sel` position and value,
+    /// by the top hash bits; each partition then interns its keys and
+    /// folds its rows in ascending position — the order of a sequential
+    /// scan, so there is nothing to merge and the output is bit-identical
+    /// at every thread count. Int aggregates stay in `i64` (sums saturate);
+    /// `Var`/`Std` use Welford's online algorithm.
     pub(crate) fn group_by_sel(
         &self,
         group_cols: &[&str],
@@ -95,45 +85,29 @@ impl Table {
     ) -> Result<(Table, MorselStats)> {
         let gidx = self.col_indices(group_cols)?;
         let n = sel.map_or(self.n_rows(), <[u32]>::len);
-        let row_at = |i: usize| -> usize {
-            match sel {
-                Some(s) => s[i] as usize,
-                None => i,
-            }
-        };
-
-        #[derive(Clone, Copy)]
-        enum Src<'a> {
-            None,
-            Int(&'a [i64]),
-            Float(&'a [f64]),
-        }
-        let src = match (agg_col, op) {
-            (None, AggOp::Count) => Src::None,
+        let row_at = |i: usize| sel.map_or(i, |s| s[i] as usize);
+        let src: Option<&ColumnData> = match (agg_col, op) {
+            (None, AggOp::Count) => None,
             (None, _) => {
                 return Err(TableError::InvalidArgument(
                     "aggregate column required for non-count aggregates".into(),
                 ))
             }
-            (Some(name), _) => {
-                let i = self.schema.index_of(name)?;
-                match &self.cols[i] {
-                    ColumnData::Int(v) => Src::Int(v),
-                    ColumnData::Float(v) => Src::Float(v),
-                    ColumnData::Str(_) => {
-                        return Err(TableError::TypeMismatch {
-                            column: name.to_string(),
-                            expected: "int or float",
-                            actual: "str",
-                        })
-                    }
+            (Some(name), _) => match &self.cols[self.schema.index_of(name)?] {
+                ColumnData::Str(_) => {
+                    return Err(TableError::TypeMismatch {
+                        column: name.to_string(),
+                        expected: "int or float",
+                        actual: "str",
+                    })
                 }
-            }
+                col => Some(col),
+            },
         };
+        let int_src = matches!(src, Some(ColumnData::Int(_)));
 
-        /// Per-group accumulator: which fields are live depends on
-        /// `(op, src)` — `i` for Int sum/min/max/mean, `f` for Float
-        /// sum/min/max/mean, `mean`/`m2` for Welford Var/Std.
+        /// Per-group accumulator: `i` for Int sum/min/max/mean, `f` for
+        /// Float ones, `mean`/`m2` for Welford Var/Std.
         #[derive(Clone, Copy, Default)]
         struct Acc {
             i: i64,
@@ -142,160 +116,163 @@ impl Table {
             m2: f64,
         }
 
-        // Initialize a group's accumulator from its first value.
-        let init = |row: usize| -> Acc {
-            let mut a = Acc::default();
-            match (src, op) {
-                (Src::None, _) | (_, AggOp::Count) => {}
-                (Src::Int(v), AggOp::Sum | AggOp::Mean | AggOp::Min | AggOp::Max) => {
-                    a.i = v[row];
-                }
-                (Src::Float(v), AggOp::Sum | AggOp::Mean | AggOp::Min | AggOp::Max) => {
-                    a.f = v[row];
-                }
-                (Src::Int(v), AggOp::Var | AggOp::Std) => a.mean = v[row] as f64,
-                (Src::Float(v), AggOp::Var | AggOp::Std) => a.mean = v[row],
+        // Values travel with their keys as raw bits; Var/Std fold floats
+        // whatever the column holds.
+        let float_fold = matches!(op, AggOp::Var | AggOp::Std);
+        let bits_of = |row: usize| -> u64 {
+            match src {
+                Some(ColumnData::Int(v)) if float_fold => (v[row] as f64).to_bits(),
+                Some(ColumnData::Int(v)) => v[row] as u64,
+                Some(ColumnData::Float(v)) => v[row].to_bits(),
+                _ => 0,
             }
-            a
         };
-        // Fold one more value into an existing group; `count` is the
-        // group's row count *including* this row.
-        let fold = |a: &mut Acc, count: i64, row: usize| {
-            match (src, op) {
-                (Src::None, _) | (_, AggOp::Count) => {}
-                (Src::Int(v), AggOp::Sum | AggOp::Mean) => a.i = a.i.saturating_add(v[row]),
-                (Src::Float(v), AggOp::Sum | AggOp::Mean) => a.f += v[row],
-                (Src::Int(v), AggOp::Min) => a.i = a.i.min(v[row]),
-                (Src::Int(v), AggOp::Max) => a.i = a.i.max(v[row]),
+        // Folds a value into a group's (initially default) accumulator;
+        // `count` includes this row, so 1 marks the group's first value.
+        let fold = |a: &mut Acc, count: i64, bits: u64| {
+            let (xi, xf, first) = (bits as i64, f64::from_bits(bits), count == 1);
+            match (op, int_src) {
+                (AggOp::Count, _) => {}
+                // Welford; from the zero accumulator the first step leaves
+                // exactly `mean = x, m2 = 0`.
+                (AggOp::Var | AggOp::Std, _) => {
+                    let delta = xf - a.mean;
+                    a.mean += delta / count as f64;
+                    a.m2 += delta * (xf - a.mean);
+                }
+                (AggOp::Sum | AggOp::Mean, true) => a.i = a.i.saturating_add(xi),
+                (AggOp::Min, true) => a.i = if first { xi } else { a.i.min(xi) },
+                (AggOp::Max, true) => a.i = if first { xi } else { a.i.max(xi) },
+                // From the first value, not 0.0: a lone -0.0 sums to -0.0.
+                (AggOp::Sum | AggOp::Mean, false) => a.f = if first { xf } else { a.f + xf },
                 // Keep-first NaN semantics: only replace on a strict
                 // comparison win, like the sequential kernel always did.
-                (Src::Float(v), AggOp::Min) => {
-                    if v[row] < a.f {
-                        a.f = v[row];
+                (AggOp::Min, false) => {
+                    if first || xf < a.f {
+                        a.f = xf;
                     }
                 }
-                (Src::Float(v), AggOp::Max) => {
-                    if v[row] > a.f {
-                        a.f = v[row];
+                (AggOp::Max, false) => {
+                    if first || xf > a.f {
+                        a.f = xf;
                     }
                 }
-                (Src::Int(v), AggOp::Var | AggOp::Std) => {
-                    let x = v[row] as f64;
-                    let delta = x - a.mean;
-                    a.mean += delta / count as f64;
-                    a.m2 += delta * (x - a.mean);
-                }
-                (Src::Float(v), AggOp::Var | AggOp::Std) => {
-                    let x = v[row];
-                    let delta = x - a.mean;
-                    a.mean += delta / count as f64;
-                    a.m2 += delta * (x - a.mean);
-                }
-            }
-        };
-        // Merge morsel-local group `b` (count `nb`) into global group `a`
-        // (count `na`, *before* the merge). Associative in morsel order.
-        let merge = |a: &mut Acc, na: i64, b: Acc, nb: i64| match op {
-            AggOp::Count => {}
-            AggOp::Sum | AggOp::Mean => match src {
-                Src::Int(_) => a.i = a.i.saturating_add(b.i),
-                _ => a.f += b.f,
-            },
-            AggOp::Min => match src {
-                Src::Int(_) => a.i = a.i.min(b.i),
-                _ => {
-                    if b.f < a.f {
-                        a.f = b.f;
-                    }
-                }
-            },
-            AggOp::Max => match src {
-                Src::Int(_) => a.i = a.i.max(b.i),
-                _ => {
-                    if b.f > a.f {
-                        a.f = b.f;
-                    }
-                }
-            },
-            // Chan's parallel variance combine.
-            AggOp::Var | AggOp::Std => {
-                let (na, nb) = (na as f64, nb as f64);
-                let tot = na + nb;
-                let delta = b.mean - a.mean;
-                a.mean += delta * (nb / tot);
-                a.m2 += b.m2 + delta * delta * (na * nb / tot);
             }
         };
 
-        /// One morsel's aggregation state, keys in first-appearance order.
-        struct Partial {
-            keys: Vec<RowKey>,
-            first_row: Vec<u32>,
-            count: Vec<i64>,
-            acc: Vec<Acc>,
+        let aggregates = src.is_some();
+        let enc = self.key_encoder(&gidx, sel)?;
+        let width = enc.width();
+        if ringo_trace::enabled() {
+            let which = match width {
+                1 => "table.group.keys_packed",
+                _ => "table.group.keys_wide",
+            };
+            ringo_trace::counter(which).add(1);
         }
-        let (partials, stats) =
+        // About a morsel of rows per partition keeps its interner
+        // cache-resident; top hash bits pick it, low bits the slot.
+        let parts = (n / morsel_rows()).next_power_of_two().min(256);
+        let shift = (64 - parts.trailing_zeros()) % 64;
+
+        /// One morsel's rows, stably regrouped by partition: partition `p`
+        /// owns `offsets[p]..offsets[p + 1]` of `pos` (ascending positions
+        /// in `sel`), `vals` (empty for a bare count) and, × `width`, `keys`.
+        struct Scattered {
+            keys: Vec<u64>,
+            vals: Vec<u64>,
+            pos: Vec<u32>,
+            offsets: Vec<u32>,
+        }
+        let (scattered, stats) =
             parallel_map_morsels_traced("plan.morsel.group", n, self.threads, |_, range| {
-                let mut map: HashMap<RowKey, u32> = HashMap::new();
-                let mut first_row: Vec<u32> = Vec::new();
-                let mut count: Vec<i64> = Vec::new();
-                let mut acc: Vec<Acc> = Vec::new();
-                for i in range {
-                    let row = row_at(i);
-                    match map.entry(self.row_key(row, &gidx)) {
-                        Entry::Occupied(e) => {
-                            let g = *e.get() as usize;
-                            count[g] += 1;
-                            fold(&mut acc[g], count[g], row);
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(first_row.len() as u32);
-                            first_row.push(row as u32);
-                            count.push(1);
-                            acc.push(init(row));
-                        }
+                let mut words = Vec::new();
+                enc.encode(range.len(), |j| row_at(range.start + j), &mut words);
+                let part: Vec<u8> = words
+                    .chunks_exact(width)
+                    .map(|key| ((hash_words(key) >> shift) as usize & (parts - 1)) as u8)
+                    .collect();
+                let mut offsets = vec![0u32; parts + 1];
+                for &p in &part {
+                    offsets[p as usize + 1] += 1;
+                }
+                for p in 0..parts {
+                    offsets[p + 1] += offsets[p];
+                }
+                let mut cursor = offsets.clone();
+                let mut keys = vec![0u64; words.len()];
+                let mut vals = vec![0u64; if aggregates { range.len() } else { 0 }];
+                let mut pos = vec![0u32; range.len()];
+                for (j, key) in words.chunks_exact(width).enumerate() {
+                    let at = cursor[part[j] as usize] as usize;
+                    cursor[part[j] as usize] += 1;
+                    // `key_encoder` checked that positions fit `u32`.
+                    pos[at] = (range.start + j) as u32;
+                    keys[at * width..(at + 1) * width].copy_from_slice(key);
+                    if aggregates {
+                        vals[at] = bits_of(row_at(range.start + j));
                     }
                 }
-                // Recover first-appearance key order from the map (the key
-                // itself lives in the map; local ids index the vectors, and
-                // every id in `0..first_row.len()` has exactly one key).
-                let mut keys: Vec<RowKey> = (0..first_row.len()).map(|_| RowKey::new()).collect();
-                for (k, id) in map {
-                    keys[id as usize] = k;
-                }
-                Partial {
+                Scattered {
                     keys,
-                    first_row,
-                    count,
-                    acc,
+                    vals,
+                    pos,
+                    offsets,
                 }
             });
 
-        // Merge partials sequentially in morsel order: global group ids
-        // come out in first-appearance order over `sel`, exactly as a
-        // sequential scan would assign them.
-        let mut gmap: HashMap<RowKey, u32> = HashMap::new();
-        let mut rep: Vec<u32> = Vec::new();
-        let mut counts: Vec<i64> = Vec::new();
-        let mut accs: Vec<Acc> = Vec::new();
-        for p in partials {
-            for (local, key) in p.keys.into_iter().enumerate() {
-                match gmap.entry(key) {
-                    Entry::Vacant(e) => {
-                        e.insert(rep.len() as u32);
-                        rep.push(p.first_row[local]);
-                        counts.push(p.count[local]);
-                        accs.push(p.acc[local]);
-                    }
-                    Entry::Occupied(e) => {
-                        let g = *e.get() as usize;
-                        merge(&mut accs[g], counts[g], p.acc[local], p.count[local]);
-                        counts[g] += p.count[local];
-                    }
-                }
-            }
+        /// Groups in first-appearance order: first row's position in
+        /// `sel`, row count, accumulator (columnar: a count touches 8 B).
+        #[derive(Default)]
+        struct Groups {
+            first_pos: Vec<u32>,
+            count: Vec<i64>,
+            acc: Vec<Acc>,
         }
-        let n_groups = rep.len();
+        let per_part: Vec<Groups> = parallel_map(parts, self.threads, |range| {
+            range
+                .map(|p| {
+                    let mut ids = KeyInterner::with_capacity(width, 0);
+                    let mut g = Groups::default();
+                    for s in &scattered {
+                        for at in s.offsets[p] as usize..s.offsets[p + 1] as usize {
+                            let bits = if aggregates { s.vals[at] } else { 0 };
+                            let (id, new) = ids.intern(&s.keys[at * width..(at + 1) * width]);
+                            if new {
+                                g.first_pos.push(s.pos[at]);
+                                g.count.push(0);
+                                g.acc.push(Acc::default());
+                            }
+                            let id = id as usize;
+                            g.count[id] += 1;
+                            fold(&mut g.acc[id], g.count[id], bits);
+                        }
+                    }
+                    g
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        drop(scattered);
+        let mut all = Groups::default();
+        for g in per_part {
+            all.first_pos.extend(g.first_pos);
+            all.count.extend(g.count);
+            all.acc.extend(g.acc);
+        }
+
+        // First positions are distinct: sorting by them is the order in
+        // which a sequential scan over `sel` would have met each key.
+        let mut order: Vec<u32> = (0..all.count.len() as u32).collect();
+        radix_sort_by_u64_key(&mut order, self.threads, |&g| {
+            u64::from(all.first_pos[g as usize])
+        });
+        let ordered = || order.iter().map(|&g| g as usize);
+        let rep: Vec<u32> = ordered()
+            .map(|g| row_at(all.first_pos[g] as usize) as u32)
+            .collect();
 
         let mut schema = Schema::default();
         let mut cols: Vec<ColumnData> = Vec::new();
@@ -303,45 +280,32 @@ impl Table {
             schema.push_unique(self.schema.name(i), self.schema.column_type(i));
             cols.push(self.cols[i].gather_sel(&rep));
         }
-        let float_result = !matches!(op, AggOp::Count)
-            && (matches!(op, AggOp::Mean | AggOp::Var | AggOp::Std)
-                || matches!(src, Src::Float(_)));
-        if !float_result {
-            let data: Vec<i64> = (0..n_groups)
-                .map(|g| match op {
-                    AggOp::Count => counts[g],
-                    _ => accs[g].i,
-                })
-                .collect();
-            schema.push_unique(out_name, ColumnType::Int);
-            cols.push(ColumnData::Int(data));
+        let float_result =
+            op != AggOp::Count && (matches!(op, AggOp::Mean | AggOp::Var | AggOp::Std) || !int_src);
+        let data = if !float_result {
+            let value = |g: usize| match op {
+                AggOp::Count => all.count[g],
+                _ => all.acc[g].i,
+            };
+            ColumnData::Int(ordered().map(value).collect())
         } else {
-            let data: Vec<f64> = (0..n_groups)
-                .map(|g| {
-                    let nf = counts[g] as f64;
-                    match op {
-                        AggOp::Mean => match src {
-                            // Exact i64 sum, one rounding at the divide.
-                            Src::Int(_) => accs[g].i as f64 / nf,
-                            _ => accs[g].f / nf,
-                        },
-                        AggOp::Var | AggOp::Std => {
-                            // m2 is a sum of products of same-signed terms;
-                            // clamp only defends against float round-off.
-                            let var = (accs[g].m2 / nf).max(0.0);
-                            if op == AggOp::Std {
-                                var.sqrt()
-                            } else {
-                                var
-                            }
-                        }
-                        _ => accs[g].f,
-                    }
-                })
-                .collect();
-            schema.push_unique(out_name, ColumnType::Float);
-            cols.push(ColumnData::Float(data));
-        }
+            let value = |g: usize| {
+                let (nf, acc) = (all.count[g] as f64, all.acc[g]);
+                match op {
+                    // Exact i64 sum, one rounding at the divide.
+                    AggOp::Mean if int_src => acc.i as f64 / nf,
+                    AggOp::Mean => acc.f / nf,
+                    // m2 is a sum of products of same-signed terms; the
+                    // clamp only defends against float round-off.
+                    AggOp::Var => (acc.m2 / nf).max(0.0),
+                    AggOp::Std => (acc.m2 / nf).max(0.0).sqrt(),
+                    _ => acc.f,
+                }
+            };
+            ColumnData::Float(ordered().map(value).collect())
+        };
+        schema.push_unique(out_name, data.column_type());
+        cols.push(data);
 
         let mut out = Table::from_parts(schema, cols, self.pool.clone())?;
         out.threads = self.threads;
@@ -351,23 +315,16 @@ impl Table {
     /// Returns a table keeping the first row of each distinct combination
     /// of the given columns (row ids preserved).
     pub fn unique(&self, cols: &[&str]) -> Result<Table> {
-        let idx = self.col_indices(cols)?;
-        let mut seen: HashMap<RowKey, ()> = HashMap::new();
-        let mut keep = Vec::new();
-        for row in 0..self.n_rows() {
-            let key = self.row_key(row, &idx);
-            if seen.insert(key, ()).is_none() {
-                keep.push(row);
-            }
-        }
-        Ok(self.gather_rows(&keep))
+        let enc = self.key_encoder(&self.col_indices(cols)?, None)?;
+        let mut seen = KeyInterner::with_capacity(enc.width(), 0);
+        Ok(self.gather_rows(&enc.first_occurrences(self.n_rows(), &mut seen)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
+    use crate::{ColumnType, Value};
 
     fn sales() -> Table {
         let schema = Schema::new([

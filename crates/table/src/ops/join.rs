@@ -6,6 +6,7 @@
 //! the larger side in parallel, each worker emitting a private match list —
 //! the contention-free pattern used throughout Ringo's engine.
 
+use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table, TableError};
 use ringo_concurrent::hash_table::hash_i64;
 use ringo_concurrent::{
@@ -69,6 +70,9 @@ pub(crate) fn join_pairs_sel_stats(
             actual: rt.name(),
         });
     }
+    // Build and probe positions are emitted as `u32`.
+    row_count_u32(left.n_rows())?;
+    row_count_u32(right.n_rows())?;
     let ln = lsel.map_or(left.n_rows(), <[u32]>::len);
     let rn = rsel.map_or(right.n_rows(), <[u32]>::len);
     // Probe with the larger effective side.

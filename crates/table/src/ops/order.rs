@@ -1,5 +1,6 @@
 //! Multi-column ordering (sort).
 
+use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table};
 use ringo_concurrent::{f64_key, i64_key, radix_sort_by_u64_key};
 use std::cmp::Ordering;
@@ -25,7 +26,7 @@ impl Table {
         let idx = self.col_indices(cols)?;
         let mut perm: Vec<u32> = match sel {
             Some(s) => s.to_vec(),
-            None => (0..self.n_rows() as u32).collect(),
+            None => (0..row_count_u32(self.n_rows())?).collect(),
         };
         let radixable = idx
             .iter()

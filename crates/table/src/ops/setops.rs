@@ -1,41 +1,38 @@
 //! Set operations over whole-row values: union, intersection, minus.
 //!
 //! Two rows are equal when all their cells compare equal (strings by text,
-//! so pools may differ between operands). All operations require identical
-//! schemas and return new tables.
+//! so pools may differ between operands; floats by bit pattern). All
+//! operations require identical schemas and return new tables.
 
-use crate::ops::rowkey::RowKey;
+use crate::ops::rowkey::KeyEncoder;
 use crate::{Result, Table, TableError};
-use std::collections::{HashMap, HashSet};
+use ringo_concurrent::KeyInterner;
 
 impl Table {
-    fn check_same_schema(&self, other: &Table, op: &str) -> Result<Vec<usize>> {
+    fn check_same_schema(&self, other: &Table, op: &str) -> Result<()> {
         if self.schema != other.schema {
             return Err(TableError::SchemaMismatch(format!(
                 "{op} requires identical schemas"
             )));
         }
-        Ok((0..self.n_cols()).collect())
+        Ok(())
+    }
+
+    /// Checks the schemas, then returns encoders for the whole rows of
+    /// both tables whose keys compare across them.
+    fn whole_rows<'a>(&'a self, other: &'a Table, op: &str) -> Result<[KeyEncoder<'a>; 2]> {
+        self.check_same_schema(other, op)?;
+        let all: Vec<usize> = (0..self.n_cols()).collect();
+        KeyEncoder::pair(self, other, &all)
     }
 
     /// Set union: all distinct rows occurring in either table. Rows from
     /// `self` keep their ids; rows contributed by `other` get fresh ids.
     pub fn union(&self, other: &Table) -> Result<Table> {
-        let cols = self.check_same_schema(other, "union")?;
-        let mut seen: HashSet<RowKey> = HashSet::with_capacity(self.n_rows());
-        let mut keep_self = Vec::new();
-        for row in 0..self.n_rows() {
-            if seen.insert(self.row_key(row, &cols)) {
-                keep_self.push(row);
-            }
-        }
-        let mut out = self.gather_rows(&keep_self);
-        let mut keep_other = Vec::new();
-        for row in 0..other.n_rows() {
-            if seen.insert(other.row_key(row, &cols)) {
-                keep_other.push(row);
-            }
-        }
+        let [mine, theirs] = self.whole_rows(other, "union")?;
+        let mut seen = KeyInterner::with_capacity(mine.width(), self.n_rows());
+        let mut out = self.gather_rows(&mine.first_occurrences(self.n_rows(), &mut seen));
+        let keep_other = theirs.first_occurrences(other.n_rows(), &mut seen);
         out.append_rows(&other.gather_rows(&keep_other))?;
         Ok(out)
     }
@@ -51,45 +48,39 @@ impl Table {
     /// Set intersection: distinct rows of `self` that also occur in
     /// `other` (ids from `self`).
     pub fn intersect(&self, other: &Table) -> Result<Table> {
-        let cols = self.check_same_schema(other, "intersect")?;
-        let mut in_other: HashSet<RowKey> = HashSet::with_capacity(other.n_rows());
-        for row in 0..other.n_rows() {
-            in_other.insert(other.row_key(row, &cols));
-        }
-        let mut emitted: HashSet<RowKey> = HashSet::new();
+        let [mine, theirs] = self.whole_rows(other, "intersect")?;
+        let mut in_other = KeyInterner::with_capacity(mine.width(), other.n_rows());
+        theirs.for_each_key(other.n_rows(), |_, key| {
+            in_other.intern(key);
+        });
+        let mut emitted = vec![false; in_other.len()];
         let mut keep = Vec::new();
-        for row in 0..self.n_rows() {
-            let key = self.row_key(row, &cols);
-            if in_other.contains(&key) && emitted.insert(key) {
-                keep.push(row);
+        mine.for_each_key(self.n_rows(), |row, key| {
+            if let Some(id) = in_other.find(key) {
+                if !std::mem::replace(&mut emitted[id as usize], true) {
+                    keep.push(row);
+                }
             }
-        }
+        });
         Ok(self.gather_rows(&keep))
     }
 
     /// Set difference: distinct rows of `self` that do not occur in
     /// `other` (ids from `self`).
     pub fn minus(&self, other: &Table) -> Result<Table> {
-        let cols = self.check_same_schema(other, "minus")?;
-        let mut in_other: HashSet<RowKey> = HashSet::with_capacity(other.n_rows());
-        for row in 0..other.n_rows() {
-            in_other.insert(other.row_key(row, &cols));
-        }
-        let mut emitted: HashMap<RowKey, ()> = HashMap::new();
-        let mut keep = Vec::new();
-        for row in 0..self.n_rows() {
-            let key = self.row_key(row, &cols);
-            if !in_other.contains(&key) && emitted.insert(key, ()).is_none() {
-                keep.push(row);
-            }
-        }
-        Ok(self.gather_rows(&keep))
+        let [mine, theirs] = self.whole_rows(other, "minus")?;
+        let mut seen = KeyInterner::with_capacity(mine.width(), other.n_rows());
+        theirs.for_each_key(other.n_rows(), |_, key| {
+            seen.intern(key);
+        });
+        // A key still new after all of `other` is absent from it.
+        Ok(self.gather_rows(&mine.first_occurrences(self.n_rows(), &mut seen)))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{ColumnType, Schema, Table, Value};
+    use crate::{Cmp, ColumnType, Predicate, Schema, Table, Value};
 
     fn make(rows: &[(i64, &str)]) -> Table {
         let schema = Schema::new([("x", ColumnType::Int), ("s", ColumnType::Str)]);
@@ -127,6 +118,17 @@ mod tests {
         let i = a.intersect(&b).unwrap();
         assert_eq!(i.n_rows(), 2);
         assert_eq!(i.row_ids(), &[0, 2], "self ids preserved");
+    }
+
+    #[test]
+    fn operand_keeps_symbols_its_rows_no_longer_use() {
+        // A selection leaves the pool unpruned: only "b" is still met.
+        let a = make(&[(1, "a"), (2, "b")]);
+        let wide = make(&[(7, "x"), (8, "y"), (2, "b")]);
+        let b = wide.select(&Predicate::int("x", Cmp::Eq, 2)).unwrap();
+        assert_eq!(a.intersect(&b).unwrap().row_ids(), &[1]);
+        assert_eq!(a.minus(&b).unwrap().row_ids(), &[0]);
+        assert_eq!(b.union(&a).unwrap().n_rows(), 2);
     }
 
     #[test]

@@ -2,6 +2,18 @@
 
 use crate::{ColumnData, ColumnType, Result, Schema, StringPool, TableError};
 
+/// Row positions travel as `u32` — selection vectors, join pairs, sort
+/// permutations, group representatives — so a table past `u32::MAX` rows
+/// cannot be addressed by those kernels. They all enter through this one
+/// check and report an error where a bare `as u32` would silently wrap.
+pub(crate) fn row_count_u32(n_rows: usize) -> Result<u32> {
+    u32::try_from(n_rows).map_err(|_| {
+        TableError::InvalidArgument(format!(
+            "{n_rows} rows exceed the u32 row positions this operator works in"
+        ))
+    })
+}
+
 /// A single cell value, used at the row-at-a-time API boundary. Bulk
 /// operators work directly on columns and never materialize `Value`s.
 #[derive(Clone, Debug, PartialEq)]
@@ -425,6 +437,15 @@ mod tests {
             StringPool::new(),
         );
         assert!(wrong_type.is_err());
+    }
+
+    #[test]
+    fn row_count_guard_rejects_what_u32_positions_cannot_address() {
+        assert_eq!(row_count_u32(0).unwrap(), 0);
+        assert_eq!(row_count_u32(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = row_count_u32(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, TableError::InvalidArgument(_)), "{err}");
+        assert!(row_count_u32(usize::MAX).is_err());
     }
 
     #[test]
