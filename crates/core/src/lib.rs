@@ -210,13 +210,9 @@ impl Ringo {
         self.ops.run_result(
             "load_table_tsv",
             format!("{}", path.display()),
-            0,
+            file_bytes(path),
             Table::n_rows,
-            || {
-                let mut t = ringo_table::load_tsv(path, schema)?;
-                t.set_threads(self.threads);
-                Ok(t)
-            },
+            || ringo_table::load_dsv_threads(path, schema, '\t', self.threads),
         )
     }
 
@@ -230,13 +226,9 @@ impl Ringo {
         self.ops.run_result(
             "load_table_dsv",
             format!("{} ({delimiter:?})", path.display()),
-            0,
+            file_bytes(path),
             Table::n_rows,
-            || {
-                let mut t = ringo_table::load_dsv(path, schema, delimiter)?;
-                t.set_threads(self.threads);
-                Ok(t)
-            },
+            || ringo_table::load_dsv_threads(path, schema, delimiter, self.threads),
         )
     }
 
@@ -706,6 +698,12 @@ impl Ringo {
             },
         )
     }
+}
+
+/// A load verb's input cardinality: the file's length in bytes (0 if it
+/// cannot be read — the load then reports why).
+fn file_bytes(path: &Path) -> usize {
+    std::fs::metadata(path).map_or(0, |m| m.len() as usize)
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@
 //!   graph-construction operators unique to Ringo, [`Table::sim_join`]
 //!   (distance-threshold join) and [`Table::next_k`] (predecessor–successor
 //!   join over temporal order).
+//! * **Parallel ingest** ([`load_tsv`]): the file is parsed chunk by chunk
+//!   on the worker pool straight into exact-size columns.
 //!
 //! Operators parallelize over the table's worker count
 //! ([`Table::set_threads`]), defaulting to the machine's parallelism.
@@ -38,7 +40,7 @@ mod table;
 
 pub use column::ColumnData;
 pub use error::TableError;
-pub use io::{load_dsv, load_tsv, save_tsv};
+pub use io::{load_dsv, load_dsv_threads, load_tsv, save_tsv};
 pub use ops::group::AggOp;
 pub use ops::select::{Cmp, Predicate};
 pub use schema::{ColumnType, Schema};
