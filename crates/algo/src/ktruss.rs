@@ -5,6 +5,7 @@
 //! standard "cohesive community core" refinement of cores: a k-truss is
 //! always contained in the (k-1)-core but is far denser in practice.
 
+use crate::intersect::for_each_common;
 use ringo_graph::{NodeId, UndirectedGraph};
 use std::collections::{HashMap, VecDeque};
 
@@ -13,31 +14,17 @@ use std::collections::{HashMap, VecDeque};
 /// survives in the k-truss. Edges in no triangle have truss number 2.
 pub fn truss_numbers(g: &UndirectedGraph) -> HashMap<(NodeId, NodeId), u32> {
     // Support = number of triangles through each edge.
-    let mut support: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-    for u in g.node_ids() {
-        for &v in g.nbrs(u) {
-            if v <= u {
-                continue;
-            }
-            let mut count = 0u32;
-            let (nu, nv) = (g.nbrs(u), g.nbrs(v));
-            let (mut i, mut j) = (0, 0);
-            while i < nu.len() && j < nv.len() {
-                match nu[i].cmp(&nv[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        if nu[i] != u && nu[i] != v {
-                            count += 1;
-                        }
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            support.insert((u, v), count);
-        }
-    }
+    let mut support: HashMap<(NodeId, NodeId), u32> = g
+        .edges()
+        .filter(|(u, v)| u != v)
+        .map(|(u, v)| {
+            let mut count = 0;
+            for_each_common(g.nbrs(u), g.nbrs(v), |w| {
+                count += u32::from(w != u && w != v)
+            });
+            ((u, v), count)
+        })
+        .collect();
 
     // Peel edges in increasing support; the classic truss decomposition.
     let mut alive: HashMap<(NodeId, NodeId), bool> = support.keys().map(|&e| (e, true)).collect();
@@ -60,31 +47,20 @@ pub fn truss_numbers(g: &UndirectedGraph) -> HashMap<(NodeId, NodeId), u32> {
             remaining -= 1;
             let (u, v) = e;
             // Each common neighbor w loses one triangle on (u,w) and (v,w).
-            let (nu, nv) = (g.nbrs(u), g.nbrs(v));
-            let (mut i, mut j) = (0, 0);
-            while i < nu.len() && j < nv.len() {
-                match nu[i].cmp(&nv[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let w = nu[i];
-                        i += 1;
-                        j += 1;
-                        if w == u || w == v {
-                            continue;
-                        }
-                        for other in [(u.min(w), u.max(w)), (v.min(w), v.max(w))] {
-                            if alive.get(&other).copied().unwrap_or(false) {
-                                let s = support.get_mut(&other).expect("edge tracked");
-                                *s = s.saturating_sub(1);
-                                if *s <= k - 2 {
-                                    queue.push_back(other);
-                                }
-                            }
+            for_each_common(g.nbrs(u), g.nbrs(v), |w| {
+                if w == u || w == v {
+                    return;
+                }
+                for other in [(u.min(w), u.max(w)), (v.min(w), v.max(w))] {
+                    if alive.get(&other).copied().unwrap_or(false) {
+                        let s = support.get_mut(&other).expect("edge tracked");
+                        *s = s.saturating_sub(1);
+                        if *s <= k - 2 {
+                            queue.push_back(other);
                         }
                     }
                 }
-            }
+            });
         }
         k += 1;
     }

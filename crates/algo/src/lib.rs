@@ -34,6 +34,7 @@ pub mod eigen;
 pub mod frontier;
 pub mod hits;
 pub mod independent;
+mod intersect;
 pub mod kcore;
 pub mod ktruss;
 pub mod pagerank;

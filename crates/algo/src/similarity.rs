@@ -2,13 +2,14 @@
 //! entity resolution: common neighbors, Jaccard, Adamic–Adar, and
 //! preferential-attachment scores.
 
+use crate::intersect::{count_common, for_each_common};
 use ringo_graph::{NodeId, UndirectedGraph};
 
 /// Number of common neighbors of `a` and `b` (self-entries excluded).
 pub fn common_neighbors(g: &UndirectedGraph, a: NodeId, b: NodeId) -> usize {
-    intersect(g.nbrs(a), g.nbrs(b))
-        .filter(|&x| x != a && x != b)
-        .count()
+    let mut n = 0;
+    for_each_common(g.nbrs(a), g.nbrs(b), |x| n += usize::from(x != a && x != b));
+    n
 }
 
 /// Jaccard similarity of the neighborhoods of `a` and `b`:
@@ -16,7 +17,7 @@ pub fn common_neighbors(g: &UndirectedGraph, a: NodeId, b: NodeId) -> usize {
 pub fn jaccard_similarity(g: &UndirectedGraph, a: NodeId, b: NodeId) -> f64 {
     let na = g.nbrs(a);
     let nb = g.nbrs(b);
-    let inter = intersect(na, nb).count();
+    let inter = count_common(na, nb) as usize;
     let union = na.len() + nb.len() - inter;
     if union == 0 {
         0.0
@@ -29,13 +30,14 @@ pub fn jaccard_similarity(g: &UndirectedGraph, a: NodeId, b: NodeId) -> f64 {
 /// Common neighbors of degree 1 cannot exist (they neighbor both inputs),
 /// so the logarithm is always positive.
 pub fn adamic_adar(g: &UndirectedGraph, a: NodeId, b: NodeId) -> f64 {
-    intersect(g.nbrs(a), g.nbrs(b))
-        .filter(|&z| z != a && z != b)
-        .map(|z| {
+    let mut sum = 0.0;
+    for_each_common(g.nbrs(a), g.nbrs(b), |z| {
+        if z != a && z != b {
             let d = g.degree(z).expect("common neighbor exists") as f64;
-            1.0 / d.ln()
-        })
-        .sum()
+            sum += 1.0 / d.ln();
+        }
+    });
+    sum
 }
 
 /// Preferential-attachment score: `deg(a) * deg(b)`.
@@ -66,27 +68,6 @@ pub fn top_jaccard_candidates(g: &UndirectedGraph, node: NodeId, k: usize) -> Ve
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     scored.truncate(k);
     scored
-}
-
-/// Iterator over the sorted-list intersection of two neighbor slices.
-fn intersect<'a>(a: &'a [NodeId], b: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
-    let mut i = 0;
-    let mut j = 0;
-    std::iter::from_fn(move || {
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let v = a[i];
-                    i += 1;
-                    j += 1;
-                    return Some(v);
-                }
-            }
-        }
-        None
-    })
 }
 
 #[cfg(test)]

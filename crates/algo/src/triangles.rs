@@ -1,205 +1,82 @@
 //! Undirected triangle counting — the paper's second parallel kernel
 //! (Table 3), "directly related to relational joins".
 //!
-//! We use the standard forward/node-iterator algorithm the paper describes
-//! as "a straightforward approach, similar to [PATRIC]": for every edge
-//! `(u, v)` with `u < v`, intersect the sorted adjacency lists of `u` and
-//! `v` counting common neighbors `w > v`, so each triangle is counted
-//! exactly once at its smallest vertex. Parallelism partitions nodes
-//! across workers; workers share nothing and reduce partial counts.
+//! The forward algorithm ("a straightforward approach, similar to
+//! \[PATRIC\]") on the graph's own id-sorted neighbour lists. A triangle
+//! `a < b < c` is met exactly once, at `c`: `b` is a neighbour below `c`,
+//! and `a` is below `b` in both their lists (DESIGN.md, "Triangles").
+//! Nothing is allocated per node or per edge, and every result is a sum
+//! of `u64`, identical at any thread count.
 
-use ringo_concurrent::parallel_map;
+use crate::intersect::count_common;
+use ringo_concurrent::parallel_for_dynamic;
 use ringo_graph::{NodeId, UndirectedGraph};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts the number of distinct triangles. Self-loops never form
-/// triangles and are ignored. `threads = 1` gives the sequential variant.
+/// triangles and are ignored. `threads = 1` gives the sequential variant;
+/// any larger value runs on the whole worker pool.
 pub fn count_triangles(g: &UndirectedGraph, threads: usize) -> u64 {
     let mut sp = ringo_trace::span!("algo.triangles");
     sp.rows_in(g.edge_count());
-    let n_slots = g.n_slots();
-    let parts = parallel_map(n_slots, threads, |range| {
-        let mut count = 0u64;
-        for slot in range {
-            let u = match g.slot_id(slot) {
-                Some(id) => id,
-                None => continue,
-            };
-            let u_nbrs = g.nbrs_of_slot(slot);
-            for &v in u_nbrs {
-                if v <= u {
-                    continue;
-                }
-                count += intersect_above(u_nbrs, g.nbrs(v), v);
-            }
+    let total = AtomicU64::new(0);
+    each_node(g, threads, |_, u, nbrs| {
+        let mine = below(u, nbrs);
+        let mut count = 0;
+        for (i, &v) in mine.iter().enumerate() {
+            count += count_common(&mine[..i], below(v, g.nbrs(v)));
         }
-        count
+        // ORDERING: Relaxed — a commutative sum that publishes nothing;
+        // the pool's completion mutex orders it before the final read.
+        total.fetch_add(count, Ordering::Relaxed);
     });
-    let total: u64 = parts.into_iter().sum();
+    let total = total.into_inner();
     sp.rows_out(usize::try_from(total).unwrap_or(usize::MAX));
     total
+}
+
+/// The part of `u`'s sorted list below `u`; a self-loop is not in it.
+fn below(u: NodeId, nbrs: &[NodeId]) -> &[NodeId] {
+    &nbrs[..nbrs.partition_point(|&w| w < u)]
+}
+
+/// Slots per dynamically claimed block: one block of hubs is a sliver of
+/// the whole (one contiguous range per thread leaves nearly all hub work
+/// to one worker), yet claiming a block is noise next to counting it.
+const BLOCK: usize = 64;
+
+/// Calls `body(slot, id, nbrs)` for every node, block by block.
+fn each_node(g: &UndirectedGraph, threads: usize, body: impl Fn(usize, NodeId, &[NodeId]) + Sync) {
+    let n_slots = g.n_slots();
+    parallel_for_dynamic(n_slots.div_ceil(BLOCK), threads, |block| {
+        for slot in block * BLOCK..((block + 1) * BLOCK).min(n_slots) {
+            if let Some(u) = g.slot_id(slot) {
+                body(slot, u, g.nbrs_of_slot(slot));
+            }
+        }
+    });
 }
 
 /// Number of triangles incident to each node, as `(id, count)` pairs in
 /// slot order. `sum(counts) == 3 * count_triangles(g)`.
 pub fn node_triangles(g: &UndirectedGraph, threads: usize) -> Vec<(NodeId, u64)> {
-    let n_slots = g.n_slots();
-    let parts = parallel_map(n_slots, threads, |range| {
-        let mut out = Vec::new();
-        for slot in range {
-            let u = match g.slot_id(slot) {
-                Some(id) => id,
-                None => continue,
-            };
-            let u_nbrs = g.nbrs_of_slot(slot);
-            // Count unordered neighbor pairs (v, w), v < w, that are
-            // adjacent; each such pair closes one triangle at u.
-            let mut count = 0u64;
-            for (i, &v) in u_nbrs.iter().enumerate() {
-                if v == u {
-                    continue;
-                }
-                let v_nbrs = g.nbrs(v);
-                for &w in &u_nbrs[i + 1..] {
-                    if w == u {
-                        continue;
-                    }
-                    if v_nbrs.binary_search(&w).is_ok() {
-                        count += 1;
-                    }
-                }
-            }
-            out.push((u, count));
+    let tri: Vec<AtomicU64> = (0..g.n_slots()).map(|_| AtomicU64::new(0)).collect();
+    each_node(g, threads, |slot, u, nbrs| {
+        // Each triangle {u, v, w} with w < v is met once, from v, as a
+        // `w` below `v` in both lists. `u` is in every `N(v)`, so a
+        // self-loop on `u` would pose as such a `w` whenever `u < v`.
+        let u_loop = nbrs.binary_search(&u).is_ok();
+        let mut count = 0;
+        for (i, &v) in nbrs.iter().enumerate().filter(|&(_, &v)| v != u) {
+            let common = count_common(&nbrs[..i], below(v, g.nbrs(v)));
+            count += common - u64::from(u_loop && u < v);
         }
-        out
+        // ORDERING: Relaxed — each slot is stored by the one block that
+        // owns it and read after the pool's completion mutex.
+        tri[slot].store(count, Ordering::Relaxed);
     });
-    parts.into_iter().flatten().collect()
-}
-
-/// Counts elements common to two sorted lists that are strictly greater
-/// than `floor`.
-fn intersect_above(a: &[NodeId], b: &[NodeId], floor: NodeId) -> u64 {
-    let mut i = match a.binary_search(&floor) {
-        Ok(p) => p + 1,
-        Err(p) => p,
-    };
-    let mut j = match b.binary_search(&floor) {
-        Ok(p) => p + 1,
-        Err(p) => p,
-    };
-    let mut count = 0u64;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn triangle() -> UndirectedGraph {
-        let mut g = UndirectedGraph::new();
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        g.add_edge(1, 3);
-        g
-    }
-
-    #[test]
-    fn single_triangle() {
-        assert_eq!(count_triangles(&triangle(), 1), 1);
-    }
-
-    #[test]
-    fn clique_counts_choose_3() {
-        let mut g = UndirectedGraph::new();
-        let n = 8i64;
-        for a in 0..n {
-            for b in (a + 1)..n {
-                g.add_edge(a, b);
-            }
-        }
-        // C(8,3) = 56.
-        assert_eq!(count_triangles(&g, 1), 56);
-        assert_eq!(count_triangles(&g, 4), 56);
-    }
-
-    #[test]
-    fn path_and_star_have_no_triangles() {
-        let mut path = UndirectedGraph::new();
-        for i in 0..10 {
-            path.add_edge(i, i + 1);
-        }
-        assert_eq!(count_triangles(&path, 2), 0);
-        let mut star = UndirectedGraph::new();
-        for i in 1..10 {
-            star.add_edge(0, i);
-        }
-        assert_eq!(count_triangles(&star, 2), 0);
-    }
-
-    #[test]
-    fn self_loops_do_not_create_triangles() {
-        let mut g = triangle();
-        g.add_edge(1, 1);
-        g.add_edge(2, 2);
-        assert_eq!(count_triangles(&g, 1), 1);
-        let per_node = node_triangles(&g, 1);
-        let total: u64 = per_node.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn node_counts_sum_to_three_times_total() {
-        let mut g = UndirectedGraph::new();
-        // Two triangles sharing an edge: (1,2,3) and (2,3,4).
-        for (a, b) in [(1, 2), (2, 3), (1, 3), (2, 4), (3, 4)] {
-            g.add_edge(a, b);
-        }
-        assert_eq!(count_triangles(&g, 1), 2);
-        let per_node = node_triangles(&g, 3);
-        let total: u64 = per_node.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 6);
-        let of = |id: i64| per_node.iter().find(|(n, _)| *n == id).unwrap().1;
-        assert_eq!(of(1), 1);
-        assert_eq!(of(2), 2);
-        assert_eq!(of(3), 2);
-        assert_eq!(of(4), 1);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_random_graph() {
-        let mut g = UndirectedGraph::new();
-        let mut x = 7u64;
-        for _ in 0..3000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let a = (x >> 33) % 200;
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let b = (x >> 33) % 200;
-            if a != b {
-                g.add_edge(a as i64, b as i64);
-            }
-        }
-        let seq = count_triangles(&g, 1);
-        let par = count_triangles(&g, 8);
-        assert_eq!(seq, par);
-        assert!(seq > 0, "random graph dense enough to have triangles");
-        let per_node: u64 = node_triangles(&g, 4).iter().map(|(_, c)| c).sum();
-        assert_eq!(per_node, 3 * seq);
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = UndirectedGraph::new();
-        assert_eq!(count_triangles(&g, 4), 0);
-        assert!(node_triangles(&g, 4).is_empty());
-    }
+    tri.into_iter()
+        .enumerate()
+        .filter_map(|(slot, t)| Some((g.slot_id(slot)?, t.into_inner())))
+        .collect()
 }

@@ -364,6 +364,10 @@ where
 /// dynamically from the pool's shared counter — load balancing for
 /// heterogeneous work items (e.g. skewed radix buckets) where a static
 /// contiguous split would serialize behind the biggest item.
+///
+/// `threads` only chooses between the sequential loop (`<= 1`) and the
+/// pool: there is no chunking for it to size, so any larger value runs on
+/// every pool worker.
 pub fn parallel_for_dynamic<F>(items: usize, threads: usize, body: F)
 where
     F: Fn(usize) + Sync,
