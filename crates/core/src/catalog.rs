@@ -28,10 +28,12 @@
 //!   is published like any other — pinned readers keep traversing the
 //!   old slabs untouched;
 //! * a publish **releases the displaced graph version's cached
-//!   `Topology`** (the slot-CSR view kernels traverse): derived
-//!   structure is cheap to recompute, so only the current version of a
-//!   name holds one, and a reader pinned to an older version rebuilds on
-//!   demand.
+//!   `Topology`** (the slot-CSR view kernels traverse), so only the
+//!   current version of a name holds one and a reader pinned to an older
+//!   version rebuilds on demand. A successor cloned from the displaced
+//!   version shares that view, stale in the rows its edits touched; the
+//!   release leaves it the sole owner, which is what lets its first
+//!   reader patch the view in place instead of copying it.
 //!
 //! Reclamation policy is governed by `RINGO_CATALOG_GC`: `auto` (the
 //! default) runs a collection after every publish, `manual` defers
@@ -270,9 +272,10 @@ impl Catalog {
         };
         history.push(meta.clone());
         let displaced = map.insert(name.to_string(), CatalogEntry { meta, data });
-        // Publish is invalidation: only the current version of a name
-        // keeps its cached topology. A snapshot still pinned to the
-        // displaced version rebuilds one on demand.
+        // Only the current version of a name keeps a cached topology: a
+        // snapshot still pinned to the displaced version rebuilds one on
+        // demand, and a successor cloned from it becomes the view's sole
+        // owner, free to patch it in place.
         if let Some(Dataset::Graph(old)) = displaced.map(|e| e.data) {
             old.release_topology();
         }

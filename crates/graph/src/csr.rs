@@ -8,7 +8,7 @@
 //! traversal vs its `O(E)` single-edge deletion.
 
 use crate::traits::DirectedTopology;
-use crate::NodeId;
+use crate::{slot_u32, NodeId};
 use ringo_concurrent::{num_threads, radix_sort_by_u64_key, IntHashTable};
 
 /// An immutable-topology directed graph in Compressed Sparse Row form,
@@ -46,7 +46,7 @@ impl CsrGraph {
         }
         ids.sort_unstable();
         for (slot, id) in ids.iter().enumerate() {
-            index.insert(*id, slot as u32);
+            index.insert(*id, slot_u32(slot));
         }
         let n = ids.len();
 

@@ -3,8 +3,8 @@
 
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
 use crate::topology::{Topology, TopologyCell};
-use crate::traits::DirectedTopology;
-use crate::NodeId;
+use crate::traits::{DirectedTopology, Direction};
+use crate::{slot_u32, NodeId};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
@@ -99,86 +99,83 @@ impl DirectedGraph {
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
-        self.topology.clear();
-        if self.index.contains(id) {
-            return false;
+        self.ensure_node(id).1
+    }
+
+    /// The slot of node `id`, and whether it had to be added first.
+    fn ensure_node(&mut self, id: NodeId) -> (u32, bool) {
+        if let Some(&slot) = self.index.get(id) {
+            return (slot, false);
         }
+        let cell = Some(NodeCell {
+            id,
+            ..NodeCell::default()
+        });
         let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s as usize] = Some(NodeCell {
-                    id,
-                    ..NodeCell::default()
-                });
-                s
+            Some(slot) => {
+                self.nodes[slot as usize] = cell;
+                slot
             }
             None => {
-                self.nodes.push(Some(NodeCell {
-                    id,
-                    ..NodeCell::default()
-                }));
-                (self.nodes.len() - 1) as u32
+                let slot = slot_u32(self.nodes.len());
+                self.nodes.push(cell);
+                slot
             }
         };
         self.index.insert(id, slot);
         self.n_nodes += 1;
-        true
+        self.topology.mark(slot, Direction::Both);
+        (slot, true)
     }
 
     /// Adds the edge `src -> dst`, creating missing endpoints. Returns
     /// `false` if the edge already existed.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        self.topology.clear();
-        self.add_node(src);
-        self.add_node(dst);
-        {
-            let sc = self.cell_mut(src).expect("src just ensured");
-            match sc.out_nbrs.binary_search(&dst) {
-                Ok(_) => return false,
-                Err(pos) => sc.out_nbrs.to_mut().insert(pos, dst),
-            }
+        let (s, _) = self.ensure_node(src);
+        let (d, _) = self.ensure_node(dst);
+        let sc = self.node_mut(s);
+        match sc.out_nbrs.binary_search(&dst) {
+            Ok(_) => return false,
+            Err(pos) => sc.out_nbrs.to_mut().insert(pos, dst),
         }
-        {
-            let dc = self.cell_mut(dst).expect("dst just ensured");
-            let pos = dc
-                .in_nbrs
-                .binary_search(&src)
-                .expect_err("in/out adjacency out of sync");
-            dc.in_nbrs.to_mut().insert(pos, src);
-        }
+        let dc = self.node_mut(d);
+        let pos = dc
+            .in_nbrs
+            .binary_search(&src)
+            .expect_err("in/out adjacency out of sync");
+        dc.in_nbrs.to_mut().insert(pos, src);
         self.n_edges += 1;
+        self.topology.mark(s, Direction::Out);
+        self.topology.mark(d, Direction::In);
         true
     }
 
     /// Deletes the edge `src -> dst`. Returns `false` if it did not exist.
     /// Cost is `O(out_deg(src) + in_deg(dst))`, not `O(E)`.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        self.topology.clear();
-        let removed = match self.cell_mut(src) {
-            Some(sc) => match sc.out_nbrs.binary_search(&dst) {
-                Ok(pos) => {
-                    sc.out_nbrs.to_mut().remove(pos);
-                    true
-                }
-                Err(_) => false,
-            },
-            None => false,
-        };
-        if !removed {
+        let Some(&s) = self.index.get(src) else {
             return false;
-        }
-        let dc = self.cell_mut(dst).expect("edge endpoints must exist");
+        };
+        let sc = self.node_mut(s);
+        let Ok(pos) = sc.out_nbrs.binary_search(&dst) else {
+            return false;
+        };
+        sc.out_nbrs.to_mut().remove(pos);
+        let d = *self.index.get(dst).expect("edge endpoints must exist");
+        let dc = self.node_mut(d);
         let pos = dc
             .in_nbrs
             .binary_search(&src)
             .expect("in/out adjacency out of sync");
         dc.in_nbrs.to_mut().remove(pos);
         self.n_edges -= 1;
+        self.topology.mark(s, Direction::Out);
+        self.topology.mark(d, Direction::In);
         true
     }
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
-        self.topology.clear();
         let slot = match self.index.get(id) {
             Some(s) => *s,
             None => return false,
@@ -186,23 +183,28 @@ impl DirectedGraph {
         let cell = self.nodes[slot as usize]
             .take()
             .expect("indexed slot occupied");
+        self.topology.mark(slot, Direction::Both);
         // Remove `id` from the in-lists of its out-neighbors and from the
         // out-lists of its in-neighbors.
         for &nbr in cell.out_nbrs.iter() {
             if nbr == id {
                 continue; // self-loop, cell already removed
             }
-            let nc = self.cell_mut(nbr).expect("neighbor must exist");
+            let n = *self.index.get(nbr).expect("neighbor must exist");
+            let nc = self.node_mut(n);
             let pos = nc.in_nbrs.binary_search(&id).expect("adjacency in sync");
             nc.in_nbrs.to_mut().remove(pos);
+            self.topology.mark(n, Direction::In);
         }
         for &nbr in cell.in_nbrs.iter() {
             if nbr == id {
                 continue;
             }
-            let nc = self.cell_mut(nbr).expect("neighbor must exist");
+            let n = *self.index.get(nbr).expect("neighbor must exist");
+            let nc = self.node_mut(n);
             let pos = nc.out_nbrs.binary_search(&id).expect("adjacency in sync");
             nc.out_nbrs.to_mut().remove(pos);
+            self.topology.mark(n, Direction::Out);
         }
         let self_loop = cell.out_nbrs.binary_search(&id).is_ok();
         self.n_edges -= cell.out_nbrs.len() + cell.in_nbrs.len() - usize::from(self_loop);
@@ -259,7 +261,8 @@ impl DirectedGraph {
         bytes
     }
 
-    /// Heap bytes of the cached [`Topology`], 0 when none is cached.
+    /// Heap bytes of the cached [`Topology`], 0 when none is cached. A view
+    /// that mutations have left stale is still held memory and is counted.
     pub fn topology_bytes(&self) -> usize {
         self.topology.bytes()
     }
@@ -286,7 +289,7 @@ impl DirectedGraph {
             debug_assert!(in_nbrs.windows(2).all(|w| w[0] < w[1]));
             debug_assert!(out_nbrs.windows(2).all(|w| w[0] < w[1]));
             n_edges += out_nbrs.len();
-            let slot = g.nodes.len() as u32;
+            let slot = slot_u32(g.nodes.len());
             g.nodes.push(Some(NodeCell {
                 id,
                 in_nbrs: in_nbrs.into(),
@@ -353,7 +356,7 @@ impl DirectedGraph {
                 in_nbrs: NbrList::slab(&in_slab, in_off[k], in_off[k + 1]),
                 out_nbrs: NbrList::slab(&out_slab, out_off[k], out_off[k + 1]),
             }));
-            let prev = g.index.insert(id, k as u32);
+            let prev = g.index.insert(id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
         }
         g.n_nodes = n;
@@ -377,8 +380,9 @@ impl DirectedGraph {
     /// Rewrites every adjacency list into two fresh, exactly-sized
     /// shared slabs (one per direction), releasing dead slab ranges left
     /// behind by mutations and collapsing per-node owned vectors back
-    /// into bulk storage. Topology is unchanged; the graph stays fully
-    /// dynamic afterwards.
+    /// into bulk storage. Adjacency is unchanged — so a cached
+    /// [`Topology`] stays as it is — and the graph stays fully dynamic
+    /// afterwards.
     ///
     /// Rewriting the adjacency into a new immutable slab is exactly what
     /// a copy-on-write version publish does, so the core crate's
@@ -386,7 +390,6 @@ impl DirectedGraph {
     /// compact the clone, publish it as the next version, and let the
     /// epoch machinery retire the old slabs once unpinned.
     pub fn compact(&mut self) -> CompactStats {
-        self.topology.clear();
         let before = self.adjacency_stats();
         let mut ins: Vec<&mut NbrList> = self
             .nodes
@@ -455,10 +458,12 @@ impl DirectedGraph {
         self.nodes[slot as usize].as_ref()
     }
 
+    /// The node in `slot`, which the index just named.
     #[inline]
-    fn cell_mut(&mut self, id: NodeId) -> Option<&mut NodeCell> {
-        let slot = *self.index.get(id)?;
-        self.nodes[slot as usize].as_mut()
+    fn node_mut(&mut self, slot: u32) -> &mut NodeCell {
+        self.nodes[slot as usize]
+            .as_mut()
+            .expect("indexed slot occupied")
     }
 }
 
@@ -493,7 +498,7 @@ impl DirectedTopology for DirectedGraph {
     }
 
     fn topology(&self) -> Arc<Topology> {
-        self.topology.get_or_build(|| Topology::build(self, false))
+        self.topology.get(self, false)
     }
 }
 

@@ -16,8 +16,9 @@
 //! * [`DirectedTopology`] — slot-addressed read access implemented by both
 //!   directed representations so algorithms can run on either.
 //! * [`Topology`] — the dense slot-CSR view kernels traverse: neighbor
-//!   *slots* instead of ids, built once per graph version and cached on
-//!   the graph value.
+//!   *slots* instead of ids, cached on the graph value and carried across
+//!   clone → mutate → publish, where only the rows an edit touched are
+//!   re-translated.
 
 #![warn(missing_docs)]
 
@@ -43,3 +44,35 @@ pub use weighted::WeightedDigraph;
 /// integers supplied by the user (e.g. raw user ids from a table), not
 /// required to be dense. `i64::MIN` is reserved.
 pub type NodeId = i64;
+
+/// Narrows a slot index to the `u32` that node indexes and [`Topology`]
+/// rows store.
+///
+/// # Panics
+/// When `slot` does not fit: a graph holds at most `u32::MAX` + 1 slots.
+#[inline]
+pub(crate) fn slot_u32(slot: usize) -> u32 {
+    u32::try_from(slot).unwrap_or_else(|_| {
+        panic!(
+            "slot {slot} is past the graph's limit of {} slots (slots are u32)",
+            u32::MAX as u64 + 1
+        )
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::slot_u32;
+
+    #[test]
+    fn slot_u32_keeps_every_slot_that_fits() {
+        assert_eq!(slot_u32(0), 0);
+        assert_eq!(slot_u32(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the graph's limit of 4294967296 slots")]
+    fn slot_u32_refuses_to_truncate() {
+        slot_u32(u32::MAX as usize + 1);
+    }
+}

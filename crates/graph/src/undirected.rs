@@ -3,7 +3,8 @@
 
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
 use crate::topology::{Topology, TopologyCell};
-use crate::NodeId;
+use crate::traits::Direction;
+use crate::{slot_u32, NodeId};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
@@ -74,46 +75,47 @@ impl UndirectedGraph {
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
-        self.topology.clear();
-        if self.index.contains(id) {
-            return false;
+        self.ensure_node(id).1
+    }
+
+    /// The slot of node `id`, and whether it had to be added first.
+    fn ensure_node(&mut self, id: NodeId) -> (u32, bool) {
+        if let Some(&slot) = self.index.get(id) {
+            return (slot, false);
         }
+        let cell = Some(UNodeCell {
+            id,
+            nbrs: NbrList::default(),
+        });
         let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s as usize] = Some(UNodeCell {
-                    id,
-                    nbrs: NbrList::default(),
-                });
-                s
+            Some(slot) => {
+                self.nodes[slot as usize] = cell;
+                slot
             }
             None => {
-                self.nodes.push(Some(UNodeCell {
-                    id,
-                    nbrs: NbrList::default(),
-                }));
-                (self.nodes.len() - 1) as u32
+                let slot = slot_u32(self.nodes.len());
+                self.nodes.push(cell);
+                slot
             }
         };
         self.index.insert(id, slot);
         self.n_nodes += 1;
-        true
+        self.topology.mark(slot, Direction::Both);
+        (slot, true)
     }
 
     /// Adds the undirected edge `{a, b}`, creating missing endpoints.
     /// Returns `false` if the edge already existed.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.topology.clear();
-        self.add_node(a);
-        self.add_node(b);
-        {
-            let ca = self.cell_mut(a).expect("endpoint ensured");
-            match ca.nbrs.binary_search(&b) {
-                Ok(_) => return false,
-                Err(pos) => ca.nbrs.to_mut().insert(pos, b),
-            }
+        let (sa, _) = self.ensure_node(a);
+        let (sb, _) = self.ensure_node(b);
+        let ca = self.node_mut(sa);
+        match ca.nbrs.binary_search(&b) {
+            Ok(_) => return false,
+            Err(pos) => ca.nbrs.to_mut().insert(pos, b),
         }
         if a != b {
-            let cb = self.cell_mut(b).expect("endpoint ensured");
+            let cb = self.node_mut(sb);
             let pos = cb
                 .nbrs
                 .binary_search(&a)
@@ -121,37 +123,35 @@ impl UndirectedGraph {
             cb.nbrs.to_mut().insert(pos, a);
         }
         self.n_edges += 1;
+        self.topology.mark(sa, Direction::Both);
+        self.topology.mark(sb, Direction::Both);
         true
     }
 
     /// Deletes the undirected edge `{a, b}`. Returns `false` if absent.
     pub fn del_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.topology.clear();
-        let removed = match self.cell_mut(a) {
-            Some(ca) => match ca.nbrs.binary_search(&b) {
-                Ok(pos) => {
-                    ca.nbrs.to_mut().remove(pos);
-                    true
-                }
-                Err(_) => false,
-            },
-            None => false,
-        };
-        if !removed {
+        let Some(&sa) = self.index.get(a) else {
             return false;
-        }
+        };
+        let ca = self.node_mut(sa);
+        let Ok(pos) = ca.nbrs.binary_search(&b) else {
+            return false;
+        };
+        ca.nbrs.to_mut().remove(pos);
+        let sb = *self.index.get(b).expect("edge endpoints exist");
         if a != b {
-            let cb = self.cell_mut(b).expect("edge endpoints exist");
+            let cb = self.node_mut(sb);
             let pos = cb.nbrs.binary_search(&a).expect("adjacency in sync");
             cb.nbrs.to_mut().remove(pos);
         }
         self.n_edges -= 1;
+        self.topology.mark(sa, Direction::Both);
+        self.topology.mark(sb, Direction::Both);
         true
     }
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
-        self.topology.clear();
         let slot = match self.index.get(id) {
             Some(s) => *s,
             None => return false,
@@ -159,13 +159,16 @@ impl UndirectedGraph {
         let cell = self.nodes[slot as usize]
             .take()
             .expect("indexed slot occupied");
+        self.topology.mark(slot, Direction::Both);
         for &nbr in cell.nbrs.iter() {
             if nbr == id {
                 continue;
             }
-            let nc = self.cell_mut(nbr).expect("neighbor exists");
+            let n = *self.index.get(nbr).expect("neighbor exists");
+            let nc = self.node_mut(n);
             let pos = nc.nbrs.binary_search(&id).expect("adjacency in sync");
             nc.nbrs.to_mut().remove(pos);
+            self.topology.mark(n, Direction::Both);
         }
         self.n_edges -= cell.nbrs.len();
         self.index.remove(id);
@@ -231,7 +234,8 @@ impl UndirectedGraph {
         bytes
     }
 
-    /// Heap bytes of the cached [`Topology`], 0 when none is cached.
+    /// Heap bytes of the cached [`Topology`], stale or not; 0 when none is
+    /// cached.
     pub fn topology_bytes(&self) -> usize {
         self.topology.bytes()
     }
@@ -256,7 +260,6 @@ impl UndirectedGraph {
     /// Rewrites every adjacency list into one fresh, exactly-sized
     /// shared slab (see [`crate::DirectedGraph::compact`]).
     pub fn compact(&mut self) -> CompactStats {
-        self.topology.clear();
         let before = self.adjacency_stats();
         let mut lists: Vec<&mut NbrList> = self
             .nodes
@@ -282,7 +285,7 @@ impl UndirectedGraph {
             debug_assert!(nbrs.windows(2).all(|w| w[0] < w[1]));
             edge_ends += nbrs.len();
             self_loops += usize::from(nbrs.binary_search(&id).is_ok());
-            let slot = g.nodes.len() as u32;
+            let slot = slot_u32(g.nodes.len());
             g.nodes.push(Some(UNodeCell {
                 id,
                 nbrs: nbrs.into(),
@@ -326,7 +329,7 @@ impl UndirectedGraph {
                 id,
                 nbrs: NbrList::slab(&slab, off[k], off[k + 1]),
             }));
-            let prev = g.index.insert(id, k as u32);
+            let prev = g.index.insert(id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
         }
         g.n_nodes = n;
@@ -340,10 +343,12 @@ impl UndirectedGraph {
         self.nodes[slot as usize].as_ref()
     }
 
+    /// The node in `slot`, which the index just named.
     #[inline]
-    fn cell_mut(&mut self, id: NodeId) -> Option<&mut UNodeCell> {
-        let slot = *self.index.get(id)?;
-        self.nodes[slot as usize].as_mut()
+    fn node_mut(&mut self, slot: u32) -> &mut UNodeCell {
+        self.nodes[slot as usize]
+            .as_mut()
+            .expect("indexed slot occupied")
     }
 }
 
@@ -388,7 +393,7 @@ impl crate::DirectedTopology for UndirectedGraph {
     }
 
     fn topology(&self) -> Arc<Topology> {
-        self.topology.get_or_build(|| Topology::build(self, true))
+        self.topology.get(self, true)
     }
 }
 

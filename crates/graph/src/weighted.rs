@@ -8,7 +8,7 @@
 //! lookup is the same binary search as `has_edge`.
 
 use crate::traits::DirectedTopology;
-use crate::NodeId;
+use crate::{slot_u32, NodeId};
 use ringo_concurrent::IntHashTable;
 
 #[derive(Clone, Debug, Default)]
@@ -84,11 +84,12 @@ impl WeightedDigraph {
                 s
             }
             None => {
+                let slot = slot_u32(self.nodes.len());
                 self.nodes.push(Some(WNodeCell {
                     id,
                     ..WNodeCell::default()
                 }));
-                (self.nodes.len() - 1) as u32
+                slot
             }
         };
         self.index.insert(id, slot);

@@ -85,7 +85,9 @@ commands:
   versions <name>                            a name's full publish history
   gc                                         reclaim unpinned catalog versions
   compact <graph>                            rewrite adjacency slabs as a new version
-  timings                                    per-verb latency & memory aggregates
+  addedge|deledge <graph> <src> <dst>        edit one edge, publish as a new version
+  timings                                    per-verb latency & memory aggregates,
+                                             topology builds / patches / hits
   provenance [n]                             last n op-log records (default 20)
   trace [reset]                              global ringo-trace report (RINGO_TRACE=1)
   help | quit";
@@ -185,6 +187,27 @@ impl Shell {
                     format_bytes(stats.before.dead_slab_bytes()),
                     stats.before.owned_lists
                 );
+                Ok(true)
+            }
+            [verb @ ("addedge" | "deledge"), name, src, dst] => {
+                let (Ok(src), Ok(dst)) = (src.parse(), dst.parse()) else {
+                    return err("node ids are integers");
+                };
+                // Copy-on-write, as `compact` does it: the clone carries
+                // the current version's cached topology along, stale in
+                // the two rows the edit touches.
+                let mut next = DirectedGraph::clone(graph(&self.ringo.snapshot(), name)?);
+                let changed = match *verb {
+                    "addedge" => next.add_edge(src, dst),
+                    _ => next.del_edge(src, dst),
+                };
+                if !changed {
+                    println!("graph {name}: unchanged");
+                    return Ok(true);
+                }
+                let edges = next.edge_count();
+                let v = self.ringo.publish_graph(name, next);
+                println!("graph {name}: {edges} edges (v{v})");
                 Ok(true)
             }
             ["gen", "so", name, rest @ ..] => {
@@ -567,6 +590,16 @@ impl Shell {
                         format_bytes_delta(t.max_peak_delta as i64),
                     );
                 }
+                // What the graph verbs above paid for their slot-CSR view;
+                // under RINGO_TRACE=1 `trace` times the builds and patches.
+                let count = |name| ringo::trace::counter(name).get();
+                println!(
+                    "topology: {} built, {} patched, {} hits, {} released",
+                    count("graph.topology.builds"),
+                    count("graph.topology.patches"),
+                    count("graph.topology.hit"),
+                    count("graph.topology.release"),
+                );
                 Ok(true)
             }
             ["provenance", rest @ ..] => {

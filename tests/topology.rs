@@ -1,21 +1,24 @@
 //! The slot-CSR `Topology` and its per-graph cache: layout, the cache
-//! protocol (fill / share-on-clone / clear-on-mutate /
-//! release-on-displace), and bit-identity of the kernels routed over it.
+//! protocol (fill / share-on-clone / stale-on-mutate /
+//! patch-on-first-read / release-on-displace), patched rows against
+//! rebuilt ones, and bit-identity of the kernels routed over them.
 //!
 //! Own binary, and every test takes `SERIAL`: the protocol tests read
-//! process-wide counters (topology builds and hits, live heap bytes)
-//! that a concurrently running sibling would move.
+//! process-wide counters (topology builds, patches and hits, live heap
+//! bytes) that a concurrently running sibling would move.
 
 use ringo::algo::{
     bfs_distances, pagerank, sssp_unweighted, strongly_connected_components,
-    weakly_connected_components, weakly_connected_components_parallel, Components,
+    weakly_connected_components, weakly_connected_components_parallel, Components, FrontierEngine,
 };
 use ringo::concurrent::parallel::chunk_bounds;
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::{DirectedTopology, Topology};
 use ringo::trace::mem::{current_bytes, TrackingAllocator};
 use ringo::{DirectedGraph, Direction, NodeId, PageRankConfig, Ringo, UndirectedGraph};
+use ringo_rng::Rng64;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
@@ -144,51 +147,309 @@ fn rows_are_slot_translated_adjacency_in_order_undirected() {
     }
 }
 
+/// Every row of `topo`, out then in, slot by slot.
+fn rows_of(topo: &Topology) -> Vec<[Vec<u32>; 2]> {
+    (0..topo.n_slots())
+        .map(|s| [topo.out_row(s).to_vec(), topo.in_row(s).to_vec()])
+        .collect()
+}
+
+/// What `topology()` did, read off the cell's always-on counters.
+struct CellCounters {
+    builds: u64,
+    patches: u64,
+    hits: u64,
+}
+
+impl CellCounters {
+    fn read() -> Self {
+        Self {
+            builds: ringo::trace::counter("graph.topology.builds").get(),
+            patches: ringo::trace::counter("graph.topology.patches").get(),
+            hits: ringo::trace::counter("graph.topology.hit").get(),
+        }
+    }
+
+    /// `(builds, patches, hits)` since `self` was read.
+    fn since(&self) -> (u64, u64, u64) {
+        let now = Self::read();
+        (
+            now.builds - self.builds,
+            now.patches - self.patches,
+            now.hits - self.hits,
+        )
+    }
+}
+
 /// The cache protocol on one graph value; a macro because the two graph
 /// types share method names, not a mutation trait.
 macro_rules! assert_cache_protocol {
     ($graph:expr) => {{
         let mut g = $graph;
+        let before = CellCounters::read();
         let first = g.topology();
         assert!(Arc::ptr_eq(&first, &g.topology()), "second call is a hit");
-        assert!(g.topology_bytes() > 0);
+        assert_eq!(before.since(), (1, 0, 1), "one build, then one hit");
+        let bytes = g.topology_bytes();
+        assert!(bytes > 0);
 
         let ids: Vec<NodeId> = g.node_ids().collect();
         let (a, b) = (ids[0], ids[1]);
+        let (u, v) = g.edges().next().expect("has an edge");
         let fresh = NodeId::MAX - 1;
+
+        // A mutator that changes nothing, and `compact`, which rewrites
+        // storage but no list, leave the view current.
+        let before = CellCounters::read();
+        assert!(!g.add_node(a));
+        assert!(!g.add_edge(u, v));
+        assert!(!g.del_edge(a, fresh));
+        assert!(!g.del_node(fresh));
+        assert_eq!(g.compact().after.dead_slab_bytes(), 0);
+        assert!(Arc::ptr_eq(&first, &g.topology()), "still the same view");
+        assert_eq!(before.since(), (0, 0, 1), "a hit: nothing was marked");
+
+        // A mutator that changes a list leaves the view held but stale;
+        // the next read patches it. `prev` is a reader's reference, so
+        // the patch must go to a copy and leave `prev` as it was.
         let mut prev = first;
-        for step in ["add_node", "add_edge", "del_edge", "del_node", "compact"] {
+        for step in ["add_node", "add_edge", "del_edge", "del_node"] {
+            let prev_rows = rows_of(&prev);
             match step {
                 "add_node" => assert!(g.add_node(fresh)),
                 "add_edge" => assert!(g.add_edge(fresh, a)),
                 "del_edge" => assert!(g.del_edge(fresh, a)),
-                "del_node" => assert!(g.del_node(b)),
-                _ => assert_eq!(g.compact().after.dead_slab_bytes(), 0),
+                _ => assert!(g.del_node(b)),
             }
-            assert_eq!(g.topology_bytes(), 0, "{step} clears the cell");
+            assert!(g.topology_bytes() > 0, "{step} keeps the view, stale");
+            let before = CellCounters::read();
             let next = g.topology();
-            assert!(!Arc::ptr_eq(&prev, &next), "{step}: a fresh build");
+            assert_eq!(before.since(), (0, 1, 0), "{step}: patched, not rebuilt");
+            assert!(
+                !Arc::ptr_eq(&prev, &next),
+                "{step}: the held view is not written"
+            );
+            assert_eq!(
+                rows_of(&prev),
+                prev_rows,
+                "{step}: the held view is unchanged"
+            );
             assert_rows_match(&g, &next);
             prev = next;
         }
 
+        // With no other reference the same allocation is patched in place.
+        let at = Arc::as_ptr(&prev);
+        drop(prev);
+        assert!(g.add_edge(a, fresh));
+        let patched = g.topology();
+        assert_eq!(Arc::as_ptr(&patched), at, "sole owner: patched in place");
+        assert_rows_match(&g, &patched);
+
         // A clone shares the view until it is mutated; the original
         // keeps its own.
         let mut copy = g.clone();
-        assert!(Arc::ptr_eq(&copy.topology(), &prev));
-        copy.add_edge(a, fresh);
+        assert!(Arc::ptr_eq(&copy.topology(), &patched));
+        assert!(copy.add_edge(fresh, fresh));
+        assert_eq!(
+            copy.topology_bytes(),
+            g.topology_bytes(),
+            "stale, not dropped"
+        );
         let copied = copy.topology();
-        assert!(!Arc::ptr_eq(&copied, &prev));
+        assert!(!Arc::ptr_eq(&copied, &patched));
         assert_rows_match(&copy, &copied);
-        assert!(Arc::ptr_eq(&g.topology(), &prev), "original untouched");
+        assert!(Arc::ptr_eq(&g.topology(), &patched), "original untouched");
+        assert_rows_match(&g, &patched);
     }};
 }
 
 #[test]
-fn cache_fills_once_clears_on_every_mutator_and_shares_on_clone() {
+fn cache_fills_once_goes_stale_on_real_mutations_and_shares_on_clone() {
     let _serial = serial();
     assert_cache_protocol!(rmat_directed(9, 4_000, 11));
     assert_cache_protocol!(rmat_undirected(9, 4_000, 11));
+}
+
+/// Seeded rounds of every mutator over a small id universe, so nodes are
+/// deleted (vacant slots) and their slots reused by different ids. After
+/// each round the patched view must equal both the graph's adjacency and
+/// a from-scratch build of the same value. With `hold` the previous
+/// round's view stays alive, which forces every patch onto a copy;
+/// without it the cell is the sole owner and patches in place.
+macro_rules! assert_patched_equals_rebuilt {
+    ($new:expr, $seed:expr, $hold:expr) => {{
+        let mut rng = Rng64::new($seed);
+        let mut g = $new;
+        let universe = 48i64;
+        for _ in 0..120 {
+            g.add_edge(rng.range_i64(0..universe), rng.range_i64(0..universe));
+        }
+        let first = g.topology();
+        let mut at = Arc::as_ptr(&first);
+        let mut held = $hold.then_some(first);
+        let (mut in_place, mut copied, mut vacant, mut reused) = (0u32, 0u32, 0u32, 0u32);
+        for round in 0..240 {
+            for _ in 0..rng.range_usize(1..9) {
+                let (a, b) = (rng.range_i64(0..universe), rng.range_i64(0..universe));
+                match rng.below(16) {
+                    0..=5 => drop(g.add_edge(a, b)),
+                    6..=9 => drop(g.del_edge(a, b)),
+                    10..=11 => drop(g.del_node(a)),
+                    12 => drop(g.add_node(a)),
+                    // A slot a deletion freed goes to an id outside the
+                    // universe: reuse by a different id, every time.
+                    13 => {
+                        let slots = g.n_slots();
+                        let added = g.add_node(universe + round);
+                        reused += u32::from(added && g.n_slots() == slots);
+                    }
+                    14 => drop(g.compact()),
+                    // A clone of a stale graph takes its dirty slots along.
+                    _ => g = g.clone(),
+                }
+            }
+            vacant += u32::from(g.n_slots() > g.node_count());
+            let before = CellCounters::read();
+            let topo = g.topology();
+            let (builds, patches, _) = before.since();
+            assert_eq!(builds, 0, "round {round}: never rebuilt");
+            if patches == 1 {
+                let same = Arc::as_ptr(&topo) == at;
+                assert_eq!(same, !$hold, "round {round}: in place iff sole owner");
+                in_place += u32::from(same);
+                copied += u32::from(!same);
+            }
+            assert_rows_match(&g, &topo);
+            let twin = g.clone();
+            twin.release_topology();
+            assert_eq!(
+                rows_of(&topo),
+                rows_of(&twin.topology()),
+                "round {round}: patched rows are the rebuilt rows"
+            );
+            at = Arc::as_ptr(&topo);
+            held = $hold.then_some(topo);
+        }
+        drop(held);
+        assert!(
+            vacant > 20 && reused > 5,
+            "{vacant} rounds with holes, {reused} reuses"
+        );
+        assert!(in_place + copied > 200, "nearly every round patched");
+        (in_place, copied)
+    }};
+}
+
+#[test]
+fn patched_rows_equal_rebuilt_rows_under_random_edits_directed() {
+    let _serial = serial();
+    let (in_place, copied) = assert_patched_equals_rebuilt!(DirectedGraph::new(), 0xd1f, false);
+    assert!(in_place > 200 && copied == 0);
+    let (in_place, copied) = assert_patched_equals_rebuilt!(DirectedGraph::new(), 0xd1f, true);
+    assert!(copied > 200 && in_place == 0);
+}
+
+#[test]
+fn patched_rows_equal_rebuilt_rows_under_random_edits_undirected() {
+    let _serial = serial();
+    let (in_place, copied) = assert_patched_equals_rebuilt!(UndirectedGraph::new(), 0x0dd, false);
+    assert!(in_place > 200 && copied == 0);
+    let (in_place, copied) = assert_patched_equals_rebuilt!(UndirectedGraph::new(), 0x0dd, true);
+    assert!(copied > 200 && in_place == 0);
+}
+
+#[test]
+fn kernels_on_a_patched_view_are_bit_equal_to_those_on_a_rebuilt_one() {
+    let _serial = serial();
+    let mut g = rmat_directed(12, 50_000, 17);
+    let src = g
+        .node_ids()
+        .max_by_key(|&id| (g.out_degree(id), id))
+        .expect("non-empty");
+    g.topology();
+    // Holes, slots reused by new ids, grown and shrunk rows, new slots.
+    punch_holes_directed(&mut g);
+    let ids: Vec<NodeId> = g.node_ids().filter(|&id| id != src).collect();
+    let mut rng = Rng64::new(23);
+    for k in 0..2_000 {
+        let (a, b) = (ids[rng.below(ids.len())], ids[rng.below(ids.len())]);
+        if k % 3 == 0 {
+            g.del_edge(a, g.out_nbrs(a).first().copied().unwrap_or(b));
+        } else {
+            g.add_edge(a, if k % 50 == 0 { NodeId::MAX - k } else { b });
+        }
+    }
+    let before = CellCounters::read();
+    let patched = g.topology();
+    assert_eq!(before.since(), (0, 1, 0), "one patch covers every edit");
+    let rebuilt = g.clone();
+    rebuilt.release_topology();
+    assert!(!Arc::ptr_eq(&patched, &rebuilt.topology()));
+
+    for threads in [1, 2, 4] {
+        for dir in [Direction::Out, Direction::In, Direction::Both] {
+            let run = |g: &DirectedGraph| {
+                let state = FrontierEngine::with_threads(g, dir, threads)
+                    .run(src)
+                    .expect("src is live");
+                (state.dist, state.parent)
+            };
+            assert_eq!(run(&g), run(&rebuilt), "bfs {dir:?} at {threads} threads");
+        }
+        let config = PageRankConfig {
+            iterations: 10,
+            threads,
+            ..PageRankConfig::default()
+        };
+        let bits = |g: &DirectedGraph| -> Vec<(NodeId, u64)> {
+            pagerank(g, &config)
+                .into_iter()
+                .map(|(id, score)| (id, score.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&g), bits(&rebuilt), "pagerank at {threads} threads");
+    }
+}
+
+#[test]
+fn a_patch_that_panics_leaves_the_cell_empty_and_the_next_read_correct() {
+    let _serial = serial();
+    // Parts that lie: 1's out-list names 9, 9's in-list does not name 1.
+    // Every id has a slot, so the build succeeds.
+    let mut g = DirectedGraph::from_parts(vec![
+        (1, vec![], vec![2, 9]),
+        (2, vec![1], vec![]),
+        (9, vec![], vec![]),
+    ]);
+    let built = g.topology();
+    assert_eq!(built.out_degree(0), 2);
+    drop(built);
+    // Deleting 9 cannot find the edge 1 -> 9 from 9's side, so 1 keeps
+    // naming it; the next edit to 1 makes the patch re-translate that list.
+    assert!(g.del_node(9));
+    assert!(g.add_edge(1, 3));
+    assert!(g.topology_bytes() > 0, "stale view held");
+    let panicked = catch_unwind(AssertUnwindSafe(|| g.topology()));
+    assert!(panicked.is_err(), "node 9 has no slot");
+    assert_eq!(g.topology_bytes(), 0, "the half-patched view is gone");
+
+    // Repaired, the graph gets a from-scratch build.
+    assert!(g.add_node(9));
+    let before = CellCounters::read();
+    let topo = g.topology();
+    assert_eq!(before.since(), (1, 0, 0));
+    assert_eq!(topo.n_slots(), g.n_slots());
+    // Out-rows only: the parts still lie about 9's in-list, so the two
+    // orientations of this graph do not add up as `assert_rows_match` asks.
+    for s in 0..g.n_slots() {
+        let ids: Vec<NodeId> = topo
+            .out_row(s)
+            .iter()
+            .map(|&t| g.slot_id(t as usize).expect("live"))
+            .collect();
+        assert_eq!(ids, g.out_nbrs_of_slot(s), "out-row {s}");
+    }
 }
 
 #[test]
@@ -244,29 +505,47 @@ fn publish_releases_the_displaced_versions_topology() {
     let before_publish = bfs_fingerprint(&ringo, old, src);
     let topo_bytes = old.topology_bytes();
     assert!(topo_bytes > 100_000, "the probe filled the cell");
+    let parent_view = old.topology();
+    let parent_rows = rows_of(&parent_view);
 
     let mut successor = DirectedGraph::clone(old);
     successor.add_edge(src, NodeId::MAX - 1);
-    assert_eq!(successor.topology_bytes(), 0, "mutation dropped its share");
+    assert_eq!(
+        successor.topology_bytes(),
+        topo_bytes,
+        "stale, but still shared"
+    );
+    assert_eq!(rows_of(&parent_view), parent_rows, "marking writes no row");
+    drop(parent_view);
 
+    // Release on displace hands the view over: the old version's cell
+    // lets go, the successor's keeps the same allocation, nothing is
+    // freed or copied.
     let live_before = current_bytes();
     ringo.publish_graph("g", successor);
     let live_after = current_bytes();
     assert_eq!(old.topology_bytes(), 0, "displaced version's cell is empty");
-    // The publish itself allocates the next root map and the version's
-    // `Arc`; everything beyond that slack must be the released view.
     let slack = 16 * 1024;
     assert!(
-        live_before + slack >= live_after + topo_bytes,
-        "live heap went {live_before} -> {live_after}; expected a drop of {topo_bytes}"
+        live_before.abs_diff(live_after) < slack,
+        "live heap went {live_before} -> {live_after} across the publish"
+    );
+
+    // The successor's first reader patches that allocation in place.
+    let current = ringo.snapshot();
+    let new = current.graph("g").expect("successor is current");
+    assert_eq!(new.edge_count(), old.edge_count() + 1);
+    let before = CellCounters::read();
+    assert_rows_match(&**new, &new.topology());
+    assert_eq!(before.since(), (0, 1, 0), "patched, not rebuilt");
+    assert!(
+        current_bytes() < live_after + slack,
+        "the patch grew the view by one edge, not by a copy"
     );
 
     // The pinned reader rebuilds on demand and sees the same world.
     assert_eq!(bfs_fingerprint(&ringo, old, src), before_publish);
-    assert!(old.topology_bytes() > 0);
-    let current = ringo.snapshot();
-    let new = current.graph("g").expect("successor is current");
-    assert_eq!(new.edge_count(), old.edge_count() + 1);
+    assert_eq!(rows_of(&old.topology()), parent_rows);
 }
 
 /// The PageRank the kernel replaced: identical arithmetic, but every
