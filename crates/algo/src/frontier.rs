@@ -27,8 +27,8 @@
 //!   unvisited node pulls — scans its reverse neighbors for any frontier
 //!   member, tracked in a [`ConcurrentBitset`]), and back to top-down
 //!   once the frontier shrinks below `live / beta`. `alpha`/`beta`
-//!   default to 15/18 and are tunable via `RINGO_BFS_ALPHA` /
-//!   `RINGO_BFS_BETA` (read once per process).
+//!   are 15/18 unless the caller passes others to
+//!   [`FrontierEngine::with_params`].
 //!
 //! **Determinism.** Distances are level-synchronous and therefore
 //! set-determined. Parents are tie-broken to the *minimum slot* among all
@@ -48,7 +48,7 @@ use crate::bfs::Direction;
 use ringo_concurrent::{num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset};
 use ringo_graph::{DirectedTopology, NodeId, Topology};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Sentinel for "not reached" in [`FrontierState::dist`] and
 /// [`FrontierState::parent`].
@@ -65,26 +65,6 @@ const PAR_MIN_EDGES: u64 = 2048;
 const DEFAULT_ALPHA: u64 = 15;
 /// See [`DEFAULT_ALPHA`].
 const DEFAULT_BETA: u64 = 18;
-
-/// The process-wide `(alpha, beta)` from `RINGO_BFS_ALPHA` /
-/// `RINGO_BFS_BETA`, read once: a probe is a few milliseconds, and a
-/// knob that could change between two probes of one session would make
-/// their level structure incomparable.
-fn crossover_knobs() -> (u64, u64) {
-    static CACHED: OnceLock<(u64, u64)> = OnceLock::new();
-    let knob = |name: &str, default: u64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    *CACHED.get_or_init(|| {
-        (
-            knob("RINGO_BFS_ALPHA", DEFAULT_ALPHA),
-            knob("RINGO_BFS_BETA", DEFAULT_BETA),
-        )
-    })
-}
 
 /// Reusable per-run BFS state: flat slot-indexed arrays plus the visit
 /// log. Allocate once ([`FrontierState::new`]) and reuse across runs —
@@ -151,18 +131,17 @@ pub struct FrontierEngine<'g, G: DirectedTopology> {
 }
 
 impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
-    /// Engine with the pool's thread count and the `RINGO_BFS_ALPHA` /
-    /// `RINGO_BFS_BETA` environment knobs (defaults 15 / 18).
+    /// Engine with the pool's thread count and the default crossover
+    /// parameters (15 / 18).
     pub fn new(g: &'g G, dir: Direction) -> Self {
         Self::with_threads(g, dir, num_threads())
     }
 
-    /// Engine with an explicit thread count but the environment crossover
-    /// knobs — for callers that manage parallelism themselves (e.g.
+    /// Engine with an explicit thread count and the default crossover
+    /// parameters — for callers that manage parallelism themselves (e.g.
     /// source-parallel betweenness runs its inner BFS single-threaded).
     pub fn with_threads(g: &'g G, dir: Direction, threads: usize) -> Self {
-        let (alpha, beta) = crossover_knobs();
-        Self::with_params(g, dir, threads, alpha, beta)
+        Self::with_params(g, dir, threads, DEFAULT_ALPHA, DEFAULT_BETA)
     }
 
     /// Engine with explicit thread count and crossover parameters.

@@ -46,18 +46,22 @@ pub fn truss_numbers(g: &UndirectedGraph) -> HashMap<(NodeId, NodeId), u32> {
             truss.insert(e, k);
             remaining -= 1;
             let (u, v) = e;
-            // Each common neighbor w loses one triangle on (u,w) and (v,w).
+            // The triangle {u, v, w} exists only while (u,w) and (v,w) are
+            // both alive; if one has fallen, its own removal already took
+            // this triangle off the other.
             for_each_common(g.nbrs(u), g.nbrs(v), |w| {
                 if w == u || w == v {
                     return;
                 }
-                for other in [(u.min(w), u.max(w)), (v.min(w), v.max(w))] {
-                    if alive.get(&other).copied().unwrap_or(false) {
-                        let s = support.get_mut(&other).expect("edge tracked");
-                        *s = s.saturating_sub(1);
-                        if *s <= k - 2 {
-                            queue.push_back(other);
-                        }
+                let sides = [(u.min(w), u.max(w)), (v.min(w), v.max(w))];
+                if !sides.iter().all(|side| alive[side]) {
+                    return;
+                }
+                for other in sides {
+                    let s = support.get_mut(&other).expect("edge tracked");
+                    *s = s.checked_sub(1).expect("support counts live triangles");
+                    if *s <= k - 2 {
+                        queue.push_back(other);
                     }
                 }
             });
@@ -140,6 +144,13 @@ mod tests {
         }
         assert!(t3.has_edge(0, 10), "0-1-10 triangle keeps these in 3-truss");
         assert!(!t3.has_edge(0, 11));
+        // Losing (0,10) and (1,10) costs (0,1) one triangle, once: the
+        // clique stays a 4-truss.
+        let t = truss_numbers(&g);
+        for (a, b) in clique(4).edges() {
+            assert_eq!(t[&(a, b)], 4, "clique edge ({a},{b})");
+        }
+        assert_eq!((t[&(0, 10)], t[&(1, 10)], t[&(0, 11)]), (3, 3, 2));
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! statistics (degree histograms, approximate diameter).
 //!
 //! Algorithms that read only the directed topology are generic over
-//! [`ringo_graph::DirectedTopology`], so they run unchanged on the dynamic
-//! hash-table graph and on the static CSR baseline — the representation
-//! ablation of DESIGN.md.
+//! [`ringo_graph::DirectedTopology`], so one kernel serves every graph
+//! type that implements it.
 
 #![warn(missing_docs)]
 
@@ -46,7 +45,6 @@ pub mod stats;
 pub mod traversal;
 pub mod triads;
 pub mod triangles;
-pub mod union_find;
 pub mod weighted;
 
 pub use anf::{anf_effective_diameter, approx_neighborhood_function};
@@ -80,5 +78,4 @@ pub use stats::{
 pub use traversal::{dfs_order, has_cycle, topological_sort};
 pub use triads::{triad_census, TriadCensus, TRIAD_NAMES};
 pub use triangles::{count_triangles, node_triangles};
-pub use union_find::{weakly_connected_components_parallel, ConcurrentUnionFind};
 pub use weighted::{dijkstra_weighted, pagerank_weighted};

@@ -1,6 +1,6 @@
 //! Shared workload builders and timing helpers for the paper-table
-//! benchmark binaries (`table1` ... `table6`, `footprint`, `all_tables`)
-//! and the [`harness`]-based micro-benches.
+//! benchmark binaries (`table1` ... `table6`, `footprint`, `all_tables`).
+//! Performance is recorded by `bench_e2e` + `BENCHMARK.json`, not here.
 //!
 //! Scales default to laptop-class sizes and grow via environment
 //! variables, mirroring how the paper's 80-core numbers relate to its
@@ -13,10 +13,6 @@
 //! * `RINGO_THREADS` — worker threads (default: all cores).
 
 #![warn(missing_docs)]
-
-pub mod harness;
-
-pub use harness::{BatchSize, Bencher, BenchmarkGroup, BenchmarkId, Criterion};
 
 use ringo_core::{DirectedGraph, Ringo, Table, UndirectedGraph};
 use std::time::{Duration, Instant};

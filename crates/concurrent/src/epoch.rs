@@ -7,7 +7,7 @@
 //! protocol is the classic epoch scheme specialized to one writer:
 //!
 //! * a [`EpochDomain`] holds a monotonically increasing **global epoch**
-//!   and a fixed array of **pin slots** (`RINGO_EPOCH_SLOTS`, padded to
+//!   and a fixed array of **pin slots** ([`DEFAULT_EPOCH_SLOTS`], padded to
 //!   a cache line each) — one per pinning thread, plus one per live
 //!   [`OwnedEpochGuard`], which owns its slot so it can migrate threads;
 //! * a reader [`EpochDomain::pin`]s by writing the epoch it observed
@@ -45,7 +45,7 @@ use crate::sync::{yield_now, VAtomicPtr, VAtomicU64, VAtomicUsize, VMutex};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
 /// Slot value meaning "no epoch pinned".
 const UNPINNED: u64 = u64::MAX;
@@ -62,29 +62,10 @@ const CLAIMED: usize = 1;
 /// common unpin path needs no extra load to rule it out.
 const DEPTH_ORPHANED: usize = usize::MAX / 2 + 1;
 
-/// Default pin-slot count when `RINGO_EPOCH_SLOTS` is unset: generous
-/// enough that slot claiming never becomes the bottleneck for any pool
-/// size this repo targets.
+/// Pin-slot count of [`EpochDomain::new`]: generous enough that slot
+/// claiming never becomes the bottleneck for any pool size this repo
+/// targets.
 pub const DEFAULT_EPOCH_SLOTS: usize = 64;
-
-/// Pin-slot count for new domains: `RINGO_EPOCH_SLOTS` if set and
-/// positive, otherwise [`DEFAULT_EPOCH_SLOTS`] (same ignore-invalid
-/// policy as `RINGO_THREADS`).
-pub fn epoch_slots() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if let Ok(v) = std::env::var("RINGO_EPOCH_SLOTS") {
-            match v.parse::<usize>() {
-                Ok(n) if n > 0 => return n,
-                _ => eprintln!(
-                    "ringo: ignoring invalid RINGO_EPOCH_SLOTS={v:?} \
-                     (expected a positive integer); using {DEFAULT_EPOCH_SLOTS}"
-                ),
-            }
-        }
-        DEFAULT_EPOCH_SLOTS
-    })
-}
 
 /// One reader's pin slot, padded to its own cache line so pin/unpin
 /// traffic from different threads never false-shares.
@@ -177,9 +158,9 @@ impl Default for EpochDomain {
 }
 
 impl EpochDomain {
-    /// A domain with [`epoch_slots`] pin slots.
+    /// A domain with [`DEFAULT_EPOCH_SLOTS`] pin slots.
     pub fn new() -> Self {
-        Self::with_slots(epoch_slots())
+        Self::with_slots(DEFAULT_EPOCH_SLOTS)
     }
 
     /// A domain with an explicit slot count (the model tests shrink it to
@@ -313,7 +294,7 @@ impl EpochDomain {
     /// pinning thread has exited. To make that sound it does not share
     /// the thread-affine TLS claim: it claims a dedicated slot here and
     /// owns it until drop, wherever that runs. Nested `pin_owned` calls
-    /// therefore each occupy their own slot (size `RINGO_EPOCH_SLOTS`
+    /// therefore each occupy their own slot (size the domain's slot count
     /// for the peak of concurrently-pinning threads *plus* live owned
     /// snapshots).
     pub fn pin_owned(self: &Arc<Self>) -> OwnedEpochGuard {
@@ -361,7 +342,7 @@ impl EpochDomain {
     /// Claims a free slot with a CAS: the first pin from a thread on
     /// this domain, and every [`pin_owned`](Self::pin_owned). Spins
     /// (with yields) when every slot is claimed — capacity is a
-    /// configuration matter (`RINGO_EPOCH_SLOTS` must cover the peak of
+    /// configuration matter (the slot count must cover the peak of
     /// concurrently-pinning threads plus live owned guards), not a
     /// correctness one. [`ORPHANED`] slots are skipped: their release
     /// belongs to the lingering guard.

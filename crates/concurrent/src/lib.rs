@@ -13,8 +13,6 @@
 //!   ([`parallel::parallel_for`], [`parallel::parallel_map`], reductions),
 //!   the moral equivalent of `#pragma omp parallel for` with static
 //!   scheduling,
-//! * [`sort`] — parallel merge sort built on the runtime, the fallback
-//!   for arbitrary `Ord` keys,
 //! * [`radix`] — parallel LSD radix sort for integer keys (per-worker
 //!   histograms, digit skipping, stable scatter), the fast path behind
 //!   the "sort-first" table-to-graph conversion and integer `order_by`,
@@ -43,7 +41,6 @@ pub mod hash_table;
 pub mod parallel;
 pub mod pool;
 pub mod radix;
-pub mod sort;
 pub mod sync;
 
 pub use atomic_vec::ConcurrentVec;
@@ -59,4 +56,3 @@ pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{
     f64_key, i64_key, radix_sort_by_u64_key, radix_sort_i64, radix_sort_pairs, radix_sort_u64,
 };
-pub use sort::{parallel_sort, parallel_sort_by_key};

@@ -412,10 +412,9 @@ where
 /// index windows. This is the one aliasing escape hatch of the parallel
 /// runtime: the unsafe surface is confined to [`DisjointSlice::slice_mut`]
 /// and [`DisjointSlice::write`], whose callers must guarantee that no index
-/// is written concurrently from two workers. Used by the merge sorter
-/// (disjoint output windows per merged pair), the radix sorter (scatter
-/// cursors partition the output), and the conversion fill phase (disjoint
-/// slab ranges per node).
+/// is written concurrently from two workers. Used by the radix sorter
+/// (scatter cursors partition the output) and the conversion fill phase
+/// (disjoint slab ranges per node).
 pub struct DisjointSlice<T> {
     ptr: *mut T,
     len: usize,

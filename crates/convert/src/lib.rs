@@ -17,9 +17,8 @@
 //!   written straight into two shared adjacency slabs at prefix-scanned
 //!   offsets instead of one freshly grown `Vec` per node, and
 //!   [`DirectedGraph::from_sorted_parts`] installs them with a single
-//!   pre-reserved hash table. The pre-radix pipeline
-//!   ([`table_to_graph_mergesort`]) and a naive row-at-a-time baseline
-//!   ([`table_to_graph_naive`]) are kept for the `bench_radix` ablation.
+//!   pre-reserved hash table. A naive row-at-a-time baseline
+//!   ([`table_to_graph_naive`]) is kept as the tests' oracle.
 //! * **Graph → table** ([`graph_to_edge_table`], [`graph_to_node_table`]):
 //!   "easily performed in parallel by partitioning the graph's nodes or
 //!   edges among worker threads, pre-allocating the output table, and
@@ -28,9 +27,7 @@
 
 #![warn(missing_docs)]
 
-use ringo_concurrent::{
-    parallel_for, parallel_map, parallel_sort, radix_sort_pairs, DisjointSlice,
-};
+use ringo_concurrent::{parallel_for, parallel_map, radix_sort_pairs, DisjointSlice};
 use ringo_graph::{new_slab, DirectedGraph, NodeId, UndirectedGraph};
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
 use std::sync::Arc;
@@ -38,10 +35,6 @@ use std::sync::Arc;
 /// Result alias reusing the table error type (conversions validate column
 /// names/types exactly like table operators).
 pub type Result<T> = std::result::Result<T, TableError>;
-
-/// Per-node adjacency triple `(id, in_nbrs, out_nbrs)` produced by the
-/// parallel fill phase.
-type NodeParts = (NodeId, Vec<NodeId>, Vec<NodeId>);
 
 /// Builds a directed graph from two integer columns of `t` using the
 /// sort-first algorithm. Duplicate rows collapse to one edge; self-loops
@@ -216,76 +209,6 @@ pub fn adjacency_parts(
         out_off,
         out_slab,
     }
-}
-
-/// Pre-radix sort-first pipeline, kept for the `bench_radix` ablation:
-/// parallel merge sort, per-node `Vec` allocation in the fill phase, and
-/// incremental hash-table installation via `from_parts`.
-pub fn table_to_graph_mergesort(t: &Table, src_col: &str, dst_col: &str) -> Result<DirectedGraph> {
-    let src = t.int_col(src_col)?;
-    let dst = t.int_col(dst_col)?;
-    let threads = t.threads();
-
-    let mut by_src: Vec<(NodeId, NodeId)> = src.iter().copied().zip(dst.iter().copied()).collect();
-    let mut by_dst: Vec<(NodeId, NodeId)> = dst.iter().copied().zip(src.iter().copied()).collect();
-    parallel_sort(&mut by_src, threads);
-    parallel_sort(&mut by_dst, threads);
-
-    let out_runs = runs_of(&by_src);
-    let in_runs = runs_of(&by_dst);
-    let mut nodes: Vec<(NodeId, Option<usize>, Option<usize>)> = Vec::new();
-    {
-        let (mut i, mut j) = (0, 0);
-        while i < out_runs.len() || j < in_runs.len() {
-            match (out_runs.get(i), in_runs.get(j)) {
-                (Some(o), Some(ir)) if o.id == ir.id => {
-                    nodes.push((o.id, Some(i), Some(j)));
-                    i += 1;
-                    j += 1;
-                }
-                (Some(o), Some(ir)) if o.id < ir.id => {
-                    nodes.push((o.id, Some(i), None));
-                    i += 1;
-                }
-                (Some(_), Some(_)) => {
-                    nodes.push((in_runs[j].id, None, Some(j)));
-                    j += 1;
-                }
-                (Some(o), None) => {
-                    nodes.push((o.id, Some(i), None));
-                    i += 1;
-                }
-                (None, Some(ir)) => {
-                    nodes.push((ir.id, None, Some(j)));
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-    }
-
-    let parts: Vec<Vec<NodeParts>> = parallel_map(nodes.len(), threads, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for k in range {
-            let (id, orun, irun) = nodes[k];
-            let out_nbrs = match orun {
-                Some(r) => dedup_neighbors(&by_src[out_runs[r].start..out_runs[r].end]),
-                None => Vec::new(),
-            };
-            let in_nbrs = match irun {
-                Some(r) => dedup_neighbors(&by_dst[in_runs[r].start..in_runs[r].end]),
-                None => Vec::new(),
-            };
-            out.push((id, in_nbrs, out_nbrs));
-        }
-        out
-    });
-
-    let mut flat = Vec::with_capacity(nodes.len());
-    for p in parts {
-        flat.extend(p);
-    }
-    Ok(DirectedGraph::from_parts(flat))
 }
 
 /// Builds an undirected graph from two integer columns: each row adds the
@@ -548,19 +471,6 @@ fn runs_of(pairs: &[(NodeId, NodeId)]) -> Vec<Run> {
     runs
 }
 
-/// Copies the second elements of a sorted run, dropping duplicates.
-/// Only the merge-sort ablation path allocates here; the radix path
-/// counts during [`runs_of`] and writes with [`write_distinct`].
-fn dedup_neighbors(run: &[(NodeId, NodeId)]) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(run.len());
-    for &(_, n) in run {
-        if out.last() != Some(&n) {
-            out.push(n);
-        }
-    }
-    out
-}
-
 /// Writes the distinct second elements of a sorted run into `out`, which
 /// must have exactly `distinct_count(run)` slots.
 fn write_distinct(run: &[(NodeId, NodeId)], out: &mut [NodeId]) {
@@ -600,42 +510,25 @@ mod tests {
 
     #[test]
     fn sort_first_matches_naive_random() {
-        let edges = ringo_gen::rmat(&ringo_gen::RmatConfig {
-            scale: 9,
-            edges: 5_000,
-            ..Default::default()
-        });
-        let mut t = table_of(&edges);
-        for threads in [1usize, 4] {
-            t.set_threads(threads);
-            let fast = table_to_graph(&t, "src", "dst").unwrap();
-            let naive = table_to_graph_naive(&t, "src", "dst").unwrap();
-            assert_eq!(fast.node_count(), naive.node_count());
-            assert_eq!(fast.edge_count(), naive.edge_count());
-            for id in naive.node_ids() {
-                assert_eq!(fast.out_nbrs(id), naive.out_nbrs(id));
-                assert_eq!(fast.in_nbrs(id), naive.in_nbrs(id));
-            }
-        }
-    }
-
-    #[test]
-    fn radix_path_matches_mergesort_path() {
-        let edges = ringo_gen::rmat(&ringo_gen::RmatConfig {
-            scale: 10,
-            edges: 8_000,
-            ..Default::default()
-        });
-        let mut t = table_of(&edges);
-        for threads in [1usize, 2, 4] {
-            t.set_threads(threads);
-            let fast = table_to_graph(&t, "src", "dst").unwrap();
-            let old = table_to_graph_mergesort(&t, "src", "dst").unwrap();
-            assert_eq!(fast.node_count(), old.node_count());
-            assert_eq!(fast.edge_count(), old.edge_count());
-            for id in old.node_ids() {
-                assert_eq!(fast.out_nbrs(id), old.out_nbrs(id));
-                assert_eq!(fast.in_nbrs(id), old.in_nbrs(id));
+        for (scale, n_edges, thread_counts) in
+            [(9, 5_000, &[1usize, 4][..]), (10, 8_000, &[1, 2, 4][..])]
+        {
+            let edges = ringo_gen::rmat(&ringo_gen::RmatConfig {
+                scale,
+                edges: n_edges,
+                ..Default::default()
+            });
+            let mut t = table_of(&edges);
+            for &threads in thread_counts {
+                t.set_threads(threads);
+                let fast = table_to_graph(&t, "src", "dst").unwrap();
+                let naive = table_to_graph_naive(&t, "src", "dst").unwrap();
+                assert_eq!(fast.node_count(), naive.node_count());
+                assert_eq!(fast.edge_count(), naive.edge_count());
+                for id in naive.node_ids() {
+                    assert_eq!(fast.out_nbrs(id), naive.out_nbrs(id));
+                    assert_eq!(fast.in_nbrs(id), naive.in_nbrs(id));
+                }
             }
         }
     }

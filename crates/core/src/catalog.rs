@@ -35,15 +35,15 @@
 //!   release leaves it the sole owner, which is what lets its first
 //!   reader patch the view in place instead of copying it.
 //!
-//! Reclamation policy is governed by `RINGO_CATALOG_GC`: `auto` (the
-//! default) runs a collection after every publish, `manual` defers
-//! entirely to explicit [`Catalog::gc`] calls.
+//! Reclamation policy is a [`GcPolicy`]: `Auto` ([`Catalog::new`]) runs
+//! a collection after every publish, `Manual` ([`Catalog::with_policy`])
+//! defers entirely to explicit [`Catalog::gc`] calls.
 
 use ringo_concurrent::epoch::{EpochDomain, OwnedEpochGuard, Versioned};
 use ringo_graph::{CompactStats, DirectedGraph};
 use ringo_table::Table;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A named, versioned object in the catalog: a table or a directed
 /// graph, shared immutably once published.
@@ -130,34 +130,13 @@ struct CatalogEntry {
 /// The copy-on-write namespace: every publish installs a fresh map.
 type RootMap = HashMap<String, CatalogEntry>;
 
-/// Reclamation policy for displaced root maps (`RINGO_CATALOG_GC`).
+/// Reclamation policy for displaced root maps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GcPolicy {
     /// Collect after every publish (default).
     Auto,
     /// Only collect on explicit [`Catalog::gc`] calls.
     Manual,
-}
-
-/// The process-wide gc policy: `RINGO_CATALOG_GC=manual` defers all
-/// reclamation to explicit [`Catalog::gc`] calls; anything else (or
-/// unset) means [`GcPolicy::Auto`], with a warning for invalid values
-/// (same ignore-invalid policy as `RINGO_THREADS`).
-pub fn gc_policy() -> GcPolicy {
-    static CACHED: OnceLock<GcPolicy> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if let Ok(v) = std::env::var("RINGO_CATALOG_GC") {
-            match v.as_str() {
-                "auto" => return GcPolicy::Auto,
-                "manual" => return GcPolicy::Manual,
-                _ => eprintln!(
-                    "ringo: ignoring invalid RINGO_CATALOG_GC={v:?} \
-                     (expected \"auto\" or \"manual\"); using auto"
-                ),
-            }
-        }
-        GcPolicy::Auto
-    })
 }
 
 /// Writer-side state, serialized under one lock so publishes are
@@ -204,10 +183,10 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog with its own epoch domain and the process-wide
-    /// [`gc_policy`].
+    /// An empty catalog with its own epoch domain, collecting after every
+    /// publish ([`GcPolicy::Auto`]).
     pub fn new() -> Self {
-        Self::with_policy(gc_policy())
+        Self::with_policy(GcPolicy::Auto)
     }
 
     /// An empty catalog with an explicit reclamation policy (tests force

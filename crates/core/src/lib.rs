@@ -48,7 +48,7 @@ pub use oplog::{OpLog, OpRecord, OpTiming};
 pub use query::{OpProfile, QueryBuilder, QueryProfile};
 
 pub use ringo_algo::{Direction, PageRankConfig};
-pub use ringo_graph::{CsrGraph, DirectedGraph, NodeId, UndirectedGraph, WeightedDigraph};
+pub use ringo_graph::{DirectedGraph, NodeId, UndirectedGraph, WeightedDigraph};
 pub use ringo_table::{AggOp, Cmp, ColumnType, Predicate, Schema, Table, TableError, Value};
 
 use std::path::Path;
@@ -545,17 +545,6 @@ impl Ringo {
             g.node_count(),
             ringo_algo::Components::n_components,
             || ringo_algo::strongly_connected_components(g),
-        )
-    }
-
-    /// Parallel weakly connected components (concurrent union-find).
-    pub fn wcc_parallel(&self, g: &DirectedGraph) -> ringo_algo::Components {
-        self.ops.run(
-            "wcc_parallel",
-            String::new(),
-            g.node_count(),
-            ringo_algo::Components::n_components,
-            || ringo_algo::weakly_connected_components_parallel(g, self.threads),
         )
     }
 

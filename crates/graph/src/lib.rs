@@ -11,10 +11,8 @@
 //!   out-neighbor vectors. Space is ~16 bytes per edge plus node overhead,
 //!   "similar to those of the Compressed Sparse Row format".
 //! * [`UndirectedGraph`] — same idea with a single neighbor vector per node.
-//! * [`CsrGraph`] — a static CSR baseline used by the ablation benchmarks
-//!   to quantify exactly the trade-off the paper describes.
-//! * [`DirectedTopology`] — slot-addressed read access implemented by both
-//!   directed representations so algorithms can run on either.
+//! * [`DirectedTopology`] — slot-addressed read access implemented by
+//!   every graph type so one kernel runs on all of them.
 //! * [`Topology`] — the dense slot-CSR view kernels traverse: neighbor
 //!   *slots* instead of ids, cached on the graph value and carried across
 //!   clone → mutate → publish, where only the rows an edit touched are
@@ -22,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod directed;
 pub mod io;
 mod nbrs;
@@ -32,7 +29,6 @@ pub mod transform;
 pub mod undirected;
 pub mod weighted;
 
-pub use csr::CsrGraph;
 pub use directed::DirectedGraph;
 pub use nbrs::{new_slab, AdjacencyStats, CompactStats};
 pub use topology::Topology;

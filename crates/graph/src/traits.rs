@@ -1,4 +1,4 @@
-//! Slot-addressed read access shared by the directed representations.
+//! Slot-addressed read access shared by the graph types.
 
 use crate::topology::Topology;
 use crate::NodeId;
@@ -37,10 +37,7 @@ impl Direction {
 /// [`DirectedTopology::slot_id`] returns `None`. Algorithms allocate their
 /// per-node state as flat arrays indexed by slot and translate neighbor
 /// *ids* back to slots with [`DirectedTopology::slot_of`] — the same
-/// id-to-position hash lookup SNAP performs per edge traversal. Running the
-/// identical algorithm over [`crate::DirectedGraph`] and [`crate::CsrGraph`]
-/// therefore isolates the cost of the representation itself, which is the
-/// ablation the paper's §2.2 design discussion calls for.
+/// id-to-position hash lookup SNAP performs per edge traversal.
 pub trait DirectedTopology: Sync {
     /// Upper bound (exclusive) on slot handles.
     fn n_slots(&self) -> usize;

@@ -157,14 +157,10 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/union_find.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/weighted.rs",
         "invariant expects in kernel loops",
     ),
-    // Benchmark drivers and harness: setup failures (I/O, column lookups)
+    // Benchmark drivers and fixtures: setup failures (I/O, column lookups)
     // abort the run loudly by design — a benchmark must not limp on.
     (
         "crates/bench/src/bin/all_tables.rs",
@@ -178,7 +174,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "crates/bench/src/bin/table5.rs",
         "bench driver aborts loudly",
     ),
-    ("crates/bench/src/harness.rs", "bench harness aborts loudly"),
     ("crates/bench/src/lib.rs", "bench fixtures abort loudly"),
     // Checker internals: a violated invariant inside the scheduler or the
     // memory model is a checker bug; it must panic so the schedule fails
@@ -207,7 +202,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "crates/concurrent/src/pool.rs",
         "poisoning/spawn failure is fatal",
     ),
-    ("crates/concurrent/src/sort.rs", "run-bound invariant"),
     // Conversion layer: prefix-sum offsets (`last()` after a push) and
     // caller-validated equal-length column extraction.
     ("crates/convert/src/lib.rs", "prefix-sum/column invariants"),
@@ -219,10 +213,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "generated columns are consistent",
     ),
     // Graph mutation paths: cells ensured earlier in the same call.
-    (
-        "crates/graph/src/csr.rs",
-        "index built in the same function",
-    ),
     (
         "crates/graph/src/directed.rs",
         "cells ensured in the same call",
@@ -311,22 +301,6 @@ const SYNTHETIC_METRICS: &[(&str, &str)] = &[(
 /// knob table omits an entry.
 const KNOB_INVENTORY: &[(&str, &str)] = &[
     (
-        "RINGO_BENCH_SAMPLES",
-        "benchmark harness: samples per measurement",
-    ),
-    (
-        "RINGO_BFS_ALPHA",
-        "frontier engine: top-down to bottom-up crossover factor (0 forces top-down; read once per process)",
-    ),
-    (
-        "RINGO_BFS_BETA",
-        "frontier engine: bottom-up to top-down crossover factor (MAX forces bottom-up; read once per process)",
-    ),
-    (
-        "RINGO_CATALOG_GC",
-        "versioned catalog: reclamation policy (auto after publish, or manual)",
-    ),
-    (
         "RINGO_CHECK_PCT_DEPTH",
         "concurrency checker: PCT strategy change points",
     ),
@@ -341,10 +315,6 @@ const KNOB_INVENTORY: &[(&str, &str)] = &[
     (
         "RINGO_CHECK_STRATEGY",
         "concurrency checker: restrict exploration strategies",
-    ),
-    (
-        "RINGO_EPOCH_SLOTS",
-        "epoch domains: reader pin-slot count per domain",
     ),
     (
         "RINGO_LJ_SCALE",

@@ -7,7 +7,7 @@
 //! and the config file itself excluded): any word-bounded
 //! `RINGO_<NAME>` occurrence counts as a knob reference, which covers
 //! direct `std::env::var("RINGO_X")` reads as well as knob names routed
-//! through helpers (`env_knob("RINGO_BFS_ALPHA", …)`) and knob names
+//! through helpers (`env_knob("RINGO_MORSEL_ROWS", …)`) and knob names
 //! printed in replay hints (`"replay with: RINGO_CHECK_SEED=…"`). An
 //! all-underscore tail (`RINGO________`, binary-magic padding) is not a
 //! knob.

@@ -31,11 +31,10 @@
 //! # Overhead contract
 //!
 //! Tracing is **off by default**. A disabled span costs one relaxed atomic
-//! load plus a `None` write — a few nanoseconds, measured continuously by
-//! `crates/bench/benches/bench_trace_overhead.rs` (< 5% on a ~50ns hot
-//! loop) and `bench_profile_overhead.rs` (enabled recording < 3% on a
-//! 1M-row query). Instrumented hot paths therefore keep their spans
-//! unconditional; there is no feature flag to strip them.
+//! load plus a `None` write — a few nanoseconds. What recording costs a
+//! whole session is `bench_e2e`'s `trace.overhead_pct`. Instrumented hot
+//! paths therefore keep their spans unconditional; there is no feature
+//! flag to strip them.
 //!
 //! # Example
 //!

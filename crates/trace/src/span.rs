@@ -9,8 +9,8 @@ use crate::{histogram, mem};
 ///
 /// Created with [`crate::span!`]. When tracing is disabled at entry the
 /// span is inert: construction is one relaxed atomic load, annotation
-/// methods are no-ops, and drop does nothing — the overhead contract the
-/// `bench_trace_overhead` / `bench_profile_overhead` benchmarks enforce.
+/// methods are no-ops, and drop does nothing — the overhead contract
+/// (`bench_e2e`'s `trace.overhead_pct` measures the enabled side).
 /// When enabled, entry records a begin event (with the span's id, parent
 /// and thread attribution) into the thread's event buffer, and the drop
 /// records the wall time into the span's named [`crate::Histogram`] plus

@@ -1,0 +1,42 @@
+//! Component oracles shared by `routed_kernels` and `topology`
+//! (`mod common;` in each).
+
+use ringo::algo::Components;
+use ringo::{DirectedGraph, NodeId};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Canonical form of a component labeling: the node set of each
+/// component — label numbering may legitimately differ between
+/// algorithms.
+pub fn partition(c: &Components) -> BTreeSet<BTreeSet<NodeId>> {
+    let mut groups: BTreeMap<u32, BTreeSet<NodeId>> = BTreeMap::new();
+    for (id, &label) in c.comp_of.iter() {
+        groups.entry(label).or_default().insert(id);
+    }
+    groups.into_values().collect()
+}
+
+/// Weak components by a sequential union-find over `g.edges()` (path
+/// halving): no atomics, no slots, no `Topology`, no frontier engine —
+/// nothing the kernel under test is built on.
+pub fn wcc_oracle(g: &DirectedGraph) -> BTreeSet<BTreeSet<NodeId>> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    let pos: BTreeMap<NodeId, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let mut parent: Vec<usize> = (0..ids.len()).collect();
+    for (u, v) in g.edges() {
+        let (a, b) = (find(&mut parent, pos[&u]), find(&mut parent, pos[&v]));
+        parent[a.max(b)] = a.min(b);
+    }
+    let mut groups: BTreeMap<usize, BTreeSet<NodeId>> = BTreeMap::new();
+    for (i, &id) in ids.iter().enumerate() {
+        groups.entry(find(&mut parent, i)).or_default().insert(id);
+    }
+    groups.into_values().collect()
+}

@@ -75,7 +75,12 @@ fn algorithms_agree_across_representations_and_thread_counts() {
     });
     let table = ringo::gen::edges_to_table(&edges);
     let g = ringo::convert::table_to_graph(&table, "src", "dst").unwrap();
-    let csr = ringo::CsrGraph::from_edges(&edges);
+    // Same edges, inserted one at a time: every list `Owned`, slots in
+    // first-appearance order, against the slab-built graph above.
+    let mut owned = ringo::DirectedGraph::new();
+    for &(s, d) in &edges {
+        owned.add_edge(s, d);
+    }
 
     for threads in [1usize, 4] {
         let cfg = PageRankConfig {
@@ -83,7 +88,7 @@ fn algorithms_agree_across_representations_and_thread_counts() {
             ..Default::default()
         };
         let a = pagerank(&g, &cfg);
-        let b = pagerank(&csr, &cfg);
+        let b = pagerank(&owned, &cfg);
         let find = |res: &[(i64, f64)], id: i64| {
             res.iter().find(|(n, _)| *n == id).map(|(_, s)| *s).unwrap()
         };

@@ -7,8 +7,7 @@
 
 use ringo::concurrent::radix::SEQ_THRESHOLD;
 use ringo::concurrent::{
-    parallel_sort, radix_sort_by_u64_key, radix_sort_i64, radix_sort_pairs, radix_sort_u64,
-    IntHashTable,
+    radix_sort_by_u64_key, radix_sort_i64, radix_sort_pairs, radix_sort_u64, IntHashTable,
 };
 use ringo::convert::{table_to_graph, table_to_graph_naive, table_to_undirected};
 use ringo::gen::edges_to_table;
@@ -41,20 +40,6 @@ fn edge_list(rng: &mut Rng64, max_node: i64, max_len: usize) -> Vec<(i64, i64)> 
 fn int_vec(rng: &mut Rng64, max_len: usize, lo: i64, hi: i64) -> Vec<i64> {
     let len = rng.below(max_len + 1);
     (0..len).map(|_| rng.range_i64(lo..hi)).collect()
-}
-
-/// Parallel sort agrees with the standard library for any input.
-#[test]
-fn parallel_sort_matches_std() {
-    for_cases("parallel_sort_matches_std", |rng| {
-        let len = rng.below(20_000);
-        let mut data: Vec<i64> = (0..len).map(|_| rng.i64()).collect();
-        let threads = rng.range_usize(1..6);
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        parallel_sort(&mut data, threads);
-        assert_eq!(data, expect, "len={len} threads={threads}");
-    });
 }
 
 /// Radix sort equals `sort_unstable` on adversarial distributions —

@@ -5,10 +5,13 @@
 
 use ringo::algo::{
     betweenness_centrality, betweenness_centrality_sampled, bfs_distances, bfs_tree, sssp_dijkstra,
-    topological_sort, weakly_connected_components, weakly_connected_components_parallel,
+    topological_sort, weakly_connected_components,
 };
 use ringo::gen::{edges_to_table, RmatConfig};
 use ringo::{DirectedGraph, Direction};
+
+mod common;
+use common::{partition, wcc_oracle};
 
 fn rmat_graph(scale: u32, edges: usize, seed: u64) -> DirectedGraph {
     let e = ringo::gen::rmat(&RmatConfig {
@@ -20,31 +23,12 @@ fn rmat_graph(scale: u32, edges: usize, seed: u64) -> DirectedGraph {
     ringo::convert::table_to_graph(&edges_to_table(&e), "src", "dst").unwrap()
 }
 
-/// Canonical form of a component labeling: node set of each component,
-/// sorted — label numbering may legitimately differ between algorithms.
-fn partition(c: &ringo::algo::Components) -> Vec<Vec<i64>> {
-    let mut groups: std::collections::HashMap<u32, Vec<i64>> = std::collections::HashMap::new();
-    for (id, &lab) in c.comp_of.iter() {
-        groups.entry(lab).or_default().push(id);
-    }
-    let mut out: Vec<Vec<i64>> = groups
-        .into_values()
-        .map(|mut v| {
-            v.sort_unstable();
-            v
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 #[test]
 fn wcc_via_engine_matches_union_find() {
     for seed in [1, 23] {
         let g = rmat_graph(10, 9_000, seed);
         let a = weakly_connected_components(&g);
-        let b = weakly_connected_components_parallel(&g, 4);
-        assert_eq!(partition(&a), partition(&b));
+        assert_eq!(partition(&a), wcc_oracle(&g));
         let total: usize = a.sizes.iter().sum();
         assert_eq!(total, g.node_count());
     }

@@ -9,7 +9,7 @@
 
 use ringo::algo::{
     bfs_distances, pagerank, sssp_unweighted, strongly_connected_components,
-    weakly_connected_components, weakly_connected_components_parallel, Components, FrontierEngine,
+    weakly_connected_components, FrontierEngine,
 };
 use ringo::concurrent::parallel::chunk_bounds;
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
@@ -20,6 +20,9 @@ use ringo_rng::Rng64;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+
+mod common;
+use common::{partition, wcc_oracle};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -641,14 +644,6 @@ fn reach<'g>(src: NodeId, nbrs: impl Fn(NodeId) -> &'g [NodeId]) -> BTreeMap<Nod
     dist
 }
 
-fn partition(c: &Components) -> BTreeSet<BTreeSet<NodeId>> {
-    let mut groups: BTreeMap<u32, BTreeSet<NodeId>> = BTreeMap::new();
-    for (id, &label) in c.comp_of.iter() {
-        groups.entry(label).or_default().insert(id);
-    }
-    groups.into_values().collect()
-}
-
 #[test]
 fn routed_kernels_match_their_oracles_on_a_graph_with_vacant_slots() {
     let _serial = serial();
@@ -678,7 +673,7 @@ fn routed_kernels_match_their_oracles_on_a_graph_with_vacant_slots() {
 
     assert_eq!(
         partition(&weakly_connected_components(&g)),
-        partition(&weakly_connected_components_parallel(&g, 2)),
+        wcc_oracle(&g),
         "wcc equals union-find"
     );
 
