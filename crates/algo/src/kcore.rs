@@ -1,9 +1,12 @@
 //! k-core decomposition — the paper's Table 6 includes the 3-core of
 //! LiveJournal as a representative sequential kernel.
 //!
-//! Uses the linear-time peeling algorithm (Batagelj–Zaveršnik): repeatedly
+//! Two peels over the same dense per-slot degrees. [`core_numbers`] is
+//! the full linear-time decomposition (Batagelj–Zaveršnik): repeatedly
 //! remove the minimum-degree node, assigning each node the highest `k`
-//! such that it survives in a subgraph of minimum degree `k`.
+//! such that it survives in a subgraph of minimum degree `k`. [`k_core`]
+//! asks about one `k` only, so it removes just the nodes that fall below
+//! it and reads no list but theirs.
 
 use ringo_concurrent::IntHashTable;
 use ringo_graph::UndirectedGraph;
@@ -16,9 +19,7 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
     let n_slots = g.n_slots();
     // Dense arrays indexed by slot; vacant slots have degree 0 but are
     // excluded from the ordering.
-    let mut degree: Vec<u32> = (0..n_slots)
-        .map(|s| g.nbrs_of_slot(s).len() as u32)
-        .collect();
+    let mut degree = slot_degrees(g);
     let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
     let n = g.node_count();
     let mut out = IntHashTable::with_capacity(n);
@@ -90,12 +91,56 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
     out
 }
 
+/// Degree of every slot (0 for vacant ones), self-loops counting one.
+fn slot_degrees(g: &UndirectedGraph) -> Vec<u32> {
+    (0..g.n_slots())
+        .map(|s| u32::try_from(g.nbrs_of_slot(s).len()).expect("a degree fits the u32 slot space"))
+        .collect()
+}
+
 /// Extracts the `k`-core: the maximal subgraph in which every node has
-/// degree at least `k`. Returns an empty graph when no such subgraph
-/// exists.
+/// degree at least `k` (a self-loop counts one, as in [`core_numbers`]).
+/// Returns an empty graph when no such subgraph exists.
+///
+/// A threshold peel: a node is live while its degree is at least `k`;
+/// each node that falls below is queued once, its list walked once, and
+/// every live neighbour loses one degree and is remembered as the far end
+/// of a cut edge. The survivors' lists are then spliced from `g`'s own
+/// ([`UndirectedGraph::without`]), so the work is set by the nodes that
+/// fall and the size of the answer, not by the edges that stay.
 pub fn k_core(g: &UndirectedGraph, k: u32) -> UndirectedGraph {
-    let cores = core_numbers(g);
-    g.induced(|id| cores.get(id).is_some_and(|&c| c >= k))
+    let mut sp = ringo_trace::span!("algo.kcore");
+    sp.rows_in(g.node_count());
+    let mut degree = slot_degrees(g);
+    // The work-list; it ends up holding exactly the removed slots.
+    let mut gone: Vec<u32> = (0..g.n_slots())
+        .filter(|&s| degree[s] < k && g.slot_id(s).is_some())
+        .map(|s| s as u32)
+        .collect();
+    let mut cuts: Vec<(u32, u32)> = Vec::new();
+    let mut next = 0;
+    while let Some(&v) = gone.get(next) {
+        next += 1;
+        let v_id = g.slot_id(v as usize).expect("queued slots are live");
+        for &u_id in g.nbrs_of_slot(v as usize) {
+            if u_id == v_id {
+                continue;
+            }
+            let u = g.slot_of(u_id).expect("neighbor exists");
+            if degree[u] >= k {
+                degree[u] -= 1;
+                cuts.push((u as u32, v));
+                if degree[u] < k {
+                    gone.push(u as u32);
+                }
+            }
+        }
+    }
+    ringo_trace::counter("algo.kcore.removed").add(gone.len() as u64);
+    ringo_trace::counter("algo.kcore.cut").add(cuts.len() as u64);
+    let core = g.without(&gone, &cuts);
+    sp.rows_out(core.node_count());
+    core
 }
 
 #[cfg(test)]

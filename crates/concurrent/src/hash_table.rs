@@ -17,7 +17,7 @@ use crate::sync::{VAtomicI64, VAtomicUsize};
 use std::sync::atomic::Ordering;
 
 /// Sentinel marking an empty slot. `i64::MIN` is reserved and may not be
-/// used as a key.
+/// used as a key: inserting it panics, looking it up finds nothing.
 pub const EMPTY_KEY: i64 = i64::MIN;
 
 /// Finalizer from splitmix64: cheap, well-mixed hashing for integer keys.
@@ -91,15 +91,17 @@ impl<V> IntHashTable<V> {
         (hash_i64(key) as usize) & self.mask
     }
 
-    /// Finds the slot holding `key`, if present.
+    /// Finds the slot holding `key`, if present. The reserved key is never
+    /// stored, so a lookup of it is absent.
     #[inline]
     fn probe(&self, key: i64) -> Option<usize> {
-        debug_assert_ne!(key, EMPTY_KEY);
         let mut i = self.slot_of(key);
         loop {
             let k = self.keys[i];
             if k == key {
-                return Some(i);
+                // `EMPTY_KEY` "matches" the first empty slot of its probe
+                // sequence; checked here so a miss pays nothing.
+                return (key != EMPTY_KEY).then_some(i);
             }
             if k == EMPTY_KEY {
                 return None;
@@ -526,6 +528,24 @@ mod tests {
     fn reserved_key_panics() {
         let mut t = IntHashTable::new();
         t.insert(EMPTY_KEY, 0);
+    }
+
+    #[test]
+    fn reserved_key_lookups_are_absent() {
+        // In an empty table and in one whose probe sequences wrap, the
+        // reserved key equals the empty marker it would stop at.
+        for fill in [0i64, 3, 200] {
+            let mut t = IntHashTable::new();
+            for i in 0..fill {
+                t.insert(i, i);
+            }
+            assert_eq!(t.get(EMPTY_KEY), None);
+            assert_eq!(t.get_mut(EMPTY_KEY), None);
+            assert!(!t.contains(EMPTY_KEY));
+            assert_eq!(t.remove(EMPTY_KEY), None);
+            assert_eq!(t.len(), fill as usize, "nothing was removed");
+            assert!((0..fill).all(|i| t.get(i) == Some(&i)));
+        }
     }
 
     #[test]

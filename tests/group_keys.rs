@@ -94,7 +94,12 @@ fn assert_identical(a: &Table, b: &Table, what: &str) {
     assert!(columns(a) == columns(b), "{what}: schema or cells differ");
 }
 
-const N: usize = 200_000;
+/// Rows per shape: two whole morsels and a short third, the least that
+/// splits a group-by across two partitions (one per whole morsel) while
+/// the half a selection keeps still spans two morsels. Every shape with
+/// thousands of groups stays far past the radix cutoff of the final
+/// ordering (4,096 groups) at this size.
+const N: usize = 2 * ringo::concurrent::DEFAULT_MORSEL_ROWS + 5_000;
 
 /// One key shape: the key columns plus an int and a float column to
 /// aggregate. `wide` says the key must not pack into one word.
@@ -500,8 +505,25 @@ fn output_is_bit_identical_at_any_thread_count_and_through_a_selection() {
         let group = |t: &Table, (op, col): (AggOp, Option<&str>)| {
             t.group_by(&shape.keys, col, op, "out").unwrap()
         };
+        assert!(
+            picked.n_rows() > ringo::concurrent::DEFAULT_MORSEL_ROWS,
+            "the selection spans two morsels"
+        );
         let whole: Vec<Table> = ops.iter().map(|&o| group(&t1, o)).collect();
         let selected: Vec<Table> = ops.iter().map(|&o| group(&picked, o)).collect();
+        // The single-threaded side of every other comparison, once.
+        let ids1 = t1.group_ids(&shape.keys).unwrap();
+        let unique1 = t1.unique(&shape.keys).unwrap();
+        let sets1 = [
+            t1.union(&picked).unwrap(),
+            t1.intersect(&picked).unwrap(),
+            t1.minus(&picked).unwrap(),
+        ];
+        let count_keys: Vec<&str> = shape.keys.iter().copied().filter(|k| *k != "f").collect();
+        let counts1: Vec<Table> = count_keys
+            .iter()
+            .map(|key| t1.value_counts(key).unwrap())
+            .collect();
         for threads in [2, 4, 8] {
             let mut t = shape.table.clone();
             t.set_threads(threads);
@@ -516,27 +538,24 @@ fn output_is_bit_identical_at_any_thread_count_and_through_a_selection() {
                     .unwrap();
                 assert_identical(&lazy, &selected[k], &format!("{what}: lazy {op:?}"));
             }
-            assert_eq!(
-                t.group_ids(&shape.keys).unwrap(),
-                t1.group_ids(&shape.keys).unwrap()
-            );
+            assert_eq!(t.group_ids(&shape.keys).unwrap(), ids1);
             assert_identical(
                 &t.unique(&shape.keys).unwrap(),
-                &t1.unique(&shape.keys).unwrap(),
+                &unique1,
                 &format!("{what}: unique"),
             );
             let other = t.select(&pred).unwrap();
             for (name, a, b) in [
-                ("union", t.union(&other), t1.union(&picked)),
-                ("intersect", t.intersect(&other), t1.intersect(&picked)),
-                ("minus", t.minus(&other), t1.minus(&picked)),
+                ("union", t.union(&other), &sets1[0]),
+                ("intersect", t.intersect(&other), &sets1[1]),
+                ("minus", t.minus(&other), &sets1[2]),
             ] {
-                assert_identical(&a.unwrap(), &b.unwrap(), &format!("{what}: {name}"));
+                assert_identical(&a.unwrap(), b, &format!("{what}: {name}"));
             }
-            for key in shape.keys.iter().filter(|k| **k != "f") {
+            for (key, want) in count_keys.iter().zip(&counts1) {
                 assert_identical(
                     &t.value_counts(key).unwrap(),
-                    &t1.value_counts(key).unwrap(),
+                    want,
                     &format!("{what}: value_counts({key})"),
                 );
             }
@@ -547,8 +566,10 @@ fn output_is_bit_identical_at_any_thread_count_and_through_a_selection() {
 #[test]
 fn group_by_allocates_per_block_not_per_row() {
     let _serial = serial();
-    const ROWS: i64 = 1_000_000;
-    const GROUPS: i64 = 50_000;
+    // Four morsels and four partitions: enough blocks for a per-block
+    // count to show, with 400 times the bound in rows.
+    const ROWS: i64 = 4 * ringo::concurrent::DEFAULT_MORSEL_ROWS as i64;
+    const GROUPS: i64 = 1 << 14;
     let mut t = Table::from_int_column("k", (0..ROWS).map(|v| (v * 7919) % GROUPS).collect());
     t.set_threads(4);
     // Warm up: thread-pool spin-up, lazy statics.
@@ -577,10 +598,10 @@ fn group_by_allocates_per_block_not_per_row() {
     // Per morsel: one key buffer, the partition bytes, offsets, cursor and
     // the scattered keys/positions; per partition: an interner and three
     // group vectors growing by doubling; then the ordering and the output.
-    // Empirically ~1,000 at 16 morsels and 16 partitions. The retired
-    // `Vec<KeyAtom>` keys allocated once per row — over a million here.
+    // Empirically 268 at 4 morsels and 4 partitions. The retired
+    // `Vec<KeyAtom>` keys allocated once per row — over 262,000 here.
     assert!(
-        best < 2_000,
-        "group_by(Count) allocated {best} times for 1M rows / 50k groups"
+        best < 600,
+        "group_by(Count) allocated {best} times for {ROWS} rows / {GROUPS} groups"
     );
 }

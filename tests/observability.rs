@@ -127,6 +127,35 @@ fn instrumented_join_records_cardinalities() {
 }
 
 #[test]
+fn k_core_reports_how_much_of_the_graph_it_walked() {
+    let _l = lock();
+    trace::set_enabled(true);
+    trace::reset();
+
+    // A 4-clique with a two-node tail: both tail nodes start below 3, so
+    // the only edge cut from a live node is the one into the clique.
+    let mut g = ringo::UndirectedGraph::new();
+    for a in 0..4i64 {
+        for b in a + 1..4 {
+            g.add_edge(a, b);
+        }
+    }
+    g.add_edge(3, 4);
+    g.add_edge(4, 5);
+    let core = ringo::algo::k_core(&g, 3);
+    trace::set_enabled(false);
+    assert_eq!(core.node_count(), 4);
+
+    let ev = trace::events_snapshot()
+        .into_iter()
+        .find(|e| e.name == "algo.kcore")
+        .expect("algo.kcore event");
+    assert_eq!((ev.rows_in, ev.rows_out), (6, 4));
+    assert_eq!(counter_value("algo.kcore.removed"), Some(2));
+    assert_eq!(counter_value("algo.kcore.cut"), Some(1));
+}
+
+#[test]
 fn op_log_works_with_tracing_disabled() {
     let _l = lock();
     trace::set_enabled(false);
