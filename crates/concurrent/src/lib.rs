@@ -54,5 +54,6 @@ pub use parallel::{
 };
 pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{
-    f64_key, i64_key, radix_sort_by_u64_key, radix_sort_i64, radix_sort_pairs, radix_sort_u64,
+    f64_key, i64_key, radix_sort_by_u64_key, radix_sort_columns, radix_sort_i64, radix_sort_u64,
+    PairCodec, SortedPairs,
 };

@@ -35,13 +35,14 @@
 //! **16-bit digits** (4 positions, 65536-bucket histograms): half the
 //! passes of a byte-wise sort, and the histograms still fit per-worker.
 //! The keyed record sort keeps 8-bit digits, where the 256-entry cursor
-//! table stays cache-resident next to arbitrary-size payloads. Pair
-//! sorts first probe the biased keys' bit span; when both components fit
-//! in 32 active bits (node ids in practice) each pair packs into one
-//! `u64` — `src_low32 : dst_low32`, whose value order equals the tuple
-//! order — so the sort moves 8-byte keys instead of 16-byte tuples and
-//! reconstructs the pairs afterwards. Wide pairs fall back to two
-//! chained stable byte-wise sorts.
+//! table stays cache-resident next to arbitrary-size payloads. The pair
+//! sort ([`radix_sort_columns`]) reads its pairs from two `i64` columns
+//! and first probes the biased keys' bit spans; when the two components'
+//! varying bits fit in 64 together (node ids in practice) each pair packs
+//! into one `u64` whose value order equals the tuple order, so the sort
+//! moves 8-byte keys and hands them back still packed — no tuple array
+//! exists before or after. Wide pairs become tuples and take two chained
+//! stable byte-wise sorts.
 //!
 //! Because a scatter pass permutes but never changes the key multiset,
 //! the per-digit totals from the pre-pass stay valid for every pass;
@@ -77,12 +78,6 @@ const RADIX_V: usize = 1 << DIGIT_BITS_V;
 #[inline(always)]
 pub fn i64_key(x: i64) -> u64 {
     (x as u64) ^ (1u64 << 63)
-}
-
-/// Inverse of [`i64_key`].
-#[inline(always)]
-fn un_i64_key(k: u64) -> i64 {
-    (k ^ (1u64 << 63)) as i64
 }
 
 /// Order-preserving map from IEEE-754 doubles to unsigned keys whose
@@ -151,130 +146,248 @@ pub fn radix_sort_i64(data: &mut [i64], threads: usize) {
     flip(bits);
 }
 
-/// Sorts `(i64, i64)` pairs in full lexicographic (`Ord`) order — the
-/// sort the conversion pipeline runs on its copied edge columns.
+/// Edge pairs sorted by [`radix_sort_columns`], in the word they were
+/// sorted in.
+pub enum SortedPairs {
+    /// One `u64` per pair whose integer order is the pairs' tuple order;
+    /// `codec` recovers the two ids.
+    Packed {
+        /// The sorted keys.
+        keys: Vec<u64>,
+        /// The unpacker for `keys`.
+        codec: PairCodec,
+    },
+    /// The two columns vary in more than 64 bits together, so the pairs
+    /// stayed tuples.
+    Wide(Vec<(i64, i64)>),
+}
+
+/// Packs an `(a, b)` id pair into the bits that vary across the input —
+/// `a`'s above `b`'s, each biased by [`i64_key`] — and unpacks it again.
+/// The bits that never vary are not stored in the key; the codec holds
+/// their one value per component.
+#[derive(Clone, Copy, Debug)]
+pub struct PairCodec {
+    shift: u32,
+    a_mask: u64,
+    b_mask: u64,
+    /// Constant high bits of each component, sign-bias already undone.
+    a_fix: u64,
+    b_fix: u64,
+}
+
+impl PairCodec {
+    /// `a_and` / `b_and` are the ANDs of every biased key of a component:
+    /// above the varying span they hold the constant bits.
+    fn new(bits_a: usize, bits_b: usize, a_and: u64, b_and: u64) -> Self {
+        let mask_of = |bits: usize| {
+            if bits >= 64 {
+                !0u64
+            } else {
+                (1u64 << bits) - 1
+            }
+        };
+        let (a_mask, b_mask) = (mask_of(bits_a), mask_of(bits_b));
+        Self {
+            // `bits_b == 64` forces `a_mask == 0`, so the wrapped shift
+            // amount only ever moves zeros.
+            shift: bits_b as u32,
+            a_mask,
+            b_mask,
+            a_fix: (a_and & !a_mask) ^ (1u64 << 63),
+            b_fix: (b_and & !b_mask) ^ (1u64 << 63),
+        }
+    }
+
+    #[inline(always)]
+    fn pack(&self, a: i64, b: i64) -> u64 {
+        (i64_key(a) & self.a_mask).wrapping_shl(self.shift) | (i64_key(b) & self.b_mask)
+    }
+
+    /// The leading id of a packed pair.
+    #[inline(always)]
+    pub fn first(&self, key: u64) -> i64 {
+        ((key.wrapping_shr(self.shift) & self.a_mask) ^ self.a_fix) as i64
+    }
+
+    /// The trailing id of a packed pair.
+    #[inline(always)]
+    pub fn second(&self, key: u64) -> i64 {
+        ((key & self.b_mask) ^ self.b_fix) as i64
+    }
+}
+
+/// OR and AND of every biased key seen, per component: bit `i` varies
+/// across the input exactly where the two differ.
+#[derive(Clone, Copy)]
+struct Masks {
+    a_or: u64,
+    a_and: u64,
+    b_or: u64,
+    b_and: u64,
+}
+
+impl Masks {
+    const EMPTY: Masks = Masks {
+        a_or: 0,
+        a_and: !0,
+        b_or: 0,
+        b_and: !0,
+    };
+
+    #[inline(always)]
+    fn add(&mut self, a: i64, b: i64) {
+        let (ak, bk) = (i64_key(a), i64_key(b));
+        self.a_or |= ak;
+        self.a_and &= ak;
+        self.b_or |= bk;
+        self.b_and &= bk;
+    }
+
+    fn merge(&mut self, o: &Masks) {
+        self.a_or |= o.a_or;
+        self.a_and &= o.a_and;
+        self.b_or |= o.b_or;
+        self.b_and &= o.b_and;
+    }
+
+    /// Width of each component's varying span.
+    fn spans(&self) -> (usize, usize) {
+        // `or & !and`: set in one key, clear in another (none, if empty).
+        let span = |or: u64, and: u64| (64 - (or & !and).leading_zeros()) as usize;
+        (span(self.a_or, self.a_and), span(self.b_or, self.b_and))
+    }
+}
+
+/// Sorts the pairs `(a[i], b[i])` in full lexicographic order without
+/// ever materializing them — the sort the conversion pipeline runs
+/// straight off a table's two edge columns. With `symmetric`, every row
+/// with `a[i] != b[i]` also contributes `(b[i], a[i])`: the key multiset
+/// of an undirected graph.
 ///
 /// A mask probe finds each component's varying-bit span (bits above it
 /// are constant across the input — node ids in practice occupy a narrow
 /// range, so most of each `i64` never varies). When the two spans fit in
-/// one u64 together, a single **MSD partition pass** scatters the tuples
-/// into up to 2048 buckets keyed by the top varying bits of the combined
-/// key: bucket order equals tuple order, every bucket is small enough to
-/// finish with a cache-resident comparison sort, and the whole sort
-/// touches DRAM a constant number of times instead of once per digit.
-/// The spans are guessed from a sample and verified during the counting
-/// pass (full masks come along for free); a bad guess — some high bit
-/// varies so rarely the sample missed it — just recounts with the
-/// corrected spans. Pairs whose spans exceed 64 bits together fall back
-/// to two chained stable single-key LSD sorts: first by the second
-/// component, then by the first; stability of the second pass preserves
-/// the first pass's order among equal leading keys.
-pub fn radix_sort_pairs(data: &mut [(i64, i64)], threads: usize) {
+/// one u64 together, each pair packs into one order-preserving key
+/// ([`PairCodec`]) and a single **MSD partition pass** reads the columns
+/// and scatters the keys into up to 2048 buckets by their top varying
+/// bits: bucket order equals tuple order, every bucket is small enough
+/// to finish in place with a cache-resident comparison sort, and the
+/// whole sort touches DRAM a constant number of times instead of once
+/// per digit. The keys are returned as they are; the caller unpacks what
+/// it needs while it walks them. The spans are guessed from a sample and
+/// verified during the counting pass (full masks come along for free); a
+/// bad guess — some high bit varies so rarely the sample missed it —
+/// just recounts with the corrected spans. Pairs whose spans exceed 64
+/// bits together are materialized as tuples and sorted by two chained
+/// stable single-key LSD sorts: first by the second component, then by
+/// the first; stability of the second pass preserves the first pass's
+/// order among equal leading keys.
+///
+/// # Panics
+/// Panics if the columns differ in length.
+pub fn radix_sort_columns(a: &[i64], b: &[i64], symmetric: bool, threads: usize) -> SortedPairs {
+    assert_eq!(a.len(), b.len(), "edge columns must have equal length");
+    let len = a.len();
+    let max_keys = if symmetric { 2 * len } else { len };
     let mut sp = ringo_trace::span!("sort.radix.pairs");
-    sp.rows_in(data.len());
-    sp.rows_out(data.len());
-    let len = data.len();
-    if len < SEQ_THRESHOLD || len >= u32::MAX as usize {
-        data.sort_unstable();
-        return;
-    }
-    // One cheap sequential scan makes already-sorted input (a common case
-    // when re-converting) a no-op instead of a full partition cycle, and a
-    // descending run just a reversal — pdqsort handles both adaptively, so
-    // the radix path must too or it loses exactly those comparisons.
-    if data.is_sorted() {
-        return;
-    }
-    if data.is_sorted_by(|a, b| a >= b) {
-        data.reverse();
-        return;
+    sp.rows_in(len);
+
+    // Short inputs (and ones whose bucket counts would overflow the u32
+    // histograms) pack with exact masks and finish with one std sort.
+    if len < SEQ_THRESHOLD || max_keys >= u32::MAX as usize {
+        let mut masks = Masks::EMPTY;
+        each_pair(a, b, 0..len, symmetric, |s, d| masks.add(s, d));
+        let (bits_a, bits_b) = masks.spans();
+        if bits_a + bits_b > 64 {
+            let mut pairs = wide_pairs(a, b, symmetric);
+            pairs.sort_unstable();
+            sp.rows_out(pairs.len());
+            return SortedPairs::Wide(pairs);
+        }
+        let codec = PairCodec::new(bits_a, bits_b, masks.a_and, masks.b_and);
+        let mut keys = Vec::with_capacity(max_keys);
+        each_pair(a, b, 0..len, symmetric, |s, d| keys.push(codec.pack(s, d)));
+        keys.sort_unstable();
+        sp.rows_out(keys.len());
+        return SortedPairs::Packed { keys, codec };
     }
 
-    let span_of = |or: u64, and: u64| (64 - (or ^ and).leading_zeros()) as usize;
-    let mask_of = |bits: usize| -> u64 {
-        if bits >= 64 {
-            !0u64
-        } else {
-            (1u64 << bits) - 1
-        }
-    };
+    // One cheap sequential scan makes already-sorted input (a graph's own
+    // edge table coming back) a parallel pack instead of a partition
+    // cycle. A symmetric sort interleaves the reversed pairs, so sorted
+    // columns do not help it.
+    let sorted = !symmetric && a.iter().zip(b).is_sorted();
 
     // Guess the varying spans from a strided sample.
-    let step = (len / 512).max(1);
-    let (mut s_or, mut s_and, mut d_or, mut d_and) = (0u64, !0u64, 0u64, !0u64);
-    for &(s, d) in data.iter().step_by(step) {
-        let (sk, dk) = (i64_key(s), i64_key(d));
-        s_or |= sk;
-        s_and &= sk;
-        d_or |= dk;
-        d_and &= dk;
+    let mut guess = Masks::EMPTY;
+    for i in (0..len).step_by((len / 512).max(1)) {
+        each_pair(a, b, i..i + 1, symmetric, |s, d| guess.add(s, d));
     }
-    let (mut bits_s, mut bits_d) = (span_of(s_or, s_and), span_of(d_or, d_and));
+    let (mut bits_a, mut bits_b) = guess.spans();
 
     // Counting pass: per-worker bucket histograms plus the full masks
     // that verify the sampled spans. A span the sample underestimated
     // forces one recount with the corrected bucket function.
-    let (hist, total_bits, bucket_bits, full_and_s, full_and_d) = loop {
-        if bits_s + bits_d > 64 {
+    let (hist, codec, total_bits, bucket_bits) = loop {
+        if bits_a + bits_b > 64 {
             // Spans too wide to combine: chained stable LSD sorts.
-            lsd_by_key(data, threads, &|p: &(i64, i64)| i64_key(p.1));
-            lsd_by_key(data, threads, &|p: &(i64, i64)| i64_key(p.0));
-            return;
-        }
-        let total_bits = bits_s + bits_d;
-        let bucket_bits = DIGIT_BITS_V.min(total_bits);
-        let (s_mask, d_mask) = (mask_of(bits_s), mask_of(bits_d));
-        let (bs, bd, down) = (bits_s, bits_d, (total_bits - bucket_bits) as u32);
-        let per: Vec<(Vec<u32>, [u64; 4])> = parallel_map(len, threads, |range| {
-            let mut h = vec![0u32; 1 << bucket_bits];
-            let (mut s_or, mut s_and, mut d_or, mut d_and) = (0u64, !0u64, 0u64, !0u64);
-            for i in range {
-                let (s, d) = data[i];
-                let (sk, dk) = (i64_key(s), i64_key(d));
-                s_or |= sk;
-                s_and &= sk;
-                d_or |= dk;
-                d_and &= dk;
-                let key = (sk & s_mask).wrapping_shl(bd as u32) | (dk & d_mask);
-                h[key.wrapping_shr(down) as usize] += 1;
+            let mut pairs = wide_pairs(a, b, symmetric);
+            if !sorted {
+                lsd_by_key(&mut pairs, threads, &|p: &(i64, i64)| i64_key(p.1));
+                lsd_by_key(&mut pairs, threads, &|p: &(i64, i64)| i64_key(p.0));
             }
-            (h, [s_or, s_and, d_or, d_and])
-        });
-        let (mut s_or, mut s_and, mut d_or, mut d_and) = (0u64, !0u64, 0u64, !0u64);
-        for (_, m) in &per {
-            s_or |= m[0];
-            s_and &= m[1];
-            d_or |= m[2];
-            d_and &= m[3];
+            sp.rows_out(pairs.len());
+            return SortedPairs::Wide(pairs);
         }
-        let (full_s, full_d) = (span_of(s_or, s_and), span_of(d_or, d_and));
-        if full_s > bits_s || full_d > bits_d {
-            bits_s = full_s;
-            bits_d = full_d;
+        let total_bits = bits_a + bits_b;
+        let bucket_bits = DIGIT_BITS_V.min(total_bits);
+        let down = (total_bits - bucket_bits) as u32;
+        // Packing reads only the spans; the constant bits wait for the
+        // verified masks below.
+        let probe = PairCodec::new(bits_a, bits_b, 0, 0);
+        let per: Vec<(Vec<u32>, Masks)> = parallel_map(len, threads, |range| {
+            let mut h = vec![0u32; 1 << bucket_bits];
+            let mut m = Masks::EMPTY;
+            each_pair(a, b, range, symmetric, |s, d| {
+                m.add(s, d);
+                h[probe.pack(s, d).wrapping_shr(down) as usize] += 1;
+            });
+            (h, m)
+        });
+        let mut full = Masks::EMPTY;
+        for (_, m) in &per {
+            full.merge(m);
+        }
+        let (full_a, full_b) = full.spans();
+        if full_a > bits_a || full_b > bits_b {
+            (bits_a, bits_b) = (full_a, full_b);
             continue;
         }
-        debug_assert_eq!((bs, bd), (bits_s, bits_d));
-        break (per, total_bits, bucket_bits, s_and, d_and);
+        let codec = PairCodec::new(bits_a, bits_b, full.a_and, full.b_and);
+        break (per, codec, total_bits, bucket_bits);
     };
-
     if ringo_trace::enabled() {
         ringo_trace::counter("sort.radix.passes").add(1);
     }
-    if total_bits == 0 {
-        return; // every pair identical
+
+    if sorted {
+        let mut keys = vec![0u64; len];
+        let cell = DisjointSlice::new(&mut keys);
+        parallel_for(len, threads, |_, range| {
+            // SAFETY: chunk ranges are disjoint.
+            let out = unsafe { cell.slice_mut(range.start, range.end) };
+            for (k, i) in out.iter_mut().zip(range) {
+                *k = codec.pack(a[i], b[i]);
+            }
+        });
+        sp.rows_out(len);
+        return SortedPairs::Packed { keys, codec };
     }
-    let buckets = 1usize << bucket_bits;
-    let (s_mask, d_mask) = (mask_of(bits_s), mask_of(bits_d));
-    let down = (total_bits - bucket_bits) as u32;
-    // Bits above each verified span are constant across the whole input;
-    // the AND mask carries their value so unpacking can restore them.
-    let s_const = full_and_s & !s_mask;
-    let d_const = full_and_d & !d_mask;
-    let pack = move |s: i64, d: i64| -> u64 {
-        (i64_key(s) & s_mask).wrapping_shl(bits_d as u32) | (i64_key(d) & d_mask)
-    };
 
     // Prefix scan → bucket offsets and per-worker scatter cursors.
+    let buckets = 1usize << bucket_bits;
+    let down = (total_bits - bucket_bits) as u32;
     let workers = hist.len();
     let mut offsets = vec![0usize; buckets + 1];
     for b in 0..buckets {
@@ -284,7 +397,8 @@ pub fn radix_sort_pairs(data: &mut [(i64, i64)], threads: usize) {
         }
         offsets[b + 1] = sum;
     }
-    debug_assert_eq!(offsets[buckets], len);
+    let n_keys = offsets[buckets];
+    debug_assert!(len <= n_keys && n_keys <= max_keys);
     let mut cursors = vec![0usize; workers * buckets];
     {
         let mut run = offsets[..buckets].to_vec();
@@ -296,56 +410,69 @@ pub fn radix_sort_pairs(data: &mut [(i64, i64)], threads: usize) {
         }
     }
 
-    // Partition pass: pack each tuple into an 8-byte order-preserving key
-    // and scatter it to its bucket range — half the write traffic of
-    // scattering 16-byte tuples, and the finish sort compares plain u64s.
-    let mut aux: Vec<u64> = vec![0u64; len];
+    // Partition pass: pack each pair into its 8-byte key straight off the
+    // columns and scatter it to its bucket range.
+    let mut keys: Vec<u64> = vec![0u64; n_keys];
+    let keys_cell = DisjointSlice::new(&mut keys);
     {
-        let aux_cell = DisjointSlice::new(&mut aux);
         let cursor_cell = DisjointSlice::new(&mut cursors);
         parallel_for(len, threads, |w, range| {
             // SAFETY: each worker touches only its own cursor row.
             let cur = unsafe { cursor_cell.slice_mut(w * buckets, (w + 1) * buckets) };
-            for i in range {
-                let (s, d) = data[i];
-                let key = pack(s, d);
+            each_pair(a, b, range, symmetric, |s, d| {
+                let key = codec.pack(s, d);
                 let b = key.wrapping_shr(down) as usize;
-                // SAFETY: cursor ranges partition `0..len`.
-                unsafe { aux_cell.write(cur[b], key) };
+                // SAFETY: cursor ranges partition `0..n_keys`.
+                unsafe { keys_cell.write(cur[b], key) };
                 cur[b] += 1;
-            }
+            });
         });
     }
 
     // Finish pass: each bucket holds a narrow, cache-sized key range;
-    // sort it in place and unpack it home while it is still warm. When
-    // the bucket index already consumed every varying bit, buckets are
-    // all-equal and only the unpack remains. Buckets are claimed
-    // *dynamically* from the pool's shared counter rather than cut into
-    // static contiguous runs: skewed data (an R-MAT hub vertex can own a
-    // bucket holding a large fraction of all edges) would otherwise
-    // serialize a whole chunk of buckets behind the one hot bucket.
-    let need_sort = total_bits > bucket_bits;
-    let aux_cell = DisjointSlice::new(&mut aux);
-    let data_cell = DisjointSlice::new(data);
-    parallel_for_dynamic(buckets, threads, |b| {
-        let (lo, hi) = (offsets[b], offsets[b + 1]);
-        if lo == hi {
-            return;
+    // sort it where it lies. When the bucket index already consumed
+    // every varying bit, buckets are all-equal and nothing remains.
+    // Buckets are claimed *dynamically* from the pool's shared counter
+    // rather than cut into static contiguous runs: skewed data (an R-MAT
+    // hub vertex can own a bucket holding a large fraction of all edges)
+    // would otherwise serialize a whole chunk of buckets behind the one
+    // hot bucket.
+    if total_bits > bucket_bits {
+        parallel_for_dynamic(buckets, threads, |b| {
+            // SAFETY: bucket ranges are disjoint.
+            unsafe { keys_cell.slice_mut(offsets[b], offsets[b + 1]) }.sort_unstable();
+        });
+    }
+    sp.rows_out(n_keys);
+    SortedPairs::Packed { keys, codec }
+}
+
+/// Calls `f` with the pairs [`radix_sort_columns`] sorts that come from
+/// `rows`: `(a[i], b[i])` and, when `symmetric`, its reversal unless the
+/// two ids are equal.
+#[inline(always)]
+fn each_pair(
+    a: &[i64],
+    b: &[i64],
+    rows: std::ops::Range<usize>,
+    symmetric: bool,
+    mut f: impl FnMut(i64, i64),
+) {
+    for i in rows {
+        let (s, d) = (a[i], b[i]);
+        f(s, d);
+        if symmetric && s != d {
+            f(d, s);
         }
-        // SAFETY: bucket ranges are disjoint.
-        let chunk = unsafe { aux_cell.slice_mut(lo, hi) };
-        if need_sort {
-            chunk.sort_unstable();
-        }
-        // SAFETY: bucket ranges are disjoint (same windows as above).
-        let home = unsafe { data_cell.slice_mut(lo, hi) };
-        for (slot, &p) in home.iter_mut().zip(chunk.iter()) {
-            let s = un_i64_key(s_const | (p.wrapping_shr(bits_d as u32) & s_mask));
-            let d = un_i64_key(d_const | (p & d_mask));
-            *slot = (s, d);
-        }
-    });
+    }
+}
+
+/// The pairs of [`radix_sort_columns`] as tuples, for ids too wide to
+/// pack.
+fn wide_pairs(a: &[i64], b: &[i64], symmetric: bool) -> Vec<(i64, i64)> {
+    let mut pairs = Vec::with_capacity(if symmetric { 2 * a.len() } else { a.len() });
+    each_pair(a, b, 0..a.len(), symmetric, |s, d| pairs.push((s, d)));
+    pairs
 }
 
 /// **Stable** sort of arbitrary `Copy` records by an extracted `u64` key.
@@ -673,16 +800,31 @@ mod tests {
     }
 
     #[test]
-    fn pairs_match_std_full_ord() {
+    fn columns_match_std_full_ord() {
         let mut rng = Rng64::new(23);
-        for threads in [1usize, 2, 4] {
-            let mut pairs: Vec<(i64, i64)> = (0..40_000)
-                .map(|_| (rng.range_i64(-100..100), rng.range_i64(-100..100)))
-                .collect();
-            let mut expect = pairs.clone();
-            expect.sort_unstable();
-            radix_sort_pairs(&mut pairs, threads);
-            assert_eq!(pairs, expect, "threads={threads}");
+        // Mixed signs vary in all 64 bits of each biased key (wide, tuple
+        // sort); one sign packs.
+        for (range, packs) in [(-100..100, false), (0..200, true)] {
+            for threads in [1usize, 2, 4] {
+                let a: Vec<i64> = (0..40_000).map(|_| rng.range_i64(range.clone())).collect();
+                let b: Vec<i64> = (0..40_000).map(|_| rng.range_i64(range.clone())).collect();
+                let mut expect: Vec<(i64, i64)> =
+                    a.iter().copied().zip(b.iter().copied()).collect();
+                expect.sort_unstable();
+                let got = match radix_sort_columns(&a, &b, false, threads) {
+                    SortedPairs::Packed { keys, codec } => {
+                        assert!(packs, "mixed signs cannot pack");
+                        keys.iter()
+                            .map(|&k| (codec.first(k), codec.second(k)))
+                            .collect()
+                    }
+                    SortedPairs::Wide(pairs) => {
+                        assert!(!packs, "narrow ids must pack");
+                        pairs
+                    }
+                };
+                assert_eq!(got, expect, "threads={threads} packs={packs}");
+            }
         }
     }
 

@@ -3,21 +3,21 @@
 //! "Fast conversions between graph and table objects are essential for
 //! data exploration tasks involving graphs." Two directions:
 //!
-//! * **Table → graph** ([`table_to_graph`]): the paper's "sort-first"
-//!   algorithm — copy the source and destination columns, sort the copies
-//!   in parallel, compute each node's neighbor counts from the sorted
-//!   runs, and install the neighbor vectors into the graph's node hash
-//!   table. Sorting parallelizes cleanly and the fill phase writes
-//!   disjoint slab ranges, so "while concurrent access is still
-//!   performed, there is no contention among the threads". Two
-//!   optimizations over the paper's sketch: the pair sort runs on the
-//!   parallel LSD **radix sorter** (integer keys, digit skipping) rather
-//!   than a comparison sort, and the fill phase ([`adjacency_parts`]) is
-//!   **allocation-free per node** — deduplicated neighbor runs are
-//!   written straight into two shared adjacency slabs at prefix-scanned
-//!   offsets instead of one freshly grown `Vec` per node, and
-//!   [`DirectedGraph::from_sorted_parts`] installs them with a single
-//!   pre-reserved hash table. A naive row-at-a-time baseline
+//! * **Table → graph** ([`table_to_graph`], [`table_to_undirected`]): the
+//!   paper's "sort-first" algorithm — sort the edge pairs in parallel,
+//!   compute each node's neighbor counts from the sorted runs, and
+//!   install the neighbor vectors into the graph's node hash table.
+//!   Here the whole pipeline runs on **packed 8-byte keys**: the radix
+//!   sorter ([`radix_sort_columns`]) reads the two columns where they
+//!   lie, packs each pair's varying bits into one `u64` and returns the
+//!   keys sorted; one fill routine walks them in parallel — the key's
+//!   high part is the node, `key != previous` is the dedup — and writes
+//!   every distinct neighbor straight into a shared adjacency slab at
+//!   its final position. No tuple array, no per-node `Vec`, no copy of
+//!   the table. Sorting parallelizes cleanly and the fill writes disjoint
+//!   slab ranges, so "while concurrent access is still performed, there
+//!   is no contention among the threads". Ids too wide to pack take the
+//!   same fill over sorted tuples. A naive row-at-a-time baseline
 //!   ([`table_to_graph_naive`]) is kept as the tests' oracle.
 //! * **Graph → table** ([`graph_to_edge_table`], [`graph_to_node_table`]):
 //!   "easily performed in parallel by partitioning the graph's nodes or
@@ -27,9 +27,12 @@
 
 #![warn(missing_docs)]
 
-use ringo_concurrent::{parallel_for, parallel_map, radix_sort_pairs, DisjointSlice};
+use ringo_concurrent::{
+    parallel_for, parallel_map, radix_sort_columns, DisjointSlice, SortedPairs,
+};
 use ringo_graph::{new_slab, DirectedGraph, NodeId, UndirectedGraph};
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Result alias reusing the table error type (conversions validate column
@@ -39,6 +42,10 @@ pub type Result<T> = std::result::Result<T, TableError>;
 /// Builds a directed graph from two integer columns of `t` using the
 /// sort-first algorithm. Duplicate rows collapse to one edge; self-loops
 /// are preserved. Parallelism follows `t.threads()`.
+///
+/// # Errors
+/// Unknown or non-integer columns, and a column holding `i64::MIN` (the
+/// id the graph's node index reserves).
 ///
 /// ```
 /// use ringo_convert::{graph_to_edge_table, table_to_graph};
@@ -52,219 +59,220 @@ pub type Result<T> = std::result::Result<T, TableError>;
 /// assert_eq!(back.n_rows(), 2);
 /// ```
 pub fn table_to_graph(t: &Table, src_col: &str, dst_col: &str) -> Result<DirectedGraph> {
+    table_to_graph_threads(t, src_col, dst_col, t.threads())
+}
+
+/// [`table_to_graph`] on `threads` workers, whatever `t.threads()` says —
+/// what a caller with its own thread setting uses instead of cloning the
+/// table to change the table's.
+pub fn table_to_graph_threads(
+    t: &Table,
+    src_col: &str,
+    dst_col: &str,
+    threads: usize,
+) -> Result<DirectedGraph> {
     let mut sp = ringo_trace::span!("convert.table_to_graph");
     sp.rows_in(t.n_rows());
     let src = t.int_col(src_col)?;
     let dst = t.int_col(dst_col)?;
-    let threads = t.threads();
-    let n = src.len();
 
-    // Step 1-2: copy the columns into (key, neighbor) pair arrays and
-    // radix-sort both orientations in parallel.
-    let mut by_src: Vec<(NodeId, NodeId)> = src.iter().copied().zip(dst.iter().copied()).collect();
-    let mut by_dst: Vec<(NodeId, NodeId)> = dst.iter().copied().zip(src.iter().copied()).collect();
-    radix_sort_pairs(&mut by_src, threads);
-    radix_sort_pairs(&mut by_dst, threads);
-    debug_assert_eq!(by_src.len(), n);
+    // One orientation at a time, so only one key buffer is ever live.
+    let out = fill_sorted(radix_sort_columns(src, dst, false, threads), threads);
+    if holds_reserved_id(&out.ids) {
+        return Err(reserved_id_error(src_col));
+    }
+    let inn = fill_sorted(radix_sort_columns(dst, src, false, threads), threads);
+    if holds_reserved_id(&inn.ids) {
+        return Err(reserved_id_error(dst_col));
+    }
 
-    // Steps 3-5: slab fill — counts, prefix scan, contention-free scatter.
-    let parts = adjacency_parts(&by_src, &by_dst, threads);
-    drop(by_src);
-    drop(by_dst);
+    // Merge the two ascending id lists into the graph's node list. A node
+    // missing from one side gets an empty range there: the offset it is
+    // handed is the next present node's.
+    let cap = out.ids.len().max(inn.ids.len());
+    let mut ids = Vec::with_capacity(cap);
+    let mut out_off = Vec::with_capacity(cap + 1);
+    let mut in_off = Vec::with_capacity(cap + 1);
+    let (mut i, mut j) = (0, 0);
+    loop {
+        out_off.push(out.off[i]);
+        in_off.push(inn.off[j]);
+        let id = match (out.ids.get(i), inn.ids.get(j)) {
+            (Some(&o), Some(&n)) => o.min(n),
+            (Some(&o), None) => o,
+            (None, Some(&n)) => n,
+            (None, None) => break,
+        };
+        ids.push(id);
+        i += usize::from(out.ids.get(i) == Some(&id));
+        j += usize::from(inn.ids.get(j) == Some(&id));
+    }
 
-    let g = DirectedGraph::from_sorted_parts(
-        parts.ids,
-        &parts.in_off,
-        parts.in_slab,
-        &parts.out_off,
-        parts.out_slab,
-    );
+    let g = DirectedGraph::from_sorted_parts(ids, &in_off, inn.slab, &out_off, out.slab);
     sp.rows_out(g.edge_count());
     Ok(g)
-}
-
-/// Slab-form directed adjacency produced by [`adjacency_parts`]: node `k`
-/// (ascending ids) owns `in_slab[in_off[k]..in_off[k + 1]]` and
-/// `out_slab[out_off[k]..out_off[k + 1]]`, both sorted and deduplicated.
-/// The slabs are already in the shared form the graph keeps, so
-/// [`DirectedGraph::from_sorted_parts`] takes them over without a copy.
-pub struct AdjacencyParts {
-    /// Distinct node ids, ascending.
-    pub ids: Vec<NodeId>,
-    /// `ids.len() + 1` exclusive prefix offsets into `in_slab`.
-    pub in_off: Vec<usize>,
-    /// All in-neighbors, concatenated in node order.
-    pub in_slab: Arc<[NodeId]>,
-    /// `ids.len() + 1` exclusive prefix offsets into `out_slab`.
-    pub out_off: Vec<usize>,
-    /// All out-neighbors, concatenated in node order.
-    pub out_slab: Arc<[NodeId]>,
-}
-
-/// The allocation-free fill phase of the sort-first conversion.
-///
-/// `by_src` and `by_dst` must be fully sorted `(key, neighbor)` pair
-/// arrays for the two edge orientations. A counting pass measures each
-/// node's deduplicated run length, a prefix scan turns the counts into
-/// slab offsets, and a scatter pass writes every node's neighbors into
-/// its disjoint slab range — no per-node `Vec` is ever allocated, the
-/// only heap traffic is a bounded number of whole-phase arrays.
-pub fn adjacency_parts(
-    by_src: &[(NodeId, NodeId)],
-    by_dst: &[(NodeId, NodeId)],
-    threads: usize,
-) -> AdjacencyParts {
-    debug_assert!(by_src.is_sorted());
-    debug_assert!(by_dst.is_sorted());
-    let out_runs = runs_of(by_src);
-    let in_runs = runs_of(by_dst);
-
-    // Merge the two run lists (both ascending by id) into the global node
-    // list, remembering each node's run on either side.
-    let mut nodes: Vec<(NodeId, Option<usize>, Option<usize>)> =
-        Vec::with_capacity(out_runs.len().max(in_runs.len()));
-    {
-        let (mut i, mut j) = (0, 0);
-        while i < out_runs.len() || j < in_runs.len() {
-            match (out_runs.get(i), in_runs.get(j)) {
-                (Some(o), Some(ir)) if o.id == ir.id => {
-                    nodes.push((o.id, Some(i), Some(j)));
-                    i += 1;
-                    j += 1;
-                }
-                (Some(o), Some(ir)) if o.id < ir.id => {
-                    nodes.push((o.id, Some(i), None));
-                    i += 1;
-                }
-                (Some(_), Some(_)) => {
-                    nodes.push((in_runs[j].id, None, Some(j)));
-                    j += 1;
-                }
-                (Some(o), None) => {
-                    nodes.push((o.id, Some(i), None));
-                    i += 1;
-                }
-                (None, Some(ir)) => {
-                    nodes.push((ir.id, None, Some(j)));
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-    }
-    let n = nodes.len();
-
-    // Counting pass: prefix-scan each node's deduplicated in/out degree
-    // (counted during `runs_of`, so no re-read of the pair arrays).
-    let (in_off, out_off) = {
-        let mut sp = ringo_trace::span!("convert.fill.count");
-        sp.rows_in(by_src.len() + by_dst.len());
-        sp.rows_out(n);
-        let mut in_off = Vec::with_capacity(n + 1);
-        let mut out_off = Vec::with_capacity(n + 1);
-        let (mut isum, mut osum) = (0usize, 0usize);
-        in_off.push(0);
-        out_off.push(0);
-        for &(_, orun, irun) in &nodes {
-            isum += irun.map_or(0, |r| in_runs[r].distinct);
-            osum += orun.map_or(0, |r| out_runs[r].distinct);
-            in_off.push(isum);
-            out_off.push(osum);
-        }
-        (in_off, out_off)
-    };
-
-    // Scatter pass: disjoint slab ranges per node, so concurrent writes
-    // are contention-free and need no synchronization.
-    let mut in_slab = new_slab(*in_off.last().unwrap());
-    let mut out_slab = new_slab(*out_off.last().unwrap());
-    {
-        let mut sp = ringo_trace::span!("convert.fill.scatter");
-        sp.rows_in(n);
-        sp.rows_out(in_slab.len() + out_slab.len());
-        let in_cell = DisjointSlice::new(Arc::get_mut(&mut in_slab).expect("fresh slab"));
-        let out_cell = DisjointSlice::new(Arc::get_mut(&mut out_slab).expect("fresh slab"));
-        parallel_for(n, threads, |_, range| {
-            for k in range {
-                let (_, orun, irun) = nodes[k];
-                if let Some(r) = irun {
-                    // SAFETY: offsets partition the slab; node k's range is
-                    // written by exactly this iteration.
-                    let dst = unsafe { in_cell.slice_mut(in_off[k], in_off[k + 1]) };
-                    write_distinct(&by_dst[in_runs[r].start..in_runs[r].end], dst);
-                }
-                if let Some(r) = orun {
-                    // SAFETY: as above, for the out slab.
-                    let dst = unsafe { out_cell.slice_mut(out_off[k], out_off[k + 1]) };
-                    write_distinct(&by_src[out_runs[r].start..out_runs[r].end], dst);
-                }
-            }
-        });
-    }
-
-    AdjacencyParts {
-        ids: nodes.into_iter().map(|(id, _, _)| id).collect(),
-        in_off,
-        in_slab,
-        out_off,
-        out_slab,
-    }
 }
 
 /// Builds an undirected graph from two integer columns: each row adds the
 /// undirected edge `{src, dst}` (duplicates and reciprocal rows collapse).
+/// Parallelism follows `t.threads()`; errors as [`table_to_graph`].
 pub fn table_to_undirected(t: &Table, src_col: &str, dst_col: &str) -> Result<UndirectedGraph> {
+    table_to_undirected_threads(t, src_col, dst_col, t.threads())
+}
+
+/// [`table_to_undirected`] on `threads` workers, whatever `t.threads()`
+/// says.
+pub fn table_to_undirected_threads(
+    t: &Table,
+    src_col: &str,
+    dst_col: &str,
+    threads: usize,
+) -> Result<UndirectedGraph> {
     let mut sp = ringo_trace::span!("convert.table_to_undirected");
     sp.rows_in(t.n_rows());
     let src = t.int_col(src_col)?;
     let dst = t.int_col(dst_col)?;
-    let threads = t.threads();
 
-    // Symmetrize, then one sorted pass yields each node's neighbor run.
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(2 * src.len());
-    for (&s, &d) in src.iter().zip(dst) {
-        pairs.push((s, d));
-        if s != d {
-            pairs.push((d, s));
-        }
+    // The symmetric sort yields both orientations of every row, so one
+    // pass over the keys yields each node's whole neighbor run.
+    let adj = fill_sorted(radix_sort_columns(src, dst, true, threads), threads);
+    if holds_reserved_id(&adj.ids) {
+        let holder = if src.contains(&i64::MIN) {
+            src_col
+        } else {
+            dst_col
+        };
+        return Err(reserved_id_error(holder));
     }
-    radix_sort_pairs(&mut pairs, threads);
-    let runs = runs_of(&pairs);
-    let n = runs.len();
-
-    // Slab fill, single orientation: count, prefix scan, scatter.
-    let off = {
-        let mut fsp = ringo_trace::span!("convert.fill.count");
-        fsp.rows_in(pairs.len());
-        fsp.rows_out(n);
-        let mut off = Vec::with_capacity(n + 1);
-        let mut sum = 0usize;
-        off.push(0);
-        for r in &runs {
-            sum += r.distinct;
-            off.push(sum);
-        }
-        off
-    };
-    let mut slab = new_slab(*off.last().unwrap());
-    {
-        let mut fsp = ringo_trace::span!("convert.fill.scatter");
-        fsp.rows_in(n);
-        fsp.rows_out(slab.len());
-        let cell = DisjointSlice::new(Arc::get_mut(&mut slab).expect("fresh slab"));
-        parallel_for(n, threads, |_, range| {
-            for k in range {
-                // SAFETY: offsets partition the slab; node k's range is
-                // written by exactly this iteration.
-                let dst = unsafe { cell.slice_mut(off[k], off[k + 1]) };
-                write_distinct(&pairs[runs[k].start..runs[k].end], dst);
-            }
-        });
-    }
-    let ids: Vec<NodeId> = runs.iter().map(|r| r.id).collect();
-    let g = UndirectedGraph::from_sorted_parts(ids, &off, slab);
+    let g = UndirectedGraph::from_sorted_parts(adj.ids, &adj.off, adj.slab);
     sp.rows_out(g.edge_count());
     Ok(g)
+}
+
+/// Whether ascending `ids` include `i64::MIN`, the one id a graph cannot
+/// hold (its node index keeps it as the empty-slot marker). Sorted, it
+/// can only be first.
+fn holds_reserved_id(ids: &[NodeId]) -> bool {
+    ids.first() == Some(&i64::MIN)
+}
+
+fn reserved_id_error(column: &str) -> TableError {
+    TableError::InvalidArgument(format!(
+        "column {column:?} contains i64::MIN, which graphs reserve and cannot use as a node id"
+    ))
+}
+
+/// One orientation's adjacency in slab form: node `k` (ascending `ids`)
+/// owns `slab[off[k]..off[k + 1]]`, sorted and deduplicated. The slab is
+/// already in the shared form the graph keeps, so the `from_sorted_parts`
+/// constructors take it over without a copy.
+struct Adjacency {
+    ids: Vec<NodeId>,
+    off: Vec<usize>,
+    slab: Arc<[NodeId]>,
+}
+
+fn fill_sorted(sorted: SortedPairs, threads: usize) -> Adjacency {
+    match sorted {
+        SortedPairs::Packed { keys, codec } => {
+            fill(&keys, |k| codec.first(k), |k| codec.second(k), threads)
+        }
+        SortedPairs::Wide(pairs) => fill(&pairs, |p| p.0, |p| p.1, threads),
+    }
+}
+
+/// The fill phase of the sort-first conversion, over whichever word the
+/// pairs were sorted in: `node` and `nbr` read a key's two ids, and equal
+/// keys are equal pairs.
+///
+/// Workers take equal shares of `keys`, wherever node runs begin and end
+/// (a hub's run is split like any other stretch). A counting pass finds
+/// each share's new nodes and distinct keys, a prefix scan over the
+/// shares turns those into its first node index and first slab position,
+/// and the scatter pass writes ids, offsets and neighbors at their final
+/// places — no per-node `Vec`, only whole-phase arrays.
+fn fill<K: Copy + PartialEq + Sync>(
+    keys: &[K],
+    node: impl Fn(K) -> NodeId + Sync,
+    nbr: impl Fn(K) -> NodeId + Sync,
+    threads: usize,
+) -> Adjacency {
+    // Per share: (nodes begun, distinct keys), then made exclusive sums.
+    let mut starts: Vec<(usize, usize)> = {
+        let mut sp = ringo_trace::span!("convert.fill.count");
+        sp.rows_in(keys.len());
+        let counts = parallel_map(keys.len(), threads, |range| {
+            let (mut nodes, mut distinct) = (0usize, 0usize);
+            for_each_distinct(keys, range, &node, |_, new_node| {
+                distinct += 1;
+                nodes += usize::from(new_node);
+            });
+            (nodes, distinct)
+        });
+        sp.rows_out(counts.iter().map(|c| c.0).sum());
+        counts
+    };
+    let (mut n, mut m) = (0usize, 0usize);
+    for s in &mut starts {
+        let (nodes, distinct) = *s;
+        *s = (n, m);
+        n += nodes;
+        m += distinct;
+    }
+
+    let mut ids = vec![0; n];
+    let mut off = vec![m; n + 1];
+    let mut slab = new_slab(m);
+    {
+        let mut sp = ringo_trace::span!("convert.fill.scatter");
+        sp.rows_in(n);
+        sp.rows_out(m);
+        let ids_cell = DisjointSlice::new(&mut ids);
+        let off_cell = DisjointSlice::new(&mut off[..n]);
+        let slab_cell = DisjointSlice::new(Arc::get_mut(&mut slab).expect("fresh slab"));
+        parallel_for(keys.len(), threads, |w, range| {
+            let (mut k, mut p) = starts[w];
+            for_each_distinct(keys, range, &node, |key, new_node| {
+                // SAFETY: the counting pass walked these same keys, so
+                // share `w` begins exactly as many nodes and holds exactly
+                // as many distinct keys as separate `starts[w]` from the
+                // next share's start (or from `n` and `m`): `k` and `p`
+                // stay inside windows no other share writes.
+                unsafe {
+                    if new_node {
+                        ids_cell.write(k, node(key));
+                        off_cell.write(k, p);
+                        k += 1;
+                    }
+                    slab_cell.write(p, nbr(key));
+                }
+                p += 1;
+            });
+        });
+    }
+    Adjacency { ids, off, slab }
+}
+
+/// Calls `f(key, starts_a_node)` for each key of `range` that differs
+/// from its predecessor in `keys` (which may lie before `range`).
+#[inline(always)]
+fn for_each_distinct<K: Copy + PartialEq>(
+    keys: &[K],
+    range: Range<usize>,
+    node: &impl Fn(K) -> NodeId,
+    mut f: impl FnMut(K, bool),
+) {
+    let mut lo = range.start;
+    if lo == 0 && !range.is_empty() {
+        f(keys[0], true);
+        lo = 1;
+    }
+    for i in lo..range.end {
+        let (prev, key) = (keys[i - 1], keys[i]);
+        if key != prev {
+            f(key, node(key) != node(prev));
+        }
+    }
 }
 
 /// Builds a weighted digraph from an edge table: one edge per distinct
@@ -328,33 +336,36 @@ pub fn table_to_graph_naive(t: &Table, src_col: &str, dst_col: &str) -> Result<D
     Ok(g)
 }
 
-/// Exports a directed graph as a two-column edge table (`src`, `dst`),
-/// partitioning nodes among `threads` workers which write pre-assigned
-/// output partitions.
+/// Exports a directed graph as a two-column edge table (`src`, `dst`) in
+/// slot order. The per-slot out-degrees are prefix-summed, the two
+/// columns are allocated once at their final size, and each of `threads`
+/// workers writes the rows of its own slots.
 pub fn graph_to_edge_table(g: &DirectedGraph, threads: usize) -> Table {
     use ringo_graph::DirectedTopology;
     let mut sp = ringo_trace::span!("convert.graph_to_edge_table");
     sp.rows_in(g.edge_count());
     let n_slots = g.n_slots();
-    let parts: Vec<(Vec<i64>, Vec<i64>)> = parallel_map(n_slots, threads, |range| {
-        let mut src = Vec::new();
-        let mut dst = Vec::new();
-        for slot in range {
-            if let Some(id) = g.slot_id(slot) {
-                for &nbr in g.out_nbrs_of_slot(slot) {
-                    src.push(id);
-                    dst.push(nbr);
+    let (first_row, total) = share_starts(n_slots, threads, |slot| g.out_nbrs_of_slot(slot).len());
+    let mut src = vec![0i64; total];
+    let mut dst = vec![0i64; total];
+    {
+        let src_cell = DisjointSlice::new(&mut src);
+        let dst_cell = DisjointSlice::new(&mut dst);
+        parallel_for(n_slots, threads, |w, range| {
+            let mut row = first_row[w];
+            for slot in range {
+                let Some(id) = g.slot_id(slot) else { continue };
+                let nbrs = g.out_nbrs_of_slot(slot);
+                let end = row + nbrs.len();
+                // SAFETY: share `w` owns the rows from `first_row[w]` up
+                // to the next share's, exactly its slots' out-degrees.
+                unsafe {
+                    src_cell.slice_mut(row, end).fill(id);
+                    dst_cell.slice_mut(row, end).copy_from_slice(nbrs);
                 }
+                row = end;
             }
-        }
-        (src, dst)
-    });
-    let total: usize = parts.iter().map(|(s, _)| s.len()).sum();
-    let mut src = Vec::with_capacity(total);
-    let mut dst = Vec::with_capacity(total);
-    for (s, d) in parts {
-        src.extend(s);
-        dst.extend(d);
+        });
     }
     let schema = Schema::new([("src", ColumnType::Int), ("dst", ColumnType::Int)]);
     let mut t = Table::from_parts(
@@ -368,33 +379,37 @@ pub fn graph_to_edge_table(g: &DirectedGraph, threads: usize) -> Table {
     t
 }
 
-/// Exports a node table (`node`, `in_deg`, `out_deg`), one row per node.
+/// Exports a node table (`node`, `in_deg`, `out_deg`), one row per node
+/// in slot order, written the same way as [`graph_to_edge_table`].
 pub fn graph_to_node_table(g: &DirectedGraph, threads: usize) -> Table {
     use ringo_graph::DirectedTopology;
     let mut sp = ringo_trace::span!("convert.graph_to_node_table");
     sp.rows_in(g.node_count());
     let n_slots = g.n_slots();
-    let parts: Vec<(Vec<i64>, Vec<i64>, Vec<i64>)> = parallel_map(n_slots, threads, |range| {
-        let mut ids = Vec::new();
-        let mut ind = Vec::new();
-        let mut outd = Vec::new();
-        for slot in range {
-            if let Some(id) = g.slot_id(slot) {
-                ids.push(id);
-                ind.push(g.in_nbrs_of_slot(slot).len() as i64);
-                outd.push(g.out_nbrs_of_slot(slot).len() as i64);
-            }
-        }
-        (ids, ind, outd)
+    let (first_row, total) = share_starts(n_slots, threads, |slot| {
+        usize::from(g.slot_id(slot).is_some())
     });
-    let total: usize = parts.iter().map(|(v, _, _)| v.len()).sum();
-    let mut ids = Vec::with_capacity(total);
-    let mut ind = Vec::with_capacity(total);
-    let mut outd = Vec::with_capacity(total);
-    for (a, b, c) in parts {
-        ids.extend(a);
-        ind.extend(b);
-        outd.extend(c);
+    let mut ids = vec![0i64; total];
+    let mut ind = vec![0i64; total];
+    let mut outd = vec![0i64; total];
+    {
+        let ids_cell = DisjointSlice::new(&mut ids);
+        let ind_cell = DisjointSlice::new(&mut ind);
+        let outd_cell = DisjointSlice::new(&mut outd);
+        parallel_for(n_slots, threads, |w, range| {
+            let mut row = first_row[w];
+            for slot in range {
+                let Some(id) = g.slot_id(slot) else { continue };
+                // SAFETY: share `w` owns one row per live slot of its
+                // range, starting at `first_row[w]`.
+                unsafe {
+                    ids_cell.write(row, id);
+                    ind_cell.write(row, g.in_nbrs_of_slot(slot).len() as i64);
+                    outd_cell.write(row, g.out_nbrs_of_slot(slot).len() as i64);
+                }
+                row += 1;
+            }
+        });
     }
     let schema = Schema::new([
         ("node", ColumnType::Int),
@@ -416,6 +431,21 @@ pub fn graph_to_node_table(g: &DirectedGraph, threads: usize) -> Table {
     t
 }
 
+/// Where each `parallel_for(n_slots, threads, …)` share's output begins
+/// when slot `s` produces `rows(s)` rows, and the total row count.
+fn share_starts(
+    n_slots: usize,
+    threads: usize,
+    rows: impl Fn(usize) -> usize + Sync,
+) -> (Vec<usize>, usize) {
+    let mut starts = parallel_map(n_slots, threads, |range| range.map(&rows).sum::<usize>());
+    let mut total = 0usize;
+    for s in &mut starts {
+        total += std::mem::replace(s, total);
+    }
+    (starts, total)
+}
+
 /// Builds a table mapping node ids to float scores — the paper's
 /// `TableFromHashMap` used to pull algorithm results back into table land.
 pub fn scores_to_table(scores: &[(NodeId, f64)], id_col: &str, score_col: &str) -> Table {
@@ -434,56 +464,6 @@ pub fn scores_to_table(scores: &[(NodeId, f64)], id_col: &str, score_col: &str) 
         StringPool::new(),
     )
     .expect("equal-length columns")
-}
-
-/// One maximal run of equal first elements in a sorted pair array:
-/// `pairs[start..end]` all share `id`, of which `distinct` have distinct
-/// second elements. Counting distinct neighbors during the same pass
-/// that finds the boundaries saves a full re-read of the pair array.
-struct Run {
-    id: NodeId,
-    start: usize,
-    end: usize,
-    distinct: usize,
-}
-
-fn runs_of(pairs: &[(NodeId, NodeId)]) -> Vec<Run> {
-    let mut runs = Vec::new();
-    let mut start = 0usize;
-    while start < pairs.len() {
-        let id = pairs[start].0;
-        let mut end = start + 1;
-        let mut distinct = 1usize;
-        while end < pairs.len() && pairs[end].0 == id {
-            if pairs[end].1 != pairs[end - 1].1 {
-                distinct += 1;
-            }
-            end += 1;
-        }
-        runs.push(Run {
-            id,
-            start,
-            end,
-            distinct,
-        });
-        start = end;
-    }
-    runs
-}
-
-/// Writes the distinct second elements of a sorted run into `out`, which
-/// must have exactly `distinct_count(run)` slots.
-fn write_distinct(run: &[(NodeId, NodeId)], out: &mut [NodeId]) {
-    let mut w = 0usize;
-    let mut prev = None;
-    for &(_, n) in run {
-        if prev != Some(n) {
-            out[w] = n;
-            w += 1;
-            prev = Some(n);
-        }
-    }
-    debug_assert_eq!(w, out.len());
 }
 
 #[cfg(test)]

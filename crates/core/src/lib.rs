@@ -373,11 +373,7 @@ impl Ringo {
             format!("{src_col} -> {dst_col}"),
             table.n_rows(),
             DirectedGraph::edge_count,
-            || {
-                let mut t = table.clone();
-                t.set_threads(self.threads);
-                ringo_convert::table_to_graph(&t, src_col, dst_col)
-            },
+            || ringo_convert::table_to_graph_threads(table, src_col, dst_col, self.threads),
         )
     }
 
@@ -393,11 +389,7 @@ impl Ringo {
             format!("{src_col} -- {dst_col}"),
             table.n_rows(),
             UndirectedGraph::edge_count,
-            || {
-                let mut t = table.clone();
-                t.set_threads(self.threads);
-                ringo_convert::table_to_undirected(&t, src_col, dst_col)
-            },
+            || ringo_convert::table_to_undirected_threads(table, src_col, dst_col, self.threads),
         )
     }
 

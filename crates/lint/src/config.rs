@@ -264,14 +264,6 @@ const THREAD_SPAWN_ALLOW: &[&str] = &[
 /// Metric names recorded from more than one call site on purpose.
 const SHARED_METRIC_ALLOW: &[(&str, &str)] = &[
     (
-        "convert.fill.count",
-        "directed and undirected conversion record the same fill phase",
-    ),
-    (
-        "convert.fill.scatter",
-        "directed and undirected conversion record the same fill phase",
-    ),
-    (
         "plan.morsel.select",
         "count and fill passes of one selection kernel",
     ),

@@ -1,0 +1,259 @@
+//! Table → graph against row-at-a-time references, slot for slot.
+//!
+//! The sort-first conversion packs edge pairs into 8-byte keys, sorts
+//! them and fills shared slabs from the sorted keys. Whatever word it
+//! sorted in and however many workers shared the fill, the graph must be
+//! the one the naive builders make — node `k` in slot `k` by ascending
+//! id, every list sorted and deduplicated — at threads 1, 2 and 4, on
+//! every shape of input that picks a different path through the sorter:
+//! short and long, packed and wide, sorted and not, one key or none.
+
+use ringo::concurrent::radix::SEQ_THRESHOLD;
+use ringo::concurrent::{radix_sort_columns, SortedPairs};
+use ringo::convert::{
+    table_to_graph, table_to_graph_naive, table_to_graph_threads, table_to_undirected,
+    table_to_undirected_threads,
+};
+use ringo::gen::{edges_to_table, rmat, RmatConfig};
+use ringo::{DirectedGraph, NodeId, TableError, UndirectedGraph};
+use ringo_rng::Rng64;
+use std::collections::{BTreeMap, BTreeSet};
+
+type Edge = (NodeId, NodeId);
+
+/// Every slot's id, in-list and out-list.
+fn directed_layout(g: &DirectedGraph) -> Vec<(Option<NodeId>, Vec<NodeId>, Vec<NodeId>)> {
+    use ringo::graph::DirectedTopology;
+    (0..g.n_slots())
+        .map(|s| {
+            (
+                g.slot_id(s),
+                g.in_nbrs_of_slot(s).to_vec(),
+                g.out_nbrs_of_slot(s).to_vec(),
+            )
+        })
+        .collect()
+}
+
+/// Every slot's id and list.
+fn undirected_layout(g: &UndirectedGraph) -> Vec<(Option<NodeId>, Vec<NodeId>)> {
+    (0..g.n_slots())
+        .map(|s| (g.slot_id(s), g.nbrs_of_slot(s).to_vec()))
+        .collect()
+}
+
+/// [`check_paths`] for input that sorts in the same word either way.
+fn check(edges: &[Edge], packs: bool, what: &str) {
+    check_paths(edges, packs, packs, what);
+}
+
+/// Converts `edges` both ways at threads 1, 2 and 4 and compares each
+/// result with its reference. `packs` / `symmetric_packs` say which word
+/// the directed and the undirected sort must have used, so a case meant
+/// for the wide path cannot quietly pack.
+fn check_paths(edges: &[Edge], packs: bool, symmetric_packs: bool, what: &str) {
+    let mut table = edges_to_table(edges);
+    let (src, dst) = (table.int_col("src").unwrap(), table.int_col("dst").unwrap());
+    for (symmetric, want) in [(false, packs), (true, symmetric_packs)] {
+        let packed = matches!(
+            radix_sort_columns(src, dst, symmetric, 2),
+            SortedPairs::Packed { .. }
+        );
+        assert_eq!(packed, want, "{what}: symmetric={symmetric}");
+    }
+
+    // Directed reference: the naive builder's lists, in ascending id order.
+    let naive = table_to_graph_naive(&table, "src", "dst").unwrap();
+    let ids: BTreeSet<NodeId> = naive.node_ids().collect();
+    let want_directed: Vec<_> = ids
+        .iter()
+        .map(|&id| {
+            (
+                Some(id),
+                naive.in_nbrs(id).to_vec(),
+                naive.out_nbrs(id).to_vec(),
+            )
+        })
+        .collect();
+
+    // Undirected reference: plain std sets.
+    let mut adj: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+    for &(s, d) in edges {
+        adj.entry(s).or_default().insert(d);
+        adj.entry(d).or_default().insert(s);
+    }
+    let undirected_edges = adj
+        .iter()
+        .map(|(&id, nbrs)| nbrs.iter().filter(|&&n| n >= id).count())
+        .sum::<usize>();
+    let want_undirected: Vec<_> = adj
+        .into_iter()
+        .map(|(id, nbrs)| (Some(id), nbrs.into_iter().collect::<Vec<_>>()))
+        .collect();
+
+    for threads in [1usize, 2, 4] {
+        let ctx = format!("{what}: threads={threads}");
+        table.set_threads(threads);
+        let g = table_to_graph(&table, "src", "dst").unwrap();
+        assert_eq!(directed_layout(&g), want_directed, "{ctx}");
+        assert_eq!(g.node_count(), naive.node_count(), "{ctx}");
+        assert_eq!(g.edge_count(), naive.edge_count(), "{ctx}");
+        for &id in &ids {
+            assert_eq!(g.out_nbrs(id), naive.out_nbrs(id), "{ctx}: lookup of {id}");
+        }
+
+        let u = table_to_undirected(&table, "src", "dst").unwrap();
+        assert_eq!(undirected_layout(&u), want_undirected, "{ctx}");
+        assert_eq!(u.node_count(), want_undirected.len(), "{ctx}");
+        assert_eq!(u.edge_count(), undirected_edges, "{ctx}");
+
+        // The explicit thread count wins over the table's.
+        table.set_threads(1);
+        let g2 = table_to_graph_threads(&table, "src", "dst", threads).unwrap();
+        assert_eq!(directed_layout(&g2), want_directed, "{ctx}: explicit");
+        let u2 = table_to_undirected_threads(&table, "src", "dst", threads).unwrap();
+        assert_eq!(undirected_layout(&u2), want_undirected, "{ctx}: explicit");
+    }
+}
+
+fn random_edges(rng: &mut Rng64, n: usize, ids: std::ops::Range<i64>) -> Vec<Edge> {
+    (0..n)
+        .map(|_| (rng.range_i64(ids.clone()), rng.range_i64(ids.clone())))
+        .collect()
+}
+
+const LONG: usize = 3 * SEQ_THRESHOLD;
+
+#[test]
+fn narrow_ids() {
+    let edges = rmat(&RmatConfig {
+        scale: 10,
+        edges: LONG,
+        ..Default::default()
+    });
+    check(&edges, true, "rmat");
+    check(&edges[..100], true, "rmat, short");
+}
+
+#[test]
+fn negative_and_extreme_ids() {
+    let mut rng = Rng64::new(1);
+    check(&random_edges(&mut rng, LONG, -900..-3), true, "negative");
+    let top = i64::MAX - 700..i64::MAX;
+    let mut at_max = random_edges(&mut rng, LONG, top.clone());
+    at_max.push((i64::MAX, i64::MAX - 1));
+    at_max.push((i64::MAX - 2, i64::MAX));
+    check(&at_max, true, "at i64::MAX");
+    let mut low = random_edges(&mut rng, LONG, i64::MIN + 1..i64::MIN + 600);
+    low.push((i64::MIN + 1, i64::MIN + 2));
+    check(&low, true, "just above i64::MIN");
+    check(&at_max[LONG - 50..], true, "at i64::MAX, short");
+}
+
+#[test]
+fn wide_ids_take_the_tuple_path() {
+    let mut rng = Rng64::new(2);
+    // Either sign: every bit of the biased key varies, 128 in all.
+    check(
+        &random_edges(&mut rng, LONG, -500..500),
+        false,
+        "mixed signs",
+    );
+    let full = random_edges(&mut rng, LONG, i64::MIN + 1..i64::MAX);
+    check(&full, false, "full range");
+    check(&full[..200], false, "full range, short");
+    // Wide on one side only still packs, with no bit to spare; the
+    // symmetric sort sees the wide span on both sides.
+    let lopsided: Vec<Edge> = (0..LONG)
+        .map(|_| (rng.range_i64(0..i64::MAX), rng.range_i64(4..6)))
+        .collect();
+    check_paths(&lopsided, true, false, "63 bits and 1 bit");
+    let one_source: Vec<Edge> = full.iter().map(|&(_, d)| (7, d)).collect();
+    check_paths(&one_source, true, false, "0 bits and 64 bits");
+}
+
+#[test]
+fn a_span_the_sample_missed_is_recounted() {
+    let mut rng = Rng64::new(3);
+    let mut edges = random_edges(&mut rng, LONG, 0..300);
+    // The strided sample reads rows 0, step, 2·step, …; row 1 is not one.
+    edges[1] = (1 << 30, 5);
+    check(&edges, true, "one outlier off the sample");
+}
+
+#[test]
+fn duplicates_and_self_loops() {
+    check(&vec![(7, 9); LONG], true, "one edge, many times");
+    check(&vec![(3, 3); LONG], true, "one self-loop, many times");
+    let mut rng = Rng64::new(4);
+    let loops: Vec<Edge> = (0..LONG)
+        .map(|_| {
+            let v = rng.range_i64(-40..900);
+            (v, v)
+        })
+        .collect();
+    check(&loops, false, "self-loops only, either sign");
+    let loops: Vec<Edge> = loops.iter().map(|&(v, _)| (v + 40, v + 40)).collect();
+    check(&loops, true, "self-loops only");
+}
+
+#[test]
+fn sorted_and_reverse_sorted_input() {
+    let mut rng = Rng64::new(5);
+    let mut edges = random_edges(&mut rng, LONG, 0..200);
+    edges.sort_unstable();
+    check(&edges, true, "ascending");
+    edges.reverse();
+    check(&edges, true, "descending");
+    edges.dedup();
+    check(&edges, true, "strictly descending");
+    let mut wide = random_edges(&mut rng, LONG, -200..200);
+    wide.sort_unstable();
+    check(&wide, false, "ascending, wide");
+}
+
+#[test]
+fn empty_and_threshold_lengths() {
+    check(&[], true, "empty");
+    check(&[(5, 5)], true, "one self-loop");
+    check(&[(2, 1)], true, "one edge");
+    let mut rng = Rng64::new(6);
+    for len in [SEQ_THRESHOLD - 1, SEQ_THRESHOLD, SEQ_THRESHOLD + 1] {
+        let edges = random_edges(&mut rng, len, 0..5_000);
+        check(&edges, true, &format!("len={len}"));
+    }
+}
+
+/// `i64::MIN` is the id the node index reserves: a column holding it is
+/// refused by name, not by a panic inside the graph constructor.
+#[test]
+fn reserved_id_is_an_error_naming_the_column() {
+    let mut rng = Rng64::new(7);
+    for len in [3usize, LONG] {
+        for (at_src, at_dst) in [(true, false), (false, true), (true, true)] {
+            let mut edges = random_edges(&mut rng, len, -50..i64::MAX);
+            if at_src {
+                edges[len / 2].0 = i64::MIN;
+            }
+            if at_dst {
+                edges[len / 3].1 = i64::MIN;
+            }
+            let mut table = edges_to_table(&edges);
+            let first = if at_src { "src" } else { "dst" };
+            for threads in [1usize, 2, 4] {
+                table.set_threads(threads);
+                let ctx = format!("len={len} src={at_src} dst={at_dst} threads={threads}");
+                let err = table_to_graph(&table, "src", "dst").expect_err(&ctx);
+                let TableError::InvalidArgument(msg) = &err else {
+                    panic!("{ctx}: {err:?}");
+                };
+                assert!(msg.contains(&format!("{first:?}")), "{ctx}: {msg}");
+                let err = table_to_undirected(&table, "src", "dst").expect_err(&ctx);
+                let TableError::InvalidArgument(msg) = &err else {
+                    panic!("{ctx}: {err:?}");
+                };
+                assert!(msg.contains(&format!("{first:?}")), "{ctx}: {msg}");
+            }
+        }
+    }
+}

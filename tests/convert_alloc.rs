@@ -1,0 +1,86 @@
+//! Allocation discipline of table → graph.
+//!
+//! The conversion sorts 8-byte packed keys read straight off the two
+//! columns and fills the graph's slabs from them, so beside the graph it
+//! returns it holds one key buffer and per-node arrays: no tuple array
+//! (16 bytes a pair, twice over with the sorter's scratch) and no copy of
+//! the table. `bench_e2e`'s `tw_convert` session peaks inside
+//! `to_undirected_graph` against a 5% bound; these tests pin the same
+//! account in tier 1, in *bytes*.
+//!
+//! Kept in its own test binary so nothing else moves the process-global
+//! allocation counters mid-measurement; the tests take a lock so they do
+//! not move each other's.
+
+use ringo::convert::table_to_undirected;
+use ringo::gen::{edges_to_table, rmat, RmatConfig};
+use ringo::trace::mem::{current_bytes, peak_bytes, reset_peak, TrackingAllocator};
+use ringo::{Ringo, Table};
+use std::sync::Mutex;
+
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
+
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// 400k R-MAT rows over 16k ids: edges outnumber nodes as they do in the
+/// bench's tables, so per-edge buffers dominate per-node ones.
+fn rmat_table() -> Table {
+    let mut t = edges_to_table(&rmat(&RmatConfig {
+        scale: 14,
+        edges: 400_000,
+        seed: 19,
+        ..Default::default()
+    }));
+    t.set_threads(2);
+    t
+}
+
+#[test]
+fn undirected_conversion_peaks_below_twice_its_input_columns() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let table = rmat_table();
+    let columns = 2 * table.n_rows() * std::mem::size_of::<i64>();
+    // The first call registers spans and counters, which the process keeps.
+    drop(table_to_undirected(&table, "src", "dst").unwrap());
+
+    let live = current_bytes();
+    reset_peak();
+    let g = table_to_undirected(&table, "src", "dst").unwrap();
+    let peak = peak_bytes() - live;
+    assert!(g.edge_count() > 250_000);
+
+    // Both orientations of every row as packed keys are exactly the
+    // columns' bytes; the slab of distinct neighbors and the node cells
+    // are the rest. Tuples alone (2 × 16 B a row) would already be 2×.
+    assert!(
+        peak < 2 * columns,
+        "table_to_undirected peaked {peak} B above its input, {:.2}x the {columns} B of its columns",
+        peak as f64 / columns as f64
+    );
+}
+
+#[test]
+fn facade_conversion_makes_no_table_sized_buffer() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let table = rmat_table();
+    let ringo = Ringo::with_threads(2);
+    drop(ringo.to_graph(&table, "src", "dst").unwrap());
+
+    let live = current_bytes();
+    reset_peak();
+    let g = ringo.to_graph(&table, "src", "dst").unwrap();
+    let transient = peak_bytes() - current_bytes();
+    let kept = current_bytes() - live;
+    assert!(g.edge_count() > 250_000);
+
+    // What the conversion held beside what it returned: one orientation's
+    // keys (a third of the table: 8 of its 24 B a row) and per-node
+    // arrays. A clone of the table to carry a thread count does not fit.
+    assert!(
+        transient < table.mem_size() / 2,
+        "Ringo::to_graph held {transient} B beside the {kept} B it returned, \
+         against a table of {} B",
+        table.mem_size()
+    );
+}

@@ -7,7 +7,8 @@
 
 use ringo::concurrent::radix::SEQ_THRESHOLD;
 use ringo::concurrent::{
-    radix_sort_by_u64_key, radix_sort_i64, radix_sort_pairs, radix_sort_u64, IntHashTable,
+    radix_sort_by_u64_key, radix_sort_columns, radix_sort_i64, radix_sort_u64, IntHashTable,
+    SortedPairs,
 };
 use ringo::convert::{table_to_graph, table_to_graph_naive, table_to_undirected};
 use ringo::gen::edges_to_table;
@@ -93,11 +94,12 @@ fn radix_sort_matches_std_on_adversarial_distributions() {
     );
 }
 
-/// Pair radix sort equals `sort_unstable` on `(i64, i64)` tuples for any
-/// id distribution, including empty and length-1 inputs.
+/// The column pair sort equals `sort_unstable` on the `(i64, i64)` tuples
+/// (plus their reversals, when symmetric) for any id distribution,
+/// including empty and length-1 inputs.
 #[test]
-fn radix_sort_pairs_matches_std() {
-    for_cases("radix_sort_pairs_matches_std", |rng| {
+fn radix_sort_columns_matches_std() {
+    for_cases("radix_sort_columns_matches_std", |rng| {
         let len = match rng.below(4) {
             0 => 0,
             1 => 1,
@@ -105,15 +107,30 @@ fn radix_sort_pairs_matches_std() {
             _ => SEQ_THRESHOLD + rng.below(20_000),
         };
         let span = 1 + rng.range_i64(1..500);
-        let data: Vec<(i64, i64)> = (0..len)
-            .map(|_| (rng.range_i64(-span..span), rng.range_i64(-span..span)))
-            .collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        for threads in [1usize, 2, 4] {
-            let mut ours = data.clone();
-            radix_sort_pairs(&mut ours, threads);
-            assert_eq!(ours, expect, "len={len} span={span} threads={threads}");
+        let a: Vec<i64> = (0..len).map(|_| rng.range_i64(-span..span)).collect();
+        let b: Vec<i64> = (0..len).map(|_| rng.range_i64(-span..span)).collect();
+        for symmetric in [false, true] {
+            let mut expect: Vec<(i64, i64)> = Vec::new();
+            for (&s, &d) in a.iter().zip(&b) {
+                expect.push((s, d));
+                if symmetric && s != d {
+                    expect.push((d, s));
+                }
+            }
+            expect.sort_unstable();
+            for threads in [1usize, 2, 4] {
+                let ours = match radix_sort_columns(&a, &b, symmetric, threads) {
+                    SortedPairs::Packed { keys, codec } => keys
+                        .iter()
+                        .map(|&k| (codec.first(k), codec.second(k)))
+                        .collect(),
+                    SortedPairs::Wide(pairs) => pairs,
+                };
+                assert_eq!(
+                    ours, expect,
+                    "len={len} span={span} symmetric={symmetric} threads={threads}"
+                );
+            }
         }
     });
 }
