@@ -54,6 +54,6 @@ pub use parallel::{
 };
 pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{
-    f64_key, i64_key, radix_sort_by_u64_key, radix_sort_columns, radix_sort_i64, radix_sort_u64,
-    PairCodec, SortedPairs,
+    f64_key, i64_key, radix_sort_by_u64_key, radix_sort_columns, radix_sort_i64, radix_sort_rows,
+    radix_sort_u64, PairCodec, RowCodec, SortColumn, SortedPairs, SortedRows,
 };

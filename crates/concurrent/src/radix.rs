@@ -1,6 +1,6 @@
 //! Parallel LSD radix sort for integer keys.
 //!
-//! The sort-first conversion pipeline (paper §2.4) and integer `order_by`
+//! The sort-first conversion pipeline (paper §2.4) and numeric `order_by`
 //! spend their time sorting `i64` node ids and `(i64, i64)` edge pairs.
 //! A comparison sort pays `O(n log n)` branchy comparisons for keys that
 //! are plain machine integers; a least-significant-digit radix sort pays
@@ -32,17 +32,27 @@
 //! monotonically to `0..=u64::MAX`.
 //!
 //! Two digit widths are used. Plain `u64`/`i64` values sort with
-//! **16-bit digits** (4 positions, 65536-bucket histograms): half the
-//! passes of a byte-wise sort, and the histograms still fit per-worker.
-//! The keyed record sort keeps 8-bit digits, where the 256-entry cursor
-//! table stays cache-resident next to arbitrary-size payloads. The pair
-//! sort ([`radix_sort_columns`]) reads its pairs from two `i64` columns
-//! and first probes the biased keys' bit spans; when the two components'
-//! varying bits fit in 64 together (node ids in practice) each pair packs
-//! into one `u64` whose value order equals the tuple order, so the sort
-//! moves 8-byte keys and hands them back still packed — no tuple array
-//! exists before or after. Wide pairs become tuples and take two chained
-//! stable byte-wise sorts.
+//! **11-bit digits** (2048-bucket histograms): fewer passes than a
+//! byte-wise sort, and the histograms still fit per-worker. The keyed
+//! record sort keeps 8-bit digits, where the 256-entry cursor table stays
+//! cache-resident next to arbitrary-size payloads.
+//!
+//! The two sorts the engine's sessions spend their time in do not run
+//! digit passes at all. Both reduce a row to **one `u64` whose integer
+//! order is the order wanted**, made of the bits that actually vary
+//! across the input, and hand a "keys of this row range" view to one
+//! partition core ([`count_keys`], [`partition_sort`]): count, prefix
+//! scan, one scatter by the key's top 11 bits, and a comparison sort of
+//! each cache-sized bucket where it lies. The pair sort
+//! ([`radix_sort_columns`]) packs `(a, b)` from two `i64` columns and
+//! hands the keys back still packed — no tuple array exists before or
+//! after. The row sort ([`radix_sort_rows`], under `order_by`) packs
+//! `(sort columns…, row position)`; the position makes every key
+//! distinct, so the unstable bucket sorts yield the stable order, and the
+//! caller reads positions (and `Int` columns) back off the sorted keys
+//! instead of carrying a permutation through the sort. Keys too wide for
+//! one word fall back to chained stable byte-wise sorts
+//! ([`SortedPairs::Wide`], `None` from the row sort).
 //!
 //! Because a scatter pass permutes but never changes the key multiset,
 //! the per-digit totals from the pre-pass stay valid for every pass;
@@ -162,6 +172,18 @@ pub enum SortedPairs {
     Wide(Vec<(i64, i64)>),
 }
 
+/// The low `bits` bits set.
+fn low_mask(bits: usize) -> u64 {
+    u64::MAX.checked_shr(64 - bits as u32).unwrap_or(0)
+}
+
+/// Width of the span that varies across keys whose OR and AND these are:
+/// up to the highest bit set in one key and clear in another (none, if
+/// there were no keys).
+fn span_bits(or: u64, and: u64) -> usize {
+    (64 - (or & !and).leading_zeros()) as usize
+}
+
 /// Packs an `(a, b)` id pair into the bits that vary across the input —
 /// `a`'s above `b`'s, each biased by [`i64_key`] — and unpacks it again.
 /// The bits that never vary are not stored in the key; the codec holds
@@ -180,14 +202,7 @@ impl PairCodec {
     /// `a_and` / `b_and` are the ANDs of every biased key of a component:
     /// above the varying span they hold the constant bits.
     fn new(bits_a: usize, bits_b: usize, a_and: u64, b_and: u64) -> Self {
-        let mask_of = |bits: usize| {
-            if bits >= 64 {
-                !0u64
-            } else {
-                (1u64 << bits) - 1
-            }
-        };
-        let (a_mask, b_mask) = (mask_of(bits_a), mask_of(bits_b));
+        let (a_mask, b_mask) = (low_mask(bits_a), low_mask(bits_b));
         Self {
             // `bits_b == 64` forces `a_mask == 0`, so the wrapped shift
             // amount only ever moves zeros.
@@ -253,9 +268,10 @@ impl Masks {
 
     /// Width of each component's varying span.
     fn spans(&self) -> (usize, usize) {
-        // `or & !and`: set in one key, clear in another (none, if empty).
-        let span = |or: u64, and: u64| (64 - (or & !and).leading_zeros()) as usize;
-        (span(self.a_or, self.a_and), span(self.b_or, self.b_and))
+        (
+            span_bits(self.a_or, self.a_and),
+            span_bits(self.b_or, self.b_and),
+        )
     }
 }
 
@@ -326,10 +342,10 @@ pub fn radix_sort_columns(a: &[i64], b: &[i64], symmetric: bool, threads: usize)
     }
     let (mut bits_a, mut bits_b) = guess.spans();
 
-    // Counting pass: per-worker bucket histograms plus the full masks
-    // that verify the sampled spans. A span the sample underestimated
-    // forces one recount with the corrected bucket function.
-    let (hist, codec, total_bits, bucket_bits) = loop {
+    // Counting pass: bucket histograms plus the full masks that verify
+    // the sampled spans. A span the sample underestimated forces one
+    // recount with the corrected bucket function.
+    let (hist, src) = loop {
         if bits_a + bits_b > 64 {
             // Spans too wide to combine: chained stable LSD sorts.
             let mut pairs = wide_pairs(a, b, symmetric);
@@ -340,23 +356,18 @@ pub fn radix_sort_columns(a: &[i64], b: &[i64], symmetric: bool, threads: usize)
             sp.rows_out(pairs.len());
             return SortedPairs::Wide(pairs);
         }
-        let total_bits = bits_a + bits_b;
-        let bucket_bits = DIGIT_BITS_V.min(total_bits);
-        let down = (total_bits - bucket_bits) as u32;
         // Packing reads only the spans; the constant bits wait for the
         // verified masks below.
-        let probe = PairCodec::new(bits_a, bits_b, 0, 0);
-        let per: Vec<(Vec<u32>, Masks)> = parallel_map(len, threads, |range| {
-            let mut h = vec![0u32; 1 << bucket_bits];
-            let mut m = Masks::EMPTY;
-            each_pair(a, b, range, symmetric, |s, d| {
-                m.add(s, d);
-                h[probe.pack(s, d).wrapping_shr(down) as usize] += 1;
-            });
-            (h, m)
-        });
+        let codec = PairCodec::new(bits_a, bits_b, 0, 0);
+        let probe = PairKeys {
+            a,
+            b,
+            symmetric,
+            codec,
+        };
+        let hist = count_keys(&probe, len, threads, bits_a + bits_b);
         let mut full = Masks::EMPTY;
-        for (_, m) in &per {
+        for (_, m) in &hist {
             full.merge(m);
         }
         let (full_a, full_b) = full.spans();
@@ -365,13 +376,11 @@ pub fn radix_sort_columns(a: &[i64], b: &[i64], symmetric: bool, threads: usize)
             continue;
         }
         let codec = PairCodec::new(bits_a, bits_b, full.a_and, full.b_and);
-        break (per, codec, total_bits, bucket_bits);
+        break (hist, PairKeys { codec, ..probe });
     };
-    if ringo_trace::enabled() {
-        ringo_trace::counter("sort.radix.passes").add(1);
-    }
+    let codec = src.codec;
 
-    if sorted {
+    let keys = if sorted {
         let mut keys = vec![0u64; len];
         let cell = DisjointSlice::new(&mut keys);
         parallel_for(len, threads, |_, range| {
@@ -381,70 +390,36 @@ pub fn radix_sort_columns(a: &[i64], b: &[i64], symmetric: bool, threads: usize)
                 *k = codec.pack(a[i], b[i]);
             }
         });
-        sp.rows_out(len);
-        return SortedPairs::Packed { keys, codec };
-    }
-
-    // Prefix scan → bucket offsets and per-worker scatter cursors.
-    let buckets = 1usize << bucket_bits;
-    let down = (total_bits - bucket_bits) as u32;
-    let workers = hist.len();
-    let mut offsets = vec![0usize; buckets + 1];
-    for b in 0..buckets {
-        let mut sum = offsets[b];
-        for (h, _) in &hist {
-            sum += h[b] as usize;
-        }
-        offsets[b + 1] = sum;
-    }
-    let n_keys = offsets[buckets];
-    debug_assert!(len <= n_keys && n_keys <= max_keys);
-    let mut cursors = vec![0usize; workers * buckets];
-    {
-        let mut run = offsets[..buckets].to_vec();
-        for (w, (h, _)) in hist.iter().enumerate() {
-            cursors[w * buckets..(w + 1) * buckets].copy_from_slice(&run);
-            for (v, r) in run.iter_mut().enumerate() {
-                *r += h[v] as usize;
-            }
-        }
-    }
-
-    // Partition pass: pack each pair into its 8-byte key straight off the
-    // columns and scatter it to its bucket range.
-    let mut keys: Vec<u64> = vec![0u64; n_keys];
-    let keys_cell = DisjointSlice::new(&mut keys);
-    {
-        let cursor_cell = DisjointSlice::new(&mut cursors);
-        parallel_for(len, threads, |w, range| {
-            // SAFETY: each worker touches only its own cursor row.
-            let cur = unsafe { cursor_cell.slice_mut(w * buckets, (w + 1) * buckets) };
-            each_pair(a, b, range, symmetric, |s, d| {
-                let key = codec.pack(s, d);
-                let b = key.wrapping_shr(down) as usize;
-                // SAFETY: cursor ranges partition `0..n_keys`.
-                unsafe { keys_cell.write(cur[b], key) };
-                cur[b] += 1;
-            });
-        });
-    }
-
-    // Finish pass: each bucket holds a narrow, cache-sized key range;
-    // sort it where it lies. When the bucket index already consumed
-    // every varying bit, buckets are all-equal and nothing remains.
-    // Buckets are claimed *dynamically* from the pool's shared counter
-    // rather than cut into static contiguous runs: skewed data (an R-MAT
-    // hub vertex can own a bucket holding a large fraction of all edges)
-    // would otherwise serialize a whole chunk of buckets behind the one
-    // hot bucket.
-    if total_bits > bucket_bits {
-        parallel_for_dynamic(buckets, threads, |b| {
-            // SAFETY: bucket ranges are disjoint.
-            unsafe { keys_cell.slice_mut(offsets[b], offsets[b + 1]) }.sort_unstable();
-        });
-    }
-    sp.rows_out(n_keys);
+        keys
+    } else {
+        partition_sort(&src, len, threads, bits_a + bits_b, &hist)
+    };
+    debug_assert!(len <= keys.len() && keys.len() <= max_keys);
+    sp.rows_out(keys.len());
     SortedPairs::Packed { keys, codec }
+}
+
+/// The two edge columns as the partition core reads them: one packed key
+/// per pair [`each_pair`] yields, and the span masks of what was read.
+struct PairKeys<'a> {
+    a: &'a [i64],
+    b: &'a [i64],
+    symmetric: bool,
+    codec: PairCodec,
+}
+
+impl Keys for PairKeys<'_> {
+    type Seen = Masks;
+
+    #[inline(always)]
+    fn each(&self, rows: std::ops::Range<usize>, mut f: impl FnMut(u64)) -> Masks {
+        let mut m = Masks::EMPTY;
+        each_pair(self.a, self.b, rows, self.symmetric, |s, d| {
+            m.add(s, d);
+            f(self.codec.pack(s, d));
+        });
+        m
+    }
 }
 
 /// Calls `f` with the pairs [`radix_sort_columns`] sorts that come from
@@ -473,6 +448,323 @@ fn wide_pairs(a: &[i64], b: &[i64], symmetric: bool) -> Vec<(i64, i64)> {
     let mut pairs = Vec::with_capacity(if symmetric { 2 * a.len() } else { a.len() });
     each_pair(a, b, 0..a.len(), symmetric, |s, d| pairs.push((s, d)));
     pairs
+}
+
+/// Rows that show themselves to the partition core as packed `u64` keys
+/// whose integer order is the order wanted. The core never holds the
+/// rows: it asks for "the keys of this row range" once to count and once
+/// to scatter, and the source reads its columns where they lie.
+trait Keys: Sync {
+    /// What a walk learns beside the keys (the pair sorter's span masks).
+    type Seen: Send;
+
+    /// Calls `f` with every key of `rows`, in row order.
+    fn each(&self, rows: std::ops::Range<usize>, f: impl FnMut(u64)) -> Self::Seen;
+}
+
+/// Bits of a `total_bits`-wide key that pick its bucket, and the shift
+/// that brings them down.
+fn bucket_split(total_bits: usize) -> (usize, u32) {
+    let bucket_bits = DIGIT_BITS_V.min(total_bits);
+    (bucket_bits, (total_bits - bucket_bits) as u32)
+}
+
+/// Counting pass of the partition core: per-worker histograms of the
+/// keys' top bits, and whatever each worker's walk saw.
+// LINT: hot — exact-size buffers only (`vec![…]`/`with_capacity` stay legal).
+fn count_keys<K: Keys>(
+    src: &K,
+    len: usize,
+    threads: usize,
+    total_bits: usize,
+) -> Vec<(Vec<u32>, K::Seen)> {
+    if ringo_trace::enabled() {
+        ringo_trace::counter("sort.radix.passes").add(1);
+    }
+    let (bucket_bits, down) = bucket_split(total_bits);
+    parallel_map(len, threads, |range| {
+        let mut h = vec![0u32; 1 << bucket_bits];
+        let seen = src.each(range, |key| h[key.wrapping_shr(down) as usize] += 1);
+        (h, seen)
+    })
+}
+
+/// The partition core proper, after [`count_keys`] over the same rows:
+/// prefix scan, one **MSD partition pass** that scatters every key into
+/// up to 2048 order-aligned buckets by its top bits, and a finish that
+/// sorts each bucket where it lies. The whole sort touches DRAM a
+/// constant number of times instead of once per digit.
+// LINT: hot — exact-size buffers only (`vec![…]`/`with_capacity` stay legal).
+fn partition_sort<K: Keys>(
+    src: &K,
+    len: usize,
+    threads: usize,
+    total_bits: usize,
+    hist: &[(Vec<u32>, K::Seen)],
+) -> Vec<u64> {
+    // Prefix scan → bucket offsets and per-worker scatter cursors.
+    let (bucket_bits, down) = bucket_split(total_bits);
+    let buckets = 1usize << bucket_bits;
+    let workers = hist.len();
+    let mut offsets = vec![0usize; buckets + 1];
+    for b in 0..buckets {
+        let mut sum = offsets[b];
+        for (h, _) in hist {
+            sum += h[b] as usize;
+        }
+        offsets[b + 1] = sum;
+    }
+    let n_keys = offsets[buckets];
+    let mut cursors = vec![0usize; workers * buckets];
+    {
+        let mut run = offsets[..buckets].to_vec();
+        for (w, (h, _)) in hist.iter().enumerate() {
+            cursors[w * buckets..(w + 1) * buckets].copy_from_slice(&run);
+            for (v, r) in run.iter_mut().enumerate() {
+                *r += h[v] as usize;
+            }
+        }
+    }
+
+    // Partition pass: every key, packed straight off the columns, goes to
+    // its bucket range.
+    let mut keys: Vec<u64> = vec![0u64; n_keys];
+    let keys_cell = DisjointSlice::new(&mut keys);
+    {
+        let cursor_cell = DisjointSlice::new(&mut cursors);
+        parallel_for(len, threads, |w, range| {
+            // SAFETY: each worker touches only its own cursor row.
+            let cur = unsafe { cursor_cell.slice_mut(w * buckets, (w + 1) * buckets) };
+            src.each(range, |key| {
+                let b = key.wrapping_shr(down) as usize;
+                // SAFETY: cursor ranges partition `0..n_keys`.
+                unsafe { keys_cell.write(cur[b], key) };
+                cur[b] += 1;
+            });
+        });
+    }
+
+    // Finish pass: each bucket holds a narrow, cache-sized key range;
+    // sort it where it lies. When the bucket index already consumed
+    // every varying bit, buckets are all-equal and nothing remains.
+    // Buckets are claimed *dynamically* from the pool's shared counter
+    // rather than cut into static contiguous runs: skewed data (an R-MAT
+    // hub vertex can own a bucket holding a large fraction of all edges)
+    // would otherwise serialize a whole chunk of buckets behind the one
+    // hot bucket.
+    if total_bits > bucket_bits {
+        parallel_for_dynamic(buckets, threads, |b| {
+            // SAFETY: bucket ranges are disjoint.
+            unsafe { keys_cell.slice_mut(offsets[b], offsets[b + 1]) }.sort_unstable();
+        });
+    }
+    keys
+}
+
+/// One numeric sort column of [`radix_sort_rows`], read where it lies.
+#[derive(Clone, Copy, Debug)]
+pub enum SortColumn<'a> {
+    /// Ordered as integers.
+    Int(&'a [i64]),
+    /// Ordered by [`f64::total_cmp`].
+    Float(&'a [f64]),
+}
+
+impl SortColumn<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Self::Int(v) => v.len(),
+            Self::Float(v) => v.len(),
+        }
+    }
+
+    /// Calls `f(j, key)` for every position `j` of `rows` with the
+    /// order-preserving key of the row there (`sel[j]`, or `j` itself):
+    /// one typed loop per column type and kind of selection.
+    #[inline(always)]
+    fn each_word(
+        &self,
+        rows: std::ops::Range<usize>,
+        sel: Option<&[u32]>,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        match (self, sel) {
+            (Self::Int(v), None) => rows.for_each(|j| f(j, i64_key(v[j]))),
+            (Self::Int(v), Some(s)) => rows.for_each(|j| f(j, i64_key(v[s[j] as usize]))),
+            (Self::Float(v), None) => rows.for_each(|j| f(j, f64_key(v[j]))),
+            (Self::Float(v), Some(s)) => rows.for_each(|j| f(j, f64_key(v[s[j] as usize]))),
+        }
+    }
+}
+
+/// Where one sort column sits in a row key: `mask` over its varying bits,
+/// moved up by `shift`.
+#[derive(Clone, Copy, Debug)]
+struct Field {
+    shift: u32,
+    mask: u64,
+    /// XOR that turns the stored bits back into the column's `i64`: the
+    /// constant high bits, the descending complement and the sign bias.
+    fix: u64,
+}
+
+/// Unpacks the keys [`radix_sort_rows`] sorted: `(columns…, position)`,
+/// first column highest, each column reduced to the bits that vary.
+#[derive(Clone, Debug)]
+pub struct RowCodec {
+    fields: Vec<Field>,
+    pos_mask: u64,
+}
+
+impl RowCodec {
+    /// Where the row stood before the sort: its index into `sel`, or its
+    /// row number.
+    #[inline(always)]
+    pub fn position(&self, key: u64) -> usize {
+        (key & self.pos_mask) as usize
+    }
+
+    /// The value of the `col`-th sort column in the key's row, if that
+    /// column is [`SortColumn::Int`].
+    #[inline(always)]
+    pub fn int(&self, col: usize, key: u64) -> i64 {
+        let f = self.fields[col];
+        ((key.wrapping_shr(f.shift) & f.mask) ^ f.fix) as i64
+    }
+}
+
+/// Rows sorted by [`radix_sort_rows`], each still the word it was sorted
+/// in.
+pub struct SortedRows {
+    /// The sorted keys, one per row.
+    pub keys: Vec<u64>,
+    /// The unpacker for `keys`.
+    pub codec: RowCodec,
+}
+
+/// The sort columns as the partition core reads them: one key per row.
+struct RowKeys<'a> {
+    cols: &'a [SortColumn<'a>],
+    sel: Option<&'a [u32]>,
+    fields: &'a [Field],
+    /// All ones when descending: complements every column's key.
+    flip: u64,
+}
+
+impl Keys for RowKeys<'_> {
+    type Seen = ();
+
+    /// Keys are built a block at a time, column by column, so every inner
+    /// loop is typed and the block stays in L1.
+    #[inline(always)]
+    fn each(&self, rows: std::ops::Range<usize>, mut f: impl FnMut(u64)) {
+        const BLOCK: usize = 1024;
+        let mut block = [0u64; BLOCK];
+        for start in rows.clone().step_by(BLOCK) {
+            let out = &mut block[..BLOCK.min(rows.end - start)];
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = (start + j) as u64;
+            }
+            for (col, field) in self.cols.iter().zip(self.fields) {
+                col.each_word(start..start + out.len(), self.sel, |j, w| {
+                    out[j - start] |= ((w ^ self.flip) & field.mask).wrapping_shl(field.shift);
+                });
+            }
+            out.iter().for_each(|&key| f(key));
+        }
+    }
+}
+
+/// Sorts the rows of `sel` (every row when `None`) by `cols` — first
+/// column first, ties by the next, then by position in `sel` — as **one**
+/// sort of one `u64` per row: each column's order-preserving key
+/// ([`i64_key`] / [`f64_key`], complemented when descending) reduced to
+/// the bits that vary across the rows, above the row's position in
+/// `ceil(log2 n)` bits. The position makes every key distinct, so the
+/// partition core's unstable bucket sorts cannot reorder anything: the
+/// result is the stable order. The sorted keys come back as they are;
+/// [`RowCodec::position`] says where each row stood and
+/// [`RowCodec::int`] what an `Int` column held, so a caller that owns the
+/// columns can decode them in place instead of gathering them.
+///
+/// Returns `None` when the columns' varying bits and the position do not
+/// fit 64 bits together (ids of both signs, full-range hashes, doubles of
+/// many magnitudes): the caller keeps its chained stable sorts.
+pub fn radix_sort_rows(
+    cols: &[SortColumn<'_>],
+    ascending: bool,
+    sel: Option<&[u32]>,
+    threads: usize,
+) -> Option<SortedRows> {
+    let len = sel.map_or(cols.first().map_or(0, SortColumn::len), <[u32]>::len);
+    let mut sp = ringo_trace::span!("sort.radix.rows");
+    sp.rows_in(len);
+    sp.rows_out(len);
+
+    // OR and AND of every key, per column: the exact varying spans.
+    let spans = parallel_map(len, threads, |range| {
+        let span_of = |col: &SortColumn<'_>| {
+            let (mut or, mut and) = (0u64, !0u64);
+            col.each_word(range.clone(), sel, |_, w| {
+                or |= w;
+                and &= w;
+            });
+            (or, and)
+        };
+        cols.iter().map(span_of).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .reduce(|a, b| {
+        let merged = a.iter().zip(&b).map(|(x, y)| (x.0 | y.0, x.1 & y.1));
+        merged.collect()
+    })
+    .unwrap_or_else(|| vec![(0, !0); cols.len()]);
+
+    let flip = if ascending { 0 } else { !0u64 };
+    let pos_bits = span_bits(len.saturating_sub(1) as u64, 0);
+    let mut total_bits = pos_bits;
+    let mut fields: Vec<Field> = spans
+        .iter()
+        .rev()
+        .map(|&(or, and)| {
+            let mask = low_mask(span_bits(or, and));
+            let field = Field {
+                // A shift of 64 wraps to 0, and only ever moves a zero mask.
+                shift: total_bits as u32,
+                mask,
+                fix: (flip & mask) ^ (and & !mask) ^ (1u64 << 63),
+            };
+            total_bits += span_bits(or, and);
+            field
+        })
+        .collect();
+    fields.reverse();
+    if total_bits > 64 {
+        return None;
+    }
+    let src = RowKeys {
+        cols,
+        sel,
+        fields: &fields,
+        flip,
+    };
+
+    // Short inputs (and ones whose bucket counts would overflow the u32
+    // histograms) take one std sort.
+    let keys = if len < SEQ_THRESHOLD || len >= u32::MAX as usize {
+        let mut keys = Vec::with_capacity(len);
+        src.each(0..len, |key| keys.push(key));
+        keys.sort_unstable();
+        keys
+    } else {
+        let hist = count_keys(&src, len, threads, total_bits);
+        partition_sort(&src, len, threads, total_bits, &hist)
+    };
+    let codec = RowCodec {
+        fields,
+        pos_mask: low_mask(pos_bits),
+    };
+    Some(SortedRows { keys, codec })
 }
 
 /// **Stable** sort of arbitrary `Copy` records by an extracted `u64` key.
@@ -826,6 +1118,61 @@ mod tests {
                 assert_eq!(got, expect, "threads={threads} packs={packs}");
             }
         }
+    }
+
+    #[test]
+    fn rows_sort_stably_and_decode() {
+        for len in [0usize, 1, 100, SEQ_THRESHOLD + 1000, 40_000] {
+            let mut rng = Rng64::new(len as u64);
+            let a: Vec<i64> = (0..len).map(|_| rng.range_i64(-20..-4)).collect();
+            let one = 1.0f64.to_bits();
+            let b: Vec<f64> = (0..len)
+                .map(|_| f64::from_bits(one + rng.below(64) as u64))
+                .collect();
+            // Every third row, last first: ties must keep *this* order.
+            let sel: Vec<u32> = (0..len as u32).rev().step_by(3).collect();
+            let cols = [SortColumn::Int(&a), SortColumn::Float(&b)];
+            for (sel, ascending, threads) in [
+                (None, true, 1),
+                (None, false, 4),
+                (Some(&sel[..]), true, 2),
+                (Some(&sel[..]), false, 3),
+            ] {
+                let ctx = format!("len={len} sel={} asc={ascending}", sel.is_some());
+                let n = sel.map_or(len, <[u32]>::len);
+                let row = |at: usize| sel.map_or(at, |s| s[at] as usize);
+                let mut expect: Vec<usize> = (0..n).collect();
+                expect.sort_by(|&x, &y| {
+                    let (x, y) = if ascending { (x, y) } else { (y, x) };
+                    let (x, y) = (row(x), row(y));
+                    a[x].cmp(&a[y]).then(b[x].total_cmp(&b[y]))
+                });
+                let SortedRows { keys, codec } =
+                    radix_sort_rows(&cols, ascending, sel, threads).expect("4 + 6 bits pack");
+                let got: Vec<usize> = keys.iter().map(|&k| codec.position(k)).collect();
+                assert_eq!(got, expect, "{ctx}");
+                for (&k, &at) in keys.iter().zip(&expect) {
+                    assert_eq!(codec.int(0, k), a[row(at)], "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_too_wide_for_a_position_are_declined() {
+        // 63 varying bits beside the one position bit of two rows fit; a
+        // third row needs a second bit.
+        let wide = [0i64, i64::MAX, 1];
+        assert!(radix_sort_rows(&[SortColumn::Int(&wide[..2])], true, None, 1).is_some());
+        assert!(radix_sort_rows(&[SortColumn::Int(&wide)], true, None, 1).is_none());
+        // A constant column is free, whatever its value.
+        let (min, any) = ([i64::MIN; 3], [5i64, -5, 0]);
+        let cols = [SortColumn::Int(&min), SortColumn::Int(&any)];
+        assert!(radix_sort_rows(&cols[..1], false, None, 1).is_some());
+        assert!(
+            radix_sort_rows(&cols, false, None, 1).is_none(),
+            "both signs"
+        );
     }
 
     #[test]

@@ -415,6 +415,24 @@ mod tests {
     }
 
     #[test]
+    fn join_on_a_reserved_build_key_is_an_error_not_a_panic() {
+        let ringo = Ringo::with_threads(2);
+        let t = sample();
+        let keys = Table::from_int_column("k", vec![3, i64::MIN]);
+        let err = ringo
+            .query(&t)
+            .join(&keys, "id", "k")
+            .collect()
+            .unwrap_err();
+        assert!(err.to_string().contains("\"k\""), "{err}");
+        assert!(ringo.join(&t, &keys, "id", "k").is_err());
+        // Probed for, the key matches nothing.
+        let probe = Table::from_int_column("k", vec![i64::MIN; 300]);
+        let out = ringo.query(&t).join(&probe, "id", "k").collect().unwrap();
+        assert_eq!(out.n_rows(), 0);
+    }
+
+    #[test]
     fn query_logs_plan_shape_with_single_gather() {
         let ringo = Ringo::with_threads(2);
         let t = sample();

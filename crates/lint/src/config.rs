@@ -273,7 +273,8 @@ const SHARED_METRIC_ALLOW: &[(&str, &str)] = &[
     ),
     (
         "sort.radix.passes",
-        "u64/i64/by-key variants of one radix sorter",
+        "u64/i64/by-key LSD variants of one radix sorter, and `count_keys`, the \
+         partition core's counting pass under `radix_sort_columns` and `radix_sort_rows`",
     ),
     (
         "sort.radix.digits_skipped",

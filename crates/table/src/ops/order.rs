@@ -2,32 +2,92 @@
 
 use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table};
-use ringo_concurrent::{f64_key, i64_key, radix_sort_by_u64_key};
+use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
+use ringo_concurrent::{
+    f64_key, i64_key, radix_sort_by_u64_key, radix_sort_rows, RowCodec, SortColumn, SortedRows,
+};
 use std::cmp::Ordering;
 
 impl Table {
-    /// Permutation kernel shared by the eager verb and the lazy executor:
-    /// reorders the positions of `sel` (every row when `None`) so the rows
-    /// they name are sorted by `cols`, ties broken by the next column, then
-    /// by prior `sel` order (stable). No rows are materialized.
+    /// Indices of the sort columns `cols`, each once: a column named
+    /// again can only tie where it already tied.
+    fn sort_indices(&self, cols: &[&str]) -> Result<Vec<usize>> {
+        let mut idx = Vec::with_capacity(cols.len());
+        for c in self.col_indices(cols)? {
+            if !idx.contains(&c) {
+                idx.push(c);
+            }
+        }
+        Ok(idx)
+    }
+
+    /// The rows of `sel` sorted by columns `idx` in one packed word per
+    /// row ([`radix_sort_rows`]); `None` when a column is `Str` or the
+    /// columns' varying bits leave no room for the row position.
+    fn sort_packed(
+        &self,
+        idx: &[usize],
+        ascending: bool,
+        sel: Option<&[u32]>,
+    ) -> Option<SortedRows> {
+        let cols: Option<Vec<SortColumn<'_>>> = idx
+            .iter()
+            .map(|&c| match &self.cols[c] {
+                ColumnData::Int(v) => Some(SortColumn::Int(v)),
+                ColumnData::Float(v) => Some(SortColumn::Float(v)),
+                ColumnData::Str(_) => None,
+            })
+            .collect();
+        radix_sort_rows(&cols?, ascending, sel, self.threads)
+    }
+
+    /// Permutation kernel shared by the lazy executor, `next_k` and
+    /// `value_counts`: reorders the positions of `sel` (every row when
+    /// `None`) so the rows they name are sorted by `cols`, ties broken by
+    /// the next column, then by prior `sel` order (stable). No rows are
+    /// materialized.
     ///
-    /// When every sort column is numeric (`Int` or `Float`) the permutation
-    /// is computed with chained stable radix passes (least-significant
-    /// column first) instead of a comparison sort; floats map through the
-    /// IEEE-754 total-order key [`f64_key`], so NaNs land exactly where
-    /// `total_cmp` puts them, and descending order complements the biased
-    /// key, which preserves stability exactly like the comparison path.
+    /// Numeric sort columns (`Int` or `Float`) whose varying bits fit one
+    /// word beside the row position are sorted as that word
+    /// ([`Table::sort_packed`]) and the positions read back off the sorted
+    /// keys. Wider numeric keys take chained stable radix passes
+    /// (least-significant column first); floats map through the IEEE-754
+    /// total-order key [`f64_key`], so NaNs land exactly where `total_cmp`
+    /// puts them, and descending order complements the biased key, which
+    /// preserves stability exactly like the comparison path. Any `Str`
+    /// column falls back to a stable comparison sort.
     pub(crate) fn order_perm_sel(
         &self,
         cols: &[&str],
         ascending: bool,
         sel: Option<&[u32]>,
     ) -> Result<Vec<u32>> {
-        let idx = self.col_indices(cols)?;
-        let mut perm: Vec<u32> = match sel {
+        let idx = self.sort_indices(cols)?;
+        row_count_u32(self.n_rows())?;
+        if idx.is_empty() {
+            return Ok(self.unsorted_perm(sel));
+        }
+        if let Some(SortedRows { keys, codec }) = self.sort_packed(&idx, ascending, sel) {
+            let row_of = |&key: &u64| {
+                let at = codec.position(key);
+                sel.map_or(at as u32, |s| s[at])
+            };
+            return Ok(keys.iter().map(row_of).collect());
+        }
+        Ok(self.order_perm_unpacked(&idx, ascending, sel))
+    }
+
+    /// The positions of `sel` (every row when `None`) as they stand.
+    fn unsorted_perm(&self, sel: Option<&[u32]>) -> Vec<u32> {
+        match sel {
             Some(s) => s.to_vec(),
-            None => (0..row_count_u32(self.n_rows())?).collect(),
-        };
+            None => (0..self.n_rows() as u32).collect(),
+        }
+    }
+
+    /// [`Table::order_perm_sel`] for keys [`Table::sort_packed`] declines.
+    fn order_perm_unpacked(&self, idx: &[usize], ascending: bool, sel: Option<&[u32]>) -> Vec<u32> {
+        let mut perm = self.unsorted_perm(sel);
         let radixable = idx
             .iter()
             .all(|&c| !matches!(self.cols[c], ColumnData::Str(_)));
@@ -50,10 +110,10 @@ impl Table {
                     ColumnData::Str(_) => unreachable!("radixable checked above"),
                 }
             }
-            return Ok(perm);
+            return perm;
         }
         let cmp = |a: usize, b: usize| -> Ordering {
-            for &c in &idx {
+            for &c in idx {
                 let ord = match &self.cols[c] {
                     ColumnData::Int(v) => v[a].cmp(&v[b]),
                     ColumnData::Float(v) => v[a].total_cmp(&v[b]),
@@ -70,22 +130,49 @@ impl Table {
         } else {
             perm.sort_by(|&a, &b| cmp(b as usize, a as usize));
         }
-        Ok(perm)
+        perm
     }
 
     /// Sorts the table in place by the given columns (ties broken by the
     /// next column). Floats use IEEE total order, so NaNs sort after all
     /// numbers. Row ids travel with their rows. The sort is stable.
     ///
-    /// Numeric sort columns (`Int` and `Float` alike) take the radix path
-    /// of [`Table::order_perm_sel`]; any `Str` column falls back to a
-    /// stable comparison sort.
+    /// When the sort columns pack ([`Table::sort_packed`]) no permutation
+    /// is built: `Int` sort columns are decoded from the sorted keys into
+    /// the vectors they already own, and every other column and the row
+    /// ids are gathered by the position in the key, one vector at a time.
+    /// Otherwise the rows are gathered through [`Table::order_perm_sel`]'s
+    /// permutation.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {
         let mut sp = ringo_trace::span!("table.order");
         sp.rows_in(self.n_rows());
         sp.rows_out(self.n_rows());
-        let perm = self.order_perm_sel(cols, ascending, None)?;
-        self.retain_rows_sel(&perm);
+        let idx = self.sort_indices(cols)?;
+        row_count_u32(self.n_rows())?;
+        if idx.is_empty() {
+            return Ok(());
+        }
+        let Some(SortedRows { keys, codec }) = self.sort_packed(&idx, ascending, None) else {
+            let perm = self.order_perm_unpacked(&idx, ascending, None);
+            self.retain_rows_sel(&perm);
+            return Ok(());
+        };
+        let threads = self.threads;
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            match (col, idx.iter().position(|&k| k == c)) {
+                (ColumnData::Int(v), Some(k)) => {
+                    parallel_for_each_chunk_mut(v, threads, |_, start, chunk| {
+                        for (x, &key) in chunk.iter_mut().zip(&keys[start..]) {
+                            *x = codec.int(k, key);
+                        }
+                    });
+                }
+                (ColumnData::Int(v), None) => *v = gather_sorted(v, &keys, &codec, threads),
+                (ColumnData::Float(v), _) => *v = gather_sorted(v, &keys, &codec, threads),
+                (ColumnData::Str(v), _) => *v = gather_sorted(v, &keys, &codec, threads),
+            }
+        }
+        self.row_ids = gather_sorted(&self.row_ids, &keys, &codec, threads);
         Ok(())
     }
 
@@ -95,6 +182,20 @@ impl Table {
         out.order_by(cols, ascending)?;
         Ok(out)
     }
+}
+
+/// `old` in the order of the sorted `keys`, filled on the pool.
+fn gather_sorted<T>(old: &[T], keys: &[u64], codec: &RowCodec, threads: usize) -> Vec<T>
+where
+    T: Copy + Default + Send + Sync,
+{
+    let mut out = vec![T::default(); keys.len()];
+    parallel_for_each_chunk_mut(&mut out, threads, |_, start, chunk| {
+        for (o, &key) in chunk.iter_mut().zip(&keys[start..]) {
+            *o = old[codec.position(key)];
+        }
+    });
+    out
 }
 
 #[cfg(test)]

@@ -1,0 +1,57 @@
+//! Allocation discipline of `order_by`.
+//!
+//! Numeric sort columns are sorted as one packed `(keys…, position)`
+//! word per row; the `Int` sort columns are then decoded from the sorted
+//! keys into the vectors they already own, and the other columns and the
+//! row ids are gathered one vector at a time, each old vector dropped
+//! before the next is made. So beside the table it sorts, `order_by`
+//! holds the keys and one new vector — no permutation, no sorter scratch,
+//! no second copy of a sort column. `bench_e2e`'s `tw_relational` session
+//! peaks inside `order_by` against a 5% bound; this test pins the same
+//! account in tier 1.
+//!
+//! Kept in its own test binary so nothing else moves the process-global
+//! allocation counters mid-measurement.
+
+use ringo::trace::mem::{current_bytes, peak_bytes, reset_peak, TrackingAllocator};
+use ringo::Table;
+use ringo_rng::Rng64;
+
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
+
+#[test]
+fn order_by_peaks_below_seven_tenths_of_its_table() {
+    const N: usize = 1_000_000;
+    let mut rng = Rng64::new(20);
+    let mut table = Table::from_int_column("a", (0..N).map(|_| rng.range_i64(0..1000)).collect());
+    table
+        .add_int_column("b", (0..N).map(|_| rng.range_i64(-500..0)).collect())
+        .unwrap();
+    table
+        .add_float_column("p", (0..N).map(|i| i as f64 * 0.5).collect())
+        .unwrap();
+    table.set_threads(2);
+    // The first call registers spans and counters, which the process keeps.
+    table.clone().order_by(&["a", "b"], true).unwrap();
+
+    let mut sorted = table.clone();
+    let live = current_bytes();
+    reset_peak();
+    sorted.order_by(&["a", "b"], true).unwrap();
+    let peak = peak_bytes() - live;
+
+    let (a, b) = (sorted.int_col("a").unwrap(), sorted.int_col("b").unwrap());
+    assert!((1..N).all(|i| (a[i - 1], b[i - 1]) <= (a[i], b[i])));
+    assert_eq!(current_bytes(), live, "order_by keeps what it was given");
+
+    // Keys (8 B a row) and one gathered vector (8 B a row) against a
+    // table of 32 B a row: half. A permutation beside two gathered
+    // columns, as before the packed sort, is 0.83.
+    let size = sorted.mem_size();
+    assert!(
+        peak * 10 <= size * 7,
+        "order_by peaked {peak} B above a table of {size} B: {:.2}x",
+        peak as f64 / size as f64
+    );
+}
