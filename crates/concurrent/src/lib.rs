@@ -13,9 +13,10 @@
 //!   ([`parallel::parallel_for`], [`parallel::parallel_map`], reductions),
 //!   the moral equivalent of `#pragma omp parallel for` with static
 //!   scheduling,
-//! * [`radix`] — parallel LSD radix sort for integer keys (per-worker
-//!   histograms, digit skipping, stable scatter), the fast path behind
-//!   the "sort-first" table-to-graph conversion and integer `order_by`,
+//! * [`radix`] — parallel radix partition sort of packed `u64` / `u128`
+//!   key words (per-worker histograms, one scatter, in-bucket finish),
+//!   behind the "sort-first" table-to-graph conversion and numeric
+//!   `order_by`,
 //! * [`hash_table`] — [`hash_table::IntHashTable`], a sequential
 //!   open-addressing / linear-probing map keyed by `i64`,
 //!   [`hash_table::KeyInterner`], the same discipline for fixed-width
@@ -54,6 +55,6 @@ pub use parallel::{
 };
 pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{
-    f64_key, i64_key, radix_sort_by_u64_key, radix_sort_columns, radix_sort_i64, radix_sort_rows,
-    radix_sort_u64, PairCodec, RowCodec, SortColumn, SortedPairs, SortedRows,
+    f64_key, i64_key, radix_sort_columns, radix_sort_rows, PairCodec, RowCodec, SortColumn,
+    SortedPairs, SortedRows,
 };

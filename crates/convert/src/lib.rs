@@ -16,8 +16,9 @@
 //!   its final position. No tuple array, no per-node `Vec`, no copy of
 //!   the table. Sorting parallelizes cleanly and the fill writes disjoint
 //!   slab ranges, so "while concurrent access is still performed, there
-//!   is no contention among the threads". Ids too wide to pack take the
-//!   same fill over sorted tuples. A naive row-at-a-time baseline
+//!   is no contention among the threads". Ids whose varying bits need
+//!   more than 64 (both signs, full-range ids) take the same pipeline and
+//!   fill over 16-byte `u128` keys. A naive row-at-a-time baseline
 //!   ([`table_to_graph_naive`]) is kept as the tests' oracle.
 //! * **Graph → table** ([`graph_to_edge_table`], [`graph_to_node_table`]):
 //!   "easily performed in parallel by partitioning the graph's nodes or
@@ -174,16 +175,18 @@ struct Adjacency {
 
 fn fill_sorted(sorted: SortedPairs, threads: usize) -> Adjacency {
     match sorted {
-        SortedPairs::Packed { keys, codec } => {
+        SortedPairs::U64(keys, codec) => {
             fill(&keys, |k| codec.first(k), |k| codec.second(k), threads)
         }
-        SortedPairs::Wide(pairs) => fill(&pairs, |p| p.0, |p| p.1, threads),
+        SortedPairs::U128(keys, codec) => {
+            fill(&keys, |k| codec.first(k), |k| codec.second(k), threads)
+        }
     }
 }
 
-/// The fill phase of the sort-first conversion, over whichever word the
-/// pairs were sorted in: `node` and `nbr` read a key's two ids, and equal
-/// keys are equal pairs.
+/// The fill phase of the sort-first conversion, over whichever word (`u64`
+/// or `u128`) the pairs were sorted in: `node` and `nbr` read a key's two
+/// ids, and equal keys are equal pairs.
 ///
 /// Workers take equal shares of `keys`, wherever node runs begin and end
 /// (a hub's run is split like any other stretch). A counting pass finds

@@ -271,15 +271,6 @@ const SHARED_METRIC_ALLOW: &[(&str, &str)] = &[
         "plan.morsel.join",
         "build, probe, and materialize passes of one join kernel",
     ),
-    (
-        "sort.radix.passes",
-        "u64/i64/by-key LSD variants of one radix sorter, and `count_keys`, the \
-         partition core's counting pass under `radix_sort_columns` and `radix_sort_rows`",
-    ),
-    (
-        "sort.radix.digits_skipped",
-        "u64/i64/by-key variants of one radix sorter",
-    ),
 ];
 
 /// Names that exist only at export time.

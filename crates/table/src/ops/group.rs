@@ -8,8 +8,7 @@
 use crate::{ColumnData, Result, Schema, Table, TableError};
 use ringo_concurrent::hash_table::hash_words;
 use ringo_concurrent::{
-    morsel_rows, parallel_map, parallel_map_morsels_traced, radix_sort_by_u64_key, KeyInterner,
-    MorselStats,
+    morsel_rows, parallel_map, parallel_map_morsels_traced, KeyInterner, MorselStats,
 };
 
 /// Aggregation functions for [`Table::group_by`].
@@ -263,12 +262,26 @@ impl Table {
             all.acc.extend(g.acc);
         }
 
-        // First positions are distinct: sorting by them is the order in
-        // which a sequential scan over `sel` would have met each key.
-        let mut order: Vec<u32> = (0..all.count.len() as u32).collect();
-        radix_sort_by_u64_key(&mut order, self.threads, |&g| {
-            u64::from(all.first_pos[g as usize])
-        });
+        // Ordering groups by first position is the order in which a
+        // sequential scan over `sel` would have met each key. First
+        // positions are distinct and below `n`, so a group's place is the
+        // rank of its first position among them: a bitmap of the
+        // positions, popcounts summed per word, one word lookup a group.
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        for &p in &all.first_pos {
+            seen[p as usize / 64] |= 1 << (p % 64);
+        }
+        let (mut before, mut rank) = (Vec::with_capacity(seen.len()), 0u32);
+        for w in &seen {
+            before.push(rank);
+            rank += w.count_ones();
+        }
+        let mut order = vec![0u32; all.count.len()];
+        for (g, &p) in all.first_pos.iter().enumerate() {
+            let w = p as usize / 64;
+            let below = seen[w] & ((1u64 << (p % 64)) - 1);
+            order[(before[w] + below.count_ones()) as usize] = g as u32;
+        }
         let ordered = || order.iter().map(|&g| g as usize);
         let rep: Vec<u32> = ordered()
             .map(|g| row_at(all.first_pos[g] as usize) as u32)

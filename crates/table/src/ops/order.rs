@@ -3,9 +3,7 @@
 use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table};
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
-use ringo_concurrent::{
-    f64_key, i64_key, radix_sort_by_u64_key, radix_sort_rows, RowCodec, SortColumn, SortedRows,
-};
+use ringo_concurrent::{radix_sort_rows, SortColumn, SortedRows};
 use std::cmp::Ordering;
 
 impl Table {
@@ -21,10 +19,9 @@ impl Table {
         Ok(idx)
     }
 
-    /// The rows of `sel` sorted by columns `idx` in one packed word per
-    /// row ([`radix_sort_rows`]); `None` when a column is `Str` or the
-    /// columns' varying bits leave no room for the row position.
-    fn sort_packed(
+    /// The rows of `sel` sorted by columns `idx` in packed words
+    /// ([`radix_sort_rows`]); `None` when a column is `Str`.
+    fn sort_numeric(
         &self,
         idx: &[usize],
         ascending: bool,
@@ -38,7 +35,7 @@ impl Table {
                 ColumnData::Str(_) => None,
             })
             .collect();
-        radix_sort_rows(&cols?, ascending, sel, self.threads)
+        Some(radix_sort_rows(&cols?, ascending, sel, self.threads))
     }
 
     /// Permutation kernel shared by the lazy executor, `next_k` and
@@ -47,15 +44,11 @@ impl Table {
     /// the next column, then by prior `sel` order (stable). No rows are
     /// materialized.
     ///
-    /// Numeric sort columns (`Int` or `Float`) whose varying bits fit one
-    /// word beside the row position are sorted as that word
-    /// ([`Table::sort_packed`]) and the positions read back off the sorted
-    /// keys. Wider numeric keys take chained stable radix passes
-    /// (least-significant column first); floats map through the IEEE-754
-    /// total-order key [`f64_key`], so NaNs land exactly where `total_cmp`
-    /// puts them, and descending order complements the biased key, which
-    /// preserves stability exactly like the comparison path. Any `Str`
-    /// column falls back to a stable comparison sort.
+    /// Numeric sort columns (`Int` or `Float`) are sorted as packed words
+    /// ([`Table::sort_numeric`]) and the positions read back off the
+    /// sorted words; floats map through the IEEE-754 total-order key, so
+    /// NaNs land exactly where `total_cmp` puts them. Any `Str` column
+    /// takes a stable comparison sort.
     pub(crate) fn order_perm_sel(
         &self,
         cols: &[&str],
@@ -67,14 +60,17 @@ impl Table {
         if idx.is_empty() {
             return Ok(self.unsorted_perm(sel));
         }
-        if let Some(SortedRows { keys, codec }) = self.sort_packed(&idx, ascending, sel) {
-            let row_of = |&key: &u64| {
-                let at = codec.position(key);
-                sel.map_or(at as u32, |s| s[at])
-            };
-            return Ok(keys.iter().map(row_of).collect());
-        }
-        Ok(self.order_perm_unpacked(&idx, ascending, sel))
+        let row = |at: usize| sel.map_or(at as u32, |s| s[at]);
+        Ok(match self.sort_numeric(&idx, ascending, sel) {
+            Some(SortedRows::U64(keys, codec)) => {
+                keys.iter().map(|&k| row(codec.position(k))).collect()
+            }
+            Some(SortedRows::U128(keys, codec)) => {
+                keys.iter().map(|&k| row(codec.position(k))).collect()
+            }
+            Some(SortedRows::Chained(rows)) => rows,
+            None => self.order_perm_cmp(&idx, ascending, sel),
+        })
     }
 
     /// The positions of `sel` (every row when `None`) as they stand.
@@ -85,45 +81,20 @@ impl Table {
         }
     }
 
-    /// [`Table::order_perm_sel`] for keys [`Table::sort_packed`] declines.
-    fn order_perm_unpacked(&self, idx: &[usize], ascending: bool, sel: Option<&[u32]>) -> Vec<u32> {
+    /// [`Table::order_perm_sel`] by stable comparison, for sort columns
+    /// that include a `Str` one.
+    fn order_perm_cmp(&self, idx: &[usize], ascending: bool, sel: Option<&[u32]>) -> Vec<u32> {
         let mut perm = self.unsorted_perm(sel);
-        let radixable = idx
-            .iter()
-            .all(|&c| !matches!(self.cols[c], ColumnData::Str(_)));
-        if radixable {
-            let threads = self.threads();
-            for &c in idx.iter().rev() {
-                match &self.cols[c] {
-                    ColumnData::Int(v) if ascending => {
-                        radix_sort_by_u64_key(&mut perm, threads, |&r| i64_key(v[r as usize]));
-                    }
-                    ColumnData::Int(v) => {
-                        radix_sort_by_u64_key(&mut perm, threads, |&r| !i64_key(v[r as usize]));
-                    }
-                    ColumnData::Float(v) if ascending => {
-                        radix_sort_by_u64_key(&mut perm, threads, |&r| f64_key(v[r as usize]));
-                    }
-                    ColumnData::Float(v) => {
-                        radix_sort_by_u64_key(&mut perm, threads, |&r| !f64_key(v[r as usize]));
-                    }
-                    ColumnData::Str(_) => unreachable!("radixable checked above"),
-                }
-            }
-            return perm;
-        }
-        let cmp = |a: usize, b: usize| -> Ordering {
-            for &c in idx {
-                let ord = match &self.cols[c] {
-                    ColumnData::Int(v) => v[a].cmp(&v[b]),
-                    ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-                    ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
-                };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
+        let cmp = |a: usize, b: usize| {
+            let by = |&c: &usize| match &self.cols[c] {
+                ColumnData::Int(v) => v[a].cmp(&v[b]),
+                ColumnData::Float(v) => v[a].total_cmp(&v[b]),
+                ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
+            };
+            idx.iter()
+                .map(by)
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
         };
         if ascending {
             perm.sort_by(|&a, &b| cmp(a as usize, b as usize));
@@ -137,12 +108,12 @@ impl Table {
     /// next column). Floats use IEEE total order, so NaNs sort after all
     /// numbers. Row ids travel with their rows. The sort is stable.
     ///
-    /// When the sort columns pack ([`Table::sort_packed`]) no permutation
-    /// is built: `Int` sort columns are decoded from the sorted keys into
-    /// the vectors they already own, and every other column and the row
-    /// ids are gathered by the position in the key, one vector at a time.
-    /// Otherwise the rows are gathered through [`Table::order_perm_sel`]'s
-    /// permutation.
+    /// When the sort columns fit one `u64` or `u128` word beside the row
+    /// position ([`Table::sort_numeric`]) no permutation is built: `Int`
+    /// sort columns are decoded from the sorted words into the vectors
+    /// they already own, and every other column and the row ids are
+    /// gathered by the position in the word, one vector at a time.
+    /// Otherwise the rows are gathered through the sorted permutation.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {
         let mut sp = ringo_trace::span!("table.order");
         sp.rows_in(self.n_rows());
@@ -152,28 +123,48 @@ impl Table {
         if idx.is_empty() {
             return Ok(());
         }
-        let Some(SortedRows { keys, codec }) = self.sort_packed(&idx, ascending, None) else {
-            let perm = self.order_perm_unpacked(&idx, ascending, None);
-            self.retain_rows_sel(&perm);
-            return Ok(());
-        };
+        match self.sort_numeric(&idx, ascending, None) {
+            Some(SortedRows::U64(keys, codec)) => {
+                self.reorder(&idx, &keys, |k| codec.position(k), |c, k| codec.int(c, k));
+            }
+            Some(SortedRows::U128(keys, codec)) => {
+                self.reorder(&idx, &keys, |k| codec.position(k), |c, k| codec.int(c, k));
+            }
+            Some(SortedRows::Chained(perm)) => self.retain_rows_sel(&perm),
+            None => {
+                let perm = self.order_perm_cmp(&idx, ascending, None);
+                self.retain_rows_sel(&perm);
+            }
+        }
+        Ok(())
+    }
+
+    /// Puts every row where its sorted word `keys` says: the `k`-th sort
+    /// column (`idx[k]`), if `Int`, decoded in place by `int(k, key)`, the
+    /// other columns and the row ids gathered from `position(key)`.
+    fn reorder<K: Copy + Sync>(
+        &mut self,
+        idx: &[usize],
+        keys: &[K],
+        position: impl Fn(K) -> usize + Sync,
+        int: impl Fn(usize, K) -> i64 + Sync,
+    ) {
         let threads = self.threads;
         for (c, col) in self.cols.iter_mut().enumerate() {
             match (col, idx.iter().position(|&k| k == c)) {
                 (ColumnData::Int(v), Some(k)) => {
                     parallel_for_each_chunk_mut(v, threads, |_, start, chunk| {
                         for (x, &key) in chunk.iter_mut().zip(&keys[start..]) {
-                            *x = codec.int(k, key);
+                            *x = int(k, key);
                         }
                     });
                 }
-                (ColumnData::Int(v), None) => *v = gather_sorted(v, &keys, &codec, threads),
-                (ColumnData::Float(v), _) => *v = gather_sorted(v, &keys, &codec, threads),
-                (ColumnData::Str(v), _) => *v = gather_sorted(v, &keys, &codec, threads),
+                (ColumnData::Int(v), None) => *v = gather_sorted(v, keys, &position, threads),
+                (ColumnData::Float(v), _) => *v = gather_sorted(v, keys, &position, threads),
+                (ColumnData::Str(v), _) => *v = gather_sorted(v, keys, &position, threads),
             }
         }
-        self.row_ids = gather_sorted(&self.row_ids, &keys, &codec, threads);
-        Ok(())
+        self.row_ids = gather_sorted(&self.row_ids, keys, &position, threads);
     }
 
     /// Returns a sorted copy; see [`Table::order_by`].
@@ -185,14 +176,16 @@ impl Table {
 }
 
 /// `old` in the order of the sorted `keys`, filled on the pool.
-fn gather_sorted<T>(old: &[T], keys: &[u64], codec: &RowCodec, threads: usize) -> Vec<T>
-where
-    T: Copy + Default + Send + Sync,
-{
+fn gather_sorted<T: Copy + Default + Send + Sync, K: Copy + Sync>(
+    old: &[T],
+    keys: &[K],
+    position: &(impl Fn(K) -> usize + Sync),
+    threads: usize,
+) -> Vec<T> {
     let mut out = vec![T::default(); keys.len()];
     parallel_for_each_chunk_mut(&mut out, threads, |_, start, chunk| {
         for (o, &key) in chunk.iter_mut().zip(&keys[start..]) {
-            *o = old[codec.position(key)];
+            *o = old[position(key)];
         }
     });
     out

@@ -1,12 +1,13 @@
 //! Table → graph against row-at-a-time references, slot for slot.
 //!
-//! The sort-first conversion packs edge pairs into 8-byte keys, sorts
+//! The sort-first conversion packs edge pairs into one key word each — a
+//! `u64` when the ids' varying bits fit it, a `u128` otherwise — sorts
 //! them and fills shared slabs from the sorted keys. Whatever word it
 //! sorted in and however many workers shared the fill, the graph must be
 //! the one the naive builders make — node `k` in slot `k` by ascending
 //! id, every list sorted and deduplicated — at threads 1, 2 and 4, on
 //! every shape of input that picks a different path through the sorter:
-//! short and long, packed and wide, sorted and not, one key or none.
+//! short and long, `u64` and `u128`, sorted and not, one key or none.
 
 use ringo::concurrent::radix::SEQ_THRESHOLD;
 use ringo::concurrent::{radix_sort_columns, SortedPairs};
@@ -48,18 +49,19 @@ fn check(edges: &[Edge], packs: bool, what: &str) {
 }
 
 /// Converts `edges` both ways at threads 1, 2 and 4 and compares each
-/// result with its reference. `packs` / `symmetric_packs` say which word
-/// the directed and the undirected sort must have used, so a case meant
-/// for the wide path cannot quietly pack.
+/// result with its reference. `packs` / `symmetric_packs` say whether the
+/// directed and the undirected sort must have used a `u64` word (else a
+/// `u128`), so a case meant for the wide word cannot quietly fit the
+/// narrow one.
 fn check_paths(edges: &[Edge], packs: bool, symmetric_packs: bool, what: &str) {
     let mut table = edges_to_table(edges);
     let (src, dst) = (table.int_col("src").unwrap(), table.int_col("dst").unwrap());
     for (symmetric, want) in [(false, packs), (true, symmetric_packs)] {
-        let packed = matches!(
-            radix_sort_columns(src, dst, symmetric, 2),
-            SortedPairs::Packed { .. }
-        );
-        assert_eq!(packed, want, "{what}: symmetric={symmetric}");
+        let narrow = match radix_sort_columns(src, dst, symmetric, 2) {
+            SortedPairs::U64(..) => true,
+            SortedPairs::U128(..) => false,
+        };
+        assert_eq!(narrow, want, "{what}: symmetric={symmetric} u64");
     }
 
     // Directed reference: the naive builder's lists, in ascending id order.
@@ -151,7 +153,7 @@ fn negative_and_extreme_ids() {
 }
 
 #[test]
-fn wide_ids_take_the_tuple_path() {
+fn wide_ids_sort_in_u128_words() {
     let mut rng = Rng64::new(2);
     // Either sign: every bit of the biased key varies, 128 in all.
     check(
@@ -162,7 +164,7 @@ fn wide_ids_take_the_tuple_path() {
     let full = random_edges(&mut rng, LONG, i64::MIN + 1..i64::MAX);
     check(&full, false, "full range");
     check(&full[..200], false, "full range, short");
-    // Wide on one side only still packs, with no bit to spare; the
+    // Wide on one side only still fits a u64, with no bit to spare; the
     // symmetric sort sees the wide span on both sides.
     let lopsided: Vec<Edge> = (0..LONG)
         .map(|_| (rng.range_i64(0..i64::MAX), rng.range_i64(4..6)))
@@ -179,6 +181,9 @@ fn a_span_the_sample_missed_is_recounted() {
     // The strided sample reads rows 0, step, 2·step, …; row 1 is not one.
     edges[1] = (1 << 30, 5);
     check(&edges, true, "one outlier off the sample");
+    // An outlier of the other sign: the recount moves to a u128 word.
+    edges[1] = (-5, 5);
+    check(&edges, false, "one negative id off the sample");
 }
 
 #[test]

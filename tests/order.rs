@@ -1,18 +1,19 @@
 //! `order_by` against a plain stable `sort_by` over row tuples.
 //!
-//! Numeric sort columns whose varying bits fit one word beside the row
-//! position are sorted as that word — `(keys…, position)` through the
-//! partition sorter — and everything else takes chained stable radix
-//! passes. Whichever ran, the rows must come out where a stable
-//! comparison sort puts them: columns, float bits and row ids, ascending
-//! and descending, at threads 1, 2 and 4, through every verb that orders
-//! rows (`order_by`, `ordered_by`, a lazy `select → order_by → collect`,
-//! `next_k`, `value_counts`). Every case says which path it is meant for
-//! and asserts the sorter agrees, so a case for the chained path cannot
-//! quietly pack.
+//! Numeric sort columns are sorted as one `(keys…, position)` word per
+//! row through the partition sorter: a `u64` when the columns' varying
+//! bits fit it beside the row position, a `u128` when they fit that, and
+//! chained passes of the same sorter over column groups when they do not.
+//! Whichever ran, the rows must come out where a stable comparison sort
+//! puts them: columns, float bits and row ids, ascending and descending,
+//! at threads 1, 2 and 4, through every verb that orders rows
+//! (`order_by`, `ordered_by`, a lazy `select → order_by → collect`,
+//! `next_k`, `value_counts`). Every case says which word it is meant for
+//! and asserts the sorter agrees, so a case for a wider word cannot
+//! quietly fit a narrower one.
 
 use ringo::concurrent::radix::SEQ_THRESHOLD;
-use ringo::concurrent::{radix_sort_rows, SortColumn};
+use ringo::concurrent::{radix_sort_rows, SortColumn, SortedRows};
 use ringo::table::{ColumnData, StringPool};
 use ringo::{Cmp, ColumnType, Predicate, Ringo, Schema, Table};
 use ringo_rng::Rng64;
@@ -131,15 +132,28 @@ fn assert_rows(got: &Table, keys: &[Key], want: &[usize], ctx: &str) {
     }
 }
 
-/// Whether the sorter packs `keys` over the rows of `sel`.
-fn packs(keys: &[Key], ascending: bool, sel: Option<&[u32]>) -> bool {
+/// The word a row sort runs in, narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Tier {
+    U64,
+    U128,
+    Chained,
+}
+use Tier::{Chained, U128, U64};
+
+/// The word the sorter sorts `keys` in over the rows of `sel`.
+fn tier(keys: &[Key], ascending: bool, sel: Option<&[u32]>) -> Tier {
     let cols: Vec<SortColumn<'_>> = keys.iter().map(Key::as_sort_column).collect();
-    radix_sort_rows(&cols, ascending, sel, 2).is_some()
+    match radix_sort_rows(&cols, ascending, sel, 2) {
+        SortedRows::U64(..) => U64,
+        SortedRows::U128(..) => U128,
+        SortedRows::Chained(_) => Chained,
+    }
 }
 
 /// Every verb that orders rows, both directions, threads 1, 2 and 4,
-/// against the oracle. `want_packed` is the path the case is built for.
-fn check(what: &str, keys: &[Key], want_packed: bool) {
+/// against the oracle. `word` is the word the case is built for.
+fn check(what: &str, keys: &[Key], word: Tier) {
     let n = keys[0].len();
     let names: Vec<String> = (0..keys.len()).map(name).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -151,11 +165,7 @@ fn check(what: &str, keys: &[Key], want_packed: bool) {
 
     for ascending in [true, false] {
         let dir = if ascending { "asc" } else { "desc" };
-        assert_eq!(
-            packs(keys, ascending, None),
-            want_packed,
-            "{what} {dir}: path"
-        );
+        assert_eq!(tier(keys, ascending, None), word, "{what} {dir}: word");
         let want = oracle(keys, ascending, (0..n).collect());
         let want_kept = oracle(keys, ascending, kept.clone());
         for threads in [1usize, 2, 4] {
@@ -184,10 +194,10 @@ fn check(what: &str, keys: &[Key], want_packed: bool) {
             assert_rows(&lazy, keys, &want_kept, &format!("{ctx}: lazy"));
         }
         // The lazy sort packs positions in the selection, which are fewer
-        // bits than row numbers: it may pack where the whole table does
-        // not, never the other way round.
+        // bits than row numbers: its word may be narrower than the whole
+        // table's, never wider.
         assert!(
-            packs(keys, ascending, Some(&sel)) || !want_packed,
+            tier(keys, ascending, Some(&sel)) <= word,
             "{what} {dir}: a selection must not widen the key"
         );
     }
@@ -290,7 +300,7 @@ fn packed_int_keys_match_the_stable_oracle() {
     check(
         "two narrow columns, 40k rows",
         &[ints(&mut rng, n, 0..300), ints(&mut rng, n, 0..300)],
-        true,
+        U64,
     );
     check(
         "three columns",
@@ -299,12 +309,12 @@ fn packed_int_keys_match_the_stable_oracle() {
             ints(&mut rng, LONG, -40..0),
             ints(&mut rng, LONG, 1_000..1_050),
         ],
-        true,
+        U64,
     );
     check(
         "all-negative ids",
         &[ints(&mut rng, LONG, -100_000..-1)],
-        true,
+        U64,
     );
     check(
         "ids within 700 of i64::MAX",
@@ -312,17 +322,17 @@ fn packed_int_keys_match_the_stable_oracle() {
             ints(&mut rng, LONG, i64::MAX - 700..i64::MAX),
             ints(&mut rng, LONG, i64::MAX - 700..i64::MAX),
         ],
-        true,
+        U64,
     );
     check(
         "an all-equal leading column adds no bits",
         &[Key::Int(vec![7; LONG]), ints(&mut rng, LONG, 0..50)],
-        true,
+        U64,
     );
     check(
         "every row equal",
         &[Key::Int(vec![-3; LONG]), Key::Int(vec![i64::MAX; LONG])],
-        true,
+        U64,
     );
     // 51 bits beside the 13 of a position among 6,000: no bit to spare.
     check(
@@ -330,82 +340,170 @@ fn packed_int_keys_match_the_stable_oracle() {
         &[Key::Int(
             (0..LONG).map(|_| (rng.u64() >> 13) as i64).collect(),
         )],
-        true,
+        U64,
     );
 }
 
 #[test]
-fn wide_keys_take_the_chained_path() {
+fn wide_keys_sort_in_one_u128_word() {
     let mut rng = Rng64::new(21);
     // The sign bit is the top of the biased key: ids of both signs vary
     // in all 64 bits.
     check(
         "mixed sign",
         &[ints(&mut rng, LONG, -500..500), ints(&mut rng, LONG, 0..9)],
-        false,
+        U128,
     );
     check(
         "full range",
         &[Key::Int((0..LONG).map(|_| rng.i64()).collect())],
-        false,
+        U128,
     );
     check(
         "i64::MIN beside i64::MAX",
         &[Key::Int(
             (0..LONG).map(|i| [i64::MIN, i64::MAX, 0][i % 3]).collect(),
         )],
-        false,
+        U128,
     );
-    // 52 bits beside the 13 of a position: one too many.
+    // 52 bits beside the 13 of a position: one too many for a u64.
     check(
         "a 52-bit column leaves no room for the position",
         &[Key::Int(
             (0..LONG).map(|_| (rng.u64() >> 12) as i64).collect(),
         )],
-        false,
+        U128,
     );
-    // Two 32-bit columns fit a word, but not beside a position.
+    // Two 32-bit columns fit a u64, but not beside a position.
     check(
         "two 32-bit columns",
         &[
             ints(&mut rng, LONG, 0..1 << 32),
             ints(&mut rng, LONG, 0..1 << 32),
         ],
-        false,
+        U128,
+    );
+    // 64 + 51 + 13: the u128 word filled to the last bit.
+    check(
+        "a full-range column over a 51-bit one",
+        &[
+            Key::Int((0..LONG).map(|_| rng.i64()).collect()),
+            Key::Int((0..LONG).map(|_| (rng.u64() >> 13) as i64).collect()),
+        ],
+        U128,
+    );
+}
+
+/// Full-range ids from a pool of five: every bit varies, and ties are the
+/// rule.
+fn full_range_ties(rng: &mut Rng64, n: usize) -> Key {
+    let pool = [i64::MIN, -1, 0, 1, i64::MAX];
+    Key::Int((0..n).map(|_| pool[rng.below(pool.len())]).collect())
+}
+
+#[test]
+fn wide_keys_take_the_chained_path() {
+    let mut rng = Rng64::new(25);
+    // 64 + 52 + 13 bits: one past the u128 word.
+    check(
+        "a full-range column over a 52-bit one",
+        &[
+            Key::Int((0..LONG).map(|_| rng.i64()).collect()),
+            Key::Int((0..LONG).map(|_| (rng.u64() >> 12) as i64).collect()),
+        ],
+        Chained,
+    );
+    // 1 + 64 + 51 + 13 bits: the last two columns fill a u128 pass, the
+    // first column's pass is a u64.
+    check(
+        "one bit over a full-range column over a 51-bit one",
+        &[
+            ints(&mut rng, LONG, 0..2),
+            Key::Int((0..LONG).map(|_| rng.i64()).collect()),
+            Key::Int((0..LONG).map(|_| (rng.u64() >> 13) as i64).collect()),
+        ],
+        Chained,
+    );
+    check(
+        "two full-range columns, ties",
+        &[
+            full_range_ties(&mut rng, LONG),
+            full_range_ties(&mut rng, LONG),
+        ],
+        Chained,
+    );
+    // Over 128 bits even without the position: three passes.
+    check(
+        "three full-range columns, ties",
+        &[
+            full_range_ties(&mut rng, LONG),
+            full_range_ties(&mut rng, LONG),
+            full_range_ties(&mut rng, LONG),
+        ],
+        Chained,
+    );
+    check(
+        "mixed sign, special floats, a narrow column",
+        &[
+            ints(&mut rng, LONG, -3..3),
+            special_floats(&mut rng, LONG),
+            ints(&mut rng, LONG, 0..4),
+        ],
+        Chained,
+    );
+    check(
+        "three full-range columns, 40 rows",
+        &[
+            full_range_ties(&mut rng, 40),
+            full_range_ties(&mut rng, 40),
+            full_range_ties(&mut rng, 40),
+        ],
+        Chained,
     );
 }
 
 #[test]
 fn float_keys_order_by_total_cmp_bit_for_bit() {
     let mut rng = Rng64::new(22);
-    check("narrow floats", &[narrow_floats(&mut rng, LONG)], true);
+    check("narrow floats", &[narrow_floats(&mut rng, LONG)], U64);
     check(
         "float then int",
         &[narrow_floats(&mut rng, LONG), ints(&mut rng, LONG, -9..0)],
-        true,
+        U64,
     );
     check(
         "int then float",
         &[ints(&mut rng, LONG, 0..4), narrow_floats(&mut rng, LONG)],
-        true,
+        U64,
     );
     // Both signs (and both NaNs) vary in every bit of the key.
     check(
         "NaN, zeros, infinities",
         &[special_floats(&mut rng, LONG)],
-        false,
+        U128,
     );
     check(
         "special floats under an int",
         &[ints(&mut rng, LONG, 0..3), special_floats(&mut rng, LONG)],
-        false,
+        U128,
     );
     // One sign of zero and of NaN still spans 63 bits.
     let small = [f64::NAN, 0.0, f64::INFINITY, 2.5];
     check(
         "non-negative specials, 64 rows",
         &[Key::Float((0..64).map(|i| small[(i * 7) % 4]).collect())],
-        false,
+        U128,
+    );
+    // PageRank-like scores: one sign, exponents over four decades, every
+    // mantissa bit varying.
+    check(
+        "multi-magnitude floats",
+        &[Key::Float(
+            (0..LONG)
+                .map(|_| (rng.f64() + 0.01) * 10f64.powi(-(rng.below(3) as i32)))
+                .collect(),
+        )],
+        U128,
     );
 }
 
@@ -423,9 +521,10 @@ fn every_size_around_the_sequential_threshold() {
         check(
             &format!("narrow ids, {n} rows"),
             &[ints(&mut rng, n, 0..64), ints(&mut rng, n, -64..0)],
-            true,
+            U64,
         );
-        // Under two rows nothing varies, so even ids of both signs pack.
+        // Under two rows nothing varies, so even ids of both signs fit a
+        // u64.
         let signs = (0..n).map(|i| {
             if i % 2 == 0 {
                 -1 - rng.range_i64(0..64)
@@ -436,18 +535,25 @@ fn every_size_around_the_sequential_threshold() {
         check(
             &format!("mixed sign, {n} rows"),
             &[Key::Int(signs.collect())],
-            n < 2,
+            if n < 2 { U64 } else { U128 },
         );
+        if n >= SEQ_THRESHOLD - 1 {
+            check(
+                &format!("two full-range columns, {n} rows"),
+                &[full_range_ties(&mut rng, n), full_range_ties(&mut rng, n)],
+                Chained,
+            );
+        }
     }
 }
 
 #[test]
 fn a_column_named_twice_counts_once_and_no_column_is_a_no_op() {
     let mut rng = Rng64::new(24);
-    // 30 bits once beside 13 position bits pack; counted twice they
+    // 30 bits once beside 13 position bits fit a u64; counted twice they
     // would not.
     let keys = [ints(&mut rng, LONG, 0..1 << 30)];
-    assert!(packs(&keys, true, None));
+    assert_eq!(tier(&keys, true, None), U64);
     let want = oracle(&keys, true, (0..LONG).collect());
     let mut t = table_of(&keys, 2);
     t.order_by(&["k0", "k0", "k0"], true).unwrap();

@@ -7,13 +7,13 @@
 
 use ringo::concurrent::radix::SEQ_THRESHOLD;
 use ringo::concurrent::{
-    radix_sort_by_u64_key, radix_sort_columns, radix_sort_i64, radix_sort_u64, IntHashTable,
-    SortedPairs,
+    radix_sort_columns, radix_sort_rows, IntHashTable, SortColumn, SortedPairs, SortedRows,
 };
 use ringo::convert::{table_to_graph, table_to_graph_naive, table_to_undirected};
 use ringo::gen::edges_to_table;
 use ringo::{Cmp, DirectedGraph, Predicate};
 use ringo_rng::Rng64;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 const CASES: u64 = 64;
@@ -43,10 +43,32 @@ fn int_vec(rng: &mut Rng64, max_len: usize, lo: i64, hi: i64) -> Vec<i64> {
     (0..len).map(|_| rng.range_i64(lo..hi)).collect()
 }
 
-/// Radix sort equals `sort_unstable` on adversarial distributions —
-/// duplicates-heavy, all-equal, negative ids, i64 extremes, skewed
-/// magnitudes — at every thread count and around the sequential
-/// threshold.
+/// The rows of `cols` in the order [`radix_sort_rows`] sorts them,
+/// whichever word it sorted in.
+fn radix_rows(cols: &[SortColumn<'_>], ascending: bool, threads: usize) -> Vec<usize> {
+    match radix_sort_rows(cols, ascending, None, threads) {
+        SortedRows::U64(keys, codec) => keys.iter().map(|&k| codec.position(k)).collect(),
+        SortedRows::U128(keys, codec) => keys.iter().map(|&k| codec.position(k)).collect(),
+        SortedRows::Chained(rows) => rows.iter().map(|&r| r as usize).collect(),
+    }
+}
+
+/// `0..len` in the order a stable sort by `cmp` leaves it.
+fn stable_order(len: usize, ascending: bool, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..len).collect();
+    if ascending {
+        rows.sort_by(|&a, &b| cmp(a, b));
+    } else {
+        rows.sort_by(|&a, &b| cmp(b, a));
+    }
+    rows
+}
+
+/// The row sort of one `Int` column equals a stable `sort_by` on
+/// adversarial distributions — duplicates-heavy, all-equal, negative ids,
+/// i64 extremes, skewed magnitudes, full range — both directions, at
+/// every thread count and around the sequential threshold, in whichever
+/// word the values need.
 #[test]
 fn radix_sort_matches_std_on_adversarial_distributions() {
     for_cases(
@@ -74,29 +96,23 @@ fn radix_sort_matches_std_on_adversarial_distributions() {
                     _ => rng.range_i64(-1_000..1_000) << rng.below(40),
                 })
                 .collect();
-            let mut expect = data.clone();
-            expect.sort_unstable();
-            for threads in [1usize, 2, 4] {
-                let mut ours = data.clone();
-                radix_sort_i64(&mut ours, threads);
-                assert_eq!(ours, expect, "dist={dist} len={len} threads={threads}");
-            }
-            // The unsigned entry point agrees too (reinterpret the bits).
-            let udata: Vec<u64> = data.iter().map(|&x| x as u64).collect();
-            let mut uexpect = udata.clone();
-            uexpect.sort_unstable();
-            for threads in [1usize, 2, 4] {
-                let mut ours = udata.clone();
-                radix_sort_u64(&mut ours, threads);
-                assert_eq!(ours, uexpect, "u64 dist={dist} len={len} threads={threads}");
+            for ascending in [true, false] {
+                let expect = stable_order(len, ascending, |a, b| data[a].cmp(&data[b]));
+                for threads in [1usize, 2, 4] {
+                    assert_eq!(
+                        radix_rows(&[SortColumn::Int(&data)], ascending, threads),
+                        expect,
+                        "dist={dist} len={len} asc={ascending} threads={threads}"
+                    );
+                }
             }
         },
     );
 }
 
 /// The column pair sort equals `sort_unstable` on the `(i64, i64)` tuples
-/// (plus their reversals, when symmetric) for any id distribution,
-/// including empty and length-1 inputs.
+/// (plus their reversals, when symmetric) for any id distribution —
+/// narrow, either sign, full range — including empty and length-1 inputs.
 #[test]
 fn radix_sort_columns_matches_std() {
     for_cases("radix_sort_columns_matches_std", |rng| {
@@ -107,8 +123,16 @@ fn radix_sort_columns_matches_std() {
             _ => SEQ_THRESHOLD + rng.below(20_000),
         };
         let span = 1 + rng.range_i64(1..500);
-        let a: Vec<i64> = (0..len).map(|_| rng.range_i64(-span..span)).collect();
-        let b: Vec<i64> = (0..len).map(|_| rng.range_i64(-span..span)).collect();
+        let full = rng.below(4) == 0;
+        let mut id = || {
+            if full {
+                rng.i64()
+            } else {
+                rng.range_i64(-span..span)
+            }
+        };
+        let a: Vec<i64> = (0..len).map(|_| id()).collect();
+        let b: Vec<i64> = (0..len).map(|_| id()).collect();
         for symmetric in [false, true] {
             let mut expect: Vec<(i64, i64)> = Vec::new();
             for (&s, &d) in a.iter().zip(&b) {
@@ -119,35 +143,64 @@ fn radix_sort_columns_matches_std() {
             }
             expect.sort_unstable();
             for threads in [1usize, 2, 4] {
-                let ours = match radix_sort_columns(&a, &b, symmetric, threads) {
-                    SortedPairs::Packed { keys, codec } => keys
+                let ours: Vec<(i64, i64)> = match radix_sort_columns(&a, &b, symmetric, threads) {
+                    SortedPairs::U64(keys, codec) => keys
                         .iter()
                         .map(|&k| (codec.first(k), codec.second(k)))
                         .collect(),
-                    SortedPairs::Wide(pairs) => pairs,
+                    SortedPairs::U128(keys, codec) => keys
+                        .iter()
+                        .map(|&k| (codec.first(k), codec.second(k)))
+                        .collect(),
                 };
                 assert_eq!(
                     ours, expect,
-                    "len={len} span={span} symmetric={symmetric} threads={threads}"
+                    "len={len} span={span} full={full} symmetric={symmetric} threads={threads}"
                 );
             }
         }
     });
 }
 
-/// Keyed radix sort is stable: ties keep their input order, exactly like
-/// the standard library's stable sort.
+/// The row sort is stable in every word: ties keep their input order,
+/// exactly like the standard library's stable sort, whether the keys fit
+/// a `u64`, a `u128`, or take chained passes (one to three columns of
+/// few distinct values, narrow or full-range).
 #[test]
 fn radix_sort_by_key_is_stable() {
     for_cases("radix_sort_by_key_is_stable", |rng| {
         let len = rng.below(SEQ_THRESHOLD * 3);
-        let data: Vec<(i64, usize)> = (0..len).map(|i| (rng.range_i64(-8..8), i)).collect();
-        let mut expect = data.clone();
-        expect.sort_by_key(|&(k, _)| k); // std stable sort
-        for threads in [1usize, 2, 4] {
-            let mut ours = data.clone();
-            radix_sort_by_u64_key(&mut ours, threads, |&(k, _)| ringo::concurrent::i64_key(k));
-            assert_eq!(ours, expect, "len={len} threads={threads}");
+        let pool = [i64::MIN, -1, 0, 1, i64::MAX];
+        let cols: Vec<Vec<i64>> = (0..1 + rng.below(3))
+            .map(|_| {
+                let full = rng.bool();
+                (0..len)
+                    .map(|_| {
+                        if full {
+                            pool[rng.below(pool.len())]
+                        } else {
+                            rng.range_i64(-8..8)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let sort_cols: Vec<SortColumn<'_>> = cols.iter().map(|c| SortColumn::Int(c)).collect();
+        for ascending in [true, false] {
+            let expect = stable_order(len, ascending, |a, b| {
+                cols.iter()
+                    .map(|c| c[a].cmp(&c[b]))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            });
+            for threads in [1usize, 2, 4] {
+                assert_eq!(
+                    radix_rows(&sort_cols, ascending, threads),
+                    expect,
+                    "len={len} cols={} asc={ascending} threads={threads}",
+                    cols.len()
+                );
+            }
         }
     });
 }
@@ -425,18 +478,23 @@ fn triad_census_total() {
     });
 }
 
-/// Float radix sort via the IEEE-754 total-order key transform equals
-/// the standard library's stable sort under `f64::total_cmp`, for both
-/// directions, at every thread count, on adversarial values: NaNs of
-/// both signs, ±0, ±infinity, subnormals, and ordinary magnitudes.
+/// The row sort of one `Float` column equals the standard library's
+/// stable sort under `f64::total_cmp`, for both directions, at every
+/// thread count — on adversarial values (NaNs of both signs, ±0,
+/// ±infinity, subnormals, ordinary magnitudes) and on PageRank-like
+/// positive scores over many magnitudes, both of which need a `u128`
+/// word beside the position once they vary.
 #[test]
 fn float_radix_key_matches_total_order_sort() {
-    use ringo::concurrent::f64_key;
     for_cases("float_radix_key_matches_total_order_sort", |rng| {
         let len = rng.below(SEQ_THRESHOLD * 2);
-        let data: Vec<(f64, usize)> = (0..len)
-            .map(|i| {
-                let v = match rng.below(8) {
+        let scores = rng.bool();
+        let data: Vec<f64> = (0..len)
+            .map(|_| {
+                if scores {
+                    return rng.f64() * 10f64.powi(-(rng.below(8) as i32));
+                }
+                match rng.below(8) {
                     0 => f64::NAN,
                     1 => -f64::NAN,
                     2 => {
@@ -460,32 +518,19 @@ fn float_radix_key_matches_total_order_sort() {
                     }
                     5 => rng.range_i64(-6..6) as f64,
                     _ => (rng.f64() - 0.5) * 1e12,
-                };
-                (v, i)
+                }
             })
             .collect();
         for ascending in [true, false] {
-            let mut expect = data.clone();
             // std stable sort: ties (including identical NaN payloads)
             // keep input order — the radix path must match exactly.
-            if ascending {
-                expect.sort_by(|a, b| a.0.total_cmp(&b.0));
-            } else {
-                expect.sort_by(|a, b| b.0.total_cmp(&a.0));
-            }
+            let expect = stable_order(len, ascending, |a, b| data[a].total_cmp(&data[b]));
             for threads in [1usize, 2, 4] {
-                let mut ours = data.clone();
-                radix_sort_by_u64_key(&mut ours, threads, |&(v, _)| {
-                    if ascending {
-                        f64_key(v)
-                    } else {
-                        !f64_key(v)
-                    }
-                });
-                let got: Vec<(u64, usize)> = ours.iter().map(|&(v, i)| (v.to_bits(), i)).collect();
-                let want: Vec<(u64, usize)> =
-                    expect.iter().map(|&(v, i)| (v.to_bits(), i)).collect();
-                assert_eq!(got, want, "len={len} asc={ascending} threads={threads}");
+                assert_eq!(
+                    radix_rows(&[SortColumn::Float(&data)], ascending, threads),
+                    expect,
+                    "len={len} scores={scores} asc={ascending} threads={threads}"
+                );
             }
         }
     });
