@@ -27,7 +27,10 @@ pub(crate) struct NodeCell {
 /// * `has_edge` is `O(log deg)`,
 /// * `add_edge` / `del_edge` are `O(deg)` (vector insert/remove at a binary-
 ///   searched position) — the paper's headline contrast with CSR's `O(E)`,
-/// * neighbor iteration is a contiguous scan.
+/// * neighbor iteration is a contiguous scan,
+/// * `clone` copies the node table and shares the id index and every
+///   neighbor list until the copy edits them (one list per first edit,
+///   the index only when a node is added or deleted).
 ///
 /// ```
 /// use ringo_graph::DirectedGraph;
@@ -46,7 +49,7 @@ pub(crate) struct NodeCell {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DirectedGraph {
-    index: IntHashTable<u32>,
+    index: Arc<IntHashTable<u32>>,
     nodes: Vec<Option<NodeCell>>,
     free: Vec<u32>,
     n_nodes: usize,
@@ -63,7 +66,7 @@ impl DirectedGraph {
     /// Creates an empty graph pre-sized for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
-            index: IntHashTable::with_capacity(nodes),
+            index: Arc::new(IntHashTable::with_capacity(nodes)),
             nodes: Vec::with_capacity(nodes),
             ..Self::default()
         }
@@ -122,7 +125,7 @@ impl DirectedGraph {
                 slot
             }
         };
-        self.index.insert(id, slot);
+        Arc::make_mut(&mut self.index).insert(id, slot);
         self.n_nodes += 1;
         self.topology.mark(slot, Direction::Both);
         (slot, true)
@@ -208,7 +211,7 @@ impl DirectedGraph {
         }
         let self_loop = cell.out_nbrs.binary_search(&id).is_ok();
         self.n_edges -= cell.out_nbrs.len() + cell.in_nbrs.len() - usize::from(self_loop);
-        self.index.remove(id);
+        Arc::make_mut(&mut self.index).remove(id);
         self.free.push(slot);
         self.n_nodes -= 1;
         true
@@ -251,6 +254,9 @@ impl DirectedGraph {
     /// adjacency vector capacities. This is what the paper's Table 2
     /// reports as "In-memory Graph Size" — the graph alone; a cached
     /// [`Topology`] is reported by [`DirectedGraph::topology_bytes`].
+    /// Versions share the index and every list neither has edited since
+    /// the clone, and each version counts them in full:
+    /// [`AdjacencyStats::shared_bytes`] says how much of this is shared.
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
         bytes += self.nodes.capacity() * std::mem::size_of::<Option<NodeCell>>();
@@ -284,6 +290,7 @@ impl DirectedGraph {
     /// In debug builds, panics if a vector is unsorted.
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)>) -> Self {
         let mut g = Self::with_capacity(parts.len());
+        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
         let mut n_edges = 0usize;
         for (id, in_nbrs, out_nbrs) in parts {
             debug_assert!(in_nbrs.windows(2).all(|w| w[0] < w[1]));
@@ -295,7 +302,7 @@ impl DirectedGraph {
                 in_nbrs: in_nbrs.into(),
                 out_nbrs: out_nbrs.into(),
             }));
-            let prev = g.index.insert(id, slot);
+            let prev = index.insert(id, slot);
             assert!(prev.is_none(), "duplicate node id {id} in parts");
         }
         g.n_nodes = g.nodes.len();
@@ -343,6 +350,7 @@ impl DirectedGraph {
         debug_assert_eq!(*in_off.last().unwrap_or(&0), in_slab.len());
         debug_assert_eq!(*out_off.last().unwrap_or(&0), out_slab.len());
         let mut g = Self::with_capacity(n);
+        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
         let n_edges = out_slab.len();
         for (k, id) in ids.into_iter().enumerate() {
             debug_assert!(in_slab[in_off[k]..in_off[k + 1]]
@@ -356,7 +364,7 @@ impl DirectedGraph {
                 in_nbrs: NbrList::slab(&in_slab, in_off[k], in_off[k + 1]),
                 out_nbrs: NbrList::slab(&out_slab, out_off[k], out_off[k + 1]),
             }));
-            let prev = g.index.insert(id, slot_u32(k));
+            let prev = index.insert(id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
         }
         g.n_nodes = n;
@@ -386,9 +394,10 @@ impl DirectedGraph {
     ///
     /// Rewriting the adjacency into a new immutable slab is exactly what
     /// a copy-on-write version publish does, so the core crate's
-    /// `Catalog` runs this as one: clone (cheap — slab views share),
-    /// compact the clone, publish it as the next version, and let the
-    /// epoch machinery retire the old slabs once unpinned.
+    /// `Catalog` runs this as one: clone (the node table only — lists and
+    /// index are shared), compact the clone, publish it as the next
+    /// version, and let the epoch machinery retire the old slabs once
+    /// unpinned.
     pub fn compact(&mut self) -> CompactStats {
         let before = self.adjacency_stats();
         let mut ins: Vec<&mut NbrList> = self

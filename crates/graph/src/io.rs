@@ -9,6 +9,7 @@
 //! reconstructed on load).
 
 use crate::{DirectedGraph, NodeId};
+use ringo_concurrent::IntHashTable;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -25,6 +26,8 @@ pub fn save_edge_list(g: &DirectedGraph, path: &Path) -> io::Result<()> {
 
 /// Loads a SNAP-style text edge list (whitespace-separated pairs, `#`
 /// comments ignored). Isolated nodes are not representable in this format.
+/// A line without two integers, or naming the reserved id `i64::MIN`, is
+/// `InvalidData` naming the line.
 pub fn load_edge_list(path: &Path) -> io::Result<DirectedGraph> {
     let mut reader = BufReader::new(std::fs::File::open(path)?);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
@@ -42,12 +45,13 @@ pub fn load_edge_list(path: &Path) -> io::Result<DirectedGraph> {
         }
         let mut fields = t.split_whitespace();
         let parse = |f: Option<&str>| -> io::Result<NodeId> {
-            f.and_then(|x| x.parse().ok()).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("line {lineno}: expected `src dst` integers, got {t:?}"),
-                )
-            })
+            f.and_then(|x| x.parse().ok())
+                .filter(|&id| id != NodeId::MIN)
+                .ok_or_else(|| {
+                    invalid(format!(
+                        "line {lineno}: expected `src dst` integers above i64::MIN, got {t:?}"
+                    ))
+                })
         };
         let s = parse(fields.next())?;
         let d = parse(fields.next())?;
@@ -76,48 +80,59 @@ pub fn save_binary(g: &DirectedGraph, path: &Path) -> io::Result<()> {
 }
 
 /// Loads a graph written by [`save_binary`] (isolated nodes round-trip
-/// through this format, unlike the text edge list).
+/// through this format, unlike the text edge list). A file no writer
+/// produced — a node count its length cannot hold, a reserved or repeated
+/// id, an out-list out of order or naming a node the file does not hold —
+/// is `InvalidData` naming the node; allocation is bounded by the file.
 pub fn load_binary(path: &Path) -> io::Result<DirectedGraph> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
+    let bytes = std::fs::read(path)?;
+    let mut r = &bytes[..];
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a Ringo binary graph file",
-        ));
+        return Err(invalid("not a Ringo binary graph file".into()));
     }
-    let n_nodes = read_u64(&mut r)? as usize;
-    let mut ids = Vec::with_capacity(n_nodes);
-    let mut outs: Vec<Vec<NodeId>> = Vec::with_capacity(n_nodes);
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for _ in 0..n_nodes {
+    // Every node takes 12 bytes or more: a larger count is a lie, not a size.
+    let n = read_u64(&mut r)?;
+    if n > (r.len() / 12) as u64 {
+        return Err(invalid(format!(
+            "header claims {n} nodes in {} bytes",
+            bytes.len()
+        )));
+    }
+    let mut slot_of = IntHashTable::with_capacity(n as usize);
+    let mut parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
+    for k in 0..n as usize {
         let id = read_i64(&mut r)?;
-        let deg = read_u32(&mut r)? as usize;
-        let mut out = Vec::with_capacity(deg);
-        for _ in 0..deg {
-            let n = read_i64(&mut r)?;
-            out.push(n);
-            edges.push((id, n));
+        if id == NodeId::MIN || slot_of.insert(id, k).is_some() {
+            return Err(invalid(format!(
+                "node {id}: the id is reserved or repeated"
+            )));
         }
-        ids.push(id);
-        outs.push(out);
+        let mut out = Vec::new();
+        for _ in 0..read_u32(&mut r)? {
+            out.push(read_i64(&mut r)?);
+        }
+        if !out.windows(2).all(|w| w[0] < w[1]) {
+            return Err(invalid(format!(
+                "node {id}: out-list not strictly ascending"
+            )));
+        }
+        parts.push((id, Vec::new(), out));
     }
-    // Rebuild in-adjacency from the edge list.
-    let mut rev: Vec<(NodeId, NodeId)> = edges.iter().map(|&(s, d)| (d, s)).collect();
-    rev.sort_unstable();
-    let mut parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = Vec::with_capacity(n_nodes);
-    // Map id -> in-list via a single sorted sweep.
-    let mut in_lists: std::collections::HashMap<NodeId, Vec<NodeId>> =
-        std::collections::HashMap::with_capacity(n_nodes);
-    for &(d, s) in &rev {
-        in_lists.entry(d).or_default().push(s);
+    // In-lists: each source appended to its target's list, then sorted.
+    for k in 0..parts.len() {
+        for j in 0..parts[k].2.len() {
+            let (id, d) = (parts[k].0, parts[k].2[j]);
+            let t = *slot_of.get(d).ok_or_else(|| {
+                invalid(format!(
+                    "node {id}: out-neighbour {d} is not a node of the file"
+                ))
+            })?;
+            parts[t].1.push(id);
+        }
     }
-    for (id, out) in ids.into_iter().zip(outs) {
-        let mut in_nbrs = in_lists.remove(&id).unwrap_or_default();
-        in_nbrs.dedup();
-        parts.push((id, in_nbrs, out));
-    }
+    parts.iter_mut().for_each(|p| p.1.sort_unstable());
     Ok(DirectedGraph::from_parts(parts))
 }
 
@@ -154,6 +169,10 @@ pub fn graph_from_edges(edges: &[(NodeId, NodeId)]) -> DirectedGraph {
         parts.push((id, inn, out));
     }
     DirectedGraph::from_parts(parts)
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 fn read_u64(r: &mut impl Read) -> io::Result<u64> {
@@ -250,6 +269,126 @@ mod tests {
         let bytes = std::fs::read(&p).unwrap();
         std::fs::write(&p, &bytes[..bytes.len() - 3]).unwrap();
         assert!(load_binary(&p).is_err());
+        std::fs::remove_file(p).ok();
+    }
+
+    /// A binary file holding `nodes` exactly as given: `(id, out-list)`.
+    fn binary_file(nodes: &[(NodeId, &[NodeId])]) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.extend((nodes.len() as u64).to_le_bytes());
+        for (id, out) in nodes {
+            b.extend(id.to_le_bytes());
+            b.extend((out.len() as u32).to_le_bytes());
+            out.iter().for_each(|n| b.extend(n.to_le_bytes()));
+        }
+        b
+    }
+
+    /// Loads `bytes` with `load`; the error must be `InvalidData` naming `what`.
+    fn assert_invalid(load: fn(&Path) -> io::Result<DirectedGraph>, bytes: &[u8], what: &str) {
+        let p = tmp("hostile");
+        std::fs::write(&p, bytes).unwrap();
+        let err = load(&p).expect_err(what);
+        std::fs::remove_file(p).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains(what), "{err} names {what:?}");
+    }
+
+    #[test]
+    fn binary_load_rejects_hostile_files_naming_the_node() {
+        let mut huge = binary_file(&[]);
+        huge[8..16].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        assert_invalid(load_binary, &huge, "4611686018427387904 nodes");
+        let mut many = binary_file(&[(1, &[])]);
+        many[8..16].copy_from_slice(&3u64.to_le_bytes());
+        assert_invalid(load_binary, &many, "3 nodes");
+        let dup = binary_file(&[(1, &[2]), (2, &[]), (1, &[])]);
+        assert_invalid(load_binary, &dup, "node 1: the id is reserved or repeated");
+        let unsorted = binary_file(&[(1, &[3, 2]), (2, &[]), (3, &[])]);
+        assert_invalid(load_binary, &unsorted, "node 1: out-list not strictly");
+        let repeated = binary_file(&[(1, &[2, 2]), (2, &[])]);
+        assert_invalid(load_binary, &repeated, "node 1: out-list not strictly");
+        let absent = binary_file(&[(1, &[2, 3]), (2, &[])]);
+        assert_invalid(load_binary, &absent, "node 1: out-neighbour 3 is not");
+        let reserved = binary_file(&[(i64::MIN, &[])]);
+        assert_invalid(load_binary, &reserved, &format!("node {}", i64::MIN));
+        let names_reserved = binary_file(&[(1, &[i64::MIN])]);
+        assert_invalid(load_binary, &names_reserved, "is not a node");
+        // A degree the file cannot hold runs out of bytes, not memory.
+        let mut deep = binary_file(&[(1, &[])]);
+        deep[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        let p = tmp("deep.rg");
+        std::fs::write(&p, &deep).unwrap();
+        assert_eq!(
+            load_binary(&p).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn text_load_rejects_the_reserved_id_naming_the_line() {
+        let min = i64::MIN;
+        assert_invalid(
+            load_edge_list,
+            format!("1 2\n{min} 2\n").as_bytes(),
+            "line 2",
+        );
+        assert_invalid(
+            load_edge_list,
+            format!("# x\n3\t{min}\n").as_bytes(),
+            "line 2",
+        );
+    }
+
+    /// Seeded single-byte mutations (truncate, delete, insert, overwrite)
+    /// of a saved file: every load is `Ok` or `Err`, never a panic.
+    fn fuzz(saved: &[u8], load: fn(&Path) -> io::Result<DirectedGraph>, seed: u64) -> (u32, u32) {
+        let mut state = seed;
+        let mut below = |n: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let edits = b"\t\n #-0123456789\x00\x01\x7f\x80\xff";
+        let p = tmp(&format!("fuzz{seed}"));
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..1_500 {
+            let mut file = saved.to_vec();
+            let at = below(file.len());
+            match below(4) {
+                0 => file.truncate(at),
+                1 => drop(file.remove(at)),
+                2 => file.insert(at, edits[below(edits.len())]),
+                _ => file[at] = edits[below(edits.len())],
+            }
+            std::fs::write(&p, &file).unwrap();
+            match load(&p) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+        std::fs::remove_file(p).ok();
+        (ok, err)
+    }
+
+    #[test]
+    fn single_byte_mutations_of_saved_files_never_panic() {
+        let mut g = sample();
+        for k in 0..40 {
+            g.add_edge(k * 7 - 90, (k * 13) % 50);
+        }
+        g.add_node(i64::MAX);
+        let p = tmp("fuzz_base");
+        save_binary(&g, &p).unwrap();
+        let (ok, err) = fuzz(&std::fs::read(&p).unwrap(), load_binary, 22);
+        assert!(ok > 20 && err > 500, "binary: {ok} ok, {err} err");
+        save_edge_list(&g, &p).unwrap();
+        let (ok, err) = fuzz(&std::fs::read(&p).unwrap(), load_edge_list, 23);
+        assert!(ok > 500 && err > 20, "text: {ok} ok, {err} err");
         std::fs::remove_file(p).ok();
     }
 

@@ -6,10 +6,14 @@
 //! adjacency just to change its ownership — for a million-edge graph
 //! that copy costs more than the fill itself. Instead a [`NbrList`] can
 //! *borrow* its range of the shared slab (an `Arc<[NodeId]>` kept alive
-//! by every node that references it) and only materializes a private
-//! `Vec` the first time that node's adjacency is mutated. Read paths see
+//! by every node that references it) and only materializes a list of its
+//! own the first time that node's adjacency is mutated. Read paths see
 //! a `&[NodeId]` either way via `Deref`, so lookups and iteration are
 //! identical for both representations.
+//!
+//! A list of its own is an `Arc<Vec<NodeId>>`, so a graph clone shares it
+//! too and a version copies a list only on its first edit of it. An empty
+//! list is a view of the empty slab and allocates nothing.
 
 use crate::NodeId;
 use std::ops::Deref;
@@ -23,12 +27,13 @@ pub fn new_slab(len: usize) -> Arc<[NodeId]> {
     std::iter::repeat_n(0, len).collect()
 }
 
-/// One node's sorted neighbor list: either privately owned or a range of
-/// a bulk-load slab shared with the other nodes built in the same batch.
+/// One node's sorted neighbor list: either a list of its own (shared with
+/// the graph versions cloned since its last edit) or a range of a
+/// bulk-load slab shared with the other nodes built in the same batch.
 #[derive(Clone, Debug)]
 pub(crate) enum NbrList {
-    /// Node-private storage; every mutation path lands here.
-    Owned(Vec<NodeId>),
+    /// This node's storage; every mutation path lands here.
+    Owned(Arc<Vec<NodeId>>),
     /// `buf[lo..hi]`, copy-on-write. Bounds are `u32` to keep the enum at
     /// `Vec` size; [`NbrList::slab`] falls back to owning when a slab is
     /// too large to index with 32 bits.
@@ -41,7 +46,8 @@ pub(crate) enum NbrList {
 
 impl Default for NbrList {
     fn default() -> Self {
-        NbrList::Owned(Vec::new())
+        // `Arc::<[_]>::default` points at a static: no allocation.
+        NbrList::slab(&Arc::default(), 0, 0)
     }
 }
 
@@ -59,7 +65,10 @@ impl Deref for NbrList {
 
 impl From<Vec<NodeId>> for NbrList {
     fn from(v: Vec<NodeId>) -> Self {
-        NbrList::Owned(v)
+        if v.is_empty() {
+            return NbrList::default();
+        }
+        NbrList::Owned(Arc::new(v))
     }
 }
 
@@ -74,25 +83,30 @@ impl NbrList {
                 hi: hi as u32,
             }
         } else {
-            NbrList::Owned(buf[lo..hi].to_vec())
+            buf[lo..hi].to_vec().into()
         }
     }
 
-    /// Mutable access, converting a slab view into owned storage first
-    /// (one exact-capacity copy of this node's neighbors only).
+    /// Mutable access. A list this version holds alone is edited in
+    /// place; a slab view or a list another version shares is first
+    /// copied — this node's neighbors only, into room for one more, since
+    /// an edit follows.
     pub(crate) fn to_mut(&mut self) -> &mut Vec<NodeId> {
-        if let NbrList::Slab { .. } = self {
-            *self = NbrList::Owned(self.deref().to_vec());
+        if !matches!(self, NbrList::Owned(v) if Arc::strong_count(v) == 1) {
+            let mut v = Vec::with_capacity(self.len() + 1);
+            v.extend_from_slice(self);
+            *self = NbrList::Owned(Arc::new(v));
         }
         match self {
-            NbrList::Owned(v) => v,
+            NbrList::Owned(v) => Arc::make_mut(v), // held once: never clones
             NbrList::Slab { .. } => unreachable!("just converted"),
         }
     }
 
     /// Heap bytes attributable to this list. Slab ranges partition their
     /// slab, so charging each node its own range sums to the slab's true
-    /// footprint (the `Arc` header is ignored as per-batch constant).
+    /// footprint (the `Arc` header is ignored as per-batch constant). A
+    /// list of its own is charged in full to every version that holds it.
     ///
     /// After mutations this *understates* retention: a view's dead
     /// sibling ranges keep the whole slab alive but are charged to
@@ -130,6 +144,10 @@ impl NbrList {
             None => {
                 stats.owned_lists += 1;
                 stats.owned_bytes += self.heap_bytes();
+                if matches!(self, NbrList::Owned(v) if Arc::strong_count(v) > 1) {
+                    stats.shared_lists += 1;
+                    stats.shared_bytes += self.heap_bytes();
+                }
             }
         }
     }
@@ -179,6 +197,12 @@ pub struct AdjacencyStats {
     pub total_slab_bytes: usize,
     /// Bytes held by privately-owned lists (capacity, not length).
     pub owned_bytes: usize,
+    /// Of the owned lists, those this version shares with another
+    /// version (cloned since the list's last edit): each is counted in
+    /// every version that holds it.
+    pub shared_lists: usize,
+    /// Bytes of the shared owned lists (capacity, not length).
+    pub shared_bytes: usize,
 }
 
 impl AdjacencyStats {
@@ -249,6 +273,37 @@ mod tests {
         assert_eq!(&*a, &[10, 20, 25]);
         assert_eq!(&*b, &[30], "sibling view untouched");
         assert_eq!(buf[0], 10, "slab itself untouched");
+        assert_eq!(a.heap_bytes(), 3 * std::mem::size_of::<NodeId>(), "len + 1");
+    }
+
+    #[test]
+    fn to_mut_edits_a_list_held_once_and_copies_a_shared_one() {
+        let mut v = Vec::with_capacity(8);
+        v.extend([1i64, 2]);
+        let mut a = NbrList::from(v);
+        let at = a.as_ptr();
+        a.to_mut().push(3);
+        assert_eq!(a.as_ptr(), at, "held once: edited in place");
+        let mut b = a.clone();
+        assert_eq!(b.as_ptr(), at, "a clone shares the list");
+        let mut stats = AdjacencyStats::default();
+        a.accumulate(&mut stats, &mut Default::default());
+        assert_eq!((stats.owned_lists, stats.shared_lists), (1, 1));
+        b.to_mut().push(4);
+        assert_ne!(b.as_ptr(), at, "the first edit copies");
+        assert_eq!((&*a, &*b), (&[1, 2, 3][..], &[1, 2, 3, 4][..]));
+        let at = b.as_ptr();
+        b.to_mut().remove(0);
+        assert_eq!(b.as_ptr(), at, "the copy is this version's alone");
+    }
+
+    #[test]
+    fn empty_lists_are_views_of_the_empty_slab() {
+        for empty in [NbrList::default(), NbrList::from(Vec::with_capacity(8))] {
+            assert!(empty.is_empty());
+            assert_eq!(empty.slab_id().map(|(_, len)| len), Some(0));
+            assert_eq!(empty.heap_bytes(), 0);
+        }
     }
 
     #[test]
@@ -262,7 +317,7 @@ mod tests {
     fn compact_rewrites_views_and_owned_into_one_slab() {
         let buf: Arc<[NodeId]> = Arc::from(vec![1i64, 2, 3, 4, 5, 6]);
         let mut a = NbrList::slab(&buf, 0, 2); // survives
-        let mut b = NbrList::Owned(vec![7, 8, 9]); // materialized earlier
+        let mut b = NbrList::from(vec![7, 8, 9]); // materialized earlier
         let mut c = NbrList::slab(&buf, 4, 6); // survives; [2..4] is dead
         let old_weak = Arc::downgrade(&buf);
         drop(buf);
@@ -284,8 +339,8 @@ mod tests {
     #[test]
     fn compact_handles_empty_input_and_empty_lists() {
         NbrList::compact(&mut []);
-        let mut a = NbrList::Owned(Vec::new());
-        let mut b = NbrList::Owned(vec![1]);
+        let mut a = NbrList::default();
+        let mut b = NbrList::from(vec![1]);
         NbrList::compact(&mut [&mut a, &mut b]);
         assert!(a.is_empty());
         assert_eq!(&*b, &[1]);

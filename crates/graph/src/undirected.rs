@@ -22,7 +22,7 @@ struct UNodeCell {
 /// vectors (a self-loop appears once, in its own node's vector).
 #[derive(Clone, Debug, Default)]
 pub struct UndirectedGraph {
-    index: IntHashTable<u32>,
+    index: Arc<IntHashTable<u32>>,
     nodes: Vec<Option<UNodeCell>>,
     free: Vec<u32>,
     n_nodes: usize,
@@ -39,7 +39,7 @@ impl UndirectedGraph {
     /// Creates an empty graph pre-sized for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
-            index: IntHashTable::with_capacity(nodes),
+            index: Arc::new(IntHashTable::with_capacity(nodes)),
             nodes: Vec::with_capacity(nodes),
             ..Self::default()
         }
@@ -98,7 +98,7 @@ impl UndirectedGraph {
                 slot
             }
         };
-        self.index.insert(id, slot);
+        Arc::make_mut(&mut self.index).insert(id, slot);
         self.n_nodes += 1;
         self.topology.mark(slot, Direction::Both);
         (slot, true)
@@ -171,7 +171,7 @@ impl UndirectedGraph {
             self.topology.mark(n, Direction::Both);
         }
         self.n_edges -= cell.nbrs.len();
-        self.index.remove(id);
+        Arc::make_mut(&mut self.index).remove(id);
         self.free.push(slot);
         self.n_nodes -= 1;
         true
@@ -279,6 +279,7 @@ impl UndirectedGraph {
     /// [`crate::DirectedGraph::from_parts`].
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>)>) -> Self {
         let mut g = Self::with_capacity(parts.len());
+        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
         let mut edge_ends = 0usize;
         let mut self_loops = 0usize;
         for (id, nbrs) in parts {
@@ -290,7 +291,7 @@ impl UndirectedGraph {
                 id,
                 nbrs: nbrs.into(),
             }));
-            let prev = g.index.insert(id, slot);
+            let prev = index.insert(id, slot);
             assert!(prev.is_none(), "duplicate node id {id} in parts");
         }
         g.n_nodes = g.nodes.len();
@@ -318,6 +319,7 @@ impl UndirectedGraph {
         );
         debug_assert_eq!(*off.last().unwrap_or(&0), slab.len());
         let mut g = Self::with_capacity(n);
+        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
         let mut edge_ends = 0usize;
         let mut self_loops = 0usize;
         for (k, id) in ids.into_iter().enumerate() {
@@ -329,7 +331,7 @@ impl UndirectedGraph {
                 id,
                 nbrs: NbrList::slab(&slab, off[k], off[k + 1]),
             }));
-            let prev = g.index.insert(id, slot_u32(k));
+            let prev = index.insert(id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
         }
         g.n_nodes = n;

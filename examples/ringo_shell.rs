@@ -556,10 +556,14 @@ impl Shell {
                     );
                     let adj = g.adjacency_stats();
                     println!(
-                        "  adjacency: {} slab views + {} owned lists, {} live / {} slab bytes \
-                         ({} dead; `compact {name}` reclaims)",
+                        "  adjacency: {} slab views + {} owned lists ({}, {} shared with \
+                         another version: {}), {} live / {} slab bytes ({} dead; \
+                         `compact {name}` reclaims)",
                         adj.slab_lists,
                         adj.owned_lists,
+                        format_bytes(adj.owned_bytes),
+                        adj.shared_lists,
+                        format_bytes(adj.shared_bytes),
                         format_bytes(adj.live_slab_bytes),
                         format_bytes(adj.total_slab_bytes),
                         format_bytes(adj.dead_slab_bytes())
