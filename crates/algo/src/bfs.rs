@@ -2,64 +2,37 @@
 //!
 //! All entry points route through the shared parallel frontier engine in
 //! [`crate::frontier`] — dense slot-indexed state, morsel-parallel
-//! expansion, direction-optimizing top-down/bottom-up switching. The
-//! hash-map outputs here exist for API compatibility; callers that want
-//! the flat state should use [`crate::frontier::FrontierEngine`]
-//! directly.
+//! expansion, direction-optimizing top-down/bottom-up switching — with
+//! the pool's thread count and the default crossover. Results are
+//! [`NodeValues`] columns on the graph's own id index; callers that want
+//! other parameters, or the flat state itself, use
+//! [`crate::frontier::FrontierEngine`] directly.
 
-use crate::frontier::{FrontierEngine, FrontierState};
-use ringo_concurrent::IntHashTable;
-use ringo_graph::{DirectedTopology, NodeId};
+use crate::frontier::FrontierEngine;
+use ringo_graph::{DirectedTopology, NodeId, NodeValues};
 
 pub use ringo_graph::Direction;
 
-/// BFS hop distances from `src`, as a map id → distance (the source maps
-/// to 0). Unreachable nodes are absent. Returns an empty map when `src`
-/// is not in the graph.
-pub fn bfs_distances<G: DirectedTopology>(g: &G, src: NodeId, dir: Direction) -> IntHashTable<u32> {
+/// BFS hop distances from `src` (the source has 0), in ascending slot
+/// order. Unreachable nodes have no value; empty when `src` is not in the
+/// graph.
+pub fn bfs_distances<G: DirectedTopology>(g: &G, src: NodeId, dir: Direction) -> NodeValues<u32> {
     let mut sp = ringo_trace::span!("algo.bfs");
     sp.rows_in(g.node_count());
-    let out = match FrontierEngine::new(g, dir).run(src) {
-        Some(state) => distances_table(g, &state),
-        None => IntHashTable::new(),
-    };
+    let out = FrontierEngine::new(g, dir).distances(src);
     sp.rows_out(out.len());
     out
 }
 
-/// BFS tree from `src`, as a map id → parent id (the source maps to
-/// itself). Unreachable nodes are absent; empty when `src` is missing.
-/// Parents are deterministic at every thread count: among all
+/// BFS tree from `src`: each reached node's parent id (the source is its
+/// own parent). Unreachable nodes have no value; empty when `src` is
+/// missing. Parents are deterministic at every thread count: among all
 /// shortest-path predecessors, the one in the minimum slot wins.
-pub fn bfs_tree<G: DirectedTopology>(g: &G, src: NodeId, dir: Direction) -> IntHashTable<NodeId> {
+pub fn bfs_tree<G: DirectedTopology>(g: &G, src: NodeId, dir: Direction) -> NodeValues<NodeId> {
     let mut sp = ringo_trace::span!("algo.bfs.tree");
     sp.rows_in(g.node_count());
-    let mut out = IntHashTable::new();
-    if let Some(state) = FrontierEngine::new(g, dir).run(src) {
-        out = IntHashTable::with_capacity(state.visited.len());
-        for &s in &state.visited {
-            let id = g.slot_id(s as usize).expect("visited slot is live");
-            let pid = g
-                .slot_id(state.parent[s as usize] as usize)
-                .expect("parent slot is live");
-            out.insert(id, pid);
-        }
-    }
+    let out = FrontierEngine::new(g, dir).tree(src);
     sp.rows_out(out.len());
-    out
-}
-
-/// Converts a finished run's flat distances into the id-keyed table shape
-/// the original sequential BFS produced.
-pub(crate) fn distances_table<G: DirectedTopology>(
-    g: &G,
-    state: &FrontierState,
-) -> IntHashTable<u32> {
-    let mut out = IntHashTable::with_capacity(state.visited.len());
-    for &s in &state.visited {
-        let id = g.slot_id(s as usize).expect("visited slot is live");
-        out.insert(id, state.dist[s as usize]);
-    }
     out
 }
 

@@ -1,8 +1,7 @@
 //! Community detection by asynchronous label propagation.
 
 use crate::components::Components;
-use ringo_concurrent::IntHashTable;
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
 use std::collections::HashMap;
 
 /// xorshift64* — deterministic pseudo-randomness for processing order and
@@ -31,9 +30,11 @@ impl Rng {
 /// `max_iters` passes.
 ///
 /// Deterministic for a fixed `seed`. Returns assignments packed like a
-/// component decomposition.
+/// component decomposition. Votes are read from the graph's slot rows, in
+/// adjacency order.
 pub fn label_propagation(g: &UndirectedGraph, max_iters: usize, seed: u64) -> Components {
     let n_slots = g.n_slots();
+    let topo = g.topology();
     let mut label: Vec<u32> = (0..n_slots as u32).collect();
     let live: Vec<usize> = (0..n_slots).filter(|&s| g.slot_id(s).is_some()).collect();
     let mut rng = Rng(seed | 1);
@@ -48,17 +49,16 @@ pub fn label_propagation(g: &UndirectedGraph, max_iters: usize, seed: u64) -> Co
         }
         let mut changed = false;
         for &s in &order {
-            let nbrs = g.nbrs_of_slot(s);
+            let nbrs = topo.out_row(s);
             if nbrs.is_empty() {
                 continue;
             }
             counts.clear();
-            for &n in nbrs {
-                let ns = g.slot_of(n).expect("neighbor exists");
-                if ns == s {
+            for &ns in nbrs {
+                if ns as usize == s {
                     continue; // a self-loop is not a community vote
                 }
-                *counts.entry(label[ns]).or_insert(0) += 1;
+                *counts.entry(label[ns as usize]).or_insert(0) += 1;
             }
             let Some(&best_count) = counts.values().max() else {
                 continue; // only self-loops
@@ -88,21 +88,22 @@ pub fn label_propagation(g: &UndirectedGraph, max_iters: usize, seed: u64) -> Co
         }
     }
 
-    // Pack labels densely.
+    // Renumber labels densely, by first appearance in slot order.
     let mut dense: HashMap<u32, u32> = HashMap::new();
     let mut sizes: Vec<usize> = Vec::new();
-    let mut comp_of = IntHashTable::with_capacity(g.node_count());
     for &s in &live {
-        let id = g.slot_id(s).expect("live slot");
         let next = dense.len() as u32;
         let c = *dense.entry(label[s]).or_insert(next);
         if c as usize == sizes.len() {
             sizes.push(0);
         }
         sizes[c as usize] += 1;
-        comp_of.insert(id, c);
+        label[s] = c;
     }
-    Components { comp_of, sizes }
+    Components {
+        comp_of: g.node_values(label, live.len(), |_| true),
+        sizes,
+    }
 }
 
 /// Convenience: community of one node after propagation.

@@ -1,15 +1,14 @@
 //! Connected components: weak (edge direction ignored) and strong
 //! (mutually reachable). SCC decomposition is a Table 6 kernel.
 
-use crate::frontier::{FrontierEngine, FrontierState};
-use ringo_concurrent::IntHashTable;
-use ringo_graph::{DirectedTopology, Direction, NodeId};
+use crate::frontier::{FrontierEngine, FrontierState, UNVISITED};
+use ringo_graph::{DirectedTopology, Direction, NodeId, NodeValues};
 
 /// Result of a component decomposition.
 #[derive(Clone, Debug)]
 pub struct Components {
-    /// Map id → dense component index.
-    pub comp_of: IntHashTable<u32>,
+    /// Dense component index of every node, in ascending slot order.
+    pub comp_of: NodeValues<u32>,
     /// Size of each component, indexed by component index.
     pub sizes: Vec<usize>,
 }
@@ -30,8 +29,6 @@ impl Components {
         self.comp_of.get(id).copied()
     }
 }
-
-const UNVISITED: u32 = u32::MAX;
 
 /// Weakly connected components: treats every edge as undirected and
 /// labels each node with its component.
@@ -61,7 +58,10 @@ pub fn weakly_connected_components<G: DirectedTopology>(g: &G) -> Components {
             comp[s as usize] = c;
         }
     }
-    let out = pack(g, &comp, sizes);
+    let out = Components {
+        comp_of: g.node_values(comp, g.node_count(), |&c| c != UNVISITED),
+        sizes,
+    };
     sp.rows_out(out.n_components());
     out
 }
@@ -132,20 +132,12 @@ pub fn strongly_connected_components<G: DirectedTopology>(g: &G) -> Components {
             }
         }
     }
-    let out = pack(g, &comp, sizes);
+    let out = Components {
+        comp_of: g.node_values(comp, g.node_count(), |&c| c != UNVISITED),
+        sizes,
+    };
     sp.rows_out(out.n_components());
     out
-}
-
-fn pack<G: DirectedTopology>(g: &G, comp: &[u32], sizes: Vec<usize>) -> Components {
-    let mut comp_of = IntHashTable::with_capacity(g.node_count());
-    for (slot, &c) in comp.iter().enumerate() {
-        if let Some(id) = g.slot_id(slot) {
-            debug_assert_ne!(c, UNVISITED, "live node left unlabeled");
-            comp_of.insert(id, c);
-        }
-    }
-    Components { comp_of, sizes }
 }
 
 #[cfg(test)]

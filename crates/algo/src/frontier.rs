@@ -8,9 +8,11 @@
 //! per visited node. This module replaces all of them with one
 //! level-synchronous engine:
 //!
-//! * **Flat state.** Distances and parents are dense `u32` arrays indexed
-//!   by slot (`u32::MAX` = unvisited); no hash maps, no boxed iterators,
-//!   zero allocations per visited node.
+//! * **Flat state.** Distances are a dense `u32` array indexed by slot
+//!   (`u32::MAX` = unvisited); no hash maps, no boxed iterators, zero
+//!   allocations per visited node. The engine keeps no parents: only
+//!   [`FrontierEngine::tree`] wants them, and it derives them from the
+//!   distances after the run.
 //! * **Slot-CSR adjacency.** The engine walks the graph's
 //!   [`Topology`]: rows of neighbor *slots*, translated from ids once
 //!   per graph version and cached on the graph, so constructing an
@@ -24,34 +26,34 @@
 //!   *top-down* (each frontier node pushes to unvisited neighbors,
 //!   claiming them with a compare-exchange) until the frontier's edge
 //!   mass exceeds `unexplored / alpha`, then flip to *bottom-up* (each
-//!   unvisited node pulls — scans its reverse neighbors for any frontier
-//!   member, tracked in a [`ConcurrentBitset`]), and back to top-down
-//!   once the frontier shrinks below `live / beta`. `alpha`/`beta`
-//!   are 15/18 unless the caller passes others to
+//!   unvisited node pulls — scans its reverse neighbors and stops at the
+//!   first frontier member, tracked in a [`ConcurrentBitset`]), and back
+//!   to top-down once the frontier shrinks below `live / beta`.
+//!   `alpha`/`beta` are 15/18 unless the caller passes others to
 //!   [`FrontierEngine::with_params`].
 //!
 //! **Determinism.** Distances are level-synchronous and therefore
-//! set-determined. Parents are tie-broken to the *minimum slot* among all
-//! previous-level candidates: top-down claims `fetch_min` the parent word
-//! (every same-level discoverer participates, not just the claim winner),
-//! and bottom-up scans the full reverse adjacency for the smallest
-//! frontier slot. Both phases compute the same function, so `dist` and
-//! `parent` are bit-identical at every thread count, every morsel size,
-//! and every alpha/beta setting.
+//! set-determined: a slot is reached at level `l + 1` exactly when it is
+//! unvisited and has a neighbour in level `l`, whichever phase, thread or
+//! morsel finds it. `dist` is bit-identical at every thread count, every
+//! morsel size and every alpha/beta setting. A tree parent is a function
+//! of `dist` alone — the minimum slot among the predecessors one level up
+//! — so [`FrontierEngine::tree`] inherits the same guarantee.
 //!
 //! Per-level work is visible to the flight recorder as
 //! `algo.bfs.topdown` / `algo.bfs.bottomup` spans (rows in = frontier
 //! size, rows out = next frontier size) plus `algo.bfs.*` counters for
-//! switch points and worker busy-time.
+//! switch points, worker busy-time and `algo.bfs.edges_scanned` — row
+//! entries examined, which repeats exactly at a fixed thread count and
+//! shows how much of its pull rows the bottom-up early exit skipped.
 
 use crate::bfs::Direction;
 use ringo_concurrent::{num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset};
-use ringo_graph::{DirectedTopology, NodeId, Topology};
+use ringo_graph::{DirectedTopology, NodeId, NodeValues, Topology};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Sentinel for "not reached" in [`FrontierState::dist`] and
-/// [`FrontierState::parent`].
+/// Sentinel for "not reached" in [`FrontierState::dist`].
 pub const UNVISITED: u32 = u32::MAX;
 
 /// Frontiers below this edge mass are expanded inline even when the
@@ -73,13 +75,9 @@ const DEFAULT_BETA: u64 = 18;
 pub struct FrontierState {
     /// Hop distance per slot; [`UNVISITED`] for unreached or vacant slots.
     pub dist: Vec<u32>,
-    /// Parent *slot* per reached slot (the source is its own parent);
-    /// [`UNVISITED`] elsewhere. Deterministic: minimum slot among all
-    /// previous-level neighbors.
-    pub parent: Vec<u32>,
     /// Slots reached by the run, frontier by frontier. Within one level
     /// the order is unspecified under parallel expansion (membership is
-    /// deterministic; use `dist`/`parent` for ordered output).
+    /// deterministic; use `dist` for ordered output).
     pub visited: Vec<u32>,
     /// Offsets into `visited`: level `l` of the last run is
     /// `visited[level_starts[l]..level_starts[l + 1]]`
@@ -94,7 +92,6 @@ impl FrontierState {
     pub fn new(n_slots: usize) -> Self {
         Self {
             dist: vec![UNVISITED; n_slots],
-            parent: vec![UNVISITED; n_slots],
             visited: Vec::with_capacity(n_slots),
             level_starts: Vec::new(),
             levels: 0,
@@ -106,7 +103,6 @@ impl FrontierState {
     pub fn reset(&mut self) {
         for &s in &self.visited {
             self.dist[s as usize] = UNVISITED;
-            self.parent[s as usize] = UNVISITED;
         }
         self.visited.clear();
         self.level_starts.clear();
@@ -181,6 +177,56 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         Some(state)
     }
 
+    /// BFS hop distances from `src` as slot-ordered columns (the source
+    /// has 0; unreached nodes have no value). Empty when `src` is not in
+    /// the graph. The run's distance array becomes the value column.
+    pub fn distances(&self, src: NodeId) -> NodeValues<u32> {
+        match self.run(src) {
+            Some(FrontierState { dist, visited, .. }) => {
+                let reached = visited.len();
+                // Freed before the id column is allocated: the peak is
+                // distances + positions + ids, not the visit log too.
+                drop(visited);
+                self.g.node_values(dist, reached, |&d| d != UNVISITED)
+            }
+            None => self.g.node_values(Vec::new(), 0, |_| true),
+        }
+    }
+
+    /// BFS tree from `src`: each reached node's parent id (the source is
+    /// its own parent). Empty when `src` is not in the graph.
+    ///
+    /// The run keeps no parents; they are derived afterwards in one pass
+    /// over the reached slots' pull rows: a node's parent is the
+    /// minimum-slot predecessor one level up. That is a function of the
+    /// distances alone, so the tree is identical at every thread count
+    /// and crossover setting.
+    pub fn tree(&self, src: NodeId) -> NodeValues<NodeId> {
+        let Some(state) = self.run(src) else {
+            return self.g.node_values(Vec::new(), 0, |_| true);
+        };
+        let pull = self.dir.reversed();
+        let mut parent = vec![UNVISITED; state.dist.len()];
+        for &v in &state.visited {
+            let vs = v as usize;
+            parent[vs] = match state.dist[vs] {
+                0 => v,
+                d => {
+                    let [a, b] = self.topo.rows(vs, pull);
+                    a.iter()
+                        .chain(b)
+                        .copied()
+                        .filter(|&u| state.dist[u as usize] == d - 1)
+                        .min()
+                        .expect("a reached slot has a predecessor one level up")
+                }
+            };
+        }
+        self.g
+            .node_values(parent, state.visited.len(), |&p| p != UNVISITED)
+            .map(|p| self.g.slot_id(p as usize).expect("parent slot is live"))
+    }
+
     /// BFS from the live slot `src_slot` into caller-owned state, which
     /// must hold [`UNVISITED`] in every slot this run can reach (reuse
     /// across disjoint regions — e.g. component sweeps — is the point:
@@ -192,7 +238,6 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         debug_assert_eq!(state.dist.len(), n_slots, "state sized for this graph");
         debug_assert_eq!(state.dist[src_slot], UNVISITED, "source already claimed");
         state.dist[src_slot] = 0;
-        state.parent[src_slot] = src_slot as u32;
         state.level_starts.clear();
         let run_start = state.visited.len();
         state.visited.push(src_slot as u32);
@@ -205,6 +250,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         let mut bits_cur: Option<ConcurrentBitset> = None;
         let mut bits_next: Option<ConcurrentBitset> = None;
         let mut switches = 0u64;
+        let mut scanned = 0u64;
 
         while lo < state.visited.len() {
             state.level_starts.push(lo as u32);
@@ -228,8 +274,10 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
             });
             sp.rows_in(hi - lo);
 
-            let next_edges = if !par {
-                self.step_seq(state, lo, hi, level)
+            // A top-down level reads every row of its frontier in full:
+            // exactly the frontier's edge mass.
+            let (next_edges, level_scanned) = if !par {
+                (self.step_seq(state, lo, hi, level), frontier_edges)
             } else if bottom {
                 let (cur, next) = self.prepare_bitsets(
                     &mut bits_cur,
@@ -237,18 +285,19 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                     prev_bottom,
                     &state.visited[lo..hi],
                 );
-                let edges = self.step_bottom_up(state, level, &cur, &next);
+                let step = self.step_bottom_up(state, level, &cur, &next);
                 // Keep the sets: on a bottom-up → bottom-up transition
                 // `next` holds the frontier the following level pulls
                 // against.
                 bits_cur = Some(cur);
                 bits_next = Some(next);
-                edges
+                step
             } else {
-                self.step_top_down(state, lo, hi, level)
+                (self.step_top_down(state, lo, hi, level), frontier_edges)
             };
 
             sp.rows_out(state.visited.len() - hi);
+            scanned += level_scanned;
             unexplored -= next_edges.min(unexplored);
             frontier_edges = next_edges;
             prev_bottom = bottom;
@@ -258,6 +307,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         state.level_starts.push(lo as u32);
         state.levels = level;
         ringo_trace::counter("algo.bfs.switches").add(switches);
+        ringo_trace::counter("algo.bfs.edges_scanned").add(scanned);
         level
     }
 
@@ -278,13 +328,8 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                     let vs = v as usize;
                     if state.dist[vs] == UNVISITED {
                         state.dist[vs] = d1;
-                        state.parent[vs] = u;
                         state.visited.push(v);
                         next_edges += u64::from(self.topo.degree(vs, self.dir));
-                    } else if state.dist[vs] == d1 && u < state.parent[vs] {
-                        // Same-level rediscovery: keep the minimum-slot
-                        // parent.
-                        state.parent[vs] = u;
                     }
                 }
             }
@@ -294,11 +339,10 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
 
     /// Parallel top-down push: morsels over the frontier; unvisited
     /// neighbors are claimed with a compare-exchange on their distance
-    /// word, and every same-level discoverer `fetch_min`s the parent.
+    /// word, tried only after a plain load still sees them unvisited.
     fn step_top_down(&self, state: &mut FrontierState, lo: usize, hi: usize, level: u32) -> u64 {
         let d1 = level + 1;
         let dist = as_atomic(&mut state.dist);
-        let parent = as_atomic(&mut state.parent);
         let frontier = &state.visited[lo..hi];
         let (bufs, stats) = parallel_map_morsels(frontier.len(), self.threads, |_, range| {
             let mut buf: Vec<u32> = Vec::new();
@@ -307,29 +351,9 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                 for row in self.topo.rows(u as usize, self.dir) {
                     for &v in row {
                         let vs = v as usize;
-                        // ORDERING: Relaxed — the CAS claim needs only
-                        // atomicity (one winner per slot); parents are a
-                        // commutative fetch_min settled before the pool
-                        // barrier, and the next level reads both *after*
-                        // that barrier's synchronization.
-                        match dist[vs].compare_exchange(
-                            UNVISITED,
-                            d1,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            // ORDERING: Relaxed fetch_min — commutative, and
-                            // settled before the pool barrier the next level
-                            // synchronizes on (see the claim comment above).
-                            Ok(_) => {
-                                parent[vs].fetch_min(u, Ordering::Relaxed);
-                                buf.push(v);
-                                edges += u64::from(self.topo.degree(vs, self.dir));
-                            }
-                            Err(cur) if cur == d1 => {
-                                parent[vs].fetch_min(u, Ordering::Relaxed);
-                            }
-                            Err(_) => {}
+                        if claim(&dist[vs], d1) {
+                            buf.push(v);
+                            edges += u64::from(self.topo.degree(vs, self.dir));
                         }
                     }
                 }
@@ -346,26 +370,26 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
     }
 
     /// Parallel bottom-up pull: morsels over *all* slots; each unvisited
-    /// slot scans its reverse adjacency for the minimum-slot frontier
-    /// member (full scan — the early-exit Beamer variant would make the
-    /// parent depend on adjacency order, not on the slot minimum). Owner
-    /// morsels write their own slots, so stores suffice; next-frontier
-    /// membership is claimed in the bitset for the following level.
+    /// slot scans its reverse adjacency and stops at the first frontier
+    /// member (Beamer's early exit — with no parent to choose, any member
+    /// will do). Owner morsels write their own slots, so stores suffice;
+    /// next-frontier membership is claimed in the bitset for the
+    /// following level. Returns the next frontier's edge mass and the row
+    /// entries read.
     fn step_bottom_up(
         &self,
         state: &mut FrontierState,
         level: u32,
         cur: &ConcurrentBitset,
         next: &ConcurrentBitset,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let d1 = level + 1;
         let dist = as_atomic(&mut state.dist);
-        let parent = as_atomic(&mut state.parent);
         let n_slots = self.g.n_slots();
         let pull = self.dir.reversed();
         let (bufs, stats) = parallel_map_morsels(n_slots, self.threads, |_, range| {
             let mut buf: Vec<u32> = Vec::new();
-            let mut edges = 0u64;
+            let (mut edges, mut scanned) = (0u64, 0u64);
             for vs in range {
                 // ORDERING: Relaxed — `vs` is written only by this
                 // morsel (ranges are disjoint), earlier levels were
@@ -375,33 +399,28 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                 if dist[vs].load(Ordering::Relaxed) != UNVISITED {
                     continue;
                 }
-                let mut best = UNVISITED;
-                for row in self.topo.rows(vs, pull) {
-                    for &us in row {
-                        if us < best && cur.get(us as usize) {
-                            best = us;
-                        }
-                    }
-                }
-                if best != UNVISITED {
+                let [a, b] = self.topo.rows(vs, pull);
+                let hit = a.iter().chain(b).position(|&us| cur.get(us as usize));
+                scanned += hit.map_or(a.len() + b.len(), |i| i + 1) as u64;
+                if hit.is_some() {
                     // ORDERING: Relaxed — owner-morsel store; published
                     // to the next level by the pool barrier.
                     dist[vs].store(d1, Ordering::Relaxed);
-                    parent[vs].store(best, Ordering::Relaxed);
                     next.set(vs);
                     buf.push(vs as u32);
                     edges += u64::from(self.topo.degree(vs, self.dir));
                 }
             }
-            (buf, edges)
+            (buf, (edges, scanned))
         });
         record_busy(&stats);
-        let mut next_edges = 0u64;
-        for (buf, edges) in &bufs {
+        let (mut next_edges, mut scanned) = (0u64, 0u64);
+        for (buf, (edges, read)) in &bufs {
             state.visited.extend_from_slice(buf);
             next_edges += edges;
+            scanned += read;
         }
-        next_edges
+        (next_edges, scanned)
     }
 
     /// Hands out `(current, next)` frontier bitsets for a bottom-up
@@ -437,6 +456,21 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         next.clear();
         (cur, next)
     }
+}
+
+/// Claims an unvisited slot's distance word for level `d1`: one winner
+/// per slot. A plain load goes first, so a slot claimed already costs a
+/// read, not a compare-exchange.
+#[inline]
+fn claim(word: &AtomicU32, d1: u32) -> bool {
+    // ORDERING: Relaxed — the claim needs only atomicity (one winner per
+    // slot), and the next level reads the distances *after* the pool
+    // barrier's synchronization. A stale load can only send a slot to the
+    // compare-exchange, which then fails.
+    word.load(Ordering::Relaxed) == UNVISITED
+        && word
+            .compare_exchange(UNVISITED, d1, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
 }
 
 /// Folds a morsel dispatch's per-worker busy time into the
@@ -480,8 +514,7 @@ mod tests {
             let s = g.slot_of(i).unwrap();
             assert_eq!(st.dist[s], i as u32);
         }
-        let s3 = g.slot_of(3).unwrap();
-        assert_eq!(st.parent[s3], g.slot_of(2).unwrap() as u32);
+        assert_eq!(eng.tree(0).get(3), Some(&2));
         assert_eq!(st.levels, 6);
         assert_eq!(st.level_starts.len(), 7);
         assert_eq!(st.visited.len(), 6);
@@ -492,6 +525,8 @@ mod tests {
         let g = chain(3);
         let eng = FrontierEngine::new(&g, Direction::Out);
         assert!(eng.run(99).is_none());
+        assert!(eng.distances(99).is_empty());
+        assert!(eng.tree(99).is_empty());
     }
 
     #[test]
@@ -510,9 +545,7 @@ mod tests {
                 (u64::MAX, u64::MAX),
             ] {
                 let eng = FrontierEngine::with_params(&g, Direction::Out, threads, alpha, beta);
-                let st = eng.run(7).expect("source exists");
-                let s9 = g.slot_of(9).unwrap();
-                assert_eq!(st.parent[s9], g.slot_of(1).unwrap() as u32);
+                assert_eq!(eng.tree(7).get(9), Some(&1));
             }
         }
     }

@@ -8,23 +8,21 @@
 //! asks about one `k` only, so it removes just the nodes that fall below
 //! it and reads no list but theirs.
 
-use ringo_concurrent::IntHashTable;
-use ringo_graph::UndirectedGraph;
+use ringo_graph::{DirectedTopology, NodeValues, UndirectedGraph};
 
-/// Computes the core number of every node, as id → core.
+/// Computes the core number of every node, in ascending slot order.
 ///
 /// Self-loops contribute one to a node's degree, consistent with
 /// [`UndirectedGraph::degree`].
-pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
+pub fn core_numbers(g: &UndirectedGraph) -> NodeValues<u32> {
     let n_slots = g.n_slots();
     // Dense arrays indexed by slot; vacant slots have degree 0 but are
     // excluded from the ordering.
     let mut degree = slot_degrees(g);
     let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
     let n = g.node_count();
-    let mut out = IntHashTable::with_capacity(n);
     if n == 0 {
-        return out;
+        return g.node_values(Vec::new(), 0, |_| true);
     }
     let max_deg = degree
         .iter()
@@ -61,10 +59,12 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
     let mut bin = bin_start;
     bin.pop();
 
+    // Nodes leave in non-decreasing degree order and only a neighbour of
+    // higher degree is decremented, so a node's degree is final — its core
+    // number — once it leaves, and `degree` ends as the answer.
     for i in 0..n {
         let v = vert[i];
         let v_id = g.slot_id(v).expect("ordered slots are live");
-        out.insert(v_id, degree[v]);
         for &u_id in g.nbrs_of_slot(v) {
             if u_id == v_id {
                 continue;
@@ -88,7 +88,7 @@ pub fn core_numbers(g: &UndirectedGraph) -> IntHashTable<u32> {
             }
         }
     }
-    out
+    g.node_values(degree, n, |_| true)
 }
 
 /// Degree of every slot (0 for vacant ones), self-loops counting one.

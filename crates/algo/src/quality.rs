@@ -84,7 +84,7 @@ pub fn conductance(g: &UndirectedGraph, partition: &Components, community: u32) 
 mod tests {
     use super::*;
     use crate::community::label_propagation;
-    use ringo_concurrent::IntHashTable;
+    use ringo_graph::DirectedTopology;
 
     fn two_cliques_bridged() -> UndirectedGraph {
         let mut g = UndirectedGraph::new();
@@ -102,17 +102,23 @@ mod tests {
         g
     }
 
+    /// The assignment as a decomposition over a graph of its ids alone
+    /// (slot `k` holds the `k`-th id, so the labels are the slot array).
     fn partition_of(assign: &[(i64, u32)]) -> Components {
-        let mut comp_of = IntHashTable::new();
+        let mut ids = UndirectedGraph::new();
         let mut sizes = vec![];
         for &(id, c) in assign {
-            comp_of.insert(id, c);
+            ids.add_node(id);
             if sizes.len() <= c as usize {
                 sizes.resize(c as usize + 1, 0);
             }
             sizes[c as usize] += 1;
         }
-        Components { comp_of, sizes }
+        let labels = assign.iter().map(|&(_, c)| c).collect();
+        Components {
+            comp_of: ids.node_values(labels, assign.len(), |_| true),
+            sizes,
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub fn degree_histogram<G: DirectedTopology>(g: &G, dir: Direction) -> Vec<(usiz
 
 /// Lower bound on the diameter via BFS double sweeps from `samples`
 /// starting nodes (edges treated per `dir`). Exact on trees; a tight lower
-/// bound in practice on real graphs.
+/// bound in practice on real graphs. The second sweep starts at the node
+/// farthest from the first, the one in the minimum slot among ties.
 pub fn approx_diameter<G: DirectedTopology>(g: &G, samples: usize, dir: Direction) -> u32 {
     let live: Vec<NodeId> = (0..g.n_slots()).filter_map(|s| g.slot_id(s)).collect();
     if live.is_empty() {
@@ -32,30 +33,40 @@ pub fn approx_diameter<G: DirectedTopology>(g: &G, samples: usize, dir: Directio
     let mut best = 0u32;
     for &start in live.iter().step_by(stride) {
         let d1 = bfs_distances(g, start, dir);
-        // Farthest node from start...
-        let (far, d) = match d1.iter().max_by_key(|(_, &d)| d) {
-            Some((id, &d)) => (id, d),
-            None => continue,
-        };
+        // Farthest node from start (columns are in slot order, so the
+        // first maximum is the minimum slot)...
+        let mut far = start;
+        let mut d = 0;
+        for (id, &di) in d1.iter() {
+            if di > d {
+                (far, d) = (id, di);
+            }
+        }
         best = best.max(d);
         // ...then sweep again from there.
         let d2 = bfs_distances(g, far, dir);
-        if let Some((_, &d)) = d2.iter().max_by_key(|(_, &d)| d) {
-            best = best.max(d);
-        }
+        best = best.max(d2.values().iter().copied().max().unwrap_or(0));
     }
     best
 }
 
 /// Effective diameter: the smallest hop count within which `quantile`
 /// (e.g. 0.9) of reachable node pairs lie, estimated from BFS out of
-/// `samples` evenly spaced source nodes.
+/// `samples` evenly spaced source nodes, interpolated linearly within the
+/// last hop. A `quantile` of 0 or less gives 0.0, one of 1 or more the
+/// deepest hop seen, and `NaN` gives `NaN`.
 pub fn effective_diameter<G: DirectedTopology>(
     g: &G,
     samples: usize,
     quantile: f64,
     dir: Direction,
 ) -> f64 {
+    if quantile.is_nan() {
+        return f64::NAN;
+    }
+    if quantile <= 0.0 {
+        return 0.0;
+    }
     let live: Vec<NodeId> = (0..g.n_slots()).filter_map(|s| g.slot_id(s)).collect();
     if live.is_empty() {
         return 0.0;
@@ -63,7 +74,7 @@ pub fn effective_diameter<G: DirectedTopology>(
     let stride = live.len().div_ceil(samples.max(1)).max(1);
     let mut hist: Vec<u64> = Vec::new(); // hist[d] = #pairs at distance d
     for &start in live.iter().step_by(stride) {
-        for (_, &d) in bfs_distances(g, start, dir).iter() {
+        for &d in bfs_distances(g, start, dir).values() {
             if d == 0 {
                 continue;
             }
@@ -205,6 +216,50 @@ mod tests {
         let eff = effective_diameter(&g, g.node_count(), 0.9, Direction::Both);
         assert!(eff < f64::from(full), "eff {eff} < full {full}");
         assert!(eff > 0.0);
+    }
+
+    #[test]
+    fn effective_diameter_quantile_edges() {
+        // An 11-node path: hops 1..=10 over the undirected pairs.
+        let mut g = DirectedGraph::new();
+        for i in 0..10 {
+            g.add_edge(i, i + 1);
+        }
+        let eff = |q| effective_diameter(&g, 11, q, Direction::Both);
+        assert_eq!(eff(0.0), 0.0, "no pair needs any hop");
+        assert_eq!(eff(-1.0), 0.0);
+        assert!(eff(f64::NAN).is_nan());
+        assert_eq!(eff(1.0), 10.0, "every pair: the full depth");
+        assert_eq!(eff(2.0), 10.0);
+        let mid = eff(0.5);
+        assert!(mid > 0.0 && mid < 10.0, "{mid}");
+    }
+
+    #[test]
+    fn second_sweep_starts_at_the_minimum_slot_among_the_farthest() {
+        // From 0 the farthest nodes are 1 and 2 (one hop). Only 1 leads
+        // back through 0 to a node two hops away; 2 reaches nothing.
+        let mut g = DirectedGraph::new();
+        g.add_edge(0, 1);
+        g.add_edge(0, 2);
+        g.add_edge(1, 0);
+        assert_eq!(
+            approx_diameter(&g, 1, Direction::Out),
+            2,
+            "1 is in the lower slot"
+        );
+        // Same edges, 2 placed first: now the sweep starts at 2.
+        let mut h = DirectedGraph::new();
+        h.add_node(0);
+        h.add_node(2);
+        h.add_edge(0, 1);
+        h.add_edge(0, 2);
+        h.add_edge(1, 0);
+        assert_eq!(
+            approx_diameter(&h, 1, Direction::Out),
+            1,
+            "2 is in the lower slot"
+        );
     }
 
     #[test]

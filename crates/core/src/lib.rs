@@ -48,7 +48,7 @@ pub use oplog::{OpLog, OpRecord, OpTiming};
 pub use query::{OpProfile, QueryBuilder, QueryProfile};
 
 pub use ringo_algo::{Direction, PageRankConfig};
-pub use ringo_graph::{DirectedGraph, NodeId, UndirectedGraph, WeightedDigraph};
+pub use ringo_graph::{DirectedGraph, NodeId, NodeValues, UndirectedGraph, WeightedDigraph};
 pub use ringo_table::{AggOp, Cmp, ColumnType, Predicate, Schema, Table, TableError, Value};
 
 use std::path::Path;
@@ -485,35 +485,26 @@ impl Ringo {
         )
     }
 
-    /// BFS hop distances.
-    pub fn bfs(
-        &self,
-        g: &DirectedGraph,
-        src: NodeId,
-        dir: Direction,
-    ) -> ringo_concurrent::IntHashTable<u32> {
+    /// BFS hop distances of the reached nodes, as slot-ordered columns on
+    /// `g`'s id index (see [`NodeValues`]).
+    pub fn bfs(&self, g: &DirectedGraph, src: NodeId, dir: Direction) -> NodeValues<u32> {
         self.ops.run(
             "bfs",
             format!("from {src} ({dir:?})"),
             g.node_count(),
-            ringo_concurrent::IntHashTable::len,
+            NodeValues::len,
             || ringo_algo::bfs_distances(g, src, dir),
         )
     }
 
-    /// BFS tree: id → parent id, deterministic minimum-slot tie-break
-    /// (the source maps to itself).
-    pub fn bfs_tree(
-        &self,
-        g: &DirectedGraph,
-        src: NodeId,
-        dir: Direction,
-    ) -> ringo_concurrent::IntHashTable<NodeId> {
+    /// BFS tree: each reached node's parent id, deterministic
+    /// minimum-slot tie-break (the source is its own parent).
+    pub fn bfs_tree(&self, g: &DirectedGraph, src: NodeId, dir: Direction) -> NodeValues<NodeId> {
         self.ops.run(
             "bfs_tree",
             format!("from {src} ({dir:?})"),
             g.node_count(),
-            ringo_concurrent::IntHashTable::len,
+            NodeValues::len,
             || ringo_algo::bfs_tree(g, src, dir),
         )
     }

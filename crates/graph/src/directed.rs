@@ -4,7 +4,7 @@
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
 use crate::topology::{Topology, TopologyCell};
 use crate::traits::{DirectedTopology, Direction};
-use crate::{slot_u32, NodeId};
+use crate::{slot_u32, NodeId, NodeValues};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
@@ -504,6 +504,15 @@ impl DirectedTopology for DirectedGraph {
 
     fn edge_count(&self) -> usize {
         self.n_edges
+    }
+
+    fn node_values<T>(
+        &self,
+        per_slot: Vec<T>,
+        count: usize,
+        keep: impl Fn(&T) -> bool,
+    ) -> NodeValues<T> {
+        NodeValues::pack(&self.index, self, per_slot, count, keep)
     }
 
     fn topology(&self) -> Arc<Topology> {

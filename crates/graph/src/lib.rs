@@ -17,6 +17,8 @@
 //!   *slots* instead of ids, cached on the graph value and carried across
 //!   clone → mutate → publish, where only the rows an edit touched are
 //!   re-translated.
+//! * [`NodeValues`] — a kernel's per-node answer as slot-ordered id and
+//!   value columns that look ids up through the graph's own index.
 
 #![warn(missing_docs)]
 
@@ -27,6 +29,7 @@ pub mod topology;
 pub mod traits;
 pub mod transform;
 pub mod undirected;
+mod values;
 pub mod weighted;
 
 pub use directed::DirectedGraph;
@@ -34,6 +37,7 @@ pub use nbrs::{new_slab, AdjacencyStats, CompactStats};
 pub use topology::Topology;
 pub use traits::{DirectedTopology, Direction};
 pub use undirected::UndirectedGraph;
+pub use values::NodeValues;
 pub use weighted::WeightedDigraph;
 
 /// External node identifier. Following SNAP, ids are arbitrary 64-bit

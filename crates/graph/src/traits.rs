@@ -1,7 +1,7 @@
 //! Slot-addressed read access shared by the graph types.
 
 use crate::topology::Topology;
-use crate::NodeId;
+use crate::{NodeId, NodeValues};
 use std::sync::Arc;
 
 /// Which edges a directed traversal follows.
@@ -53,6 +53,19 @@ pub trait DirectedTopology: Sync {
     fn node_count(&self) -> usize;
     /// Number of directed edges.
     fn edge_count(&self) -> usize;
+
+    /// A kernel's per-slot output as a [`NodeValues`] on this graph's id
+    /// index: slot `s` of `per_slot` is kept when `keep` accepts it and
+    /// the slot is live; slots past the end of `per_slot` have no value.
+    /// `count` reserves the id column (the number kept, when known).
+    fn node_values<T>(
+        &self,
+        per_slot: Vec<T>,
+        count: usize,
+        keep: impl Fn(&T) -> bool,
+    ) -> NodeValues<T>
+    where
+        Self: Sized;
 
     /// The dense slot-CSR view of this graph (see [`Topology`]). The
     /// default builds a fresh one per call; [`crate::DirectedGraph`] and

@@ -4,7 +4,7 @@
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
 use crate::topology::{Topology, TopologyCell};
 use crate::traits::Direction;
-use crate::{slot_u32, NodeId};
+use crate::{slot_u32, NodeId, NodeValues};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
@@ -392,6 +392,15 @@ impl crate::DirectedTopology for UndirectedGraph {
             .filter(|c| c.nbrs.binary_search(&c.id).is_ok())
             .count();
         2 * self.n_edges - self_loops
+    }
+
+    fn node_values<T>(
+        &self,
+        per_slot: Vec<T>,
+        count: usize,
+        keep: impl Fn(&T) -> bool,
+    ) -> NodeValues<T> {
+        NodeValues::pack(&self.index, self, per_slot, count, keep)
     }
 
     fn topology(&self) -> Arc<Topology> {

@@ -8,8 +8,9 @@
 //! lookup is the same binary search as `has_edge`.
 
 use crate::traits::DirectedTopology;
-use crate::{slot_u32, NodeId};
+use crate::{slot_u32, NodeId, NodeValues};
 use ringo_concurrent::IntHashTable;
+use std::sync::Arc;
 
 #[derive(Clone, Debug, Default)]
 struct WNodeCell {
@@ -26,7 +27,7 @@ struct WNodeCell {
 /// rather than failing.
 #[derive(Clone, Debug, Default)]
 pub struct WeightedDigraph {
-    index: IntHashTable<u32>,
+    index: Arc<IntHashTable<u32>>,
     nodes: Vec<Option<WNodeCell>>,
     free: Vec<u32>,
     n_nodes: usize,
@@ -42,7 +43,7 @@ impl WeightedDigraph {
     /// Creates an empty graph pre-sized for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
-            index: IntHashTable::with_capacity(nodes),
+            index: Arc::new(IntHashTable::with_capacity(nodes)),
             nodes: Vec::with_capacity(nodes),
             ..Self::default()
         }
@@ -92,7 +93,7 @@ impl WeightedDigraph {
                 slot
             }
         };
-        self.index.insert(id, slot);
+        Arc::make_mut(&mut self.index).insert(id, slot);
         self.n_nodes += 1;
         true
     }
@@ -237,6 +238,15 @@ impl DirectedTopology for WeightedDigraph {
 
     fn edge_count(&self) -> usize {
         self.n_edges
+    }
+
+    fn node_values<T>(
+        &self,
+        per_slot: Vec<T>,
+        count: usize,
+        keep: impl Fn(&T) -> bool,
+    ) -> NodeValues<T> {
+        NodeValues::pack(&self.index, self, per_slot, count, keep)
     }
 }
 

@@ -105,15 +105,15 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/community.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/components.rs",
         "invariant expects in kernel loops",
     ),
     (
         "crates/algo/src/connectivity.rs",
+        "invariant expects in kernel loops",
+    ),
+    (
+        "crates/algo/src/frontier.rs",
         "invariant expects in kernel loops",
     ),
     (

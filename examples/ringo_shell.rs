@@ -594,15 +594,17 @@ impl Shell {
                         format_bytes_delta(t.max_peak_delta as i64),
                     );
                 }
-                // What the graph verbs above paid for their slot-CSR view;
-                // under RINGO_TRACE=1 `trace` times the builds and patches.
+                // What the graph verbs above paid for their slot-CSR view,
+                // and how much of it the traversals read; under
+                // RINGO_TRACE=1 `trace` times the builds and patches.
                 let count = |name| ringo::trace::counter(name).get();
                 println!(
-                    "topology: {} built, {} patched, {} hits, {} released",
+                    "topology: {} built, {} patched, {} hits, {} released; bfs: {} row entries scanned",
                     count("graph.topology.builds"),
                     count("graph.topology.patches"),
                     count("graph.topology.hit"),
                     count("graph.topology.release"),
+                    count("algo.bfs.edges_scanned"),
                 );
                 Ok(true)
             }

@@ -6,28 +6,28 @@
 //! trace for `algo.bfs.topdown` *and* `algo.bfs.bottomup` spans, so a
 //! refactor that silently stops direction-optimizing fails the build,
 //! and for exactly one `graph.topology.build` span against at least two
-//! `graph.topology.hit` counts: the three traversals below share one
-//! graph version, so only the first may build its slot-CSR view.
-//! The example itself pins a distance checksum and cross-checks the
-//! forced top-down / forced bottom-up extremes against the default
-//! crossover — the engine's determinism contract, asserted end to end.
+//! `graph.topology.hit` counts: the four traversals below share one
+//! graph version, so only the first may build its slot-CSR view, and for
+//! a positive `algo.bfs.edges_scanned` count.
+//! The example itself pins a distance checksum and a BFS-tree checksum
+//! (parents are derived from the distances after the run, so this is the
+//! path that exercises it) and cross-checks the forced top-down / forced
+//! bottom-up extremes against the default crossover — the engine's
+//! determinism contract, asserted end to end.
 
-use ringo::algo::{bfs_distances, FrontierEngine};
+use ringo::algo::{bfs_distances, bfs_tree, FrontierEngine};
 use ringo::concurrent::num_threads;
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
 use ringo::{Direction, Ringo};
 
-/// FNV-1a over `(id, dist)` pairs in slot order — stable across thread
-/// counts because distances are set-determined.
-fn checksum(pairs: impl Iterator<Item = (i64, u32)>) -> u64 {
+/// FNV-1a over `(id, value)` pairs in id order — stable across thread
+/// counts because distances are set-determined and parents follow from
+/// them.
+fn checksum(pairs: impl Iterator<Item = (i64, u64)>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (id, d) in pairs {
-        for b in (id as u64)
-            .to_le_bytes()
-            .into_iter()
-            .chain(u64::from(d).to_le_bytes())
-        {
+    for (id, v) in pairs {
+        for b in (id as u64).to_le_bytes().into_iter().chain(v.to_le_bytes()) {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("graph is non-empty");
 
     let dist = bfs_distances(&g, hub, Direction::Out);
-    let mut pairs: Vec<(i64, u32)> = dist.iter().map(|(id, &d)| (id, d)).collect();
+    let mut pairs: Vec<(i64, u64)> = dist.iter().map(|(id, &d)| (id, u64::from(d))).collect();
     pairs.sort_unstable();
     let sum = checksum(pairs.iter().copied());
     println!(
@@ -70,10 +70,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, alpha, beta) in [("top-down", 0, 0), ("bottom-up", u64::MAX, u64::MAX)] {
         let eng = FrontierEngine::with_params(&g, Direction::Out, threads, alpha, beta);
         let state = eng.run(hub).expect("hub exists");
-        let mut forced: Vec<(i64, u32)> = state
+        let mut forced: Vec<(i64, u64)> = state
             .visited
             .iter()
-            .map(|&s| (g.slot_id(s as usize).unwrap(), state.dist[s as usize]))
+            .map(|&s| {
+                (
+                    g.slot_id(s as usize).unwrap(),
+                    u64::from(state.dist[s as usize]),
+                )
+            })
             .collect();
         forced.sort_unstable();
         assert_eq!(
@@ -87,6 +92,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // traversal (or the generator) changed results, not just speed.
     const PINNED: u64 = 0xe7f2_1389_fc12_b3ef;
     assert_eq!(sum, PINNED, "distance checksum drifted");
-    println!("traversal smoke OK: checksum matches pinned value");
+
+    // The tree from the same hub: (id, parent) pairs, the minimum-slot
+    // predecessor one level up.
+    let tree = bfs_tree(&g, hub, Direction::Out);
+    let mut edges: Vec<(i64, u64)> = tree.iter().map(|(id, &p)| (id, p as u64)).collect();
+    edges.sort_unstable();
+    let tree_sum = checksum(edges.into_iter());
+    println!("traversal smoke: tree checksum {tree_sum:#018x}");
+    const PINNED_TREE: u64 = 0xfacb_e25a_8372_c062;
+    assert_eq!(tree_sum, PINNED_TREE, "tree checksum drifted");
+    println!("traversal smoke OK: checksums match pinned values");
     Ok(())
 }

@@ -12,6 +12,8 @@
 //! `Topology`, so a second `bfs_distances` on the same graph must not
 //! allocate anything the size of one — pinned in *bytes*, since a CSR
 //! is a handful of huge allocations a count bound would wave through.
+//! Nor does it keep a parent array or end in an id-keyed hash table: the
+//! whole probe, result included, stays under 20 B a slot.
 //!
 //! Kept in its own test binary, and the two tests take `SERIAL`, so
 //! nothing else moves the process-global allocation counters
@@ -52,9 +54,13 @@ fn second_bfs_on_the_same_graph_allocates_no_csr() {
     let second = bfs_distances(&g, src, Direction::Out);
     let transient = peak_bytes() - live;
     assert_eq!(second.len(), first.len());
+    // Measured 15.5 B a slot: distances and the visit log during the run,
+    // then distances, positions and ids. The parent commit's parent array
+    // and hash table peaked at 46.9; a rebuilt CSR is ≈300 here.
+    let slots = g.n_slots();
     assert!(
-        transient < csr_bytes / 4,
-        "second BFS peaked {transient} B above the live heap; \
+        transient < 20 * slots,
+        "second BFS peaked {transient} B above the live heap over {slots} slots; \
          a rebuilt CSR would be {csr_bytes} B"
     );
 }
@@ -96,8 +102,9 @@ fn warmed_traversal_allocates_constant_not_per_visit() {
         state.reset();
         best = best.min(delta);
     }
+    // Measured 0: the visit log and level offsets keep their capacity.
     assert!(
-        best <= 8,
+        best <= 2,
         "warmed BFS allocated {best} times for {n_visited} visits; \
          expected the flat-state engine's small constant"
     );

@@ -1,14 +1,15 @@
 //! Property tests for the shared parallel frontier engine: the
 //! direction-optimizing parallel BFS must be indistinguishable from a
-//! textbook sequential BFS — identical distances, valid deterministic
-//! parents — at every thread count and at both forced crossover
-//! extremes (always top-down, always bottom-up).
+//! textbook sequential BFS — identical distances at every thread count
+//! and at both forced crossover extremes (always top-down, always
+//! bottom-up) — and `bfs_tree`'s parents, derived from those distances,
+//! must be valid and deterministic.
 
-use ringo::algo::{FrontierEngine, FrontierState, UNVISITED};
+use ringo::algo::{bfs_tree, FrontierEngine, FrontierState, UNVISITED};
 use ringo::gen::{edges_to_table, RmatConfig};
 use ringo::graph::DirectedTopology;
-use ringo::{DirectedGraph, Direction, NodeId};
-use std::collections::VecDeque;
+use ringo::{DirectedGraph, Direction, NodeId, NodeValues};
+use std::collections::{BTreeMap, VecDeque};
 
 fn rmat_graph(scale: u32, edges: usize, seed: u64) -> DirectedGraph {
     let e = ringo::gen::rmat(&RmatConfig {
@@ -89,48 +90,45 @@ fn engine_dist(g: &DirectedGraph, state: &FrontierState) -> Vec<(NodeId, u32)> {
     out
 }
 
-/// Structural checks on the parent array: the source is its own parent,
-/// every other parent is one level shallower, connected by a real edge in
-/// the traversal sense, and minimal among all such predecessors (the
-/// documented deterministic tie-break).
-fn assert_parents_valid(g: &DirectedGraph, state: &FrontierState, src: NodeId, dir: Direction) {
-    let src_slot = DirectedTopology::slot_of(g, src).unwrap();
-    for &vs in &state.visited {
-        let vs = vs as usize;
-        let d = state.dist[vs];
-        let p = state.parent[vs] as usize;
-        if vs == src_slot {
+/// Structural checks on a BFS tree against the reference distances: the
+/// source is its own parent, every other parent is one level shallower,
+/// connected by a real edge in the traversal sense, and minimal by slot
+/// among all such predecessors (the documented deterministic tie-break).
+fn assert_parents_valid(
+    g: &DirectedGraph,
+    tree: &NodeValues<NodeId>,
+    dist: &[(NodeId, u32)],
+    src: NodeId,
+    dir: Direction,
+) {
+    let dist: BTreeMap<NodeId, u32> = dist.iter().copied().collect();
+    assert_eq!(tree.len(), dist.len(), "the tree spans the reached nodes");
+    for (v, &p) in tree.iter() {
+        let d = dist[&v];
+        if v == src {
             assert_eq!(d, 0);
-            assert_eq!(p, vs, "source is its own parent");
+            assert_eq!(p, v, "source is its own parent");
             continue;
         }
         assert_eq!(
-            state.dist[p],
-            d - 1,
-            "parent of slot {vs} sits one level up"
+            dist.get(&p),
+            Some(&(d - 1)),
+            "parent of {v} sits one level up"
         );
         // Predecessors of v in traversal sense `dir` are the nodes u with
         // an edge u -> v, i.e. v's *reverse* adjacency.
-        let vid = g.slot_id(vs).unwrap();
-        let preds: Vec<usize> = match dir {
-            Direction::Out => g.in_nbrs(vid).to_vec(),
-            Direction::In => g.out_nbrs(vid).to_vec(),
-            Direction::Both => g
-                .in_nbrs(vid)
-                .iter()
-                .chain(g.out_nbrs(vid))
-                .copied()
-                .collect(),
-        }
-        .into_iter()
-        .map(|u| DirectedTopology::slot_of(g, u).unwrap())
-        .collect();
+        let preds: Vec<NodeId> = match dir {
+            Direction::Out => g.in_nbrs(v).to_vec(),
+            Direction::In => g.out_nbrs(v).to_vec(),
+            Direction::Both => g.in_nbrs(v).iter().chain(g.out_nbrs(v)).copied().collect(),
+        };
         assert!(preds.contains(&p), "parent edge exists");
+        let slot = |u: NodeId| DirectedTopology::slot_of(g, u).unwrap();
         let min_pred = preds
             .iter()
             .copied()
-            .filter(|&u| state.dist[u] == d - 1)
-            .min()
+            .filter(|u| dist.get(u) == Some(&(d - 1)))
+            .min_by_key(|&u| slot(u))
             .unwrap();
         assert_eq!(p, min_pred, "minimum-slot predecessor wins");
     }
@@ -160,6 +158,8 @@ fn check_graph(g: &DirectedGraph, sources: &[NodeId], dirs: &[Direction]) {
     for &dir in dirs {
         for &src in sources {
             let expect = ref_dist(g, src, dir);
+            let tree = bfs_tree(g, src, dir);
+            assert_parents_valid(g, &tree, &expect, src, dir);
             for threads in THREADS {
                 for (alpha, beta) in KNOBS {
                     let eng = FrontierEngine::with_params(g, dir, threads, alpha, beta);
@@ -169,8 +169,12 @@ fn check_graph(g: &DirectedGraph, sources: &[NodeId], dirs: &[Direction]) {
                         expect,
                         "dist mismatch: t={threads} a={alpha} b={beta} src={src} dir={dir:?}"
                     );
-                    assert_parents_valid(g, &state, src, dir);
                     assert_levels_consistent(&state);
+                    assert_eq!(
+                        eng.tree(src),
+                        tree,
+                        "tree at t={threads} a={alpha} b={beta}"
+                    );
                 }
             }
         }
@@ -225,7 +229,6 @@ fn forced_modes_agree_bit_for_bit_with_defaults() {
                 .run(src)
                 .unwrap();
             assert_eq!(state.dist, baseline.dist);
-            assert_eq!(state.parent, baseline.parent);
             assert_eq!(state.levels, baseline.levels);
         }
     }

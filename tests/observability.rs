@@ -156,6 +156,60 @@ fn k_core_reports_how_much_of_the_graph_it_walked() {
 }
 
 #[test]
+fn bfs_counts_the_row_entries_it_scanned() {
+    let _l = lock();
+    // Always on: the count is kept with tracing off.
+    trace::set_enabled(false);
+    let edges = ringo::gen::rmat(&ringo::gen::RmatConfig {
+        scale: 12,
+        edges: 40_000,
+        seed: 3,
+        ..Default::default()
+    });
+    let g =
+        ringo::convert::table_to_graph(&ringo::gen::edges_to_table(&edges), "src", "dst").unwrap();
+    let hub = g
+        .node_ids()
+        .max_by_key(|&v| (g.out_degree(v), std::cmp::Reverse(v)))
+        .unwrap();
+    let scanned = |threads, alpha, beta| {
+        let before = trace::counter("algo.bfs.edges_scanned").get();
+        let eng = ringo::algo::FrontierEngine::with_params(
+            &g,
+            ringo::Direction::Out,
+            threads,
+            alpha,
+            beta,
+        );
+        assert!(eng.run(hub).is_some());
+        trace::counter("algo.bfs.edges_scanned").get() - before
+    };
+
+    // One thread runs every level top-down and reads each reached row
+    // whole: exactly the reached nodes' out-degrees.
+    let reached = ringo::algo::bfs_distances(&g, hub, ringo::Direction::Out);
+    let rows: u64 = reached
+        .ids()
+        .iter()
+        .map(|&v| g.out_degree(v).unwrap() as u64)
+        .sum();
+    assert_eq!(scanned(1, 15, 18), rows);
+
+    // Bottom-up levels stop each pull at the first frontier neighbour;
+    // the count still repeats exactly at a fixed thread count.
+    for (alpha, beta) in [(15, 18), (u64::MAX, u64::MAX)] {
+        let first = scanned(2, alpha, beta);
+        assert!(first > 0);
+        assert_eq!(scanned(2, alpha, beta), first, "a={alpha} b={beta}");
+    }
+    assert_ne!(
+        scanned(2, u64::MAX, u64::MAX),
+        rows,
+        "a forced bottom-up run reads other entries than the top-down one"
+    );
+}
+
+#[test]
 fn op_log_works_with_tracing_disabled() {
     let _l = lock();
     trace::set_enabled(false);

@@ -393,10 +393,8 @@ fn kernels_on_a_patched_view_are_bit_equal_to_those_on_a_rebuilt_one() {
     for threads in [1, 2, 4] {
         for dir in [Direction::Out, Direction::In, Direction::Both] {
             let run = |g: &DirectedGraph| {
-                let state = FrontierEngine::with_threads(g, dir, threads)
-                    .run(src)
-                    .expect("src is live");
-                (state.dist, state.parent)
+                let eng = FrontierEngine::with_threads(g, dir, threads);
+                (eng.run(src).expect("src is live").dist, eng.tree(src))
             };
             assert_eq!(run(&g), run(&rebuilt), "bfs {dir:?} at {threads} threads");
         }

@@ -239,10 +239,8 @@ fn assert_kernels_match_the_rebuild<G: Version>(mut g: G, mut model: Model) {
         assert_eq!(bits(&g), bits(&rebuilt), "pagerank at {threads} threads");
         for dir in [Direction::Out, Direction::In] {
             let run = |g: &G| {
-                let state = FrontierEngine::with_threads(g, dir, threads)
-                    .run(src)
-                    .expect("src is live");
-                (state.dist, state.parent)
+                let eng = FrontierEngine::with_threads(g, dir, threads);
+                (eng.run(src).expect("src is live").dist, eng.tree(src))
             };
             assert_eq!(run(&g), run(&rebuilt), "bfs {dir:?} at {threads} threads");
         }
