@@ -76,7 +76,6 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
     }
 
     let threads = num_threads();
-    let topo = g.topology();
     let mut curve = Vec::with_capacity(max_hops);
     let mut next = cur.bits.clone();
     for _ in 0..max_hops {
@@ -98,7 +97,7 @@ pub fn approx_neighborhood_function<G: DirectedTopology>(
                     if g.slot_id(slot).is_none() {
                         continue;
                     }
-                    for &nbr in topo.out_row(slot) {
+                    for &nbr in g.out_row(slot) {
                         let ns = nbr as usize * k;
                         for (w, &c) in win.iter_mut().zip(&cur_bits[ns..ns + k]) {
                             *w |= c;

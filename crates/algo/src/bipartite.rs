@@ -6,38 +6,46 @@
 //! common post) — another of Ringo's graph-construction idioms.
 
 use ringo_concurrent::IntHashTable;
-use ringo_graph::{NodeId, UndirectedGraph};
-use std::collections::VecDeque;
+use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
+
+/// Side of a slot not reached yet.
+const UNSEEN: u8 = 2;
 
 /// Two-coloring of an undirected graph: `Some(side_of)` mapping each node
 /// to side 0/1 when the graph is bipartite, `None` when any odd cycle
-/// (including a self-loop) exists.
+/// (including a self-loop) exists. A breadth-first sweep over the slot
+/// rows, one component after another in slot order.
 pub fn bipartite_sides(g: &UndirectedGraph) -> Option<IntHashTable<u8>> {
-    let mut side: IntHashTable<u8> = IntHashTable::with_capacity(g.node_count());
-    for start in g.node_ids() {
-        if side.contains(start) {
+    let mut side = vec![UNSEEN; g.n_slots()];
+    let mut queue = Vec::new();
+    for start in 0..g.n_slots() {
+        if side[start] != UNSEEN || g.slot_id(start).is_none() {
             continue;
         }
-        side.insert(start, 0);
-        let mut queue = VecDeque::from([start]);
-        while let Some(u) = queue.pop_front() {
-            let su = *side.get(u).expect("queued node colored");
-            for &v in g.nbrs(u) {
-                if v == u {
-                    return None; // self-loop = odd cycle
-                }
-                match side.get(v) {
-                    Some(&sv) if sv == su => return None,
-                    Some(_) => {}
-                    None => {
-                        side.insert(v, 1 - su);
-                        queue.push_back(v);
-                    }
+        side[start] = 0;
+        queue.clear();
+        queue.push(start);
+        let mut next = 0;
+        while let Some(&u) = queue.get(next) {
+            next += 1;
+            for &v in g.out_row(u) {
+                let v = v as usize;
+                if side[v] == UNSEEN {
+                    side[v] = 1 - side[u];
+                    queue.push(v);
+                } else if side[v] == side[u] {
+                    return None; // an odd cycle; a self-loop is one
                 }
             }
         }
     }
-    Some(side)
+    let mut sides = IntHashTable::with_capacity(g.node_count());
+    for (s, &c) in side.iter().enumerate() {
+        if let Some(id) = g.slot_id(s) {
+            sides.insert(id, c);
+        }
+    }
+    Some(sides)
 }
 
 /// True when the graph contains no odd cycle.
@@ -54,19 +62,21 @@ pub fn project_onto<F>(g: &UndirectedGraph, left: F) -> UndirectedGraph
 where
     F: Fn(NodeId) -> bool,
 {
+    // Each live slot's id when it is on the left side.
+    let lefts: Vec<Option<NodeId>> = (0..g.n_slots())
+        .map(|s| g.slot_id(s).filter(|&id| left(id)))
+        .collect();
     let mut out = UndirectedGraph::new();
-    for u in g.node_ids() {
-        if !left(u) {
-            continue;
-        }
-        out.add_node(u);
-        for &mid in g.nbrs(u) {
-            if left(mid) {
+    for (u, &id) in lefts.iter().enumerate() {
+        let Some(u_id) = id else { continue };
+        out.add_node(u_id);
+        for &mid in g.out_row(u) {
+            if lefts[mid as usize].is_some() {
                 continue; // not a right-side pivot
             }
-            for &w in g.nbrs(mid) {
-                if w != u && left(w) {
-                    out.add_edge(u, w);
+            for &w in g.out_row(mid as usize) {
+                if let Some(w_id) = lefts[w as usize].filter(|_| w as usize != u) {
+                    out.add_edge(u_id, w_id);
                 }
             }
         }

@@ -17,11 +17,8 @@ pub fn degree_centrality<G: DirectedTopology>(g: &G, dir: Direction) -> Vec<(Nod
     (0..g.n_slots())
         .filter_map(|s| {
             let id = g.slot_id(s)?;
-            let d = match dir {
-                Direction::Out => g.out_nbrs_of_slot(s).len(),
-                Direction::In => g.in_nbrs_of_slot(s).len(),
-                Direction::Both => g.out_nbrs_of_slot(s).len() + g.in_nbrs_of_slot(s).len(),
-            };
+            let d = g.out_row(s).len() * usize::from(dir != Direction::In)
+                + g.in_row(s).len() * usize::from(dir != Direction::Out);
             Some((id, d as f64 / denom))
         })
         .collect()
@@ -70,7 +67,8 @@ pub fn betweenness_centrality<G: DirectedTopology>(g: &G, normalized: bool) -> V
     let sources: Vec<usize> = (0..g.n_slots())
         .filter(|&s| g.slot_id(s).is_some())
         .collect();
-    brandes(g, &sources, normalized, sources.len(), 1)
+    let sums = brandes(g, &sources, 1.0, 1);
+    per_node(g, &sums, normalized, sources.len())
 }
 
 /// Exact betweenness computed in parallel: Brandes is embarrassingly
@@ -86,32 +84,18 @@ pub fn betweenness_centrality_parallel<G: DirectedTopology>(
     let sources: Vec<usize> = (0..g.n_slots())
         .filter(|&s| g.slot_id(s).is_some())
         .collect();
-    let n_live = sources.len();
-    let partials: Vec<Vec<(NodeId, f64)>> =
-        ringo_concurrent::parallel_map(sources.len(), threads, |range| {
-            // Pass the chunk length as the population so brandes applies
-            // no sample-extrapolation scaling (scale = len/len = 1). The
-            // inner BFS runs single-threaded: parallelism lives in the
-            // source partition here.
-            let chunk = &sources[range];
-            brandes(g, chunk, false, chunk.len(), 1)
-        });
-    let n_slots = g.n_slots();
-    let mut acc = vec![0.0f64; n_slots];
+    let partials: Vec<Vec<f64>> = ringo_concurrent::parallel_map(sources.len(), threads, |range| {
+        // The inner BFS runs single-threaded: parallelism lives in the
+        // source partition here.
+        brandes(g, &sources[range], 1.0, 1)
+    });
+    let mut acc = vec![0.0f64; g.n_slots()];
     for part in &partials {
-        for (id, v) in part {
-            let slot = g.slot_of(*id).expect("id from live slot");
-            acc[slot] += v;
+        for (a, v) in acc.iter_mut().zip(part) {
+            *a += v;
         }
     }
-    let norm = if normalized && n_live > 2 {
-        1.0 / ((n_live - 1) as f64 * (n_live - 2) as f64)
-    } else {
-        1.0
-    };
-    (0..n_slots)
-        .filter_map(|s| g.slot_id(s).map(|id| (id, acc[s] * norm)))
-        .collect()
+    per_node(g, &acc, normalized, sources.len())
 }
 
 /// Approximate betweenness from a sample of source nodes (every
@@ -131,34 +115,44 @@ pub fn betweenness_centrality_sampled<G: DirectedTopology>(
     let stride = live.len().div_ceil(samples).max(1);
     let sources: Vec<usize> = live.iter().copied().step_by(stride).collect();
     // Few sources, whole graph each: parallelize *inside* the per-source
-    // BFS via the frontier engine rather than across sources.
-    brandes(g, &sources, normalized, live.len(), num_threads())
+    // BFS via the frontier engine rather than across sources. The sums
+    // are scaled up to the whole population.
+    let scale = live.len() as f64 / sources.len() as f64;
+    let sums = brandes(g, &sources, scale, num_threads());
+    per_node(g, &sums, normalized, live.len())
+}
+
+/// Per-slot sums as `(id, score)` in slot order, divided by
+/// `(n-1)(n-2)` for `n_live` nodes when `normalized`.
+fn per_node<G: DirectedTopology>(
+    g: &G,
+    sums: &[f64],
+    normalized: bool,
+    n_live: usize,
+) -> Vec<(NodeId, f64)> {
+    let norm = if normalized && n_live > 2 {
+        1.0 / ((n_live - 1) as f64 * (n_live - 2) as f64)
+    } else {
+        1.0
+    };
+    (0..g.n_slots())
+        .filter_map(|s| g.slot_id(s).map(|id| (id, sums[s] * norm)))
+        .collect()
 }
 
 /// Brandes' accumulation driven by the shared frontier engine: the
 /// per-source BFS (the dominant cost) runs through the
 /// direction-optimizing engine with `threads` workers, and the
 /// sigma/delta sweeps walk the engine's level buckets
-/// (`FrontierState::level_starts`) with *pull* scans — path counts from
-/// in-neighbors one level up, dependencies from out-neighbors one level
-/// down — so no predecessor lists are materialized.
-fn brandes<G: DirectedTopology>(
-    g: &G,
-    sources: &[usize],
-    normalized: bool,
-    n_live: usize,
-    threads: usize,
-) -> Vec<(NodeId, f64)> {
+/// (`FrontierState::level_starts`) with *pull* scans over the graph's
+/// rows — path counts from in-neighbors one level up, dependencies from
+/// out-neighbors one level down — so no predecessor lists are
+/// materialized. Returns each slot's dependency sum over `sources`,
+/// times `scale`.
+fn brandes<G: DirectedTopology>(g: &G, sources: &[usize], scale: f64, threads: usize) -> Vec<f64> {
     let n_slots = g.n_slots();
     let mut centrality = vec![0.0f64; n_slots];
-    let scale = if sources.is_empty() {
-        1.0
-    } else {
-        n_live as f64 / sources.len() as f64
-    };
-
     let eng = FrontierEngine::with_threads(g, Direction::Out, threads);
-    let topo = eng.topology();
     let mut state = FrontierState::new(n_slots);
     let mut sigma = vec![0.0f64; n_slots];
     let mut delta = vec![0.0f64; n_slots];
@@ -168,14 +162,14 @@ fn brandes<G: DirectedTopology>(
         sigma[s] = 1.0;
         let bucket = |l: usize| state.level_starts[l] as usize..state.level_starts[l + 1] as usize;
         // Forward: path counts level by level. A node's count is the sum
-        // over in-neighbors exactly one level shallower (the slot-CSR
-        // in-rows — no hashing).
+        // over in-neighbors exactly one level shallower (the in-rows — no
+        // hashing).
         for l in 1..levels {
             let d0 = l as u32 - 1;
             for i in bucket(l) {
                 let w = state.visited[i] as usize;
                 let mut sw = 0.0;
-                for &u in topo.in_row(w) {
+                for &u in g.in_row(w) {
                     if state.dist[u as usize] == d0 {
                         sw += sigma[u as usize];
                     }
@@ -191,7 +185,7 @@ fn brandes<G: DirectedTopology>(
             for i in bucket(l) {
                 let v = state.visited[i] as usize;
                 let mut dv = 0.0;
-                for &w in topo.out_row(v) {
+                for &w in g.out_row(v) {
                     let w = w as usize;
                     if state.dist[w] == d1 {
                         dv += sigma[v] / sigma[w] * (1.0 + delta[w]);
@@ -210,15 +204,7 @@ fn brandes<G: DirectedTopology>(
         }
         state.reset();
     }
-
-    let norm = if normalized && n_live > 2 {
-        1.0 / ((n_live - 1) as f64 * (n_live - 2) as f64)
-    } else {
-        1.0
-    };
-    (0..n_slots)
-        .filter_map(|s| g.slot_id(s).map(|id| (id, centrality[s] * norm)))
-        .collect()
+    centrality
 }
 
 #[cfg(test)]

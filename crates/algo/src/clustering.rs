@@ -10,7 +10,7 @@ pub fn node_clustering(g: &UndirectedGraph, threads: usize) -> Vec<(NodeId, f64)
     node_triangles(g, threads)
         .into_iter()
         .map(|(id, tri)| {
-            let d = g.nbrs(id).iter().filter(|&&n| n != id).count() as f64;
+            let d = (g.degree(id).unwrap_or(0) - usize::from(g.has_edge(id, id))) as f64;
             let denom = d * (d - 1.0);
             let c = if denom > 0.0 {
                 2.0 * tri as f64 / denom

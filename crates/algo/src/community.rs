@@ -34,7 +34,6 @@ impl Rng {
 /// adjacency order.
 pub fn label_propagation(g: &UndirectedGraph, max_iters: usize, seed: u64) -> Components {
     let n_slots = g.n_slots();
-    let topo = g.topology();
     let mut label: Vec<u32> = (0..n_slots as u32).collect();
     let live: Vec<usize> = (0..n_slots).filter(|&s| g.slot_id(s).is_some()).collect();
     let mut rng = Rng(seed | 1);
@@ -49,7 +48,7 @@ pub fn label_propagation(g: &UndirectedGraph, max_iters: usize, seed: u64) -> Co
         }
         let mut changed = false;
         for &s in &order {
-            let nbrs = topo.out_row(s);
+            let nbrs = g.out_row(s);
             if nbrs.is_empty() {
                 continue;
             }

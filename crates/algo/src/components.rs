@@ -68,12 +68,11 @@ pub fn weakly_connected_components<G: DirectedTopology>(g: &G) -> Components {
 
 /// Strongly connected components via an iterative Tarjan traversal
 /// (explicit stack, no recursion — safe on deep graphs) over the
-/// graph's slot-CSR out-rows.
+/// graph's out-rows of neighbour slots.
 pub fn strongly_connected_components<G: DirectedTopology>(g: &G) -> Components {
     let mut sp = ringo_trace::span!("algo.scc");
     sp.rows_in(g.node_count());
     let n_slots = g.n_slots();
-    let topo = g.topology();
     let mut index = vec![UNVISITED; n_slots];
     let mut lowlink = vec![0u32; n_slots];
     let mut on_stack = vec![false; n_slots];
@@ -81,8 +80,9 @@ pub fn strongly_connected_components<G: DirectedTopology>(g: &G) -> Components {
     let mut sizes: Vec<usize> = Vec::new();
     let mut next_index = 0u32;
     let mut tarjan_stack: Vec<usize> = Vec::new();
-    // Explicit DFS frames: (slot, next child position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
+    // Explicit DFS frames: (slot, the part of its out-row not yet walked),
+    // so a step reads the row where it lies, not the node table again.
+    let mut frames: Vec<(usize, &[u32])> = Vec::new();
 
     for start in 0..n_slots {
         if g.slot_id(start).is_none() || index[start] != UNVISITED {
@@ -93,20 +93,19 @@ pub fn strongly_connected_components<G: DirectedTopology>(g: &G) -> Components {
         next_index += 1;
         tarjan_stack.push(start);
         on_stack[start] = true;
-        frames.push((start, 0));
+        frames.push((start, g.out_row(start)));
 
-        while let Some(&mut (slot, ref mut child)) = frames.last_mut() {
-            let nbrs = topo.out_row(slot);
-            if *child < nbrs.len() {
-                let ns = nbrs[*child] as usize;
-                *child += 1;
+        while let Some(&mut (slot, ref mut rest)) = frames.last_mut() {
+            if let Some((&next, tail)) = rest.split_first() {
+                *rest = tail;
+                let ns = next as usize;
                 if index[ns] == UNVISITED {
                     index[ns] = next_index;
                     lowlink[ns] = next_index;
                     next_index += 1;
                     tarjan_stack.push(ns);
                     on_stack[ns] = true;
-                    frames.push((ns, 0));
+                    frames.push((ns, g.out_row(ns)));
                 } else if on_stack[ns] {
                     lowlink[slot] = lowlink[slot].min(index[ns]);
                 }

@@ -4,7 +4,7 @@
 //! graphs).
 
 use crate::frontier::{FrontierEngine, UNVISITED as UNREACHED};
-use ringo_graph::{Direction, NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, Direction, NodeId, UndirectedGraph};
 
 /// Output of the lowpoint DFS.
 #[derive(Clone, Debug, Default)]
@@ -41,7 +41,7 @@ pub fn reachable_from(g: &UndirectedGraph, src: NodeId) -> Vec<NodeId> {
 /// Whether `b` is reachable from `a` (trivially true when `a == b` and
 /// `a` exists). False when either endpoint is missing.
 pub fn is_reachable(g: &UndirectedGraph, a: NodeId, b: NodeId) -> bool {
-    let Some(bs) = UndirectedGraph::slot_of(g, b) else {
+    let Some(bs) = g.slot_of(b) else {
         return false;
     };
     FrontierEngine::new(g, Direction::Out)
@@ -70,18 +70,15 @@ pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
         disc[root] = timer;
         low[root] = timer;
         timer += 1;
-        // Frames: (slot, next neighbor index).
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (slot, ref mut next)) = stack.last_mut() {
-            let id = g.slot_id(slot).expect("visited slot live");
-            let nbrs = g.nbrs_of_slot(slot);
-            if *next < nbrs.len() {
-                let nbr = nbrs[*next];
-                *next += 1;
-                if nbr == id {
+        // Frames: (slot, the part of its row not yet walked).
+        let mut stack: Vec<(usize, &[u32])> = vec![(root, g.out_row(root))];
+        while let Some(&mut (slot, ref mut rest)) = stack.last_mut() {
+            if let Some((&next, tail)) = rest.split_first() {
+                *rest = tail;
+                let ns = next as usize;
+                if ns == slot {
                     continue; // self-loop
                 }
-                let ns = g.slot_of(nbr).expect("neighbor exists");
                 if disc[ns] == UNVISITED {
                     parent[ns] = slot;
                     if slot == root {
@@ -90,7 +87,7 @@ pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
                     disc[ns] = timer;
                     low[ns] = timer;
                     timer += 1;
-                    stack.push((ns, 0));
+                    stack.push((ns, g.out_row(ns)));
                 } else if ns != parent[slot] {
                     low[slot] = low[slot].min(disc[ns]);
                 }
@@ -100,8 +97,9 @@ pub fn cut_structure(g: &UndirectedGraph) -> CutStructure {
                 if p != usize::MAX {
                     low[p] = low[p].min(low[slot]);
                     if low[slot] > disc[p] {
-                        let pid = g.slot_id(p).expect("parent live");
-                        bridges.push((pid.min(id), pid.max(id)));
+                        let id = |s: usize| g.slot_id(s).expect("a visited slot is live");
+                        let (a, b) = (id(p), id(slot));
+                        bridges.push((a.min(b), a.max(b)));
                     }
                     if p != root && low[slot] >= disc[p] {
                         is_cut[p] = true;

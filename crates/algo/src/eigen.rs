@@ -3,7 +3,7 @@
 
 use crate::pagerank::PageRankConfig;
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_graph::{DirectedTopology, Direction, NodeId};
 
 /// Eigenvector centrality via power iteration over in-edges (a node is
 /// central when central nodes point at it), with L2 normalization each
@@ -31,11 +31,7 @@ pub fn eigenvector_centrality<G: DirectedTopology>(
                 for (off, out) in chunk.iter_mut().enumerate() {
                     let s = start + off;
                     *out = if live_ref[s] {
-                        let pulled: f64 = g
-                            .in_nbrs_of_slot(s)
-                            .iter()
-                            .map(|&u| score_ref[g.slot_of(u).expect("neighbor exists")])
-                            .sum();
+                        let pulled: f64 = g.in_row(s).iter().map(|&u| score_ref[u as usize]).sum();
                         // Shifted iteration (A + I): same eigenvectors,
                         // but converges on bipartite graphs where plain
                         // power iteration oscillates.
@@ -83,9 +79,7 @@ pub fn personalized_pagerank<G: DirectedTopology>(
         is_seed[s] = true;
     }
     let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let out_deg: Vec<u32> = (0..n_slots)
-        .map(|s| g.out_nbrs_of_slot(s).len() as u32)
-        .collect();
+    let out_deg: Vec<u32> = (0..n_slots).map(|s| g.degree(s, Direction::Out)).collect();
 
     let mut rank = vec![0.0f64; n_slots];
     for &s in &seed_slots {
@@ -116,11 +110,7 @@ pub fn personalized_pagerank<G: DirectedTopology>(
                         *out = 0.0;
                         continue;
                     }
-                    let walk: f64 = g
-                        .in_nbrs_of_slot(s)
-                        .iter()
-                        .map(|&u| contrib_ref[g.slot_of(u).expect("neighbor exists")])
-                        .sum();
+                    let walk: f64 = g.in_row(s).iter().map(|&u| contrib_ref[u as usize]).sum();
                     let restart = if is_seed_ref[s] {
                         ((1.0 - config.damping) + config.damping * dangling) * seed_mass
                     } else {

@@ -13,12 +13,10 @@
 //!   allocations per visited node. The engine keeps no parents: only
 //!   [`FrontierEngine::tree`] wants them, and it derives them from the
 //!   distances after the run.
-//! * **Slot-CSR adjacency.** The engine walks the graph's
-//!   [`Topology`]: rows of neighbor *slots*, translated from ids once
-//!   per graph version and cached on the graph, so constructing an
-//!   engine is a cache hit and every traversal step is pure array
-//!   arithmetic — where the old kernels paid a hash lookup per edge per
-//!   run, and the first engine rebuilt its own CSR per call.
+//! * **Slot rows in place.** The engine walks the graph's own adjacency
+//!   rows ([`DirectedTopology::rows`]): a graph stores every neighbour as
+//!   its slot, so constructing an engine builds nothing and every
+//!   traversal step is pure array arithmetic, no hash lookup per edge.
 //! * **Morsel-parallel expansion.** Frontiers are split into fixed-size
 //!   morsels claimed dynamically from the worker pool, so one hub node's
 //!   giant adjacency list does not serialize a level.
@@ -49,9 +47,8 @@
 
 use crate::bfs::Direction;
 use ringo_concurrent::{num_threads, parallel_for_morsels, parallel_map_morsels, ConcurrentBitset};
-use ringo_graph::{DirectedTopology, NodeId, NodeValues, Topology};
+use ringo_graph::{DirectedTopology, NodeId, NodeValues};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 /// Sentinel for "not reached" in [`FrontierState::dist`].
 pub const UNVISITED: u32 = u32::MAX;
@@ -110,14 +107,12 @@ impl FrontierState {
     }
 }
 
-/// The engine: graph + its [`Topology`] + traversal direction +
-/// crossover parameters. Construction is a cache hit on a graph that has
-/// been traversed before (`O(V + E)` on the first use of a version), so
+/// The engine: graph + traversal direction + crossover parameters.
+/// Construction reads two counts off the graph and builds nothing, so
 /// one-shot probes and multi-source kernels — components, betweenness,
 /// reachability — cost the same per run.
 pub struct FrontierEngine<'g, G: DirectedTopology> {
     g: &'g G,
-    topo: Arc<Topology>,
     dir: Direction,
     threads: usize,
     alpha: u64,
@@ -144,23 +139,15 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
     /// `alpha = 0` forces pure top-down; a huge `alpha` *and* `beta`
     /// force bottom-up from the first parallel level.
     pub fn with_params(g: &'g G, dir: Direction, threads: usize, alpha: u64, beta: u64) -> Self {
-        let topo = g.topology();
         Self {
             g,
             dir,
             threads: threads.max(1),
             alpha,
             beta,
-            total_deg: topo.total_degree(dir),
+            total_deg: g.total_degree(dir),
             live: g.node_count(),
-            topo,
         }
-    }
-
-    /// The slot-CSR rows this engine walks. Level-structured algorithms
-    /// (Brandes' sweeps) scan the same rows.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// The traversal direction this engine expands.
@@ -212,7 +199,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
             parent[vs] = match state.dist[vs] {
                 0 => v,
                 d => {
-                    let [a, b] = self.topo.rows(vs, pull);
+                    let [a, b] = self.g.rows(vs, pull);
                     a.iter()
                         .chain(b)
                         .copied()
@@ -244,7 +231,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
 
         let mut lo = run_start;
         let mut level = 0u32;
-        let mut frontier_edges = u64::from(self.topo.degree(src_slot, self.dir));
+        let mut frontier_edges = u64::from(self.g.degree(src_slot, self.dir));
         let mut unexplored = self.total_deg - frontier_edges;
         let mut prev_bottom = false;
         let mut bits_cur: Option<ConcurrentBitset> = None;
@@ -323,13 +310,13 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
         while i < hi {
             let u = state.visited[i];
             i += 1;
-            for row in self.topo.rows(u as usize, self.dir) {
+            for row in self.g.rows(u as usize, self.dir) {
                 for &v in row {
                     let vs = v as usize;
                     if state.dist[vs] == UNVISITED {
                         state.dist[vs] = d1;
                         state.visited.push(v);
-                        next_edges += u64::from(self.topo.degree(vs, self.dir));
+                        next_edges += u64::from(self.g.degree(vs, self.dir));
                     }
                 }
             }
@@ -348,12 +335,12 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
             let mut buf: Vec<u32> = Vec::new();
             let mut edges = 0u64;
             for &u in &frontier[range] {
-                for row in self.topo.rows(u as usize, self.dir) {
+                for row in self.g.rows(u as usize, self.dir) {
                     for &v in row {
                         let vs = v as usize;
                         if claim(&dist[vs], d1) {
                             buf.push(v);
-                            edges += u64::from(self.topo.degree(vs, self.dir));
+                            edges += u64::from(self.g.degree(vs, self.dir));
                         }
                     }
                 }
@@ -399,7 +386,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                 if dist[vs].load(Ordering::Relaxed) != UNVISITED {
                     continue;
                 }
-                let [a, b] = self.topo.rows(vs, pull);
+                let [a, b] = self.g.rows(vs, pull);
                 let hit = a.iter().chain(b).position(|&us| cur.get(us as usize));
                 scanned += hit.map_or(a.len() + b.len(), |i| i + 1) as u64;
                 if hit.is_some() {
@@ -408,7 +395,7 @@ impl<'g, G: DirectedTopology> FrontierEngine<'g, G> {
                     dist[vs].store(d1, Ordering::Relaxed);
                     next.set(vs);
                     buf.push(vs as u32);
-                    edges += u64::from(self.topo.degree(vs, self.dir));
+                    edges += u64::from(self.g.degree(vs, self.dir));
                 }
             }
             (buf, (edges, scanned))

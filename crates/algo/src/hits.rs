@@ -39,10 +39,7 @@ pub fn hits<G: DirectedTopology>(
                 for (off, out) in chunk.iter_mut().enumerate() {
                     let s = start + off;
                     *out = if live_ref[s] {
-                        g.in_nbrs_of_slot(s)
-                            .iter()
-                            .map(|&u| hub_ref[g.slot_of(u).expect("neighbor exists")])
-                            .sum()
+                        g.in_row(s).iter().map(|&u| hub_ref[u as usize]).sum()
                     } else {
                         0.0
                     };
@@ -60,10 +57,7 @@ pub fn hits<G: DirectedTopology>(
                 for (off, out) in chunk.iter_mut().enumerate() {
                     let s = start + off;
                     *out = if live_ref[s] {
-                        g.out_nbrs_of_slot(s)
-                            .iter()
-                            .map(|&w| auth_ref[g.slot_of(w).expect("neighbor exists")])
-                            .sum()
+                        g.out_row(s).iter().map(|&w| auth_ref[w as usize]).sum()
                     } else {
                         0.0
                     };

@@ -18,7 +18,7 @@ pub fn maximal_independent_set(g: &UndirectedGraph) -> Vec<NodeId> {
             continue;
         }
         set.push(id);
-        for &n in g.nbrs(id) {
+        for n in g.nbrs(id) {
             blocked.insert(n, ());
         }
     }
@@ -41,7 +41,7 @@ pub fn greedy_coloring(g: &UndirectedGraph) -> IntHashTable<u32> {
         }
         used.clear();
         used.resize(g.degree(id).unwrap_or(0) + 1, false);
-        for &n in g.nbrs(id) {
+        for n in g.nbrs(id) {
             if let Some(&c) = color.get(n) {
                 if (c as usize) < used.len() {
                     used[c as usize] = true;
@@ -96,7 +96,7 @@ mod tests {
         // Maximality: every non-member has a member neighbor.
         for id in g.node_ids() {
             if !set.contains(&id) {
-                assert!(g.nbrs(id).iter().any(|n| set.contains(n)));
+                assert!(g.nbrs(id).any(|n| set.contains(&n)));
             }
         }
         // Greedy on a path takes alternating nodes: 0,2,4,6.
@@ -123,7 +123,7 @@ mod tests {
         for id in g.node_ids() {
             let c = *color.get(id).unwrap();
             assert!((c as usize) <= max_deg);
-            for &n in g.nbrs(id) {
+            for n in g.nbrs(id) {
                 assert_ne!(color.get(n), Some(&c), "adjacent same color");
             }
         }

@@ -1,6 +1,6 @@
 //! The one sorted-set intersection every neighbourhood kernel shares
 //! (triangles, clustering, k-truss, similarity). Inputs are strictly
-//! ascending id lists, as `nbrs` returns them.
+//! ascending lists — in the kernels, rows of neighbour slots.
 //!
 //! Lists of comparable length are merged with two pointers that advance
 //! without a data-dependent branch. When one list is [`GALLOP_RATIO`]
@@ -9,22 +9,20 @@
 //! O(short · log(long / short)) rather than O(short + long), so a hub's
 //! list is not re-walked once per low-degree neighbour.
 
-use ringo_graph::NodeId;
-
 /// Where the search overtakes the merge, measured (DESIGN.md,
 /// "Triangles": they tie at 4×, the search is 1.4× ahead at 8×). A
 /// constant of the algorithm, not a knob.
 const GALLOP_RATIO: usize = 4;
 
-/// Number of ids present in both lists.
-pub(crate) fn count_common(a: &[NodeId], b: &[NodeId]) -> u64 {
+/// Number of values present in both lists.
+pub(crate) fn count_common<T: Copy + Ord>(a: &[T], b: &[T]) -> u64 {
     let mut n = 0;
     for_each_common(a, b, |_| n += 1);
     n
 }
 
-/// Calls `f` with every id present in both lists, in ascending order.
-pub(crate) fn for_each_common(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) {
+/// Calls `f` with every value present in both lists, in ascending order.
+pub(crate) fn for_each_common<T: Copy + Ord>(a: &[T], b: &[T], mut f: impl FnMut(T)) {
     let (short, mut long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.len().saturating_mul(GALLOP_RATIO) > long.len() {
         let (mut i, mut j) = (0, 0);
@@ -49,7 +47,7 @@ pub(crate) fn for_each_common(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(Node
 /// Index of the first element of `s` that is not below `x`: probes
 /// `s[0], s[1], s[3], s[7], …` and binary-searches the last gap, so a
 /// target near the front costs O(log distance), not O(log len).
-fn lower_bound(s: &[NodeId], x: NodeId) -> usize {
+fn lower_bound<T: Copy + Ord>(s: &[T], x: T) -> usize {
     let mut bound = 1usize;
     while bound <= s.len() && s[bound - 1] < x {
         bound <<= 1;
@@ -61,6 +59,7 @@ fn lower_bound(s: &[NodeId], x: NodeId) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ringo_graph::NodeId;
     use std::collections::BTreeSet;
 
     fn sorted_set(rng: &mut u64, len: usize, universe: u64) -> Vec<NodeId> {

@@ -8,7 +8,7 @@
 //! asks about one `k` only, so it removes just the nodes that fall below
 //! it and reads no list but theirs.
 
-use ringo_graph::{DirectedTopology, NodeValues, UndirectedGraph};
+use ringo_graph::{DirectedTopology, Direction, NodeValues, UndirectedGraph};
 
 /// Computes the core number of every node, in ascending slot order.
 ///
@@ -64,12 +64,11 @@ pub fn core_numbers(g: &UndirectedGraph) -> NodeValues<u32> {
     // number — once it leaves, and `degree` ends as the answer.
     for i in 0..n {
         let v = vert[i];
-        let v_id = g.slot_id(v).expect("ordered slots are live");
-        for &u_id in g.nbrs_of_slot(v) {
-            if u_id == v_id {
+        for &u in g.out_row(v) {
+            let u = u as usize;
+            if u == v {
                 continue;
             }
-            let u = g.slot_of(u_id).expect("neighbor exists");
             if degree[u] > degree[v] {
                 // Move u one bucket down: swap with the first vertex of
                 // its current bucket.
@@ -94,7 +93,7 @@ pub fn core_numbers(g: &UndirectedGraph) -> NodeValues<u32> {
 /// Degree of every slot (0 for vacant ones), self-loops counting one.
 fn slot_degrees(g: &UndirectedGraph) -> Vec<u32> {
     (0..g.n_slots())
-        .map(|s| u32::try_from(g.nbrs_of_slot(s).len()).expect("a degree fits the u32 slot space"))
+        .map(|s| DirectedTopology::degree(g, s, Direction::Out))
         .collect()
 }
 
@@ -105,9 +104,10 @@ fn slot_degrees(g: &UndirectedGraph) -> Vec<u32> {
 /// A threshold peel: a node is live while its degree is at least `k`;
 /// each node that falls below is queued once, its list walked once, and
 /// every live neighbour loses one degree and is remembered as the far end
-/// of a cut edge. The survivors' lists are then spliced from `g`'s own
-/// ([`UndirectedGraph::without`]), so the work is set by the nodes that
-/// fall and the size of the answer, not by the edges that stay.
+/// of a cut edge. The survivors' rows are then renumbered from `g`'s own
+/// ([`UndirectedGraph::without`], the cuts sizing them), so the peel's
+/// work is set by the nodes that fall and the copy's by the size of the
+/// answer.
 pub fn k_core(g: &UndirectedGraph, k: u32) -> UndirectedGraph {
     let mut sp = ringo_trace::span!("algo.kcore");
     sp.rows_in(g.node_count());
@@ -121,18 +121,14 @@ pub fn k_core(g: &UndirectedGraph, k: u32) -> UndirectedGraph {
     let mut next = 0;
     while let Some(&v) = gone.get(next) {
         next += 1;
-        let v_id = g.slot_id(v as usize).expect("queued slots are live");
-        for &u_id in g.nbrs_of_slot(v as usize) {
-            if u_id == v_id {
+        for &u in g.out_row(v as usize) {
+            if u == v || degree[u as usize] < k {
                 continue;
             }
-            let u = g.slot_of(u_id).expect("neighbor exists");
-            if degree[u] >= k {
-                degree[u] -= 1;
-                cuts.push((u as u32, v));
-                if degree[u] < k {
-                    gone.push(u as u32);
-                }
+            degree[u as usize] -= 1;
+            cuts.push((u, v));
+            if degree[u as usize] < k {
+                gone.push(u);
             }
         }
     }

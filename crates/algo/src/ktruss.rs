@@ -6,34 +6,33 @@
 //! always contained in the (k-1)-core but is far denser in practice.
 
 use crate::intersect::for_each_common;
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
 use std::collections::{HashMap, VecDeque};
 
 /// Truss number of every edge `(a, b)` with `a <= b` (self-loops carry no
 /// triangles and are excluded): the largest `k` such that the edge
 /// survives in the k-truss. Edges in no triangle have truss number 2.
 pub fn truss_numbers(g: &UndirectedGraph) -> HashMap<(NodeId, NodeId), u32> {
+    // Edges as slot pairs `(u, v)` with `u < v`, read off the rows.
+    let row = |s: u32| g.out_row(s as usize);
     // Support = number of triangles through each edge.
-    let mut support: HashMap<(NodeId, NodeId), u32> = g
-        .edges()
-        .filter(|(u, v)| u != v)
+    let mut support: HashMap<(u32, u32), u32> = (0..g.n_slots() as u32)
+        .flat_map(|u| row(u).iter().filter(move |&&v| v > u).map(move |&v| (u, v)))
         .map(|(u, v)| {
             let mut count = 0;
-            for_each_common(g.nbrs(u), g.nbrs(v), |w| {
-                count += u32::from(w != u && w != v)
-            });
+            for_each_common(row(u), row(v), |w| count += u32::from(w != u && w != v));
             ((u, v), count)
         })
         .collect();
 
     // Peel edges in increasing support; the classic truss decomposition.
-    let mut alive: HashMap<(NodeId, NodeId), bool> = support.keys().map(|&e| (e, true)).collect();
+    let mut alive: HashMap<(u32, u32), bool> = support.keys().map(|&e| (e, true)).collect();
     let mut truss: HashMap<(NodeId, NodeId), u32> = HashMap::with_capacity(support.len());
     let mut k = 2u32;
     let mut remaining = support.len();
     while remaining > 0 {
         // Collect edges with support <= k - 2.
-        let mut queue: VecDeque<(NodeId, NodeId)> = support
+        let mut queue: VecDeque<(u32, u32)> = support
             .iter()
             .filter(|(e, &s)| alive[*e] && s <= k - 2)
             .map(|(&e, _)| e)
@@ -43,13 +42,14 @@ pub fn truss_numbers(g: &UndirectedGraph) -> HashMap<(NodeId, NodeId), u32> {
                 continue;
             }
             alive.insert(e, false);
-            truss.insert(e, k);
-            remaining -= 1;
             let (u, v) = e;
+            let (a, b) = (id_of(g, u), id_of(g, v));
+            truss.insert((a.min(b), a.max(b)), k);
+            remaining -= 1;
             // The triangle {u, v, w} exists only while (u,w) and (v,w) are
             // both alive; if one has fallen, its own removal already took
             // this triangle off the other.
-            for_each_common(g.nbrs(u), g.nbrs(v), |w| {
+            for_each_common(row(u), row(v), |w| {
                 if w == u || w == v {
                     return;
                 }
@@ -69,6 +69,11 @@ pub fn truss_numbers(g: &UndirectedGraph) -> HashMap<(NodeId, NodeId), u32> {
         k += 1;
     }
     truss
+}
+
+/// The id in `slot`, which a row named.
+fn id_of(g: &UndirectedGraph, slot: u32) -> NodeId {
+    g.slot_id(slot as usize).expect("a row names live slots")
 }
 
 /// Extracts the k-truss subgraph: edges with truss number >= `k` and the

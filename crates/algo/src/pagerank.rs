@@ -9,7 +9,7 @@
 
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 use ringo_concurrent::parallel_reduce;
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_graph::{DirectedTopology, Direction, NodeId};
 
 /// Parameters for [`pagerank`].
 #[derive(Clone, Copy, Debug)]
@@ -71,9 +71,9 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
             live[s] = true;
         }
     }
-    // Out-degrees and in-rows come from the slot-CSR view: the pull
-    // loop below reads neighbor slots directly, in adjacency order.
-    let topo = g.topology();
+    // The pull loop below reads each node's in-row of neighbour slots in
+    // place, in adjacency order; out-degrees are read once, up front.
+    let out_deg: Vec<u32> = (0..n_slots).map(|s| g.degree(s, Direction::Out)).collect();
 
     let mut contrib = vec![0.0f64; n_slots];
     let mut next = vec![0.0f64; n_slots];
@@ -85,8 +85,8 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
             parallel_for_each_chunk_mut(&mut contrib, config.threads, |_, start, chunk| {
                 for (off, c) in chunk.iter_mut().enumerate() {
                     let s = start + off;
-                    *c = if live_ref[s] && topo.out_degree(s) > 0 {
-                        rank_ref[s] / f64::from(topo.out_degree(s))
+                    *c = if live_ref[s] && out_deg[s] > 0 {
+                        rank_ref[s] / f64::from(out_deg[s])
                     } else {
                         0.0
                     };
@@ -100,7 +100,7 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
             |range| {
                 let mut s = 0.0;
                 for i in range {
-                    if live[i] && topo.out_degree(i) == 0 {
+                    if live[i] && out_deg[i] == 0 {
                         s += rank[i];
                     }
                 }
@@ -121,7 +121,7 @@ pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(Nod
                         continue;
                     }
                     let mut acc = 0.0;
-                    for &us in topo.in_row(s) {
+                    for &us in g.in_row(s) {
                         acc += contrib_ref[us as usize];
                     }
                     *out = base + config.damping * acc;

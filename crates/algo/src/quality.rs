@@ -27,7 +27,7 @@ pub fn modularity(g: &UndirectedGraph, partition: &Components) -> f64 {
             Some(c) => c as usize,
             None => continue,
         };
-        for &v in g.nbrs(u) {
+        for v in g.nbrs(u) {
             if v == u {
                 // A self-loop contributes 2 to both ends (same node).
                 internal[cu] += 2.0;
@@ -55,7 +55,7 @@ pub fn conductance(g: &UndirectedGraph, partition: &Components, community: u32) 
     let mut vol_out = 0.0f64;
     for u in g.node_ids() {
         let cu = partition.component(u)?;
-        for &v in g.nbrs(u) {
+        for v in g.nbrs(u) {
             if v == u {
                 continue;
             }

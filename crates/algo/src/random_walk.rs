@@ -1,7 +1,6 @@
 //! Random walks over directed graphs: plain walks, restart walks, and a
 //! Monte-Carlo personalized-PageRank estimator built on them.
 
-use ringo_concurrent::IntHashTable;
 use ringo_graph::{DirectedTopology, NodeId};
 
 /// Deterministic xorshift64* generator so walks are reproducible.
@@ -48,13 +47,12 @@ pub fn random_walk<G: DirectedTopology>(
     };
     path.push(start);
     for _ in 0..len {
-        let nbrs = g.out_nbrs_of_slot(slot);
+        let nbrs = g.out_row(slot);
         if nbrs.is_empty() {
             break;
         }
-        let next = nbrs[rng.below(nbrs.len())];
-        path.push(next);
-        slot = g.slot_of(next).expect("neighbor exists");
+        slot = nbrs[rng.below(nbrs.len())] as usize;
+        path.push(g.slot_id(slot).expect("a row names live slots"));
     }
     path
 }
@@ -76,26 +74,24 @@ pub fn approximate_ppr<G: DirectedTopology>(
         Some(s) => s,
         None => return Vec::new(),
     };
-    let mut visits: IntHashTable<u64> = IntHashTable::new();
+    let mut visits = vec![0u64; g.n_slots()];
     let mut total = 0u64;
     for _ in 0..walks {
         let mut slot = seed_slot;
         for _ in 0..max_steps {
-            let id = g.slot_id(slot).expect("walk stays on live nodes");
-            *visits.get_or_insert_with(id, || 0) += 1;
+            visits[slot] += 1;
             total += 1;
-            let nbrs = g.out_nbrs_of_slot(slot);
-            if nbrs.is_empty() || !rng.chance(damping) {
-                slot = seed_slot;
+            let nbrs = g.out_row(slot);
+            slot = if nbrs.is_empty() || !rng.chance(damping) {
+                seed_slot
             } else {
-                let next = nbrs[rng.below(nbrs.len())];
-                slot = g.slot_of(next).expect("neighbor exists");
-            }
+                nbrs[rng.below(nbrs.len())] as usize
+            };
         }
     }
-    let mut out: Vec<(NodeId, f64)> = visits
-        .iter()
-        .map(|(id, &c)| (id, c as f64 / total as f64))
+    let mut out: Vec<(NodeId, f64)> = (0..g.n_slots())
+        .filter(|&s| visits[s] > 0)
+        .filter_map(|s| Some((g.slot_id(s)?, visits[s] as f64 / total as f64)))
         .collect();
     out.sort_unstable_by_key(|(id, _)| *id);
     out

@@ -3,20 +3,28 @@
 //! preferential-attachment scores.
 
 use crate::intersect::{count_common, for_each_common};
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
+
+/// The slot of `id` (if a node) and its row of neighbour slots.
+fn slot_row(g: &UndirectedGraph, id: NodeId) -> (Option<u32>, &[u32]) {
+    match g.slot_of(id) {
+        Some(s) => (Some(s as u32), g.out_row(s)),
+        None => (None, &[]),
+    }
+}
 
 /// Number of common neighbors of `a` and `b` (self-entries excluded).
 pub fn common_neighbors(g: &UndirectedGraph, a: NodeId, b: NodeId) -> usize {
+    let ((sa, na), (sb, nb)) = (slot_row(g, a), slot_row(g, b));
     let mut n = 0;
-    for_each_common(g.nbrs(a), g.nbrs(b), |x| n += usize::from(x != a && x != b));
+    for_each_common(na, nb, |x| n += usize::from(Some(x) != sa && Some(x) != sb));
     n
 }
 
 /// Jaccard similarity of the neighborhoods of `a` and `b`:
 /// `|N(a) ∩ N(b)| / |N(a) ∪ N(b)|` (0 when both neighborhoods are empty).
 pub fn jaccard_similarity(g: &UndirectedGraph, a: NodeId, b: NodeId) -> f64 {
-    let na = g.nbrs(a);
-    let nb = g.nbrs(b);
+    let ((_, na), (_, nb)) = (slot_row(g, a), slot_row(g, b));
     let inter = count_common(na, nb) as usize;
     let union = na.len() + nb.len() - inter;
     if union == 0 {
@@ -30,11 +38,11 @@ pub fn jaccard_similarity(g: &UndirectedGraph, a: NodeId, b: NodeId) -> f64 {
 /// Common neighbors of degree 1 cannot exist (they neighbor both inputs),
 /// so the logarithm is always positive.
 pub fn adamic_adar(g: &UndirectedGraph, a: NodeId, b: NodeId) -> f64 {
+    let ((sa, na), (sb, nb)) = (slot_row(g, a), slot_row(g, b));
     let mut sum = 0.0;
-    for_each_common(g.nbrs(a), g.nbrs(b), |z| {
-        if z != a && z != b {
-            let d = g.degree(z).expect("common neighbor exists") as f64;
-            sum += 1.0 / d.ln();
+    for_each_common(na, nb, |z| {
+        if Some(z) != sa && Some(z) != sb {
+            sum += 1.0 / (g.out_row(z as usize).len() as f64).ln();
         }
     });
     sum
@@ -50,11 +58,11 @@ pub fn preferential_attachment_score(g: &UndirectedGraph, a: NodeId, b: NodeId) 
 /// sorted by descending score, ties by ascending id. Existing neighbors
 /// and the node itself are excluded.
 pub fn top_jaccard_candidates(g: &UndirectedGraph, node: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-    let direct = g.nbrs(node);
-    let mut candidates: Vec<NodeId> = Vec::new();
+    let (me, direct) = slot_row(g, node);
+    let mut candidates: Vec<u32> = Vec::new();
     for &n in direct {
-        for &nn in g.nbrs(n) {
-            if nn != node && direct.binary_search(&nn).is_err() {
+        for &nn in g.out_row(n as usize) {
+            if Some(nn) != me && direct.binary_search(&nn).is_err() {
                 candidates.push(nn);
             }
         }
@@ -63,6 +71,7 @@ pub fn top_jaccard_candidates(g: &UndirectedGraph, node: NodeId, k: usize) -> Ve
     candidates.dedup();
     let mut scored: Vec<(NodeId, f64)> = candidates
         .into_iter()
+        .filter_map(|c| g.slot_id(c as usize))
         .map(|c| (c, jaccard_similarity(g, node, c)))
         .collect();
     scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));

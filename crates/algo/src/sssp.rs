@@ -49,7 +49,6 @@ where
     let Some(src_slot) = g.slot_of(src) else {
         return g.node_values(Vec::new(), 0, |_| true);
     };
-    let topo = g.topology();
     let mut dist = vec![f64::INFINITY; g.n_slots()];
     let mut reached = 1;
     dist[src_slot] = 0.0;
@@ -63,7 +62,7 @@ where
             continue; // stale entry
         }
         let u = g.slot_id(slot).expect("heap slot is live");
-        for &v in topo.out_row(slot) {
+        for &v in g.out_row(slot) {
             let vs = v as usize;
             let w = weight(u, g.slot_id(vs).expect("neighbour slot is live"));
             debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");

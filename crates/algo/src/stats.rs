@@ -10,11 +10,8 @@ pub fn degree_histogram<G: DirectedTopology>(g: &G, dir: Direction) -> Vec<(usiz
         if g.slot_id(s).is_none() {
             continue;
         }
-        let d = match dir {
-            Direction::Out => g.out_nbrs_of_slot(s).len(),
-            Direction::In => g.in_nbrs_of_slot(s).len(),
-            Direction::Both => g.out_nbrs_of_slot(s).len() + g.in_nbrs_of_slot(s).len(),
-        };
+        let d = g.out_row(s).len() * usize::from(dir != Direction::In)
+            + g.in_row(s).len() * usize::from(dir != Direction::Out);
         *counts.entry(d).or_insert(0) += 1;
     }
     counts.into_iter().collect()
@@ -110,18 +107,13 @@ pub fn reciprocity<G: DirectedTopology>(g: &G) -> f64 {
     let mut total = 0usize;
     let mut mutual = 0usize;
     for s in 0..g.n_slots() {
-        let u = match g.slot_id(s) {
-            Some(id) => id,
-            None => continue,
-        };
-        let ins = g.in_nbrs_of_slot(s);
-        for &v in g.out_nbrs_of_slot(s) {
+        let ins = g.in_row(s);
+        for v in g.out_row(s) {
             total += 1;
             // u -> v is mutual when v -> u exists, i.e. v in in(u).
-            if ins.binary_search(&v).is_ok() {
+            if ins.binary_search(v).is_ok() {
                 mutual += 1;
             }
-            let _ = u;
         }
     }
     if total == 0 {
@@ -136,7 +128,7 @@ pub fn reciprocity<G: DirectedTopology>(g: &G) -> f64 {
 /// negative: hubs link to the periphery (typical of social/web graphs).
 /// Returns 0 when undefined (fewer than 2 edges or zero variance).
 pub fn degree_assortativity<G: DirectedTopology>(g: &G) -> f64 {
-    let deg = |slot: usize| (g.out_nbrs_of_slot(slot).len() + g.in_nbrs_of_slot(slot).len()) as f64;
+    let deg = |slot: usize| (g.out_row(slot).len() + g.in_row(slot).len()) as f64;
     let mut n = 0f64;
     let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0f64, 0f64, 0f64, 0f64, 0f64);
     for s in 0..g.n_slots() {
@@ -144,9 +136,8 @@ pub fn degree_assortativity<G: DirectedTopology>(g: &G) -> f64 {
             continue;
         }
         let x = deg(s);
-        for &v in g.out_nbrs_of_slot(s) {
-            let vs = g.slot_of(v).expect("neighbor exists");
-            let y = deg(vs);
+        for &v in g.out_row(s) {
+            let y = deg(v as usize);
             n += 1.0;
             sx += x;
             sy += y;

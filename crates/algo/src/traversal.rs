@@ -3,11 +3,11 @@
 
 use crate::frontier::as_atomic;
 use ringo_concurrent::{num_threads, parallel_map_morsels};
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_graph::{DirectedTopology, Direction, NodeId};
 use std::sync::atomic::Ordering;
 
 /// Nodes in iterative depth-first preorder from `src`, following
-/// out-edges. Neighbors are visited in adjacency (ascending id) order.
+/// out-edges. Neighbors are visited in adjacency (slot) order.
 pub fn dfs_order<G: DirectedTopology>(g: &G, src: NodeId) -> Vec<NodeId> {
     let mut order = Vec::new();
     let src_slot = match g.slot_of(src) {
@@ -15,23 +15,21 @@ pub fn dfs_order<G: DirectedTopology>(g: &G, src: NodeId) -> Vec<NodeId> {
         None => return order,
     };
     let mut visited = vec![false; g.n_slots()];
-    // Stack holds (slot, next-neighbor index).
-    let mut stack: Vec<(usize, usize)> = vec![(src_slot, 0)];
+    // Stack holds each open node's out-row, the part not yet walked.
+    let mut stack: Vec<&[u32]> = vec![g.out_row(src_slot)];
     visited[src_slot] = true;
     order.push(src);
-    while let Some(&mut (slot, ref mut next)) = stack.last_mut() {
-        let nbrs = g.out_nbrs_of_slot(slot);
-        if *next >= nbrs.len() {
+    while let Some(rest) = stack.last_mut() {
+        let Some((&next, tail)) = rest.split_first() else {
             stack.pop();
             continue;
-        }
-        let nbr = nbrs[*next];
-        *next += 1;
-        let ns = g.slot_of(nbr).expect("neighbor exists");
+        };
+        *rest = tail;
+        let ns = next as usize;
         if !visited[ns] {
             visited[ns] = true;
-            order.push(nbr);
-            stack.push((ns, 0));
+            order.push(g.slot_id(ns).expect("a row names live slots"));
+            stack.push(g.out_row(ns));
         }
     }
     order
@@ -51,8 +49,7 @@ const PAR_MIN_FRONTIER: usize = 256;
 /// count.
 pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
     let n_slots = g.n_slots();
-    let topo = g.topology();
-    let mut indeg: Vec<u32> = (0..n_slots).map(|s| topo.in_degree(s)).collect();
+    let mut indeg: Vec<u32> = (0..n_slots).map(|s| g.degree(s, Direction::In)).collect();
     let live = g.node_count();
     let mut frontier: Vec<u32> = (0..n_slots)
         .filter(|&s| g.slot_id(s).is_some() && indeg[s] == 0)
@@ -72,7 +69,7 @@ pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
             let (bufs, _) = parallel_map_morsels(fr.len(), threads, |_, range| {
                 let mut buf: Vec<u32> = Vec::new();
                 for &u in &fr[range] {
-                    for &ns in topo.out_row(u as usize) {
+                    for &ns in g.out_row(u as usize) {
                         // ORDERING: Relaxed — the decrement only needs
                         // atomicity (exactly one worker sees the count
                         // hit zero); the next round reads after the pool
@@ -88,7 +85,7 @@ pub fn topological_sort<G: DirectedTopology>(g: &G) -> Option<Vec<NodeId>> {
         } else {
             let mut buf: Vec<u32> = Vec::new();
             for &u in &frontier {
-                for &ns in topo.out_row(u as usize) {
+                for &ns in g.out_row(u as usize) {
                     indeg[ns as usize] -= 1;
                     if indeg[ns as usize] == 0 {
                         buf.push(ns);

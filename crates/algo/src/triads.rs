@@ -79,10 +79,13 @@ pub fn triad_census(g: &DirectedGraph) -> TriadCensus {
         return TriadCensus { counts };
     }
 
-    // Undirected neighborhoods (sorted, deduped, self excluded).
+    // Undirected neighborhoods (sorted by id, deduped, self excluded).
     let und = g.to_undirected();
-    let und_nbrs =
-        |id: NodeId| -> Vec<NodeId> { und.nbrs(id).iter().copied().filter(|&x| x != id).collect() };
+    let und_nbrs = |id: NodeId| -> Vec<NodeId> {
+        let mut nbrs: Vec<NodeId> = und.nbrs(id).filter(|&x| x != id).collect();
+        nbrs.sort_unstable();
+        nbrs
+    };
 
     for u in g.node_ids() {
         let nu = und_nbrs(u);
@@ -113,8 +116,7 @@ pub fn triad_census(g: &DirectedGraph) -> TriadCensus {
             // v < w, or when u < w < v and {u, w} is not an edge (so the
             // pair (u, w) will not enumerate this triple itself).
             for &w in &s {
-                let count_here =
-                    w > v || (u < w && w < v && und.nbrs(u).binary_search(&w).is_err());
+                let count_here = w > v || (u < w && w < v && nu.binary_search(&w).is_err());
                 if count_here {
                     let ty = TRICODE_TO_TYPE[tricode(g, u, v, w)] as usize - 1;
                     counts[ty] += 1;

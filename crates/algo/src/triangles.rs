@@ -2,15 +2,16 @@
 //! (Table 3), "directly related to relational joins".
 //!
 //! The forward algorithm ("a straightforward approach, similar to
-//! \[PATRIC\]") on the graph's own id-sorted neighbour lists. A triangle
-//! `a < b < c` is met exactly once, at `c`: `b` is a neighbour below `c`,
-//! and `a` is below `b` in both their lists (DESIGN.md, "Triangles").
-//! Nothing is allocated per node or per edge, and every result is a sum
-//! of `u64`, identical at any thread count.
+//! \[PATRIC\]") on the graph's own rows of neighbour slots, read in place
+//! and sorted by slot. A triangle on slots `a < b < c` is met exactly
+//! once, at `c`: `b` is a neighbour below `c`, and `a` is below `b` in
+//! both their rows (DESIGN.md, "Triangles"). Nothing is allocated per
+//! node or per edge, nothing is looked up, and every result is a sum of
+//! `u64`, identical at any thread count.
 
 use crate::intersect::count_common;
 use ringo_concurrent::parallel_for_dynamic;
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts the number of distinct triangles. Self-loops never form
@@ -20,11 +21,11 @@ pub fn count_triangles(g: &UndirectedGraph, threads: usize) -> u64 {
     let mut sp = ringo_trace::span!("algo.triangles");
     sp.rows_in(g.edge_count());
     let total = AtomicU64::new(0);
-    each_node(g, threads, |_, u, nbrs| {
+    each_node(g, threads, |u, nbrs| {
         let mine = below(u, nbrs);
         let mut count = 0;
         for (i, &v) in mine.iter().enumerate() {
-            count += count_common(&mine[..i], below(v, g.nbrs(v)));
+            count += count_common(&mine[..i], below(v, g.out_row(v as usize)));
         }
         // ORDERING: Relaxed — a commutative sum that publishes nothing;
         // the pool's completion mutex orders it before the final read.
@@ -35,8 +36,8 @@ pub fn count_triangles(g: &UndirectedGraph, threads: usize) -> u64 {
     total
 }
 
-/// The part of `u`'s sorted list below `u`; a self-loop is not in it.
-fn below(u: NodeId, nbrs: &[NodeId]) -> &[NodeId] {
+/// The part of slot `u`'s row below `u`; a self-loop is not in it.
+fn below(u: u32, nbrs: &[u32]) -> &[u32] {
     &nbrs[..nbrs.partition_point(|&w| w < u)]
 }
 
@@ -45,13 +46,13 @@ fn below(u: NodeId, nbrs: &[NodeId]) -> &[NodeId] {
 /// to one worker), yet claiming a block is noise next to counting it.
 const BLOCK: usize = 64;
 
-/// Calls `body(slot, id, nbrs)` for every node, block by block.
-fn each_node(g: &UndirectedGraph, threads: usize, body: impl Fn(usize, NodeId, &[NodeId]) + Sync) {
+/// Calls `body(slot, row)` for every live slot, block by block.
+fn each_node(g: &UndirectedGraph, threads: usize, body: impl Fn(u32, &[u32]) + Sync) {
     let n_slots = g.n_slots();
     parallel_for_dynamic(n_slots.div_ceil(BLOCK), threads, |block| {
         for slot in block * BLOCK..((block + 1) * BLOCK).min(n_slots) {
-            if let Some(u) = g.slot_id(slot) {
-                body(slot, u, g.nbrs_of_slot(slot));
+            if g.slot_id(slot).is_some() {
+                body(slot as u32, g.out_row(slot));
             }
         }
     });
@@ -61,19 +62,19 @@ fn each_node(g: &UndirectedGraph, threads: usize, body: impl Fn(usize, NodeId, &
 /// slot order. `sum(counts) == 3 * count_triangles(g)`.
 pub fn node_triangles(g: &UndirectedGraph, threads: usize) -> Vec<(NodeId, u64)> {
     let tri: Vec<AtomicU64> = (0..g.n_slots()).map(|_| AtomicU64::new(0)).collect();
-    each_node(g, threads, |slot, u, nbrs| {
+    each_node(g, threads, |u, nbrs| {
         // Each triangle {u, v, w} with w < v is met once, from v, as a
-        // `w` below `v` in both lists. `u` is in every `N(v)`, so a
+        // `w` below `v` in both rows. `u` is in every `N(v)`, so a
         // self-loop on `u` would pose as such a `w` whenever `u < v`.
         let u_loop = nbrs.binary_search(&u).is_ok();
         let mut count = 0;
         for (i, &v) in nbrs.iter().enumerate().filter(|&(_, &v)| v != u) {
-            let common = count_common(&nbrs[..i], below(v, g.nbrs(v)));
+            let common = count_common(&nbrs[..i], below(v, g.out_row(v as usize)));
             count += common - u64::from(u_loop && u < v);
         }
         // ORDERING: Relaxed — each slot is stored by the one block that
         // owns it and read after the pool's completion mutex.
-        tri[slot].store(count, Ordering::Relaxed);
+        tri[u as usize].store(count, Ordering::Relaxed);
     });
     tri.into_iter()
         .enumerate()

@@ -3,48 +3,53 @@
 
 use crate::pagerank::PageRankConfig;
 use ringo_concurrent::IntHashTable;
-use ringo_graph::{NodeId, WeightedDigraph};
+use ringo_graph::{DirectedTopology, NodeId, WeightedDigraph};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Weighted PageRank: a random surfer follows out-edges with probability
 /// proportional to edge weight (instead of uniformly). Weights must be
 /// non-negative; nodes whose total out-weight is zero are treated as
-/// dangling. Scores sum to 1.
+/// dangling. Scores sum to 1; `(id, score)` pairs in slot order.
 pub fn pagerank_weighted(g: &WeightedDigraph, config: &PageRankConfig) -> Vec<(NodeId, f64)> {
-    let ids: Vec<NodeId> = g.node_ids().collect();
-    let n = ids.len();
+    let n_slots = g.n_slots();
+    let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
-    let mut index: IntHashTable<u32> = IntHashTable::with_capacity(n);
-    for (i, &id) in ids.iter().enumerate() {
-        index.insert(id, i as u32);
-    }
-    let strength: Vec<f64> = ids.iter().map(|&id| g.out_strength(id)).collect();
-    let mut rank = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
+    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
+    let strength: Vec<f64> = (0..n_slots)
+        .map(|s| g.out_weights(s).iter().sum())
+        .collect();
+    let mut rank: Vec<f64> = live
+        .iter()
+        .map(|&l| if l { 1.0 / n as f64 } else { 0.0 })
+        .collect();
+    let mut next = vec![0.0f64; n_slots];
     for _ in 0..config.iterations {
-        let dangling: f64 = (0..n)
-            .filter(|&i| strength[i] <= 0.0)
-            .map(|i| rank[i])
+        let dangling: f64 = (0..n_slots)
+            .filter(|&s| live[s] && strength[s] <= 0.0)
+            .map(|s| rank[s])
             .sum();
         let base = (1.0 - config.damping) / n as f64 + config.damping * dangling / n as f64;
-        next.iter_mut().for_each(|x| *x = base);
+        for (x, &l) in next.iter_mut().zip(&live) {
+            *x = if l { base } else { 0.0 };
+        }
         // Push model: each node distributes its rank along out-weights.
-        for (i, &id) in ids.iter().enumerate() {
-            if strength[i] <= 0.0 {
+        for s in 0..n_slots {
+            if !live[s] || strength[s] <= 0.0 {
                 continue;
             }
-            let share = config.damping * rank[i] / strength[i];
-            for (nbr, w) in g.out_edges(id) {
-                let j = *index.get(nbr).expect("neighbor indexed") as usize;
-                next[j] += share * w;
+            let share = config.damping * rank[s] / strength[s];
+            for (&t, &w) in g.out_row(s).iter().zip(g.out_weights(s)) {
+                next[t as usize] += share * w;
             }
         }
         std::mem::swap(&mut rank, &mut next);
     }
-    ids.into_iter().zip(rank).collect()
+    (0..n_slots)
+        .filter_map(|s| Some((g.slot_id(s)?, rank[s])))
+        .collect()
 }
 
 #[derive(PartialEq)]

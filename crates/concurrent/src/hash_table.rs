@@ -4,7 +4,8 @@
 //! probing" as the backbone of both the graph's node index and the table
 //! engine's grouping/join operators, citing its cache friendliness for
 //! integer keys. [`IntHashTable`] is the sequential variant with proper
-//! deletion (backward-shift, no tombstones). [`KeyInterner`] maps
+//! deletion (backward-shift, no tombstones); every `i64` is a legal key.
+//! [`KeyInterner`] maps
 //! fixed-width multi-word keys to dense first-appearance ids without a
 //! reserved key or a per-key allocation — the index under group-by,
 //! distinct and the set operations. [`ConcurrentIntTable`] is a
@@ -16,8 +17,9 @@
 use crate::sync::{VAtomicI64, VAtomicUsize};
 use std::sync::atomic::Ordering;
 
-/// Sentinel marking an empty slot. `i64::MIN` is reserved and may not be
-/// used as a key: inserting it panics, looking it up finds nothing.
+/// Sentinel marking an empty slot of a probe array. [`IntHashTable`] keeps
+/// the entry with this key in a side cell instead, so to it the key is
+/// ordinary; [`ConcurrentIntTable`] reserves it: inserting it panics.
 pub const EMPTY_KEY: i64 = i64::MIN;
 
 /// Finalizer from splitmix64: cheap, well-mixed hashing for integer keys.
@@ -32,13 +34,19 @@ pub fn hash_i64(key: i64) -> u64 {
 /// A sequential open-addressing hash map from `i64` keys to values of type
 /// `V`, using linear probing and backward-shift deletion.
 ///
-/// Capacity is always a power of two; the table grows at 75% load.
+/// Capacity is always a power of two; the table grows at 75% load. The
+/// probe array marks empty slots with [`EMPTY_KEY`], so the entry with
+/// that key lives in a side cell: every key is legal, and the probe loop
+/// never meets it.
 #[derive(Clone, Debug)]
 pub struct IntHashTable<V> {
     keys: Vec<i64>,
     vals: Vec<Option<V>>,
+    /// Entries in the probe array (the side cell is not counted).
     len: usize,
     mask: usize,
+    /// The value of key [`EMPTY_KEY`], if present.
+    min: Option<V>,
 }
 
 impl<V> Default for IntHashTable<V> {
@@ -61,17 +69,18 @@ impl<V> IntHashTable<V> {
             vals: (0..slots).map(|_| None).collect(),
             len: 0,
             mask: slots - 1,
+            min: None,
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + usize::from(self.min.is_some())
     }
 
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Number of slots currently allocated (diagnostic / memory accounting).
@@ -91,17 +100,16 @@ impl<V> IntHashTable<V> {
         (hash_i64(key) as usize) & self.mask
     }
 
-    /// Finds the slot holding `key`, if present. The reserved key is never
-    /// stored, so a lookup of it is absent.
+    /// Finds the probe-array slot holding `key` (never [`EMPTY_KEY`], which
+    /// lives in the side cell), if present.
     #[inline]
     fn probe(&self, key: i64) -> Option<usize> {
+        debug_assert_ne!(key, EMPTY_KEY, "the side cell's key is not probed");
         let mut i = self.slot_of(key);
         loop {
             let k = self.keys[i];
             if k == key {
-                // `EMPTY_KEY` "matches" the first empty slot of its probe
-                // sequence; checked here so a miss pays nothing.
-                return (key != EMPTY_KEY).then_some(i);
+                return Some(i);
             }
             if k == EMPTY_KEY {
                 return None;
@@ -112,11 +120,10 @@ impl<V> IntHashTable<V> {
 
     /// Inserts `key -> val`, returning the previous value if the key was
     /// already present.
-    ///
-    /// # Panics
-    /// Panics if `key == EMPTY_KEY` (`i64::MIN` is reserved).
     pub fn insert(&mut self, key: i64, val: V) -> Option<V> {
-        assert_ne!(key, EMPTY_KEY, "i64::MIN is a reserved key");
+        if key == EMPTY_KEY {
+            return self.min.replace(val);
+        }
         if (self.len + 1) * 4 > self.keys.len() * 3 {
             self.grow();
         }
@@ -138,12 +145,18 @@ impl<V> IntHashTable<V> {
 
     /// Returns a reference to the value for `key`.
     pub fn get(&self, key: i64) -> Option<&V> {
+        if key == EMPTY_KEY {
+            return self.min.as_ref();
+        }
         self.probe(key)
             .map(|i| self.vals[i].as_ref().expect("occupied slot"))
     }
 
     /// Returns a mutable reference to the value for `key`.
     pub fn get_mut(&mut self, key: i64) -> Option<&mut V> {
+        if key == EMPTY_KEY {
+            return self.min.as_mut();
+        }
         match self.probe(key) {
             Some(i) => self.vals[i].as_mut(),
             None => None,
@@ -152,6 +165,9 @@ impl<V> IntHashTable<V> {
 
     /// Returns the value for `key`, inserting `default()` first if absent.
     pub fn get_or_insert_with(&mut self, key: i64, default: impl FnOnce() -> V) -> &mut V {
+        if key == EMPTY_KEY {
+            return self.min.get_or_insert_with(default);
+        }
         if self.probe(key).is_none() {
             self.insert(key, default());
         }
@@ -161,12 +177,15 @@ impl<V> IntHashTable<V> {
 
     /// True when `key` is present.
     pub fn contains(&self, key: i64) -> bool {
-        self.probe(key).is_some()
+        self.get(key).is_some()
     }
 
     /// Removes `key`, returning its value. Uses backward-shift deletion so
     /// probe sequences stay compact (no tombstones accumulate).
     pub fn remove(&mut self, key: i64) -> Option<V> {
+        if key == EMPTY_KEY {
+            return self.min.take();
+        }
         let mut hole = self.probe(key)?;
         let val = self.vals[hole].take();
         self.keys[hole] = EMPTY_KEY;
@@ -199,16 +218,18 @@ impl<V> IntHashTable<V> {
 
     /// Iterates over `(key, &value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, &V)> {
+        let side = self.min.iter().map(|v| (EMPTY_KEY, v));
         self.keys
             .iter()
             .zip(self.vals.iter())
             .filter(|(k, _)| **k != EMPTY_KEY)
             .map(|(k, v)| (*k, v.as_ref().expect("occupied slot")))
+            .chain(side)
     }
 
     /// Iterates over keys in unspecified order.
     pub fn keys(&self) -> impl Iterator<Item = i64> + '_ {
-        self.keys.iter().copied().filter(|k| *k != EMPTY_KEY)
+        self.iter().map(|(k, _)| k)
     }
 
     fn grow(&mut self) {
@@ -526,8 +547,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved key")]
     fn reserved_key_panics() {
-        let mut t = IntHashTable::new();
-        t.insert(EMPTY_KEY, 0);
+        // Only the concurrent table reserves the empty marker.
+        ConcurrentIntTable::with_capacity(4).insert(EMPTY_KEY);
+    }
+
+    #[test]
+    fn the_empty_marker_is_an_ordinary_key() {
+        for fill in [0i64, 3, 200] {
+            let mut t = IntHashTable::new();
+            for i in 0..fill {
+                t.insert(i, i);
+            }
+            assert_eq!(t.insert(EMPTY_KEY, -1), None);
+            assert_eq!(t.insert(EMPTY_KEY, -2), Some(-1));
+            assert_eq!(t.len(), fill as usize + 1);
+            assert_eq!(t.get(EMPTY_KEY), Some(&-2));
+            *t.get_mut(EMPTY_KEY).expect("present") -= 1;
+            assert_eq!(*t.get_or_insert_with(EMPTY_KEY, || 0), -3);
+            assert!(t.contains(EMPTY_KEY));
+            assert!(t.iter().any(|(k, &v)| k == EMPTY_KEY && v == -3));
+            assert_eq!(t.keys().filter(|&k| k == EMPTY_KEY).count(), 1);
+            assert!((0..fill).all(|i| t.get(i) == Some(&i)), "others unmoved");
+            assert_eq!(t.remove(EMPTY_KEY), Some(-3));
+            assert_eq!((t.len(), t.get(EMPTY_KEY)), (fill as usize, None));
+        }
     }
 
     #[test]
@@ -595,7 +638,11 @@ mod tests {
         let mut ours: IntHashTable<u64> = IntHashTable::new();
         let mut reference: HashMap<i64, u64> = HashMap::new();
         for step in 0..20_000u64 {
-            let key = rng.range_i64(-500..500);
+            // The lowest key of the range stands in for the empty marker.
+            let key = match rng.range_i64(-500..500) {
+                -500 => EMPTY_KEY,
+                k => k,
+            };
             match rng.below(3) {
                 0 | 1 => {
                     assert_eq!(ours.insert(key, step), reference.insert(key, step));

@@ -10,15 +10,19 @@
 //!   Here the whole pipeline runs on **packed 8-byte keys**: the radix
 //!   sorter ([`radix_sort_columns`]) reads the two columns where they
 //!   lie, packs each pair's varying bits into one `u64` and returns the
-//!   keys sorted; one fill routine walks them in parallel — the key's
-//!   high part is the node, `key != previous` is the dedup — and writes
-//!   every distinct neighbor straight into a shared adjacency slab at
-//!   its final position. No tuple array, no per-node `Vec`, no copy of
-//!   the table. Sorting parallelizes cleanly and the fill writes disjoint
-//!   slab ranges, so "while concurrent access is still performed, there
-//!   is no contention among the threads". Ids whose varying bits need
-//!   more than 64 (both signs, full-range ids) take the same pipeline and
-//!   fill over 16-byte `u128` keys. A naive row-at-a-time baseline
+//!   keys sorted. A counting pass walks them in parallel — the key's high
+//!   part is the node, `key != previous` is the dedup — and yields the
+//!   ascending node ids and each node's slab range. Node `k` of the
+//!   ascending ids takes slot `k`, so a neighbour is stored as its *rank*
+//!   among the node ids: a rank pass translates every distinct neighbour
+//!   through a bucket array over the ids (`Rank` — no hash probe) and
+//!   writes its slot straight into a shared adjacency slab at its final
+//!   position. No tuple array, no per-node `Vec`, no copy of the table.
+//!   Sorting parallelizes cleanly and the passes write disjoint slab
+//!   ranges, so "while concurrent access is still performed, there is no
+//!   contention among the threads". Ids whose varying bits need more
+//!   than 64 (both signs, full-range ids) take the same pipeline over
+//!   16-byte `u128` keys. A naive row-at-a-time baseline
 //!   ([`table_to_graph_naive`]) is kept as the tests' oracle.
 //! * **Graph → table** ([`graph_to_edge_table`], [`graph_to_node_table`]):
 //!   "easily performed in parallel by partitioning the graph's nodes or
@@ -31,7 +35,7 @@
 use ringo_concurrent::{
     parallel_for, parallel_map, radix_sort_columns, DisjointSlice, SortedPairs,
 };
-use ringo_graph::{new_slab, DirectedGraph, NodeId, UndirectedGraph};
+use ringo_graph::{new_slab, DirectedGraph, DirectedTopology, NodeId, UndirectedGraph};
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
 use std::ops::Range;
 use std::sync::Arc;
@@ -42,11 +46,12 @@ pub type Result<T> = std::result::Result<T, TableError>;
 
 /// Builds a directed graph from two integer columns of `t` using the
 /// sort-first algorithm. Duplicate rows collapse to one edge; self-loops
-/// are preserved. Parallelism follows `t.threads()`.
+/// are preserved. Parallelism follows `t.threads()`. Nodes take slots in
+/// ascending id order.
 ///
 /// # Errors
-/// Unknown or non-integer columns, and a column holding `i64::MIN` (the
-/// id the graph's node index reserves).
+/// Unknown or non-integer columns, and more than `u32::MAX` distinct ids
+/// (slots are `u32`).
 ///
 /// ```
 /// use ringo_convert::{graph_to_edge_table, table_to_graph};
@@ -77,15 +82,13 @@ pub fn table_to_graph_threads(
     let src = t.int_col(src_col)?;
     let dst = t.int_col(dst_col)?;
 
-    // One orientation at a time, so only one key buffer is ever live.
-    let out = fill_sorted(radix_sort_columns(src, dst, false, threads), threads);
-    if holds_reserved_id(&out.ids) {
-        return Err(reserved_id_error(src_col));
-    }
-    let inn = fill_sorted(radix_sort_columns(dst, src, false, threads), threads);
-    if holds_reserved_id(&inn.ids) {
-        return Err(reserved_id_error(dst_col));
-    }
+    // A neighbour's slot is its rank among all node ids — the union of the
+    // two orientations' leading ids — so both sorts and both counting
+    // passes come before either slab is written.
+    let out_keys = radix_sort_columns(src, dst, false, threads);
+    let out = Runs::count(&out_keys, threads);
+    let in_keys = radix_sort_columns(dst, src, false, threads);
+    let inn = Runs::count(&in_keys, threads);
 
     // Merge the two ascending id lists into the graph's node list. A node
     // missing from one side gets an empty range there: the offset it is
@@ -109,7 +112,12 @@ pub fn table_to_graph_threads(
         j += usize::from(inn.ids.get(j) == Some(&id));
     }
 
-    let g = DirectedGraph::from_sorted_parts(ids, &in_off, inn.slab, &out_off, out.slab);
+    let rank = Rank::new(&ids)?;
+    let in_slab = inn.rank_slab(&in_keys, &rank, threads);
+    drop(in_keys);
+    let out_slab = out.rank_slab(&out_keys, &rank, threads);
+    drop(out_keys);
+    let g = DirectedGraph::from_sorted_parts(ids, &in_off, in_slab, &out_off, out_slab);
     sp.rows_out(g.edge_count());
     Ok(g)
 }
@@ -135,125 +143,126 @@ pub fn table_to_undirected_threads(
     let dst = t.int_col(dst_col)?;
 
     // The symmetric sort yields both orientations of every row, so one
-    // pass over the keys yields each node's whole neighbor run.
-    let adj = fill_sorted(radix_sort_columns(src, dst, true, threads), threads);
-    if holds_reserved_id(&adj.ids) {
-        let holder = if src.contains(&i64::MIN) {
-            src_col
-        } else {
-            dst_col
-        };
-        return Err(reserved_id_error(holder));
-    }
-    let g = UndirectedGraph::from_sorted_parts(adj.ids, &adj.off, adj.slab);
+    // pass over the keys yields each node's whole neighbor run, and every
+    // neighbour is some run's node.
+    let keys = radix_sort_columns(src, dst, true, threads);
+    let adj = Runs::count(&keys, threads);
+    let rank = Rank::new(&adj.ids)?;
+    let slab = adj.rank_slab(&keys, &rank, threads);
+    drop(keys);
+    let g = UndirectedGraph::from_sorted_parts(adj.ids, &adj.off, slab);
     sp.rows_out(g.edge_count());
     Ok(g)
 }
 
-/// Whether ascending `ids` include `i64::MIN`, the one id a graph cannot
-/// hold (its node index keeps it as the empty-slot marker). Sorted, it
-/// can only be first.
-fn holds_reserved_id(ids: &[NodeId]) -> bool {
-    ids.first() == Some(&i64::MIN)
-}
-
-fn reserved_id_error(column: &str) -> TableError {
-    TableError::InvalidArgument(format!(
-        "column {column:?} contains i64::MIN, which graphs reserve and cannot use as a node id"
-    ))
-}
-
-/// One orientation's adjacency in slab form: node `k` (ascending `ids`)
-/// owns `slab[off[k]..off[k + 1]]`, sorted and deduplicated. The slab is
-/// already in the shared form the graph keeps, so the `from_sorted_parts`
-/// constructors take it over without a copy.
-struct Adjacency {
+/// One orientation's sorted keys in runs: node `k` (ascending `ids`) owns
+/// the distinct keys that fill slab positions `off[k]..off[k + 1]`, and
+/// the distinct keys of `parallel_for` share `w` start at slab position
+/// `starts[w]`.
+struct Runs {
     ids: Vec<NodeId>,
     off: Vec<usize>,
-    slab: Arc<[NodeId]>,
+    starts: Vec<usize>,
 }
 
-fn fill_sorted(sorted: SortedPairs, threads: usize) -> Adjacency {
-    match sorted {
-        SortedPairs::U64(keys, codec) => {
-            fill(&keys, |k| codec.first(k), |k| codec.second(k), threads)
-        }
-        SortedPairs::U128(keys, codec) => {
-            fill(&keys, |k| codec.first(k), |k| codec.second(k), threads)
+impl Runs {
+    /// The counting pass of the sort-first fill, over whichever word (`u64`
+    /// or `u128`) the pairs were sorted in. Workers take equal shares of
+    /// the keys, wherever node runs begin and end (a hub's run is split
+    /// like any other stretch); each counts its distinct keys and notes
+    /// the nodes it begins, and a prefix scan over the shares places them.
+    fn count(sorted: &SortedPairs, threads: usize) -> Self {
+        match sorted {
+            SortedPairs::U64(keys, codec) => Self::of(keys, |k| codec.first(k), threads),
+            SortedPairs::U128(keys, codec) => Self::of(keys, |k| codec.first(k), threads),
         }
     }
-}
 
-/// The fill phase of the sort-first conversion, over whichever word (`u64`
-/// or `u128`) the pairs were sorted in: `node` and `nbr` read a key's two
-/// ids, and equal keys are equal pairs.
-///
-/// Workers take equal shares of `keys`, wherever node runs begin and end
-/// (a hub's run is split like any other stretch). A counting pass finds
-/// each share's new nodes and distinct keys, a prefix scan over the
-/// shares turns those into its first node index and first slab position,
-/// and the scatter pass writes ids, offsets and neighbors at their final
-/// places — no per-node `Vec`, only whole-phase arrays.
-fn fill<K: Copy + PartialEq + Sync>(
-    keys: &[K],
-    node: impl Fn(K) -> NodeId + Sync,
-    nbr: impl Fn(K) -> NodeId + Sync,
-    threads: usize,
-) -> Adjacency {
-    // Per share: (nodes begun, distinct keys), then made exclusive sums.
-    let mut starts: Vec<(usize, usize)> = {
+    fn of<K: Copy + PartialEq + Sync>(
+        keys: &[K],
+        node: impl Fn(K) -> NodeId + Sync,
+        threads: usize,
+    ) -> Self {
         let mut sp = ringo_trace::span!("convert.fill.count");
         sp.rows_in(keys.len());
-        let counts = parallel_map(keys.len(), threads, |range| {
-            let (mut nodes, mut distinct) = (0usize, 0usize);
-            for_each_distinct(keys, range, &node, |_, new_node| {
+        // Per share: each node begun with its distinct keys before it, and
+        // the share's distinct keys.
+        let shares = parallel_map(keys.len(), threads, |range| {
+            let mut heads: Vec<(NodeId, usize)> = Vec::new();
+            let mut distinct = 0usize;
+            for_each_distinct(keys, range, &node, |key, new_node| {
+                if new_node {
+                    heads.push((node(key), distinct));
+                }
                 distinct += 1;
-                nodes += usize::from(new_node);
             });
-            (nodes, distinct)
+            (heads, distinct)
         });
-        sp.rows_out(counts.iter().map(|c| c.0).sum());
-        counts
-    };
-    let (mut n, mut m) = (0usize, 0usize);
-    for s in &mut starts {
-        let (nodes, distinct) = *s;
-        *s = (n, m);
-        n += nodes;
-        m += distinct;
+        let n = shares.iter().map(|(heads, _)| heads.len()).sum();
+        let mut runs = Self {
+            ids: Vec::with_capacity(n),
+            off: Vec::with_capacity(n + 1),
+            starts: Vec::with_capacity(shares.len()),
+        };
+        let mut m = 0usize;
+        for (heads, distinct) in shares {
+            for (id, before) in heads {
+                runs.ids.push(id);
+                runs.off.push(m + before);
+            }
+            runs.starts.push(m);
+            m += distinct;
+        }
+        runs.off.push(m);
+        sp.rows_out(n);
+        runs
     }
 
-    let mut ids = vec![0; n];
-    let mut off = vec![m; n + 1];
-    let mut slab = new_slab(m);
-    {
-        let mut sp = ringo_trace::span!("convert.fill.scatter");
-        sp.rows_in(n);
-        sp.rows_out(m);
-        let ids_cell = DisjointSlice::new(&mut ids);
-        let off_cell = DisjointSlice::new(&mut off[..n]);
-        let slab_cell = DisjointSlice::new(Arc::get_mut(&mut slab).expect("fresh slab"));
+    /// The rank pass: writes the slot of every distinct key's neighbour,
+    /// `rank.of(neighbour)`, at its slab position.
+    fn rank_slab(&self, sorted: &SortedPairs, rank: &Rank<'_>, threads: usize) -> Arc<[u32]> {
+        match sorted {
+            SortedPairs::U64(keys, c) => {
+                self.rank_keys(keys, |k| c.first(k), |k| c.second(k), rank, threads)
+            }
+            SortedPairs::U128(keys, c) => {
+                self.rank_keys(keys, |k| c.first(k), |k| c.second(k), rank, threads)
+            }
+        }
+    }
+
+    fn rank_keys<K: Copy + PartialEq + Sync>(
+        &self,
+        keys: &[K],
+        node: impl Fn(K) -> NodeId + Sync,
+        nbr: impl Fn(K) -> NodeId + Sync,
+        rank: &Rank<'_>,
+        threads: usize,
+    ) -> Arc<[u32]> {
+        let m = self.off[self.off.len() - 1];
+        let mut sp = ringo_trace::span!("convert.fill.rank");
+        sp.rows_in(m);
+        sp.rows_out(rank.ids.len());
+        let mut slab = new_slab(m);
+        let cell = DisjointSlice::new(Arc::get_mut(&mut slab).expect("fresh slab"));
         parallel_for(keys.len(), threads, |w, range| {
-            let (mut k, mut p) = starts[w];
-            for_each_distinct(keys, range, &node, |key, new_node| {
+            let mut p = self.starts[w];
+            let mut scanned = 0u64;
+            for_each_distinct(keys, range, &node, |key, _| {
+                let (slot, compared) = rank.of(nbr(key));
+                scanned += u64::from(compared);
                 // SAFETY: the counting pass walked these same keys, so
-                // share `w` begins exactly as many nodes and holds exactly
-                // as many distinct keys as separate `starts[w]` from the
-                // next share's start (or from `n` and `m`): `k` and `p`
-                // stay inside windows no other share writes.
-                unsafe {
-                    if new_node {
-                        ids_cell.write(k, node(key));
-                        off_cell.write(k, p);
-                        k += 1;
-                    }
-                    slab_cell.write(p, nbr(key));
-                }
+                // share `w` holds exactly as many distinct keys as
+                // separate `starts[w]` from the next share's start (or
+                // from `m`): `p` stays inside a window no other share
+                // writes.
+                unsafe { cell.write(p, slot) };
                 p += 1;
             });
+            ringo_trace::counter("convert.rank.scanned").add(scanned);
         });
+        slab
     }
-    Adjacency { ids, off, slab }
 }
 
 /// Calls `f(key, starts_a_node)` for each key of `range` that differs
@@ -275,6 +284,94 @@ fn for_each_distinct<K: Copy + PartialEq>(
         if key != prev {
             f(key, node(key) != node(prev));
         }
+    }
+}
+
+/// A node id's slot — its rank among the ascending node ids — found
+/// without a hash probe: the id span is cut into about one bucket per
+/// node (under two), `bucket = (id − min) >> shift`, a bucket array holds
+/// the first rank of every bucket, and a binary search inside the id's
+/// bucket finishes. One code path for every id distribution: on an even
+/// spread a bucket holds an id or two; a clustered one only lengthens
+/// the search, which the `convert.rank.scanned` counter shows.
+struct Rank<'a> {
+    ids: &'a [NodeId],
+    min: NodeId,
+    shift: u32,
+    /// First rank of each bucket, then `ids.len()`.
+    bucket: Vec<u32>,
+}
+
+impl<'a> Rank<'a> {
+    /// The rank index of `ids` (ascending, distinct).
+    ///
+    /// # Errors
+    /// More than `u32::MAX` ids: ranks are `u32` slots.
+    fn new(ids: &'a [NodeId]) -> Result<Self> {
+        let n = u32::try_from(ids.len()).map_err(|_| {
+            TableError::InvalidArgument(format!(
+                "{} distinct node ids; a graph holds at most {} (slots are u32)",
+                ids.len(),
+                u32::MAX
+            ))
+        })?;
+        let (min, max) = match (ids.first(), ids.last()) {
+            (Some(&lo), Some(&hi)) => (lo, hi),
+            _ => (0, 0),
+        };
+        let span = max.wrapping_sub(min) as u64;
+        // The narrowest shift that leaves no more buckets than the power
+        // of two at or above the node count, under two buckets a node:
+        // `span >> shift < 2^k` exactly when the span has at most
+        // `shift + k` bits. Two or more ids make `k` at least 1, so the
+        // shift stays below 64; one id makes the span 0.
+        let k = u64::from(n).next_power_of_two().trailing_zeros();
+        let shift = (u64::BITS - span.leading_zeros()).saturating_sub(k);
+        let buckets = (span >> shift) as usize + 1;
+        let mut rank = Self {
+            ids,
+            min,
+            shift,
+            bucket: vec![0; buckets + 1],
+        };
+        for &id in ids {
+            let b = rank.bucket_of(id);
+            rank.bucket[b + 1] += 1;
+        }
+        for b in 1..rank.bucket.len() {
+            rank.bucket[b] += rank.bucket[b - 1];
+        }
+        Ok(rank)
+    }
+
+    #[inline(always)]
+    fn bucket_of(&self, id: NodeId) -> usize {
+        (id.wrapping_sub(self.min) as u64 >> self.shift) as usize
+    }
+
+    /// The rank of `id`, which must be one of the ids, and how many ids
+    /// of its bucket the search examined: a bucket of one id is the
+    /// answer without reading it; a few ids are scanned from the start, a
+    /// binary search takes more.
+    #[inline(always)]
+    fn of(&self, id: NodeId) -> (u32, u32) {
+        const SCAN: usize = 8;
+        let b = self.bucket_of(id);
+        let (lo, hi) = (self.bucket[b] as usize, self.bucket[b + 1] as usize);
+        let (at, compared) = if hi - lo == 1 {
+            (lo, 1)
+        } else if hi - lo <= SCAN {
+            let within = self.ids[lo..hi].iter().take_while(|&&x| x < id).count();
+            (lo + within, within + 1)
+        } else {
+            let within = self.ids[lo..hi].partition_point(|&x| x < id);
+            (
+                lo + within,
+                (usize::BITS - (hi - lo).leading_zeros()) as usize,
+            )
+        };
+        debug_assert_eq!(self.ids.get(at), Some(&id), "{id} is a node");
+        (at as u32, compared as u32)
     }
 }
 
@@ -328,11 +425,19 @@ pub fn table_to_weighted_graph(
 }
 
 /// Baseline for the ablation: builds the same graph with row-at-a-time
-/// `add_edge` calls (binary-searched vector inserts, no parallelism).
+/// `add_edge` calls (binary-searched vector inserts, no parallelism),
+/// after adding the nodes in ascending id order so slots match
+/// [`table_to_graph`]'s.
 pub fn table_to_graph_naive(t: &Table, src_col: &str, dst_col: &str) -> Result<DirectedGraph> {
     let src = t.int_col(src_col)?;
     let dst = t.int_col(dst_col)?;
-    let mut g = DirectedGraph::new();
+    let mut ids: Vec<NodeId> = src.iter().chain(dst).copied().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let mut g = DirectedGraph::with_capacity(ids.len());
+    for id in ids {
+        g.add_node(id);
+    }
     for (&s, &d) in src.iter().zip(dst) {
         g.add_edge(s, d);
     }
@@ -342,13 +447,15 @@ pub fn table_to_graph_naive(t: &Table, src_col: &str, dst_col: &str) -> Result<D
 /// Exports a directed graph as a two-column edge table (`src`, `dst`) in
 /// slot order. The per-slot out-degrees are prefix-summed, the two
 /// columns are allocated once at their final size, and each of `threads`
-/// workers writes the rows of its own slots.
+/// workers writes the rows of its own slots, mapping each neighbour slot
+/// to its id through a slot-indexed id column.
 pub fn graph_to_edge_table(g: &DirectedGraph, threads: usize) -> Table {
-    use ringo_graph::DirectedTopology;
     let mut sp = ringo_trace::span!("convert.graph_to_edge_table");
     sp.rows_in(g.edge_count());
     let n_slots = g.n_slots();
-    let (first_row, total) = share_starts(n_slots, threads, |slot| g.out_nbrs_of_slot(slot).len());
+    let (first_row, total) = share_starts(n_slots, threads, |slot| g.out_row(slot).len());
+    // Vacant slots keep 0: no row names them.
+    let id_of: Vec<NodeId> = (0..n_slots).map(|s| g.slot_id(s).unwrap_or(0)).collect();
     let mut src = vec![0i64; total];
     let mut dst = vec![0i64; total];
     {
@@ -357,14 +464,15 @@ pub fn graph_to_edge_table(g: &DirectedGraph, threads: usize) -> Table {
         parallel_for(n_slots, threads, |w, range| {
             let mut row = first_row[w];
             for slot in range {
-                let Some(id) = g.slot_id(slot) else { continue };
-                let nbrs = g.out_nbrs_of_slot(slot);
+                let nbrs = g.out_row(slot);
                 let end = row + nbrs.len();
                 // SAFETY: share `w` owns the rows from `first_row[w]` up
                 // to the next share's, exactly its slots' out-degrees.
-                unsafe {
-                    src_cell.slice_mut(row, end).fill(id);
-                    dst_cell.slice_mut(row, end).copy_from_slice(nbrs);
+                let (s, d) =
+                    unsafe { (src_cell.slice_mut(row, end), dst_cell.slice_mut(row, end)) };
+                s.fill(id_of[slot]);
+                for (o, &n) in d.iter_mut().zip(nbrs) {
+                    *o = id_of[n as usize];
                 }
                 row = end;
             }
@@ -385,7 +493,6 @@ pub fn graph_to_edge_table(g: &DirectedGraph, threads: usize) -> Table {
 /// Exports a node table (`node`, `in_deg`, `out_deg`), one row per node
 /// in slot order, written the same way as [`graph_to_edge_table`].
 pub fn graph_to_node_table(g: &DirectedGraph, threads: usize) -> Table {
-    use ringo_graph::DirectedTopology;
     let mut sp = ringo_trace::span!("convert.graph_to_node_table");
     sp.rows_in(g.node_count());
     let n_slots = g.n_slots();
@@ -407,8 +514,8 @@ pub fn graph_to_node_table(g: &DirectedGraph, threads: usize) -> Table {
                 // range, starting at `first_row[w]`.
                 unsafe {
                     ids_cell.write(row, id);
-                    ind_cell.write(row, g.in_nbrs_of_slot(slot).len() as i64);
-                    outd_cell.write(row, g.out_nbrs_of_slot(slot).len() as i64);
+                    ind_cell.write(row, g.in_row(slot).len() as i64);
+                    outd_cell.write(row, g.out_row(slot).len() as i64);
                 }
                 row += 1;
             }
@@ -478,17 +585,25 @@ mod tests {
         edges_to_table(edges)
     }
 
+    /// Same ids in the same slots, same rows.
+    fn assert_same_layout(fast: &DirectedGraph, naive: &DirectedGraph) {
+        assert_eq!(fast.node_count(), naive.node_count());
+        assert_eq!(fast.edge_count(), naive.edge_count());
+        assert_eq!(fast.n_slots(), naive.n_slots());
+        for s in 0..naive.n_slots() {
+            assert_eq!(fast.slot_id(s), naive.slot_id(s), "id of slot {s}");
+            assert_eq!(fast.out_row(s), naive.out_row(s), "out-row {s}");
+            assert_eq!(fast.in_row(s), naive.in_row(s), "in-row {s}");
+        }
+    }
+
     #[test]
     fn sort_first_matches_naive_small() {
         let t = table_of(&[(1, 2), (2, 3), (1, 2), (3, 1), (3, 3)]);
         let fast = table_to_graph(&t, "src", "dst").unwrap();
         let naive = table_to_graph_naive(&t, "src", "dst").unwrap();
-        assert_eq!(fast.node_count(), naive.node_count());
-        assert_eq!(fast.edge_count(), naive.edge_count());
-        for id in naive.node_ids() {
-            assert_eq!(fast.out_nbrs(id), naive.out_nbrs(id), "out of {id}");
-            assert_eq!(fast.in_nbrs(id), naive.in_nbrs(id), "in of {id}");
-        }
+        assert_same_layout(&fast, &naive);
+        assert_eq!(fast.out_nbrs(3), &[1, 3]);
     }
 
     #[test]
@@ -506,12 +621,7 @@ mod tests {
                 t.set_threads(threads);
                 let fast = table_to_graph(&t, "src", "dst").unwrap();
                 let naive = table_to_graph_naive(&t, "src", "dst").unwrap();
-                assert_eq!(fast.node_count(), naive.node_count());
-                assert_eq!(fast.edge_count(), naive.edge_count());
-                for id in naive.node_ids() {
-                    assert_eq!(fast.out_nbrs(id), naive.out_nbrs(id));
-                    assert_eq!(fast.in_nbrs(id), naive.in_nbrs(id));
-                }
+                assert_same_layout(&fast, &naive);
             }
         }
     }
@@ -581,6 +691,34 @@ mod tests {
         };
         assert_eq!(find(1), (0, 2));
         assert_eq!(find(3), (2, 0));
+    }
+
+    #[test]
+    fn rank_finds_every_id_in_every_spread() {
+        let spreads: [Vec<NodeId>; 5] = [
+            vec![],
+            vec![i64::MIN],
+            (0..1000).map(|i| i * 3 - 900).collect(),
+            vec![i64::MIN, -1, 0, 1, i64::MAX],
+            (0..500).chain((0..500).map(|i| (1 << 50) + i)).collect(),
+        ];
+        for ids in &spreads {
+            let rank = Rank::new(ids).unwrap();
+            assert!(
+                rank.bucket.len() <= 2 * ids.len() + 2,
+                "under two buckets a node"
+            );
+            for (k, &id) in ids.iter().enumerate() {
+                assert_eq!(rank.of(id).0, k as u32, "rank of {id}");
+            }
+        }
+        // The two clusters fall into few buckets, so the search compares more.
+        let clustered = &spreads[4];
+        let compared = |ids: &[NodeId]| -> u32 {
+            let rank = Rank::new(ids).unwrap();
+            ids.iter().map(|&id| rank.of(id).1).sum()
+        };
+        assert!(compared(clustered) > 4 * compared(&spreads[2]));
     }
 
     #[test]

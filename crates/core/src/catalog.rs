@@ -26,14 +26,7 @@
 //!   mutated graph's adjacency into a fresh exact slab
 //!   (`DirectedGraph::compact`) produces a new immutable version, which
 //!   is published like any other — pinned readers keep traversing the
-//!   old slabs untouched;
-//! * a publish **releases the displaced graph version's cached
-//!   `Topology`** (the slot-CSR view kernels traverse), so only the
-//!   current version of a name holds one and a reader pinned to an older
-//!   version rebuilds on demand. A successor cloned from the displaced
-//!   version shares that view, stale in the rows its edits touched; the
-//!   release leaves it the sole owner, which is what lets its first
-//!   reader patch the view in place instead of copying it.
+//!   old slabs untouched.
 //!
 //! Reclamation policy is a [`GcPolicy`]: `Auto` ([`Catalog::new`]) runs
 //! a collection after every publish, `Manual` ([`Catalog::with_policy`])
@@ -250,14 +243,7 @@ impl Catalog {
             cardinality: data.cardinality(),
         };
         history.push(meta.clone());
-        let displaced = map.insert(name.to_string(), CatalogEntry { meta, data });
-        // Only the current version of a name keeps a cached topology: a
-        // snapshot still pinned to the displaced version rebuilds one on
-        // demand, and a successor cloned from it becomes the view's sole
-        // owner, free to patch it in place.
-        if let Some(Dataset::Graph(old)) = displaced.map(|e| e.data) {
-            old.release_topology();
-        }
+        map.insert(name.to_string(), CatalogEntry { meta, data });
         sp.rows_out(map.len());
         self.inner.root.publish(Arc::new(map));
         version

@@ -415,21 +415,22 @@ mod tests {
     }
 
     #[test]
-    fn join_on_a_reserved_build_key_is_an_error_not_a_panic() {
+    fn join_on_an_i64_min_key_matches_like_any_key() {
         let ringo = Ringo::with_threads(2);
-        let t = sample();
+        let mut t = sample();
         let keys = Table::from_int_column("k", vec![3, i64::MIN]);
-        let err = ringo
-            .query(&t)
-            .join(&keys, "id", "k")
-            .collect()
-            .unwrap_err();
-        assert!(err.to_string().contains("\"k\""), "{err}");
-        assert!(ringo.join(&t, &keys, "id", "k").is_err());
-        // Probed for, the key matches nothing.
+        let lazy = ringo.query(&t).join(&keys, "id", "k").collect().unwrap();
+        let eager = ringo.join(&t, &keys, "id", "k").unwrap();
+        assert_eq!(lazy.int_col("k").unwrap(), eager.int_col("k").unwrap());
+        // `sample` holds no `i64::MIN` id; once it does, the key matches.
+        let matched = lazy.n_rows();
+        t.push_row(&[i64::MIN.into(), 0i64.into(), 0.0f64.into()])
+            .unwrap();
         let probe = Table::from_int_column("k", vec![i64::MIN; 300]);
         let out = ringo.query(&t).join(&probe, "id", "k").collect().unwrap();
-        assert_eq!(out.n_rows(), 0);
+        assert_eq!(out.n_rows(), 300);
+        let out = ringo.query(&t).join(&keys, "id", "k").collect().unwrap();
+        assert_eq!(out.n_rows(), matched + 1);
     }
 
     #[test]

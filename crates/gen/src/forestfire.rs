@@ -76,8 +76,8 @@ pub fn forest_fire(config: &ForestFireConfig) -> DirectedGraph {
             let forward_n = geometric(config.forward, &mut rng);
             let backward_n = geometric(config.forward * config.backward, &mut rng);
             for (nbrs, count) in [
-                (g.out_nbrs(w).to_vec(), forward_n),
-                (g.in_nbrs(w).to_vec(), backward_n),
+                (g.out_nbrs(w).collect::<Vec<_>>(), forward_n),
+                (g.in_nbrs(w).collect(), backward_n),
             ] {
                 // Sample `count` unvisited neighbors without replacement.
                 let mut candidates: Vec<NodeId> =

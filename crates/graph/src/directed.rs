@@ -2,35 +2,34 @@
 //! in/out adjacency vectors per node.
 
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
-use crate::topology::{Topology, TopologyCell};
-use crate::traits::{DirectedTopology, Direction};
+use crate::topology::DirectedTopology;
 use crate::{slot_u32, NodeId, NodeValues};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
-/// Per-node storage: the external id plus sorted neighbor lists
-/// (copy-on-write [`NbrList`]s, so bulk-loaded nodes can share one
-/// adjacency slab until first mutated).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct NodeCell {
-    pub(crate) id: NodeId,
-    pub(crate) in_nbrs: NbrList,
-    pub(crate) out_nbrs: NbrList,
-}
-
 /// A dynamic directed graph (multi-edges disallowed, self-loops allowed).
 ///
-/// Nodes live in a slot vector addressed through an open-addressing hash
-/// index (id → slot). Each node keeps its in-neighbors and out-neighbors in
-/// sorted vectors, so:
+/// Nodes live in slots addressed through an open-addressing hash index
+/// (id → slot). Each node keeps its in-neighbours and out-neighbours as
+/// rows of neighbour *slots* (4 bytes a neighbour), sorted by slot, so:
 ///
 /// * `has_edge` is `O(log deg)`,
 /// * `add_edge` / `del_edge` are `O(deg)` (vector insert/remove at a binary-
 ///   searched position) — the paper's headline contrast with CSR's `O(E)`,
-/// * neighbor iteration is a contiguous scan,
+/// * a kernel walks a row in place as slots ([`DirectedTopology`]); the id
+///   accessors ([`Self::out_nbrs`], [`Self::in_nbrs`]) map each slot to its
+///   id through the node table,
 /// * `clone` copies the node table and shares the id index and every
 ///   neighbor list until the copy edits them (one list per first edit,
 ///   the index only when a node is added or deleted).
+///
+/// The node table is one array per field — ids, out-rows, in-rows — so a
+/// kernel reaching a node's row reads a 24-byte handle from an array of
+/// handles, not a whole node.
+///
+/// Slot order is id order on a graph built in bulk from ascending ids
+/// (conversions, `induced`, the loaders). A node added later takes the
+/// next free slot, so its neighbours list it in slot order, not id order.
 ///
 /// ```
 /// use ringo_graph::DirectedGraph;
@@ -40,7 +39,7 @@ pub(crate) struct NodeCell {
 /// g.add_edge(10, 30);
 /// g.add_edge(30, 10);
 /// assert_eq!(g.node_count(), 3);
-/// assert_eq!(g.out_nbrs(10), &[20, 30]); // always sorted
+/// assert_eq!(g.out_nbrs(10), &[20, 30]); // slot order: here, id order
 /// assert_eq!(g.in_nbrs(10), &[30]);
 ///
 /// g.del_edge(10, 20); // O(degree), not O(E)
@@ -50,11 +49,16 @@ pub(crate) struct NodeCell {
 #[derive(Clone, Debug, Default)]
 pub struct DirectedGraph {
     index: Arc<IntHashTable<u32>>,
-    nodes: Vec<Option<NodeCell>>,
+    /// Per slot: the node's id, `None` when the slot is vacant.
+    ids: Vec<Option<NodeId>>,
+    /// Per slot: out-neighbour slots (copy-on-write, so bulk-loaded nodes
+    /// share one slab until first mutated); empty when vacant.
+    out: Vec<NbrList>,
+    /// Per slot: in-neighbour slots, as `out`.
+    inn: Vec<NbrList>,
     free: Vec<u32>,
     n_nodes: usize,
     n_edges: usize,
-    topology: TopologyCell,
 }
 
 impl DirectedGraph {
@@ -67,7 +71,9 @@ impl DirectedGraph {
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
             index: Arc::new(IntHashTable::with_capacity(nodes)),
-            nodes: Vec::with_capacity(nodes),
+            ids: Vec::with_capacity(nodes),
+            out: Vec::with_capacity(nodes),
+            inn: Vec::with_capacity(nodes),
             ..Self::default()
         }
     }
@@ -94,9 +100,9 @@ impl DirectedGraph {
 
     /// True when the edge `src -> dst` exists.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        match self.cell(src) {
-            Some(c) => c.out_nbrs.binary_search(&dst).is_ok(),
-            None => false,
+        match (self.index.get(src), self.index.get(dst)) {
+            (Some(&s), Some(d)) => self.out[s as usize].binary_search(d).is_ok(),
+            _ => false,
         }
     }
 
@@ -110,24 +116,22 @@ impl DirectedGraph {
         if let Some(&slot) = self.index.get(id) {
             return (slot, false);
         }
-        let cell = Some(NodeCell {
-            id,
-            ..NodeCell::default()
-        });
+        // A freed slot's rows were emptied when its node was deleted.
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.nodes[slot as usize] = cell;
+                self.ids[slot as usize] = Some(id);
                 slot
             }
             None => {
-                let slot = slot_u32(self.nodes.len());
-                self.nodes.push(cell);
+                let slot = slot_u32(self.ids.len());
+                self.ids.push(Some(id));
+                self.out.push(NbrList::default());
+                self.inn.push(NbrList::default());
                 slot
             }
         };
         Arc::make_mut(&mut self.index).insert(id, slot);
         self.n_nodes += 1;
-        self.topology.mark(slot, Direction::Both);
         (slot, true)
     }
 
@@ -136,44 +140,35 @@ impl DirectedGraph {
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
         let (s, _) = self.ensure_node(src);
         let (d, _) = self.ensure_node(dst);
-        let sc = self.node_mut(s);
-        match sc.out_nbrs.binary_search(&dst) {
+        let out = &mut self.out[s as usize];
+        match out.binary_search(&d) {
             Ok(_) => return false,
-            Err(pos) => sc.out_nbrs.to_mut().insert(pos, dst),
+            Err(pos) => out.to_mut().insert(pos, d),
         }
-        let dc = self.node_mut(d);
-        let pos = dc
-            .in_nbrs
-            .binary_search(&src)
+        let inn = &mut self.inn[d as usize];
+        let pos = inn
+            .binary_search(&s)
             .expect_err("in/out adjacency out of sync");
-        dc.in_nbrs.to_mut().insert(pos, src);
+        inn.to_mut().insert(pos, s);
         self.n_edges += 1;
-        self.topology.mark(s, Direction::Out);
-        self.topology.mark(d, Direction::In);
         true
     }
 
     /// Deletes the edge `src -> dst`. Returns `false` if it did not exist.
     /// Cost is `O(out_deg(src) + in_deg(dst))`, not `O(E)`.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let Some(&s) = self.index.get(src) else {
+        let (Some(&s), Some(&d)) = (self.index.get(src), self.index.get(dst)) else {
             return false;
         };
-        let sc = self.node_mut(s);
-        let Ok(pos) = sc.out_nbrs.binary_search(&dst) else {
+        let out = &mut self.out[s as usize];
+        let Ok(pos) = out.binary_search(&d) else {
             return false;
         };
-        sc.out_nbrs.to_mut().remove(pos);
-        let d = *self.index.get(dst).expect("edge endpoints must exist");
-        let dc = self.node_mut(d);
-        let pos = dc
-            .in_nbrs
-            .binary_search(&src)
-            .expect("in/out adjacency out of sync");
-        dc.in_nbrs.to_mut().remove(pos);
+        out.to_mut().remove(pos);
+        let inn = &mut self.inn[d as usize];
+        let pos = inn.binary_search(&s).expect("in/out adjacency out of sync");
+        inn.to_mut().remove(pos);
         self.n_edges -= 1;
-        self.topology.mark(s, Direction::Out);
-        self.topology.mark(d, Direction::In);
         true
     }
 
@@ -183,34 +178,23 @@ impl DirectedGraph {
             Some(s) => *s,
             None => return false,
         };
-        let cell = self.nodes[slot as usize]
-            .take()
-            .expect("indexed slot occupied");
-        self.topology.mark(slot, Direction::Both);
-        // Remove `id` from the in-lists of its out-neighbors and from the
-        // out-lists of its in-neighbors.
-        for &nbr in cell.out_nbrs.iter() {
-            if nbr == id {
-                continue; // self-loop, cell already removed
+        let s = slot as usize;
+        self.ids[s] = None;
+        let (out, inn) = (
+            std::mem::take(&mut self.out[s]),
+            std::mem::take(&mut self.inn[s]),
+        );
+        // Remove `slot` from the in-rows of its out-neighbours and from the
+        // out-rows of its in-neighbours.
+        for (rows, nbrs) in [(&mut self.inn, &out), (&mut self.out, &inn)] {
+            for &n in nbrs.iter().filter(|&&n| n != slot) {
+                let row = &mut rows[n as usize];
+                let pos = row.binary_search(&slot).expect("adjacency in sync");
+                row.to_mut().remove(pos);
             }
-            let n = *self.index.get(nbr).expect("neighbor must exist");
-            let nc = self.node_mut(n);
-            let pos = nc.in_nbrs.binary_search(&id).expect("adjacency in sync");
-            nc.in_nbrs.to_mut().remove(pos);
-            self.topology.mark(n, Direction::In);
         }
-        for &nbr in cell.in_nbrs.iter() {
-            if nbr == id {
-                continue;
-            }
-            let n = *self.index.get(nbr).expect("neighbor must exist");
-            let nc = self.node_mut(n);
-            let pos = nc.out_nbrs.binary_search(&id).expect("adjacency in sync");
-            nc.out_nbrs.to_mut().remove(pos);
-            self.topology.mark(n, Direction::Out);
-        }
-        let self_loop = cell.out_nbrs.binary_search(&id).is_ok();
-        self.n_edges -= cell.out_nbrs.len() + cell.in_nbrs.len() - usize::from(self_loop);
+        let self_loop = out.binary_search(&slot).is_ok();
+        self.n_edges -= out.len() + inn.len() - usize::from(self_loop);
         Arc::make_mut(&mut self.index).remove(id);
         self.free.push(slot);
         self.n_nodes -= 1;
@@ -219,103 +203,109 @@ impl DirectedGraph {
 
     /// Out-degree of `id`, or `None` if the node is absent.
     pub fn out_degree(&self, id: NodeId) -> Option<usize> {
-        self.cell(id).map(|c| c.out_nbrs.len())
+        self.index.get(id).map(|&s| self.out[s as usize].len())
     }
 
     /// In-degree of `id`, or `None` if the node is absent.
     pub fn in_degree(&self, id: NodeId) -> Option<usize> {
-        self.cell(id).map(|c| c.in_nbrs.len())
+        self.index.get(id).map(|&s| self.inn[s as usize].len())
     }
 
-    /// Sorted out-neighbors of `id` (empty slice if absent).
-    pub fn out_nbrs(&self, id: NodeId) -> &[NodeId] {
-        self.cell(id).map_or(&[], |c| &c.out_nbrs)
+    /// Out-neighbors of `id` in slot order (empty if absent) — id order
+    /// unless nodes were added after a bulk build (see the type docs).
+    pub fn out_nbrs(&self, id: NodeId) -> Nbrs<'_> {
+        Nbrs::new(
+            self.index.get(id).map_or(&[], |&s| &self.out[s as usize]),
+            self,
+        )
     }
 
-    /// Sorted in-neighbors of `id` (empty slice if absent).
-    pub fn in_nbrs(&self, id: NodeId) -> &[NodeId] {
-        self.cell(id).map_or(&[], |c| &c.in_nbrs)
+    /// In-neighbors of `id` in slot order (empty if absent), as
+    /// [`Self::out_nbrs`].
+    pub fn in_nbrs(&self, id: NodeId) -> Nbrs<'_> {
+        Nbrs::new(
+            self.index.get(id).map_or(&[], |&s| &self.inn[s as usize]),
+            self,
+        )
     }
 
     /// Iterates over node ids in slot order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().flatten().map(|c| c.id)
+        self.ids.iter().flatten().copied()
     }
 
     /// Iterates over all directed edges as `(src, dst)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.nodes
+        self.ids
             .iter()
-            .flatten()
-            .flat_map(|c| c.out_nbrs.iter().map(move |d| (c.id, *d)))
+            .zip(&self.out)
+            .filter_map(|(id, out)| id.map(|id| (id, out)))
+            .flat_map(move |(id, out)| Nbrs::new(out, self).map(move |d| (id, d)))
     }
 
-    /// Approximate heap footprint in bytes: hash index + slot vector +
+    /// Approximate heap footprint in bytes: hash index + node table +
     /// adjacency vector capacities. This is what the paper's Table 2
-    /// reports as "In-memory Graph Size" — the graph alone; a cached
-    /// [`Topology`] is reported by [`DirectedGraph::topology_bytes`].
-    /// Versions share the index and every list neither has edited since
-    /// the clone, and each version counts them in full:
-    /// [`AdjacencyStats::shared_bytes`] says how much of this is shared.
+    /// reports as "In-memory Graph Size". Versions share the index and
+    /// every list neither has edited since the clone, and each version
+    /// counts them in full: [`AdjacencyStats::shared_bytes`] says how much
+    /// of this is shared.
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
-        bytes += self.nodes.capacity() * std::mem::size_of::<Option<NodeCell>>();
+        bytes += self.ids.capacity() * std::mem::size_of::<Option<NodeId>>();
+        bytes += (self.out.capacity() + self.inn.capacity()) * std::mem::size_of::<NbrList>();
         bytes += self.free.capacity() * std::mem::size_of::<u32>();
-        for c in self.nodes.iter().flatten() {
-            bytes += c.in_nbrs.heap_bytes() + c.out_nbrs.heap_bytes();
+        for (out, inn) in self.out.iter().zip(&self.inn) {
+            bytes += out.heap_bytes() + inn.heap_bytes();
         }
         bytes
     }
 
-    /// Heap bytes of the cached [`Topology`], 0 when none is cached. A view
-    /// that mutations have left stale is still held memory and is counted.
-    pub fn topology_bytes(&self) -> usize {
-        self.topology.bytes()
-    }
-
-    /// Drops the cached [`Topology`] (the next
-    /// [`DirectedTopology::topology`] call rebuilds it). The catalog calls
-    /// this on a version a publish displaces, so only the current version
-    /// of a name holds one.
-    pub fn release_topology(&self) {
-        self.topology.release();
-    }
-
     /// Builds a graph from per-node parts `(id, in_nbrs, out_nbrs)` whose
-    /// adjacency vectors are **already sorted and deduplicated** and
-    /// mutually consistent. Used by the bulk "sort-first" converter, which
-    /// produces the parts in parallel.
+    /// neighbour ids are deduplicated and mutually consistent: node `k`
+    /// takes slot `k`, and each list is stored as slots, sorted.
     ///
     /// # Panics
-    /// In debug builds, panics if a vector is unsorted.
+    /// On a duplicate node id, or a list naming an id no part holds.
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)>) -> Self {
         let mut g = Self::with_capacity(parts.len());
         let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        let mut n_edges = 0usize;
-        for (id, in_nbrs, out_nbrs) in parts {
-            debug_assert!(in_nbrs.windows(2).all(|w| w[0] < w[1]));
-            debug_assert!(out_nbrs.windows(2).all(|w| w[0] < w[1]));
-            n_edges += out_nbrs.len();
-            let slot = slot_u32(g.nodes.len());
-            g.nodes.push(Some(NodeCell {
-                id,
-                in_nbrs: in_nbrs.into(),
-                out_nbrs: out_nbrs.into(),
-            }));
-            let prev = index.insert(id, slot);
+        for (k, (id, ..)) in parts.iter().enumerate() {
+            let prev = index.insert(*id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in parts");
         }
-        g.n_nodes = g.nodes.len();
-        g.n_edges = n_edges;
+        for (id, in_nbrs, out_nbrs) in parts {
+            g.n_edges += out_nbrs.len();
+            let (inn, out) = (g.slots_of(&in_nbrs), g.slots_of(&out_nbrs));
+            g.ids.push(Some(id));
+            g.out.push(out);
+            g.inn.push(inn);
+        }
+        g.n_nodes = g.ids.len();
         g
     }
 
+    /// The slots of `ids`, ascending, as a list of their own.
+    fn slots_of(&self, ids: &[NodeId]) -> NbrList {
+        let mut row: Vec<u32> = ids
+            .iter()
+            .map(|&id| {
+                *self
+                    .index
+                    .get(id)
+                    .expect("a part names a node of the parts")
+            })
+            .collect();
+        row.sort_unstable();
+        row.into()
+    }
+
     /// Bulk-builds a graph from slab-form adjacency (the conversion fill
-    /// phase, induced subgraphs): node `k` (with id `ids[k]`, distinct,
-    /// placed in slot `k`) owns `in_slab[in_off[k]..in_off[k+1]]` and
-    /// `out_slab[out_off[k]..out_off[k+1]]`, each **sorted and
-    /// deduplicated**, and the two orientations must be mutually
-    /// consistent.
+    /// phase, induced subgraphs, the loaders): node `k` (with id `ids[k]`,
+    /// distinct, placed in slot `k`) owns the neighbour slots
+    /// `in_slab[in_off[k]..in_off[k+1]]` and
+    /// `out_slab[out_off[k]..out_off[k+1]]`, each **ascending**, every one
+    /// below `ids.len()`, and the two orientations must be mutually
+    /// consistent. With `ids` ascending, slot order is id order.
     ///
     /// Unlike row-at-a-time construction this reserves the node hash
     /// table once (no grow/rehash cycles: `with_capacity` sizes it below
@@ -332,9 +322,9 @@ impl DirectedGraph {
     pub fn from_sorted_parts(
         ids: Vec<NodeId>,
         in_off: &[usize],
-        in_slab: Arc<[NodeId]>,
+        in_slab: Arc<[u32]>,
         out_off: &[usize],
-        out_slab: Arc<[NodeId]>,
+        out_slab: Arc<[u32]>,
     ) -> Self {
         let n = ids.len();
         assert_eq!(
@@ -351,24 +341,23 @@ impl DirectedGraph {
         debug_assert_eq!(*out_off.last().unwrap_or(&0), out_slab.len());
         let mut g = Self::with_capacity(n);
         let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        let n_edges = out_slab.len();
         for (k, id) in ids.into_iter().enumerate() {
-            debug_assert!(in_slab[in_off[k]..in_off[k + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1]));
-            debug_assert!(out_slab[out_off[k]..out_off[k + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1]));
-            g.nodes.push(Some(NodeCell {
-                id,
-                in_nbrs: NbrList::slab(&in_slab, in_off[k], in_off[k + 1]),
-                out_nbrs: NbrList::slab(&out_slab, out_off[k], out_off[k + 1]),
-            }));
+            let inn = NbrList::slab(&in_slab, in_off[k], in_off[k + 1]);
+            let out = NbrList::slab(&out_slab, out_off[k], out_off[k + 1]);
+            debug_assert!(
+                [&inn, &out]
+                    .iter()
+                    .all(|row| row.is_sorted_by(|a, b| a < b)
+                        && row.iter().all(|&s| (s as usize) < n))
+            );
+            g.ids.push(Some(id));
+            g.out.push(out);
+            g.inn.push(inn);
             let prev = index.insert(id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
         }
         g.n_nodes = n;
-        g.n_edges = n_edges;
+        g.n_edges = out_slab.len();
         g
     }
 
@@ -378,9 +367,9 @@ impl DirectedGraph {
     pub fn adjacency_stats(&self) -> AdjacencyStats {
         let mut stats = AdjacencyStats::default();
         let mut slabs = std::collections::HashMap::new();
-        for c in self.nodes.iter().flatten() {
-            c.in_nbrs.accumulate(&mut stats, &mut slabs);
-            c.out_nbrs.accumulate(&mut stats, &mut slabs);
+        for s in self.live_slots() {
+            self.inn[s].accumulate(&mut stats, &mut slabs);
+            self.out[s].accumulate(&mut stats, &mut slabs);
         }
         stats.finish(&slabs)
     }
@@ -388,9 +377,8 @@ impl DirectedGraph {
     /// Rewrites every adjacency list into two fresh, exactly-sized
     /// shared slabs (one per direction), releasing dead slab ranges left
     /// behind by mutations and collapsing per-node owned vectors back
-    /// into bulk storage. Adjacency is unchanged — so a cached
-    /// [`Topology`] stays as it is — and the graph stays fully dynamic
-    /// afterwards.
+    /// into bulk storage. Adjacency is unchanged, and the graph stays
+    /// fully dynamic afterwards.
     ///
     /// Rewriting the adjacency into a new immutable slab is exactly what
     /// a copy-on-write version publish does, so the core crate's
@@ -400,89 +388,42 @@ impl DirectedGraph {
     /// unpinned.
     pub fn compact(&mut self) -> CompactStats {
         let before = self.adjacency_stats();
-        let mut ins: Vec<&mut NbrList> = self
-            .nodes
-            .iter_mut()
-            .flatten()
-            .map(|c| &mut c.in_nbrs)
-            .collect();
-        NbrList::compact(&mut ins);
-        let mut outs: Vec<&mut NbrList> = self
-            .nodes
-            .iter_mut()
-            .flatten()
-            .map(|c| &mut c.out_nbrs)
-            .collect();
-        NbrList::compact(&mut outs);
+        for rows in [&mut self.inn, &mut self.out] {
+            let mut lists: Vec<&mut NbrList> = rows
+                .iter_mut()
+                .zip(&self.ids)
+                .filter_map(|(row, id)| id.map(|_| row))
+                .collect();
+            NbrList::compact(&mut lists);
+        }
         CompactStats {
             before,
             after: self.adjacency_stats(),
         }
     }
 
-    /// Collapses edge direction, returning the undirected version of this
-    /// graph (self-loops preserved, reciprocal edges merged).
-    pub fn to_undirected(&self) -> crate::UndirectedGraph {
-        let mut parts = Vec::with_capacity(self.nodes.len());
-        for c in self.nodes.iter().flatten() {
-            let mut nbrs = Vec::with_capacity(c.in_nbrs.len() + c.out_nbrs.len());
-            // Merge two sorted vectors, deduplicating.
-            let (a, b) = (&c.in_nbrs, &c.out_nbrs);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() || j < b.len() {
-                let v = match (a.get(i), b.get(j)) {
-                    (Some(x), Some(y)) if x == y => {
-                        i += 1;
-                        j += 1;
-                        *x
-                    }
-                    (Some(x), Some(y)) if x < y => {
-                        i += 1;
-                        *x
-                    }
-                    (Some(_), Some(y)) => {
-                        j += 1;
-                        *y
-                    }
-                    (Some(x), None) => {
-                        i += 1;
-                        *x
-                    }
-                    (None, Some(y)) => {
-                        j += 1;
-                        *y
-                    }
-                    (None, None) => unreachable!(),
-                };
-                nbrs.push(v);
-            }
-            parts.push((c.id, nbrs));
-        }
-        crate::UndirectedGraph::from_parts(parts)
+    /// The graph with every edge `u -> v` turned into `v -> u`: the two
+    /// row arrays trade places. The copy shares the index and every list.
+    pub fn reversed(&self) -> DirectedGraph {
+        let mut r = self.clone();
+        std::mem::swap(&mut r.inn, &mut r.out);
+        r
     }
 
-    #[inline]
-    fn cell(&self, id: NodeId) -> Option<&NodeCell> {
-        let slot = *self.index.get(id)?;
-        self.nodes[slot as usize].as_ref()
-    }
-
-    /// The node in `slot`, which the index just named.
-    #[inline]
-    fn node_mut(&mut self, slot: u32) -> &mut NodeCell {
-        self.nodes[slot as usize]
-            .as_mut()
-            .expect("indexed slot occupied")
+    /// The live slots, ascending.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.ids.len()).filter(|&s| self.ids[s].is_some())
     }
 }
 
 impl DirectedTopology for DirectedGraph {
     fn n_slots(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
+    #[inline]
     fn slot_id(&self, slot: usize) -> Option<NodeId> {
-        self.nodes[slot].as_ref().map(|c| c.id)
+        self.ids[slot]
     }
 
     fn slot_of(&self, id: NodeId) -> Option<usize> {
@@ -490,12 +431,14 @@ impl DirectedTopology for DirectedGraph {
         Some(slot as usize)
     }
 
-    fn out_nbrs_of_slot(&self, slot: usize) -> &[NodeId] {
-        self.nodes[slot].as_ref().map_or(&[], |c| &c.out_nbrs)
+    #[inline]
+    fn out_row(&self, slot: usize) -> &[u32] {
+        &self.out[slot]
     }
 
-    fn in_nbrs_of_slot(&self, slot: usize) -> &[NodeId] {
-        self.nodes[slot].as_ref().map_or(&[], |c| &c.in_nbrs)
+    #[inline]
+    fn in_row(&self, slot: usize) -> &[u32] {
+        &self.inn[slot]
     }
 
     fn node_count(&self) -> usize {
@@ -514,9 +457,86 @@ impl DirectedTopology for DirectedGraph {
     ) -> NodeValues<T> {
         NodeValues::pack(&self.index, self, per_slot, count, keep)
     }
+}
 
-    fn topology(&self) -> Arc<Topology> {
-        self.topology.get(self, false)
+/// One node's neighbours as ids, in the order its row stores them
+/// (ascending slot): the row is read in place and each slot is mapped to
+/// its id through the graph's node table. Returned by the graphs' id
+/// accessors ([`DirectedGraph::out_nbrs`], [`crate::UndirectedGraph::nbrs`],
+/// …); compares equal to a slice holding the same ids in the same order.
+#[derive(Clone)]
+pub struct Nbrs<'a> {
+    row: std::slice::Iter<'a, u32>,
+    g: &'a dyn DirectedTopology,
+}
+
+impl<'a> Nbrs<'a> {
+    pub(crate) fn new(row: &'a [u32], g: &'a dyn DirectedTopology) -> Self {
+        Self { row: row.iter(), g }
+    }
+
+    /// True when no neighbours are left.
+    pub fn is_empty(&self) -> bool {
+        self.row.len() == 0
+    }
+
+    #[inline]
+    fn id(&self, slot: u32) -> NodeId {
+        self.g
+            .slot_id(slot as usize)
+            .expect("a row names live slots only")
+    }
+}
+
+impl Iterator for Nbrs<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        let slot = *self.row.next()?;
+        Some(self.id(slot))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.row.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Nbrs<'_> {}
+
+impl std::fmt::Debug for Nbrs<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+impl PartialEq<[NodeId]> for Nbrs<'_> {
+    fn eq(&self, other: &[NodeId]) -> bool {
+        self.clone().eq(other.iter().copied())
+    }
+}
+
+impl PartialEq<Nbrs<'_>> for Nbrs<'_> {
+    fn eq(&self, other: &Nbrs<'_>) -> bool {
+        self.clone().eq(other.clone())
+    }
+}
+
+impl PartialEq<&[NodeId]> for Nbrs<'_> {
+    fn eq(&self, other: &&[NodeId]) -> bool {
+        *self == **other
+    }
+}
+
+impl<const N: usize> PartialEq<&[NodeId; N]> for Nbrs<'_> {
+    fn eq(&self, other: &&[NodeId; N]) -> bool {
+        *self == other[..]
+    }
+}
+
+impl PartialEq<Vec<NodeId>> for Nbrs<'_> {
+    fn eq(&self, other: &Vec<NodeId>) -> bool {
+        *self == other[..]
     }
 }
 
@@ -552,12 +572,20 @@ mod tests {
     #[test]
     fn adjacency_stays_sorted() {
         let mut g = DirectedGraph::new();
+        for id in [0, 1, 3, 5, 7, 9] {
+            g.add_node(id);
+        }
         for dst in [5, 1, 9, 3, 7] {
             g.add_edge(0, dst);
         }
         assert_eq!(g.out_nbrs(0), &[1, 3, 5, 7, 9]);
+        assert_eq!(g.out_row(0), &[1, 2, 3, 4, 5]);
         assert_eq!(g.out_degree(0), Some(5));
         assert_eq!(g.in_degree(0), Some(0));
+        // A node added later takes the next slot: rows stay sorted by slot.
+        g.add_edge(0, -1);
+        assert_eq!(g.out_nbrs(0), &[1, 3, 5, 7, 9, -1]);
+        assert!(g.out_row(0).is_sorted());
     }
 
     #[test]
@@ -604,14 +632,16 @@ mod tests {
     #[test]
     fn slot_reuse_after_del_node() {
         let mut g = DirectedGraph::new();
-        g.add_node(1);
-        g.add_node(2);
+        g.add_edge(1, 2);
+        g.add_edge(2, 2);
         g.del_node(1);
-        g.add_node(3);
+        g.add_edge(3, 2);
         assert_eq!(g.n_slots(), 2, "freed slot is recycled");
         let ids: Vec<_> = g.node_ids().collect();
         assert_eq!(ids.len(), 2);
         assert!(ids.contains(&2) && ids.contains(&3));
+        // Slot 0 now names 3: 2's in-row lists it first, before 2 itself.
+        assert_eq!(g.in_nbrs(2), &[3, 2]);
     }
 
     #[test]
@@ -648,12 +678,13 @@ mod tests {
 
     #[test]
     fn from_sorted_parts_matches_incremental() {
-        // Edges (1,2) (1,3) (2,3) (3,1) in slab form.
+        // Edges (1,2) (1,3) (2,3) (3,1) in slab form; ids 1, 2, 3 take
+        // slots 0, 1, 2.
         let ids = vec![1i64, 2, 3];
         let out_off = [0usize, 2, 3, 4];
-        let out_slab = [2i64, 3, 3, 1];
+        let out_slab = [1u32, 2, 2, 0];
         let in_off = [0usize, 1, 2, 4];
-        let in_slab = [3i64, 1, 1, 2];
+        let in_slab = [2u32, 0, 0, 1];
         let g = DirectedGraph::from_sorted_parts(
             ids,
             &in_off,
@@ -707,7 +738,7 @@ mod tests {
         for i in 0..1000 {
             g.add_edge(i, i + 1);
         }
-        assert!(g.mem_size() > empty + 1000 * 16 / 2);
+        assert!(g.mem_size() > empty + 1000 * 8 / 2);
     }
 
     #[test]
@@ -718,21 +749,37 @@ mod tests {
         assert_eq!(g.out_nbrs(-10), &[i64::MAX]);
     }
 
-    /// A bulk-loaded chain graph with ids 0..n (so every endpoint is a
-    /// distinct node and the slab layout is easy to reason about).
+    #[test]
+    fn i64_min_is_a_node_like_any_other() {
+        let mut g = DirectedGraph::new();
+        assert!(g.add_edge(i64::MIN, 1));
+        assert!(g.add_edge(1, i64::MIN));
+        assert!(g.add_node(i64::MAX));
+        assert!(g.has_node(i64::MIN) && g.has_edge(i64::MIN, 1));
+        assert_eq!(g.out_nbrs(1), &[i64::MIN]);
+        assert_eq!(g.in_nbrs(i64::MIN), &[1]);
+        assert!(g.del_edge(i64::MIN, 1));
+        assert!(g.del_node(i64::MIN));
+        assert!(!g.has_node(i64::MIN));
+        assert_eq!((g.node_count(), g.edge_count()), (2, 0));
+    }
+
+    /// A bulk-loaded chain graph with ids 0..n in slots 0..n (so every
+    /// endpoint is a distinct node and the slab layout is easy to reason
+    /// about).
     fn chain_graph(n: usize) -> DirectedGraph {
         let ids: Vec<NodeId> = (0..n as NodeId).collect();
         let mut out_off = vec![0usize];
         let mut out_slab = Vec::new();
         let mut in_off = vec![0usize];
         let mut in_slab = Vec::new();
-        for k in 0..n {
-            if k + 1 < n {
-                out_slab.push((k + 1) as NodeId);
+        for k in 0..n as u32 {
+            if k as usize + 1 < n {
+                out_slab.push(k + 1);
             }
             out_off.push(out_slab.len());
             if k > 0 {
-                in_slab.push((k - 1) as NodeId);
+                in_slab.push(k - 1);
             }
             in_off.push(in_slab.len());
         }
@@ -755,7 +802,7 @@ mod tests {
         assert!(dirty.dead_slab_bytes() > 0, "mutations leak dead ranges");
         let want: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = g
             .node_ids()
-            .map(|id| (id, g.in_nbrs(id).to_vec(), g.out_nbrs(id).to_vec()))
+            .map(|id| (id, g.in_nbrs(id).collect(), g.out_nbrs(id).collect()))
             .collect();
         let stats = g.compact();
         assert_eq!(stats.after.owned_lists, 0, "everything rebound as views");
@@ -763,8 +810,8 @@ mod tests {
         assert!(stats.reclaimed_bytes() > 0);
         assert!(stats.after.footprint_bytes() < stats.before.footprint_bytes());
         for (id, ins, outs) in want {
-            assert_eq!(g.in_nbrs(id), &ins[..], "in-adjacency preserved");
-            assert_eq!(g.out_nbrs(id), &outs[..], "out-adjacency preserved");
+            assert_eq!(g.in_nbrs(id), ins, "in-adjacency preserved");
+            assert_eq!(g.out_nbrs(id), outs, "out-adjacency preserved");
         }
         // Still fully dynamic afterwards.
         assert!(g.add_edge(0, 99));

@@ -26,8 +26,7 @@ pub fn save_edge_list(g: &DirectedGraph, path: &Path) -> io::Result<()> {
 
 /// Loads a SNAP-style text edge list (whitespace-separated pairs, `#`
 /// comments ignored). Isolated nodes are not representable in this format.
-/// A line without two integers, or naming the reserved id `i64::MIN`, is
-/// `InvalidData` naming the line.
+/// A line without two integers is `InvalidData` naming the line.
 pub fn load_edge_list(path: &Path) -> io::Result<DirectedGraph> {
     let mut reader = BufReader::new(std::fs::File::open(path)?);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
@@ -45,13 +44,11 @@ pub fn load_edge_list(path: &Path) -> io::Result<DirectedGraph> {
         }
         let mut fields = t.split_whitespace();
         let parse = |f: Option<&str>| -> io::Result<NodeId> {
-            f.and_then(|x| x.parse().ok())
-                .filter(|&id| id != NodeId::MIN)
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "line {lineno}: expected `src dst` integers above i64::MIN, got {t:?}"
-                    ))
-                })
+            f.and_then(|x| x.parse().ok()).ok_or_else(|| {
+                invalid(format!(
+                    "line {lineno}: expected `src dst` integers, got {t:?}"
+                ))
+            })
         };
         let s = parse(fields.next())?;
         let d = parse(fields.next())?;
@@ -63,16 +60,19 @@ pub fn load_edge_list(path: &Path) -> io::Result<DirectedGraph> {
 const MAGIC: &[u8; 8] = b"RINGOGR1";
 
 /// Writes the graph in the compact binary format (little-endian; magic,
-/// node count, then per node its id and out-neighbor list).
+/// node count, then per node its id and out-neighbor list, ascending).
 pub fn save_binary(g: &DirectedGraph, path: &Path) -> io::Result<()> {
     let mut w = BufWriter::new(std::fs::File::create(path)?);
     w.write_all(MAGIC)?;
     w.write_all(&(g.node_count() as u64).to_le_bytes())?;
+    let mut out = Vec::new();
     for id in g.node_ids() {
         w.write_all(&id.to_le_bytes())?;
-        let out = g.out_nbrs(id);
+        out.clear();
+        out.extend(g.out_nbrs(id));
+        out.sort_unstable();
         w.write_all(&(out.len() as u32).to_le_bytes())?;
-        for &n in out {
+        for &n in &out {
             w.write_all(&n.to_le_bytes())?;
         }
     }
@@ -81,9 +81,9 @@ pub fn save_binary(g: &DirectedGraph, path: &Path) -> io::Result<()> {
 
 /// Loads a graph written by [`save_binary`] (isolated nodes round-trip
 /// through this format, unlike the text edge list). A file no writer
-/// produced — a node count its length cannot hold, a reserved or repeated
-/// id, an out-list out of order or naming a node the file does not hold —
-/// is `InvalidData` naming the node; allocation is bounded by the file.
+/// produced — a node count its length cannot hold, a repeated id, an
+/// out-list out of order or naming a node the file does not hold — is
+/// `InvalidData` naming the node; allocation is bounded by the file.
 pub fn load_binary(path: &Path) -> io::Result<DirectedGraph> {
     let bytes = std::fs::read(path)?;
     let mut r = &bytes[..];
@@ -100,75 +100,75 @@ pub fn load_binary(path: &Path) -> io::Result<DirectedGraph> {
             bytes.len()
         )));
     }
-    let mut slot_of = IntHashTable::with_capacity(n as usize);
-    let mut parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
-    for k in 0..n as usize {
+    let mut known = IntHashTable::with_capacity(n as usize);
+    let mut ids = Vec::with_capacity(n as usize);
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for _ in 0..n {
         let id = read_i64(&mut r)?;
-        if id == NodeId::MIN || slot_of.insert(id, k).is_some() {
-            return Err(invalid(format!(
-                "node {id}: the id is reserved or repeated"
-            )));
+        if known.insert(id, ()).is_some() {
+            return Err(invalid(format!("node {id}: the id is repeated")));
         }
-        let mut out = Vec::new();
+        ids.push(id);
+        let first = edges.len();
         for _ in 0..read_u32(&mut r)? {
-            out.push(read_i64(&mut r)?);
-        }
-        if !out.windows(2).all(|w| w[0] < w[1]) {
-            return Err(invalid(format!(
-                "node {id}: out-list not strictly ascending"
-            )));
-        }
-        parts.push((id, Vec::new(), out));
-    }
-    // In-lists: each source appended to its target's list, then sorted.
-    for k in 0..parts.len() {
-        for j in 0..parts[k].2.len() {
-            let (id, d) = (parts[k].0, parts[k].2[j]);
-            let t = *slot_of.get(d).ok_or_else(|| {
-                invalid(format!(
-                    "node {id}: out-neighbour {d} is not a node of the file"
-                ))
-            })?;
-            parts[t].1.push(id);
+            let d = read_i64(&mut r)?;
+            if edges.len() > first && edges[edges.len() - 1].1 >= d {
+                return Err(invalid(format!(
+                    "node {id}: out-list not strictly ascending"
+                )));
+            }
+            edges.push((id, d));
         }
     }
-    parts.iter_mut().for_each(|p| p.1.sort_unstable());
-    Ok(DirectedGraph::from_parts(parts))
+    if let Some(&(s, d)) = edges.iter().find(|&&(_, d)| !known.contains(d)) {
+        return Err(invalid(format!(
+            "node {s}: out-neighbour {d} is not a node of the file"
+        )));
+    }
+    ids.sort_unstable();
+    edges.sort_unstable();
+    Ok(from_sorted_edges(ids, &edges))
 }
 
 /// Builds a graph from raw edges (sequential sort-first; the parallel
 /// variant lives in `ringo-convert` to keep this crate dependency-light).
+/// Slots follow ascending id.
 pub fn graph_from_edges(edges: &[(NodeId, NodeId)]) -> DirectedGraph {
     let mut fwd = edges.to_vec();
-    let mut rev: Vec<(NodeId, NodeId)> = edges.iter().map(|&(s, d)| (d, s)).collect();
     fwd.sort_unstable();
     fwd.dedup();
-    rev.sort_unstable();
-    rev.dedup();
-    let mut parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < fwd.len() || j < rev.len() {
-        let next_out = fwd.get(i).map(|p| p.0);
-        let next_in = rev.get(j).map(|p| p.0);
-        let id = match (next_out, next_in) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => unreachable!(),
-        };
-        let mut out = Vec::new();
-        while i < fwd.len() && fwd[i].0 == id {
-            out.push(fwd[i].1);
-            i += 1;
-        }
-        let mut inn = Vec::new();
-        while j < rev.len() && rev[j].0 == id {
-            inn.push(rev[j].1);
-            j += 1;
-        }
-        parts.push((id, inn, out));
+    let mut ids: Vec<NodeId> = fwd.iter().flat_map(|&(s, d)| [s, d]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    from_sorted_edges(ids, &fwd)
+}
+
+/// The graph on the nodes `ids` (ascending, distinct; node `k` in slot
+/// `k`) with the edges `edges` (ascending, distinct, every endpoint in
+/// `ids`).
+fn from_sorted_edges(ids: Vec<NodeId>, edges: &[(NodeId, NodeId)]) -> DirectedGraph {
+    let slot = |id: NodeId| ids.partition_point(|&x| x < id);
+    let arcs: Vec<(usize, usize)> = edges.iter().map(|&(s, d)| (slot(s), slot(d))).collect();
+    let mut out_off = vec![0usize; ids.len() + 1];
+    let mut in_off = vec![0usize; ids.len() + 1];
+    for &(s, d) in &arcs {
+        out_off[s + 1] += 1;
+        in_off[d + 1] += 1;
     }
-    DirectedGraph::from_parts(parts)
+    for k in 1..=ids.len() {
+        out_off[k] += out_off[k - 1];
+        in_off[k] += in_off[k - 1];
+    }
+    // Edges ascend by source, so each out-row is its run of targets in
+    // order, and each in-row collects its sources in ascending order.
+    let out_slab: Vec<u32> = arcs.iter().map(|&(_, d)| d as u32).collect();
+    let mut in_slab = vec![0u32; arcs.len()];
+    let mut at = in_off.clone();
+    for &(s, d) in &arcs {
+        in_slab[at[d]] = s as u32;
+        at[d] += 1;
+    }
+    DirectedGraph::from_sorted_parts(ids, &in_off, in_slab.into(), &out_off, out_slab.into())
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -209,12 +209,23 @@ mod tests {
         std::env::temp_dir().join(format!("ringo_gio_{}_{name}", std::process::id()))
     }
 
+    /// Same nodes and edges; a loaded graph's slots follow ascending id,
+    /// so its lists may be ordered differently from the saved graph's.
     fn assert_same(a: &DirectedGraph, b: &DirectedGraph) {
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.edge_count(), b.edge_count());
+        let sorted = |ids: crate::Nbrs<'_>| {
+            let mut v: Vec<NodeId> = ids.collect();
+            v.sort_unstable();
+            v
+        };
         for id in a.node_ids() {
-            assert_eq!(a.out_nbrs(id), b.out_nbrs(id), "out of {id}");
-            assert_eq!(a.in_nbrs(id), b.in_nbrs(id), "in of {id}");
+            assert_eq!(
+                sorted(a.out_nbrs(id)),
+                sorted(b.out_nbrs(id)),
+                "out of {id}"
+            );
+            assert_eq!(sorted(a.in_nbrs(id)), sorted(b.in_nbrs(id)), "in of {id}");
         }
     }
 
@@ -303,17 +314,15 @@ mod tests {
         many[8..16].copy_from_slice(&3u64.to_le_bytes());
         assert_invalid(load_binary, &many, "3 nodes");
         let dup = binary_file(&[(1, &[2]), (2, &[]), (1, &[])]);
-        assert_invalid(load_binary, &dup, "node 1: the id is reserved or repeated");
+        assert_invalid(load_binary, &dup, "node 1: the id is repeated");
         let unsorted = binary_file(&[(1, &[3, 2]), (2, &[]), (3, &[])]);
         assert_invalid(load_binary, &unsorted, "node 1: out-list not strictly");
         let repeated = binary_file(&[(1, &[2, 2]), (2, &[])]);
         assert_invalid(load_binary, &repeated, "node 1: out-list not strictly");
         let absent = binary_file(&[(1, &[2, 3]), (2, &[])]);
         assert_invalid(load_binary, &absent, "node 1: out-neighbour 3 is not");
-        let reserved = binary_file(&[(i64::MIN, &[])]);
-        assert_invalid(load_binary, &reserved, &format!("node {}", i64::MIN));
-        let names_reserved = binary_file(&[(1, &[i64::MIN])]);
-        assert_invalid(load_binary, &names_reserved, "is not a node");
+        let names_absent_min = binary_file(&[(1, &[i64::MIN])]);
+        assert_invalid(load_binary, &names_absent_min, "is not a node");
         // A degree the file cannot hold runs out of bytes, not memory.
         let mut deep = binary_file(&[(1, &[])]);
         deep[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -327,18 +336,18 @@ mod tests {
     }
 
     #[test]
-    fn text_load_rejects_the_reserved_id_naming_the_line() {
-        let min = i64::MIN;
-        assert_invalid(
-            load_edge_list,
-            format!("1 2\n{min} 2\n").as_bytes(),
-            "line 2",
-        );
-        assert_invalid(
-            load_edge_list,
-            format!("# x\n3\t{min}\n").as_bytes(),
-            "line 2",
-        );
+    fn loaders_take_i64_min_like_any_id() {
+        let p = tmp("min.txt");
+        std::fs::write(&p, format!("1 2\n{} 2\n# x\n3\t{}\n", i64::MIN, i64::MIN)).unwrap();
+        let g = load_edge_list(&p).unwrap();
+        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.in_nbrs(2), &[i64::MIN, 1], "slots follow ascending id");
+        assert!(g.has_edge(3, i64::MIN));
+        let mut h = g.clone();
+        h.add_node(i64::MIN + 1);
+        save_binary(&h, &p).unwrap();
+        assert_same(&h, &load_binary(&p).unwrap());
+        std::fs::remove_file(p).ok();
     }
 
     /// Seeded single-byte mutations (truncate, delete, insert, overwrite)

@@ -8,15 +8,16 @@
 //!
 //! * [`DirectedGraph`] — the paper's representation for directed graphs:
 //!   node hash index over slots, each slot holding sorted in- and
-//!   out-neighbor vectors. Space is ~16 bytes per edge plus node overhead,
-//!   "similar to those of the Compressed Sparse Row format".
-//! * [`UndirectedGraph`] — same idea with a single neighbor vector per node.
-//! * [`DirectedTopology`] — slot-addressed read access implemented by
-//!   every graph type so one kernel runs on all of them.
-//! * [`Topology`] — the dense slot-CSR view kernels traverse: neighbor
-//!   *slots* instead of ids, cached on the graph value and carried across
-//!   clone → mutate → publish, where only the rows an edit touched are
-//!   re-translated.
+//!   out-neighbor rows. A neighbour is stored as the `u32` slot of its
+//!   node, so space is ~8 bytes per edge (4 in each orientation) plus
+//!   node overhead — below the Compressed Sparse Row figure the paper
+//!   compares against.
+//! * [`UndirectedGraph`] — same idea with a single neighbor row per node.
+//! * [`DirectedTopology`] — the slot-row read interface implemented by
+//!   every graph type, so one kernel runs on all of them and reads the
+//!   rows in place.
+//! * [`Nbrs`] — a node's neighbours as ids, mapped from its row at the
+//!   edge of the API.
 //! * [`NodeValues`] — a kernel's per-node answer as slot-ordered id and
 //!   value columns that look ids up through the graph's own index.
 
@@ -26,27 +27,25 @@ pub mod directed;
 pub mod io;
 mod nbrs;
 pub mod topology;
-pub mod traits;
 pub mod transform;
 pub mod undirected;
 mod values;
 pub mod weighted;
 
-pub use directed::DirectedGraph;
+pub use directed::{DirectedGraph, Nbrs};
 pub use nbrs::{new_slab, AdjacencyStats, CompactStats};
-pub use topology::Topology;
-pub use traits::{DirectedTopology, Direction};
+pub use topology::{DirectedTopology, Direction};
 pub use undirected::UndirectedGraph;
 pub use values::NodeValues;
 pub use weighted::WeightedDigraph;
 
 /// External node identifier. Following SNAP, ids are arbitrary 64-bit
 /// integers supplied by the user (e.g. raw user ids from a table), not
-/// required to be dense. `i64::MIN` is reserved.
+/// required to be dense; every `i64` is a legal id.
 pub type NodeId = i64;
 
-/// Narrows a slot index to the `u32` that node indexes and [`Topology`]
-/// rows store.
+/// Narrows a slot index to the `u32` that node indexes and adjacency rows
+/// store.
 ///
 /// # Panics
 /// When `slot` does not fit: a graph holds at most `u32::MAX` + 1 slots.

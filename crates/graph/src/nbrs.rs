@@ -1,47 +1,50 @@
 //! Copy-on-write adjacency storage shared by the dynamic graph types.
 //!
+//! A neighbour is stored as the `u32` **slot** of the neighbouring node —
+//! the one adjacency representation: kernels read a row of slots in
+//! place, and the public id accessors map slot → id through the node
+//! table at the edge of the API. A list is sorted by slot.
+//!
 //! Bulk loading (the sort-first table→graph conversion) produces every
 //! node's neighbors concatenated in one big slab. Copying each node's
 //! slice into its own `Vec` at install time would re-touch the whole
 //! adjacency just to change its ownership — for a million-edge graph
 //! that copy costs more than the fill itself. Instead a [`NbrList`] can
-//! *borrow* its range of the shared slab (an `Arc<[NodeId]>` kept alive
-//! by every node that references it) and only materializes a list of its
+//! *borrow* its range of the shared slab (an `Arc<[u32]>` kept alive by
+//! every node that references it) and only materializes a list of its
 //! own the first time that node's adjacency is mutated. Read paths see
-//! a `&[NodeId]` either way via `Deref`, so lookups and iteration are
+//! a `&[u32]` either way via `Deref`, so lookups and iteration are
 //! identical for both representations.
 //!
-//! A list of its own is an `Arc<Vec<NodeId>>`, so a graph clone shares it
+//! A list of its own is an `Arc<Vec<u32>>`, so a graph clone shares it
 //! too and a version copies a list only on its first edit of it. An empty
 //! list is a view of the empty slab and allocates nothing.
 
-use crate::NodeId;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// A zero-filled adjacency slab of `len` ids, allocated once in its final
-/// shared form. Producers fill it in place through [`Arc::get_mut`] and
-/// hand it to a `from_sorted_parts` constructor, so bulk-built adjacency
-/// is written exactly once and never copied.
-pub fn new_slab(len: usize) -> Arc<[NodeId]> {
+/// Bytes one stored neighbour costs.
+const SLOT_BYTES: usize = std::mem::size_of::<u32>();
+
+/// A zero-filled adjacency slab of `len` neighbour slots, allocated once
+/// in its final shared form. Producers fill it in place through
+/// [`Arc::get_mut`] and hand it to a `from_sorted_parts` constructor, so
+/// bulk-built adjacency is written exactly once and never copied.
+pub fn new_slab(len: usize) -> Arc<[u32]> {
     std::iter::repeat_n(0, len).collect()
 }
 
-/// One node's sorted neighbor list: either a list of its own (shared with
-/// the graph versions cloned since its last edit) or a range of a
+/// One node's neighbour slots, ascending: either a list of its own (shared
+/// with the graph versions cloned since its last edit) or a range of a
 /// bulk-load slab shared with the other nodes built in the same batch.
 #[derive(Clone, Debug)]
 pub(crate) enum NbrList {
     /// This node's storage; every mutation path lands here.
-    Owned(Arc<Vec<NodeId>>),
-    /// `buf[lo..hi]`, copy-on-write. Bounds are `u32` to keep the enum at
-    /// `Vec` size; [`NbrList::slab`] falls back to owning when a slab is
-    /// too large to index with 32 bits.
-    Slab {
-        buf: Arc<[NodeId]>,
-        lo: u32,
-        hi: u32,
-    },
+    Owned(Arc<Vec<u32>>),
+    /// `buf[lo..hi]`, copy-on-write. Bounds are `u32` to keep the enum
+    /// small; [`NbrList::slab`] falls back to owning when a slab is too
+    /// large to index with 32 bits.
+    Slab { buf: Arc<[u32]>, lo: u32, hi: u32 },
 }
 
 impl Default for NbrList {
@@ -52,10 +55,10 @@ impl Default for NbrList {
 }
 
 impl Deref for NbrList {
-    type Target = [NodeId];
+    type Target = [u32];
 
     #[inline]
-    fn deref(&self) -> &[NodeId] {
+    fn deref(&self) -> &[u32] {
         match self {
             NbrList::Owned(v) => v,
             NbrList::Slab { buf, lo, hi } => &buf[*lo as usize..*hi as usize],
@@ -63,8 +66,8 @@ impl Deref for NbrList {
     }
 }
 
-impl From<Vec<NodeId>> for NbrList {
-    fn from(v: Vec<NodeId>) -> Self {
+impl From<Vec<u32>> for NbrList {
+    fn from(v: Vec<u32>) -> Self {
         if v.is_empty() {
             return NbrList::default();
         }
@@ -75,7 +78,7 @@ impl From<Vec<NodeId>> for NbrList {
 impl NbrList {
     /// A view of `buf[lo..hi]`. Falls back to an owned copy in the
     /// (pathological) case of a slab beyond `u32` indexing.
-    pub(crate) fn slab(buf: &Arc<[NodeId]>, lo: usize, hi: usize) -> Self {
+    pub(crate) fn slab(buf: &Arc<[u32]>, lo: usize, hi: usize) -> Self {
         if hi <= u32::MAX as usize {
             NbrList::Slab {
                 buf: Arc::clone(buf),
@@ -91,7 +94,7 @@ impl NbrList {
     /// place; a slab view or a list another version shares is first
     /// copied — this node's neighbors only, into room for one more, since
     /// an edit follows.
-    pub(crate) fn to_mut(&mut self) -> &mut Vec<NodeId> {
+    pub(crate) fn to_mut(&mut self) -> &mut Vec<u32> {
         if !matches!(self, NbrList::Owned(v) if Arc::strong_count(v) == 1) {
             let mut v = Vec::with_capacity(self.len() + 1);
             v.extend_from_slice(self);
@@ -114,8 +117,8 @@ impl NbrList {
     /// [`NbrList::compact`] reclaims the difference.
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
-            NbrList::Owned(v) => v.capacity() * std::mem::size_of::<NodeId>(),
-            NbrList::Slab { lo, hi, .. } => (hi - lo) as usize * std::mem::size_of::<NodeId>(),
+            NbrList::Owned(v) => v.capacity() * SLOT_BYTES,
+            NbrList::Slab { lo, hi, .. } => (hi - lo) as usize * SLOT_BYTES,
         }
     }
 
@@ -138,7 +141,7 @@ impl NbrList {
         match self.slab_id() {
             Some((addr, slab_len)) => {
                 stats.slab_lists += 1;
-                stats.live_slab_bytes += self.len() * std::mem::size_of::<NodeId>();
+                stats.live_slab_bytes += self.len() * SLOT_BYTES;
                 slabs.insert(addr, slab_len);
             }
             None => {
@@ -173,7 +176,7 @@ impl NbrList {
             slab.extend_from_slice(list);
             bounds.push(lo);
         }
-        let buf: Arc<[NodeId]> = Arc::from(slab);
+        let buf: Arc<[u32]> = Arc::from(slab);
         for (list, lo) in lists.iter_mut().zip(bounds) {
             let hi = lo + list.len();
             **list = NbrList::slab(&buf, lo, hi);
@@ -221,10 +224,7 @@ impl AdjacencyStats {
     /// Folds the distinct-slab map built via [`NbrList::accumulate`]
     /// into `total_slab_bytes`.
     pub(crate) fn finish(mut self, slabs: &std::collections::HashMap<usize, usize>) -> Self {
-        self.total_slab_bytes = slabs
-            .values()
-            .map(|len| len * std::mem::size_of::<NodeId>())
-            .sum();
+        self.total_slab_bytes = slabs.values().map(|len| len * SLOT_BYTES).sum();
         self
     }
 }
@@ -255,31 +255,31 @@ mod tests {
 
     #[test]
     fn slab_view_reads_like_owned() {
-        let buf: Arc<[NodeId]> = Arc::from(vec![1i64, 2, 3, 4, 5]);
+        let buf: Arc<[u32]> = Arc::from(vec![1u32, 2, 3, 4, 5]);
         let view = NbrList::slab(&buf, 1, 4);
         assert_eq!(&*view, &[2, 3, 4]);
         assert_eq!(view.len(), 3);
         assert!(view.binary_search(&3).is_ok());
-        let owned = NbrList::from(vec![2i64, 3, 4]);
+        let owned = NbrList::from(vec![2u32, 3, 4]);
         assert_eq!(&*view, &*owned);
     }
 
     #[test]
     fn to_mut_copies_on_write_without_touching_slab() {
-        let buf: Arc<[NodeId]> = Arc::from(vec![10i64, 20, 30]);
+        let buf: Arc<[u32]> = Arc::from(vec![10u32, 20, 30]);
         let mut a = NbrList::slab(&buf, 0, 2);
         let b = NbrList::slab(&buf, 2, 3);
         a.to_mut().push(25);
         assert_eq!(&*a, &[10, 20, 25]);
         assert_eq!(&*b, &[30], "sibling view untouched");
         assert_eq!(buf[0], 10, "slab itself untouched");
-        assert_eq!(a.heap_bytes(), 3 * std::mem::size_of::<NodeId>(), "len + 1");
+        assert_eq!(a.heap_bytes(), 3 * SLOT_BYTES, "len + 1");
     }
 
     #[test]
     fn to_mut_edits_a_list_held_once_and_copies_a_shared_one() {
         let mut v = Vec::with_capacity(8);
-        v.extend([1i64, 2]);
+        v.extend([1u32, 2]);
         let mut a = NbrList::from(v);
         let at = a.as_ptr();
         a.to_mut().push(3);
@@ -308,14 +308,14 @@ mod tests {
 
     #[test]
     fn heap_bytes_charges_slab_ranges() {
-        let buf: Arc<[NodeId]> = Arc::from(vec![0i64; 8]);
+        let buf: Arc<[u32]> = Arc::from(vec![0u32; 8]);
         let view = NbrList::slab(&buf, 2, 6);
-        assert_eq!(view.heap_bytes(), 4 * std::mem::size_of::<NodeId>());
+        assert_eq!(view.heap_bytes(), 4 * SLOT_BYTES);
     }
 
     #[test]
     fn compact_rewrites_views_and_owned_into_one_slab() {
-        let buf: Arc<[NodeId]> = Arc::from(vec![1i64, 2, 3, 4, 5, 6]);
+        let buf: Arc<[u32]> = Arc::from(vec![1u32, 2, 3, 4, 5, 6]);
         let mut a = NbrList::slab(&buf, 0, 2); // survives
         let mut b = NbrList::from(vec![7, 8, 9]); // materialized earlier
         let mut c = NbrList::slab(&buf, 4, 6); // survives; [2..4] is dead
@@ -348,14 +348,14 @@ mod tests {
 
     #[test]
     fn adjacency_stats_see_dead_ranges() {
-        let buf: Arc<[NodeId]> = Arc::from(vec![0i64; 8]);
+        let buf: Arc<[u32]> = Arc::from(vec![0u32; 8]);
         let live = NbrList::slab(&buf, 0, 2);
         drop(buf);
         let mut stats = AdjacencyStats::default();
         let mut slabs = std::collections::HashMap::new();
         live.accumulate(&mut stats, &mut slabs);
         let stats = stats.finish(&slabs);
-        let elt = std::mem::size_of::<NodeId>();
+        let elt = SLOT_BYTES;
         assert_eq!(stats.live_slab_bytes, 2 * elt);
         assert_eq!(stats.total_slab_bytes, 8 * elt);
         assert_eq!(stats.dead_slab_bytes(), 6 * elt);

@@ -1,11 +1,19 @@
-//! Graph transformations: induced subgraphs, edge reversal, and id
-//! renumbering — the "powerful operations to construct various types of
-//! graphs" an exploratory workflow composes between algorithm runs.
+//! Graph transformations: induced subgraphs, the undirected view, and
+//! id renumbering — the "powerful operations to construct various types
+//! of graphs" an exploratory workflow composes between algorithm runs.
+//!
+//! Each result is built in slab form: the kept nodes are renumbered
+//! densely in slot order (an old → new slot map), every kept row is
+//! rewritten through the map into a slab sized by a count pass, and
+//! `from_sorted_parts` installs the slabs. The map is monotone, so rows
+//! stay sorted and a graph whose slot order was id order keeps it.
 
 use crate::{new_slab, DirectedGraph, DirectedTopology, NodeId, UndirectedGraph};
-use ringo_concurrent::hash_table::EMPTY_KEY;
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
+
+/// Marks a slot the map drops.
+const DROPPED: u32 = u32::MAX;
 
 impl DirectedGraph {
     /// The subgraph induced by `nodes`: those nodes and every edge whose
@@ -15,61 +23,52 @@ impl DirectedGraph {
         self.induced(|id| keep.contains(id))
     }
 
-    /// The subgraph induced by the nodes `keep` accepts, built in slab
-    /// form: an exact count pass sizes the two adjacency slabs, a second
-    /// pass fills them in place, and the result's lists are views into
-    /// them. Kept nodes keep their relative slot order.
+    /// The subgraph induced by the nodes `keep` accepts (asked once per
+    /// node); kept nodes keep their relative slot order.
     pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> DirectedGraph {
-        let (slots, ids) = kept_slots(self, &keep);
-        let (in_off, in_slab) = filtered_slab(&slots, |s| self.in_nbrs_of_slot(s), &keep);
-        let (out_off, out_slab) = filtered_slab(&slots, |s| self.out_nbrs_of_slot(s), &keep);
-        DirectedGraph::from_sorted_parts(ids, &in_off, in_slab, &out_off, out_slab)
+        directed_copy(self, keep)
     }
 
-    /// The reverse graph: every edge `u -> v` becomes `v -> u`. Cheap —
-    /// in/out adjacency vectors are swapped per node, no re-sorting.
-    pub fn reversed(&self) -> DirectedGraph {
-        let parts = self
-            .node_ids()
-            .map(|id| {
-                (
-                    id,
-                    self.out_nbrs(id).to_vec(), // old out becomes new in
-                    self.in_nbrs(id).to_vec(),  // old in becomes new out
-                )
-            })
-            .collect();
-        DirectedGraph::from_parts(parts)
+    /// Collapses edge direction, returning the undirected version of this
+    /// graph (self-loops preserved, reciprocal edges merged).
+    pub fn to_undirected(&self) -> UndirectedGraph {
+        let map = Renumbering::new(self, |_, _| true);
+        let (off, slab) = map.slab(|s| Union::new(self.out_row(s), self.in_row(s)));
+        UndirectedGraph::from_sorted_parts(map.ids, &off, slab)
     }
 
     /// Renumbers nodes to dense ids `0..n` (in ascending order of the old
-    /// ids). Returns the new graph and the old→new mapping. Useful before
-    /// exporting to array-indexed tools.
+    /// ids, which the new slots follow). Returns the new graph and the
+    /// old→new mapping. Useful before exporting to array-indexed tools.
     pub fn renumbered(&self) -> (DirectedGraph, IntHashTable<NodeId>) {
-        let mut old_ids: Vec<NodeId> = self.node_ids().collect();
-        old_ids.sort_unstable();
-        let mut mapping: IntHashTable<NodeId> = IntHashTable::with_capacity(old_ids.len());
-        for (new, &old) in old_ids.iter().enumerate() {
-            mapping.insert(old, new as NodeId);
-        }
-        let remap = |ids: &[NodeId]| -> Vec<NodeId> {
-            // Old adjacency is sorted by old id, and the mapping is
-            // monotone, so the remapped vector stays sorted.
-            ids.iter()
-                .map(|&n| *mapping.get(n).expect("node mapped"))
-                .collect()
-        };
-        let parts = old_ids
-            .iter()
-            .map(|&old| {
-                (
-                    *mapping.get(old).expect("node mapped"),
-                    remap(self.in_nbrs(old)),
-                    remap(self.out_nbrs(old)),
-                )
-            })
+        let mut order: Vec<(NodeId, usize)> = (0..self.n_slots())
+            .filter_map(|s| Some((self.slot_id(s)?, s)))
             .collect();
-        (DirectedGraph::from_parts(parts), mapping)
+        order.sort_unstable();
+        let mut mapping: IntHashTable<NodeId> = IntHashTable::with_capacity(order.len());
+        let mut map = Renumbering {
+            new_of: vec![DROPPED; self.n_slots()],
+            slots: Vec::with_capacity(order.len()),
+            ids: (0..order.len() as NodeId).collect(),
+        };
+        for (new, &(old, s)) in order.iter().enumerate() {
+            mapping.insert(old, new as NodeId);
+            map.new_of[s] = new as u32;
+            map.slots.push(s);
+        }
+        // Renumbering by id reorders each row: sort it again.
+        let sorted_slab = |row: fn(&DirectedGraph, usize) -> &[u32]| {
+            let (off, mut slab) = map.slab(|s| row(self, s).iter().copied());
+            let buf = Arc::get_mut(&mut slab).expect("fresh slab is unshared");
+            for k in 0..map.slots.len() {
+                buf[off[k]..off[k + 1]].sort_unstable();
+            }
+            (off, slab)
+        };
+        let (in_off, in_slab) = sorted_slab(|g, s| g.in_row(s));
+        let (out_off, out_slab) = sorted_slab(|g, s| g.out_row(s));
+        let g = DirectedGraph::from_sorted_parts(map.ids, &in_off, in_slab, &out_off, out_slab);
+        (g, mapping)
     }
 }
 
@@ -84,9 +83,9 @@ impl UndirectedGraph {
     /// The subgraph induced by the nodes `keep` accepts (see
     /// [`DirectedGraph::induced`]).
     pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> UndirectedGraph {
-        let (slots, ids) = kept_slots(self, &keep);
-        let (off, slab) = filtered_slab(&slots, |s| self.nbrs_of_slot(s), &keep);
-        UndirectedGraph::from_sorted_parts(ids, &off, slab)
+        let map = Renumbering::new(self, |_, id| keep(id));
+        let (off, slab) = map.slab(|s| self.out_row(s).iter().copied());
+        UndirectedGraph::from_sorted_parts(map.ids, &off, slab)
     }
 
     /// The graph left when the nodes in the slots `gone` are deleted, for
@@ -95,149 +94,167 @@ impl UndirectedGraph {
     /// and a removed neighbour. Pairs whose first slot is itself in `gone`
     /// are ignored, so a peel may record a cut before it knows whether
     /// the neighbour lasts. Equal to [`Self::induced`] on the surviving
-    /// ids — same slot order, same lists — at a cost set by the removed
-    /// side: a row no cut names is copied whole, the others are spliced
-    /// around their cuts, and no stored neighbour is looked up.
+    /// ids — same slot order, same lists — but the cuts size every
+    /// surviving row, so the rows are read once, to renumber them, and no
+    /// count pass precedes the fill.
     ///
     /// # Panics
     /// When a cut names an edge the graph does not hold, names it twice,
-    /// or names a neighbour that is not in `gone`. A surviving edge to a
-    /// removed node that no cut names is the caller's error and is not
-    /// detected.
+    /// or names a neighbour that is not in `gone`, or when a surviving
+    /// edge to a removed node is named by no cut.
     pub fn without(&self, gone: &[u32], cuts: &[(u32, u32)]) -> UndirectedGraph {
         const GONE: u32 = u32::MAX;
-        assert!(cuts.len() < GONE as usize, "cut positions are u32");
-        // Per slot: how many cuts name it; then where its next cut id
-        // goes, which once all are placed is one past its last.
-        let mut at = vec![0u32; self.n_slots()];
+        // Per slot: `GONE`, or how many cuts name it.
+        let mut cut = vec![0u32; self.n_slots()];
         for &s in gone {
-            at[s as usize] = GONE;
+            cut[s as usize] = GONE;
         }
-        for &(s, _) in cuts {
-            let n = &mut at[s as usize];
+        for &(s, r) in cuts {
+            assert_eq!(cut[r as usize], GONE, "a cut names a removed neighbour");
+            let n = &mut cut[s as usize];
             *n += u32::from(*n != GONE);
         }
-        let kept = self.node_count().saturating_sub(gone.len());
-        let mut slots = Vec::with_capacity(kept);
-        let mut ids = Vec::with_capacity(kept);
-        let mut off = Vec::with_capacity(kept + 1);
+        for (s, &n) in cut.iter().enumerate() {
+            assert!(
+                n == 0 || n == GONE || self.slot_id(s).is_some(),
+                "a cut names a vacant slot"
+            );
+        }
+        let map = Renumbering::new(self, |s, _| cut[s] != GONE);
+        let mut off = Vec::with_capacity(map.slots.len() + 1);
+        let mut total = 0usize;
         off.push(0);
-        let (mut placed, mut total) = (0u32, 0usize);
-        for (s, next) in at.iter_mut().enumerate() {
-            if *next == GONE {
-                continue;
-            }
-            let Some(id) = self.slot_id(s) else {
-                assert_eq!(*next, 0, "a cut names a vacant slot");
-                continue;
-            };
-            let n_cuts = std::mem::replace(next, placed);
-            placed += n_cuts;
+        for &s in &map.slots {
             total += self
-                .nbrs_of_slot(s)
+                .out_row(s)
                 .len()
-                .checked_sub(n_cuts as usize)
+                .checked_sub(cut[s] as usize)
                 .expect("no more cuts than neighbours");
-            slots.push(s);
-            ids.push(id);
             off.push(total);
         }
-        let mut cut_ids: Vec<NodeId> = vec![0; placed as usize];
-        for &(s, r) in cuts {
-            assert_eq!(at[r as usize], GONE, "a cut names a removed neighbour");
-            let next = &mut at[s as usize];
-            if *next != GONE {
-                cut_ids[*next as usize] = self.slot_id(r as usize).expect("removed slot is live");
-                *next += 1;
-            }
-        }
-        let mut slab = new_slab(total);
-        let buf = Arc::get_mut(&mut slab).expect("fresh slab is unshared");
-        let mut lo = 0;
-        for (k, &s) in slots.iter().enumerate() {
-            let hi = at[s] as usize;
-            cut_ids[lo..hi].sort_unstable();
-            splice_out(
-                self.nbrs_of_slot(s),
-                &cut_ids[lo..hi],
-                &mut buf[off[k]..off[k + 1]],
-            );
-            lo = hi;
-        }
-        UndirectedGraph::from_sorted_parts(ids, &off, slab)
+        let slab = map.fill(&off, |s| self.out_row(s).iter().copied());
+        UndirectedGraph::from_sorted_parts(map.ids, &off, slab)
     }
 }
 
-/// Copies the sorted `row` to `out` without the ids in `cuts` — sorted,
-/// distinct and all present in `row` — one block per gap between cuts.
-fn splice_out(mut row: &[NodeId], cuts: &[NodeId], mut out: &mut [NodeId]) {
-    for &c in cuts {
-        let at = row.partition_point(|&n| n < c);
-        assert_eq!(row.get(at), Some(&c), "cut names a stored neighbour");
-        let (head, tail) = out.split_at_mut(at);
-        head.copy_from_slice(&row[..at]);
-        (row, out) = (&row[at + 1..], tail);
-    }
-    out.copy_from_slice(row);
+/// The subgraph of `g` induced by the nodes `keep` accepts, as a plain
+/// directed graph.
+pub(crate) fn directed_copy<G: DirectedTopology>(
+    g: &G,
+    keep: impl Fn(NodeId) -> bool,
+) -> DirectedGraph {
+    let map = Renumbering::new(g, |_, id| keep(id));
+    let (in_off, in_slab) = map.slab(|s| g.in_row(s).iter().copied());
+    let (out_off, out_slab) = map.slab(|s| g.out_row(s).iter().copied());
+    DirectedGraph::from_sorted_parts(map.ids, &in_off, in_slab, &out_off, out_slab)
 }
 
-/// The set of `nodes`. The reserved id is no graph's node, so it is left
-/// out rather than handed to `insert`, which refuses it.
+/// The set of `nodes`.
 fn id_set(nodes: &[NodeId]) -> IntHashTable<()> {
     let mut set = IntHashTable::with_capacity(nodes.len());
     for &n in nodes {
-        if n != EMPTY_KEY {
-            set.insert(n, ());
-        }
+        set.insert(n, ());
     }
     set
 }
 
-/// Live slots of `g` whose node `keep` accepts, with their ids.
-fn kept_slots<G: DirectedTopology>(
-    g: &G,
-    keep: &impl Fn(NodeId) -> bool,
-) -> (Vec<usize>, Vec<NodeId>) {
-    (0..g.n_slots())
-        .filter_map(|s| g.slot_id(s).filter(|&id| keep(id)).map(|id| (s, id)))
-        .unzip()
+/// The live slots of a graph that a filter keeps, renumbered densely in
+/// slot order.
+struct Renumbering {
+    /// Old slot → new slot, [`DROPPED`] for a slot not kept.
+    new_of: Vec<u32>,
+    /// The kept old slots, by new slot.
+    slots: Vec<usize>,
+    /// Their ids, by new slot.
+    ids: Vec<NodeId>,
 }
 
-/// Slab-form copy of `nbrs(slot)` for each of `slots`, restricted to the
-/// ids `keep` accepts: an exact count pass yields the prefix offsets,
-/// then the slab is allocated at its final size and filled in place.
-/// `keep` is typically a hash probe, so the count pass remembers each
-/// verdict as one bit and the fill pass replays them.
-fn filtered_slab<'g>(
-    slots: &[usize],
-    nbrs: impl Fn(usize) -> &'g [NodeId],
-    keep: &impl Fn(NodeId) -> bool,
-) -> (Vec<usize>, Arc<[NodeId]>) {
-    let stored: usize = slots.iter().map(|&s| nbrs(s).len()).sum();
-    let mut verdicts = vec![0u64; stored.div_ceil(64)];
-    let mut off = Vec::with_capacity(slots.len() + 1);
-    let (mut seen, mut total) = (0usize, 0usize);
-    off.push(0);
-    for &s in slots {
-        for &n in nbrs(s) {
-            let kept = keep(n);
-            verdicts[seen / 64] |= u64::from(kept) << (seen % 64);
-            seen += 1;
-            total += usize::from(kept);
+impl Renumbering {
+    /// Keeps the live slots `keep(slot, id)` accepts.
+    fn new<G: DirectedTopology>(g: &G, keep: impl Fn(usize, NodeId) -> bool) -> Self {
+        let mut map = Self {
+            new_of: vec![DROPPED; g.n_slots()],
+            slots: Vec::new(),
+            ids: Vec::new(),
+        };
+        for s in 0..g.n_slots() {
+            if let Some(id) = g.slot_id(s).filter(|&id| keep(s, id)) {
+                map.new_of[s] = crate::slot_u32(map.slots.len());
+                map.slots.push(s);
+                map.ids.push(id);
+            }
         }
-        off.push(total);
+        map
     }
-    let mut slab = new_slab(total);
-    let buf = Arc::get_mut(&mut slab).expect("fresh slab is unshared");
-    let kept = slots
-        .iter()
-        .flat_map(|&s| nbrs(s))
-        .enumerate()
-        .filter(|&(i, _)| verdicts[i / 64] >> (i % 64) & 1 == 1);
-    for (o, (_, &n)) in buf.iter_mut().zip(kept) {
-        *o = n;
+
+    /// The kept neighbours of an old row, renumbered.
+    fn kept<'a>(&'a self, row: impl Iterator<Item = u32> + 'a) -> impl Iterator<Item = u32> + 'a {
+        row.map(|n| self.new_of[n as usize])
+            .filter(|&n| n != DROPPED)
     }
-    (off, slab)
+
+    /// Every kept slot's row (`row(old slot)` yields old neighbour
+    /// slots), renumbered with dropped neighbours left out, in slab form:
+    /// a count pass yields the offsets, then the slab is filled in place.
+    fn slab<I: Iterator<Item = u32>>(&self, row: impl Fn(usize) -> I) -> (Vec<usize>, Arc<[u32]>) {
+        let mut off = Vec::with_capacity(self.slots.len() + 1);
+        let mut total = 0usize;
+        off.push(0);
+        for &s in &self.slots {
+            total += self.kept(row(s)).count();
+            off.push(total);
+        }
+        let slab = self.fill(&off, row);
+        (off, slab)
+    }
+
+    /// A fresh slab holding kept slot `k`'s renumbered row at
+    /// `off[k]..off[k + 1]`.
+    ///
+    /// # Panics
+    /// When a row keeps more or fewer neighbours than its range holds.
+    fn fill<I: Iterator<Item = u32>>(&self, off: &[usize], row: impl Fn(usize) -> I) -> Arc<[u32]> {
+        const SIZED: &str = "a row keeps as many neighbours as its range holds: \
+                             each cut names a stored neighbour, once";
+        let mut slab = new_slab(off.last().copied().unwrap_or(0));
+        let buf = Arc::get_mut(&mut slab).expect("fresh slab is unshared");
+        for (k, &s) in self.slots.iter().enumerate() {
+            let mut kept = self.kept(row(s));
+            for o in &mut buf[off[k]..off[k + 1]] {
+                *o = kept.next().expect(SIZED);
+            }
+            assert!(kept.next().is_none(), "{SIZED}");
+        }
+        slab
+    }
+}
+
+/// The sorted union of two ascending rows, each value once.
+struct Union<'a> {
+    a: &'a [u32],
+    b: &'a [u32],
+}
+
+impl<'a> Union<'a> {
+    fn new(a: &'a [u32], b: &'a [u32]) -> Self {
+        Self { a, b }
+    }
+}
+
+impl Iterator for Union<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let next = match (self.a.first(), self.b.first()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => return None,
+        };
+        self.a = self.a.strip_prefix(&[next]).unwrap_or(self.a);
+        self.b = self.b.strip_prefix(&[next]).unwrap_or(self.b);
+        Some(next)
+    }
 }
 
 #[cfg(test)]
@@ -305,8 +322,8 @@ mod tests {
 
     #[test]
     fn reserved_id_is_no_node_and_subgraph_skips_it() {
-        // `i64::MIN` marks an empty index slot; in release builds a lookup
-        // of it used to land on one and report a node.
+        // `i64::MIN` is the index's empty-slot marker; a lookup of it must
+        // not land on an empty slot and report a node.
         let g = sample();
         assert!(!g.has_node(i64::MIN));
         assert!(g.out_nbrs(i64::MIN).is_empty());
@@ -324,9 +341,9 @@ mod tests {
     }
 
     /// Slot ids and lists of `g`, vacant slots included.
-    fn layout(g: &UndirectedGraph) -> Vec<(Option<NodeId>, &[NodeId])> {
+    fn layout(g: &UndirectedGraph) -> Vec<(Option<NodeId>, &[u32])> {
         (0..g.n_slots())
-            .map(|s| (g.slot_id(s), g.nbrs_of_slot(s)))
+            .map(|s| (g.slot_id(s), g.out_row(s)))
             .collect()
     }
 
@@ -359,7 +376,11 @@ mod tests {
         assert_eq!(got.node_count(), 3);
         assert_eq!(got.edge_count(), want.edge_count());
         assert_eq!(got.nbrs(5), &[1, 9]);
-        assert_eq!(got.nbrs(9), &[1, 5, 9]);
+        assert_eq!(
+            got.nbrs(9),
+            &[5, 1, 9],
+            "slot order: 5, 1, 9 were added in that order"
+        );
         // Nothing removed: a straight copy. Everything removed: empty.
         assert_eq!(layout(&g.without(&[], &[])), layout(&g.induced(|_| true)));
         let all: Vec<u32> = g.node_ids().map(slot).collect();

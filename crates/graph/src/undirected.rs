@@ -1,33 +1,30 @@
 //! Dynamic undirected graph: node hash table with one sorted neighbor
 //! vector per node.
 
+use crate::directed::Nbrs;
 use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
-use crate::topology::{Topology, TopologyCell};
-use crate::traits::Direction;
+use crate::topology::DirectedTopology;
 use crate::{slot_u32, NodeId, NodeValues};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
-#[derive(Clone, Debug, Default)]
-struct UNodeCell {
-    id: NodeId,
-    nbrs: NbrList,
-}
-
 /// A dynamic undirected graph (no multi-edges; self-loops allowed and
 /// stored once).
 ///
-/// Mirrors [`crate::DirectedGraph`] with a single sorted adjacency vector
-/// per node. Each undirected edge `{a, b}` appears in both endpoints'
-/// vectors (a self-loop appears once, in its own node's vector).
+/// Mirrors [`crate::DirectedGraph`] with a single row of neighbour slots
+/// per node, sorted by slot. Each undirected edge `{a, b}` appears in both
+/// endpoints' rows (a self-loop appears once, in its own node's row).
 #[derive(Clone, Debug, Default)]
 pub struct UndirectedGraph {
     index: Arc<IntHashTable<u32>>,
-    nodes: Vec<Option<UNodeCell>>,
+    /// Per slot: the node's id, `None` when the slot is vacant.
+    ids: Vec<Option<NodeId>>,
+    /// Per slot: neighbour slots (copy-on-write); empty when vacant.
+    rows: Vec<NbrList>,
     free: Vec<u32>,
     n_nodes: usize,
     n_edges: usize,
-    topology: TopologyCell,
+    n_loops: usize,
 }
 
 impl UndirectedGraph {
@@ -40,7 +37,8 @@ impl UndirectedGraph {
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
             index: Arc::new(IntHashTable::with_capacity(nodes)),
-            nodes: Vec::with_capacity(nodes),
+            ids: Vec::with_capacity(nodes),
+            rows: Vec::with_capacity(nodes),
             ..Self::default()
         }
     }
@@ -67,9 +65,9 @@ impl UndirectedGraph {
 
     /// True when the undirected edge `{a, b}` exists.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        match self.cell(a) {
-            Some(c) => c.nbrs.binary_search(&b).is_ok(),
-            None => false,
+        match (self.index.get(a), self.index.get(b)) {
+            (Some(&sa), Some(sb)) => self.rows[sa as usize].binary_search(sb).is_ok(),
+            _ => false,
         }
     }
 
@@ -83,24 +81,21 @@ impl UndirectedGraph {
         if let Some(&slot) = self.index.get(id) {
             return (slot, false);
         }
-        let cell = Some(UNodeCell {
-            id,
-            nbrs: NbrList::default(),
-        });
+        // A freed slot's row was emptied when its node was deleted.
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.nodes[slot as usize] = cell;
+                self.ids[slot as usize] = Some(id);
                 slot
             }
             None => {
-                let slot = slot_u32(self.nodes.len());
-                self.nodes.push(cell);
+                let slot = slot_u32(self.ids.len());
+                self.ids.push(Some(id));
+                self.rows.push(NbrList::default());
                 slot
             }
         };
         Arc::make_mut(&mut self.index).insert(id, slot);
         self.n_nodes += 1;
-        self.topology.mark(slot, Direction::Both);
         (slot, true)
     }
 
@@ -109,44 +104,38 @@ impl UndirectedGraph {
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         let (sa, _) = self.ensure_node(a);
         let (sb, _) = self.ensure_node(b);
-        let ca = self.node_mut(sa);
-        match ca.nbrs.binary_search(&b) {
+        let ra = &mut self.rows[sa as usize];
+        match ra.binary_search(&sb) {
             Ok(_) => return false,
-            Err(pos) => ca.nbrs.to_mut().insert(pos, b),
+            Err(pos) => ra.to_mut().insert(pos, sb),
         }
-        if a != b {
-            let cb = self.node_mut(sb);
-            let pos = cb
-                .nbrs
-                .binary_search(&a)
-                .expect_err("adjacency out of sync");
-            cb.nbrs.to_mut().insert(pos, a);
+        if sa != sb {
+            let rb = &mut self.rows[sb as usize];
+            let pos = rb.binary_search(&sa).expect_err("adjacency out of sync");
+            rb.to_mut().insert(pos, sa);
         }
         self.n_edges += 1;
-        self.topology.mark(sa, Direction::Both);
-        self.topology.mark(sb, Direction::Both);
+        self.n_loops += usize::from(sa == sb);
         true
     }
 
     /// Deletes the undirected edge `{a, b}`. Returns `false` if absent.
     pub fn del_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let Some(&sa) = self.index.get(a) else {
+        let (Some(&sa), Some(&sb)) = (self.index.get(a), self.index.get(b)) else {
             return false;
         };
-        let ca = self.node_mut(sa);
-        let Ok(pos) = ca.nbrs.binary_search(&b) else {
+        let ra = &mut self.rows[sa as usize];
+        let Ok(pos) = ra.binary_search(&sb) else {
             return false;
         };
-        ca.nbrs.to_mut().remove(pos);
-        let sb = *self.index.get(b).expect("edge endpoints exist");
-        if a != b {
-            let cb = self.node_mut(sb);
-            let pos = cb.nbrs.binary_search(&a).expect("adjacency in sync");
-            cb.nbrs.to_mut().remove(pos);
+        ra.to_mut().remove(pos);
+        if sa != sb {
+            let rb = &mut self.rows[sb as usize];
+            let pos = rb.binary_search(&sa).expect("adjacency in sync");
+            rb.to_mut().remove(pos);
         }
         self.n_edges -= 1;
-        self.topology.mark(sa, Direction::Both);
-        self.topology.mark(sb, Direction::Both);
+        self.n_loops -= usize::from(sa == sb);
         true
     }
 
@@ -156,21 +145,15 @@ impl UndirectedGraph {
             Some(s) => *s,
             None => return false,
         };
-        let cell = self.nodes[slot as usize]
-            .take()
-            .expect("indexed slot occupied");
-        self.topology.mark(slot, Direction::Both);
-        for &nbr in cell.nbrs.iter() {
-            if nbr == id {
-                continue;
-            }
-            let n = *self.index.get(nbr).expect("neighbor exists");
-            let nc = self.node_mut(n);
-            let pos = nc.nbrs.binary_search(&id).expect("adjacency in sync");
-            nc.nbrs.to_mut().remove(pos);
-            self.topology.mark(n, Direction::Both);
+        self.ids[slot as usize] = None;
+        let row = std::mem::take(&mut self.rows[slot as usize]);
+        for &n in row.iter().filter(|&&n| n != slot) {
+            let other = &mut self.rows[n as usize];
+            let pos = other.binary_search(&slot).expect("adjacency in sync");
+            other.to_mut().remove(pos);
         }
-        self.n_edges -= cell.nbrs.len();
+        self.n_edges -= row.len();
+        self.n_loops -= usize::from(row.binary_search(&slot).is_ok());
         Arc::make_mut(&mut self.index).remove(id);
         self.free.push(slot);
         self.n_nodes -= 1;
@@ -179,71 +162,48 @@ impl UndirectedGraph {
 
     /// Degree of `id` (self-loop counts once), or `None` if absent.
     pub fn degree(&self, id: NodeId) -> Option<usize> {
-        self.cell(id).map(|c| c.nbrs.len())
+        self.index.get(id).map(|&s| self.rows[s as usize].len())
     }
 
-    /// Sorted neighbors of `id` (empty slice if absent).
-    pub fn nbrs(&self, id: NodeId) -> &[NodeId] {
-        self.cell(id).map_or(&[], |c| &c.nbrs)
+    /// Neighbors of `id` in slot order (empty if absent) — id order unless
+    /// nodes were added after a bulk build (see
+    /// [`crate::DirectedGraph`]).
+    pub fn nbrs(&self, id: NodeId) -> Nbrs<'_> {
+        Nbrs::new(
+            self.index.get(id).map_or(&[], |&s| &self.rows[s as usize]),
+            self,
+        )
     }
 
     /// Iterates over node ids in slot order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().flatten().map(|c| c.id)
+        self.ids.iter().flatten().copied()
     }
 
     /// Iterates over undirected edges once each, as `(a, b)` with `a <= b`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.nodes.iter().flatten().flat_map(|c| {
-            c.nbrs
-                .iter()
-                .filter(move |n| **n >= c.id)
-                .map(move |n| (c.id, *n))
-        })
-    }
-
-    /// Upper bound (exclusive) on slot handles; see [`Self::slot_id`].
-    pub fn n_slots(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// External id in `slot`, or `None` for vacant slots.
-    pub fn slot_id(&self, slot: usize) -> Option<NodeId> {
-        self.nodes[slot].as_ref().map(|c| c.id)
-    }
-
-    /// Slot holding node `id`.
-    pub fn slot_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(id).map(|s| *s as usize)
-    }
-
-    /// Sorted neighbors of the node in `slot` (empty for vacant slots).
-    pub fn nbrs_of_slot(&self, slot: usize) -> &[NodeId] {
-        self.nodes[slot].as_ref().map_or(&[], |c| &c.nbrs)
+        self.ids
+            .iter()
+            .zip(&self.rows)
+            .filter_map(|(id, row)| id.map(|id| (id, row)))
+            .flat_map(move |(id, row)| {
+                Nbrs::new(row, self)
+                    .filter(move |&n| n >= id)
+                    .map(move |n| (id, n))
+            })
     }
 
     /// Approximate heap footprint in bytes (see
     /// [`crate::DirectedGraph::mem_size`]).
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
-        bytes += self.nodes.capacity() * std::mem::size_of::<Option<UNodeCell>>();
+        bytes += self.ids.capacity() * std::mem::size_of::<Option<NodeId>>();
+        bytes += self.rows.capacity() * std::mem::size_of::<NbrList>();
         bytes += self.free.capacity() * std::mem::size_of::<u32>();
-        for c in self.nodes.iter().flatten() {
-            bytes += c.nbrs.heap_bytes();
+        for row in &self.rows {
+            bytes += row.heap_bytes();
         }
         bytes
-    }
-
-    /// Heap bytes of the cached [`Topology`], stale or not; 0 when none is
-    /// cached.
-    pub fn topology_bytes(&self) -> usize {
-        self.topology.bytes()
-    }
-
-    /// Drops the cached [`Topology`] (see
-    /// [`crate::DirectedGraph::release_topology`]).
-    pub fn release_topology(&self) {
-        self.topology.release();
     }
 
     /// Adjacency-storage accounting (see
@@ -251,8 +211,10 @@ impl UndirectedGraph {
     pub fn adjacency_stats(&self) -> AdjacencyStats {
         let mut stats = AdjacencyStats::default();
         let mut slabs = std::collections::HashMap::new();
-        for c in self.nodes.iter().flatten() {
-            c.nbrs.accumulate(&mut stats, &mut slabs);
+        for (row, id) in self.rows.iter().zip(&self.ids) {
+            if id.is_some() {
+                row.accumulate(&mut stats, &mut slabs);
+            }
         }
         stats.finish(&slabs)
     }
@@ -262,10 +224,10 @@ impl UndirectedGraph {
     pub fn compact(&mut self) -> CompactStats {
         let before = self.adjacency_stats();
         let mut lists: Vec<&mut NbrList> = self
-            .nodes
+            .rows
             .iter_mut()
-            .flatten()
-            .map(|c| &mut c.nbrs)
+            .zip(&self.ids)
+            .filter_map(|(row, id)| id.map(|_| row))
             .collect();
         NbrList::compact(&mut lists);
         CompactStats {
@@ -274,43 +236,45 @@ impl UndirectedGraph {
         }
     }
 
-    /// Builds a graph from `(id, sorted deduplicated neighbors)` parts that
-    /// are mutually consistent. Bulk-loading counterpart of
+    /// Builds a graph from `(id, deduplicated neighbor ids)` parts that
+    /// are mutually consistent. Counterpart of
     /// [`crate::DirectedGraph::from_parts`].
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>)>) -> Self {
         let mut g = Self::with_capacity(parts.len());
         let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        let mut edge_ends = 0usize;
-        let mut self_loops = 0usize;
-        for (id, nbrs) in parts {
-            debug_assert!(nbrs.windows(2).all(|w| w[0] < w[1]));
-            edge_ends += nbrs.len();
-            self_loops += usize::from(nbrs.binary_search(&id).is_ok());
-            let slot = slot_u32(g.nodes.len());
-            g.nodes.push(Some(UNodeCell {
-                id,
-                nbrs: nbrs.into(),
-            }));
-            let prev = index.insert(id, slot);
+        for (k, (id, _)) in parts.iter().enumerate() {
+            let prev = index.insert(*id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in parts");
         }
-        g.n_nodes = g.nodes.len();
-        g.n_edges = (edge_ends - self_loops) / 2 + self_loops;
+        let (mut ends, mut loops) = (0usize, 0usize);
+        for (k, (id, nbrs)) in parts.into_iter().enumerate() {
+            let mut row: Vec<u32> = nbrs
+                .iter()
+                .map(|&n| *g.index.get(n).expect("a part names a node of the parts"))
+                .collect();
+            row.sort_unstable();
+            ends += row.len();
+            loops += usize::from(row.binary_search(&slot_u32(k)).is_ok());
+            g.ids.push(Some(id));
+            g.rows.push(row.into());
+        }
+        g.n_nodes = g.ids.len();
+        g.set_edge_counts(ends, loops);
         g
     }
 
     /// Bulk-builds a graph from slab-form adjacency: node `k` (id
-    /// `ids[k]`, distinct, placed in slot `k`) owns
-    /// `slab[off[k]..off[k+1]]`, sorted and deduplicated, with each edge
-    /// `{a, b}` present in both endpoints' runs (self-loops once).
-    /// Undirected counterpart of
+    /// `ids[k]`, distinct, placed in slot `k`) owns the neighbour slots
+    /// `slab[off[k]..off[k+1]]`, ascending and each below `ids.len()`,
+    /// with each edge `{a, b}` present in both endpoints' runs (self-loops
+    /// once). Undirected counterpart of
     /// [`crate::DirectedGraph::from_sorted_parts`]: one hash-table
     /// reservation, each adjacency list installed as a copy-on-write
     /// view into the slab, and the slab itself taken over, not copied.
     ///
     /// # Panics
     /// Panics on duplicate ids; debug builds also check sortedness.
-    pub fn from_sorted_parts(ids: Vec<NodeId>, off: &[usize], slab: Arc<[NodeId]>) -> Self {
+    pub fn from_sorted_parts(ids: Vec<NodeId>, off: &[usize], slab: Arc<[u32]>) -> Self {
         let n = ids.len();
         assert_eq!(
             off.len(),
@@ -320,64 +284,57 @@ impl UndirectedGraph {
         debug_assert_eq!(*off.last().unwrap_or(&0), slab.len());
         let mut g = Self::with_capacity(n);
         let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        let mut edge_ends = 0usize;
-        let mut self_loops = 0usize;
+        let (mut ends, mut loops) = (0usize, 0usize);
         for (k, id) in ids.into_iter().enumerate() {
-            let nbrs = &slab[off[k]..off[k + 1]];
-            debug_assert!(nbrs.windows(2).all(|w| w[0] < w[1]));
-            edge_ends += nbrs.len();
-            self_loops += usize::from(nbrs.binary_search(&id).is_ok());
-            g.nodes.push(Some(UNodeCell {
-                id,
-                nbrs: NbrList::slab(&slab, off[k], off[k + 1]),
-            }));
+            let row = NbrList::slab(&slab, off[k], off[k + 1]);
+            debug_assert!(row.is_sorted_by(|a, b| a < b) && row.iter().all(|&s| (s as usize) < n));
+            ends += row.len();
+            loops += usize::from(row.binary_search(&slot_u32(k)).is_ok());
+            g.ids.push(Some(id));
+            g.rows.push(row);
             let prev = index.insert(id, slot_u32(k));
             assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
         }
         g.n_nodes = n;
-        g.n_edges = (edge_ends - self_loops) / 2 + self_loops;
+        g.set_edge_counts(ends, loops);
         g
     }
 
-    #[inline]
-    fn cell(&self, id: NodeId) -> Option<&UNodeCell> {
-        let slot = *self.index.get(id)?;
-        self.nodes[slot as usize].as_ref()
-    }
-
-    /// The node in `slot`, which the index just named.
-    #[inline]
-    fn node_mut(&mut self, slot: u32) -> &mut UNodeCell {
-        self.nodes[slot as usize]
-            .as_mut()
-            .expect("indexed slot occupied")
+    /// Edge counts of a bulk-built graph whose rows hold `ends` entries,
+    /// `loops` of them self-loops: every other edge is in two rows.
+    fn set_edge_counts(&mut self, ends: usize, loops: usize) {
+        self.n_edges = (ends - loops) / 2 + loops;
+        self.n_loops = loops;
     }
 }
 
 /// Undirected adjacency viewed as a symmetric directed topology: out- and
-/// in-neighbors are the same sorted list, so every `DirectedTopology`
-/// algorithm (BFS, the frontier engine, reachability) runs unchanged with
+/// in-rows are the same row, so every `DirectedTopology` algorithm (BFS,
+/// the frontier engine, reachability) runs unchanged with
 /// `Direction::Out`. `edge_count` reports directed arcs — `2m` minus one
 /// per self-loop — keeping degree sums and edge counts consistent.
-impl crate::DirectedTopology for UndirectedGraph {
+impl DirectedTopology for UndirectedGraph {
     fn n_slots(&self) -> usize {
-        self.nodes.len()
+        self.ids.len()
     }
 
+    #[inline]
     fn slot_id(&self, slot: usize) -> Option<NodeId> {
-        UndirectedGraph::slot_id(self, slot)
+        self.ids[slot]
     }
 
     fn slot_of(&self, id: NodeId) -> Option<usize> {
-        UndirectedGraph::slot_of(self, id)
+        self.index.get(id).map(|s| *s as usize)
     }
 
-    fn out_nbrs_of_slot(&self, slot: usize) -> &[NodeId] {
-        self.nbrs_of_slot(slot)
+    #[inline]
+    fn out_row(&self, slot: usize) -> &[u32] {
+        &self.rows[slot]
     }
 
-    fn in_nbrs_of_slot(&self, slot: usize) -> &[NodeId] {
-        self.nbrs_of_slot(slot)
+    #[inline]
+    fn in_row(&self, slot: usize) -> &[u32] {
+        self.out_row(slot)
     }
 
     fn node_count(&self) -> usize {
@@ -385,13 +342,11 @@ impl crate::DirectedTopology for UndirectedGraph {
     }
 
     fn edge_count(&self) -> usize {
-        let self_loops: usize = self
-            .nodes
-            .iter()
-            .flatten()
-            .filter(|c| c.nbrs.binary_search(&c.id).is_ok())
-            .count();
-        2 * self.n_edges - self_loops
+        2 * self.n_edges - self.n_loops
+    }
+
+    fn is_symmetric(&self) -> bool {
+        true
     }
 
     fn node_values<T>(
@@ -401,10 +356,6 @@ impl crate::DirectedTopology for UndirectedGraph {
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
         NodeValues::pack(&self.index, self, per_slot, count, keep)
-    }
-
-    fn topology(&self) -> Arc<Topology> {
-        self.topology.get(self, true)
     }
 }
 
@@ -430,8 +381,10 @@ mod tests {
         assert!(g.add_edge(3, 3));
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.degree(3), Some(1));
+        assert_eq!(DirectedTopology::edge_count(&g), 1, "one arc");
         assert!(g.del_edge(3, 3));
         assert_eq!(g.edge_count(), 0);
+        assert_eq!(DirectedTopology::edge_count(&g), 0);
     }
 
     #[test]
@@ -453,6 +406,7 @@ mod tests {
         assert!(g.del_node(1));
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1);
+        assert_eq!(DirectedTopology::edge_count(&g), 2, "the loop left too");
         assert_eq!(g.nbrs(2), &[3]);
     }
 
@@ -472,6 +426,7 @@ mod tests {
         let parts = vec![(1, vec![1, 2]), (2, vec![1])];
         let g = UndirectedGraph::from_parts(parts);
         assert_eq!(g.edge_count(), 2, "loop 1-1 plus edge 1-2");
+        assert_eq!(DirectedTopology::edge_count(&g), 3, "arcs");
         assert!(g.has_edge(1, 1));
         assert!(g.has_edge(2, 1));
     }
@@ -479,8 +434,8 @@ mod tests {
     #[test]
     fn from_sorted_parts_matches_from_parts() {
         // Same topology as `from_parts_counts_edges_with_self_loops`,
-        // in slab form: node 1 -> [1, 2], node 2 -> [1].
-        let g = UndirectedGraph::from_sorted_parts(vec![1, 2], &[0, 2, 3], Arc::from([1, 2, 1]));
+        // in slab form: node 1 (slot 0) -> [0, 1], node 2 (slot 1) -> [0].
+        let g = UndirectedGraph::from_sorted_parts(vec![1, 2], &[0, 2, 3], Arc::from([0, 1, 0]));
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 2, "loop 1-1 plus edge 1-2");
         assert!(g.has_edge(1, 1));
@@ -503,9 +458,10 @@ mod tests {
 
     #[test]
     fn compact_preserves_adjacency_and_reclaims() {
-        // Path 0-1-2-...-19 in slab form: node k neighbors {k-1, k+1}.
-        let n = 20i64;
-        let ids: Vec<NodeId> = (0..n).collect();
+        // Path 0-1-2-...-19 in slab form: node k (slot k) neighbors
+        // {k-1, k+1}.
+        let n = 20u32;
+        let ids: Vec<NodeId> = (0..i64::from(n)).collect();
         let mut off = vec![0usize];
         let mut slab = Vec::new();
         for k in 0..n {
@@ -523,14 +479,26 @@ mod tests {
         }
         assert!(g.adjacency_stats().dead_slab_bytes() > 0);
         let want: Vec<(NodeId, Vec<NodeId>)> =
-            g.node_ids().map(|id| (id, g.nbrs(id).to_vec())).collect();
+            g.node_ids().map(|id| (id, g.nbrs(id).collect())).collect();
         let stats = g.compact();
         assert_eq!(stats.after.owned_lists, 0);
         assert_eq!(stats.after.dead_slab_bytes(), 0);
         assert!(stats.reclaimed_bytes() > 0);
         for (id, nbrs) in want {
-            assert_eq!(g.nbrs(id), &nbrs[..]);
+            assert_eq!(g.nbrs(id), nbrs);
         }
         assert!(g.add_edge(0, 19));
+    }
+
+    #[test]
+    fn i64_min_is_a_node_like_any_other() {
+        let mut g = UndirectedGraph::new();
+        assert!(g.add_node(i64::MIN));
+        assert!(g.add_edge(i64::MIN, i64::MIN));
+        assert!(g.add_edge(i64::MIN, 7));
+        assert_eq!(g.nbrs(7), &[i64::MIN]);
+        assert_eq!(g.edges().count(), 2);
+        assert!(g.del_node(i64::MIN));
+        assert_eq!((g.node_count(), g.edge_count()), (1, 0));
     }
 }

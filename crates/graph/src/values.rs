@@ -1,6 +1,6 @@
 //! Per-node kernel results as columns on the graph's own id index.
 
-use crate::traits::DirectedTopology;
+use crate::topology::DirectedTopology;
 use crate::NodeId;
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;

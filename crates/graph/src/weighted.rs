@@ -3,11 +3,12 @@
 //! Graph-analytics workflows constantly produce weighted edges — "number
 //! of answers accepted between two users", "transitions between pages" —
 //! usually via a group-by on an edge table. [`WeightedDigraph`] stores
-//! each node's out-weights in a vector parallel to its sorted adjacency
-//! vector, so the unweighted traversal machinery carries over and weight
-//! lookup is the same binary search as `has_edge`.
+//! each node's out-weights in a vector parallel to its out-row of
+//! neighbour slots, so the unweighted traversal machinery carries over
+//! and weight lookup is the same binary search as `has_edge`.
 
-use crate::traits::DirectedTopology;
+use crate::directed::Nbrs;
+use crate::topology::DirectedTopology;
 use crate::{slot_u32, NodeId, NodeValues};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
@@ -15,16 +16,16 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default)]
 struct WNodeCell {
     id: NodeId,
-    in_nbrs: Vec<NodeId>,
-    out_nbrs: Vec<NodeId>,
+    in_nbrs: Vec<u32>,
+    out_nbrs: Vec<u32>,
     out_weights: Vec<f64>,
 }
 
 /// A dynamic directed graph with one `f64` weight per edge.
 ///
-/// Mirrors [`crate::DirectedGraph`]; adding an existing edge *accumulates*
-/// onto its weight (the natural semantics for count/strength weights)
-/// rather than failing.
+/// Mirrors [`crate::DirectedGraph`] (rows of neighbour slots, sorted by
+/// slot); adding an existing edge *accumulates* onto its weight (the
+/// natural semantics for count/strength weights) rather than failing.
 #[derive(Clone, Debug, Default)]
 pub struct WeightedDigraph {
     index: Arc<IntHashTable<u32>>,
@@ -67,93 +68,92 @@ impl WeightedDigraph {
     /// Weight of edge `src -> dst`, or `None` if absent.
     pub fn weight(&self, src: NodeId, dst: NodeId) -> Option<f64> {
         let c = self.cell(src)?;
-        let pos = c.out_nbrs.binary_search(&dst).ok()?;
+        let pos = c.out_nbrs.binary_search(self.index.get(dst)?).ok()?;
         Some(c.out_weights[pos])
     }
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
-        if self.index.contains(id) {
-            return false;
+        self.ensure_node(id).1
+    }
+
+    /// The slot of node `id`, and whether it had to be added first.
+    fn ensure_node(&mut self, id: NodeId) -> (u32, bool) {
+        if let Some(&slot) = self.index.get(id) {
+            return (slot, false);
         }
+        let cell = Some(WNodeCell {
+            id,
+            ..WNodeCell::default()
+        });
         let slot = match self.free.pop() {
             Some(s) => {
-                self.nodes[s as usize] = Some(WNodeCell {
-                    id,
-                    ..WNodeCell::default()
-                });
+                self.nodes[s as usize] = cell;
                 s
             }
             None => {
                 let slot = slot_u32(self.nodes.len());
-                self.nodes.push(Some(WNodeCell {
-                    id,
-                    ..WNodeCell::default()
-                }));
+                self.nodes.push(cell);
                 slot
             }
         };
         Arc::make_mut(&mut self.index).insert(id, slot);
         self.n_nodes += 1;
-        true
+        (slot, true)
     }
 
     /// Adds weight `w` on the edge `src -> dst`, creating nodes and the
     /// edge as needed. Returns the new accumulated weight.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, w: f64) -> f64 {
-        self.add_node(src);
-        self.add_node(dst);
-        let mut fresh = false;
-        let total = {
-            let sc = self.cell_mut(src).expect("src ensured");
-            match sc.out_nbrs.binary_search(&dst) {
-                Ok(pos) => {
-                    sc.out_weights[pos] += w;
-                    sc.out_weights[pos]
-                }
-                Err(pos) => {
-                    sc.out_nbrs.insert(pos, dst);
-                    sc.out_weights.insert(pos, w);
-                    fresh = true;
-                    w
-                }
+        let (s, _) = self.ensure_node(src);
+        let (d, _) = self.ensure_node(dst);
+        let sc = self.node_mut(s);
+        let pos = match sc.out_nbrs.binary_search(&d) {
+            Ok(pos) => {
+                sc.out_weights[pos] += w;
+                return sc.out_weights[pos];
             }
+            Err(pos) => pos,
         };
-        if fresh {
-            let dc = self.cell_mut(dst).expect("dst ensured");
-            let pos = dc
-                .in_nbrs
-                .binary_search(&src)
-                .expect_err("in/out adjacency out of sync");
-            dc.in_nbrs.insert(pos, src);
-            self.n_edges += 1;
-        }
-        total
+        sc.out_nbrs.insert(pos, d);
+        sc.out_weights.insert(pos, w);
+        let dc = self.node_mut(d);
+        let pos = dc
+            .in_nbrs
+            .binary_search(&s)
+            .expect_err("in/out adjacency out of sync");
+        dc.in_nbrs.insert(pos, s);
+        self.n_edges += 1;
+        w
     }
 
     /// Removes the edge `src -> dst` entirely; returns its weight.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> Option<f64> {
-        let w = {
-            let sc = self.cell_mut(src)?;
-            let pos = sc.out_nbrs.binary_search(&dst).ok()?;
-            sc.out_nbrs.remove(pos);
-            sc.out_weights.remove(pos)
-        };
-        let dc = self.cell_mut(dst).expect("edge endpoints exist");
-        let pos = dc.in_nbrs.binary_search(&src).expect("adjacency in sync");
+        let (&s, &d) = (self.index.get(src)?, self.index.get(dst)?);
+        let sc = self.node_mut(s);
+        let pos = sc.out_nbrs.binary_search(&d).ok()?;
+        sc.out_nbrs.remove(pos);
+        let w = sc.out_weights.remove(pos);
+        let dc = self.node_mut(d);
+        let pos = dc.in_nbrs.binary_search(&s).expect("adjacency in sync");
         dc.in_nbrs.remove(pos);
         self.n_edges -= 1;
         Some(w)
     }
 
-    /// Sorted out-neighbors and their weights.
+    /// Out-neighbors (in slot order) and their weights.
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let c = self.cell(id);
-        let (nbrs, ws): (&[NodeId], &[f64]) = match c {
+        let (nbrs, ws): (&[u32], &[f64]) = match self.cell(id) {
             Some(c) => (&c.out_nbrs, &c.out_weights),
             None => (&[], &[]),
         };
-        nbrs.iter().copied().zip(ws.iter().copied())
+        Nbrs::new(nbrs, self).zip(ws.iter().copied())
+    }
+
+    /// The weights of the out-edges of `slot`, position for position with
+    /// its out-row ([`DirectedTopology::out_row`]); empty when vacant.
+    pub fn out_weights(&self, slot: usize) -> &[f64] {
+        self.nodes[slot].as_ref().map_or(&[], |c| &c.out_weights)
     }
 
     /// Total outgoing weight of `id` (0 if absent).
@@ -168,32 +168,27 @@ impl WeightedDigraph {
 
     /// Iterates over `(src, dst, weight)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        self.nodes.iter().flatten().flat_map(|c| {
-            c.out_nbrs
-                .iter()
+        self.nodes.iter().flatten().flat_map(move |c| {
+            Nbrs::new(&c.out_nbrs, self)
                 .zip(&c.out_weights)
-                .map(move |(d, w)| (c.id, *d, *w))
+                .map(move |(d, w)| (c.id, d, *w))
         })
     }
 
-    /// Drops weights, producing the plain directed graph.
+    /// Drops weights, producing the plain directed graph (live nodes in
+    /// slot order).
     pub fn to_unweighted(&self) -> crate::DirectedGraph {
-        let parts = self
-            .nodes
-            .iter()
-            .flatten()
-            .map(|c| (c.id, c.in_nbrs.clone(), c.out_nbrs.clone()))
-            .collect();
-        crate::DirectedGraph::from_parts(parts)
+        crate::transform::directed_copy(self, |_| true)
     }
 
     /// Approximate heap footprint in bytes.
     pub fn mem_size(&self) -> usize {
         let mut bytes = self.index.mem_size();
         bytes += self.nodes.capacity() * std::mem::size_of::<Option<WNodeCell>>();
+        bytes += self.free.capacity() * std::mem::size_of::<u32>();
         for c in self.nodes.iter().flatten() {
-            bytes +=
-                (c.in_nbrs.capacity() + c.out_nbrs.capacity()) * 8 + c.out_weights.capacity() * 8;
+            bytes += (c.in_nbrs.capacity() + c.out_nbrs.capacity()) * std::mem::size_of::<u32>()
+                + c.out_weights.capacity() * std::mem::size_of::<f64>();
         }
         bytes
     }
@@ -204,10 +199,12 @@ impl WeightedDigraph {
         self.nodes[slot as usize].as_ref()
     }
 
+    /// The node in `slot`, which the index just named.
     #[inline]
-    fn cell_mut(&mut self, id: NodeId) -> Option<&mut WNodeCell> {
-        let slot = *self.index.get(id)?;
-        self.nodes[slot as usize].as_mut()
+    fn node_mut(&mut self, slot: u32) -> &mut WNodeCell {
+        self.nodes[slot as usize]
+            .as_mut()
+            .expect("indexed slot occupied")
     }
 }
 
@@ -224,11 +221,11 @@ impl DirectedTopology for WeightedDigraph {
         self.index.get(id).map(|s| *s as usize)
     }
 
-    fn out_nbrs_of_slot(&self, slot: usize) -> &[NodeId] {
+    fn out_row(&self, slot: usize) -> &[u32] {
         self.nodes[slot].as_ref().map_or(&[], |c| &c.out_nbrs)
     }
 
-    fn in_nbrs_of_slot(&self, slot: usize) -> &[NodeId] {
+    fn in_row(&self, slot: usize) -> &[u32] {
         self.nodes[slot].as_ref().map_or(&[], |c| &c.in_nbrs)
     }
 
@@ -270,7 +267,7 @@ mod tests {
         g.add_edge(1, 3, 2.0);
         g.add_edge(1, 2, 1.0);
         let e: Vec<_> = g.out_edges(1).collect();
-        assert_eq!(e, vec![(2, 1.0), (3, 2.0)], "sorted by neighbor id");
+        assert_eq!(e, vec![(3, 2.0), (2, 1.0)], "sorted by neighbor slot");
         assert_eq!(g.out_strength(1), 3.0);
         assert_eq!(g.out_strength(99), 0.0);
     }
@@ -295,10 +292,10 @@ mod tests {
         assert_eq!(plain.edge_count(), 3);
         assert!(plain.has_edge(3, 1));
         // The trait view serves the shared algorithms.
-        use crate::traits::DirectedTopology;
         assert_eq!(DirectedTopology::node_count(&g), 3);
         let slot = g.slot_of(1).unwrap();
-        assert_eq!(g.out_nbrs_of_slot(slot), &[2]);
+        assert_eq!(g.out_row(slot), &[g.slot_of(2).unwrap() as u32]);
+        assert_eq!(g.in_row(slot), &[g.slot_of(3).unwrap() as u32]);
     }
 
     #[test]

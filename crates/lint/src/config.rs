@@ -97,14 +97,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/bipartite.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/centrality.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/components.rs",
         "invariant expects in kernel loops",
     ),
@@ -117,19 +109,7 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/eigen.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/hits.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/independent.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/kcore.rs",
         "invariant expects in kernel loops",
     ),
     (
@@ -141,15 +121,7 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/similarity.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/sssp.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/stats.rs",
         "invariant expects in kernel loops",
     ),
     (

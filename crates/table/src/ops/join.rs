@@ -8,7 +8,7 @@
 
 use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table, TableError};
-use ringo_concurrent::hash_table::{hash_i64, EMPTY_KEY};
+use ringo_concurrent::hash_table::hash_i64;
 use ringo_concurrent::{
     morsel_bounds, parallel_for_morsels_traced, parallel_map, parallel_map_morsels_traced,
     DisjointSlice, IntHashTable, MorselStats,
@@ -22,10 +22,7 @@ impl Table {
     /// paper's §4.1 demo). Key columns must both be `Int` or both `Str`.
     ///
     /// # Errors
-    /// Unknown or mismatched key columns, and an `Int` key column holding
-    /// `i64::MIN` on the side the hash index is built over (the one with
-    /// fewer rows) — the key the index reserves. On the other side it
-    /// matches nothing.
+    /// Unknown or mismatched key columns.
     pub fn join(&self, other: &Table, left_col: &str, right_col: &str) -> Result<Table> {
         let mut sp = ringo_trace::span!("table.join");
         sp.rows_in(self.n_rows() + other.n_rows());
@@ -106,15 +103,6 @@ pub(crate) fn join_pairs_sel_stats(
     let (pairs, stats): (Vec<(u32, u32)>, MorselStats) = match &build.cols[bi] {
         ColumnData::Int(bkeys) => {
             let key_at = |i: usize| bkeys[brow(i)];
-            // The index keeps `i64::MIN` as its empty-slot marker and cannot
-            // hold it; on the probe side the key simply finds nothing.
-            if (0..bn).any(|i| key_at(i) == EMPTY_KEY) {
-                return Err(TableError::InvalidArgument(format!(
-                    "column {:?} contains i64::MIN, which the join index reserves and cannot \
-                     use as a key",
-                    build.schema.name(bi)
-                )));
-            }
             let part_of = |i: usize| ((hash_i64(key_at(i)) >> shift) & (parts as u64 - 1)) as usize;
             let (scatter, offsets) = partition_build_positions(bn, build.threads, parts, &part_of);
             let indexes: Vec<IntHashTable<Vec<u32>>> =
@@ -525,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn reserved_key_on_the_build_side_is_an_error_naming_the_column() {
+    fn i64_min_joins_like_any_key_on_either_side() {
         use crate::plan::Plan;
         // The eager verb and the lazy executor's join.
         let join_both = |l: &Table, lc: &str, r: &Table, rc: &str| {
@@ -543,30 +531,28 @@ mod tests {
             t
         };
         // The index is built over the table with fewer rows, whichever
-        // side of the verb it stands on; both the sequential and the
-        // partitioned build must refuse the key before they reach it.
+        // side of the verb it stands on: the sequential and the
+        // partitioned build both index the key and find it.
         for n in [3usize, PARALLEL_BUILD_MIN_ROWS + 1] {
             for (build_min, probe_min) in [(true, false), (true, true), (false, true)] {
                 let build = column("b", n, build_min);
                 let probe = column("p", 2 * n, probe_min);
+                // `i64::MIN` displaced `n / 2` on the build side, and `n`,
+                // which the build side never holds, on the probe side.
+                let want = n - usize::from(build_min) + usize::from(build_min && probe_min);
                 let results = join_both(&build, "b", &probe, "p")
                     .into_iter()
                     .chain(join_both(&probe, "p", &build, "b"));
                 for got in results {
                     let ctx = format!("rows={n} build={build_min} probe={probe_min}");
-                    match got {
-                        Err(TableError::InvalidArgument(msg)) => {
-                            assert!(build_min, "{ctx}: {msg}");
-                            assert!(msg.contains("\"b\"") && msg.contains("i64::MIN"), "{msg}");
-                        }
-                        // On the probe side the key took the place of `n`,
-                        // which the build side never held.
-                        Ok(t) => {
-                            assert!(!build_min, "{ctx}: indexed i64::MIN");
-                            assert_eq!(t.n_rows(), n, "{ctx}");
-                        }
-                        Err(e) => panic!("{ctx}: {e}"),
-                    }
+                    let t = got.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_eq!(t.n_rows(), want, "{ctx}");
+                    let mins = t.int_col("b").unwrap().iter();
+                    assert_eq!(
+                        mins.filter(|&&k| k == i64::MIN).count(),
+                        usize::from(build_min && probe_min),
+                        "{ctx}"
+                    );
                 }
             }
         }

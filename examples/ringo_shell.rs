@@ -36,9 +36,10 @@
 
 use ringo::algo::Direction;
 use ringo::gen::StackOverflowConfig;
+use ringo::graph::DirectedTopology;
 use ringo::trace::mem::{format_bytes, format_bytes_delta, TrackingAllocator};
 use ringo::{
-    Cmp, ColumnType, Dataset, DatasetKind, DirectedGraph, Predicate, Ringo, Schema, Snapshot, Table,
+    Cmp, ColumnType, DatasetKind, DirectedGraph, Predicate, Ringo, Schema, Snapshot, Table,
 };
 use std::io::{BufRead, Write};
 
@@ -87,7 +88,7 @@ commands:
   compact <graph>                            rewrite adjacency slabs as a new version
   addedge|deledge <graph> <src> <dst>        edit one edge, publish as a new version
   timings                                    per-verb latency & memory aggregates,
-                                             topology builds / patches / hits
+                                             bfs row entries / rank entries read
   provenance [n]                             last n op-log records (default 20)
   trace [reset]                              global ringo-trace report (RINGO_TRACE=1)
   help | quit";
@@ -130,14 +131,8 @@ impl Shell {
                         DatasetKind::Table => "rows",
                         DatasetKind::Graph => "edges",
                     };
-                    // The cached slot-CSR view is not part of the graph's
-                    // own `mem_size`, so it gets its own figure.
-                    let topology = match cat.get(&name).as_ref().and_then(Dataset::as_graph) {
-                        Some(g) => format!(", topology {}", format_bytes(g.topology_bytes())),
-                        None => String::new(),
-                    };
                     println!(
-                        "{} {name}: v{} (epoch {}), {} {unit}{topology}",
+                        "{} {name}: v{} (epoch {}), {} {unit}",
                         meta.kind, meta.version, meta.epoch, meta.cardinality
                     );
                 }
@@ -193,9 +188,8 @@ impl Shell {
                 let (Ok(src), Ok(dst)) = (src.parse(), dst.parse()) else {
                     return err("node ids are integers");
                 };
-                // Copy-on-write, as `compact` does it: the clone carries
-                // the current version's cached topology along, stale in
-                // the two rows the edit touches.
+                // Copy-on-write, as `compact` does it: the clone shares
+                // every list but the two the edit copies.
                 let mut next = DirectedGraph::clone(graph(&self.ringo.snapshot(), name)?);
                 let changed = match *verb {
                     "addedge" => next.add_edge(src, dst),
@@ -342,16 +336,6 @@ impl Shell {
                     cat.list().len(),
                     cat.retired_count(),
                     cat.pinned_readers()
-                );
-                let cached: usize = cat
-                    .list()
-                    .iter()
-                    .filter_map(|(name, _)| cat.get(name))
-                    .filter_map(|d| d.as_graph().map(|g| g.topology_bytes()))
-                    .sum();
-                println!(
-                    "topology: {} cached on current graph versions",
-                    format_bytes(cached)
                 );
                 println!(
                     "flight recorder: {} (events {} recorded, {} dropped across {} threads)",
@@ -556,6 +540,10 @@ impl Shell {
                     );
                     let adj = g.adjacency_stats();
                     println!(
+                        "  rows: {} stored neighbour slots, 4 B each",
+                        g.total_degree(Direction::Both)
+                    );
+                    println!(
                         "  adjacency: {} slab views + {} owned lists ({}, {} shared with \
                          another version: {}), {} live / {} slab bytes ({} dead; \
                          `compact {name}` reclaims)",
@@ -594,17 +582,14 @@ impl Shell {
                         format_bytes_delta(t.max_peak_delta as i64),
                     );
                 }
-                // What the graph verbs above paid for their slot-CSR view,
-                // and how much of it the traversals read; under
-                // RINGO_TRACE=1 `trace` times the builds and patches.
+                // How much of the rows the traversals read, and how hard
+                // the conversions searched to rank neighbour ids; under
+                // RINGO_TRACE=1 `trace` times the `convert.fill.rank` pass.
                 let count = |name| ringo::trace::counter(name).get();
                 println!(
-                    "topology: {} built, {} patched, {} hits, {} released; bfs: {} row entries scanned",
-                    count("graph.topology.builds"),
-                    count("graph.topology.patches"),
-                    count("graph.topology.hit"),
-                    count("graph.topology.release"),
+                    "bfs: {} row entries scanned; convert: {} rank entries compared",
                     count("algo.bfs.edges_scanned"),
+                    count("convert.rank.scanned"),
                 );
                 Ok(true)
             }

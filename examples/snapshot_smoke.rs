@@ -82,7 +82,7 @@ fn main() {
     let victims: Vec<(i64, i64)> = g
         .node_ids()
         .take(32)
-        .flat_map(|u| g.out_nbrs(u).iter().map(move |&v| (u, v)))
+        .flat_map(|u| g.out_nbrs(u).map(move |v| (u, v)))
         .collect();
     for &(u, v) in &victims {
         g.del_edge(u, v);

@@ -5,13 +5,14 @@
 //! cargo run --release --example traversal_smoke`. CI checks the dumped
 //! trace for `algo.bfs.topdown` *and* `algo.bfs.bottomup` spans, so a
 //! refactor that silently stops direction-optimizing fails the build,
-//! and for exactly one `graph.topology.build` span against at least two
-//! `graph.topology.hit` counts: the four traversals below share one
-//! graph version, so only the first may build its slot-CSR view, and for
-//! a positive `algo.bfs.edges_scanned` count.
-//! The example itself pins a distance checksum and a BFS-tree checksum
-//! (parents are derived from the distances after the run, so this is the
-//! path that exercises it) and cross-checks the forced top-down / forced
+//! for the `convert.fill.rank` span of the conversion that wrote the
+//! graph's rows of neighbour slots, and for a positive
+//! `algo.bfs.edges_scanned` count.
+//! The example itself pins the graph's `mem_size()` (4 bytes a stored
+//! neighbour plus the node table: a second copy of the rows, or wider
+//! ones, moves it), a distance checksum and a BFS-tree checksum (parents
+//! are derived from the distances after the run, so this is the path
+//! that exercises it) and cross-checks the forced top-down / forced
 //! bottom-up extremes against the default crossover — the engine's
 //! determinism contract, asserted end to end.
 
@@ -47,6 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let table = edges_to_table(&edges);
     let g = ringo.to_graph(&table, "src", "dst")?;
+    println!("traversal smoke: graph mem_size {} B", g.mem_size());
+    const PINNED_BYTES: usize = 4_127_936;
+    assert_eq!(g.mem_size(), PINNED_BYTES, "graph footprint drifted");
 
     // Deterministic source: the highest out-degree hub (smallest id wins
     // ties), whose first frontier is fat enough to flip bottom-up early.

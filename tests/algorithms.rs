@@ -143,7 +143,7 @@ fn cut_structure_matches_component_splitting() {
         cut.del_edge(a, b);
         let parts: Vec<(i64, Vec<i64>)> = cut
             .node_ids()
-            .map(|id| (id, cut.nbrs(id).to_vec()))
+            .map(|id| (id, cut.nbrs(id).collect()))
             .collect();
         let rebuilt = UndirectedGraph::from_parts(parts);
         // Count undirected components via repeated BFS.
@@ -154,7 +154,7 @@ fn cut_structure_matches_component_splitting() {
                 comps += 1;
                 let mut stack = vec![id];
                 while let Some(v) = stack.pop() {
-                    for &n in rebuilt.nbrs(v) {
+                    for n in rebuilt.nbrs(v) {
                         if seen.insert(n) {
                             stack.push(n);
                         }

@@ -17,8 +17,8 @@ pub fn partition(c: &Components) -> BTreeSet<BTreeSet<NodeId>> {
 }
 
 /// Weak components by a sequential union-find over `g.edges()` (path
-/// halving): no atomics, no slots, no `Topology`, no frontier engine —
-/// nothing the kernel under test is built on.
+/// halving): no atomics, no slot-indexed state, no frontier engine —
+/// nothing the kernel under test is built on but the edge list.
 pub fn wcc_oracle(g: &DirectedGraph) -> BTreeSet<BTreeSet<NodeId>> {
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {

@@ -63,9 +63,9 @@ fn ref_dist(g: &DirectedGraph, src: NodeId, dir: Direction) -> Vec<(NodeId, u32)
     while let Some(u) = q.pop_front() {
         let d = dist[&u];
         let nbrs: Vec<NodeId> = match dir {
-            Direction::Out => g.out_nbrs(u).to_vec(),
-            Direction::In => g.in_nbrs(u).to_vec(),
-            Direction::Both => g.out_nbrs(u).iter().chain(g.in_nbrs(u)).copied().collect(),
+            Direction::Out => g.out_nbrs(u).collect(),
+            Direction::In => g.in_nbrs(u).collect(),
+            Direction::Both => g.out_nbrs(u).chain(g.in_nbrs(u)).collect(),
         };
         for v in nbrs {
             dist.entry(v).or_insert_with(|| {
@@ -118,9 +118,9 @@ fn assert_parents_valid(
         // Predecessors of v in traversal sense `dir` are the nodes u with
         // an edge u -> v, i.e. v's *reverse* adjacency.
         let preds: Vec<NodeId> = match dir {
-            Direction::Out => g.in_nbrs(v).to_vec(),
-            Direction::In => g.out_nbrs(v).to_vec(),
-            Direction::Both => g.in_nbrs(v).iter().chain(g.out_nbrs(v)).copied().collect(),
+            Direction::Out => g.in_nbrs(v).collect(),
+            Direction::In => g.out_nbrs(v).collect(),
+            Direction::Both => g.in_nbrs(v).chain(g.out_nbrs(v)).collect(),
         };
         assert!(preds.contains(&p), "parent edge exists");
         let slot = |u: NodeId| DirectedTopology::slot_of(g, u).unwrap();

@@ -110,9 +110,9 @@ fn bfs_oracle(g: &DirectedGraph, src: NodeId, dir: Direction) -> BTreeMap<NodeId
     while let Some(u) = q.pop_front() {
         let d = dist[&u];
         let nbrs: Vec<NodeId> = match dir {
-            Direction::Out => g.out_nbrs(u).to_vec(),
-            Direction::In => g.in_nbrs(u).to_vec(),
-            Direction::Both => g.out_nbrs(u).iter().chain(g.in_nbrs(u)).copied().collect(),
+            Direction::Out => g.out_nbrs(u).collect(),
+            Direction::In => g.in_nbrs(u).collect(),
+            Direction::Both => g.out_nbrs(u).chain(g.in_nbrs(u)).collect(),
         };
         for v in nbrs {
             dist.entry(v).or_insert_with(|| {
@@ -139,9 +139,9 @@ fn tree_oracle(
                 return (v, v);
             }
             let preds: Vec<NodeId> = match dir {
-                Direction::Out => g.in_nbrs(v).to_vec(),
-                Direction::In => g.out_nbrs(v).to_vec(),
-                Direction::Both => g.in_nbrs(v).iter().chain(g.out_nbrs(v)).copied().collect(),
+                Direction::Out => g.in_nbrs(v).collect(),
+                Direction::In => g.out_nbrs(v).collect(),
+                Direction::Both => g.in_nbrs(v).chain(g.out_nbrs(v)).collect(),
             };
             let p = preds
                 .into_iter()
@@ -157,7 +157,7 @@ fn tree_oracle(
 /// on the out-edges, then sweeps of the reversed edges.
 fn scc_oracle(g: &DirectedGraph) -> BTreeSet<BTreeSet<NodeId>> {
     let out: BTreeMap<NodeId, Vec<NodeId>> =
-        g.node_ids().map(|v| (v, g.out_nbrs(v).to_vec())).collect();
+        g.node_ids().map(|v| (v, g.out_nbrs(v).collect())).collect();
     let mut rev: BTreeMap<NodeId, Vec<NodeId>> = out.keys().map(|&v| (v, Vec::new())).collect();
     for (&u, vs) in &out {
         for &v in vs {
@@ -209,10 +209,8 @@ fn scc_oracle(g: &DirectedGraph) -> BTreeSet<BTreeSet<NodeId>> {
 fn core_oracle(g: &UndirectedGraph) -> BTreeMap<NodeId, u32> {
     let mut core: BTreeMap<NodeId, u32> = g.node_ids().map(|v| (v, 0)).collect();
     for k in 1.. {
-        let mut adj: BTreeMap<NodeId, BTreeSet<NodeId>> = g
-            .node_ids()
-            .map(|v| (v, g.nbrs(v).iter().copied().collect()))
-            .collect();
+        let mut adj: BTreeMap<NodeId, BTreeSet<NodeId>> =
+            g.node_ids().map(|v| (v, g.nbrs(v).collect())).collect();
         while let Some(v) = adj
             .iter()
             .find(|(_, n)| n.len() < k as usize)

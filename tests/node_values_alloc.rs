@@ -44,7 +44,7 @@ fn warmed_bfs_peaks_below_24_bytes_a_slot_and_holds_only_its_columns() {
     let ringo = Ringo::with_threads(2);
     let (g, src) = lj_graph(&ringo);
     let slots = g.n_slots();
-    // Warm: the topology is built, the op-log and counters registered.
+    // Warm: the op-log and counters registered.
     drop(ringo.bfs(&g, src, Direction::Out));
 
     let live = current_bytes();

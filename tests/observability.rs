@@ -210,6 +210,52 @@ fn bfs_counts_the_row_entries_it_scanned() {
 }
 
 #[test]
+fn conversion_counts_the_rank_entries_it_compared() {
+    let _l = lock();
+    trace::set_enabled(true);
+    trace::reset();
+    // Per conversion: ids compared while ranking neighbours, entries
+    // ranked (both slabs), nodes.
+    let convert = |edges: &[(i64, i64)]| {
+        let before = trace::counter("convert.rank.scanned").get();
+        let table = ringo::gen::edges_to_table(edges);
+        let g = ringo::convert::table_to_graph(&table, "src", "dst").unwrap();
+        let scanned = trace::counter("convert.rank.scanned").get() - before;
+        (scanned, 2 * g.edge_count() as u64, g.node_count())
+    };
+    let rmat = ringo::gen::rmat(&ringo::gen::RmatConfig {
+        scale: 12,
+        edges: 40_000,
+        seed: 3,
+        ..Default::default()
+    });
+    let (scanned, entries, nodes) = convert(&rmat);
+    assert!(
+        entries <= scanned && scanned <= 2 * entries,
+        "R-MAT: {scanned} compared for {entries} entries"
+    );
+    // The rank pass of each orientation: entries in, nodes out.
+    let ranks: Vec<(u64, u64)> = trace::events_snapshot()
+        .into_iter()
+        .filter(|e| e.name == "convert.fill.rank")
+        .map(|e| (e.rows_in, e.rows_out))
+        .collect();
+    assert_eq!(ranks, [(entries / 2, nodes as u64); 2]);
+
+    // Two clusters 2^50 apart fill two buckets: the searches inside them
+    // show up as many more ids compared per entry.
+    let mut rng = ringo_rng::Rng64::new(9);
+    let mut id = || rng.range_i64(0..2048) + (1 << 50) * rng.range_i64(0..2);
+    let clustered: Vec<(i64, i64)> = (0..20_000).map(|_| (id(), id())).collect();
+    let (scanned, entries, _) = convert(&clustered);
+    trace::set_enabled(false);
+    assert!(
+        scanned > 4 * entries,
+        "two clusters: {scanned} compared for {entries} entries"
+    );
+}
+
+#[test]
 fn op_log_works_with_tracing_disabled() {
     let _l = lock();
     trace::set_enabled(false);

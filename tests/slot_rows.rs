@@ -1,0 +1,1095 @@
+//! Every kernel of `ringo-algo` reads the graphs' rows of neighbour slots
+//! in place. Here each one is checked against an id-level oracle built on
+//! std sets — a `BTreeSet` of edges, adjacency as `BTreeMap<NodeId,
+//! BTreeSet<NodeId>>`, knowing nothing of slots — on every shape of graph
+//! that moves slots away from ids: R-MAT, star, path, disconnected and
+//! self-loop graphs built in bulk (slot order is id order there), graphs
+//! built edit by edit in a scrambled id order, vacant and reused slots
+//! after `del_node`, and the last version of a clone → edit → publish
+//! chain; the kernels that take a thread count run at 1, 2 and 4. On
+//! table-built graphs every output is pinned bit for bit to digests
+//! recorded before the rows became the storage.
+
+use ringo::algo::{
+    adamic_adar, approx_diameter, betweenness_centrality, betweenness_centrality_parallel,
+    bfs_order, closeness_centrality, common_neighbors, core_numbers, count_triangles,
+    cut_structure, degree_centrality, degree_histogram, dfs_order, dijkstra_weighted,
+    eigenvector_centrality, greedy_coloring, hits, is_bipartite, jaccard_similarity, k_core,
+    label_propagation, maximal_independent_set, maximal_matching, node_clustering, node_triangles,
+    pagerank, pagerank_weighted, personalized_pagerank, random_walk, reachable_from, reciprocity,
+    sssp_dijkstra, sssp_unweighted, strongly_connected_components, topological_sort, triad_census,
+    truss_numbers, weakly_connected_components, Components, FrontierEngine, WalkRng,
+};
+use ringo::gen::{edges_to_table, rmat, RmatConfig};
+use ringo::graph::DirectedTopology;
+use ringo::{
+    DirectedGraph, Direction, NodeId, PageRankConfig, Ringo, UndirectedGraph, WeightedDigraph,
+};
+use ringo_rng::Rng64;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+type Edge = (NodeId, NodeId);
+type Adj = BTreeMap<NodeId, BTreeSet<NodeId>>;
+type Partition = BTreeSet<BTreeSet<NodeId>>;
+
+/// The id-level model of a graph: its nodes and edges (`(min, max)`
+/// pairs when undirected).
+#[derive(Clone, Default)]
+struct Model {
+    directed: bool,
+    nodes: BTreeSet<NodeId>,
+    edges: BTreeSet<Edge>,
+}
+
+impl Model {
+    fn new(directed: bool) -> Self {
+        Self {
+            directed,
+            ..Self::default()
+        }
+    }
+
+    fn key(&self, a: NodeId, b: NodeId) -> Edge {
+        if self.directed {
+            (a, b)
+        } else {
+            (a.min(b), a.max(b))
+        }
+    }
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId) {
+        self.nodes.extend([a, b]);
+        self.edges.insert(self.key(a, b));
+    }
+
+    fn del_edge(&mut self, a: NodeId, b: NodeId) {
+        self.edges.remove(&self.key(a, b));
+    }
+
+    fn del_node(&mut self, v: NodeId) {
+        self.nodes.remove(&v);
+        self.edges.retain(|&(a, b)| a != v && b != v);
+    }
+
+    /// Adjacency along `dir`, every node a key; undirected models are
+    /// symmetric whatever the direction.
+    fn adj(&self, dir: Direction) -> Adj {
+        let mut adj: Adj = self.nodes.iter().map(|&v| (v, BTreeSet::new())).collect();
+        for &(a, b) in &self.edges {
+            let both = dir == Direction::Both || !self.directed;
+            if dir == Direction::Out || both {
+                adj.get_mut(&a).expect("endpoint").insert(b);
+            }
+            if dir == Direction::In || both {
+                adj.get_mut(&b).expect("endpoint").insert(a);
+            }
+        }
+        adj
+    }
+}
+
+/// One graph in both forms, with its models.
+struct Case {
+    name: String,
+    g: DirectedGraph,
+    u: UndirectedGraph,
+    dm: Model,
+    um: Model,
+}
+
+impl Case {
+    /// Built in bulk by the conversions: slot order is id order.
+    fn bulk(name: &str, edges: &[Edge]) -> Self {
+        let t = edges_to_table(edges);
+        let (mut dm, mut um) = (Model::new(true), Model::new(false));
+        for &(a, b) in edges {
+            dm.add_edge(a, b);
+            um.add_edge(a, b);
+        }
+        Self {
+            name: name.into(),
+            g: ringo::convert::table_to_graph(&t, "src", "dst").unwrap(),
+            u: ringo::convert::table_to_undirected(&t, "src", "dst").unwrap(),
+            dm,
+            um,
+        }
+    }
+
+    /// Built edit by edit: `extra` isolated nodes, every node added in a
+    /// scrambled order, then the edges in another.
+    fn edited(name: &str, edges: &[Edge], extra: &[NodeId], seed: u64) -> Self {
+        let mut rng = Rng64::new(seed);
+        let mut nodes: Vec<NodeId> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+        nodes.extend(extra);
+        nodes.sort_unstable();
+        nodes.dedup();
+        rng.shuffle(&mut nodes);
+        let mut edges = edges.to_vec();
+        rng.shuffle(&mut edges);
+        let mut case = Self {
+            name: name.into(),
+            g: DirectedGraph::new(),
+            u: UndirectedGraph::new(),
+            dm: Model::new(true),
+            um: Model::new(false),
+        };
+        for &v in &nodes {
+            case.add_node(v);
+        }
+        for &(a, b) in &edges {
+            case.add_edge(a, b);
+        }
+        case
+    }
+
+    fn add_node(&mut self, v: NodeId) {
+        self.g.add_node(v);
+        self.u.add_node(v);
+        self.dm.nodes.insert(v);
+        self.um.nodes.insert(v);
+    }
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId) {
+        self.g.add_edge(a, b);
+        self.u.add_edge(a, b);
+        self.dm.add_edge(a, b);
+        self.um.add_edge(a, b);
+    }
+
+    fn del_edge(&mut self, a: NodeId, b: NodeId) {
+        self.g.del_edge(a, b);
+        self.u.del_edge(a, b);
+        self.dm.del_edge(a, b);
+        self.um.del_edge(a, b);
+    }
+
+    fn del_node(&mut self, v: NodeId) {
+        self.g.del_node(v);
+        self.u.del_node(v);
+        self.dm.del_node(v);
+        self.um.del_node(v);
+    }
+
+    /// Every fourth node deleted, then new ids reusing the vacant slots,
+    /// each wired to a few survivors.
+    fn holes(mut self, seed: u64) -> Self {
+        self.name += " with holes";
+        let ids: Vec<NodeId> = self.g.node_ids().collect();
+        for &v in ids.iter().step_by(4) {
+            self.del_node(v);
+        }
+        assert!(self.g.n_slots() > self.g.node_count());
+        let live: Vec<NodeId> = self.g.node_ids().collect();
+        let mut rng = Rng64::new(seed);
+        for k in 0..(ids.len() / 8) as NodeId {
+            let v = 1_000_000 - 7 * k;
+            self.add_node(v);
+            for _ in 0..3 {
+                let w = live[rng.below(live.len())];
+                if rng.bool() {
+                    self.add_edge(v, w);
+                } else {
+                    self.add_edge(w, v);
+                }
+            }
+        }
+        self
+    }
+
+    /// Three versions through the catalog: each a clone of the current
+    /// one, edited and published while the previous version stays pinned.
+    fn chain(mut self, seed: u64) -> Self {
+        self.name += " after a publish chain";
+        let ringo = Ringo::new();
+        ringo.publish_graph("g", self.g.clone());
+        let mut rng = Rng64::new(seed);
+        let mut pins = Vec::new();
+        let mut older = Vec::new();
+        for step in 0..3 {
+            let snap = ringo.snapshot();
+            self.g = DirectedGraph::clone(snap.graph("g").expect("published"));
+            older.push(self.u.clone());
+            pins.push(snap);
+            let ids: Vec<NodeId> = self.g.node_ids().collect();
+            for k in 0..40 {
+                let (a, b) = (ids[rng.below(ids.len())], ids[rng.below(ids.len())]);
+                match k % 4 {
+                    0 => self.del_edge(a, b),
+                    3 if k % 12 == 3 => self.del_node(a),
+                    _ => self.add_edge(a, b),
+                }
+            }
+            self.add_edge(-50 - step, ids[0]);
+            ringo.publish_graph("g", self.g.clone());
+        }
+        self.g = DirectedGraph::clone(ringo.snapshot().graph("g").expect("published"));
+        self
+    }
+
+    fn src(&self) -> NodeId {
+        *self
+            .dm
+            .adj(Direction::Out)
+            .iter()
+            .max_by_key(|(&v, out)| (out.len(), std::cmp::Reverse(v)))
+            .expect("non-empty")
+            .0
+    }
+}
+
+/// Hop distances from `src` over `adj`.
+fn bfs(adj: &Adj, src: NodeId) -> BTreeMap<NodeId, u32> {
+    let mut dist = BTreeMap::from([(src, 0u32)]);
+    let mut queue = VecDeque::from([src]);
+    while let Some(v) = queue.pop_front() {
+        let d = dist[&v];
+        for &w in &adj[&v] {
+            dist.entry(w).or_insert_with(|| {
+                queue.push_back(w);
+                d + 1
+            });
+        }
+    }
+    dist
+}
+
+/// Components of an undirected adjacency (self-loops ignored).
+fn components(adj: &Adj) -> Partition {
+    let mut seen = BTreeSet::new();
+    let mut parts = Partition::new();
+    for &v in adj.keys() {
+        if seen.insert(v) {
+            let part: BTreeSet<NodeId> = bfs(adj, v).into_keys().collect();
+            seen.extend(&part);
+            parts.insert(part);
+        }
+    }
+    parts
+}
+
+fn partition(c: &Components) -> Partition {
+    let mut groups: BTreeMap<u32, BTreeSet<NodeId>> = BTreeMap::new();
+    for (id, &label) in c.comp_of.iter() {
+        groups.entry(label).or_default().insert(id);
+    }
+    groups.into_values().collect()
+}
+
+fn close(a: f64, b: f64, tol: f64) -> bool {
+    (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
+}
+
+/// The ids a row of slots names, as a set.
+fn row_ids<G: DirectedTopology>(g: &G, row: &[u32]) -> BTreeSet<NodeId> {
+    row.iter()
+        .map(|&t| g.slot_id(t as usize).expect("a row names live slots"))
+        .collect()
+}
+
+/// PageRank by the definition, over the model.
+fn pagerank_oracle(m: &Model, iterations: usize) -> BTreeMap<NodeId, f64> {
+    let (out, inn) = (m.adj(Direction::Out), m.adj(Direction::In));
+    let n = m.nodes.len() as f64;
+    let mut rank: BTreeMap<NodeId, f64> = m.nodes.iter().map(|&v| (v, 1.0 / n)).collect();
+    for _ in 0..iterations {
+        let dangling: f64 = out
+            .iter()
+            .filter(|(_, o)| o.is_empty())
+            .map(|(v, _)| rank[v])
+            .sum();
+        let base = 0.15 / n + 0.85 * dangling / n;
+        rank = inn
+            .iter()
+            .map(|(&v, ins)| {
+                let pulled: f64 = ins.iter().map(|u| rank[u] / out[u].len() as f64).sum();
+                (v, base + 0.85 * pulled)
+            })
+            .collect();
+    }
+    rank
+}
+
+/// The nodes of the `k`-core by the definition (a self-loop counts one).
+fn core_by_definition(adj: &Adj, k: usize) -> BTreeSet<NodeId> {
+    let mut adj = adj.clone();
+    while let Some(v) = adj.iter().find(|(_, nbrs)| nbrs.len() < k).map(|(&v, _)| v) {
+        for w in adj.remove(&v).expect("just found") {
+            if let Some(nbrs) = adj.get_mut(&w) {
+                nbrs.remove(&v);
+            }
+        }
+    }
+    adj.into_keys().collect()
+}
+
+/// Triangles through each node of an undirected adjacency.
+fn triangles_oracle(adj: &Adj) -> BTreeMap<NodeId, u64> {
+    adj.iter()
+        .map(|(&v, nbrs)| {
+            let others: Vec<NodeId> = nbrs.iter().copied().filter(|&w| w != v).collect();
+            let mut t = 0;
+            for (i, a) in others.iter().enumerate() {
+                for b in &others[i + 1..] {
+                    t += u64::from(adj[a].contains(b));
+                }
+            }
+            (v, t)
+        })
+        .collect()
+}
+
+/// Betweenness by its definition over shortest-path counts (directed,
+/// unnormalized).
+fn betweenness_oracle(out: &Adj) -> BTreeMap<NodeId, f64> {
+    let sweep = |s: NodeId| {
+        let dist = bfs(out, s);
+        let mut by_depth: Vec<NodeId> = dist.keys().copied().collect();
+        by_depth.sort_by_key(|v| dist[v]);
+        let mut sigma: BTreeMap<NodeId, f64> = BTreeMap::from([(s, 1.0)]);
+        for &v in &by_depth {
+            for &w in &out[&v] {
+                if dist[&w] == dist[&v] + 1 {
+                    *sigma.entry(w).or_insert(0.0) += sigma[&v];
+                }
+            }
+        }
+        (dist, sigma)
+    };
+    let sweeps: BTreeMap<NodeId, _> = out.keys().map(|&s| (s, sweep(s))).collect();
+    let mut bc: BTreeMap<NodeId, f64> = out.keys().map(|&v| (v, 0.0)).collect();
+    for (&s, (ds, ss)) in &sweeps {
+        for (&t, &dst) in ds {
+            for (&v, &dsv) in ds {
+                if v == s || v == t || t == s {
+                    continue;
+                }
+                let (dv, sv) = &sweeps[&v];
+                if dv.get(&t).is_some_and(|&dvt| dsv + dvt == dst) {
+                    *bc.get_mut(&v).expect("node") += ss[&v] * sv[&t] / ss[&t];
+                }
+            }
+        }
+    }
+    bc
+}
+
+/// Truss number of every non-loop edge by the definition: the largest `k`
+/// whose `k`-truss (edges in at least `k - 2` triangles of it, removed
+/// until none is short) keeps the edge.
+fn truss_oracle(m: &Model) -> BTreeMap<Edge, u32> {
+    let all: BTreeSet<Edge> = m.edges.iter().copied().filter(|(a, b)| a != b).collect();
+    let mut truss: BTreeMap<Edge, u32> = all.iter().map(|&e| (e, 2)).collect();
+    for k in 3.. {
+        let mut left = all.clone();
+        loop {
+            let mut adj = Adj::new();
+            for &(a, b) in &left {
+                adj.entry(a).or_default().insert(b);
+                adj.entry(b).or_default().insert(a);
+            }
+            let short: Vec<Edge> = left
+                .iter()
+                .copied()
+                .filter(|(a, b)| (adj[a].intersection(&adj[b]).count() as u32) < k - 2)
+                .collect();
+            if short.is_empty() {
+                break;
+            }
+            for e in &short {
+                left.remove(e);
+            }
+        }
+        if left.is_empty() {
+            return truss;
+        }
+        for &e in &left {
+            truss.insert(e, k);
+        }
+    }
+    unreachable!("the loop ends once no edge is left")
+}
+
+/// Everything checked on one case.
+fn check(case: &Case) {
+    let ctx = &case.name;
+    let (g, u) = (&case.g, &case.u);
+    let (out, inn, both) = (
+        case.dm.adj(Direction::Out),
+        case.dm.adj(Direction::In),
+        case.dm.adj(Direction::Both),
+    );
+    let und = case.um.adj(Direction::Out);
+    assert_eq!(g.node_count(), case.dm.nodes.len(), "{ctx}");
+    assert_eq!(g.edge_count(), case.dm.edges.len(), "{ctx}");
+    assert_eq!(u.edge_count(), case.um.edges.len(), "{ctx}");
+
+    // The rows themselves.
+    for s in 0..g.n_slots() {
+        let Some(v) = g.slot_id(s) else { continue };
+        assert!(g.out_row(s).is_sorted() && g.in_row(s).is_sorted(), "{ctx}");
+        assert_eq!(row_ids(g, g.out_row(s)), out[&v], "{ctx}: out-row of {v}");
+        assert_eq!(row_ids(g, g.in_row(s)), inn[&v], "{ctx}: in-row of {v}");
+    }
+    for s in 0..u.n_slots() {
+        let Some(v) = u.slot_id(s) else { continue };
+        assert_eq!(row_ids(u, u.out_row(s)), und[&v], "{ctx}: row of {v}");
+    }
+
+    let src = case.src();
+    let reached = bfs(&out, src);
+    let bc = betweenness_oracle(&out);
+    for threads in [1usize, 2, 4] {
+        let ctx = format!("{ctx} at {threads} threads");
+        // Traversals, distances and trees.
+        for (dir, adj) in [
+            (Direction::Out, &out),
+            (Direction::In, &inn),
+            (Direction::Both, &both),
+        ] {
+            let eng = FrontierEngine::with_threads(g, dir, threads);
+            let want = bfs(adj, src);
+            let got: BTreeMap<NodeId, u32> =
+                eng.distances(src).iter().map(|(v, &d)| (v, d)).collect();
+            assert_eq!(got, want, "{ctx}: bfs {dir:?}");
+            let pull = |v: NodeId| -> &BTreeSet<NodeId> {
+                match dir {
+                    Direction::Out => &inn[&v],
+                    Direction::In => &out[&v],
+                    Direction::Both => &both[&v],
+                }
+            };
+            for (v, &p) in eng.tree(src).iter() {
+                if v == src {
+                    assert_eq!(p, src, "{ctx}");
+                    continue;
+                }
+                let preds: Vec<NodeId> = pull(v)
+                    .iter()
+                    .copied()
+                    .filter(|w| want.get(w) == Some(&(want[&v] - 1)))
+                    .collect();
+                let min_slot = preds.iter().min_by_key(|&&w| g.slot_of(w)).copied();
+                assert_eq!(Some(p), min_slot, "{ctx}: parent of {v} along {dir:?}");
+            }
+        }
+        // Iterative scores.
+        let config = PageRankConfig {
+            iterations: 20,
+            threads,
+            ..PageRankConfig::default()
+        };
+        let want = pagerank_oracle(&case.dm, 20);
+        for (v, s) in pagerank(g, &config) {
+            assert!(close(s, want[&v], 1e-12), "{ctx}: pagerank of {v}");
+        }
+        let ppr = personalized_pagerank(g, &[src], &config);
+        assert!(close(ppr.iter().map(|(_, s)| s).sum(), 1.0, 1e-9), "{ctx}");
+        for (v, s) in &ppr {
+            assert!(*s == 0.0 || reached.contains_key(v), "{ctx}: ppr of {v}");
+        }
+        let scores = hits(g, 15, threads);
+        let (mut hub, mut auth): (BTreeMap<NodeId, f64>, BTreeMap<NodeId, f64>) = (
+            out.keys().map(|&v| (v, 1.0)).collect(),
+            out.keys().map(|&v| (v, 1.0)).collect(),
+        );
+        let norm = |m: &mut BTreeMap<NodeId, f64>| {
+            let n = m.values().map(|x| x * x).sum::<f64>().sqrt();
+            if n > 0.0 {
+                m.values_mut().for_each(|x| *x /= n);
+            }
+        };
+        for _ in 0..15 {
+            auth = inn
+                .iter()
+                .map(|(&v, ins)| (v, ins.iter().map(|w| hub[w]).sum()))
+                .collect();
+            norm(&mut auth);
+            hub = out
+                .iter()
+                .map(|(&v, outs)| (v, outs.iter().map(|w| auth[w]).sum()))
+                .collect();
+            norm(&mut hub);
+        }
+        for (v, s) in scores {
+            assert!(close(s.hub, hub[&v], 1e-9), "{ctx}: hub of {v}");
+            assert!(
+                close(s.authority, auth[&v], 1e-9),
+                "{ctx}: authority of {v}"
+            );
+        }
+        let mut ev: BTreeMap<NodeId, f64> = out.keys().map(|&v| (v, 1.0)).collect();
+        norm(&mut ev);
+        for _ in 0..12 {
+            let next: BTreeMap<NodeId, f64> = inn
+                .iter()
+                .map(|(&v, ins)| (v, ins.iter().map(|w| ev[w]).sum::<f64>() + ev[&v]))
+                .collect();
+            ev = next;
+            norm(&mut ev);
+        }
+        for (v, s) in eigenvector_centrality(g, 12, 0.0, threads) {
+            assert!(close(s, ev[&v], 1e-9), "{ctx}: eigenvector of {v}");
+        }
+        // Triangles and clustering.
+        let tri = triangles_oracle(&und);
+        assert_eq!(
+            count_triangles(u, threads),
+            tri.values().sum::<u64>() / 3,
+            "{ctx}"
+        );
+        for (v, t) in node_triangles(u, threads) {
+            assert_eq!(t, tri[&v], "{ctx}: triangles of {v}");
+        }
+        for (v, c) in node_clustering(u, threads) {
+            let d = und[&v].iter().filter(|&&w| w != v).count() as f64;
+            let want = if d > 1.0 {
+                2.0 * tri[&v] as f64 / (d * (d - 1.0))
+            } else {
+                0.0
+            };
+            assert!(close(c, want, 1e-12), "{ctx}: clustering of {v}");
+        }
+        // Betweenness, by source partition.
+        for (v, s) in betweenness_centrality_parallel(g, false, threads) {
+            assert!(close(s, bc[&v], 1e-9), "{ctx}: betweenness of {v}");
+        }
+    }
+
+    // Kernels without a thread count.
+    let ctx = &case.name;
+    let want = &reached;
+    let got: BTreeMap<NodeId, u32> = sssp_unweighted(g, src, Direction::Out)
+        .iter()
+        .map(|(v, &d)| (v, d))
+        .collect();
+    assert_eq!(&got, want, "{ctx}: sssp");
+    for (v, &d) in sssp_dijkstra(g, src, |_, _| 1.0).iter() {
+        assert_eq!(d, f64::from(want[&v]), "{ctx}: dijkstra to {v}");
+    }
+    let order = bfs_order(g, src, Direction::Out);
+    assert_eq!(order.len(), want.len(), "{ctx}");
+    assert!(
+        order.windows(2).all(|w| want[&w[0]] <= want[&w[1]]),
+        "{ctx}"
+    );
+    let dfs = dfs_order(g, src);
+    assert_eq!(
+        dfs.iter().copied().collect::<BTreeSet<_>>(),
+        want.keys().copied().collect(),
+        "{ctx}: dfs reaches what bfs reaches"
+    );
+    for (i, v) in dfs.iter().enumerate().skip(1) {
+        assert!(
+            inn[v].iter().any(|p| dfs[..i].contains(p)),
+            "{ctx}: dfs {v}"
+        );
+    }
+    let closeness = closeness_centrality(g, src, Direction::Out);
+    let (r, total) = (want.len() as f64 - 1.0, want.values().sum::<u32>() as f64);
+    let n1 = g.node_count() as f64 - 1.0;
+    let expect = if r > 0.0 { (r / total) * (r / n1) } else { 0.0 };
+    assert!(close(closeness, expect, 1e-12), "{ctx}: closeness");
+
+    assert_eq!(
+        partition(&weakly_connected_components(g)),
+        components(&both),
+        "{ctx}: wcc"
+    );
+    let scc: Partition = out
+        .keys()
+        .map(|&v| {
+            let back = bfs(&inn, v);
+            bfs(&out, v)
+                .into_keys()
+                .filter(|w| back.contains_key(w))
+                .collect()
+        })
+        .collect();
+    assert_eq!(
+        partition(&strongly_connected_components(g)),
+        scc,
+        "{ctx}: scc"
+    );
+    match topological_sort(g) {
+        Some(order) => {
+            assert!(scc.iter().all(|c| c.len() == 1), "{ctx}");
+            assert!(case.dm.edges.iter().all(|(a, b)| a != b), "{ctx}");
+            let pos: BTreeMap<NodeId, usize> =
+                order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+            assert_eq!(pos.len(), case.dm.nodes.len(), "{ctx}");
+            assert!(case.dm.edges.iter().all(|(a, b)| pos[a] < pos[b]), "{ctx}");
+        }
+        None => assert!(
+            scc.iter().any(|c| c.len() > 1) || case.dm.edges.iter().any(|(a, b)| a == b),
+            "{ctx}: no cycle, no order"
+        ),
+    }
+
+    // Degrees.
+    for (dir, adj) in [(Direction::Out, &out), (Direction::In, &inn)] {
+        let mut hist: BTreeMap<usize, usize> = BTreeMap::new();
+        adj.values()
+            .for_each(|n| *hist.entry(n.len()).or_default() += 1);
+        assert_eq!(
+            degree_histogram(g, dir),
+            hist.into_iter().collect::<Vec<_>>(),
+            "{ctx}: {dir:?} histogram"
+        );
+        let denom = (g.node_count() as f64 - 1.0).max(1.0);
+        for (v, c) in degree_centrality(g, dir) {
+            assert_eq!(c, adj[&v].len() as f64 / denom, "{ctx}");
+        }
+    }
+    let mutual = case
+        .dm
+        .edges
+        .iter()
+        .filter(|(a, b)| case.dm.edges.contains(&(*b, *a)))
+        .count();
+    assert!(
+        close(
+            reciprocity(g),
+            mutual as f64 / case.dm.edges.len().max(1) as f64,
+            1e-12
+        ),
+        "{ctx}: reciprocity"
+    );
+    let diameter = out
+        .keys()
+        .map(|&v| bfs(&both, v).into_values().max().unwrap_or(0))
+        .max()
+        .unwrap_or(0);
+    assert_eq!(
+        approx_diameter(g, g.node_count(), Direction::Both),
+        diameter,
+        "{ctx}"
+    );
+
+    // Undirected structure.
+    let core = core_numbers(u);
+    for k in 0..=4u32 {
+        let want = core_by_definition(&und, k as usize);
+        let got: BTreeSet<NodeId> = core
+            .iter()
+            .filter(|(_, &c)| c >= k)
+            .map(|(v, _)| v)
+            .collect();
+        assert_eq!(got, want, "{ctx}: core numbers at {k}");
+        let kc = k_core(u, k);
+        assert_eq!(
+            kc.node_ids().collect::<BTreeSet<_>>(),
+            want,
+            "{ctx}: {k}-core"
+        );
+        for v in kc.node_ids() {
+            let nbrs: BTreeSet<NodeId> = kc.nbrs(v).collect();
+            let expect: BTreeSet<NodeId> = und[&v].intersection(&want).copied().collect();
+            assert_eq!(nbrs, expect, "{ctx}: {k}-core row of {v}");
+        }
+    }
+    let truss = truss_oracle(&case.um);
+    let got = truss_numbers(u);
+    assert_eq!(got.len(), truss.len(), "{ctx}");
+    for (e, t) in truss {
+        assert_eq!(got.get(&e), Some(&t), "{ctx}: truss of {e:?}");
+    }
+    let cuts = cut_structure(u);
+    let base = components(&und).len();
+    let without = |drop_node: Option<NodeId>, drop_edge: Option<Edge>| {
+        let mut m = case.um.clone();
+        drop_node.inspect(|&v| m.del_node(v));
+        drop_edge.inspect(|&(a, b)| m.del_edge(a, b));
+        components(&m.adj(Direction::Out)).len()
+    };
+    let bridges: Vec<Edge> = case
+        .um
+        .edges
+        .iter()
+        .copied()
+        .filter(|&(a, b)| a != b && without(None, Some((a, b))) > base)
+        .collect();
+    assert_eq!(cuts.bridges, bridges, "{ctx}: bridges");
+    let points: Vec<NodeId> = und
+        .keys()
+        .copied()
+        .filter(|&v| without(Some(v), None) > base)
+        .collect();
+    assert_eq!(
+        cuts.articulation_points, points,
+        "{ctx}: articulation points"
+    );
+    let reach: Vec<NodeId> = bfs(&und, src).into_keys().collect();
+    assert_eq!(reachable_from(u, src), reach, "{ctx}");
+    // Two-colourable exactly when a breadth-first colouring holds.
+    let mut side: BTreeMap<NodeId, bool> = BTreeMap::new();
+    let mut bipartite = true;
+    for &s in und.keys() {
+        if side.contains_key(&s) {
+            continue;
+        }
+        for (v, d) in bfs(&und, s) {
+            side.insert(v, d % 2 == 1);
+        }
+    }
+    for &(a, b) in &case.um.edges {
+        bipartite &= side[&a] != side[&b];
+    }
+    assert_eq!(is_bipartite(u), bipartite, "{ctx}: bipartite");
+    let ids: Vec<NodeId> = und.keys().copied().collect();
+    for (i, &a) in ids.iter().enumerate().step_by(3) {
+        let b = ids[(i * 7 + 1) % ids.len()];
+        let common: BTreeSet<NodeId> = und[&a].intersection(&und[&b]).copied().collect();
+        let shared = common.iter().filter(|&&x| x != a && x != b).count();
+        assert_eq!(common_neighbors(u, a, b), shared, "{ctx}");
+        let union = und[&a].union(&und[&b]).count();
+        let jac = if union == 0 {
+            0.0
+        } else {
+            common.len() as f64 / union as f64
+        };
+        assert!(close(jaccard_similarity(u, a, b), jac, 1e-12), "{ctx}");
+        let aa: f64 = common
+            .iter()
+            .filter(|&&x| x != a && x != b)
+            .map(|x| 1.0 / (und[x].len() as f64).ln())
+            .sum();
+        assert!(close(adamic_adar(u, a, b), aa, 1e-12), "{ctx}");
+    }
+    let set = maximal_independent_set(u);
+    for &v in &set {
+        assert!(
+            !und[&v].iter().any(|w| set.contains(w)),
+            "{ctx}: independent"
+        );
+    }
+    for (&v, nbrs) in &und {
+        assert!(set.contains(&v) || nbrs.contains(&v) || nbrs.iter().any(|w| set.contains(w)));
+    }
+    let colour = greedy_coloring(u);
+    let looped = |v: &NodeId| und[v].contains(v);
+    for (a, b) in case
+        .um
+        .edges
+        .iter()
+        .filter(|(a, b)| !looped(a) && !looped(b))
+    {
+        assert_ne!(colour.get(*a), colour.get(*b), "{ctx}: proper colouring");
+    }
+    let mut matched = BTreeSet::new();
+    for (a, b) in maximal_matching(u) {
+        assert!(case.um.edges.contains(&(a, b)) && matched.insert(a) && matched.insert(b));
+    }
+    let communities = label_propagation(u, 20, 7);
+    let comps = components(&und);
+    for part in partition(&communities) {
+        assert!(comps.iter().any(|c| part.is_subset(c)), "{ctx}: community");
+    }
+    let walk = random_walk(g, src, 30, &mut WalkRng::new(3));
+    assert!(walk.windows(2).all(|w| out[&w[0]].contains(&w[1])), "{ctx}");
+    let mut census = [0u64; 16];
+    let tri_ids: Vec<NodeId> = case.dm.nodes.iter().copied().collect();
+    if tri_ids.len() <= 70 {
+        let has = |a: &NodeId, b: &NodeId| u64::from(case.dm.edges.contains(&(*a, *b)));
+        const TYPE: [u8; 64] = [
+            1, 2, 2, 3, 2, 4, 6, 8, 2, 6, 5, 7, 3, 8, 7, 11, 2, 6, 4, 8, 5, 9, 9, 13, 6, 10, 9, 14,
+            7, 14, 12, 15, 2, 5, 6, 7, 6, 9, 10, 14, 4, 9, 9, 12, 8, 13, 14, 15, 3, 7, 8, 11, 7,
+            12, 14, 15, 8, 14, 13, 15, 11, 15, 15, 16,
+        ];
+        for (i, a) in tri_ids.iter().enumerate() {
+            for (j, b) in tri_ids.iter().enumerate().skip(i + 1) {
+                for c in &tri_ids[j + 1..] {
+                    let code = has(a, b)
+                        | has(b, a) << 1
+                        | has(a, c) << 2
+                        | has(c, a) << 3
+                        | has(b, c) << 4
+                        | has(c, b) << 5;
+                    census[TYPE[code as usize] as usize - 1] += 1;
+                }
+            }
+        }
+        assert_eq!(triad_census(g).counts, census, "{ctx}: triad census");
+    }
+
+    // The weighted graph with unit weights is the plain one.
+    let mut w = WeightedDigraph::new();
+    for &v in &case.dm.nodes {
+        w.add_node(v);
+    }
+    for &(a, b) in &case.dm.edges {
+        w.add_edge(a, b, 1.0);
+    }
+    let config = PageRankConfig {
+        iterations: 20,
+        threads: 1,
+        ..PageRankConfig::default()
+    };
+    let want = pagerank_oracle(&case.dm, 20);
+    for (v, s) in pagerank_weighted(&w, &config) {
+        assert!(close(s, want[&v], 1e-12), "{ctx}: weighted pagerank of {v}");
+    }
+    let dist = dijkstra_weighted(&w, src);
+    for (v, &d) in &reached {
+        assert_eq!(dist.get(*v), Some(&f64::from(d)), "{ctx}: weighted sssp");
+    }
+    for (v, s) in betweenness_centrality(g, false) {
+        assert!(close(s, bc[&v], 1e-9), "{ctx}: betweenness of {v}");
+    }
+}
+
+fn rmat_edges(scale: u32, edges: usize, seed: u64) -> Vec<Edge> {
+    rmat(&RmatConfig {
+        scale,
+        edges,
+        seed,
+        ..Default::default()
+    })
+}
+
+/// Two directed cycles, a pair and a lone self-loop, far apart in id.
+fn disconnected() -> Vec<Edge> {
+    let mut edges: Vec<Edge> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
+    edges.extend((0..7).map(|i| (500 + i, 500 + (i + 3) % 7)));
+    edges.extend([(-9, -8), (77, 77)]);
+    edges
+}
+
+fn star() -> Vec<Edge> {
+    let mut edges: Vec<Edge> = (1..=40).map(|i| (0, i)).collect();
+    edges.extend((1..=10).map(|i| (i * 4, 0)));
+    edges
+}
+
+fn path() -> Vec<Edge> {
+    (0..40).map(|i| (i, i + 1)).collect()
+}
+
+fn with_loops() -> Vec<Edge> {
+    let mut edges = rmat_edges(6, 250, 9);
+    edges.extend((0..64).step_by(3).map(|i| (i, i)));
+    edges
+}
+
+#[test]
+fn bulk_built_graphs() {
+    for (name, edges) in [
+        ("rmat", rmat_edges(7, 400, 1)),
+        ("star", star()),
+        ("path", path()),
+        ("disconnected", disconnected()),
+        ("self-loops", with_loops()),
+    ] {
+        check(&Case::bulk(name, &edges));
+    }
+}
+
+#[test]
+fn edit_built_graphs_whose_slot_order_is_not_id_order() {
+    for (seed, (name, edges)) in [
+        ("rmat", rmat_edges(7, 400, 2)),
+        ("star", star()),
+        ("disconnected", disconnected()),
+        ("self-loops", with_loops()),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let case = Case::edited(name, &edges, &[-3, 999, i64::MIN], seed as u64);
+        let slot_ids: Vec<NodeId> = (0..case.g.n_slots())
+            .filter_map(|s| case.g.slot_id(s))
+            .collect();
+        assert!(!slot_ids.is_sorted(), "{name}: slot order is not id order");
+        check(&case);
+    }
+}
+
+#[test]
+fn vacant_and_reused_slots() {
+    for (seed, edges) in [rmat_edges(7, 400, 3), with_loops()]
+        .into_iter()
+        .enumerate()
+    {
+        check(&Case::bulk("bulk", &edges).holes(seed as u64));
+        check(&Case::edited("edited", &edges, &[5_000], 10 + seed as u64).holes(seed as u64));
+    }
+}
+
+#[test]
+fn the_last_version_of_a_publish_chain() {
+    check(&Case::bulk("rmat", &rmat_edges(7, 400, 4)).chain(5));
+    check(&Case::edited("self-loops", &with_loops(), &[], 6).chain(7));
+}
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn id<T: Borrow<i64>>(v: T) -> u64 {
+    *v.borrow() as u64
+}
+
+/// Kernel outputs on `g` and `u`, one digest per kernel, in output order.
+fn digests(g: &DirectedGraph, u: &UndirectedGraph, threads: usize) -> Vec<(&'static str, u64)> {
+    let mut out = Vec::new();
+    let mut d = Digest::new();
+    let cfg = PageRankConfig {
+        iterations: 10,
+        threads,
+        ..PageRankConfig::default()
+    };
+    for (v, s) in pagerank(g, &cfg) {
+        d.add(id(v));
+        d.add(s.to_bits());
+    }
+    out.push(("pagerank", d.0));
+    let hub = g
+        .node_ids()
+        .max_by_key(|&v| (g.out_degree(v), std::cmp::Reverse(v)))
+        .expect("non-empty");
+    for (name, dir) in [
+        ("bfs_out", Direction::Out),
+        ("bfs_in", Direction::In),
+        ("bfs_both", Direction::Both),
+    ] {
+        let mut d = Digest::new();
+        for (v, &x) in FrontierEngine::with_threads(g, dir, threads)
+            .distances(hub)
+            .iter()
+        {
+            d.add(id(v));
+            d.add(u64::from(x));
+        }
+        out.push((name, d.0));
+    }
+    let mut d = Digest::new();
+    for (v, &p) in FrontierEngine::with_threads(g, Direction::Out, threads)
+        .tree(hub)
+        .iter()
+    {
+        d.add(id(v));
+        d.add(id(p));
+    }
+    out.push(("bfs_tree", d.0));
+    let mut d = Digest::new();
+    for (v, &x) in sssp_unweighted(g, hub, Direction::Out).iter() {
+        d.add(id(v));
+        d.add(u64::from(x));
+    }
+    out.push(("sssp", d.0));
+    for (name, c) in [
+        ("wcc", weakly_connected_components(g)),
+        ("scc", strongly_connected_components(g)),
+    ] {
+        let mut d = Digest::new();
+        for (v, &l) in c.comp_of.iter() {
+            d.add(id(v));
+            d.add(u64::from(l));
+        }
+        c.sizes.iter().for_each(|&s| d.add(s as u64));
+        out.push((name, d.0));
+    }
+    let mut d = Digest::new();
+    for (v, &c) in core_numbers(u).iter() {
+        d.add(id(v));
+        d.add(u64::from(c));
+    }
+    out.push(("core_numbers", d.0));
+    let mut d = Digest::new();
+    d.add(count_triangles(u, threads));
+    for (v, c) in node_triangles(u, threads) {
+        d.add(id(v));
+        d.add(c);
+    }
+    out.push(("triangles", d.0));
+    let mut d = Digest::new();
+    let core = k_core(u, 3);
+    d.add(core.edge_count() as u64);
+    for v in core.node_ids() {
+        d.add(id(v));
+        for w in core.nbrs(v) {
+            d.add(id(w));
+        }
+    }
+    out.push(("k_core", d.0));
+    out
+}
+
+/// One input's pinned digests: PageRank per thread count (1, 2, 4), then
+/// every other kernel by name.
+type Pinned<'a> = (&'a [Edge], [u64; 3], [(&'static str, u64); 10]);
+
+/// Recorded by running [`digests`] on the same inputs with the graph
+/// storing neighbour ids and kernels reading a cached slot copy. PageRank
+/// chunks its dangling-mass sum by thread count, so its bits are pinned
+/// per count; every other output is the same at every count.
+#[test]
+fn table_built_outputs_are_bit_identical_to_the_id_valued_storage() {
+    let edges = rmat_edges(12, 30_000, 11);
+    // Both signs: the conversion sorts in `u128` words.
+    let wide: Vec<Edge> = edges
+        .iter()
+        .map(|&(s, d)| (s * 1_000_003 - 2_000_000_000, d * 1_000_003 - 2_000_000_000))
+        .collect();
+    let pinned: [Pinned; 2] = [
+        (
+            &edges,
+            [0xe44f479d63d7475c, 0xd68c6f128f5a3d9f, 0x8abea2c6a8b79971],
+            [
+                ("bfs_out", 0x16e421ac4cae26bb),
+                ("bfs_in", 0xaff69b7b54287942),
+                ("bfs_both", 0x259cc8c636e51bfa),
+                ("bfs_tree", 0xb302dfaaabdb7ac5),
+                ("sssp", 0x16e421ac4cae26bb),
+                ("wcc", 0xc460c2e4e6038e90),
+                ("scc", 0x683b54c7c6ec7ee0),
+                ("core_numbers", 0x735a6c9c5b0f3138),
+                ("triangles", 0x28830b76af200014),
+                ("k_core", 0x521aed4509462ffe),
+            ],
+        ),
+        (
+            &wide,
+            [0x5595354a6151d35a, 0x53d561424de85881, 0x1b3456e76f0e6953],
+            [
+                ("bfs_out", 0x2d23530454800702),
+                ("bfs_in", 0xdbb8e78d61d19f51),
+                ("bfs_both", 0xaff94c07701b736a),
+                ("bfs_tree", 0xd324882d5d989c76),
+                ("sssp", 0x2d23530454800702),
+                ("wcc", 0x050bdf2c54e0ca82),
+                ("scc", 0x4f1f58b8e2574b6e),
+                ("core_numbers", 0x37e66f52d10cb212),
+                ("triangles", 0x5b8ad6499134c32e),
+                ("k_core", 0xce54390c90ffcdaf),
+            ],
+        ),
+    ];
+    for (edges, pagerank_bits, kernels) in pinned {
+        let t = edges_to_table(edges);
+        let g = ringo::convert::table_to_graph(&t, "src", "dst").unwrap();
+        let u = ringo::convert::table_to_undirected(&t, "src", "dst").unwrap();
+        for (k, threads) in [1usize, 2, 4].into_iter().enumerate() {
+            let got: BTreeMap<&str, u64> = digests(&g, &u, threads).into_iter().collect();
+            assert_eq!(
+                got["pagerank"], pagerank_bits[k],
+                "pagerank at {threads} threads"
+            );
+            for (name, want) in kernels {
+                assert_eq!(got[name], want, "{name} at {threads} threads");
+            }
+        }
+    }
+}

@@ -1,0 +1,125 @@
+//! Allocation discipline of slot rows as the storage.
+//!
+//! A graph stores each neighbour once per orientation, as a 4-byte slot:
+//! a table-built graph is its slabs — exactly 4 bytes a stored neighbour —
+//! plus the node table and the id index, and nothing else. Kernels read
+//! those rows in place, so the first BFS, PageRank or SCC on a fresh
+//! graph allocates per-slot state only, never a buffer the size of the
+//! adjacency: `bench_e2e`'s `lj_kernels` session peaks inside its kernels
+//! against a 5% bound, so a kernel that built a translated copy of the
+//! rows must fail here, in tier 1, not there.
+//!
+//! Kept in its own test binary, and the tests take `SERIAL`, so nothing
+//! else moves the process-global allocation counters mid-measurement.
+
+use ringo::algo::{bfs_distances, pagerank, strongly_connected_components};
+use ringo::convert::{table_to_graph, table_to_undirected};
+use ringo::gen::{edges_to_table, rmat, RmatConfig};
+use ringo::graph::DirectedTopology;
+use ringo::trace::mem::{current_bytes, peak_bytes, reset_peak, TrackingAllocator};
+use ringo::{Direction, PageRankConfig};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Upper bound on what one slot costs beside its rows: a node-table cell
+/// (the id and two list handles, behind the `Option`) and its share of an
+/// id index kept under 75% load (16 bytes a table slot).
+const PER_SLOT: usize = 64 + 48;
+
+fn table(scale: u32, edges: usize) -> ringo::Table {
+    edges_to_table(&rmat(&RmatConfig {
+        scale,
+        edges,
+        seed: 5,
+        ..Default::default()
+    }))
+}
+
+/// Bytes `f` leaves behind on the heap.
+fn retained<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = current_bytes();
+    let out = f();
+    (out, current_bytes() - before)
+}
+
+#[test]
+fn a_table_built_graph_is_four_bytes_a_neighbour_plus_its_node_table() {
+    let _serial = serial();
+    let t = table(14, 200_000);
+    // A first conversion starts the worker pool and registers the spans'
+    // histograms, which the process keeps.
+    drop(table_to_undirected(&t, "src", "dst").unwrap());
+    let (g, bytes) = retained(|| table_to_graph(&t, "src", "dst").unwrap());
+    let (u, ubytes) = retained(|| table_to_undirected(&t, "src", "dst").unwrap());
+    for (what, stored, slots, mem, adj, bytes) in [
+        (
+            "directed",
+            g.total_degree(Direction::Both) as usize,
+            g.n_slots(),
+            g.mem_size(),
+            g.adjacency_stats(),
+            bytes,
+        ),
+        (
+            "undirected",
+            u.total_degree(Direction::Both) as usize,
+            u.n_slots(),
+            u.mem_size(),
+            u.adjacency_stats(),
+            ubytes,
+        ),
+    ] {
+        assert!(stored > 300_000, "{what}: {stored} stored neighbours");
+        // The rows: one slab per orientation, every byte in use.
+        assert_eq!(adj.footprint_bytes(), 4 * stored, "{what}: 4 B a neighbour");
+        assert_eq!(adj.live_slab_bytes, adj.total_slab_bytes, "{what}");
+        assert_eq!(adj.owned_lists, 0, "{what}");
+        // The rest of the footprint is the node table and the index.
+        let node_table = mem - adj.footprint_bytes();
+        assert!(
+            node_table <= slots * PER_SLOT,
+            "{what}: {node_table} B beside the rows for {slots} slots"
+        );
+        // And the allocator saw nothing else kept: no second copy of the
+        // rows, no cached view.
+        assert!(
+            bytes <= mem + 4096,
+            "{what}: conversion retained {bytes} B, the graph reports {mem} B"
+        );
+    }
+}
+
+#[test]
+fn a_first_bfs_pagerank_or_scc_allocates_no_adjacency_sized_buffer() {
+    let _serial = serial();
+    // Dense on purpose: 200k edges over 4k nodes, so the rows (~1.3 MB)
+    // dwarf any per-slot state.
+    let t = table(12, 200_000);
+    for kernel in ["bfs", "pagerank", "scc"] {
+        let g = table_to_graph(&t, "src", "dst").unwrap();
+        let rows = 4 * g.total_degree(Direction::Both) as usize;
+        let src = g.node_ids().next().expect("non-empty");
+        let live = current_bytes();
+        reset_peak();
+        let reached = match kernel {
+            "bfs" => bfs_distances(&g, src, Direction::Out).len(),
+            "pagerank" => pagerank(&g, &PageRankConfig::default()).len(),
+            _ => strongly_connected_components(&g).comp_of.len(),
+        };
+        let transient = peak_bytes() - live;
+        assert!(reached > 0, "{kernel}");
+        assert!(
+            transient < rows / 4,
+            "first {kernel} on a fresh graph peaked {transient} B above the live heap; \
+             a copy of its rows would be {rows} B"
+        );
+    }
+}

@@ -99,7 +99,7 @@ fn pinned_reads_bit_identical_across_publish_storm() {
         let victims: Vec<(i64, i64)> = g
             .node_ids()
             .take(8)
-            .flat_map(|u| g.out_nbrs(u).iter().map(move |&v| (u, v)))
+            .flat_map(|u| g.out_nbrs(u).map(move |v| (u, v)))
             .collect();
         for (u, v) in victims {
             g.del_edge(u, v);

@@ -6,6 +6,7 @@
 
 use ringo::algo::{count_triangles, node_triangles};
 use ringo::gen::{rmat, RmatConfig};
+use ringo::graph::DirectedTopology;
 use ringo::{NodeId, UndirectedGraph};
 
 /// Triangles through each node, in slot order, by testing every triple.

@@ -69,10 +69,17 @@ macro_rules! version {
 }
 
 version!(DirectedGraph, true, |g, id| vec![
-    g.out_nbrs(id).to_vec(),
-    g.in_nbrs(id).to_vec()
+    sorted(g.out_nbrs(id)),
+    sorted(g.in_nbrs(id))
 ]);
-version!(UndirectedGraph, false, |g, id| vec![g.nbrs(id).to_vec()]);
+version!(UndirectedGraph, false, |g, id| vec![sorted(g.nbrs(id))]);
+
+/// A list in id order (a graph keeps it in slot order).
+fn sorted(ids: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut v: Vec<NodeId> = ids.collect();
+    v.sort_unstable();
+    v
+}
 
 /// The oracle: a node set and an edge set, `(min, max)` when undirected.
 #[derive(Clone)]
