@@ -45,12 +45,14 @@ pub use ringo_trace as trace;
 
 pub use catalog::{Catalog, Dataset, DatasetKind, GcPolicy, Snapshot, VersionMeta};
 pub use oplog::{OpLog, OpRecord, OpTiming};
-pub use query::{OpProfile, QueryBuilder, QueryProfile};
+pub use query::QueryBuilder;
 
 pub use ringo_algo::{Direction, PageRankConfig};
 pub use ringo_graph::{DirectedGraph, NodeId, NodeValues, UndirectedGraph, WeightedDigraph};
+pub use ringo_table::exec::NodeStat;
 pub use ringo_table::{AggOp, Cmp, ColumnType, Predicate, Schema, Table, TableError, Value};
 
+use std::convert::Infallible;
 use std::path::Path;
 
 /// Crate-wide result alias.
@@ -133,25 +135,27 @@ impl Ringo {
     pub fn publish_table(&self, name: &str, mut table: Table) -> u64 {
         table.set_threads(self.threads);
         let rows = table.n_rows();
-        self.ops.run(
+        let Ok(v) = self.ops.run::<_, Infallible>(
             "publish",
             format!("{name} (table)"),
             rows,
             |_| rows,
-            || self.catalog.publish_table(name, table),
-        )
+            || Ok(self.catalog.publish_table(name, table)),
+        );
+        v
     }
 
     /// Publishes `graph` as the new current version of `name`.
     pub fn publish_graph(&self, name: &str, graph: DirectedGraph) -> u64 {
         let edges = graph.edge_count();
-        self.ops.run(
+        let Ok(v) = self.ops.run::<_, Infallible>(
             "publish",
             format!("{name} (graph)"),
             edges,
             |_| edges,
-            || self.catalog.publish_graph(name, graph),
-        )
+            || Ok(self.catalog.publish_graph(name, graph)),
+        );
+        v
     }
 
     /// The current version of `name`, if bound. A point read; take a
@@ -171,43 +175,47 @@ impl Ringo {
     /// [`Snapshot::graph`] borrows — reads one consistent version of the
     /// catalog for the snapshot's whole lifetime.
     pub fn snapshot(&self) -> Snapshot {
-        self.ops
-            .run("snapshot", String::new(), 0, Snapshot::len, || {
-                self.catalog.snapshot()
-            })
+        let Ok(snapshot) =
+            self.ops
+                .run::<_, Infallible>("snapshot", String::new(), 0, Snapshot::len, || {
+                    Ok(self.catalog.snapshot())
+                });
+        snapshot
     }
 
     /// Reclaims every catalog version no pinned snapshot can reach,
     /// returning how many were freed.
     pub fn catalog_gc(&self) -> usize {
-        self.ops.run(
+        let Ok(freed) = self.ops.run::<_, Infallible>(
             "catalog_gc",
             String::new(),
             0,
             |freed| *freed,
-            || self.catalog.gc(),
-        )
+            || Ok(self.catalog.gc()),
+        );
+        freed
     }
 
     /// Compacts the adjacency storage of graph `name` and publishes the
     /// rewrite as a new version (see [`Catalog::compact_graph`]).
     pub fn compact_graph(&self, name: &str) -> Option<(u64, ringo_graph::CompactStats)> {
-        self.ops.run(
+        let Ok(r) = self.ops.run::<_, Infallible>(
             "compact",
             name.to_string(),
             0,
             |r: &Option<(u64, ringo_graph::CompactStats)>| {
                 r.as_ref().map_or(0, |(_, s)| s.reclaimed_bytes())
             },
-            || self.catalog.compact_graph(name),
-        )
+            || Ok(self.catalog.compact_graph(name)),
+        );
+        r
     }
 
-    // ---- table I/O ----
+    // ---- table and graph I/O (loads: file bytes in; saves: rows or edges) ----
 
     /// Loads a TSV file under `schema` (the paper's `LoadTableTSV`).
     pub fn load_table_tsv(&self, schema: &Schema, path: &Path) -> Result<Table> {
-        self.ops.run_result(
+        self.ops.run(
             "load_table_tsv",
             format!("{}", path.display()),
             file_bytes(path),
@@ -218,12 +226,19 @@ impl Ringo {
 
     /// Saves a table as TSV.
     pub fn save_table_tsv(&self, table: &Table, path: &Path) -> Result<()> {
-        ringo_table::save_tsv(table, path)
+        let rows = table.n_rows();
+        self.ops.run(
+            "save_table_tsv",
+            format!("{}", path.display()),
+            rows,
+            |_| rows,
+            || ringo_table::save_tsv(table, path),
+        )
     }
 
     /// Loads a delimiter-separated file (e.g. CSV with `,`).
     pub fn load_table_dsv(&self, schema: &Schema, path: &Path, delimiter: char) -> Result<Table> {
-        self.ops.run_result(
+        self.ops.run(
             "load_table_dsv",
             format!("{} ({delimiter:?})", path.display()),
             file_bytes(path),
@@ -234,30 +249,56 @@ impl Ringo {
 
     /// Saves a graph as a SNAP-style text edge list.
     pub fn save_graph(&self, g: &DirectedGraph, path: &Path) -> std::io::Result<()> {
-        ringo_graph::io::save_edge_list(g, path)
+        let edges = g.edge_count();
+        self.ops.run(
+            "save_graph",
+            format!("{}", path.display()),
+            edges,
+            |_| edges,
+            || ringo_graph::io::save_edge_list(g, path),
+        )
     }
 
     /// Loads a graph from a SNAP-style text edge list.
     pub fn load_graph(&self, path: &Path) -> std::io::Result<DirectedGraph> {
-        ringo_graph::io::load_edge_list(path)
+        self.ops.run(
+            "load_graph",
+            format!("{}", path.display()),
+            file_bytes(path),
+            DirectedGraph::edge_count,
+            || ringo_graph::io::load_edge_list(path),
+        )
     }
 
     /// Saves a graph in the compact binary format (faster to reload;
     /// keeps isolated nodes).
     pub fn save_graph_binary(&self, g: &DirectedGraph, path: &Path) -> std::io::Result<()> {
-        ringo_graph::io::save_binary(g, path)
+        let edges = g.edge_count();
+        self.ops.run(
+            "save_graph_binary",
+            format!("{}", path.display()),
+            edges,
+            |_| edges,
+            || ringo_graph::io::save_binary(g, path),
+        )
     }
 
     /// Loads a graph written by [`Ringo::save_graph_binary`].
     pub fn load_graph_binary(&self, path: &Path) -> std::io::Result<DirectedGraph> {
-        ringo_graph::io::load_binary(path)
+        self.ops.run(
+            "load_graph_binary",
+            format!("{}", path.display()),
+            file_bytes(path),
+            DirectedGraph::edge_count,
+            || ringo_graph::io::load_binary(path),
+        )
     }
 
     // ---- relational operators ----
 
     /// Copying select (the paper's `Select`).
     pub fn select(&self, table: &Table, predicate: &Predicate) -> Result<Table> {
-        self.ops.run_result(
+        self.ops.run(
             "select",
             format!("{predicate:?}"),
             table.n_rows(),
@@ -269,7 +310,7 @@ impl Ringo {
     /// In-place select, modifying `table` (the Table 4 variant).
     pub fn select_in_place(&self, table: &mut Table, predicate: &Predicate) -> Result<usize> {
         let rows_in = table.n_rows();
-        self.ops.run_result(
+        self.ops.run(
             "select_in_place",
             format!("{predicate:?}"),
             rows_in,
@@ -286,7 +327,7 @@ impl Ringo {
         left_col: &str,
         right_col: &str,
     ) -> Result<Table> {
-        self.ops.run_result(
+        self.ops.run(
             "join",
             format!("on {left_col} = {right_col}"),
             left.n_rows() + right.n_rows(),
@@ -304,7 +345,7 @@ impl Ringo {
         op: AggOp,
         out_name: &str,
     ) -> Result<Table> {
-        self.ops.run_result(
+        self.ops.run(
             "group_by",
             format!(
                 "by {group_cols:?} {op:?}({}) as {out_name}",
@@ -319,7 +360,7 @@ impl Ringo {
     /// Sorts `table` in place by `cols` (paper `Order`).
     pub fn order_by(&self, table: &mut Table, cols: &[&str], ascending: bool) -> Result<()> {
         let rows = table.n_rows();
-        self.ops.run_result(
+        self.ops.run(
             "order_by",
             format!("by {cols:?} {}", if ascending { "asc" } else { "desc" }),
             rows,
@@ -337,7 +378,7 @@ impl Ringo {
         right_cols: &[&str],
         threshold: f64,
     ) -> Result<Table> {
-        self.ops.run_result(
+        self.ops.run(
             "sim_join",
             format!("{left_cols:?} ~ {right_cols:?} <= {threshold}"),
             left.n_rows() + right.n_rows(),
@@ -354,7 +395,7 @@ impl Ringo {
         order_col: &str,
         k: usize,
     ) -> Result<Table> {
-        self.ops.run_result(
+        self.ops.run(
             "next_k",
             format!("group {} order {order_col} k={k}", group_col.unwrap_or("*")),
             table.n_rows(),
@@ -368,7 +409,7 @@ impl Ringo {
     /// Table → directed graph via the sort-first algorithm (the paper's
     /// `ToGraph`).
     pub fn to_graph(&self, table: &Table, src_col: &str, dst_col: &str) -> Result<DirectedGraph> {
-        self.ops.run_result(
+        self.ops.run(
             "to_graph",
             format!("{src_col} -> {dst_col}"),
             table.n_rows(),
@@ -384,7 +425,7 @@ impl Ringo {
         src_col: &str,
         dst_col: &str,
     ) -> Result<UndirectedGraph> {
-        self.ops.run_result(
+        self.ops.run(
             "to_undirected_graph",
             format!("{src_col} -- {dst_col}"),
             table.n_rows(),
@@ -395,24 +436,26 @@ impl Ringo {
 
     /// Graph → edge table.
     pub fn to_edge_table(&self, g: &DirectedGraph) -> Table {
-        self.ops.run(
+        let Ok(t) = self.ops.run::<_, Infallible>(
             "to_edge_table",
             String::new(),
             g.edge_count(),
             Table::n_rows,
-            || ringo_convert::graph_to_edge_table(g, self.threads),
-        )
+            || Ok(ringo_convert::graph_to_edge_table(g, self.threads)),
+        );
+        t
     }
 
     /// Graph → node table with degrees.
     pub fn to_node_table(&self, g: &DirectedGraph) -> Table {
-        self.ops.run(
+        let Ok(t) = self.ops.run::<_, Infallible>(
             "to_node_table",
             String::new(),
             g.node_count(),
             Table::n_rows,
-            || ringo_convert::graph_to_node_table(g, self.threads),
-        )
+            || Ok(ringo_convert::graph_to_node_table(g, self.threads)),
+        );
+        t
     }
 
     /// Algorithm scores → table (the paper's `TableFromHashMap`).
@@ -422,13 +465,14 @@ impl Ringo {
         id_col: &str,
         score_col: &str,
     ) -> Table {
-        self.ops.run(
+        let Ok(t) = self.ops.run::<_, Infallible>(
             "table_from_scores",
             format!("{id_col}, {score_col}"),
             scores.len(),
             Table::n_rows,
-            || ringo_convert::scores_to_table(scores, id_col, score_col),
-        )
+            || Ok(ringo_convert::scores_to_table(scores, id_col, score_col)),
+        );
+        t
     }
 
     // ---- graph analytics (the paper's `GetPageRank` & friends) ----
@@ -436,27 +480,34 @@ impl Ringo {
     /// PageRank with the paper's defaults (0.85 damping, 10 iterations),
     /// parallelized over this context's threads.
     pub fn pagerank(&self, g: &DirectedGraph) -> Vec<(NodeId, f64)> {
-        self.ops
-            .run("pagerank", String::new(), g.edge_count(), Vec::len, || {
-                ringo_algo::pagerank(
-                    g,
-                    &PageRankConfig {
-                        threads: self.threads,
-                        ..PageRankConfig::default()
-                    },
-                )
-            })
+        let Ok(scores) = self.ops.run::<_, Infallible>(
+            "pagerank",
+            String::new(),
+            g.edge_count(),
+            Vec::len,
+            || Ok(ringo_algo::pagerank(g, &self.pagerank_config())),
+        );
+        scores
+    }
+
+    /// The paper's PageRank defaults on this context's threads.
+    fn pagerank_config(&self) -> PageRankConfig {
+        PageRankConfig {
+            threads: self.threads,
+            ..PageRankConfig::default()
+        }
     }
 
     /// PageRank with full parameter control.
     pub fn pagerank_with(&self, g: &DirectedGraph, config: &PageRankConfig) -> Vec<(NodeId, f64)> {
-        self.ops.run(
+        let Ok(scores) = self.ops.run::<_, Infallible>(
             "pagerank",
             format!("d={} iters={}", config.damping, config.iterations),
             g.edge_count(),
             Vec::len,
-            || ringo_algo::pagerank(g, config),
-        )
+            || Ok(ringo_algo::pagerank(g, config)),
+        );
+        scores
     }
 
     /// HITS hub/authority scores.
@@ -465,81 +516,88 @@ impl Ringo {
         g: &DirectedGraph,
         iterations: usize,
     ) -> Vec<(NodeId, ringo_algo::HitsScores)> {
-        self.ops.run(
+        let Ok(scores) = self.ops.run::<_, Infallible>(
             "hits",
             format!("iters={iterations}"),
             g.edge_count(),
             Vec::len,
-            || ringo_algo::hits(g, iterations, self.threads),
-        )
+            || Ok(ringo_algo::hits(g, iterations, self.threads)),
+        );
+        scores
     }
 
     /// Parallel triangle count of an undirected graph.
     pub fn count_triangles(&self, g: &UndirectedGraph) -> u64 {
-        self.ops.run(
+        let Ok(n) = self.ops.run::<_, Infallible>(
             "count_triangles",
             String::new(),
             g.edge_count(),
             |n| usize::try_from(*n).unwrap_or(usize::MAX),
-            || ringo_algo::count_triangles(g, self.threads),
-        )
+            || Ok(ringo_algo::count_triangles(g, self.threads)),
+        );
+        n
     }
 
     /// BFS hop distances of the reached nodes, as slot-ordered columns on
     /// `g`'s id index (see [`NodeValues`]).
     pub fn bfs(&self, g: &DirectedGraph, src: NodeId, dir: Direction) -> NodeValues<u32> {
-        self.ops.run(
+        let Ok(dist) = self.ops.run::<_, Infallible>(
             "bfs",
             format!("from {src} ({dir:?})"),
             g.node_count(),
             NodeValues::len,
-            || ringo_algo::bfs_distances(g, src, dir),
-        )
+            || Ok(ringo_algo::bfs_distances(g, src, dir)),
+        );
+        dist
     }
 
     /// BFS tree: each reached node's parent id, deterministic
     /// minimum-slot tie-break (the source is its own parent).
     pub fn bfs_tree(&self, g: &DirectedGraph, src: NodeId, dir: Direction) -> NodeValues<NodeId> {
-        self.ops.run(
+        let Ok(parents) = self.ops.run::<_, Infallible>(
             "bfs_tree",
             format!("from {src} ({dir:?})"),
             g.node_count(),
             NodeValues::len,
-            || ringo_algo::bfs_tree(g, src, dir),
-        )
+            || Ok(ringo_algo::bfs_tree(g, src, dir)),
+        );
+        parents
     }
 
     /// Weakly connected components.
     pub fn wcc(&self, g: &DirectedGraph) -> ringo_algo::Components {
-        self.ops.run(
+        let Ok(c) = self.ops.run::<_, Infallible>(
             "wcc",
             String::new(),
             g.node_count(),
             ringo_algo::Components::n_components,
-            || ringo_algo::weakly_connected_components(g),
-        )
+            || Ok(ringo_algo::weakly_connected_components(g)),
+        );
+        c
     }
 
     /// Strongly connected components.
     pub fn scc(&self, g: &DirectedGraph) -> ringo_algo::Components {
-        self.ops.run(
+        let Ok(c) = self.ops.run::<_, Infallible>(
             "scc",
             String::new(),
             g.node_count(),
             ringo_algo::Components::n_components,
-            || ringo_algo::strongly_connected_components(g),
-        )
+            || Ok(ringo_algo::strongly_connected_components(g)),
+        );
+        c
     }
 
     /// k-core subgraph of an undirected graph.
     pub fn k_core(&self, g: &UndirectedGraph, k: u32) -> UndirectedGraph {
-        self.ops.run(
+        let Ok(core) = self.ops.run::<_, Infallible>(
             "k_core",
             format!("k={k}"),
             g.node_count(),
             UndirectedGraph::node_count,
-            || ringo_algo::k_core(g, k),
-        )
+            || Ok(ringo_algo::k_core(g, k)),
+        );
+        core
     }
 
     /// Table → weighted digraph, with weights from a column or (when
@@ -551,7 +609,7 @@ impl Ringo {
         dst_col: &str,
         weight_col: Option<&str>,
     ) -> Result<WeightedDigraph> {
-        self.ops.run_result(
+        self.ops.run(
             "to_weighted_graph",
             format!("{src_col} -> {dst_col} w={}", weight_col.unwrap_or("count")),
             table.n_rows(),
@@ -562,70 +620,65 @@ impl Ringo {
 
     /// Weighted PageRank over stored edge weights.
     pub fn pagerank_weighted(&self, g: &WeightedDigraph) -> Vec<(NodeId, f64)> {
-        self.ops.run(
+        let Ok(scores) = self.ops.run::<_, Infallible>(
             "pagerank_weighted",
             String::new(),
             g.edge_count(),
             Vec::len,
-            || {
-                ringo_algo::pagerank_weighted(
-                    g,
-                    &PageRankConfig {
-                        threads: self.threads,
-                        ..PageRankConfig::default()
-                    },
-                )
-            },
-        )
+            || Ok(ringo_algo::pagerank_weighted(g, &self.pagerank_config())),
+        );
+        scores
     }
 
     /// Personalized PageRank from a seed set.
     pub fn personalized_pagerank(&self, g: &DirectedGraph, seeds: &[NodeId]) -> Vec<(NodeId, f64)> {
-        self.ops.run(
+        let config = self.pagerank_config();
+        let Ok(scores) = self.ops.run::<_, Infallible>(
             "personalized_pagerank",
             format!("{} seeds", seeds.len()),
             g.edge_count(),
             Vec::len,
-            || {
-                ringo_algo::personalized_pagerank(
-                    g,
-                    seeds,
-                    &PageRankConfig {
-                        threads: self.threads,
-                        ..PageRankConfig::default()
-                    },
-                )
-            },
-        )
+            || Ok(ringo_algo::personalized_pagerank(g, seeds, &config)),
+        );
+        scores
     }
 
     /// Eigenvector centrality.
     pub fn eigenvector_centrality(&self, g: &DirectedGraph) -> Vec<(NodeId, f64)> {
-        self.ops.run(
+        let Ok(scores) = self.ops.run::<_, Infallible>(
             "eigenvector_centrality",
             String::new(),
             g.edge_count(),
             Vec::len,
-            || ringo_algo::eigenvector_centrality(g, 100, 1e-10, self.threads),
-        )
+            || {
+                Ok(ringo_algo::eigenvector_centrality(
+                    g,
+                    100,
+                    1e-10,
+                    self.threads,
+                ))
+            },
+        );
+        scores
     }
 
     /// The 16-class directed triad census.
     pub fn triad_census(&self, g: &DirectedGraph) -> ringo_algo::TriadCensus {
-        self.ops.run(
+        let Ok(census) = self.ops.run::<_, Infallible>(
             "triad_census",
             String::new(),
             g.node_count(),
             |_| 16,
-            || ringo_algo::triad_census(g),
-        )
+            || Ok(ringo_algo::triad_census(g)),
+        );
+        census
     }
 
     // ---- data generation (stand-ins for the paper's datasets) ----
 
     /// Synthetic StackOverflow-like posts table (§4.1 demo data).
     pub fn generate_stackoverflow(&self, config: &ringo_gen::StackOverflowConfig) -> Table {
-        self.ops.run(
+        let Ok(t) = self.ops.run::<_, Infallible>(
             "generate_stackoverflow",
             format!(
                 "q={} a={} users={}",
@@ -636,14 +689,15 @@ impl Ringo {
             || {
                 let mut t = ringo_gen::generate_posts(config);
                 t.set_threads(self.threads);
-                t
+                Ok(t)
             },
-        )
+        );
+        t
     }
 
     /// LiveJournal-like benchmark edge table (Table 2 stand-in).
     pub fn generate_lj_like(&self, scale_factor: f64, seed: u64) -> Table {
-        self.ops.run(
+        let Ok(t) = self.ops.run::<_, Infallible>(
             "generate_lj_like",
             format!("scale={scale_factor} seed={seed}"),
             0,
@@ -651,14 +705,15 @@ impl Ringo {
             || {
                 let mut t = ringo_gen::edges_to_table(&ringo_gen::lj_like(scale_factor, seed));
                 t.set_threads(self.threads);
-                t
+                Ok(t)
             },
-        )
+        );
+        t
     }
 
     /// Twitter2010-like benchmark edge table (Table 2 stand-in).
     pub fn generate_tw_like(&self, scale_factor: f64, seed: u64) -> Table {
-        self.ops.run(
+        let Ok(t) = self.ops.run::<_, Infallible>(
             "generate_tw_like",
             format!("scale={scale_factor} seed={seed}"),
             0,
@@ -666,9 +721,10 @@ impl Ringo {
             || {
                 let mut t = ringo_gen::edges_to_table(&ringo_gen::tw_like(scale_factor, seed));
                 t.set_threads(self.threads);
-                t
+                Ok(t)
             },
-        )
+        );
+        t
     }
 }
 

@@ -10,7 +10,12 @@
 //! its helpers see a single operation history. Recording costs one mutex
 //! lock and a few string bytes per *facade verb* (not per row), which is
 //! noise next to any real operator.
+//!
+//! The record is the verb's whole profile: a lazy query's record also
+//! carries its executed plan ([`OpRecord::plan`]), which is what
+//! `explain_analyze` renders.
 
+use ringo_table::exec::NodeStat;
 use ringo_trace::mem;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -39,6 +44,42 @@ pub struct OpRecord {
     /// How much the operation raised the process-wide peak-heap
     /// high-water mark (bytes).
     pub mem_peak_delta: u64,
+    /// A `"query"`'s executed plan nodes, post-order, ending with
+    /// `collect` (empty for every other verb).
+    pub plan: Vec<NodeStat>,
+    /// Gather passes a `"query"` ran (0 or 1; 0 for every other verb).
+    pub gathers: u32,
+}
+
+impl OpRecord {
+    /// Times `f` and, when it succeeds, returns its result with the record
+    /// describing the call: wall time and allocator deltas measured here,
+    /// `params`/`rows_out`/`plan` left for the caller to fill in from the
+    /// result. Not pushed anywhere — see [`OpLog::run`].
+    pub(crate) fn measure<T, E>(
+        name: &'static str,
+        rows_in: usize,
+        f: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(T, OpRecord), E> {
+        let mem_start = mem::current_bytes();
+        let peak_start = mem::peak_bytes();
+        let start = std::time::Instant::now();
+        let out = f()?;
+        let wall = start.elapsed();
+        let record = OpRecord {
+            seq: 0,
+            name,
+            params: String::new(),
+            rows_in: rows_in as u64,
+            rows_out: 0,
+            wall,
+            mem_delta: mem::current_bytes() as i64 - mem_start as i64,
+            mem_peak_delta: mem::peak_bytes().saturating_sub(peak_start) as u64,
+            plan: Vec::new(),
+            gathers: 0,
+        };
+        Ok((out, record))
+    }
 }
 
 /// Shared, bounded operation history. Cheap to clone (an `Arc`).
@@ -86,38 +127,12 @@ impl OpLog {
             .clear();
     }
 
-    /// Times `f`, appends a record with cardinalities extracted from the
-    /// result by `card`, and returns the result. Used by every facade
-    /// verb; errors propagate without logging (a failed verb produced no
-    /// table to describe).
-    pub(crate) fn run<T>(
-        &self,
-        name: &'static str,
-        params: String,
-        rows_in: usize,
-        card: impl FnOnce(&T) -> usize,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let mem_start = mem::current_bytes();
-        let peak_start = mem::peak_bytes();
-        let start = std::time::Instant::now();
-        let out = f();
-        let wall = start.elapsed();
-        self.push(OpRecord {
-            seq: 0,
-            name,
-            params,
-            rows_in: rows_in as u64,
-            rows_out: card(&out) as u64,
-            wall,
-            mem_delta: mem::current_bytes() as i64 - mem_start as i64,
-            mem_peak_delta: mem::peak_bytes().saturating_sub(peak_start) as u64,
-        });
-        out
-    }
-
-    /// [`OpLog::run`] for fallible verbs: logs only `Ok` results.
-    pub(crate) fn run_result<T, E>(
+    /// Times `f` ([`OpRecord::measure`]), appends a record with the output
+    /// cardinality extracted from the result by `card`, and returns the
+    /// result. Used by every facade verb — infallible ones wrap their
+    /// result in `Ok`; errors propagate without logging (a failed verb
+    /// produced nothing to describe).
+    pub(crate) fn run<T, E>(
         &self,
         name: &'static str,
         params: String,
@@ -125,21 +140,9 @@ impl OpLog {
         card: impl FnOnce(&T) -> usize,
         f: impl FnOnce() -> Result<T, E>,
     ) -> Result<T, E> {
-        let mem_start = mem::current_bytes();
-        let peak_start = mem::peak_bytes();
-        let start = std::time::Instant::now();
-        let out = f()?;
-        let wall = start.elapsed();
-        self.push(OpRecord {
-            seq: 0,
-            name,
-            params,
-            rows_in: rows_in as u64,
-            rows_out: card(&out) as u64,
-            wall,
-            mem_delta: mem::current_bytes() as i64 - mem_start as i64,
-            mem_peak_delta: mem::peak_bytes().saturating_sub(peak_start) as u64,
-        });
+        let (out, mut record) = OpRecord::measure(name, rows_in, f)?;
+        (record.params, record.rows_out) = (params, card(&out) as u64);
+        self.push(record);
         Ok(out)
     }
 }
@@ -201,6 +204,8 @@ mod tests {
             wall: Duration::from_nanos(1),
             mem_delta: 0,
             mem_peak_delta: 0,
+            plan: Vec::new(),
+            gathers: 0,
         }
     }
 

@@ -6,14 +6,16 @@
 //! [`Plan`], optimizes it (select fusion, select pushdown, column
 //! pruning) and executes it with late materialization: column data is
 //! gathered exactly once, at [`QueryBuilder::collect`]. The op-log
-//! records one `"query"` entry whose params line is the optimized plan
+//! records one `"query"` entry: its [`OpRecord::plan`] holds every
+//! executed node's stats, and its params line is the optimized plan
 //! shape with per-operator output cardinalities — morsel-driven nodes
 //! add their dispatch stats inside the brackets — e.g.
 //! `scan[1000000] select[37 m16 w4] project[37] collect[37] gathers=1`
 //! (16 morsels executed by 4 distinct pool workers).
+//! [`QueryBuilder::explain_analyze`] renders the same record as a tree.
 
 use crate::catalog::Snapshot;
-use crate::{Result, Ringo};
+use crate::{OpRecord, Result, Ringo};
 use ringo_table::exec;
 use ringo_table::plan::Plan;
 use ringo_table::{AggOp, Predicate, Schema, Table, TableError};
@@ -180,197 +182,58 @@ impl<'a> QueryBuilder<'a> {
         Ok(optimized.display(&self.tables))
     }
 
-    /// Like [`QueryBuilder::explain`], but actually executes the
-    /// optimized plan and annotates every node with its observed output
-    /// cardinality plus, for morsel-driven operators, how many morsels
-    /// were dispatched and how many pool workers ran them. The
-    /// materialized output table is discarded; no `"query"` op-log
-    /// record is written.
+    /// Like [`QueryBuilder::explain`], but executes the optimized plan and
+    /// renders the `"query"` record [`QueryBuilder::collect`] would log:
+    /// every node's rows, wall time and share, and for morsel-driven ones
+    /// morsels, pool workers and their busy split. Observe-only: the
+    /// output table is discarded and the record is not logged.
     pub fn explain_analyze(&self) -> Result<String> {
-        self.plan.schema(&self.tables)?;
-        let optimized = self.plan.clone().optimize(&self.tables)?;
-        let executed = exec::execute(&optimized, &self.tables)?;
-        Ok(optimized.display_executed(&self.tables, &executed.stats, executed.gathers))
-    }
-
-    /// Executes the optimized plan and returns a structured per-operator
-    /// profile: wall time, output cardinality, morsel dispatch, and the
-    /// per-worker busy split of every node, plus query totals. The
-    /// materialized output table is discarded and no `"query"` op-log
-    /// record is written — like [`QueryBuilder::explain_analyze`], but
-    /// returning data instead of a rendered tree (call
-    /// [`QueryProfile::render`] for the human-readable table).
-    pub fn profile(&self) -> Result<QueryProfile> {
-        self.plan.schema(&self.tables)?;
-        let optimized = self.plan.clone().optimize(&self.tables)?;
-        let start = std::time::Instant::now();
-        let executed = exec::execute(&optimized, &self.tables)?;
-        let total_wall_ns = start.elapsed().as_nanos() as u64;
-        let rows_out = executed.table.n_rows() as u64;
-        let ops = executed
-            .stats
-            .into_iter()
-            .map(|s| OpProfile {
-                op: s.op,
-                rows_out: s.rows_out,
-                morsels: s.morsels,
-                workers: s.workers,
-                wall_ns: s.wall_ns,
-                busy_ns: s.busy_ns,
-            })
-            .collect();
-        Ok(QueryProfile {
-            ops,
-            rows_out,
-            gathers: executed.gathers,
-            total_wall_ns,
-        })
+        let (optimized, _, record) = self.execute()?;
+        let total_ns = record.wall.as_nanos() as u64;
+        Ok(optimized.display_executed(&self.tables, &record.plan, record.gathers, total_ns))
     }
 
     /// Validates and optimizes the plan, executes it with one gather
     /// pass, logs a `"query"` op-log record with the executed plan
-    /// shape, and returns the materialized table.
+    /// (see [`crate::OpRecord::plan`]), and returns the materialized table.
     pub fn collect(self) -> Result<Table> {
+        let (_, table, record) = self.execute()?;
+        self.ringo.ops.push(record);
+        Ok(table)
+    }
+
+    /// The one execution path: validates the raw plan, optimizes it, runs
+    /// it under the op-log's measuring helper, and returns the optimized
+    /// plan, the output table and the (unlogged) `"query"` record.
+    fn execute(&self) -> Result<(Plan, Table, OpRecord)> {
         use std::fmt::Write;
-        // Validate the *raw* plan so optimization can never legalize an
-        // invalid query.
+        // The *raw* plan: optimization must never legalize an invalid query.
         self.plan.schema(&self.tables)?;
-        let optimized = self.plan.optimize(&self.tables)?;
-
-        let rows_in: usize = self.tables.iter().map(|t| t.n_rows()).sum();
-        let mem_start = ringo_trace::mem::current_bytes();
-        let peak_start = ringo_trace::mem::peak_bytes();
-        let start = std::time::Instant::now();
-        let executed = exec::execute(&optimized, &self.tables)?;
-        let wall = start.elapsed();
-
+        let optimized = self.plan.clone().optimize(&self.tables)?;
+        let rows_in = self.tables.iter().map(|t| t.n_rows()).sum();
+        let (executed, record) =
+            OpRecord::measure("query", rows_in, || exec::execute(&optimized, &self.tables))?;
         let mut params = String::new();
-        for stat in &executed.stats {
+        for s in &executed.stats {
             // Morsel-driven nodes record their dispatch inside the
             // brackets: `select[5155 m16 w4]` = 5155 rows out, 16 morsels
             // executed by 4 distinct pool workers.
-            if stat.morsels > 0 {
-                let _ = write!(
-                    params,
-                    "{}[{} m{} w{}] ",
-                    stat.op, stat.rows_out, stat.morsels, stat.workers
-                );
-            } else {
-                let _ = write!(params, "{}[{}] ", stat.op, stat.rows_out);
-            }
+            let _ = match s.morsels {
+                0 => write!(params, "{}[{}] ", s.op, s.rows_out),
+                m => write!(params, "{}[{} m{m} w{}] ", s.op, s.rows_out, s.workers),
+            };
         }
         let _ = write!(params, "gathers={}", executed.gathers);
         let mut table = executed.table;
         table.set_threads(self.ringo.threads);
-        self.ringo.ops.push(crate::OpRecord {
-            seq: 0,
-            name: "query",
+        let record = OpRecord {
             params,
-            rows_in: rows_in as u64,
             rows_out: table.n_rows() as u64,
-            wall,
-            mem_delta: ringo_trace::mem::current_bytes() as i64 - mem_start as i64,
-            mem_peak_delta: ringo_trace::mem::peak_bytes().saturating_sub(peak_start) as u64,
-        });
-        Ok(table)
-    }
-}
-
-/// One executed plan node in a [`QueryProfile`], post-order (ending with
-/// the final `collect`).
-#[derive(Clone, Debug)]
-pub struct OpProfile {
-    /// Short operator name (`scan`, `select`, `join`, ..., `collect`).
-    pub op: &'static str,
-    /// Rows flowing out of the node.
-    pub rows_out: u64,
-    /// Morsels dispatched (0 for non-morsel-driven nodes).
-    pub morsels: u32,
-    /// Distinct pool workers that executed at least one morsel.
-    pub workers: u32,
-    /// Wall time of the node in nanoseconds (always recorded).
-    pub wall_ns: u64,
-    /// Busy nanoseconds per executing worker, sorted descending; the
-    /// spread exposes skew (empty for non-morsel-driven nodes).
-    pub busy_ns: Vec<u64>,
-}
-
-impl OpProfile {
-    /// Each worker's share of the node's total busy time, in percent,
-    /// matching `busy_ns` order (descending). Empty when the node was not
-    /// morsel-driven or recorded no busy time.
-    pub fn busy_share(&self) -> Vec<f64> {
-        let total: u64 = self.busy_ns.iter().sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        self.busy_ns
-            .iter()
-            .map(|&ns| ns as f64 * 100.0 / total as f64)
-            .collect()
-    }
-}
-
-/// Structured result of [`QueryBuilder::profile`]: per-operator timings
-/// and parallelism plus query totals.
-#[derive(Clone, Debug)]
-pub struct QueryProfile {
-    /// Per-node profile entries, post-order, ending with `collect`.
-    pub ops: Vec<OpProfile>,
-    /// Rows in the (discarded) output table.
-    pub rows_out: u64,
-    /// Gather passes executed (0 or 1 per collect).
-    pub gathers: u32,
-    /// End-to-end wall time of the optimized plan, nanoseconds.
-    pub total_wall_ns: u64,
-}
-
-impl QueryProfile {
-    /// Renders the profile as an aligned table: one row per operator with
-    /// wall time, its share of the total, output rows, morsel dispatch,
-    /// and the per-worker busy split.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "query profile  total={}  rows={}  gathers={}",
-            ringo_trace::fmt_ns(self.total_wall_ns),
-            self.rows_out,
-            self.gathers
-        );
-        let _ = writeln!(
-            out,
-            "  {:<8} {:>10} {:>10} {:>5} {:>8} {:>8}  busy share",
-            "op", "rows", "time", "%", "morsels", "workers"
-        );
-        for op in &self.ops {
-            let pct = if self.total_wall_ns > 0 {
-                op.wall_ns as f64 * 100.0 / self.total_wall_ns as f64
-            } else {
-                0.0
-            };
-            let _ = write!(
-                out,
-                "  {:<8} {:>10} {:>10} {:>4.0}%",
-                op.op,
-                op.rows_out,
-                ringo_trace::fmt_ns(op.wall_ns),
-                pct
-            );
-            if op.morsels > 0 {
-                let _ = write!(out, " {:>8} {:>8}  ", op.morsels, op.workers);
-                let shares = op.busy_share();
-                for (i, s) in shares.iter().enumerate() {
-                    if i > 0 {
-                        out.push('/');
-                    }
-                    let _ = write!(out, "{s:.0}%");
-                }
-            }
-            out.push('\n');
-        }
-        out
+            plan: executed.stats,
+            gathers: executed.gathers,
+            ..record
+        };
+        Ok((optimized, table, record))
     }
 }
 
@@ -500,8 +363,13 @@ mod tests {
             .query(&t)
             .select(&Predicate::int("val", Cmp::Lt, 3))
             .project(&["id"]);
-        let p = q.profile().unwrap();
-        let ops: Vec<&str> = p.ops.iter().map(|o| o.op).collect();
+        let tree = q.explain_analyze().unwrap();
+        // Observe-only: explaining logs no record.
+        assert!(ringo.op_log().iter().all(|r| r.name != "query"));
+        let out = q.collect().unwrap();
+        let log = ringo.op_log();
+        let rec = log.iter().find(|r| r.name == "query").unwrap();
+        let ops: Vec<&str> = rec.plan.iter().map(|s| s.op).collect();
         // The optimizer may insert a pruning projection before the select, so
         // assert on the load-bearing shape rather than the exact node list.
         assert_eq!(ops.first(), Some(&"scan"));
@@ -510,21 +378,35 @@ mod tests {
             ops.contains(&"select") && ops.contains(&"project"),
             "{ops:?}"
         );
-        let select = p.ops.iter().find(|o| o.op == "select").unwrap();
+        let select = rec.plan.iter().find(|s| s.op == "select").unwrap();
         assert!(select.morsels >= 1, "select is morsel-driven");
         assert!(select.workers >= 1);
         assert_eq!(select.busy_ns.len(), select.workers as usize);
-        let shares = select.busy_share();
-        if !shares.is_empty() {
-            assert!((shares.iter().sum::<f64>() - 100.0).abs() < 1e-6);
-        }
-        assert!(p.gathers <= 1);
-        let rendered = p.render();
-        assert!(rendered.contains("query profile"), "{rendered}");
-        assert!(rendered.contains("select"), "{rendered}");
-        assert!(rendered.contains("busy share"), "{rendered}");
-        // No op-log record: profile is observe-only, like explain_analyze.
-        assert!(ringo.op_log().iter().all(|r| r.name != "query"));
+        assert!(rec.gathers <= 1);
+        assert_eq!(rec.rows_out, out.n_rows() as u64);
+        let node_wall: u64 = rec.plan.iter().map(|s| s.wall_ns).sum();
+        assert!(
+            node_wall as u128 <= rec.wall.as_nanos(),
+            "nodes inside the query"
+        );
+
+        // The rendered select line: wall share, dispatch, and a busy split
+        // whose shares sum to 100% (up to rounding each to a whole percent).
+        let line = tree.lines().find(|l| l.trim_start().starts_with("Select"));
+        let line = line.unwrap();
+        assert!(line.contains("%) morsels="), "{tree}");
+        let busy = line.split("busy=").nth(1).expect("busy split");
+        let shares: Vec<f64> = busy
+            .split('/')
+            .map(|s| s.trim_end_matches('%').parse().unwrap())
+            .collect();
+        let workers = line.split("workers=").nth(1).unwrap().split(' ').next();
+        let workers: usize = workers.unwrap().parse().unwrap();
+        assert_eq!(shares.len(), workers, "{line}");
+        let sum: f64 = shares.iter().sum();
+        assert!((sum - 100.0).abs() <= 0.5 * shares.len() as f64, "{line}");
+        assert!(tree.contains("Collect rows="), "{tree}");
+        assert!(tree.contains(" total="), "{tree}");
     }
 
     #[test]

@@ -246,10 +246,16 @@ const SHARED_METRIC_ALLOW: &[(&str, &str)] = &[
 ];
 
 /// Names that exist only at export time.
-const SYNTHETIC_METRICS: &[(&str, &str)] = &[(
-    "mem.bytes",
-    "Chrome-exporter counter track synthesized from the sampler series",
-)];
+const SYNTHETIC_METRICS: &[(&str, &str)] = &[
+    (
+        "mem.bytes",
+        "Chrome-exporter counter track synthesized from the sampler series",
+    ),
+    (
+        "trace.registry.overflow",
+        "registry-full fall-through tally written by the report and JSON sinks",
+    ),
+];
 
 /// The complete `RINGO_*` knob inventory. `ringo-lint --knobs` prints
 /// this table; the env-knob lint fails if library code reads a knob not

@@ -18,8 +18,8 @@
 //! so every individual morsel records a `plan.morsel.<op>` span in the
 //! executing thread's flight-recorder buffer (nested under the operator
 //! span on the dispatching thread, top-level on pool workers). Each
-//! [`NodeStat`] additionally carries always-on wall time and the
-//! per-worker busy split — the raw material of `QueryBuilder::profile`.
+//! [`NodeStat`] also carries always-on wall time and the per-worker busy
+//! split; the facade moves them into the query's op-log record.
 
 use crate::ops::join::{self, JoinOutCol, JoinSide};
 use crate::plan::{Plan, Side};

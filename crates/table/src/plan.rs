@@ -392,19 +392,23 @@ impl Plan {
     }
 
     /// Like [`Plan::display`], but annotates every node with what the
-    /// executor actually did — `-> rows=N time=T`, plus
-    /// `morsels=M workers=W` for morsel-driven nodes (select, join,
-    /// group) — and appends the final `Collect` line with its gather
-    /// count. `stats` is the post-order [`NodeStat`] vector from
-    /// [`crate::exec::Executed`] (with or without its trailing `collect`
-    /// entry).
+    /// executor actually did — `-> rows=N time=T (P% of total_ns)`, plus
+    /// `morsels=M workers=W busy=B1%/B2%/…` (each worker's share of the
+    /// node's busy time) for morsel-driven nodes (select, join, group) —
+    /// and appends the `Collect` line with the gather count and total
+    /// time. `stats` is the post-order [`NodeStat`] vector from
+    /// [`crate::exec::Executed`] (with or without its trailing `collect`).
     pub fn display_executed(
         &self,
         tables: &[&Table],
         stats: &[crate::exec::NodeStat],
         gathers: u32,
+        total_ns: u64,
     ) -> String {
         use std::fmt::Write;
+        fn pct(part: u64, whole: u64) -> f64 {
+            part as f64 * 100.0 / whole.max(1) as f64
+        }
         // Map each printed line (pre-order) to its post-order stat index.
         fn collect_post(p: &Plan, base: usize, pre: &mut Vec<usize>) -> usize {
             let slot = pre.len();
@@ -429,25 +433,31 @@ impl Plan {
         }
         let mut pre = Vec::new();
         let n_nodes = collect_post(self, 0, &mut pre);
+        let fmt_ns = ringo_trace::fmt_ns;
+        let time = |ns: u64| format!("time={} ({:.0}%)", fmt_ns(ns), pct(ns, total_ns));
         let plain = self.display(tables);
         let mut out = String::new();
         for (line, &idx) in plain.lines().zip(&pre) {
             out.push_str(line);
             if let Some(s) = stats.get(idx) {
-                let _ = write!(
-                    out,
-                    "  -> rows={} time={}",
-                    s.rows_out,
-                    ringo_trace::fmt_ns(s.wall_ns)
-                );
+                let _ = write!(out, "  -> rows={} {}", s.rows_out, time(s.wall_ns));
                 if s.morsels > 0 {
                     let _ = write!(out, " morsels={} workers={}", s.morsels, s.workers);
+                }
+                let busy: u64 = s.busy_ns.iter().sum();
+                for (i, &ns) in s.busy_ns.iter().enumerate().filter(|_| busy > 0) {
+                    out.push_str(if i == 0 { " busy=" } else { "/" });
+                    let _ = write!(out, "{:.0}%", pct(ns, busy));
                 }
             }
             out.push('\n');
         }
         if let Some(c) = stats.get(n_nodes) {
-            let _ = writeln!(out, "Collect rows={} gathers={gathers}", c.rows_out);
+            let (rows, time, total) = (c.rows_out, time(c.wall_ns), fmt_ns(total_ns));
+            let _ = writeln!(
+                out,
+                "Collect rows={rows} gathers={gathers} {time} total={total}"
+            );
         }
         out
     }

@@ -7,7 +7,9 @@
 //! [`EventKind::End`] event at drop, both carrying the span id, the
 //! parent span id and the thread's registration id — enough to
 //! reconstruct a per-worker timeline (and to export it to the Chrome
-//! trace-event format, see [`crate::chrome`]).
+//! trace-event format, see [`crate::chrome`]). The `End` events, in
+//! `seq` order, are the completed spans the JSON dump's `events` array
+//! lists.
 //!
 //! # Overflow policy
 //!
@@ -50,7 +52,7 @@ pub enum EventKind {
     End,
 }
 
-/// One event drained from a thread buffer.
+/// One event, as pushed into and drained from a thread buffer.
 #[derive(Clone, Debug)]
 pub struct TimelineEvent {
     /// Entry or exit.
@@ -92,53 +94,6 @@ pub struct ThreadTimeline {
     pub dropped: u64,
     /// Retained events in write order.
     pub events: Vec<TimelineEvent>,
-}
-
-/// One completed span, in the legacy aggregate-view shape kept for
-/// [`crate::events_snapshot`] (the `events` array of the JSON dump).
-#[derive(Clone, Copy, Debug)]
-pub struct Event {
-    /// Monotonic sequence number (process-wide order of completion).
-    pub seq: u64,
-    /// Span name (e.g. `"table.join"`).
-    pub name: &'static str,
-    /// Nesting depth at entry: 0 for top-level operations.
-    pub depth: u32,
-    /// Wall time of the span in nanoseconds.
-    pub wall_ns: u64,
-    /// Input cardinality (rows or edges), when the caller set it.
-    pub rows_in: u64,
-    /// Output cardinality (rows or edges), when the caller set it.
-    pub rows_out: u64,
-    /// Net allocator delta over the span (current bytes at exit minus
-    /// entry); 0 unless [`crate::mem::TrackingAllocator`] is installed.
-    pub mem_delta: i64,
-    /// How much the span raised the process-wide peak-heap high-water
-    /// mark (0 when an earlier peak still dominates).
-    pub mem_peak_delta: u64,
-    /// Registration id of the recording thread.
-    pub tid: u32,
-    /// Process-unique span id.
-    pub span_id: u64,
-    /// Enclosing span id on the same thread; 0 for roots.
-    pub parent_id: u64,
-}
-
-/// Payload handed to [`ThreadBuffer::push`] before slot encoding.
-#[derive(Clone, Copy)]
-pub(crate) struct RawEvent {
-    pub kind: EventKind,
-    pub name: &'static str,
-    pub span_id: u64,
-    pub parent_id: u64,
-    pub depth: u32,
-    pub t_ns: u64,
-    pub start_ns: u64,
-    pub seq: u64,
-    pub rows_in: u64,
-    pub rows_out: u64,
-    pub mem_delta: i64,
-    pub mem_peak_delta: u64,
 }
 
 /// One seqlock-protected slot. `guard` is `2*pos + 2` when position `pos`
@@ -209,7 +164,7 @@ impl ThreadBuffer {
 
     /// Appends one event, overwriting the oldest on overflow. Must only
     /// be called by the owning thread (the SPSC writer).
-    pub(crate) fn push(&self, ev: RawEvent) {
+    pub(crate) fn push(&self, ev: TimelineEvent) {
         // ORDERING: Relaxed — this thread is the only writer of `head`,
         // so it reads its own last store; publication happens below.
         let pos = self.head.load(Ordering::Relaxed);
@@ -422,7 +377,7 @@ pub(crate) fn begin_span(name: &'static str) -> SpanToken {
         let parent_id = c.stack.last().copied().unwrap_or(0);
         let depth = c.stack.len() as u32;
         c.stack.push(span_id);
-        c.buffer().push(RawEvent {
+        c.buffer().push(TimelineEvent {
             kind: EventKind::Begin,
             name,
             span_id,
@@ -469,7 +424,7 @@ pub(crate) fn end_span(
         } else if let Some(i) = c.stack.iter().rposition(|&s| s == token.span_id) {
             c.stack.remove(i);
         }
-        c.buffer().push(RawEvent {
+        c.buffer().push(TimelineEvent {
             kind: EventKind::End,
             name,
             span_id: token.span_id,
@@ -497,30 +452,16 @@ pub fn timelines_snapshot() -> Vec<ThreadTimeline> {
     out
 }
 
-/// The completed spans across all threads, oldest first (by completion
-/// sequence) — the aggregate view the JSON dump's `events` array keeps.
-pub fn events_snapshot() -> Vec<Event> {
-    let mut out: Vec<Event> = Vec::new();
-    for tl in timelines_snapshot() {
-        for ev in &tl.events {
-            if ev.kind == EventKind::End {
-                out.push(Event {
-                    seq: ev.seq,
-                    name: ev.name,
-                    depth: ev.depth,
-                    wall_ns: ev.t_ns.saturating_sub(ev.start_ns),
-                    rows_in: ev.rows_in,
-                    rows_out: ev.rows_out,
-                    mem_delta: ev.mem_delta,
-                    mem_peak_delta: ev.mem_peak_delta,
-                    tid: tl.tid,
-                    span_id: ev.span_id,
-                    parent_id: ev.parent_id,
-                });
-            }
-        }
-    }
-    out.sort_by_key(|e| e.seq);
+/// The `End` events of `timelines` with their thread's registration id,
+/// in completion (`seq`) order — the completed spans the JSON dump's
+/// `events` array lists.
+pub(crate) fn completed(timelines: &[ThreadTimeline]) -> Vec<(u32, &TimelineEvent)> {
+    let mut out: Vec<(u32, &TimelineEvent)> = timelines
+        .iter()
+        .flat_map(|tl| tl.events.iter().map(move |e| (tl.tid, e)))
+        .filter(|(_, e)| e.kind == EventKind::End)
+        .collect();
+    out.sort_by_key(|(_, e)| e.seq);
     out
 }
 
@@ -618,8 +559,8 @@ pub fn flight_dump() -> String {
 mod tests {
     use super::*;
 
-    fn raw(name: &'static str, n: u64) -> RawEvent {
-        RawEvent {
+    fn raw(name: &'static str, n: u64) -> TimelineEvent {
+        TimelineEvent {
             kind: EventKind::End,
             name,
             span_id: n,

@@ -7,7 +7,8 @@
 //! {
 //!   "version": 1,
 //!   "counters": {"pool.chunks_executed": 128, ...,
-//!                "trace.events.recorded": 12, "trace.events.dropped": 0},
+//!                "trace.events.recorded": 12, "trace.events.dropped": 0,
+//!                "trace.registry.overflow": 0},
 //!   "histograms": {"table.join": {"count": 2, "sum_ns": ..., "min_ns": ...,
 //!                                 "max_ns": ..., "buckets": [...]}, ...},
 //!   "events": [{"seq": 0, "name": "table.select", "tid": 1, "span_id": 3,
@@ -21,6 +22,8 @@
 //!   "mem": {"current_bytes": ..., "peak_bytes": ...}
 //! }
 //! ```
+//!
+//! `events` lists the timelines' `End` events in `seq` order.
 //!
 //! [`parse`] is the matching reader: a small recursive-descent JSON parser
 //! (strings with escapes, f64 numbers, arrays, objects) used by the test
@@ -58,13 +61,15 @@ pub(crate) fn trace_to_json() -> String {
         write_escaped(&mut out, c.name);
         write!(out, ": {},", c.value).unwrap();
     }
-    // Derived flight-recorder tallies ride along as synthetic counters so
-    // overflow is visible in every dump (satellite: dropped-event accounting).
+    // Derived tallies of silent loss ride along as synthetic counters so
+    // ring and registry overflow are visible in every dump.
     write!(
         out,
-        "\n    \"trace.events.recorded\": {},\n    \"trace.events.dropped\": {}",
+        "\n    \"trace.events.recorded\": {},\n    \"trace.events.dropped\": {},\
+         \n    \"trace.registry.overflow\": {}",
         crate::events::total_recorded(),
-        crate::events::total_dropped()
+        crate::events::total_dropped(),
+        crate::registry::overflow()
     )
     .unwrap();
     out.push_str("\n  },\n  \"histograms\": {");
@@ -90,8 +95,8 @@ pub(crate) fn trace_to_json() -> String {
         out.push_str("]}");
     }
     out.push_str("\n  },\n  \"events\": [");
-    let events = crate::events_snapshot();
-    for (i, e) in events.iter().enumerate() {
+    let timelines = crate::timelines_snapshot();
+    for (i, (tid, e)) in crate::events::completed(&timelines).into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -100,14 +105,13 @@ pub(crate) fn trace_to_json() -> String {
         write_escaped(&mut out, e.name);
         write!(
             out,
-            ", \"tid\": {}, \"span_id\": {}, \"parent_id\": {}, \"depth\": {}, \
+            ", \"tid\": {tid}, \"span_id\": {}, \"parent_id\": {}, \"depth\": {}, \
              \"wall_ns\": {}, \"rows_in\": {}, \"rows_out\": {}, \
              \"mem_delta\": {}, \"mem_peak_delta\": {}}}",
-            e.tid,
             e.span_id,
             e.parent_id,
             e.depth,
-            e.wall_ns,
+            e.t_ns.saturating_sub(e.start_ns),
             e.rows_in,
             e.rows_out,
             e.mem_delta,
@@ -116,7 +120,6 @@ pub(crate) fn trace_to_json() -> String {
         .unwrap();
     }
     out.push_str("\n  ],\n  \"threads\": [");
-    let timelines = crate::timelines_snapshot();
     for (i, tl) in timelines.iter().enumerate() {
         if i > 0 {
             out.push(',');

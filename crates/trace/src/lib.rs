@@ -64,8 +64,7 @@ mod span;
 pub mod sync;
 
 pub use events::{
-    events_snapshot, flight_dump, timelines_snapshot, Event, EventKind, ThreadTimeline,
-    TimelineEvent, EVENTS_PER_THREAD,
+    flight_dump, timelines_snapshot, EventKind, ThreadTimeline, TimelineEvent, EVENTS_PER_THREAD,
 };
 pub use registry::{
     counter, counters_snapshot, histogram, histograms_snapshot, Counter, CounterSnapshot,
@@ -125,8 +124,8 @@ pub fn reset() {
 
 /// Renders the registry as a human-readable table: one row per histogram
 /// (calls, total, mean, p50, p99, max) followed by the named counters and
-/// the derived flight-recorder tallies (`trace.events.recorded` /
-/// `trace.events.dropped`).
+/// the derived tallies of silent loss (`trace.events.recorded` /
+/// `.dropped`, `trace.registry.overflow`).
 pub fn report() -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -134,6 +133,7 @@ pub fn report() -> String {
     let counters = counters_snapshot();
     let recorded = events::total_recorded();
     let dropped = events::total_dropped();
+    let overflow = registry::overflow();
     out.push_str("ringo-trace report\n");
     if hists.is_empty() && counters.is_empty() && recorded == 0 {
         out.push_str("  (no metrics recorded; is tracing enabled?)\n");
@@ -170,6 +170,7 @@ pub fn report() -> String {
     }
     writeln!(out, "  {:<28} {:>8}", "trace.events.recorded", recorded).unwrap();
     writeln!(out, "  {:<28} {:>8}", "trace.events.dropped", dropped).unwrap();
+    writeln!(out, "  {:<28} {:>8}", "trace.registry.overflow", overflow).unwrap();
     out
 }
 
@@ -331,7 +332,7 @@ mod tests {
             assert!(!sp.is_active());
         }
         assert!(histograms_snapshot().iter().all(|h| h.count == 0));
-        assert!(events_snapshot().is_empty());
+        assert!(events::completed(&timelines_snapshot()).is_empty());
     }
 
     #[test]
@@ -350,6 +351,7 @@ mod tests {
         assert!(r.contains("test.report_counter"), "{r}");
         assert!(r.contains("trace.events.recorded"), "{r}");
         assert!(r.contains("trace.events.dropped"), "{r}");
+        assert!(r.contains("trace.registry.overflow"), "{r}");
         set_enabled(false);
         reset();
     }
@@ -367,7 +369,7 @@ mod tests {
         reset();
         assert!(histograms_snapshot().iter().all(|h| h.count == 0));
         assert!(counters_snapshot().iter().all(|c| c.value == 0));
-        assert!(events_snapshot().is_empty());
+        assert!(events::completed(&timelines_snapshot()).is_empty());
         assert!(events::total_recorded() == 0);
         set_enabled(false);
     }

@@ -5,9 +5,12 @@
 //! Registration claims a slot by CAS-publishing the name pointer (linear
 //! probing from the name's hash), so lookups and updates never take a
 //! lock; after the one-time claim every operation is a relaxed atomic.
-//! Capacity overflow (more distinct names than slots) degrades gracefully
-//! by merging the surplus name into the slot its probe sequence started
-//! at — metrics are never lost, only aggregated coarsely.
+//! Capacity overflow (more distinct names than slots) merges the surplus
+//! name into the slot its probe sequence started at — a slot another name
+//! owns, so sinks credit the value to that name. Each such fall-through
+//! is counted ([`Registry::overflow`]) and shown as
+//! `trace.registry.overflow` in [`crate::report`] and the JSON dump, so
+//! the misattribution is never silent.
 
 use crate::sync::{VAtomicPtr, VAtomicU64};
 use std::sync::atomic::Ordering;
@@ -201,6 +204,9 @@ impl HistogramSnapshot {
 pub struct Registry {
     counters: Box<[Counter]>,
     hists: Box<[Histogram]>,
+    /// Lookups that found no free slot and fell through to another name's
+    /// (kept across [`Registry::reset`]: the merged names stay merged).
+    overflow: VAtomicU64,
 }
 
 impl Registry {
@@ -210,19 +216,27 @@ impl Registry {
         Self {
             counters: (0..counters.max(1)).map(|_| Counter::new()).collect(),
             hists: (0..hists.max(1)).map(|_| Histogram::new()).collect(),
+            overflow: VAtomicU64::new(0),
         }
     }
 
     /// The counter registered under `name` in this registry, claiming a
     /// slot on first use.
     pub fn counter(&self, name: &'static str) -> &Counter {
-        lookup(&self.counters, |c| &c.name, name)
+        lookup(&self.counters, |c| &c.name, name, &self.overflow)
     }
 
     /// The histogram registered under `name` in this registry, claiming a
     /// slot on first use.
     pub fn histogram(&self, name: &'static str) -> &Histogram {
-        lookup(&self.hists, |h| &h.name, name)
+        lookup(&self.hists, |h| &h.name, name, &self.overflow)
+    }
+
+    /// How many lookups found the registry full and merged their name
+    /// into another name's slot.
+    pub fn overflow(&self) -> u64 {
+        // ORDERING: Relaxed — metric snapshot, no consistency promised.
+        self.overflow.load(Ordering::Relaxed)
     }
 
     /// All registered counters of this instance, sorted by name.
@@ -323,11 +337,12 @@ fn hash(name: &str) -> usize {
 
 /// Claims-or-finds the slot for `name` in a probe sequence over `slots`,
 /// keyed by each slot's published name pointer. Lock-free: the only write
-/// is a one-time CAS per slot.
+/// is a one-time CAS per slot (plus a count in `overflow` when full).
 fn lookup<'a, T>(
     slots: &'a [T],
     name_of: impl Fn(&T) -> &VAtomicPtr<&'static str>,
     name: &'static str,
+    overflow: &VAtomicU64,
 ) -> &'a T {
     let start = hash(name) % slots.len();
     for off in 0..slots.len() {
@@ -359,7 +374,9 @@ fn lookup<'a, T>(
             return slot;
         }
     }
-    // Registry full: merge into the probe start (documented degradation).
+    // Registry full: merge into the probe start, and count it.
+    // ORDERING: Relaxed — independent monotonic tally.
+    overflow.fetch_add(1, Ordering::Relaxed);
     &slots[start]
 }
 
@@ -379,6 +396,11 @@ fn slot_name(p: &VAtomicPtr<&'static str>) -> Option<&'static str> {
     let p = p.load(Ordering::Acquire);
     // SAFETY: see `lookup` — published pointers are leaked boxes.
     (!p.is_null()).then(|| unsafe { *p })
+}
+
+/// [`Registry::overflow`] of the global registry.
+pub(crate) fn overflow() -> u64 {
+    registry().overflow()
 }
 
 /// All registered counters of the global registry, sorted by name.
@@ -445,6 +467,20 @@ mod tests {
         let ha = histogram("test.registry_hist") as *const Histogram;
         let hb = histogram("test.registry_hist") as *const Histogram;
         assert_eq!(ha, hb);
+    }
+
+    #[test]
+    fn full_registry_counts_each_fall_through() {
+        let r = Registry::with_capacity(2, 2);
+        r.counter("test.overflow_a").add(1);
+        r.counter("test.overflow_b").add(1);
+        assert_eq!(r.overflow(), 0, "two names fit two slots");
+        r.counter("test.overflow_c").add(1);
+        assert_eq!(r.overflow(), 1);
+        // The third name's value landed on another name's slot.
+        let total: u64 = r.counters_snapshot().iter().map(|c| c.value).sum();
+        assert_eq!(total, 3);
+        assert_eq!(r.counters_snapshot().len(), 2);
     }
 
     #[test]

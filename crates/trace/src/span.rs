@@ -96,7 +96,7 @@ fn finish(s: ActiveSpan) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events_snapshot;
+    use crate::{events::completed, timelines_snapshot};
 
     #[test]
     fn nested_spans_record_depth_and_unwind() {
@@ -116,18 +116,19 @@ mod tests {
             let _sibling = crate::span!("test.nest_sibling");
             outer.rows_out(5);
         }
-        let events = events_snapshot();
-        let depth_of = |n: &str| events.iter().find(|e| e.name == n).unwrap().depth;
+        let timelines = timelines_snapshot();
+        let events = completed(&timelines);
+        let ev = |n: &str| events.iter().find(|(_, e)| e.name == n).unwrap().1;
+        let depth_of = |n: &str| ev(n).depth;
         assert_eq!(depth_of("test.nest_outer"), 0);
         assert_eq!(depth_of("test.nest_mid"), 1);
         assert_eq!(depth_of("test.nest_inner"), 2);
         assert_eq!(depth_of("test.nest_sibling"), 1);
         // Inner spans complete (and are recorded) before outer ones.
-        let seq_of = |n: &str| events.iter().find(|e| e.name == n).unwrap().seq;
+        let seq_of = |n: &str| ev(n).seq;
         assert!(seq_of("test.nest_inner") < seq_of("test.nest_mid"));
         assert!(seq_of("test.nest_mid") < seq_of("test.nest_outer"));
         // Parent attribution: inner spans point at their enclosing span.
-        let ev = |n: &str| events.iter().find(|e| e.name == n).unwrap();
         assert_eq!(ev("test.nest_outer").parent_id, 0);
         assert_eq!(ev("test.nest_mid").parent_id, ev("test.nest_outer").span_id);
         assert_eq!(ev("test.nest_inner").parent_id, ev("test.nest_mid").span_id);
@@ -136,19 +137,20 @@ mod tests {
             ev("test.nest_outer").span_id
         );
         // All on this thread.
-        assert!(events.windows(2).all(|w| w[0].tid == w[1].tid));
+        assert!(events.windows(2).all(|w| w[0].0 == w[1].0));
         // Cardinality annotations land on the right event.
-        let outer = events.iter().find(|e| e.name == "test.nest_outer").unwrap();
+        let outer = ev("test.nest_outer");
         assert_eq!((outer.rows_in, outer.rows_out), (10, 5));
         // Depth fully unwound: a fresh span is top-level again.
         {
             let _after = crate::span!("test.nest_after");
         }
-        let after = events_snapshot()
+        let timelines = timelines_snapshot();
+        let after = completed(&timelines)
             .into_iter()
-            .find(|e| e.name == "test.nest_after")
+            .find(|(_, e)| e.name == "test.nest_after")
             .unwrap();
-        assert_eq!(after.depth, 0);
+        assert_eq!(after.1.depth, 0);
         crate::set_enabled(false);
         crate::reset();
     }
@@ -161,7 +163,7 @@ mod tests {
         let sp = Span::enter("test.entry_decides");
         crate::set_enabled(true);
         drop(sp); // was created disabled: must not record
-        assert!(events_snapshot().is_empty());
+        assert!(completed(&timelines_snapshot()).is_empty());
         crate::set_enabled(false);
         crate::reset();
     }

@@ -7,8 +7,9 @@
 //! a 1M-row table through select/join/group plans, so the dumped Chrome
 //! trace must contain `plan.*` operator spans with nested
 //! `plan.morsel.*` slices attributed to more than one thread id, plus
-//! sampler counter rows. The process also prints the structured
-//! per-operator profile so a human can eyeball the same run.
+//! sampler counter rows. The process also prints the first query's
+//! `explain_analyze` tree (per-operator rows, time, share, morsels and
+//! worker busy split) so a human can eyeball the same run.
 
 use ringo::trace::mem::TrackingAllocator;
 use ringo::{Cmp, Predicate, Ringo, Table};
@@ -37,8 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .query(&t)
         .select(&Predicate::int("id", Cmp::Lt, N / 2))
         .project(&["id", "w"]);
-    let p = q.profile()?;
-    print!("{}", p.render());
+    print!("{}", q.explain_analyze()?);
     let out = q.collect()?;
     println!("select.project: {} rows", out.n_rows());
 

@@ -65,7 +65,8 @@ commands:
                                              where <col> <op> <value> | project <a,b,..>
                                              | join <table> <lcol> <rcol>
   explain <table> [clauses...]               print the optimized plan (same clauses)
-  profile <table> [clauses...]               run the plan, print per-operator profile
+  profile <table> [clauses...]               run the plan, print each operator's rows,
+                                             time, share, morsels and worker busy split
   stats                                      pool / allocator / flight-recorder gauges
   group <out> <table> <col> count            group sizes
   order <table> <col> [asc|desc]             sort (publishes a new version)
@@ -309,8 +310,7 @@ impl Shell {
                 let snap = self.ringo.snapshot();
                 let t = table(&snap, name)?;
                 let q = apply_clauses(&snap, self.ringo.query(t), clauses)?;
-                let p = q.profile().map_err(|e| e.to_string())?;
-                print!("{}", p.render());
+                print!("{}", q.explain_analyze().map_err(|e| e.to_string())?);
                 Ok(true)
             }
             ["stats"] => {

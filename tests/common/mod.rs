@@ -1,9 +1,26 @@
-//! Component oracles shared by `routed_kernels` and `topology`
-//! (`mod common;` in each).
+//! Helpers shared by integration suites (`mod common;` in each): the
+//! component oracles of `routed_kernels` and `topology`, and the flight
+//! recorder's completed spans for the observability suites. Each suite
+//! uses only some of them.
+#![allow(dead_code)]
 
 use ringo::algo::Components;
+use ringo::trace::{self, EventKind, TimelineEvent};
 use ringo::{DirectedGraph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The completed spans of the flight recorder: the `End` events of every
+/// thread timeline, in completion (`seq`) order — what the JSON dump's
+/// `events` array lists.
+pub fn end_events() -> Vec<TimelineEvent> {
+    let mut out: Vec<TimelineEvent> = trace::timelines_snapshot()
+        .into_iter()
+        .flat_map(|tl| tl.events)
+        .filter(|e| e.kind == EventKind::End)
+        .collect();
+    out.sort_by_key(|e| e.seq);
+    out
+}
 
 /// Canonical form of a component labeling: the node set of each
 /// component — label numbering may legitimately differ between

@@ -10,6 +10,8 @@ use ringo::concurrent::Pool;
 use ringo::trace::{self, events::EventKind, json::JsonValue};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
+mod common;
+
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -70,7 +72,7 @@ fn per_thread_attribution_across_pool_sizes() {
         assert_eq!(tids.len(), n, "threads={n}: one timeline per executor");
         assert_eq!(begins, n, "threads={n}: one begin per chunk");
         assert_eq!(ends, n, "threads={n}: one end per chunk");
-        let events = trace::events_snapshot();
+        let events = common::end_events();
         let spans: Vec<_> = events
             .iter()
             .filter(|e| e.name == "test.fr.chunk")

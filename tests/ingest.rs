@@ -25,6 +25,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+mod common;
+
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
@@ -194,7 +196,7 @@ fn load_span_reports_bytes_chunks_and_rows() {
     trace::set_enabled(false);
     std::fs::remove_file(&path).ok();
 
-    let events = trace::events_snapshot();
+    let events = common::end_events();
     let load = events
         .iter()
         .find(|e| e.name == "table.load")

@@ -6,9 +6,12 @@
 //! serializes through one lock and opens its own window with
 //! `trace::reset()`.
 
-use ringo::trace;
+use ringo::trace::{self, json::JsonValue};
 use ringo::{ColumnType, Predicate, Ringo, Schema, Table, Value};
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
+use common::end_events;
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -61,7 +64,7 @@ fn span_nesting_is_recorded_in_events() {
     }
     trace::set_enabled(false);
 
-    let events = trace::events_snapshot();
+    let events = end_events();
     let depth_of = |name: &str| {
         events
             .iter()
@@ -75,6 +78,56 @@ fn span_nesting_is_recorded_in_events() {
     // Spans finish inside-out: the inner event landed before the outer.
     let seq_of = |name: &str| events.iter().find(|e| e.name == name).unwrap().seq;
     assert!(seq_of("test.inner") < seq_of("test.outer"));
+}
+
+/// The JSON dump's `events` array is the timelines' `End` events: same
+/// count, names and span ids, in `seq` order.
+#[test]
+fn json_events_are_the_timelines_end_events() {
+    let _l = lock();
+    trace::set_enabled(true);
+    trace::reset();
+    {
+        let _outer = trace::span!("test.json.outer");
+        let _inner = trace::span!("test.json.inner");
+    }
+    ringo::concurrent::Pool::with_workers(2).run(4, &|_| {
+        let _sp = trace::Span::enter("test.json.chunk");
+    });
+    trace::set_enabled(false);
+
+    let doc = trace::json::parse(&trace::to_json()).expect("dump parses");
+    let dumped: Vec<(String, u64, u64)> = doc
+        .get("events")
+        .and_then(JsonValue::as_arr)
+        .expect("events array")
+        .iter()
+        .map(|e| {
+            let num = |k| e.get(k).and_then(JsonValue::as_u64).expect(k);
+            let name = e.get("name").and_then(JsonValue::as_str).expect("name");
+            (name.to_owned(), num("span_id"), num("seq"))
+        })
+        .collect();
+    let ends: Vec<(String, u64, u64)> = end_events()
+        .into_iter()
+        .map(|e| (e.name.to_owned(), e.span_id, e.seq))
+        .collect();
+    let named = |n: &str| dumped.iter().filter(|e| e.0 == n).count();
+    assert_eq!(
+        [
+            named("test.json.outer"),
+            named("test.json.inner"),
+            named("test.json.chunk")
+        ],
+        [1, 1, 4]
+    );
+    assert_eq!(dumped, ends);
+    assert!(dumped.windows(2).all(|w| w[0].2 < w[1].2), "seq order");
+    let overflow = doc
+        .get("counters")
+        .and_then(|c| c.get("trace.registry.overflow"))
+        .and_then(JsonValue::as_u64);
+    assert_eq!(overflow, Some(0), "the global registry has room");
 }
 
 #[test]
@@ -118,7 +171,7 @@ fn instrumented_join_records_cardinalities() {
         .find(|h| h.name == "table.join")
         .expect("table.join histogram");
     assert_eq!(hist.count, 1);
-    let ev = trace::events_snapshot()
+    let ev = end_events()
         .into_iter()
         .find(|e| e.name == "table.join")
         .expect("table.join event");
@@ -146,7 +199,7 @@ fn k_core_reports_how_much_of_the_graph_it_walked() {
     trace::set_enabled(false);
     assert_eq!(core.node_count(), 4);
 
-    let ev = trace::events_snapshot()
+    let ev = end_events()
         .into_iter()
         .find(|e| e.name == "algo.kcore")
         .expect("algo.kcore event");
@@ -235,7 +288,7 @@ fn conversion_counts_the_rank_entries_it_compared() {
         "R-MAT: {scanned} compared for {entries} entries"
     );
     // The rank pass of each orientation: entries in, nodes out.
-    let ranks: Vec<(u64, u64)> = trace::events_snapshot()
+    let ranks: Vec<(u64, u64)> = end_events()
         .into_iter()
         .filter(|e| e.name == "convert.fill.rank")
         .map(|e| (e.rows_in, e.rows_out))
@@ -253,6 +306,59 @@ fn conversion_counts_the_rank_entries_it_compared() {
         scanned > 4 * entries,
         "two clusters: {scanned} compared for {entries} entries"
     );
+}
+
+/// Every I/O verb leaves exactly one op-log record: loads count file
+/// bytes in and rows (or edges) out; saves count rows (or edges) on both
+/// sides.
+#[test]
+fn io_verbs_are_logged_once_each() {
+    let _l = lock();
+    let ringo = Ringo::with_threads(2);
+    let dir = std::env::temp_dir();
+    let path = |name: &str| dir.join(format!("ringo_obs_{}_{name}", std::process::id()));
+    let bytes = |p: &std::path::Path| std::fs::metadata(p).unwrap().len();
+
+    let mut t = Table::new(Schema::new([("x", ColumnType::Int)]));
+    for i in 0..30i64 {
+        t.push_row(&[Value::Int(i)]).unwrap();
+    }
+    let tsv = path("t.tsv");
+    ringo.save_table_tsv(&t, &tsv).unwrap();
+    ringo.load_table_tsv(t.schema(), &tsv).unwrap();
+    let tsv_bytes = bytes(&tsv);
+
+    let g = ringo
+        .to_graph(&ringo.generate_lj_like(0.001, 5), "src", "dst")
+        .unwrap();
+    let m = g.edge_count() as u64;
+    let (txt, bin) = (path("g.txt"), path("g.bin"));
+    ringo.save_graph(&g, &txt).unwrap();
+    ringo.load_graph(&txt).unwrap();
+    ringo.save_graph_binary(&g, &bin).unwrap();
+    ringo.load_graph_binary(&bin).unwrap();
+    let (txt_bytes, bin_bytes) = (bytes(&txt), bytes(&bin));
+    for p in [&tsv, &txt, &bin] {
+        std::fs::remove_file(p).ok();
+    }
+
+    let log = ringo.op_log();
+    for (verb, rows_in, rows_out) in [
+        ("save_table_tsv", 30, 30),
+        ("load_table_tsv", tsv_bytes, 30),
+        ("save_graph", m, m),
+        ("load_graph", txt_bytes, m),
+        ("save_graph_binary", m, m),
+        ("load_graph_binary", bin_bytes, m),
+    ] {
+        let recs: Vec<_> = log.iter().filter(|r| r.name == verb).collect();
+        assert_eq!(recs.len(), 1, "{verb}: one record");
+        assert_eq!(
+            (recs[0].rows_in, recs[0].rows_out),
+            (rows_in, rows_out),
+            "{verb}"
+        );
+    }
 }
 
 #[test]

@@ -425,12 +425,11 @@ fn explain_analyze_reports_morsel_dispatch() {
     let mut t = Table::from_int_column("id", (0..200_000).collect());
     t.add_int_column("bucket", (0..200_000).map(|v| v % 97).collect())
         .unwrap();
-    let plan = ringo
+    let q = ringo
         .query(&t)
         .select(&Predicate::int("id", Cmp::Lt, 100_000))
-        .group_by(&["bucket"], Some("id"), AggOp::Sum, "s")
-        .explain_analyze()
-        .unwrap();
+        .group_by(&["bucket"], Some("id"), AggOp::Sum, "s");
+    let plan = q.explain_analyze().unwrap();
     assert!(plan.contains("-> rows="), "executed rows:\n{plan}");
     assert!(plan.contains("morsels="), "morsel dispatch:\n{plan}");
     assert!(plan.contains("workers="), "worker count:\n{plan}");
@@ -440,6 +439,24 @@ fn explain_analyze_reports_morsel_dispatch() {
     );
     // 200k rows at the default 64Ki morsel size = 4 select morsels.
     assert!(plan.contains("morsels=4"), "select morsel count:\n{plan}");
+
+    // The tree renders the record `collect` logs: on this linear plan its
+    // node lines read bottom-up, then `Collect`, are the record's
+    // post-order nodes — same operators, same rows.
+    q.collect().unwrap();
+    let log = ringo.op_log();
+    let rec = log.iter().rev().find(|r| r.name == "query").unwrap();
+    let mut lines: Vec<&str> = plan.lines().collect();
+    let collect = lines.pop().unwrap();
+    lines.reverse();
+    lines.push(collect);
+    assert_eq!(lines.len(), rec.plan.len(), "{plan}");
+    for (line, stat) in lines.iter().zip(&rec.plan) {
+        let word = line.trim_start().split(' ').next().unwrap().to_lowercase();
+        let rows = line.split("rows=").nth(1).unwrap().split(' ').next();
+        assert!(word.starts_with(stat.op), "{line} vs {}", stat.op);
+        assert_eq!(rows, Some(stat.rows_out.to_string().as_str()), "{line}");
+    }
 }
 
 /// A select→select→project chain gathers column data exactly once, and
