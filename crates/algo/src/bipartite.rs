@@ -5,17 +5,16 @@
 //! project a bipartite graph onto one side (connecting users who touch a
 //! common post) — another of Ringo's graph-construction idioms.
 
-use ringo_concurrent::IntHashTable;
-use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, NodeValues, UndirectedGraph};
 
 /// Side of a slot not reached yet.
 const UNSEEN: u8 = 2;
 
-/// Two-coloring of an undirected graph: `Some(side_of)` mapping each node
-/// to side 0/1 when the graph is bipartite, `None` when any odd cycle
+/// Two-coloring of an undirected graph: `Some` column of each node's side,
+/// 0 or 1, when the graph is bipartite, `None` when any odd cycle
 /// (including a self-loop) exists. A breadth-first sweep over the slot
 /// rows, one component after another in slot order.
-pub fn bipartite_sides(g: &UndirectedGraph) -> Option<IntHashTable<u8>> {
+pub fn bipartite_sides(g: &UndirectedGraph) -> Option<NodeValues<u8>> {
     let mut side = vec![UNSEEN; g.n_slots()];
     let mut queue = Vec::new();
     for start in 0..g.n_slots() {
@@ -39,13 +38,7 @@ pub fn bipartite_sides(g: &UndirectedGraph) -> Option<IntHashTable<u8>> {
             }
         }
     }
-    let mut sides = IntHashTable::with_capacity(g.node_count());
-    for (s, &c) in side.iter().enumerate() {
-        if let Some(id) = g.slot_id(s) {
-            sides.insert(id, c);
-        }
-    }
-    Some(sides)
+    Some(g.node_values(side, g.node_count(), |_| true))
 }
 
 /// True when the graph contains no odd cycle.

@@ -6,22 +6,21 @@
 
 use crate::bfs::{bfs_distances, Direction};
 use crate::frontier::{FrontierEngine, FrontierState};
-use ringo_concurrent::num_threads;
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_graph::{DirectedTopology, NodeId, NodeValues};
 
 /// Degree centrality: `deg(v) / (n - 1)`, using out-, in-, or total degree
-/// per `dir`. Returns `(id, score)` in slot order.
-pub fn degree_centrality<G: DirectedTopology>(g: &G, dir: Direction) -> Vec<(NodeId, f64)> {
+/// per `dir`, as a slot-ordered column.
+pub fn degree_centrality<G: DirectedTopology>(g: &G, dir: Direction) -> NodeValues<f64> {
     let n = g.node_count();
     let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
-    (0..g.n_slots())
-        .filter_map(|s| {
-            let id = g.slot_id(s)?;
+    let scores = (0..g.n_slots())
+        .map(|s| {
             let d = g.out_row(s).len() * usize::from(dir != Direction::In)
                 + g.in_row(s).len() * usize::from(dir != Direction::Out);
-            Some((id, d as f64 / denom))
+            d as f64 / denom
         })
-        .collect()
+        .collect();
+    g.node_values(scores, n, |_| true)
 }
 
 /// Closeness centrality of one node: `(r - 1) / total_distance`, scaled by
@@ -59,85 +58,47 @@ pub fn harmonic_centrality<G: DirectedTopology>(g: &G, id: NodeId, dir: Directio
 
 /// Exact betweenness centrality via Brandes' algorithm over out-edges.
 /// Pass `normalized = true` to divide by `(n-1)(n-2)` (directed
-/// normalization). Returns `(id, score)` in slot order.
+/// normalization). Returns a slot-ordered column.
 ///
 /// Runs in `O(V * E)`; for large graphs prefer
-/// [`betweenness_centrality_sampled`].
-pub fn betweenness_centrality<G: DirectedTopology>(g: &G, normalized: bool) -> Vec<(NodeId, f64)> {
-    let sources: Vec<usize> = (0..g.n_slots())
-        .filter(|&s| g.slot_id(s).is_some())
-        .collect();
-    let sums = brandes(g, &sources, 1.0, 1);
-    per_node(g, &sums, normalized, sources.len())
-}
-
-/// Exact betweenness computed in parallel: Brandes is embarrassingly
-/// parallel over source nodes, so workers process disjoint source ranges
-/// with private accumulators which are summed at the end. Produces
-/// exactly the same values as [`betweenness_centrality`] for any thread
-/// count (per-slot partial sums are combined in chunk order).
-pub fn betweenness_centrality_parallel<G: DirectedTopology>(
+/// [`betweenness_centrality_sampled`]. `threads` run each source's BFS;
+/// the sources are taken one at a time, in slot order, so the sums are
+/// the same at any thread count.
+pub fn betweenness_centrality<G: DirectedTopology>(
     g: &G,
     normalized: bool,
     threads: usize,
-) -> Vec<(NodeId, f64)> {
-    let sources: Vec<usize> = (0..g.n_slots())
-        .filter(|&s| g.slot_id(s).is_some())
-        .collect();
-    let partials: Vec<Vec<f64>> = ringo_concurrent::parallel_map(sources.len(), threads, |range| {
-        // The inner BFS runs single-threaded: parallelism lives in the
-        // source partition here.
-        brandes(g, &sources[range], 1.0, 1)
-    });
-    let mut acc = vec![0.0f64; g.n_slots()];
-    for part in &partials {
-        for (a, v) in acc.iter_mut().zip(part) {
-            *a += v;
-        }
-    }
-    per_node(g, &acc, normalized, sources.len())
+) -> NodeValues<f64> {
+    betweenness_centrality_sampled(g, g.node_count(), normalized, threads)
 }
 
 /// Approximate betweenness from a sample of source nodes (every
 /// `ceil(n / samples)`-th live slot), scaled up to estimate the exact
-/// values.
+/// values; with `samples >= n` it is the exact betweenness.
 pub fn betweenness_centrality_sampled<G: DirectedTopology>(
     g: &G,
     samples: usize,
     normalized: bool,
-) -> Vec<(NodeId, f64)> {
-    let live: Vec<usize> = (0..g.n_slots())
-        .filter(|&s| g.slot_id(s).is_some())
-        .collect();
-    if live.is_empty() || samples == 0 {
-        return Vec::new();
+    threads: usize,
+) -> NodeValues<f64> {
+    let n_live = g.node_count();
+    if n_live == 0 || samples == 0 {
+        return g.node_values(Vec::new(), 0, |_| true);
     }
-    let stride = live.len().div_ceil(samples).max(1);
-    let sources: Vec<usize> = live.iter().copied().step_by(stride).collect();
+    let sources: Vec<usize> = (0..g.n_slots())
+        .filter(|&s| g.slot_id(s).is_some())
+        .step_by(n_live.div_ceil(samples))
+        .collect();
     // Few sources, whole graph each: parallelize *inside* the per-source
     // BFS via the frontier engine rather than across sources. The sums
     // are scaled up to the whole population.
-    let scale = live.len() as f64 / sources.len() as f64;
-    let sums = brandes(g, &sources, scale, num_threads());
-    per_node(g, &sums, normalized, live.len())
-}
-
-/// Per-slot sums as `(id, score)` in slot order, divided by
-/// `(n-1)(n-2)` for `n_live` nodes when `normalized`.
-fn per_node<G: DirectedTopology>(
-    g: &G,
-    sums: &[f64],
-    normalized: bool,
-    n_live: usize,
-) -> Vec<(NodeId, f64)> {
-    let norm = if normalized && n_live > 2 {
-        1.0 / ((n_live - 1) as f64 * (n_live - 2) as f64)
-    } else {
-        1.0
-    };
-    (0..g.n_slots())
-        .filter_map(|s| g.slot_id(s).map(|id| (id, sums[s] * norm)))
-        .collect()
+    let scale = n_live as f64 / sources.len() as f64;
+    let mut sums = brandes(g, &sources, scale, threads);
+    if normalized && n_live > 2 {
+        let norm = 1.0 / ((n_live - 1) as f64 * (n_live - 2) as f64);
+        sums.iter_mut().for_each(|x| *x *= norm);
+    }
+    g.node_values(sums, n_live, |_| true)
 }
 
 /// Brandes' accumulation driven by the shared frontier engine: the
@@ -212,8 +173,8 @@ mod tests {
     use super::*;
     use ringo_graph::DirectedGraph;
 
-    fn of(res: &[(NodeId, f64)], id: NodeId) -> f64 {
-        res.iter().find(|(n, _)| *n == id).unwrap().1
+    fn of(res: &NodeValues<f64>, id: NodeId) -> f64 {
+        *res.get(id).unwrap()
     }
 
     #[test]
@@ -274,7 +235,7 @@ mod tests {
         // Directed path 0 -> 1 -> 2: node 1 lies on the single 0->2 path.
         g.add_edge(0, 1);
         g.add_edge(1, 2);
-        let bc = betweenness_centrality(&g, false);
+        let bc = betweenness_centrality(&g, false, 1);
         assert_eq!(of(&bc, 1), 1.0);
         assert_eq!(of(&bc, 0), 0.0);
         assert_eq!(of(&bc, 2), 0.0);
@@ -288,7 +249,7 @@ mod tests {
         g.add_edge(0, 2);
         g.add_edge(1, 3);
         g.add_edge(2, 3);
-        let bc = betweenness_centrality(&g, false);
+        let bc = betweenness_centrality(&g, false, 1);
         assert!((of(&bc, 1) - 0.5).abs() < 1e-12);
         assert!((of(&bc, 2) - 0.5).abs() < 1e-12);
     }
@@ -299,9 +260,9 @@ mod tests {
         for i in 0..6 {
             g.add_edge(i, i + 1);
         }
-        let bc = betweenness_centrality(&g, true);
-        for (_, v) in bc {
-            assert!((0.0..=1.0).contains(&v));
+        let bc = betweenness_centrality(&g, true, 1);
+        for v in bc.values() {
+            assert!((0.0..=1.0).contains(v));
         }
     }
 
@@ -316,14 +277,10 @@ mod tests {
             let d = (x >> 33) % 70;
             g.add_edge(s as i64, d as i64);
         }
-        let seq = betweenness_centrality(&g, true);
-        for threads in [1usize, 3, 8] {
-            let par = betweenness_centrality_parallel(&g, true, threads);
-            assert_eq!(seq.len(), par.len());
-            for ((ia, va), (ib, vb)) in seq.iter().zip(&par) {
-                assert_eq!(ia, ib);
-                assert!((va - vb).abs() < 1e-9, "id {ia}: {va} vs {vb}");
-            }
+        let seq = betweenness_centrality(&g, true, 1);
+        for threads in [2usize, 3, 8] {
+            let par = betweenness_centrality(&g, true, threads);
+            assert_eq!(seq, par, "the same bits at {threads} threads");
         }
     }
 
@@ -338,11 +295,8 @@ mod tests {
             let d = (x >> 33) % 40;
             g.add_edge(s as i64, d as i64);
         }
-        let exact = betweenness_centrality(&g, false);
-        let sampled = betweenness_centrality_sampled(&g, g.node_count(), false);
-        for ((ia, va), (ib, vb)) in exact.iter().zip(&sampled) {
-            assert_eq!(ia, ib);
-            assert!((va - vb).abs() < 1e-9);
-        }
+        let exact = betweenness_centrality(&g, false, 1);
+        let sampled = betweenness_centrality_sampled(&g, g.node_count(), false, 2);
+        assert_eq!(exact, sampled);
     }
 }

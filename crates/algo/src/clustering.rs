@@ -1,25 +1,27 @@
 //! Clustering coefficients (local and graph-average).
 
-use crate::triangles::node_triangles;
-use ringo_graph::{NodeId, UndirectedGraph};
+use crate::triangles::triangles_per_slot;
+use ringo_graph::{DirectedTopology, NodeValues, UndirectedGraph};
 
 /// Local clustering coefficient per node: `2 * triangles(v) / (d * (d-1))`
 /// where `d` is the degree excluding self-loops. Nodes with degree < 2
-/// have coefficient 0. Returned in slot order as `(id, coefficient)`.
-pub fn node_clustering(g: &UndirectedGraph, threads: usize) -> Vec<(NodeId, f64)> {
-    node_triangles(g, threads)
+/// have coefficient 0. Returned as a slot-ordered column.
+pub fn node_clustering(g: &UndirectedGraph, threads: usize) -> NodeValues<f64> {
+    let coefficients = triangles_per_slot(g, threads)
         .into_iter()
-        .map(|(id, tri)| {
-            let d = (g.degree(id).unwrap_or(0) - usize::from(g.has_edge(id, id))) as f64;
+        .enumerate()
+        .map(|(s, tri)| {
+            let row = g.out_row(s);
+            let d = (row.len() - usize::from(row.binary_search(&(s as u32)).is_ok())) as f64;
             let denom = d * (d - 1.0);
-            let c = if denom > 0.0 {
+            if denom > 0.0 {
                 2.0 * tri as f64 / denom
             } else {
                 0.0
-            };
-            (id, c)
+            }
         })
-        .collect()
+        .collect();
+    g.node_values(coefficients, g.node_count(), |_| true)
 }
 
 /// Average clustering coefficient of the graph (mean of local
@@ -29,7 +31,7 @@ pub fn clustering_coefficient(g: &UndirectedGraph, threads: usize) -> f64 {
     if per_node.is_empty() {
         return 0.0;
     }
-    per_node.iter().map(|(_, c)| c).sum::<f64>() / per_node.len() as f64
+    per_node.values().iter().sum::<f64>() / per_node.len() as f64
 }
 
 #[cfg(test)]
@@ -63,7 +65,7 @@ mod tests {
         g.add_edge(0, 2);
         g.add_edge(0, 3);
         let cc = node_clustering(&g, 1);
-        let of = |id: i64| cc.iter().find(|(n, _)| *n == id).unwrap().1;
+        let of = |id: i64| *cc.get(id).unwrap();
         assert!((of(0) - 1.0 / 3.0).abs() < 1e-12, "deg 3, one triangle");
         assert!((of(1) - 1.0).abs() < 1e-12);
         assert!((of(2) - 1.0).abs() < 1e-12);
@@ -78,7 +80,7 @@ mod tests {
         g.add_edge(1, 3);
         g.add_edge(1, 1);
         let cc = node_clustering(&g, 1);
-        let of = |id: i64| cc.iter().find(|(n, _)| *n == id).unwrap().1;
+        let of = |id: i64| *cc.get(id).unwrap();
         assert!((of(1) - 1.0).abs() < 1e-12);
     }
 

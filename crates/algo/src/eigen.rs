@@ -1,139 +1,73 @@
 //! Spectral-flavored centralities: eigenvector centrality and
 //! personalized PageRank (random walk with restart).
 
-use crate::pagerank::PageRankConfig;
-use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
-use ringo_graph::{DirectedTopology, Direction, NodeId};
+use crate::pagerank::{uniform_walk, PageRankConfig};
+use crate::sweep::Sweep;
+use ringo_graph::{DirectedTopology, NodeId, NodeValues};
 
 /// Eigenvector centrality via power iteration over in-edges (a node is
 /// central when central nodes point at it), with L2 normalization each
-/// round. Returns `(id, score)` in slot order; converges when the L1
-/// change drops below `tol` or after `max_iters`.
+/// round. Returns a slot-ordered column; converges when the L1 change
+/// drops below `tol` or after `max_iters`.
 pub fn eigenvector_centrality<G: DirectedTopology>(
     g: &G,
     max_iters: usize,
     tol: f64,
     threads: usize,
-) -> Vec<(NodeId, f64)> {
-    let n_slots = g.n_slots();
-    if g.node_count() == 0 {
-        return Vec::new();
-    }
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let mut score: Vec<f64> = live.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
-    normalize_l2(&mut score);
-    let mut next = vec![0.0f64; n_slots];
+) -> NodeValues<f64> {
+    let sweep = Sweep::new(g, threads);
+    let mut score = sweep.filled(1.0);
+    sweep.unit_l2(&mut score);
+    let mut next = vec![0.0f64; g.n_slots()];
     for _ in 0..max_iters {
-        {
-            let score_ref = &score;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut next, threads, |_, start, chunk| {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    *out = if live_ref[s] {
-                        let pulled: f64 = g.in_row(s).iter().map(|&u| score_ref[u as usize]).sum();
-                        // Shifted iteration (A + I): same eigenvectors,
-                        // but converges on bipartite graphs where plain
-                        // power iteration oscillates.
-                        pulled + score_ref[s]
-                    } else {
-                        0.0
-                    };
-                }
-            });
-        }
-        let norm_before: f64 = next.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm_before == 0.0 {
+        sweep.pull(&mut next, |s| {
+            let pulled: f64 = g.in_row(s).iter().map(|&u| score[u as usize]).sum();
+            // Shifted iteration (A + I): same eigenvectors, but converges
+            // on bipartite graphs where plain power iteration oscillates.
+            pulled + score[s]
+        });
+        if sweep.unit_l2(&mut next) == 0.0 {
             // No edges: centrality degenerates to uniform over live nodes.
             break;
         }
-        normalize_l2(&mut next);
-        let delta: f64 = score.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+        let delta = sweep.sum(|s| (score[s] - next[s]).abs());
         std::mem::swap(&mut score, &mut next);
         if delta < tol {
             break;
         }
     }
-    (0..n_slots)
-        .filter_map(|s| g.slot_id(s).map(|id| (id, score[s])))
-        .collect()
+    drop(next);
+    sweep.finish(g, score)
 }
 
 /// Personalized PageRank (random walk with restart): like PageRank, but
 /// both the restart mass and the dangling mass return to the `seeds` set
 /// (uniformly across seeds). Scores sum to 1. Seeds absent from the graph
-/// are ignored; returns an empty vector when no seed is present.
+/// are ignored; the column is empty when no seed is present.
 pub fn personalized_pagerank<G: DirectedTopology>(
     g: &G,
     seeds: &[NodeId],
     config: &PageRankConfig,
-) -> Vec<(NodeId, f64)> {
-    let n_slots = g.n_slots();
-    let seed_slots: Vec<usize> = seeds.iter().filter_map(|&s| g.slot_of(s)).collect();
-    if seed_slots.is_empty() {
-        return Vec::new();
+) -> NodeValues<f64> {
+    let mut is_seed = vec![false; g.n_slots()];
+    seeds
+        .iter()
+        .filter_map(|&id| g.slot_of(id))
+        .for_each(|s| is_seed[s] = true);
+    let n_seeds = is_seed.iter().filter(|&&x| x).count();
+    if n_seeds == 0 {
+        return g.node_values(Vec::new(), 0, |_| true);
     }
-    let seed_mass = 1.0 / seed_slots.len() as f64;
-    let mut is_seed = vec![false; n_slots];
-    for &s in &seed_slots {
-        is_seed[s] = true;
-    }
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let out_deg: Vec<u32> = (0..n_slots).map(|s| g.degree(s, Direction::Out)).collect();
-
-    let mut rank = vec![0.0f64; n_slots];
-    for &s in &seed_slots {
-        rank[s] = seed_mass;
-    }
-    let mut contrib = vec![0.0f64; n_slots];
-    let mut next = vec![0.0f64; n_slots];
-    for _ in 0..config.iterations {
-        for s in 0..n_slots {
-            contrib[s] = if live[s] && out_deg[s] > 0 {
-                rank[s] / f64::from(out_deg[s])
-            } else {
-                0.0
-            };
-        }
-        let dangling: f64 = (0..n_slots)
-            .filter(|&s| live[s] && out_deg[s] == 0)
-            .map(|s| rank[s])
-            .sum();
-        {
-            let contrib_ref = &contrib;
-            let live_ref = &live;
-            let is_seed_ref = &is_seed;
-            parallel_for_each_chunk_mut(&mut next, config.threads, |_, start, chunk| {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    if !live_ref[s] {
-                        *out = 0.0;
-                        continue;
-                    }
-                    let walk: f64 = g.in_row(s).iter().map(|&u| contrib_ref[u as usize]).sum();
-                    let restart = if is_seed_ref[s] {
-                        ((1.0 - config.damping) + config.damping * dangling) * seed_mass
-                    } else {
-                        0.0
-                    };
-                    *out = restart + config.damping * walk;
-                }
-            });
-        }
-        std::mem::swap(&mut rank, &mut next);
-    }
-    (0..n_slots)
-        .filter_map(|s| g.slot_id(s).map(|id| (id, rank[s])))
-        .collect()
-}
-
-fn normalize_l2(v: &mut [f64]) {
-    let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-    }
+    let (seed_mass, d) = (1.0 / n_seeds as f64, config.damping);
+    let sweep = Sweep::new(g, config.threads);
+    let rank = is_seed
+        .iter()
+        .map(|&x| if x { seed_mass } else { 0.0 })
+        .collect();
+    let teleport = |dangling| ((1.0 - d) + d * dangling) * seed_mass;
+    let rank = uniform_walk(g, &sweep, config, rank, teleport, |s| is_seed[s]);
+    drop(is_seed);
+    sweep.finish(g, rank)
 }
 
 #[cfg(test)]
@@ -141,8 +75,8 @@ mod tests {
     use super::*;
     use ringo_graph::DirectedGraph;
 
-    fn of(res: &[(NodeId, f64)], id: NodeId) -> f64 {
-        res.iter().find(|(n, _)| *n == id).unwrap().1
+    fn of(res: &NodeValues<f64>, id: NodeId) -> f64 {
+        *res.get(id).unwrap()
     }
 
     #[test]
@@ -157,7 +91,7 @@ mod tests {
         for i in 1..=8 {
             assert!(center > of(&ev, i));
         }
-        let norm: f64 = ev.iter().map(|(_, s)| s * s).sum();
+        let norm: f64 = ev.values().iter().map(|s| s * s).sum();
         assert!((norm - 1.0).abs() < 1e-9);
     }
 
@@ -173,11 +107,7 @@ mod tests {
             g.add_edge(s as i64, d as i64);
         }
         let a = eigenvector_centrality(&g, 30, 0.0, 1);
-        let b = eigenvector_centrality(&g, 30, 0.0, 4);
-        for ((ia, va), (ib, vb)) in a.iter().zip(&b) {
-            assert_eq!(ia, ib);
-            assert!((va - vb).abs() < 1e-12);
-        }
+        assert_eq!(a, eigenvector_centrality(&g, 30, 0.0, 4));
     }
 
     #[test]
@@ -210,7 +140,7 @@ mod tests {
                 ..PageRankConfig::default()
             },
         );
-        let total: f64 = ppr.iter().map(|(_, s)| s).sum();
+        let total: f64 = ppr.values().iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "total {total}");
         for a in 0..4 {
             for b in 10..14 {

@@ -2,8 +2,8 @@
 //! measures" the paper's demo offers for finding experts (§4.1 mentions
 //! "PageRank, Hits").
 
-use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
-use ringo_graph::{DirectedTopology, NodeId};
+use crate::sweep::Sweep;
+use ringo_graph::{DirectedTopology, NodeValues};
 
 /// Hub and authority score of one node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -15,81 +15,37 @@ pub struct HitsScores {
 }
 
 /// Runs the HITS algorithm for `iterations` rounds with L2 normalization,
-/// returning `(id, scores)` pairs in slot order.
+/// returning a slot-ordered column of scores.
 pub fn hits<G: DirectedTopology>(
     g: &G,
     iterations: usize,
     threads: usize,
-) -> Vec<(NodeId, HitsScores)> {
-    let n_slots = g.n_slots();
-    if g.node_count() == 0 {
-        return Vec::new();
-    }
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let mut hub: Vec<f64> = live.iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
+) -> NodeValues<HitsScores> {
+    let sweep = Sweep::new(g, threads);
+    let mut hub = sweep.filled(1.0);
     let mut auth = hub.clone();
-    let mut next = vec![0.0f64; n_slots];
-
+    let mut next = vec![0.0f64; g.n_slots()];
     for _ in 0..iterations {
         // authority[v] = sum of hub[u] over in-neighbors u.
-        {
-            let hub_ref = &hub;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut next, threads, |_, start, chunk| {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    *out = if live_ref[s] {
-                        g.in_row(s).iter().map(|&u| hub_ref[u as usize]).sum()
-                    } else {
-                        0.0
-                    };
-                }
-            });
-        }
-        normalize(&mut next);
+        sweep.pull(&mut next, |s| {
+            g.in_row(s).iter().map(|&u| hub[u as usize]).sum()
+        });
+        sweep.unit_l2(&mut next);
         std::mem::swap(&mut auth, &mut next);
-
         // hub[v] = sum of authority[w] over out-neighbors w.
-        {
-            let auth_ref = &auth;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut next, threads, |_, start, chunk| {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    *out = if live_ref[s] {
-                        g.out_row(s).iter().map(|&w| auth_ref[w as usize]).sum()
-                    } else {
-                        0.0
-                    };
-                }
-            });
-        }
-        normalize(&mut next);
+        sweep.pull(&mut next, |s| {
+            g.out_row(s).iter().map(|&w| auth[w as usize]).sum()
+        });
+        sweep.unit_l2(&mut next);
         std::mem::swap(&mut hub, &mut next);
     }
-
-    (0..n_slots)
-        .filter_map(|s| {
-            g.slot_id(s).map(|id| {
-                (
-                    id,
-                    HitsScores {
-                        hub: hub[s],
-                        authority: auth[s],
-                    },
-                )
-            })
-        })
-        .collect()
-}
-
-fn normalize(v: &mut [f64]) {
-    let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-    }
+    drop(next);
+    let scores = hub
+        .into_iter()
+        .zip(auth)
+        .map(|(hub, authority)| HitsScores { hub, authority })
+        .collect();
+    sweep.finish(g, scores)
 }
 
 #[cfg(test)]
@@ -97,8 +53,8 @@ mod tests {
     use super::*;
     use ringo_graph::DirectedGraph;
 
-    fn score_of(res: &[(NodeId, HitsScores)], id: NodeId) -> HitsScores {
-        res.iter().find(|(n, _)| *n == id).unwrap().1
+    fn score_of(res: &NodeValues<HitsScores>, id: i64) -> HitsScores {
+        *res.get(id).unwrap()
     }
 
     #[test]
@@ -134,8 +90,8 @@ mod tests {
             g.add_edge(s, d);
         }
         let res = hits(&g, 25, 1);
-        let hub_norm: f64 = res.iter().map(|(_, s)| s.hub * s.hub).sum();
-        let auth_norm: f64 = res.iter().map(|(_, s)| s.authority * s.authority).sum();
+        let hub_norm: f64 = res.values().iter().map(|s| s.hub * s.hub).sum();
+        let auth_norm: f64 = res.values().iter().map(|s| s.authority * s.authority).sum();
         assert!((hub_norm - 1.0).abs() < 1e-9);
         assert!((auth_norm - 1.0).abs() < 1e-9);
     }
@@ -151,12 +107,6 @@ mod tests {
             let d = (x >> 33) % 100;
             g.add_edge(s as i64, d as i64);
         }
-        let a = hits(&g, 15, 1);
-        let b = hits(&g, 15, 4);
-        for ((ia, sa), (ib, sb)) in a.iter().zip(&b) {
-            assert_eq!(ia, ib);
-            assert!((sa.hub - sb.hub).abs() < 1e-12);
-            assert!((sa.authority - sb.authority).abs() < 1e-12);
-        }
+        assert_eq!(hits(&g, 15, 1), hits(&g, 15, 4));
     }
 }

@@ -2,56 +2,61 @@
 //! independent sets, greedy coloring, and maximal matching.
 
 use ringo_concurrent::IntHashTable;
-use ringo_graph::{NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeId, NodeValues, UndirectedGraph};
 
 /// A maximal independent set built greedily in ascending-id order
 /// (deterministic). No two returned nodes are adjacent, and no further
 /// node can be added. Nodes with self-loops are skipped (they conflict
 /// with themselves).
 pub fn maximal_independent_set(g: &UndirectedGraph) -> Vec<NodeId> {
-    let mut ids: Vec<NodeId> = g.node_ids().collect();
-    ids.sort_unstable();
-    let mut blocked: IntHashTable<()> = IntHashTable::new();
+    let mut blocked = vec![false; g.n_slots()];
     let mut set = Vec::new();
-    for id in ids {
-        if blocked.contains(id) || g.has_edge(id, id) {
+    for (s, id) in by_id(g) {
+        let row = g.out_row(s);
+        if blocked[s] || row.binary_search(&(s as u32)).is_ok() {
             continue;
         }
         set.push(id);
-        for n in g.nbrs(id) {
-            blocked.insert(n, ());
-        }
+        row.iter().for_each(|&t| blocked[t as usize] = true);
     }
     set
 }
 
+/// The live slots with their ids, in ascending id order.
+fn by_id(g: &UndirectedGraph) -> Vec<(usize, NodeId)> {
+    let mut order: Vec<(usize, NodeId)> = (0..g.n_slots())
+        .filter_map(|s| Some((s, g.slot_id(s)?)))
+        .collect();
+    order.sort_unstable_by_key(|&(_, id)| id);
+    order
+}
+
 /// Greedy graph coloring in ascending-id order: each node takes the
-/// smallest color unused by its neighbors. Returns id → color; uses at
-/// most `max_degree + 1` colors. Self-loops make a node uncolorable and
-/// are rejected with `None` for that node omitted — callers wanting loops
-/// should strip them first.
-pub fn greedy_coloring(g: &UndirectedGraph) -> IntHashTable<u32> {
-    let mut ids: Vec<NodeId> = g.node_ids().collect();
-    ids.sort_unstable();
-    let mut color: IntHashTable<u32> = IntHashTable::with_capacity(ids.len());
+/// smallest color unused by its neighbors. Returns each node's color as a
+/// slot-ordered column; uses at most `max_degree + 1` colors. Self-loops
+/// make a node uncolorable, so a node with one has no color — callers
+/// wanting loops should strip them first.
+pub fn greedy_coloring(g: &UndirectedGraph) -> NodeValues<u32> {
+    const NONE: u32 = u32::MAX;
+    let mut color = vec![NONE; g.n_slots()];
+    let mut colored = 0;
     let mut used: Vec<bool> = Vec::new();
-    for id in ids {
-        if g.has_edge(id, id) {
+    for (s, _) in by_id(g) {
+        let row = g.out_row(s);
+        if row.binary_search(&(s as u32)).is_ok() {
             continue; // self-conflicting
         }
         used.clear();
-        used.resize(g.degree(id).unwrap_or(0) + 1, false);
-        for n in g.nbrs(id) {
-            if let Some(&c) = color.get(n) {
-                if (c as usize) < used.len() {
-                    used[c as usize] = true;
-                }
+        used.resize(row.len() + 1, false);
+        for &t in row {
+            if let Some(u) = used.get_mut(color[t as usize] as usize) {
+                *u = true;
             }
         }
-        let c = used.iter().position(|&u| !u).expect("deg+1 colors suffice") as u32;
-        color.insert(id, c);
+        color[s] = used.iter().position(|&u| !u).expect("deg+1 colors suffice") as u32;
+        colored += 1;
     }
-    color
+    g.node_values(color, colored, |&c| c != NONE)
 }
 
 /// A maximal matching built greedily in ascending edge order: a set of

@@ -42,6 +42,7 @@ pub mod random_walk;
 pub mod similarity;
 pub mod sssp;
 pub mod stats;
+mod sweep;
 pub mod traversal;
 pub mod triads;
 pub mod triangles;
@@ -51,8 +52,8 @@ pub use anf::{anf_effective_diameter, approx_neighborhood_function};
 pub use bfs::{bfs_distances, bfs_order, bfs_tree, Direction};
 pub use bipartite::{bipartite_sides, is_bipartite, project_onto};
 pub use centrality::{
-    betweenness_centrality, betweenness_centrality_parallel, betweenness_centrality_sampled,
-    closeness_centrality, degree_centrality, harmonic_centrality,
+    betweenness_centrality, betweenness_centrality_sampled, closeness_centrality,
+    degree_centrality, harmonic_centrality,
 };
 pub use clustering::{clustering_coefficient, node_clustering};
 pub use community::label_propagation;

@@ -1,17 +1,15 @@
-//! PageRank — the paper's flagship parallel kernel (Table 3).
+//! PageRank — the paper's flagship parallel kernel (Table 3) — and the
+//! power iteration its personalized and weighted variants share.
 //!
 //! "PageRank implementation in Ringo is based on a straightforward,
 //! sequential algorithm with a few OpenMP statements for parallel
-//! execution." We reproduce exactly that: classic power iteration with
-//! damping, dangling-mass redistribution, and a parallel loop over nodes
-//! where each worker writes a disjoint range of the next rank vector —
-//! contention-free, no locks.
+//! execution." We reproduce exactly that: power iteration with damping
+//! and dangling-mass redistribution, on the [`Sweep`].
 
-use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
-use ringo_concurrent::parallel_reduce;
-use ringo_graph::{DirectedTopology, Direction, NodeId};
+use crate::sweep::Sweep;
+use ringo_graph::{DirectedTopology, Direction, NodeValues};
 
-/// Parameters for [`pagerank`].
+/// Parameters for [`pagerank`] and its personalized and weighted variants.
 #[derive(Clone, Copy, Debug)]
 pub struct PageRankConfig {
     /// Damping factor (the paper-era standard 0.85).
@@ -35,8 +33,8 @@ impl Default for PageRankConfig {
     }
 }
 
-/// Computes PageRank scores for every node, returned as `(id, score)`
-/// pairs in slot order. Scores sum to 1 (up to floating-point error).
+/// Computes PageRank scores for every node, as a slot-ordered column on
+/// the graph's id index. Scores sum to 1 (up to floating-point error).
 ///
 /// ```
 /// use ringo_algo::{pagerank, PageRankConfig};
@@ -49,102 +47,92 @@ impl Default for PageRankConfig {
 /// g.add_edge(0, 1);
 /// let config = PageRankConfig { iterations: 100, threads: 1, ..Default::default() };
 /// let pr = pagerank(&g, &config);
-/// let top = pr.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
+/// let top = pr.iter().max_by(|a, b| a.1.total_cmp(b.1)).unwrap().0;
 /// assert_eq!(top, 0);
-/// let total: f64 = pr.iter().map(|(_, s)| s).sum();
+/// let total: f64 = pr.values().iter().sum();
 /// assert!((total - 1.0).abs() < 1e-9);
 /// ```
-pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> Vec<(NodeId, f64)> {
+pub fn pagerank<G: DirectedTopology>(g: &G, config: &PageRankConfig) -> NodeValues<f64> {
     let mut sp = ringo_trace::span!("algo.pagerank");
     sp.rows_in(g.edge_count());
-    let n_slots = g.n_slots();
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let init = 1.0 / n as f64;
-    let mut rank = vec![0.0f64; n_slots];
-    let mut live = vec![false; n_slots];
-    for s in 0..n_slots {
-        if g.slot_id(s).is_some() {
-            rank[s] = init;
-            live[s] = true;
-        }
-    }
-    // The pull loop below reads each node's in-row of neighbour slots in
-    // place, in adjacency order; out-degrees are read once, up front.
-    let out_deg: Vec<u32> = (0..n_slots).map(|s| g.degree(s, Direction::Out)).collect();
-
-    let mut contrib = vec![0.0f64; n_slots];
-    let mut next = vec![0.0f64; n_slots];
-    for _ in 0..config.iterations {
-        // contrib[u] = rank[u] / outdeg[u]; dangling mass collected apart.
-        {
-            let rank_ref = &rank;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut contrib, config.threads, |_, start, chunk| {
-                for (off, c) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    *c = if live_ref[s] && out_deg[s] > 0 {
-                        rank_ref[s] / f64::from(out_deg[s])
-                    } else {
-                        0.0
-                    };
-                }
-            });
-        }
-        let dangling: f64 = parallel_reduce(
-            n_slots,
-            config.threads,
-            0.0,
-            |range| {
-                let mut s = 0.0;
-                for i in range {
-                    if live[i] && out_deg[i] == 0 {
-                        s += rank[i];
-                    }
-                }
-                s
-            },
-            |a, b| a + b,
-        );
-
-        let base = (1.0 - config.damping) / n as f64 + config.damping * dangling / n as f64;
-        {
-            let contrib_ref = &contrib;
-            let live_ref = &live;
-            parallel_for_each_chunk_mut(&mut next, config.threads, |_, start, chunk| {
-                for (off, out) in chunk.iter_mut().enumerate() {
-                    let s = start + off;
-                    if !live_ref[s] {
-                        *out = 0.0;
-                        continue;
-                    }
-                    let mut acc = 0.0;
-                    for &us in g.in_row(s) {
-                        acc += contrib_ref[us as usize];
-                    }
-                    *out = base + config.damping * acc;
-                }
-            });
-        }
-
-        if let Some(tol) = config.tolerance {
-            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut rank, &mut next);
-            if delta < tol {
-                break;
-            }
-        } else {
-            std::mem::swap(&mut rank, &mut next);
-        }
-    }
-
-    let out: Vec<(NodeId, f64)> = (0..n_slots)
-        .filter_map(|s| g.slot_id(s).map(|id| (id, rank[s])))
-        .collect();
+    let sweep = Sweep::new(g, config.threads);
+    let (n, d) = (g.node_count() as f64, config.damping);
+    let rank = sweep.filled(1.0 / n);
+    let teleport = |dangling| (1.0 - d) / n + d * dangling / n;
+    let rank = uniform_walk(g, &sweep, config, rank, teleport, |_| true);
+    let out = sweep.finish(g, rank);
     sp.rows_out(out.len());
     out
+}
+
+/// The walk of [`pagerank`] and personalized PageRank: every out-edge of
+/// `u` carries `rank[u] / outdeg(u)`, and a slot's pull starts from the
+/// teleport term where `restarts(slot)`, from 0 elsewhere.
+pub(crate) fn uniform_walk<G: DirectedTopology>(
+    g: &G,
+    sweep: &Sweep,
+    config: &PageRankConfig,
+    rank: Vec<f64>,
+    teleport: impl Fn(f64) -> f64,
+    restarts: impl Fn(usize) -> bool + Sync,
+) -> Vec<f64> {
+    let d = config.damping;
+    // Out-degrees are read once, up front; the pull reads each in-row of
+    // neighbour slots in place, in row order.
+    let out_deg: Vec<u32> = (0..g.n_slots())
+        .map(|s| g.degree(s, Direction::Out))
+        .collect();
+    let out = |u| f64::from(out_deg[u]);
+    power_iteration(sweep, config, rank, out, 1.0, teleport, |s, t, contrib| {
+        let mut acc = 0.0;
+        for &u in g.in_row(s) {
+            acc += contrib[u as usize];
+        }
+        let t = if restarts(s) { t } else { 0.0 };
+        t + d * acc
+    })
+}
+
+/// The power iteration of the PageRank family. Each iteration, every live
+/// slot `u` shares `scale * rank[u] / out(u)` along each out-edge (none
+/// when `out(u) <= 0`: `u` is dangling); `teleport` turns the dangling
+/// rank into a term `t`; and every live slot's next rank is
+/// `pull(slot, t, shares)`. Stops after `config.iterations`, or once the
+/// L1 change falls below `config.tolerance`.
+pub(crate) fn power_iteration(
+    sweep: &Sweep,
+    config: &PageRankConfig,
+    mut rank: Vec<f64>,
+    out: impl Fn(usize) -> f64 + Sync,
+    scale: f64,
+    teleport: impl Fn(f64) -> f64,
+    pull: impl Fn(usize, f64, &[f64]) -> f64 + Sync,
+) -> Vec<f64> {
+    // The dangling slots, ascending: their rank is summed in slot order
+    // without a pass over every slot.
+    let dangling = sweep.slots(|u| out(u) <= 0.0);
+    let mut contrib = vec![0.0f64; rank.len()];
+    let mut next = vec![0.0f64; rank.len()];
+    for _ in 0..config.iterations {
+        sweep.pull(&mut contrib, |u| {
+            let o = out(u);
+            if o <= 0.0 {
+                0.0
+            } else {
+                scale * rank[u] / o
+            }
+        });
+        let t = teleport(dangling.iter().fold(0.0, |acc, &u| acc + rank[u as usize]));
+        sweep.pull(&mut next, |s| pull(s, t, &contrib));
+        let converged = config
+            .tolerance
+            .is_some_and(|tol| sweep.sum(|s| (rank[s] - next[s]).abs()) < tol);
+        std::mem::swap(&mut rank, &mut next);
+        if converged {
+            break;
+        }
+    }
+    rank
 }
 
 #[cfg(test)]
@@ -160,8 +148,8 @@ mod tests {
         }
     }
 
-    fn rank_of(prs: &[(NodeId, f64)], id: NodeId) -> f64 {
-        prs.iter().find(|(n, _)| *n == id).unwrap().1
+    fn rank_of(prs: &NodeValues<f64>, id: i64) -> f64 {
+        *prs.get(id).unwrap()
     }
 
     #[test]
@@ -176,7 +164,7 @@ mod tests {
         g.add_node(7);
         let pr = pagerank(&g, &config(1));
         assert_eq!(pr.len(), 1);
-        assert!((pr[0].1 - 1.0).abs() < 1e-9);
+        assert!((pr.values()[0] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -186,7 +174,7 @@ mod tests {
             g.add_edge(s, d);
         }
         let pr = pagerank(&g, &config(1));
-        let total: f64 = pr.iter().map(|(_, r)| r).sum();
+        let total: f64 = pr.values().iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
     }
 
@@ -211,7 +199,7 @@ mod tests {
             g.add_edge(i, (i + 1) % n);
         }
         let pr = pagerank(&g, &config(1));
-        for (_, r) in &pr {
+        for r in pr.values() {
             assert!((r - 1.0 / n as f64).abs() < 1e-9);
         }
     }
@@ -221,7 +209,7 @@ mod tests {
         let mut g = DirectedGraph::new();
         g.add_edge(1, 2); // 2 is dangling
         let pr = pagerank(&g, &config(1));
-        let total: f64 = pr.iter().map(|(_, r)| r).sum();
+        let total: f64 = pr.values().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!(rank_of(&pr, 2) > rank_of(&pr, 1));
     }
@@ -244,11 +232,7 @@ mod tests {
         }
         let seq = pagerank(&g, &config(1));
         let par = pagerank(&g, &config(4));
-        assert_eq!(seq.len(), par.len());
-        for ((id_a, ra), (id_b, rb)) in seq.iter().zip(&par) {
-            assert_eq!(id_a, id_b);
-            assert!((ra - rb).abs() < 1e-12);
-        }
+        assert_eq!(seq, par, "the same bits at any thread count");
     }
 
     #[test]
@@ -262,8 +246,8 @@ mod tests {
         let slab = dynamic.induced(|_| true);
         let a = pagerank(&dynamic, &config(1));
         let b = pagerank(&slab, &config(1));
-        for (id, r) in &a {
-            let rb = rank_of(&b, *id);
+        for (id, r) in a.iter() {
+            let rb = rank_of(&b, id);
             assert!((r - rb).abs() < 1e-12, "id {id}: {r} vs {rb}");
         }
     }
@@ -281,7 +265,7 @@ mod tests {
             ..PageRankConfig::default()
         };
         let pr = pagerank(&g, &cfg);
-        for (_, r) in pr {
+        for r in pr.values() {
             assert!((r - 0.1).abs() < 1e-9);
         }
     }
@@ -294,7 +278,7 @@ mod tests {
         g.del_node(3);
         let pr = pagerank(&g, &config(2));
         assert_eq!(pr.len(), 2);
-        let total: f64 = pr.iter().map(|(_, r)| r).sum();
+        let total: f64 = pr.values().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 }

@@ -1,7 +1,7 @@
 //! Random walks over directed graphs: plain walks, restart walks, and a
 //! Monte-Carlo personalized-PageRank estimator built on them.
 
-use ringo_graph::{DirectedTopology, NodeId};
+use ringo_graph::{DirectedTopology, NodeId, NodeValues};
 
 /// Deterministic xorshift64* generator so walks are reproducible.
 #[derive(Clone, Debug)]
@@ -59,8 +59,8 @@ pub fn random_walk<G: DirectedTopology>(
 
 /// Monte-Carlo personalized PageRank: runs `walks` restart walks from
 /// `seed` (restart probability `1 - damping`, also restarting at dead
-/// ends) and returns visit frequencies normalized to sum to 1. A cheap,
-/// parallel-friendly approximation of
+/// ends) and returns the visited nodes' visit frequencies, which sum to 1,
+/// as a slot-ordered column. A cheap, parallel-friendly approximation of
 /// [`crate::eigen::personalized_pagerank`].
 pub fn approximate_ppr<G: DirectedTopology>(
     g: &G,
@@ -69,10 +69,9 @@ pub fn approximate_ppr<G: DirectedTopology>(
     walks: usize,
     max_steps: usize,
     rng: &mut WalkRng,
-) -> Vec<(NodeId, f64)> {
-    let seed_slot = match g.slot_of(seed) {
-        Some(s) => s,
-        None => return Vec::new(),
+) -> NodeValues<f64> {
+    let Some(seed_slot) = g.slot_of(seed) else {
+        return g.node_values(Vec::new(), 0, |_| true);
     };
     let mut visits = vec![0u64; g.n_slots()];
     let mut total = 0u64;
@@ -89,12 +88,12 @@ pub fn approximate_ppr<G: DirectedTopology>(
             };
         }
     }
-    let mut out: Vec<(NodeId, f64)> = (0..g.n_slots())
-        .filter(|&s| visits[s] > 0)
-        .filter_map(|s| Some((g.slot_id(s)?, visits[s] as f64 / total as f64)))
+    let visited = visits.iter().filter(|&&v| v > 0).count();
+    let freq = visits
+        .into_iter()
+        .map(|v| v as f64 / total as f64)
         .collect();
-    out.sort_unstable_by_key(|(id, _)| *id);
-    out
+    g.node_values(freq, visited, |&f| f > 0.0)
 }
 
 #[cfg(test)]
@@ -168,19 +167,14 @@ mod tests {
                 ..PageRankConfig::default()
             },
         );
-        let of = |res: &[(i64, f64)], id: i64| {
-            res.iter()
-                .find(|(n, _)| *n == id)
-                .map(|(_, s)| *s)
-                .unwrap_or(0.0)
-        };
+        let of = |res: &NodeValues<f64>, id: i64| res.get(id).copied().unwrap_or(0.0);
         // Mass concentrates in clique A in both.
         let a_mass_exact: f64 = (0..4).map(|v| of(&exact, v)).sum();
         let a_mass_approx: f64 = (0..4).map(|v| of(&approx, v)).sum();
         assert!(a_mass_exact > 0.7);
         assert!(a_mass_approx > 0.7);
         // Seed is the top node in both.
-        let top_approx = approx.iter().max_by(|x, y| x.1.total_cmp(&y.1)).unwrap().0;
+        let top_approx = approx.iter().max_by(|x, y| x.1.total_cmp(y.1)).unwrap().0;
         assert_eq!(top_approx, 0);
     }
 
@@ -190,7 +184,7 @@ mod tests {
         g.add_edge(1, 2);
         g.add_edge(2, 1);
         let f = approximate_ppr(&g, 1, 0.5, 100, 10, &mut WalkRng::new(3));
-        let sum: f64 = f.iter().map(|(_, s)| s).sum();
+        let sum: f64 = f.values().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 }

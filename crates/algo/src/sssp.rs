@@ -3,7 +3,7 @@
 
 use crate::bfs::{bfs_distances, Direction};
 use ringo_graph::{DirectedTopology, NodeId, NodeValues};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Unweighted shortest paths: BFS hop distances per node. This is the
@@ -12,27 +12,6 @@ use std::collections::BinaryHeap;
 /// [`crate::frontier`]), inheriting its parallelism and determinism.
 pub fn sssp_unweighted<G: DirectedTopology>(g: &G, src: NodeId, dir: Direction) -> NodeValues<u32> {
     bfs_distances(g, src, dir)
-}
-
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    slot: usize,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap over distance.
-        other.dist.total_cmp(&self.dist)
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Dijkstra's algorithm over out-edges with a caller-supplied edge weight
@@ -46,34 +25,40 @@ where
     G: DirectedTopology,
     W: Fn(NodeId, NodeId) -> f64,
 {
+    let id = |s: usize| g.slot_id(s).expect("a row names live slots");
+    dijkstra_slots(g, src, |u, k| weight(id(u), id(g.out_row(u)[k] as usize)))
+}
+
+/// Dijkstra over slots: `weight(u, k)` is the weight of the `k`-th edge of
+/// slot `u`'s out-row.
+pub(crate) fn dijkstra_slots<G: DirectedTopology>(
+    g: &G,
+    src: NodeId,
+    weight: impl Fn(usize, usize) -> f64,
+) -> NodeValues<f64> {
     let Some(src_slot) = g.slot_of(src) else {
         return g.node_values(Vec::new(), 0, |_| true);
     };
     let mut dist = vec![f64::INFINITY; g.n_slots()];
     let mut reached = 1;
     dist[src_slot] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry {
-        dist: 0.0,
-        slot: src_slot,
-    });
-    while let Some(HeapEntry { dist: d, slot }) = heap.pop() {
+    // A min-heap of `(distance, slot)`: non-negative distances order as
+    // their bits do.
+    let mut heap = BinaryHeap::from([Reverse((0.0f64.to_bits(), src_slot))]);
+    while let Some(Reverse((bits, slot))) = heap.pop() {
+        let d = f64::from_bits(bits);
         if d > dist[slot] {
             continue; // stale entry
         }
-        let u = g.slot_id(slot).expect("heap slot is live");
-        for &v in g.out_row(slot) {
+        for (k, &v) in g.out_row(slot).iter().enumerate() {
             let vs = v as usize;
-            let w = weight(u, g.slot_id(vs).expect("neighbour slot is live"));
+            let w = weight(slot, k);
             debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
             let cand = d + w;
             if cand < dist[vs] {
                 reached += usize::from(dist[vs] == f64::INFINITY);
                 dist[vs] = cand;
-                heap.push(HeapEntry {
-                    dist: cand,
-                    slot: vs,
-                });
+                heap.push(Reverse((cand.to_bits(), vs)));
             }
         }
     }

@@ -11,7 +11,7 @@
 
 use crate::intersect::count_common;
 use ringo_concurrent::parallel_for_dynamic;
-use ringo_graph::{DirectedTopology, NodeId, UndirectedGraph};
+use ringo_graph::{DirectedTopology, NodeValues, UndirectedGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts the number of distinct triangles. Self-loops never form
@@ -58,9 +58,14 @@ fn each_node(g: &UndirectedGraph, threads: usize, body: impl Fn(u32, &[u32]) + S
     });
 }
 
-/// Number of triangles incident to each node, as `(id, count)` pairs in
-/// slot order. `sum(counts) == 3 * count_triangles(g)`.
-pub fn node_triangles(g: &UndirectedGraph, threads: usize) -> Vec<(NodeId, u64)> {
+/// Triangles incident to each node, a slot-ordered column summing to
+/// `3 * count_triangles(g)`.
+pub fn node_triangles(g: &UndirectedGraph, threads: usize) -> NodeValues<u64> {
+    g.node_values(triangles_per_slot(g, threads), g.node_count(), |_| true)
+}
+
+/// [`node_triangles`] as a slot vector (0 in vacant slots).
+pub(crate) fn triangles_per_slot(g: &UndirectedGraph, threads: usize) -> Vec<u64> {
     let tri: Vec<AtomicU64> = (0..g.n_slots()).map(|_| AtomicU64::new(0)).collect();
     each_node(g, threads, |u, nbrs| {
         // Each triangle {u, v, w} with w < v is met once, from v, as a
@@ -76,8 +81,5 @@ pub fn node_triangles(g: &UndirectedGraph, threads: usize) -> Vec<(NodeId, u64)>
         // owns it and read after the pool's completion mutex.
         tri[u as usize].store(count, Ordering::Relaxed);
     });
-    tri.into_iter()
-        .enumerate()
-        .filter_map(|(slot, t)| Some((g.slot_id(slot)?, t.into_inner())))
-        .collect()
+    tri.into_iter().map(AtomicU64::into_inner).collect()
 }

@@ -1,113 +1,61 @@
 //! Algorithms over weighted digraphs: weighted PageRank and weighted
 //! shortest paths on stored edge weights.
 
-use crate::pagerank::PageRankConfig;
-use ringo_concurrent::IntHashTable;
-use ringo_graph::{DirectedTopology, NodeId, WeightedDigraph};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::pagerank::{power_iteration, PageRankConfig};
+use crate::sssp::dijkstra_slots;
+use crate::sweep::Sweep;
+use ringo_graph::{DirectedTopology, NodeId, NodeValues, WeightedDigraph};
 
 /// Weighted PageRank: a random surfer follows out-edges with probability
 /// proportional to edge weight (instead of uniformly). Weights must be
 /// non-negative; nodes whose total out-weight is zero are treated as
-/// dangling. Scores sum to 1; `(id, score)` pairs in slot order.
-pub fn pagerank_weighted(g: &WeightedDigraph, config: &PageRankConfig) -> Vec<(NodeId, f64)> {
-    let n_slots = g.n_slots();
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let live: Vec<bool> = (0..n_slots).map(|s| g.slot_id(s).is_some()).collect();
-    let strength: Vec<f64> = (0..n_slots)
+/// dangling. Scores sum to 1, as a slot-ordered column.
+///
+/// Each node pulls over its in-row, in slot order, starting from the
+/// teleport term: the order in which pushing every node's share along
+/// its out-row, node by node in slot order, would add them.
+pub fn pagerank_weighted(g: &WeightedDigraph, config: &PageRankConfig) -> NodeValues<f64> {
+    let sweep = Sweep::new(g, config.threads);
+    let n = g.node_count() as f64;
+    let d = config.damping;
+    let strength: Vec<f64> = (0..g.n_slots())
         .map(|s| g.out_weights(s).iter().sum())
         .collect();
-    let mut rank: Vec<f64> = live
-        .iter()
-        .map(|&l| if l { 1.0 / n as f64 } else { 0.0 })
-        .collect();
-    let mut next = vec![0.0f64; n_slots];
-    for _ in 0..config.iterations {
-        let dangling: f64 = (0..n_slots)
-            .filter(|&s| live[s] && strength[s] <= 0.0)
-            .map(|s| rank[s])
-            .sum();
-        let base = (1.0 - config.damping) / n as f64 + config.damping * dangling / n as f64;
-        for (x, &l) in next.iter_mut().zip(&live) {
-            *x = if l { base } else { 0.0 };
-        }
-        // Push model: each node distributes its rank along out-weights.
-        for s in 0..n_slots {
-            if !live[s] || strength[s] <= 0.0 {
-                continue;
+    // The weight of `u -> s`, found in `u`'s slot-sorted out-row.
+    let weight =
+        |u: usize, s: usize| g.out_weights(u)[g.out_row(u).partition_point(|&t| (t as usize) < s)];
+    let rank = power_iteration(
+        &sweep,
+        config,
+        sweep.filled(1.0 / n),
+        |u| strength[u],
+        d,
+        |dangling| (1.0 - d) / n + d * dangling / n,
+        |s, base, share| {
+            let mut acc = base;
+            for &u in g.in_row(s) {
+                acc += share[u as usize] * weight(u as usize, s);
             }
-            let share = config.damping * rank[s] / strength[s];
-            for (&t, &w) in g.out_row(s).iter().zip(g.out_weights(s)) {
-                next[t as usize] += share * w;
-            }
-        }
-        std::mem::swap(&mut rank, &mut next);
-    }
-    (0..n_slots)
-        .filter_map(|s| Some((g.slot_id(s)?, rank[s])))
-        .collect()
-}
-
-#[derive(PartialEq)]
-struct Entry {
-    dist: f64,
-    id: NodeId,
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.dist.total_cmp(&self.dist)
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+            acc
+        },
+    );
+    drop(strength);
+    sweep.finish(g, rank)
 }
 
 /// Dijkstra over the graph's stored weights (which must be non-negative).
-/// Returns id → distance; unreachable nodes absent.
-pub fn dijkstra_weighted(g: &WeightedDigraph, src: NodeId) -> IntHashTable<f64> {
-    let mut dist: IntHashTable<f64> = IntHashTable::new();
-    if !g.has_node(src) {
-        return dist;
-    }
-    let mut heap = BinaryHeap::new();
-    dist.insert(src, 0.0);
-    heap.push(Entry { dist: 0.0, id: src });
-    while let Some(Entry { dist: d, id }) = heap.pop() {
-        if d > *dist.get(id).expect("popped node has distance") {
-            continue;
-        }
-        for (nbr, w) in g.out_edges(id) {
-            debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
-            let cand = d + w;
-            let better = dist.get(nbr).is_none_or(|&cur| cand < cur);
-            if better {
-                dist.insert(nbr, cand);
-                heap.push(Entry {
-                    dist: cand,
-                    id: nbr,
-                });
-            }
-        }
-    }
-    dist
+/// Returns each reached node's distance in ascending slot order;
+/// unreachable nodes have no value.
+pub fn dijkstra_weighted(g: &WeightedDigraph, src: NodeId) -> NodeValues<f64> {
+    dijkstra_slots(g, src, |u, k| g.out_weights(u)[k])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn of(res: &[(NodeId, f64)], id: NodeId) -> f64 {
-        res.iter().find(|(n, _)| *n == id).unwrap().1
+    fn of(res: &NodeValues<f64>, id: NodeId) -> f64 {
+        *res.get(id).unwrap()
     }
 
     #[test]
@@ -127,7 +75,7 @@ mod tests {
             },
         );
         assert!(of(&pr, 1) > 2.0 * of(&pr, 2));
-        let sum: f64 = pr.iter().map(|(_, s)| s).sum();
+        let sum: f64 = pr.values().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
@@ -147,8 +95,8 @@ mod tests {
         };
         let a = pagerank_weighted(&wg, &cfg);
         let b = crate::pagerank::pagerank(&g, &cfg);
-        for (id, s) in &a {
-            let sb = b.iter().find(|(n, _)| n == id).unwrap().1;
+        for (id, s) in a.iter() {
+            let sb = of(&b, id);
             assert!((s - sb).abs() < 1e-9, "id {id}: {s} vs {sb}");
         }
     }

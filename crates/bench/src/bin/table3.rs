@@ -29,7 +29,7 @@ fn main() {
         .iter()
         .map(|d| {
             time_avg(runs, || {
-                std::hint::black_box(pagerank(&d.graph, &cfg)).clear()
+                std::hint::black_box(pagerank(&d.graph, &cfg));
             })
         })
         .collect();

@@ -10,7 +10,7 @@
 //!   process, so parallel regions cost a wakeup instead of OS thread
 //!   spawns, with [`pool::PoolStats`] counters for observability,
 //! * [`parallel`] — OpenMP-style loops on that pool
-//!   ([`parallel::parallel_for`], [`parallel::parallel_map`], reductions),
+//!   ([`parallel::parallel_for`], [`parallel::parallel_map`]),
 //!   the moral equivalent of `#pragma omp parallel for` with static
 //!   scheduling,
 //! * [`radix`] — parallel radix partition sort of packed `u64` / `u128`
@@ -51,7 +51,7 @@ pub use hash_table::{ConcurrentIntTable, IntHashTable, KeyInterner};
 pub use parallel::{
     morsel_bounds, morsel_rows, num_threads, parallel_for, parallel_for_dynamic,
     parallel_for_morsels, parallel_for_morsels_traced, parallel_map, parallel_map_morsels,
-    parallel_map_morsels_traced, parallel_reduce, DisjointSlice, MorselStats, DEFAULT_MORSEL_ROWS,
+    parallel_map_morsels_traced, DisjointSlice, MorselStats, DEFAULT_MORSEL_ROWS,
 };
 pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{

@@ -69,7 +69,7 @@ pub fn chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
 /// thread, so the function is cheap to call for small inputs.
 ///
 /// ```
-/// use ringo_concurrent::{parallel_for, parallel_reduce};
+/// use ringo_concurrent::parallel_for;
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let data: Vec<u64> = (0..10_000).collect();
@@ -79,14 +79,6 @@ pub fn chunk_bounds(len: usize, threads: usize) -> Vec<usize> {
 ///     sum.fetch_add(local, Ordering::Relaxed);
 /// });
 /// assert_eq!(sum.into_inner(), 10_000 * 9_999 / 2);
-///
-/// // Or without shared state, via a reduction:
-/// let total = parallel_reduce(
-///     data.len(), 4, 0u64,
-///     |range| range.map(|i| data[i]).sum::<u64>(),
-///     |a, b| a + b,
-/// );
-/// assert_eq!(total, 10_000 * 9_999 / 2);
 /// ```
 pub fn parallel_for<F>(len: usize, threads: usize, body: F)
 where
@@ -134,21 +126,6 @@ where
         .into_iter()
         .map(|s| s.expect("every chunk fills its slot"))
         .collect()
-}
-
-/// Parallel reduction: maps each chunk with `body`, then folds the partial
-/// results with `combine` starting from `init`. The reduction order over
-/// chunks is deterministic (chunk 0 first), so floating-point reductions
-/// are reproducible for a fixed thread count.
-pub fn parallel_reduce<T, F, C>(len: usize, threads: usize, init: T, body: F, combine: C) -> T
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    parallel_map(len, threads, body)
-        .into_iter()
-        .fold(init, combine)
 }
 
 /// Default rows per morsel for morsel-driven operators: small enough that
@@ -529,19 +506,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(parts, sorted);
         assert_eq!(parts.len(), 4);
-    }
-
-    #[test]
-    fn parallel_reduce_sums_correctly() {
-        let data: Vec<u64> = (0..100_000).collect();
-        let total = parallel_reduce(
-            data.len(),
-            8,
-            0u64,
-            |range| range.map(|i| data[i]).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, 100_000 * 99_999 / 2);
     }
 
     #[test]

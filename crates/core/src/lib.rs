@@ -485,7 +485,7 @@ impl Ringo {
             String::new(),
             g.edge_count(),
             Vec::len,
-            || Ok(ringo_algo::pagerank(g, &self.pagerank_config())),
+            || Ok(pairs(ringo_algo::pagerank(g, &self.pagerank_config()))),
         );
         scores
     }
@@ -505,7 +505,7 @@ impl Ringo {
             format!("d={} iters={}", config.damping, config.iterations),
             g.edge_count(),
             Vec::len,
-            || Ok(ringo_algo::pagerank(g, config)),
+            || Ok(pairs(ringo_algo::pagerank(g, config))),
         );
         scores
     }
@@ -521,7 +521,7 @@ impl Ringo {
             format!("iters={iterations}"),
             g.edge_count(),
             Vec::len,
-            || Ok(ringo_algo::hits(g, iterations, self.threads)),
+            || Ok(pairs(ringo_algo::hits(g, iterations, self.threads))),
         );
         scores
     }
@@ -625,7 +625,12 @@ impl Ringo {
             String::new(),
             g.edge_count(),
             Vec::len,
-            || Ok(ringo_algo::pagerank_weighted(g, &self.pagerank_config())),
+            || {
+                Ok(pairs(ringo_algo::pagerank_weighted(
+                    g,
+                    &self.pagerank_config(),
+                )))
+            },
         );
         scores
     }
@@ -638,7 +643,7 @@ impl Ringo {
             format!("{} seeds", seeds.len()),
             g.edge_count(),
             Vec::len,
-            || Ok(ringo_algo::personalized_pagerank(g, seeds, &config)),
+            || Ok(pairs(ringo_algo::personalized_pagerank(g, seeds, &config))),
         );
         scores
     }
@@ -651,12 +656,8 @@ impl Ringo {
             g.edge_count(),
             Vec::len,
             || {
-                Ok(ringo_algo::eigenvector_centrality(
-                    g,
-                    100,
-                    1e-10,
-                    self.threads,
-                ))
+                let scores = ringo_algo::eigenvector_centrality(g, 100, 1e-10, self.threads);
+                Ok(pairs(scores))
             },
         );
         scores
@@ -732,6 +733,11 @@ impl Ringo {
 /// cannot be read — the load then reports why).
 fn file_bytes(path: &Path) -> usize {
     std::fs::metadata(path).map_or(0, |m| m.len() as usize)
+}
+
+/// A kernel's score column as the `(id, score)` pairs the score verbs return.
+fn pairs<T: Copy>(scores: NodeValues<T>) -> Vec<(NodeId, T)> {
+    scores.iter().map(|(id, &x)| (id, x)).collect()
 }
 
 #[cfg(test)]

@@ -128,10 +128,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "crates/algo/src/traversal.rs",
         "invariant expects in kernel loops",
     ),
-    (
-        "crates/algo/src/weighted.rs",
-        "invariant expects in kernel loops",
-    ),
     // Benchmark drivers and fixtures: setup failures (I/O, column lookups)
     // abort the run loudly by design — a benchmark must not limp on.
     (

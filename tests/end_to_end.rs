@@ -89,11 +89,8 @@ fn algorithms_agree_across_representations_and_thread_counts() {
         };
         let a = pagerank(&g, &cfg);
         let b = pagerank(&owned, &cfg);
-        let find = |res: &[(i64, f64)], id: i64| {
-            res.iter().find(|(n, _)| *n == id).map(|(_, s)| *s).unwrap()
-        };
         for (id, s) in a.iter().take(200) {
-            assert!((s - find(&b, *id)).abs() < 1e-10);
+            assert!((s - b.get(id).unwrap()).abs() < 1e-10);
         }
     }
 }
@@ -171,7 +168,7 @@ fn hits_and_pagerank_rank_the_planted_authority_first() {
         g.add_edge(i, (i % 7) + 1);
     }
     let pr = pagerank(&g, &PageRankConfig::default());
-    let top_pr = pr.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
+    let top_pr = pr.iter().max_by(|a, b| a.1.total_cmp(b.1)).unwrap().0;
     assert_eq!(top_pr, 0);
     let h = hits(&g, 20, 2);
     let top_auth = h

@@ -8,10 +8,13 @@
 //! after `del_node`, and the last version of a clone → edit → publish
 //! chain; the kernels that take a thread count run at 1, 2 and 4. On
 //! table-built graphs every output is pinned bit for bit to digests
-//! recorded before the rows became the storage.
+//! recorded before the rows became the storage (the score kernels: before
+//! they shared one sweep), and every score kernel returns the same bits
+//! at any thread count.
 
+use ringo::algo::HitsScores;
 use ringo::algo::{
-    adamic_adar, approx_diameter, betweenness_centrality, betweenness_centrality_parallel,
+    adamic_adar, approx_diameter, betweenness_centrality, betweenness_centrality_sampled,
     bfs_order, closeness_centrality, common_neighbors, core_numbers, count_triangles,
     cut_structure, degree_centrality, degree_histogram, dfs_order, dijkstra_weighted,
     eigenvector_centrality, greedy_coloring, hits, is_bipartite, jaccard_similarity, k_core,
@@ -23,7 +26,8 @@ use ringo::algo::{
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
 use ringo::{
-    DirectedGraph, Direction, NodeId, PageRankConfig, Ringo, UndirectedGraph, WeightedDigraph,
+    DirectedGraph, Direction, NodeId, NodeValues, PageRankConfig, Ringo, UndirectedGraph,
+    WeightedDigraph,
 };
 use ringo_rng::Rng64;
 use std::borrow::Borrow;
@@ -310,6 +314,84 @@ fn pagerank_oracle(m: &Model, iterations: usize) -> BTreeMap<NodeId, f64> {
     rank
 }
 
+/// Personalized PageRank by the definition, over the model: the restart
+/// and the dangling mass return to the seeds.
+fn ppr_oracle(m: &Model, seeds: &[NodeId], iterations: usize) -> BTreeMap<NodeId, f64> {
+    let (out, inn) = (m.adj(Direction::Out), m.adj(Direction::In));
+    let seeds: BTreeSet<NodeId> = seeds.iter().copied().collect();
+    let mass = 1.0 / seeds.len() as f64;
+    let restart = |v: &NodeId, x: f64| if seeds.contains(v) { x * mass } else { 0.0 };
+    let mut rank: BTreeMap<NodeId, f64> = m.nodes.iter().map(|v| (*v, restart(v, 1.0))).collect();
+    for _ in 0..iterations {
+        let dangling: f64 = out
+            .iter()
+            .filter(|(_, o)| o.is_empty())
+            .map(|(v, _)| rank[v])
+            .sum();
+        rank = inn
+            .iter()
+            .map(|(v, ins)| {
+                let walk: f64 = ins.iter().map(|u| rank[u] / out[u].len() as f64).sum();
+                (*v, restart(v, 0.15 + 0.85 * dangling) + 0.85 * walk)
+            })
+            .collect();
+    }
+    rank
+}
+
+/// The weight of edge `a -> b` in the weighted tests: not uniform over a
+/// node's out-edges.
+fn weight(a: NodeId, b: NodeId) -> f64 {
+    1.0 + (a ^ b).rem_euclid(7) as f64 / 2.0
+}
+
+/// Weighted PageRank by the definition, over the model and [`weight`]: a
+/// node's rank leaves along each out-edge in proportion to its weight.
+fn weighted_pagerank_oracle(m: &Model, iterations: usize) -> BTreeMap<NodeId, f64> {
+    let (out, inn) = (m.adj(Direction::Out), m.adj(Direction::In));
+    let n = m.nodes.len() as f64;
+    let strength = |u: &NodeId| out[u].iter().map(|&t| weight(*u, t)).sum::<f64>();
+    let mut rank: BTreeMap<NodeId, f64> = m.nodes.iter().map(|&v| (v, 1.0 / n)).collect();
+    for _ in 0..iterations {
+        let dangling: f64 = out
+            .iter()
+            .filter(|(_, o)| o.is_empty())
+            .map(|(v, _)| rank[v])
+            .sum();
+        let base = 0.15 / n + 0.85 * dangling / n;
+        rank = inn
+            .iter()
+            .map(|(&v, ins)| {
+                let pulled: f64 = ins
+                    .iter()
+                    .map(|u| rank[u] * weight(*u, v) / strength(u))
+                    .sum();
+                (v, base + 0.85 * pulled)
+            })
+            .collect();
+    }
+    rank
+}
+
+/// Shortest [`weight`]ed distances from `src`, by relaxing every edge of
+/// the model until none improves.
+fn weighted_distances(m: &Model, src: NodeId) -> BTreeMap<NodeId, f64> {
+    let mut dist = BTreeMap::from([(src, 0.0)]);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(a, b) in &m.edges {
+            let Some(&da) = dist.get(&a) else { continue };
+            let cand = da + weight(a, b);
+            if dist.get(&b).is_none_or(|&db| cand < db) {
+                dist.insert(b, cand);
+                changed = true;
+            }
+        }
+    }
+    dist
+}
+
 /// The nodes of the `k`-core by the definition (a self-loop counts one).
 fn core_by_definition(adj: &Adj, k: usize) -> BTreeSet<NodeId> {
     let mut adj = adj.clone();
@@ -480,13 +562,15 @@ fn check(case: &Case) {
             ..PageRankConfig::default()
         };
         let want = pagerank_oracle(&case.dm, 20);
-        for (v, s) in pagerank(g, &config) {
+        for (v, &s) in pagerank(g, &config).iter() {
             assert!(close(s, want[&v], 1e-12), "{ctx}: pagerank of {v}");
         }
-        let ppr = personalized_pagerank(g, &[src], &config);
-        assert!(close(ppr.iter().map(|(_, s)| s).sum(), 1.0, 1e-9), "{ctx}");
-        for (v, s) in &ppr {
-            assert!(*s == 0.0 || reached.contains_key(v), "{ctx}: ppr of {v}");
+        let seeds = [src, *case.dm.nodes.last().expect("non-empty")];
+        let want = ppr_oracle(&case.dm, &seeds, 20);
+        let ppr = personalized_pagerank(g, &seeds, &config);
+        assert_eq!(ppr.len(), want.len(), "{ctx}");
+        for (v, &s) in ppr.iter() {
+            assert!(close(s, want[&v], 1e-12), "{ctx}: ppr of {v}");
         }
         let scores = hits(g, 15, threads);
         let (mut hub, mut auth): (BTreeMap<NodeId, f64>, BTreeMap<NodeId, f64>) = (
@@ -511,7 +595,7 @@ fn check(case: &Case) {
                 .collect();
             norm(&mut hub);
         }
-        for (v, s) in scores {
+        for (v, s) in scores.iter() {
             assert!(close(s.hub, hub[&v], 1e-9), "{ctx}: hub of {v}");
             assert!(
                 close(s.authority, auth[&v], 1e-9),
@@ -528,7 +612,7 @@ fn check(case: &Case) {
             ev = next;
             norm(&mut ev);
         }
-        for (v, s) in eigenvector_centrality(g, 12, 0.0, threads) {
+        for (v, &s) in eigenvector_centrality(g, 12, 0.0, threads).iter() {
             assert!(close(s, ev[&v], 1e-9), "{ctx}: eigenvector of {v}");
         }
         // Triangles and clustering.
@@ -538,10 +622,10 @@ fn check(case: &Case) {
             tri.values().sum::<u64>() / 3,
             "{ctx}"
         );
-        for (v, t) in node_triangles(u, threads) {
+        for (v, &t) in node_triangles(u, threads).iter() {
             assert_eq!(t, tri[&v], "{ctx}: triangles of {v}");
         }
-        for (v, c) in node_clustering(u, threads) {
+        for (v, &c) in node_clustering(u, threads).iter() {
             let d = und[&v].iter().filter(|&&w| w != v).count() as f64;
             let want = if d > 1.0 {
                 2.0 * tri[&v] as f64 / (d * (d - 1.0))
@@ -550,8 +634,8 @@ fn check(case: &Case) {
             };
             assert!(close(c, want, 1e-12), "{ctx}: clustering of {v}");
         }
-        // Betweenness, by source partition.
-        for (v, s) in betweenness_centrality_parallel(g, false, threads) {
+        // Betweenness, each source's BFS on `threads` workers.
+        for (v, &s) in betweenness_centrality(g, false, threads).iter() {
             assert!(close(s, bc[&v], 1e-9), "{ctx}: betweenness of {v}");
         }
     }
@@ -637,7 +721,7 @@ fn check(case: &Case) {
             "{ctx}: {dir:?} histogram"
         );
         let denom = (g.node_count() as f64 - 1.0).max(1.0);
-        for (v, c) in degree_centrality(g, dir) {
+        for (v, &c) in degree_centrality(g, dir).iter() {
             assert_eq!(c, adj[&v].len() as f64 / denom, "{ctx}");
         }
     }
@@ -812,29 +896,30 @@ fn check(case: &Case) {
         assert_eq!(triad_census(g).counts, census, "{ctx}: triad census");
     }
 
-    // The weighted graph with unit weights is the plain one.
+    // The weighted graph: the same edges, weights not uniform per node.
     let mut w = WeightedDigraph::new();
     for &v in &case.dm.nodes {
         w.add_node(v);
     }
     for &(a, b) in &case.dm.edges {
-        w.add_edge(a, b, 1.0);
+        w.add_edge(a, b, weight(a, b));
     }
-    let config = PageRankConfig {
-        iterations: 20,
-        threads: 1,
-        ..PageRankConfig::default()
-    };
-    let want = pagerank_oracle(&case.dm, 20);
-    for (v, s) in pagerank_weighted(&w, &config) {
-        assert!(close(s, want[&v], 1e-12), "{ctx}: weighted pagerank of {v}");
+    for threads in [1usize, 2, 4] {
+        let config = PageRankConfig {
+            iterations: 20,
+            threads,
+            ..PageRankConfig::default()
+        };
+        let want = weighted_pagerank_oracle(&case.dm, 20);
+        for (v, &s) in pagerank_weighted(&w, &config).iter() {
+            assert!(close(s, want[&v], 1e-12), "{ctx}: weighted pagerank of {v}");
+        }
     }
+    let want = weighted_distances(&case.dm, src);
     let dist = dijkstra_weighted(&w, src);
-    for (v, &d) in &reached {
-        assert_eq!(dist.get(*v), Some(&f64::from(d)), "{ctx}: weighted sssp");
-    }
-    for (v, s) in betweenness_centrality(g, false) {
-        assert!(close(s, bc[&v], 1e-9), "{ctx}: betweenness of {v}");
+    assert_eq!(dist.len(), want.len(), "{ctx}: weighted sssp");
+    for (v, &d) in dist.iter() {
+        assert!(close(d, want[&v], 1e-12), "{ctx}: weighted sssp to {v}");
     }
 }
 
@@ -935,26 +1020,36 @@ impl Digest {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+
+    /// One `(id, score)` pair, the score by its bits.
+    fn score(&mut self, v: NodeId, x: f64) {
+        self.add(id(v));
+        self.add(x.to_bits());
+    }
 }
 
 fn id<T: Borrow<i64>>(v: T) -> u64 {
     *v.borrow() as u64
 }
 
+/// One `(id, score)` column, every score by its bits.
+fn digest_of(column: &NodeValues<f64>) -> u64 {
+    let mut d = Digest::new();
+    for (v, &s) in column.iter() {
+        d.score(v, s);
+    }
+    d.0
+}
+
 /// Kernel outputs on `g` and `u`, one digest per kernel, in output order.
 fn digests(g: &DirectedGraph, u: &UndirectedGraph, threads: usize) -> Vec<(&'static str, u64)> {
     let mut out = Vec::new();
-    let mut d = Digest::new();
     let cfg = PageRankConfig {
         iterations: 10,
         threads,
         ..PageRankConfig::default()
     };
-    for (v, s) in pagerank(g, &cfg) {
-        d.add(id(v));
-        d.add(s.to_bits());
-    }
-    out.push(("pagerank", d.0));
+    out.push(("pagerank", digest_of(&pagerank(g, &cfg))));
     let hub = g
         .node_ids()
         .max_by_key(|&v| (g.out_degree(v), std::cmp::Reverse(v)))
@@ -1009,7 +1104,7 @@ fn digests(g: &DirectedGraph, u: &UndirectedGraph, threads: usize) -> Vec<(&'sta
     out.push(("core_numbers", d.0));
     let mut d = Digest::new();
     d.add(count_triangles(u, threads));
-    for (v, c) in node_triangles(u, threads) {
+    for (v, &c) in node_triangles(u, threads).iter() {
         d.add(id(v));
         d.add(c);
     }
@@ -1024,17 +1119,56 @@ fn digests(g: &DirectedGraph, u: &UndirectedGraph, threads: usize) -> Vec<(&'sta
         }
     }
     out.push(("k_core", d.0));
+    let second = g.node_ids().nth(1).expect("two nodes");
+    let ppr = personalized_pagerank(g, &[hub, second], &cfg);
+    out.push(("ppr", digest_of(&ppr)));
+    let weighted_pr = pagerank_weighted(&weighted(g), &cfg);
+    out.push(("pagerank_weighted", digest_of(&weighted_pr)));
+    out.push(("hits", hits_digest(&hits(g, 10, threads))));
+    let ev = eigenvector_centrality(g, 30, 1e-10, threads);
+    out.push(("eigenvector", digest_of(&ev)));
+    let mut d = Digest::new();
+    for dir in [Direction::Out, Direction::In, Direction::Both] {
+        for (v, &s) in degree_centrality(g, dir).iter() {
+            d.score(v, s);
+        }
+    }
+    out.push(("degree_centrality", d.0));
+    let bc = betweenness_centrality_sampled(g, 64, true, threads);
+    out.push(("betweenness", digest_of(&bc)));
     out
 }
 
-/// One input's pinned digests: PageRank per thread count (1, 2, 4), then
-/// every other kernel by name.
-type Pinned<'a> = (&'a [Edge], [u64; 3], [(&'static str, u64); 10]);
+/// One HITS column: each node's hub, then its authority, by their bits.
+fn hits_digest(scores: &NodeValues<HitsScores>) -> u64 {
+    let mut d = Digest::new();
+    for (v, s) in scores.iter() {
+        d.score(v, s.hub);
+        d.add(s.authority.to_bits());
+    }
+    d.0
+}
 
-/// Recorded by running [`digests`] on the same inputs with the graph
-/// storing neighbour ids and kernels reading a cached slot copy. PageRank
-/// chunks its dangling-mass sum by thread count, so its bits are pinned
-/// per count; every other output is the same at every count.
+/// `g` with [`weight`] on every edge.
+fn weighted(g: &DirectedGraph) -> WeightedDigraph {
+    let mut w = WeightedDigraph::new();
+    for v in g.node_ids() {
+        w.add_node(v);
+    }
+    for (a, b) in g.edges() {
+        w.add_edge(a, b, weight(a, b));
+    }
+    w
+}
+
+/// One input's pinned digests, by kernel name.
+type Pinned<'a> = (&'a [Edge], [(&'static str, u64); 17]);
+
+/// Recorded by running [`digests`] at one thread on the same inputs: the
+/// first eleven with the graph storing neighbour ids and kernels reading a
+/// cached slot copy, the last six before the iterative kernels shared one
+/// sweep and returned columns. Every output must be the same at every
+/// thread count.
 #[test]
 fn table_built_outputs_are_bit_identical_to_the_id_valued_storage() {
     let edges = rmat_edges(12, 30_000, 11);
@@ -1046,8 +1180,8 @@ fn table_built_outputs_are_bit_identical_to_the_id_valued_storage() {
     let pinned: [Pinned; 2] = [
         (
             &edges,
-            [0xe44f479d63d7475c, 0xd68c6f128f5a3d9f, 0x8abea2c6a8b79971],
             [
+                ("pagerank", 0xe44f479d63d7475c),
                 ("bfs_out", 0x16e421ac4cae26bb),
                 ("bfs_in", 0xaff69b7b54287942),
                 ("bfs_both", 0x259cc8c636e51bfa),
@@ -1058,12 +1192,18 @@ fn table_built_outputs_are_bit_identical_to_the_id_valued_storage() {
                 ("core_numbers", 0x735a6c9c5b0f3138),
                 ("triangles", 0x28830b76af200014),
                 ("k_core", 0x521aed4509462ffe),
+                ("ppr", 0x346b5f11147e3143),
+                ("pagerank_weighted", 0xce40a8071443133f),
+                ("hits", 0x75bf34b48ef709db),
+                ("eigenvector", 0x87522d82498806a3),
+                ("degree_centrality", 0xc0f282fc4b74728f),
+                ("betweenness", 0xd38186e054fdfd7c),
             ],
         ),
         (
             &wide,
-            [0x5595354a6151d35a, 0x53d561424de85881, 0x1b3456e76f0e6953],
             [
+                ("pagerank", 0x5595354a6151d35a),
                 ("bfs_out", 0x2d23530454800702),
                 ("bfs_in", 0xdbb8e78d61d19f51),
                 ("bfs_both", 0xaff94c07701b736a),
@@ -1074,22 +1214,99 @@ fn table_built_outputs_are_bit_identical_to_the_id_valued_storage() {
                 ("core_numbers", 0x37e66f52d10cb212),
                 ("triangles", 0x5b8ad6499134c32e),
                 ("k_core", 0xce54390c90ffcdaf),
+                ("ppr", 0x8e04dd6459c2a389),
+                ("pagerank_weighted", 0x574b1beeefdc19ce),
+                ("hits", 0x8c55b2b850ce3c59),
+                ("eigenvector", 0xd95b6bad76083e7d),
+                ("degree_centrality", 0x587642ccea1c8541),
+                ("betweenness", 0x36f445e13d719f06),
             ],
         ),
     ];
-    for (edges, pagerank_bits, kernels) in pinned {
+    for (edges, kernels) in pinned {
         let t = edges_to_table(edges);
         let g = ringo::convert::table_to_graph(&t, "src", "dst").unwrap();
         let u = ringo::convert::table_to_undirected(&t, "src", "dst").unwrap();
-        for (k, threads) in [1usize, 2, 4].into_iter().enumerate() {
+        for threads in [1usize, 2, 4] {
             let got: BTreeMap<&str, u64> = digests(&g, &u, threads).into_iter().collect();
-            assert_eq!(
-                got["pagerank"], pagerank_bits[k],
-                "pagerank at {threads} threads"
-            );
+            assert_eq!(got.len(), kernels.len());
             for (name, want) in kernels {
                 assert_eq!(got[name], want, "{name} at {threads} threads");
             }
         }
     }
+}
+
+/// Every score kernel that takes a thread count returns the same bits at
+/// 1, 2, 3, 4 and 8 threads, on a graph of more than 64Ki slots; exact
+/// betweenness, `O(V * E)`, on a smaller one. (The per-node triangle
+/// counts under the clustering coefficients are checked at 1, 2 and 8
+/// threads in `tests/triangles.rs`.)
+#[test]
+fn score_kernels_are_bit_identical_at_any_thread_count() {
+    // Milder skew than the default: more slots for the edges.
+    let t = edges_to_table(&rmat(&RmatConfig {
+        scale: 17,
+        edges: 100_000,
+        a: 0.4,
+        b: 0.2,
+        c: 0.2,
+        seed: 12,
+    }));
+    let g = ringo::convert::table_to_graph(&t, "src", "dst").unwrap();
+    let u = ringo::convert::table_to_undirected(&t, "src", "dst").unwrap();
+    assert!(g.n_slots() > 1 << 16, "{} slots", g.n_slots());
+    let w = weighted(&g);
+    let seeds: Vec<NodeId> = g.node_ids().step_by(997).collect();
+    let small = Case::bulk("rmat", &rmat_edges(9, 2_000, 13)).g;
+    // A few iterations suffice: a sum split by thread count differs in
+    // the first.
+    let run = |threads: usize| {
+        let cfg = PageRankConfig {
+            iterations: 3,
+            threads,
+            ..PageRankConfig::default()
+        };
+        [
+            digest_of(&pagerank(&g, &cfg)),
+            digest_of(&personalized_pagerank(&g, &seeds, &cfg)),
+            digest_of(&pagerank_weighted(&w, &cfg)),
+            hits_digest(&hits(&g, 3, threads)),
+            digest_of(&eigenvector_centrality(&g, 3, 0.0, threads)),
+            digest_of(&node_clustering(&u, threads)),
+            digest_of(&betweenness_centrality_sampled(&g, 4, true, threads)),
+            digest_of(&betweenness_centrality(&small, true, threads)),
+        ]
+    };
+    let want = run(1);
+    for threads in [2, 3, 4, 8] {
+        assert_eq!(run(threads), want, "at {threads} threads");
+    }
+}
+
+/// A tolerance no L1 change can reach stops every PageRank variant after
+/// its first iteration.
+#[test]
+fn an_infinite_tolerance_stops_every_pagerank_after_one_iteration() {
+    let g = Case::bulk("rmat", &rmat_edges(10, 5_000, 14)).g;
+    let w = weighted(&g);
+    let seeds: Vec<NodeId> = g.node_ids().step_by(50).collect();
+    let one = PageRankConfig {
+        iterations: 1,
+        threads: 2,
+        ..PageRankConfig::default()
+    };
+    let early = PageRankConfig {
+        iterations: 50,
+        tolerance: Some(f64::INFINITY),
+        ..one
+    };
+    let run = |c: &PageRankConfig| {
+        [
+            digest_of(&pagerank(&g, c)),
+            digest_of(&personalized_pagerank(&g, &seeds, c)),
+            digest_of(&pagerank_weighted(&w, c)),
+        ]
+    };
+    assert_eq!(run(&early), run(&one));
 }

@@ -12,12 +12,15 @@
 //! Kept in its own test binary, and the tests take `SERIAL`, so nothing
 //! else moves the process-global allocation counters mid-measurement.
 
-use ringo::algo::{bfs_distances, pagerank, strongly_connected_components};
+use ringo::algo::{
+    bfs_distances, eigenvector_centrality, hits, pagerank, personalized_pagerank,
+    strongly_connected_components,
+};
 use ringo::convert::{table_to_graph, table_to_undirected};
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
 use ringo::trace::mem::{current_bytes, peak_bytes, reset_peak, TrackingAllocator};
-use ringo::{Direction, PageRankConfig};
+use ringo::{Direction, PageRankConfig, Ringo};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
@@ -120,6 +123,55 @@ fn a_first_bfs_pagerank_or_scc_allocates_no_adjacency_sized_buffer() {
             transient < rows / 4,
             "first {kernel} on a fresh graph peaked {transient} B above the live heap; \
              a copy of its rows would be {rows} B"
+        );
+    }
+}
+
+/// What each score kernel allocated above the live heap, in bytes a slot,
+/// before the iterative kernels shared one sweep and returned columns —
+/// measured by the test below on the same graph at 2 threads. PageRank's
+/// was its rank, share and next vectors (8 B each), the out-degrees (4 B),
+/// a liveness flag (1 B) and the `(id, score)` pairs (16 B, grown by
+/// doubling).
+const BEFORE_THE_SWEEP: [(&str, f64); 5] = [
+    ("pagerank", 50.86),
+    ("Ringo::pagerank", 50.86),
+    ("hits", 57.78),
+    ("eigenvector", 38.86),
+    ("ppr", 51.94),
+];
+
+#[test]
+fn a_score_kernel_allocates_no_more_than_before_the_sweep() {
+    let _serial = serial();
+    let t = table(14, 200_000);
+    let ringo = Ringo::with_threads(2);
+    let g = ringo.to_graph(&t, "src", "dst").unwrap();
+    let slots = g.n_slots() as f64;
+    let cfg = PageRankConfig {
+        threads: 2,
+        ..PageRankConfig::default()
+    };
+    let seeds: Vec<i64> = g.node_ids().step_by(97).collect();
+    // Start the pool and register the spans' histograms.
+    drop(pagerank(&g, &cfg));
+    drop(ringo.pagerank(&g));
+    for (kernel, before) in BEFORE_THE_SWEEP {
+        let live = current_bytes();
+        reset_peak();
+        let n = match kernel {
+            "pagerank" => pagerank(&g, &cfg).len(),
+            // Including the facade's copy into pairs.
+            "Ringo::pagerank" => ringo.pagerank(&g).len(),
+            "hits" => hits(&g, 10, 2).len(),
+            "eigenvector" => eigenvector_centrality(&g, 30, 1e-10, 2).len(),
+            _ => personalized_pagerank(&g, &seeds, &cfg).len(),
+        };
+        assert_eq!(n, g.node_count(), "{kernel}");
+        let per_slot = (peak_bytes() - live) as f64 / slots;
+        assert!(
+            per_slot <= before,
+            "{kernel} peaked {per_slot:.2} B a slot above the live heap, {before} before"
         );
     }
 }

@@ -10,7 +10,6 @@ use ringo::algo::{
     bfs_distances, pagerank, sssp_unweighted, strongly_connected_components,
     weakly_connected_components, FrontierEngine,
 };
-use ringo::concurrent::parallel::chunk_bounds;
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
 use ringo::{DirectedGraph, Direction, NodeId, PageRankConfig, UndirectedGraph};
@@ -282,7 +281,7 @@ fn kernels_on_a_patched_view_are_bit_equal_to_those_on_a_rebuilt_one() {
         };
         let bits = |g: &DirectedGraph| -> Vec<(NodeId, u64)> {
             pagerank(g, &config)
-                .into_iter()
+                .iter()
                 .map(|(id, score)| (id, score.to_bits()))
                 .collect()
         };
@@ -292,9 +291,8 @@ fn kernels_on_a_patched_view_are_bit_equal_to_those_on_a_rebuilt_one() {
 
 /// The PageRank the kernel replaced: identical arithmetic, but every
 /// in-neighbour read as an id and resolved through `slot_of`,
-/// sequentially. `threads` only fixes how the dangling mass is chunked,
-/// as in the kernel.
-fn pagerank_reference(g: &DirectedGraph, iterations: usize, threads: usize) -> Vec<(NodeId, f64)> {
+/// sequentially, and the dangling mass summed in slot order.
+fn pagerank_reference(g: &DirectedGraph, iterations: usize) -> Vec<(NodeId, f64)> {
     let damping = 0.85;
     let n_slots = g.n_slots();
     let n = g.node_count() as f64;
@@ -307,7 +305,6 @@ fn pagerank_reference(g: &DirectedGraph, iterations: usize, threads: usize) -> V
         .iter()
         .map(|l| if l.is_some() { 1.0 / n } else { 0.0 })
         .collect();
-    let bounds = chunk_bounds(n_slots, threads);
     for _ in 0..iterations {
         let contrib: Vec<f64> = (0..n_slots)
             .map(|s| {
@@ -318,15 +315,12 @@ fn pagerank_reference(g: &DirectedGraph, iterations: usize, threads: usize) -> V
                 }
             })
             .collect();
-        let dangling = bounds.windows(2).fold(0.0, |acc, w| {
-            let mut part = 0.0;
-            for s in w[0]..w[1] {
-                if live[s].is_some() && out_deg[s] == 0 {
-                    part += rank[s];
-                }
+        let mut dangling = 0.0;
+        for s in 0..n_slots {
+            if live[s].is_some() && out_deg[s] == 0 {
+                dangling += rank[s];
             }
-            acc + part
-        });
+        }
         let base = (1.0 - damping) / n + damping * dangling / n;
         rank = (0..n_slots)
             .map(|s| {
@@ -350,6 +344,7 @@ fn pagerank_reference(g: &DirectedGraph, iterations: usize, threads: usize) -> V
 fn pagerank_over_rows_is_bit_equal_to_the_slot_of_reference() {
     let mut g = rmat_directed(12, 50_000, 21);
     punch_holes_directed(&mut g);
+    let want = pagerank_reference(&g, 10);
     for threads in [1, 2, 4] {
         let config = PageRankConfig {
             iterations: 10,
@@ -357,9 +352,8 @@ fn pagerank_over_rows_is_bit_equal_to_the_slot_of_reference() {
             ..PageRankConfig::default()
         };
         let got = pagerank(&g, &config);
-        let want = pagerank_reference(&g, 10, threads);
         assert_eq!(got.len(), want.len());
-        for ((id, score), (want_id, want_score)) in got.iter().zip(&want) {
+        for ((id, score), &(want_id, want_score)) in got.iter().zip(&want) {
             assert_eq!(id, want_id);
             assert_eq!(
                 score.to_bits(),

@@ -239,7 +239,7 @@ fn assert_kernels_match_the_rebuild<G: Version>(mut g: G, mut model: Model) {
         };
         let bits = |g: &G| -> Vec<(NodeId, u64)> {
             pagerank(g, &config)
-                .into_iter()
+                .iter()
                 .map(|(id, score)| (id, score.to_bits()))
                 .collect()
         };
