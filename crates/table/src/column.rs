@@ -95,17 +95,8 @@ impl ColumnData {
         }
     }
 
-    /// Keeps only the rows at `keep` (ascending indices), in order.
-    pub fn gather(&self, keep: &[usize]) -> Self {
-        match self {
-            Self::Int(v) => Self::Int(keep.iter().map(|&i| v[i]).collect()),
-            Self::Float(v) => Self::Float(keep.iter().map(|&i| v[i]).collect()),
-            Self::Str(v) => Self::Str(keep.iter().map(|&i| v[i]).collect()),
-        }
-    }
-
-    /// [`ColumnData::gather`] over a `u32` selection vector — the form the
-    /// lazy executor threads between operators.
+    /// The rows at positions `keep`, in that order — a `u32` selection
+    /// vector, the form the lazy executor threads between operators.
     pub fn gather_sel(&self, keep: &[u32]) -> Self {
         match self {
             Self::Int(v) => Self::Int(keep.iter().map(|&i| v[i as usize]).collect()),
@@ -142,7 +133,7 @@ mod tests {
     #[test]
     fn gather_preserves_order() {
         let c = ColumnData::Int(vec![10, 20, 30, 40]);
-        let g = c.gather(&[3, 0, 2]);
+        let g = c.gather_sel(&[3, 0, 2]);
         assert_eq!(g.as_int(), &[40, 10, 30]);
     }
 

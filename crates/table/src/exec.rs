@@ -422,23 +422,16 @@ fn collect_frame(frame: Frame<'_>, gathers: &mut u32) -> Result<Table> {
             .iter()
             .map(|&i| (t.schema().name(i).to_string(), t.schema().column_type(i))),
     );
-    let (cols, row_ids) = match &sel {
-        Some(s) => (
-            cols_idx
-                .iter()
-                .map(|&i| t.column(i).gather_sel(s))
-                .collect(),
-            s.iter().map(|&r| t.row_ids()[r as usize]).collect(),
-        ),
-        None => (
-            cols_idx.iter().map(|&i| t.column(i).clone()).collect(),
-            t.row_ids().to_vec(),
-        ),
+    let column = |i: usize| match &sel {
+        Some(s) => t.column(i).gather_sel(s),
+        None => t.column(i).clone(),
     };
     let out = Table {
         schema,
-        cols,
-        row_ids,
+        cols: cols_idx.iter().map(|&i| column(i)).collect(),
+        row_ids: sel
+            .as_ref()
+            .map_or_else(|| t.row_ids.clone(), |s| t.row_ids.gather(s)),
         next_row_id: t.next_row_id,
         pool: t.pool().clone(),
         threads: t.threads(),

@@ -1,5 +1,6 @@
 //! Derived columns and top-k selection.
 
+use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table, TableError};
 
 impl Table {
@@ -51,34 +52,15 @@ impl Table {
     /// preserved; the result is ordered.
     pub fn top_k(&self, cols: &[&str], k: usize, ascending: bool) -> Result<Table> {
         let idx = self.col_indices(cols)?;
-        let cmp = |&a: &usize, &b: &usize| -> std::cmp::Ordering {
-            for &c in &idx {
-                let ord = match &self.cols[c] {
-                    ColumnData::Int(v) => v[a].cmp(&v[b]),
-                    ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-                    ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        let mut perm: Vec<usize> = (0..self.n_rows()).collect();
+        let cmp = |&a: &u32, &b: &u32| self.cmp_rows(&idx, ascending, a, b);
+        let mut perm: Vec<u32> = (0..row_count_u32(self.n_rows())?).collect();
         let k = k.min(perm.len());
-        if k == 0 {
-            return Ok(self.gather_rows(&[]));
-        }
-        if ascending {
+        if k > 0 {
             perm.select_nth_unstable_by(k - 1, cmp);
-            perm.truncate(k);
-            perm.sort_by(cmp);
-        } else {
-            perm.select_nth_unstable_by(k - 1, |a, b| cmp(b, a));
-            perm.truncate(k);
-            perm.sort_by(|a, b| cmp(b, a));
         }
-        Ok(self.gather_rows(&perm))
+        perm.truncate(k);
+        perm.sort_by(cmp);
+        Ok(self.gather_rows_sel(&perm))
     }
 }
 
@@ -119,7 +101,7 @@ mod tests {
         let t = scores();
         let top = t.top_k(&["score"], 2, false).unwrap();
         assert_eq!(top.int_col("id").unwrap(), &[2, 4]);
-        assert_eq!(top.row_ids(), &[1, 3]);
+        assert_eq!(*top.row_ids(), [1, 3]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Exploratory helpers: per-column summaries, sampling, head.
 
+use crate::table::row_count_u32;
 use crate::{ColumnData, ColumnType, Result, Schema, StringPool, Table};
 use std::collections::HashSet;
 
@@ -86,11 +87,12 @@ impl Table {
     /// A uniform sample (without replacement) of `n` rows, deterministic
     /// for a fixed `seed`; row ids preserved. Returns the whole table when
     /// `n >= n_rows()`. Output keeps the original row order.
-    pub fn sample_rows(&self, n: usize, seed: u64) -> Table {
+    pub fn sample_rows(&self, n: usize, seed: u64) -> Result<Table> {
         let total = self.n_rows();
         if n >= total {
-            return self.clone();
+            return Ok(self.clone());
         }
+        row_count_u32(total)?;
         // Floyd's algorithm for a uniform n-subset.
         let mut state = seed | 1;
         let mut rand_below = move |m: usize| {
@@ -106,15 +108,15 @@ impl Table {
                 chosen.insert(j);
             }
         }
-        let mut keep: Vec<usize> = chosen.into_iter().collect();
+        let mut keep: Vec<u32> = chosen.into_iter().map(|r| r as u32).collect();
         keep.sort_unstable();
-        self.gather_rows(&keep)
+        Ok(self.gather_rows_sel(&keep))
     }
 
     /// The first `n` rows (row ids preserved).
     pub fn head(&self, n: usize) -> Result<Table> {
-        let keep: Vec<usize> = (0..n.min(self.n_rows())).collect();
-        Ok(self.gather_rows(&keep))
+        let keep: Vec<u32> = (0..row_count_u32(n.min(self.n_rows()))?).collect();
+        Ok(self.gather_rows_sel(&keep))
     }
 }
 
@@ -170,8 +172,8 @@ mod tests {
     #[test]
     fn sample_is_deterministic_subset() {
         let big = Table::from_int_column("v", (0..1000).collect());
-        let s1 = big.sample_rows(100, 7);
-        let s2 = big.sample_rows(100, 7);
+        let s1 = big.sample_rows(100, 7).unwrap();
+        let s2 = big.sample_rows(100, 7).unwrap();
         assert_eq!(s1.int_col("v").unwrap(), s2.int_col("v").unwrap());
         assert_eq!(s1.n_rows(), 100);
         // Sampled values are distinct and from the source.
@@ -180,14 +182,14 @@ mod tests {
         assert_eq!(vals.len(), 100);
         assert!(vals.iter().all(|v| (0..1000).contains(v)));
         // Different seed, (almost surely) different sample.
-        let s3 = big.sample_rows(100, 8);
+        let s3 = big.sample_rows(100, 8).unwrap();
         assert_ne!(s1.int_col("v").unwrap(), s3.int_col("v").unwrap());
     }
 
     #[test]
     fn sample_larger_than_table_is_identity() {
         let t = t();
-        assert_eq!(t.sample_rows(10, 1).n_rows(), 4);
+        assert_eq!(t.sample_rows(10, 1).unwrap().n_rows(), 4);
     }
 
     #[test]
@@ -195,7 +197,7 @@ mod tests {
         let t = t();
         let h = t.head(2).unwrap();
         assert_eq!(h.n_rows(), 2);
-        assert_eq!(h.row_ids(), &[0, 1]);
+        assert_eq!(*h.row_ids(), [0, 1]);
         assert_eq!(t.head(0).unwrap().n_rows(), 0);
     }
 }

@@ -330,7 +330,7 @@ impl Table {
     pub fn unique(&self, cols: &[&str]) -> Result<Table> {
         let enc = self.key_encoder(&self.col_indices(cols)?, None)?;
         let mut seen = KeyInterner::with_capacity(enc.width(), 0);
-        Ok(self.gather_rows(&enc.first_occurrences(self.n_rows(), &mut seen)))
+        Ok(self.gather_rows_sel(&enc.first_occurrences(self.n_rows(), &mut seen)))
     }
 }
 
@@ -507,7 +507,7 @@ mod tests {
         let t = sales();
         let u = t.unique(&["region"]).unwrap();
         assert_eq!(u.n_rows(), 2);
-        assert_eq!(u.row_ids(), &[0, 1]);
+        assert_eq!(*u.row_ids(), [0, 1]);
         let all = t.unique(&["region", "amount", "rate"]).unwrap();
         assert_eq!(all.n_rows(), 5);
     }

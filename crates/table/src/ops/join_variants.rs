@@ -3,6 +3,7 @@
 //! on the right — the idioms graph workflows use to restrict an edge
 //! table to "known users" (semi) or "everyone except bots" (anti).
 
+use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table, TableError};
 use std::collections::HashSet;
 
@@ -67,9 +68,7 @@ impl Table {
                     }
                 }
             }
-            let id = out.next_row_id;
-            out.row_ids.push(id);
-            out.next_row_id += 1;
+            out.push_row_id();
         }
         Ok(out)
     }
@@ -80,10 +79,10 @@ impl Table {
         let keys = KeySet::build(other, right_col)?;
         let li = self.schema.index_of(left_col)?;
         self.check_key_compat(li, other, right_col)?;
-        let keep: Vec<usize> = (0..self.n_rows())
-            .filter(|&row| keys.contains(self, li, row))
+        let keep: Vec<u32> = (0..row_count_u32(self.n_rows())?)
+            .filter(|&row| keys.contains(self, li, row as usize))
             .collect();
-        Ok(self.gather_rows(&keep))
+        Ok(self.gather_rows_sel(&keep))
     }
 
     /// Anti join: rows of `self` whose key does **not** appear in `other`.
@@ -91,10 +90,10 @@ impl Table {
         let keys = KeySet::build(other, right_col)?;
         let li = self.schema.index_of(left_col)?;
         self.check_key_compat(li, other, right_col)?;
-        let keep: Vec<usize> = (0..self.n_rows())
-            .filter(|&row| !keys.contains(self, li, row))
+        let keep: Vec<u32> = (0..row_count_u32(self.n_rows())?)
+            .filter(|&row| !keys.contains(self, li, row as usize))
             .collect();
-        Ok(self.gather_rows(&keep))
+        Ok(self.gather_rows_sel(&keep))
     }
 
     fn check_key_compat(&self, left_idx: usize, other: &Table, right_col: &str) -> Result<()> {
@@ -136,7 +135,7 @@ mod tests {
         let e = events();
         let s = u.semi_join(&e, "uid", "uid").unwrap();
         assert_eq!(s.int_col("uid").unwrap(), &[1, 3]);
-        assert_eq!(s.row_ids(), &[0, 2], "ids preserved");
+        assert_eq!(*s.row_ids(), [0, 2], "ids preserved");
         assert_eq!(s.n_cols(), 2, "left columns only");
     }
 

@@ -85,23 +85,24 @@ impl Table {
     /// that include a `Str` one.
     fn order_perm_cmp(&self, idx: &[usize], ascending: bool, sel: Option<&[u32]>) -> Vec<u32> {
         let mut perm = self.unsorted_perm(sel);
-        let cmp = |a: usize, b: usize| {
-            let by = |&c: &usize| match &self.cols[c] {
-                ColumnData::Int(v) => v[a].cmp(&v[b]),
-                ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-                ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
-            };
-            idx.iter()
-                .map(by)
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-        };
-        if ascending {
-            perm.sort_by(|&a, &b| cmp(a as usize, b as usize));
-        } else {
-            perm.sort_by(|&a, &b| cmp(b as usize, a as usize));
-        }
+        perm.sort_by(|&a, &b| self.cmp_rows(idx, ascending, a, b));
         perm
+    }
+
+    /// Rows `a` and `b` compared by the columns `idx` in turn, or `b` and
+    /// `a` when descending.
+    pub(crate) fn cmp_rows(&self, idx: &[usize], ascending: bool, a: u32, b: u32) -> Ordering {
+        let (a, b) = if ascending { (a, b) } else { (b, a) };
+        let (a, b) = (a as usize, b as usize);
+        let by = |&c: &usize| match &self.cols[c] {
+            ColumnData::Int(v) => v[a].cmp(&v[b]),
+            ColumnData::Float(v) => v[a].total_cmp(&v[b]),
+            ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
+        };
+        idx.iter()
+            .map(by)
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
     /// Sorts the table in place by the given columns (ties broken by the
@@ -112,8 +113,8 @@ impl Table {
     /// position ([`Table::sort_numeric`]) no permutation is built: `Int`
     /// sort columns are decoded from the sorted words into the vectors
     /// they already own, and every other column and the row ids are
-    /// gathered by the position in the word, one vector at a time.
-    /// Otherwise the rows are gathered through the sorted permutation.
+    /// gathered by the position in the word (which is a fresh table's id),
+    /// one vector at a time. Otherwise the permutation gathers the rows.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {
         let mut sp = ringo_trace::span!("table.order");
         sp.rows_in(self.n_rows());
@@ -159,12 +160,12 @@ impl Table {
                         }
                     });
                 }
-                (ColumnData::Int(v), None) => *v = gather_sorted(v, keys, &position, threads),
-                (ColumnData::Float(v), _) => *v = gather_sorted(v, keys, &position, threads),
-                (ColumnData::Str(v), _) => *v = gather_sorted(v, keys, &position, threads),
+                (ColumnData::Int(v), None) => *v = fill_sorted(keys, |k| v[position(k)], threads),
+                (ColumnData::Float(v), _) => *v = fill_sorted(keys, |k| v[position(k)], threads),
+                (ColumnData::Str(v), _) => *v = fill_sorted(keys, |k| v[position(k)], threads),
             }
         }
-        self.row_ids = gather_sorted(&self.row_ids, keys, &position, threads);
+        self.row_ids = self.row_ids.fill_by_position(keys, &position, threads);
     }
 
     /// Returns a sorted copy; see [`Table::order_by`].
@@ -175,17 +176,17 @@ impl Table {
     }
 }
 
-/// `old` in the order of the sorted `keys`, filled on the pool.
-fn gather_sorted<T: Copy + Default + Send + Sync, K: Copy + Sync>(
-    old: &[T],
+/// `value(key)` for each of the sorted `keys`, in order, filled on the
+/// pool — a column or the row ids gathered into sorted order.
+pub(crate) fn fill_sorted<T: Copy + Default + Send, K: Copy + Sync>(
     keys: &[K],
-    position: &(impl Fn(K) -> usize + Sync),
+    value: impl Fn(K) -> T + Sync,
     threads: usize,
 ) -> Vec<T> {
     let mut out = vec![T::default(); keys.len()];
     parallel_for_each_chunk_mut(&mut out, threads, |_, start, chunk| {
         for (o, &key) in chunk.iter_mut().zip(&keys[start..]) {
-            *o = old[position(key)];
+            *o = value(key);
         }
     });
     out
@@ -251,7 +252,7 @@ mod tests {
     fn row_ids_travel_with_rows() {
         let mut s = t();
         s.order_by(&["x"], true).unwrap();
-        assert_eq!(s.row_ids(), &[2, 0, 1, 3]);
+        assert_eq!(*s.row_ids(), [2, 0, 1, 3]);
     }
 
     #[test]
@@ -259,7 +260,7 @@ mod tests {
         let mut s = t();
         s.order_by(&["g"], true).unwrap();
         // Rows 1 and 3 are both "a" — original order preserved.
-        assert_eq!(s.row_ids(), &[1, 3, 0, 2]);
+        assert_eq!(*s.row_ids(), [1, 3, 0, 2]);
     }
 
     #[test]
@@ -298,7 +299,7 @@ mod tests {
         assert_eq!(t.int_col("a").unwrap(), &[1, 1, 2, 2, 2]);
         assert_eq!(t.int_col("b").unwrap(), &[9, 9, -3, 5, 5]);
         // Ties (1,9)x2 and (2,5)x2 keep original order: stability.
-        assert_eq!(t.row_ids(), &[1, 3, 2, 0, 4]);
+        assert_eq!(*t.row_ids(), [1, 3, 2, 0, 4]);
     }
 
     #[test]

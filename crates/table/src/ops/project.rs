@@ -11,16 +11,14 @@ impl Table {
             idx.iter()
                 .map(|&i| (self.schema.name(i).to_string(), self.schema.column_type(i))),
         );
-        let mut out = Table {
+        Ok(Table {
             schema,
             cols: idx.iter().map(|&i| self.cols[i].clone()).collect(),
             row_ids: self.row_ids.clone(),
             next_row_id: self.next_row_id,
             pool: self.pool.clone(),
             threads: self.threads,
-        };
-        out.threads = self.threads;
-        Ok(out)
+        })
     }
 
     /// Appends an integer column (must match the current row count).
@@ -68,8 +66,7 @@ impl Table {
             }
         }
         for _ in 0..n {
-            self.row_ids.push(self.next_row_id);
-            self.next_row_id += 1;
+            self.push_row_id();
         }
         Ok(())
     }
@@ -130,7 +127,7 @@ mod tests {
         assert_eq!(a.n_rows(), 5);
         assert_eq!(a.get(4, "b").unwrap(), Value::Str("z".into()));
         // Fresh ids continue a's sequence.
-        assert_eq!(a.row_ids(), &[0, 1, 2, 3, 4]);
+        assert_eq!(*a.row_ids(), [0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -145,11 +145,11 @@ impl<'a> KeyEncoder<'a> {
 
     /// Rows of `0..n`, in order, whose key `seen` had not met — interning
     /// every key on the way.
-    pub(crate) fn first_occurrences(&self, n: usize, seen: &mut KeyInterner) -> Vec<usize> {
+    pub(crate) fn first_occurrences(&self, n: usize, seen: &mut KeyInterner) -> Vec<u32> {
         let mut rows = Vec::new();
         self.for_each_key(n, |row, key| {
             if seen.intern(key).1 {
-                rows.push(row);
+                rows.push(row as u32);
             }
         });
         rows

@@ -521,7 +521,7 @@ mod tests {
         let t = posts();
         let pred = Predicate::int("Score", Cmp::Ge, 7);
         let copied = t.select(&pred).unwrap();
-        assert_eq!(copied.row_ids(), &[0, 2, 4]);
+        assert_eq!(*copied.row_ids(), [0, 2, 4]);
 
         let mut inplace = t.clone();
         let kept = inplace.select_in_place(&pred).unwrap();

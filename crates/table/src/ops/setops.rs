@@ -31,9 +31,9 @@ impl Table {
     pub fn union(&self, other: &Table) -> Result<Table> {
         let [mine, theirs] = self.whole_rows(other, "union")?;
         let mut seen = KeyInterner::with_capacity(mine.width(), self.n_rows());
-        let mut out = self.gather_rows(&mine.first_occurrences(self.n_rows(), &mut seen));
+        let mut out = self.gather_rows_sel(&mine.first_occurrences(self.n_rows(), &mut seen));
         let keep_other = theirs.first_occurrences(other.n_rows(), &mut seen);
-        out.append_rows(&other.gather_rows(&keep_other))?;
+        out.append_rows(&other.gather_rows_sel(&keep_other))?;
         Ok(out)
     }
 
@@ -58,11 +58,11 @@ impl Table {
         mine.for_each_key(self.n_rows(), |row, key| {
             if let Some(id) = in_other.find(key) {
                 if !std::mem::replace(&mut emitted[id as usize], true) {
-                    keep.push(row);
+                    keep.push(row as u32);
                 }
             }
         });
-        Ok(self.gather_rows(&keep))
+        Ok(self.gather_rows_sel(&keep))
     }
 
     /// Set difference: distinct rows of `self` that do not occur in
@@ -74,7 +74,7 @@ impl Table {
             seen.intern(key);
         });
         // A key still new after all of `other` is absent from it.
-        Ok(self.gather_rows(&mine.first_occurrences(self.n_rows(), &mut seen)))
+        Ok(self.gather_rows_sel(&mine.first_occurrences(self.n_rows(), &mut seen)))
     }
 }
 
@@ -117,7 +117,7 @@ mod tests {
         let b = make(&[(9, "zzz"), (3, "c"), (1, "a")]);
         let i = a.intersect(&b).unwrap();
         assert_eq!(i.n_rows(), 2);
-        assert_eq!(i.row_ids(), &[0, 2], "self ids preserved");
+        assert_eq!(*i.row_ids(), [0, 2], "self ids preserved");
     }
 
     #[test]
@@ -126,8 +126,8 @@ mod tests {
         let a = make(&[(1, "a"), (2, "b")]);
         let wide = make(&[(7, "x"), (8, "y"), (2, "b")]);
         let b = wide.select(&Predicate::int("x", Cmp::Eq, 2)).unwrap();
-        assert_eq!(a.intersect(&b).unwrap().row_ids(), &[1]);
-        assert_eq!(a.minus(&b).unwrap().row_ids(), &[0]);
+        assert_eq!(*a.intersect(&b).unwrap().row_ids(), [1]);
+        assert_eq!(*a.minus(&b).unwrap().row_ids(), [0]);
         assert_eq!(b.union(&a).unwrap().n_rows(), 2);
     }
 

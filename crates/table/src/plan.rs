@@ -6,7 +6,7 @@
 //! the chain as a node tree instead; [`Plan::optimize`] applies a small
 //! set of rewrite rules (Select fusion, Select pushdown below Project,
 //! column pruning), and [`crate::exec::execute`] runs the optimized tree
-//! threading a selection vector between operators so `gather_rows` fires
+//! threading a selection vector between operators so a row gather fires
 //! exactly once, at collect time.
 //!
 //! Schema inference ([`Plan::schema`]) validates a plan against the input

@@ -1,6 +1,8 @@
 //! The core [`Table`] object.
 
+use crate::ops::order::fill_sorted;
 use crate::{ColumnData, ColumnType, Result, Schema, StringPool, TableError};
+use std::borrow::Cow;
 
 /// Row positions travel as `u32` — selection vectors, join pairs, sort
 /// permutations, group representatives — so a table past `u32::MAX` rows
@@ -12,6 +14,77 @@ pub(crate) fn row_count_u32(n_rows: usize) -> Result<u32> {
             "{n_rows} rows exceed the u32 row positions this operator works in"
         ))
     })
+}
+
+/// A table's row ids: `Fresh(n)` is ids `0..n`, each row's id its
+/// position, with nothing stored — a table built from whole columns — and
+/// `Kept` one stored id a row, made by a verb that filters or reorders rows.
+#[derive(Clone, Debug)]
+pub(crate) enum RowIds {
+    Fresh(usize),
+    Kept(Vec<u64>),
+}
+
+impl RowIds {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Self::Fresh(n) => *n,
+            Self::Kept(ids) => ids.len(),
+        }
+    }
+
+    /// The id of the row at position `row`; panics past the last row.
+    pub(crate) fn get(&self, row: usize) -> u64 {
+        match self {
+            Self::Fresh(n) => fresh_id(row, *n),
+            Self::Kept(ids) => ids[row],
+        }
+    }
+
+    /// Appends `id`; a fresh table stays fresh while ids equal positions.
+    pub(crate) fn push(&mut self, id: u64) {
+        match self {
+            Self::Fresh(n) if id == *n as u64 => *n += 1,
+            Self::Fresh(n) => *self = Self::Kept((0..*n as u64).chain([id]).collect()),
+            Self::Kept(ids) => ids.push(id),
+        }
+    }
+
+    /// The ids of the rows at positions `keep`, in that order.
+    pub(crate) fn gather(&self, keep: &[u32]) -> Self {
+        Self::Kept(match self {
+            Self::Fresh(n) => keep.iter().map(|&i| fresh_id(i as usize, *n)).collect(),
+            Self::Kept(ids) => keep.iter().map(|&i| ids[i as usize]).collect(),
+        })
+    }
+
+    /// The ids of the rows at `position(key)` for each of the sorted
+    /// `keys`, filled on the pool — `order_by`'s gather.
+    pub(crate) fn fill_by_position<K: Copy + Sync>(
+        &self,
+        keys: &[K],
+        position: impl Fn(K) -> usize + Sync,
+        threads: usize,
+    ) -> Self {
+        Self::Kept(match self {
+            Self::Fresh(n) => fill_sorted(keys, |k| fresh_id(position(k), *n), threads),
+            Self::Kept(ids) => fill_sorted(keys, |k| ids[position(k)], threads),
+        })
+    }
+
+    pub(crate) fn mem_size(&self) -> usize {
+        match self {
+            Self::Fresh(_) => 0,
+            Self::Kept(ids) => ids.capacity() * 8,
+        }
+    }
+}
+
+/// The id of row `row` of a fresh table of `n` rows: its position, and
+/// none past the last row.
+fn fresh_id(row: usize, n: usize) -> u64 {
+    assert!(row < n, "row {row} past the last of {n} rows");
+    row as u64
 }
 
 /// A single cell value, used at the row-at-a-time API boundary. Bulk
@@ -61,7 +134,8 @@ impl From<&str> for Value {
 /// *position* (`0..n_rows()`); every row additionally carries a stable
 /// *row id* that survives selection, ordering and grouping, so results can
 /// be traced back to original records after "a complex set of operations"
-/// (paper §2.3).
+/// (paper §2.3). Until a verb filters or reorders rows, a row's id is its
+/// position and none is stored.
 ///
 /// ```
 /// use ringo_table::{Cmp, ColumnType, Predicate, Schema, Table, Value};
@@ -74,7 +148,7 @@ impl From<&str> for Value {
 ///
 /// let java = t.select(&Predicate::str_eq("lang", "java")).unwrap();
 /// assert_eq!(java.n_rows(), 2);
-/// assert_eq!(java.row_ids(), &[0, 2]); // ids trace back to the source
+/// assert_eq!(*java.row_ids(), [0, 2]); // ids trace back to the source
 ///
 /// let heavy = t.select(&Predicate::int("user", Cmp::Ge, 2)).unwrap();
 /// let both = java.intersect(&heavy).unwrap();
@@ -84,7 +158,7 @@ impl From<&str> for Value {
 pub struct Table {
     pub(crate) schema: Schema,
     pub(crate) cols: Vec<ColumnData>,
-    pub(crate) row_ids: Vec<u64>,
+    pub(crate) row_ids: RowIds,
     pub(crate) next_row_id: u64,
     pub(crate) pool: StringPool,
     pub(crate) threads: usize,
@@ -97,7 +171,7 @@ impl Table {
         Self {
             schema,
             cols,
-            row_ids: Vec::new(),
+            row_ids: RowIds::Fresh(0),
             next_row_id: 0,
             pool: StringPool::new(),
             threads: ringo_concurrent::num_threads(),
@@ -135,7 +209,7 @@ impl Table {
         Ok(Self {
             schema,
             cols,
-            row_ids: (0..n_rows as u64).collect(),
+            row_ids: RowIds::Fresh(n_rows),
             next_row_id: n_rows as u64,
             pool,
             threads: ringo_concurrent::num_threads(),
@@ -168,7 +242,7 @@ impl Table {
 
     /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.row_ids.is_empty()
+        self.n_rows() == 0
     }
 
     /// Worker threads used by parallel operators on this table.
@@ -182,14 +256,17 @@ impl Table {
         self.threads = threads.max(1);
     }
 
-    /// Persistent id of the row at position `row`.
+    /// Persistent id of the row at position `row`; panics past the end.
     pub fn row_id(&self, row: usize) -> u64 {
-        self.row_ids[row]
+        self.row_ids.get(row)
     }
 
-    /// All row ids in positional order.
-    pub fn row_ids(&self) -> &[u64] {
-        &self.row_ids
+    /// All row ids in positional order (allocated if none are stored).
+    pub fn row_ids(&self) -> Cow<'_, [u64]> {
+        match &self.row_ids {
+            RowIds::Fresh(n) => Cow::Owned((0..*n as u64).collect()),
+            RowIds::Kept(ids) => Cow::Borrowed(ids),
+        }
     }
 
     /// Appends a row of values matching the schema; returns its row id.
@@ -218,15 +295,23 @@ impl Table {
                 _ => unreachable!("types validated above"),
             }
         }
+        Ok(self.push_row_id())
+    }
+
+    /// Gives the next row a fresh id in this table's id space.
+    pub(crate) fn push_row_id(&mut self) -> u64 {
         let id = self.next_row_id;
         self.row_ids.push(id);
         self.next_row_id += 1;
-        Ok(id)
+        id
     }
 
     /// Reads the cell at (`row`, column `name`).
     pub fn get(&self, row: usize, name: &str) -> Result<Value> {
         let c = self.schema.index_of(name)?;
+        if row >= self.n_rows() {
+            return Err(TableError::InvalidArgument(format!("no row {row}")));
+        }
         Ok(match &self.cols[c] {
             ColumnData::Int(v) => Value::Int(v[row]),
             ColumnData::Float(v) => Value::Float(v[row]),
@@ -299,12 +384,12 @@ impl Table {
         self.schema.rename(old, new)
     }
 
-    /// Approximate heap footprint in bytes: all column vectors, row ids,
-    /// and the string pool. This is the paper's Table 2 "In-memory Table
+    /// Approximate heap footprint in bytes: all column vectors, stored row
+    /// ids, and the string pool. This is the paper's Table 2 "In-memory Table
     /// Size".
     pub fn mem_size(&self) -> usize {
         let cols: usize = self.cols.iter().map(ColumnData::mem_size).sum();
-        cols + self.row_ids.capacity() * 8 + self.pool.mem_size()
+        cols + self.row_ids.mem_size() + self.pool.mem_size()
     }
 
     /// An empty table with the same schema, pool, and thread setting —
@@ -318,7 +403,7 @@ impl Table {
                 .iter()
                 .map(|(_, ty)| ColumnData::new(ty))
                 .collect(),
-            row_ids: Vec::new(),
+            row_ids: RowIds::Fresh(0),
             next_row_id: 0,
             pool: self.pool.clone(),
             threads: self.threads,
@@ -327,21 +412,11 @@ impl Table {
 
     /// Keeps only the row positions in `keep` (any order), rebuilding all
     /// columns; row ids are carried over. Shared kernel of selection,
-    /// ordering and set operations.
-    pub(crate) fn gather_rows(&self, keep: &[usize]) -> Self {
-        let mut out = self.empty_like();
-        out.cols = self.cols.iter().map(|c| c.gather(keep)).collect();
-        out.row_ids = keep.iter().map(|&i| self.row_ids[i]).collect();
-        out.next_row_id = self.next_row_id;
-        out
-    }
-
-    /// [`Table::gather_rows`] over a `u32` selection vector (the executor's
-    /// native currency; also the eager `select` materialization step).
+    /// ordering, set operations and the lazy executor's collect.
     pub(crate) fn gather_rows_sel(&self, keep: &[u32]) -> Self {
         let mut out = self.empty_like();
         out.cols = self.cols.iter().map(|c| c.gather_sel(keep)).collect();
-        out.row_ids = keep.iter().map(|&i| self.row_ids[i as usize]).collect();
+        out.row_ids = self.row_ids.gather(keep);
         out.next_row_id = self.next_row_id;
         out
     }
@@ -349,7 +424,7 @@ impl Table {
     /// In-place variant of [`Table::gather_rows_sel`].
     pub(crate) fn retain_rows_sel(&mut self, keep: &[u32]) {
         self.cols = self.cols.iter().map(|c| c.gather_sel(keep)).collect();
-        self.row_ids = keep.iter().map(|&i| self.row_ids[i as usize]).collect();
+        self.row_ids = self.row_ids.gather(keep);
     }
 }
 
@@ -386,9 +461,42 @@ mod tests {
     #[test]
     fn row_ids_are_stable_and_sequential() {
         let t = people();
-        assert_eq!(t.row_ids(), &[0, 1, 2]);
-        let filtered = t.gather_rows(&[2, 0]);
-        assert_eq!(filtered.row_ids(), &[2, 0], "ids survive reordering");
+        assert_eq!(*t.row_ids(), [0, 1, 2]);
+        let filtered = t.gather_rows_sel(&[2, 0]);
+        assert_eq!(*filtered.row_ids(), [2, 0], "ids survive reordering");
+    }
+
+    #[test]
+    fn get_past_the_last_row_is_an_error() {
+        let fresh = people();
+        let kept = fresh.gather_rows_sel(&[2, 0]);
+        for t in [&fresh, &kept] {
+            let last = t.n_rows() - 1;
+            assert!(t.get(last, "age").is_ok());
+            for row in [last + 1, usize::MAX] {
+                let err = t.get(row, "age").unwrap_err();
+                assert!(matches!(err, TableError::InvalidArgument(_)), "{err}");
+            }
+        }
+        assert_eq!(kept.get(1, "name").unwrap(), Value::Str("ada".into()));
+    }
+
+    #[test]
+    fn fresh_ids_turn_explicit_only_when_they_leave_positions() {
+        let mut ids = RowIds::Fresh(2);
+        ids.push(2);
+        assert!(matches!(ids, RowIds::Fresh(3)));
+        ids.push(7);
+        assert!(matches!(&ids, RowIds::Kept(v) if v == &[0, 1, 2, 7]));
+        let sorted = RowIds::Fresh(3).fill_by_position(&[2, 1, 0], |k| k, 2);
+        assert!(matches!(&sorted, RowIds::Kept(v) if v == &[2, 1, 0]));
+        assert_eq!(RowIds::Fresh(4).mem_size(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the last")]
+    fn fresh_row_id_past_the_end_panics() {
+        people().row_id(3);
     }
 
     #[test]

@@ -422,7 +422,7 @@ impl Shell {
                 let snap = self.ringo.snapshot();
                 let t = table(&snap, name)?;
                 let n: usize = n.parse().map_err(|_| "bad sample size".to_string())?;
-                let s = t.sample_rows(n, 42);
+                let s = t.sample_rows(n, 42).map_err(|e| e.to_string())?;
                 let rows = s.n_rows();
                 let v = self.ringo.publish_table(out, s);
                 println!("table {out}: {rows} rows (v{v})");

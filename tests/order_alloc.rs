@@ -2,13 +2,16 @@
 //!
 //! Numeric sort columns are sorted as one packed `(keys…, position)`
 //! word per row; the `Int` sort columns are then decoded from the sorted
-//! keys into the vectors they already own, and the other columns and the
-//! row ids are gathered one vector at a time, each old vector dropped
-//! before the next is made. So beside the table it sorts, `order_by`
-//! holds the keys and one new vector — no permutation, no sorter scratch,
-//! no second copy of a sort column. `bench_e2e`'s `tw_relational` session
-//! peaks inside `order_by` against a 5% bound; this test pins the same
-//! account in tier 1.
+//! keys into the vectors they already own, and the other columns are
+//! gathered one vector at a time, each old vector dropped before the next
+//! is made. The table here is built from whole columns, so it stores no
+//! row ids: the sort takes the new ids from the positions in the keys, and
+//! no old id vector stands beside them. So beside the table it sorts,
+//! `order_by` holds the keys and one new vector — no permutation, no
+//! sorter scratch, no second copy of a sort column — and keeps only the
+//! ids it made. `bench_e2e`'s `tw_relational` session peaks inside
+//! `order_by` against a 5% bound; this test pins the same account in
+//! tier 1.
 //!
 //! Kept in its own test binary so nothing else moves the process-global
 //! allocation counters mid-measurement.
@@ -43,10 +46,15 @@ fn order_by_peaks_below_seven_tenths_of_its_table() {
 
     let (a, b) = (sorted.int_col("a").unwrap(), sorted.int_col("b").unwrap());
     assert!((1..N).all(|i| (a[i - 1], b[i - 1]) <= (a[i], b[i])));
-    assert_eq!(current_bytes(), live, "order_by keeps what it was given");
+    assert_eq!(
+        current_bytes() - live,
+        8 * N,
+        "order_by keeps what it was given and the ids it made"
+    );
 
-    // Keys (8 B a row) and one gathered vector (8 B a row) against a
-    // table of 32 B a row: half. A permutation beside two gathered
+    // Keys (8 B a row) and one new vector — the gathered float column or
+    // the ids (8 B a row) — against the sorted table's 32 B a row (three
+    // columns and the ids): half. A permutation beside two gathered
     // columns, as before the packed sort, is 0.83.
     let size = sorted.mem_size();
     assert!(

@@ -436,13 +436,13 @@ fn sample_is_distinct_subset() {
         let k = rng.below(500);
         let seed = rng.u64();
         let t = ringo::Table::from_int_column("v", (0..n as i64).collect());
-        let s = t.sample_rows(k, seed);
+        let s = t.sample_rows(k, seed).unwrap();
         assert_eq!(s.n_rows(), k.min(n));
         let mut ids = s.row_ids().to_vec();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), s.n_rows(), "no duplicates");
-        let again = t.sample_rows(k, seed);
+        let again = t.sample_rows(k, seed).unwrap();
         assert_eq!(s.row_ids(), again.row_ids());
     });
 }
