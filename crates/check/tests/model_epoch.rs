@@ -85,14 +85,14 @@ fn epoch_pin_publish_gc_never_tears_or_leaks() {
 }
 
 /// A slab-backed graph, compacted and published while pinned readers
-/// traverse the old version's slab views: the compact-as-publish path
+/// traverse the old version's slab rows: the compact-as-publish path
 /// the core catalog runs. Readers must observe internally consistent
 /// adjacency no matter where the publish lands, and the displaced
 /// version must reclaim only after the pins drop.
 #[test]
 fn compact_as_publish_racing_slab_readers() {
     ringo_check::check("epoch_compact_publish", || {
-        // 0 -> {1, 2}, 1 -> {2}, bulk-loaded so the lists are views into
+        // 0 -> {1, 2}, 1 -> {2}, bulk-loaded so the rows are ranges of
         // one shared slab; deleting 1->2 strands a dead range that
         // compaction reclaims.
         let mut g = DirectedGraph::from_sorted_parts(

@@ -93,7 +93,7 @@ pub fn table_to_graph_threads(
     // Merge the two ascending id lists into the graph's node list. A node
     // missing from one side gets an empty range there: the offset it is
     // handed is the next present node's.
-    let cap = out.ids.len().max(inn.ids.len());
+    let cap = out.ids.len() + inn.ids.len();
     let mut ids = Vec::with_capacity(cap);
     let mut out_off = Vec::with_capacity(cap + 1);
     let mut in_off = Vec::with_capacity(cap + 1);
@@ -111,6 +111,12 @@ pub fn table_to_graph_threads(
         i += usize::from(out.ids.get(i) == Some(&id));
         j += usize::from(inn.ids.get(j) == Some(&id));
     }
+    // The merged arrays take over from the runs' own ids and offsets
+    // before the rank passes, which hold both orientations' keys.
+    ids.shrink_to_fit();
+    out_off.shrink_to_fit();
+    in_off.shrink_to_fit();
+    let (out, inn) = (out.merged(), inn.merged());
 
     let rank = Rank::new(&ids)?;
     let in_slab = inn.rank_slab(&in_keys, &rank, threads);
@@ -216,6 +222,16 @@ impl Runs {
         runs.off.push(m);
         sp.rows_out(n);
         runs
+    }
+
+    /// These runs once their ids and offsets are merged into the graph's
+    /// own: only the total, which sizes the slab, and the shares' starts.
+    fn merged(self) -> Self {
+        Self {
+            ids: Vec::new(),
+            off: self.off.last().copied().into_iter().collect(),
+            starts: self.starts,
+        }
     }
 
     /// The rank pass: writes the slot of every distinct key's neighbour,

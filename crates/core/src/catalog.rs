@@ -347,8 +347,8 @@ impl Catalog {
                 _ => return None,
             }
         };
-        // Clone-then-compact: surviving slab views clone as cheap `Arc`
-        // bumps, and the rewrite binds the clone to a brand-new slab, so
+        // Clone-then-compact: the clone is a few `Arc` bumps, and the
+        // rewrite gives it brand-new slabs and offsets and no overlay, so
         // the published version shares no mutable state with the old one.
         let mut rewritten = DirectedGraph::clone(&current);
         let stats = rewritten.compact();

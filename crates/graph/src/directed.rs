@@ -1,10 +1,9 @@
 //! The paper's dynamic directed graph: a node hash table with sorted
 //! in/out adjacency vectors per node.
 
-use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
+use crate::nbrs::{AdjacencyStats, CompactStats, Nodes, Rows};
 use crate::topology::DirectedTopology;
-use crate::{slot_u32, NodeId, NodeValues};
-use ringo_concurrent::IntHashTable;
+use crate::{NodeId, NodeValues};
 use std::sync::Arc;
 
 /// A dynamic directed graph (multi-edges disallowed, self-loops allowed).
@@ -18,14 +17,15 @@ use std::sync::Arc;
 ///   searched position) — the paper's headline contrast with CSR's `O(E)`,
 /// * a kernel walks a row in place as slots ([`DirectedTopology`]); the id
 ///   accessors ([`Self::out_nbrs`], [`Self::in_nbrs`]) map each slot to its
-///   id through the node table,
-/// * `clone` copies the node table and shares the id index and every
-///   neighbor list until the copy edits them (one list per first edit,
-///   the index only when a node is added or deleted).
+///   id through the node side,
+/// * `clone` allocates nothing: the copy shares the id index, the node
+///   side, both orientations' slabs and offsets and every edited list
+///   until it writes them (the node side only when a node is added or
+///   deleted; an orientation's overlay, 8 bytes a slot, on the copy's
+///   first edit of it; a list on the copy's first edit of that list).
 ///
-/// The node table is one array per field — ids, out-rows, in-rows — so a
-/// kernel reaching a node's row reads a 24-byte handle from an array of
-/// handles, not a whole node.
+/// A bulk-built slot costs 16 bytes beside the index — its id and one
+/// 4-byte offset per orientation into the shared slabs.
 ///
 /// Slot order is id order on a graph built in bulk from ascending ids
 /// (conversions, `induced`, the loaders). A node added later takes the
@@ -48,16 +48,11 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DirectedGraph {
-    index: Arc<IntHashTable<u32>>,
-    /// Per slot: the node's id, `None` when the slot is vacant.
-    ids: Vec<Option<NodeId>>,
-    /// Per slot: out-neighbour slots (copy-on-write, so bulk-loaded nodes
-    /// share one slab until first mutated); empty when vacant.
-    out: Vec<NbrList>,
-    /// Per slot: in-neighbour slots, as `out`.
-    inn: Vec<NbrList>,
-    free: Vec<u32>,
-    n_nodes: usize,
+    nodes: Nodes,
+    /// Out-neighbour slots; empty for a vacant slot.
+    out: Rows,
+    /// In-neighbour slots, as `out`.
+    inn: Rows,
     n_edges: usize,
 }
 
@@ -70,17 +65,14 @@ impl DirectedGraph {
     /// Creates an empty graph pre-sized for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
-            index: Arc::new(IntHashTable::with_capacity(nodes)),
-            ids: Vec::with_capacity(nodes),
-            out: Vec::with_capacity(nodes),
-            inn: Vec::with_capacity(nodes),
+            nodes: Nodes::with_capacity(nodes),
             ..Self::default()
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n_nodes
+        self.nodes.len()
     }
 
     /// Number of directed edges.
@@ -90,66 +82,42 @@ impl DirectedGraph {
 
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.n_nodes == 0
+        self.nodes.len() == 0
     }
 
     /// True when `id` is a node of the graph.
     pub fn has_node(&self, id: NodeId) -> bool {
-        self.index.contains(id)
+        self.nodes.slot(id).is_some()
     }
 
     /// True when the edge `src -> dst` exists.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        match (self.index.get(src), self.index.get(dst)) {
-            (Some(&s), Some(d)) => self.out[s as usize].binary_search(d).is_ok(),
+        match (self.nodes.slot(src), self.nodes.slot(dst)) {
+            (Some(s), Some(d)) => self.out.row(s as usize).binary_search(&d).is_ok(),
             _ => false,
         }
     }
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
-        self.ensure_node(id).1
-    }
-
-    /// The slot of node `id`, and whether it had to be added first.
-    fn ensure_node(&mut self, id: NodeId) -> (u32, bool) {
-        if let Some(&slot) = self.index.get(id) {
-            return (slot, false);
-        }
-        // A freed slot's rows were emptied when its node was deleted.
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.ids[slot as usize] = Some(id);
-                slot
-            }
-            None => {
-                let slot = slot_u32(self.ids.len());
-                self.ids.push(Some(id));
-                self.out.push(NbrList::default());
-                self.inn.push(NbrList::default());
-                slot
-            }
-        };
-        Arc::make_mut(&mut self.index).insert(id, slot);
-        self.n_nodes += 1;
-        (slot, true)
+        self.nodes.ensure(id).1
     }
 
     /// Adds the edge `src -> dst`, creating missing endpoints. Returns
     /// `false` if the edge already existed.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let (s, _) = self.ensure_node(src);
-        let (d, _) = self.ensure_node(dst);
-        let out = &mut self.out[s as usize];
-        match out.binary_search(&d) {
-            Ok(_) => return false,
-            Err(pos) => out.to_mut().insert(pos, d),
-        }
-        let inn = &mut self.inn[d as usize];
+        let (s, _) = self.nodes.ensure(src);
+        let (d, _) = self.nodes.ensure(dst);
+        let n = self.nodes.n_slots();
+        let Err(pos) = self.out.row(s as usize).binary_search(&d) else {
+            return false;
+        };
+        self.out.to_mut(s as usize, n).insert(pos, d);
+        let inn = self.inn.row(d as usize);
         let pos = inn
             .binary_search(&s)
             .expect_err("in/out adjacency out of sync");
-        inn.to_mut().insert(pos, s);
+        self.inn.to_mut(d as usize, n).insert(pos, s);
         self.n_edges += 1;
         true
     }
@@ -157,107 +125,94 @@ impl DirectedGraph {
     /// Deletes the edge `src -> dst`. Returns `false` if it did not exist.
     /// Cost is `O(out_deg(src) + in_deg(dst))`, not `O(E)`.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let (Some(&s), Some(&d)) = (self.index.get(src), self.index.get(dst)) else {
+        let (Some(s), Some(d)) = (self.nodes.slot(src), self.nodes.slot(dst)) else {
             return false;
         };
-        let out = &mut self.out[s as usize];
-        let Ok(pos) = out.binary_search(&d) else {
+        let n = self.nodes.n_slots();
+        let Ok(pos) = self.out.row(s as usize).binary_search(&d) else {
             return false;
         };
-        out.to_mut().remove(pos);
-        let inn = &mut self.inn[d as usize];
+        self.out.to_mut(s as usize, n).remove(pos);
+        let inn = self.inn.row(d as usize);
         let pos = inn.binary_search(&s).expect("in/out adjacency out of sync");
-        inn.to_mut().remove(pos);
+        self.inn.to_mut(d as usize, n).remove(pos);
         self.n_edges -= 1;
         true
     }
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
-        let slot = match self.index.get(id) {
-            Some(s) => *s,
-            None => return false,
+        let Some(slot) = self.nodes.release(id) else {
+            return false;
         };
-        let s = slot as usize;
-        self.ids[s] = None;
-        let (out, inn) = (
-            std::mem::take(&mut self.out[s]),
-            std::mem::take(&mut self.inn[s]),
-        );
+        let (s, n) = (slot as usize, self.nodes.n_slots());
+        let out = std::mem::take(self.out.to_mut(s, n));
+        let inn = std::mem::take(self.inn.to_mut(s, n));
         // Remove `slot` from the in-rows of its out-neighbours and from the
         // out-rows of its in-neighbours.
         for (rows, nbrs) in [(&mut self.inn, &out), (&mut self.out, &inn)] {
-            for &n in nbrs.iter().filter(|&&n| n != slot) {
-                let row = &mut rows[n as usize];
+            for &v in nbrs.iter().filter(|&&v| v != slot) {
+                let row = rows.to_mut(v as usize, n);
                 let pos = row.binary_search(&slot).expect("adjacency in sync");
-                row.to_mut().remove(pos);
+                row.remove(pos);
             }
         }
         let self_loop = out.binary_search(&slot).is_ok();
         self.n_edges -= out.len() + inn.len() - usize::from(self_loop);
-        Arc::make_mut(&mut self.index).remove(id);
-        self.free.push(slot);
-        self.n_nodes -= 1;
         true
     }
 
     /// Out-degree of `id`, or `None` if the node is absent.
     pub fn out_degree(&self, id: NodeId) -> Option<usize> {
-        self.index.get(id).map(|&s| self.out[s as usize].len())
+        self.nodes.slot(id).map(|s| self.out.row(s as usize).len())
     }
 
     /// In-degree of `id`, or `None` if the node is absent.
     pub fn in_degree(&self, id: NodeId) -> Option<usize> {
-        self.index.get(id).map(|&s| self.inn[s as usize].len())
+        self.nodes.slot(id).map(|s| self.inn.row(s as usize).len())
     }
 
     /// Out-neighbors of `id` in slot order (empty if absent) — id order
     /// unless nodes were added after a bulk build (see the type docs).
     pub fn out_nbrs(&self, id: NodeId) -> Nbrs<'_> {
-        Nbrs::new(
-            self.index.get(id).map_or(&[], |&s| &self.out[s as usize]),
-            self,
-        )
+        let row = self
+            .nodes
+            .slot(id)
+            .map_or(&[][..], |s| self.out.row(s as usize));
+        Nbrs::new(row, self)
     }
 
     /// In-neighbors of `id` in slot order (empty if absent), as
     /// [`Self::out_nbrs`].
     pub fn in_nbrs(&self, id: NodeId) -> Nbrs<'_> {
-        Nbrs::new(
-            self.index.get(id).map_or(&[], |&s| &self.inn[s as usize]),
-            self,
-        )
+        let row = self
+            .nodes
+            .slot(id)
+            .map_or(&[][..], |s| self.inn.row(s as usize));
+        Nbrs::new(row, self)
     }
 
     /// Iterates over node ids in slot order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids.iter().flatten().copied()
+        self.nodes.live().map(|(_, id)| id)
     }
 
     /// Iterates over all directed edges as `(src, dst)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.out)
-            .filter_map(|(id, out)| id.map(|id| (id, out)))
-            .flat_map(move |(id, out)| Nbrs::new(out, self).map(move |d| (id, d)))
+        self.nodes
+            .live()
+            .flat_map(move |(s, id)| Nbrs::new(self.out.row(s), self).map(move |d| (id, d)))
     }
 
-    /// Approximate heap footprint in bytes: hash index + node table +
-    /// adjacency vector capacities. This is what the paper's Table 2
-    /// reports as "In-memory Graph Size". Versions share the index and
-    /// every list neither has edited since the clone, and each version
-    /// counts them in full: [`AdjacencyStats::shared_bytes`] says how much
-    /// of this is shared.
+    /// Heap footprint in bytes: hash index, node side, and both
+    /// orientations' offsets, slabs (dead ranges included), overlays and
+    /// edited lists. This is what the paper's Table 2 reports as
+    /// "In-memory Graph Size". Versions share all of it until they write
+    /// it, and each version counts it in full:
+    /// [`AdjacencyStats::shared_bytes`] says how much of the edited lists
+    /// is shared.
     pub fn mem_size(&self) -> usize {
-        let mut bytes = self.index.mem_size();
-        bytes += self.ids.capacity() * std::mem::size_of::<Option<NodeId>>();
-        bytes += (self.out.capacity() + self.inn.capacity()) * std::mem::size_of::<NbrList>();
-        bytes += self.free.capacity() * std::mem::size_of::<u32>();
-        for (out, inn) in self.out.iter().zip(&self.inn) {
-            bytes += out.heap_bytes() + inn.heap_bytes();
-        }
-        bytes
+        self.nodes.mem_size() + self.out.mem_size() + self.inn.mem_size()
     }
 
     /// Builds a graph from per-node parts `(id, in_nbrs, out_nbrs)` whose
@@ -267,36 +222,16 @@ impl DirectedGraph {
     /// # Panics
     /// On a duplicate node id, or a list naming an id no part holds.
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)>) -> Self {
-        let mut g = Self::with_capacity(parts.len());
-        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        for (k, (id, ..)) in parts.iter().enumerate() {
-            let prev = index.insert(*id, slot_u32(k));
-            assert!(prev.is_none(), "duplicate node id {id} in parts");
+        let nodes = Nodes::bulk(parts.iter().map(|p| p.0).collect());
+        let inn = Rows::packed(parts.iter().map(|(_, inn, _)| nodes.slots_of(inn)));
+        let out = Rows::packed(parts.iter().map(|(_, _, out)| nodes.slots_of(out)));
+        let n_edges = parts.iter().map(|p| p.2.len()).sum();
+        Self {
+            nodes,
+            out,
+            inn,
+            n_edges,
         }
-        for (id, in_nbrs, out_nbrs) in parts {
-            g.n_edges += out_nbrs.len();
-            let (inn, out) = (g.slots_of(&in_nbrs), g.slots_of(&out_nbrs));
-            g.ids.push(Some(id));
-            g.out.push(out);
-            g.inn.push(inn);
-        }
-        g.n_nodes = g.ids.len();
-        g
-    }
-
-    /// The slots of `ids`, ascending, as a list of their own.
-    fn slots_of(&self, ids: &[NodeId]) -> NbrList {
-        let mut row: Vec<u32> = ids
-            .iter()
-            .map(|&id| {
-                *self
-                    .index
-                    .get(id)
-                    .expect("a part names a node of the parts")
-            })
-            .collect();
-        row.sort_unstable();
-        row.into()
     }
 
     /// Bulk-builds a graph from slab-form adjacency (the conversion fill
@@ -307,14 +242,11 @@ impl DirectedGraph {
     /// below `ids.len()`, and the two orientations must be mutually
     /// consistent. With `ids` ascending, slot order is id order.
     ///
-    /// Unlike row-at-a-time construction this reserves the node hash
-    /// table once (no grow/rehash cycles: `with_capacity` sizes it below
-    /// the load-factor limit) and installs each adjacency list as a
-    /// copy-on-write **view into the shared slab** — no per-node
-    /// allocation or copy at all; a node's list is only materialized as
-    /// a private `Vec` if that node is later mutated. The graph takes
-    /// ownership of the slabs the producer filled in place (see
-    /// [`crate::new_slab`]), so the adjacency is never copied.
+    /// The graph keeps the slabs the producer filled in place (see
+    /// [`crate::new_slab`]) and one `u32` offset a slot per orientation,
+    /// and reserves the node hash table once (no grow/rehash cycles): no
+    /// per-node allocation, and the adjacency is never copied. A row is
+    /// copied into a list of its own only when an edit first touches it.
     ///
     /// # Panics
     /// Panics on duplicate ids; debug builds also check that slabs are
@@ -337,64 +269,39 @@ impl DirectedGraph {
             n + 1,
             "out_off must have one bound per node plus one"
         );
-        debug_assert_eq!(*in_off.last().unwrap_or(&0), in_slab.len());
-        debug_assert_eq!(*out_off.last().unwrap_or(&0), out_slab.len());
-        let mut g = Self::with_capacity(n);
-        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        for (k, id) in ids.into_iter().enumerate() {
-            let inn = NbrList::slab(&in_slab, in_off[k], in_off[k + 1]);
-            let out = NbrList::slab(&out_slab, out_off[k], out_off[k + 1]);
-            debug_assert!(
-                [&inn, &out]
-                    .iter()
-                    .all(|row| row.is_sorted_by(|a, b| a < b)
-                        && row.iter().all(|&s| (s as usize) < n))
-            );
-            g.ids.push(Some(id));
-            g.out.push(out);
-            g.inn.push(inn);
-            let prev = index.insert(id, slot_u32(k));
-            assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
+        Self {
+            nodes: Nodes::bulk(ids),
+            n_edges: out_slab.len(),
+            out: Rows::bulk(out_off, out_slab),
+            inn: Rows::bulk(in_off, in_slab),
         }
-        g.n_nodes = n;
-        g.n_edges = out_slab.len();
-        g
     }
 
-    /// Adjacency-storage accounting: slab vs owned lists, live vs dead
-    /// slab bytes. [`AdjacencyStats::dead_slab_bytes`] is the retention
-    /// that mutations leak and [`DirectedGraph::compact`] reclaims.
+    /// Adjacency-storage accounting: bulk rows vs lists of their own,
+    /// live vs dead slab bytes. [`AdjacencyStats::dead_slab_bytes`] is the
+    /// retention that edits leave and [`DirectedGraph::compact`] reclaims.
     pub fn adjacency_stats(&self) -> AdjacencyStats {
         let mut stats = AdjacencyStats::default();
-        let mut slabs = std::collections::HashMap::new();
-        for s in self.live_slots() {
-            self.inn[s].accumulate(&mut stats, &mut slabs);
-            self.out[s].accumulate(&mut stats, &mut slabs);
+        for rows in [&self.inn, &self.out] {
+            rows.tally(self.nodes.live().map(|(s, _)| s), &mut stats);
         }
-        stats.finish(&slabs)
+        stats
     }
 
-    /// Rewrites every adjacency list into two fresh, exactly-sized
-    /// shared slabs (one per direction), releasing dead slab ranges left
-    /// behind by mutations and collapsing per-node owned vectors back
-    /// into bulk storage. Adjacency is unchanged, and the graph stays
-    /// fully dynamic afterwards.
+    /// Rewrites each orientation into one fresh, exactly-sized slab and
+    /// drops the overlays, releasing the dead slab ranges edits left
+    /// behind and folding every edited list back into bulk storage.
+    /// Adjacency is unchanged, and the graph stays fully dynamic.
     ///
     /// Rewriting the adjacency into a new immutable slab is exactly what
     /// a copy-on-write version publish does, so the core crate's
-    /// `Catalog` runs this as one: clone (the node table only — lists and
-    /// index are shared), compact the clone, publish it as the next
-    /// version, and let the epoch machinery retire the old slabs once
-    /// unpinned.
+    /// `Catalog` runs this as one: clone (a few reference-count bumps),
+    /// compact the clone, publish it as the next version, and let the
+    /// epoch machinery retire the old slabs once unpinned.
     pub fn compact(&mut self) -> CompactStats {
         let before = self.adjacency_stats();
         for rows in [&mut self.inn, &mut self.out] {
-            let mut lists: Vec<&mut NbrList> = rows
-                .iter_mut()
-                .zip(&self.ids)
-                .filter_map(|(row, id)| id.map(|_| row))
-                .collect();
-            NbrList::compact(&mut lists);
+            rows.compact(self.nodes.n_slots());
         }
         CompactStats {
             before,
@@ -403,46 +310,40 @@ impl DirectedGraph {
     }
 
     /// The graph with every edge `u -> v` turned into `v -> u`: the two
-    /// row arrays trade places. The copy shares the index and every list.
+    /// orientations trade places. The copy shares everything.
     pub fn reversed(&self) -> DirectedGraph {
         let mut r = self.clone();
         std::mem::swap(&mut r.inn, &mut r.out);
         r
     }
-
-    /// The live slots, ascending.
-    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.ids.len()).filter(|&s| self.ids[s].is_some())
-    }
 }
 
 impl DirectedTopology for DirectedGraph {
     fn n_slots(&self) -> usize {
-        self.ids.len()
+        self.nodes.n_slots()
     }
 
     #[inline]
     fn slot_id(&self, slot: usize) -> Option<NodeId> {
-        self.ids[slot]
+        self.nodes.id(slot)
     }
 
     fn slot_of(&self, id: NodeId) -> Option<usize> {
-        let slot = *self.index.get(id)?;
-        Some(slot as usize)
+        self.nodes.slot(id).map(|s| s as usize)
     }
 
     #[inline]
     fn out_row(&self, slot: usize) -> &[u32] {
-        &self.out[slot]
+        self.out.row(slot)
     }
 
     #[inline]
     fn in_row(&self, slot: usize) -> &[u32] {
-        &self.inn[slot]
+        self.inn.row(slot)
     }
 
     fn node_count(&self) -> usize {
-        self.n_nodes
+        self.nodes.len()
     }
 
     fn edge_count(&self) -> usize {
@@ -455,13 +356,13 @@ impl DirectedTopology for DirectedGraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(&self.index, self, per_slot, count, keep)
+        NodeValues::pack(self.nodes.index(), self, per_slot, count, keep)
     }
 }
 
 /// One node's neighbours as ids, in the order its row stores them
 /// (ascending slot): the row is read in place and each slot is mapped to
-/// its id through the graph's node table. Returned by the graphs' id
+/// its id through the graph's node side. Returned by the graphs' id
 /// accessors ([`DirectedGraph::out_nbrs`], [`crate::UndirectedGraph::nbrs`],
 /// …); compares equal to a slice holding the same ids in the same order.
 #[derive(Clone)]

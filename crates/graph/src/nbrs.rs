@@ -1,30 +1,36 @@
-//! Copy-on-write adjacency storage shared by the dynamic graph types.
+//! The storage behind the dynamic graph types: [`Rows`] of neighbour
+//! slots, one per orientation, and the [`Nodes`] side that maps ids to
+//! slots.
 //!
 //! A neighbour is stored as the `u32` **slot** of the neighbouring node —
 //! the one adjacency representation: kernels read a row of slots in
 //! place, and the public id accessors map slot → id through the node
-//! table at the edge of the API. A list is sorted by slot.
+//! side at the edge of the API. A row is sorted by slot.
 //!
-//! Bulk loading (the sort-first table→graph conversion) produces every
-//! node's neighbors concatenated in one big slab. Copying each node's
-//! slice into its own `Vec` at install time would re-touch the whole
-//! adjacency just to change its ownership — for a million-edge graph
-//! that copy costs more than the fill itself. Instead a [`NbrList`] can
-//! *borrow* its range of the shared slab (an `Arc<[u32]>` kept alive by
-//! every node that references it) and only materializes a list of its
-//! own the first time that node's adjacency is mutated. Read paths see
-//! a `&[u32]` either way via `Deref`, so lookups and iteration are
-//! identical for both representations.
-//!
-//! A list of its own is an `Arc<Vec<u32>>`, so a graph clone shares it
-//! too and a version copies a list only on its first edit of it. An empty
-//! list is a view of the empty slab and allocates nothing.
+//! Bulk loading (the sort-first table→graph conversion, `induced`, the
+//! loaders) produces every node's neighbours concatenated in one slab and
+//! an offset per node, and [`Rows`] keeps exactly that: 4 bytes a slot
+//! and 4 a neighbour, written once and never copied. A row a version
+//! edits moves to that version's overlay, as a list of its own. A clone
+//! shares the slab, the offsets, the overlay and the node side — a few
+//! reference-count bumps — so a version pays for what it changed: its
+//! overlay (8 bytes a slot, on its first edit of an orientation) and the
+//! lists it edited.
 
-use std::ops::Deref;
+use crate::{slot_u32, NodeId};
+use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
 /// Bytes one stored neighbour costs.
 const SLOT_BYTES: usize = std::mem::size_of::<u32>();
+
+/// What a list of its own costs beside its buffer: the `Arc`'s two counts
+/// and the `Vec` header.
+const OWN_HEADER: usize = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u32>>();
+
+/// An overlay entry: a slot's list of its own, shared with the versions
+/// cloned since its last edit, or `None` where the bulk row stands.
+type Own = Option<Arc<Vec<u32>>>;
 
 /// A zero-filled adjacency slab of `len` neighbour slots, allocated once
 /// in its final shared form. Producers fill it in place through
@@ -34,171 +40,298 @@ pub fn new_slab(len: usize) -> Arc<[u32]> {
     std::iter::repeat_n(0, len).collect()
 }
 
-/// One node's neighbour slots, ascending: either a list of its own (shared
-/// with the graph versions cloned since its last edit) or a range of a
-/// bulk-load slab shared with the other nodes built in the same batch.
-#[derive(Clone, Debug)]
-pub(crate) enum NbrList {
-    /// This node's storage; every mutation path lands here.
-    Owned(Arc<Vec<u32>>),
-    /// `buf[lo..hi]`, copy-on-write. Bounds are `u32` to keep the enum
-    /// small; [`NbrList::slab`] falls back to owning when a slab is too
-    /// large to index with 32 bits.
-    Slab { buf: Arc<[u32]>, lo: u32, hi: u32 },
+/// One orientation's rows: bulk row `s` is `slab[offs[s]..offs[s + 1]]`
+/// (empty for a slot past the bulk ones), unless the overlay holds a list
+/// of its own for `s`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Rows {
+    offs: Arc<[u32]>,
+    slab: Arc<[u32]>,
+    /// Empty until this version's first edit; after it, one entry a slot.
+    edited: Arc<Vec<Own>>,
 }
 
-impl Default for NbrList {
-    fn default() -> Self {
-        // `Arc::<[_]>::default` points at a static: no allocation.
-        NbrList::slab(&Arc::default(), 0, 0)
+impl Rows {
+    /// Bulk rows: slot `k`'s row is `slab[off[k]..off[k + 1]]`, ascending
+    /// and below `off.len() - 1`. A slab too large for `u32` offsets is
+    /// copied into lists of their own instead.
+    pub(crate) fn bulk(off: &[usize], slab: Arc<[u32]>) -> Self {
+        debug_assert_eq!(off.last().copied(), Some(slab.len()));
+        debug_assert!(off.windows(2).all(|w| {
+            let row = &slab[w[0]..w[1]];
+            row.is_sorted_by(|a, b| a < b) && row.iter().all(|&s| (s as usize) < off.len() - 1)
+        }));
+        if slab.len() <= u32::MAX as usize {
+            let offs = off.iter().map(|&o| o as u32).collect();
+            return Self {
+                offs,
+                slab,
+                edited: Arc::default(),
+            };
+        }
+        let own = off.windows(2);
+        let own = own.map(|w| Some(Arc::new(slab[w[0]..w[1]].to_vec())));
+        Self {
+            edited: Arc::new(own.collect()),
+            ..Self::default()
+        }
     }
-}
 
-impl Deref for NbrList {
-    type Target = [u32];
+    /// `rows`, in slot order, packed into a fresh, exactly-sized slab.
+    pub(crate) fn packed<R: AsRef<[u32]>>(rows: impl Iterator<Item = R>) -> Self {
+        let (mut off, mut slab) = (vec![0], Vec::new());
+        for row in rows {
+            slab.extend_from_slice(row.as_ref());
+            off.push(slab.len());
+        }
+        Self::bulk(&off, slab.into())
+    }
 
+    /// Slot `s`'s row.
     #[inline]
-    fn deref(&self) -> &[u32] {
-        match self {
-            NbrList::Owned(v) => v,
-            NbrList::Slab { buf, lo, hi } => &buf[*lo as usize..*hi as usize],
-        }
-    }
-}
-
-impl From<Vec<u32>> for NbrList {
-    fn from(v: Vec<u32>) -> Self {
-        if v.is_empty() {
-            return NbrList::default();
-        }
-        NbrList::Owned(Arc::new(v))
-    }
-}
-
-impl NbrList {
-    /// A view of `buf[lo..hi]`. Falls back to an owned copy in the
-    /// (pathological) case of a slab beyond `u32` indexing.
-    pub(crate) fn slab(buf: &Arc<[u32]>, lo: usize, hi: usize) -> Self {
-        if hi <= u32::MAX as usize {
-            NbrList::Slab {
-                buf: Arc::clone(buf),
-                lo: lo as u32,
-                hi: hi as u32,
-            }
-        } else {
-            buf[lo..hi].to_vec().into()
+    pub(crate) fn row(&self, s: usize) -> &[u32] {
+        match self.edited.get(s) {
+            Some(Some(own)) => own,
+            _ => bulk_row(&self.offs, &self.slab, s),
         }
     }
 
-    /// Mutable access. A list this version holds alone is edited in
-    /// place; a slab view or a list another version shares is first
-    /// copied — this node's neighbors only, into room for one more, since
-    /// an edit follows.
-    pub(crate) fn to_mut(&mut self) -> &mut Vec<u32> {
-        if !matches!(self, NbrList::Owned(v) if Arc::strong_count(v) == 1) {
-            let mut v = Vec::with_capacity(self.len() + 1);
-            v.extend_from_slice(self);
-            *self = NbrList::Owned(Arc::new(v));
+    /// Slot `s`'s row to edit, in a graph of `n` slots. A row this version
+    /// does not hold alone — a bulk row, or a list another version shares
+    /// — is first copied, into room for one more, since an edit follows.
+    pub(crate) fn to_mut(&mut self, s: usize, n: usize) -> &mut Vec<u32> {
+        let Rows { offs, slab, edited } = self;
+        let edited = Arc::make_mut(edited);
+        if edited.len() < n {
+            edited.resize(n, None);
         }
-        match self {
-            NbrList::Owned(v) => Arc::make_mut(v), // held once: never clones
-            NbrList::Slab { .. } => unreachable!("just converted"),
+        let own = &mut edited[s];
+        if own.as_ref().is_none_or(|o| Arc::strong_count(o) > 1) {
+            let shared = own.take();
+            let row = shared
+                .as_deref()
+                .map_or(bulk_row(offs, slab, s), Vec::as_slice);
+            let mut copy = Vec::with_capacity(row.len() + 1);
+            copy.extend_from_slice(row);
+            *own = Some(Arc::new(copy));
         }
+        // Held once by now: never clones.
+        Arc::make_mut(own.get_or_insert_default())
     }
 
-    /// Heap bytes attributable to this list. Slab ranges partition their
-    /// slab, so charging each node its own range sums to the slab's true
-    /// footprint (the `Arc` header is ignored as per-batch constant). A
-    /// list of its own is charged in full to every version that holds it.
-    ///
-    /// After mutations this *understates* retention: a view's dead
-    /// sibling ranges keep the whole slab alive but are charged to
-    /// nobody. [`AdjacencyStats`] reports the honest number;
-    /// [`NbrList::compact`] reclaims the difference.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        match self {
-            NbrList::Owned(v) => v.capacity() * SLOT_BYTES,
-            NbrList::Slab { lo, hi, .. } => (hi - lo) as usize * SLOT_BYTES,
-        }
+    /// The `n` slots' rows rewritten as bulk rows of one fresh slab, with
+    /// no overlay.
+    pub(crate) fn compact(&mut self, n: usize) {
+        *self = Self::packed((0..n).map(|s| self.row(s)));
     }
 
-    /// Identity and full length of the backing slab, if any:
-    /// `(address, slab_len)` — the key [`AdjacencyStats`] groups by.
-    pub(crate) fn slab_id(&self) -> Option<(usize, usize)> {
-        match self {
-            NbrList::Owned(_) => None,
-            NbrList::Slab { buf, .. } => Some((buf.as_ptr() as usize, buf.len())),
-        }
-    }
-
-    /// Accumulates this list into `stats`, tracking distinct slabs in
-    /// `slabs` (address → full slab length).
-    pub(crate) fn accumulate(
-        &self,
-        stats: &mut AdjacencyStats,
-        slabs: &mut std::collections::HashMap<usize, usize>,
-    ) {
-        match self.slab_id() {
-            Some((addr, slab_len)) => {
-                stats.slab_lists += 1;
-                stats.live_slab_bytes += self.len() * SLOT_BYTES;
-                slabs.insert(addr, slab_len);
-            }
-            None => {
-                stats.owned_lists += 1;
-                stats.owned_bytes += self.heap_bytes();
-                if matches!(self, NbrList::Owned(v) if Arc::strong_count(v) > 1) {
-                    stats.shared_lists += 1;
-                    stats.shared_bytes += self.heap_bytes();
+    /// Adds the rows of the `live` slots to `stats`.
+    pub(crate) fn tally(&self, live: impl Iterator<Item = usize>, stats: &mut AdjacencyStats) {
+        let overlay_shared = Arc::strong_count(&self.edited) > 1;
+        for s in live {
+            match self.edited.get(s) {
+                Some(Some(own)) => {
+                    let bytes = own.capacity() * SLOT_BYTES;
+                    stats.owned_lists += 1;
+                    stats.owned_bytes += bytes;
+                    if overlay_shared || Arc::strong_count(own) > 1 {
+                        stats.shared_lists += 1;
+                        stats.shared_bytes += bytes;
+                    }
+                }
+                _ => {
+                    stats.slab_lists += 1;
+                    stats.live_slab_bytes += self.row(s).len() * SLOT_BYTES;
                 }
             }
         }
+        stats.total_slab_bytes += self.slab.len() * SLOT_BYTES;
     }
 
-    /// The long-pending compaction: rewrites every list in `lists` —
-    /// surviving slab views *and* privately-owned vectors — into one
-    /// fresh, exactly-sized shared slab and rebinds each list as a view
-    /// into it.
-    ///
-    /// Batch granularity is the whole point: a slab is only freed when
-    /// its last view drops, so compacting lists one at a time could
-    /// never release a dead range. Rewriting the full surviving set is
-    /// what lets the old slabs (dead ranges included) go, and the result
-    /// is a brand-new immutable slab — which is exactly the shape a
-    /// copy-on-write version publish wants, so graph compaction rides
-    /// the epoch machinery (see the core crate's `Catalog`).
-    pub(crate) fn compact(lists: &mut [&mut NbrList]) {
-        let total: usize = lists.iter().map(|l| l.len()).sum();
-        let mut slab = Vec::with_capacity(total);
-        let mut bounds = Vec::with_capacity(lists.len());
-        for list in lists.iter() {
-            let lo = slab.len();
-            slab.extend_from_slice(list);
-            bounds.push(lo);
-        }
-        let buf: Arc<[u32]> = Arc::from(slab);
-        for (list, lo) in lists.iter_mut().zip(bounds) {
-            let hi = lo + list.len();
-            **list = NbrList::slab(&buf, lo, hi);
-        }
+    /// Heap bytes: the offsets and the slab in full (dead ranges too),
+    /// the overlay, and every list of its own with its header.
+    pub(crate) fn mem_size(&self) -> usize {
+        let own = self.edited.iter().flatten();
+        let own: usize = own.map(|o| OWN_HEADER + o.capacity() * SLOT_BYTES).sum();
+        (self.offs.len() + self.slab.len()) * SLOT_BYTES
+            + self.edited.capacity() * std::mem::size_of::<Own>()
+            + own
     }
 }
 
-/// Adjacency-storage accounting for one graph: how many lists are slab
-/// views vs privately owned, and how much slab memory is still
-/// referenced vs retained. Produced by the graphs' `adjacency_stats`;
-/// `dead_slab_bytes` is what their `compact` reclaims.
+/// Bulk row `s` of `slab` under `offs`; empty past the bulk slots.
+#[inline]
+fn bulk_row<'a>(offs: &[u32], slab: &'a [u32], s: usize) -> &'a [u32] {
+    match offs.get(s..s + 2) {
+        Some(&[lo, hi]) => &slab[lo as usize..hi as usize],
+        _ => &[],
+    }
+}
+
+/// The node side of a graph: the id index, and per slot the node's id and
+/// whether the slot is vacant. Versions share both until one adds or
+/// deletes a node. The index is an `Arc` of its own because
+/// [`crate::NodeValues`] holds it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Nodes {
+    index: Arc<IntHashTable<u32>>,
+    slots: Arc<Slots>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct Slots {
+    /// Per slot: the node's id (stale while the slot is vacant).
+    ids: Vec<NodeId>,
+    /// Bit `s` set while slot `s` is vacant — every `i64` is a legal id,
+    /// so no id value can say so. Covers the slots up to the highest one
+    /// ever freed.
+    vacant: Vec<u64>,
+    free: Vec<u32>,
+}
+
+impl Nodes {
+    /// Room for `n` nodes.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            index: Arc::new(IntHashTable::with_capacity(n)),
+            slots: Arc::new(Slots {
+                ids: Vec::with_capacity(n),
+                ..Slots::default()
+            }),
+        }
+    }
+
+    /// Node `k` is `ids[k]`, in slot `k`.
+    ///
+    /// # Panics
+    /// On a duplicate id.
+    pub(crate) fn bulk(mut ids: Vec<NodeId>) -> Self {
+        let mut index = IntHashTable::with_capacity(ids.len());
+        for (k, &id) in ids.iter().enumerate() {
+            let prev = index.insert(id, slot_u32(k));
+            assert!(prev.is_none(), "duplicate node id {id} in parts");
+        }
+        ids.shrink_to_fit();
+        Self {
+            index: Arc::new(index),
+            slots: Arc::new(Slots {
+                ids,
+                ..Slots::default()
+            }),
+        }
+    }
+
+    /// The id index, for [`crate::NodeValues`].
+    pub(crate) fn index(&self) -> &Arc<IntHashTable<u32>> {
+        &self.index
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Number of slots, vacant ones included.
+    pub(crate) fn n_slots(&self) -> usize {
+        self.slots.ids.len()
+    }
+
+    /// The slot of node `id`.
+    #[inline]
+    pub(crate) fn slot(&self, id: NodeId) -> Option<u32> {
+        self.index.get(id).copied()
+    }
+
+    /// The id in slot `s`, `None` when vacant.
+    #[inline]
+    pub(crate) fn id(&self, s: usize) -> Option<NodeId> {
+        let vacant = self
+            .slots
+            .vacant
+            .get(s / 64)
+            .is_some_and(|w| w >> (s % 64) & 1 == 1);
+        (!vacant).then(|| self.slots.ids[s])
+    }
+
+    /// The live slots and their ids, ascending by slot.
+    pub(crate) fn live(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        (0..self.n_slots()).filter_map(|s| Some((s, self.id(s)?)))
+    }
+
+    /// The slots of `ids`, ascending.
+    ///
+    /// # Panics
+    /// When an id is not a node.
+    pub(crate) fn slots_of(&self, ids: &[NodeId]) -> Vec<u32> {
+        let slot = |&id| {
+            self.slot(id)
+                .unwrap_or_else(|| panic!("a part names node {id}"))
+        };
+        let mut row: Vec<u32> = ids.iter().map(slot).collect();
+        row.sort_unstable();
+        row
+    }
+
+    /// The slot of node `id`, and whether it had to be added first. An
+    /// added node takes the last slot freed, else the next one; a freed
+    /// slot's rows were emptied when its node left.
+    pub(crate) fn ensure(&mut self, id: NodeId) -> (u32, bool) {
+        if let Some(slot) = self.slot(id) {
+            return (slot, false);
+        }
+        let slots = Arc::make_mut(&mut self.slots);
+        let slot = match slots.free.pop() {
+            Some(slot) => {
+                let s = slot as usize;
+                slots.vacant[s / 64] &= !(1 << (s % 64));
+                slots.ids[s] = id;
+                slot
+            }
+            None => {
+                slots.ids.push(id);
+                slot_u32(slots.ids.len() - 1)
+            }
+        };
+        Arc::make_mut(&mut self.index).insert(id, slot);
+        (slot, true)
+    }
+
+    /// Frees the slot of node `id` and returns it; `None` if absent.
+    pub(crate) fn release(&mut self, id: NodeId) -> Option<u32> {
+        let slot = self.slot(id)?;
+        let (slots, s) = (Arc::make_mut(&mut self.slots), slot as usize);
+        if slots.vacant.len() <= s / 64 {
+            slots.vacant.resize(s / 64 + 1, 0);
+        }
+        slots.vacant[s / 64] |= 1 << (s % 64);
+        slots.free.push(slot);
+        Arc::make_mut(&mut self.index).remove(id);
+        Some(slot)
+    }
+
+    /// Heap bytes: the index, 8 a slot for the ids, the vacancy bitmap
+    /// and the free list.
+    pub(crate) fn mem_size(&self) -> usize {
+        let Slots { ids, vacant, free } = &*self.slots;
+        self.index.mem_size() + (ids.capacity() + vacant.capacity()) * 8 + free.capacity() * 4
+    }
+}
+
+/// Adjacency-storage accounting for one graph: how many rows are bulk
+/// rows of a slab vs lists of their own, and how much slab memory is
+/// still referenced vs retained. Produced by the graphs'
+/// `adjacency_stats`; `dead_slab_bytes` is what their `compact` reclaims.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdjacencyStats {
-    /// Lists that are copy-on-write views into a shared slab.
+    /// Rows read from a slab.
     pub slab_lists: usize,
-    /// Lists that own their storage (materialized by mutation).
+    /// Rows that are lists of their own (materialized by an edit).
     pub owned_lists: usize,
-    /// Bytes of slab ranges still referenced by a live view.
+    /// Bytes of slab rows still read by a live slot.
     pub live_slab_bytes: usize,
-    /// Full allocated bytes of every distinct slab kept alive.
+    /// Full allocated bytes of every slab kept alive.
     pub total_slab_bytes: usize,
-    /// Bytes held by privately-owned lists (capacity, not length).
+    /// Bytes held by lists of their own (capacity, not length).
     pub owned_bytes: usize,
     /// Of the owned lists, those this version shares with another
     /// version (cloned since the list's last edit): each is counted in
@@ -209,23 +342,16 @@ pub struct AdjacencyStats {
 }
 
 impl AdjacencyStats {
-    /// Slab bytes kept alive but referenced by no live view — the leak
+    /// Slab bytes kept alive but read by no live slot — the leak
     /// compaction exists to reclaim.
     pub fn dead_slab_bytes(&self) -> usize {
         self.total_slab_bytes - self.live_slab_bytes
     }
 
     /// Total adjacency heap retention: every live slab in full, plus
-    /// owned-vector capacity.
+    /// owned-list capacity.
     pub fn footprint_bytes(&self) -> usize {
         self.total_slab_bytes + self.owned_bytes
-    }
-
-    /// Folds the distinct-slab map built via [`NbrList::accumulate`]
-    /// into `total_slab_bytes`.
-    pub(crate) fn finish(mut self, slabs: &std::collections::HashMap<usize, usize>) -> Self {
-        self.total_slab_bytes = slabs.values().map(|len| len * SLOT_BYTES).sum();
-        self
     }
 }
 
@@ -253,111 +379,164 @@ impl CompactStats {
 mod tests {
     use super::*;
 
+    fn rows(lists: &[&[u32]]) -> Rows {
+        Rows::packed(lists.iter())
+    }
+
+    fn all(r: &Rows, n: usize) -> Vec<Vec<u32>> {
+        (0..n).map(|s| r.row(s).to_vec()).collect()
+    }
+
+    fn stats(r: &Rows, n: usize) -> AdjacencyStats {
+        let mut stats = AdjacencyStats::default();
+        r.tally(0..n, &mut stats);
+        stats
+    }
+
     #[test]
     fn slab_view_reads_like_owned() {
-        let buf: Arc<[u32]> = Arc::from(vec![1u32, 2, 3, 4, 5]);
-        let view = NbrList::slab(&buf, 1, 4);
-        assert_eq!(&*view, &[2, 3, 4]);
-        assert_eq!(view.len(), 3);
-        assert!(view.binary_search(&3).is_ok());
-        let owned = NbrList::from(vec![2u32, 3, 4]);
-        assert_eq!(&*view, &*owned);
+        let mut r = Rows::bulk(&[0, 1, 3, 3], Arc::from([1u32, 0, 2]));
+        assert_eq!(all(&r, 5), [vec![1], vec![0, 2], vec![], vec![], vec![]]);
+        let bulk = all(&r, 3);
+        r.to_mut(1, 3);
+        assert_eq!(all(&r, 3), bulk, "an own copy reads as its bulk row did");
+        assert_eq!((stats(&r, 3).slab_lists, stats(&r, 3).owned_lists), (2, 1));
     }
 
     #[test]
     fn to_mut_copies_on_write_without_touching_slab() {
-        let buf: Arc<[u32]> = Arc::from(vec![10u32, 20, 30]);
-        let mut a = NbrList::slab(&buf, 0, 2);
-        let b = NbrList::slab(&buf, 2, 3);
-        a.to_mut().push(25);
-        assert_eq!(&*a, &[10, 20, 25]);
-        assert_eq!(&*b, &[30], "sibling view untouched");
-        assert_eq!(buf[0], 10, "slab itself untouched");
-        assert_eq!(a.heap_bytes(), 3 * SLOT_BYTES, "len + 1");
+        let mut a = rows(&[&[1], &[0, 2], &[1]]);
+        let b = a.clone();
+        a.to_mut(1, 3).push(9);
+        assert_eq!(all(&a, 3), [vec![1], vec![0, 2, 9], vec![1]]);
+        assert_eq!(
+            all(&b, 3),
+            [vec![1], vec![0, 2], vec![1]],
+            "clone untouched"
+        );
+        assert_eq!(&a.slab[..], &[1, 0, 2, 1], "slab itself untouched");
+        assert_eq!(a.edited.len(), 3, "the overlay covers every slot");
+        assert_eq!(a.to_mut(1, 3).capacity(), 3, "a copy holds len + 1");
     }
 
     #[test]
     fn to_mut_edits_a_list_held_once_and_copies_a_shared_one() {
-        let mut v = Vec::with_capacity(8);
-        v.extend([1u32, 2]);
-        let mut a = NbrList::from(v);
-        let at = a.as_ptr();
-        a.to_mut().push(3);
-        assert_eq!(a.as_ptr(), at, "held once: edited in place");
+        let mut a = rows(&[&[1], &[0]]);
+        a.to_mut(0, 2).push(1);
+        let at = a.row(0).as_ptr();
+        a.to_mut(0, 2).pop();
+        assert_eq!(a.row(0).as_ptr(), at, "held once: edited in place");
         let mut b = a.clone();
-        assert_eq!(b.as_ptr(), at, "a clone shares the list");
-        let mut stats = AdjacencyStats::default();
-        a.accumulate(&mut stats, &mut Default::default());
-        assert_eq!((stats.owned_lists, stats.shared_lists), (1, 1));
-        b.to_mut().push(4);
-        assert_ne!(b.as_ptr(), at, "the first edit copies");
-        assert_eq!((&*a, &*b), (&[1, 2, 3][..], &[1, 2, 3, 4][..]));
-        let at = b.as_ptr();
-        b.to_mut().remove(0);
-        assert_eq!(b.as_ptr(), at, "the copy is this version's alone");
+        assert!(
+            Arc::ptr_eq(&a.edited, &b.edited),
+            "a clone shares the overlay"
+        );
+        assert_eq!(stats(&a, 2).shared_lists, 1);
+        b.to_mut(0, 2).push(0);
+        assert_ne!(b.row(0).as_ptr(), at, "the first edit copies");
+        assert_eq!((a.row(0), b.row(0)), (&[1][..], &[1, 0][..]));
+        assert_eq!(
+            (stats(&a, 2).shared_lists, stats(&b, 2).owned_lists),
+            (0, 1)
+        );
+        let at = b.row(0).as_ptr();
+        b.to_mut(0, 2).pop();
+        assert_eq!(b.row(0).as_ptr(), at, "the copy is this version's alone");
     }
 
     #[test]
     fn empty_lists_are_views_of_the_empty_slab() {
-        for empty in [NbrList::default(), NbrList::from(Vec::with_capacity(8))] {
-            assert!(empty.is_empty());
-            assert_eq!(empty.slab_id().map(|(_, len)| len), Some(0));
-            assert_eq!(empty.heap_bytes(), 0);
-        }
+        let mut r = Rows::default();
+        assert_eq!((all(&r, 2), r.mem_size()), (vec![vec![], vec![]], 0));
+        r.to_mut(2, 3).push(0);
+        assert_eq!(all(&r, 4), [vec![], vec![], vec![0], vec![]]);
+        let s = stats(&r, 3);
+        assert_eq!((s.slab_lists, s.owned_lists, s.total_slab_bytes), (2, 1, 0));
     }
 
     #[test]
     fn heap_bytes_charges_slab_ranges() {
-        let buf: Arc<[u32]> = Arc::from(vec![0u32; 8]);
-        let view = NbrList::slab(&buf, 2, 6);
-        assert_eq!(view.heap_bytes(), 4 * SLOT_BYTES);
-    }
-
-    #[test]
-    fn compact_rewrites_views_and_owned_into_one_slab() {
-        let buf: Arc<[u32]> = Arc::from(vec![1u32, 2, 3, 4, 5, 6]);
-        let mut a = NbrList::slab(&buf, 0, 2); // survives
-        let mut b = NbrList::from(vec![7, 8, 9]); // materialized earlier
-        let mut c = NbrList::slab(&buf, 4, 6); // survives; [2..4] is dead
-        let old_weak = Arc::downgrade(&buf);
-        drop(buf);
-        NbrList::compact(&mut [&mut a, &mut b, &mut c]);
-        assert_eq!(&*a, &[1, 2]);
-        assert_eq!(&*b, &[7, 8, 9]);
-        assert_eq!(&*c, &[5, 6]);
+        let mut r = rows(&[&[1, 2], &[0], &[0]]);
+        assert_eq!(r.mem_size(), (4 + 4) * SLOT_BYTES, "offsets and slab");
+        r.to_mut(0, 3).clear();
+        let own = OWN_HEADER + 3 * SLOT_BYTES;
+        let overlay = r.edited.capacity() * std::mem::size_of::<Own>();
+        assert!(r.edited.capacity() >= 3);
         assert_eq!(
-            old_weak.upgrade(),
-            None,
-            "old slab freed once its last view is rebound"
+            r.mem_size(),
+            (4 + 4) * SLOT_BYTES + overlay + own,
+            "dead range too"
         );
-        let (a_id, a_len) = a.slab_id().expect("rebound as view");
-        assert_eq!(a.slab_id().map(|(p, _)| p), c.slab_id().map(|(p, _)| p));
-        assert_eq!(b.slab_id().map(|(p, _)| p), Some(a_id));
-        assert_eq!(a_len, 7, "fresh slab is exactly sized");
-    }
-
-    #[test]
-    fn compact_handles_empty_input_and_empty_lists() {
-        NbrList::compact(&mut []);
-        let mut a = NbrList::default();
-        let mut b = NbrList::from(vec![1]);
-        NbrList::compact(&mut [&mut a, &mut b]);
-        assert!(a.is_empty());
-        assert_eq!(&*b, &[1]);
     }
 
     #[test]
     fn adjacency_stats_see_dead_ranges() {
-        let buf: Arc<[u32]> = Arc::from(vec![0u32; 8]);
-        let live = NbrList::slab(&buf, 0, 2);
-        drop(buf);
-        let mut stats = AdjacencyStats::default();
-        let mut slabs = std::collections::HashMap::new();
-        live.accumulate(&mut stats, &mut slabs);
-        let stats = stats.finish(&slabs);
-        let elt = SLOT_BYTES;
-        assert_eq!(stats.live_slab_bytes, 2 * elt);
-        assert_eq!(stats.total_slab_bytes, 8 * elt);
-        assert_eq!(stats.dead_slab_bytes(), 6 * elt);
+        let mut r = rows(&[&[1, 2], &[0], &[0]]);
+        std::mem::take(r.to_mut(0, 3));
+        let s = stats(&r, 3);
+        assert_eq!(
+            (s.live_slab_bytes, s.total_slab_bytes),
+            (2 * SLOT_BYTES, 4 * SLOT_BYTES)
+        );
+        assert_eq!(s.dead_slab_bytes(), 2 * SLOT_BYTES);
+        let mut live_only = AdjacencyStats::default();
+        r.tally([1].into_iter(), &mut live_only);
+        assert_eq!(
+            live_only.dead_slab_bytes(),
+            3 * SLOT_BYTES,
+            "slots not live"
+        );
+    }
+
+    #[test]
+    fn compact_rewrites_views_and_owned_into_one_slab() {
+        let mut r = rows(&[&[1, 2], &[0], &[0]]);
+        std::mem::take(r.to_mut(0, 3));
+        r.to_mut(2, 3).push(2);
+        let old = Arc::downgrade(&r.slab);
+        let want = all(&r, 3);
+        r.compact(3);
+        assert_eq!(all(&r, 3), want);
+        assert!(r.edited.is_empty(), "no overlay");
+        assert_eq!(old.upgrade(), None, "the old slab is freed");
+        assert_eq!(&r.slab[..], &[0, 0, 2], "fresh slab is exactly sized");
+        let s = stats(&r, 3);
+        assert_eq!((s.owned_lists, s.dead_slab_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn compact_handles_empty_input_and_empty_lists() {
+        let mut r = Rows::default();
+        r.compact(0);
+        assert_eq!(all(&r, 1), [vec![]]);
+        r.to_mut(1, 2).push(1);
+        r.compact(2);
+        assert_eq!(all(&r, 2), [vec![], vec![1]]);
+        assert_eq!(&r.offs[..], &[0, 0, 1]);
+    }
+
+    #[test]
+    fn nodes_reuse_freed_slots_and_mark_them_vacant_meanwhile() {
+        let mut n = Nodes::bulk(vec![5, i64::MIN, 7]);
+        assert_eq!(n.ensure(i64::MIN), (1, false));
+        assert_eq!(n.release(i64::MIN), Some(1));
+        assert_eq!(n.release(i64::MIN), None);
+        assert_eq!((n.len(), n.id(1)), (2, None));
+        assert_eq!(n.live().collect::<Vec<_>>(), [(0, 5), (2, 7)]);
+        let copy = n.clone();
+        assert_eq!(n.ensure(9), (1, true));
+        assert_eq!(n.ensure(10), (3, true));
+        assert_eq!(n.live().map(|(s, _)| s).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(
+            (copy.id(1), copy.len()),
+            (None, 2),
+            "the clone kept its side"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node id 3")]
+    fn bulk_nodes_refuse_a_duplicate() {
+        Nodes::bulk(vec![3, 4, 3]);
     }
 }

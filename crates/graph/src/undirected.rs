@@ -2,27 +2,24 @@
 //! vector per node.
 
 use crate::directed::Nbrs;
-use crate::nbrs::{AdjacencyStats, CompactStats, NbrList};
+use crate::nbrs::{AdjacencyStats, CompactStats, Nodes, Rows};
 use crate::topology::DirectedTopology;
 use crate::{slot_u32, NodeId, NodeValues};
-use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
 /// A dynamic undirected graph (no multi-edges; self-loops allowed and
 /// stored once).
 ///
 /// Mirrors [`crate::DirectedGraph`] with a single row of neighbour slots
-/// per node, sorted by slot. Each undirected edge `{a, b}` appears in both
-/// endpoints' rows (a self-loop appears once, in its own node's row).
+/// per node, sorted by slot: a bulk-built slot costs 12 bytes beside the
+/// index, and `clone` allocates nothing. Each undirected edge `{a, b}`
+/// appears in both endpoints' rows (a self-loop appears once, in its own
+/// node's row).
 #[derive(Clone, Debug, Default)]
 pub struct UndirectedGraph {
-    index: Arc<IntHashTable<u32>>,
-    /// Per slot: the node's id, `None` when the slot is vacant.
-    ids: Vec<Option<NodeId>>,
-    /// Per slot: neighbour slots (copy-on-write); empty when vacant.
-    rows: Vec<NbrList>,
-    free: Vec<u32>,
-    n_nodes: usize,
+    nodes: Nodes,
+    /// Neighbour slots; empty for a vacant slot.
+    rows: Rows,
     n_edges: usize,
     n_loops: usize,
 }
@@ -36,16 +33,14 @@ impl UndirectedGraph {
     /// Creates an empty graph pre-sized for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
-            index: Arc::new(IntHashTable::with_capacity(nodes)),
-            ids: Vec::with_capacity(nodes),
-            rows: Vec::with_capacity(nodes),
+            nodes: Nodes::with_capacity(nodes),
             ..Self::default()
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n_nodes
+        self.nodes.len()
     }
 
     /// Number of undirected edges (each counted once).
@@ -55,64 +50,41 @@ impl UndirectedGraph {
 
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.n_nodes == 0
+        self.nodes.len() == 0
     }
 
     /// True when `id` is a node of the graph.
     pub fn has_node(&self, id: NodeId) -> bool {
-        self.index.contains(id)
+        self.nodes.slot(id).is_some()
     }
 
     /// True when the undirected edge `{a, b}` exists.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        match (self.index.get(a), self.index.get(b)) {
-            (Some(&sa), Some(sb)) => self.rows[sa as usize].binary_search(sb).is_ok(),
+        match (self.nodes.slot(a), self.nodes.slot(b)) {
+            (Some(sa), Some(sb)) => self.rows.row(sa as usize).binary_search(&sb).is_ok(),
             _ => false,
         }
     }
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
-        self.ensure_node(id).1
-    }
-
-    /// The slot of node `id`, and whether it had to be added first.
-    fn ensure_node(&mut self, id: NodeId) -> (u32, bool) {
-        if let Some(&slot) = self.index.get(id) {
-            return (slot, false);
-        }
-        // A freed slot's row was emptied when its node was deleted.
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.ids[slot as usize] = Some(id);
-                slot
-            }
-            None => {
-                let slot = slot_u32(self.ids.len());
-                self.ids.push(Some(id));
-                self.rows.push(NbrList::default());
-                slot
-            }
-        };
-        Arc::make_mut(&mut self.index).insert(id, slot);
-        self.n_nodes += 1;
-        (slot, true)
+        self.nodes.ensure(id).1
     }
 
     /// Adds the undirected edge `{a, b}`, creating missing endpoints.
     /// Returns `false` if the edge already existed.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let (sa, _) = self.ensure_node(a);
-        let (sb, _) = self.ensure_node(b);
-        let ra = &mut self.rows[sa as usize];
-        match ra.binary_search(&sb) {
-            Ok(_) => return false,
-            Err(pos) => ra.to_mut().insert(pos, sb),
-        }
+        let (sa, _) = self.nodes.ensure(a);
+        let (sb, _) = self.nodes.ensure(b);
+        let n = self.nodes.n_slots();
+        let Err(pos) = self.rows.row(sa as usize).binary_search(&sb) else {
+            return false;
+        };
+        self.rows.to_mut(sa as usize, n).insert(pos, sb);
         if sa != sb {
-            let rb = &mut self.rows[sb as usize];
+            let rb = self.rows.row(sb as usize);
             let pos = rb.binary_search(&sa).expect_err("adjacency out of sync");
-            rb.to_mut().insert(pos, sa);
+            self.rows.to_mut(sb as usize, n).insert(pos, sa);
         }
         self.n_edges += 1;
         self.n_loops += usize::from(sa == sb);
@@ -121,18 +93,18 @@ impl UndirectedGraph {
 
     /// Deletes the undirected edge `{a, b}`. Returns `false` if absent.
     pub fn del_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let (Some(&sa), Some(&sb)) = (self.index.get(a), self.index.get(b)) else {
+        let (Some(sa), Some(sb)) = (self.nodes.slot(a), self.nodes.slot(b)) else {
             return false;
         };
-        let ra = &mut self.rows[sa as usize];
-        let Ok(pos) = ra.binary_search(&sb) else {
+        let n = self.nodes.n_slots();
+        let Ok(pos) = self.rows.row(sa as usize).binary_search(&sb) else {
             return false;
         };
-        ra.to_mut().remove(pos);
+        self.rows.to_mut(sa as usize, n).remove(pos);
         if sa != sb {
-            let rb = &mut self.rows[sb as usize];
+            let rb = self.rows.row(sb as usize);
             let pos = rb.binary_search(&sa).expect("adjacency in sync");
-            rb.to_mut().remove(pos);
+            self.rows.to_mut(sb as usize, n).remove(pos);
         }
         self.n_edges -= 1;
         self.n_loops -= usize::from(sa == sb);
@@ -141,95 +113,71 @@ impl UndirectedGraph {
 
     /// Deletes node `id` and all incident edges. Returns `false` if absent.
     pub fn del_node(&mut self, id: NodeId) -> bool {
-        let slot = match self.index.get(id) {
-            Some(s) => *s,
-            None => return false,
+        let Some(slot) = self.nodes.release(id) else {
+            return false;
         };
-        self.ids[slot as usize] = None;
-        let row = std::mem::take(&mut self.rows[slot as usize]);
-        for &n in row.iter().filter(|&&n| n != slot) {
-            let other = &mut self.rows[n as usize];
+        let n = self.nodes.n_slots();
+        let row = std::mem::take(self.rows.to_mut(slot as usize, n));
+        for &v in row.iter().filter(|&&v| v != slot) {
+            let other = self.rows.to_mut(v as usize, n);
             let pos = other.binary_search(&slot).expect("adjacency in sync");
-            other.to_mut().remove(pos);
+            other.remove(pos);
         }
         self.n_edges -= row.len();
         self.n_loops -= usize::from(row.binary_search(&slot).is_ok());
-        Arc::make_mut(&mut self.index).remove(id);
-        self.free.push(slot);
-        self.n_nodes -= 1;
         true
     }
 
     /// Degree of `id` (self-loop counts once), or `None` if absent.
     pub fn degree(&self, id: NodeId) -> Option<usize> {
-        self.index.get(id).map(|&s| self.rows[s as usize].len())
+        self.nodes.slot(id).map(|s| self.rows.row(s as usize).len())
     }
 
     /// Neighbors of `id` in slot order (empty if absent) — id order unless
     /// nodes were added after a bulk build (see
     /// [`crate::DirectedGraph`]).
     pub fn nbrs(&self, id: NodeId) -> Nbrs<'_> {
-        Nbrs::new(
-            self.index.get(id).map_or(&[], |&s| &self.rows[s as usize]),
-            self,
-        )
+        let row = self
+            .nodes
+            .slot(id)
+            .map_or(&[][..], |s| self.rows.row(s as usize));
+        Nbrs::new(row, self)
     }
 
     /// Iterates over node ids in slot order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids.iter().flatten().copied()
+        self.nodes.live().map(|(_, id)| id)
     }
 
     /// Iterates over undirected edges once each, as `(a, b)` with `a <= b`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.rows)
-            .filter_map(|(id, row)| id.map(|id| (id, row)))
-            .flat_map(move |(id, row)| {
-                Nbrs::new(row, self)
-                    .filter(move |&n| n >= id)
-                    .map(move |n| (id, n))
-            })
+        self.nodes.live().flat_map(move |(s, id)| {
+            Nbrs::new(self.rows.row(s), self)
+                .filter(move |&n| n >= id)
+                .map(move |n| (id, n))
+        })
     }
 
-    /// Approximate heap footprint in bytes (see
+    /// Heap footprint in bytes (see
     /// [`crate::DirectedGraph::mem_size`]).
     pub fn mem_size(&self) -> usize {
-        let mut bytes = self.index.mem_size();
-        bytes += self.ids.capacity() * std::mem::size_of::<Option<NodeId>>();
-        bytes += self.rows.capacity() * std::mem::size_of::<NbrList>();
-        bytes += self.free.capacity() * std::mem::size_of::<u32>();
-        for row in &self.rows {
-            bytes += row.heap_bytes();
-        }
-        bytes
+        self.nodes.mem_size() + self.rows.mem_size()
     }
 
     /// Adjacency-storage accounting (see
     /// [`crate::DirectedGraph::adjacency_stats`]).
     pub fn adjacency_stats(&self) -> AdjacencyStats {
         let mut stats = AdjacencyStats::default();
-        let mut slabs = std::collections::HashMap::new();
-        for (row, id) in self.rows.iter().zip(&self.ids) {
-            if id.is_some() {
-                row.accumulate(&mut stats, &mut slabs);
-            }
-        }
-        stats.finish(&slabs)
+        self.rows
+            .tally(self.nodes.live().map(|(s, _)| s), &mut stats);
+        stats
     }
 
-    /// Rewrites every adjacency list into one fresh, exactly-sized
-    /// shared slab (see [`crate::DirectedGraph::compact`]).
+    /// Rewrites the rows into one fresh, exactly-sized slab (see
+    /// [`crate::DirectedGraph::compact`]).
     pub fn compact(&mut self) -> CompactStats {
         let before = self.adjacency_stats();
-        let mut lists: Vec<&mut NbrList> = self
-            .rows
-            .iter_mut()
-            .zip(&self.ids)
-            .filter_map(|(row, id)| id.map(|_| row))
-            .collect();
-        NbrList::compact(&mut lists);
+        self.rows.compact(self.nodes.n_slots());
         CompactStats {
             before,
             after: self.adjacency_stats(),
@@ -240,27 +188,9 @@ impl UndirectedGraph {
     /// are mutually consistent. Counterpart of
     /// [`crate::DirectedGraph::from_parts`].
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>)>) -> Self {
-        let mut g = Self::with_capacity(parts.len());
-        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        for (k, (id, _)) in parts.iter().enumerate() {
-            let prev = index.insert(*id, slot_u32(k));
-            assert!(prev.is_none(), "duplicate node id {id} in parts");
-        }
-        let (mut ends, mut loops) = (0usize, 0usize);
-        for (k, (id, nbrs)) in parts.into_iter().enumerate() {
-            let mut row: Vec<u32> = nbrs
-                .iter()
-                .map(|&n| *g.index.get(n).expect("a part names a node of the parts"))
-                .collect();
-            row.sort_unstable();
-            ends += row.len();
-            loops += usize::from(row.binary_search(&slot_u32(k)).is_ok());
-            g.ids.push(Some(id));
-            g.rows.push(row.into());
-        }
-        g.n_nodes = g.ids.len();
-        g.set_edge_counts(ends, loops);
-        g
+        let nodes = Nodes::bulk(parts.iter().map(|p| p.0).collect());
+        let rows = Rows::packed(parts.iter().map(|p| nodes.slots_of(&p.1)));
+        Self::from_rows(nodes, rows)
     }
 
     /// Bulk-builds a graph from slab-form adjacency: node `k` (id
@@ -269,42 +199,34 @@ impl UndirectedGraph {
     /// with each edge `{a, b}` present in both endpoints' runs (self-loops
     /// once). Undirected counterpart of
     /// [`crate::DirectedGraph::from_sorted_parts`]: one hash-table
-    /// reservation, each adjacency list installed as a copy-on-write
-    /// view into the slab, and the slab itself taken over, not copied.
+    /// reservation, one `u32` offset a slot, and the slab itself taken
+    /// over, not copied.
     ///
     /// # Panics
     /// Panics on duplicate ids; debug builds also check sortedness.
     pub fn from_sorted_parts(ids: Vec<NodeId>, off: &[usize], slab: Arc<[u32]>) -> Self {
-        let n = ids.len();
         assert_eq!(
             off.len(),
-            n + 1,
+            ids.len() + 1,
             "off must have one bound per node plus one"
         );
-        debug_assert_eq!(*off.last().unwrap_or(&0), slab.len());
-        let mut g = Self::with_capacity(n);
-        let index = Arc::get_mut(&mut g.index).expect("fresh index is unshared");
-        let (mut ends, mut loops) = (0usize, 0usize);
-        for (k, id) in ids.into_iter().enumerate() {
-            let row = NbrList::slab(&slab, off[k], off[k + 1]);
-            debug_assert!(row.is_sorted_by(|a, b| a < b) && row.iter().all(|&s| (s as usize) < n));
-            ends += row.len();
-            loops += usize::from(row.binary_search(&slot_u32(k)).is_ok());
-            g.ids.push(Some(id));
-            g.rows.push(row);
-            let prev = index.insert(id, slot_u32(k));
-            assert!(prev.is_none(), "duplicate node id {id} in sorted parts");
-        }
-        g.n_nodes = n;
-        g.set_edge_counts(ends, loops);
-        g
+        Self::from_rows(Nodes::bulk(ids), Rows::bulk(off, slab))
     }
 
-    /// Edge counts of a bulk-built graph whose rows hold `ends` entries,
-    /// `loops` of them self-loops: every other edge is in two rows.
-    fn set_edge_counts(&mut self, ends: usize, loops: usize) {
-        self.n_edges = (ends - loops) / 2 + loops;
-        self.n_loops = loops;
+    /// The graph of bulk-built `nodes` and `rows`: every edge but a
+    /// self-loop is in two rows.
+    fn from_rows(nodes: Nodes, rows: Rows) -> Self {
+        let n = nodes.n_slots();
+        let ends: usize = (0..n).map(|k| rows.row(k).len()).sum();
+        let loops = (0..n)
+            .filter(|&k| rows.row(k).binary_search(&slot_u32(k)).is_ok())
+            .count();
+        Self {
+            nodes,
+            rows,
+            n_edges: (ends - loops) / 2 + loops,
+            n_loops: loops,
+        }
     }
 }
 
@@ -315,21 +237,21 @@ impl UndirectedGraph {
 /// per self-loop — keeping degree sums and edge counts consistent.
 impl DirectedTopology for UndirectedGraph {
     fn n_slots(&self) -> usize {
-        self.ids.len()
+        self.nodes.n_slots()
     }
 
     #[inline]
     fn slot_id(&self, slot: usize) -> Option<NodeId> {
-        self.ids[slot]
+        self.nodes.id(slot)
     }
 
     fn slot_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(id).map(|s| *s as usize)
+        self.nodes.slot(id).map(|s| s as usize)
     }
 
     #[inline]
     fn out_row(&self, slot: usize) -> &[u32] {
-        &self.rows[slot]
+        self.rows.row(slot)
     }
 
     #[inline]
@@ -338,7 +260,7 @@ impl DirectedTopology for UndirectedGraph {
     }
 
     fn node_count(&self) -> usize {
-        self.n_nodes
+        self.nodes.len()
     }
 
     fn edge_count(&self) -> usize {
@@ -355,7 +277,7 @@ impl DirectedTopology for UndirectedGraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(&self.index, self, per_slot, count, keep)
+        NodeValues::pack(self.nodes.index(), self, per_slot, count, keep)
     }
 }
 

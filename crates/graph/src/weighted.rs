@@ -8,14 +8,12 @@
 //! and weight lookup is the same binary search as `has_edge`.
 
 use crate::directed::Nbrs;
+use crate::nbrs::Nodes;
 use crate::topology::DirectedTopology;
-use crate::{slot_u32, NodeId, NodeValues};
-use ringo_concurrent::IntHashTable;
-use std::sync::Arc;
+use crate::{NodeId, NodeValues};
 
 #[derive(Clone, Debug, Default)]
 struct WNodeCell {
-    id: NodeId,
     in_nbrs: Vec<u32>,
     out_nbrs: Vec<u32>,
     out_weights: Vec<f64>,
@@ -28,10 +26,10 @@ struct WNodeCell {
 /// natural semantics for count/strength weights) rather than failing.
 #[derive(Clone, Debug, Default)]
 pub struct WeightedDigraph {
-    index: Arc<IntHashTable<u32>>,
-    nodes: Vec<Option<WNodeCell>>,
-    free: Vec<u32>,
-    n_nodes: usize,
+    nodes: Nodes,
+    /// Per slot: the node's rows and weights. No node is ever deleted, so
+    /// every slot is live.
+    cells: Vec<WNodeCell>,
     n_edges: usize,
 }
 
@@ -44,15 +42,15 @@ impl WeightedDigraph {
     /// Creates an empty graph pre-sized for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
-            index: Arc::new(IntHashTable::with_capacity(nodes)),
-            nodes: Vec::with_capacity(nodes),
-            ..Self::default()
+            nodes: Nodes::with_capacity(nodes),
+            cells: Vec::with_capacity(nodes),
+            n_edges: 0,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n_nodes
+        self.nodes.len()
     }
 
     /// Number of distinct directed edges.
@@ -62,13 +60,13 @@ impl WeightedDigraph {
 
     /// True when `id` is a node.
     pub fn has_node(&self, id: NodeId) -> bool {
-        self.index.contains(id)
+        self.nodes.slot(id).is_some()
     }
 
     /// Weight of edge `src -> dst`, or `None` if absent.
     pub fn weight(&self, src: NodeId, dst: NodeId) -> Option<f64> {
         let c = self.cell(src)?;
-        let pos = c.out_nbrs.binary_search(self.index.get(dst)?).ok()?;
+        let pos = c.out_nbrs.binary_search(&self.nodes.slot(dst)?).ok()?;
         Some(c.out_weights[pos])
     }
 
@@ -77,29 +75,14 @@ impl WeightedDigraph {
         self.ensure_node(id).1
     }
 
-    /// The slot of node `id`, and whether it had to be added first.
+    /// The slot of node `id`, and whether it had to be added first: no
+    /// slot is ever freed, so an added node takes the next one.
     fn ensure_node(&mut self, id: NodeId) -> (u32, bool) {
-        if let Some(&slot) = self.index.get(id) {
-            return (slot, false);
+        let (slot, added) = self.nodes.ensure(id);
+        if added {
+            self.cells.push(WNodeCell::default());
         }
-        let cell = Some(WNodeCell {
-            id,
-            ..WNodeCell::default()
-        });
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s as usize] = cell;
-                s
-            }
-            None => {
-                let slot = slot_u32(self.nodes.len());
-                self.nodes.push(cell);
-                slot
-            }
-        };
-        Arc::make_mut(&mut self.index).insert(id, slot);
-        self.n_nodes += 1;
-        (slot, true)
+        (slot, added)
     }
 
     /// Adds weight `w` on the edge `src -> dst`, creating nodes and the
@@ -107,7 +90,7 @@ impl WeightedDigraph {
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, w: f64) -> f64 {
         let (s, _) = self.ensure_node(src);
         let (d, _) = self.ensure_node(dst);
-        let sc = self.node_mut(s);
+        let sc = &mut self.cells[s as usize];
         let pos = match sc.out_nbrs.binary_search(&d) {
             Ok(pos) => {
                 sc.out_weights[pos] += w;
@@ -117,7 +100,7 @@ impl WeightedDigraph {
         };
         sc.out_nbrs.insert(pos, d);
         sc.out_weights.insert(pos, w);
-        let dc = self.node_mut(d);
+        let dc = &mut self.cells[d as usize];
         let pos = dc
             .in_nbrs
             .binary_search(&s)
@@ -129,12 +112,12 @@ impl WeightedDigraph {
 
     /// Removes the edge `src -> dst` entirely; returns its weight.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> Option<f64> {
-        let (&s, &d) = (self.index.get(src)?, self.index.get(dst)?);
-        let sc = self.node_mut(s);
+        let (s, d) = (self.nodes.slot(src)?, self.nodes.slot(dst)?);
+        let sc = &mut self.cells[s as usize];
         let pos = sc.out_nbrs.binary_search(&d).ok()?;
         sc.out_nbrs.remove(pos);
         let w = sc.out_weights.remove(pos);
-        let dc = self.node_mut(d);
+        let dc = &mut self.cells[d as usize];
         let pos = dc.in_nbrs.binary_search(&s).expect("adjacency in sync");
         dc.in_nbrs.remove(pos);
         self.n_edges -= 1;
@@ -151,9 +134,9 @@ impl WeightedDigraph {
     }
 
     /// The weights of the out-edges of `slot`, position for position with
-    /// its out-row ([`DirectedTopology::out_row`]); empty when vacant.
+    /// its out-row ([`DirectedTopology::out_row`]).
     pub fn out_weights(&self, slot: usize) -> &[f64] {
-        self.nodes[slot].as_ref().map_or(&[], |c| &c.out_weights)
+        &self.cells[slot].out_weights
     }
 
     /// Total outgoing weight of `id` (0 if absent).
@@ -163,15 +146,16 @@ impl WeightedDigraph {
 
     /// Iterates over node ids in slot order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().flatten().map(|c| c.id)
+        self.nodes.live().map(|(_, id)| id)
     }
 
     /// Iterates over `(src, dst, weight)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        self.nodes.iter().flatten().flat_map(move |c| {
+        self.nodes.live().flat_map(move |(s, id)| {
+            let c = &self.cells[s];
             Nbrs::new(&c.out_nbrs, self)
                 .zip(&c.out_weights)
-                .map(move |(d, w)| (c.id, d, *w))
+                .map(move |(d, w)| (id, d, *w))
         })
     }
 
@@ -183,10 +167,9 @@ impl WeightedDigraph {
 
     /// Approximate heap footprint in bytes.
     pub fn mem_size(&self) -> usize {
-        let mut bytes = self.index.mem_size();
-        bytes += self.nodes.capacity() * std::mem::size_of::<Option<WNodeCell>>();
-        bytes += self.free.capacity() * std::mem::size_of::<u32>();
-        for c in self.nodes.iter().flatten() {
+        let mut bytes = self.nodes.mem_size();
+        bytes += self.cells.capacity() * std::mem::size_of::<WNodeCell>();
+        for c in &self.cells {
             bytes += (c.in_nbrs.capacity() + c.out_nbrs.capacity()) * std::mem::size_of::<u32>()
                 + c.out_weights.capacity() * std::mem::size_of::<f64>();
         }
@@ -195,42 +178,33 @@ impl WeightedDigraph {
 
     #[inline]
     fn cell(&self, id: NodeId) -> Option<&WNodeCell> {
-        let slot = *self.index.get(id)?;
-        self.nodes[slot as usize].as_ref()
-    }
-
-    /// The node in `slot`, which the index just named.
-    #[inline]
-    fn node_mut(&mut self, slot: u32) -> &mut WNodeCell {
-        self.nodes[slot as usize]
-            .as_mut()
-            .expect("indexed slot occupied")
+        Some(&self.cells[self.nodes.slot(id)? as usize])
     }
 }
 
 impl DirectedTopology for WeightedDigraph {
     fn n_slots(&self) -> usize {
-        self.nodes.len()
+        self.nodes.n_slots()
     }
 
     fn slot_id(&self, slot: usize) -> Option<NodeId> {
-        self.nodes[slot].as_ref().map(|c| c.id)
+        self.nodes.id(slot)
     }
 
     fn slot_of(&self, id: NodeId) -> Option<usize> {
-        self.index.get(id).map(|s| *s as usize)
+        self.nodes.slot(id).map(|s| s as usize)
     }
 
     fn out_row(&self, slot: usize) -> &[u32] {
-        self.nodes[slot].as_ref().map_or(&[], |c| &c.out_nbrs)
+        &self.cells[slot].out_nbrs
     }
 
     fn in_row(&self, slot: usize) -> &[u32] {
-        self.nodes[slot].as_ref().map_or(&[], |c| &c.in_nbrs)
+        &self.cells[slot].in_nbrs
     }
 
     fn node_count(&self) -> usize {
-        self.n_nodes
+        self.nodes.len()
     }
 
     fn edge_count(&self) -> usize {
@@ -243,7 +217,7 @@ impl DirectedTopology for WeightedDigraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(&self.index, self, per_slot, count, keep)
+        NodeValues::pack(self.nodes.index(), self, per_slot, count, keep)
     }
 }
 

@@ -544,7 +544,7 @@ impl Shell {
                         g.total_degree(Direction::Both)
                     );
                     println!(
-                        "  adjacency: {} slab views + {} owned lists ({}, {} shared with \
+                        "  adjacency: {} bulk rows + {} owned lists ({}, {} shared with \
                          another version: {}), {} live / {} slab bytes ({} dead; \
                          `compact {name}` reclaims)",
                         adj.slab_lists,

@@ -131,7 +131,7 @@ fn rmat_with_holes_reused_slots_and_extreme_ids() {
     let mut g = ringo::convert::table_to_undirected(&edges_to_table(&edges), "src", "dst").unwrap();
     // Holes: every ninth node goes, hubs among them; a third of the
     // vacated slots are taken by new ids (so slot order and id order
-    // part ways and the lists hold both slab views and owned vectors).
+    // part ways and the rows are both slab ranges and lists of their own).
     let ids: Vec<NodeId> = g.node_ids().collect();
     let dropped: Vec<NodeId> = ids.iter().copied().step_by(9).collect();
     for &id in &dropped {

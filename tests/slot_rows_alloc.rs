@@ -32,10 +32,10 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Upper bound on what one slot costs beside its rows: a node-table cell
-/// (the id and two list handles, behind the `Option`) and its share of an
-/// id index kept under 75% load (16 bytes a table slot).
-const PER_SLOT: usize = 64 + 48;
+/// Upper bound on what one slot costs beside its rows: its id and one
+/// 4-byte offset per orientation, and its share of an id index kept under
+/// 75% load (16 bytes a table slot).
+const PER_SLOT: usize = 16 + 48;
 
 fn table(scale: u32, edges: usize) -> ringo::Table {
     edges_to_table(&rmat(&RmatConfig {
