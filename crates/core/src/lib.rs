@@ -296,7 +296,8 @@ impl Ringo {
 
     // ---- relational operators ----
 
-    /// Copying select (the paper's `Select`).
+    /// Select into a new table, a view of `table`'s columns (the paper's
+    /// `Select`).
     pub fn select(&self, table: &Table, predicate: &Predicate) -> Result<Table> {
         self.ops.run(
             "select",

@@ -1,12 +1,12 @@
 //! Plan executor with late materialization.
 //!
-//! Executes a [`Plan`] by threading a *selection vector* — the surviving
-//! row positions of an underlying table — between operators instead of
-//! materializing an intermediate table per verb. Select narrows the
-//! vector, Project narrows the visible columns, OrderBy permutes the
-//! vector; only Join, GroupBy and NextK (whose outputs are genuinely new
-//! tables) materialize mid-plan, and the final [`Frame`] is gathered into
-//! the output table exactly once, at collect time. This is the
+//! Executes a [`Plan`] by threading a table *view* — shared columns plus
+//! a selection vector of surviving row positions — between operators
+//! instead of materializing an intermediate table per verb. Select narrows
+//! the selection, Project drops columns, OrderBy permutes the selection;
+//! only Join, GroupBy and NextK (whose outputs are genuinely new tables)
+//! materialize mid-plan, and the final view is gathered into the output
+//! table exactly once, at collect time. This is the
 //! late-materialization discipline that makes a column store competitive
 //! on chained relational verbs: an N-step select/project chain touches
 //! full column data once, not N times.
@@ -23,7 +23,7 @@
 
 use crate::ops::join::{self, JoinOutCol, JoinSide};
 use crate::plan::{Plan, Side};
-use crate::{Predicate, Result, Schema, Table, TableError};
+use crate::{Result, Table, TableError};
 use ringo_concurrent::MorselStats;
 
 /// Cardinality record for one executed plan node, in post-order.
@@ -87,67 +87,9 @@ pub struct Executed {
     pub table: Table,
     /// Per-node cardinalities, post-order, ending with `collect`.
     pub stats: Vec<NodeStat>,
-    /// How many gather passes ran (0 when the final frame was already an
-    /// owned table with no pending selection or projection).
+    /// How many gather passes ran (0 when the final table was not a
+    /// view).
     pub gathers: u32,
-}
-
-/// A table the executor flows between nodes: borrowed from the input list
-/// or owned mid-plan (join/group/nextk outputs).
-enum Rows<'a> {
-    Borrowed(&'a Table),
-    Owned(Table),
-}
-
-impl Rows<'_> {
-    fn table(&self) -> &Table {
-        match self {
-            Rows::Borrowed(t) => t,
-            Rows::Owned(t) => t,
-        }
-    }
-}
-
-/// The executor's in-flight state: an underlying table plus a pending
-/// selection (surviving row positions, in order; `None` = all rows) and a
-/// pending projection (visible column indices; `None` = all columns).
-/// Neither pending part touches column data until collect.
-struct Frame<'a> {
-    rows: Rows<'a>,
-    sel: Option<Vec<u32>>,
-    proj: Option<Vec<usize>>,
-}
-
-impl Frame<'_> {
-    fn n_rows(&self) -> usize {
-        match &self.sel {
-            Some(s) => s.len(),
-            None => self.rows.table().n_rows(),
-        }
-    }
-
-    /// Resolves a *logical* column name (respecting the pending
-    /// projection) to an underlying column index. A column projected away
-    /// is not found, exactly as on a materialized projection.
-    fn col_index(&self, name: &str) -> Result<usize> {
-        let t = self.rows.table();
-        match &self.proj {
-            None => t.schema().index_of(name),
-            Some(p) => p
-                .iter()
-                .copied()
-                .find(|&i| t.schema().name(i) == name)
-                .ok_or_else(|| TableError::ColumnNotFound(name.to_string())),
-        }
-    }
-
-    /// The visible column indices, in logical order.
-    fn logical_cols(&self) -> Vec<usize> {
-        match &self.proj {
-            Some(p) => p.clone(),
-            None => (0..self.rows.table().n_cols()).collect(),
-        }
-    }
 }
 
 /// Executes `plan` against `tables`, validating it first. Returns the
@@ -158,10 +100,16 @@ impl Frame<'_> {
 pub fn execute(plan: &Plan, tables: &[&Table]) -> Result<Executed> {
     plan.schema(tables)?;
     let mut stats = Vec::new();
-    let frame = run(plan, tables, &mut stats)?;
-    let mut gathers = 0u32;
+    let mut table = run(plan, tables, &mut stats)?;
     let started = std::time::Instant::now();
-    let table = collect_frame(frame, &mut gathers)?;
+    // The single gather of the whole plan: a view's rows, once.
+    let gathers = u32::from(table.sel().is_some());
+    if gathers > 0 {
+        let mut sp = ringo_trace::span!("table.gather");
+        sp.rows_in(table.n_rows());
+        table.materialize();
+        sp.rows_out(table.n_rows());
+    }
     stats.push(NodeStat::new("collect", table.n_rows() as u64).timed(started));
     Ok(Executed {
         table,
@@ -170,17 +118,9 @@ pub fn execute(plan: &Plan, tables: &[&Table]) -> Result<Executed> {
     })
 }
 
-/// Validates that every column the predicate reads is visible in the
-/// frame (a projected-away column must error even though it still exists
-/// on the underlying table).
-fn validate_pred_cols(frame: &Frame<'_>, pred: &Predicate) -> Result<()> {
-    for c in pred.columns() {
-        frame.col_index(&c)?;
-    }
-    Ok(())
-}
-
-fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Result<Frame<'a>> {
+/// Runs one node; its result is a view whenever it only narrows,
+/// reorders or projects its input.
+fn run(plan: &Plan, tables: &[&Table], stats: &mut Vec<NodeStat>) -> Result<Table> {
     match plan {
         Plan::Scan { table } => {
             let started = std::time::Instant::now();
@@ -191,11 +131,7 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
                 ))
             })?;
             stats.push(NodeStat::new("scan", t.n_rows() as u64).timed(started));
-            Ok(Frame {
-                rows: Rows::Borrowed(t),
-                sel: None,
-                proj: None,
-            })
+            Ok((*t).clone())
         }
         Plan::Select {
             input, predicate, ..
@@ -204,18 +140,10 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
             let started = std::time::Instant::now();
             let mut sp = ringo_trace::span!("plan.select");
             sp.rows_in(frame.n_rows());
-            validate_pred_cols(&frame, predicate)?;
-            let (sel, mstats) = frame
-                .rows
-                .table()
-                .select_sel_stats(predicate, frame.sel.as_deref())?;
+            let (sel, mstats) = frame.select_sel_stats(predicate)?;
             sp.rows_out(sel.len());
             stats.push(NodeStat::with_morsels("select", sel.len() as u64, mstats).timed(started));
-            Ok(Frame {
-                rows: frame.rows,
-                sel: Some(sel),
-                proj: frame.proj,
-            })
+            Ok(frame.with_sel(sel))
         }
         Plan::Project { input, cols, .. } => {
             let frame = run(input, tables, stats)?;
@@ -223,16 +151,9 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
             let mut sp = ringo_trace::span!("plan.project");
             sp.rows_in(frame.n_rows());
             sp.rows_out(frame.n_rows());
-            let proj = cols
-                .iter()
-                .map(|c| frame.col_index(c))
-                .collect::<Result<Vec<usize>>>()?;
-            stats.push(NodeStat::new("project", frame.n_rows() as u64).timed(started));
-            Ok(Frame {
-                rows: frame.rows,
-                sel: frame.sel,
-                proj: Some(proj),
-            })
+            let out = frame.project(&cols.iter().map(String::as_str).collect::<Vec<_>>())?;
+            stats.push(NodeStat::new("project", out.n_rows() as u64).timed(started));
+            Ok(out)
         }
         Plan::Join {
             left,
@@ -246,12 +167,9 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
             let started = std::time::Instant::now();
             let mut sp = ringo_trace::span!("plan.join");
             sp.rows_in(lf.n_rows() + rf.n_rows());
-            let lt = lf.rows.table();
-            let rt = rf.rows.table();
-            let li = lf.col_index(left_col)?;
-            let ri = rf.col_index(right_col)?;
-            let (lrows, rrows, mstats) =
-                join::join_pairs_sel_stats(lt, rt, li, ri, lf.sel.as_deref(), rf.sel.as_deref())?;
+            let li = lf.schema().index_of(left_col)?;
+            let ri = rf.schema().index_of(right_col)?;
+            let (lrows, rrows, mstats) = join::join_pairs_sel_stats(&lf, &rf, li, ri)?;
             let out_cols: Vec<JoinOutCol> = match keep {
                 Some(kept) => kept
                     .iter()
@@ -262,43 +180,17 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
                         };
                         Ok(JoinOutCol {
                             side,
-                            col: frame.col_index(&kc.src)?,
+                            col: frame.schema().index_of(&kc.src)?,
                             name: kc.name.clone(),
                         })
                     })
                     .collect::<Result<_>>()?,
-                None => {
-                    // Full logical width: simulate the clash suffixing
-                    // over both frames' visible columns.
-                    let mut sim = Schema::default();
-                    let mut out = Vec::new();
-                    for &i in &lf.logical_cols() {
-                        let name = sim.push_unique(lt.schema().name(i), lt.schema().column_type(i));
-                        out.push(JoinOutCol {
-                            side: JoinSide::Left,
-                            col: i,
-                            name,
-                        });
-                    }
-                    for &i in &rf.logical_cols() {
-                        let name = sim.push_unique(rt.schema().name(i), rt.schema().column_type(i));
-                        out.push(JoinOutCol {
-                            side: JoinSide::Right,
-                            col: i,
-                            name,
-                        });
-                    }
-                    out
-                }
+                None => join::join_out_cols(&lf, &rf),
             };
-            let out = join::materialize_join_cols(lt, rt, &lrows, &rrows, &out_cols)?;
+            let out = join::materialize_join_cols(&lf, &rf, &lrows, &rrows, &out_cols)?;
             sp.rows_out(out.n_rows());
             stats.push(NodeStat::with_morsels("join", out.n_rows() as u64, mstats).timed(started));
-            Ok(Frame {
-                rows: Rows::Owned(out),
-                sel: None,
-                proj: None,
-            })
+            Ok(out)
         }
         Plan::GroupBy {
             input,
@@ -311,27 +203,11 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
             let started = std::time::Instant::now();
             let mut sp = ringo_trace::span!("plan.group");
             sp.rows_in(frame.n_rows());
-            for c in group_cols {
-                frame.col_index(c)?;
-            }
-            if let Some(a) = agg_col {
-                frame.col_index(a)?;
-            }
             let gcols: Vec<&str> = group_cols.iter().map(String::as_str).collect();
-            let (out, mstats) = frame.rows.table().group_by_sel(
-                &gcols,
-                agg_col.as_deref(),
-                *op,
-                out_name,
-                frame.sel.as_deref(),
-            )?;
+            let (out, mstats) = frame.group_by_sel(&gcols, agg_col.as_deref(), *op, out_name)?;
             sp.rows_out(out.n_rows());
             stats.push(NodeStat::with_morsels("group", out.n_rows() as u64, mstats).timed(started));
-            Ok(Frame {
-                rows: Rows::Owned(out),
-                sel: None,
-                proj: None,
-            })
+            Ok(out)
         }
         Plan::OrderBy {
             input,
@@ -343,21 +219,10 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
             let mut sp = ringo_trace::span!("plan.order");
             sp.rows_in(frame.n_rows());
             sp.rows_out(frame.n_rows());
-            for c in cols {
-                frame.col_index(c)?;
-            }
             let scols: Vec<&str> = cols.iter().map(String::as_str).collect();
-            let sel =
-                frame
-                    .rows
-                    .table()
-                    .order_perm_sel(&scols, *ascending, frame.sel.as_deref())?;
+            let sel = frame.order_perm_sel(&scols, *ascending)?;
             stats.push(NodeStat::new("order", sel.len() as u64).timed(started));
-            Ok(Frame {
-                rows: frame.rows,
-                sel: Some(sel),
-                proj: frame.proj,
-            })
+            Ok(frame.with_sel(sel))
         }
         Plan::NextK {
             input,
@@ -369,73 +234,11 @@ fn run<'a>(plan: &Plan, tables: &[&'a Table], stats: &mut Vec<NodeStat>) -> Resu
             let started = std::time::Instant::now();
             let mut sp = ringo_trace::span!("plan.nextk");
             sp.rows_in(frame.n_rows());
-            if let Some(g) = group_col {
-                frame.col_index(g)?;
-            }
-            frame.col_index(order_col)?;
-            let t = frame.rows.table();
-            let (lrows, rrows) =
-                t.next_k_pairs_sel(group_col.as_deref(), order_col, *k, frame.sel.as_deref())?;
-            // Self-join layout over the frame's visible columns.
-            let mut sim = Schema::default();
-            let mut out_cols = Vec::new();
-            for side in [JoinSide::Left, JoinSide::Right] {
-                for &i in &frame.logical_cols() {
-                    let name = sim.push_unique(t.schema().name(i), t.schema().column_type(i));
-                    out_cols.push(JoinOutCol { side, col: i, name });
-                }
-            }
-            let out = join::materialize_join_cols(t, t, &lrows, &rrows, &out_cols)?;
+            let (lrows, rrows) = frame.next_k_pairs_sel(group_col.as_deref(), order_col, *k)?;
+            let out = join::materialize_join(&frame, &frame, &lrows, &rrows)?;
             sp.rows_out(out.n_rows());
             stats.push(NodeStat::new("nextk", out.n_rows() as u64).timed(started));
-            Ok(Frame {
-                rows: Rows::Owned(out),
-                sel: None,
-                proj: None,
-            })
+            Ok(out)
         }
     }
-}
-
-/// Materializes the final frame: the single gather pass of the whole
-/// plan. A frame with no pending selection or projection passes through
-/// (owned tables move, borrowed tables clone — both without a per-row
-/// gather).
-fn collect_frame(frame: Frame<'_>, gathers: &mut u32) -> Result<Table> {
-    let Frame { rows, sel, proj } = frame;
-    if sel.is_none() && proj.is_none() {
-        return Ok(match rows {
-            Rows::Owned(t) => t,
-            Rows::Borrowed(t) => t.clone(),
-        });
-    }
-    let t = rows.table();
-    let mut sp = ringo_trace::span!("table.gather");
-    sp.rows_in(t.n_rows());
-    *gathers += 1;
-    let cols_idx = match &proj {
-        Some(p) => p.clone(),
-        None => (0..t.n_cols()).collect(),
-    };
-    let schema = Schema::new(
-        cols_idx
-            .iter()
-            .map(|&i| (t.schema().name(i).to_string(), t.schema().column_type(i))),
-    );
-    let column = |i: usize| match &sel {
-        Some(s) => t.column(i).gather_sel(s),
-        None => t.column(i).clone(),
-    };
-    let out = Table {
-        schema,
-        cols: cols_idx.iter().map(|&i| column(i)).collect(),
-        row_ids: sel
-            .as_ref()
-            .map_or_else(|| t.row_ids.clone(), |s| t.row_ids.gather(s)),
-        next_row_id: t.next_row_id,
-        pool: t.pool().clone(),
-        threads: t.threads(),
-    };
-    sp.rows_out(out.n_rows());
-    Ok(out)
 }

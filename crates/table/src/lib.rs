@@ -8,14 +8,15 @@
 //! external systems". The design choices reproduced here:
 //!
 //! * **Column-based store** ([`Table`]): graph-related workloads iterate
-//!   over whole columns, so each column is one contiguous vector. Supported
-//!   types ([`ColumnType`]): 64-bit integers, 64-bit floats, and interned
-//!   strings ([`StringPool`]).
+//!   over whole columns, so each column is one contiguous vector, shared
+//!   between tables until one edits it; a selection is a view of the
+//!   columns it filtered. Supported types ([`ColumnType`]): 64-bit
+//!   integers, 64-bit floats, and interned strings ([`StringPool`]).
 //! * **Persistent row identifiers**: every row carries an identifier that
 //!   survives filtering, grouping and sorting, enabling "fine-grained data
 //!   tracking, so the user can identify data records even after they
 //!   undergo a complex set of operations".
-//! * **Relational operators**: select (in-place and copying), hash join,
+//! * **Relational operators**: select (in place and into a view), hash join,
 //!   project, group & aggregate, order, set operations, unique — plus the
 //!   graph-construction operators unique to Ringo, [`Table::sim_join`]
 //!   (distance-threshold join) and [`Table::next_k`] (predecessor–successor

@@ -15,7 +15,7 @@ impl Table {
     /// (ints are widened to `f64` first).
     pub fn map_float(&mut self, src: &str, out: &str, f: impl Fn(f64) -> f64) -> Result<()> {
         let i = self.schema.index_of(src)?;
-        let data: Vec<f64> = match &self.cols[i] {
+        let data: Vec<f64> = match self.column(i) {
             ColumnData::Int(v) => v.iter().map(|&x| f(x as f64)).collect(),
             ColumnData::Float(v) => v.iter().map(|&x| f(x)).collect(),
             ColumnData::Str(_) => {
@@ -53,14 +53,15 @@ impl Table {
     pub fn top_k(&self, cols: &[&str], k: usize, ascending: bool) -> Result<Table> {
         let idx = self.col_indices(cols)?;
         let cmp = |&a: &u32, &b: &u32| self.cmp_rows(&idx, ascending, a, b);
-        let mut perm: Vec<u32> = (0..row_count_u32(self.n_rows())?).collect();
+        row_count_u32(self.row_ids.len())?;
+        let mut perm = self.unsorted_perm();
         let k = k.min(perm.len());
         if k > 0 {
             perm.select_nth_unstable_by(k - 1, cmp);
         }
         perm.truncate(k);
         perm.sort_by(cmp);
-        Ok(self.gather_rows_sel(&perm))
+        Ok(self.with_sel(perm))
     }
 }
 

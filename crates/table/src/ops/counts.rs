@@ -3,6 +3,7 @@
 //! morsel-parallel keyed kernel) re-sorted by frequency.
 
 use crate::{AggOp, ColumnType, Result, Table, TableError};
+use std::sync::Arc;
 
 impl Table {
     /// Counts occurrences of each distinct value in an int or str column,
@@ -17,15 +18,14 @@ impl Table {
                 actual: "float",
             });
         }
-        let (groups, _) = self.group_by_sel(&[col], None, AggOp::Count, "count", None)?;
+        let (groups, _) = self.group_by_sel(&[col], None, AggOp::Count, "count")?;
         // Two stable passes: values ascending (strings by text), then
         // counts descending, which keeps the value order among ties.
-        let by_value = groups.order_perm_sel(&[col], true, None)?;
-        let order = groups.order_perm_sel(&[groups.schema.name(1)], false, Some(&by_value))?;
-        let cols = groups.cols.iter().map(|c| c.gather_sel(&order)).collect();
-        let mut out = Table::from_parts(groups.schema.clone(), cols, groups.pool.clone())?;
-        out.threads = self.threads;
-        Ok(out)
+        let by_value = groups.with_sel(groups.order_perm_sel(&[col], true)?);
+        let order = by_value.order_perm_sel(&[groups.schema.name(1)], false)?;
+        let cols = groups.cols.iter().map(|c| Arc::new(c.gather_sel(&order)));
+        let schema = groups.schema.clone();
+        Table::from_shared(schema, cols.collect(), groups.pool.clone(), self.threads)
     }
 }
 

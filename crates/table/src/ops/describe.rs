@@ -20,7 +20,7 @@ impl Table {
             names.push(name);
             types.push(ty.name());
             counts.push(self.n_rows() as i64);
-            match &self.cols[i] {
+            match self.column(i) {
                 ColumnData::Int(v) => {
                     let set: HashSet<i64> = v.iter().copied().collect();
                     distincts.push(set.len() as i64);
@@ -110,13 +110,13 @@ impl Table {
         }
         let mut keep: Vec<u32> = chosen.into_iter().map(|r| r as u32).collect();
         keep.sort_unstable();
-        Ok(self.gather_rows_sel(&keep))
+        Ok(self.view_rows(keep))
     }
 
     /// The first `n` rows (row ids preserved).
     pub fn head(&self, n: usize) -> Result<Table> {
         let keep: Vec<u32> = (0..row_count_u32(n.min(self.n_rows()))?).collect();
-        Ok(self.gather_rows_sel(&keep))
+        Ok(self.view_rows(keep))
     }
 }
 

@@ -10,6 +10,7 @@ use ringo_concurrent::hash_table::hash_words;
 use ringo_concurrent::{
     morsel_rows, parallel_map, parallel_map_morsels_traced, KeyInterner, MorselStats,
 };
+use std::sync::Arc;
 
 /// Aggregation functions for [`Table::group_by`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +37,7 @@ impl Table {
     /// grouping" primitive: callers may attach the ids as a column via
     /// [`Table::add_int_column`] without copying the table.
     pub fn group_ids(&self, cols: &[&str]) -> Result<(Vec<i64>, usize)> {
-        let enc = self.key_encoder(&self.col_indices(cols)?, None)?;
+        let enc = self.key_encoder(&self.col_indices(cols)?)?;
         let mut groups = KeyInterner::with_capacity(enc.width(), 0);
         let mut ids = Vec::with_capacity(self.n_rows());
         enc.for_each_key(self.n_rows(), |_, key| {
@@ -57,15 +58,15 @@ impl Table {
     ) -> Result<Table> {
         let mut sp = ringo_trace::span!("table.group");
         sp.rows_in(self.n_rows());
-        let (out, _) = self.group_by_sel(group_cols, agg_col, op, out_name, None)?;
+        let (out, _) = self.group_by_sel(group_cols, agg_col, op, out_name)?;
         sp.rows_out(out.n_rows());
         Ok(out)
     }
 
     /// Group-and-aggregate kernel shared by the eager verb and the lazy
-    /// executor: like [`Table::group_by`] but over the rows of the optional
-    /// selection vector, in `sel` order (groups keep first-appearance
-    /// order, as if the selection had been materialized first).
+    /// executor: [`Table::group_by`] with the morsel dispatch stats, over
+    /// a view's rows through its selection (groups keep first-appearance
+    /// order, as if the view had been materialized first).
     ///
     /// Two parallel passes (DESIGN.md, "Group-by"): each morsel encodes
     /// its keys and radix-partitions them, with `sel` position and value,
@@ -80,11 +81,10 @@ impl Table {
         agg_col: Option<&str>,
         op: AggOp,
         out_name: &str,
-        sel: Option<&[u32]>,
     ) -> Result<(Table, MorselStats)> {
         let gidx = self.col_indices(group_cols)?;
-        let n = sel.map_or(self.n_rows(), <[u32]>::len);
-        let row_at = |i: usize| sel.map_or(i, |s| s[i] as usize);
+        let n = self.n_rows();
+        let row_at = |i: usize| self.base_row(i);
         let src: Option<&ColumnData> = match (agg_col, op) {
             (None, AggOp::Count) => None,
             (None, _) => {
@@ -92,7 +92,7 @@ impl Table {
                     "aggregate column required for non-count aggregates".into(),
                 ))
             }
-            (Some(name), _) => match &self.cols[self.schema.index_of(name)?] {
+            (Some(name), _) => match &*self.cols[self.schema.index_of(name)?] {
                 ColumnData::Str(_) => {
                     return Err(TableError::TypeMismatch {
                         column: name.to_string(),
@@ -160,7 +160,7 @@ impl Table {
         };
 
         let aggregates = src.is_some();
-        let enc = self.key_encoder(&gidx, sel)?;
+        let enc = self.key_encoder(&gidx)?;
         let width = enc.width();
         if ringo_trace::enabled() {
             let which = match width {
@@ -288,10 +288,10 @@ impl Table {
             .collect();
 
         let mut schema = Schema::default();
-        let mut cols: Vec<ColumnData> = Vec::new();
+        let mut cols = Vec::new();
         for &i in &gidx {
             schema.push_unique(self.schema.name(i), self.schema.column_type(i));
-            cols.push(self.cols[i].gather_sel(&rep));
+            cols.push(Arc::new(self.cols[i].gather_sel(&rep)));
         }
         let float_result =
             op != AggOp::Count && (matches!(op, AggOp::Mean | AggOp::Var | AggOp::Std) || !int_src);
@@ -318,19 +318,17 @@ impl Table {
             ColumnData::Float(ordered().map(value).collect())
         };
         schema.push_unique(out_name, data.column_type());
-        cols.push(data);
-
-        let mut out = Table::from_parts(schema, cols, self.pool.clone())?;
-        out.threads = self.threads;
+        cols.push(Arc::new(data));
+        let out = Table::from_shared(schema, cols, self.pool.clone(), self.threads)?;
         Ok((out, stats))
     }
 
     /// Returns a table keeping the first row of each distinct combination
     /// of the given columns (row ids preserved).
     pub fn unique(&self, cols: &[&str]) -> Result<Table> {
-        let enc = self.key_encoder(&self.col_indices(cols)?, None)?;
+        let enc = self.key_encoder(&self.col_indices(cols)?)?;
         let mut seen = KeyInterner::with_capacity(enc.width(), 0);
-        Ok(self.gather_rows_sel(&enc.first_occurrences(self.n_rows(), &mut seen)))
+        Ok(self.view_rows(enc.first_occurrences(self.n_rows(), &mut seen)))
     }
 }
 

@@ -14,6 +14,7 @@ use ringo_concurrent::{
     DisjointSlice, IntHashTable, MorselStats,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 impl Table {
     /// Joins `self` with `other` on `self.left_col == other.right_col`,
@@ -28,7 +29,7 @@ impl Table {
         sp.rows_in(self.n_rows() + other.n_rows());
         let li = self.schema.index_of(left_col)?;
         let ri = other.schema.index_of(right_col)?;
-        let (left_rows, right_rows, _) = join_pairs_sel_stats(self, other, li, ri, None, None)?;
+        let (left_rows, right_rows, _) = join_pairs_sel_stats(self, other, li, ri)?;
         let out = materialize_join(self, other, &left_rows, &right_rows)?;
         sp.rows_out(out.n_rows());
         Ok(out)
@@ -41,10 +42,10 @@ impl Table {
 const PARALLEL_BUILD_MIN_ROWS: usize = 4096;
 
 /// Probe kernel shared by the eager verb and the lazy executor: matched
-/// `(left_row, right_row)` position pairs (into the underlying tables) for
-/// the equi join of `left[li] == right[ri]`, restricted to the rows of the
-/// optional selection vectors. Builds the hash index on the side with fewer
-/// surviving rows and probes with the other side morsel by morsel.
+/// `(left_row, right_row)` position pairs (into the tables' columns, so a
+/// view's rows are read through its selection) for the equi join of
+/// `left[li] == right[ri]`. Builds the hash index on the side with fewer
+/// rows and probes with the other side morsel by morsel.
 ///
 /// For large build sides the index is radix-partitioned by the top bits of
 /// the key hash: a stable two-pass scatter groups build positions by
@@ -61,8 +62,6 @@ pub(crate) fn join_pairs_sel_stats(
     right: &Table,
     li: usize,
     ri: usize,
-    lsel: Option<&[u32]>,
-    rsel: Option<&[u32]>,
 ) -> Result<(Vec<u32>, Vec<u32>, MorselStats)> {
     let lt = left.cols[li].column_type();
     let rt = right.cols[ri].column_type();
@@ -74,10 +73,10 @@ pub(crate) fn join_pairs_sel_stats(
         });
     }
     // Build and probe positions are emitted as `u32`.
-    row_count_u32(left.n_rows())?;
-    row_count_u32(right.n_rows())?;
-    let ln = lsel.map_or(left.n_rows(), <[u32]>::len);
-    let rn = rsel.map_or(right.n_rows(), <[u32]>::len);
+    row_count_u32(left.row_ids.len())?;
+    row_count_u32(right.row_ids.len())?;
+    let (lsel, rsel) = (left.sel(), right.sel());
+    let (ln, rn) = (left.n_rows(), right.n_rows());
     // Probe with the larger effective side.
     let (build, bi, bsel, bn, probe, pi, psel, pn, left_is_build) = if ln <= rn {
         (left, li, lsel, ln, right, ri, rsel, rn, true)
@@ -100,7 +99,7 @@ pub(crate) fn join_pairs_sel_stats(
     // independent. With a single partition the mask is 0, so the shift is
     // irrelevant — wrap it to keep `>>` in range.
     let shift = (64 - parts.trailing_zeros()) % 64;
-    let (pairs, stats): (Vec<(u32, u32)>, MorselStats) = match &build.cols[bi] {
+    let (pairs, stats): (Vec<(u32, u32)>, MorselStats) = match &*build.cols[bi] {
         ColumnData::Int(bkeys) => {
             let key_at = |i: usize| bkeys[brow(i)];
             let part_of = |i: usize| ((hash_i64(key_at(i)) >> shift) & (parts as u64 - 1)) as usize;
@@ -313,10 +312,12 @@ pub(crate) struct JoinOutCol {
     pub name: String,
 }
 
-/// Builds the output table of a join given matched row positions, emitting
-/// exactly the columns in `out_cols` (whose names must be distinct). The
-/// pruned-join path of the lazy executor passes a subset here; the eager
-/// join passes the full clash-suffixed width.
+/// Builds the output table of a join given matched positions in the two
+/// tables' columns, emitting exactly the columns in `out_cols` (whose
+/// names must be distinct). The pruned-join path of the lazy executor
+/// passes a subset here; the eager join passes the full clash-suffixed
+/// width. The output shares `left`'s pool; the right side's strings enter
+/// it once per distinct symbol, and not at all when the pool is shared.
 pub(crate) fn materialize_join_cols(
     left: &Table,
     right: &Table,
@@ -326,36 +327,35 @@ pub(crate) fn materialize_join_cols(
 ) -> Result<Table> {
     debug_assert_eq!(left_rows.len(), right_rows.len());
     let mut schema = crate::Schema::default();
-    let mut cols: Vec<ColumnData> = Vec::with_capacity(out_cols.len());
-    let mut pool = left.pool.clone();
-
+    let mut cols = Vec::with_capacity(out_cols.len());
     for oc in out_cols {
-        match oc.side {
-            JoinSide::Left => {
-                schema.push_unique(&oc.name, left.schema.column_type(oc.col));
-                cols.push(left.cols[oc.col].gather_sel(left_rows));
-            }
-            JoinSide::Right => {
-                schema.push_unique(&oc.name, right.schema.column_type(oc.col));
-                let gathered = right.cols[oc.col].gather_sel(right_rows);
-                // Right-side string symbols must be re-interned into the
-                // output pool, which was seeded from the left table.
-                let remapped = match gathered {
-                    ColumnData::Str(syms) => ColumnData::Str(
-                        syms.iter()
-                            .map(|&s| pool.intern(right.pool.get(s)))
-                            .collect(),
-                    ),
-                    other => other,
-                };
-                cols.push(remapped);
-            }
+        let (t, rows) = match oc.side {
+            JoinSide::Left => (left, left_rows),
+            JoinSide::Right => (right, right_rows),
+        };
+        schema.push_unique(&oc.name, t.schema.column_type(oc.col));
+        cols.push(t.cols[oc.col].gather_sel(rows));
+    }
+    let mut pool = left.pool.clone();
+    if !Arc::ptr_eq(&pool, &right.pool) {
+        let mut right_strs: Vec<&mut Vec<u32>> = cols
+            .iter_mut()
+            .zip(out_cols)
+            .filter_map(|(col, oc)| match (col, oc.side) {
+                (ColumnData::Str(syms), JoinSide::Right) => Some(syms),
+                _ => None,
+            })
+            .collect();
+        let met: Vec<&[u32]> = right_strs.iter().map(|s| s.as_slice()).collect();
+        let remap = right.pool.per_symbol(&met, |text, _| {
+            u64::from(Arc::make_mut(&mut pool).intern(text))
+        });
+        for sym in right_strs.iter_mut().flat_map(|s| s.iter_mut()) {
+            *sym = remap[*sym as usize] as u32;
         }
     }
-
-    let mut out = Table::from_parts(schema, cols, pool)?;
-    out.threads = left.threads;
-    Ok(out)
+    let cols = cols.into_iter().map(Arc::new).collect();
+    Table::from_shared(schema, cols, pool, left.threads)
 }
 
 /// The full clash-suffixed output column list of `left ⋈ right`: all of
@@ -565,6 +565,58 @@ mod tests {
         let j = l.join(&r, "k", "k").unwrap();
         assert_eq!(j.n_rows(), 0);
         assert_eq!(j.n_cols(), 2);
+    }
+
+    /// A right side with its own pool: each of its strings enters the
+    /// output's pool once, and only the strings the output holds.
+    #[test]
+    fn join_across_pools_interns_each_right_string_once() {
+        let mut left = Table::from_int_column("k", vec![1, 2, 3, 1]);
+        left.add_str_column("s", &["x", "y", "x", "z"]).unwrap();
+        let mut right = Table::from_int_column("k", vec![1, 1, 3, 9]);
+        right
+            .add_str_column("w", &["y", "new", "new", "unmatched"])
+            .unwrap();
+        let j = left.join(&right, "k", "k").unwrap();
+        let mut got: Vec<(Value, Value)> = (0..j.n_rows())
+            .map(|r| (j.get(r, "s").unwrap(), j.get(r, "w").unwrap()))
+            .collect();
+        let pair = |s: &str, w: &str| (Value::from(s), Value::from(w));
+        let mut want = vec![
+            pair("x", "y"),
+            pair("x", "new"),
+            pair("x", "new"),
+            pair("z", "y"),
+            pair("z", "new"),
+        ];
+        got.sort_by_key(|p| format!("{p:?}"));
+        want.sort_by_key(|p| format!("{p:?}"));
+        assert_eq!(got, want);
+        // "", "x", "y", "z" from the left; "new" once; not "unmatched".
+        assert_eq!(j.pool().len(), 5);
+        assert_eq!(left.pool().len(), 4, "the left pool is not edited");
+    }
+
+    /// Two views of one table share its pool: the join output shares it
+    /// too, and its symbols are the base's.
+    #[test]
+    fn join_of_two_views_of_one_table_shares_its_pool() {
+        let mut base = Table::from_int_column("k", vec![1, 2, 3, 4, 2]);
+        base.add_str_column("s", &["a", "b", "c", "d", "e"])
+            .unwrap();
+        let small = base.select(&Predicate::int("k", Cmp::Le, 2)).unwrap();
+        let big = base.select(&Predicate::int("k", Cmp::Ge, 2)).unwrap();
+        let j = small.join(&big, "k", "k").unwrap();
+        assert!(std::ptr::eq(j.pool(), base.pool()), "one pool, shared");
+        let text = |r, c| match j.get(r, c).unwrap() {
+            Value::Str(s) => s,
+            v => panic!("{v:?}"),
+        };
+        let mut got: Vec<String> = (0..j.n_rows())
+            .map(|r| text(r, "s") + &text(r, "s-1"))
+            .collect();
+        got.sort();
+        assert_eq!(got, ["bb", "be", "eb", "ee"]);
     }
 
     #[test]

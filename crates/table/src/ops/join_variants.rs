@@ -6,6 +6,7 @@
 use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table, TableError};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Key existence set over a join column (int or string), resolving
 /// strings through the owning pool so tables with different pools
@@ -18,7 +19,7 @@ enum KeySet<'a> {
 impl<'a> KeySet<'a> {
     fn build(t: &'a Table, col: &str) -> Result<Self> {
         let i = t.schema.index_of(col)?;
-        Ok(match &t.cols[i] {
+        Ok(match t.column(i) {
             ColumnData::Int(v) => Self::Int(v.iter().copied().collect()),
             ColumnData::Str(v) => Self::Str(v.iter().map(|&sym| t.pool.get(sym)).collect()),
             ColumnData::Float(_) => {
@@ -30,7 +31,7 @@ impl<'a> KeySet<'a> {
     }
 
     fn contains(&self, t: &Table, col_idx: usize, row: usize) -> bool {
-        match (self, &t.cols[col_idx]) {
+        match (self, t.column(col_idx)) {
             (Self::Int(set), ColumnData::Int(v)) => set.contains(&v[row]),
             (Self::Str(set), ColumnData::Str(v)) => set.contains(t.pool.get(v[row])),
             _ => false,
@@ -58,8 +59,9 @@ impl Table {
         let left_width = self.n_cols();
         for &row in &unmatched {
             for (i, col) in out.cols.iter_mut().enumerate() {
+                let col = Arc::make_mut(col);
                 if i < left_width {
-                    col.push_from(&self.cols[i], row);
+                    col.push_from(self.column(i), row);
                 } else {
                     match col {
                         ColumnData::Int(v) => v.push(0),
@@ -82,7 +84,7 @@ impl Table {
         let keep: Vec<u32> = (0..row_count_u32(self.n_rows())?)
             .filter(|&row| keys.contains(self, li, row as usize))
             .collect();
-        Ok(self.gather_rows_sel(&keep))
+        Ok(self.view_rows(keep))
     }
 
     /// Anti join: rows of `self` whose key does **not** appear in `other`.
@@ -93,13 +95,13 @@ impl Table {
         let keep: Vec<u32> = (0..row_count_u32(self.n_rows())?)
             .filter(|&row| !keys.contains(self, li, row as usize))
             .collect();
-        Ok(self.gather_rows_sel(&keep))
+        Ok(self.view_rows(keep))
     }
 
     fn check_key_compat(&self, left_idx: usize, other: &Table, right_col: &str) -> Result<()> {
         let ri = other.schema.index_of(right_col)?;
-        let lt = self.cols[left_idx].column_type();
-        let rt = other.cols[ri].column_type();
+        let lt = self.schema.column_type(left_idx);
+        let rt = other.schema.column_type(ri);
         if lt != rt {
             return Err(TableError::TypeMismatch {
                 column: right_col.to_string(),

@@ -20,23 +20,22 @@ impl Table {
     pub fn next_k(&self, group_col: Option<&str>, order_col: &str, k: usize) -> Result<Table> {
         let mut sp = ringo_trace::span!("table.nextk");
         sp.rows_in(self.n_rows());
-        let (left_rows, right_rows) = self.next_k_pairs_sel(group_col, order_col, k, None)?;
+        let (left_rows, right_rows) = self.next_k_pairs_sel(group_col, order_col, k)?;
         let out = materialize_join(self, self, &left_rows, &right_rows)?;
         sp.rows_out(out.n_rows());
         Ok(out)
     }
 
     /// Pair kernel shared by the eager verb and the lazy executor:
-    /// `(predecessor, successor)` row positions for [`Table::next_k`],
-    /// restricted to the rows of the optional selection vector. Sorting is
-    /// stable with ties broken by `sel` order, matching what the eager verb
-    /// would produce on a pre-materialized selection.
+    /// `(predecessor, successor)` positions in the columns for
+    /// [`Table::next_k`], over a view's rows through its selection. Sorting
+    /// is stable with ties broken by row order, matching what the verb
+    /// would produce on the view materialized.
     pub(crate) fn next_k_pairs_sel(
         &self,
         group_col: Option<&str>,
         order_col: &str,
         k: usize,
-        sel: Option<&[u32]>,
     ) -> Result<(Vec<u32>, Vec<u32>)> {
         if k == 0 {
             return Err(TableError::InvalidArgument("next_k requires k >= 1".into()));
@@ -46,7 +45,7 @@ impl Table {
             Some(g) => vec![g, order_col],
             None => vec![order_col],
         };
-        let perm = self.order_perm_sel(&sort_cols, true, sel)?;
+        let perm = self.order_perm_sel(&sort_cols, true)?;
 
         // Group keys for boundary detection (only when grouping).
         let gidx = match group_col {
@@ -56,7 +55,7 @@ impl Table {
         let same_group = |a: usize, b: usize| -> bool {
             match gidx {
                 None => true,
-                Some(c) => match &self.cols[c] {
+                Some(c) => match &*self.cols[c] {
                     crate::ColumnData::Int(v) => v[a] == v[b],
                     crate::ColumnData::Float(v) => v[a].to_bits() == v[b].to_bits(),
                     crate::ColumnData::Str(v) => v[a] == v[b],

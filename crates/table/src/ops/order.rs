@@ -5,6 +5,7 @@ use crate::{ColumnData, Result, Table};
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 use ringo_concurrent::{radix_sort_rows, SortColumn, SortedRows};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 impl Table {
     /// Indices of the sort columns `cols`, each once: a column named
@@ -19,49 +20,39 @@ impl Table {
         Ok(idx)
     }
 
-    /// The rows of `sel` sorted by columns `idx` in packed words
-    /// ([`radix_sort_rows`]); `None` when a column is `Str`.
-    fn sort_numeric(
-        &self,
-        idx: &[usize],
-        ascending: bool,
-        sel: Option<&[u32]>,
-    ) -> Option<SortedRows> {
+    /// The table's rows sorted by columns `idx` in packed words
+    /// ([`radix_sort_rows`]), read through a view's selection; `None`
+    /// when a column is `Str`.
+    fn sort_numeric(&self, idx: &[usize], ascending: bool) -> Option<SortedRows> {
         let cols: Option<Vec<SortColumn<'_>>> = idx
             .iter()
-            .map(|&c| match &self.cols[c] {
+            .map(|&c| match &*self.cols[c] {
                 ColumnData::Int(v) => Some(SortColumn::Int(v)),
                 ColumnData::Float(v) => Some(SortColumn::Float(v)),
                 ColumnData::Str(_) => None,
             })
             .collect();
-        Some(radix_sort_rows(&cols?, ascending, sel, self.threads))
+        Some(radix_sort_rows(&cols?, ascending, self.sel(), self.threads))
     }
 
     /// Permutation kernel shared by the lazy executor, `next_k` and
-    /// `value_counts`: reorders the positions of `sel` (every row when
-    /// `None`) so the rows they name are sorted by `cols`, ties broken by
-    /// the next column, then by prior `sel` order (stable). No rows are
-    /// materialized.
+    /// `value_counts`: the positions in the columns of the table's rows,
+    /// sorted by `cols`, ties broken by the next column, then by row order
+    /// (stable). No rows are materialized.
     ///
     /// Numeric sort columns (`Int` or `Float`) are sorted as packed words
     /// ([`Table::sort_numeric`]) and the positions read back off the
     /// sorted words; floats map through the IEEE-754 total-order key, so
     /// NaNs land exactly where `total_cmp` puts them. Any `Str` column
     /// takes a stable comparison sort.
-    pub(crate) fn order_perm_sel(
-        &self,
-        cols: &[&str],
-        ascending: bool,
-        sel: Option<&[u32]>,
-    ) -> Result<Vec<u32>> {
+    pub(crate) fn order_perm_sel(&self, cols: &[&str], ascending: bool) -> Result<Vec<u32>> {
         let idx = self.sort_indices(cols)?;
-        row_count_u32(self.n_rows())?;
+        row_count_u32(self.row_ids.len())?;
         if idx.is_empty() {
-            return Ok(self.unsorted_perm(sel));
+            return Ok(self.unsorted_perm());
         }
-        let row = |at: usize| sel.map_or(at as u32, |s| s[at]);
-        Ok(match self.sort_numeric(&idx, ascending, sel) {
+        let row = |at: usize| self.base_row(at) as u32;
+        Ok(match self.sort_numeric(&idx, ascending) {
             Some(SortedRows::U64(keys, codec)) => {
                 keys.iter().map(|&k| row(codec.position(k))).collect()
             }
@@ -69,13 +60,13 @@ impl Table {
                 keys.iter().map(|&k| row(codec.position(k))).collect()
             }
             Some(SortedRows::Chained(rows)) => rows,
-            None => self.order_perm_cmp(&idx, ascending, sel),
+            None => self.order_perm_cmp(&idx, ascending),
         })
     }
 
-    /// The positions of `sel` (every row when `None`) as they stand.
-    fn unsorted_perm(&self, sel: Option<&[u32]>) -> Vec<u32> {
-        match sel {
+    /// The positions in the columns of the table's rows, in row order.
+    pub(crate) fn unsorted_perm(&self) -> Vec<u32> {
+        match self.sel() {
             Some(s) => s.to_vec(),
             None => (0..self.n_rows() as u32).collect(),
         }
@@ -83,18 +74,18 @@ impl Table {
 
     /// [`Table::order_perm_sel`] by stable comparison, for sort columns
     /// that include a `Str` one.
-    fn order_perm_cmp(&self, idx: &[usize], ascending: bool, sel: Option<&[u32]>) -> Vec<u32> {
-        let mut perm = self.unsorted_perm(sel);
+    fn order_perm_cmp(&self, idx: &[usize], ascending: bool) -> Vec<u32> {
+        let mut perm = self.unsorted_perm();
         perm.sort_by(|&a, &b| self.cmp_rows(idx, ascending, a, b));
         perm
     }
 
-    /// Rows `a` and `b` compared by the columns `idx` in turn, or `b` and
-    /// `a` when descending.
+    /// The rows at positions `a` and `b` of the columns compared by the
+    /// columns `idx` in turn, or `b` and `a` when descending.
     pub(crate) fn cmp_rows(&self, idx: &[usize], ascending: bool, a: u32, b: u32) -> Ordering {
         let (a, b) = if ascending { (a, b) } else { (b, a) };
         let (a, b) = (a as usize, b as usize);
-        let by = |&c: &usize| match &self.cols[c] {
+        let by = |&c: &usize| match &*self.cols[c] {
             ColumnData::Int(v) => v[a].cmp(&v[b]),
             ColumnData::Float(v) => v[a].total_cmp(&v[b]),
             ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
@@ -107,42 +98,48 @@ impl Table {
 
     /// Sorts the table in place by the given columns (ties broken by the
     /// next column). Floats use IEEE total order, so NaNs sort after all
-    /// numbers. Row ids travel with their rows. The sort is stable.
+    /// numbers. Row ids travel with their rows. The sort is stable. A view
+    /// is sorted through its selection and becomes a table of its own.
     ///
     /// When the sort columns fit one `u64` or `u128` word beside the row
     /// position ([`Table::sort_numeric`]) no permutation is built: `Int`
-    /// sort columns are decoded from the sorted words into the vectors
-    /// they already own, and every other column and the row ids are
-    /// gathered by the position in the word (which is a fresh table's id),
-    /// one vector at a time. Otherwise the permutation gathers the rows.
+    /// sort columns are decoded from the sorted words, and every other
+    /// column and the row ids are gathered by the position in the word —
+    /// each into a new vector that replaces the old one before the next
+    /// is made, so an unshared table holds one spare vector at a time.
+    /// Otherwise the permutation gathers the rows.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {
         let mut sp = ringo_trace::span!("table.order");
         sp.rows_in(self.n_rows());
         sp.rows_out(self.n_rows());
         let idx = self.sort_indices(cols)?;
-        row_count_u32(self.n_rows())?;
+        row_count_u32(self.row_ids.len())?;
         if idx.is_empty() {
             return Ok(());
         }
-        match self.sort_numeric(&idx, ascending, None) {
+        match self.sort_numeric(&idx, ascending) {
             Some(SortedRows::U64(keys, codec)) => {
                 self.reorder(&idx, &keys, |k| codec.position(k), |c, k| codec.int(c, k));
             }
             Some(SortedRows::U128(keys, codec)) => {
                 self.reorder(&idx, &keys, |k| codec.position(k), |c, k| codec.int(c, k));
             }
-            Some(SortedRows::Chained(perm)) => self.retain_rows_sel(&perm),
-            None => {
-                let perm = self.order_perm_cmp(&idx, ascending, None);
-                self.retain_rows_sel(&perm);
-            }
+            Some(SortedRows::Chained(perm)) => self.take_rows(perm),
+            None => self.take_rows(self.order_perm_cmp(&idx, ascending)),
         }
         Ok(())
     }
 
+    /// Keeps the rows at positions `perm` of the columns, in that order,
+    /// gathered into columns of their own.
+    fn take_rows(&mut self, perm: Vec<u32>) {
+        *self = self.with_sel(perm);
+        self.materialize();
+    }
+
     /// Puts every row where its sorted word `keys` says: the `k`-th sort
-    /// column (`idx[k]`), if `Int`, decoded in place by `int(k, key)`, the
-    /// other columns and the row ids gathered from `position(key)`.
+    /// column (`idx[k]`), if `Int`, decoded by `int(k, key)`, the other
+    /// columns and the row ids gathered from the row at `position(key)`.
     fn reorder<K: Copy + Sync>(
         &mut self,
         idx: &[usize],
@@ -150,22 +147,29 @@ impl Table {
         position: impl Fn(K) -> usize + Sync,
         int: impl Fn(usize, K) -> i64 + Sync,
     ) {
-        let threads = self.threads;
+        let (threads, sel) = (self.threads, self.take_sel());
+        let row = |k: K| {
+            sel.as_ref()
+                .map_or(position(k), |s| s[position(k)] as usize)
+        };
         for (c, col) in self.cols.iter_mut().enumerate() {
-            match (col, idx.iter().position(|&k| k == c)) {
-                (ColumnData::Int(v), Some(k)) => {
-                    parallel_for_each_chunk_mut(v, threads, |_, start, chunk| {
-                        for (x, &key) in chunk.iter_mut().zip(&keys[start..]) {
-                            *x = int(k, key);
-                        }
-                    });
+            let sorted = match (&**col, idx.iter().position(|&k| k == c)) {
+                (ColumnData::Int(_), Some(k)) => {
+                    ColumnData::Int(fill_sorted(keys, |key| int(k, key), threads))
                 }
-                (ColumnData::Int(v), None) => *v = fill_sorted(keys, |k| v[position(k)], threads),
-                (ColumnData::Float(v), _) => *v = fill_sorted(keys, |k| v[position(k)], threads),
-                (ColumnData::Str(v), _) => *v = fill_sorted(keys, |k| v[position(k)], threads),
-            }
+                (ColumnData::Int(v), None) => {
+                    ColumnData::Int(fill_sorted(keys, |k| v[row(k)], threads))
+                }
+                (ColumnData::Float(v), _) => {
+                    ColumnData::Float(fill_sorted(keys, |k| v[row(k)], threads))
+                }
+                (ColumnData::Str(v), _) => {
+                    ColumnData::Str(fill_sorted(keys, |k| v[row(k)], threads))
+                }
+            };
+            *col = Arc::new(sorted);
         }
-        self.row_ids = self.row_ids.fill_by_position(keys, &position, threads);
+        self.row_ids = Arc::new(self.row_ids.fill_by_position(keys, row, threads));
     }
 
     /// Returns a sorted copy; see [`Table::order_by`].

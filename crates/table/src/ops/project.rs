@@ -1,49 +1,33 @@
 //! Projection and column/row addition.
 
-use crate::{ColumnData, ColumnType, Result, Schema, Table, TableError};
+use crate::{ColumnData, Result, Table, TableError};
+use std::sync::Arc;
 
 impl Table {
     /// Returns a new table with only the named columns, in the given
-    /// order. Row ids are preserved.
+    /// order, each named once. Row ids are preserved; the columns are
+    /// shared with `self`.
     pub fn project(&self, cols: &[&str]) -> Result<Table> {
-        let idx = self.col_indices(cols)?;
-        let schema = Schema::new(
-            idx.iter()
-                .map(|&i| (self.schema.name(i).to_string(), self.schema.column_type(i))),
-        );
-        Ok(Table {
-            schema,
-            cols: idx.iter().map(|&i| self.cols[i].clone()).collect(),
-            row_ids: self.row_ids.clone(),
-            next_row_id: self.next_row_id,
-            pool: self.pool.clone(),
-            threads: self.threads,
-        })
+        let (schema, idx) = self.schema.project(cols)?;
+        Ok(self.with_columns(schema, &idx))
     }
 
     /// Appends an integer column (must match the current row count).
     pub fn add_int_column(&mut self, name: &str, data: Vec<i64>) -> Result<()> {
-        self.check_new_column(name, data.len())?;
-        self.schema.push_unique(name, ColumnType::Int);
-        self.cols.push(ColumnData::Int(data));
-        Ok(())
+        self.add_column(name, ColumnData::Int(data))
     }
 
     /// Appends a float column (must match the current row count).
     pub fn add_float_column(&mut self, name: &str, data: Vec<f64>) -> Result<()> {
-        self.check_new_column(name, data.len())?;
-        self.schema.push_unique(name, ColumnType::Float);
-        self.cols.push(ColumnData::Float(data));
-        Ok(())
+        self.add_column(name, ColumnData::Float(data))
     }
 
     /// Appends a string column (must match the current row count).
     pub fn add_str_column<S: AsRef<str>>(&mut self, name: &str, data: &[S]) -> Result<()> {
         self.check_new_column(name, data.len())?;
-        let syms = data.iter().map(|s| self.pool.intern(s.as_ref())).collect();
-        self.schema.push_unique(name, ColumnType::Str);
-        self.cols.push(ColumnData::Str(syms));
-        Ok(())
+        let pool = Arc::make_mut(&mut self.pool);
+        let syms = data.iter().map(|s| pool.intern(s.as_ref())).collect();
+        self.add_column(name, ColumnData::Str(syms))
     }
 
     /// Appends all rows of `other`, which must have an identical schema.
@@ -54,20 +38,42 @@ impl Table {
                 "append_rows requires identical schemas".into(),
             ));
         }
-        let n = other.n_rows();
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
-            match (dst, src) {
-                (ColumnData::Int(d), ColumnData::Int(s)) => d.extend_from_slice(s),
-                (ColumnData::Float(d), ColumnData::Float(s)) => d.extend_from_slice(s),
-                (ColumnData::Str(d), ColumnData::Str(s)) => {
-                    d.extend(s.iter().map(|&sym| self.pool.intern(other.pool.get(sym))));
+        self.materialize();
+        // `other`'s strings enter this pool once each, unless it is shared.
+        let remap = (!Arc::ptr_eq(&self.pool, &other.pool)).then(|| {
+            let strs: Vec<&[u32]> = (0..other.n_cols())
+                .filter_map(|i| match other.column(i) {
+                    ColumnData::Str(syms) => Some(syms.as_slice()),
+                    _ => None,
+                })
+                .collect();
+            other.pool.per_symbol(&strs, |text, _| {
+                u64::from(Arc::make_mut(&mut self.pool).intern(text))
+            })
+        });
+        for (i, dst) in self.cols.iter_mut().enumerate() {
+            match (Arc::make_mut(dst), other.column(i), &remap) {
+                (ColumnData::Int(d), ColumnData::Int(s), _) => d.extend_from_slice(s),
+                (ColumnData::Float(d), ColumnData::Float(s), _) => d.extend_from_slice(s),
+                (ColumnData::Str(d), ColumnData::Str(s), None) => d.extend_from_slice(s),
+                (ColumnData::Str(d), ColumnData::Str(s), Some(remap)) => {
+                    d.extend(s.iter().map(|&sym| remap[sym as usize] as u32));
                 }
                 _ => unreachable!("schemas validated equal"),
             }
         }
-        for _ in 0..n {
+        for _ in 0..other.n_rows() {
             self.push_row_id();
         }
+        Ok(())
+    }
+
+    /// Appends `data` as column `name`, materializing a view first.
+    fn add_column(&mut self, name: &str, data: ColumnData) -> Result<()> {
+        self.check_new_column(name, data.len())?;
+        self.materialize();
+        self.schema.push_unique(name, data.column_type());
+        self.cols.push(Arc::new(data));
         Ok(())
     }
 
@@ -85,7 +91,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
+    use crate::{ColumnType, Schema, Value};
 
     fn base() -> Table {
         let schema = Schema::new([("a", ColumnType::Int), ("b", ColumnType::Str)]);
@@ -103,6 +109,22 @@ mod tests {
         assert_eq!(p.row_ids(), t.row_ids());
         assert_eq!(p.get(1, "a").unwrap(), Value::Int(2));
         assert!(t.project(&["zzz"]).is_err());
+    }
+
+    #[test]
+    fn a_column_named_twice_is_an_error_eager_and_lazy() {
+        let t = base();
+        let plan = crate::plan::Plan::project(crate::plan::Plan::scan(0), vec!["a".into(); 2]);
+        let errors = [
+            t.project(&["a", "a"]).unwrap_err(),
+            crate::exec::execute(&plan, &[&t]).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(&err, TableError::InvalidArgument(m) if m == "duplicate column \"a\" in projection"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

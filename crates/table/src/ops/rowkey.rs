@@ -11,6 +11,7 @@
 use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table};
 use ringo_concurrent::{morsel_rows, parallel_map, KeyInterner};
+use std::sync::Arc;
 
 /// The key word of `row` in `col`; a non-empty `foreign` maps symbols.
 #[inline]
@@ -30,6 +31,8 @@ type Span = (u64, u64);
 /// Writes the keys of rows into a flat word buffer.
 pub(crate) struct KeyEncoder<'a> {
     cols: Vec<&'a ColumnData>,
+    /// The table's view selection: key `i` is the row at `sel[i]`.
+    sel: Option<&'a [u32]>,
     /// Symbol → word table when the keys are compared with another
     /// table's ([`Table::symbol_words`]); empty for the table's own.
     foreign: Vec<u64>,
@@ -39,20 +42,27 @@ pub(crate) struct KeyEncoder<'a> {
 }
 
 impl<'a> KeyEncoder<'a> {
-    /// An encoder over columns `idx` of `table`, one word per column.
-    /// Fails when row positions would not fit the `u32` ids handed out.
+    /// An encoder over columns `idx` of `table`'s rows, one word per
+    /// column. Fails when row positions would not fit the `u32` ids
+    /// handed out.
     fn unpacked(table: &'a Table, idx: &[usize], foreign: Vec<u64>) -> Result<Self> {
-        row_count_u32(table.n_rows())?;
+        row_count_u32(table.row_ids.len())?;
         Ok(Self {
-            cols: idx.iter().map(|&c| &table.cols[c]).collect(),
+            cols: idx.iter().map(|&c| &*table.cols[c]).collect(),
+            sel: table.sel(),
             foreign,
             pack: Vec::new(),
         })
     }
 
-    /// Per-column spans over the rows of `sel` (rows `0..n` when `None`).
-    /// Single-column keys are never packed, so they skip the scan.
-    fn spans(&self, sel: Option<&[u32]>, n: usize, threads: usize) -> Vec<Span> {
+    /// The position in the columns of key `i`.
+    fn row(&self, i: usize) -> usize {
+        self.sel.map_or(i, |s| s[i] as usize)
+    }
+
+    /// Per-column spans over the `n` rows of the table. Single-column
+    /// keys are never packed, so they skip the scan.
+    fn spans(&self, n: usize, threads: usize) -> Vec<Span> {
         if self.cols.len() < 2 {
             return Vec::new();
         }
@@ -60,7 +70,7 @@ impl<'a> KeyEncoder<'a> {
             let span_of = |col: &&ColumnData| {
                 range
                     .clone()
-                    .map(|i| word(col, &self.foreign, sel.map_or(i, |s| s[i] as usize)))
+                    .map(|i| word(col, &self.foreign, self.row(i)))
                     .fold((0, !0), |(or, and), w| (or | w, and & w))
             };
             self.cols.iter().map(span_of).collect::<Vec<Span>>()
@@ -90,8 +100,8 @@ impl<'a> KeyEncoder<'a> {
         let mine = Self::unpacked(a, idx, Vec::new())?;
         let theirs = Self::unpacked(b, idx, a.symbol_words(b, idx))?;
         let spans = merge_spans(
-            &mine.spans(None, a.n_rows(), a.threads),
-            &theirs.spans(None, b.n_rows(), b.threads),
+            &mine.spans(a.n_rows(), a.threads),
+            &theirs.spans(b.n_rows(), b.threads),
         );
         Ok([mine.pack(&spans), theirs.pack(&spans)])
     }
@@ -106,8 +116,9 @@ impl<'a> KeyEncoder<'a> {
         }
     }
 
-    /// Fills `out` with the keys of rows `row_of(0..n)`, `width()` words
-    /// per key, column by column so each pass is one typed loop.
+    /// Fills `out` with the keys of the rows at column positions
+    /// `row_of(0..n)`, `width()` words per key, column by column so each
+    /// pass is one typed loop.
     pub(crate) fn encode(&self, n: usize, row_of: impl Fn(usize) -> usize, out: &mut Vec<u64>) {
         let width = self.width();
         out.clear();
@@ -129,14 +140,15 @@ impl<'a> KeyEncoder<'a> {
         }
     }
 
-    /// Calls `f(row, key)` for rows `0..n` in order, encoding a
-    /// morsel-sized block at a time so the key buffer stays cache-resident.
+    /// Calls `f(row, key)` for the table's rows `0..n` in order, encoding
+    /// a morsel-sized block at a time so the key buffer stays
+    /// cache-resident.
     pub(crate) fn for_each_key(&self, n: usize, mut f: impl FnMut(usize, &[u64])) {
         let (width, block) = (self.width(), morsel_rows());
         let mut words = Vec::new();
         for start in (0..n).step_by(block) {
             let range = start..(start + block).min(n);
-            self.encode(range.len(), |j| start + j, &mut words);
+            self.encode(range.len(), |j| self.row(start + j), &mut words);
             for (row, key) in range.zip(words.chunks_exact(width)) {
                 f(row, key);
             }
@@ -168,36 +180,35 @@ impl Table {
         names.iter().map(|n| self.schema.index_of(n)).collect()
     }
 
-    /// Encoder for the keys of columns `idx` over the rows of `sel`.
-    pub(crate) fn key_encoder(&self, idx: &[usize], sel: Option<&[u32]>) -> Result<KeyEncoder<'_>> {
+    /// Encoder for the keys of columns `idx` over the table's rows.
+    pub(crate) fn key_encoder(&self, idx: &[usize]) -> Result<KeyEncoder<'_>> {
         let enc = KeyEncoder::unpacked(self, idx, Vec::new())?;
-        let n = sel.map_or(self.n_rows(), <[u32]>::len);
-        let spans = enc.spans(sel, n, self.threads);
+        let spans = enc.spans(self.n_rows(), self.threads);
         Ok(enc.pack(&spans))
     }
 
     /// For each symbol of `other`'s pool met in its columns `idx`, the
     /// word for its text among `self`'s keys: `self`'s symbol, or a word
-    /// past `self`'s pool for text `self` never interned — one pool lookup
-    /// per distinct symbol met. Empty when no column is a string column.
+    /// past `self`'s pool for text `self` never interned. Empty when no
+    /// column is a string column or the two share a pool.
     fn symbol_words(&self, other: &Table, idx: &[usize]) -> Vec<u64> {
-        const UNSEEN: u64 = u64::MAX;
-        let absent = self.pool.len() as u64;
-        let mut words = Vec::new();
-        for &c in idx {
-            if let ColumnData::Str(syms) = &other.cols[c] {
-                words.resize(other.pool.len(), UNSEEN);
-                for &sym in syms {
-                    if words[sym as usize] == UNSEEN {
-                        words[sym as usize] = match self.pool.lookup(other.pool.get(sym)) {
-                            Some(own) => u64::from(own),
-                            None => absent + u64::from(sym),
-                        };
-                    }
-                }
-            }
+        if Arc::ptr_eq(&self.pool, &other.pool) {
+            return Vec::new();
         }
-        words
+        let strs: Vec<&[u32]> = idx
+            .iter()
+            .filter_map(|&c| match &*other.cols[c] {
+                ColumnData::Str(syms) => Some(syms.as_slice()),
+                _ => None,
+            })
+            .collect();
+        let absent = self.pool.len() as u64;
+        other
+            .pool
+            .per_symbol(&strs, |text, sym| match self.pool.lookup(text) {
+                Some(own) => u64::from(own),
+                None => absent + u64::from(sym),
+            })
     }
 }
 
@@ -237,7 +248,7 @@ mod tests {
         let mut t = Table::new(schema);
         t.push_row(&[Value::Float(0.0)]).unwrap();
         t.push_row(&[Value::Float(-0.0)]).unwrap();
-        let k = keys(&t.key_encoder(&[0], None).unwrap(), 2);
+        let k = keys(&t.key_encoder(&[0]).unwrap(), 2);
         assert_ne!(k[0], k[1]);
     }
 
@@ -245,20 +256,20 @@ mod tests {
     fn narrow_columns_pack_and_extremes_go_wide() {
         let mut t = Table::from_int_column("a", vec![3, 900, 3, 17]);
         t.add_int_column("b", vec![-1, -2, -1, -2]).unwrap();
-        let enc = t.key_encoder(&[0, 1], None).unwrap();
+        let enc = t.key_encoder(&[0, 1]).unwrap();
         assert_eq!(enc.width(), 1, "10 + 2 varying bits pack");
         let k = keys(&enc, 4);
         assert_eq!(k[0], k[2]);
         assert_eq!(k.iter().collect::<std::collections::HashSet<_>>().len(), 3);
-        // A selection narrows the probe: rows 0 and 2 are constant.
+        // A view narrows the probe: rows 0 and 2 are constant.
         assert_eq!(
-            t.key_encoder(&[0, 1], Some(&[0, 2])).unwrap().pack,
+            t.with_sel(vec![0, 2]).key_encoder(&[0, 1]).unwrap().pack,
             vec![(0, 0); 2]
         );
 
         let mut w = Table::from_int_column("a", vec![i64::MIN, i64::MAX, 0]);
         w.add_int_column("b", vec![i64::MAX, i64::MIN, 0]).unwrap();
-        let enc = w.key_encoder(&[0, 1], None).unwrap();
+        let enc = w.key_encoder(&[0, 1]).unwrap();
         assert_eq!(enc.width(), 2, "128 varying bits do not pack");
         assert_eq!(keys(&enc, 3)[0], vec![i64::MIN as u64, i64::MAX as u64]);
     }
@@ -266,7 +277,7 @@ mod tests {
     #[test]
     fn zero_columns_make_one_constant_key() {
         let t = Table::from_int_column("a", vec![5, 6]);
-        let enc = t.key_encoder(&[], None).unwrap();
+        let enc = t.key_encoder(&[]).unwrap();
         assert_eq!(keys(&enc, 2), vec![vec![0], vec![0]]);
     }
 }

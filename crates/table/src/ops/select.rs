@@ -1,4 +1,4 @@
-//! Selection: filter rows by a predicate, in place or into a new table.
+//! Selection: filter rows by a predicate, in place or into a view.
 //!
 //! The paper's Table 4 benchmarks exactly this operator: "rows are chosen
 //! based on a comparison with a constant value", with the in-place variant
@@ -200,6 +200,7 @@ enum Compiled {
 
 impl Compiled {
     #[inline]
+    /// The predicate on the row at position `row` of `t`'s columns.
     fn eval(&self, t: &Table, row: usize) -> bool {
         match self {
             Self::Int(c, cmp, v) => cmp.eval(t.cols[*c].as_int()[row], *v),
@@ -228,21 +229,21 @@ fn compile(pred: &Predicate, t: &Table) -> Result<Compiled> {
     Ok(match pred {
         Predicate::Int { column, cmp, value } => {
             let i = t.schema.index_of(column)?;
-            if !matches!(t.cols[i], ColumnData::Int(_)) {
+            if !matches!(*t.cols[i], ColumnData::Int(_)) {
                 return Err(type_err(t, i, "int"));
             }
             Compiled::Int(i, *cmp, *value)
         }
         Predicate::Float { column, cmp, value } => {
             let i = t.schema.index_of(column)?;
-            if !matches!(t.cols[i], ColumnData::Float(_)) {
+            if !matches!(*t.cols[i], ColumnData::Float(_)) {
                 return Err(type_err(t, i, "float"));
             }
             Compiled::Float(i, *cmp, *value)
         }
         Predicate::Str { column, cmp, value } => {
             let i = t.schema.index_of(column)?;
-            if !matches!(t.cols[i], ColumnData::Str(_)) {
+            if !matches!(*t.cols[i], ColumnData::Str(_)) {
                 return Err(type_err(t, i, "str"));
             }
             match cmp {
@@ -253,7 +254,7 @@ fn compile(pred: &Predicate, t: &Table) -> Result<Compiled> {
         }
         Predicate::IntIn { column, values } => {
             let i = t.schema.index_of(column)?;
-            if !matches!(t.cols[i], ColumnData::Int(_)) {
+            if !matches!(*t.cols[i], ColumnData::Int(_)) {
                 return Err(type_err(t, i, "int"));
             }
             Compiled::IntIn(i, values.iter().copied().collect())
@@ -275,13 +276,13 @@ fn type_err(t: &Table, col: usize, expected: &'static str) -> TableError {
 
 impl Table {
     /// Selection-vector kernel shared by the eager verbs and the lazy
-    /// executor: positions (into this table) of the rows matching `pred`,
-    /// drawn from `sel` (every row when `None`), in `sel` order.
+    /// executor: the positions in the columns of the rows matching
+    /// `pred`, in row order — a view's next selection.
     ///
     /// See [`Table::select_sel_stats`] for the kernel; this wrapper drops
     /// the morsel dispatch stats.
-    pub(crate) fn select_sel(&self, pred: &Predicate, sel: Option<&[u32]>) -> Result<Vec<u32>> {
-        self.select_sel_stats(pred, sel).map(|(keep, _)| keep)
+    pub(crate) fn select_sel(&self, pred: &Predicate) -> Result<Vec<u32>> {
+        self.select_sel_stats(pred).map(|(keep, _)| keep)
     }
 
     /// Morsel-driven selection kernel. The index space is cut into
@@ -295,25 +296,15 @@ impl Table {
     /// the concatenation-by-offset keeps hits in `sel` order: the output
     /// is byte-identical to a sequential scan at any thread count.
     // LINT: hot — the select_alloc pin depends on the bounded-alloc design.
-    pub(crate) fn select_sel_stats(
-        &self,
-        pred: &Predicate,
-        sel: Option<&[u32]>,
-    ) -> Result<(Vec<u32>, MorselStats)> {
+    pub(crate) fn select_sel_stats(&self, pred: &Predicate) -> Result<(Vec<u32>, MorselStats)> {
         let compiled = compile(pred, self)?;
         let compiled = &compiled;
-        let n = sel.map_or(self.n_rows(), <[u32]>::len);
-        let row_at = |i: usize| -> usize {
-            match sel {
-                Some(s) => s[i] as usize,
-                None => i,
-            }
-        };
+        let n = self.n_rows();
         let (counts, _) =
             parallel_map_morsels_traced("plan.morsel.select", n, self.threads, |_, range| {
                 let mut c = 0usize;
                 for i in range {
-                    if compiled.eval(self, row_at(i)) {
+                    if compiled.eval(self, self.base_row(i)) {
                         c += 1;
                     }
                 }
@@ -337,7 +328,7 @@ impl Table {
                 debug_assert_eq!(range.start, bounds[morsel]);
                 let mut cursor = offsets[morsel];
                 for i in range {
-                    let row = row_at(i);
+                    let row = self.base_row(i);
                     if compiled.eval(self, row) {
                         // SAFETY: morsel `morsel` writes only
                         // `offsets[morsel]..offsets[morsel] + counts[morsel]`,
@@ -353,30 +344,35 @@ impl Table {
 
     /// Positions of all rows matching `pred`, computed in parallel.
     pub fn select_rows(&self, pred: &Predicate) -> Result<Vec<usize>> {
-        Ok(self
-            .select_sel(pred, None)?
-            .into_iter()
-            .map(|r| r as usize)
+        let hits = self.select_sel(pred)?;
+        let Some(sel) = self.sel() else {
+            return Ok(hits.into_iter().map(|r| r as usize).collect());
+        };
+        // `hits` are the entries of `sel` that match, in order.
+        let mut hits = hits.iter().peekable();
+        Ok((0..sel.len())
+            .filter(|&i| hits.next_if_eq(&&sel[i]).is_some())
             .collect())
     }
 
-    /// Returns a new table containing the rows matching `pred`; row ids are
-    /// preserved.
+    /// Returns the rows matching `pred`, row ids preserved, as a view: the
+    /// columns are shared with `self`, and the rows kept are positions
+    /// into them.
     pub fn select(&self, pred: &Predicate) -> Result<Table> {
         let mut sp = ringo_trace::span!("table.select");
         sp.rows_in(self.n_rows());
-        let out = self.gather_rows_sel(&self.select_sel(pred, None)?);
+        let out = self.with_sel(self.select_sel(pred)?);
         sp.rows_out(out.n_rows());
         Ok(out)
     }
 
     /// Filters this table in place (the paper's "Select, in place"),
-    /// keeping rows matching `pred`. Returns the number of surviving rows.
+    /// keeping rows matching `pred` — [`Table::select`] assigned back.
+    /// Returns the number of surviving rows.
     pub fn select_in_place(&mut self, pred: &Predicate) -> Result<usize> {
         let mut sp = ringo_trace::span!("table.select_in_place");
         sp.rows_in(self.n_rows());
-        let keep = self.select_sel(pred, None)?;
-        self.retain_rows_sel(&keep);
+        *self = self.with_sel(self.select_sel(pred)?);
         sp.rows_out(self.n_rows());
         Ok(self.n_rows())
     }
@@ -386,13 +382,9 @@ impl Table {
         let compiled = compile(pred, self)?;
         let compiled = &compiled;
         let counts = parallel_map(self.n_rows(), self.threads, |range| {
-            let mut c = 0usize;
-            for row in range {
-                if compiled.eval(self, row) {
-                    c += 1;
-                }
-            }
-            c
+            range
+                .filter(|&i| compiled.eval(self, self.base_row(i)))
+                .count()
         });
         Ok(counts.iter().sum())
     }

@@ -31,9 +31,9 @@ impl Table {
     pub fn union(&self, other: &Table) -> Result<Table> {
         let [mine, theirs] = self.whole_rows(other, "union")?;
         let mut seen = KeyInterner::with_capacity(mine.width(), self.n_rows());
-        let mut out = self.gather_rows_sel(&mine.first_occurrences(self.n_rows(), &mut seen));
+        let mut out = self.view_rows(mine.first_occurrences(self.n_rows(), &mut seen));
         let keep_other = theirs.first_occurrences(other.n_rows(), &mut seen);
-        out.append_rows(&other.gather_rows_sel(&keep_other))?;
+        out.append_rows(&other.view_rows(keep_other))?;
         Ok(out)
     }
 
@@ -62,7 +62,7 @@ impl Table {
                 }
             }
         });
-        Ok(self.gather_rows_sel(&keep))
+        Ok(self.view_rows(keep))
     }
 
     /// Set difference: distinct rows of `self` that do not occur in
@@ -74,7 +74,7 @@ impl Table {
             seen.intern(key);
         });
         // A key still new after all of `other` is absent from it.
-        Ok(self.gather_rows_sel(&mine.first_occurrences(self.n_rows(), &mut seen)))
+        Ok(self.view_rows(mine.first_occurrences(self.n_rows(), &mut seen)))
     }
 }
 

@@ -96,6 +96,8 @@ impl Table {
                 j += 1;
             }
         }
+        self.to_base(&mut left_rows);
+        other.to_base(&mut right_rows);
         let out = materialize_join(self, other, &left_rows, &right_rows)?;
         sp.rows_out(out.n_rows());
         Ok(out)

@@ -213,20 +213,7 @@ impl Plan {
                 validate_predicate(&s, predicate)?;
                 Ok(s)
             }
-            Self::Project { input, cols, .. } => {
-                let s = input.schema(tables)?;
-                let mut out = Vec::with_capacity(cols.len());
-                for c in cols {
-                    let i = s.index_of(c)?;
-                    if out.iter().any(|(n, _)| n == c) {
-                        return Err(TableError::InvalidArgument(format!(
-                            "duplicate column {c:?} in projection"
-                        )));
-                    }
-                    out.push((c.clone(), s.column_type(i)));
-                }
-                Ok(Schema::new(out))
-            }
+            Self::Project { input, cols, .. } => Ok(input.schema(tables)?.project(cols)?.0),
             Self::Join {
                 left,
                 right,

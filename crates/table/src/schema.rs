@@ -77,6 +77,24 @@ impl Schema {
             .ok_or_else(|| TableError::ColumnNotFound(name.to_string()))
     }
 
+    /// The schema of the columns `names`, in that order, and their
+    /// indices here: what a projection keeps. A name twice is an error.
+    pub(crate) fn project<S: AsRef<str>>(&self, names: &[S]) -> Result<(Schema, Vec<usize>)> {
+        let mut out = Schema::default();
+        let mut idx = Vec::with_capacity(names.len());
+        for name in names.iter().map(AsRef::as_ref) {
+            let i = self.index_of(name)?;
+            if out.contains(name) {
+                return Err(TableError::InvalidArgument(format!(
+                    "duplicate column {name:?} in projection"
+                )));
+            }
+            out.cols.push(self.cols[i].clone());
+            idx.push(i);
+        }
+        Ok((out, idx))
+    }
+
     /// True when a column called `name` exists.
     pub fn contains(&self, name: &str) -> bool {
         self.cols.iter().any(|(n, _)| n == name)

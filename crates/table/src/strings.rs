@@ -65,6 +65,24 @@ impl StringPool {
         self.strings.len() <= 1
     }
 
+    /// `word(text, sym)` for each symbol `sym` of this pool met in the
+    /// string columns `cols`, indexed by symbol: called once per distinct
+    /// symbol met. Empty when `cols` is.
+    pub(crate) fn per_symbol(
+        &self,
+        cols: &[&[u32]],
+        mut word: impl FnMut(&str, u32) -> u64,
+    ) -> Vec<u64> {
+        const UNSEEN: u64 = u64::MAX;
+        let mut words = vec![UNSEEN; if cols.is_empty() { 0 } else { self.len() }];
+        for &sym in cols.iter().copied().flatten() {
+            if words[sym as usize] == UNSEEN {
+                words[sym as usize] = word(self.get(sym), sym);
+            }
+        }
+        words
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn mem_size(&self) -> usize {
         let payload: usize = self.strings.iter().map(|s| s.len()).sum();

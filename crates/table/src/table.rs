@@ -3,6 +3,7 @@
 use crate::ops::order::fill_sorted;
 use crate::{ColumnData, ColumnType, Result, Schema, StringPool, TableError};
 use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Row positions travel as `u32` — selection vectors, join pairs, sort
 /// permutations, group representatives — so a table past `u32::MAX` rows
@@ -18,7 +19,8 @@ pub(crate) fn row_count_u32(n_rows: usize) -> Result<u32> {
 
 /// A table's row ids: `Fresh(n)` is ids `0..n`, each row's id its
 /// position, with nothing stored — a table built from whole columns — and
-/// `Kept` one stored id a row, made by a verb that filters or reorders rows.
+/// `Kept` one stored id a row, made by a verb that reorders rows or that
+/// materializes a view.
 #[derive(Clone, Debug)]
 pub(crate) enum RowIds {
     Fresh(usize),
@@ -52,10 +54,7 @@ impl RowIds {
 
     /// The ids of the rows at positions `keep`, in that order.
     pub(crate) fn gather(&self, keep: &[u32]) -> Self {
-        Self::Kept(match self {
-            Self::Fresh(n) => keep.iter().map(|&i| fresh_id(i as usize, *n)).collect(),
-            Self::Kept(ids) => keep.iter().map(|&i| ids[i as usize]).collect(),
-        })
+        Self::Kept(keep.iter().map(|&i| self.get(i as usize)).collect())
     }
 
     /// The ids of the rows at `position(key)` for each of the sorted
@@ -137,6 +136,13 @@ impl From<&str> for Value {
 /// (paper §2.3). Until a verb filters or reorders rows, a row's id is its
 /// position and none is stored.
 ///
+/// Columns and the string pool are shared: a clone, a projection or a
+/// selection copies pointers, and an edit copies only what is shared. A
+/// selected table is a *view* — its base's columns plus the positions of
+/// the rows it keeps — so it pins the whole of its base's columns until it
+/// is dropped or edited. Borrowing a whole column of a view gathers that
+/// column once and keeps it.
+///
 /// ```
 /// use ringo_table::{Cmp, ColumnType, Predicate, Schema, Table, Value};
 ///
@@ -157,30 +163,46 @@ impl From<&str> for Value {
 #[derive(Clone, Debug)]
 pub struct Table {
     pub(crate) schema: Schema,
-    pub(crate) cols: Vec<ColumnData>,
-    pub(crate) row_ids: RowIds,
+    /// The columns, whole: a view's rows are positions into them.
+    pub(crate) cols: Vec<Arc<ColumnData>>,
+    /// The ids of the rows of `cols`, shared like them.
+    pub(crate) row_ids: Arc<RowIds>,
     pub(crate) next_row_id: u64,
-    pub(crate) pool: StringPool,
+    pub(crate) pool: Arc<StringPool>,
     pub(crate) threads: usize,
+    view: Option<View>,
+}
+
+/// A view's rows — positions into the table's columns, in order — and
+/// each column gathered through them the first time it is borrowed whole.
+#[derive(Clone, Debug)]
+struct View {
+    sel: Arc<Vec<u32>>,
+    gathered: Vec<OnceLock<Arc<ColumnData>>>,
 }
 
 impl Table {
     /// Creates an empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
         let cols = schema.iter().map(|(_, ty)| ColumnData::new(ty)).collect();
-        Self {
-            schema,
-            cols,
-            row_ids: RowIds::Fresh(0),
-            next_row_id: 0,
-            pool: StringPool::new(),
-            threads: ringo_concurrent::num_threads(),
-        }
+        Self::from_parts(schema, cols, StringPool::new()).expect("empty columns fit any schema")
     }
 
     /// Builds a table directly from raw column data (fresh row ids are
     /// assigned). String columns must hold symbols valid in `pool`.
     pub fn from_parts(schema: Schema, cols: Vec<ColumnData>, pool: StringPool) -> Result<Self> {
+        let cols = cols.into_iter().map(Arc::new).collect();
+        let threads = ringo_concurrent::num_threads();
+        Self::from_shared(schema, cols, Arc::new(pool), threads)
+    }
+
+    /// [`Table::from_parts`] over columns and a pool that may be shared.
+    pub(crate) fn from_shared(
+        schema: Schema,
+        cols: Vec<Arc<ColumnData>>,
+        pool: Arc<StringPool>,
+        threads: usize,
+    ) -> Result<Self> {
         if schema.len() != cols.len() {
             return Err(TableError::SchemaMismatch(format!(
                 "{} columns declared, {} provided",
@@ -188,7 +210,7 @@ impl Table {
                 cols.len()
             )));
         }
-        let n_rows = cols.first().map_or(0, ColumnData::len);
+        let n_rows = cols.first().map_or(0, |c| c.len());
         for (i, col) in cols.iter().enumerate() {
             if col.column_type() != schema.column_type(i) {
                 return Err(TableError::TypeMismatch {
@@ -209,10 +231,11 @@ impl Table {
         Ok(Self {
             schema,
             cols,
-            row_ids: RowIds::Fresh(n_rows),
+            row_ids: Arc::new(RowIds::Fresh(n_rows)),
             next_row_id: n_rows as u64,
             pool,
-            threads: ringo_concurrent::num_threads(),
+            threads,
+            view: None,
         })
     }
 
@@ -232,7 +255,7 @@ impl Table {
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.row_ids.len()
+        self.sel().map_or(self.row_ids.len(), <[u32]>::len)
     }
 
     /// Number of columns.
@@ -256,16 +279,77 @@ impl Table {
         self.threads = threads.max(1);
     }
 
+    /// A view's rows as positions into its columns; `None` when the table
+    /// holds every row of its columns. Kernels read through it.
+    pub(crate) fn sel(&self) -> Option<&[u32]> {
+        self.view.as_ref().map(|v| v.sel.as_slice())
+    }
+
+    /// The position in the columns of the row at position `row`.
+    pub(crate) fn base_row(&self, row: usize) -> usize {
+        self.sel().map_or(row, |s| s[row] as usize)
+    }
+
+    /// Maps positions of this table's rows to positions in its columns.
+    pub(crate) fn to_base(&self, rows: &mut [u32]) {
+        if let Some(sel) = self.sel() {
+            rows.iter_mut().for_each(|r| *r = sel[*r as usize]);
+        }
+    }
+
+    /// A view of the rows of this table's columns at positions `sel`.
+    pub(crate) fn with_sel(&self, sel: Vec<u32>) -> Table {
+        let gathered = self.cols.iter().map(|_| OnceLock::new()).collect();
+        let sel = Arc::new(sel);
+        Table {
+            view: Some(View { sel, gathered }),
+            schema: self.schema.clone(),
+            cols: self.cols.clone(),
+            row_ids: self.row_ids.clone(),
+            pool: self.pool.clone(),
+            ..*self
+        }
+    }
+
+    /// A view of this table's rows at positions `rows`, in that order —
+    /// over the same columns, so never a view of a view.
+    pub(crate) fn view_rows(&self, mut rows: Vec<u32>) -> Table {
+        self.to_base(&mut rows);
+        self.with_sel(rows)
+    }
+
+    /// Ends a view, returning its selection: the caller replaces every
+    /// column with one of the selected rows, and the row ids.
+    pub(crate) fn take_sel(&mut self) -> Option<Arc<Vec<u32>>> {
+        self.view.take().map(|v| v.sel)
+    }
+
+    /// Gathers a view's rows into columns of their own, one column at a
+    /// time; the ids become stored ids. A `&mut` verb that edits columns
+    /// or appends rows calls this first.
+    pub(crate) fn materialize(&mut self) {
+        let Some(View { sel, gathered }) = self.view.take() else {
+            return;
+        };
+        for (col, got) in self.cols.iter_mut().zip(gathered) {
+            *col = got
+                .into_inner()
+                .unwrap_or_else(|| Arc::new(col.gather_sel(&sel)));
+        }
+        self.row_ids = Arc::new(self.row_ids.gather(&sel));
+    }
+
     /// Persistent id of the row at position `row`; panics past the end.
     pub fn row_id(&self, row: usize) -> u64 {
-        self.row_ids.get(row)
+        self.row_ids.get(self.base_row(row))
     }
 
     /// All row ids in positional order (allocated if none are stored).
     pub fn row_ids(&self) -> Cow<'_, [u64]> {
-        match &self.row_ids {
-            RowIds::Fresh(n) => Cow::Owned((0..*n as u64).collect()),
-            RowIds::Kept(ids) => Cow::Borrowed(ids),
+        match (&*self.row_ids, self.sel()) {
+            (RowIds::Kept(ids), None) => Cow::Borrowed(ids),
+            (ids, Some(sel)) => Cow::Owned(sel.iter().map(|&r| ids.get(r as usize)).collect()),
+            (RowIds::Fresh(n), None) => Cow::Owned((0..*n as u64).collect()),
         }
     }
 
@@ -287,11 +371,14 @@ impl Table {
                 });
             }
         }
+        self.materialize();
         for (col, v) in self.cols.iter_mut().zip(values) {
-            match (col, v) {
+            match (Arc::make_mut(col), v) {
                 (ColumnData::Int(c), Value::Int(x)) => c.push(*x),
                 (ColumnData::Float(c), Value::Float(x)) => c.push(*x),
-                (ColumnData::Str(c), Value::Str(s)) => c.push(self.pool.intern(s)),
+                (ColumnData::Str(c), Value::Str(s)) => {
+                    c.push(Arc::make_mut(&mut self.pool).intern(s))
+                }
                 _ => unreachable!("types validated above"),
             }
         }
@@ -301,7 +388,7 @@ impl Table {
     /// Gives the next row a fresh id in this table's id space.
     pub(crate) fn push_row_id(&mut self) -> u64 {
         let id = self.next_row_id;
-        self.row_ids.push(id);
+        Arc::make_mut(&mut self.row_ids).push(id);
         self.next_row_id += 1;
         id
     }
@@ -312,51 +399,41 @@ impl Table {
         if row >= self.n_rows() {
             return Err(TableError::InvalidArgument(format!("no row {row}")));
         }
-        Ok(match &self.cols[c] {
+        let row = self.base_row(row);
+        Ok(match &*self.cols[c] {
             ColumnData::Int(v) => Value::Int(v[row]),
             ColumnData::Float(v) => Value::Float(v[row]),
             ColumnData::Str(v) => Value::Str(self.pool.get(v[row]).to_string()),
         })
     }
 
-    /// Borrows an integer column by name.
-    pub fn int_col(&self, name: &str) -> Result<&[i64]> {
+    /// The column `name`, whole, if it has type `expected`.
+    fn typed_col(&self, name: &str, expected: ColumnType) -> Result<&ColumnData> {
         let i = self.schema.index_of(name)?;
-        match &self.cols[i] {
-            ColumnData::Int(v) => Ok(v),
+        match self.schema.column_type(i) {
+            ty if ty == expected => Ok(self.column(i)),
             other => Err(TableError::TypeMismatch {
                 column: name.to_string(),
-                expected: "int",
-                actual: other.column_type().name(),
+                expected: expected.name(),
+                actual: other.name(),
             }),
         }
     }
 
+    /// Borrows an integer column by name.
+    pub fn int_col(&self, name: &str) -> Result<&[i64]> {
+        Ok(self.typed_col(name, ColumnType::Int)?.as_int())
+    }
+
     /// Borrows a float column by name.
     pub fn float_col(&self, name: &str) -> Result<&[f64]> {
-        let i = self.schema.index_of(name)?;
-        match &self.cols[i] {
-            ColumnData::Float(v) => Ok(v),
-            other => Err(TableError::TypeMismatch {
-                column: name.to_string(),
-                expected: "float",
-                actual: other.column_type().name(),
-            }),
-        }
+        Ok(self.typed_col(name, ColumnType::Float)?.as_float())
     }
 
     /// Borrows a string column as pool symbols (resolve with
     /// [`Table::str_value`]).
     pub fn str_sym_col(&self, name: &str) -> Result<&[u32]> {
-        let i = self.schema.index_of(name)?;
-        match &self.cols[i] {
-            ColumnData::Str(v) => Ok(v),
-            other => Err(TableError::TypeMismatch {
-                column: name.to_string(),
-                expected: "str",
-                actual: other.column_type().name(),
-            }),
-        }
+        Ok(self.typed_col(name, ColumnType::Str)?.as_str_syms())
     }
 
     /// Resolves a string symbol from this table's pool.
@@ -371,12 +448,16 @@ impl Table {
 
     /// Interns `s` into this table's pool (for building columns in bulk).
     pub fn intern(&mut self, s: &str) -> u32 {
-        self.pool.intern(s)
+        Arc::make_mut(&mut self.pool).intern(s)
     }
 
-    /// Physical column data by index (bulk access for converters).
+    /// Physical column data by index (bulk access for converters). On a
+    /// view the first borrow gathers the column's rows, once.
     pub fn column(&self, i: usize) -> &ColumnData {
-        &self.cols[i]
+        match &self.view {
+            None => &self.cols[i],
+            Some(v) => v.gathered[i].get_or_init(|| Arc::new(self.cols[i].gather_sel(&v.sel))),
+        }
     }
 
     /// Renames a column.
@@ -384,47 +465,35 @@ impl Table {
         self.schema.rename(old, new)
     }
 
-    /// Approximate heap footprint in bytes: all column vectors, stored row
-    /// ids, and the string pool. This is the paper's Table 2 "In-memory Table
-    /// Size".
+    /// Approximate heap footprint in bytes: every byte the table keeps
+    /// alive, shared or not — its columns (a view's base columns, whole),
+    /// stored row ids and the string pool, and a view's selection and
+    /// the columns it gathered. This is the paper's Table 2 "In-memory
+    /// Table Size".
     pub fn mem_size(&self) -> usize {
-        let cols: usize = self.cols.iter().map(ColumnData::mem_size).sum();
-        cols + self.row_ids.mem_size() + self.pool.mem_size()
+        let cols: usize = self.cols.iter().map(|c| c.mem_size()).sum();
+        let view = self.view.as_ref().map_or(0, |v| {
+            let gathered = v.gathered.iter().filter_map(OnceLock::get);
+            v.sel.capacity() * 4 + gathered.map(|c| c.mem_size()).sum::<usize>()
+        });
+        cols + view + self.row_ids.mem_size() + self.pool.mem_size()
     }
 
-    /// An empty table with the same schema, pool, and thread setting —
-    /// symbols remain valid across the copy, which operator
-    /// implementations rely on.
-    pub(crate) fn empty_like(&self) -> Self {
-        Self {
-            schema: self.schema.clone(),
-            cols: self
-                .schema
-                .iter()
-                .map(|(_, ty)| ColumnData::new(ty))
-                .collect(),
-            row_ids: RowIds::Fresh(0),
-            next_row_id: 0,
+    /// The columns `idx`, in that order, under `schema`: pointer copies,
+    /// a view's gathered columns included.
+    pub(crate) fn with_columns(&self, schema: Schema, idx: &[usize]) -> Table {
+        let view = self.view.as_ref().map(|v| View {
+            sel: v.sel.clone(),
+            gathered: idx.iter().map(|&i| v.gathered[i].clone()).collect(),
+        });
+        Table {
+            view,
+            schema,
+            cols: idx.iter().map(|&i| self.cols[i].clone()).collect(),
+            row_ids: self.row_ids.clone(),
             pool: self.pool.clone(),
-            threads: self.threads,
+            ..*self
         }
-    }
-
-    /// Keeps only the row positions in `keep` (any order), rebuilding all
-    /// columns; row ids are carried over. Shared kernel of selection,
-    /// ordering, set operations and the lazy executor's collect.
-    pub(crate) fn gather_rows_sel(&self, keep: &[u32]) -> Self {
-        let mut out = self.empty_like();
-        out.cols = self.cols.iter().map(|c| c.gather_sel(keep)).collect();
-        out.row_ids = self.row_ids.gather(keep);
-        out.next_row_id = self.next_row_id;
-        out
-    }
-
-    /// In-place variant of [`Table::gather_rows_sel`].
-    pub(crate) fn retain_rows_sel(&mut self, keep: &[u32]) {
-        self.cols = self.cols.iter().map(|c| c.gather_sel(keep)).collect();
-        self.row_ids = self.row_ids.gather(keep);
     }
 }
 
@@ -462,14 +531,14 @@ mod tests {
     fn row_ids_are_stable_and_sequential() {
         let t = people();
         assert_eq!(*t.row_ids(), [0, 1, 2]);
-        let filtered = t.gather_rows_sel(&[2, 0]);
+        let filtered = t.view_rows(vec![2, 0]);
         assert_eq!(*filtered.row_ids(), [2, 0], "ids survive reordering");
     }
 
     #[test]
     fn get_past_the_last_row_is_an_error() {
         let fresh = people();
-        let kept = fresh.gather_rows_sel(&[2, 0]);
+        let kept = fresh.view_rows(vec![2, 0]);
         for t in [&fresh, &kept] {
             let last = t.n_rows() - 1;
             assert!(t.get(last, "age").is_ok());

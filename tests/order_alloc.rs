@@ -2,16 +2,15 @@
 //!
 //! Numeric sort columns are sorted as one packed `(keys…, position)`
 //! word per row; the `Int` sort columns are then decoded from the sorted
-//! keys into the vectors they already own, and the other columns are
-//! gathered one vector at a time, each old vector dropped before the next
-//! is made. The table here is built from whole columns, so it stores no
-//! row ids: the sort takes the new ids from the positions in the keys, and
-//! no old id vector stands beside them. So beside the table it sorts,
-//! `order_by` holds the keys and one new vector — no permutation, no
-//! sorter scratch, no second copy of a sort column — and keeps only the
-//! ids it made. `bench_e2e`'s `tw_relational` session peaks inside
-//! `order_by` against a 5% bound; this test pins the same account in
-//! tier 1.
+//! keys and the other columns gathered, one new vector at a time, each
+//! old vector dropped before the next is made. The table here is built
+//! from whole columns and is their only owner, so it stores no row ids:
+//! the sort takes the new ids from the positions in the keys, and no old
+//! id vector stands beside them. So beside the table it sorts, `order_by`
+//! holds the keys and one new vector — no permutation, no sorter scratch,
+//! no second copy of a sort column — and keeps only the ids it made.
+//! Sorting a clone, whose columns stay with the original, is
+//! `table_views_alloc.rs`'s account (and `bench_e2e`'s `tw_relational`).
 //!
 //! Kept in its own test binary so nothing else moves the process-global
 //! allocation counters mid-measurement.
@@ -38,7 +37,9 @@ fn order_by_peaks_below_seven_tenths_of_its_table() {
     // The first call registers spans and counters, which the process keeps.
     table.clone().order_by(&["a", "b"], true).unwrap();
 
-    let mut sorted = table.clone();
+    // Sorted as its only owner: a clone shares the columns, and sorting
+    // one makes all new vectors (`table_views_alloc.rs` pins that).
+    let mut sorted = table;
     let live = current_bytes();
     reset_peak();
     sorted.order_by(&["a", "b"], true).unwrap();
