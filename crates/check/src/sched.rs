@@ -163,8 +163,8 @@ thread_local! {
 
 /// The calling OS thread's virtual identity, if it has one.
 ///
-/// Uses `try_with`: virtual primitives run from other TLS destructors
-/// (e.g. the epoch layer's claim cache releasing its slots at thread
+/// Uses `try_with`: virtual primitives may run from other TLS
+/// destructors (a thread-local cache releasing what it holds at thread
 /// exit), and destructor order is unspecified, so this TLS may already
 /// be gone by then. A thread whose scheduler TLS is destroyed cannot be
 /// participating in a schedule, so `None` (passthrough to the real

@@ -27,17 +27,12 @@
 //!   vector whose `push` claims an index with `fetch_add`,
 //! * [`bitset`] — [`bitset::ConcurrentBitset`], a packed atomic visited
 //!   set whose `set` is a `fetch_or` claim, used by the frontier engine's
-//!   bottom-up traversal phase,
-//! * [`epoch`] — [`epoch::EpochDomain`] / [`epoch::Versioned`],
-//!   epoch-based version reclamation: wait-free reader pins and a
-//!   single-writer copy-on-write publish, the substrate under the core
-//!   crate's versioned `Catalog` snapshots.
+//!   bottom-up traversal phase.
 
 #![warn(missing_docs)]
 
 pub mod atomic_vec;
 pub mod bitset;
-pub mod epoch;
 pub mod hash_table;
 pub mod parallel;
 pub mod pool;
@@ -46,7 +41,6 @@ pub mod sync;
 
 pub use atomic_vec::ConcurrentVec;
 pub use bitset::ConcurrentBitset;
-pub use epoch::{EpochDomain, EpochGuard, OwnedEpochGuard, Versioned};
 pub use hash_table::{ConcurrentIntTable, IntHashTable, KeyInterner};
 pub use parallel::{
     morsel_bounds, morsel_rows, num_threads, parallel_for, parallel_for_dynamic,

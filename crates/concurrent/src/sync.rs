@@ -10,65 +10,11 @@
 //! the deterministic cooperative scheduler so `cargo test -p ringo-check
 //! --features model` can explore interleavings of this crate's lock-free
 //! structures. See `crates/check` and DESIGN.md § "Concurrency checking".
-//!
-//! Beyond the integer atomics, the facade carries the three extra
-//! primitives the epoch layer ([`crate::epoch`]) is built from:
-//! [`VAtomicPtr`] (the version pointer a publish swings), [`VMutex`]
-//! (the writer-side lock serializing publish/gc — a mutex the model can
-//! schedule around, unlike a raw `std::sync::Mutex`, whose blocking
-//! would wedge the cooperative scheduler), and [`yield_now`] (a pure
-//! preemption point for spin fallbacks).
 
 #[cfg(not(any(feature = "model", ringo_model)))]
 pub use std::sync::atomic::{
-    AtomicI64 as VAtomicI64, AtomicPtr as VAtomicPtr, AtomicU64 as VAtomicU64,
-    AtomicUsize as VAtomicUsize,
+    AtomicI64 as VAtomicI64, AtomicU64 as VAtomicU64, AtomicUsize as VAtomicUsize,
 };
 
-#[cfg(not(any(feature = "model", ringo_model)))]
-mod std_shims {
-    /// `std::sync::Mutex` behind `ringo_check::sync::VMutex`'s exact API:
-    /// `lock` returns the guard directly and swallows poisoning (a
-    /// panicked writer leaves the protected state at its last completed
-    /// mutation; the epoch bookkeeping guarded by this type has no torn
-    /// intermediate states).
-    #[derive(Debug, Default)]
-    pub struct VMutex<T> {
-        inner: std::sync::Mutex<T>,
-    }
-
-    impl<T> VMutex<T> {
-        /// Creates the mutex; `const` to match the model-side type.
-        pub const fn new(value: T) -> Self {
-            Self {
-                inner: std::sync::Mutex::new(value),
-            }
-        }
-
-        /// Locks, returning the plain `std` guard.
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        /// Exclusive access without locking.
-        pub fn get_mut(&mut self) -> &mut T {
-            self.inner
-                .get_mut()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-    }
-
-    /// Hints the OS scheduler; the model-side counterpart is a scheduler
-    /// preemption point.
-    pub fn yield_now() {
-        std::thread::yield_now();
-    }
-}
-
-#[cfg(not(any(feature = "model", ringo_model)))]
-pub use std_shims::{yield_now, VMutex};
-
 #[cfg(any(feature = "model", ringo_model))]
-pub use ringo_check::sync::{yield_now, VAtomicI64, VAtomicPtr, VAtomicU64, VAtomicUsize, VMutex};
+pub use ringo_check::sync::{VAtomicI64, VAtomicU64, VAtomicUsize};

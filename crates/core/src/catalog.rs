@@ -7,36 +7,28 @@
 //! must keep seeing the versions it started with, even while another
 //! verb publishes replacements or compacts a graph's adjacency slabs.
 //!
-//! The catalog delivers that with the epoch machinery from
-//! `ringo_concurrent::epoch`:
+//! The catalog delivers that with reference counting alone:
 //!
-//! * the whole namespace is one copy-on-write **root map**
-//!   (`Arc<RootMap>`) held in a [`Versioned`] cell — a publish clones the
-//!   map, inserts the new [`CatalogEntry`], and swings the root pointer;
-//!   readers never block on it;
-//! * [`Catalog::snapshot`] pins the current epoch ([`OwnedEpochGuard`])
-//!   and clones the root `Arc` under the pin, so every name a
+//! * the whole namespace is one immutable **root** (`Arc<Root>`: an
+//!   epoch and a name → [`CatalogEntry`] map) behind a mutex — a publish
+//!   clones the map, inserts the new entry, and swaps the `Arc` in under
+//!   the lock;
+//! * [`Catalog::snapshot`] clones the root `Arc`, so every name a
 //!   [`Snapshot`] resolves — across any number of queries and algorithm
 //!   runs — comes from one consistent version of the world;
-//! * displaced root maps sit on the cell's retired list until
-//!   [`Catalog::gc`] proves no pin predates them; because each root map
-//!   holds strong `Arc`s to its datasets, a table or graph version stays
-//!   alive exactly as long as some live or pinned root still names it;
+//! * because each root holds strong `Arc`s to its datasets, a table or
+//!   graph version lives exactly as long as the current root or some
+//!   snapshot still names it, and is freed when the last one drops;
 //! * [`Catalog::compact_graph`] is **compaction-as-publish**: rewriting a
 //!   mutated graph's adjacency into a fresh exact slab
 //!   (`DirectedGraph::compact`) produces a new immutable version, which
-//!   is published like any other — pinned readers keep traversing the
-//!   old slabs untouched.
-//!
-//! Reclamation policy is a [`GcPolicy`]: `Auto` ([`Catalog::new`]) runs
-//! a collection after every publish, `Manual` ([`Catalog::with_policy`])
-//! defers entirely to explicit [`Catalog::gc`] calls.
+//!   is published like any other — snapshots keep traversing the old
+//!   slabs untouched.
 
-use ringo_concurrent::epoch::{EpochDomain, OwnedEpochGuard, Versioned};
 use ringo_graph::{CompactStats, DirectedGraph};
 use ringo_table::Table;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// A named, versioned object in the catalog: a table or a directed
 /// graph, shared immutably once published.
@@ -105,7 +97,7 @@ impl std::fmt::Display for DatasetKind {
 pub struct VersionMeta {
     /// Per-name version number, starting at 1.
     pub version: u64,
-    /// Domain epoch at which this version became current.
+    /// Catalog epoch at which this version became current.
     pub epoch: u64,
     /// Table or graph.
     pub kind: DatasetKind,
@@ -113,42 +105,55 @@ pub struct VersionMeta {
     pub cardinality: u64,
 }
 
-/// One name's current binding inside a root map.
+/// One name's current binding inside a root.
 #[derive(Clone, Debug)]
 struct CatalogEntry {
     meta: VersionMeta,
     data: Dataset,
 }
 
-/// The copy-on-write namespace: every publish installs a fresh map.
-type RootMap = HashMap<String, CatalogEntry>;
-
-/// Reclamation policy for displaced root maps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GcPolicy {
-    /// Collect after every publish (default).
-    Auto,
-    /// Only collect on explicit [`Catalog::gc`] calls.
-    Manual,
+/// The namespace at one epoch. Immutable once installed: every publish
+/// or remove installs a fresh root.
+#[derive(Debug)]
+struct Root {
+    /// 1 for an empty catalog, +1 per publish or remove.
+    epoch: u64,
+    map: HashMap<String, CatalogEntry>,
 }
 
 /// Writer-side state, serialized under one lock so publishes are
-/// read-modify-write atomic over the root map.
+/// read-modify-write atomic over the root.
 #[derive(Debug, Default)]
 struct WriterState {
     /// Full publish history per name — metadata only (no strong `Arc`s),
     /// so lineage never extends a version's lifetime.
     lineage: HashMap<String, Vec<VersionMeta>>,
+    /// Roots displaced by a publish or remove that were still alive at
+    /// the last prune: held weakly, so they never extend a lifetime.
+    displaced: Vec<Weak<Root>>,
+    /// Displaced roots found dead by a prune and not yet reported by
+    /// [`Catalog::gc`].
+    died: usize,
+}
+
+impl WriterState {
+    /// Drops the dead entries of `displaced`, counting them in `died`.
+    fn prune(&mut self) {
+        let before = self.displaced.len();
+        self.displaced.retain(|w| w.strong_count() > 0);
+        self.died += before - self.displaced.len();
+    }
 }
 
 struct CatalogInner {
-    domain: Arc<EpochDomain>,
-    root: Versioned<Arc<RootMap>>,
+    root: Mutex<Arc<Root>>,
     writer: Mutex<WriterState>,
-    policy: GcPolicy,
+    /// Cloned into every [`Snapshot`]: its strong count, less this one,
+    /// is the number of live snapshots.
+    readers: Arc<()>,
 }
 
-/// A catalog of named versioned datasets with lock-free snapshot
+/// A catalog of named versioned datasets with consistent snapshot
 /// readers. Cloning is cheap and clones share the same namespace (like
 /// [`crate::Ringo`] clones sharing one op-log).
 ///
@@ -159,7 +164,7 @@ struct CatalogInner {
 /// let cat = Catalog::new();
 /// cat.publish_table("posts", Table::from_int_column("id", vec![1, 2, 3]));
 /// let snap = cat.snapshot();
-/// // A later publish does not disturb the pinned snapshot.
+/// // A later publish does not disturb the snapshot.
 /// cat.publish_table("posts", Table::from_int_column("id", vec![4]));
 /// assert_eq!(snap.table("posts").unwrap().n_rows(), 3);
 /// assert_eq!(cat.snapshot().table("posts").unwrap().n_rows(), 1);
@@ -176,29 +181,29 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog with its own epoch domain, collecting after every
-    /// publish ([`GcPolicy::Auto`]).
+    /// An empty catalog at epoch 1.
     pub fn new() -> Self {
-        Self::with_policy(GcPolicy::Auto)
-    }
-
-    /// An empty catalog with an explicit reclamation policy (tests force
-    /// [`GcPolicy::Manual`] to observe retired versions).
-    pub fn with_policy(policy: GcPolicy) -> Self {
-        let domain = Arc::new(EpochDomain::new());
+        let root = Root {
+            epoch: 1,
+            map: HashMap::new(),
+        };
         Self {
             inner: Arc::new(CatalogInner {
-                root: Versioned::new(Arc::clone(&domain), Arc::new(RootMap::new())),
-                domain,
+                root: Mutex::new(Arc::new(root)),
                 writer: Mutex::new(WriterState::default()),
-                policy,
+                readers: Arc::new(()),
             }),
         }
     }
 
+    /// The current root. The root lock is held only for the `Arc` clone.
+    fn current(&self) -> Arc<Root> {
+        Arc::clone(&lock(&self.inner.root))
+    }
+
     /// Publishes `table` as the new current version of `name`, returning
     /// its per-name version number. Readers holding a [`Snapshot`] keep
-    /// seeing the version they pinned.
+    /// seeing the version they took.
     pub fn publish_table(&self, name: &str, table: impl Into<Arc<Table>>) -> u64 {
         self.publish(name, Dataset::Table(table.into()))
     }
@@ -209,16 +214,10 @@ impl Catalog {
     }
 
     /// Publishes `data` under `name`: copy-on-write insert into a fresh
-    /// root map, then a single `Release` pointer swing. Never blocks
-    /// readers.
+    /// root, installed by one swap under the root lock.
     pub fn publish(&self, name: &str, data: Dataset) -> u64 {
         let mut writer = lock(&self.inner.writer);
-        let version = self.publish_locked(&mut writer, name, data);
-        drop(writer);
-        if self.inner.policy == GcPolicy::Auto {
-            self.gc();
-        }
-        version
+        self.publish_locked(&mut writer, name, data)
     }
 
     /// The publish body, with the writer lock already held — shared by
@@ -227,72 +226,75 @@ impl Catalog {
     /// all three steps to stay atomic against racing publishers.
     fn publish_locked(&self, writer: &mut WriterState, name: &str, data: Dataset) -> u64 {
         let mut sp = ringo_trace::span!("catalog.publish");
-        let mut map = {
-            let guard = self.inner.domain.pin();
-            RootMap::clone(self.inner.root.load(&guard))
-        };
+        let current = self.current();
+        let mut map = current.map.clone();
         let history = writer.lineage.entry(name.to_string()).or_default();
         let version = history.len() as u64 + 1;
         let meta = VersionMeta {
             version,
-            // The writer lock serializes every publish on this domain, so
-            // the post-advance epoch of the swing below is exactly one
-            // past the current reading.
-            epoch: self.inner.domain.epoch() + 1,
+            epoch: current.epoch + 1,
             kind: data.kind(),
             cardinality: data.cardinality(),
         };
         history.push(meta.clone());
         map.insert(name.to_string(), CatalogEntry { meta, data });
         sp.rows_out(map.len());
-        self.inner.root.publish(Arc::new(map));
+        self.install(writer, current, map);
         version
     }
 
-    /// Removes `name` from the current namespace (a publish of a root
-    /// map without it). Returns whether the name was bound. Lineage is
-    /// kept, and pinned snapshots still resolve the name.
-    pub fn remove(&self, name: &str) -> bool {
-        let writer = lock(&self.inner.writer);
-        let mut map = {
-            let guard = self.inner.domain.pin();
-            RootMap::clone(self.inner.root.load(&guard))
-        };
-        let existed = map.remove(name).is_some();
-        if existed {
-            self.inner.root.publish(Arc::new(map));
-        }
-        drop(writer);
-        if existed && self.inner.policy == GcPolicy::Auto {
-            self.gc();
-        }
-        existed
+    /// Installs `map` as the root after `current` and records `current`
+    /// as displaced. The map is built before and `current` dropped after
+    /// the root lock is held, so readers never wait on either.
+    fn install(
+        &self,
+        writer: &mut WriterState,
+        current: Arc<Root>,
+        map: HashMap<String, CatalogEntry>,
+    ) {
+        let next = Arc::new(Root {
+            epoch: current.epoch + 1,
+            map,
+        });
+        // The writer lock rules out any other swap, so the displaced
+        // root is `current`: the assignment only drops a count, and the
+        // root itself is dropped with `current`, after the root lock.
+        *lock(&self.inner.root) = next;
+        writer.prune();
+        writer.displaced.push(Arc::downgrade(&current));
     }
 
-    /// Pins the current epoch and returns a consistent view of every
-    /// name. All resolution through the returned [`Snapshot`] — across a
-    /// whole multi-collect session — reads the same version of the world,
-    /// and [`Catalog::gc`] will not reclaim anything the pin protects.
+    /// Removes `name` from the current namespace (a publish of a root
+    /// without it). Returns whether the name was bound. Lineage is kept,
+    /// and snapshots taken earlier still resolve the name.
+    pub fn remove(&self, name: &str) -> bool {
+        let mut writer = lock(&self.inner.writer);
+        let current = self.current();
+        if !current.map.contains_key(name) {
+            return false;
+        }
+        let mut map = current.map.clone();
+        map.remove(name);
+        self.install(&mut writer, current, map);
+        true
+    }
+
+    /// A consistent view of every name: all resolution through the
+    /// returned [`Snapshot`] — across a whole multi-collect session —
+    /// reads the same version of the world, which stays alive until the
+    /// snapshot drops.
     pub fn snapshot(&self) -> Snapshot {
-        let guard = self.inner.domain.pin_owned();
-        let root = Arc::clone(self.inner.root.load_owned(&guard));
         ringo_trace::counter("catalog.snapshot").add(1);
         Snapshot {
-            epoch: guard.epoch(),
-            _guard: guard,
-            root,
+            root: self.current(),
+            _reader: Arc::clone(&self.inner.readers),
         }
     }
 
-    /// The current version of `name`, if bound (an unpinned point read;
-    /// for multi-step consistency take a [`Catalog::snapshot`]).
+    /// The current version of `name`, if bound (a point read; for
+    /// multi-step consistency take a [`Catalog::snapshot`]).
     pub fn get(&self, name: &str) -> Option<Dataset> {
-        let guard = self.inner.domain.pin();
-        self.inner
-            .root
-            .load(&guard)
-            .get(name)
-            .map(|e| e.data.clone())
+        self.current().map.get(name).map(|e| e.data.clone())
     }
 
     /// Every version ever published under `name`, oldest first
@@ -307,11 +309,9 @@ impl Catalog {
 
     /// Current bindings, sorted by name — the shell's `ls`.
     pub fn list(&self) -> Vec<(String, VersionMeta)> {
-        let guard = self.inner.domain.pin();
         let mut out: Vec<(String, VersionMeta)> = self
-            .inner
-            .root
-            .load(&guard)
+            .current()
+            .map
             .iter()
             .map(|(name, e)| (name.clone(), e.meta.clone()))
             .collect();
@@ -324,9 +324,9 @@ impl Catalog {
     /// result as a new version. Returns the new version number and the
     /// compaction accounting, or `None` when `name` is not a graph.
     ///
-    /// Pinned snapshots keep traversing the old version's slabs; the
-    /// dead ranges they hold go back to the allocator once the last such
-    /// pin drops and [`Catalog::gc`] runs.
+    /// Snapshots keep traversing the old version's slabs; the dead
+    /// ranges they hold go back to the allocator when the last snapshot
+    /// holding the old version drops.
     pub fn compact_graph(&self, name: &str) -> Option<(u64, CompactStats)> {
         let mut sp = ringo_trace::span!("catalog.compact");
         // The writer lock is held across resolve→compact→publish: a
@@ -334,64 +334,52 @@ impl Catalog {
         // overwritten by a compacted copy of the older topology (lost
         // update). Readers are unaffected — they never take this lock.
         let mut writer = lock(&self.inner.writer);
-        let current = {
-            let guard = self.inner.domain.pin();
-            match self
-                .inner
-                .root
-                .load(&guard)
-                .get(name)
-                .map(|e| e.data.clone())
-            {
-                Some(Dataset::Graph(g)) => g,
-                _ => return None,
-            }
+        let Some(Dataset::Graph(current)) = self.get(name) else {
+            return None;
         };
         // Clone-then-compact: the clone is a few `Arc` bumps, and the
         // rewrite gives it brand-new slabs and offsets and no overlay, so
         // the published version shares no mutable state with the old one.
         let mut rewritten = DirectedGraph::clone(&current);
+        drop(current);
         let stats = rewritten.compact();
         sp.rows_in(stats.before.footprint_bytes());
         sp.rows_out(stats.after.footprint_bytes());
         let version = self.publish_locked(&mut writer, name, Dataset::Graph(Arc::new(rewritten)));
-        drop(writer);
-        if self.inner.policy == GcPolicy::Auto {
-            self.gc();
-        }
         Some((version, stats))
     }
 
-    /// Frees every displaced root map no pinned snapshot can still
-    /// reach, returning how many were reclaimed. Dropping a root map
-    /// drops its `Arc` references, so table and graph versions named by
-    /// no newer root are freed here too.
+    /// How many displaced roots have died since the previous call. A
+    /// root dies when it is displaced and the last snapshot holding it
+    /// drops; its datasets named by no newer root are freed then, not
+    /// here.
     pub fn gc(&self) -> usize {
         let mut sp = ringo_trace::span!("catalog.gc");
-        let freed = self.inner.root.gc();
-        sp.rows_out(freed);
-        freed
+        let mut writer = lock(&self.inner.writer);
+        writer.prune();
+        let died = std::mem::take(&mut writer.died);
+        ringo_trace::counter("catalog.reclaimed").add(died as u64);
+        sp.rows_out(died);
+        died
     }
 
-    /// Root-map versions displaced but not yet reclaimed.
+    /// Displaced roots still alive, each held by some snapshot.
     pub fn retired_count(&self) -> usize {
-        self.inner.root.retired_count()
+        lock(&self.inner.writer)
+            .displaced
+            .iter()
+            .filter(|w| w.strong_count() > 0)
+            .count()
     }
 
-    /// Snapshots (pin slots) currently holding an epoch — the shell's
-    /// "pinned readers" figure.
+    /// Live snapshots — the shell's "pinned readers" figure.
     pub fn pinned_readers(&self) -> usize {
-        self.inner.domain.pinned_count()
+        Arc::strong_count(&self.inner.readers) - 1
     }
 
-    /// The domain's current epoch (advances once per publish).
+    /// The current root's epoch (advances once per publish or remove).
     pub fn epoch(&self) -> u64 {
-        self.inner.domain.epoch()
-    }
-
-    /// The reclamation policy this catalog was built with.
-    pub fn policy(&self) -> GcPolicy {
-        self.inner.policy
+        lock(&self.inner.root).epoch
     }
 }
 
@@ -402,55 +390,52 @@ impl std::fmt::Debug for Catalog {
             .field("entries", &self.list().len())
             .field("retired", &self.retired_count())
             .field("pinned_readers", &self.pinned_readers())
-            .field("policy", &self.inner.policy)
             .finish()
     }
 }
 
-/// A pinned, consistent view of the catalog at one epoch.
+/// A consistent view of the catalog at one epoch.
 ///
-/// Holds an [`OwnedEpochGuard`], so the epoch machinery keeps every
-/// version this snapshot can reach alive until the snapshot drops —
-/// [`Catalog::gc`] skips anything the pin protects. Resolve names with
+/// Holds the root it was taken from, so every version it can reach stays
+/// alive until the snapshot drops. Resolve names with
 /// [`Snapshot::table`] / [`Snapshot::graph`] and feed the borrows to
 /// queries and algorithm verbs; every resolution sees the same world.
 pub struct Snapshot {
-    _guard: OwnedEpochGuard,
-    root: Arc<RootMap>,
-    epoch: u64,
+    root: Arc<Root>,
+    _reader: Arc<()>,
 }
 
 impl Snapshot {
-    /// The epoch this snapshot pinned.
+    /// The epoch of the root this snapshot reads.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.root.epoch
     }
 
     /// Number of names bound in this snapshot.
     pub fn len(&self) -> usize {
-        self.root.len()
+        self.root.map.len()
     }
 
     /// Whether the snapshot holds no names.
     pub fn is_empty(&self) -> bool {
-        self.root.is_empty()
+        self.root.map.is_empty()
     }
 
     /// Bound names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.root.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.root.map.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
     }
 
     /// The dataset bound to `name` in this snapshot.
     pub fn get(&self, name: &str) -> Option<&Dataset> {
-        self.root.get(name).map(|e| &e.data)
+        self.root.map.get(name).map(|e| &e.data)
     }
 
     /// Version metadata of `name` in this snapshot.
     pub fn meta(&self, name: &str) -> Option<&VersionMeta> {
-        self.root.get(name).map(|e| &e.meta)
+        self.root.map.get(name).map(|e| &e.meta)
     }
 
     /// The table bound to `name`, if it is one.
@@ -467,16 +452,16 @@ impl Snapshot {
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("epoch", &self.epoch)
-            .field("entries", &self.root.len())
+            .field("epoch", &self.root.epoch)
+            .field("entries", &self.root.map.len())
             .finish()
     }
 }
 
 /// Poison-swallowing lock helper: catalog state stays usable even if a
-/// panicking thread held the writer lock (the map it was cloning never
-/// got published).
-fn lock(m: &Mutex<WriterState>) -> std::sync::MutexGuard<'_, WriterState> {
+/// panicking thread held a lock (a map it was building never got
+/// installed).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -490,7 +475,7 @@ mod tests {
 
     #[test]
     fn publish_get_versions_roundtrip() {
-        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let cat = Catalog::new();
         assert_eq!(cat.publish_table("t", table(3)), 1);
         assert_eq!(cat.publish_table("t", table(5)), 2);
         let got = cat.get("t").expect("bound");
@@ -500,14 +485,16 @@ mod tests {
         assert_eq!(vs.len(), 2);
         assert_eq!((vs[0].version, vs[0].cardinality), (1, 3));
         assert_eq!((vs[1].version, vs[1].cardinality), (2, 5));
-        assert!(vs[1].epoch > vs[0].epoch, "epochs advance per publish");
+        assert_eq!((vs[0].epoch, vs[1].epoch), (2, 3), "one epoch a publish");
+        assert_eq!(cat.epoch(), 3);
+        assert_eq!(Catalog::new().epoch(), 1, "an empty catalog is at 1");
         assert!(cat.get("missing").is_none());
         assert!(cat.versions("missing").is_empty());
     }
 
     #[test]
     fn snapshot_isolation_across_publishes() {
-        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let cat = Catalog::new();
         cat.publish_table("t", table(3));
         let snap = cat.snapshot();
         cat.publish_table("t", table(7));
@@ -525,43 +512,52 @@ mod tests {
 
     #[test]
     fn gc_never_reclaims_under_a_pin() {
-        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let cat = Catalog::new();
         cat.publish_table("t", table(2));
         let snap = cat.snapshot();
         cat.publish_table("t", table(4));
         cat.publish_table("t", table(6));
-        assert_eq!(cat.retired_count(), 3, "three displaced roots");
-        // The initial empty root was displaced *before* the pin, so it is
-        // collectable; the two roots displaced after it are not.
-        assert_eq!(cat.gc(), 1, "only the pre-pin root goes");
+        // Three displaced roots: the empty one and the 4-row one died at
+        // once; only the root the snapshot holds is alive.
+        assert_eq!(cat.retired_count(), 1, "only the held root survives");
+        assert_eq!(cat.gc(), 2, "gc reports the two that died");
         assert_eq!(snap.table("t").expect("still alive").n_rows(), 2);
-        assert_eq!(cat.gc(), 0, "pinned roots never reclaimed");
+        assert_eq!(cat.gc(), 0, "a held root never dies");
+        assert_eq!(cat.pinned_readers(), 1);
         drop(snap);
-        assert_eq!(cat.gc(), 2);
-        assert_eq!(cat.retired_count(), 0);
+        assert_eq!(cat.pinned_readers(), 0);
+        assert_eq!(cat.retired_count(), 0, "died with its last snapshot");
+        assert_eq!(cat.gc(), 1);
+        assert_eq!(cat.gc(), 0, "each death is reported once");
     }
 
     #[test]
-    fn auto_policy_collects_behind_readers() {
-        let cat = Catalog::with_policy(GcPolicy::Auto);
+    fn displaced_roots_die_with_their_last_reader() {
+        let cat = Catalog::new();
         cat.publish_table("t", table(1));
         cat.publish_table("t", table(2));
-        assert_eq!(cat.retired_count(), 0, "auto gc keeps up with no pins");
-        let snap = cat.snapshot();
+        assert_eq!(cat.retired_count(), 0, "no snapshot, nothing retired");
+        let s1 = cat.snapshot();
+        let s2 = cat.snapshot();
         cat.publish_table("t", table(3));
-        assert!(cat.retired_count() > 0, "pin blocks auto gc");
-        drop(snap);
-        cat.publish_table("t", table(4));
-        assert_eq!(cat.retired_count(), 0, "drained once unpinned");
+        assert_eq!(cat.retired_count(), 1, "two snapshots hold one root");
+        drop(s1);
+        assert_eq!(cat.retired_count(), 1, "the other snapshot still holds it");
+        drop(s2);
+        assert_eq!(cat.retired_count(), 0, "freed without a gc");
+        assert_eq!(cat.gc(), 3, "the three displaced roots");
     }
 
     #[test]
     fn remove_unbinds_but_pins_survive() {
-        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let cat = Catalog::new();
         cat.publish_table("t", table(2));
         let snap = cat.snapshot();
         assert!(cat.remove("t"));
+        let epoch = cat.epoch();
         assert!(!cat.remove("t"), "second remove is a no-op");
+        assert_eq!(cat.epoch(), epoch, "a no-op remove installs no root");
+        assert_eq!(snap.epoch() + 1, epoch, "a remove advances the epoch");
         assert!(cat.get("t").is_none());
         assert_eq!(snap.table("t").expect("pinned binding").n_rows(), 2);
         assert_eq!(cat.versions("t").len(), 1, "lineage survives remove");
@@ -569,7 +565,7 @@ mod tests {
 
     #[test]
     fn list_reports_sorted_bindings() {
-        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let cat = Catalog::new();
         cat.publish_table("zeta", table(1));
         cat.publish_table("alpha", table(9));
         let ls = cat.list();
@@ -580,7 +576,7 @@ mod tests {
 
     #[test]
     fn compact_graph_publishes_new_version() {
-        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let cat = Catalog::new();
         // Bulk-load a slab-backed graph, then delete edges to strand
         // dead slab ranges.
         let mut g = DirectedGraph::new();
@@ -610,7 +606,7 @@ mod tests {
         // compact loop must therefore leave a lineage whose cardinality
         // never decreases — a stale compact (the pre-fix race) would
         // re-publish a smaller, older topology after a bigger one.
-        let cat = Catalog::with_policy(GcPolicy::Auto);
+        let cat = Catalog::new();
         let mut g = DirectedGraph::new();
         g.add_edge(0, 1);
         cat.publish_graph("g", g.clone());
@@ -647,7 +643,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_namespace() {
-        let cat = Catalog::with_policy(GcPolicy::Manual);
+        let cat = Catalog::new();
         let other = cat.clone();
         cat.publish_table("t", table(4));
         assert_eq!(other.get("t").expect("shared").cardinality(), 4);

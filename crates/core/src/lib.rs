@@ -43,7 +43,7 @@ pub use ringo_graph as graph;
 pub use ringo_table as table;
 pub use ringo_trace as trace;
 
-pub use catalog::{Catalog, Dataset, DatasetKind, GcPolicy, Snapshot, VersionMeta};
+pub use catalog::{Catalog, Dataset, DatasetKind, Snapshot, VersionMeta};
 pub use oplog::{OpLog, OpRecord, OpTiming};
 pub use query::QueryBuilder;
 
@@ -122,7 +122,7 @@ impl Ringo {
         self.ops.clear()
     }
 
-    // ---- versioned catalog (epoch snapshots; see [`catalog`]) ----
+    // ---- versioned catalog (snapshots; see [`catalog`]) ----
 
     /// The versioned catalog shared by this context and its clones.
     pub fn catalog(&self) -> &Catalog {
@@ -131,7 +131,7 @@ impl Ringo {
 
     /// Publishes `table` as the new current version of `name`, returning
     /// its per-name version number. Snapshots taken earlier keep reading
-    /// the version they pinned.
+    /// the version they hold.
     pub fn publish_table(&self, name: &str, mut table: Table) -> u64 {
         table.set_threads(self.threads);
         let rows = table.n_rows();
@@ -170,7 +170,7 @@ impl Ringo {
         self.catalog.versions(name)
     }
 
-    /// Pins the current epoch: every name resolved through the returned
+    /// Takes the current root: every name resolved through the returned
     /// [`Snapshot`] — by [`Ringo::query_at`], by algorithm verbs fed
     /// [`Snapshot::graph`] borrows — reads one consistent version of the
     /// catalog for the snapshot's whole lifetime.
@@ -183,8 +183,9 @@ impl Ringo {
         snapshot
     }
 
-    /// Reclaims every catalog version no pinned snapshot can reach,
-    /// returning how many were freed.
+    /// How many displaced catalog versions have been freed since the
+    /// previous call (see [`Catalog::gc`]): a version is freed when the
+    /// last snapshot holding it drops.
     pub fn catalog_gc(&self) -> usize {
         let Ok(freed) = self.ops.run::<_, Infallible>(
             "catalog_gc",

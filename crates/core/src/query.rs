@@ -61,7 +61,7 @@ impl Ringo {
 
     /// Starts a lazy query over the table bound to `name` in `snapshot`.
     ///
-    /// Because the snapshot pins one epoch, every query resolved through
+    /// Because the snapshot holds one root, every query resolved through
     /// it — including tables pulled in later by
     /// [`QueryBuilder::join_named`] — reads the same version of the
     /// catalog, no matter how many publishes land in between collects.

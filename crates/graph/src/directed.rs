@@ -296,8 +296,8 @@ impl DirectedGraph {
     /// Rewriting the adjacency into a new immutable slab is exactly what
     /// a copy-on-write version publish does, so the core crate's
     /// `Catalog` runs this as one: clone (a few reference-count bumps),
-    /// compact the clone, publish it as the next version, and let the
-    /// epoch machinery retire the old slabs once unpinned.
+    /// compact the clone, publish it as the next version, and the old
+    /// slabs are freed when the last snapshot holding them drops.
     pub fn compact(&mut self) -> CompactStats {
         let before = self.adjacency_stats();
         for rows in [&mut self.inn, &mut self.out] {

@@ -4,10 +4,10 @@
 //! apply analytics, exactly in the spirit of the §4.1 demo session.
 //!
 //! Every named object lives in the context's versioned **catalog**:
-//! commands resolve names through a pinned snapshot (one consistent
-//! epoch per command) and publish their outputs as new versions, so
-//! `ls` shows versions, `versions <name>` shows a name's history,
-//! `gc` reclaims what no pinned reader can reach, and `compact <graph>`
+//! commands resolve names through a snapshot (one consistent epoch per
+//! command) and publish their outputs as new versions, so `ls` shows
+//! versions, `versions <name>` shows a name's history, `gc` counts the
+//! displaced versions freed since the last `gc`, and `compact <graph>`
 //! rewrites a mutated graph's adjacency slabs as a fresh version.
 //!
 //! Run with `cargo run --release --example ringo_shell`, then e.g.:
@@ -85,7 +85,7 @@ commands:
   info <name>                                table or graph summary
   ls                                         list the catalog (versions + epoch)
   versions <name>                            a name's full publish history
-  gc                                         reclaim unpinned catalog versions
+  gc                                         count catalog versions freed since last gc
   compact <graph>                            rewrite adjacency slabs as a new version
   addedge|deledge <graph> <src> <dst>        edit one edge, publish as a new version
   timings                                    per-verb latency & memory aggregates,

@@ -1,5 +1,5 @@
 //! Snapshot smoke: drives the versioned catalog end-to-end so CI can pin
-//! the epoch-snapshot contract.
+//! the snapshot contract.
 //!
 //! Run with `RINGO_THREADS=4 RINGO_TRACE=1 \
 //! RINGO_TRACE_JSON=snapshot_smoke.json \
@@ -9,7 +9,7 @@
 //! graph's adjacency slabs, and gc — the pinned snapshot's query and BFS
 //! checksums must come out bit-identical before and after the storm, the
 //! dead slab bytes must actually be reclaimed, and the dumped trace must
-//! carry `epoch.*` and `catalog.*` spans for every phase.
+//! carry `catalog.*` spans for every phase.
 
 use ringo::trace::mem::TrackingAllocator;
 use ringo::{Cmp, Dataset, Direction, Predicate, Ringo, Snapshot, Table};

@@ -1,26 +1,62 @@
 //! Snapshot isolation over the versioned catalog.
 //!
-//! The epoch machinery's contract, exercised end-to-end through the
-//! [`Ringo`] facade: a pinned [`ringo::Snapshot`] reads **one** version
-//! of every name for its whole lifetime — queries and graph algorithms
-//! resolved through it return bit-identical results no matter how many
-//! publishes, compactions, and gc passes land concurrently — and `gc`
-//! never reclaims a version a live snapshot can still reach, but does
-//! reclaim it (allocator-verified) the moment the pin drops.
+//! The catalog's contract, exercised end-to-end through the [`Ringo`]
+//! facade: a [`ringo::Snapshot`] reads **one** version of every name for
+//! its whole lifetime — queries and graph algorithms resolved through it
+//! return bit-identical results no matter how many publishes,
+//! compactions, and gc passes land concurrently — and a displaced
+//! version stays alive exactly as long as some snapshot holds it: its
+//! bytes come back (allocator-verified) when the last such snapshot
+//! drops, with no `gc` call, even when that snapshot is dropped by a
+//! panic.
 //!
-//! Kept in its own test binary because the reclamation test measures the
-//! process-global [`TrackingAllocator`] live-byte counter; sibling tests
-//! here keep their working sets far below the 64 MB signal it watches.
+//! Kept in its own test binary because the reclamation tests measure the
+//! process-global [`TrackingAllocator`] live-byte counter; they take
+//! [`BIG`] so only one of them allocates its 64 MB table at a time, and
+//! the other tests here keep their working sets far below the signal.
 
 use ringo::trace::mem::{current_bytes, TrackingAllocator};
-use ringo::{Cmp, Dataset, Direction, GcPolicy, Predicate, Ringo, Snapshot, Table};
+use ringo::{Cmp, Dataset, Direction, Predicate, Ringo, Snapshot, Table};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
+
+/// Rows of the reclamation tests' table: 8 Mi rows * 8 B = 64 MB.
+const ROWS: usize = 8 << 20;
+/// Half the table: a byte change this large is unambiguous.
+const SIGNAL: usize = 32 << 20;
+
+/// Held by each test that allocates a `ROWS` table, so no measurement
+/// window sees another test's 64 MB come or go.
+static BIG: Mutex<()> = Mutex::new(());
+
+fn big_lock() -> MutexGuard<'static, ()> {
+    BIG.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn big_table() -> Table {
+    Table::from_int_column("x", (0..ROWS as i64).collect())
+}
+
+/// A snapshot never reads a version newer than its own epoch: every
+/// name's publish epoch is at most the epoch of the root it reads.
+fn assert_epochs_consistent(snap: &Snapshot, threads: usize) {
+    for name in snap.names() {
+        let meta = snap.meta(name).expect("bound name has metadata");
+        assert!(
+            meta.epoch <= snap.epoch(),
+            "{name} v{} was published at epoch {}, after the snapshot's \
+             epoch {} (threads={threads})",
+            meta.version,
+            meta.epoch,
+            snap.epoch()
+        );
+    }
+}
 
 /// Order- and representation-sensitive digest of a table: row count,
 /// schema, row ids, and every cell (floats by raw bits). Two tables
@@ -156,6 +192,15 @@ fn pinned_reads_bit_identical_across_publish_storm() {
             "graph results drifted under publish storm (threads={threads})"
         );
 
+        // Snapshots taken while the writer publishes each read one root,
+        // and report that root's epoch.
+        let storm_start = ringo.versions("edges").len();
+        let mut taken = 0;
+        while taken < 200 || ringo.versions("edges").len() < storm_start + 2 {
+            assert_epochs_consistent(&ringo.snapshot(), threads);
+            taken += 1;
+        }
+
         stop.store(true, Ordering::Relaxed);
         let rounds = writer.join().unwrap();
         assert!(rounds > 0, "writer made progress while readers were pinned");
@@ -175,27 +220,24 @@ fn pinned_reads_bit_identical_across_publish_storm() {
     }
 }
 
-/// `gc` must not reclaim a version a live snapshot pins, and must
-/// reclaim it once the pin drops — verified against the tracking
-/// allocator's live-byte counter with a 64 MB table, a signal two
-/// orders of magnitude above this binary's other traffic.
+/// `gc` must not reclaim a version a live snapshot holds, and the
+/// version's bytes must come back when the snapshot drops, with no `gc`
+/// call — verified against the tracking allocator's live-byte counter
+/// with a 64 MB table, a signal two orders of magnitude above this
+/// binary's other traffic.
 #[test]
 fn gc_spares_pinned_versions_and_reclaims_after_unpin() {
-    const ROWS: usize = 8 << 20; // 8 Mi rows * 8 B = 64 MB column
-    const SIGNAL: usize = 32 << 20; // half the column: unambiguous
-
+    let _big = big_lock();
     let ringo = Ringo::with_threads(2);
     let catalog = ringo.catalog();
-    assert_eq!(catalog.policy(), GcPolicy::Auto);
 
-    let big = Table::from_int_column("x", (0..ROWS as i64).collect());
     let expect_sum: i64 = (0..ROWS as i64).sum();
-    ringo.publish_table("big", big);
+    ringo.publish_table("big", big_table());
 
     let snap = ringo.snapshot();
 
-    // Displace the 64 MB version while it is pinned. Auto-gc runs on
-    // every publish — it must skip the pinned root.
+    // Displace the 64 MB version while the snapshot holds it; gc must
+    // leave it alone.
     ringo.publish_table("big", Table::from_int_column("x", vec![1, 2, 3]));
     let pinned_floor = current_bytes();
     ringo.catalog_gc();
@@ -216,19 +258,20 @@ fn gc_spares_pinned_versions_and_reclaims_after_unpin() {
     let sum: i64 = t.int_col("x").unwrap().iter().sum();
     assert_eq!(sum, expect_sum, "pinned version corrupted");
 
-    // Unpin: the next gc must actually return the memory.
-    drop(snap);
+    // Unpin: dropping the snapshot itself returns the memory.
     let before_free = current_bytes();
-    let freed_versions = ringo.catalog_gc();
+    drop(snap);
     let after_free = current_bytes();
-    assert!(freed_versions > 0, "unpinned retiree must be collected");
-    assert_eq!(catalog.retired_count(), 0);
     assert!(
         before_free.saturating_sub(after_free) >= SIGNAL,
-        "expected >= {} bytes back after unpin, got {}",
+        "expected >= {} bytes back when the snapshot dropped, got {}",
         SIGNAL,
         before_free.saturating_sub(after_free)
     );
+    assert_eq!(catalog.retired_count(), 0);
+    let freed_versions = ringo.catalog_gc();
+    assert!(freed_versions > 0, "gc reports the version that died");
+    assert_eq!(catalog.retired_count(), 0);
 
     // Current version unaffected throughout.
     let cur = ringo
@@ -236,6 +279,83 @@ fn gc_spares_pinned_versions_and_reclaims_after_unpin() {
         .and_then(|d| d.as_table().cloned())
         .unwrap();
     assert_eq!(cur.int_col("x").unwrap(), &[1, 2, 3]);
+}
+
+/// A version displaced after a snapshot was taken, but not held by it,
+/// is freed at once: the snapshot keeps only the root it read.
+#[test]
+fn a_version_no_snapshot_holds_is_freed_when_displaced() {
+    let _big = big_lock();
+    let ringo = Ringo::with_threads(2);
+    ringo.publish_table("t", Table::from_int_column("x", vec![1]));
+    let snap = ringo.snapshot();
+
+    let base = current_bytes();
+    ringo.publish_table("t", big_table());
+    assert!(
+        current_bytes().saturating_sub(base) >= SIGNAL,
+        "the 64 MB version is live while current"
+    );
+    ringo.publish_table("t", Table::from_int_column("x", vec![3]));
+    let left = current_bytes().saturating_sub(base);
+    assert!(
+        left < SIGNAL,
+        "the displaced 64 MB version still holds ~{left} bytes with no \
+         snapshot on it"
+    );
+    assert_eq!(ringo.catalog().retired_count(), 1, "only the held root");
+    assert_eq!(snap.table("t").unwrap().int_col("x").unwrap(), &[1]);
+}
+
+/// A thread that takes a snapshot and panics leaves no reader behind:
+/// the unwind drops the snapshot, the version only it held is freed,
+/// and every catalog verb still works.
+#[test]
+fn a_panicking_reader_releases_its_snapshot() {
+    let _big = big_lock();
+    let ringo = Ringo::with_threads(2);
+    let base = current_bytes();
+    ringo.publish_table("big", big_table());
+
+    let reader = {
+        let ringo = ringo.clone();
+        std::thread::spawn(move || {
+            let snap = ringo.snapshot();
+            ringo.publish_table("big", Table::from_int_column("x", vec![1]));
+            assert_eq!(snap.table("big").unwrap().n_rows(), ROWS);
+            panic!("reader fails while holding a snapshot");
+        })
+    };
+    assert!(reader.join().is_err(), "the reader panicked");
+
+    let catalog = ringo.catalog();
+    assert_eq!(
+        catalog.pinned_readers(),
+        0,
+        "the unwind dropped the snapshot"
+    );
+    let left = current_bytes().saturating_sub(base);
+    assert!(
+        left < SIGNAL,
+        "the version only the panicked reader held still holds ~{left} bytes"
+    );
+
+    let mut g = ringo::DirectedGraph::new();
+    for i in 0..20i64 {
+        g.add_edge(i, i + 1);
+    }
+    g.del_edge(0, 1);
+    assert_eq!(ringo.publish_graph("g", g), 1);
+    let (version, stats) = ringo.compact_graph("g").expect("g is a graph");
+    assert_eq!(version, 2);
+    assert_eq!(stats.after.dead_slab_bytes(), 0);
+    let snap = ringo.snapshot();
+    assert_eq!(snap.meta("g").unwrap().version, 2);
+    assert_eq!(snap.table("big").unwrap().int_col("x").unwrap(), &[1]);
+    assert_eq!(catalog.pinned_readers(), 1);
+    assert!(ringo.catalog_gc() >= 1, "gc reports the freed version");
+    drop(snap);
+    assert_eq!(catalog.retired_count(), 0);
 }
 
 /// Two snapshots pinned around a publish see different versions of the
