@@ -44,8 +44,8 @@ pub struct OpRecord {
     /// How much the operation raised the process-wide peak-heap
     /// high-water mark (bytes).
     pub mem_peak_delta: u64,
-    /// A `"query"`'s executed plan nodes, post-order, ending with
-    /// `collect` (empty for every other verb).
+    /// What a `"query"`'s scan and each of its steps did, in step order,
+    /// ending with `collect` (empty for every other verb).
     pub plan: Vec<NodeStat>,
     /// Gather passes a `"query"` ran (0 or 1; 0 for every other verb).
     pub gathers: u32,

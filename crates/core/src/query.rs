@@ -1,39 +1,36 @@
 //! Lazy query building over the facade: [`crate::Ringo::query`].
 //!
-//! Where the eager facade verbs ([`crate::Ringo::select`],
-//! [`crate::Ringo::join`], ...) each materialize a full intermediate
-//! table, a [`QueryBuilder`] accumulates the verbs into a logical
-//! [`Plan`], optimizes it (select fusion, select pushdown, column
-//! pruning) and executes it with late materialization: column data is
-//! gathered exactly once, at [`QueryBuilder::collect`]. The op-log
-//! records one `"query"` entry: its [`OpRecord::plan`] holds every
-//! executed node's stats, and its params line is the optimized plan
-//! shape with per-operator output cardinalities — morsel-driven nodes
-//! add their dispatch stats inside the brackets — e.g.
+//! A [`QueryBuilder`] records a chain of the eager verbs
+//! ([`crate::Ringo::select`], [`crate::Ringo::join`], ...) as
+//! [`Step`]s and nothing runs until [`QueryBuilder::collect`], which folds
+//! the chain over table views and gathers column data exactly once. The
+//! op-log records one `"query"` entry: its [`OpRecord::plan`] holds what
+//! every step did, in step order, and its params line is the chain's
+//! shape with per-step output cardinalities — morsel-driven steps add
+//! their dispatch stats inside the brackets — e.g.
 //! `scan[1000000] select[37 m16 w4] project[37] collect[37] gathers=1`
 //! (16 morsels executed by 4 distinct pool workers).
-//! [`QueryBuilder::explain_analyze`] renders the same record as a tree.
+//! [`QueryBuilder::explain_analyze`] renders the same record, one line a
+//! step.
 
 use crate::catalog::Snapshot;
 use crate::{OpRecord, Result, Ringo};
-use ringo_table::exec;
-use ringo_table::plan::Plan;
-use ringo_table::{AggOp, Predicate, Schema, Table, TableError};
+use ringo_table::plan::{self, Step};
+use ringo_table::{exec, AggOp, Predicate, Schema, Table, TableError};
 
 /// A lazy query under construction. Created by [`Ringo::query`]; verbs
-/// chain by value and nothing executes until [`QueryBuilder::collect`]
-/// (or [`QueryBuilder::explain`], which only plans).
+/// chain by value and nothing executes until [`QueryBuilder::collect`].
 #[derive(Clone, Debug)]
 pub struct QueryBuilder<'a> {
     ringo: &'a Ringo,
     tables: Vec<&'a Table>,
-    plan: Plan,
+    steps: Vec<Step>,
 }
 
 impl Ringo {
     /// Starts a lazy query over `table`. Chain relational verbs on the
-    /// returned builder, then [`QueryBuilder::collect`] to run the
-    /// optimized plan with a single materialization pass:
+    /// returned builder, then [`QueryBuilder::collect`] to run the chain
+    /// with a single materialization pass:
     ///
     /// ```
     /// use ringo_core::{Predicate, Ringo, Table};
@@ -55,7 +52,7 @@ impl Ringo {
         QueryBuilder {
             ringo: self,
             tables: vec![table],
-            plan: Plan::scan(0),
+            steps: Vec::new(),
         }
     }
 
@@ -91,26 +88,32 @@ fn resolve_table<'a>(snapshot: &'a Snapshot, name: &str) -> Result<&'a Table> {
 }
 
 impl<'a> QueryBuilder<'a> {
-    /// Filters rows by `predicate` (lazy [`Table::select`]).
-    pub fn select(mut self, predicate: &Predicate) -> Self {
-        self.plan = Plan::select(self.plan, predicate.clone());
+    fn push(mut self, step: Step) -> Self {
+        self.steps.push(step);
         self
     }
 
+    /// Filters rows by `predicate` (lazy [`Table::select`]).
+    pub fn select(self, predicate: &Predicate) -> Self {
+        self.push(Step::Select(predicate.clone()))
+    }
+
     /// Keeps only `cols`, in order (lazy [`Table::project`]).
-    pub fn project(mut self, cols: &[&str]) -> Self {
-        self.plan = Plan::project(self.plan, cols.iter().map(|c| (*c).to_string()).collect());
-        self
+    pub fn project(self, cols: &[&str]) -> Self {
+        self.push(Step::Project(strings(cols)))
     }
 
     /// Hash-joins the query so far with `other` on
     /// `left_col == right_col` (lazy [`Table::join`]; same clash-suffix
     /// output layout).
     pub fn join(mut self, other: &'a Table, left_col: &str, right_col: &str) -> Self {
-        let idx = self.tables.len();
         self.tables.push(other);
-        self.plan = Plan::join(self.plan, Plan::scan(idx), left_col, right_col);
-        self
+        let table = self.tables.len() - 1;
+        self.push(Step::Join {
+            table,
+            left_col: left_col.to_string(),
+            right_col: right_col.to_string(),
+        })
     }
 
     /// Like [`QueryBuilder::join`], but the right side is resolved by
@@ -128,94 +131,88 @@ impl<'a> QueryBuilder<'a> {
 
     /// Groups and aggregates (lazy [`Table::group_by`]).
     pub fn group_by(
-        mut self,
+        self,
         group_cols: &[&str],
         agg_col: Option<&str>,
         op: AggOp,
         out_name: &str,
     ) -> Self {
-        self.plan = Plan::group_by(
-            self.plan,
-            group_cols.iter().map(|c| (*c).to_string()).collect(),
-            agg_col.map(str::to_string),
+        self.push(Step::GroupBy {
+            group_cols: strings(group_cols),
+            agg_col: agg_col.map(str::to_string),
             op,
-            out_name,
-        );
-        self
+            out_name: out_name.to_string(),
+        })
     }
 
     /// Sorts by `cols` (lazy [`Table::order_by`]; the sort becomes a
     /// permutation of the selection vector, not a data shuffle).
-    pub fn order_by(mut self, cols: &[&str], ascending: bool) -> Self {
-        self.plan = Plan::order_by(
-            self.plan,
-            cols.iter().map(|c| (*c).to_string()).collect(),
-            ascending,
-        );
-        self
+    pub fn order_by(self, cols: &[&str], ascending: bool) -> Self {
+        let cols = strings(cols);
+        self.push(Step::OrderBy { cols, ascending })
     }
 
     /// Predecessor–successor join (lazy [`Table::next_k`]).
-    pub fn next_k(mut self, group_col: Option<&str>, order_col: &str, k: usize) -> Self {
-        self.plan = Plan::next_k(self.plan, group_col.map(str::to_string), order_col, k);
-        self
+    pub fn next_k(self, group_col: Option<&str>, order_col: &str, k: usize) -> Self {
+        self.push(Step::NextK {
+            group_col: group_col.map(str::to_string),
+            order_col: order_col.to_string(),
+            k,
+        })
     }
 
-    /// The output schema this query will produce, validating every
-    /// column reference without executing anything.
+    /// The output schema this query will produce. Runs the chain on
+    /// zero-row views of its tables, so it reads no rows and its errors
+    /// are the eager verbs' own.
     pub fn schema(&self) -> Result<Schema> {
-        self.plan.schema(&self.tables)
+        Ok(exec::validate(&self.steps, &self.tables)?.schema().clone())
     }
 
-    /// The logical plan as built so far (before optimization).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// Validates the query, optimizes it, and pretty-prints the
-    /// *optimized* plan — what [`QueryBuilder::collect`] would actually
-    /// run — annotated with `(fused n)` / `(pushed)` / `(pruned)`
-    /// markers. Nothing is executed.
+    /// Validates the query like [`QueryBuilder::schema`] and prints the
+    /// chain [`QueryBuilder::collect`] would run, one line a step in step
+    /// order. Reads no rows.
     pub fn explain(&self) -> Result<String> {
-        self.plan.schema(&self.tables)?;
-        let optimized = self.plan.clone().optimize(&self.tables)?;
-        Ok(optimized.display(&self.tables))
+        exec::validate(&self.steps, &self.tables)?;
+        Ok(plan::display(&self.steps, &self.tables))
     }
 
-    /// Like [`QueryBuilder::explain`], but executes the optimized plan and
-    /// renders the `"query"` record [`QueryBuilder::collect`] would log:
-    /// every node's rows, wall time and share, and for morsel-driven ones
+    /// Like [`QueryBuilder::explain`], but executes the chain and renders
+    /// the `"query"` record [`QueryBuilder::collect`] would log: every
+    /// step's rows, wall time and share, and for morsel-driven ones
     /// morsels, pool workers and their busy split. Observe-only: the
     /// output table is discarded and the record is not logged.
     pub fn explain_analyze(&self) -> Result<String> {
-        let (optimized, _, record) = self.execute()?;
-        let total_ns = record.wall.as_nanos() as u64;
-        Ok(optimized.display_executed(&self.tables, &record.plan, record.gathers, total_ns))
+        let (_, rec) = self.execute()?;
+        Ok(plan::display_executed(
+            &self.steps,
+            &self.tables,
+            &rec.plan,
+            rec.gathers,
+            rec.wall.as_nanos() as u64,
+        ))
     }
 
-    /// Validates and optimizes the plan, executes it with one gather
-    /// pass, logs a `"query"` op-log record with the executed plan
-    /// (see [`crate::OpRecord::plan`]), and returns the materialized table.
+    /// Executes the chain with one gather pass, logs a `"query"` op-log
+    /// record with what each step did (see [`crate::OpRecord::plan`]),
+    /// and returns the materialized table.
     pub fn collect(self) -> Result<Table> {
-        let (_, table, record) = self.execute()?;
+        let (table, record) = self.execute()?;
         self.ringo.ops.push(record);
         Ok(table)
     }
 
-    /// The one execution path: validates the raw plan, optimizes it, runs
-    /// it under the op-log's measuring helper, and returns the optimized
-    /// plan, the output table and the (unlogged) `"query"` record.
-    fn execute(&self) -> Result<(Plan, Table, OpRecord)> {
+    /// The one execution path: runs the chain under the op-log's
+    /// measuring helper and returns the output table and the (unlogged)
+    /// `"query"` record.
+    fn execute(&self) -> Result<(Table, OpRecord)> {
         use std::fmt::Write;
-        // The *raw* plan: optimization must never legalize an invalid query.
-        self.plan.schema(&self.tables)?;
-        let optimized = self.plan.clone().optimize(&self.tables)?;
         let rows_in = self.tables.iter().map(|t| t.n_rows()).sum();
-        let (executed, record) =
-            OpRecord::measure("query", rows_in, || exec::execute(&optimized, &self.tables))?;
+        let (executed, record) = OpRecord::measure("query", rows_in, || {
+            exec::execute(&self.steps, &self.tables)
+        })?;
         let mut params = String::new();
         for s in &executed.stats {
-            // Morsel-driven nodes record their dispatch inside the
+            // Morsel-driven steps record their dispatch inside the
             // brackets: `select[5155 m16 w4]` = 5155 rows out, 16 morsels
             // executed by 4 distinct pool workers.
             let _ = match s.morsels {
@@ -233,8 +230,12 @@ impl<'a> QueryBuilder<'a> {
             gathers: executed.gathers,
             ..record
         };
-        Ok((optimized, table, record))
+        Ok((table, record))
     }
+}
+
+fn strings(cols: &[&str]) -> Vec<String> {
+    cols.iter().map(|c| c.to_string()).collect()
 }
 
 #[cfg(test)]
@@ -316,23 +317,8 @@ mod tests {
         assert!(rec.params.contains("scan[200]"), "params: {}", rec.params);
         assert!(rec.params.contains("gathers=1"), "params: {}", rec.params);
         assert_eq!(rec.rows_in, 200);
-        // Fused: exactly one select node executed.
-        assert_eq!(rec.params.matches("select[").count(), 1);
-    }
-
-    #[test]
-    fn explain_shows_optimizer_markers() {
-        let ringo = Ringo::with_threads(2);
-        let t = sample();
-        let q = ringo
-            .query(&t)
-            .project(&["id", "val"])
-            .select(&Predicate::int("val", Cmp::Lt, 3))
-            .select(&Predicate::int("id", Cmp::Ge, 10));
-        let plan = q.explain().unwrap();
-        assert!(plan.contains("(fused 2)"), "plan:\n{plan}");
-        assert!(plan.contains("(pushed)"), "plan:\n{plan}");
-        assert!(plan.contains("Scan #0"), "plan:\n{plan}");
+        // The chain runs as written: both selects execute.
+        assert_eq!(rec.params.matches("select[").count(), 2);
     }
 
     #[test]
@@ -370,14 +356,7 @@ mod tests {
         let log = ringo.op_log();
         let rec = log.iter().find(|r| r.name == "query").unwrap();
         let ops: Vec<&str> = rec.plan.iter().map(|s| s.op).collect();
-        // The optimizer may insert a pruning projection before the select, so
-        // assert on the load-bearing shape rather than the exact node list.
-        assert_eq!(ops.first(), Some(&"scan"));
-        assert_eq!(ops.last(), Some(&"collect"));
-        assert!(
-            ops.contains(&"select") && ops.contains(&"project"),
-            "{ops:?}"
-        );
+        assert_eq!(ops, ["scan", "select", "project", "collect"]);
         let select = rec.plan.iter().find(|s| s.op == "select").unwrap();
         assert!(select.morsels >= 1, "select is morsel-driven");
         assert!(select.workers >= 1);

@@ -294,55 +294,32 @@ where
     (pairs, stats)
 }
 
-/// Which input table a join output column is drawn from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum JoinSide {
-    /// The left (probe or build) input.
-    Left,
-    /// The right input.
-    Right,
-}
-
-/// One column of a join's output: source side, source column index, and the
-/// (already clash-suffixed) output name.
-#[derive(Clone, Debug)]
-pub(crate) struct JoinOutCol {
-    pub side: JoinSide,
-    pub col: usize,
-    pub name: String,
-}
-
 /// Builds the output table of a join given matched positions in the two
-/// tables' columns, emitting exactly the columns in `out_cols` (whose
-/// names must be distinct). The pruned-join path of the lazy executor
-/// passes a subset here; the eager join passes the full clash-suffixed
-/// width. The output shares `left`'s pool; the right side's strings enter
-/// it once per distinct symbol, and not at all when the pool is shared.
-pub(crate) fn materialize_join_cols(
+/// tables' columns: all of `left`'s columns, then all of `right`'s, later
+/// name clashes suffixed `-1`, `-2`, ... by [`crate::Schema::push_unique`].
+/// The output shares `left`'s pool; the right side's strings enter it
+/// once per distinct symbol, and not at all when the pool is shared.
+pub(crate) fn materialize_join(
     left: &Table,
     right: &Table,
     left_rows: &[u32],
     right_rows: &[u32],
-    out_cols: &[JoinOutCol],
 ) -> Result<Table> {
     debug_assert_eq!(left_rows.len(), right_rows.len());
     let mut schema = crate::Schema::default();
-    let mut cols = Vec::with_capacity(out_cols.len());
-    for oc in out_cols {
-        let (t, rows) = match oc.side {
-            JoinSide::Left => (left, left_rows),
-            JoinSide::Right => (right, right_rows),
-        };
-        schema.push_unique(&oc.name, t.schema.column_type(oc.col));
-        cols.push(t.cols[oc.col].gather_sel(rows));
+    let mut cols = Vec::with_capacity(left.n_cols() + right.n_cols());
+    for (t, rows) in [(left, left_rows), (right, right_rows)] {
+        for (col, (name, ty)) in t.cols.iter().zip(t.schema.iter()) {
+            schema.push_unique(name, ty);
+            cols.push(col.gather_sel(rows));
+        }
     }
     let mut pool = left.pool.clone();
     if !Arc::ptr_eq(&pool, &right.pool) {
-        let mut right_strs: Vec<&mut Vec<u32>> = cols
+        let mut right_strs: Vec<&mut Vec<u32>> = cols[left.n_cols()..]
             .iter_mut()
-            .zip(out_cols)
-            .filter_map(|(col, oc)| match (col, oc.side) {
-                (ColumnData::Str(syms), JoinSide::Right) => Some(syms),
+            .filter_map(|col| match col {
+                ColumnData::Str(syms) => Some(syms),
                 _ => None,
             })
             .collect();
@@ -356,47 +333,6 @@ pub(crate) fn materialize_join_cols(
     }
     let cols = cols.into_iter().map(Arc::new).collect();
     Table::from_shared(schema, cols, pool, left.threads)
-}
-
-/// The full clash-suffixed output column list of `left ⋈ right`: all of
-/// `left`'s columns then all of `right`'s, later name clashes suffixed
-/// `-1`, `-2`, ... by [`crate::Schema::push_unique`].
-pub(crate) fn join_out_cols(left: &Table, right: &Table) -> Vec<JoinOutCol> {
-    let mut sim = crate::Schema::default();
-    let mut out = Vec::with_capacity(left.n_cols() + right.n_cols());
-    for (i, (name, ty)) in left.schema.iter().enumerate() {
-        let name = sim.push_unique(name, ty);
-        out.push(JoinOutCol {
-            side: JoinSide::Left,
-            col: i,
-            name,
-        });
-    }
-    for (i, (name, ty)) in right.schema.iter().enumerate() {
-        let name = sim.push_unique(name, ty);
-        out.push(JoinOutCol {
-            side: JoinSide::Right,
-            col: i,
-            name,
-        });
-    }
-    out
-}
-
-/// Builds the full-width output table of a join given matched row positions.
-pub(crate) fn materialize_join(
-    left: &Table,
-    right: &Table,
-    left_rows: &[u32],
-    right_rows: &[u32],
-) -> Result<Table> {
-    materialize_join_cols(
-        left,
-        right,
-        left_rows,
-        right_rows,
-        &join_out_cols(left, right),
-    )
 }
 
 #[cfg(test)]
@@ -514,11 +450,15 @@ mod tests {
 
     #[test]
     fn i64_min_joins_like_any_key_on_either_side() {
-        use crate::plan::Plan;
-        // The eager verb and the lazy executor's join.
+        use crate::plan::Step;
+        // The eager verb and a lazy chain's join step.
         let join_both = |l: &Table, lc: &str, r: &Table, rc: &str| {
-            let plan = Plan::join(Plan::scan(0), Plan::scan(1), lc, rc);
-            let lazy = crate::exec::execute(&plan, &[l, r]).map(|e| e.table);
+            let step = Step::Join {
+                table: 1,
+                left_col: lc.into(),
+                right_col: rc.into(),
+            };
+            let lazy = crate::exec::execute(&[step], &[l, r]).map(|e| e.table);
             [l.join(r, lc, rc), lazy]
         };
         let column = |name: &str, len: usize, with_min: bool| {

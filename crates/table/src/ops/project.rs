@@ -114,10 +114,10 @@ mod tests {
     #[test]
     fn a_column_named_twice_is_an_error_eager_and_lazy() {
         let t = base();
-        let plan = crate::plan::Plan::project(crate::plan::Plan::scan(0), vec!["a".into(); 2]);
+        let step = crate::plan::Step::Project(vec!["a".into(); 2]);
         let errors = [
             t.project(&["a", "a"]).unwrap_err(),
-            crate::exec::execute(&plan, &[&t]).unwrap_err(),
+            crate::exec::execute(&[step], &[&t]).unwrap_err(),
         ];
         for err in errors {
             assert!(

@@ -151,34 +151,6 @@ impl Predicate {
     pub fn not(self) -> Self {
         Self::Not(Box::new(self))
     }
-
-    /// The column names this predicate reads, deduplicated, in first-use
-    /// order. The plan optimizer uses this for predicate pushdown and
-    /// column pruning.
-    pub fn columns(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns(&self, out: &mut Vec<String>) {
-        match self {
-            Self::Int { column, .. }
-            | Self::Float { column, .. }
-            | Self::Str { column, .. }
-            | Self::IntIn { column, .. } => {
-                if !out.iter().any(|c| c == column) {
-                    out.push(column.clone());
-                }
-            }
-            Self::And(a, b) | Self::Or(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-            }
-            Self::Not(p) => p.collect_columns(out),
-            Self::True => {}
-        }
-    }
 }
 
 /// Predicate with column indices resolved and string constants mapped to

@@ -6,10 +6,10 @@
 //! `collect()`s each end in a pending selection/projection, so the
 //! dumped trace must contain `plan.*` spans and a `table.gather`
 //! histogram with count == 3 — a regression that sneaks a second gather
-//! into the executor (or stops gathering lazily at all) fails CI rather
-//! than just losing the optimization. The fourth collect ends in a
-//! group-by, whose output is already owned (gathers=0); under
-//! `RINGO_THREADS>1` it also pins the `plan.morsel.*` dispatch spans.
+//! into the executor (or stops gathering lazily at all) fails CI. The
+//! fourth collect ends in a group-by, whose output is already owned
+//! (gathers=0); under `RINGO_THREADS>1` it also pins the `plan.morsel.*`
+//! dispatch spans. `explain` reads no rows and gathers nothing.
 
 use ringo::trace::mem::TrackingAllocator;
 use ringo::{Cmp, Predicate, Ringo, Table};
@@ -34,13 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p1 = Predicate::int("id", Cmp::Lt, N / 2);
     let p2 = Predicate::int("bucket", Cmp::Eq, 13);
 
-    // Collect 1: fused select chain + projection — one gather.
+    // Collect 1: select chain + projection — one gather.
     let q = ringo
         .query(&t)
         .select(&p1)
         .select(&p2)
         .project(&["id", "w"]);
-    println!("--- optimized plan ---\n{}", q.explain()?);
+    println!("--- chain ---\n{}", q.explain()?);
     let out = q.collect()?;
     println!("select.select.project: {} rows", out.n_rows());
 

@@ -61,11 +61,11 @@ commands:
   show <table> [rows]                        print the first rows
   select <out> <table> <col> <op> <value>    op: = != < <= > >= (type-aware)
   join <out> <left> <right> <lcol> <rcol>    inner hash join
-  query <out> <table> [clauses...]           lazy plan, one materialization:
+  query <out> <table> [clauses...]           lazy chain, one materialization:
                                              where <col> <op> <value> | project <a,b,..>
                                              | join <table> <lcol> <rcol>
-  explain <table> [clauses...]               print the optimized plan (same clauses)
-  profile <table> [clauses...]               run the plan, print each operator's rows,
+  explain <table> [clauses...]               print the chain of steps (same clauses)
+  profile <table> [clauses...]               run the chain, print each step's rows,
                                              time, share, morsels and worker busy split
   stats                                      pool / allocator / flight-recorder gauges
   group <out> <table> <col> count            group sizes

@@ -57,7 +57,7 @@ fn pipelines_bitwise_stable_with_tiny_morsels() {
         let p1 = Predicate::int("id", Cmp::Lt, 15_000);
         let p2 = Predicate::int("bucket", Cmp::Ge, 20);
         vec![
-            // Fused select chain + projection: many select morsels.
+            // Select chain + projection: many select morsels.
             ringo
                 .query(&t)
                 .select(&p1)

@@ -70,6 +70,19 @@ impl Model {
         self.rows.retain(|(_, v)| seen.insert(key(v, cols)));
     }
 
+    /// Keeps the columns `cols`, in that order.
+    fn project(&mut self, cols: &[&str]) {
+        let idx: Vec<usize> = cols.iter().map(|n| self.col(n)).collect();
+        let schema = &self.schema;
+        let kept = idx
+            .iter()
+            .map(|&i| (schema.name(i).to_string(), schema.column_type(i)));
+        self.schema = Schema::new(kept);
+        for (_, r) in self.rows.iter_mut() {
+            *r = idx.iter().map(|&i| r[i].clone()).collect();
+        }
+    }
+
     /// The stable sort `order_by` promises.
     fn sort(&mut self, cols: &[usize], ascending: bool) {
         self.rows.sort_by(|(_, a), (_, b)| {
@@ -255,6 +268,13 @@ fn joined_schema(left: &Schema, right: &Schema) -> Schema {
 
 fn names(m: &Model) -> Vec<String> {
     m.schema.iter().map(|(n, _)| n.to_string()).collect()
+}
+
+/// A random subset of the model's columns, possibly empty, in random order.
+fn random_columns(rng: &mut Rng64, m: &Model) -> Vec<String> {
+    let mut cols: Vec<String> = names(m).into_iter().filter(|_| rng.bool()).collect();
+    rng.shuffle(&mut cols);
+    cols
 }
 
 /// Applies `f` to the view form and to the copy, rematerializing the copy.
@@ -519,18 +539,10 @@ fn step(
             }
         }
         15 => {
-            let mut cols: Vec<String> = names(m).into_iter().filter(|_| rng.bool()).collect();
-            rng.shuffle(&mut cols);
+            let cols = random_columns(rng, m);
             let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
             both(v, c, |t| t.project(&cols).unwrap());
-            let idx: Vec<usize> = cols.iter().map(|n| m.col(n)).collect();
-            m.schema = Schema::new(
-                idx.iter()
-                    .map(|&i| (m.schema.name(i).to_string(), m.schema.column_type(i))),
-            );
-            for (_, r) in m.rows.iter_mut() {
-                *r = idx.iter().map(|&i| r[i].clone()).collect();
-            }
+            m.project(&cols);
             format!("project({cols:?})")
         }
         16 if narrow => {
@@ -582,27 +594,60 @@ fn step(
             "value_counts(k)".into()
         }
         _ => {
+            // A lazy chain, every step applied to the model too. A join's
+            // row order is the kernel's, so after a join the model takes
+            // the result's order (as the eager join arms do) and only
+            // steps that keep row order follow it. `joined` is the id the
+            // next row added to the join's output takes.
+            let d = partner(rng, &dim_schema(), &[], threads);
             let mut q = (ringo.query(v), ringo.query(c));
+            let mut joined = None;
             let mut desc = String::from("collect:");
             for _ in 0..rng.below(4) {
-                if rng.bool() {
-                    let (pred, cmp, x) = k_predicate(rng);
-                    let k = m.col("k");
-                    m.rows.retain(|(_, r)| holds(cmp, &r[k], x));
-                    q = (q.0.select(&pred), q.1.select(&pred));
-                    desc.push_str(" select");
-                } else {
-                    let ascending = rng.bool();
-                    m.sort(&[m.col("k")], ascending);
-                    q = (
-                        q.0.order_by(&["k"], ascending),
-                        q.1.order_by(&["k"], ascending),
-                    );
-                    desc.push_str(" order_by");
+                if !m.schema.contains("k") {
+                    break;
+                }
+                let narrow = m.schema.len() <= 4 && m.rows.len() <= 60;
+                match rng.below(4) {
+                    1 if joined.is_none() => {
+                        let ascending = rng.bool();
+                        m.sort(&[m.col("k")], ascending);
+                        q = (
+                            q.0.order_by(&["k"], ascending),
+                            q.1.order_by(&["k"], ascending),
+                        );
+                        desc.push_str(" order_by");
+                    }
+                    2 => {
+                        let cols = random_columns(rng, m);
+                        let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+                        m.project(&cols);
+                        q = (q.0.project(&cols), q.1.project(&cols));
+                        desc.push_str(&format!(" project({cols:?})"));
+                    }
+                    3 if narrow && joined.is_none() => {
+                        let want = join_rows(&m.values(), &d.rows, m.col("k"), 0);
+                        let schema = joined_schema(&m.schema, &dim_schema());
+                        joined = Some(want.len() as u64);
+                        *m = Model::fresh(schema, want);
+                        q = (q.0.join(&d.view, "k", "k"), q.1.join(&d.copy, "k", "k"));
+                        desc.push_str(" join");
+                    }
+                    _ => {
+                        let (pred, cmp, x) = k_predicate(rng);
+                        let k = m.col("k");
+                        m.rows.retain(|(_, r)| holds(cmp, &r[k], x));
+                        q = (q.0.select(&pred), q.1.select(&pred));
+                        desc.push_str(" select");
+                    }
                 }
             }
             let (qv, qc) = (q.0.collect().unwrap(), q.1.collect().unwrap());
             (*v, *c) = (qv, materialized(&qc));
+            if let Some(next) = joined {
+                *m = Model::adopt(v, &m.values(), &desc);
+                m.next = next;
+            }
             desc
         }
     }
