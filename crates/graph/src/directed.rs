@@ -1,16 +1,17 @@
-//! The paper's dynamic directed graph: a node hash table with sorted
-//! in/out adjacency vectors per node.
+//! The paper's dynamic directed graph: an id index over slots with
+//! sorted in/out adjacency rows per node.
 
-use crate::nbrs::{AdjacencyStats, CompactStats, Nodes, Rows};
+use crate::nbrs::{AdjacencyStats, CompactStats, Nodes, Rank, Rows};
 use crate::topology::DirectedTopology;
 use crate::{NodeId, NodeValues};
 use std::sync::Arc;
 
 /// A dynamic directed graph (multi-edges disallowed, self-loops allowed).
 ///
-/// Nodes live in slots addressed through an open-addressing hash index
-/// (id → slot). Each node keeps its in-neighbours and out-neighbours as
-/// rows of neighbour *slots* (4 bytes a neighbour), sorted by slot, so:
+/// Nodes live in slots addressed through an id index (id → slot: a
+/// [`crate::Rank`] and an overlay). Each node keeps its in-neighbours and
+/// out-neighbours as rows of neighbour *slots* (4 bytes a neighbour),
+/// sorted by slot, so:
 ///
 /// * `has_edge` is `O(log deg)`,
 /// * `add_edge` / `del_edge` are `O(deg)` (vector insert/remove at a binary-
@@ -204,7 +205,7 @@ impl DirectedGraph {
             .flat_map(move |(s, id)| Nbrs::new(self.out.row(s), self).map(move |d| (id, d)))
     }
 
-    /// Heap footprint in bytes: hash index, node side, and both
+    /// Heap footprint in bytes: id index, node side, and both
     /// orientations' offsets, slabs (dead ranges included), overlays and
     /// edited lists. This is what the paper's Table 2 reports as
     /// "In-memory Graph Size". Versions share all of it until they write
@@ -222,7 +223,7 @@ impl DirectedGraph {
     /// # Panics
     /// On a duplicate node id, or a list naming an id no part holds.
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)>) -> Self {
-        let nodes = Nodes::bulk(parts.iter().map(|p| p.0).collect());
+        let nodes = Nodes::bulk(Rank::new(parts.iter().map(|p| p.0).collect()));
         let inn = Rows::packed(parts.iter().map(|(_, inn, _)| nodes.slots_of(inn)));
         let out = Rows::packed(parts.iter().map(|(_, _, out)| nodes.slots_of(out)));
         let n_edges = parts.iter().map(|p| p.2.len()).sum();
@@ -244,9 +245,9 @@ impl DirectedGraph {
     ///
     /// The graph keeps the slabs the producer filled in place (see
     /// [`crate::new_slab`]) and one `u32` offset a slot per orientation,
-    /// and reserves the node hash table once (no grow/rehash cycles): no
-    /// per-node allocation, and the adjacency is never copied. A row is
-    /// copied into a list of its own only when an edit first touches it.
+    /// and indexes the ids once, through a [`Rank`]: no per-node
+    /// allocation, and the adjacency is never copied. A row is copied
+    /// into a list of its own only when an edit first touches it.
     ///
     /// # Panics
     /// Panics on duplicate ids; debug builds also check that slabs are
@@ -258,19 +259,24 @@ impl DirectedGraph {
         out_off: &[usize],
         out_slab: Arc<[u32]>,
     ) -> Self {
-        let n = ids.len();
-        assert_eq!(
-            in_off.len(),
-            n + 1,
-            "in_off must have one bound per node plus one"
-        );
-        assert_eq!(
-            out_off.len(),
-            n + 1,
-            "out_off must have one bound per node plus one"
-        );
+        Self::from_ranked_parts(Rank::new(ids), in_off, in_slab, out_off, out_slab)
+    }
+
+    /// [`Self::from_sorted_parts`] on ids a producer already ranked its
+    /// neighbours through: the rank becomes the graph's id index.
+    pub fn from_ranked_parts(
+        rank: Rank,
+        in_off: &[usize],
+        in_slab: Arc<[u32]>,
+        out_off: &[usize],
+        out_slab: Arc<[u32]>,
+    ) -> Self {
+        let n = rank.ids().len();
+        for off in [in_off, out_off] {
+            assert_eq!(off.len(), n + 1, "offsets: one bound per node plus one");
+        }
         Self {
-            nodes: Nodes::bulk(ids),
+            nodes: Nodes::bulk(rank),
             n_edges: out_slab.len(),
             out: Rows::bulk(out_off, out_slab),
             inn: Rows::bulk(in_off, in_slab),
@@ -356,7 +362,7 @@ impl DirectedTopology for DirectedGraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(self.nodes.index(), self, per_slot, count, keep)
+        NodeValues::pack(&self.nodes, self, per_slot, count, keep)
     }
 }
 

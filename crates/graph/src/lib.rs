@@ -7,11 +7,11 @@
 //! in the node degree instead of linear in the total edge count.
 //!
 //! * [`DirectedGraph`] — the paper's representation for directed graphs:
-//!   node hash index over slots, each slot holding sorted in- and
-//!   out-neighbor rows. A neighbour is stored as the `u32` slot of its
-//!   node, so space is ~8 bytes per edge (4 in each orientation) plus
-//!   node overhead — below the Compressed Sparse Row figure the paper
-//!   compares against.
+//!   an id index over slots ([`Rank`] plus an overlay), each slot holding
+//!   sorted in- and out-neighbor rows. A neighbour is stored as the `u32`
+//!   slot of its node, so space is ~8 bytes per edge (4 in each
+//!   orientation) plus node overhead — below the Compressed Sparse Row
+//!   figure the paper compares against.
 //! * [`UndirectedGraph`] — same idea with a single neighbor row per node.
 //! * [`DirectedTopology`] — the slot-row read interface implemented by
 //!   every graph type, so one kernel runs on all of them and reads the
@@ -33,7 +33,7 @@ mod values;
 pub mod weighted;
 
 pub use directed::{DirectedGraph, Nbrs};
-pub use nbrs::{new_slab, AdjacencyStats, CompactStats};
+pub use nbrs::{new_slab, AdjacencyStats, CompactStats, Rank};
 pub use topology::{DirectedTopology, Direction};
 pub use undirected::UndirectedGraph;
 pub use values::NodeValues;

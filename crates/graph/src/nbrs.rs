@@ -168,20 +168,111 @@ fn bulk_row<'a>(offs: &[u32], slab: &'a [u32], s: usize) -> &'a [u32] {
     }
 }
 
+/// A node id's slot in a bulk build — its position among the ascending
+/// bulk ids — found without a hash probe: the id span is cut into about
+/// one bucket per node (under two), `bucket = (id − min) >> shift`, a
+/// bucket array holds the first position of every bucket, and a search
+/// inside the id's bucket finishes. On an even spread a bucket holds an
+/// id or two; a clustered one only lengthens the search, which the
+/// conversion's `convert.rank.scanned` counter shows.
+///
+/// It covers the ascending prefix of the ids it is built on; the rest go
+/// to [`Nodes`]' overlay. The conversion ranks every neighbour through it,
+/// then hands it to the graph (`from_ranked_parts`) as its id index.
+#[derive(Debug, Default)]
+pub struct Rank {
+    /// The bulk ids, by slot.
+    ids: Arc<Vec<NodeId>>,
+    min: NodeId,
+    shift: u32,
+    /// First position of each bucket, then the length of the prefix.
+    bucket: Vec<u32>,
+}
+
+impl Rank {
+    /// The rank index of `ids`, slot by slot.
+    ///
+    /// # Panics
+    /// More than `u32::MAX` ids: positions are `u32` slots.
+    pub fn new(mut ids: Vec<NodeId>) -> Self {
+        ids.shrink_to_fit();
+        let sorted = ids.windows(2).position(|w| w[0] >= w[1]);
+        let sorted = &ids[..sorted.map_or(ids.len(), |i| i + 1)];
+        let n = u64::from(slot_u32(sorted.len()));
+        let (&min, &max) = (sorted.first().unwrap_or(&0), sorted.last().unwrap_or(&0));
+        let span = max.wrapping_sub(min) as u64;
+        // The narrowest shift that leaves no more buckets than the power
+        // of two at or above the node count, under two buckets a node:
+        // `span >> shift < 2^k` exactly when the span has at most
+        // `shift + k` bits. Two or more ids make `k` at least 1, so the
+        // shift stays below 64; one id makes the span 0.
+        let k = n.next_power_of_two().trailing_zeros();
+        let shift = (u64::BITS - span.leading_zeros()).saturating_sub(k);
+        let mut bucket = vec![0u32; (span >> shift) as usize + 2];
+        for &id in sorted {
+            bucket[(id.wrapping_sub(min) as u64 >> shift) as usize + 1] += 1;
+        }
+        for b in 1..bucket.len() {
+            bucket[b] += bucket[b - 1];
+        }
+        Self {
+            ids: Arc::new(ids),
+            min,
+            shift,
+            bucket,
+        }
+    }
+
+    /// The ids it was built on, by slot.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// The slot of `id` if it is one of the ascending prefix's ids, and
+    /// how many ids the search compared: a bucket of one id needs no
+    /// search, a few ids are scanned from the start, a binary search takes
+    /// more. An id that is not there may get `None` or the slot of an id
+    /// beside it, so a caller that may ask for one confirms the answer.
+    #[inline(always)]
+    pub fn find(&self, id: NodeId) -> (Option<u32>, u32) {
+        const SCAN: usize = 8;
+        let b = (id.wrapping_sub(self.min) as u64 >> self.shift) as usize;
+        if b >= self.bucket.len().saturating_sub(1) {
+            return (None, 0);
+        }
+        let (lo, hi) = (self.bucket[b] as usize, self.bucket[b + 1] as usize);
+        let (at, compared) = if hi - lo == 1 {
+            (lo, 1)
+        } else if hi - lo <= SCAN {
+            let within = self.ids[lo..hi].iter().take_while(|&&x| x < id).count();
+            (lo + within, within as u32 + 1)
+        } else {
+            let within = self.ids[lo..hi].partition_point(|&x| x < id);
+            (lo + within, usize::BITS - (hi - lo).leading_zeros())
+        };
+        ((at < hi).then_some(at as u32), compared)
+    }
+}
+
 /// The node side of a graph: the id index, and per slot the node's id and
-/// whether the slot is vacant. Versions share both until one adds or
-/// deletes a node. The index is an `Arc` of its own because
-/// [`crate::NodeValues`] holds it.
+/// whether the slot is vacant. The index is the bulk build's [`Rank`],
+/// shared by every version, plus a per-version overlay for the nodes the
+/// rank does not answer for. Versions share all of it until one adds or
+/// deletes a node; [`crate::NodeValues`] holds a clone.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Nodes {
-    index: Arc<IntHashTable<u32>>,
-    slots: Arc<Slots>,
+    rank: Arc<Rank>,
+    /// Per slot: the node's id (stale while the slot is vacant). The
+    /// rank's own ids until a version writes one.
+    ids: Arc<Vec<NodeId>>,
+    edits: Arc<Edits>,
 }
 
 #[derive(Clone, Debug, Default)]
-struct Slots {
-    /// Per slot: the node's id (stale while the slot is vacant).
-    ids: Vec<NodeId>,
+struct Edits {
+    /// Id → slot of the nodes the rank does not answer for (added since
+    /// the bulk build, or past its ascending prefix); none until one is.
+    added: Option<IntHashTable<u32>>,
     /// Bit `s` set while slot `s` is vacant — every `i64` is a legal id,
     /// so no id value can say so. Covers the slots up to the highest one
     /// ever freed.
@@ -193,64 +284,63 @@ impl Nodes {
     /// Room for `n` nodes.
     pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
-            index: Arc::new(IntHashTable::with_capacity(n)),
-            slots: Arc::new(Slots {
-                ids: Vec::with_capacity(n),
-                ..Slots::default()
+            ids: Arc::new(Vec::with_capacity(n)),
+            edits: Arc::new(Edits {
+                added: Some(IntHashTable::with_capacity(n)),
+                ..Edits::default()
             }),
+            ..Self::default()
         }
     }
 
-    /// Node `k` is `ids[k]`, in slot `k`.
+    /// Node `k` is `rank.ids()[k]`, in slot `k`.
     ///
     /// # Panics
     /// On a duplicate id.
-    pub(crate) fn bulk(mut ids: Vec<NodeId>) -> Self {
-        let mut index = IntHashTable::with_capacity(ids.len());
-        for (k, &id) in ids.iter().enumerate() {
-            let prev = index.insert(id, slot_u32(k));
-            assert!(prev.is_none(), "duplicate node id {id} in parts");
+    pub(crate) fn bulk(rank: Rank) -> Self {
+        let mut nodes = Self {
+            ids: Arc::clone(&rank.ids),
+            rank: Arc::new(rank),
+            edits: Arc::default(),
+        };
+        let sorted = *nodes.rank.bucket.last().unwrap_or(&0) as usize;
+        for (k, &id) in Arc::clone(&nodes.ids).iter().enumerate().skip(sorted) {
+            assert!(nodes.slot(id).is_none(), "duplicate node id {id} in parts");
+            nodes.added().insert(id, slot_u32(k));
         }
-        ids.shrink_to_fit();
-        Self {
-            index: Arc::new(index),
-            slots: Arc::new(Slots {
-                ids,
-                ..Slots::default()
-            }),
-        }
-    }
-
-    /// The id index, for [`crate::NodeValues`].
-    pub(crate) fn index(&self) -> &Arc<IntHashTable<u32>> {
-        &self.index
+        nodes
     }
 
     /// Number of nodes.
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.ids.len() - self.edits.free.len()
     }
 
     /// Number of slots, vacant ones included.
     pub(crate) fn n_slots(&self) -> usize {
-        self.slots.ids.len()
+        self.ids.len()
     }
 
-    /// The slot of node `id`.
+    /// The slot of node `id`: the rank's answer while that slot is live
+    /// and holds `id` (which also confirms the answer), else the
+    /// overlay's.
     #[inline]
     pub(crate) fn slot(&self, id: NodeId) -> Option<u32> {
-        self.index.get(id).copied()
+        match self.rank.find(id).0 {
+            Some(s) if self.id(s as usize) == Some(id) => Some(s),
+            _ => self.edits.added.as_ref()?.get(id).copied(),
+        }
     }
 
     /// The id in slot `s`, `None` when vacant.
     #[inline]
     pub(crate) fn id(&self, s: usize) -> Option<NodeId> {
         let vacant = self
-            .slots
+            .edits
             .vacant
             .get(s / 64)
             .is_some_and(|w| w >> (s % 64) & 1 == 1);
-        (!vacant).then(|| self.slots.ids[s])
+        (!vacant).then(|| self.ids[s])
     }
 
     /// The live slots and their ids, ascending by slot.
@@ -272,48 +362,71 @@ impl Nodes {
         row
     }
 
+    /// This version's overlay, made on its first node.
+    fn added(&mut self) -> &mut IntHashTable<u32> {
+        let added = &mut Arc::make_mut(&mut self.edits).added;
+        added.get_or_insert_with(IntHashTable::new)
+    }
+
     /// The slot of node `id`, and whether it had to be added first. An
     /// added node takes the last slot freed, else the next one; a freed
-    /// slot's rows were emptied when its node left.
+    /// slot's rows were emptied when its node left. The slot ids are
+    /// copied first, into room for 256 more (2 KiB, so the next adds do
+    /// not grow them again), when another version or the rank holds them;
+    /// the rank itself is never copied.
     pub(crate) fn ensure(&mut self, id: NodeId) -> (u32, bool) {
         if let Some(slot) = self.slot(id) {
             return (slot, false);
         }
-        let slots = Arc::make_mut(&mut self.slots);
-        let slot = match slots.free.pop() {
+        if Arc::get_mut(&mut self.ids).is_none() {
+            let mut copy = Vec::with_capacity(self.ids.len() + 256);
+            copy.extend_from_slice(&self.ids);
+            self.ids = Arc::new(copy);
+        }
+        // Held once by now: never clones.
+        let ids = Arc::make_mut(&mut self.ids);
+        let edits = Arc::make_mut(&mut self.edits);
+        let slot = match edits.free.pop() {
             Some(slot) => {
                 let s = slot as usize;
-                slots.vacant[s / 64] &= !(1 << (s % 64));
-                slots.ids[s] = id;
+                edits.vacant[s / 64] &= !(1 << (s % 64));
+                ids[s] = id;
                 slot
             }
             None => {
-                slots.ids.push(id);
-                slot_u32(slots.ids.len() - 1)
+                ids.push(id);
+                slot_u32(ids.len() - 1)
             }
         };
-        Arc::make_mut(&mut self.index).insert(id, slot);
+        self.added().insert(id, slot);
         (slot, true)
     }
 
     /// Frees the slot of node `id` and returns it; `None` if absent.
     pub(crate) fn release(&mut self, id: NodeId) -> Option<u32> {
         let slot = self.slot(id)?;
-        let (slots, s) = (Arc::make_mut(&mut self.slots), slot as usize);
-        if slots.vacant.len() <= s / 64 {
-            slots.vacant.resize(s / 64 + 1, 0);
+        let (edits, s) = (Arc::make_mut(&mut self.edits), slot as usize);
+        if edits.vacant.len() <= s / 64 {
+            edits.vacant.resize(s / 64 + 1, 0);
         }
-        slots.vacant[s / 64] |= 1 << (s % 64);
-        slots.free.push(slot);
-        Arc::make_mut(&mut self.index).remove(id);
+        edits.vacant[s / 64] |= 1 << (s % 64);
+        edits.free.push(slot);
+        if let Some(added) = &mut edits.added {
+            added.remove(id);
+        }
         Some(slot)
     }
 
-    /// Heap bytes: the index, 8 a slot for the ids, the vacancy bitmap
-    /// and the free list.
+    /// Heap bytes: the rank's buckets and the ids it searches, 8 a slot
+    /// for the ids when a version wrote its own, the overlay, the vacancy
+    /// bitmap and the free list.
     pub(crate) fn mem_size(&self) -> usize {
-        let Slots { ids, vacant, free } = &*self.slots;
-        self.index.mem_size() + (ids.capacity() + vacant.capacity()) * 8 + free.capacity() * 4
+        let (rank, edits) = (&self.rank, &self.edits);
+        let own_ids = !Arc::ptr_eq(&self.ids, &rank.ids);
+        let ids = rank.ids.capacity() + usize::from(own_ids) * self.ids.capacity();
+        (rank.bucket.capacity() + edits.free.capacity()) * 4
+            + edits.added.as_ref().map_or(0, IntHashTable::mem_size)
+            + (ids + edits.vacant.capacity()) * 8
     }
 }
 
@@ -516,8 +629,50 @@ mod tests {
     }
 
     #[test]
+    fn rank_finds_every_id_in_every_spread() {
+        let spreads: [Vec<NodeId>; 5] = [
+            vec![],
+            vec![i64::MIN],
+            (0..1000).map(|i| i * 3 - 900).collect(),
+            vec![i64::MIN, -1, 0, 1, i64::MAX],
+            (0..500).chain((0..500).map(|i| (1 << 50) + i)).collect(),
+        ];
+        for ids in &spreads {
+            let rank = Rank::new(ids.clone());
+            assert!(
+                rank.bucket.len() <= 2 * ids.len() + 2,
+                "under two buckets a node"
+            );
+            for (k, &id) in ids.iter().enumerate() {
+                assert_eq!(rank.find(id).0, Some(k as u32), "rank of {id}");
+                for gap in [id.wrapping_sub(1), id.wrapping_add(1)] {
+                    let found = rank.find(gap).0.map(|s| ids[s as usize]);
+                    assert!(ids.contains(&gap) || found != Some(gap), "{gap} is no id");
+                }
+            }
+        }
+        // The two clusters fall into few buckets, so the search compares more.
+        let clustered = &spreads[4];
+        let compared = |ids: &[NodeId]| -> u32 {
+            let rank = Rank::new(ids.to_vec());
+            ids.iter().map(|&id| rank.find(id).1).sum()
+        };
+        assert!(compared(clustered) > 4 * compared(&spreads[2]));
+    }
+
+    #[test]
+    fn rank_covers_the_ascending_prefix_and_the_overlay_the_rest() {
+        let rank = Rank::new(vec![2, 5, 9, 4, 11]);
+        assert_eq!(rank.bucket.last(), Some(&3), "2, 5, 9 ascend");
+        assert_ne!(rank.find(4).0.map(|s| rank.ids()[s as usize]), Some(4));
+        let nodes = Nodes::bulk(rank);
+        let slots: Vec<_> = [2, 5, 9, 4, 11, 3].map(|id| nodes.slot(id)).into();
+        assert_eq!(slots, [Some(0), Some(1), Some(2), Some(3), Some(4), None]);
+    }
+
+    #[test]
     fn nodes_reuse_freed_slots_and_mark_them_vacant_meanwhile() {
-        let mut n = Nodes::bulk(vec![5, i64::MIN, 7]);
+        let mut n = Nodes::bulk(Rank::new(vec![5, i64::MIN, 7]));
         assert_eq!(n.ensure(i64::MIN), (1, false));
         assert_eq!(n.release(i64::MIN), Some(1));
         assert_eq!(n.release(i64::MIN), None);
@@ -537,6 +692,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate node id 3")]
     fn bulk_nodes_refuse_a_duplicate() {
-        Nodes::bulk(vec![3, 4, 3]);
+        Nodes::bulk(Rank::new(vec![3, 4, 3]));
     }
 }

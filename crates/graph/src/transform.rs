@@ -19,14 +19,14 @@ impl DirectedGraph {
     /// The subgraph induced by `nodes`: those nodes and every edge whose
     /// endpoints are both in the set. Unknown ids are ignored.
     pub fn subgraph(&self, nodes: &[NodeId]) -> DirectedGraph {
-        let keep = id_set(nodes);
-        self.induced(|id| keep.contains(id))
+        let keep = marked(self, nodes);
+        directed_copy(self, |s, _| keep[s])
     }
 
     /// The subgraph induced by the nodes `keep` accepts (asked once per
     /// node); kept nodes keep their relative slot order.
     pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> DirectedGraph {
-        directed_copy(self, keep)
+        directed_copy(self, |_, id| keep(id))
     }
 
     /// Collapses edge direction, returning the undirected version of this
@@ -76,14 +76,19 @@ impl UndirectedGraph {
     /// The subgraph induced by `nodes` (see
     /// [`DirectedGraph::subgraph`]).
     pub fn subgraph(&self, nodes: &[NodeId]) -> UndirectedGraph {
-        let keep = id_set(nodes);
-        self.induced(|id| keep.contains(id))
+        let keep = marked(self, nodes);
+        self.copy(|s, _| keep[s])
     }
 
     /// The subgraph induced by the nodes `keep` accepts (see
     /// [`DirectedGraph::induced`]).
     pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> UndirectedGraph {
-        let map = Renumbering::new(self, |_, id| keep(id));
+        self.copy(|_, id| keep(id))
+    }
+
+    /// The subgraph induced by the live slots `keep(slot, id)` accepts.
+    fn copy(&self, keep: impl Fn(usize, NodeId) -> bool) -> UndirectedGraph {
+        let map = Renumbering::new(self, keep);
         let (off, slab) = map.slab(|s| self.out_row(s).iter().copied());
         UndirectedGraph::from_sorted_parts(map.ids, &off, slab)
     }
@@ -137,25 +142,26 @@ impl UndirectedGraph {
     }
 }
 
-/// The subgraph of `g` induced by the nodes `keep` accepts, as a plain
-/// directed graph.
+/// The subgraph of `g` induced by the live slots `keep(slot, id)`
+/// accepts, as a plain directed graph.
 pub(crate) fn directed_copy<G: DirectedTopology>(
     g: &G,
-    keep: impl Fn(NodeId) -> bool,
+    keep: impl Fn(usize, NodeId) -> bool,
 ) -> DirectedGraph {
-    let map = Renumbering::new(g, |_, id| keep(id));
+    let map = Renumbering::new(g, keep);
     let (in_off, in_slab) = map.slab(|s| g.in_row(s).iter().copied());
     let (out_off, out_slab) = map.slab(|s| g.out_row(s).iter().copied());
     DirectedGraph::from_sorted_parts(map.ids, &in_off, in_slab, &out_off, out_slab)
 }
 
-/// The set of `nodes`.
-fn id_set(nodes: &[NodeId]) -> IntHashTable<()> {
-    let mut set = IntHashTable::with_capacity(nodes.len());
-    for &n in nodes {
-        set.insert(n, ());
+/// Per slot of `g`, whether it holds one of `nodes`, found through the
+/// graph's own index; ids that are no node are ignored.
+fn marked<G: DirectedTopology>(g: &G, nodes: &[NodeId]) -> Vec<bool> {
+    let mut keep = vec![false; g.n_slots()];
+    for s in nodes.iter().filter_map(|&id| g.slot_of(id)) {
+        keep[s] = true;
     }
-    set
+    keep
 }
 
 /// The live slots of a graph that a filter keeps, renumbered densely in

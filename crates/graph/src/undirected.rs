@@ -1,8 +1,8 @@
-//! Dynamic undirected graph: node hash table with one sorted neighbor
-//! vector per node.
+//! Dynamic undirected graph: an id index over slots with one sorted
+//! neighbor row per node.
 
 use crate::directed::Nbrs;
-use crate::nbrs::{AdjacencyStats, CompactStats, Nodes, Rows};
+use crate::nbrs::{AdjacencyStats, CompactStats, Nodes, Rank, Rows};
 use crate::topology::DirectedTopology;
 use crate::{slot_u32, NodeId, NodeValues};
 use std::sync::Arc;
@@ -188,7 +188,7 @@ impl UndirectedGraph {
     /// are mutually consistent. Counterpart of
     /// [`crate::DirectedGraph::from_parts`].
     pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>)>) -> Self {
-        let nodes = Nodes::bulk(parts.iter().map(|p| p.0).collect());
+        let nodes = Nodes::bulk(Rank::new(parts.iter().map(|p| p.0).collect()));
         let rows = Rows::packed(parts.iter().map(|p| nodes.slots_of(&p.1)));
         Self::from_rows(nodes, rows)
     }
@@ -198,19 +198,22 @@ impl UndirectedGraph {
     /// `slab[off[k]..off[k+1]]`, ascending and each below `ids.len()`,
     /// with each edge `{a, b}` present in both endpoints' runs (self-loops
     /// once). Undirected counterpart of
-    /// [`crate::DirectedGraph::from_sorted_parts`]: one hash-table
-    /// reservation, one `u32` offset a slot, and the slab itself taken
-    /// over, not copied.
+    /// [`crate::DirectedGraph::from_sorted_parts`]: one [`Rank`] of the
+    /// ids, one `u32` offset a slot, and the slab itself taken over, not
+    /// copied.
     ///
     /// # Panics
     /// Panics on duplicate ids; debug builds also check sortedness.
     pub fn from_sorted_parts(ids: Vec<NodeId>, off: &[usize], slab: Arc<[u32]>) -> Self {
-        assert_eq!(
-            off.len(),
-            ids.len() + 1,
-            "off must have one bound per node plus one"
-        );
-        Self::from_rows(Nodes::bulk(ids), Rows::bulk(off, slab))
+        Self::from_ranked_parts(Rank::new(ids), off, slab)
+    }
+
+    /// [`Self::from_sorted_parts`] on ids a producer already ranked: the
+    /// rank becomes the graph's id index.
+    pub fn from_ranked_parts(rank: Rank, off: &[usize], slab: Arc<[u32]>) -> Self {
+        let n = rank.ids().len();
+        assert_eq!(off.len(), n + 1, "off: one bound per node plus one");
+        Self::from_rows(Nodes::bulk(rank), Rows::bulk(off, slab))
     }
 
     /// The graph of bulk-built `nodes` and `rows`: every edge but a
@@ -277,7 +280,7 @@ impl DirectedTopology for UndirectedGraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(self.nodes.index(), self, per_slot, count, keep)
+        NodeValues::pack(&self.nodes, self, per_slot, count, keep)
     }
 }
 

@@ -1,9 +1,8 @@
 //! Per-node kernel results as columns on the graph's own id index.
 
+use crate::nbrs::Nodes;
 use crate::topology::DirectedTopology;
 use crate::NodeId;
-use ringo_concurrent::IntHashTable;
-use std::sync::Arc;
 
 /// Marks a slot with no value in [`NodeValues`]' slot → position array.
 const ABSENT: u32 = u32::MAX;
@@ -13,19 +12,20 @@ const ABSENT: u32 = u32::MAX;
 ///
 /// The answer is two columns in **ascending slot order**: [`Self::ids`]
 /// and [`Self::values`], position for position. [`Self::get`] resolves an
-/// id through the id index of the graph version that produced the result
-/// (shared, not copied: one reference-count bump) and then a slot-indexed
-/// position array, so a lookup costs what `has_node` does.
+/// id through the node side of the graph version that produced the
+/// result (shared, not copied: a few reference-count bumps) and then a
+/// slot-indexed position array, so a lookup costs what `has_node` does.
 ///
-/// A result therefore keeps its version's id index alive. The graph is
+/// A result therefore keeps its version's node side alive. The graph is
 /// unaffected until it adds or deletes a node while the result is held:
-/// that edit then copies the index first, as it would for a clone.
+/// that edit then copies what it writes first — the slot ids and the
+/// overlay, never the bulk [`crate::Rank`] — as it would for a clone.
 ///
 /// Built by [`DirectedTopology::node_values`]; the graph is the only
 /// producer, so the index stays private to it.
 #[derive(Clone)]
 pub struct NodeValues<T> {
-    index: Arc<IntHashTable<u32>>,
+    nodes: Nodes,
     /// Slot → position in `ids`/`values`, [`ABSENT`] where no value.
     pos: Vec<u32>,
     ids: Vec<NodeId>,
@@ -39,7 +39,7 @@ impl<T> NodeValues<T> {
     /// kernel's slot array becomes the value column — and only the ids are
     /// gathered, into a column reserved for `count` entries.
     pub(crate) fn pack<G: DirectedTopology>(
-        index: &Arc<IntHashTable<u32>>,
+        nodes: &Nodes,
         g: &G,
         mut per_slot: Vec<T>,
         count: usize,
@@ -66,7 +66,7 @@ impl<T> NodeValues<T> {
         }
         per_slot.truncate(ids.len());
         Self {
-            index: Arc::clone(index),
+            nodes: nodes.clone(),
             pos,
             ids,
             values: per_slot,
@@ -95,7 +95,7 @@ impl<T> NodeValues<T> {
 
     /// The value of node `id`, if it has one.
     pub fn get(&self, id: NodeId) -> Option<&T> {
-        let slot = *self.index.get(id)? as usize;
+        let slot = self.nodes.slot(id)? as usize;
         match self.pos.get(slot) {
             Some(&p) if p != ABSENT => Some(&self.values[p as usize]),
             _ => None,
@@ -115,7 +115,7 @@ impl<T> NodeValues<T> {
     /// The same nodes with each value mapped through `f`.
     pub fn map<U>(self, f: impl FnMut(T) -> U) -> NodeValues<U> {
         NodeValues {
-            index: self.index,
+            nodes: self.nodes,
             pos: self.pos,
             ids: self.ids,
             values: self.values.into_iter().map(f).collect(),

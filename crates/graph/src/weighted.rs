@@ -162,7 +162,7 @@ impl WeightedDigraph {
     /// Drops weights, producing the plain directed graph (live nodes in
     /// slot order).
     pub fn to_unweighted(&self) -> crate::DirectedGraph {
-        crate::transform::directed_copy(self, |_| true)
+        crate::transform::directed_copy(self, |_, _| true)
     }
 
     /// Approximate heap footprint in bytes.
@@ -217,7 +217,7 @@ impl DirectedTopology for WeightedDigraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(self.nodes.index(), self, per_slot, count, keep)
+        NodeValues::pack(&self.nodes, self, per_slot, count, keep)
     }
 }
 

@@ -9,7 +9,7 @@
 //! graph's rows of neighbour slots, and for a positive
 //! `algo.bfs.edges_scanned` count.
 //! The example itself pins the graph's `mem_size()` (4 bytes a stored
-//! neighbour plus the id index and 16 bytes a node: a second copy of the
+//! neighbour plus the rank's buckets and 16 bytes a node: a second copy of the
 //! rows, wider ones, or a wider node side moves it), a distance checksum and a BFS-tree checksum (parents
 //! are derived from the distances after the run, so this is the path
 //! that exercises it) and cross-checks the forced top-down / forced
@@ -49,12 +49,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = edges_to_table(&edges);
     let g = ringo.to_graph(&table, "src", "dst")?;
     println!("traversal smoke: graph mem_size {} B", g.mem_size());
-    // 21,654 nodes and 277,224 edges: the id index (32,768 table slots at
-    // 16 B), 8 B of id a node, one 4-byte offset a node (plus the closing
-    // one) per orientation, and 4 B a stored neighbour, twice an edge:
-    // 524,288 + 173,232 + 2 × 86,620 + 2,217,792. The node table of
-    // 64 B a slot this replaced made it 4,127,936.
-    const PINNED_BYTES: usize = 3_088_552;
+    // 21,654 nodes and 277,224 edges: the id index (the rank's 32,738
+    // `u32` bucket starts — 32,737 buckets over the id span, no more than
+    // the 32,768 at or above the node count — and no hash table), 8 B of
+    // id a node, one 4-byte offset a node (plus the closing one) per
+    // orientation, and 4 B a stored neighbour, twice an edge:
+    // 130,952 + 173,232 + 2 × 86,620 + 2,217,792. A hash index of 32,768
+    // table slots at 16 B made it 3,088,552; the node table of 64 B a slot
+    // before that, 4,127,936.
+    const PINNED_BYTES: usize = 2_695_216;
     assert_eq!(g.mem_size(), PINNED_BYTES, "graph footprint drifted");
 
     // Deterministic source: the highest out-degree hub (smallest id wins

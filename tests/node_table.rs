@@ -11,11 +11,18 @@
 //! * every digraph on at most three nodes, self-loops included (512 on
 //!   three), built in bulk, by edits, and in bulk then edited around a
 //!   vacant slot: its rows, BFS, WCC, SCC, core numbers and triangles
-//!   against naive references at threads 1, 2 and 4.
+//!   against naive references at threads 1, 2 and 4;
+//! * the id index on ids spread over `i64` — `i64::MIN`, `i64::MAX`, two
+//!   clusters 2^50 apart, parts in shuffled order, the empty and the
+//!   one-node graph — through chains of node and edge edits, slot reuse,
+//!   clones, `induced` and `k_core`: every version's `has_node`,
+//!   `slot_of`, `out_nbrs` and BFS `NodeValues::get` against a `BTreeMap`
+//!   model, for every held id and for absent ids below, above and between
+//!   them, at threads 1 and 2.
 
 use ringo::algo::{
-    core_numbers, count_triangles, strongly_connected_components, weakly_connected_components,
-    Components, FrontierEngine,
+    bfs_distances, core_numbers, count_triangles, strongly_connected_components,
+    weakly_connected_components, Components, FrontierEngine,
 };
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::{new_slab, DirectedTopology};
@@ -543,4 +550,257 @@ fn assert_kernels(g: &DirectedGraph, u: &UndirectedGraph, m: &Model, threads: us
         naive_triangles(m),
         "{what}: triangles"
     );
+}
+
+/// Out-neighbour sets by node: a directed model's out sides, or an
+/// undirected graph's neighbour sets.
+type Adj = BTreeMap<NodeId, BTreeSet<NodeId>>;
+
+fn out_sets(m: &Model) -> Adj {
+    m.0.iter()
+        .map(|(&id, [out, _])| (id, out.clone()))
+        .collect()
+}
+
+/// Ids `adj` does not hold: below its least, above its greatest, beside
+/// and between every pair of its ids, and the extremes of `i64`.
+fn absent_probes(adj: &Adj) -> Vec<NodeId> {
+    let ids: Vec<NodeId> = adj.keys().copied().collect();
+    let mut probes = vec![i64::MIN, i64::MAX, 0, -1, 1 << 50, (1 << 50) + 1];
+    for &id in &ids {
+        probes.extend([id.wrapping_sub(1), id.wrapping_add(1), id ^ 1 << 40]);
+    }
+    for w in ids.windows(2) {
+        probes.push(((i128::from(w[0]) + i128::from(w[1])) / 2) as NodeId);
+    }
+    probes.retain(|p| !adj.contains_key(p));
+    probes
+}
+
+/// Hop distances from `src` over `adj`.
+fn hops(adj: &Adj, src: NodeId) -> BTreeMap<NodeId, u32> {
+    let mut dist = BTreeMap::from([(src, 0)]);
+    let mut frontier = vec![src];
+    while !frontier.is_empty() {
+        let mut next = Vec::new();
+        for v in frontier {
+            for &u in &adj[&v] {
+                if !dist.contains_key(&u) {
+                    dist.insert(u, dist[&v] + 1);
+                    next.push(u);
+                }
+            }
+        }
+        frontier = next;
+    }
+    dist
+}
+
+/// `g`'s id index answers as `adj` does: every held id is a node in a
+/// slot that holds it, with `adj`'s neighbours in ascending slot order;
+/// every absent probe is no node and has none. A BFS's `NodeValues`
+/// answers the same ids, at threads 1 and 2, from two sources.
+fn assert_index<G: DirectedTopology>(
+    g: &G,
+    adj: &Adj,
+    has: impl Fn(NodeId) -> bool,
+    nbrs: impl Fn(NodeId) -> Vec<NodeId>,
+    what: &str,
+) {
+    assert_eq!(g.node_count(), adj.len(), "{what}: node count");
+    for (&id, want) in adj {
+        assert!(has(id), "{what}: has_node({id})");
+        let s = g
+            .slot_of(id)
+            .unwrap_or_else(|| panic!("{what}: slot_of({id})"));
+        assert_eq!(g.slot_id(s), Some(id), "{what}: slot {s} holds {id}");
+        let got = nbrs(id);
+        let slots: Vec<usize> = got.iter().map(|&n| g.slot_of(n).unwrap()).collect();
+        assert!(slots.is_sorted_by(|a, b| a < b), "{what}: {id}'s row order");
+        assert_eq!(
+            &got.into_iter().collect::<BTreeSet<_>>(),
+            want,
+            "{what}: {id}"
+        );
+    }
+    let absent = absent_probes(adj);
+    for &p in &absent {
+        assert!(!has(p), "{what}: has_node({p}) of an absent id");
+        assert_eq!(g.slot_of(p), None, "{what}: slot_of({p}) of an absent id");
+        assert!(nbrs(p).is_empty(), "{what}: neighbours of absent {p}");
+    }
+    let step = (adj.len() / 2).max(1);
+    for &src in adj.keys().step_by(step).take(2) {
+        let want = hops(adj, src);
+        for threads in [1, 2] {
+            let dist = with_threads(threads, || bfs_distances(g, src, Direction::Out));
+            for &id in adj.keys().chain(&absent) {
+                let what = format!("{what}: BFS from {src} at {threads} threads, {id}");
+                assert_eq!(dist.get(id), want.get(&id), "{what}");
+            }
+        }
+    }
+}
+
+fn assert_directed(g: &DirectedGraph, m: &Model, what: &str) {
+    assert_holds(g, m, what);
+    let nbrs = |id| g.out_nbrs(id).collect();
+    assert_index(g, &out_sets(m), |id| g.has_node(id), nbrs, what);
+}
+
+/// The `k`-core of `g`'s undirected view against the model's core
+/// numbers, through the same checks.
+fn assert_k_core(g: &DirectedGraph, m: &Model, k: u32, what: &str) {
+    let cores = naive_cores(m);
+    let want: Adj = m
+        .symmetric()
+        .into_iter()
+        .filter(|(id, _)| cores[id] >= k)
+        .map(|(id, n)| (id, n.into_iter().filter(|n| cores[n] >= k).collect()))
+        .collect();
+    for threads in [1, 2] {
+        let core = Ringo::with_threads(threads).k_core(&g.to_undirected(), k);
+        let what = format!("{what}: {k}-core at {threads} threads");
+        assert_index(
+            &core,
+            &want,
+            |id| core.has_node(id),
+            |id| core.nbrs(id).collect(),
+            &what,
+        );
+    }
+}
+
+/// An id from the sparse universe: two clusters 2^50 apart, the ends of
+/// `i64`, and anywhere at all.
+fn sparse_id(rng: &mut Rng64) -> NodeId {
+    match rng.below(8) {
+        0 => i64::MIN + rng.range_i64(0..3),
+        1 => i64::MAX - rng.range_i64(0..3),
+        2 => rng.i64(),
+        3..=5 => rng.range_i64(-40..40),
+        _ => (1 << 50) + rng.range_i64(-40..40),
+    }
+}
+
+/// A chain of versions from `base`, which holds `model`: each a clone of
+/// the last, edited — nodes added, deleted and their slots reused by new
+/// ids, edges added to new ids and deleted — and sometimes replaced by an
+/// `induced` subgraph. Every version is kept and checked again after each
+/// of its successors, with the `k`-cores of the newest.
+fn sparse_chain(base: DirectedGraph, mut model: Model, seed: u64, steps: usize) -> u32 {
+    let mut rng = Rng64::new(seed);
+    let mut kept = vec![(base, model.clone())];
+    let mut reused = 0;
+    for step in 0..steps {
+        let mut g = kept[kept.len() - 1].0.clone();
+        for _ in 0..rng.range_usize(4..16) {
+            let held: Vec<NodeId> = model.0.keys().copied().collect();
+            let any = |rng: &mut Rng64| match held.len() {
+                0 => sparse_id(rng),
+                n if rng.bool() => held[rng.below(n)],
+                _ => sparse_id(rng),
+            };
+            match rng.below(8) {
+                0 => {
+                    let id = sparse_id(&mut rng);
+                    assert_eq!(g.add_node(id), model.add_node(id), "add_node({id})");
+                }
+                1 | 2 if !held.is_empty() => {
+                    // A node leaves and a new id takes its slot.
+                    let gone = held[rng.below(held.len())];
+                    let slot = g.slot_of(gone);
+                    assert!(g.del_node(gone) && model.del_node(gone), "del_node({gone})");
+                    let id = sparse_id(&mut rng);
+                    assert_eq!(g.add_node(id), model.add_node(id), "add_node({id})");
+                    if g.slot_of(id) == slot {
+                        reused += 1;
+                    }
+                }
+                3..=5 => {
+                    let (a, b) = (any(&mut rng), any(&mut rng));
+                    assert_eq!(g.add_edge(a, b), model.add_edge(a, b), "add_edge({a}, {b})");
+                }
+                6 => {
+                    let (a, b) = (any(&mut rng), any(&mut rng));
+                    assert_eq!(g.del_edge(a, b), model.del_edge(a, b), "del_edge({a}, {b})");
+                }
+                _ => {
+                    let id = any(&mut rng);
+                    assert_eq!(g.del_node(id), model.del_node(id), "del_node({id})");
+                }
+            }
+        }
+        if rng.below(4) == 0 {
+            let keep = |id: NodeId| id.rem_euclid(3) != 0;
+            g = g.induced(keep);
+            let dropped: Vec<NodeId> = model.0.keys().copied().filter(|&id| !keep(id)).collect();
+            for id in dropped {
+                model.del_node(id);
+            }
+        }
+        kept.push((g, model.clone()));
+        for (v, (g, m)) in kept.iter().enumerate() {
+            assert_directed(g, m, &format!("seed {seed} step {step}: v{v}"));
+        }
+        let what = format!("seed {seed} step {step}");
+        assert_k_core(&kept[kept.len() - 1].0, &model, 2, &what);
+    }
+    reused
+}
+
+#[test]
+fn ids_spread_over_i64_find_their_slots_in_every_version() {
+    let _s = serial();
+    let mut rng = Rng64::new(5);
+    let mut edges: Vec<(NodeId, NodeId)> = (0..120)
+        .map(|_| (sparse_id(&mut rng), sparse_id(&mut rng)))
+        .collect();
+    edges.extend([(i64::MIN, i64::MAX), (i64::MAX, 1 << 50), (0, i64::MIN)]);
+    let model = Model::of(&[], &edges);
+    let mut reused = 0;
+    for threads in [1, 2] {
+        let t = edges_to_table(&edges);
+        let g = ringo::convert::table_to_graph_threads(&t, "src", "dst", threads).unwrap();
+        assert_directed(&g, &model, &format!("converted at {threads} threads"));
+        reused += sparse_chain(g, model.clone(), 40 + threads as u64, 8);
+    }
+
+    // The same graph from parts in shuffled order: the ids past the first
+    // that does not ascend are indexed by the overlay.
+    let mut parts: Vec<(NodeId, Vec<NodeId>, Vec<NodeId>)> = model
+        .0
+        .iter()
+        .map(|(&id, [out, inn])| {
+            (
+                id,
+                inn.iter().copied().collect(),
+                out.iter().copied().collect(),
+            )
+        })
+        .collect();
+    rng.shuffle(&mut parts);
+    let shuffled = DirectedGraph::from_parts(parts);
+    assert_directed(&shuffled, &model, "shuffled parts");
+    reused += sparse_chain(shuffled, model.clone(), 50, 8);
+
+    // The empty and the one-node graph, each bulk-built and grown by edits.
+    let one = Model::of(&[i64::MIN], &[]);
+    for (how, g, m) in [
+        ("empty", DirectedGraph::new(), Model::default()),
+        (
+            "empty parts",
+            DirectedGraph::from_parts(Vec::new()),
+            Model::default(),
+        ),
+        (
+            "one node",
+            DirectedGraph::from_parts(vec![(i64::MIN, vec![], vec![])]),
+            one,
+        ),
+    ] {
+        assert_directed(&g, &m, how);
+        reused += sparse_chain(g, m, 60 + how.len() as u64, 6);
+    }
+    assert!(reused > 5, "freed slots reused {reused} times");
 }

@@ -1,6 +1,7 @@
 //! Allocation discipline of the node side and the rows: a bulk-built
-//! graph is its id index, 16 bytes a slot (its id and one 4-byte offset
-//! per orientation; 12 undirected) and 4 bytes a stored neighbour; a
+//! graph is its rank's bucket array, 16 bytes a slot (its id and one
+//! 4-byte offset per orientation; 12 undirected) and 4 bytes a stored
+//! neighbour, with no hash table; a
 //! clone allocates nothing; a version's first edit pays one 8-byte
 //! overlay entry a slot for each orientation it touches, plus the lists
 //! it edits; a later edit pays for its lists alone; and `mem_size()`
@@ -11,7 +12,6 @@
 //! Kept in its own test binary, and the tests take `SERIAL`, so nothing
 //! else moves the process-global allocation counters mid-measurement.
 
-use ringo::concurrent::IntHashTable;
 use ringo::convert::{table_to_graph, table_to_undirected};
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
@@ -71,20 +71,37 @@ fn absent_edge(g: &DirectedGraph, skip: &[NodeId]) -> (NodeId, NodeId) {
     panic!("a complete graph")
 }
 
+/// Bytes of the bucket array a rank keeps over the ascending `ids`: one
+/// `u32` first position a bucket plus the closing one, with no more
+/// buckets than the power of two at or above the node count.
+fn bucket_bytes(ids: &[NodeId]) -> usize {
+    let (n, span) = (
+        ids.len() as u64,
+        ids[ids.len() - 1].wrapping_sub(ids[0]) as u64,
+    );
+    let k = n.next_power_of_two().trailing_zeros();
+    let shift = (u64::BITS - span.leading_zeros()).saturating_sub(k);
+    let buckets = (span >> shift) as usize + 1;
+    assert!(buckets as u64 <= 2 * n, "under two buckets a node");
+    4 * (buckets + 1)
+}
+
 #[test]
-fn a_bulk_graph_is_its_index_sixteen_bytes_a_slot_and_four_a_neighbour() {
+fn a_bulk_graph_is_its_buckets_sixteen_bytes_a_slot_and_four_a_neighbour() {
     let _serial = serial();
     let t = table(14, 200_000);
     let g = table_to_graph(&t, "src", "dst").unwrap();
     let u = table_to_undirected(&t, "src", "dst").unwrap();
-    let index = |n: usize| IntHashTable::<u32>::with_capacity(n).mem_size();
     let (n, stored) = (g.n_slots(), g.total_degree(Direction::Both) as usize);
-    // The id, an offset per orientation, and each orientation's closing
-    // offset; no vacancy bitmap until a node is deleted.
-    let want = index(n) + 16 * n + 2 * 4 + 4 * stored;
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    // The buckets, the id, an offset per orientation, and each
+    // orientation's closing offset; no vacancy bitmap until a node is
+    // deleted, and no hash table until one is added.
+    let want = bucket_bytes(&ids) + 16 * n + 2 * 4 + 4 * stored;
     assert_eq!(g.mem_size(), want, "directed, {n} slots");
     let (n, stored) = (u.n_slots(), u.total_degree(Direction::Both) as usize);
-    let want = index(n) + 12 * n + 4 + 4 * stored;
+    let ids: Vec<NodeId> = u.node_ids().collect();
+    let want = bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
     assert_eq!(u.mem_size(), want, "undirected, {n} slots");
 }
 

@@ -33,9 +33,9 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Upper bound on what one slot costs beside its rows: its id and one
-/// 4-byte offset per orientation, and its share of an id index kept under
-/// 75% load (16 bytes a table slot).
-const PER_SLOT: usize = 16 + 48;
+/// 4-byte offset per orientation, and its share of the rank's bucket
+/// array (under two 4-byte buckets a node).
+const PER_SLOT: usize = 16 + 8;
 
 fn table(scale: u32, edges: usize) -> ringo::Table {
     edges_to_table(&rmat(&RmatConfig {
