@@ -4,12 +4,11 @@
 //! onto a real OS thread, but with a strict token discipline: exactly one
 //! virtual thread owns the run token at any moment, everyone else is parked
 //! on a condvar. The token changes hands only at **preemption points** —
-//! every virtual atomic operation, mutex operation, spawn, join, and
-//! explicit yield — and the choice of who runs next comes exclusively from
-//! the seeded [`Strategy`]. OS timing therefore cannot influence the
-//! execution: the same seed replays the same interleaving, operation for
-//! operation, which is what makes a printed `RINGO_CHECK_SEED` an exact
-//! reproducer.
+//! every virtual atomic operation, spawn and join — and the choice of who
+//! runs next comes exclusively from the seeded [`Strategy`]. OS timing
+//! therefore cannot influence the execution: the same seed replays the
+//! same interleaving, operation for operation, which is what makes a
+//! printed `RINGO_CHECK_SEED` an exact reproducer.
 //!
 //! Failure handling: the first panic in any virtual thread (an assertion in
 //! the test body, a deadlock, an index error inside a primitive) records the
@@ -85,19 +84,11 @@ impl Strategy {
 /// has already failed; never reported as a failure itself.
 pub(crate) struct Aborted;
 
-/// Why a virtual thread cannot currently be scheduled.
-#[derive(Clone, Copy, Debug)]
-enum BlockedOn {
-    /// Waiting for the thread with this id to finish.
-    Join(usize),
-    /// Waiting for the mutex identified by this address.
-    Mutex(usize),
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Status {
     Runnable,
-    Blocked(BlockedOn),
+    /// Waiting for the thread with this id to finish.
+    Joining(usize),
     Finished,
 }
 
@@ -106,15 +97,6 @@ struct ThreadState {
     clock: VClock,
     /// PCT priority; higher runs first. Unused by other strategies.
     priority: u64,
-}
-
-/// Model state of one virtual mutex.
-#[derive(Default)]
-struct MutexState {
-    owner: Option<usize>,
-    /// Clock of the last unlock; joined by the next lock (the
-    /// synchronizes-with edge of the mutex).
-    release_clock: VClock,
 }
 
 /// Everything the scheduler knows about one schedule, behind one mutex.
@@ -131,7 +113,6 @@ pub(crate) struct ExecState {
     /// Decreasing priority counter handed out at PCT change points.
     next_low_priority: u64,
     locations: HashMap<usize, Location>,
-    mutexes: HashMap<usize, MutexState>,
     failed: Option<String>,
     /// Scheduling decisions (tid granted the token), for replay assertions.
     trace: Vec<u16>,
@@ -251,7 +232,6 @@ impl Execution {
                 change_points,
                 next_low_priority: 1 << 62,
                 locations: HashMap::new(),
-                mutexes: HashMap::new(),
                 failed: None,
                 trace: Vec::new(),
             }),
@@ -327,7 +307,7 @@ impl Execution {
                         .threads
                         .iter()
                         .enumerate()
-                        .filter(|(_, t)| matches!(t.status, Status::Blocked(_)))
+                        .filter(|(_, t)| matches!(t.status, Status::Joining(_)))
                         .map(|(i, _)| i)
                         .collect();
                     st.fail(format!(
@@ -395,7 +375,7 @@ impl Execution {
         st.threads[tid].clock.tick(tid);
         st.live -= 1;
         for t in st.threads.iter_mut() {
-            if let Status::Blocked(BlockedOn::Join(target)) = t.status {
+            if let Status::Joining(target) = t.status {
                 if target == tid {
                     t.status = Status::Runnable;
                 }
@@ -422,7 +402,7 @@ impl Execution {
             return;
         };
         if !matches!(st.threads[target].status, Status::Finished) {
-            st.threads[tid].status = Status::Blocked(BlockedOn::Join(target));
+            st.threads[tid].status = Status::Joining(target);
             self.handoff(&mut st);
             let Some(got) = self.wait_for_token(st, tid) else {
                 return;
@@ -442,7 +422,7 @@ impl Execution {
         st.threads[0].clock.tick(0);
         st.live -= 1;
         for t in st.threads.iter_mut() {
-            if let Status::Blocked(BlockedOn::Join(0)) = t.status {
+            if let Status::Joining(0) = t.status {
                 t.status = Status::Runnable;
             }
         }
@@ -593,62 +573,9 @@ impl Execution {
         }
     }
 
-    /// Pure preemption point with no memory effect (spawn, `yield_now`).
+    /// Pure preemption point with no memory effect (spawn).
     pub(crate) fn yield_point(&self, tid: usize) {
         let _ = self.preempt(tid);
-    }
-
-    // ---- virtual mutex -------------------------------------------------
-
-    /// Model lock: blocks while held, joins the previous unlocker's clock
-    /// on acquisition. Returns `false` during teardown (caller should fall
-    /// back to the real mutex).
-    pub(crate) fn mutex_lock(&self, tid: usize, addr: usize) -> bool {
-        loop {
-            let Some(mut st) = self.preempt(tid) else {
-                return false;
-            };
-            let state = &mut *st;
-            let m = state.mutexes.entry(addr).or_default();
-            if m.owner.is_none() {
-                m.owner = Some(tid);
-                let rc = m.release_clock.clone();
-                state.threads[tid].clock.tick(tid);
-                state.threads[tid].clock.join(&rc);
-                return true;
-            }
-            st.threads[tid].status = Status::Blocked(BlockedOn::Mutex(addr));
-            self.handoff(&mut st);
-            let Some(_guard) = self.wait_for_token(st, tid) else {
-                return false;
-            };
-            // Re-contend: the unlocker made us runnable, but another
-            // thread may have grabbed the mutex first.
-        }
-    }
-
-    /// Model unlock: publishes the owner's clock and wakes waiters.
-    pub(crate) fn mutex_unlock(&self, tid: usize, addr: usize) {
-        let mut st = self.lock_state();
-        if st.failed.is_some() {
-            return;
-        }
-        let state = &mut *st;
-        state.threads[tid].clock.tick(tid);
-        let clock = state.threads[tid].clock.clone();
-        let m = state.mutexes.entry(addr).or_default();
-        debug_assert_eq!(m.owner, Some(tid), "unlock by non-owner");
-        m.owner = None;
-        m.release_clock = clock;
-        for t in state.threads.iter_mut() {
-            if let Status::Blocked(BlockedOn::Mutex(a)) = t.status {
-                if a == addr {
-                    t.status = Status::Runnable;
-                }
-            }
-        }
-        // The unlocker keeps the token; waiters contend at its next
-        // preemption point.
     }
 }
 

@@ -1,23 +1,21 @@
 //! Virtual synchronization primitives.
 //!
-//! Drop-in lookalikes for `std::sync::atomic::Atomic*` and
-//! `std::sync::Mutex` that route every operation through the cooperative
-//! scheduler **when the calling OS thread is a virtual thread of an active
-//! schedule**, and degrade to the plain `std` operation otherwise (the
-//! *passthrough*). Passthrough is what makes the `model` feature of the
-//! crates under test safe to unify into ordinary builds: code compiled
-//! against these types but running outside `ringo_check::check(...)`
-//! behaves exactly like the real atomics, just with one thread-local lookup
-//! of overhead per operation.
+//! Drop-in lookalikes for `std::sync::atomic::Atomic*` that route every
+//! operation through the cooperative scheduler **when the calling OS
+//! thread is a virtual thread of an active schedule**, and degrade to the
+//! plain `std` operation otherwise (the *passthrough*). Passthrough is
+//! what makes the `model` feature of the crates under test safe to unify
+//! into ordinary builds: code compiled against these types but running
+//! outside `ringo_check::check(...)` behaves exactly like the real
+//! atomics, just with one thread-local lookup of overhead per operation.
 //!
 //! Each virtual atomic embeds the real `std` atomic as ground truth: the
 //! model mirrors every modification-order append into it, so `Drop` impls,
 //! teardown after a failed schedule, and foreign (non-virtual) threads all
 //! observe sane values.
 
-use crate::sched::{self, Execution};
+use crate::sched;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Routes one model operation, falling back to `$pass` when the calling
 /// thread has no schedule context or the schedule is tearing down.
@@ -301,90 +299,5 @@ impl<T> VAtomicPtr<T> {
 impl<T> Default for VAtomicPtr<T> {
     fn default() -> Self {
         Self::new(std::ptr::null_mut())
-    }
-}
-
-/// Virtual mutex: under the model, lock acquisition is a preemption point
-/// and lock/unlock carry the mutex's happens-before edge through the
-/// scheduler; outside it, a plain `std::sync::Mutex`.
-#[derive(Debug, Default)]
-pub struct VMutex<T> {
-    inner: std::sync::Mutex<T>,
-}
-
-/// Guard returned by [`VMutex::lock`]; releases the model mutex (when one
-/// is held) after the data guard.
-pub struct VMutexGuard<'a, T> {
-    guard: std::mem::ManuallyDrop<std::sync::MutexGuard<'a, T>>,
-    model: Option<(Arc<Execution>, usize, usize)>,
-}
-
-impl<T> VMutex<T> {
-    pub const fn new(value: T) -> Self {
-        Self {
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    fn addr(&self) -> usize {
-        self as *const _ as usize
-    }
-
-    /// Locks the mutex. Poisoning is swallowed (the checker's own failure
-    /// path already records the first panic; consumers under test treat
-    /// the data as still consistent).
-    pub fn lock(&self) -> VMutexGuard<'_, T> {
-        let model = match sched::current() {
-            Some(ctx) if ctx.exec.mutex_lock(ctx.tid, self.addr()) => {
-                Some((ctx.exec.clone(), ctx.tid, self.addr()))
-            }
-            _ => None,
-        };
-        // Under the model this never blocks: the scheduler admits one
-        // owner at a time, and parked owners keep the inner guard but are
-        // not running.
-        let guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        VMutexGuard {
-            guard: std::mem::ManuallyDrop::new(guard),
-            model,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T> std::ops::Deref for VMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::DerefMut for VMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for VMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // SAFETY: `guard` is dropped exactly once, here; `self.guard` is
-        // never touched again after this line.
-        unsafe { std::mem::ManuallyDrop::drop(&mut self.guard) };
-        if let Some((exec, tid, addr)) = self.model.take() {
-            exec.mutex_unlock(tid, addr);
-        }
-    }
-}
-
-/// A pure preemption point: lets the scheduler switch virtual threads with
-/// no memory effect. Outside the model, hints the OS scheduler like
-/// [`std::thread::yield_now`].
-pub fn yield_now() {
-    match sched::current() {
-        Some(ctx) => ctx.exec.yield_point(ctx.tid),
-        None => std::thread::yield_now(),
     }
 }

@@ -1,10 +1,12 @@
 //! Schedule exploration over Ringo's real lock-free primitives.
 //!
 //! These tests compile `ringo-concurrent` and `ringo-trace` with their
-//! `model` feature, so every atomic inside `ConcurrentVec`,
-//! `ConcurrentIntTable`, the pool-stats counter protocol, and the metrics
-//! registry goes through the deterministic scheduler. Each body is run
-//! under `RINGO_CHECK_SCHEDULES` schedules (default 1000) per strategy;
+//! `model` feature, so every atomic inside the metrics registry and the
+//! pool-stats counter protocol goes through the deterministic scheduler.
+//! (The bitset's claim has `model_bitset.rs`; the flight recorder's ring
+//! has its model test beside the ring, in `ringo-trace`'s `events.rs`.)
+//! Each body is run under `RINGO_CHECK_SCHEDULES` schedules (default
+//! 1000) per strategy;
 //! any lost update, duplicated slot, or stale publish panics with a
 //! replayable `RINGO_CHECK_SEED`.
 //!
@@ -13,96 +15,11 @@
 //! small bodies are exactly where exhaustive-ish interleaving coverage
 //! beats the big stress tests in `ringo-concurrent` itself.
 
-use ringo_concurrent::hash_table::hash_i64;
-use ringo_concurrent::{ConcurrentIntTable, ConcurrentVec};
 use ringo_trace::Registry;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ringo_check::vthread;
-
-/// ConcurrentVec under contended rollback: more pushers than capacity, so
-/// failing pushes (fetch_add then rollback fetch_sub) interleave with
-/// succeeding ones. Exactly `capacity` values must land, each exactly
-/// once, and they must be precisely the values whose push reported
-/// success.
-#[test]
-fn concurrent_vec_contended_rollback_loses_nothing() {
-    ringo_check::check("concurrent_vec_contended_rollback", || {
-        let capacity = 2usize;
-        let v: Arc<ConcurrentVec<usize>> = Arc::new(ConcurrentVec::with_capacity(capacity));
-        let handles: Vec<_> = (0..3)
-            .map(|t| {
-                let v = v.clone();
-                vthread::spawn(move || {
-                    // Two attempts per thread, values globally unique.
-                    let mut wins = Vec::new();
-                    for a in 0..2usize {
-                        let value = t * 2 + a;
-                        if v.push(value).is_ok() {
-                            wins.push(value);
-                        }
-                    }
-                    wins
-                })
-            })
-            .collect();
-        let mut succeeded: Vec<usize> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pusher panicked"))
-            .collect();
-        assert_eq!(v.len(), capacity, "rollback must restore len exactly");
-        let v = Arc::into_inner(v).expect("all pushers joined");
-        let mut stored = v.into_vec();
-        stored.sort_unstable();
-        succeeded.sort_unstable();
-        assert_eq!(stored, succeeded, "lost or duplicated push");
-    });
-}
-
-/// ConcurrentIntTable with keys that all hash to the table's last slot, so
-/// every probe sequence wraps around the end of the array. Concurrent
-/// inserters of overlapping key sets must agree on slots, dedupe `len`
-/// exactly, and `find` must return the claimed slot for every key.
-#[test]
-fn concurrent_table_insert_find_agree_across_wrap_around() {
-    // with_capacity(4) allocates 8 slots; pick keys homed at slot 7 so
-    // probing wraps to 0, 1, ... under collision.
-    let colliders: Vec<i64> = (0..)
-        .filter(|&k| (hash_i64(k) as usize) & 7 == 7)
-        .take(3)
-        .collect();
-    let colliders = Arc::new(colliders);
-    ringo_check::check("concurrent_table_wrap_around", move || {
-        let t: Arc<ConcurrentIntTable> = Arc::new(ConcurrentIntTable::with_capacity(4));
-        assert_eq!(t.slots(), 8, "test assumes an 8-slot table");
-        let keys = colliders.clone();
-        let handles: Vec<_> = (0..2)
-            .map(|w| {
-                let t = t.clone();
-                let keys = keys.clone();
-                vthread::spawn(move || {
-                    // Overlapping sets: worker 0 inserts keys[0..2],
-                    // worker 1 inserts keys[1..3]; keys[1] races.
-                    let mine = [keys[w], keys[w + 1]];
-                    mine.map(|k| (k, t.insert(k).0))
-                })
-            })
-            .collect();
-        let claims: Vec<(i64, usize)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("inserter panicked"))
-            .collect();
-        assert_eq!(t.len(), 3, "three distinct keys inserted");
-        for (k, slot) in claims {
-            assert_eq!(t.find(k), Some(slot), "find disagrees with insert");
-            assert_eq!(t.key_at(slot), Some(k));
-            let (again, fresh) = t.insert(k);
-            assert_eq!(again, slot, "slots must be stable");
-            assert!(!fresh);
-        }
-    });
-}
 
 /// Registry slot claiming: concurrent `counter(name)` calls racing on the
 /// same fresh registry must never claim two slots for one name (the CAS
@@ -172,23 +89,27 @@ fn histogram_aggregates_are_exact() {
 }
 
 /// The pool-stats counter protocol (monotonic relaxed `fetch_add` deltas,
-/// snapshot via relaxed loads), exercised on facade atomics directly: the
-/// real pool's resident workers are foreign OS threads that must not join
-/// a live schedule, so the protocol is reproduced 1:1 with virtual
-/// threads. Totals must sum exactly — relaxed RMWs may not lose updates.
+/// snapshot via relaxed loads, and the busy-executor gauge each chunk
+/// enters and leaves), exercised on facade atomics directly: the real
+/// pool's resident workers are foreign OS threads that must not join a
+/// live schedule, so the protocol is reproduced 1:1 with virtual
+/// threads. Totals must sum exactly — relaxed RMWs may not lose updates —
+/// and the gauge must read 0 once every executor has finished.
 #[test]
 fn pool_stats_counters_sum_exactly() {
-    use ringo_check::sync::VAtomicU64;
+    use ringo_check::sync::{VAtomicU64, VAtomicUsize};
     ringo_check::check("pool_stats_sum", || {
         struct Stats {
             jobs: VAtomicU64,
             chunks: VAtomicU64,
-            busy: VAtomicU64,
+            busy_ns: VAtomicU64,
+            busy_workers: VAtomicUsize,
         }
         let stats = Arc::new(Stats {
             jobs: VAtomicU64::new(0),
             chunks: VAtomicU64::new(0),
-            busy: VAtomicU64::new(0),
+            busy_ns: VAtomicU64::new(0),
+            busy_workers: VAtomicUsize::new(0),
         });
         let handles: Vec<_> = (1..=2u64)
             .map(|w| {
@@ -196,8 +117,11 @@ fn pool_stats_counters_sum_exactly() {
                 vthread::spawn(move || {
                     s.jobs.fetch_add(1, Ordering::Relaxed);
                     for c in 0..2 {
+                        let now = s.busy_workers.fetch_add(1, Ordering::Relaxed) + 1;
+                        assert!((1..=2).contains(&now), "gauge out of range: {now}");
+                        s.busy_ns.fetch_add(w * 10 + c, Ordering::Relaxed);
                         s.chunks.fetch_add(1, Ordering::Relaxed);
-                        s.busy.fetch_add(w * 10 + c, Ordering::Relaxed);
+                        s.busy_workers.fetch_sub(1, Ordering::Relaxed);
                     }
                 })
             })
@@ -207,31 +131,7 @@ fn pool_stats_counters_sum_exactly() {
         }
         assert_eq!(stats.jobs.load(Ordering::Relaxed), 2);
         assert_eq!(stats.chunks.load(Ordering::Relaxed), 4);
-        assert_eq!(stats.busy.load(Ordering::Relaxed), 10 + 11 + 20 + 21);
-    });
-}
-
-/// The ConcurrentVec publish contract that makes `into_vec`/`get_mut`
-/// sound: after joining all pushers (a happens-before edge), the claimed
-/// cells must be visible — i.e. `len`'s release increments synchronize
-/// with the joiner.
-#[test]
-fn concurrent_vec_len_publishes_after_join() {
-    ringo_check::check("concurrent_vec_publish", || {
-        let v: Arc<ConcurrentVec<u64>> = Arc::new(ConcurrentVec::with_capacity(2));
-        let handles: Vec<_> = (0..2u64)
-            .map(|t| {
-                let v = v.clone();
-                vthread::spawn(move || v.push(t + 40).expect("capacity 2, 2 pushes"))
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("pusher panicked");
-        }
-        assert_eq!(v.len(), 2);
-        let mut v = Arc::into_inner(v).expect("all pushers joined");
-        let mut seen = [*v.get_mut(0).unwrap(), *v.get_mut(1).unwrap()];
-        seen.sort_unstable();
-        assert_eq!(seen, [40, 41], "cell writes must be visible after join");
+        assert_eq!(stats.busy_ns.load(Ordering::Relaxed), 10 + 11 + 20 + 21);
+        assert_eq!(stats.busy_workers.load(Ordering::Relaxed), 0, "gauge");
     });
 }

@@ -19,17 +19,19 @@
 //! with the exploration names in each test and update the constants in the
 //! same commit, noting the replay-format break in CHANGES.md.
 
-use ringo_check::sync::{VAtomicI64, VAtomicU64, VAtomicUsize};
+use ringo_check::sync::{VAtomicI64, VAtomicU64};
 use ringo_check::{explore, replay, vthread, Options, Strategy};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// The historical-shape bug: `ConcurrentVec::push`'s contended capacity
-/// rollback with the `fetch_sub` dropped (the over-claim leaks past
-/// capacity under concurrent overflow — the exact failure mode PR 1's
-/// contended-overflow stress test was added against, reproduced here as a
-/// mutation on facade atomics).
-const ROLLBACK_RACE_SEED: u64 = 0x93a5d5bb1f1e9800;
+/// The flight recorder's seqlock slot with its even (publishing) guard
+/// store `Relaxed`: a reader accepts a payload older than the tag it
+/// validated (found by the random strategy's stale reads).
+const RING_GUARD_SEED: u64 = 0x692c88a9386c2601;
+
+/// The visited bitset's claim with `fetch_or` torn into load-then-store;
+/// both claimers win one bit (found by PCT, depth 3).
+const TORN_FETCH_OR_SEED: u64 = 0xd1941c10d4b2ba1a;
 
 /// Relaxed-where-Release message-passing publish; only the weak-memory
 /// model's stale reads expose it.
@@ -39,25 +41,50 @@ const RELAXED_PUBLISH_SEED: u64 = 0xcbe36a01fcfc0601;
 /// claimers win under one preemption (found by PCT, depth 3).
 const TORN_CAS_SEED: u64 = 0x4306159c8be1981a;
 
-fn rollback_race_body() {
-    let capacity = 1usize;
-    let len = Arc::new(VAtomicUsize::new(0));
-    let pushers: Vec<_> = (0..2)
+fn ring_guard_body() {
+    let guard = Arc::new(VAtomicU64::new(0));
+    let words = Arc::new([VAtomicU64::new(0), VAtomicU64::new(0)]);
+    let (g, w) = (guard.clone(), words.clone());
+    let writer = vthread::spawn(move || {
+        for pos in 0..2u64 {
+            g.store(2 * pos + 1, Ordering::Relaxed);
+            w[0].store(pos + 10, Ordering::Release);
+            w[1].store(pos + 20, Ordering::Release);
+            g.store(2 * pos + 2, Ordering::Relaxed);
+        }
+    });
+    let g1 = guard.load(Ordering::Acquire);
+    if g1 != 0 && g1.is_multiple_of(2) {
+        let copy = (
+            words[0].load(Ordering::Acquire),
+            words[1].load(Ordering::Acquire),
+        );
+        if guard.load(Ordering::Relaxed) == g1 {
+            let pos = g1 / 2 - 1;
+            assert_eq!(copy, (pos + 10, pos + 20), "torn event");
+        }
+    }
+    writer.join().unwrap();
+}
+
+fn torn_fetch_or_body() {
+    let word = Arc::new(VAtomicU64::new(0));
+    let claims: Vec<_> = (0..2)
         .map(|_| {
-            let len = len.clone();
+            let word = word.clone();
             vthread::spawn(move || {
-                let idx = len.fetch_add(1, Ordering::AcqRel);
-                if idx >= capacity {
-                    // Historical mutation: rollback dropped; correct push
-                    // does len.fetch_sub(1, AcqRel) here.
-                }
+                let prev = word.load(Ordering::Relaxed);
+                word.store(prev | 1 << 7, Ordering::Relaxed);
+                prev & 1 << 7 == 0
             })
         })
         .collect();
-    for p in pushers {
-        p.join().unwrap();
-    }
-    assert!(len.load(Ordering::Acquire) <= capacity, "over-claim leaked");
+    let winners = claims
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .filter(|&won| won)
+        .count();
+    assert_eq!(winners, 1, "two bit winners");
 }
 
 fn relaxed_publish_body() {
@@ -111,8 +138,13 @@ fn assert_pinned_failure(seed: u64, body: fn(), expect: &str) {
 }
 
 #[test]
-fn pinned_rollback_race_still_fails() {
-    assert_pinned_failure(ROLLBACK_RACE_SEED, rollback_race_body, "over-claim leaked");
+fn pinned_ring_guard_still_fails() {
+    assert_pinned_failure(RING_GUARD_SEED, ring_guard_body, "torn event");
+}
+
+#[test]
+fn pinned_torn_fetch_or_still_fails() {
+    assert_pinned_failure(TORN_FETCH_OR_SEED, torn_fetch_or_body, "two bit winners");
 }
 
 #[test]
@@ -131,10 +163,15 @@ fn pinned_torn_cas_still_fails() {
 /// caught in the same place the constants are maintained.
 #[test]
 fn exploration_rediscovers_the_pinned_seeds() {
-    let mut o = Options::new("replay_rollback_race");
-    o.strategies = vec![Strategy::RoundRobin];
-    let f = explore(&o, rollback_race_body).expect_err("must fail");
-    assert_eq!(f.seed, ROLLBACK_RACE_SEED, "re-discovery drifted");
+    let mut o = Options::new("replay_ring_guard");
+    o.strategies = vec![Strategy::Random];
+    let f = explore(&o, ring_guard_body).expect_err("must fail");
+    assert_eq!(f.seed, RING_GUARD_SEED, "re-discovery drifted");
+
+    let mut o = Options::new("replay_torn_fetch_or");
+    o.strategies = vec![Strategy::Pct { depth: 3 }];
+    let f = explore(&o, torn_fetch_or_body).expect_err("must fail");
+    assert_eq!(f.seed, TORN_FETCH_OR_SEED, "re-discovery drifted");
 
     let mut o = Options::new("replay_relaxed_publish");
     o.strategies = vec![Strategy::Random];
@@ -151,7 +188,12 @@ fn exploration_rediscovers_the_pinned_seeds() {
 /// not allowed to manufacture failures.
 #[test]
 fn clean_body_replays_clean() {
-    for seed in [ROLLBACK_RACE_SEED, RELAXED_PUBLISH_SEED, TORN_CAS_SEED] {
+    for seed in [
+        RING_GUARD_SEED,
+        TORN_FETCH_OR_SEED,
+        RELAXED_PUBLISH_SEED,
+        TORN_CAS_SEED,
+    ] {
         let r = replay(seed, || {
             let a = Arc::new(VAtomicU64::new(0));
             let a2 = a.clone();

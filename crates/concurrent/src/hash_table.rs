@@ -3,24 +3,20 @@
 //! The paper (§2.5) implements "an open addressing hash table with linear
 //! probing" as the backbone of both the graph's node index and the table
 //! engine's grouping/join operators, citing its cache friendliness for
-//! integer keys. [`IntHashTable`] is the sequential variant with proper
+//! integer keys. [`IntHashTable`] is that table, sequential, with proper
 //! deletion (backward-shift, no tombstones); every `i64` is a legal key.
 //! [`KeyInterner`] maps
 //! fixed-width multi-word keys to dense first-appearance ids without a
 //! reserved key or a per-key allocation — the index under group-by,
-//! distinct and the set operations. [`ConcurrentIntTable`] is a
-//! fixed-capacity concurrent key set whose `insert` claims a slot with a
-//! compare-and-swap; callers attach per-slot payload in their own arrays of
-//! atomics — exactly the pattern Ringo uses when counting node degrees
-//! during parallel graph construction.
-
-use crate::sync::{VAtomicI64, VAtomicUsize};
-use std::sync::atomic::Ordering;
+//! distinct and the set operations. The paper's concurrent variant (CAS
+//! insertion during parallel graph construction) has no counterpart: the
+//! sort-first conversion partitions the work so no two workers insert
+//! into one table.
 
 /// Sentinel marking an empty slot of a probe array. [`IntHashTable`] keeps
 /// the entry with this key in a side cell instead, so to it the key is
-/// ordinary; [`ConcurrentIntTable`] reserves it: inserting it panics.
-pub const EMPTY_KEY: i64 = i64::MIN;
+/// ordinary.
+const EMPTY_KEY: i64 = i64::MIN;
 
 /// Finalizer from splitmix64: cheap, well-mixed hashing for integer keys.
 #[inline]
@@ -35,7 +31,7 @@ pub fn hash_i64(key: i64) -> u64 {
 /// `V`, using linear probing and backward-shift deletion.
 ///
 /// Capacity is always a power of two; the table grows at 75% load. The
-/// probe array marks empty slots with [`EMPTY_KEY`], so the entry with
+/// probe array marks empty slots with `i64::MIN`, so the entry with
 /// that key lives in a side cell: every key is legal, and the probe loop
 /// never meets it.
 #[derive(Clone, Debug)]
@@ -45,7 +41,7 @@ pub struct IntHashTable<V> {
     /// Entries in the probe array (the side cell is not counted).
     len: usize,
     mask: usize,
-    /// The value of key [`EMPTY_KEY`], if present.
+    /// The value of key `i64::MIN`, if present.
     min: Option<V>,
 }
 
@@ -100,7 +96,7 @@ impl<V> IntHashTable<V> {
         (hash_i64(key) as usize) & self.mask
     }
 
-    /// Finds the probe-array slot holding `key` (never [`EMPTY_KEY`], which
+    /// Finds the probe-array slot holding `key` (never `EMPTY_KEY`, which
     /// lives in the side cell), if present.
     #[inline]
     fn probe(&self, key: i64) -> Option<usize> {
@@ -389,126 +385,9 @@ impl KeyInterner {
     }
 }
 
-/// A fixed-capacity concurrent set of `i64` keys with CAS insertion.
-///
-/// `insert` returns a stable *slot index* for the key, usable as a dense-ish
-/// handle into caller-owned arrays of atomics (degree counters, write
-/// cursors, ...). The table never grows and never deletes — matching its
-/// role in Ringo's graph construction, where the number of distinct nodes is
-/// bounded by the number of edge endpoints and the table is sized up front.
-pub struct ConcurrentIntTable {
-    keys: Vec<VAtomicI64>,
-    len: VAtomicUsize,
-    mask: usize,
-}
-
-impl ConcurrentIntTable {
-    /// Creates a table that can absorb `cap` distinct keys while keeping
-    /// the load factor at or below 75%.
-    pub fn with_capacity(cap: usize) -> Self {
-        let slots = (cap.max(4) * 4 / 3 + 1).next_power_of_two();
-        Self {
-            keys: (0..slots).map(|_| VAtomicI64::new(EMPTY_KEY)).collect(),
-            len: VAtomicUsize::new(0),
-            mask: slots - 1,
-        }
-    }
-
-    /// Number of distinct keys inserted so far.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// True when no keys have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of slots allocated.
-    pub fn slots(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Inserts `key` (idempotently) and returns `(slot, inserted_now)`.
-    ///
-    /// # Panics
-    /// Panics if `key == EMPTY_KEY` or the table is full.
-    pub fn insert(&self, key: i64) -> (usize, bool) {
-        assert_ne!(key, EMPTY_KEY, "i64::MIN is a reserved key");
-        let mut i = (hash_i64(key) as usize) & self.mask;
-        let mut probes = 0usize;
-        loop {
-            let k = self.keys[i].load(Ordering::Acquire);
-            if k == key {
-                return (i, false);
-            }
-            if k == EMPTY_KEY {
-                match self.keys[i].compare_exchange(
-                    EMPTY_KEY,
-                    key,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.len.fetch_add(1, Ordering::AcqRel);
-                        return (i, true);
-                    }
-                    Err(current) => {
-                        if current == key {
-                            return (i, false);
-                        }
-                        // Lost the race to a different key: continue probing
-                        // from this slot.
-                        continue;
-                    }
-                }
-            }
-            i = (i + 1) & self.mask;
-            probes += 1;
-            assert!(probes <= self.keys.len(), "ConcurrentIntTable is full");
-        }
-    }
-
-    /// Looks up the slot of `key` without inserting.
-    pub fn find(&self, key: i64) -> Option<usize> {
-        debug_assert_ne!(key, EMPTY_KEY);
-        let mut i = (hash_i64(key) as usize) & self.mask;
-        let mut probes = 0usize;
-        loop {
-            let k = self.keys[i].load(Ordering::Acquire);
-            if k == key {
-                return Some(i);
-            }
-            if k == EMPTY_KEY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-            probes += 1;
-            if probes > self.keys.len() {
-                return None;
-            }
-        }
-    }
-
-    /// Returns the key stored in `slot`, or `None` if the slot is empty.
-    pub fn key_at(&self, slot: usize) -> Option<i64> {
-        let k = self.keys[slot].load(Ordering::Acquire);
-        (k != EMPTY_KEY).then_some(k)
-    }
-
-    /// Iterates over `(slot, key)` pairs of occupied slots.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, i64)> + '_ {
-        self.keys.iter().enumerate().filter_map(|(i, k)| {
-            let k = k.load(Ordering::Acquire);
-            (k != EMPTY_KEY).then_some((i, k))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::parallel_for;
     use ringo_rng::Rng64;
     use std::collections::HashMap;
 
@@ -542,13 +421,6 @@ mod tests {
         t.insert(-1_000_000_007, 2);
         assert_eq!(t.get(-5), Some(&1));
         assert_eq!(t.get(-1_000_000_007), Some(&2));
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved key")]
-    fn reserved_key_panics() {
-        // Only the concurrent table reserves the empty marker.
-        ConcurrentIntTable::with_capacity(4).insert(EMPTY_KEY);
     }
 
     #[test]
@@ -728,45 +600,6 @@ mod tests {
                     assert_eq!(ours.key(*id), k.as_slice());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn concurrent_table_sequential_semantics() {
-        let t = ConcurrentIntTable::with_capacity(100);
-        let (s1, fresh1) = t.insert(42);
-        let (s2, fresh2) = t.insert(42);
-        assert_eq!(s1, s2);
-        assert!(fresh1);
-        assert!(!fresh2);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.find(42), Some(s1));
-        assert_eq!(t.find(43), None);
-        assert_eq!(t.key_at(s1), Some(42));
-    }
-
-    #[test]
-    fn concurrent_table_parallel_inserts_dedupe() {
-        let n = 10_000i64;
-        let t = ConcurrentIntTable::with_capacity(n as usize);
-        // Each key inserted by multiple threads; final count must be exact.
-        parallel_for(4 * n as usize, 8, |_, range| {
-            for i in range {
-                t.insert((i as i64) % n);
-            }
-        });
-        assert_eq!(t.len(), n as usize);
-        let mut keys: Vec<i64> = t.iter().map(|(_, k)| k).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn concurrent_table_slots_are_stable() {
-        let t = ConcurrentIntTable::with_capacity(1000);
-        let slots: Vec<usize> = (0..1000).map(|k| t.insert(k).0).collect();
-        for (k, s) in slots.iter().enumerate() {
-            assert_eq!(t.find(k as i64), Some(*s));
         }
     }
 }

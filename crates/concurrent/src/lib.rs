@@ -4,7 +4,10 @@
 //! ingredients: OpenMP-style parallel loops, a fast open-addressing hash
 //! table with linear probing, and vectors that support thread-safe
 //! insertions by claiming cell indices with an atomic increment. This crate
-//! provides Rust equivalents of all three:
+//! provides the loops and the table; the concurrent insertions have no
+//! counterpart, because the paper's own sort-first conversion (§3), which
+//! is the one this repo runs, partitions the work so that no two workers
+//! ever write the same cell:
 //!
 //! * [`pool`] — a persistent fork-join worker pool created once per
 //!   process, so parallel regions cost a wakeup instead of OS thread
@@ -18,20 +21,15 @@
 //!   behind the "sort-first" table-to-graph conversion and numeric
 //!   `order_by`,
 //! * [`hash_table`] — [`hash_table::IntHashTable`], a sequential
-//!   open-addressing / linear-probing map keyed by `i64`,
+//!   open-addressing / linear-probing map keyed by `i64`, and
 //!   [`hash_table::KeyInterner`], the same discipline for fixed-width
-//!   multi-word keys mapped to dense first-appearance ids, and
-//!   [`hash_table::ConcurrentIntTable`], a fixed-capacity concurrent set
-//!   with CAS insertion used during parallel graph construction,
-//! * [`atomic_vec`] — [`atomic_vec::ConcurrentVec`], a fixed-capacity
-//!   vector whose `push` claims an index with `fetch_add`,
+//!   multi-word keys mapped to dense first-appearance ids,
 //! * [`bitset`] — [`bitset::ConcurrentBitset`], a packed atomic visited
 //!   set whose `set` is a `fetch_or` claim, used by the frontier engine's
 //!   bottom-up traversal phase.
 
 #![warn(missing_docs)]
 
-pub mod atomic_vec;
 pub mod bitset;
 pub mod hash_table;
 pub mod parallel;
@@ -39,9 +37,8 @@ pub mod pool;
 pub mod radix;
 pub mod sync;
 
-pub use atomic_vec::ConcurrentVec;
 pub use bitset::ConcurrentBitset;
-pub use hash_table::{ConcurrentIntTable, IntHashTable, KeyInterner};
+pub use hash_table::{IntHashTable, KeyInterner};
 pub use parallel::{
     morsel_bounds, morsel_rows, num_threads, parallel_for, parallel_for_dynamic,
     parallel_for_morsels, parallel_for_morsels_traced, parallel_map, parallel_map_morsels,

@@ -29,7 +29,7 @@
 //!
 //! [`num_threads`]: crate::parallel::num_threads
 
-use crate::sync::VAtomicU64;
+use crate::sync::{VAtomicU64, VAtomicUsize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -115,7 +115,7 @@ struct Shared {
     busy_nanos: VAtomicU64,
     /// Executors (workers and dispatching threads) currently engaged in
     /// chunk bodies of some job — the pool's busy/idle instrumentation.
-    busy_workers: AtomicUsize,
+    busy_workers: VAtomicUsize,
 }
 
 /// Observability snapshot of a [`Pool`], taken with [`Pool::stats`].
@@ -159,7 +159,7 @@ impl Pool {
             jobs_dispatched: VAtomicU64::new(0),
             chunks_executed: VAtomicU64::new(0),
             busy_nanos: VAtomicU64::new(0),
-            busy_workers: AtomicUsize::new(0),
+            busy_workers: VAtomicUsize::new(0),
         });
         for i in 0..workers {
             let shared = Arc::clone(&shared);
@@ -295,11 +295,12 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Claims and executes chunks of `job` until none are left unclaimed.
-/// Shared by workers and dispatching threads. While this executor holds at
-/// least one claimed chunk it counts as *busy* in the pool's busy-worker
-/// gauge (idle/busy transition instrumentation for the sampler).
+/// Shared by workers and dispatching threads. While this executor runs a
+/// chunk body it counts as *busy* in the pool's busy-worker gauge (the
+/// sampler's busy/idle instrumentation). It leaves the gauge before it
+/// reports the chunk done, so once a job completes its executors have
+/// all left the gauge, a panicking chunk's executor included.
 fn execute_chunks(shared: &Shared, job: &Job) {
-    let mut engaged = false;
     loop {
         // ORDERING: Relaxed — the claim only needs atomicity (each index
         // handed out once); the chunk body's effects are published by the
@@ -308,14 +309,11 @@ fn execute_chunks(shared: &Shared, job: &Job) {
         if t >= job.chunks {
             break;
         }
-        if !engaged {
-            engaged = true;
-            // ORDERING: Relaxed — point-in-time gauge for observability
-            // snapshots; no data is published through it.
-            let now = shared.busy_workers.fetch_add(1, Ordering::Relaxed) + 1;
-            if ringo_trace::enabled() {
-                trace_counters().busy_workers.set(now as u64);
-            }
+        // ORDERING: Relaxed — point-in-time gauge for observability
+        // snapshots; no data is published through it.
+        let now = shared.busy_workers.fetch_add(1, Ordering::Relaxed) + 1;
+        if ringo_trace::enabled() {
+            trace_counters().busy_workers.set(now as u64);
         }
         let started = Instant::now();
         // `t < chunks` was claimed exclusively above, so the dispatcher is
@@ -326,10 +324,14 @@ fn execute_chunks(shared: &Shared, job: &Job) {
         // ORDERING: Relaxed — monotonic statistics counters (see `stats`).
         shared.busy_nanos.fetch_add(busy, Ordering::Relaxed);
         shared.chunks_executed.fetch_add(1, Ordering::Relaxed);
+        // ORDERING: Relaxed — gauge decrement; the `done` mutex below
+        // orders it before the dispatcher's return from `Pool::run`.
+        let now = shared.busy_workers.fetch_sub(1, Ordering::Relaxed) - 1;
         if ringo_trace::enabled() {
             let tc = trace_counters();
             tc.chunks.add(1);
             tc.busy_ns.add(busy);
+            tc.busy_workers.set(now as u64);
         }
 
         let mut d = job.done.lock().expect("pool job state poisoned");
@@ -339,13 +341,6 @@ fn execute_chunks(shared: &Shared, job: &Job) {
         }
         if d.remaining == 0 {
             job.done_cv.notify_all();
-        }
-    }
-    if engaged {
-        // ORDERING: Relaxed — gauge decrement, see the increment above.
-        let now = shared.busy_workers.fetch_sub(1, Ordering::Relaxed) - 1;
-        if ringo_trace::enabled() {
-            trace_counters().busy_workers.set(now as u64);
         }
     }
 }
@@ -407,12 +402,15 @@ mod tests {
         let payload = caught.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "chunk 5 exploded");
+        // Every executor left the busy gauge, the one that panicked too.
+        assert_eq!(pool.stats().busy_workers, 0, "gauge after the panic");
         // The pool survives a panicked job.
         let ran = AtomicUsize::new(0);
         pool.run(4, &|_| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ran.load(Ordering::Relaxed), 4);
+        assert_eq!(pool.stats().busy_workers, 0, "gauge after the next job");
     }
 
     #[test]

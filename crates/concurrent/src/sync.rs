@@ -12,9 +12,7 @@
 //! structures. See `crates/check` and DESIGN.md § "Concurrency checking".
 
 #[cfg(not(any(feature = "model", ringo_model)))]
-pub use std::sync::atomic::{
-    AtomicI64 as VAtomicI64, AtomicU64 as VAtomicU64, AtomicUsize as VAtomicUsize,
-};
+pub use std::sync::atomic::{AtomicU64 as VAtomicU64, AtomicUsize as VAtomicUsize};
 
 #[cfg(any(feature = "model", ringo_model))]
-pub use ringo_check::sync::{VAtomicI64, VAtomicU64, VAtomicUsize};
+pub use ringo_check::sync::{VAtomicU64, VAtomicUsize};

@@ -22,17 +22,22 @@
 //!
 //! # Concurrency
 //!
-//! Slots are seqlock-protected: the single writer marks a slot odd,
-//! stores the payload into plain atomics, then publishes the slot with an
-//! even generation tag derived from the ring position. A concurrent
-//! drain validates the tag before and after copying the payload and
-//! discards the slot on any mismatch, so a reader never observes a torn
-//! event. All payload fields are themselves atomics; the only `unsafe`
-//! is reassembling the `&'static str` span name from its (pointer,
-//! length) pair after validation proves the pair consistent.
+//! Slots are seqlock-protected without standalone fences (Boehm's
+//! fence-free seqlock): the single writer marks a slot odd, stores the
+//! payload with `Release` stores, then publishes the slot with an even
+//! generation tag derived from the ring position (`Release` too). A
+//! concurrent drain loads the tag (`Acquire`), the payload (`Acquire`
+//! loads), then the tag again, and discards the slot on any mismatch. A
+//! drain that read any payload word of a newer write synchronizes with
+//! that write, so its re-check sees the newer odd tag: a reader never
+//! keeps a torn event. All payload fields are themselves atomics, routed
+//! through [`crate::sync`] so `ringo-check` explores the protocol; the
+//! only `unsafe` is reassembling the `&'static str` span name from its
+//! (pointer, length) pair after validation proves the pair consistent.
 
+use crate::sync::{VAtomicPtr, VAtomicU64, VAtomicUsize};
 use std::cell::RefCell;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -102,38 +107,38 @@ pub struct ThreadTimeline {
 /// racing drain reads stale-or-new words, never torn ones; the guard
 /// protocol rejects mixed reads.
 struct Slot {
-    guard: AtomicU64,
+    guard: VAtomicU64,
     /// `kind` in bit 0, `depth` in the bits above.
-    meta: AtomicU64,
-    name_ptr: AtomicPtr<u8>,
-    name_len: AtomicUsize,
-    span_id: AtomicU64,
-    parent_id: AtomicU64,
-    t_ns: AtomicU64,
-    start_ns: AtomicU64,
-    seq: AtomicU64,
-    rows_in: AtomicU64,
-    rows_out: AtomicU64,
-    mem_delta: AtomicU64,
-    mem_peak_delta: AtomicU64,
+    meta: VAtomicU64,
+    name_ptr: VAtomicPtr<u8>,
+    name_len: VAtomicUsize,
+    span_id: VAtomicU64,
+    parent_id: VAtomicU64,
+    t_ns: VAtomicU64,
+    start_ns: VAtomicU64,
+    seq: VAtomicU64,
+    rows_in: VAtomicU64,
+    rows_out: VAtomicU64,
+    mem_delta: VAtomicU64,
+    mem_peak_delta: VAtomicU64,
 }
 
 impl Slot {
     fn new() -> Self {
         Slot {
-            guard: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            name_ptr: AtomicPtr::new(std::ptr::null_mut()),
-            name_len: AtomicUsize::new(0),
-            span_id: AtomicU64::new(0),
-            parent_id: AtomicU64::new(0),
-            t_ns: AtomicU64::new(0),
-            start_ns: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            rows_in: AtomicU64::new(0),
-            rows_out: AtomicU64::new(0),
-            mem_delta: AtomicU64::new(0),
-            mem_peak_delta: AtomicU64::new(0),
+            guard: VAtomicU64::new(0),
+            meta: VAtomicU64::new(0),
+            name_ptr: VAtomicPtr::new(std::ptr::null_mut()),
+            name_len: VAtomicUsize::new(0),
+            span_id: VAtomicU64::new(0),
+            parent_id: VAtomicU64::new(0),
+            t_ns: VAtomicU64::new(0),
+            start_ns: VAtomicU64::new(0),
+            seq: VAtomicU64::new(0),
+            rows_in: VAtomicU64::new(0),
+            rows_out: VAtomicU64::new(0),
+            mem_delta: VAtomicU64::new(0),
+            mem_peak_delta: VAtomicU64::new(0),
         }
     }
 }
@@ -145,9 +150,9 @@ pub(crate) struct ThreadBuffer {
     thread_name: String,
     /// Next position to write. Only the owner stores (Release, after the
     /// slot is published); drains load Acquire.
-    head: AtomicU64,
+    head: VAtomicU64,
     /// Reset watermark: positions below it are invisible to drains.
-    floor: AtomicU64,
+    floor: VAtomicU64,
     slots: Box<[Slot]>,
 }
 
@@ -156,8 +161,8 @@ impl ThreadBuffer {
         ThreadBuffer {
             tid,
             thread_name,
-            head: AtomicU64::new(0),
-            floor: AtomicU64::new(0),
+            head: VAtomicU64::new(0),
+            floor: VAtomicU64::new(0),
             slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
         }
     }
@@ -169,33 +174,30 @@ impl ThreadBuffer {
         // so it reads its own last store; publication happens below.
         let pos = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
-        // Seqlock write protocol: mark the slot odd, fence, store the
-        // payload, publish even. The Release fence orders the odd tag
-        // before the payload stores as observed through the drain's
-        // Acquire fence, so a drain that saw any fresh payload word must
-        // also see the odd (or newer) tag and reject the slot.
-        // ORDERING: Relaxed on the odd tag — the Release fence right
-        // after it provides the needed edge.
+        // Seqlock write protocol: mark the slot odd, store the payload,
+        // publish even. Each payload store releases, so a drain whose
+        // Acquire load reads any word of this write also sees the odd
+        // tag stored before it, and rejects the slot on its re-check.
+        // ORDERING: Relaxed on the odd tag — the payload stores after it
+        // are Release, which carry it to any drain that sees them.
         slot.guard.store(2 * pos + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        // ORDERING: Relaxed payload stores — ordered against readers by
-        // the fence above and the Release publication below.
-        let o = Ordering::Relaxed;
         slot.meta.store(
             u64::from(ev.depth) << 1 | u64::from(ev.kind == EventKind::End),
-            o,
+            Ordering::Release,
         );
-        slot.name_ptr.store(ev.name.as_ptr().cast_mut(), o);
-        slot.name_len.store(ev.name.len(), o);
-        slot.span_id.store(ev.span_id, o);
-        slot.parent_id.store(ev.parent_id, o);
-        slot.t_ns.store(ev.t_ns, o);
-        slot.start_ns.store(ev.start_ns, o);
-        slot.seq.store(ev.seq, o);
-        slot.rows_in.store(ev.rows_in, o);
-        slot.rows_out.store(ev.rows_out, o);
-        slot.mem_delta.store(ev.mem_delta as u64, o);
-        slot.mem_peak_delta.store(ev.mem_peak_delta, o);
+        slot.name_ptr
+            .store(ev.name.as_ptr().cast_mut(), Ordering::Release);
+        slot.name_len.store(ev.name.len(), Ordering::Release);
+        slot.span_id.store(ev.span_id, Ordering::Release);
+        slot.parent_id.store(ev.parent_id, Ordering::Release);
+        slot.t_ns.store(ev.t_ns, Ordering::Release);
+        slot.start_ns.store(ev.start_ns, Ordering::Release);
+        slot.seq.store(ev.seq, Ordering::Release);
+        slot.rows_in.store(ev.rows_in, Ordering::Release);
+        slot.rows_out.store(ev.rows_out, Ordering::Release);
+        slot.mem_delta.store(ev.mem_delta as u64, Ordering::Release);
+        slot.mem_peak_delta
+            .store(ev.mem_peak_delta, Ordering::Release);
         slot.guard.store(2 * pos + 2, Ordering::Release);
         self.head.store(pos + 1, Ordering::Release);
     }
@@ -209,26 +211,25 @@ impl ThreadBuffer {
         if g1 != want {
             return None;
         }
-        // ORDERING: Relaxed payload loads — bracketed by the Acquire
-        // above (sees at least `pos`'s payload) and the Acquire fence +
-        // re-check below (rejects any newer overlap).
-        let o = Ordering::Relaxed;
-        let meta = slot.meta.load(o);
-        let name_ptr = slot.name_ptr.load(o);
-        let name_len = slot.name_len.load(o);
-        let span_id = slot.span_id.load(o);
-        let parent_id = slot.parent_id.load(o);
-        let t_ns = slot.t_ns.load(o);
-        let start_ns = slot.start_ns.load(o);
-        let seq = slot.seq.load(o);
-        let rows_in = slot.rows_in.load(o);
-        let rows_out = slot.rows_out.load(o);
-        let mem_delta = slot.mem_delta.load(o) as i64;
-        let mem_peak_delta = slot.mem_peak_delta.load(o);
-        fence(Ordering::Acquire);
-        // ORDERING: Relaxed re-check — the Acquire fence above orders it
-        // after the payload loads; equality with the pre-check proves no
-        // writer touched the slot in between.
+        // Acquire payload loads: the guard load above synchronizes with
+        // `pos`'s publication (no older payload is visible), and a load
+        // that reads a newer write's word synchronizes with that write,
+        // whose odd tag the re-check below then cannot miss.
+        let meta = slot.meta.load(Ordering::Acquire);
+        let name_ptr = slot.name_ptr.load(Ordering::Acquire);
+        let name_len = slot.name_len.load(Ordering::Acquire);
+        let span_id = slot.span_id.load(Ordering::Acquire);
+        let parent_id = slot.parent_id.load(Ordering::Acquire);
+        let t_ns = slot.t_ns.load(Ordering::Acquire);
+        let start_ns = slot.start_ns.load(Ordering::Acquire);
+        let seq = slot.seq.load(Ordering::Acquire);
+        let rows_in = slot.rows_in.load(Ordering::Acquire);
+        let rows_out = slot.rows_out.load(Ordering::Acquire);
+        let mem_delta = slot.mem_delta.load(Ordering::Acquire) as i64;
+        let mem_peak_delta = slot.mem_peak_delta.load(Ordering::Acquire);
+        // ORDERING: Relaxed re-check — coherence orders it after every
+        // write the payload loads synchronized with; equality with the
+        // pre-check proves no writer touched the slot in between.
         if slot.guard.load(Ordering::Relaxed) != g1 {
             return None;
         }
@@ -603,5 +604,85 @@ mod tests {
         assert_eq!(tl.events.len(), 1);
         assert_eq!(tl.events[0].name, "test.one");
         assert_eq!(tl.dropped, 0);
+    }
+}
+
+/// The ring under the deterministic scheduler (`--features model`): the
+/// real [`ThreadBuffer::push`] and [`ThreadBuffer::drain`], one writer
+/// lapping a two-slot ring while one reader drains it.
+#[cfg(all(test, feature = "model"))]
+mod model {
+    use super::*;
+
+    const CAP: u64 = 2;
+    const PUSHES: u64 = 4;
+    const DRAINS: usize = 8;
+    const NAMES: [&str; 3] = ["model.a", "model.bb", "model.ccc"];
+
+    /// Event `n`: every field is derived from `n` (its `seq`), so a copy
+    /// mixing words of two writes differs from `event(copy.seq)`.
+    fn event(n: u64) -> TimelineEvent {
+        TimelineEvent {
+            kind: if n.is_multiple_of(2) {
+                EventKind::Begin
+            } else {
+                EventKind::End
+            },
+            name: NAMES[n as usize % NAMES.len()],
+            span_id: n + 1,
+            parent_id: n + 2,
+            depth: n as u32 + 3,
+            t_ns: n + 4,
+            start_ns: n + 5,
+            seq: n,
+            rows_in: n + 6,
+            rows_out: n + 7,
+            mem_delta: -(n as i64) - 8,
+            mem_peak_delta: n + 9,
+        }
+    }
+
+    #[test]
+    fn drained_events_are_whole_and_the_dropped_count_is_exact() {
+        ringo_check::check("trace_ring_push_drain", || {
+            let buf = Arc::new(ThreadBuffer::with_capacity(1, "model".into(), CAP as usize));
+            let writer = {
+                let buf = Arc::clone(&buf);
+                ringo_check::vthread::spawn(move || (0..PUSHES).for_each(|n| buf.push(event(n))))
+            };
+            // Drain until the writer is seen done (bounded: the reader
+            // must not spin on a schedule that never runs the writer).
+            // The floor stays 0, so each drain accounts for exactly the
+            // head it loaded, which lies between the loads around it.
+            for _ in 0..DRAINS {
+                let before = buf.head.load(Ordering::Acquire);
+                let tl = buf.drain();
+                let after = buf.head.load(Ordering::Acquire);
+                let head = tl.events.len() as u64 + tl.dropped;
+                assert!(
+                    (before..=after).contains(&head),
+                    "events + dropped = {head}, but head was in {before}..={after}"
+                );
+                for ev in &tl.events {
+                    let want = event(ev.seq);
+                    assert_eq!(format!("{ev:?}"), format!("{want:?}"), "torn event");
+                    assert!(
+                        ev.seq < head && ev.seq + CAP >= head,
+                        "event outside the window"
+                    );
+                }
+                assert!(tl.events.windows(2).all(|w| w[0].seq < w[1].seq));
+                if head == PUSHES {
+                    break;
+                }
+            }
+            writer.join().expect("writer panicked");
+
+            // After the join: the newest CAP events, the rest dropped.
+            let tl = buf.drain();
+            assert_eq!(tl.events.len() as u64 + tl.dropped, PUSHES);
+            let seqs: Vec<u64> = tl.events.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, (PUSHES - CAP..PUSHES).collect::<Vec<_>>());
+        });
     }
 }
