@@ -528,9 +528,6 @@ impl SortColumn<'_> {
 struct Field {
     shift: u32,
     mask: u64,
-    /// XOR that turns the stored bits back into the column's `i64`: the
-    /// constant high bits, the descending complement and the sign bias.
-    fix: u64,
 }
 
 /// Unpacks the words [`radix_sort_rows`] sorted: `(columns…, position)`,
@@ -561,7 +558,6 @@ impl RowCodec {
                     // ever moves a zero mask.
                     shift: bits as u32,
                     mask,
-                    fix: (flip & mask) ^ (and & !mask) ^ (1u64 << 63),
                 };
                 bits += width;
                 field
@@ -581,14 +577,6 @@ impl RowCodec {
     #[inline(always)]
     pub fn position<W: Word>(&self, key: W) -> usize {
         (key.low() & self.pos_mask) as usize
-    }
-
-    /// The value of the `col`-th sort column in the key's row, if that
-    /// column is [`SortColumn::Int`].
-    #[inline(always)]
-    pub fn int<W: Word>(&self, col: usize, key: W) -> i64 {
-        let f = self.fields[col];
-        ((key.shr(f.shift).low() & f.mask) ^ f.fix) as i64
     }
 }
 
@@ -644,10 +632,8 @@ impl<W: Word> Keys<W> for RowKeys<'_> {
 /// the bits that vary across the rows, above the row's position in
 /// `ceil(log2 n)` bits. The position makes every word distinct, so the
 /// partition core's unstable bucket sorts cannot reorder anything: the
-/// result is the stable order. The sorted words come back as they are;
-/// [`RowCodec::position`] says where each row stood and
-/// [`RowCodec::int`] what an `Int` column held, so a caller that owns the
-/// columns can decode them in place instead of gathering them.
+/// result is the stable order. The sorted words come back as they are,
+/// and [`RowCodec::position`] says where each row stood.
 ///
 /// The word is a `u64` when the varying bits and the position fit it, a
 /// `u128` when they fit that; wider rows (two or more full-range columns)
@@ -782,19 +768,14 @@ mod tests {
     }
 
     /// One `Int` column sorted ascending: every row where a stable sort
-    /// puts it, and every value decoded back off its key.
+    /// puts it, its position read back off its key.
     fn check_i64(data: &[i64], threads: usize, ctx: &str) {
         let mut expect: Vec<usize> = (0..data.len()).collect();
         expect.sort_by_key(|&i| data[i]);
-        let want: Vec<i64> = expect.iter().map(|&i| data[i]).collect();
         let cols = [SortColumn::Int(data)];
-        let got: Vec<i64> = match radix_sort_rows(&cols, true, None, threads) {
-            SortedRows::U64(keys, codec) => keys.iter().map(|&k| codec.int(0, k)).collect(),
-            SortedRows::U128(keys, codec) => keys.iter().map(|&k| codec.int(0, k)).collect(),
-            SortedRows::Chained(_) => panic!("{ctx}: one column never chains"),
-        };
-        assert_eq!(got, want, "{ctx}: values");
-        assert_eq!(sorted_rows(&cols, true, None, threads).0, expect, "{ctx}");
+        let (got, word) = sorted_rows(&cols, true, None, threads);
+        assert_ne!(word, "chained", "{ctx}: one column never chains");
+        assert_eq!(got, expect, "{ctx}");
     }
 
     #[test]
@@ -898,21 +879,17 @@ mod tests {
                         let (x, y) = (row(x), row(y));
                         first[x].cmp(&first[y]).then(b[x].total_cmp(&b[y]))
                     });
-                    let decoded: Vec<(usize, i64)> =
-                        match radix_sort_rows(&cols, ascending, sel, threads) {
-                            SortedRows::U64(keys, codec) if word == "u64" || n < 2 => keys
-                                .iter()
-                                .map(|&k| (codec.position(k), codec.int(0, k)))
-                                .collect(),
-                            SortedRows::U128(keys, codec) if word == "u128" => keys
-                                .iter()
-                                .map(|&k| (codec.position(k), codec.int(0, k)))
-                                .collect(),
-                            _ => panic!("{ctx}: wrong word"),
-                        };
-                    let want: Vec<(usize, i64)> =
-                        expect.iter().map(|&at| (at, first[row(at)])).collect();
-                    assert_eq!(decoded, want, "{ctx}");
+                    let decoded: Vec<usize> = match radix_sort_rows(&cols, ascending, sel, threads)
+                    {
+                        SortedRows::U64(keys, codec) if word == "u64" || n < 2 => {
+                            keys.iter().map(|&k| codec.position(k)).collect()
+                        }
+                        SortedRows::U128(keys, codec) if word == "u128" => {
+                            keys.iter().map(|&k| codec.position(k)).collect()
+                        }
+                        _ => panic!("{ctx}: wrong word"),
+                    };
+                    assert_eq!(decoded, expect, "{ctx}");
                 }
             }
         }

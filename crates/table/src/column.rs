@@ -1,6 +1,7 @@
 //! Physical column storage: one contiguous vector per column.
 
 use crate::ColumnType;
+use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 
 /// The physical data of one column. String columns hold symbols into the
 /// owning table's [`crate::StringPool`].
@@ -96,12 +97,13 @@ impl ColumnData {
     }
 
     /// The rows at positions `keep`, in that order — a `u32` selection
-    /// vector, the form the lazy executor threads between operators.
-    pub fn gather_sel(&self, keep: &[u32]) -> Self {
+    /// vector, the form the lazy executor threads between operators —
+    /// filled on `threads` workers of the pool.
+    pub fn gather_sel(&self, keep: &[u32], threads: usize) -> Self {
         match self {
-            Self::Int(v) => Self::Int(keep.iter().map(|&i| v[i as usize]).collect()),
-            Self::Float(v) => Self::Float(keep.iter().map(|&i| v[i as usize]).collect()),
-            Self::Str(v) => Self::Str(keep.iter().map(|&i| v[i as usize]).collect()),
+            Self::Int(v) => Self::Int(gather(keep, |i| v[i], threads)),
+            Self::Float(v) => Self::Float(gather(keep, |i| v[i], threads)),
+            Self::Str(v) => Self::Str(gather(keep, |i| v[i], threads)),
         }
     }
 
@@ -115,6 +117,23 @@ impl ColumnData {
             _ => panic!("push_from across column types"),
         }
     }
+}
+
+/// `value(i)` for each position `i` in `keep`, in order, filled on the
+/// pool — every gather of a table's rows: a view's columns, a join's
+/// output, stored row ids.
+pub(crate) fn gather<T: Copy + Default + Send>(
+    keep: &[u32],
+    value: impl Fn(usize) -> T + Sync,
+    threads: usize,
+) -> Vec<T> {
+    let mut out = vec![T::default(); keep.len()];
+    parallel_for_each_chunk_mut(&mut out, threads, |_, start, chunk| {
+        for (o, &i) in chunk.iter_mut().zip(&keep[start..]) {
+            *o = value(i as usize);
+        }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -133,8 +152,13 @@ mod tests {
     #[test]
     fn gather_preserves_order() {
         let c = ColumnData::Int(vec![10, 20, 30, 40]);
-        let g = c.gather_sel(&[3, 0, 2]);
+        let g = c.gather_sel(&[3, 0, 2], 1);
         assert_eq!(g.as_int(), &[40, 10, 30]);
+        // Four chunks on the pool, filled in order.
+        let keep: Vec<u32> = (0..10_000).map(|i| 3 - i % 4).collect();
+        let g = c.gather_sel(&keep, 4);
+        let want = keep.iter().map(|&i| 10 * (i as i64 + 1));
+        assert!(g.as_int().iter().copied().eq(want));
     }
 
     #[test]

@@ -175,8 +175,7 @@ fn run(step: &Step, frame: Table, tables: &[&Table], stats: &mut Vec<NodeStat>) 
             sp.rows_in(frame.n_rows() + right.n_rows());
             let li = frame.schema().index_of(left_col)?;
             let ri = right.schema().index_of(right_col)?;
-            let (lrows, rrows, mstats) = join::join_pairs_sel_stats(&frame, right, li, ri)?;
-            let out = join::materialize_join(&frame, right, &lrows, &rrows)?;
+            let (out, mstats) = join::equi_join(&frame, right, li, ri)?;
             sp.rows_out(out.n_rows());
             let stat = NodeStat::with_morsels("join", out.n_rows() as u64, mstats);
             (out, stat)
@@ -211,8 +210,7 @@ fn run(step: &Step, frame: Table, tables: &[&Table], stats: &mut Vec<NodeStat>) 
         } => {
             let mut sp = ringo_trace::span!("plan.nextk");
             sp.rows_in(frame.n_rows());
-            let (lrows, rrows) = frame.next_k_pairs_sel(group_col.as_deref(), order_col, *k)?;
-            let out = join::materialize_join(&frame, &frame, &lrows, &rrows)?;
+            let out = frame.next_k_join(group_col.as_deref(), order_col, *k)?;
             sp.rows_out(out.n_rows());
             let stat = NodeStat::new("nextk", out.n_rows() as u64);
             (out, stat)

@@ -23,7 +23,10 @@ impl Table {
         // counts descending, which keeps the value order among ties.
         let by_value = groups.with_sel(groups.order_perm_sel(&[col], true)?);
         let order = by_value.order_perm_sel(&[groups.schema.name(1)], false)?;
-        let cols = groups.cols.iter().map(|c| Arc::new(c.gather_sel(&order)));
+        let cols = groups
+            .cols
+            .iter()
+            .map(|c| Arc::new(c.gather_sel(&order, self.threads)));
         let schema = groups.schema.clone();
         Table::from_shared(schema, cols.collect(), groups.pool.clone(), self.threads)
     }

@@ -291,7 +291,7 @@ impl Table {
         let mut cols = Vec::new();
         for &i in &gidx {
             schema.push_unique(self.schema.name(i), self.schema.column_type(i));
-            cols.push(Arc::new(self.cols[i].gather_sel(&rep)));
+            cols.push(Arc::new(self.cols[i].gather_sel(&rep, self.threads)));
         }
         let float_result =
             op != AggOp::Count && (matches!(op, AggOp::Mean | AggOp::Var | AggOp::Std) || !int_src);

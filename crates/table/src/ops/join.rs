@@ -29,11 +29,24 @@ impl Table {
         sp.rows_in(self.n_rows() + other.n_rows());
         let li = self.schema.index_of(left_col)?;
         let ri = other.schema.index_of(right_col)?;
-        let (left_rows, right_rows, _) = join_pairs_sel_stats(self, other, li, ri)?;
-        let out = materialize_join(self, other, &left_rows, &right_rows)?;
+        let (out, _) = equi_join(self, other, li, ri)?;
         sp.rows_out(out.n_rows());
         Ok(out)
     }
+}
+
+/// The join of the eager verb and the lazy `Join` step: the output of
+/// `left[li] == right[ri]`, its right key column the left key column's
+/// vector, and the [`MorselStats`] of the probe.
+pub(crate) fn equi_join(
+    left: &Table,
+    right: &Table,
+    li: usize,
+    ri: usize,
+) -> Result<(Table, MorselStats)> {
+    let (left_rows, right_rows, stats) = join_pairs_sel_stats(left, right, li, ri)?;
+    let out = materialize_join(left, right, left_rows, right_rows, Some((li, ri)))?;
+    Ok((out, stats))
 }
 
 /// Minimum build-side rows before the partitioned parallel build kicks in;
@@ -299,25 +312,39 @@ where
 /// name clashes suffixed `-1`, `-2`, ... by [`crate::Schema::push_unique`].
 /// The output shares `left`'s pool; the right side's strings enter it
 /// once per distinct symbol, and not at all when the pool is shared.
+///
+/// `equal` names a left and a right column that hold the same value on
+/// every output row — an equi-join's keys, `next_k`'s group column; the
+/// right one is then stored as the left one's vector, shared (equal text
+/// is one symbol of the output's pool). The right side's other columns
+/// are gathered first and its positions dropped, then the left side's,
+/// so one position vector at most stands beside the output.
 pub(crate) fn materialize_join(
     left: &Table,
     right: &Table,
-    left_rows: &[u32],
-    right_rows: &[u32],
+    left_rows: Vec<u32>,
+    right_rows: Vec<u32>,
+    equal: Option<(usize, usize)>,
 ) -> Result<Table> {
     debug_assert_eq!(left_rows.len(), right_rows.len());
-    let mut schema = crate::Schema::default();
-    let mut cols = Vec::with_capacity(left.n_cols() + right.n_cols());
-    for (t, rows) in [(left, left_rows), (right, right_rows)] {
-        for (col, (name, ty)) in t.cols.iter().zip(t.schema.iter()) {
-            schema.push_unique(name, ty);
-            cols.push(col.gather_sel(rows));
-        }
+    let threads = left.threads;
+    let shared = |c: usize| equal.is_some_and(|(_, ri)| ri == c);
+    let mut right_cols: Vec<ColumnData> = (right.cols.iter().enumerate())
+        .filter(|&(c, _)| !shared(c))
+        .map(|(_, col)| col.gather_sel(&right_rows, threads))
+        .collect();
+    drop(right_rows);
+    let mut cols: Vec<Arc<ColumnData>> = Vec::with_capacity(left.n_cols() + right.n_cols());
+    for c in 0..left.n_cols() {
+        cols.push(match left.first_of(c) {
+            e if e < c => cols[e].clone(),
+            _ => Arc::new(left.cols[c].gather_sel(&left_rows, threads)),
+        });
     }
+    drop(left_rows);
     let mut pool = left.pool.clone();
     if !Arc::ptr_eq(&pool, &right.pool) {
-        let mut right_strs: Vec<&mut Vec<u32>> = cols[left.n_cols()..]
-            .iter_mut()
+        let mut right_strs: Vec<&mut Vec<u32>> = (right_cols.iter_mut())
             .filter_map(|col| match col {
                 ColumnData::Str(syms) => Some(syms),
                 _ => None,
@@ -331,8 +358,18 @@ pub(crate) fn materialize_join(
             *sym = remap[*sym as usize] as u32;
         }
     }
-    let cols = cols.into_iter().map(Arc::new).collect();
-    Table::from_shared(schema, cols, pool, left.threads)
+    let mut right_cols = right_cols.into_iter().map(Arc::new);
+    for c in 0..right.n_cols() {
+        match equal {
+            Some((li, _)) if shared(c) => cols.push(cols[li].clone()),
+            _ => cols.extend(right_cols.next()),
+        }
+    }
+    let mut schema = crate::Schema::default();
+    for (name, ty) in left.schema.iter().chain(right.schema.iter()) {
+        schema.push_unique(name, ty);
+    }
+    Table::from_shared(schema, cols, pool, threads)
 }
 
 #[cfg(test)]

@@ -20,23 +20,21 @@ impl Table {
     pub fn next_k(&self, group_col: Option<&str>, order_col: &str, k: usize) -> Result<Table> {
         let mut sp = ringo_trace::span!("table.nextk");
         sp.rows_in(self.n_rows());
-        let (left_rows, right_rows) = self.next_k_pairs_sel(group_col, order_col, k)?;
-        let out = materialize_join(self, self, &left_rows, &right_rows)?;
+        let out = self.next_k_join(group_col, order_col, k)?;
         sp.rows_out(out.n_rows());
         Ok(out)
     }
 
-    /// Pair kernel shared by the eager verb and the lazy executor:
-    /// `(predecessor, successor)` positions in the columns for
-    /// [`Table::next_k`], over a view's rows through its selection. Sorting
-    /// is stable with ties broken by row order, matching what the verb
-    /// would produce on the view materialized.
-    pub(crate) fn next_k_pairs_sel(
+    /// [`Table::next_k`] for the eager verb and the lazy executor: the
+    /// `(predecessor, successor)` pairs of a view's rows, read through its
+    /// selection, joined. A pair never leaves its group, so the group
+    /// column's two copies share one vector.
+    pub(crate) fn next_k_join(
         &self,
         group_col: Option<&str>,
         order_col: &str,
         k: usize,
-    ) -> Result<(Vec<u32>, Vec<u32>)> {
+    ) -> Result<Table> {
         if k == 0 {
             return Err(TableError::InvalidArgument("next_k requires k >= 1".into()));
         }
@@ -74,13 +72,15 @@ impl Table {
                 right_rows.push(perm[j]);
             }
         }
-        Ok((left_rows, right_rows))
+        drop(perm);
+        materialize_join(self, self, left_rows, right_rows, gidx.map(|g| (g, g)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{ColumnType, Schema, Table, Value};
+    use std::sync::Arc;
 
     fn events() -> Table {
         let schema = Schema::new([
@@ -153,6 +153,33 @@ mod tests {
         let a = j.int_col("user").unwrap();
         let b = j.int_col("user-1").unwrap();
         assert_eq!(a, b);
+    }
+
+    /// A pair never leaves its group, so the group column's two copies
+    /// are one vector — for `Int`, `Str` and (bitwise) `Float` groups —
+    /// and the pairs are the ones the verb made before it shared them.
+    #[test]
+    fn group_column_pair_is_one_vector() {
+        let mut t = events();
+        t.map_float("user", "fuser", |u| u * 0.5).unwrap();
+        t.add_str_column("tag", &["p", "q", "p", "p", "q"]).unwrap();
+        let j = t.next_k(Some("user"), "ts", 2).unwrap();
+        assert!(Arc::ptr_eq(&j.cols[0], &j.cols[5]));
+        assert_eq!(j.int_col("user").unwrap(), &[1, 1, 1, 2]);
+        assert_eq!(j.int_col("ts").unwrap(), &[10, 10, 20, 5]);
+        assert_eq!(j.int_col("ts-1").unwrap(), &[20, 30, 30, 6]);
+        let page = |c: &str| -> Vec<Value> { (0..4).map(|r| j.get(r, c).unwrap()).collect() };
+        assert_eq!(page("page"), ["a", "a", "b", "x"].map(Value::from));
+        assert_eq!(page("page-1"), ["b", "c", "c", "y"].map(Value::from));
+
+        for (group, pairs) in [("tag", 3), ("fuser", 3)] {
+            let j = t.next_k(Some(group), "ts", 1).unwrap();
+            let g = t.schema().index_of(group).unwrap();
+            assert_eq!(j.n_rows(), pairs, "{group}");
+            assert!(Arc::ptr_eq(&j.cols[g], &j.cols[t.n_cols() + g]), "{group}");
+        }
+        let ungrouped = t.next_k(None, "ts", 1).unwrap();
+        assert!(!Arc::ptr_eq(&ungrouped.cols[0], &ungrouped.cols[5]));
     }
 
     #[test]

@@ -2,10 +2,8 @@
 
 use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table};
-use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 use ringo_concurrent::{radix_sort_rows, SortColumn, SortedRows};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 impl Table {
     /// Indices of the sort columns `cols`, each once: a column named
@@ -35,10 +33,10 @@ impl Table {
         Some(radix_sort_rows(&cols?, ascending, self.sel(), self.threads))
     }
 
-    /// Permutation kernel shared by the lazy executor, `next_k` and
-    /// `value_counts`: the positions in the columns of the table's rows,
-    /// sorted by `cols`, ties broken by the next column, then by row order
-    /// (stable). No rows are materialized.
+    /// Permutation kernel of `order_by` (the eager verb and the lazy
+    /// step), `next_k` and `value_counts`: the positions in the columns
+    /// of the table's rows, sorted by `cols`, ties broken by the next
+    /// column, then by row order (stable). No rows are materialized.
     ///
     /// Numeric sort columns (`Int` or `Float`) are sorted as packed words
     /// ([`Table::sort_numeric`]) and the positions read back off the
@@ -98,78 +96,18 @@ impl Table {
 
     /// Sorts the table in place by the given columns (ties broken by the
     /// next column). Floats use IEEE total order, so NaNs sort after all
-    /// numbers. Row ids travel with their rows. The sort is stable. A view
-    /// is sorted through its selection and becomes a table of its own.
+    /// numbers. Row ids travel with their rows. The sort is stable.
     ///
-    /// When the sort columns fit one `u64` or `u128` word beside the row
-    /// position ([`Table::sort_numeric`]) no permutation is built: `Int`
-    /// sort columns are decoded from the sorted words, and every other
-    /// column and the row ids are gathered by the position in the word —
-    /// each into a new vector that replaces the old one before the next
-    /// is made, so an unshared table holds one spare vector at a time.
-    /// Otherwise the permutation gathers the rows.
+    /// The sorted table is a view: the columns it had, shared, and the
+    /// permutation ([`Table::order_perm_sel`], 4 B a row) — the lazy
+    /// `OrderBy` step's result. A column borrowed whole is gathered then,
+    /// once; a `&mut` verb that edits columns materializes the view.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {
         let mut sp = ringo_trace::span!("table.order");
         sp.rows_in(self.n_rows());
         sp.rows_out(self.n_rows());
-        let idx = self.sort_indices(cols)?;
-        row_count_u32(self.row_ids.len())?;
-        if idx.is_empty() {
-            return Ok(());
-        }
-        match self.sort_numeric(&idx, ascending) {
-            Some(SortedRows::U64(keys, codec)) => {
-                self.reorder(&idx, &keys, |k| codec.position(k), |c, k| codec.int(c, k));
-            }
-            Some(SortedRows::U128(keys, codec)) => {
-                self.reorder(&idx, &keys, |k| codec.position(k), |c, k| codec.int(c, k));
-            }
-            Some(SortedRows::Chained(perm)) => self.take_rows(perm),
-            None => self.take_rows(self.order_perm_cmp(&idx, ascending)),
-        }
+        *self = self.with_sel(self.order_perm_sel(cols, ascending)?);
         Ok(())
-    }
-
-    /// Keeps the rows at positions `perm` of the columns, in that order,
-    /// gathered into columns of their own.
-    fn take_rows(&mut self, perm: Vec<u32>) {
-        *self = self.with_sel(perm);
-        self.materialize();
-    }
-
-    /// Puts every row where its sorted word `keys` says: the `k`-th sort
-    /// column (`idx[k]`), if `Int`, decoded by `int(k, key)`, the other
-    /// columns and the row ids gathered from the row at `position(key)`.
-    fn reorder<K: Copy + Sync>(
-        &mut self,
-        idx: &[usize],
-        keys: &[K],
-        position: impl Fn(K) -> usize + Sync,
-        int: impl Fn(usize, K) -> i64 + Sync,
-    ) {
-        let (threads, sel) = (self.threads, self.take_sel());
-        let row = |k: K| {
-            sel.as_ref()
-                .map_or(position(k), |s| s[position(k)] as usize)
-        };
-        for (c, col) in self.cols.iter_mut().enumerate() {
-            let sorted = match (&**col, idx.iter().position(|&k| k == c)) {
-                (ColumnData::Int(_), Some(k)) => {
-                    ColumnData::Int(fill_sorted(keys, |key| int(k, key), threads))
-                }
-                (ColumnData::Int(v), None) => {
-                    ColumnData::Int(fill_sorted(keys, |k| v[row(k)], threads))
-                }
-                (ColumnData::Float(v), _) => {
-                    ColumnData::Float(fill_sorted(keys, |k| v[row(k)], threads))
-                }
-                (ColumnData::Str(v), _) => {
-                    ColumnData::Str(fill_sorted(keys, |k| v[row(k)], threads))
-                }
-            };
-            *col = Arc::new(sorted);
-        }
-        self.row_ids = Arc::new(self.row_ids.fill_by_position(keys, row, threads));
     }
 
     /// Returns a sorted copy; see [`Table::order_by`].
@@ -178,22 +116,6 @@ impl Table {
         out.order_by(cols, ascending)?;
         Ok(out)
     }
-}
-
-/// `value(key)` for each of the sorted `keys`, in order, filled on the
-/// pool — a column or the row ids gathered into sorted order.
-pub(crate) fn fill_sorted<T: Copy + Default + Send, K: Copy + Sync>(
-    keys: &[K],
-    value: impl Fn(K) -> T + Sync,
-    threads: usize,
-) -> Vec<T> {
-    let mut out = vec![T::default(); keys.len()];
-    parallel_for_each_chunk_mut(&mut out, threads, |_, start, chunk| {
-        for (o, &key) in chunk.iter_mut().zip(&keys[start..]) {
-            *o = value(key);
-        }
-    });
-    out
 }
 
 #[cfg(test)]

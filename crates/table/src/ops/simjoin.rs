@@ -98,7 +98,7 @@ impl Table {
         }
         self.to_base(&mut left_rows);
         other.to_base(&mut right_rows);
-        let out = materialize_join(self, other, &left_rows, &right_rows)?;
+        let out = materialize_join(self, other, left_rows, right_rows, None)?;
         sp.rows_out(out.n_rows());
         Ok(out)
     }

@@ -1,6 +1,6 @@
 //! The core [`Table`] object.
 
-use crate::ops::order::fill_sorted;
+use crate::column::gather;
 use crate::{ColumnData, ColumnType, Result, Schema, StringPool, TableError};
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -19,8 +19,8 @@ pub(crate) fn row_count_u32(n_rows: usize) -> Result<u32> {
 
 /// A table's row ids: `Fresh(n)` is ids `0..n`, each row's id its
 /// position, with nothing stored — a table built from whole columns — and
-/// `Kept` one stored id a row, made by a verb that reorders rows or that
-/// materializes a view.
+/// `Kept` one stored id a row, made by a verb that materializes a view or
+/// that appends a row whose id leaves its position.
 #[derive(Clone, Debug)]
 pub(crate) enum RowIds {
     Fresh(usize),
@@ -52,23 +52,10 @@ impl RowIds {
         }
     }
 
-    /// The ids of the rows at positions `keep`, in that order.
-    pub(crate) fn gather(&self, keep: &[u32]) -> Self {
-        Self::Kept(keep.iter().map(|&i| self.get(i as usize)).collect())
-    }
-
-    /// The ids of the rows at `position(key)` for each of the sorted
-    /// `keys`, filled on the pool — `order_by`'s gather.
-    pub(crate) fn fill_by_position<K: Copy + Sync>(
-        &self,
-        keys: &[K],
-        position: impl Fn(K) -> usize + Sync,
-        threads: usize,
-    ) -> Self {
-        Self::Kept(match self {
-            Self::Fresh(n) => fill_sorted(keys, |k| fresh_id(position(k), *n), threads),
-            Self::Kept(ids) => fill_sorted(keys, |k| ids[position(k)], threads),
-        })
+    /// The ids of the rows at positions `keep`, in that order, filled on
+    /// the pool.
+    pub(crate) fn gather(&self, keep: &[u32], threads: usize) -> Self {
+        Self::Kept(gather(keep, |i| self.get(i), threads))
     }
 
     pub(crate) fn mem_size(&self) -> usize {
@@ -318,25 +305,33 @@ impl Table {
         self.with_sel(rows)
     }
 
-    /// Ends a view, returning its selection: the caller replaces every
-    /// column with one of the selected rows, and the row ids.
-    pub(crate) fn take_sel(&mut self) -> Option<Arc<Vec<u32>>> {
-        self.view.take().map(|v| v.sel)
-    }
-
     /// Gathers a view's rows into columns of their own, one column at a
-    /// time; the ids become stored ids. A `&mut` verb that edits columns
-    /// or appends rows calls this first.
+    /// time; the ids become stored ids. Columns that share one vector (a
+    /// join's key pair) share one gathered vector. A `&mut` verb that
+    /// edits columns or appends rows calls this first.
     pub(crate) fn materialize(&mut self) {
         let Some(View { sel, gathered }) = self.view.take() else {
             return;
         };
-        for (col, got) in self.cols.iter_mut().zip(gathered) {
-            *col = got
-                .into_inner()
-                .unwrap_or_else(|| Arc::new(col.gather_sel(&sel)));
+        let first: Vec<usize> = (0..self.cols.len()).map(|c| self.first_of(c)).collect();
+        for (c, got) in gathered.into_iter().enumerate() {
+            self.cols[c] = match first[c] {
+                e if e < c => self.cols[e].clone(),
+                _ => got
+                    .into_inner()
+                    .unwrap_or_else(|| Arc::new(self.cols[c].gather_sel(&sel, self.threads))),
+            };
         }
-        self.row_ids = Arc::new(self.row_ids.gather(&sel));
+        self.row_ids = Arc::new(self.row_ids.gather(&sel, self.threads));
+    }
+
+    /// The first column that shares column `c`'s vector: `c` itself
+    /// unless an earlier column holds the same `Arc` (a join's key pair).
+    pub(crate) fn first_of(&self, c: usize) -> usize {
+        let col = &self.cols[c];
+        (0..c)
+            .find(|&e| Arc::ptr_eq(&self.cols[e], col))
+            .unwrap_or(c)
     }
 
     /// Persistent id of the row at position `row`; panics past the end.
@@ -452,11 +447,13 @@ impl Table {
     }
 
     /// Physical column data by index (bulk access for converters). On a
-    /// view the first borrow gathers the column's rows, once.
+    /// view the first borrow gathers the column's rows on the pool, once,
+    /// and once for two columns that share a vector.
     pub fn column(&self, i: usize) -> &ColumnData {
         match &self.view {
             None => &self.cols[i],
-            Some(v) => v.gathered[i].get_or_init(|| Arc::new(self.cols[i].gather_sel(&v.sel))),
+            Some(v) => v.gathered[self.first_of(i)]
+                .get_or_init(|| Arc::new(self.cols[i].gather_sel(&v.sel, self.threads))),
         }
     }
 
@@ -466,17 +463,21 @@ impl Table {
     }
 
     /// Approximate heap footprint in bytes: every byte the table keeps
-    /// alive, shared or not — its columns (a view's base columns, whole),
-    /// stored row ids and the string pool, and a view's selection and
-    /// the columns it gathered. This is the paper's Table 2 "In-memory
-    /// Table Size".
+    /// alive, shared with other tables or not — its columns (a view's base
+    /// columns, whole), stored row ids and the string pool, and a view's
+    /// selection and the columns it gathered. A vector two columns share
+    /// counts once. This is the paper's Table 2 "In-memory Table Size".
     pub fn mem_size(&self) -> usize {
-        let cols: usize = self.cols.iter().map(|c| c.mem_size()).sum();
-        let view = self.view.as_ref().map_or(0, |v| {
-            let gathered = v.gathered.iter().filter_map(OnceLock::get);
-            v.sel.capacity() * 4 + gathered.map(|c| c.mem_size()).sum::<usize>()
-        });
-        cols + view + self.row_ids.mem_size() + self.pool.mem_size()
+        let gathered = self.view.iter().flat_map(|v| &v.gathered);
+        let (mut seen, mut cols) = (Vec::new(), 0);
+        for c in self.cols.iter().chain(gathered.filter_map(OnceLock::get)) {
+            if !seen.contains(&Arc::as_ptr(c)) {
+                seen.push(Arc::as_ptr(c));
+                cols += c.mem_size();
+            }
+        }
+        let sel = self.view.as_ref().map_or(0, |v| v.sel.capacity() * 4);
+        cols + sel + self.row_ids.mem_size() + self.pool.mem_size()
     }
 
     /// The columns `idx`, in that order, under `schema`: pointer copies,
@@ -484,7 +485,10 @@ impl Table {
     pub(crate) fn with_columns(&self, schema: Schema, idx: &[usize]) -> Table {
         let view = self.view.as_ref().map(|v| View {
             sel: v.sel.clone(),
-            gathered: idx.iter().map(|&i| v.gathered[i].clone()).collect(),
+            gathered: idx
+                .iter()
+                .map(|&i| v.gathered[self.first_of(i)].clone())
+                .collect(),
         });
         Table {
             view,
@@ -557,7 +561,7 @@ mod tests {
         assert!(matches!(ids, RowIds::Fresh(3)));
         ids.push(7);
         assert!(matches!(&ids, RowIds::Kept(v) if v == &[0, 1, 2, 7]));
-        let sorted = RowIds::Fresh(3).fill_by_position(&[2, 1, 0], |k| k, 2);
+        let sorted = RowIds::Fresh(3).gather(&[2, 1, 0], 2);
         assert!(matches!(&sorted, RowIds::Kept(v) if v == &[2, 1, 0]));
         assert_eq!(RowIds::Fresh(4).mem_size(), 0);
     }
@@ -630,6 +634,37 @@ mod tests {
         let t = Table::from_int_column("k", vec![5, 6, 7]);
         assert_eq!(t.int_col("k").unwrap(), &[5, 6, 7]);
         assert_eq!(t.n_rows(), 3);
+    }
+
+    /// A join stores its key once: the pair is one vector, counted once,
+    /// gathered once by a view's borrows and shared by a materialized view.
+    #[test]
+    fn a_shared_key_pair_counts_once_and_stays_shared() {
+        let left = Table::from_int_column("k", (0..100).map(|i| i % 10).collect());
+        let right = Table::from_int_column("k", (0..10).rev().collect());
+        let j = left.join(&right, "k", "k").unwrap();
+        assert!(Arc::ptr_eq(&j.cols[0], &j.cols[1]));
+        let pool = j.pool.mem_size();
+        assert_eq!(j.mem_size(), 100 * 8 + pool, "one 100-row vector");
+
+        let half: Vec<u32> = (0..50).rev().collect();
+        let view = j.view_rows(half.clone());
+        assert_eq!(view.mem_size(), 100 * 8 + 50 * 4 + pool);
+        assert!(std::ptr::eq(view.column(1), view.column(0)), "one gather");
+        assert_eq!(view.mem_size(), 100 * 8 + 50 * 4 + 50 * 8 + pool);
+        let flipped = view.project(&["k-1", "k"]).unwrap();
+        assert!(std::ptr::eq(flipped.column(0), view.column(0)));
+
+        let want: Vec<i64> = half
+            .iter()
+            .map(|&r| j.cols[0].as_int()[r as usize])
+            .collect();
+        for mut t in [view, j.view_rows(half)] {
+            t.materialize();
+            assert!(Arc::ptr_eq(&t.cols[0], &t.cols[1]));
+            assert_eq!(t.int_col("k-1").unwrap(), want);
+            assert_eq!(t.mem_size(), 50 * 8 + 50 * 8 + pool, "the pair and the ids");
+        }
     }
 
     #[test]

@@ -1,0 +1,351 @@
+//! Equi-joins store their key once.
+//!
+//! Every row of `left ⋈ right` on `left.k == right.k` holds equal keys,
+//! so the output's right key column is the left key column's vector,
+//! shared — for `Str` keys too, since equal text is one symbol of the
+//! output's pool. This suite runs seeded joins eagerly and as a lazy
+//! chain at 1, 2 and 4 threads and checks both against a row model:
+//! `Int` keys with duplicates on both sides and `i64::MIN`, `Str` keys
+//! across two pools and within one, either side a view, small and past
+//! the partitioned build, empty results included. It asserts the key pair
+//! is one vector, that a view of the output materialized by `map_int`
+//! keeps it one, and that `push_row` then gives each column of the pair
+//! its own value and leaves the joined table as it was.
+
+use ringo::table::ColumnData;
+use ringo::{Cmp, ColumnType, Predicate, Ringo, Schema, Table, Value};
+use ringo_rng::Rng64;
+use std::collections::HashMap;
+
+const CASES: u64 = 32;
+
+/// One side of a join: the table, its rows in row order, and the key
+/// column's name.
+struct Side {
+    table: Table,
+    rows: Vec<Vec<Value>>,
+    key: &'static str,
+}
+
+impl Side {
+    fn key_index(&self) -> usize {
+        self.table.schema().index_of(self.key).unwrap()
+    }
+}
+
+/// A key of `range` distinct ones past `offset`; about as often as any
+/// one of them, `i64::MIN`.
+fn key_value(rng: &mut Rng64, ty: ColumnType, range: usize, offset: usize) -> Value {
+    let x = offset + rng.below(range);
+    match ty {
+        ColumnType::Int if rng.below(range.max(16)) == 0 => Value::Int(i64::MIN),
+        ColumnType::Int => Value::Int(x as i64),
+        _ => Value::Str(format!("s{x}")),
+    }
+}
+
+fn build(schema: Schema, rows: &[Vec<Value>], threads: usize) -> Table {
+    let mut t = Table::new(schema);
+    for row in rows {
+        t.push_row(row).unwrap();
+    }
+    t.set_threads(threads);
+    t
+}
+
+/// `a < cut` when `view`, else every row: the table and the rows kept.
+fn maybe_view(
+    t: Table,
+    rows: Vec<Vec<Value>>,
+    a: usize,
+    view: bool,
+    cut: i64,
+) -> (Table, Vec<Vec<Value>>) {
+    if !view {
+        return (t, rows);
+    }
+    let kept = rows
+        .into_iter()
+        .filter(|r| matches!(r[a], Value::Int(x) if x < cut))
+        .collect();
+    (t.select(&Predicate::int("a", Cmp::Lt, cut)).unwrap(), kept)
+}
+
+/// Two tables with their own pools, `(k, a, s)` and `(w, a, t, k)`,
+/// each whole or a view of `a < 50`.
+fn own_pools(
+    rng: &mut Rng64,
+    ty: ColumnType,
+    n: [usize; 2],
+    range: usize,
+    threads: usize,
+) -> [Side; 2] {
+    // One case in six draws the right keys from a range the left never
+    // holds: an empty result.
+    let offset = if rng.below(6) == 0 { range } else { 0 };
+    let tags = ["x", "y", "z"];
+    let left: Vec<Vec<Value>> = (0..n[0])
+        .map(|_| {
+            let k = key_value(rng, ty, range, 0);
+            vec![
+                k,
+                Value::Int(rng.range_i64(0..100)),
+                tags[rng.below(3)].into(),
+            ]
+        })
+        .collect();
+    let right: Vec<Vec<Value>> = (0..n[1])
+        .map(|_| {
+            let w = Value::Float(rng.below(8) as f64 * 0.25);
+            let a = Value::Int(rng.range_i64(0..100));
+            let t = ["u", "x", "new"][rng.below(3)].into();
+            vec![w, a, t, key_value(rng, ty, range, offset)]
+        })
+        .collect();
+    let lschema = Schema::new([("k", ty), ("a", ColumnType::Int), ("s", ColumnType::Str)]);
+    let rschema = Schema::new([
+        ("w", ColumnType::Float),
+        ("a", ColumnType::Int),
+        ("t", ColumnType::Str),
+        ("k", ty),
+    ]);
+    let (lt, left) = maybe_view(build(lschema, &left, threads), left, 1, rng.bool(), 50);
+    let (rt, right) = maybe_view(build(rschema, &right, threads), right, 1, rng.bool(), 50);
+    [
+        Side {
+            table: lt,
+            rows: left,
+            key: "k",
+        },
+        Side {
+            table: rt,
+            rows: right,
+            key: "k",
+        },
+    ]
+}
+
+/// Two views of one table `(k, a, s)`, so one pool: the left side keeps
+/// `a < 60` under `(a, k, s)`, the right `a >= 30` under `(s, k)`.
+fn one_pool(rng: &mut Rng64, ty: ColumnType, n: usize, range: usize, threads: usize) -> [Side; 2] {
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|_| {
+            let k = key_value(rng, ty, range, 0);
+            vec![
+                k,
+                Value::Int(rng.range_i64(0..100)),
+                ["x", "y"][rng.below(2)].into(),
+            ]
+        })
+        .collect();
+    let schema = Schema::new([("k", ty), ("a", ColumnType::Int), ("s", ColumnType::Str)]);
+    let base = build(schema, &rows, threads);
+    let (lt, left) = maybe_view(base.clone(), rows.clone(), 1, true, 60);
+    let left_rows = left
+        .iter()
+        .map(|r| vec![r[1].clone(), r[0].clone(), r[2].clone()]);
+    let kept = |r: &&Vec<Value>| matches!(r[1], Value::Int(x) if x >= 30);
+    let right_rows = rows
+        .iter()
+        .filter(kept)
+        .map(|r| vec![r[2].clone(), r[0].clone()]);
+    let rt = base.select(&Predicate::int("a", Cmp::Ge, 30)).unwrap();
+    [
+        Side {
+            table: lt.project(&["a", "k", "s"]).unwrap(),
+            rows: left_rows.collect(),
+            key: "k",
+        },
+        Side {
+            table: rt.project(&["s", "k"]).unwrap(),
+            rows: right_rows.collect(),
+            key: "k",
+        },
+    ]
+}
+
+/// `left ⋈ right` as rows: each left row with each right row whose key
+/// equals its own.
+fn model(left: &Side, right: &Side) -> Vec<Vec<Value>> {
+    let (lk, rk) = (left.key_index(), right.key_index());
+    let mut by_key: HashMap<String, Vec<&Vec<Value>>> = HashMap::new();
+    for r in &right.rows {
+        by_key.entry(format!("{:?}", r[rk])).or_default().push(r);
+    }
+    let mut out = Vec::new();
+    for l in &left.rows {
+        for r in by_key.get(&format!("{:?}", l[lk])).into_iter().flatten() {
+            out.push(l.iter().chain(r.iter()).cloned().collect());
+        }
+    }
+    out
+}
+
+fn column_values(t: &Table, c: usize) -> Vec<Value> {
+    match t.column(c) {
+        ColumnData::Int(v) => v.iter().map(|&x| Value::Int(x)).collect(),
+        ColumnData::Float(v) => v.iter().map(|&x| Value::Float(x)).collect(),
+        ColumnData::Str(v) => v.iter().map(|&s| Value::from(t.str_value(s))).collect(),
+    }
+}
+
+fn rows_of(t: &Table) -> Vec<Vec<Value>> {
+    let cols: Vec<Vec<Value>> = (0..t.n_cols()).map(|c| column_values(t, c)).collect();
+    (0..t.n_rows())
+        .map(|r| cols.iter().map(|c| c[r].clone()).collect())
+        .collect()
+}
+
+fn multiset(rows: &[Vec<Value>]) -> Vec<String> {
+    let mut keys: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    keys.sort();
+    keys
+}
+
+/// The key pair of the output is one vector.
+fn assert_one_key(t: &Table, li: usize, ri: usize, ctx: &str) {
+    assert!(
+        std::ptr::eq(t.column(li), t.column(ri)),
+        "{ctx}: the key pair is two vectors"
+    );
+}
+
+/// A view of `out` materialized by `map_int` keeps the pair one vector;
+/// `push_row` then gives each column of the pair its own value, and
+/// `out` is as it was.
+fn edit_one_of_the_pair(out: &Table, li: usize, ri: usize, ctx: &str) {
+    let before = column_values(out, li);
+    let mut edited = out.select(&Predicate::int("a", Cmp::Ge, 20)).unwrap();
+    edited.map_int("a", "twice", |x| 2 * x).unwrap();
+    assert_one_key(&edited, li, ri, &format!("{ctx}: map_int"));
+    let kept = column_values(&edited, li);
+    // The pushed row's keys differ: each column of the pair takes its own.
+    let mut row: Vec<Value> = edited
+        .schema()
+        .iter()
+        .map(|(_, ty)| match ty {
+            ColumnType::Int => Value::Int(7),
+            ColumnType::Float => Value::Float(0.5),
+            ColumnType::Str => Value::from("pushed"),
+        })
+        .collect();
+    row[ri] = match row[li] {
+        Value::Int(_) => Value::Int(i64::MIN),
+        _ => Value::from("other"),
+    };
+    edited.push_row(&row).unwrap();
+    for c in [li, ri] {
+        let mut want = kept.clone();
+        want.push(row[c].clone());
+        assert_eq!(
+            column_values(&edited, c),
+            want,
+            "{ctx}: push_row, column {c}"
+        );
+    }
+    assert_eq!(column_values(out, li), before, "{ctx}: the joined table");
+    assert_one_key(
+        out,
+        li,
+        ri,
+        &format!("{ctx}: the joined table after the edit"),
+    );
+}
+
+fn run(case: u64, ty: ColumnType, rng: &mut Rng64) {
+    let threads = [1usize, 2, 4][rng.below(3)];
+    let ringo = Ringo::with_threads(threads);
+    let large = rng.below(6) == 0;
+    // Large sides keep past the partitioned build's 4096 rows as views.
+    let n = |rng: &mut Rng64| {
+        if large {
+            9000 + rng.below(3000)
+        } else {
+            rng.below(40)
+        }
+    };
+    let range = if large { 6000 } else { 1 + rng.below(12) };
+    let shared = rng.bool();
+    let [left, right] = if shared {
+        let n = n(rng);
+        one_pool(rng, ty, n, range, threads)
+    } else {
+        let sizes = [n(rng), n(rng)];
+        let mut sides = own_pools(rng, ty, sizes, range, threads);
+        if rng.bool() {
+            sides.swap(0, 1);
+        }
+        sides
+    };
+    let ctx = format!(
+        "case {case}, {ty:?} keys, threads {threads}, {} x {} rows, {}",
+        left.rows.len(),
+        right.rows.len(),
+        if shared { "one pool" } else { "two pools" }
+    );
+    let (lk, rk) = (left.key_index(), right.key_index());
+    let (li, ri) = (lk, left.table.n_cols() + rk);
+
+    let eager = left.table.join(&right.table, left.key, right.key).unwrap();
+    let lazy = ringo
+        .query(&left.table)
+        .join(&right.table, left.key, right.key)
+        .collect()
+        .unwrap();
+    let want = model(&left, &right);
+    assert_eq!(
+        multiset(&rows_of(&eager)),
+        multiset(&want),
+        "{ctx}: eager rows"
+    );
+    assert_eq!(lazy.schema(), eager.schema(), "{ctx}: lazy schema");
+    assert_eq!(
+        rows_of(&lazy),
+        rows_of(&eager),
+        "{ctx}: lazy rows, in order"
+    );
+    assert_eq!(*lazy.row_ids(), *eager.row_ids(), "{ctx}: lazy row ids");
+    if shared {
+        assert!(
+            std::ptr::eq(eager.pool(), left.table.pool()),
+            "{ctx}: one pool"
+        );
+    }
+    for (t, form) in [(&eager, "eager"), (&lazy, "lazy")] {
+        let ctx = format!("{ctx} [{form}]");
+        assert_one_key(t, li, ri, &ctx);
+        edit_one_of_the_pair(t, li, ri, &ctx);
+    }
+}
+
+#[test]
+fn int_keys_are_stored_once_and_match_the_model() {
+    for case in 0..CASES {
+        run(case, ColumnType::Int, &mut Rng64::new(0x6a6f_696e ^ case));
+    }
+}
+
+#[test]
+fn str_keys_are_stored_once_and_match_the_model() {
+    for case in 0..CASES {
+        run(case, ColumnType::Str, &mut Rng64::new(0x7374_726b ^ case));
+    }
+}
+
+/// Duplicate keys on both sides and `i64::MIN` on both: every pair of
+/// equal keys is a row, and the key is one vector.
+#[test]
+fn duplicates_and_i64_min_on_both_sides() {
+    let left = Table::from_int_column("k", vec![i64::MIN, 1, 1, 2, i64::MIN]);
+    let right = Table::from_int_column("k", vec![1, i64::MIN, 1, 3]);
+    let j = left.join(&right, "k", "k").unwrap();
+    let mut keys = j.int_col("k").unwrap().to_vec();
+    keys.sort_unstable();
+    assert_eq!(keys, [i64::MIN, i64::MIN, 1, 1, 1, 1]);
+    assert_one_key(&j, 0, 1, "duplicates");
+    let empty = left
+        .join(&Table::from_int_column("k", vec![9]), "k", "k")
+        .unwrap();
+    assert_eq!(empty.n_rows(), 0);
+    assert_one_key(&empty, 0, 1, "empty");
+}

@@ -1,0 +1,113 @@
+//! Allocation account of `tw_relational`'s two largest verbs.
+//!
+//! `join_rest` joins an edge table `(src, dst)` with a one-column table
+//! of most of its `src` values. Every output row's two keys are equal, so
+//! the output stores the key once: its right key column is the left key
+//! column's vector. The join gathers the right side's other columns
+//! first (here none), drops the right positions, then gathers the left
+//! columns, so beside the input it peaks at one position vector and the
+//! left columns' output, and holds 0 B for the right key column.
+//! `order_by` on a clone of the edge table is a permutation of the
+//! original's columns: the sort holds its packed keys and the
+//! permutation, 12 B a row.
+//!
+//! Kept in its own test binary so nothing else moves the process-global
+//! allocation counters mid-measurement.
+
+use ringo::trace::mem::{current_bytes, peak_bytes, reset_peak, TrackingAllocator};
+use ringo::Table;
+use ringo_rng::Rng64;
+use std::sync::Mutex;
+
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
+
+static MEASURING: Mutex<()> = Mutex::new(());
+
+const N: usize = 1_000_000;
+
+/// `N` edges over `N / 64` sources, so the join's hash index on the key
+/// table is small beside its output.
+fn edges() -> Table {
+    let mut rng = Rng64::new(34);
+    let src = (0..N).map(|_| rng.range_i64(0..(N / 64) as i64)).collect();
+    let mut t = Table::from_int_column("src", src);
+    t.add_int_column("dst", (0..N).map(|_| rng.range_i64(0..N as i64)).collect())
+        .unwrap();
+    t.set_threads(2);
+    t
+}
+
+#[test]
+fn a_join_stores_its_key_once() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let t = edges();
+    // Nine in ten sources: most rows match, as in `join_rest`.
+    let mut keys = Table::from_int_column("key", (0..(N / 64) as i64 * 9 / 10).collect());
+    keys.set_threads(2);
+    // The first call registers spans and counters, which the process keeps.
+    drop(t.join(&keys, "src", "key").unwrap());
+
+    let live = current_bytes();
+    reset_peak();
+    let j = t.join(&keys, "src", "key").unwrap();
+    let peak = peak_bytes() - live;
+    let held = current_bytes() - live;
+    let out = j.n_rows();
+    assert!(out > N * 8 / 10, "{out} rows joined");
+    assert!(std::ptr::eq(j.column(0), j.column(2)), "one key vector");
+
+    // `src` and `dst` gathered (16 B a row); nothing for `key`.
+    assert!(
+        (16 * out..16 * out + 4096).contains(&held),
+        "the join output holds {held} B: two gathered columns are {} B",
+        16 * out
+    );
+    // The left positions (4 B a row) beside the left columns' output
+    // (16).
+    let bound = 20 * out + (1 << 20);
+    assert!(
+        peak <= bound,
+        "the join peaked {peak} B above its input, {:.2} B an output row",
+        peak as f64 / out as f64
+    );
+    assert_eq!(j.mem_size(), 16 * out + j.pool().mem_size());
+}
+
+#[test]
+fn sorting_a_clone_holds_keys_and_a_permutation() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let t = edges();
+    // The first call registers spans and counters.
+    t.ordered_by(&["src", "dst"], true).unwrap();
+
+    let live = current_bytes();
+    reset_peak();
+    let mut sorted = t.clone();
+    sorted.order_by(&["src", "dst"], true).unwrap();
+    let peak = peak_bytes() - live;
+    let held = current_bytes() - live;
+
+    // The packed keys (8 B a row) and the permutation read off them (4).
+    let bound = 12 * N + (1 << 16);
+    assert!(
+        peak <= bound,
+        "clone and order_by peaked {peak} B above the input, {:.2} B a row",
+        peak as f64 / N as f64
+    );
+    assert!(
+        (4 * N..4 * N + 4096).contains(&held),
+        "the sorted clone holds {held} B: its permutation is {} B",
+        4 * N
+    );
+    let (src, dst) = (
+        sorted.int_col("src").unwrap(),
+        sorted.int_col("dst").unwrap(),
+    );
+    assert!((1..N).all(|i| (src[i - 1], dst[i - 1]) <= (src[i], dst[i])));
+    let borrowed = current_bytes() - live;
+    assert!(
+        (20 * N..20 * N + 4096).contains(&borrowed),
+        "after two borrows the sorted clone holds {borrowed} B"
+    );
+}

@@ -86,8 +86,10 @@ fn assert_tables_identical(lazy: &Table, eager: &Table, ctx: &str) {
 }
 
 /// Random 2–5 step pipelines: lazy `collect()` equals the eager verb
-/// chain step for step, at 1, 2 and 4 threads. The lazy order step
-/// permutes a selection where eager `order_by` writes new columns.
+/// chain step for step, at 1, 2 and 4 threads. Eager `order_by` is the
+/// lazy order step, so this cannot check an order; `table_views.rs`'
+/// `plan_shaped_pipelines_order_like_the_model` checks these shapes'
+/// orders against a row model.
 #[test]
 fn random_pipelines_lazy_equals_eager() {
     for_cases("random_pipelines_lazy_equals_eager", |rng| {

@@ -3,8 +3,8 @@
 //! A table built from whole columns stores no row ids: a row's id is its
 //! position. So building one allocates nothing for ids, a clone shares
 //! the columns and copies nothing a row, and sorting a clone holds the
-//! sort keys, the sorted columns and the ids the sort makes — never 8 B a
-//! row of copied ids.
+//! sort keys and the permutation, a view that shares the ids with the
+//! original — never 8 B a row of ids, copied or made.
 //!
 //! Kept in its own test binary so nothing else moves the process-global
 //! allocation counters mid-measurement.
@@ -75,7 +75,7 @@ fn clone_shares_the_columns() {
 }
 
 #[test]
-fn sorting_a_clone_holds_keys_columns_and_new_ids() {
+fn sorting_a_clone_holds_its_permutation_and_no_ids() {
     let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let t = two_columns();
     // The first call registers spans and counters, which the process keeps.
@@ -89,15 +89,14 @@ fn sorting_a_clone_holds_keys_columns_and_new_ids() {
     assert!(a.windows(2).all(|w| w[0] <= w[1]));
     let kept = current_bytes() - live;
     assert!(
-        (24 * N..24 * N + 4096).contains(&kept),
-        "ordered_by kept {kept} B: two columns and the ids are {} B",
-        24 * N
+        (12 * N..12 * N + 4096).contains(&kept),
+        "ordered_by kept {kept} B: the permutation and the one column borrowed are {} B",
+        12 * N
     );
 
-    // Keys (8 B a row), the sorted copies of the two columns (16) and the
-    // ids the sort makes (8): 32 B a row, plus the sorter's counters. A
-    // clone that copied ids would hold 40.
-    let bound = 32 * N + (1 << 16);
+    // Keys (8 B a row) and the permutation (4): 12 B a row, plus the
+    // sorter's counters; a clone that copied ids would add 8.
+    let bound = 12 * N + (1 << 16);
     assert!(
         peak <= bound,
         "ordered_by peaked {peak} B above its input, {:.2} B a row",

@@ -756,6 +756,76 @@ fn every_verb_on_large_views_matches_copies_and_the_model() {
     run_pipelines("large", true);
 }
 
+/// `tests/plan.rs`' pipeline shapes — 2 to 5 steps of select, project,
+/// order, one join and a count by `k` — run eagerly against the model.
+/// Eager `order_by` is the lazy order step, so lazy ≡ eager there no
+/// longer checks an order; this does, on each step's result and its
+/// materialized copy.
+#[test]
+fn plan_shaped_pipelines_order_like_the_model() {
+    for case in 0..48u64 {
+        let rng = &mut Rng64::new(0x706c_616e ^ case);
+        let threads = [1usize, 2, 4][rng.below(3)];
+        let n = rng.below(200);
+        let mut ctx = format!("case {case}, threads {threads}, {n} rows:");
+        let (mut t, mut m) = base(rng, n, threads);
+        let mut joined = false;
+        for _ in 0..2 + rng.below(4) {
+            let has_k = m.schema.contains("k");
+            match rng.below(5) {
+                0 if has_k => {
+                    let (pred, cmp, x) = k_predicate(rng);
+                    let k = m.col("k");
+                    m.rows.retain(|(_, r)| holds(cmp, &r[k], x));
+                    t = t.select(&pred).unwrap();
+                    ctx.push_str(&format!(" select(k {cmp:?} {x})"));
+                }
+                1 => {
+                    let mut cols = names(&m);
+                    rng.shuffle(&mut cols);
+                    cols.truncate(1 + rng.below(cols.len()));
+                    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+                    m.project(&cols);
+                    t = t.project(&cols).unwrap();
+                    ctx.push_str(&format!(" project({cols:?})"));
+                }
+                2 => {
+                    let col = names(&m)[rng.below(m.schema.len())].clone();
+                    let ascending = rng.bool();
+                    m.sort(&[m.col(&col)], ascending);
+                    t.order_by(&[&col], ascending).unwrap();
+                    ctx.push_str(&format!(" order_by({col}, {ascending})"));
+                }
+                3 if has_k && !joined => {
+                    joined = true;
+                    let d = partner(rng, &dim_schema(), &[], threads);
+                    let want = join_rows(&m.values(), &d.rows, m.col("k"), 0);
+                    t = t.join(&d.view, "k", "k").unwrap();
+                    m = Model::adopt(&t, &want, &ctx);
+                    ctx.push_str(" join");
+                }
+                4 if has_k => {
+                    let k = m.col("k");
+                    let mut groups: Vec<(Value, i64)> = Vec::new();
+                    for (_, r) in &m.rows {
+                        match groups.iter_mut().find(|(g, _)| *g == r[k]) {
+                            Some((_, n)) => *n += 1,
+                            None => groups.push((r[k].clone(), 1)),
+                        }
+                    }
+                    t = t.group_by(&["k"], None, AggOp::Count, "n").unwrap();
+                    let schema = Schema::new([("k", ColumnType::Int), ("n", ColumnType::Int)]);
+                    let rows = groups.into_iter().map(|(g, n)| vec![g, Value::Int(n)]);
+                    m = Model::fresh(schema, rows.collect());
+                    ctx.push_str(" group_by(k)");
+                }
+                _ => continue,
+            }
+            check(&t, &materialized(&t), &m, &ctx);
+        }
+    }
+}
+
 /// A select of a view composes the selections: still a view of the base,
 /// and after the base is dropped it answers from the columns it pins.
 #[test]
