@@ -8,8 +8,10 @@ use ringo_graph::{DirectedTopology, NodeId, NodeValues, WeightedDigraph};
 
 /// Weighted PageRank: a random surfer follows out-edges with probability
 /// proportional to edge weight (instead of uniformly). Weights must be
-/// non-negative; nodes whose total out-weight is zero are treated as
-/// dangling. Scores sum to 1, as a slot-ordered column.
+/// non-negative and not NaN — `table_to_weighted_graph` refuses any
+/// other, and `add_edge` trusts its caller; nodes whose total out-weight
+/// is zero are treated as dangling. Scores sum to 1, as a slot-ordered
+/// column.
 ///
 /// Each node pulls over its in-row, in slot order, starting from the
 /// teleport term: the order in which pushing every node's share along
@@ -43,9 +45,12 @@ pub fn pagerank_weighted(g: &WeightedDigraph, config: &PageRankConfig) -> NodeVa
     sweep.finish(g, rank)
 }
 
-/// Dijkstra over the graph's stored weights (which must be non-negative).
-/// Returns each reached node's distance in ascending slot order;
-/// unreachable nodes have no value.
+/// Dijkstra over the graph's stored weights, which must be non-negative
+/// and not NaN: the heap orders distances by `f64::to_bits`, which is
+/// numeric order only there, and checks the sign only in debug builds.
+/// `table_to_weighted_graph` refuses any other weight; `add_edge` trusts
+/// its caller. Returns each reached node's distance in ascending slot
+/// order; unreachable nodes have no value.
 pub fn dijkstra_weighted(g: &WeightedDigraph, src: NodeId) -> NodeValues<f64> {
     dijkstra_slots(g, src, |u, k| g.out_weights(u)[k])
 }

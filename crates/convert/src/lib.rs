@@ -37,7 +37,9 @@ use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 use ringo_concurrent::{
     parallel_for, parallel_map, radix_sort_columns, DisjointSlice, SortedPairs,
 };
-use ringo_graph::{new_slab, DirectedGraph, DirectedTopology, NodeId, Rank, UndirectedGraph};
+use ringo_graph::{
+    new_slab, DirectedGraph, DirectedTopology, NodeId, Rank, UndirectedGraph, WeightedDigraph,
+};
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
 use std::sync::Arc;
 
@@ -265,48 +267,51 @@ fn rank(ids: Vec<NodeId>) -> Result<Rank> {
 /// Builds a weighted digraph from an edge table: one edge per distinct
 /// `(src, dst)` pair, with weights from `weight_col` (int or float)
 /// accumulated across duplicate rows — or 1.0 per row when `weight_col`
-/// is `None`, making the weight a multiplicity count.
+/// is `None`, making the weight a multiplicity count. Parallelism
+/// follows `t.threads()`.
+///
+/// # Errors
+/// As [`table_to_graph`]; a string weight column; and a weight that is
+/// negative or NaN, which no weighted kernel can take.
 pub fn table_to_weighted_graph(
     t: &Table,
     src_col: &str,
     dst_col: &str,
     weight_col: Option<&str>,
-) -> Result<ringo_graph::WeightedDigraph> {
+) -> Result<WeightedDigraph> {
+    table_to_weighted_graph_threads(t, src_col, dst_col, weight_col, t.threads())
+}
+
+/// [`table_to_weighted_graph`] on `threads` workers, whatever
+/// `t.threads()` says: [`table_to_graph_threads`]'s edges, weighed by one
+/// pass over the rows in row order
+/// ([`WeightedDigraph::from_out_weights`]), so each weight is the left
+/// fold of its rows — `add_edge` row by row — at any thread count.
+pub fn table_to_weighted_graph_threads(
+    t: &Table,
+    src_col: &str,
+    dst_col: &str,
+    weight_col: Option<&str>,
+    threads: usize,
+) -> Result<WeightedDigraph> {
     let mut sp = ringo_trace::span!("convert.table_to_weighted_graph");
     sp.rows_in(t.n_rows());
-    let src = t.int_col(src_col)?;
-    let dst = t.int_col(dst_col)?;
-    enum W<'a> {
-        One,
-        Int(&'a [i64]),
-        Float(&'a [f64]),
-    }
-    let weights = match weight_col {
-        None => W::One,
-        Some(name) => {
-            let i = t.schema().index_of(name)?;
-            match t.column(i) {
-                ringo_table::ColumnData::Int(v) => W::Int(v),
-                ringo_table::ColumnData::Float(v) => W::Float(v),
-                ringo_table::ColumnData::Str(_) => {
-                    return Err(TableError::TypeMismatch {
-                        column: name.to_string(),
-                        expected: "int or float",
-                        actual: "str",
-                    })
-                }
-            }
-        }
+    let weight = match weight_col {
+        None => Box::new(|_| 1.0),
+        Some(name) => t.numeric_col(name)?,
     };
-    let mut g = ringo_graph::WeightedDigraph::new();
-    for (row, (&s, &d)) in src.iter().zip(dst).enumerate() {
-        let w = match &weights {
-            W::One => 1.0,
-            W::Int(v) => v[row] as f64,
-            W::Float(v) => v[row],
-        };
-        g.add_edge(s, d, w);
+    // Negative or NaN: `-0.0` and `+inf` are in the range.
+    if let Some(row) = (0..t.n_rows()).find(|&row| !(0.0..).contains(&weight(row))) {
+        return Err(TableError::InvalidArgument(format!(
+            "weight column {}: row {row} holds {}; weights must be non-negative",
+            weight_col.unwrap_or_default(),
+            weight(row)
+        )));
     }
+    let g = table_to_graph_threads(t, src_col, dst_col, threads)?;
+    let (src, dst) = (t.int_col(src_col)?, t.int_col(dst_col)?);
+    let rows = src.iter().zip(dst).enumerate();
+    let g = WeightedDigraph::from_out_weights(g, rows.map(|(row, (&s, &d))| (s, d, weight(row))));
     sp.rows_out(g.edge_count());
     Ok(g)
 }
@@ -611,6 +616,37 @@ mod tests {
         let mut t3 = table_of(&[(1, 2)]);
         t3.add_str_column("s", &["x"]).unwrap();
         assert!(table_to_weighted_graph(&t3, "src", "dst", Some("s")).is_err());
+    }
+
+    #[test]
+    fn weighted_conversion_rejects_negative_and_nan_weights() {
+        let mut t = table_of(&[(1, 2), (2, 3), (3, 1)]);
+        t.add_int_column("count", vec![1, -2, 3]).unwrap();
+        t.add_float_column("score", vec![0.5, 1.0, -0.25]).unwrap();
+        t.add_float_column("ratio", vec![f64::NAN, 1.0, 1.0])
+            .unwrap();
+        for (col, row) in [("count", 1), ("score", 2), ("ratio", 0)] {
+            let err = table_to_weighted_graph(&t, "src", "dst", Some(col)).unwrap_err();
+            let TableError::InvalidArgument(msg) = &err else {
+                panic!("{col}: {err:?}")
+            };
+            assert!(
+                msg.contains(col) && msg.contains(&format!("row {row} ")),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn weighted_conversion_accepts_signed_zeros_and_infinity() {
+        let mut t = table_of(&[(1, 2), (1, 2), (2, 3), (3, 3), (3, 3)]);
+        let w = vec![-0.0, -0.0, 0.0, f64::INFINITY, 1.0];
+        t.add_float_column("w", w).unwrap();
+        let g = table_to_weighted_graph(&t, "src", "dst", Some("w")).unwrap();
+        let bits = |s, d| g.weight(s, d).map(f64::to_bits);
+        assert_eq!(bits(1, 2), Some((-0.0f64).to_bits()), "-0.0 + -0.0");
+        assert_eq!(bits(2, 3), Some(0.0f64.to_bits()));
+        assert_eq!(g.weight(3, 3), Some(f64::INFINITY));
     }
 
     #[test]

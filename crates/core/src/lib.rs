@@ -616,7 +616,15 @@ impl Ringo {
             format!("{src_col} -> {dst_col} w={}", weight_col.unwrap_or("count")),
             table.n_rows(),
             WeightedDigraph::edge_count,
-            || ringo_convert::table_to_weighted_graph(table, src_col, dst_col, weight_col),
+            || {
+                ringo_convert::table_to_weighted_graph_threads(
+                    table,
+                    src_col,
+                    dst_col,
+                    weight_col,
+                    self.threads,
+                )
+            },
         )
     }
 

@@ -278,8 +278,8 @@ impl DirectedGraph {
         Self {
             nodes: Nodes::bulk(rank),
             n_edges: out_slab.len(),
-            out: Rows::bulk(out_off, out_slab),
-            inn: Rows::bulk(in_off, in_slab),
+            out: Rows::slots(out_off, out_slab),
+            inn: Rows::slots(in_off, in_slab),
         }
     }
 

@@ -1,6 +1,7 @@
 //! The storage behind the dynamic graph types: [`Rows`] of neighbour
-//! slots, one per orientation, and the [`Nodes`] side that maps ids to
-//! slots.
+//! slots, one per orientation (and a weighted graph's weights, as
+//! `Rows<f64>` beside its out-rows), and the [`Nodes`] side that maps ids
+//! to slots.
 //!
 //! A neighbour is stored as the `u32` **slot** of the neighbouring node —
 //! the one adjacency representation: kernels read a row of slots in
@@ -30,7 +31,7 @@ const OWN_HEADER: usize = 2 * std::mem::size_of::<usize>() + std::mem::size_of::
 
 /// An overlay entry: a slot's list of its own, shared with the versions
 /// cloned since its last edit, or `None` where the bulk row stands.
-type Own = Option<Arc<Vec<u32>>>;
+type Own<T> = Option<Arc<Vec<T>>>;
 
 /// A zero-filled adjacency slab of `len` neighbour slots, allocated once
 /// in its final shared form. Producers fill it in place through
@@ -42,39 +43,25 @@ pub fn new_slab(len: usize) -> Arc<[u32]> {
 
 /// One orientation's rows: bulk row `s` is `slab[offs[s]..offs[s + 1]]`
 /// (empty for a slot past the bulk ones), unless the overlay holds a list
-/// of its own for `s`.
+/// of its own for `s`. A row is of neighbour slots, or (`Rows<f64>`) of
+/// the weights beside an out-row's slots, position for position.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Rows {
+pub(crate) struct Rows<T = u32> {
     offs: Arc<[u32]>,
-    slab: Arc<[u32]>,
+    slab: Arc<[T]>,
     /// Empty until this version's first edit; after it, one entry a slot.
-    edited: Arc<Vec<Own>>,
+    edited: Arc<Vec<Own<T>>>,
 }
 
 impl Rows {
-    /// Bulk rows: slot `k`'s row is `slab[off[k]..off[k + 1]]`, ascending
-    /// and below `off.len() - 1`. A slab too large for `u32` offsets is
-    /// copied into lists of their own instead.
-    pub(crate) fn bulk(off: &[usize], slab: Arc<[u32]>) -> Self {
-        debug_assert_eq!(off.last().copied(), Some(slab.len()));
+    /// Bulk rows of neighbour slots: [`Rows::bulk`], each row ascending
+    /// and below `off.len() - 1` (checked in debug builds).
+    pub(crate) fn slots(off: &[usize], slab: Arc<[u32]>) -> Self {
         debug_assert!(off.windows(2).all(|w| {
             let row = &slab[w[0]..w[1]];
             row.is_sorted_by(|a, b| a < b) && row.iter().all(|&s| (s as usize) < off.len() - 1)
         }));
-        if slab.len() <= u32::MAX as usize {
-            let offs = off.iter().map(|&o| o as u32).collect();
-            return Self {
-                offs,
-                slab,
-                edited: Arc::default(),
-            };
-        }
-        let own = off.windows(2);
-        let own = own.map(|w| Some(Arc::new(slab[w[0]..w[1]].to_vec())));
-        Self {
-            edited: Arc::new(own.collect()),
-            ..Self::default()
-        }
+        Self::bulk(off, slab)
     }
 
     /// `rows`, in slot order, packed into a fresh, exactly-sized slab.
@@ -84,39 +71,7 @@ impl Rows {
             slab.extend_from_slice(row.as_ref());
             off.push(slab.len());
         }
-        Self::bulk(&off, slab.into())
-    }
-
-    /// Slot `s`'s row.
-    #[inline]
-    pub(crate) fn row(&self, s: usize) -> &[u32] {
-        match self.edited.get(s) {
-            Some(Some(own)) => own,
-            _ => bulk_row(&self.offs, &self.slab, s),
-        }
-    }
-
-    /// Slot `s`'s row to edit, in a graph of `n` slots. A row this version
-    /// does not hold alone — a bulk row, or a list another version shares
-    /// — is first copied, into room for one more, since an edit follows.
-    pub(crate) fn to_mut(&mut self, s: usize, n: usize) -> &mut Vec<u32> {
-        let Rows { offs, slab, edited } = self;
-        let edited = Arc::make_mut(edited);
-        if edited.len() < n {
-            edited.resize(n, None);
-        }
-        let own = &mut edited[s];
-        if own.as_ref().is_none_or(|o| Arc::strong_count(o) > 1) {
-            let shared = own.take();
-            let row = shared
-                .as_deref()
-                .map_or(bulk_row(offs, slab, s), Vec::as_slice);
-            let mut copy = Vec::with_capacity(row.len() + 1);
-            copy.extend_from_slice(row);
-            *own = Some(Arc::new(copy));
-        }
-        // Held once by now: never clones.
-        Arc::make_mut(own.get_or_insert_default())
+        Self::slots(&off, slab.into())
     }
 
     /// The `n` slots' rows rewritten as bulk rows of one fresh slab, with
@@ -147,21 +102,77 @@ impl Rows {
         }
         stats.total_slab_bytes += self.slab.len() * SLOT_BYTES;
     }
+}
+
+impl<T: Copy + Default> Rows<T> {
+    /// Bulk rows: slot `k`'s row is `slab[off[k]..off[k + 1]]`. A slab too
+    /// large for `u32` offsets is copied into lists of their own instead.
+    pub(crate) fn bulk(off: &[usize], slab: Arc<[T]>) -> Self {
+        debug_assert_eq!(off.last().copied(), Some(slab.len()));
+        if slab.len() <= u32::MAX as usize {
+            let offs = off.iter().map(|&o| o as u32).collect();
+            return Self {
+                offs,
+                slab,
+                edited: Arc::default(),
+            };
+        }
+        let own = off.windows(2);
+        let own = own.map(|w| Some(Arc::new(slab[w[0]..w[1]].to_vec())));
+        Self {
+            edited: Arc::new(own.collect()),
+            ..Self::default()
+        }
+    }
+
+    /// Slot `s`'s row.
+    #[inline]
+    pub(crate) fn row(&self, s: usize) -> &[T] {
+        match self.edited.get(s) {
+            Some(Some(own)) => own,
+            _ => bulk_row(&self.offs, &self.slab, s),
+        }
+    }
+
+    /// Slot `s`'s row to edit, in a graph of `n` slots. A row this version
+    /// does not hold alone — a bulk row, or a list another version shares
+    /// — is first copied, into room for one more, since an edit follows.
+    pub(crate) fn to_mut(&mut self, s: usize, n: usize) -> &mut Vec<T> {
+        let Rows { offs, slab, edited } = self;
+        let edited = Arc::make_mut(edited);
+        if edited.len() < n {
+            edited.resize(n, None);
+        }
+        let own = &mut edited[s];
+        if own.as_ref().is_none_or(|o| Arc::strong_count(o) > 1) {
+            let shared = own.take();
+            let row = shared
+                .as_deref()
+                .map_or(bulk_row(offs, slab, s), Vec::as_slice);
+            let mut copy = Vec::with_capacity(row.len() + 1);
+            copy.extend_from_slice(row);
+            *own = Some(Arc::new(copy));
+        }
+        // Held once by now: never clones.
+        Arc::make_mut(own.get_or_insert_default())
+    }
 
     /// Heap bytes: the offsets and the slab in full (dead ranges too),
     /// the overlay, and every list of its own with its header.
     pub(crate) fn mem_size(&self) -> usize {
         let own = self.edited.iter().flatten();
-        let own: usize = own.map(|o| OWN_HEADER + o.capacity() * SLOT_BYTES).sum();
-        (self.offs.len() + self.slab.len()) * SLOT_BYTES
-            + self.edited.capacity() * std::mem::size_of::<Own>()
+        let cell = std::mem::size_of::<T>();
+        let own: usize = own.map(|o| OWN_HEADER + o.capacity() * cell).sum();
+        self.offs.len() * SLOT_BYTES
+            + self.slab.len() * cell
+            + self.edited.capacity() * std::mem::size_of::<Own<T>>()
             + own
     }
 }
 
 /// Bulk row `s` of `slab` under `offs`; empty past the bulk slots.
 #[inline]
-fn bulk_row<'a>(offs: &[u32], slab: &'a [u32], s: usize) -> &'a [u32] {
+fn bulk_row<'a, T>(offs: &[u32], slab: &'a [T], s: usize) -> &'a [T] {
     match offs.get(s..s + 2) {
         Some(&[lo, hi]) => &slab[lo as usize..hi as usize],
         _ => &[],
@@ -573,7 +584,7 @@ mod tests {
         assert_eq!(r.mem_size(), (4 + 4) * SLOT_BYTES, "offsets and slab");
         r.to_mut(0, 3).clear();
         let own = OWN_HEADER + 3 * SLOT_BYTES;
-        let overlay = r.edited.capacity() * std::mem::size_of::<Own>();
+        let overlay = r.edited.capacity() * std::mem::size_of::<Own<u32>>();
         assert!(r.edited.capacity() >= 3);
         assert_eq!(
             r.mem_size(),

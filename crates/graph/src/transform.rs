@@ -143,11 +143,8 @@ impl UndirectedGraph {
 }
 
 /// The subgraph of `g` induced by the live slots `keep(slot, id)`
-/// accepts, as a plain directed graph.
-pub(crate) fn directed_copy<G: DirectedTopology>(
-    g: &G,
-    keep: impl Fn(usize, NodeId) -> bool,
-) -> DirectedGraph {
+/// accepts.
+fn directed_copy(g: &DirectedGraph, keep: impl Fn(usize, NodeId) -> bool) -> DirectedGraph {
     let map = Renumbering::new(g, keep);
     let (in_off, in_slab) = map.slab(|s| g.in_row(s).iter().copied());
     let (out_off, out_slab) = map.slab(|s| g.out_row(s).iter().copied());

@@ -213,7 +213,7 @@ impl UndirectedGraph {
     pub fn from_ranked_parts(rank: Rank, off: &[usize], slab: Arc<[u32]>) -> Self {
         let n = rank.ids().len();
         assert_eq!(off.len(), n + 1, "off: one bound per node plus one");
-        Self::from_rows(Nodes::bulk(rank), Rows::bulk(off, slab))
+        Self::from_rows(Nodes::bulk(rank), Rows::slots(off, slab))
     }
 
     /// The graph of bulk-built `nodes` and `rows`: every edge but a

@@ -2,35 +2,29 @@
 //!
 //! Graph-analytics workflows constantly produce weighted edges — "number
 //! of answers accepted between two users", "transitions between pages" —
-//! usually via a group-by on an edge table. [`WeightedDigraph`] stores
-//! each node's out-weights in a vector parallel to its out-row of
-//! neighbour slots, so the unweighted traversal machinery carries over
-//! and weight lookup is the same binary search as `has_edge`.
+//! usually via a group-by on an edge table. [`WeightedDigraph`] is a
+//! [`DirectedGraph`] plus one row of weights per out-row, position for
+//! position with its neighbour slots, so the unweighted traversal
+//! machinery carries over and weight lookup is the same binary search as
+//! `has_edge`.
 
-use crate::directed::Nbrs;
-use crate::nbrs::Nodes;
+use crate::nbrs::Rows;
 use crate::topology::DirectedTopology;
-use crate::{NodeId, NodeValues};
-
-#[derive(Clone, Debug, Default)]
-struct WNodeCell {
-    in_nbrs: Vec<u32>,
-    out_nbrs: Vec<u32>,
-    out_weights: Vec<f64>,
-}
+use crate::{DirectedGraph, NodeId, NodeValues};
+use std::sync::Arc;
 
 /// A dynamic directed graph with one `f64` weight per edge.
 ///
-/// Mirrors [`crate::DirectedGraph`] (rows of neighbour slots, sorted by
-/// slot); adding an existing edge *accumulates* onto its weight (the
-/// natural semantics for count/strength weights) rather than failing.
+/// A [`DirectedGraph`] (rows of neighbour slots, sorted by slot) and its
+/// out-rows' weights, stored like the rows themselves: a slab every clone
+/// shares, and a per-version overlay of the rows an edit touched. Adding
+/// an existing edge *accumulates* onto its weight (the natural semantics
+/// for count/strength weights) rather than failing.
 #[derive(Clone, Debug, Default)]
 pub struct WeightedDigraph {
-    nodes: Nodes,
-    /// Per slot: the node's rows and weights. No node is ever deleted, so
-    /// every slot is live.
-    cells: Vec<WNodeCell>,
-    n_edges: usize,
+    graph: DirectedGraph,
+    /// `weights.row(s)[k]` is the weight of the edge to `graph.out_row(s)[k]`.
+    weights: Rows<f64>,
 }
 
 impl WeightedDigraph {
@@ -42,173 +36,163 @@ impl WeightedDigraph {
     /// Creates an empty graph pre-sized for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         Self {
-            nodes: Nodes::with_capacity(nodes),
-            cells: Vec::with_capacity(nodes),
-            n_edges: 0,
+            graph: DirectedGraph::with_capacity(nodes),
+            ..Self::default()
         }
+    }
+
+    /// `graph` with a weight on each edge: the sum, in the order given, of
+    /// the weights `weights` lists for it. The sums go into one slab laid
+    /// out like the out-rows that starts at `-0.0`, which adds to any
+    /// non-NaN `x` as `x` bit for bit, so each weight is the left fold
+    /// `add_edge` would make of the same list.
+    ///
+    /// # Panics
+    /// When `weights` names an edge `graph` does not have.
+    pub fn from_out_weights(
+        graph: DirectedGraph,
+        weights: impl IntoIterator<Item = (NodeId, NodeId, f64)>,
+    ) -> Self {
+        let mut off = Vec::with_capacity(graph.n_slots() + 1);
+        off.push(0);
+        for s in 0..graph.n_slots() {
+            off.push(off[s] + graph.out_row(s).len());
+        }
+        let mut slab: Arc<[f64]> = std::iter::repeat_n(-0.0, graph.edge_count()).collect();
+        let sums = Arc::get_mut(&mut slab).expect("fresh slab");
+        let mut g = Self {
+            graph,
+            weights: Rows::default(),
+        };
+        for (src, dst, w) in weights {
+            let (s, pos) = g.position(src, dst).expect("a weight names an edge");
+            sums[off[s] + pos] += w;
+        }
+        g.weights = Rows::bulk(&off, slab);
+        g
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.graph.node_count()
     }
 
     /// Number of distinct directed edges.
     pub fn edge_count(&self) -> usize {
-        self.n_edges
+        self.graph.edge_count()
     }
 
     /// True when `id` is a node.
     pub fn has_node(&self, id: NodeId) -> bool {
-        self.nodes.slot(id).is_some()
+        self.graph.has_node(id)
     }
 
     /// Weight of edge `src -> dst`, or `None` if absent.
     pub fn weight(&self, src: NodeId, dst: NodeId) -> Option<f64> {
-        let c = self.cell(src)?;
-        let pos = c.out_nbrs.binary_search(&self.nodes.slot(dst)?).ok()?;
-        Some(c.out_weights[pos])
+        let (s, pos) = self.position(src, dst)?;
+        Some(self.weights.row(s)[pos])
     }
 
     /// Adds node `id`. Returns `false` if it already existed.
     pub fn add_node(&mut self, id: NodeId) -> bool {
-        self.ensure_node(id).1
-    }
-
-    /// The slot of node `id`, and whether it had to be added first: no
-    /// slot is ever freed, so an added node takes the next one.
-    fn ensure_node(&mut self, id: NodeId) -> (u32, bool) {
-        let (slot, added) = self.nodes.ensure(id);
-        if added {
-            self.cells.push(WNodeCell::default());
-        }
-        (slot, added)
+        self.graph.add_node(id)
     }
 
     /// Adds weight `w` on the edge `src -> dst`, creating nodes and the
     /// edge as needed. Returns the new accumulated weight.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, w: f64) -> f64 {
-        let (s, _) = self.ensure_node(src);
-        let (d, _) = self.ensure_node(dst);
-        let sc = &mut self.cells[s as usize];
-        let pos = match sc.out_nbrs.binary_search(&d) {
-            Ok(pos) => {
-                sc.out_weights[pos] += w;
-                return sc.out_weights[pos];
-            }
-            Err(pos) => pos,
-        };
-        sc.out_nbrs.insert(pos, d);
-        sc.out_weights.insert(pos, w);
-        let dc = &mut self.cells[d as usize];
-        let pos = dc
-            .in_nbrs
-            .binary_search(&s)
-            .expect_err("in/out adjacency out of sync");
-        dc.in_nbrs.insert(pos, s);
-        self.n_edges += 1;
-        w
+        let added = self.graph.add_edge(src, dst);
+        let (s, pos) = self.position(src, dst).expect("the edge just added");
+        let row = self.weights.to_mut(s, self.graph.n_slots());
+        if added {
+            row.insert(pos, w);
+        } else {
+            row[pos] += w;
+        }
+        row[pos]
     }
 
     /// Removes the edge `src -> dst` entirely; returns its weight.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> Option<f64> {
-        let (s, d) = (self.nodes.slot(src)?, self.nodes.slot(dst)?);
-        let sc = &mut self.cells[s as usize];
-        let pos = sc.out_nbrs.binary_search(&d).ok()?;
-        sc.out_nbrs.remove(pos);
-        let w = sc.out_weights.remove(pos);
-        let dc = &mut self.cells[d as usize];
-        let pos = dc.in_nbrs.binary_search(&s).expect("adjacency in sync");
-        dc.in_nbrs.remove(pos);
-        self.n_edges -= 1;
-        Some(w)
+        let (s, pos) = self.position(src, dst)?;
+        self.graph.del_edge(src, dst);
+        Some(self.weights.to_mut(s, self.graph.n_slots()).remove(pos))
     }
 
     /// Out-neighbors (in slot order) and their weights.
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (nbrs, ws): (&[u32], &[f64]) = match self.cell(id) {
-            Some(c) => (&c.out_nbrs, &c.out_weights),
-            None => (&[], &[]),
-        };
-        Nbrs::new(nbrs, self).zip(ws.iter().copied())
+        let ws = self.slot_of(id).map_or(&[][..], |s| self.weights.row(s));
+        self.graph.out_nbrs(id).zip(ws.iter().copied())
     }
 
     /// The weights of the out-edges of `slot`, position for position with
     /// its out-row ([`DirectedTopology::out_row`]).
     pub fn out_weights(&self, slot: usize) -> &[f64] {
-        &self.cells[slot].out_weights
+        self.weights.row(slot)
     }
 
     /// Total outgoing weight of `id` (0 if absent).
     pub fn out_strength(&self, id: NodeId) -> f64 {
-        self.cell(id).map_or(0.0, |c| c.out_weights.iter().sum())
+        self.slot_of(id)
+            .map_or(0.0, |s| self.weights.row(s).iter().sum())
     }
 
     /// Iterates over node ids in slot order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.live().map(|(_, id)| id)
+        self.graph.node_ids()
     }
 
     /// Iterates over `(src, dst, weight)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        self.nodes.live().flat_map(move |(s, id)| {
-            let c = &self.cells[s];
-            Nbrs::new(&c.out_nbrs, self)
-                .zip(&c.out_weights)
-                .map(move |(d, w)| (id, d, *w))
-        })
+        let weights = (0..self.n_slots()).flat_map(|s| self.weights.row(s).iter().copied());
+        self.graph.edges().zip(weights).map(|((s, d), w)| (s, d, w))
     }
 
-    /// Drops weights, producing the plain directed graph (live nodes in
-    /// slot order).
-    pub fn to_unweighted(&self) -> crate::DirectedGraph {
-        crate::transform::directed_copy(self, |_, _| true)
+    /// Drops weights: the plain directed graph, sharing every row.
+    pub fn to_unweighted(&self) -> DirectedGraph {
+        self.graph.clone()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: the graph's and the weights'.
     pub fn mem_size(&self) -> usize {
-        let mut bytes = self.nodes.mem_size();
-        bytes += self.cells.capacity() * std::mem::size_of::<WNodeCell>();
-        for c in &self.cells {
-            bytes += (c.in_nbrs.capacity() + c.out_nbrs.capacity()) * std::mem::size_of::<u32>()
-                + c.out_weights.capacity() * std::mem::size_of::<f64>();
-        }
-        bytes
+        self.graph.mem_size() + self.weights.mem_size()
     }
 
-    #[inline]
-    fn cell(&self, id: NodeId) -> Option<&WNodeCell> {
-        Some(&self.cells[self.nodes.slot(id)? as usize])
+    /// The slot of `src` and the position of `dst` in its out-row, when
+    /// the edge `src -> dst` exists.
+    fn position(&self, src: NodeId, dst: NodeId) -> Option<(usize, usize)> {
+        let (s, d) = (self.slot_of(src)?, self.slot_of(dst)?);
+        Some((s, self.out_row(s).binary_search(&(d as u32)).ok()?))
     }
 }
 
 impl DirectedTopology for WeightedDigraph {
     fn n_slots(&self) -> usize {
-        self.nodes.n_slots()
+        self.graph.n_slots()
     }
 
     fn slot_id(&self, slot: usize) -> Option<NodeId> {
-        self.nodes.id(slot)
+        self.graph.slot_id(slot)
     }
 
     fn slot_of(&self, id: NodeId) -> Option<usize> {
-        self.nodes.slot(id).map(|s| s as usize)
+        self.graph.slot_of(id)
     }
 
     fn out_row(&self, slot: usize) -> &[u32] {
-        &self.cells[slot].out_nbrs
+        self.graph.out_row(slot)
     }
 
     fn in_row(&self, slot: usize) -> &[u32] {
-        &self.cells[slot].in_nbrs
+        self.graph.in_row(slot)
     }
 
     fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.graph.node_count()
     }
 
     fn edge_count(&self) -> usize {
-        self.n_edges
+        self.graph.edge_count()
     }
 
     fn node_values<T>(
@@ -217,7 +201,7 @@ impl DirectedTopology for WeightedDigraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(&self.nodes, self, per_slot, count, keep)
+        self.graph.node_values(per_slot, count, keep)
     }
 }
 
@@ -270,6 +254,25 @@ mod tests {
         let slot = g.slot_of(1).unwrap();
         assert_eq!(g.out_row(slot), &[g.slot_of(2).unwrap() as u32]);
         assert_eq!(g.in_row(slot), &[g.slot_of(3).unwrap() as u32]);
+    }
+
+    #[test]
+    fn from_out_weights_folds_each_edge_in_order() {
+        let mut plain = DirectedGraph::new();
+        plain.add_edge(1, 2);
+        plain.add_edge(2, 1);
+        let w = [(2, 1, -0.0), (1, 2, 0.5), (2, 1, -0.0), (1, 2, 0.25)];
+        let g = WeightedDigraph::from_out_weights(plain, w);
+        assert_eq!(g.weight(1, 2), Some(0.75));
+        assert_eq!(g.weight(2, 1).map(f64::to_bits), Some((-0.0f64).to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "a weight names an edge")]
+    fn from_out_weights_refuses_a_missing_edge() {
+        let mut plain = DirectedGraph::new();
+        plain.add_edge(1, 2);
+        WeightedDigraph::from_out_weights(plain, [(2, 1, 1.0)]);
     }
 
     #[test]

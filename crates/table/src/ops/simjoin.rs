@@ -7,20 +7,7 @@
 //! Euclidean distance.
 
 use crate::ops::join::materialize_join;
-use crate::{ColumnData, Result, Table, TableError};
-
-fn numeric_col<'a>(t: &'a Table, name: &str) -> Result<Box<dyn Fn(usize) -> f64 + Sync + 'a>> {
-    let i = t.schema().index_of(name)?;
-    match t.column(i) {
-        ColumnData::Int(v) => Ok(Box::new(move |row| v[row] as f64)),
-        ColumnData::Float(v) => Ok(Box::new(move |row| v[row])),
-        ColumnData::Str(_) => Err(TableError::TypeMismatch {
-            column: name.to_string(),
-            expected: "int or float",
-            actual: "str",
-        }),
-    }
-}
+use crate::{Result, Table, TableError};
 
 impl Table {
     /// Joins rows of `self` and `other` whose points — formed from the
@@ -51,11 +38,11 @@ impl Table {
         }
         let lget: Vec<_> = left_cols
             .iter()
-            .map(|c| numeric_col(self, c))
+            .map(|c| self.numeric_col(c))
             .collect::<Result<_>>()?;
         let rget: Vec<_> = right_cols
             .iter()
-            .map(|c| numeric_col(other, c))
+            .map(|c| other.numeric_col(c))
             .collect::<Result<_>>()?;
 
         // Sort both sides by the first coordinate.

@@ -425,6 +425,20 @@ impl Table {
         Ok(self.typed_col(name, ColumnType::Float)?.as_float())
     }
 
+    /// A numeric column by name as a row → `f64` reader: an int column's
+    /// values widened, a float column's as they are.
+    pub fn numeric_col(&self, name: &str) -> Result<Box<dyn Fn(usize) -> f64 + Sync + '_>> {
+        match self.column(self.schema.index_of(name)?) {
+            ColumnData::Int(v) => Ok(Box::new(move |row| v[row] as f64)),
+            ColumnData::Float(v) => Ok(Box::new(move |row| v[row])),
+            ColumnData::Str(_) => Err(TableError::TypeMismatch {
+                column: name.to_string(),
+                expected: "int or float",
+                actual: "str",
+            }),
+        }
+    }
+
     /// Borrows a string column as pool symbols (resolve with
     /// [`Table::str_value`]).
     pub fn str_sym_col(&self, name: &str) -> Result<&[u32]> {
