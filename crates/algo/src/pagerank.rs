@@ -4,7 +4,7 @@
 //! "PageRank implementation in Ringo is based on a straightforward,
 //! sequential algorithm with a few OpenMP statements for parallel
 //! execution." We reproduce exactly that: power iteration with damping
-//! and dangling-mass redistribution, on the [`Sweep`].
+//! and dangling-mass redistribution, on the `Sweep`.
 
 use crate::sweep::Sweep;
 use ringo_graph::{DirectedTopology, Direction, NodeValues};

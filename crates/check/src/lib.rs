@@ -22,7 +22,7 @@
 //! [`check`] runs the closure under thousands of *schedules*: each one
 //! executes the virtual threads one at a time, switching only at
 //! synchronization operations, with every scheduling decision (and every
-//! choice of which store a relaxed load observes — see [`memory`]) drawn
+//! choice of which store a relaxed load observes — see `memory`) drawn
 //! from a seeded SplitMix64 stream. A failing schedule prints a
 //! `RINGO_CHECK_SEED=0x…` value; exporting it replays exactly that
 //! interleaving.

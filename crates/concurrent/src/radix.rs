@@ -6,9 +6,9 @@
 //! `O(n log n)` branchy comparisons are the wrong tool. Both sorts reduce
 //! an item to **one integer word whose order is the order wanted**, made
 //! only of the bits that vary across the input, and hand a "words of this
-//! row range" view to one partition core ([`count_keys`],
-//! [`partition_sort`]): per-worker histograms of the words' top
-//! [`BUCKET_BITS`] (no sharing, no atomics), a prefix scan into
+//! row range" view to one partition core (`count_keys`,
+//! `partition_sort`): per-worker histograms of the words' top
+//! `BUCKET_BITS` (no sharing, no atomics), a prefix scan into
 //! per-worker cursors, one scatter of every word — built where the
 //! columns lie — into its order-aligned bucket (disjoint, lock-free
 //! writes), and a sort of each cache-sized bucket where it lies. The
@@ -16,7 +16,7 @@
 //! digit, and no tuple array or permutation exists before or after.
 //!
 //! The word is `u64` when the varying bits fit and `u128` otherwise — one
-//! private [`Word`] trait with those two implementations, so the `u64`
+//! private `Word` trait with those two implementations, so the `u64`
 //! sort is the loops it always was. The pair sort ([`radix_sort_columns`])
 //! packs `(a, b)` off two `i64` columns; two spans of at most 64 bits
 //! always fit 128. The row sort ([`radix_sort_rows`]) packs `(sort

@@ -38,9 +38,11 @@ use ringo_concurrent::{
     parallel_for, parallel_map, radix_sort_columns, DisjointSlice, SortedPairs,
 };
 use ringo_graph::{
-    new_slab, DirectedGraph, DirectedTopology, NodeId, Rank, UndirectedGraph, WeightedDigraph,
+    new_slab, DirectedGraph, DirectedTopology, Graph, NodeId, Rank, UndirectedGraph,
+    WeightedDigraph,
 };
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
+use ringo_trace::Span;
 use std::sync::Arc;
 
 /// Result alias reusing the table error type (conversions validate column
@@ -119,15 +121,8 @@ pub fn table_to_graph_threads(
     out_off.shrink_to_fit();
     in_off.shrink_to_fit();
     drop((out, inn));
-
-    let rank = rank(ids)?;
-    let in_slab = rank_slab(&in_keys, &rank, threads);
-    drop(in_keys);
-    let out_slab = rank_slab(&out_keys, &rank, threads);
-    drop(out_keys);
-    let g = DirectedGraph::from_ranked_parts(rank, &in_off, in_slab, &out_off, out_slab);
-    sp.rows_out(g.edge_count());
-    Ok(g)
+    let inn = Some((in_keys, in_off));
+    ranked_graph(sp, ids, (out_keys, out_off), inn, threads)
 }
 
 /// Builds an undirected graph from two integer columns: each row adds the
@@ -155,10 +150,35 @@ pub fn table_to_undirected_threads(
     // neighbour is some run's node.
     let keys = sorted_edges(src, dst, true, threads);
     let adj = Runs::count(&keys, threads);
-    let rank = rank(adj.ids)?;
-    let slab = rank_slab(&keys, &rank, threads);
+    ranked_graph(sp, adj.ids, (keys, adj.off), None, threads)
+}
+
+/// The tail both conversions share. It ranks the node `ids` (ascending,
+/// distinct; more than `u32::MAX` is an error, since ranks are `u32`
+/// slots), then ranks each orientation's keys into its slab, in-rows
+/// first. `out` and `inn` are a side's keys and slab offsets; the keys
+/// are freed once their slab is written. The rank becomes the graph's id
+/// index, and `sp`, the conversion's span, closes here.
+fn ranked_graph<const DIRECTED: bool>(
+    mut sp: Span,
+    ids: Vec<NodeId>,
+    out: (SortedPairs, Vec<usize>),
+    inn: Option<(SortedPairs, Vec<usize>)>,
+    threads: usize,
+) -> Result<Graph<DIRECTED>> {
+    if u32::try_from(ids.len()).is_err() {
+        return Err(TableError::InvalidArgument(format!(
+            "{} distinct node ids; a graph holds at most {} (slots are u32)",
+            ids.len(),
+            u32::MAX
+        )));
+    }
+    let rank = Rank::new(ids);
+    let inn = inn.map(|(keys, off)| (off, rank_slab(&keys, &rank, threads)));
+    let (keys, out_off) = out;
+    let out_slab = rank_slab(&keys, &rank, threads);
     drop(keys);
-    let g = UndirectedGraph::from_ranked_parts(rank, &adj.off, slab);
+    let g = Graph::from_ranked_parts(rank, (out_off, out_slab), inn);
     sp.rows_out(g.edge_count());
     Ok(g)
 }
@@ -249,19 +269,6 @@ fn rank_keys<K: Copy + Sync>(
         ringo_trace::counter("convert.rank.scanned").add(scanned);
     });
     slab
-}
-
-/// The rank index of `ids` (ascending, distinct); an error past
-/// `u32::MAX` ids, since ranks are `u32` slots.
-fn rank(ids: Vec<NodeId>) -> Result<Rank> {
-    if u32::try_from(ids.len()).is_err() {
-        return Err(TableError::InvalidArgument(format!(
-            "{} distinct node ids; a graph holds at most {} (slots are u32)",
-            ids.len(),
-            u32::MAX
-        )));
-    }
-    Ok(Rank::new(ids))
 }
 
 /// Builds a weighted digraph from an edge table: one edge per distinct

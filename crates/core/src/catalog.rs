@@ -10,7 +10,7 @@
 //! The catalog delivers that with reference counting alone:
 //!
 //! * the whole namespace is one immutable **root** (`Arc<Root>`: an
-//!   epoch and a name → [`CatalogEntry`] map) behind a mutex — a publish
+//!   epoch and a name → `CatalogEntry` map) behind a mutex — a publish
 //!   clones the map, inserts the new entry, and swaps the `Arc` in under
 //!   the lock;
 //! * [`Catalog::snapshot`] clones the root `Arc`, so every name a

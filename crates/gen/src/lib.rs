@@ -5,7 +5,7 @@
 //! a reproduction. This crate provides the synthetic stand-ins documented
 //! in DESIGN.md:
 //!
-//! * [`rmat`] — R-MAT power-law directed graphs; `lj_like` / `tw_like`
+//! * [`rmat()`] — R-MAT power-law directed graphs; `lj_like` / `tw_like`
 //!   presets mirror the paper's two benchmark graphs at configurable scale,
 //! * [`erdos_renyi`], [`preferential_attachment`], [`small_world`] —
 //!   classic random-graph models for tests and examples,

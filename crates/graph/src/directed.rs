@@ -1,36 +1,59 @@
-//! The paper's dynamic directed graph: an id index over slots with
-//! sorted in/out adjacency rows per node.
+//! The paper's dynamic graph: an id index over slots with sorted
+//! adjacency rows per node — in- and out-rows on a directed graph, one
+//! row on an undirected one.
 
 use crate::nbrs::{AdjacencyStats, CompactStats, Nodes, Rank, Rows};
 use crate::topology::DirectedTopology;
-use crate::{NodeId, NodeValues};
+use crate::{slot_u32, NodeId, NodeValues};
 use std::sync::Arc;
 
-/// A dynamic directed graph (multi-edges disallowed, self-loops allowed).
+/// A dynamic graph (multi-edges disallowed, self-loops allowed), directed
+/// when `DIRECTED` and undirected otherwise: [`DirectedGraph`] and
+/// [`UndirectedGraph`].
 ///
 /// Nodes live in slots addressed through an id index (id → slot: a
-/// [`crate::Rank`] and an overlay). Each node keeps its in-neighbours and
-/// out-neighbours as rows of neighbour *slots* (4 bytes a neighbour),
-/// sorted by slot, so:
+/// [`crate::Rank`] and an overlay). Each node keeps its out-neighbours as
+/// a row of neighbour *slots* (4 bytes a neighbour), sorted by slot, and a
+/// directed graph also its in-neighbours. An undirected graph stores one
+/// row a node — its in-rows are its out-rows — with each edge `{a, b}` in
+/// both endpoints' rows and a self-loop once, in its own node's row. So:
 ///
 /// * `has_edge` is `O(log deg)`,
 /// * `add_edge` / `del_edge` are `O(deg)` (vector insert/remove at a binary-
 ///   searched position) — the paper's headline contrast with CSR's `O(E)`,
 /// * a kernel walks a row in place as slots ([`DirectedTopology`]); the id
-///   accessors ([`Self::out_nbrs`], [`Self::in_nbrs`]) map each slot to its
-///   id through the node side,
+///   accessors ([`DirectedGraph::out_nbrs`], [`UndirectedGraph::nbrs`], …)
+///   map each slot to its id through the node side,
 /// * `clone` allocates nothing: the copy shares the id index, the node
-///   side, both orientations' slabs and offsets and every edited list
+///   side, every orientation's slab and offsets and every edited list
 ///   until it writes them (the node side only when a node is added or
 ///   deleted; an orientation's overlay, 8 bytes a slot, on the copy's
 ///   first edit of it; a list on the copy's first edit of that list).
 ///
-/// A bulk-built slot costs 16 bytes beside the index — its id and one
-/// 4-byte offset per orientation into the shared slabs.
+/// A bulk-built slot costs 16 bytes beside the index on a directed graph —
+/// its id and one 4-byte offset per orientation into the shared slabs —
+/// and 12 on an undirected one.
 ///
 /// Slot order is id order on a graph built in bulk from ascending ids
 /// (conversions, `induced`, the loaders). A node added later takes the
 /// next free slot, so its neighbours list it in slot order, not id order.
+#[derive(Clone, Debug, Default)]
+pub struct Graph<const DIRECTED: bool> {
+    nodes: Nodes,
+    /// Out-neighbour slots; empty for a vacant slot.
+    out: Rows,
+    /// In-neighbour slots, as `out`, on a directed graph. An undirected
+    /// graph's in-rows are `out`, and this stays empty (0 B of
+    /// `mem_size`).
+    inn: Rows,
+    /// Stored out-row entries: the directed edges, or an undirected
+    /// graph's arcs (two an edge, one a self-loop).
+    arcs: usize,
+    /// An undirected graph's self-loops; 0 on a directed graph.
+    loops: usize,
+}
+
+/// The paper's dynamic directed graph: sorted in- and out-rows per node.
 ///
 /// ```
 /// use ringo_graph::DirectedGraph;
@@ -47,17 +70,13 @@ use std::sync::Arc;
 /// assert!(!g.has_edge(10, 20));
 /// assert!(g.in_nbrs(20).is_empty());
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct DirectedGraph {
-    nodes: Nodes,
-    /// Out-neighbour slots; empty for a vacant slot.
-    out: Rows,
-    /// In-neighbour slots, as `out`.
-    inn: Rows,
-    n_edges: usize,
-}
+pub type DirectedGraph = Graph<true>;
 
-impl DirectedGraph {
+/// A dynamic undirected graph: one sorted row of neighbours per node
+/// (self-loops stored once).
+pub type UndirectedGraph = Graph<false>;
+
+impl<const DIRECTED: bool> Graph<DIRECTED> {
     /// Creates an empty graph.
     pub fn new() -> Self {
         Self::default()
@@ -76,9 +95,14 @@ impl DirectedGraph {
         self.nodes.len()
     }
 
-    /// Number of directed edges.
+    /// Number of edges: directed edges, or undirected edges each counted
+    /// once.
     pub fn edge_count(&self) -> usize {
-        self.n_edges
+        if DIRECTED {
+            self.arcs
+        } else {
+            (self.arcs + self.loops) / 2
+        }
     }
 
     /// True when the graph has no nodes.
@@ -91,7 +115,7 @@ impl DirectedGraph {
         self.nodes.slot(id).is_some()
     }
 
-    /// True when the edge `src -> dst` exists.
+    /// True when the edge `src -> dst` (undirected: `{src, dst}`) exists.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
         match (self.nodes.slot(src), self.nodes.slot(dst)) {
             (Some(s), Some(d)) => self.out.row(s as usize).binary_search(&d).is_ok(),
@@ -104,40 +128,43 @@ impl DirectedGraph {
         self.nodes.ensure(id).1
     }
 
-    /// Adds the edge `src -> dst`, creating missing endpoints. Returns
-    /// `false` if the edge already existed.
+    /// Adds the edge `src -> dst` (undirected: `{src, dst}`), creating
+    /// missing endpoints. Returns `false` if the edge already existed.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
         let (s, _) = self.nodes.ensure(src);
         let (d, _) = self.nodes.ensure(dst);
-        let n = self.nodes.n_slots();
-        let Err(pos) = self.out.row(s as usize).binary_search(&d) else {
-            return false;
-        };
-        self.out.to_mut(s as usize, n).insert(pos, d);
-        let inn = self.inn.row(d as usize);
-        let pos = inn
-            .binary_search(&s)
-            .expect_err("in/out adjacency out of sync");
-        self.inn.to_mut(d as usize, n).insert(pos, s);
-        self.n_edges += 1;
-        true
+        self.edit(s, d, true)
     }
 
-    /// Deletes the edge `src -> dst`. Returns `false` if it did not exist.
-    /// Cost is `O(out_deg(src) + in_deg(dst))`, not `O(E)`.
+    /// Deletes the edge `src -> dst` (undirected: `{src, dst}`). Returns
+    /// `false` if it did not exist. Cost is `O(out_deg(src) + in_deg(dst))`,
+    /// not `O(E)`.
     pub fn del_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
         let (Some(s), Some(d)) = (self.nodes.slot(src), self.nodes.slot(dst)) else {
             return false;
         };
+        self.edit(s, d, false)
+    }
+
+    /// Adds (`add`) or deletes the edge from slot `s` to slot `d`: `d` in
+    /// `s`'s out-row and the reverse entry, `s` in `d`'s in-row — on an
+    /// undirected graph `d`'s out-row, and on its self-loop no second
+    /// entry. Returns `false` when the edge already was (was not) there.
+    fn edit(&mut self, s: u32, d: u32, add: bool) -> bool {
         let n = self.nodes.n_slots();
-        let Ok(pos) = self.out.row(s as usize).binary_search(&d) else {
+        if !write(&mut self.out, s, d, add, n) {
             return false;
-        };
-        self.out.to_mut(s as usize, n).remove(pos);
-        let inn = self.inn.row(d as usize);
-        let pos = inn.binary_search(&s).expect("in/out adjacency out of sync");
-        self.inn.to_mut(d as usize, n).remove(pos);
-        self.n_edges -= 1;
+        }
+        let reverse = DIRECTED || s != d;
+        if reverse {
+            assert!(write(self.in_rows_mut(), d, s, add, n), "{OUT_OF_SYNC}");
+        }
+        let (arcs, loops) = (1 + usize::from(!DIRECTED && reverse), usize::from(!reverse));
+        if add {
+            (self.arcs, self.loops) = (self.arcs + arcs, self.loops + loops);
+        } else {
+            (self.arcs, self.loops) = (self.arcs - arcs, self.loops - loops);
+        }
         true
     }
 
@@ -148,49 +175,26 @@ impl DirectedGraph {
         };
         let (s, n) = (slot as usize, self.nodes.n_slots());
         let out = std::mem::take(self.out.to_mut(s, n));
-        let inn = std::mem::take(self.inn.to_mut(s, n));
+        let inn = match DIRECTED {
+            true => std::mem::take(self.inn.to_mut(s, n)),
+            false => Vec::new(),
+        };
         // Remove `slot` from the in-rows of its out-neighbours and from the
         // out-rows of its in-neighbours.
-        for (rows, nbrs) in [(&mut self.inn, &out), (&mut self.out, &inn)] {
-            for &v in nbrs.iter().filter(|&&v| v != slot) {
-                let row = rows.to_mut(v as usize, n);
-                let pos = row.binary_search(&slot).expect("adjacency in sync");
-                row.remove(pos);
-            }
+        for &v in out.iter().filter(|&&v| v != slot) {
+            assert!(
+                write(self.in_rows_mut(), v, slot, false, n),
+                "{OUT_OF_SYNC}"
+            );
         }
-        let self_loop = out.binary_search(&slot).is_ok();
-        self.n_edges -= out.len() + inn.len() - usize::from(self_loop);
+        for &v in inn.iter().filter(|&&v| v != slot) {
+            assert!(write(&mut self.out, v, slot, false, n), "{OUT_OF_SYNC}");
+        }
+        let self_loop = usize::from(out.binary_search(&slot).is_ok());
+        let reverse = if DIRECTED { inn.len() } else { out.len() };
+        self.arcs -= out.len() + reverse - self_loop;
+        self.loops -= if DIRECTED { 0 } else { self_loop };
         true
-    }
-
-    /// Out-degree of `id`, or `None` if the node is absent.
-    pub fn out_degree(&self, id: NodeId) -> Option<usize> {
-        self.nodes.slot(id).map(|s| self.out.row(s as usize).len())
-    }
-
-    /// In-degree of `id`, or `None` if the node is absent.
-    pub fn in_degree(&self, id: NodeId) -> Option<usize> {
-        self.nodes.slot(id).map(|s| self.inn.row(s as usize).len())
-    }
-
-    /// Out-neighbors of `id` in slot order (empty if absent) — id order
-    /// unless nodes were added after a bulk build (see the type docs).
-    pub fn out_nbrs(&self, id: NodeId) -> Nbrs<'_> {
-        let row = self
-            .nodes
-            .slot(id)
-            .map_or(&[][..], |s| self.out.row(s as usize));
-        Nbrs::new(row, self)
-    }
-
-    /// In-neighbors of `id` in slot order (empty if absent), as
-    /// [`Self::out_nbrs`].
-    pub fn in_nbrs(&self, id: NodeId) -> Nbrs<'_> {
-        let row = self
-            .nodes
-            .slot(id)
-            .map_or(&[][..], |s| self.inn.row(s as usize));
-        Nbrs::new(row, self)
     }
 
     /// Iterates over node ids in slot order.
@@ -198,15 +202,18 @@ impl DirectedGraph {
         self.nodes.live().map(|(_, id)| id)
     }
 
-    /// Iterates over all directed edges as `(src, dst)` pairs.
+    /// Iterates over all edges: directed ones as `(src, dst)` pairs,
+    /// undirected ones once each, as `(a, b)` with `a <= b`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.nodes
-            .live()
-            .flat_map(move |(s, id)| Nbrs::new(self.out.row(s), self).map(move |d| (id, d)))
+        self.nodes.live().flat_map(move |(s, id)| {
+            Nbrs::new(self.out.row(s), &self.nodes)
+                .filter(move |&n| DIRECTED || n >= id)
+                .map(move |n| (id, n))
+        })
     }
 
-    /// Heap footprint in bytes: id index, node side, and both
-    /// orientations' offsets, slabs (dead ranges included), overlays and
+    /// Heap footprint in bytes: id index, node side, and every stored
+    /// orientation's offsets, slabs (dead ranges included), overlays and
     /// edited lists. This is what the paper's Table 2 reports as
     /// "In-memory Graph Size". Versions share all of it until they write
     /// it, and each version counts it in full:
@@ -214,6 +221,139 @@ impl DirectedGraph {
     /// is shared.
     pub fn mem_size(&self) -> usize {
         self.nodes.mem_size() + self.out.mem_size() + self.inn.mem_size()
+    }
+
+    /// `from_sorted_parts` on ids a producer already ranked its neighbours
+    /// through: the rank becomes the graph's id index. `out` and `inn`
+    /// are an orientation's `(offsets, slab)`; only a directed graph has
+    /// `inn`.
+    ///
+    /// # Panics
+    /// As `from_sorted_parts`, and when `inn` is given to an undirected
+    /// graph or missing on a directed one.
+    pub fn from_ranked_parts<O: AsRef<[usize]>>(
+        rank: Rank,
+        out: (O, Arc<[u32]>),
+        inn: Option<(O, Arc<[u32]>)>,
+    ) -> Self {
+        assert_eq!(inn.is_some(), DIRECTED, "in-rows on a directed graph only");
+        let rows = |(off, slab): (O, Arc<[u32]>)| {
+            let (off, n) = (off.as_ref(), rank.ids().len());
+            assert_eq!(off.len(), n + 1, "offsets: one bound per node plus one");
+            Rows::slots(off, slab)
+        };
+        let (out, inn) = (rows(out), inn.map(rows).unwrap_or_default());
+        Self::from_rows(Nodes::bulk(rank), out, inn)
+    }
+
+    /// The graph of bulk-built `nodes` and rows (`inn` empty when
+    /// undirected).
+    fn from_rows(nodes: Nodes, out: Rows, inn: Rows) -> Self {
+        let n = nodes.n_slots();
+        let arcs = (0..n).map(|k| out.row(k).len()).sum();
+        let loops = match DIRECTED {
+            true => 0,
+            false => (0..n)
+                .filter(|&k| out.row(k).binary_search(&slot_u32(k)).is_ok())
+                .count(),
+        };
+        Self {
+            nodes,
+            out,
+            inn,
+            arcs,
+            loops,
+        }
+    }
+
+    /// Adjacency-storage accounting: bulk rows vs lists of their own,
+    /// live vs dead slab bytes. [`AdjacencyStats::dead_slab_bytes`] is the
+    /// retention that edits leave and [`Self::compact`] reclaims.
+    pub fn adjacency_stats(&self) -> AdjacencyStats {
+        let mut stats = AdjacencyStats::default();
+        let live = || self.nodes.live().map(|(s, _)| s);
+        self.out.tally(live(), &mut stats);
+        if DIRECTED {
+            self.inn.tally(live(), &mut stats);
+        }
+        stats
+    }
+
+    /// Rewrites each stored orientation into one fresh, exactly-sized slab
+    /// and drops the overlays, releasing the dead slab ranges edits left
+    /// behind and folding every edited list back into bulk storage.
+    /// Adjacency is unchanged, and the graph stays fully dynamic.
+    ///
+    /// Rewriting the adjacency into a new immutable slab is exactly what
+    /// a copy-on-write version publish does, so the core crate's
+    /// `Catalog` runs this as one: clone (a few reference-count bumps),
+    /// compact the clone, publish it as the next version, and the old
+    /// slabs are freed when the last snapshot holding them drops.
+    pub fn compact(&mut self) -> CompactStats {
+        let before = self.adjacency_stats();
+        self.out.compact(self.nodes.n_slots());
+        if DIRECTED {
+            self.inn.compact(self.nodes.n_slots());
+        }
+        CompactStats {
+            before,
+            after: self.adjacency_stats(),
+        }
+    }
+
+    /// The in-rows to edit: an undirected graph's are its out-rows.
+    fn in_rows_mut(&mut self) -> &mut Rows {
+        if DIRECTED {
+            &mut self.inn
+        } else {
+            &mut self.out
+        }
+    }
+
+    /// Node `id`'s row of `rows`, `None` if the node is absent.
+    fn row_of<'a>(&'a self, rows: &'a Rows, id: NodeId) -> Option<&'a [u32]> {
+        self.nodes.slot(id).map(|s| rows.row(s as usize))
+    }
+}
+
+/// An edge's reverse entry is not where its entry says.
+const OUT_OF_SYNC: &str = "the two orientations' rows out of sync";
+
+/// Inserts (`add`) or removes `v` in row `s` of `rows`, in a graph of `n`
+/// slots; `false`, and nothing copied, when the row already holds (lacks)
+/// it.
+fn write(rows: &mut Rows, s: u32, v: u32, add: bool, n: usize) -> bool {
+    match (rows.row(s as usize).binary_search(&v), add) {
+        (Err(pos), true) => rows.to_mut(s as usize, n).insert(pos, v),
+        (Ok(pos), false) => {
+            rows.to_mut(s as usize, n).remove(pos);
+        }
+        _ => return false,
+    }
+    true
+}
+
+impl DirectedGraph {
+    /// Out-degree of `id`, or `None` if the node is absent.
+    pub fn out_degree(&self, id: NodeId) -> Option<usize> {
+        self.row_of(&self.out, id).map(<[u32]>::len)
+    }
+
+    /// In-degree of `id`, or `None` if the node is absent.
+    pub fn in_degree(&self, id: NodeId) -> Option<usize> {
+        self.row_of(&self.inn, id).map(<[u32]>::len)
+    }
+
+    /// Out-neighbors of `id` in slot order (empty if absent) — id order
+    /// unless nodes were added after a bulk build (see [`Graph`]).
+    pub fn out_nbrs(&self, id: NodeId) -> Nbrs<'_> {
+        Nbrs::new(self.row_of(&self.out, id).unwrap_or_default(), &self.nodes)
+    }
+
+    /// In-neighbors of `id` in slot order (empty if absent), as
+    /// [`Self::out_nbrs`].
+    pub fn in_nbrs(&self, id: NodeId) -> Nbrs<'_> {
+        Nbrs::new(self.row_of(&self.inn, id).unwrap_or_default(), &self.nodes)
     }
 
     /// Builds a graph from per-node parts `(id, in_nbrs, out_nbrs)` whose
@@ -226,13 +366,7 @@ impl DirectedGraph {
         let nodes = Nodes::bulk(Rank::new(parts.iter().map(|p| p.0).collect()));
         let inn = Rows::packed(parts.iter().map(|(_, inn, _)| nodes.slots_of(inn)));
         let out = Rows::packed(parts.iter().map(|(_, _, out)| nodes.slots_of(out)));
-        let n_edges = parts.iter().map(|p| p.2.len()).sum();
-        Self {
-            nodes,
-            out,
-            inn,
-            n_edges,
-        }
+        Self::from_rows(nodes, out, inn)
     }
 
     /// Bulk-builds a graph from slab-form adjacency (the conversion fill
@@ -259,60 +393,8 @@ impl DirectedGraph {
         out_off: &[usize],
         out_slab: Arc<[u32]>,
     ) -> Self {
-        Self::from_ranked_parts(Rank::new(ids), in_off, in_slab, out_off, out_slab)
-    }
-
-    /// [`Self::from_sorted_parts`] on ids a producer already ranked its
-    /// neighbours through: the rank becomes the graph's id index.
-    pub fn from_ranked_parts(
-        rank: Rank,
-        in_off: &[usize],
-        in_slab: Arc<[u32]>,
-        out_off: &[usize],
-        out_slab: Arc<[u32]>,
-    ) -> Self {
-        let n = rank.ids().len();
-        for off in [in_off, out_off] {
-            assert_eq!(off.len(), n + 1, "offsets: one bound per node plus one");
-        }
-        Self {
-            nodes: Nodes::bulk(rank),
-            n_edges: out_slab.len(),
-            out: Rows::slots(out_off, out_slab),
-            inn: Rows::slots(in_off, in_slab),
-        }
-    }
-
-    /// Adjacency-storage accounting: bulk rows vs lists of their own,
-    /// live vs dead slab bytes. [`AdjacencyStats::dead_slab_bytes`] is the
-    /// retention that edits leave and [`DirectedGraph::compact`] reclaims.
-    pub fn adjacency_stats(&self) -> AdjacencyStats {
-        let mut stats = AdjacencyStats::default();
-        for rows in [&self.inn, &self.out] {
-            rows.tally(self.nodes.live().map(|(s, _)| s), &mut stats);
-        }
-        stats
-    }
-
-    /// Rewrites each orientation into one fresh, exactly-sized slab and
-    /// drops the overlays, releasing the dead slab ranges edits left
-    /// behind and folding every edited list back into bulk storage.
-    /// Adjacency is unchanged, and the graph stays fully dynamic.
-    ///
-    /// Rewriting the adjacency into a new immutable slab is exactly what
-    /// a copy-on-write version publish does, so the core crate's
-    /// `Catalog` runs this as one: clone (a few reference-count bumps),
-    /// compact the clone, publish it as the next version, and the old
-    /// slabs are freed when the last snapshot holding them drops.
-    pub fn compact(&mut self) -> CompactStats {
-        let before = self.adjacency_stats();
-        for rows in [&mut self.inn, &mut self.out] {
-            rows.compact(self.nodes.n_slots());
-        }
-        CompactStats {
-            before,
-            after: self.adjacency_stats(),
-        }
+        let inn = Some((in_off, in_slab));
+        Self::from_ranked_parts(Rank::new(ids), (out_off, out_slab), inn)
     }
 
     /// The graph with every edge `u -> v` turned into `v -> u`: the two
@@ -324,7 +406,42 @@ impl DirectedGraph {
     }
 }
 
-impl DirectedTopology for DirectedGraph {
+impl UndirectedGraph {
+    /// Degree of `id` (self-loop counts once), or `None` if absent.
+    pub fn degree(&self, id: NodeId) -> Option<usize> {
+        self.row_of(&self.out, id).map(<[u32]>::len)
+    }
+
+    /// Neighbors of `id` in slot order (empty if absent) — id order unless
+    /// nodes were added after a bulk build (see [`Graph`]).
+    pub fn nbrs(&self, id: NodeId) -> Nbrs<'_> {
+        Nbrs::new(self.row_of(&self.out, id).unwrap_or_default(), &self.nodes)
+    }
+
+    /// Builds a graph from `(id, deduplicated neighbor ids)` parts that
+    /// are mutually consistent. Counterpart of
+    /// [`DirectedGraph::from_parts`].
+    pub fn from_parts(parts: Vec<(NodeId, Vec<NodeId>)>) -> Self {
+        let nodes = Nodes::bulk(Rank::new(parts.iter().map(|p| p.0).collect()));
+        let out = Rows::packed(parts.iter().map(|p| nodes.slots_of(&p.1)));
+        Self::from_rows(nodes, out, Rows::default())
+    }
+
+    /// [`DirectedGraph::from_sorted_parts`] with one orientation: node `k`
+    /// owns the neighbour slots `slab[off[k]..off[k+1]]`, with each edge
+    /// `{a, b}` in both endpoints' runs (self-loops once).
+    pub fn from_sorted_parts(ids: Vec<NodeId>, off: &[usize], slab: Arc<[u32]>) -> Self {
+        Self::from_ranked_parts(Rank::new(ids), (off, slab), None)
+    }
+}
+
+/// The slot rows every kernel reads. An undirected graph is a symmetric
+/// directed topology: its in-rows are its out-rows, so every
+/// `DirectedTopology` algorithm (BFS, the frontier engine, reachability)
+/// runs unchanged with `Direction::Out`, and `edge_count` reports its
+/// arcs — `2m` minus one per self-loop — keeping degree sums and edge
+/// counts consistent.
+impl<const DIRECTED: bool> DirectedTopology for Graph<DIRECTED> {
     fn n_slots(&self) -> usize {
         self.nodes.n_slots()
     }
@@ -345,7 +462,11 @@ impl DirectedTopology for DirectedGraph {
 
     #[inline]
     fn in_row(&self, slot: usize) -> &[u32] {
-        self.inn.row(slot)
+        if DIRECTED {
+            self.inn.row(slot)
+        } else {
+            self.out.row(slot)
+        }
     }
 
     fn node_count(&self) -> usize {
@@ -353,7 +474,11 @@ impl DirectedTopology for DirectedGraph {
     }
 
     fn edge_count(&self) -> usize {
-        self.n_edges
+        self.arcs
+    }
+
+    fn is_symmetric(&self) -> bool {
+        !DIRECTED
     }
 
     fn node_values<T>(
@@ -362,7 +487,7 @@ impl DirectedTopology for DirectedGraph {
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> NodeValues<T> {
-        NodeValues::pack(&self.nodes, self, per_slot, count, keep)
+        NodeValues::pack(&self.nodes, per_slot, count, keep)
     }
 }
 
@@ -374,12 +499,15 @@ impl DirectedTopology for DirectedGraph {
 #[derive(Clone)]
 pub struct Nbrs<'a> {
     row: std::slice::Iter<'a, u32>,
-    g: &'a dyn DirectedTopology,
+    nodes: &'a Nodes,
 }
 
 impl<'a> Nbrs<'a> {
-    pub(crate) fn new(row: &'a [u32], g: &'a dyn DirectedTopology) -> Self {
-        Self { row: row.iter(), g }
+    fn new(row: &'a [u32], nodes: &'a Nodes) -> Self {
+        Self {
+            row: row.iter(),
+            nodes,
+        }
     }
 
     /// True when no neighbours are left.
@@ -389,8 +517,8 @@ impl<'a> Nbrs<'a> {
 
     #[inline]
     fn id(&self, slot: u32) -> NodeId {
-        self.g
-            .slot_id(slot as usize)
+        self.nodes
+            .id(slot as usize)
             .expect("a row names live slots only")
     }
 }

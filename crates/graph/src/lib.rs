@@ -6,13 +6,14 @@
 //! Row (CSR) for cheap dynamic updates: deleting an edge costs time linear
 //! in the node degree instead of linear in the total edge count.
 //!
-//! * [`DirectedGraph`] — the paper's representation for directed graphs:
+//! * [`Graph`] — the paper's representation, one type for both kinds:
 //!   an id index over slots ([`Rank`] plus an overlay), each slot holding
-//!   sorted in- and out-neighbor rows. A neighbour is stored as the `u32`
-//!   slot of its node, so space is ~8 bytes per edge (4 in each
-//!   orientation) plus node overhead — below the Compressed Sparse Row
-//!   figure the paper compares against.
-//! * [`UndirectedGraph`] — same idea with a single neighbor row per node.
+//!   sorted neighbour rows. [`DirectedGraph`] (`Graph<true>`) keeps an
+//!   in- and an out-row per node; [`UndirectedGraph`] (`Graph<false>`)
+//!   one row, which serves as both, and no in-side at all. A neighbour is
+//!   stored as the `u32` slot of its node, so a directed graph's space is
+//!   ~8 bytes per edge (4 in each orientation) plus node overhead — below
+//!   the Compressed Sparse Row figure the paper compares against.
 //! * [`DirectedTopology`] — the slot-row read interface implemented by
 //!   every graph type, so one kernel runs on all of them and reads the
 //!   rows in place.
@@ -28,14 +29,12 @@ pub mod io;
 mod nbrs;
 pub mod topology;
 pub mod transform;
-pub mod undirected;
 mod values;
 pub mod weighted;
 
-pub use directed::{DirectedGraph, Nbrs};
+pub use directed::{DirectedGraph, Graph, Nbrs, UndirectedGraph};
 pub use nbrs::{new_slab, AdjacencyStats, CompactStats, Rank};
 pub use topology::{DirectedTopology, Direction};
-pub use undirected::UndirectedGraph;
 pub use values::NodeValues;
 pub use weighted::WeightedDigraph;
 
@@ -57,6 +56,12 @@ pub(crate) fn slot_u32(slot: usize) -> u32 {
             u32::MAX as u64 + 1
         )
     })
+}
+
+/// The undirected graph's unit tests, beside `directed.rs`' own.
+#[cfg(test)]
+mod undirected {
+    mod tests;
 }
 
 #[cfg(test)]

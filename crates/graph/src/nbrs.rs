@@ -188,8 +188,9 @@ fn bulk_row<'a, T>(offs: &[u32], slab: &'a [T], s: usize) -> &'a [T] {
 /// conversion's `convert.rank.scanned` counter shows.
 ///
 /// It covers the ascending prefix of the ids it is built on; the rest go
-/// to [`Nodes`]' overlay. The conversion ranks every neighbour through it,
-/// then hands it to the graph (`from_ranked_parts`) as its id index.
+/// to the node side's overlay. The conversion ranks every neighbour
+/// through it, then hands it to the graph (`from_ranked_parts`) as its id
+/// index.
 #[derive(Debug, Default)]
 pub struct Rank {
     /// The bulk ids, by slot.

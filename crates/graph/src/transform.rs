@@ -8,27 +8,40 @@
 //! `from_sorted_parts` installs the slabs. The map is monotone, so rows
 //! stay sorted and a graph whose slot order was id order keeps it.
 
-use crate::{new_slab, DirectedGraph, DirectedTopology, NodeId, UndirectedGraph};
+use crate::{new_slab, DirectedGraph, DirectedTopology, Graph, NodeId, Rank, UndirectedGraph};
 use ringo_concurrent::IntHashTable;
 use std::sync::Arc;
 
 /// Marks a slot the map drops.
 const DROPPED: u32 = u32::MAX;
 
-impl DirectedGraph {
+impl<const DIRECTED: bool> Graph<DIRECTED> {
     /// The subgraph induced by `nodes`: those nodes and every edge whose
     /// endpoints are both in the set. Unknown ids are ignored.
-    pub fn subgraph(&self, nodes: &[NodeId]) -> DirectedGraph {
-        let keep = marked(self, nodes);
-        directed_copy(self, |s, _| keep[s])
+    pub fn subgraph(&self, nodes: &[NodeId]) -> Self {
+        let mut keep = vec![false; self.n_slots()];
+        for s in nodes.iter().filter_map(|&id| self.slot_of(id)) {
+            keep[s] = true;
+        }
+        self.copy(|s, _| keep[s])
     }
 
     /// The subgraph induced by the nodes `keep` accepts (asked once per
     /// node); kept nodes keep their relative slot order.
-    pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> DirectedGraph {
-        directed_copy(self, |_, id| keep(id))
+    pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> Self {
+        self.copy(|_, id| keep(id))
     }
 
+    /// The subgraph induced by the live slots `keep(slot, id)` accepts.
+    fn copy(&self, keep: impl Fn(usize, NodeId) -> bool) -> Self {
+        let map = Renumbering::new(self, keep);
+        let inn = DIRECTED.then(|| map.slab(|s| self.in_row(s).iter().copied()));
+        let out = map.slab(|s| self.out_row(s).iter().copied());
+        Self::from_ranked_parts(Rank::new(map.ids), out, inn)
+    }
+}
+
+impl DirectedGraph {
     /// Collapses edge direction, returning the undirected version of this
     /// graph (self-loops preserved, reciprocal edges merged).
     pub fn to_undirected(&self) -> UndirectedGraph {
@@ -73,26 +86,6 @@ impl DirectedGraph {
 }
 
 impl UndirectedGraph {
-    /// The subgraph induced by `nodes` (see
-    /// [`DirectedGraph::subgraph`]).
-    pub fn subgraph(&self, nodes: &[NodeId]) -> UndirectedGraph {
-        let keep = marked(self, nodes);
-        self.copy(|s, _| keep[s])
-    }
-
-    /// The subgraph induced by the nodes `keep` accepts (see
-    /// [`DirectedGraph::induced`]).
-    pub fn induced(&self, keep: impl Fn(NodeId) -> bool) -> UndirectedGraph {
-        self.copy(|_, id| keep(id))
-    }
-
-    /// The subgraph induced by the live slots `keep(slot, id)` accepts.
-    fn copy(&self, keep: impl Fn(usize, NodeId) -> bool) -> UndirectedGraph {
-        let map = Renumbering::new(self, keep);
-        let (off, slab) = map.slab(|s| self.out_row(s).iter().copied());
-        UndirectedGraph::from_sorted_parts(map.ids, &off, slab)
-    }
-
     /// The graph left when the nodes in the slots `gone` are deleted, for
     /// a caller that met every edge this cuts on its way: `cuts` holds one
     /// `(slot, removed slot)` pair for each edge between a surviving node
@@ -140,25 +133,6 @@ impl UndirectedGraph {
         let slab = map.fill(&off, |s| self.out_row(s).iter().copied());
         UndirectedGraph::from_sorted_parts(map.ids, &off, slab)
     }
-}
-
-/// The subgraph of `g` induced by the live slots `keep(slot, id)`
-/// accepts.
-fn directed_copy(g: &DirectedGraph, keep: impl Fn(usize, NodeId) -> bool) -> DirectedGraph {
-    let map = Renumbering::new(g, keep);
-    let (in_off, in_slab) = map.slab(|s| g.in_row(s).iter().copied());
-    let (out_off, out_slab) = map.slab(|s| g.out_row(s).iter().copied());
-    DirectedGraph::from_sorted_parts(map.ids, &in_off, in_slab, &out_off, out_slab)
-}
-
-/// Per slot of `g`, whether it holds one of `nodes`, found through the
-/// graph's own index; ids that are no node are ignored.
-fn marked<G: DirectedTopology>(g: &G, nodes: &[NodeId]) -> Vec<bool> {
-    let mut keep = vec![false; g.n_slots()];
-    for s in nodes.iter().filter_map(|&id| g.slot_of(id)) {
-        keep[s] = true;
-    }
-    keep
 }
 
 /// The live slots of a graph that a filter keeps, renumbered densely in

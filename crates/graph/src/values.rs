@@ -1,7 +1,6 @@
 //! Per-node kernel results as columns on the graph's own id index.
 
 use crate::nbrs::Nodes;
-use crate::topology::DirectedTopology;
 use crate::NodeId;
 
 /// Marks a slot with no value in [`NodeValues`]' slot → position array.
@@ -21,7 +20,7 @@ const ABSENT: u32 = u32::MAX;
 /// that edit then copies what it writes first — the slot ids and the
 /// overlay, never the bulk [`crate::Rank`] — as it would for a clone.
 ///
-/// Built by [`DirectedTopology::node_values`]; the graph is the only
+/// Built by [`crate::DirectedTopology::node_values`]; the graph is the only
 /// producer, so the index stays private to it.
 #[derive(Clone)]
 pub struct NodeValues<T> {
@@ -38,18 +37,17 @@ impl<T> NodeValues<T> {
     /// the slot is live. The kept values are compacted in place — the
     /// kernel's slot array becomes the value column — and only the ids are
     /// gathered, into a column reserved for `count` entries.
-    pub(crate) fn pack<G: DirectedTopology>(
+    pub(crate) fn pack(
         nodes: &Nodes,
-        g: &G,
         mut per_slot: Vec<T>,
         count: usize,
         keep: impl Fn(&T) -> bool,
     ) -> Self {
         assert!(
-            per_slot.len() <= g.n_slots(),
+            per_slot.len() <= nodes.n_slots(),
             "{} values for a graph of {} slots",
             per_slot.len(),
-            g.n_slots()
+            nodes.n_slots()
         );
         let mut pos = vec![ABSENT; per_slot.len()];
         let mut ids = Vec::with_capacity(count);
@@ -57,7 +55,7 @@ impl<T> NodeValues<T> {
             if !keep(&per_slot[s]) {
                 continue;
             }
-            let Some(id) = g.slot_id(s) else { continue };
+            let Some(id) = nodes.id(s) else { continue };
             let k = ids.len();
             pos[s] = k as u32;
             ids.push(id);

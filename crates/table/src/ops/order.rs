@@ -99,7 +99,7 @@ impl Table {
     /// numbers. Row ids travel with their rows. The sort is stable.
     ///
     /// The sorted table is a view: the columns it had, shared, and the
-    /// permutation ([`Table::order_perm_sel`], 4 B a row) — the lazy
+    /// permutation (`Table::order_perm_sel`, 4 B a row) — the lazy
     /// `OrderBy` step's result. A column borrowed whole is gathered then,
     /// once; a `&mut` verb that edits columns materializes the view.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {

@@ -5,7 +5,8 @@
 //! clone allocates nothing; a version's first edit pays one 8-byte
 //! overlay entry a slot for each orientation it touches, plus the lists
 //! it edits; a later edit pays for its lists alone; and `mem_size()`
-//! reports what the graph holds, edited or not. `bench_e2e`'s `lj_churn`
+//! reports what the graph holds, edited or not; a compacted undirected
+//! graph is one orientation's rows again. `bench_e2e`'s `lj_churn`
 //! keeps the base graph and two versions live at its peak, so a clone
 //! that copied a node table again must fail here, in tier 1.
 //!
@@ -103,6 +104,29 @@ fn a_bulk_graph_is_its_buckets_sixteen_bytes_a_slot_and_four_a_neighbour() {
     let ids: Vec<NodeId> = u.node_ids().collect();
     let want = bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
     assert_eq!(u.mem_size(), want, "undirected, {n} slots");
+}
+
+#[test]
+fn a_compacted_undirected_graph_is_again_its_buckets_twelve_bytes_a_slot_and_four_a_neighbour() {
+    let _serial = serial();
+    let t = table(12, 40_000);
+    let mut u = table_to_undirected(&t, "src", "dst").unwrap();
+    let ids: Vec<NodeId> = u.node_ids().collect();
+    // Edits among existing nodes only: every second edge out, a few in.
+    let gone: Vec<(NodeId, NodeId)> = u.edges().step_by(2).collect();
+    for &(a, b) in &gone {
+        assert!(u.del_edge(a, b));
+    }
+    for (&a, &b) in ids.iter().zip(ids.iter().rev()).take(100) {
+        u.add_edge(a, b);
+    }
+    assert!(u.adjacency_stats().dead_slab_bytes() > 0);
+    u.compact();
+    // One orientation's offsets and slab again: a compaction that packed
+    // the absent in-side would add 4 B a slot.
+    let (n, stored) = (u.n_slots(), u.total_degree(Direction::Both) as usize);
+    let want = bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
+    assert_eq!(u.mem_size(), want, "undirected, compacted, {n} slots");
 }
 
 #[test]

@@ -2,15 +2,16 @@
 //! it shares the id index, the node side, the slabs, the offsets and
 //! every edited list — and a version pays only for what it writes: one
 //! overlay entry a slot for each orientation it edits, and the lists it
-//! edits. `bench_e2e`'s `lj_churn` keeps two versions of a 2M-edge graph
-//! live at its peak, so a clone that copied a node table, lists or the
-//! index again must fail here, in tier 1.
+//! edits (one overlay on an undirected graph, which stores one
+//! orientation). `bench_e2e`'s `lj_churn` keeps two versions of a
+//! 2M-edge graph live at its peak, so a clone that copied a node table,
+//! lists or the index again must fail here, in tier 1.
 //!
 //! Kept in its own test binary, and the tests take `SERIAL`, so nothing
 //! else moves the process-global allocation counters mid-measurement.
 
 use ringo::gen::{rmat, RmatConfig};
-use ringo::graph::DirectedTopology;
+use ringo::graph::{DirectedTopology, Graph};
 use ringo::trace::mem::{alloc_count, current_bytes, TrackingAllocator};
 use ringo::{DirectedGraph, NodeId, UndirectedGraph};
 use ringo_rng::Rng64;
@@ -90,7 +91,19 @@ fn a_clone_of_a_graph_of_owned_lists_allocates_nothing() {
 #[test]
 fn a_successor_retains_its_overlays_and_the_lists_it_edited() {
     let _serial = serial();
-    let g = edited(&rmat_edges(3));
+    successor_retains(edited(&rmat_edges(3)));
+    // One orientation: an undirected successor retains one overlay.
+    let mut u = UndirectedGraph::new();
+    for (a, b) in rmat_edges(3) {
+        u.add_edge(a, b);
+    }
+    successor_retains(u);
+}
+
+/// Adds 200 edges to a clone of `g`, which must retain one overlay for
+/// each orientation `g` stores and the lists it edited, and leave `g`
+/// untouched.
+fn successor_retains<const DIRECTED: bool>(g: Graph<DIRECTED>) {
     let ids: Vec<NodeId> = g.node_ids().collect();
     let mut rng = Rng64::new(4);
     let (next, bytes, _) = retained(|| {
@@ -102,27 +115,26 @@ fn a_successor_retains_its_overlays_and_the_lists_it_edited() {
         }
         next
     });
-    // Every list the successor edited is its own; it shares the rest.
+    // Every list the successor edited is its own; it shares the rest. An
+    // edge's reverse entry is in the in-row of its head, or on an
+    // undirected graph in the head's one row.
     let own: BTreeSet<(NodeId, bool)> = g
         .edges()
         .chain(next.edges())
         .filter(|&(s, d)| g.has_edge(s, d) != next.has_edge(s, d))
-        .flat_map(|(s, d)| [(s, true), (d, false)])
+        .flat_map(|(s, d)| [(s, true), (d, !DIRECTED)])
         .collect();
     let lists: usize = own
         .iter()
         .map(|&(id, out)| {
-            let len = if out {
-                next.out_nbrs(id)
-            } else {
-                next.in_nbrs(id)
-            }
-            .len();
+            let s = next.slot_of(id).expect("a node");
+            let len = if out { next.out_row(s) } else { next.in_row(s) }.len();
             // A first copy holds len + 1; a second insert may double it.
             SHARED_HEADER + 2 * (len + 1) * std::mem::size_of::<u32>()
         })
         .sum();
-    let overlays = 2 * g.n_slots() * OVERLAY;
+    let orientations = 1 + usize::from(DIRECTED);
+    let overlays = orientations * g.n_slots() * OVERLAY;
     assert!(
         bytes <= overlays + lists + 1024,
         "successor retains {bytes} B: overlays {overlays} + {} edited lists {lists}",
@@ -130,6 +142,14 @@ fn a_successor_retains_its_overlays_and_the_lists_it_edited() {
     );
     let after = next.adjacency_stats();
     assert_eq!(after.owned_lists - after.shared_lists, own.len());
+    // Beside its lists, exactly as counted, the successor holds its
+    // overlays and no more: an orientation it does not store has none.
+    let held = after.owned_bytes - after.shared_bytes + own.len() * SHARED_HEADER;
+    assert!(
+        bytes - held <= overlays + 1024,
+        "{} B beside the edited lists; {orientations} overlays are {overlays} B",
+        bytes - held
+    );
     assert_eq!(
         g.edge_count() + 200,
         next.edge_count(),
