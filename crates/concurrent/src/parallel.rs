@@ -211,8 +211,8 @@ where
 /// body runs inside a trace span named `span` (rows-in = morsel length),
 /// recorded into the executing thread's per-thread event buffer. On the
 /// dispatching thread the morsel spans nest under the caller's open
-/// operator span; on pool workers they are that thread's top-level slices
-/// — which is how the Chrome export reconstructs per-worker timelines.
+/// operator span; on pool workers they are that thread's top-level spans
+/// — which is how the trace dump's events show per-worker timelines.
 pub fn parallel_map_morsels_traced<T, F>(
     span: &'static str,
     len: usize,

@@ -44,10 +44,6 @@ struct TraceCounters {
     jobs: &'static ringo_trace::Counter,
     chunks: &'static ringo_trace::Counter,
     busy_ns: &'static ringo_trace::Counter,
-    workers: &'static ringo_trace::Counter,
-    /// Gauge (`set`, not `add`): executors currently inside chunk bodies.
-    /// The background sampler reads it to plot busy/idle worker counts.
-    busy_workers: &'static ringo_trace::Counter,
 }
 
 fn trace_counters() -> &'static TraceCounters {
@@ -56,8 +52,6 @@ fn trace_counters() -> &'static TraceCounters {
         jobs: ringo_trace::counter("pool.jobs_dispatched"),
         chunks: ringo_trace::counter("pool.chunks_executed"),
         busy_ns: ringo_trace::counter("pool.busy_ns"),
-        workers: ringo_trace::counter("pool.workers"),
-        busy_workers: ringo_trace::counter("pool.busy_workers"),
     })
 }
 
@@ -201,9 +195,7 @@ impl Pool {
         // need eventual totals, never ordering against job effects.
         self.shared.jobs_dispatched.fetch_add(1, Ordering::Relaxed);
         if ringo_trace::enabled() {
-            let t = trace_counters();
-            t.jobs.add(1);
-            t.workers.set(self.workers as u64);
+            trace_counters().jobs.add(1);
         }
         let task = Task {
             // SAFETY: erasing the borrow's lifetime is sound because this
@@ -296,8 +288,8 @@ fn worker_loop(shared: &Shared) {
 
 /// Claims and executes chunks of `job` until none are left unclaimed.
 /// Shared by workers and dispatching threads. While this executor runs a
-/// chunk body it counts as *busy* in the pool's busy-worker gauge (the
-/// sampler's busy/idle instrumentation). It leaves the gauge before it
+/// chunk body it counts as *busy* in the pool's busy-worker gauge
+/// ([`PoolStats::busy_workers`]). It leaves the gauge before it
 /// reports the chunk done, so once a job completes its executors have
 /// all left the gauge, a panicking chunk's executor included.
 fn execute_chunks(shared: &Shared, job: &Job) {
@@ -311,10 +303,7 @@ fn execute_chunks(shared: &Shared, job: &Job) {
         }
         // ORDERING: Relaxed — point-in-time gauge for observability
         // snapshots; no data is published through it.
-        let now = shared.busy_workers.fetch_add(1, Ordering::Relaxed) + 1;
-        if ringo_trace::enabled() {
-            trace_counters().busy_workers.set(now as u64);
-        }
+        shared.busy_workers.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         // `t < chunks` was claimed exclusively above, so the dispatcher is
         // still blocked in `Pool::run` and the erased borrow is alive.
@@ -326,12 +315,11 @@ fn execute_chunks(shared: &Shared, job: &Job) {
         shared.chunks_executed.fetch_add(1, Ordering::Relaxed);
         // ORDERING: Relaxed — gauge decrement; the `done` mutex below
         // orders it before the dispatcher's return from `Pool::run`.
-        let now = shared.busy_workers.fetch_sub(1, Ordering::Relaxed) - 1;
+        shared.busy_workers.fetch_sub(1, Ordering::Relaxed);
         if ringo_trace::enabled() {
             let tc = trace_counters();
             tc.chunks.add(1);
             tc.busy_ns.add(busy);
-            tc.busy_workers.set(now as u64);
         }
 
         let mut d = job.done.lock().expect("pool job state poisoned");

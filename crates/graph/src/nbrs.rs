@@ -25,8 +25,8 @@ use std::sync::Arc;
 /// Bytes one stored neighbour costs.
 const SLOT_BYTES: usize = std::mem::size_of::<u32>();
 
-/// What a list of its own costs beside its buffer: the `Arc`'s two counts
-/// and the `Vec` header.
+/// What a list of its own, or an overlay, costs beside its buffer: the
+/// `Arc`'s two counts and the `Vec` header.
 const OWN_HEADER: usize = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u32>>();
 
 /// An overlay entry: a slot's list of its own, shared with the versions
@@ -49,8 +49,8 @@ pub fn new_slab(len: usize) -> Arc<[u32]> {
 pub(crate) struct Rows<T = u32> {
     offs: Arc<[u32]>,
     slab: Arc<[T]>,
-    /// Empty until this version's first edit; after it, one entry a slot.
-    edited: Arc<Vec<Own<T>>>,
+    /// None until this version's first edit; after it, one entry a slot.
+    edited: Option<Arc<Vec<Own<T>>>>,
 }
 
 impl Rows {
@@ -82,9 +82,12 @@ impl Rows {
 
     /// Adds the rows of the `live` slots to `stats`.
     pub(crate) fn tally(&self, live: impl Iterator<Item = usize>, stats: &mut AdjacencyStats) {
-        let overlay_shared = Arc::strong_count(&self.edited) > 1;
+        let overlay_shared = self
+            .edited
+            .as_ref()
+            .is_some_and(|e| Arc::strong_count(e) > 1);
         for s in live {
-            match self.edited.get(s) {
+            match self.overlay().get(s) {
                 Some(Some(own)) => {
                     let bytes = own.capacity() * SLOT_BYTES;
                     stats.owned_lists += 1;
@@ -114,21 +117,27 @@ impl<T: Copy + Default> Rows<T> {
             return Self {
                 offs,
                 slab,
-                edited: Arc::default(),
+                edited: None,
             };
         }
         let own = off.windows(2);
         let own = own.map(|w| Some(Arc::new(slab[w[0]..w[1]].to_vec())));
         Self {
-            edited: Arc::new(own.collect()),
+            edited: Some(Arc::new(own.collect())),
             ..Self::default()
         }
+    }
+
+    /// The overlay's entries; none before the first edit.
+    #[inline]
+    fn overlay(&self) -> &[Own<T>] {
+        self.edited.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Slot `s`'s row.
     #[inline]
     pub(crate) fn row(&self, s: usize) -> &[T] {
-        match self.edited.get(s) {
+        match self.overlay().get(s) {
             Some(Some(own)) => own,
             _ => bulk_row(&self.offs, &self.slab, s),
         }
@@ -139,7 +148,7 @@ impl<T: Copy + Default> Rows<T> {
     /// — is first copied, into room for one more, since an edit follows.
     pub(crate) fn to_mut(&mut self, s: usize, n: usize) -> &mut Vec<T> {
         let Rows { offs, slab, edited } = self;
-        let edited = Arc::make_mut(edited);
+        let edited = Arc::make_mut(edited.get_or_insert_default());
         if edited.len() < n {
             edited.resize(n, None);
         }
@@ -158,15 +167,16 @@ impl<T: Copy + Default> Rows<T> {
     }
 
     /// Heap bytes: the offsets and the slab in full (dead ranges too),
-    /// the overlay, and every list of its own with its header.
+    /// the overlay with its header, and every list of its own with its
+    /// header.
     pub(crate) fn mem_size(&self) -> usize {
-        let own = self.edited.iter().flatten();
         let cell = std::mem::size_of::<T>();
-        let own: usize = own.map(|o| OWN_HEADER + o.capacity() * cell).sum();
-        self.offs.len() * SLOT_BYTES
-            + self.slab.len() * cell
-            + self.edited.capacity() * std::mem::size_of::<Own<T>>()
-            + own
+        let overlay = self.edited.as_ref().map_or(0, |e| {
+            let own = e.iter().flatten();
+            let own: usize = own.map(|o| OWN_HEADER + o.capacity() * cell).sum();
+            OWN_HEADER + e.capacity() * std::mem::size_of::<Own<T>>() + own
+        });
+        self.offs.len() * SLOT_BYTES + self.slab.len() * cell + overlay
     }
 }
 
@@ -540,7 +550,7 @@ mod tests {
             "clone untouched"
         );
         assert_eq!(&a.slab[..], &[1, 0, 2, 1], "slab itself untouched");
-        assert_eq!(a.edited.len(), 3, "the overlay covers every slot");
+        assert_eq!(a.overlay().len(), 3, "the overlay covers every slot");
         assert_eq!(a.to_mut(1, 3).capacity(), 3, "a copy holds len + 1");
     }
 
@@ -553,7 +563,7 @@ mod tests {
         assert_eq!(a.row(0).as_ptr(), at, "held once: edited in place");
         let mut b = a.clone();
         assert!(
-            Arc::ptr_eq(&a.edited, &b.edited),
+            Arc::ptr_eq(a.edited.as_ref().unwrap(), b.edited.as_ref().unwrap()),
             "a clone shares the overlay"
         );
         assert_eq!(stats(&a, 2).shared_lists, 1);
@@ -585,8 +595,9 @@ mod tests {
         assert_eq!(r.mem_size(), (4 + 4) * SLOT_BYTES, "offsets and slab");
         r.to_mut(0, 3).clear();
         let own = OWN_HEADER + 3 * SLOT_BYTES;
-        let overlay = r.edited.capacity() * std::mem::size_of::<Own<u32>>();
-        assert!(r.edited.capacity() >= 3);
+        let capacity = r.edited.as_ref().unwrap().capacity();
+        let overlay = OWN_HEADER + capacity * std::mem::size_of::<Own<u32>>();
+        assert!(capacity >= 3);
         assert_eq!(
             r.mem_size(),
             (4 + 4) * SLOT_BYTES + overlay + own,
@@ -622,7 +633,7 @@ mod tests {
         let want = all(&r, 3);
         r.compact(3);
         assert_eq!(all(&r, 3), want);
-        assert!(r.edited.is_empty(), "no overlay");
+        assert!(r.edited.is_none(), "no overlay");
         assert_eq!(old.upgrade(), None, "the old slab is freed");
         assert_eq!(&r.slab[..], &[0, 0, 2], "fresh slab is exactly sized");
         let s = stats(&r, 3);

@@ -219,13 +219,8 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
 ];
 
 /// Where `thread::spawn` / `thread::Builder` may appear: the worker
-/// pool, the checker's virtual-thread runtime, and the trace crate's
-/// background resource sampler.
-const THREAD_SPAWN_ALLOW: &[&str] = &[
-    "crates/concurrent/src/pool.rs",
-    "crates/trace/src/sampler.rs",
-    "crates/check/",
-];
+/// pool and the checker's virtual-thread runtime.
+const THREAD_SPAWN_ALLOW: &[&str] = &["crates/concurrent/src/pool.rs", "crates/check/"];
 
 /// Metric names recorded from more than one call site on purpose.
 const SHARED_METRIC_ALLOW: &[(&str, &str)] = &[
@@ -242,8 +237,8 @@ const SHARED_METRIC_ALLOW: &[(&str, &str)] = &[
 /// Names that exist only at export time.
 const SYNTHETIC_METRICS: &[(&str, &str)] = &[
     (
-        "mem.bytes",
-        "Chrome-exporter counter track synthesized from the sampler series",
+        "trace.events.dropped",
+        "ring-overwrite tally written by the report and JSON sinks",
     ),
     (
         "trace.registry.overflow",
@@ -280,22 +275,10 @@ const KNOB_INVENTORY: &[(&str, &str)] = &[
         "RINGO_MORSEL_ROWS",
         "parallel executor: rows per morsel (read once per process)",
     ),
-    (
-        "RINGO_SAMPLE_MS",
-        "trace: background resource sampler period (off when unset)",
-    ),
     ("RINGO_THREADS", "worker pool: default worker count"),
     (
-        "RINGO_TRACE",
-        "trace: enable span/counter recording (dump at exit)",
-    ),
-    (
-        "RINGO_TRACE_CHROME",
-        "trace: Chrome trace-event export path (implies recording)",
-    ),
-    (
         "RINGO_TRACE_JSON",
-        "trace: JSON dump path (implies RINGO_TRACE=1)",
+        "trace: record spans and counters, JSON dump path at exit",
     ),
     (
         "RINGO_TW_SCALE",

@@ -1,7 +1,7 @@
 //! `thread-confinement`: ad-hoc thread creation is forbidden outside
-//! the worker pool, the checker's virtual-thread runtime, and the trace
-//! sampler. Everything else must go through the pool so work is bounded
-//! by its worker count and observable in pool stats.
+//! the worker pool and the checker's virtual-thread runtime. Everything
+//! else must go through the pool so work is bounded by its worker count
+//! and observable in pool stats.
 //!
 //! Token-aware re-implementation of PR 4's rule 3: matches the
 //! significant-token sequences `thread :: spawn` and

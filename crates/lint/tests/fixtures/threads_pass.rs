@@ -1,5 +1,5 @@
 //! Pass control: identical spawn — the test config allowlists this file,
-//! the way the real config allowlists the pool, sampler, and checker.
+//! the way the real config allowlists the pool and the checker.
 
 use std::thread;
 

@@ -6,8 +6,7 @@
 //! Spans record a [`EventKind::Begin`] event at entry and an
 //! [`EventKind::End`] event at drop, both carrying the span id, the
 //! parent span id and the thread's registration id — enough to
-//! reconstruct a per-worker timeline (and to export it to the Chrome
-//! trace-event format, see [`crate::chrome`]). The `End` events, in
+//! reconstruct a per-worker timeline. The `End` events, in
 //! `seq` order, are the completed spans the JSON dump's `events` array
 //! lists.
 //!
@@ -90,7 +89,7 @@ pub struct TimelineEvent {
 #[derive(Clone, Debug)]
 pub struct ThreadTimeline {
     /// Small registration id (1-based, in registration order); the `tid`
-    /// the Chrome exporter emits.
+    /// of the JSON dump's events and threads.
     pub tid: u32,
     /// OS thread name at registration (`main`, `ringo-worker-3`, ...).
     pub thread_name: String,
@@ -322,7 +321,7 @@ static END_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide monotonic clock all timeline events share, anchored at
 /// first use.
-pub fn epoch_ns() -> u64 {
+fn epoch_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     u64::try_from(EPOCH.get_or_init(Instant::now).elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -491,8 +490,8 @@ pub(crate) fn reset() {
     }
 }
 
-/// Renders the flight recorder (recent per-thread events plus the sampler
-/// tail) as human-readable text — what the panic hook dumps to stderr.
+/// Renders the flight recorder (recent per-thread events) as
+/// human-readable text — what the panic hook dumps to stderr.
 pub fn flight_dump() -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -534,22 +533,6 @@ pub fn flight_dump() -> String {
                 );
             }
             out.push('\n');
-        }
-    }
-    let samples = crate::sampler::samples_snapshot();
-    if !samples.is_empty() {
-        let _ = writeln!(out, "sampler tail ({} samples total):", samples.len());
-        let tail_from = samples.len().saturating_sub(8);
-        for s in &samples[tail_from..] {
-            let _ = writeln!(
-                out,
-                "  [{:>12}ns] busy={} idle={} chunks+={} mem={}",
-                s.t_ns,
-                s.busy_workers,
-                s.idle_workers,
-                s.chunks_delta,
-                crate::mem::format_bytes(s.mem_current as usize)
-            );
         }
     }
     out.push_str("=== end flight recorder ===\n");

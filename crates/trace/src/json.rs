@@ -5,7 +5,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 2,
 //!   "counters": {"pool.chunks_executed": 128, ...,
 //!                "trace.events.recorded": 12, "trace.events.dropped": 0,
 //!                "trace.registry.overflow": 0},
@@ -17,8 +17,6 @@
 //!              ...],
 //!   "threads": [{"tid": 1, "name": "main", "events": 12, "dropped": 0},
 //!               ...],
-//!   "samples": [{"t_ns": ..., "busy_workers": 2, "idle_workers": 2, ...},
-//!               ...],
 //!   "mem": {"current_bytes": ..., "peak_bytes": ...}
 //! }
 //! ```
@@ -27,8 +25,8 @@
 //!
 //! [`parse`] is the matching reader: a small recursive-descent JSON parser
 //! (strings with escapes, f64 numbers, arrays, objects) used by the test
-//! suite to validate this dump and the Chrome trace export structurally
-//! instead of by substring matching.
+//! suite to validate this dump structurally instead of by substring
+//! matching.
 
 use std::fmt::Write;
 
@@ -54,7 +52,7 @@ pub fn write_escaped(out: &mut String, s: &str) {
 /// Serializes the full trace state; see the module docs for the schema.
 pub(crate) fn trace_to_json() -> String {
     let mut out = String::with_capacity(16 * 1024);
-    out.push_str("{\n  \"version\": 1,\n  \"counters\": {");
+    out.push_str("{\n  \"version\": 2,\n  \"counters\": {");
     let counters = crate::counters_snapshot();
     for c in counters.iter() {
         out.push_str("\n    ");
@@ -132,29 +130,6 @@ pub(crate) fn trace_to_json() -> String {
             ", \"events\": {}, \"dropped\": {}}}",
             tl.events.len(),
             tl.dropped
-        )
-        .unwrap();
-    }
-    out.push_str("\n  ],\n  \"samples\": [");
-    let samples = crate::sampler::samples_snapshot();
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(
-            out,
-            "\n    {{\"t_ns\": {}, \"busy_workers\": {}, \"idle_workers\": {}, \
-             \"chunks_delta\": {}, \"busy_ns_delta\": {}, \"mem_current\": {}, \
-             \"mem_peak\": {}, \"events_recorded\": {}, \"events_dropped\": {}}}",
-            s.t_ns,
-            s.busy_workers,
-            s.idle_workers,
-            s.chunks_delta,
-            s.busy_ns_delta,
-            s.mem_current,
-            s.mem_peak,
-            s.events_recorded,
-            s.events_dropped
         )
         .unwrap();
     }
@@ -470,7 +445,7 @@ mod tests {
             sp.rows_out(2);
         }
         let j = crate::to_json();
-        assert!(j.contains("\"version\": 1"), "{j}");
+        assert!(j.contains("\"version\": 2"), "{j}");
         assert!(j.contains("\"test.json_counter\": 11"), "{j}");
         assert!(j.contains("\"test.json_span\""), "{j}");
         assert!(j.contains("\"rows_in\": 4"), "{j}");
@@ -479,7 +454,7 @@ mod tests {
         assert!(j.contains("\"trace.events.dropped\""), "{j}");
         // The dump round-trips through the hand-rolled reader.
         let d = parse(&j).expect("dump parses");
-        assert_eq!(d.get("version").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(d.get("version").and_then(JsonValue::as_u64), Some(2));
         let events = d.get("events").and_then(JsonValue::as_arr).expect("events");
         let span = events
             .iter()
@@ -493,7 +468,6 @@ mod tests {
             .and_then(JsonValue::as_arr)
             .expect("threads");
         assert!(!threads.is_empty(), "{j}");
-        assert!(d.get("samples").and_then(JsonValue::as_arr).is_some());
         crate::set_enabled(false);
         crate::reset();
     }

@@ -18,15 +18,11 @@
 //!   reconstructable after the fact,
 //! * the **allocator instrumentation** ([`mem`], moved here from
 //!   `ringo-core` so every layer of the engine can read it),
-//! * a std-only **background sampler** ([`sampler`], `RINGO_SAMPLE_MS`)
-//!   snapshotting pool busy/idle counts, counter deltas, and allocator
-//!   watermarks into a bounded time series,
-//! * four **sinks**: a human-readable [`report`] table, a JSON dump
-//!   ([`to_json`] / [`dump_json`], triggered at process exit by
-//!   `RINGO_TRACE=1` / `RINGO_TRACE_JSON=<path>` via [`init_from_env`]),
-//!   a Chrome trace-event export ([`chrome`], `RINGO_TRACE_CHROME=<path>`,
-//!   opens in `chrome://tracing`/Perfetto), and a panic-hook flight dump
-//!   ([`install_panic_hook`] / [`flight_dump`]) for post-mortems.
+//! * three **sinks**: a human-readable [`report`] table, a JSON dump
+//!   ([`to_json`] / [`dump_json`], written at process exit when
+//!   `RINGO_TRACE_JSON=<path>` is set, via [`init_from_env`]), and a
+//!   panic-hook flight dump ([`install_panic_hook`] / [`flight_dump`])
+//!   for post-mortems.
 //!
 //! # Overhead contract
 //!
@@ -54,12 +50,10 @@
 
 #![warn(missing_docs)]
 
-pub mod chrome;
 pub mod events;
 pub mod json;
 pub mod mem;
 pub mod registry;
-pub mod sampler;
 mod span;
 pub mod sync;
 
@@ -110,16 +104,14 @@ macro_rules! span {
     };
 }
 
-/// Zeroes every counter, histogram, per-thread event buffer, and the
-/// sampler series, starting a fresh measurement window. Registered names
-/// survive (they keep their slots); the cumulative `PoolStats` of the
-/// worker pool are unaffected because the pool feeds the registry with
-/// per-chunk *deltas*, so a window opened by `reset()` sees only work
-/// dispatched after it.
+/// Zeroes every counter, histogram and per-thread event buffer, starting
+/// a fresh measurement window. Registered names survive (they keep their
+/// slots); the cumulative `PoolStats` of the worker pool are unaffected
+/// because the pool feeds the registry with per-chunk *deltas*, so a
+/// window opened by `reset()` sees only work dispatched after it.
 pub fn reset() {
     registry::reset();
     events::reset();
-    sampler::clear();
 }
 
 /// Renders the registry as a human-readable table: one row per histogram
@@ -188,9 +180,8 @@ pub fn fmt_ns(ns: u64) -> String {
 }
 
 /// Serializes the full trace state (counters, histograms, events, per
-/// thread tallies, sampler series, memory watermarks) as a JSON object.
-/// See [`json`] for the writer and [`json::parse`] for the matching
-/// reader.
+/// thread tallies, memory watermarks) as a JSON object. See [`json`] for
+/// the writer and [`json::parse`] for the matching reader.
 pub fn to_json() -> String {
     json::trace_to_json()
 }
@@ -200,14 +191,8 @@ pub fn dump_json(path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, to_json())
 }
 
-/// Serializes the flight recorder in the Chrome trace-event format; see
-/// [`chrome`].
-pub fn to_chrome_json() -> String {
-    chrome::to_chrome_json()
-}
-
 /// Installs a panic hook that dumps the flight recorder (recent
-/// per-thread events plus the sampler tail) to stderr before the default
+/// per-thread events) to stderr before the default
 /// hook runs. Idempotent; chains to the previously installed hook so
 /// backtraces still print. [`init_from_env`] installs it automatically
 /// whenever tracing is enabled through the environment.
@@ -222,82 +207,35 @@ pub fn install_panic_hook() {
     });
 }
 
-/// Enables tracing and schedules process-exit dumps when the trace
-/// environment variables ask for it.
-///
-/// * `RINGO_TRACE=1` (or `true`) — enable tracing; the returned guard
-///   writes the JSON trace to `RINGO_TRACE_JSON` (default
-///   `ringo_trace.json`) when dropped at the end of `main`.
-/// * `RINGO_TRACE_JSON=<path>` alone also implies `RINGO_TRACE=1`.
-/// * `RINGO_TRACE_CHROME=<path>` — also enables tracing; the guard writes
-///   a Chrome trace-event file there (open in `chrome://tracing` or
-///   Perfetto).
-/// * `RINGO_SAMPLE_MS=<n>` — also enables tracing and starts the
-///   background [`sampler`] at an `n`-millisecond interval; the guard
-///   stops it before writing the dumps so the series is complete.
-///
-/// Any of these also installs the [panic hook](install_panic_hook), so a
-/// crash under tracing leaves a flight-recorder dump on stderr.
+/// Enables tracing when `RINGO_TRACE_JSON=<path>` is set: the returned
+/// guard writes the JSON trace there when dropped at the end of `main`,
+/// and a crash leaves a flight-recorder dump on stderr (the
+/// [panic hook](install_panic_hook)). Unset, it does nothing.
 ///
 /// Call it first thing in `main` and keep the guard alive:
 ///
 /// ```no_run
 /// let _trace = ringo_trace::init_from_env();
-/// // ... program; guard drop at the end of main writes the dumps ...
+/// // ... program; guard drop at the end of main writes the dump ...
 /// ```
-#[must_use = "hold the guard until the end of main so the trace dumps are written"]
+#[must_use = "hold the guard until the end of main so the trace dump is written"]
 pub fn init_from_env() -> TraceGuard {
-    let on = std::env::var("RINGO_TRACE")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    let json_path = std::env::var_os("RINGO_TRACE_JSON").map(std::path::PathBuf::from);
-    let chrome_path = std::env::var_os("RINGO_TRACE_CHROME").map(std::path::PathBuf::from);
-    let sample_ms = std::env::var("RINGO_SAMPLE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&ms| ms > 0);
-    let any = on || json_path.is_some() || chrome_path.is_some() || sample_ms.is_some();
-    let dump_to = if on || json_path.is_some() {
-        Some(json_path.unwrap_or_else(|| std::path::PathBuf::from("ringo_trace.json")))
-    } else {
-        None
-    };
-    let mut stop_sampler = false;
-    if any {
+    let dump_to = std::env::var_os("RINGO_TRACE_JSON").map(std::path::PathBuf::from);
+    if dump_to.is_some() {
         set_enabled(true);
         install_panic_hook();
-        if let Some(ms) = sample_ms {
-            stop_sampler = sampler::start(std::time::Duration::from_millis(ms));
-        }
     }
-    TraceGuard {
-        dump_to,
-        chrome_to: chrome_path,
-        stop_sampler,
-    }
+    TraceGuard { dump_to }
 }
 
-/// Guard returned by [`init_from_env`]; stops the sampler and writes the
-/// requested dumps when dropped.
+/// Guard returned by [`init_from_env`]; writes the JSON dump when
+/// dropped.
 pub struct TraceGuard {
     dump_to: Option<std::path::PathBuf>,
-    chrome_to: Option<std::path::PathBuf>,
-    stop_sampler: bool,
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        // Stop the sampler first so its final tick is in both dumps.
-        if self.stop_sampler {
-            sampler::stop();
-        }
-        if let Some(path) = self.chrome_to.take() {
-            if let Err(e) = chrome::dump_chrome(&path) {
-                eprintln!("ringo-trace: failed to write {}: {e}", path.display());
-            } else {
-                eprintln!("ringo-trace: wrote {}", path.display());
-            }
-        }
         if let Some(path) = self.dump_to.take() {
             if let Err(e) = dump_json(&path) {
                 eprintln!("ringo-trace: failed to write {}: {e}", path.display());

@@ -53,7 +53,7 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     (lo, hi)
 }
 
-/// A named monotonic (or gauge-style) atomic counter.
+/// A named monotonic atomic counter.
 pub struct Counter {
     name: VAtomicPtr<&'static str>,
     value: VAtomicU64,
@@ -73,14 +73,6 @@ impl Counter {
         // ORDERING: Relaxed — independent monotonic metric; readers only
         // need an eventual total, never ordering against traced work.
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sets the counter to `n` (gauge semantics, e.g. `pool.workers`).
-    #[inline]
-    pub fn set(&self, n: u64) {
-        // ORDERING: Relaxed — gauge overwrite; last writer wins is the
-        // intended semantics.
-        self.value.store(n, Ordering::Relaxed);
     }
 
     /// Current value.

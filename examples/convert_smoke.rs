@@ -1,7 +1,7 @@
 //! Conversion smoke: a table→graph run large enough to exercise the
 //! radix sort path and the slab fill, for CI trace assertions.
 //!
-//! Run with `RINGO_TRACE=1 RINGO_TRACE_JSON=out.json \
+//! Run with `RINGO_TRACE_JSON=out.json \
 //! cargo run --release --example convert_smoke`. CI checks that the
 //! dumped trace contains `sort.radix.*` and `convert.fill.*` spans, so
 //! a refactor that silently drops conversions off the radix path fails

@@ -1,7 +1,7 @@
 //! Plan smoke: lazy queries shaped so CI can pin the late-materialization
 //! contract in trace output.
 //!
-//! Run with `RINGO_TRACE=1 RINGO_TRACE_JSON=out.json \
+//! Run with `RINGO_TRACE_JSON=out.json \
 //! cargo run --release --example plan_smoke`. The first three
 //! `collect()`s each end in a pending selection/projection, so the
 //! dumped trace must contain `plan.*` spans and a `table.gather`

@@ -1,13 +1,13 @@
 //! Profile smoke: drives the flight recorder end-to-end so CI can pin
 //! the profiling contract.
 //!
-//! Run with `RINGO_THREADS=4 RINGO_SAMPLE_MS=2 \
-//! RINGO_TRACE_CHROME=profile_smoke_chrome.json \
+//! Run with `RINGO_THREADS=4 RINGO_TRACE_JSON=profile_smoke.json \
 //! cargo run --release --example profile_smoke`. The queries below scan
-//! a 1M-row table through select/join/group plans, so the dumped Chrome
-//! trace must contain `plan.*` operator spans with nested
-//! `plan.morsel.*` slices attributed to more than one thread id, plus
-//! sampler counter rows. The process also prints the first query's
+//! a 1M-row table through select/join/group plans, so the dump's
+//! `events` must contain `plan.*` operator spans and `plan.morsel.*`
+//! spans attributed to more than one thread id, some of them nested
+//! under their operator's span on the dispatching thread, with no
+//! event lost. The process also prints the first query's
 //! `explain_analyze` tree (per-operator rows, time, share, morsels and
 //! worker busy split) so a human can eyeball the same run.
 
@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect()?;
     println!("join.group: {} rows", out.n_rows());
 
-    // Collect 3: order + project keeps the recorder busy long enough for
-    // the sampler (RINGO_SAMPLE_MS) to take several ticks.
+    // Collect 3: select + order + project — the sort path behind a
+    // morsel-parallel filter.
     let out = ringo
         .query(&t)
         .select(&Predicate::int("bucket", Cmp::Eq, 13))
@@ -62,11 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("select.order.project: {} rows", out.n_rows());
 
     println!(
-        "flight recorder: {} events recorded, {} dropped, {} threads, {} samples",
+        "flight recorder: {} events recorded, {} dropped, {} threads",
         ringo::trace::events::total_recorded(),
         ringo::trace::events::total_dropped(),
-        ringo::trace::timelines_snapshot().len(),
-        ringo::trace::sampler::samples_snapshot().len()
+        ringo::trace::timelines_snapshot().len()
     );
     Ok(())
 }

@@ -11,7 +11,7 @@ use ringo::{AggOp, Cmp, ColumnType, Predicate, Ringo, Schema, Table, Value};
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Honors RINGO_TRACE / RINGO_TRACE_JSON; dumps JSON when main returns.
+    // Honors RINGO_TRACE_JSON; dumps JSON there when main returns.
     let _trace = ringo::trace::init_from_env();
     let ringo = Ringo::new();
     println!("Ringo quickstart ({} worker threads)\n", ringo.threads());

@@ -91,7 +91,7 @@ commands:
   timings                                    per-verb latency & memory aggregates,
                                              bfs row entries / rank entries read
   provenance [n]                             last n op-log records (default 20)
-  trace [reset]                              global ringo-trace report (RINGO_TRACE=1)
+  trace [reset]                              global ringo-trace report (RINGO_TRACE_JSON)
   help | quit";
 
 /// Resolves a table by name in a pinned snapshot.
@@ -344,15 +344,6 @@ impl Shell {
                     ringo::trace::events::total_dropped(),
                     ringo::trace::timelines_snapshot().len()
                 );
-                println!(
-                    "sampler: {} ({} samples held)",
-                    if ringo::trace::sampler::is_running() {
-                        "running"
-                    } else {
-                        "stopped"
-                    },
-                    ringo::trace::sampler::samples_snapshot().len()
-                );
                 Ok(true)
             }
             ["join", out, left, right, lcol, rcol] => {
@@ -583,8 +574,8 @@ impl Shell {
                     );
                 }
                 // How much of the rows the traversals read, and how hard
-                // the conversions searched to rank neighbour ids; under
-                // RINGO_TRACE=1 `trace` times the `convert.fill.rank` pass.
+                // the conversions searched to rank neighbour ids; with
+                // tracing on, `trace` times the `convert.fill.rank` pass.
                 let count = |name| ringo::trace::counter(name).get();
                 println!(
                     "bfs: {} row entries scanned; convert: {} rank entries compared",
@@ -621,7 +612,7 @@ impl Shell {
             }
             ["trace"] => {
                 if !ringo::trace::enabled() {
-                    println!("tracing is off; start the shell with RINGO_TRACE=1");
+                    println!("tracing is off; start the shell with RINGO_TRACE_JSON=<path>");
                     return Ok(true);
                 }
                 print!("{}", ringo::trace::report());
@@ -756,8 +747,8 @@ fn apply_clauses<'a>(
 }
 
 fn main() {
-    // RINGO_TRACE=1 enables span tracing; the guard dumps JSON on exit
-    // when RINGO_TRACE_JSON (or RINGO_TRACE alone) is set.
+    // RINGO_TRACE_JSON=<path> enables span tracing; the guard dumps JSON
+    // there on exit.
     let _trace = ringo::trace::init_from_env();
     let mut shell = Shell::new();
     println!(

@@ -1,8 +1,7 @@
 //! Snapshot smoke: drives the versioned catalog end-to-end so CI can pin
 //! the snapshot contract.
 //!
-//! Run with `RINGO_THREADS=4 RINGO_TRACE=1 \
-//! RINGO_TRACE_JSON=snapshot_smoke.json \
+//! Run with `RINGO_THREADS=4 RINGO_TRACE_JSON=snapshot_smoke.json \
 //! cargo run --release --example snapshot_smoke`. The flow is the
 //! paper's interactive-session story under mutation: publish a table and
 //! a graph, pin a snapshot, then republish both names, compact the

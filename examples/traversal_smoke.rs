@@ -1,7 +1,7 @@
 //! Traversal smoke: a BFS over an R-MAT graph big enough to exercise
 //! both frontier phases, for CI trace assertions.
 //!
-//! Run with `RINGO_THREADS=4 RINGO_TRACE=1 RINGO_TRACE_JSON=out.json \
+//! Run with `RINGO_THREADS=4 RINGO_TRACE_JSON=out.json \
 //! cargo run --release --example traversal_smoke`. CI checks the dumped
 //! trace for `algo.bfs.topdown` *and* `algo.bfs.bottomup` spans, so a
 //! refactor that silently stops direction-optimizing fails the build,

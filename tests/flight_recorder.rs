@@ -1,6 +1,6 @@
 //! Integration tests for the flight recorder: per-thread event
-//! attribution under the worker pool, the Chrome trace exporter's JSON
-//! contract, ring saturation accounting, and the panic-hook dump.
+//! attribution under the worker pool, ring saturation accounting, and
+//! the panic-hook dump.
 //!
 //! Trace state is process-global, so every test that mutates it
 //! serializes through one lock and opens its own window with
@@ -79,82 +79,6 @@ fn per_thread_attribution_across_pool_sizes() {
             .collect();
         assert_eq!(spans.len(), n);
         assert!(spans.iter().all(|e| e.rows_in == 1));
-    }
-}
-
-/// The Chrome export must parse with the crate's own JSON reader, keep
-/// B/E events balanced per thread with matching names, and carry a
-/// duration on every X complete-event.
-#[test]
-fn chrome_export_parses_and_balances() {
-    let _l = lock();
-    trace::set_enabled(true);
-    trace::reset();
-    {
-        let _outer = trace::span!("test.chrome.outer");
-        let _inner = trace::span!("test.chrome.inner");
-    }
-    let pool = Pool::with_workers(2);
-    pool.run(4, &|_| {
-        let _sp = trace::Span::enter("test.chrome.chunk");
-    });
-    trace::set_enabled(false);
-
-    let text = trace::to_chrome_json();
-    let doc = trace::json::parse(&text).expect("chrome export parses");
-    let events = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_arr)
-        .expect("traceEvents array");
-    assert!(!events.is_empty());
-
-    let mut stacks: std::collections::HashMap<u64, Vec<String>> = Default::default();
-    let mut slice_names = Vec::new();
-    for ev in events {
-        let ph = ev.get("ph").and_then(JsonValue::as_str).expect("ph");
-        let tid = ev.get("tid").and_then(JsonValue::as_u64).expect("tid");
-        let name = ev
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .expect("name")
-            .to_string();
-        match ph {
-            "B" => stacks.entry(tid).or_default().push(name),
-            "E" => {
-                let top = stacks
-                    .get_mut(&tid)
-                    .and_then(Vec::pop)
-                    .unwrap_or_else(|| panic!("E without B on tid {tid}"));
-                assert_eq!(top, name, "E closes the innermost B");
-                slice_names.push(name);
-            }
-            "X" => {
-                assert!(ev.get("dur").is_some(), "X events carry a duration");
-                slice_names.push(name);
-            }
-            "M" | "C" => {}
-            other => panic!("unexpected phase {other:?}"),
-        }
-        if ph == "B" || ph == "E" || ph == "X" {
-            assert!(ev.get("ts").is_some());
-            assert!(ev.get("pid").is_some());
-        }
-    }
-    for (tid, stack) in stacks {
-        assert!(
-            stack.is_empty(),
-            "unclosed B events on tid {tid}: {stack:?}"
-        );
-    }
-    for want in [
-        "test.chrome.outer",
-        "test.chrome.inner",
-        "test.chrome.chunk",
-    ] {
-        assert!(
-            slice_names.iter().any(|n| n == want),
-            "missing slice {want}"
-        );
     }
 }
 

@@ -1,8 +1,9 @@
 //! Allocation discipline of the node side and the rows: a bulk-built
 //! graph is its rank's bucket array, 16 bytes a slot (its id and one
 //! 4-byte offset per orientation; 12 undirected) and 4 bytes a stored
-//! neighbour, with no hash table; a
-//! clone allocates nothing; a version's first edit pays one 8-byte
+//! neighbour, with no hash table, held in an exact number of allocations
+//! (none for an overlay before the first edit); a clone allocates
+//! nothing; a version's first edit pays one 8-byte
 //! overlay entry a slot for each orientation it touches, plus the lists
 //! it edits; a later edit pays for its lists alone; and `mem_size()`
 //! reports what the graph holds, edited or not; a compacted undirected
@@ -18,10 +19,38 @@ use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
 use ringo::trace::mem::{alloc_count, current_bytes, TrackingAllocator};
 use ringo::{DirectedGraph, Direction, NodeId, Table};
+use std::alloc::{GlobalAlloc, Layout};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+/// The tracking allocator, also counting the allocations live now.
+struct Counting;
+
 #[global_allocator]
-static ALLOC: TrackingAllocator = TrackingAllocator;
+static ALLOC: Counting = Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call goes to `TrackingAllocator` unchanged; only the
+// live count moves around it.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = TrackingAllocator.alloc(layout);
+        if !ptr.is_null() {
+            LIVE.fetch_add(1, Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        TrackingAllocator.dealloc(ptr, layout);
+        LIVE.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        TrackingAllocator.realloc(ptr, layout, new_size)
+    }
+}
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -50,6 +79,13 @@ fn retained<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let (bytes, count) = (current_bytes(), alloc_count());
     let out = f();
     (out, current_bytes() - bytes, alloc_count() - count)
+}
+
+/// What `f` returns, and how many more allocations are live after it.
+fn held<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let out = f();
+    (out, LIVE.load(Ordering::Relaxed) - before)
 }
 
 /// Bytes of a list of its own first copied from a row of `len`: room for
@@ -127,6 +163,24 @@ fn a_compacted_undirected_graph_is_again_its_buckets_twelve_bytes_a_slot_and_fou
     let (n, stored) = (u.n_slots(), u.total_degree(Direction::Both) as usize);
     let want = bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
     assert_eq!(u.mem_size(), want, "undirected, compacted, {n} slots");
+}
+
+#[test]
+fn a_bulk_graph_holds_its_node_side_and_two_allocations_an_orientation_it_stores() {
+    let _serial = serial();
+    let t = table(12, 40_000);
+    // A first build starts the pool's workers, which keep what they
+    // allocate.
+    drop(table_to_graph(&t, "src", "dst").unwrap());
+    // The node side: the rank's ids (an `Arc` and its `Vec`), its bucket
+    // array, the `Arc` around the rank and the one around the node
+    // edits. Then the offsets and the slab of each orientation stored;
+    // no overlay before an edit, and none for an undirected graph's
+    // in-side.
+    let (_g, n) = held(|| table_to_graph(&t, "src", "dst").unwrap());
+    assert_eq!(n, 5 + 2 * 2, "directed");
+    let (_u, n) = held(|| table_to_undirected(&t, "src", "dst").unwrap());
+    assert_eq!(n, 5 + 2, "undirected");
 }
 
 #[test]

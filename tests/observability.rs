@@ -123,6 +123,38 @@ fn json_events_are_the_timelines_end_events() {
     );
     assert_eq!(dumped, ends);
     assert!(dumped.windows(2).all(|w| w[0].2 < w[1].2), "seq order");
+    // The nesting and the threads survive the dump: the inner span's
+    // parent is the outer one, on the same thread, and every thread an
+    // event names is listed with its name.
+    let events = doc.get("events").and_then(JsonValue::as_arr).unwrap();
+    let num = |e: &JsonValue, k| e.get(k).and_then(JsonValue::as_u64).expect(k);
+    let event = |n: &str| {
+        let named = |e: &&JsonValue| e.get("name").and_then(JsonValue::as_str) == Some(n);
+        events.iter().find(named).expect(n)
+    };
+    let (outer, inner) = (event("test.json.outer"), event("test.json.inner"));
+    assert_eq!(num(inner, "parent_id"), num(outer, "span_id"));
+    assert_eq!(num(inner, "tid"), num(outer, "tid"));
+    let threads = doc
+        .get("threads")
+        .and_then(JsonValue::as_arr)
+        .expect("threads");
+    let named_tids: Vec<u64> = threads
+        .iter()
+        .filter(|t| {
+            t.get("name")
+                .and_then(JsonValue::as_str)
+                .is_some_and(|n| !n.is_empty())
+        })
+        .map(|t| num(t, "tid"))
+        .collect();
+    for e in events {
+        let tid = num(e, "tid");
+        assert!(
+            named_tids.contains(&tid),
+            "tid {tid} has no named thread entry"
+        );
+    }
     let overflow = doc
         .get("counters")
         .and_then(|c| c.get("trace.registry.overflow"))
