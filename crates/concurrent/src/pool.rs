@@ -242,6 +242,13 @@ impl Pool {
             .lock()
             .expect("pool queue poisoned")
             .retain(|j| !Arc::ptr_eq(j, &job));
+        // A worker that took the job lets go of it just after its last
+        // claim fails. Wait for that, so the job is freed here and not
+        // later on a worker, in the middle of whatever the caller does
+        // next (an allocation count, say).
+        while Arc::strong_count(&job) > 1 {
+            std::thread::yield_now();
+        }
 
         if let Some(payload) = panic {
             resume_unwind(payload);

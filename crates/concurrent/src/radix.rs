@@ -18,8 +18,9 @@
 //! The word is `u64` when the varying bits fit and `u128` otherwise — one
 //! private `Word` trait with those two implementations, so the `u64`
 //! sort is the loops it always was. The pair sort ([`radix_sort_columns`])
-//! packs `(a, b)` off two `i64` columns; two spans of at most 64 bits
-//! always fit 128. The row sort ([`radix_sort_rows`]) packs `(sort
+//! packs `(a, b)` off two `i64` columns — or, for an undirected edge,
+//! `(min, max)`, once a row — and two spans of at most 64 bits always
+//! fit 128. The row sort ([`radix_sort_rows`]) packs `(sort
 //! columns…, row position)`: the position makes every word distinct, so
 //! the unstable bucket sorts yield the stable order, and the caller reads
 //! positions (and `Int` columns) back off the sorted words. Rows wider
@@ -213,9 +214,9 @@ impl Masks {
 
 /// Sorts the pairs `(a[i], b[i])` in full lexicographic order without
 /// ever materializing them — the sort the conversion pipeline runs
-/// straight off a table's two edge columns. With `symmetric`, every row
-/// with `a[i] != b[i]` also contributes `(b[i], a[i])`: the key multiset
-/// of an undirected graph.
+/// straight off a table's two edge columns. With `canonical`, row `i`
+/// is packed once as `(min, max)` of its two ids: an undirected edge's
+/// one key, whichever way round the row named it.
 ///
 /// A mask probe finds each component's varying-bit span (bits above it
 /// are constant across the input — node ids in practice occupy a narrow
@@ -232,35 +233,34 @@ impl Masks {
 ///
 /// # Panics
 /// Panics if the columns differ in length.
-pub fn radix_sort_columns(a: &[i64], b: &[i64], symmetric: bool, threads: usize) -> SortedPairs {
+pub fn radix_sort_columns(a: &[i64], b: &[i64], canonical: bool, threads: usize) -> SortedPairs {
     assert_eq!(a.len(), b.len(), "edge columns must have equal length");
     let len = a.len();
-    let max_keys = if symmetric { 2 * len } else { len };
     let mut sp = ringo_trace::span!("sort.radix.pairs");
     sp.rows_in(len);
+    // The columns; each attempt packs them with the codec of its spans.
+    let pairs = PairKeys {
+        a,
+        b,
+        canonical,
+        codec: PairCodec::new(0, 0, 0, 0),
+    };
 
     // Short inputs (and ones whose bucket counts would overflow the u32
     // histograms) pack with exact masks and finish with one std sort.
-    let short = len < SEQ_THRESHOLD || max_keys >= u32::MAX as usize;
+    let short = len < SEQ_THRESHOLD || len >= u32::MAX as usize;
     // One cheap sequential scan makes already-sorted input (a graph's own
     // edge table coming back) a parallel pack instead of a partition
-    // cycle. A symmetric sort interleaves the reversed pairs, so sorted
-    // columns do not help it.
-    let sorted = !short && !symmetric && a.iter().zip(b).is_sorted();
+    // cycle.
+    let sorted = !short && (0..len).map(|i| pairs.pair(i)).is_sorted();
     // The varying spans: exact over a short input, guessed from a strided
     // sample of a long one.
     let mut seen = Masks::EMPTY;
     let step = if short { 1 } else { (len / 512).max(1) };
     for i in (0..len).step_by(step) {
-        each_pair(a, b, i..i + 1, symmetric, |s, d| seen.add(s, d));
+        let (s, d) = pairs.pair(i);
+        seen.add(s, d);
     }
-    // The columns; each attempt packs them with the codec of its spans.
-    let pairs = PairKeys {
-        a,
-        b,
-        symmetric,
-        codec: PairCodec::new(0, 0, 0, 0),
-    };
     let out = loop {
         let (bits_a, bits_b) = seen.spans();
         let done = if bits_a + bits_b <= 64 {
@@ -290,14 +290,12 @@ fn sort_pairs<W: Word>(
     sorted: bool,
     threads: usize,
 ) -> Result<(Vec<W>, PairCodec), Masks> {
-    let (a, b, len) = (pairs.a, pairs.b, pairs.a.len());
+    let len = pairs.a.len();
     let (bits_a, bits_b) = seen.spans();
     if short {
         let codec = PairCodec::new(bits_a, bits_b, seen.a_and, seen.b_and);
-        let mut keys = Vec::with_capacity(if pairs.symmetric { 2 * len } else { len });
-        each_pair(a, b, 0..len, pairs.symmetric, |s, d| {
-            keys.push(codec.pack(s, d))
-        });
+        let src = PairKeys { codec, ..*pairs };
+        let mut keys: Vec<W> = (0..len).map(|i| src.key(i)).collect();
         keys.sort_unstable();
         return Ok((keys, codec));
     }
@@ -319,6 +317,7 @@ fn sort_pairs<W: Word>(
         return Err(full);
     }
     let codec = PairCodec::new(bits_a, bits_b, full.a_and, full.b_and);
+    let src = PairKeys { codec, ..probe };
     let keys = if sorted {
         let mut keys = vec![W::default(); len];
         let cell = DisjointSlice::new(&mut keys);
@@ -326,25 +325,44 @@ fn sort_pairs<W: Word>(
             // SAFETY: chunk ranges are disjoint.
             let out = unsafe { cell.slice_mut(range.start, range.end) };
             for (k, i) in out.iter_mut().zip(range) {
-                *k = codec.pack(a[i], b[i]);
+                *k = src.key(i);
             }
         });
         keys
     } else {
-        let src = PairKeys { codec, ..probe };
         partition_sort(&src, len, threads, bits_a + bits_b, &hist)
     };
     Ok((keys, codec))
 }
 
 /// The two edge columns as the partition core reads them: one packed key
-/// per pair [`each_pair`] yields, and the span masks of what was read.
+/// per row ([`PairKeys::pair`]), and the span masks of what was read.
 #[derive(Clone, Copy)]
 struct PairKeys<'a> {
     a: &'a [i64],
     b: &'a [i64],
-    symmetric: bool,
+    canonical: bool,
     codec: PairCodec,
+}
+
+impl PairKeys<'_> {
+    /// The pair row `i` sorts as: `(a[i], b[i])`, or when `canonical` the
+    /// smaller id first.
+    #[inline(always)]
+    fn pair(&self, i: usize) -> (i64, i64) {
+        let (s, d) = (self.a[i], self.b[i]);
+        match self.canonical {
+            true => (s.min(d), s.max(d)),
+            false => (s, d),
+        }
+    }
+
+    /// Row `i`'s packed key.
+    #[inline(always)]
+    fn key<W: Word>(&self, i: usize) -> W {
+        let (s, d) = self.pair(i);
+        self.codec.pack(s, d)
+    }
 }
 
 impl<W: Word> Keys<W> for PairKeys<'_> {
@@ -353,31 +371,12 @@ impl<W: Word> Keys<W> for PairKeys<'_> {
     #[inline(always)]
     fn each(&self, rows: Range<usize>, mut f: impl FnMut(W)) -> Masks {
         let mut m = Masks::EMPTY;
-        each_pair(self.a, self.b, rows, self.symmetric, |s, d| {
+        for i in rows {
+            let (s, d) = self.pair(i);
             m.add(s, d);
             f(self.codec.pack(s, d));
-        });
-        m
-    }
-}
-
-/// Calls `f` with the pairs [`radix_sort_columns`] sorts that come from
-/// `rows`: `(a[i], b[i])` and, when `symmetric`, its reversal unless the
-/// two ids are equal.
-#[inline(always)]
-fn each_pair(
-    a: &[i64],
-    b: &[i64],
-    rows: Range<usize>,
-    symmetric: bool,
-    mut f: impl FnMut(i64, i64),
-) {
-    for i in rows {
-        let (s, d) = (a[i], b[i]);
-        f(s, d);
-        if symmetric && s != d {
-            f(d, s);
         }
+        m
     }
 }
 
@@ -822,15 +821,23 @@ mod tests {
     fn columns_match_std_full_ord() {
         let mut rng = Rng64::new(23);
         // Mixed signs vary in all 64 bits of each biased key (a `u128`
-        // word); one sign packs into a `u64`.
+        // word); one sign packs into a `u64`. Canonical rows sort as
+        // `(min, max)`.
         for (range, narrow) in [(-100..100, false), (0..200, true)] {
-            for threads in [1usize, 2, 4] {
+            for (threads, canonical) in [(1usize, false), (2, true), (4, false), (4, true)] {
                 let a: Vec<i64> = (0..40_000).map(|_| rng.range_i64(range.clone())).collect();
                 let b: Vec<i64> = (0..40_000).map(|_| rng.range_i64(range.clone())).collect();
+                let row = |(s, d): (i64, i64)| {
+                    if canonical {
+                        (s.min(d), s.max(d))
+                    } else {
+                        (s, d)
+                    }
+                };
                 let mut expect: Vec<(i64, i64)> =
-                    a.iter().copied().zip(b.iter().copied()).collect();
+                    a.iter().copied().zip(b.iter().copied()).map(row).collect();
                 expect.sort_unstable();
-                let got: Vec<(i64, i64)> = match radix_sort_columns(&a, &b, false, threads) {
+                let got: Vec<(i64, i64)> = match radix_sort_columns(&a, &b, canonical, threads) {
                     SortedPairs::U64(keys, codec) => {
                         assert!(narrow, "mixed signs cannot fit a u64");
                         keys.iter()
@@ -844,7 +851,10 @@ mod tests {
                             .collect()
                     }
                 };
-                assert_eq!(got, expect, "threads={threads} narrow={narrow}");
+                assert_eq!(
+                    got, expect,
+                    "threads={threads} narrow={narrow} canonical={canonical}"
+                );
             }
         }
     }

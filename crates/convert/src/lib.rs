@@ -8,16 +8,27 @@
 //!   compute each node's neighbor counts from the sorted runs, and
 //!   install the neighbor vectors into the graph's nodes (the paper's
 //!   node hash table; here the sorted ids are the index).
-//!   Here the whole pipeline runs on **packed 8-byte keys**: the radix
-//!   sorter ([`radix_sort_columns`]) reads the two columns where they
-//!   lie, packs each pair's varying bits into one `u64` and returns the
-//!   keys sorted, each once. A counting pass walks them in parallel — the
-//!   key's high part is the node — and yields the ascending node ids and
-//!   each node's slab range. Node `k` of the ascending ids takes slot `k`,
-//!   so a neighbour is stored as its *rank* among the node ids: a rank
-//!   pass translates every neighbour through a bucket array over the ids
-//!   ([`Rank`] — no hash probe) and writes its slot straight into a shared
-//!   adjacency slab at its final position; the rank then becomes the
+//!   Here the whole pipeline runs on **packed 8-byte keys**, sorted
+//!   **once** a conversion: the radix sorter ([`radix_sort_columns`])
+//!   reads the two columns where they lie, packs each pair's varying bits
+//!   into one `u64` — `(src, dst)` for a directed graph, `(min, max)` for
+//!   an undirected one — and returns the keys sorted, each once. A
+//!   counting pass walks them in parallel — the key's high part is the
+//!   node — and yields the run heads and each one's slab range; one
+//!   lookup of every key's second id among the heads adds the ids that
+//!   are never first (a directed graph's sinks, an undirected node whose
+//!   neighbours are all smaller). Node `k` of the ascending ids takes
+//!   slot `k`, so a neighbour is stored as its *rank* among the node ids:
+//!   a rank pass translates every key's second id through a bucket array
+//!   over the ids ([`Rank`] — no hash probe) and writes its slot straight
+//!   into the first slab at its final position, and the keys are freed.
+//!   The other orientation is a **counting transpose** of that slab, not
+//!   a second sort: every source slot moves to its targets' rows in two
+//!   stable counting passes — into cache-sized blocks of target slots,
+//!   then into the rows — so each row comes out ascending, with no sort.
+//!   A directed graph's in-rows are that transpose; an undirected node's
+//!   row is its transposed entries (its smaller neighbours) followed by
+//!   its own forward run, written into one slab. The rank then becomes the
 //!   graph's id index. No tuple array, no per-node `Vec`, no table copy.
 //!   Sorting parallelizes cleanly and the passes write disjoint slab
 //!   ranges, so "while concurrent access is still performed, there is no
@@ -35,14 +46,13 @@
 
 use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 use ringo_concurrent::{
-    parallel_for, parallel_map, radix_sort_columns, DisjointSlice, SortedPairs,
+    parallel_for, parallel_map, radix_sort_columns, DisjointSlice, IntHashTable, SortedPairs,
 };
 use ringo_graph::{
     new_slab, DirectedGraph, DirectedTopology, Graph, NodeId, Rank, UndirectedGraph,
     WeightedDigraph,
 };
 use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
-use ringo_trace::Span;
 use std::sync::Arc;
 
 /// Result alias reusing the table error type (conversions validate column
@@ -87,42 +97,16 @@ pub fn table_to_graph_threads(
     let src = t.int_col(src_col)?;
     let dst = t.int_col(dst_col)?;
 
-    // A neighbour's slot is its rank among all node ids — the union of the
-    // two orientations' leading ids — so both sorts and both counting
-    // passes come before either slab is written.
-    let out_keys = sorted_edges(src, dst, false, threads);
-    let out = Runs::count(&out_keys, threads);
-    let in_keys = sorted_edges(dst, src, false, threads);
-    let inn = Runs::count(&in_keys, threads);
-
-    // Merge the two ascending id lists into the graph's node list. A node
-    // missing from one side gets an empty range there: the offset it is
-    // handed is the next present node's.
-    let cap = out.ids.len() + inn.ids.len();
-    let mut ids = Vec::with_capacity(cap);
-    let mut out_off = Vec::with_capacity(cap + 1);
-    let mut in_off = Vec::with_capacity(cap + 1);
-    let (mut i, mut j) = (0, 0);
-    loop {
-        out_off.push(out.off[i]);
-        in_off.push(inn.off[j]);
-        let id = match (out.ids.get(i), inn.ids.get(j)) {
-            (Some(&o), Some(&n)) => o.min(n),
-            (Some(&o), None) => o,
-            (None, Some(&n)) => n,
-            (None, None) => break,
-        };
-        ids.push(id);
-        i += usize::from(out.ids.get(i) == Some(&id));
-        j += usize::from(inn.ids.get(j) == Some(&id));
-    }
-    // The merged arrays take over from the runs' own ids and offsets
-    // before the rank passes, which hold both orientations' keys.
-    out_off.shrink_to_fit();
-    in_off.shrink_to_fit();
-    drop((out, inn));
-    let inn = Some((in_keys, in_off));
-    ranked_graph(sp, ids, (out_keys, out_off), inn, threads)
+    // The `(src, dst)` keys are the out-rows; the in-rows are their
+    // transpose, so the keys go as soon as the out-slab is written.
+    let keys = sorted_edges(src, dst, false, threads);
+    let (rank, out_off) = nodes(&keys, threads)?;
+    let out_slab = rank_slab(&keys, &rank, threads);
+    drop(keys);
+    let inn = transpose(&out_off, &out_slab, false, threads);
+    let g = Graph::from_ranked_parts(rank, (out_off, out_slab), Some(inn));
+    sp.rows_out(g.edge_count());
+    Ok(g)
 }
 
 /// Builds an undirected graph from two integer columns: each row adds the
@@ -145,48 +129,25 @@ pub fn table_to_undirected_threads(
     let src = t.int_col(src_col)?;
     let dst = t.int_col(dst_col)?;
 
-    // The symmetric sort yields both orientations of every row, so one
-    // pass over the keys yields each node's whole neighbor run, and every
-    // neighbour is some run's node.
+    // One `(min, max)` key an edge: node `k`'s run is its forward
+    // neighbours (itself too, for a loop), and the transpose adds the
+    // smaller ones in front of it.
     let keys = sorted_edges(src, dst, true, threads);
-    let adj = Runs::count(&keys, threads);
-    ranked_graph(sp, adj.ids, (keys, adj.off), None, threads)
-}
-
-/// The tail both conversions share. It ranks the node `ids` (ascending,
-/// distinct; more than `u32::MAX` is an error, since ranks are `u32`
-/// slots), then ranks each orientation's keys into its slab, in-rows
-/// first. `out` and `inn` are a side's keys and slab offsets; the keys
-/// are freed once their slab is written. The rank becomes the graph's id
-/// index, and `sp`, the conversion's span, closes here.
-fn ranked_graph<const DIRECTED: bool>(
-    mut sp: Span,
-    ids: Vec<NodeId>,
-    out: (SortedPairs, Vec<usize>),
-    inn: Option<(SortedPairs, Vec<usize>)>,
-    threads: usize,
-) -> Result<Graph<DIRECTED>> {
-    if u32::try_from(ids.len()).is_err() {
-        return Err(TableError::InvalidArgument(format!(
-            "{} distinct node ids; a graph holds at most {} (slots are u32)",
-            ids.len(),
-            u32::MAX
-        )));
-    }
-    let rank = Rank::new(ids);
-    let inn = inn.map(|(keys, off)| (off, rank_slab(&keys, &rank, threads)));
-    let (keys, out_off) = out;
-    let out_slab = rank_slab(&keys, &rank, threads);
+    let (rank, fwd_off) = nodes(&keys, threads)?;
+    let fwd = rank_slab(&keys, &rank, threads);
     drop(keys);
-    let g = Graph::from_ranked_parts(rank, (out_off, out_slab), inn);
+    let out = transpose(&fwd_off, &fwd, true, threads);
+    drop((fwd_off, fwd));
+    let g = Graph::from_ranked_parts(rank, out, None);
     sp.rows_out(g.edge_count());
     Ok(g)
 }
 
-/// The pairs `(a[i], b[i])` sorted ([`radix_sort_columns`]), each once:
-/// a repeated row is one edge, so the passes after hold no repeats.
-fn sorted_edges(a: &[NodeId], b: &[NodeId], symmetric: bool, threads: usize) -> SortedPairs {
-    let mut sorted = radix_sort_columns(a, b, symmetric, threads);
+/// The pairs `(a[i], b[i])` sorted ([`radix_sort_columns`]; `(min, max)`
+/// when `canonical`), each once: a repeated row is one edge, so the
+/// passes after hold no repeats.
+fn sorted_edges(a: &[NodeId], b: &[NodeId], canonical: bool, threads: usize) -> SortedPairs {
+    let mut sorted = radix_sort_columns(a, b, canonical, threads);
     match &mut sorted {
         SortedPairs::U64(keys, _) => {
             keys.dedup();
@@ -200,9 +161,64 @@ fn sorted_edges(a: &[NodeId], b: &[NodeId], symmetric: bool, threads: usize) -> 
     sorted
 }
 
-/// One orientation's distinct sorted keys in runs: node `k` (ascending
-/// `ids`) owns the keys at `off[k]..off[k + 1]`, which is also its slab
-/// range.
+/// The graph's nodes, ranked, and each one's run of the sorted `keys`:
+/// node `k` owns `keys[off[k]..off[k + 1]]`, which is also its range of
+/// the first slab — empty for an id that is only ever a key's second.
+/// More than `u32::MAX` ids is an error, since ranks are `u32` slots.
+fn nodes(keys: &SortedPairs, threads: usize) -> Result<(Rank, Vec<usize>)> {
+    let mut sp = ringo_trace::span!("convert.fill.count");
+    let runs = match keys {
+        SortedPairs::U64(keys, codec) => Runs::of(keys, |k| codec.first(k), threads),
+        SortedPairs::U128(keys, codec) => Runs::of(keys, |k| codec.first(k), threads),
+    };
+    sp.rows_in(runs.off.last().copied().unwrap_or_default());
+    let heads = rank(runs.ids)?;
+    let seconds = match keys {
+        SortedPairs::U64(keys, codec) => seconds_only(keys, |k| codec.second(k), &heads, threads),
+        SortedPairs::U128(keys, codec) => seconds_only(keys, |k| codec.second(k), &heads, threads),
+    };
+    if seconds.is_empty() {
+        sp.rows_out(heads.ids().len());
+        return Ok((heads, runs.off));
+    }
+    // Merge the second-only ids in; each takes an empty run, at the
+    // offset of the next head's.
+    let n = heads.ids().len() + seconds.len();
+    let (mut ids, mut off) = (Vec::with_capacity(n), Vec::with_capacity(n + 1));
+    let mut seconds = seconds.into_iter().peekable();
+    for (&id, &at) in heads.ids().iter().zip(&runs.off) {
+        while let Some(second) = seconds.next_if(|&s| s < id) {
+            ids.push(second);
+            off.push(at);
+        }
+        ids.push(id);
+        off.push(at);
+    }
+    let end = runs.off.last().copied().unwrap_or_default();
+    for second in seconds {
+        ids.push(second);
+        off.push(end);
+    }
+    off.push(end);
+    drop((heads, runs.off));
+    sp.rows_out(ids.len());
+    Ok((rank(ids)?, off))
+}
+
+/// The rank index of the ascending, distinct `ids`.
+fn rank(ids: Vec<NodeId>) -> Result<Rank> {
+    if u32::try_from(ids.len()).is_err() {
+        return Err(TableError::InvalidArgument(format!(
+            "{} distinct node ids; a graph holds at most {} (slots are u32)",
+            ids.len(),
+            u32::MAX
+        )));
+    }
+    Ok(Rank::new(ids))
+}
+
+/// The sorted keys in runs of their first id: run `k` of head `ids[k]`
+/// is `keys[off[k]..off[k + 1]]`.
 struct Runs {
     ids: Vec<NodeId>,
     off: Vec<usize>,
@@ -211,18 +227,9 @@ struct Runs {
 impl Runs {
     /// The counting pass of the sort-first fill, over whichever word (`u64`
     /// or `u128`) the pairs were sorted in. Workers take equal shares of
-    /// the keys, wherever node runs begin and end (a hub's run is split
-    /// like any other stretch), and each notes the nodes it begins.
-    fn count(sorted: &SortedPairs, threads: usize) -> Self {
-        match sorted {
-            SortedPairs::U64(keys, codec) => Self::of(keys, |k| codec.first(k), threads),
-            SortedPairs::U128(keys, codec) => Self::of(keys, |k| codec.first(k), threads),
-        }
-    }
-
+    /// the keys, wherever runs begin and end (a hub's run is split like
+    /// any other stretch), and each notes the heads it begins.
     fn of<K: Copy + Sync>(keys: &[K], node: impl Fn(K) -> NodeId + Sync, threads: usize) -> Self {
-        let mut sp = ringo_trace::span!("convert.fill.count");
-        sp.rows_in(keys.len());
         let heads = parallel_map(keys.len(), threads, |range| {
             let begins = range.filter(|&i| i == 0 || node(keys[i]) != node(keys[i - 1]));
             begins.map(|i| (node(keys[i]), i)).collect::<Vec<_>>()
@@ -234,13 +241,39 @@ impl Runs {
             off.push(at);
         }
         off.push(keys.len());
-        sp.rows_out(n);
         Self { ids, off }
     }
 }
 
-/// The rank pass: the slab of every key's neighbour slot,
-/// `rank.of(neighbour)`, at the key's own position.
+/// The ids that are some key's second and no run's head, ascending: one
+/// lookup of every key's second among the `heads`. Each worker notes the
+/// ids it misses in a set of its own, so a sink's thousands of in-edges
+/// cost it one entry.
+fn seconds_only<K: Copy + Sync>(
+    keys: &[K],
+    second: impl Fn(K) -> NodeId + Sync,
+    heads: &Rank,
+    threads: usize,
+) -> Vec<NodeId> {
+    let missed = parallel_map(keys.len(), threads, |range| {
+        let mut missed = IntHashTable::new();
+        for &key in &keys[range] {
+            let id = second(key);
+            let at = heads.find(id).0;
+            if at.is_none_or(|at| heads.ids()[at as usize] != id) {
+                missed.insert(id, ());
+            }
+        }
+        missed
+    });
+    let mut ids: Vec<NodeId> = missed.iter().flat_map(IntHashTable::keys).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// The rank pass: the slab of every key's second id's slot,
+/// `rank.of(second)`, at the key's own position.
 fn rank_slab(sorted: &SortedPairs, rank: &Rank, threads: usize) -> Arc<[u32]> {
     match sorted {
         SortedPairs::U64(keys, c) => rank_keys(keys, |k| c.second(k), rank, threads),
@@ -269,6 +302,177 @@ fn rank_keys<K: Copy + Sync>(
         ringo_trace::counter("convert.rank.scanned").add(scanned);
     });
     slab
+}
+
+/// Target slots of the transpose go in at most this many blocks: few
+/// enough that the first pass's write streams (one a block) stay cached,
+/// as the radix sorter's buckets do. A block is at most `u16::MAX + 1`
+/// slots, so a graph of more than 2^27 nodes takes more blocks.
+const BLOCKS: usize = 2048;
+
+/// The counting transpose of the rows `(off, slab)`: row `t` of the
+/// result lists, ascending, every `s` whose row holds `t`. A `symmetric`
+/// result is an undirected graph's rows built from its forward runs (each
+/// run holds the node's neighbours at or above it): row `t` lists the
+/// `s < t` whose run holds `t`, then `t`'s own run, so a loop is stored
+/// once and every row stays ascending. Returns the result's offsets and
+/// slab.
+///
+/// A scatter straight into the rows would write to as many places at
+/// once as there are nodes. Instead, two stable counting passes: the
+/// first moves every entry's source, in source order, to its target's
+/// block of `n / BLOCKS` slots (rounded up to a power of two) — the
+/// block's range of the result — noting beside it, in a `u16`, which of
+/// the block's slots is its target; the
+/// second, block by block, counts the block's rows and moves each source
+/// to its row. Both keep source order, so every row comes out ascending,
+/// the same at any thread count, with no atomics and no sort.
+fn transpose(
+    off: &[usize],
+    slab: &[u32],
+    symmetric: bool,
+    threads: usize,
+) -> (Vec<usize>, Arc<[u32]>) {
+    let mut sp = ringo_trace::span!("convert.fill.transpose");
+    sp.rows_in(slab.len());
+    let n = off.len() - 1;
+    // Row `t`'s own entries, kept after the moved ones.
+    let own = |t: usize| match symmetric {
+        true => &slab[off[t]..off[t + 1]],
+        false => &[],
+    };
+    let moves = |s: usize, t: u32| !symmetric || s != t as usize;
+    let shift = (n.div_ceil(BLOCKS).next_power_of_two().trailing_zeros()).min(u16::BITS);
+    let (blocks, within) = (n.div_ceil(1 << shift), (1u32 << shift) - 1);
+    // Block `b`'s target slots.
+    let targets = |b: usize| b << shift..((b + 1) << shift).min(n);
+
+    // Moved entries a block, per worker share of the entries.
+    let counts = parallel_map(slab.len(), threads, |range| {
+        let mut h = vec![0usize; blocks];
+        for (s, t) in entries(off, slab, range) {
+            if moves(s, t) {
+                h[t as usize >> shift] += 1;
+            }
+        }
+        h
+    });
+    // Where each block's moved entries begin among all moved entries
+    // (`moved`), and its range of the result (`start`), own runs
+    // included; each share's cursors into `moved`.
+    let (mut moved, mut start) = (
+        Vec::with_capacity(blocks + 1),
+        Vec::with_capacity(blocks + 1),
+    );
+    let mut cursors = vec![0usize; counts.len() * blocks];
+    let (mut m, mut at) = (0, 0);
+    for b in 0..blocks {
+        moved.push(m);
+        start.push(at);
+        for (w, h) in counts.iter().enumerate() {
+            cursors[w * blocks + b] = m;
+            m += h[b];
+        }
+        let r = targets(b);
+        at += m - moved[b] + (off[r.end] - off[r.start]) * usize::from(symmetric);
+    }
+    moved.push(m);
+    start.push(at);
+    drop(counts);
+
+    let mut out = new_slab(at);
+    let out_cell = DisjointSlice::new(Arc::get_mut(&mut out).expect("fresh slab"));
+    // The first pass: each moved entry's source to its block's range of
+    // the result, its target's place in the block to the same place among
+    // `target`.
+    let mut target = vec![0u16; m];
+    {
+        let target_cell = DisjointSlice::new(&mut target);
+        let cursor_cell = DisjointSlice::new(&mut cursors);
+        parallel_for(slab.len(), threads, |w, range| {
+            // SAFETY: each share touches only its own cursor row.
+            let cur = unsafe { cursor_cell.slice_mut(w * blocks, (w + 1) * blocks) };
+            for (s, t) in entries(off, slab, range) {
+                if moves(s, t) {
+                    let b = t as usize >> shift;
+                    let k = cur[b];
+                    cur[b] += 1;
+                    // SAFETY: the cursors partition `0..m`, and block
+                    // `b`'s `moved[b]..moved[b + 1]` maps one to one onto
+                    // the front of its range of the result.
+                    unsafe {
+                        target_cell.write(k, (t & within) as u16);
+                        out_cell.write(start[b] + k - moved[b], s as u32);
+                    }
+                }
+            }
+        });
+    }
+    drop(cursors);
+
+    // The second pass, a share of the blocks a worker: the blocks whose
+    // range of the result begins in its share of the entries (the last
+    // share also takes the empty blocks at the end).
+    let mut t_off = vec![0usize; n + 1];
+    t_off[n] = at;
+    let off_cell = DisjointSlice::new(&mut t_off);
+    parallel_for(at, threads, |_, range| {
+        let first = start[..blocks].partition_point(|&o| o < range.start);
+        let last = match range.end == at {
+            true => blocks,
+            false => start[..blocks].partition_point(|&o| o < range.end),
+        };
+        let (mut sources, mut row_at) = (Vec::new(), Vec::new());
+        for b in first..last {
+            let (r, targets_of) = (targets(b), &target[moved[b]..moved[b + 1]]);
+            // SAFETY: block ranges of the result are disjoint, and each
+            // block is one share's.
+            let rows = unsafe { out_cell.slice_mut(start[b], start[b + 1]) };
+            sources.clear();
+            sources.extend_from_slice(&rows[..targets_of.len()]);
+            // Each row's bounds within the block: its moved entries, then
+            // its own; `row_at` becomes the cursor of its moved ones.
+            row_at.clear();
+            row_at.resize(r.len(), 0);
+            for &t in targets_of {
+                row_at[usize::from(t)] += 1;
+            }
+            let mut k = 0;
+            for (t, cursor) in r.clone().zip(&mut row_at) {
+                // SAFETY: block `b` writes only its own targets' offsets.
+                unsafe { off_cell.write(t, start[b] + k) };
+                let got = std::mem::replace(cursor, k);
+                k += got + own(t).len();
+            }
+            for (&t, &s) in targets_of.iter().zip(&sources) {
+                let cursor = &mut row_at[usize::from(t)];
+                rows[*cursor] = s;
+                *cursor += 1;
+            }
+            for (t, &cursor) in r.zip(&row_at) {
+                let own = own(t);
+                rows[cursor..cursor + own.len()].copy_from_slice(own);
+            }
+        }
+    });
+    sp.rows_out(at);
+    (t_off, out)
+}
+
+/// The entries of `range` of `(off, slab)`, each with its row: `(s, t)`
+/// for every entry `t` of row `s`.
+fn entries<'a>(
+    off: &'a [usize],
+    slab: &'a [u32],
+    range: std::ops::Range<usize>,
+) -> impl Iterator<Item = (usize, u32)> + 'a {
+    let mut s = off.partition_point(|&o| o <= range.start).saturating_sub(1);
+    range.map(move |i| {
+        while off[s + 1] <= i {
+            s += 1;
+        }
+        (s, slab[i])
+    })
 }
 
 /// Builds a weighted digraph from an edge table: one edge per distinct

@@ -25,9 +25,12 @@ use std::sync::Arc;
 /// Bytes one stored neighbour costs.
 const SLOT_BYTES: usize = std::mem::size_of::<u32>();
 
+/// What an `Arc` costs beside its value: its two counts.
+const ARC_COUNTS: usize = 2 * std::mem::size_of::<usize>();
+
 /// What a list of its own, or an overlay, costs beside its buffer: the
 /// `Arc`'s two counts and the `Vec` header.
-const OWN_HEADER: usize = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<u32>>();
+const OWN_HEADER: usize = ARC_COUNTS + std::mem::size_of::<Vec<u32>>();
 
 /// An overlay entry: a slot's list of its own, shared with the versions
 /// cloned since its last edit, or `None` where the bulk row stands.
@@ -38,7 +41,8 @@ type Own<T> = Option<Arc<Vec<T>>>;
 /// [`Arc::get_mut`] and hand it to a `from_sorted_parts` constructor, so
 /// bulk-built adjacency is written exactly once and never copied.
 pub fn new_slab(len: usize) -> Arc<[u32]> {
-    std::iter::repeat_n(0, len).collect()
+    // SAFETY: all-zero bytes are a `u32`, so every element is initialized.
+    unsafe { Arc::new_zeroed_slice(len).assume_init() }
 }
 
 /// One orientation's rows: bulk row `s` is `slab[offs[s]..offs[s + 1]]`
@@ -287,7 +291,9 @@ pub(crate) struct Nodes {
     /// Per slot: the node's id (stale while the slot is vacant). The
     /// rank's own ids until a version writes one.
     ids: Arc<Vec<NodeId>>,
-    edits: Arc<Edits>,
+    /// None until a node is added, deleted, or bulk-built past the rank's
+    /// ascending prefix.
+    edits: Option<Arc<Edits>>,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -307,10 +313,10 @@ impl Nodes {
     pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
             ids: Arc::new(Vec::with_capacity(n)),
-            edits: Arc::new(Edits {
+            edits: Some(Arc::new(Edits {
                 added: Some(IntHashTable::with_capacity(n)),
                 ..Edits::default()
-            }),
+            })),
             ..Self::default()
         }
     }
@@ -323,7 +329,7 @@ impl Nodes {
         let mut nodes = Self {
             ids: Arc::clone(&rank.ids),
             rank: Arc::new(rank),
-            edits: Arc::default(),
+            edits: None,
         };
         let sorted = *nodes.rank.bucket.last().unwrap_or(&0) as usize;
         for (k, &id) in Arc::clone(&nodes.ids).iter().enumerate().skip(sorted) {
@@ -335,7 +341,7 @@ impl Nodes {
 
     /// Number of nodes.
     pub(crate) fn len(&self) -> usize {
-        self.ids.len() - self.edits.free.len()
+        self.ids.len() - self.edits.as_ref().map_or(0, |e| e.free.len())
     }
 
     /// Number of slots, vacant ones included.
@@ -350,18 +356,17 @@ impl Nodes {
     pub(crate) fn slot(&self, id: NodeId) -> Option<u32> {
         match self.rank.find(id).0 {
             Some(s) if self.id(s as usize) == Some(id) => Some(s),
-            _ => self.edits.added.as_ref()?.get(id).copied(),
+            _ => self.edits.as_ref()?.added.as_ref()?.get(id).copied(),
         }
     }
 
     /// The id in slot `s`, `None` when vacant.
     #[inline]
     pub(crate) fn id(&self, s: usize) -> Option<NodeId> {
-        let vacant = self
-            .edits
-            .vacant
-            .get(s / 64)
-            .is_some_and(|w| w >> (s % 64) & 1 == 1);
+        let vacant = self.edits.as_ref().is_some_and(|e| {
+            let word = e.vacant.get(s / 64);
+            word.is_some_and(|w| w >> (s % 64) & 1 == 1)
+        });
         (!vacant).then(|| self.ids[s])
     }
 
@@ -384,10 +389,14 @@ impl Nodes {
         row
     }
 
+    /// This version's edits to write, made on its first.
+    fn edits(&mut self) -> &mut Edits {
+        Arc::make_mut(self.edits.get_or_insert_default())
+    }
+
     /// This version's overlay, made on its first node.
     fn added(&mut self) -> &mut IntHashTable<u32> {
-        let added = &mut Arc::make_mut(&mut self.edits).added;
-        added.get_or_insert_with(IntHashTable::new)
+        self.edits().added.get_or_insert_with(IntHashTable::new)
     }
 
     /// The slot of node `id`, and whether it had to be added first. An
@@ -406,16 +415,15 @@ impl Nodes {
             self.ids = Arc::new(copy);
         }
         // Held once by now: never clones.
-        let ids = Arc::make_mut(&mut self.ids);
-        let edits = Arc::make_mut(&mut self.edits);
-        let slot = match edits.free.pop() {
+        let slot = match self.edits().free.pop() {
             Some(slot) => {
                 let s = slot as usize;
-                edits.vacant[s / 64] &= !(1 << (s % 64));
-                ids[s] = id;
+                self.edits().vacant[s / 64] &= !(1 << (s % 64));
+                Arc::make_mut(&mut self.ids)[s] = id;
                 slot
             }
             None => {
+                let ids = Arc::make_mut(&mut self.ids);
                 ids.push(id);
                 slot_u32(ids.len() - 1)
             }
@@ -427,7 +435,7 @@ impl Nodes {
     /// Frees the slot of node `id` and returns it; `None` if absent.
     pub(crate) fn release(&mut self, id: NodeId) -> Option<u32> {
         let slot = self.slot(id)?;
-        let (edits, s) = (Arc::make_mut(&mut self.edits), slot as usize);
+        let (edits, s) = (self.edits(), slot as usize);
         if edits.vacant.len() <= s / 64 {
             edits.vacant.resize(s / 64 + 1, 0);
         }
@@ -439,16 +447,28 @@ impl Nodes {
         Some(slot)
     }
 
-    /// Heap bytes: the rank's buckets and the ids it searches, 8 a slot
-    /// for the ids when a version wrote its own, the overlay, the vacancy
-    /// bitmap and the free list.
+    /// Heap bytes: the rank with its header, its buckets and the ids it
+    /// searches with theirs, 8 a slot for the ids when a version wrote its
+    /// own (and their header), and, once a version edits its nodes, the
+    /// edits with their header: the overlay, the vacancy bitmap and the
+    /// free list.
     pub(crate) fn mem_size(&self) -> usize {
-        let (rank, edits) = (&self.rank, &self.edits);
+        let rank = &self.rank;
         let own_ids = !Arc::ptr_eq(&self.ids, &rank.ids);
         let ids = rank.ids.capacity() + usize::from(own_ids) * self.ids.capacity();
-        (rank.bucket.capacity() + edits.free.capacity()) * 4
-            + edits.added.as_ref().map_or(0, IntHashTable::mem_size)
-            + (ids + edits.vacant.capacity()) * 8
+        let edits = self.edits.as_ref().map_or(0, |e| {
+            ARC_COUNTS
+                + std::mem::size_of::<Edits>()
+                + e.free.capacity() * 4
+                + e.added.as_ref().map_or(0, IntHashTable::mem_size)
+                + e.vacant.capacity() * 8
+        });
+        ARC_COUNTS
+            + std::mem::size_of::<Rank>()
+            + (1 + usize::from(own_ids)) * OWN_HEADER
+            + rank.bucket.capacity() * 4
+            + ids * 8
+            + edits
     }
 }
 

@@ -42,6 +42,19 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         ptr
     }
 
+    // SAFETY: trait-mandated unsafe fn; contract forwarded to `System`,
+    // whose zeroed allocation of a large block takes fresh pages as they
+    // are instead of writing every byte.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            // ORDERING: Relaxed — advisory watermark counters.
+            COUNT.fetch_add(1, Ordering::Relaxed);
+            add(layout.size());
+        }
+        ptr
+    }
+
     // SAFETY: trait-mandated unsafe fn; contract forwarded to `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);

@@ -5,8 +5,10 @@
 //! cargo run --release --example traversal_smoke`. CI checks the dumped
 //! trace for `algo.bfs.topdown` *and* `algo.bfs.bottomup` spans, so a
 //! refactor that silently stops direction-optimizing fails the build,
-//! for the `convert.fill.rank` span of the conversion that wrote the
-//! graph's rows of neighbour slots, and for a positive
+//! for the one `convert.fill.rank` span of the conversion that wrote the
+//! graph's out-rows of neighbour slots and the one
+//! `convert.fill.transpose` span that wrote its in-rows from them, and
+//! for a positive
 //! `algo.bfs.edges_scanned` count.
 //! The example itself pins the graph's `mem_size()` (4 bytes a stored
 //! neighbour plus the rank's buckets and 16 bytes a node: a second copy of the
@@ -53,11 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `u32` bucket starts — 32,737 buckets over the id span, no more than
     // the 32,768 at or above the node count — and no hash table), 8 B of
     // id a node, one 4-byte offset a node (plus the closing one) per
-    // orientation, and 4 B a stored neighbour, twice an edge:
-    // 130,952 + 173,232 + 2 × 86,620 + 2,217,792. A hash index of 32,768
-    // table slots at 16 B made it 3,088,552; the node table of 64 B a slot
-    // before that, 4,127,936.
-    const PINNED_BYTES: usize = 2_695_216;
+    // orientation, 4 B a stored neighbour, twice an edge, and the node
+    // side's 104 B of `Arc` headers (the rank's and its ids'):
+    // 130,952 + 173,232 + 2 × 86,620 + 2,217,792 + 104. Before the headers
+    // were counted it read 2,695,216; a hash index of 32,768 table slots
+    // at 16 B made it 3,088,552; the node table of 64 B a slot before
+    // that, 4,127,936.
+    const PINNED_BYTES: usize = 2_695_320;
     assert_eq!(g.mem_size(), PINNED_BYTES, "graph footprint drifted");
 
     // Deterministic source: the highest out-degree hub (smallest id wins

@@ -9,7 +9,11 @@
 //! the naive builders make — node `k` in slot `k` by ascending id, every
 //! row sorted and deduplicated — at threads 1, 2 and 4, on every shape of
 //! input that picks a different path through the sorter: short and long,
-//! `u64` and `u128`, sorted and not, one key or none.
+//! `u64` and `u128`, sorted and not, one key or none. The second
+//! orientation is a counting transpose of the first slab, so the inputs
+//! also cover what it meets: a sink whose in-row is far longer than one
+//! worker's share, ids that are never a key's first (below, between and
+//! above the others), and nodes whose every neighbour is smaller.
 
 use ringo::concurrent::radix::SEQ_THRESHOLD;
 use ringo::concurrent::{radix_sort_columns, SortedPairs};
@@ -53,18 +57,18 @@ fn check(edges: &[Edge], packs: bool, what: &str) {
 
 /// Converts `edges` both ways at threads 1, 2 and 4 and compares each
 /// result with its reference. `packs` / `symmetric_packs` say whether the
-/// directed and the undirected sort must have used a `u64` word (else a
-/// `u128`), so a case meant for the wide word cannot quietly fit the
-/// narrow one.
+/// directed `(src, dst)` and the undirected `(min, max)` sort must have
+/// used a `u64` word (else a `u128`), so a case meant for the wide word
+/// cannot quietly fit the narrow one.
 fn check_paths(edges: &[Edge], packs: bool, symmetric_packs: bool, what: &str) {
     let mut table = edges_to_table(edges);
     let (src, dst) = (table.int_col("src").unwrap(), table.int_col("dst").unwrap());
-    for (symmetric, want) in [(false, packs), (true, symmetric_packs)] {
-        let narrow = match radix_sort_columns(src, dst, symmetric, 2) {
+    for (canonical, want) in [(false, packs), (true, symmetric_packs)] {
+        let narrow = match radix_sort_columns(src, dst, canonical, 2) {
             SortedPairs::U64(..) => true,
             SortedPairs::U128(..) => false,
         };
-        assert_eq!(narrow, want, "{what}: symmetric={symmetric} u64");
+        assert_eq!(narrow, want, "{what}: canonical={canonical} u64");
     }
 
     // Directed reference: the naive builder's lists, in ascending id order.
@@ -167,12 +171,22 @@ fn wide_ids_sort_in_u128_words() {
     let full = random_edges(&mut rng, LONG, i64::MIN + 1..i64::MAX);
     check(&full, false, "full range");
     check(&full[..200], false, "full range, short");
-    // Wide on one side only still fits a u64, with no bit to spare; the
-    // symmetric sort sees the wide span on both sides.
-    let lopsided: Vec<Edge> = (0..LONG)
-        .map(|_| (rng.range_i64(0..i64::MAX), rng.range_i64(4..6)))
+    // A 40-bit column and a 10-bit one in its middle fit a u64 as they
+    // stand; as `(min, max)` each side takes values from both, so both
+    // spans are ≈40 bits.
+    let middle = 1i64 << 39;
+    let straddled: Vec<Edge> = (0..LONG)
+        .map(|_| {
+            (
+                rng.range_i64(0..1 << 40),
+                rng.range_i64(middle..middle + 1024),
+            )
+        })
         .collect();
-    check_paths(&lopsided, true, false, "63 bits and 1 bit");
+    check_paths(&straddled, true, false, "40 bits and 10 bits");
+    check_paths(&straddled[..300], true, false, "40 bits and 10 bits, short");
+    // Wide on one side only still fits a u64, with no bit to spare; as
+    // `(min, max)` the negative ids go first, so both spans are wide.
     let one_source: Vec<Edge> = full.iter().map(|&(_, d)| (7, d)).collect();
     check_paths(&one_source, true, false, "0 bits and 64 bits");
 }
@@ -267,4 +281,66 @@ fn i64_min_converts_like_any_id() {
             );
         }
     }
+}
+
+/// A sink whose in-row is far longer than one worker's share of the
+/// entries, between ids that are heads: its in-row is filled by every
+/// worker at once and sorted after.
+#[test]
+fn a_sink_hub_takes_most_edges() {
+    let mut rng = Rng64::new(10);
+    let hub = 5_000;
+    let mut edges: Vec<Edge> = (0..LONG as i64)
+        .filter(|&s| s != hub)
+        .map(|s| (s, hub))
+        .collect();
+    edges.extend(random_edges(&mut rng, LONG / 8, 0..hub));
+    edges.extend(random_edges(&mut rng, LONG / 8, hub + 1..LONG as i64));
+    rng.shuffle(&mut edges);
+    check(&edges, true, "sink hub");
+    check(&edges[..200], true, "sink hub, short");
+}
+
+/// A star whose centre is the largest id and only ever a destination:
+/// the one second-only id comes after every head, and as `(min, max)`
+/// its whole row is transposed entries.
+#[test]
+fn a_star_around_the_largest_id() {
+    let centre = 1 << 20;
+    let edges: Vec<Edge> = (0..LONG as i64).map(|leaf| (leaf, centre)).collect();
+    check(&edges, true, "star into the largest id");
+    let mut rng = Rng64::new(11);
+    let mut mixed = edges.clone();
+    mixed.extend(random_edges(&mut rng, LONG, 0..LONG as i64));
+    rng.shuffle(&mut mixed);
+    check(&mixed, true, "star into the largest id, among random edges");
+}
+
+/// A path walked downwards: every directed node's neighbour is smaller,
+/// and every undirected node is its upper neighbour's second id.
+#[test]
+fn a_descending_path() {
+    let edges: Vec<Edge> = (0..LONG as i64).rev().map(|i| (i + 1, i)).collect();
+    check(&edges, true, "descending path");
+    let wide: Vec<Edge> = edges.iter().map(|&(a, b)| (a - 2_000, b - 2_000)).collect();
+    check(&wide, false, "descending path through zero");
+}
+
+/// Every destination is never a source: half the nodes are second-only
+/// ids, interleaved with the heads, above them, or below them.
+#[test]
+fn only_second_ids_on_the_destination_side() {
+    let mut rng = Rng64::new(12);
+    let pick = |rng: &mut Rng64, even: bool| 2 * rng.range_i64(0..3_000) + i64::from(!even);
+    let interleaved: Vec<Edge> = (0..LONG)
+        .map(|_| (pick(&mut rng, true), pick(&mut rng, false)))
+        .collect();
+    check(&interleaved, true, "sources even, destinations odd");
+    let above: Vec<Edge> = random_edges(&mut rng, LONG, 0..500)
+        .into_iter()
+        .map(|(s, d)| (s, d + 1_000))
+        .collect();
+    check(&above, true, "destinations above every source");
+    let below: Vec<Edge> = above.iter().map(|&(s, d)| (d, s)).collect();
+    check(&below, true, "destinations below every source");
 }

@@ -2,7 +2,8 @@
 //! graph is its rank's bucket array, 16 bytes a slot (its id and one
 //! 4-byte offset per orientation; 12 undirected) and 4 bytes a stored
 //! neighbour, with no hash table, held in an exact number of allocations
-//! (none for an overlay before the first edit); a clone allocates
+//! (none for an overlay or the node edits before the first edit), and
+//! `mem_size()` counts the node side's `Arc` headers too; a clone allocates
 //! nothing; a version's first edit pays one 8-byte
 //! overlay entry a slot for each orientation it touches, plus the lists
 //! it edits; a later edit pays for its lists alone; and `mem_size()`
@@ -64,6 +65,10 @@ const ARC_VEC: usize = 16 + 24;
 
 /// One overlay entry: an `Option<Arc<Vec<u32>>>`.
 const OVERLAY: usize = 8;
+
+/// The node side's headers in a bulk build: the `Arc` around the rank
+/// (two counts and the rank itself) and the one around its ids.
+const NODE_HEADERS: usize = 16 + std::mem::size_of::<ringo::graph::Rank>() + ARC_VEC;
 
 fn table(scale: u32, edges: usize) -> Table {
     edges_to_table(&rmat(&RmatConfig {
@@ -131,14 +136,14 @@ fn a_bulk_graph_is_its_buckets_sixteen_bytes_a_slot_and_four_a_neighbour() {
     let u = table_to_undirected(&t, "src", "dst").unwrap();
     let (n, stored) = (g.n_slots(), g.total_degree(Direction::Both) as usize);
     let ids: Vec<NodeId> = g.node_ids().collect();
-    // The buckets, the id, an offset per orientation, and each
-    // orientation's closing offset; no vacancy bitmap until a node is
-    // deleted, and no hash table until one is added.
-    let want = bucket_bytes(&ids) + 16 * n + 2 * 4 + 4 * stored;
+    // The node side's headers, the buckets, the id, an offset per
+    // orientation, and each orientation's closing offset; no node edits
+    // (vacancy bitmap, hash table) until a node is deleted or added.
+    let want = NODE_HEADERS + bucket_bytes(&ids) + 16 * n + 2 * 4 + 4 * stored;
     assert_eq!(g.mem_size(), want, "directed, {n} slots");
     let (n, stored) = (u.n_slots(), u.total_degree(Direction::Both) as usize);
     let ids: Vec<NodeId> = u.node_ids().collect();
-    let want = bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
+    let want = NODE_HEADERS + bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
     assert_eq!(u.mem_size(), want, "undirected, {n} slots");
 }
 
@@ -159,9 +164,10 @@ fn a_compacted_undirected_graph_is_again_its_buckets_twelve_bytes_a_slot_and_fou
     assert!(u.adjacency_stats().dead_slab_bytes() > 0);
     u.compact();
     // One orientation's offsets and slab again: a compaction that packed
-    // the absent in-side would add 4 B a slot.
+    // the absent in-side would add 4 B a slot. No node was added or
+    // deleted, so no node edits either.
     let (n, stored) = (u.n_slots(), u.total_degree(Direction::Both) as usize);
-    let want = bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
+    let want = NODE_HEADERS + bucket_bytes(&ids) + 12 * n + 4 + 4 * stored;
     assert_eq!(u.mem_size(), want, "undirected, compacted, {n} slots");
 }
 
@@ -173,14 +179,14 @@ fn a_bulk_graph_holds_its_node_side_and_two_allocations_an_orientation_it_stores
     // allocate.
     drop(table_to_graph(&t, "src", "dst").unwrap());
     // The node side: the rank's ids (an `Arc` and its `Vec`), its bucket
-    // array, the `Arc` around the rank and the one around the node
-    // edits. Then the offsets and the slab of each orientation stored;
-    // no overlay before an edit, and none for an undirected graph's
-    // in-side.
+    // array and the `Arc` around the rank; no node edits until a node is
+    // added or deleted. Then the offsets and the slab of each orientation
+    // stored; no overlay before an edit, and none for an undirected
+    // graph's in-side.
     let (_g, n) = held(|| table_to_graph(&t, "src", "dst").unwrap());
-    assert_eq!(n, 5 + 2 * 2, "directed");
+    assert_eq!(n, 4 + 2 * 2, "directed");
     let (_u, n) = held(|| table_to_undirected(&t, "src", "dst").unwrap());
-    assert_eq!(n, 5 + 2, "undirected");
+    assert_eq!(n, 4 + 2, "undirected");
 }
 
 #[test]

@@ -300,13 +300,14 @@ fn conversion_counts_the_rank_entries_it_compared() {
     trace::set_enabled(true);
     trace::reset();
     // Per conversion: ids compared while ranking neighbours, entries
-    // ranked (both slabs), nodes.
+    // ranked (the out-slab alone: the in-slab is its transpose, and the
+    // lookup that finds the sinks adds nothing), nodes.
     let convert = |edges: &[(i64, i64)]| {
         let before = trace::counter("convert.rank.scanned").get();
         let table = ringo::gen::edges_to_table(edges);
         let g = ringo::convert::table_to_graph(&table, "src", "dst").unwrap();
         let scanned = trace::counter("convert.rank.scanned").get() - before;
-        (scanned, 2 * g.edge_count() as u64, g.node_count())
+        (scanned, g.edge_count() as u64, g.node_count())
     };
     let rmat = ringo::gen::rmat(&ringo::gen::RmatConfig {
         scale: 12,
@@ -319,13 +320,20 @@ fn conversion_counts_the_rank_entries_it_compared() {
         entries <= scanned && scanned <= 2 * entries,
         "R-MAT: {scanned} compared for {entries} entries"
     );
-    // The rank pass of each orientation: entries in, nodes out.
-    let ranks: Vec<(u64, u64)> = end_events()
+    // One rank pass, of the out-slab: entries in, nodes out; then one
+    // transpose of it into the in-slab: entries in, entries out.
+    let fill: Vec<(String, u64, u64)> = end_events()
         .into_iter()
-        .filter(|e| e.name == "convert.fill.rank")
-        .map(|e| (e.rows_in, e.rows_out))
+        .filter(|e| e.name == "convert.fill.rank" || e.name == "convert.fill.transpose")
+        .map(|e| (e.name.to_string(), e.rows_in, e.rows_out))
         .collect();
-    assert_eq!(ranks, [(entries / 2, nodes as u64); 2]);
+    assert_eq!(
+        fill,
+        [
+            ("convert.fill.rank".to_string(), entries, nodes as u64),
+            ("convert.fill.transpose".to_string(), entries, entries),
+        ]
+    );
 
     // Two clusters 2^50 apart fill two buckets: the searches inside them
     // show up as many more ids compared per entry.

@@ -112,7 +112,7 @@ fn radix_sort_matches_std_on_adversarial_distributions() {
 }
 
 /// The column pair sort equals `sort_unstable` on the `(i64, i64)` tuples
-/// (plus their reversals, when symmetric) for any id distribution —
+/// (each as `(min, max)`, when canonical) for any id distribution —
 /// narrow, either sign, full range — including empty and length-1 inputs.
 #[test]
 fn radix_sort_columns_matches_std() {
@@ -134,17 +134,21 @@ fn radix_sort_columns_matches_std() {
         };
         let a: Vec<i64> = (0..len).map(|_| id()).collect();
         let b: Vec<i64> = (0..len).map(|_| id()).collect();
-        for symmetric in [false, true] {
-            let mut expect: Vec<(i64, i64)> = Vec::new();
-            for (&s, &d) in a.iter().zip(&b) {
-                expect.push((s, d));
-                if symmetric && s != d {
-                    expect.push((d, s));
-                }
-            }
+        for canonical in [false, true] {
+            let mut expect: Vec<(i64, i64)> = a
+                .iter()
+                .zip(&b)
+                .map(|(&s, &d)| {
+                    if canonical {
+                        (s.min(d), s.max(d))
+                    } else {
+                        (s, d)
+                    }
+                })
+                .collect();
             expect.sort_unstable();
             for threads in [1usize, 2, 4] {
-                let ours: Vec<(i64, i64)> = match radix_sort_columns(&a, &b, symmetric, threads) {
+                let ours: Vec<(i64, i64)> = match radix_sort_columns(&a, &b, canonical, threads) {
                     SortedPairs::U64(keys, codec) => keys
                         .iter()
                         .map(|&k| (codec.first(k), codec.second(k)))
@@ -156,7 +160,7 @@ fn radix_sort_columns_matches_std() {
                 };
                 assert_eq!(
                     ours, expect,
-                    "len={len} span={span} full={full} symmetric={symmetric} threads={threads}"
+                    "len={len} span={span} full={full} canonical={canonical} threads={threads}"
                 );
             }
         }
