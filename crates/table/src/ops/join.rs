@@ -1,19 +1,20 @@
 //! Equi hash join.
 //!
 //! The paper's Table 4 benchmarks join throughput; Ringo's "join operation
-//! always produces a new table object". We build an open-addressing hash
-//! index on the build side's key column (the smaller table) and probe with
-//! the larger side in parallel, each worker emitting a private match list —
-//! the contention-free pattern used throughout Ringo's engine.
+//! always produces a new table object". We index the build side's key
+//! column (the smaller table) — its rows laid out by key hash in flat
+//! arrays, no allocation per key — and probe with the larger side in
+//! parallel, each worker emitting private match lists — the
+//! contention-free pattern used throughout Ringo's engine.
 
 use crate::table::row_count_u32;
-use crate::{ColumnData, Result, Table, TableError};
+use crate::{ColumnData, ColumnType, Result, StringPool, Table, TableError};
 use ringo_concurrent::hash_table::hash_i64;
 use ringo_concurrent::{
-    morsel_bounds, parallel_for_morsels_traced, parallel_map, parallel_map_morsels_traced,
-    DisjointSlice, IntHashTable, MorselStats,
+    morsel_bounds, parallel_for, parallel_for_morsels_traced, parallel_map,
+    parallel_map_morsels_traced, ConcurrentBitset, DisjointSlice, MorselStats,
 };
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 impl Table {
@@ -54,163 +55,260 @@ pub(crate) fn equi_join(
 /// scatter passes (and the output is identical either way).
 const PARALLEL_BUILD_MIN_ROWS: usize = 4096;
 
-/// Probe kernel shared by the eager verb and the lazy executor: matched
-/// `(left_row, right_row)` position pairs (into the tables' columns, so a
-/// view's rows are read through its selection) for the equi join of
-/// `left[li] == right[ri]`. Builds the hash index on the side with fewer
-/// rows and probes with the other side morsel by morsel.
-///
-/// For large build sides the index is radix-partitioned by the top bits of
-/// the key hash: a stable two-pass scatter groups build positions by
-/// partition (preserving selection order within each partition), then one
-/// hash table per partition is built in parallel. Every key lives in
-/// exactly one partition and its match list keeps selection order, so the
-/// partitioned index answers probes identically to the sequential build —
-/// pair output is byte-identical at any thread count. The probe side runs
-/// as fixed-size morsels whose private pair lists are concatenated in
-/// morsel (= selection) order; the returned [`MorselStats`] describe the
-/// probe dispatch.
+/// The key columns of a join's build and probe sides, build side first:
+/// how a row's key hashes and whether a build row's key equals a probe
+/// row's. Rows are positions in the columns, so a view's rows are read
+/// through their selection and nothing is gathered. The hash is keyed for
+/// each index, as std's hash maps are: keys come from files, and keys
+/// built to share a bucket under a fixed hash would make every probe
+/// compare against the whole bucket.
+struct Keys<'a> {
+    cols: [&'a ColumnData; 2],
+    pools: [&'a StringPool; 2],
+    /// `Str` keys of two pools, hashed (SipHash) and compared by text;
+    /// `Int` keys and the symbols of one pool are mixed with `seed` and
+    /// finished by [`hash_i64`].
+    text: bool,
+    state: RandomState,
+    seed: i64,
+}
+
+impl<'a> Keys<'a> {
+    /// The keys `left[li] == right[ri]`, `left` the build side; `Err`
+    /// unless both columns are `Int` or both `Str`, naming `right`'s.
+    fn new(left: &'a Table, li: usize, right: &'a Table, ri: usize) -> Result<Self> {
+        let cols = [&*left.cols[li], &*right.cols[ri]];
+        match cols.map(ColumnData::column_type) {
+            [ColumnType::Float, ColumnType::Float] => Err(TableError::InvalidArgument(
+                "join keys must be int or str columns (use sim_join for floats)".into(),
+            )),
+            [l, r] if l != r => Err(TableError::TypeMismatch {
+                column: right.schema.name(ri).to_string(),
+                expected: l.name(),
+                actual: r.name(),
+            }),
+            _ => Ok(()),
+        }?;
+        let state = RandomState::new();
+        Ok(Self {
+            cols,
+            pools: [&left.pool, &right.pool],
+            text: !Arc::ptr_eq(&left.pool, &right.pool),
+            seed: state.hash_one(0u8) as i64,
+            state,
+        })
+    }
+
+    /// The same keys with the right side building.
+    fn swapped(mut self) -> Self {
+        self.cols.reverse();
+        self.pools.reverse();
+        self
+    }
+
+    /// The hash of build row `row`'s key (`side` 0) or probe row `row`'s
+    /// (`side` 1); equal keys hash alike on either side.
+    #[inline]
+    fn hash(&self, side: usize, row: usize) -> u64 {
+        match self.cols[side] {
+            ColumnData::Int(k) => hash_i64(k[row] ^ self.seed),
+            ColumnData::Str(k) if self.text => self.state.hash_one(self.pools[side].get(k[row])),
+            ColumnData::Str(k) => hash_i64(i64::from(k[row]) ^ self.seed),
+            ColumnData::Float(_) => unreachable!("float keys are rejected"),
+        }
+    }
+
+    /// Whether build row `b` and probe row `p` hold equal keys.
+    #[inline]
+    fn equal(&self, b: u32, p: usize) -> bool {
+        let b = b as usize;
+        match self.cols {
+            [ColumnData::Int(bk), ColumnData::Int(pk)] => bk[b] == pk[p],
+            [ColumnData::Str(bk), ColumnData::Str(pk)] if self.text => {
+                self.pools[0].get(bk[b]) == self.pools[1].get(pk[p])
+            }
+            [ColumnData::Str(bk), ColumnData::Str(pk)] => bk[b] == pk[p],
+            _ => unreachable!("key types are checked"),
+        }
+    }
+}
+
+/// A hash index of a join's build rows. The rows are radix-partitioned by
+/// the top bits of their key hash; within a partition they are laid out
+/// by bucket — the low hash bits, 2^⌈log₂ rows⌉ buckets — in selection
+/// order, with a `u32` offset per bucket: 4 B a build row and 4–8 B of
+/// offsets, in two allocations a partition, whatever the keys.
+struct JoinIndex<'a> {
+    keys: Keys<'a>,
+    shift: u32,
+    mask: u64,
+    parts: Vec<Buckets>,
+}
+
+/// One partition of a [`JoinIndex`]: bucket `b`'s build rows (positions
+/// in the build column) are `rows[offs[b]..offs[b + 1]]`.
+struct Buckets {
+    offs: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl<'a> JoinIndex<'a> {
+    /// Indexes the rows of `build`, the build side of `keys`. A large one
+    /// is first scattered stably by partition, then each partition is
+    /// bucketed in parallel; each bucket keeps selection order, so the
+    /// index answers probes as one partition would, at any thread count.
+    fn build(keys: Keys<'a>, build: &Table) -> Self {
+        let (n, threads) = (build.n_rows(), build.threads);
+        let row = |i: usize| build.base_row(i);
+        let hash = |r: usize| keys.hash(0, r);
+        let parts = if threads <= 1 || n < PARALLEL_BUILD_MIN_ROWS {
+            1
+        } else {
+            threads.next_power_of_two().min(256)
+        };
+        // Partitions take the top hash bits, buckets the low ones, so the
+        // two choices stay independent. One partition's mask is 0: wrap
+        // the shift to keep `>>` in range.
+        let shift = (64 - parts.trailing_zeros()) % 64;
+        let mask = parts as u64 - 1;
+        let parts = if parts == 1 {
+            vec![Buckets::new((0..n).map(row), n, hash)]
+        } else {
+            let part_of = |i: usize| ((hash(row(i)) >> shift) & mask) as usize;
+            let (scatter, offsets) = partition_build_positions(n, threads, parts, &part_of);
+            let bucket = |p: usize| {
+                let slice = &scatter[offsets[p]..offsets[p + 1]];
+                Buckets::new(slice.iter().map(|&i| row(i as usize)), slice.len(), hash)
+            };
+            let parts: Vec<Vec<_>> = parallel_map(parts, threads, |r| r.map(bucket).collect());
+            parts.into_iter().flatten().collect()
+        };
+        Self {
+            keys,
+            shift,
+            mask,
+            parts,
+        }
+    }
+
+    /// The build rows whose keys equal probe row `p`'s, in selection order.
+    #[inline]
+    fn matches(&self, p: usize) -> impl Iterator<Item = u32> + '_ {
+        let h = self.keys.hash(1, p);
+        let part = &self.parts[((h >> self.shift) & self.mask) as usize];
+        let at = (h & (part.offs.len() as u64 - 2)) as usize;
+        let rows = &part.rows[part.offs[at] as usize..part.offs[at + 1] as usize];
+        rows.iter().copied().filter(move |&b| self.keys.equal(b, p))
+    }
+}
+
+impl Buckets {
+    /// Counts then fills: `len` build rows, in selection order, bucketed
+    /// by the low bits of `hash(row)`. The fill runs in that order, so each
+    /// bucket keeps it.
+    fn new(
+        order: impl Iterator<Item = usize> + Clone,
+        len: usize,
+        hash: impl Fn(usize) -> u64,
+    ) -> Self {
+        let mask = len.next_power_of_two() as u64 - 1;
+        let mut offs = vec![0u32; mask as usize + 2];
+        for r in order.clone() {
+            offs[(hash(r) & mask) as usize + 1] += 1;
+        }
+        // `offs[b + 1]` becomes bucket `b`'s start and the fill's cursor
+        // into it, and ends as its end: bucket `b + 1`'s start.
+        let mut start = 0;
+        for o in &mut offs[1..] {
+            (*o, start) = (start, start + *o);
+        }
+        let mut rows = vec![0u32; len];
+        for r in order {
+            let cursor = &mut offs[(hash(r) & mask) as usize + 1];
+            rows[*cursor as usize] = r as u32;
+            *cursor += 1;
+        }
+        Self { offs, rows }
+    }
+}
+
+/// Probe kernel shared by the eager verb and the lazy executor: the left
+/// and the right positions (in the tables' columns, so a view's rows are
+/// read through its selection) of the pairs with `left[li] == right[ri]`.
+/// Indexes the side with fewer rows ([`JoinIndex`]) and probes with the
+/// other in morsels, each writing two position lists of its own,
+/// concatenated once: pairs come out in probe-selection order, each probe
+/// row's matches in build-selection order, at any thread count. The
+/// [`MorselStats`] describe the probe dispatch.
 pub(crate) fn join_pairs_sel_stats(
     left: &Table,
     right: &Table,
     li: usize,
     ri: usize,
 ) -> Result<(Vec<u32>, Vec<u32>, MorselStats)> {
-    let lt = left.cols[li].column_type();
-    let rt = right.cols[ri].column_type();
-    if lt != rt {
-        return Err(TableError::TypeMismatch {
-            column: right.schema.name(ri).to_string(),
-            expected: lt.name(),
-            actual: rt.name(),
-        });
-    }
+    let keys = Keys::new(left, li, right, ri)?;
     // Build and probe positions are emitted as `u32`.
     row_count_u32(left.row_ids.len())?;
     row_count_u32(right.row_ids.len())?;
-    let (lsel, rsel) = (left.sel(), right.sel());
-    let (ln, rn) = (left.n_rows(), right.n_rows());
     // Probe with the larger effective side.
-    let (build, bi, bsel, bn, probe, pi, psel, pn, left_is_build) = if ln <= rn {
-        (left, li, lsel, ln, right, ri, rsel, rn, true)
+    let left_is_build = left.n_rows() <= right.n_rows();
+    let (build, probe, keys) = if left_is_build {
+        (left, right, keys)
     } else {
-        (right, ri, rsel, rn, left, li, lsel, ln, false)
+        (right, left, keys.swapped())
     };
-    let brow = |i: usize| -> usize {
-        match bsel {
-            Some(s) => s[i] as usize,
-            None => i,
-        }
-    };
-    let parts = if build.threads <= 1 || bn < PARALLEL_BUILD_MIN_ROWS {
-        1
-    } else {
-        build.threads.next_power_of_two().min(256)
-    };
-    // Partition by the *top* hash bits: the open-addressing table derives
-    // slots from the low bits, so partition and slot choice stay
-    // independent. With a single partition the mask is 0, so the shift is
-    // irrelevant — wrap it to keep `>>` in range.
-    let shift = (64 - parts.trailing_zeros()) % 64;
-    let (pairs, stats): (Vec<(u32, u32)>, MorselStats) = match &*build.cols[bi] {
-        ColumnData::Int(bkeys) => {
-            let key_at = |i: usize| bkeys[brow(i)];
-            let part_of = |i: usize| ((hash_i64(key_at(i)) >> shift) & (parts as u64 - 1)) as usize;
-            let (scatter, offsets) = partition_build_positions(bn, build.threads, parts, &part_of);
-            let indexes: Vec<IntHashTable<Vec<u32>>> =
-                parallel_map(parts, build.threads, |range| {
-                    range
-                        .map(|p| {
-                            let slice = &scatter[offsets[p]..offsets[p + 1]];
-                            let mut index: IntHashTable<Vec<u32>> =
-                                IntHashTable::with_capacity(slice.len());
-                            for &i in slice {
-                                let row = brow(i as usize);
-                                index
-                                    .get_or_insert_with(bkeys[row], Vec::new)
-                                    .push(row as u32);
-                            }
-                            index
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            let keys = probe.cols[pi].as_int();
-            probe_pairs_morsels(pn, psel, probe.threads, |row, emit| {
-                let k = keys[row];
-                let p = ((hash_i64(k) >> shift) & (parts as u64 - 1)) as usize;
-                if let Some(rows) = indexes[p].get(k) {
-                    for &b in rows {
-                        emit(b);
-                    }
+    let index = JoinIndex::build(keys, build);
+    let (morsels, stats) = parallel_map_morsels_traced(
+        "plan.morsel.join",
+        probe.n_rows(),
+        probe.threads,
+        |_, range| {
+            let (mut ps, mut bs) = (Vec::new(), Vec::new());
+            for p in range.map(|i| probe.base_row(i)) {
+                for b in index.matches(p) {
+                    ps.push(p as u32);
+                    bs.push(b);
                 }
-            })
-        }
-        ColumnData::Str(bsyms) => {
-            let part_of = |i: usize| {
-                ((hash_str(build.pool.get(bsyms[brow(i)])) >> shift) & (parts as u64 - 1)) as usize
-            };
-            let (scatter, offsets) = partition_build_positions(bn, build.threads, parts, &part_of);
-            let indexes: Vec<HashMap<&str, Vec<u32>>> =
-                parallel_map(parts, build.threads, |range| {
-                    range
-                        .map(|p| {
-                            let slice = &scatter[offsets[p]..offsets[p + 1]];
-                            let mut index: HashMap<&str, Vec<u32>> =
-                                HashMap::with_capacity(slice.len());
-                            for &i in slice {
-                                let row = brow(i as usize);
-                                index
-                                    .entry(build.pool.get(bsyms[row]))
-                                    .or_default()
-                                    .push(row as u32);
-                            }
-                            index
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            let syms = probe.cols[pi].as_str_syms();
-            probe_pairs_morsels(pn, psel, probe.threads, |row, emit| {
-                let s = probe.pool.get(syms[row]);
-                let p = ((hash_str(s) >> shift) & (parts as u64 - 1)) as usize;
-                if let Some(rows) = indexes[p].get(s) {
-                    for &b in rows {
-                        emit(b);
-                    }
-                }
-            })
-        }
-        ColumnData::Float(_) => {
-            return Err(TableError::InvalidArgument(
-                "join keys must be int or str columns (use sim_join for floats)".into(),
-            ))
-        }
-    };
-
-    // Orient pairs as (left_row, right_row).
-    let (l, r) = if left_is_build {
-        pairs.iter().map(|&(p, b)| (b, p)).unzip()
-    } else {
-        pairs.into_iter().unzip()
-    };
+            }
+            (ps, bs)
+        },
+    );
+    drop(index);
+    // Each side's morsel lists are freed once copied.
+    let concat = |lists: Vec<Vec<u32>>| lists.concat();
+    let (ps, bs) = morsels.into_iter().unzip();
+    let (ps, bs) = (concat(ps), concat(bs));
+    let (l, r) = if left_is_build { (bs, ps) } else { (ps, bs) };
     Ok((l, r, stats))
 }
 
-/// FNV-1a over the key bytes; used only to pick a build partition, so it
-/// must hash *string contents* (probe and build sides intern into
-/// different pools, making symbol ids incomparable).
-fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// Positions of `left`'s rows (`0..left.n_rows()`) that have a match in
+/// `right` on `left[left_col] == right[right_col]` when `matched`, or that
+/// have none otherwise, ascending: the index is built over `right`'s
+/// selection, and the probe marks the rows it keeps in a bitmap, read
+/// into a list of exactly their number. The errors are [`Table::join`]'s.
+pub(crate) fn rows_with_match(
+    left: &Table,
+    right: &Table,
+    left_col: &str,
+    right_col: &str,
+    matched: bool,
+) -> Result<Vec<u32>> {
+    let li = left.schema.index_of(left_col)?;
+    let ri = right.schema.index_of(right_col)?;
+    let keys = Keys::new(left, li, right, ri)?.swapped();
+    let n = row_count_u32(left.n_rows())?;
+    row_count_u32(right.row_ids.len())?;
+    let index = JoinIndex::build(keys, right);
+    let kept = ConcurrentBitset::new(n as usize);
+    parallel_for(n as usize, left.threads, |_, range| {
+        for i in range.filter(|&i| index.matches(left.base_row(i)).next().is_some() == matched) {
+            kept.set(i);
+        }
+    });
+    let mut rows = Vec::with_capacity(kept.count_ones());
+    rows.extend((0..n).filter(|&i| kept.get(i as usize)));
+    Ok(rows)
 }
 
 /// Stable radix scatter of build positions: returns build-side selection
@@ -225,9 +323,6 @@ fn partition_build_positions(
     parts: usize,
     part_of: &(dyn Fn(usize) -> usize + Sync),
 ) -> (Vec<u32>, Vec<usize>) {
-    if parts == 1 {
-        return ((0..bn as u32).collect(), vec![0, bn]);
-    }
     let (hists, _) = parallel_map_morsels_traced("plan.morsel.join", bn, threads, |_, range| {
         let mut h = vec![0u32; parts];
         for i in range {
@@ -239,18 +334,14 @@ fn partition_build_positions(
     // positions, then morsel 1's, ... so ascending position order is
     // preserved within each partition.
     let mut offsets = vec![0usize; parts + 1];
+    let mut cursors = vec![0usize; hists.len() * parts];
+    let mut at = 0;
     for p in 0..parts {
-        let total: usize = hists.iter().map(|h| h[p] as usize).sum();
-        offsets[p + 1] = offsets[p] + total;
-    }
-    let morsels = hists.len();
-    let mut cursors = vec![0usize; morsels * parts];
-    for p in 0..parts {
-        let mut at = offsets[p];
         for (m, h) in hists.iter().enumerate() {
             cursors[m * parts + p] = at;
             at += h[p] as usize;
         }
+        offsets[p + 1] = at;
     }
     let mut scatter = vec![0u32; bn];
     let out = DisjointSlice::new(&mut scatter);
@@ -270,43 +361,6 @@ fn partition_build_positions(
     });
     (scatter, offsets)
 }
-
-/// Probes each position of the probe side's selection (every row when
-/// `None`) morsel by morsel, collecting `(probe_row, build_row)` pairs of
-/// underlying row positions. Each morsel emits into a private vector;
-/// concatenating them in morsel order reproduces the sequential pair
-/// order exactly.
-fn probe_pairs_morsels<F>(
-    pn: usize,
-    psel: Option<&[u32]>,
-    threads: usize,
-    lookup: F,
-) -> (Vec<(u32, u32)>, MorselStats)
-where
-    F: Fn(usize, &mut dyn FnMut(u32)) + Sync,
-{
-    let lookup = &lookup;
-    let (parts, stats) =
-        parallel_map_morsels_traced("plan.morsel.join", pn, threads, |_, range| {
-            let mut out: Vec<(u32, u32)> = Vec::new();
-            for i in range {
-                let row = match psel {
-                    Some(s) => s[i] as usize,
-                    None => i,
-                };
-                let mut emit = |b: u32| out.push((row as u32, b));
-                lookup(row, &mut emit);
-            }
-            out
-        });
-    let total = parts.iter().map(Vec::len).sum();
-    let mut pairs = Vec::with_capacity(total);
-    for p in parts {
-        pairs.extend(p);
-    }
-    (pairs, stats)
-}
-
 /// Builds the output table of a join given matched positions in the two
 /// tables' columns: all of `left`'s columns, then all of `right`'s, later
 /// name clashes suffixed `-1`, `-2`, ... by [`crate::Schema::push_unique`].
@@ -375,7 +429,7 @@ pub(crate) fn materialize_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cmp, ColumnType, Predicate, Schema, Value};
+    use crate::{Cmp, Predicate, Schema, Value};
 
     fn questions() -> Table {
         let schema = Schema::new([
@@ -532,6 +586,51 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The inverse of [`hash_i64`]: the key whose unseeded hash is `h`.
+    fn unhash(h: u64) -> i64 {
+        let unshift = |y: u64, s: u32| (0..64 / s).fold(y, |z, _| y ^ (z >> s));
+        // Newton's iteration doubles the bits of an odd number's inverse.
+        let inv = |c: u64| {
+            (0..5).fold(c, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)))
+            })
+        };
+        let mut z = unshift(h, 31).wrapping_mul(inv(0x94d0_49bb_1331_11eb));
+        z = unshift(z, 27).wrapping_mul(inv(0xbf58_476d_1ce4_e5b9));
+        unshift(z, 30).wrapping_sub(0x9e37_79b9_7f4a_7c15) as i64
+    }
+
+    /// Keys built so that their unseeded hashes share every low bit would
+    /// all fill one bucket; the seed drawn for each index spreads them.
+    #[test]
+    fn keys_built_to_share_a_bucket_are_spread_by_the_seed() {
+        let n = PARALLEL_BUILD_MIN_ROWS as u64;
+        let keys: Vec<i64> = (0..n).map(|i| unhash(i << 12)).collect();
+        assert!((0..n).all(|i| hash_i64(keys[i as usize]) == i << 12));
+        let mut t = Table::from_int_column("k", keys);
+        let largest = |index: &JoinIndex| {
+            let parts = index.parts.iter();
+            let sizes = parts.flat_map(|p| p.offs.windows(2).map(|w| w[1] - w[0]));
+            sizes.max().unwrap() as u64
+        };
+        for threads in [1, 2] {
+            t.set_threads(threads);
+            if threads == 1 {
+                let mut fixed = Keys::new(&t, 0, &t, 0).unwrap();
+                fixed.seed = 0;
+                assert_eq!(largest(&JoinIndex::build(fixed, &t)), n, "one bucket");
+            }
+            let index = JoinIndex::build(Keys::new(&t, 0, &t, 0).unwrap(), &t);
+            let most = largest(&index);
+            assert!(
+                most <= 16,
+                "threads {threads}: {most} of {n} keys in one bucket"
+            );
+            assert_eq!(t.join(&t, "k", "k").unwrap().n_rows() as u64, n);
+            assert_eq!(t.semi_join(&t, "k", "k").unwrap().n_rows() as u64, n);
         }
     }
 

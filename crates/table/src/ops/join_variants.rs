@@ -3,41 +3,10 @@
 //! on the right — the idioms graph workflows use to restrict an edge
 //! table to "known users" (semi) or "everyone except bots" (anti).
 
-use crate::table::row_count_u32;
-use crate::{ColumnData, Result, Table, TableError};
-use std::collections::HashSet;
+use super::join::{join_pairs_sel_stats, materialize_join, rows_with_match};
+use crate::{ColumnData, Result, Table};
+use ringo_concurrent::{parallel_for, ConcurrentBitset};
 use std::sync::Arc;
-
-/// Key existence set over a join column (int or string), resolving
-/// strings through the owning pool so tables with different pools
-/// compare by text.
-enum KeySet<'a> {
-    Int(HashSet<i64>),
-    Str(HashSet<&'a str>),
-}
-
-impl<'a> KeySet<'a> {
-    fn build(t: &'a Table, col: &str) -> Result<Self> {
-        let i = t.schema.index_of(col)?;
-        Ok(match t.column(i) {
-            ColumnData::Int(v) => Self::Int(v.iter().copied().collect()),
-            ColumnData::Str(v) => Self::Str(v.iter().map(|&sym| t.pool.get(sym)).collect()),
-            ColumnData::Float(_) => {
-                return Err(TableError::InvalidArgument(
-                    "join keys must be int or str columns".into(),
-                ))
-            }
-        })
-    }
-
-    fn contains(&self, t: &Table, col_idx: usize, row: usize) -> bool {
-        match (self, t.column(col_idx)) {
-            (Self::Int(set), ColumnData::Int(v)) => set.contains(&v[row]),
-            (Self::Str(set), ColumnData::Str(v)) => set.contains(t.pool.get(v[row])),
-            _ => false,
-        }
-    }
-}
 
 impl Table {
     /// Left outer join: like [`Table::join`], but left rows without a
@@ -45,23 +14,25 @@ impl Table {
     /// `""` (Ringo tables have no NULL; the paper's schema has none
     /// either).
     pub fn left_join(&self, other: &Table, left_col: &str, right_col: &str) -> Result<Table> {
-        let inner = self.join(other, left_col, right_col)?;
-        // Find unmatched left rows and append them with default right cells.
-        let keys = KeySet::build(other, right_col)?;
         let li = self.schema.index_of(left_col)?;
-        let unmatched: Vec<usize> = (0..self.n_rows())
-            .filter(|&row| !keys.contains(self, li, row))
-            .collect();
-        if unmatched.is_empty() {
-            return Ok(inner);
-        }
-        let mut out = inner;
+        let ri = other.schema.index_of(right_col)?;
+        let (left_rows, right_rows, _) = join_pairs_sel_stats(self, other, li, ri)?;
+        // The left rows some pair holds, as positions in the columns.
+        let matched = ConcurrentBitset::new(self.cols[li].len());
+        parallel_for(left_rows.len(), self.threads, |_, range| {
+            for &row in &left_rows[range] {
+                matched.set(row as usize);
+            }
+        });
+        let mut out = materialize_join(self, other, left_rows, right_rows, Some((li, ri)))?;
+        // Append the others, in selection order, with default right cells.
         let left_width = self.n_cols();
-        for &row in &unmatched {
+        let rows = (0..self.n_rows()).map(|i| self.base_row(i));
+        for row in rows.filter(|&row| !matched.get(row)) {
             for (i, col) in out.cols.iter_mut().enumerate() {
                 let col = Arc::make_mut(col);
                 if i < left_width {
-                    col.push_from(self.column(i), row);
+                    col.push_from(&self.cols[i], row);
                 } else {
                     match col {
                         ColumnData::Int(v) => v.push(0),
@@ -78,38 +49,12 @@ impl Table {
     /// Semi join: rows of `self` whose key appears in `other` (row ids
     /// preserved; output has only `self`'s columns, each row at most once).
     pub fn semi_join(&self, other: &Table, left_col: &str, right_col: &str) -> Result<Table> {
-        let keys = KeySet::build(other, right_col)?;
-        let li = self.schema.index_of(left_col)?;
-        self.check_key_compat(li, other, right_col)?;
-        let keep: Vec<u32> = (0..row_count_u32(self.n_rows())?)
-            .filter(|&row| keys.contains(self, li, row as usize))
-            .collect();
-        Ok(self.view_rows(keep))
+        Ok(self.view_rows(rows_with_match(self, other, left_col, right_col, true)?))
     }
 
     /// Anti join: rows of `self` whose key does **not** appear in `other`.
     pub fn anti_join(&self, other: &Table, left_col: &str, right_col: &str) -> Result<Table> {
-        let keys = KeySet::build(other, right_col)?;
-        let li = self.schema.index_of(left_col)?;
-        self.check_key_compat(li, other, right_col)?;
-        let keep: Vec<u32> = (0..row_count_u32(self.n_rows())?)
-            .filter(|&row| !keys.contains(self, li, row as usize))
-            .collect();
-        Ok(self.view_rows(keep))
-    }
-
-    fn check_key_compat(&self, left_idx: usize, other: &Table, right_col: &str) -> Result<()> {
-        let ri = other.schema.index_of(right_col)?;
-        let lt = self.schema.column_type(left_idx);
-        let rt = other.schema.column_type(ri);
-        if lt != rt {
-            return Err(TableError::TypeMismatch {
-                column: right_col.to_string(),
-                expected: lt.name(),
-                actual: rt.name(),
-            });
-        }
-        Ok(())
+        Ok(self.view_rows(rows_with_match(self, other, left_col, right_col, false)?))
     }
 }
 
@@ -192,6 +137,38 @@ mod tests {
         assert!(u.semi_join(&f, "uid", "uid").is_err());
         assert!(u.anti_join(&f, "uid", "uid").is_err());
         assert!(u.semi_join(&f, "name", "uid").is_err());
+    }
+
+    /// Views on both sides, `Str` keys of one pool and of two: the index is
+    /// built over the right side's selection and probed through the
+    /// left's.
+    #[test]
+    fn views_with_str_keys_in_one_pool_and_two() {
+        use crate::{Cmp, Predicate};
+        let tagged = |tags: &[&str]| {
+            let mut t = Table::from_int_column("a", (0..tags.len() as i64).collect());
+            t.add_str_column("tag", tags).unwrap();
+            t.set_threads(2);
+            t
+        };
+        let a = |t: &Table| t.int_col("a").unwrap().to_vec();
+        let base = tagged(&["x", "y", "z", "x", "w", "y", "v", "x"]);
+        let left = base.select(&Predicate::int("a", Cmp::Lt, 5)).unwrap();
+        let same_pool = base.select(&Predicate::int("a", Cmp::Ge, 5)).unwrap();
+        // Its own pool, interned in another order; the view drops "z".
+        let other = tagged(&["z", "q", "y", "x"]);
+        let other_pool = other.select(&Predicate::int("a", Cmp::Ge, 1)).unwrap();
+        // Right tags {y, v, x} and {q, y, x}: left rows x y z x w.
+        for right in [&same_pool, &other_pool] {
+            assert_eq!(a(&left.semi_join(right, "tag", "tag").unwrap()), [0, 1, 3]);
+            let anti = left.anti_join(right, "tag", "tag").unwrap();
+            assert_eq!(a(&anti), [2, 4]);
+            assert_eq!(*anti.row_ids(), [2, 4], "ids preserved");
+            let l = left.left_join(right, "tag", "tag").unwrap();
+            // Three matches, then the unmatched z and w, padded.
+            assert_eq!(a(&l), [0, 1, 3, 2, 4]);
+            assert_eq!(l.get(3, "tag-1").unwrap(), Value::Str(String::new()));
+        }
     }
 
     #[test]

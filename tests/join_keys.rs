@@ -4,13 +4,16 @@
 //! so the output's right key column is the left key column's vector,
 //! shared — for `Str` keys too, since equal text is one symbol of the
 //! output's pool. This suite runs seeded joins eagerly and as a lazy
-//! chain at 1, 2 and 4 threads and checks both against a row model:
-//! `Int` keys with duplicates on both sides and `i64::MIN`, `Str` keys
-//! across two pools and within one, either side a view, small and past
-//! the partitioned build, empty results included. It asserts the key pair
-//! is one vector, that a view of the output materialized by `map_int`
-//! keeps it one, and that `push_row` then gives each column of the pair
-//! its own value and leaves the joined table as it was.
+//! chain at 1, 2 and 4 threads and checks both, row for row and in order,
+//! against a row model: `Int` keys with duplicates on both sides and
+//! `i64::MIN`, `Str` keys across two pools and within one, either side a
+//! view, small and past the partitioned build, empty results included.
+//! Fixed cases put every build row on one key, size the build side on
+//! either side of the partitioned build's threshold, and join empty
+//! sides. It asserts the key pair is one vector, that a view of the
+//! output materialized by `map_int` keeps it one, and that `push_row`
+//! then gives each column of the pair its own value and leaves the
+//! joined table as it was.
 
 use ringo::table::ColumnData;
 use ringo::{Cmp, ColumnType, Predicate, Ringo, Schema, Table, Value};
@@ -164,17 +167,25 @@ fn one_pool(rng: &mut Rng64, ty: ColumnType, n: usize, range: usize, threads: us
     ]
 }
 
-/// `left ⋈ right` as rows: each left row with each right row whose key
-/// equals its own.
+/// `left ⋈ right` in the join's own order: the side with fewer rows is
+/// indexed (the left one on a tie), and the other side's rows come out in
+/// order, each with its matches in the indexed side's order.
 fn model(left: &Side, right: &Side) -> Vec<Vec<Value>> {
-    let (lk, rk) = (left.key_index(), right.key_index());
+    let left_builds = left.rows.len() <= right.rows.len();
+    let (build, probe) = if left_builds {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    let (bk, pk) = (build.key_index(), probe.key_index());
     let mut by_key: HashMap<String, Vec<&Vec<Value>>> = HashMap::new();
-    for r in &right.rows {
-        by_key.entry(format!("{:?}", r[rk])).or_default().push(r);
+    for b in &build.rows {
+        by_key.entry(format!("{:?}", b[bk])).or_default().push(b);
     }
     let mut out = Vec::new();
-    for l in &left.rows {
-        for r in by_key.get(&format!("{:?}", l[lk])).into_iter().flatten() {
+    for p in &probe.rows {
+        for &b in by_key.get(&format!("{:?}", p[pk])).into_iter().flatten() {
+            let (l, r) = if left_builds { (b, p) } else { (p, b) };
             out.push(l.iter().chain(r.iter()).cloned().collect());
         }
     }
@@ -194,12 +205,6 @@ fn rows_of(t: &Table) -> Vec<Vec<Value>> {
     (0..t.n_rows())
         .map(|r| cols.iter().map(|c| c[r].clone()).collect())
         .collect()
-}
-
-fn multiset(rows: &[Vec<Value>]) -> Vec<String> {
-    let mut keys: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-    keys.sort();
-    keys
 }
 
 /// The key pair of the output is one vector.
@@ -293,11 +298,7 @@ fn run(case: u64, ty: ColumnType, rng: &mut Rng64) {
         .collect()
         .unwrap();
     let want = model(&left, &right);
-    assert_eq!(
-        multiset(&rows_of(&eager)),
-        multiset(&want),
-        "{ctx}: eager rows"
-    );
+    assert_eq!(rows_of(&eager), want, "{ctx}: eager rows, in order");
     assert_eq!(lazy.schema(), eager.schema(), "{ctx}: lazy schema");
     assert_eq!(
         rows_of(&lazy),
@@ -348,4 +349,124 @@ fn duplicates_and_i64_min_on_both_sides() {
         .unwrap();
     assert_eq!(empty.n_rows(), 0);
     assert_one_key(&empty, 0, 1, "empty");
+}
+
+fn key_of(ty: ColumnType, x: usize) -> Value {
+    match ty {
+        ColumnType::Int => Value::Int(x as i64),
+        _ => Value::Str(format!("s{x}")),
+    }
+}
+
+/// `(k, a)` sides on the given keys. With `one_pool` both are views of
+/// one table (`a == 0` and `a == 1`); otherwise each is a table of its
+/// own, with its own pool.
+fn keyed_sides(ty: ColumnType, keys: [&[usize]; 2], one_pool: bool) -> [Side; 2] {
+    let rows = |side: usize| -> Vec<Vec<Value>> {
+        (keys[side].iter())
+            .map(|&x| vec![key_of(ty, x), Value::Int(side as i64)])
+            .collect()
+    };
+    let schema = Schema::new([("k", ty), ("a", ColumnType::Int)]);
+    let side = |table, rows| Side {
+        table,
+        rows,
+        key: "k",
+    };
+    let [left, right] = [rows(0), rows(1)];
+    if one_pool {
+        let all: Vec<Vec<Value>> = left.iter().chain(&right).cloned().collect();
+        let base = build(schema, &all, 1);
+        let view = |a| base.select(&Predicate::int("a", Cmp::Eq, a)).unwrap();
+        [side(view(0), left), side(view(1), right)]
+    } else {
+        let (lt, rt) = (build(schema.clone(), &left, 1), build(schema, &right, 1));
+        [side(lt, left), side(rt, right)]
+    }
+}
+
+/// The eager and the lazy join of `left` and `right` at 1, 2 and 4
+/// threads, row for row against [`model`].
+fn assert_ordered(left: &Side, right: &Side, ctx: &str) {
+    let want = model(left, right);
+    for threads in [1, 2, 4] {
+        let ctx = format!("{ctx}, threads {threads}");
+        let (mut lt, mut rt) = (left.table.clone(), right.table.clone());
+        lt.set_threads(threads);
+        rt.set_threads(threads);
+        let eager = lt.join(&rt, left.key, right.key).unwrap();
+        let lazy = (Ringo::with_threads(threads).query(&lt))
+            .join(&rt, left.key, right.key)
+            .collect()
+            .unwrap();
+        assert_eq!(rows_of(&eager), want, "{ctx}: eager rows, in order");
+        assert_eq!(rows_of(&lazy), want, "{ctx}: lazy rows, in order");
+        let (li, ri) = (left.key_index(), lt.n_cols() + right.key_index());
+        assert_one_key(&eager, li, ri, &ctx);
+        assert_one_key(&lazy, li, ri, &ctx);
+    }
+}
+
+/// Every build row on one key: one bucket holds the whole build side,
+/// in selection order, below and past the partitioned build.
+#[test]
+fn one_key_fills_one_bucket() {
+    for ty in [ColumnType::Int, ColumnType::Str] {
+        for one_pool in [false, true] {
+            for n in [10usize, 5000] {
+                let build = vec![7; n];
+                // A few probe rows on the key, the rest on keys the build
+                // side never holds.
+                let probe: Vec<usize> = (0..n + 3)
+                    .map(|i| if i % (n / 3) == 1 { 7 } else { 100 + i })
+                    .collect();
+                let [l, r] = keyed_sides(ty, [&build, &probe], one_pool);
+                let ctx = format!("{ty:?}, one pool {one_pool}, {n} build rows");
+                assert_ordered(&l, &r, &format!("{ctx}, build left"));
+                assert_ordered(&r, &l, &format!("{ctx}, build right"));
+            }
+        }
+    }
+}
+
+/// Build sides of 4095, 4096 and 4097 rows: one partition below
+/// `PARALLEL_BUILD_MIN_ROWS`, one per worker from it on.
+#[test]
+fn build_sides_around_the_partitioned_build() {
+    let mut rng = Rng64::new(0x0fff);
+    for ty in [ColumnType::Int, ColumnType::Str] {
+        for one_pool in [false, true] {
+            for n in [4095usize, 4096, 4097] {
+                let build: Vec<usize> = (0..n).map(|_| rng.below(n / 2)).collect();
+                let probe: Vec<usize> = (0..n + 1000).map(|_| rng.below(n)).collect();
+                let [l, r] = keyed_sides(ty, [&build, &probe], one_pool);
+                let ctx = format!("{ty:?}, one pool {one_pool}, {n} build rows");
+                assert_ordered(&l, &r, &format!("{ctx}, build left"));
+                assert_ordered(&r, &l, &format!("{ctx}, build right"));
+            }
+        }
+    }
+}
+
+/// An empty build side, an empty probe side, and both empty.
+#[test]
+fn empty_sides_join_to_nothing() {
+    let some: Vec<usize> = (0..50).map(|i| i % 7).collect();
+    for ty in [ColumnType::Int, ColumnType::Str] {
+        for one_pool in [false, true] {
+            for keys in [
+                [&[][..], &some[..]],
+                [&some[..], &[][..]],
+                [&[][..], &[][..]],
+            ] {
+                let [l, r] = keyed_sides(ty, keys, one_pool);
+                let ctx = format!(
+                    "{ty:?}, one pool {one_pool}, {} x {} rows",
+                    l.rows.len(),
+                    r.rows.len()
+                );
+                assert_ordered(&l, &r, &ctx);
+            }
+        }
+    }
 }

@@ -11,11 +11,17 @@
 //! original's columns: the sort holds its packed keys and the
 //! permutation, 12 B a row.
 //!
+//! `so_session`'s join indexes a view of questions, each on a key of its
+//! own, and probes it with a larger view of answers. The index lays the
+//! build rows out by hash bucket in flat arrays, so its bytes a build
+//! row and its allocations do not depend on how many distinct keys there
+//! are.
+//!
 //! Kept in its own test binary so nothing else moves the process-global
 //! allocation counters mid-measurement.
 
-use ringo::trace::mem::{current_bytes, peak_bytes, reset_peak, TrackingAllocator};
-use ringo::Table;
+use ringo::trace::mem::{alloc_count, current_bytes, peak_bytes, reset_peak, TrackingAllocator};
+use ringo::{Cmp, Predicate, Table};
 use ringo_rng::Rng64;
 use std::sync::Mutex;
 
@@ -110,4 +116,81 @@ fn sorting_a_clone_holds_keys_and_a_permutation() {
         (20 * N..20 * N + 4096).contains(&borrowed),
         "after two borrows the sorted clone holds {borrowed} B"
     );
+}
+
+/// `N` posts, about 36% of them questions (`kind` 0) and the rest answers
+/// (`kind` 1). A question's `accepted` key is its own: the next post's id
+/// (an answer's, mostly) or, for 45% of them, a negative number no post
+/// has. `few` holds 16 keys in all, and `none` keys no post has.
+fn posts() -> Table {
+    let mut rng = Rng64::new(39);
+    let kind: Vec<i64> = (0..N).map(|_| i64::from(rng.below(100) >= 36)).collect();
+    let accepted = (0..N as i64)
+        .map(|i| if rng.below(100) < 55 { i + 1 } else { -i - 1 })
+        .collect();
+    let mut t = Table::from_int_column("id", (0..N as i64).collect());
+    for (name, col) in [
+        ("kind", kind),
+        ("accepted", accepted),
+        ("few", (0..N as i64).map(|i| i % 16).collect()),
+        ("none", (0..N as i64).map(|i| -i - 1).collect()),
+    ] {
+        t.add_int_column(name, col).unwrap();
+    }
+    t.set_threads(2);
+    t
+}
+
+#[test]
+fn a_join_index_is_flat_whatever_the_keys() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let t = posts();
+    // Each view narrowed to its key: the output is one shared key vector,
+    // so the join's peak is its index and its pairs.
+    let kind = |k, col| {
+        let view = t.select(&Predicate::int("kind", Cmp::Eq, k)).unwrap();
+        view.project(&[col]).unwrap()
+    };
+    let (questions, answers) = (kind(0, "accepted"), kind(1, "id"));
+    let build = questions.n_rows();
+    assert!(
+        build >= 300_000 && answers.n_rows() > build,
+        "{build} questions"
+    );
+    // The first call registers spans and counters, which the process keeps.
+    drop(questions.join(&answers, "accepted", "id").unwrap());
+
+    let live = current_bytes();
+    reset_peak();
+    let j = questions.join(&answers, "accepted", "id").unwrap();
+    let peak = peak_bytes() - live;
+    let pairs = j.n_rows();
+    assert!(pairs > build / 3, "{pairs} pairs");
+    // The partition scatter and the index (4 B a build row each, 4–8 B of
+    // bucket offsets), then the index and the pairs: 13.8 B a build row
+    // at 2 threads. A hash table of one `Vec` a key peaked at 73.1.
+    let bound = 24 * build;
+    assert!(
+        peak <= bound,
+        "the join peaked {peak} B above its input, {:.2} B a build row ({pairs} pairs)",
+        peak as f64 / build as f64,
+    );
+    drop(j);
+
+    // No pair: the probe morsels allocate nothing, so what the join
+    // allocates is the index and an empty output.
+    let allocs = |key| {
+        let (q, a) = (kind(0, key), kind(1, "none"));
+        let before = alloc_count();
+        let j = q.join(&a, key, "none").unwrap();
+        assert_eq!(j.n_rows(), 0);
+        alloc_count() - before
+    };
+    let (unique, few) = (allocs("accepted"), allocs("few"));
+    assert_eq!(
+        unique, few,
+        "{build} build rows: {unique} allocations on unique keys, {few} on 16 keys"
+    );
+    // 52 at 2 threads; one `Vec` a key made 359,624 here.
+    assert!(unique < 256, "{unique} allocations for {build} build rows");
 }
