@@ -1,8 +1,8 @@
 //! `ringo-check`: deterministic cooperative-scheduling concurrency checker
 //! for Ringo's lock-free core.
 //!
-//! The crates under test (`ringo-concurrent`, `ringo-trace`) access their
-//! atomics through a `crate::sync` facade. In a normal build the facade is
+//! The crate under test (`ringo-concurrent`) accesses its atomics through
+//! a `crate::sync` facade. In a normal build the facade is
 //! a set of type aliases onto `std::sync::atomic` — byte-for-byte the same
 //! code. Under `--features model` the facade re-exports this crate's
 //! virtual primitives ([`sync`], [`vthread`]), and a test wraps the code

@@ -211,93 +211,3 @@ macro_rules! int_atomic {
 
 int_atomic!(VAtomicU64, u64, AtomicU64);
 int_atomic!(VAtomicUsize, usize, AtomicUsize);
-int_atomic!(VAtomicI64, i64, AtomicI64);
-
-/// Virtual counterpart of [`std::sync::atomic::AtomicPtr`]. Pointer values
-/// travel through the model bit-cast to `u64`.
-#[derive(Debug)]
-pub struct VAtomicPtr<T> {
-    inner: std::sync::atomic::AtomicPtr<T>,
-}
-
-impl<T> VAtomicPtr<T> {
-    pub const fn new(p: *mut T) -> Self {
-        Self {
-            inner: std::sync::atomic::AtomicPtr::new(p),
-        }
-    }
-
-    fn addr(&self) -> usize {
-        &self.inner as *const _ as usize
-    }
-
-    fn init(&self) -> u64 {
-        // ORDERING: Relaxed — mirror read by the token holder; the model
-        // layer provides all synchronization.
-        self.inner.load(Ordering::Relaxed) as usize as u64
-    }
-
-    pub fn load(&self, ord: Ordering) -> *mut T {
-        model_or!(
-            self,
-            ctx,
-            ctx.exec
-                .atomic_load(ctx.tid, self.addr(), self.init(), ord)
-                .map(|v| v as usize as *mut T),
-            self.inner.load(ord)
-        )
-    }
-
-    pub fn store(&self, p: *mut T, ord: Ordering) {
-        model_or!(
-            self,
-            ctx,
-            ctx.exec
-                .atomic_store(ctx.tid, self.addr(), self.init(), p as usize as u64, ord)
-                // ORDERING: Relaxed — mirror write; only the token-holding
-                // thread runs.
-                .map(|()| self.inner.store(p, Ordering::Relaxed)),
-            self.inner.store(p, ord)
-        )
-    }
-
-    pub fn compare_exchange(
-        &self,
-        expected: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        match sched::current() {
-            Some(ctx) => match ctx.exec.atomic_cas(
-                ctx.tid,
-                self.addr(),
-                self.init(),
-                expected as usize as u64,
-                new as usize as u64,
-                success,
-                failure,
-            ) {
-                Some(Ok(old)) => {
-                    // ORDERING: Relaxed — mirror write; only the
-                    // token-holding thread runs.
-                    self.inner.store(new, Ordering::Relaxed);
-                    Ok(old as usize as *mut T)
-                }
-                Some(Err(got)) => Err(got as usize as *mut T),
-                None => self.inner.compare_exchange(expected, new, success, failure),
-            },
-            None => self.inner.compare_exchange(expected, new, success, failure),
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut *mut T {
-        self.inner.get_mut()
-    }
-}
-
-impl<T> Default for VAtomicPtr<T> {
-    fn default() -> Self {
-        Self::new(std::ptr::null_mut())
-    }
-}

@@ -19,15 +19,10 @@
 //! with the exploration names in each test and update the constants in the
 //! same commit, noting the replay-format break in CHANGES.md.
 
-use ringo_check::sync::{VAtomicI64, VAtomicU64};
+use ringo_check::sync::VAtomicU64;
 use ringo_check::{explore, replay, vthread, Options, Strategy};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// The flight recorder's seqlock slot with its even (publishing) guard
-/// store `Relaxed`: a reader accepts a payload older than the tag it
-/// validated (found by the random strategy's stale reads).
-const RING_GUARD_SEED: u64 = 0x692c88a9386c2601;
 
 /// The visited bitset's claim with `fetch_or` torn into load-then-store;
 /// both claimers win one bit (found by PCT, depth 3).
@@ -36,36 +31,6 @@ const TORN_FETCH_OR_SEED: u64 = 0xd1941c10d4b2ba1a;
 /// Relaxed-where-Release message-passing publish; only the weak-memory
 /// model's stale reads expose it.
 const RELAXED_PUBLISH_SEED: u64 = 0xcbe36a01fcfc0601;
-
-/// Registry-style slot claim with the CAS torn into load-then-store; both
-/// claimers win under one preemption (found by PCT, depth 3).
-const TORN_CAS_SEED: u64 = 0x4306159c8be1981a;
-
-fn ring_guard_body() {
-    let guard = Arc::new(VAtomicU64::new(0));
-    let words = Arc::new([VAtomicU64::new(0), VAtomicU64::new(0)]);
-    let (g, w) = (guard.clone(), words.clone());
-    let writer = vthread::spawn(move || {
-        for pos in 0..2u64 {
-            g.store(2 * pos + 1, Ordering::Relaxed);
-            w[0].store(pos + 10, Ordering::Release);
-            w[1].store(pos + 20, Ordering::Release);
-            g.store(2 * pos + 2, Ordering::Relaxed);
-        }
-    });
-    let g1 = guard.load(Ordering::Acquire);
-    if g1 != 0 && g1.is_multiple_of(2) {
-        let copy = (
-            words[0].load(Ordering::Acquire),
-            words[1].load(Ordering::Acquire),
-        );
-        if guard.load(Ordering::Relaxed) == g1 {
-            let pos = g1 / 2 - 1;
-            assert_eq!(copy, (pos + 10, pos + 20), "torn event");
-        }
-    }
-    writer.join().unwrap();
-}
 
 fn torn_fetch_or_body() {
     let word = Arc::new(VAtomicU64::new(0));
@@ -101,30 +66,6 @@ fn relaxed_publish_body() {
     writer.join().unwrap();
 }
 
-fn torn_cas_body() {
-    const EMPTY: i64 = i64::MIN;
-    let slot = Arc::new(VAtomicI64::new(EMPTY));
-    let claims: Vec<_> = (0..2)
-        .map(|w| {
-            let slot = slot.clone();
-            vthread::spawn(move || {
-                if slot.load(Ordering::Acquire) == EMPTY {
-                    slot.store(100 + w as i64, Ordering::Release);
-                    true
-                } else {
-                    false
-                }
-            })
-        })
-        .collect();
-    let winners = claims
-        .into_iter()
-        .map(|h| h.join().unwrap())
-        .filter(|&won| won)
-        .count();
-    assert!(winners <= 1, "double claim");
-}
-
 /// Replays `seed` against `body` twice, asserting it fails with `expect`
 /// in the message and that both replays follow the identical schedule.
 fn assert_pinned_failure(seed: u64, body: fn(), expect: &str) {
@@ -138,11 +79,6 @@ fn assert_pinned_failure(seed: u64, body: fn(), expect: &str) {
 }
 
 #[test]
-fn pinned_ring_guard_still_fails() {
-    assert_pinned_failure(RING_GUARD_SEED, ring_guard_body, "torn event");
-}
-
-#[test]
 fn pinned_torn_fetch_or_still_fails() {
     assert_pinned_failure(TORN_FETCH_OR_SEED, torn_fetch_or_body, "two bit winners");
 }
@@ -152,22 +88,12 @@ fn pinned_relaxed_publish_still_fails() {
     assert_pinned_failure(RELAXED_PUBLISH_SEED, relaxed_publish_body, "stale data");
 }
 
-#[test]
-fn pinned_torn_cas_still_fails() {
-    assert_pinned_failure(TORN_CAS_SEED, torn_cas_body, "double claim");
-}
-
 /// The pinned seeds must also stay *re-discoverable*: exploration from the
 /// stable per-name base seed finds the identical seed again. This couples
 /// the corpus to the exploration RNG streams, so a change to either is
 /// caught in the same place the constants are maintained.
 #[test]
 fn exploration_rediscovers_the_pinned_seeds() {
-    let mut o = Options::new("replay_ring_guard");
-    o.strategies = vec![Strategy::Random];
-    let f = explore(&o, ring_guard_body).expect_err("must fail");
-    assert_eq!(f.seed, RING_GUARD_SEED, "re-discovery drifted");
-
     let mut o = Options::new("replay_torn_fetch_or");
     o.strategies = vec![Strategy::Pct { depth: 3 }];
     let f = explore(&o, torn_fetch_or_body).expect_err("must fail");
@@ -177,23 +103,13 @@ fn exploration_rediscovers_the_pinned_seeds() {
     o.strategies = vec![Strategy::Random];
     let f = explore(&o, relaxed_publish_body).expect_err("must fail");
     assert_eq!(f.seed, RELAXED_PUBLISH_SEED, "re-discovery drifted");
-
-    let mut o = Options::new("replay_torn_cas");
-    o.strategies = vec![Strategy::Pct { depth: 3 }];
-    let f = explore(&o, torn_cas_body).expect_err("must fail");
-    assert_eq!(f.seed, TORN_CAS_SEED, "re-discovery drifted");
 }
 
 /// A clean body must replay clean under any pinned-format seed: replay is
 /// not allowed to manufacture failures.
 #[test]
 fn clean_body_replays_clean() {
-    for seed in [
-        RING_GUARD_SEED,
-        TORN_FETCH_OR_SEED,
-        RELAXED_PUBLISH_SEED,
-        TORN_CAS_SEED,
-    ] {
+    for seed in [TORN_FETCH_OR_SEED, RELAXED_PUBLISH_SEED] {
         let r = replay(seed, || {
             let a = Arc::new(VAtomicU64::new(0));
             let a2 = a.clone();

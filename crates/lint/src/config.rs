@@ -241,8 +241,8 @@ const SYNTHETIC_METRICS: &[(&str, &str)] = &[
         "ring-overwrite tally written by the report and JSON sinks",
     ),
     (
-        "trace.registry.overflow",
-        "registry-full fall-through tally written by the report and JSON sinks",
+        "trace.events.recorded",
+        "completed-span tally written by the report and JSON sinks",
     ),
 ];
 

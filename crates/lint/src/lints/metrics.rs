@@ -18,7 +18,7 @@
 //!    misspelled assert is an error — CI must not green-light a span
 //!    nobody records.
 //! 3. **Synthetic names.** Names that exist only at export time (e.g.
-//!    the sinks' `trace.registry.overflow` tally) are declared in
+//!    the sinks' `trace.events.dropped` tally) are declared in
 //!    the config with a reason; freshness requires the literal to still
 //!    appear in library source.
 //!

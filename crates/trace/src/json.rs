@@ -5,10 +5,9 @@
 //!
 //! ```json
 //! {
-//!   "version": 2,
+//!   "version": 3,
 //!   "counters": {"pool.chunks_executed": 128, ...,
-//!                "trace.events.recorded": 12, "trace.events.dropped": 0,
-//!                "trace.registry.overflow": 0},
+//!                "trace.events.recorded": 12, "trace.events.dropped": 0},
 //!   "histograms": {"table.join": {"count": 2, "sum_ns": ..., "min_ns": ...,
 //!                                 "max_ns": ..., "buckets": [...]}, ...},
 //!   "events": [{"seq": 0, "name": "table.select", "tid": 1, "span_id": 3,
@@ -21,7 +20,7 @@
 //! }
 //! ```
 //!
-//! `events` lists the timelines' `End` events in `seq` order.
+//! `events` lists the timelines' completed spans in `seq` order.
 //!
 //! [`parse`] is the matching reader: a small recursive-descent JSON parser
 //! (strings with escapes, f64 numbers, arrays, objects) used by the test
@@ -52,22 +51,20 @@ pub fn write_escaped(out: &mut String, s: &str) {
 /// Serializes the full trace state; see the module docs for the schema.
 pub(crate) fn trace_to_json() -> String {
     let mut out = String::with_capacity(16 * 1024);
-    out.push_str("{\n  \"version\": 2,\n  \"counters\": {");
+    out.push_str("{\n  \"version\": 3,\n  \"counters\": {");
     let counters = crate::counters_snapshot();
     for c in counters.iter() {
         out.push_str("\n    ");
         write_escaped(&mut out, c.name);
         write!(out, ": {},", c.value).unwrap();
     }
-    // Derived tallies of silent loss ride along as synthetic counters so
-    // ring and registry overflow are visible in every dump.
+    // The flight recorder's tallies ride along as synthetic counters so
+    // ring overflow is visible in every dump.
     write!(
         out,
-        "\n    \"trace.events.recorded\": {},\n    \"trace.events.dropped\": {},\
-         \n    \"trace.registry.overflow\": {}",
+        "\n    \"trace.events.recorded\": {},\n    \"trace.events.dropped\": {}",
         crate::events::total_recorded(),
-        crate::events::total_dropped(),
-        crate::registry::overflow()
+        crate::events::total_dropped()
     )
     .unwrap();
     out.push_str("\n  },\n  \"histograms\": {");
@@ -445,7 +442,7 @@ mod tests {
             sp.rows_out(2);
         }
         let j = crate::to_json();
-        assert!(j.contains("\"version\": 2"), "{j}");
+        assert!(j.contains("\"version\": 3"), "{j}");
         assert!(j.contains("\"test.json_counter\": 11"), "{j}");
         assert!(j.contains("\"test.json_span\""), "{j}");
         assert!(j.contains("\"rows_in\": 4"), "{j}");
@@ -454,7 +451,7 @@ mod tests {
         assert!(j.contains("\"trace.events.dropped\""), "{j}");
         // The dump round-trips through the hand-rolled reader.
         let d = parse(&j).expect("dump parses");
-        assert_eq!(d.get("version").and_then(JsonValue::as_u64), Some(2));
+        assert_eq!(d.get("version").and_then(JsonValue::as_u64), Some(3));
         let events = d.get("events").and_then(JsonValue::as_arr).expect("events");
         let span = events
             .iter()

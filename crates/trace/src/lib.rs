@@ -6,16 +6,14 @@
 //! machinery to answer "where did the last query spend its time and
 //! memory?" without adding any dependency:
 //!
-//! * a **global lock-free metrics registry** of named atomic
-//!   [`Counter`]s and fixed log2-bucket latency [`Histogram`]s
-//!   ([`registry`]),
+//! * a **global metrics registry** of named atomic [`Counter`]s and
+//!   fixed log2-bucket latency [`Histogram`]s ([`registry`]),
 //! * an **RAII span API** ([`span!`] / [`Span`]) recording wall time,
 //!   rows/edges in and out, and allocator deltas per operation,
-//! * a **flight recorder** ([`events`]): per-thread fixed-capacity
-//!   lock-free event buffers (one seqlock-protected SPSC ring per
-//!   registered thread) holding span begin/end events with thread and
-//!   parent-span attribution, so per-worker timelines are
-//!   reconstructable after the fact,
+//! * a **flight recorder** ([`events`]): per registered thread, its open
+//!   spans and a bounded ring of its completed ones (one event a span,
+//!   with thread and parent-span attribution) behind one mutex, so
+//!   per-worker timelines are reconstructable after the fact,
 //! * the **allocator instrumentation** ([`mem`], moved here from
 //!   `ringo-core` so every layer of the engine can read it),
 //! * three **sinks**: a human-readable [`report`] table, a JSON dump
@@ -41,7 +39,7 @@
 //!     sp.rows_in(100);
 //!     // ... do the join ...
 //!     sp.rows_out(42);
-//! } // drop records latency + memory into the registry and event buffer
+//! } // drop records latency + memory into the registry and event ring
 //! let text = ringo_trace::report();
 //! assert!(text.contains("table.join"));
 //! ringo_trace::set_enabled(false);
@@ -55,14 +53,13 @@ pub mod json;
 pub mod mem;
 pub mod registry;
 mod span;
-pub mod sync;
 
 pub use events::{
-    flight_dump, timelines_snapshot, EventKind, ThreadTimeline, TimelineEvent, EVENTS_PER_THREAD,
+    flight_dump, timelines_snapshot, ThreadTimeline, TimelineEvent, EVENTS_PER_THREAD,
 };
 pub use registry::{
     counter, counters_snapshot, histogram, histograms_snapshot, Counter, CounterSnapshot,
-    Histogram, HistogramSnapshot, Registry, HIST_BUCKETS,
+    Histogram, HistogramSnapshot, HIST_BUCKETS,
 };
 pub use span::Span;
 
@@ -104,9 +101,9 @@ macro_rules! span {
     };
 }
 
-/// Zeroes every counter, histogram and per-thread event buffer, starting
+/// Zeroes every counter, histogram and per-thread event ring, starting
 /// a fresh measurement window. Registered names survive (they keep their
-/// slots); the cumulative `PoolStats` of the worker pool are unaffected
+/// handles); the cumulative `PoolStats` of the worker pool are unaffected
 /// because the pool feeds the registry with per-chunk *deltas*, so a
 /// window opened by `reset()` sees only work dispatched after it.
 pub fn reset() {
@@ -116,8 +113,7 @@ pub fn reset() {
 
 /// Renders the registry as a human-readable table: one row per histogram
 /// (calls, total, mean, p50, p99, max) followed by the named counters and
-/// the derived tallies of silent loss (`trace.events.recorded` /
-/// `.dropped`, `trace.registry.overflow`).
+/// the flight recorder's tallies (`trace.events.recorded` / `.dropped`).
 pub fn report() -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -125,7 +121,6 @@ pub fn report() -> String {
     let counters = counters_snapshot();
     let recorded = events::total_recorded();
     let dropped = events::total_dropped();
-    let overflow = registry::overflow();
     out.push_str("ringo-trace report\n");
     if hists.is_empty() && counters.is_empty() && recorded == 0 {
         out.push_str("  (no metrics recorded; is tracing enabled?)\n");
@@ -162,7 +157,6 @@ pub fn report() -> String {
     }
     writeln!(out, "  {:<28} {:>8}", "trace.events.recorded", recorded).unwrap();
     writeln!(out, "  {:<28} {:>8}", "trace.events.dropped", dropped).unwrap();
-    writeln!(out, "  {:<28} {:>8}", "trace.registry.overflow", overflow).unwrap();
     out
 }
 
@@ -191,8 +185,8 @@ pub fn dump_json(path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, to_json())
 }
 
-/// Installs a panic hook that dumps the flight recorder (recent
-/// per-thread events) to stderr before the default
+/// Installs a panic hook that dumps the flight recorder (every thread's
+/// open spans and last completed ones) to stderr before the default
 /// hook runs. Idempotent; chains to the previously installed hook so
 /// backtraces still print. [`init_from_env`] installs it automatically
 /// whenever tracing is enabled through the environment.
@@ -289,7 +283,6 @@ mod tests {
         assert!(r.contains("test.report_counter"), "{r}");
         assert!(r.contains("trace.events.recorded"), "{r}");
         assert!(r.contains("trace.events.dropped"), "{r}");
-        assert!(r.contains("trace.registry.overflow"), "{r}");
         set_enabled(false);
         reset();
     }

@@ -1,32 +1,21 @@
-//! The global lock-free metrics registry: named atomic [`Counter`]s and
-//! fixed log2-bucket latency [`Histogram`]s.
+//! The global metrics registry: named atomic [`Counter`]s and fixed
+//! log2-bucket latency [`Histogram`]s.
 //!
-//! Slots live in two fixed-capacity arrays allocated once on first use.
-//! Registration claims a slot by CAS-publishing the name pointer (linear
-//! probing from the name's hash), so lookups and updates never take a
-//! lock; after the one-time claim every operation is a relaxed atomic.
-//! Capacity overflow (more distinct names than slots) merges the surplus
-//! name into the slot its probe sequence started at — a slot another name
-//! owns, so sinks credit the value to that name. Each such fall-through
-//! is counted ([`Registry::overflow`]) and shown as
-//! `trace.registry.overflow` in [`crate::report`] and the JSON dump, so
-//! the misattribution is never silent.
+//! Each kind is one mutex-guarded map from name to handle, sorted by
+//! name; a handle is leaked once, on its name's first lookup, and lives
+//! for the process. A lookup takes the map's lock, but recording through
+//! a handle is relaxed atomics and never locks, so hot paths keep the
+//! `&'static` handle (the pool does).
 
-use crate::sync::{VAtomicPtr, VAtomicU64};
-use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of log2 latency buckets: bucket `i` covers `[2^i, 2^(i+1))`
 /// nanoseconds (bucket 0 additionally holds 0–1ns), and the last bucket is
 /// a catch-all for everything at or above `2^(HIST_BUCKETS-1)` ns
 /// (~9 minutes) — comfortably spanning 1ns to "more than a second".
 pub const HIST_BUCKETS: usize = 40;
-
-/// Counter slots in the global registry (see [`Registry::with_capacity`]
-/// for dedicated instances).
-const MAX_COUNTERS: usize = 256;
-/// Histogram slots in the global registry.
-const MAX_HISTS: usize = 128;
 
 /// Maps a nanosecond latency to its histogram bucket.
 ///
@@ -55,18 +44,10 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 
 /// A named monotonic atomic counter.
 pub struct Counter {
-    name: VAtomicPtr<&'static str>,
-    value: VAtomicU64,
+    value: AtomicU64,
 }
 
 impl Counter {
-    const fn new() -> Self {
-        Self {
-            name: VAtomicPtr::new(std::ptr::null_mut()),
-            value: VAtomicU64::new(0),
-        }
-    }
-
     /// Adds `n` to the counter (relaxed).
     #[inline]
     pub fn add(&self, n: u64) {
@@ -85,26 +66,14 @@ impl Counter {
 
 /// A named fixed-bucket log2 latency histogram with count/sum/min/max.
 pub struct Histogram {
-    name: VAtomicPtr<&'static str>,
-    buckets: [VAtomicU64; HIST_BUCKETS],
-    count: VAtomicU64,
-    sum_ns: VAtomicU64,
-    min_ns: VAtomicU64,
-    max_ns: VAtomicU64,
+    buckets: [AtomicU64; HIST_BUCKETS],
+    count: AtomicU64,
+    sum_ns: AtomicU64,
+    min_ns: AtomicU64,
+    max_ns: AtomicU64,
 }
 
 impl Histogram {
-    fn new() -> Self {
-        Self {
-            name: VAtomicPtr::new(std::ptr::null_mut()),
-            buckets: [const { VAtomicU64::new(0) }; HIST_BUCKETS],
-            count: VAtomicU64::new(0),
-            sum_ns: VAtomicU64::new(0),
-            min_ns: VAtomicU64::new(u64::MAX),
-            max_ns: VAtomicU64::new(0),
-        }
-    }
-
     /// Records one latency observation of `ns` nanoseconds.
     #[inline]
     pub fn record(&self, ns: u64) {
@@ -121,6 +90,27 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         // ORDERING: Relaxed — metric snapshot, no consistency promised.
         self.count.load(Ordering::Relaxed)
+    }
+
+    fn snapshot(&self, name: &'static str) -> HistogramSnapshot {
+        // ORDERING: Relaxed — metrics snapshot; fields of a histogram
+        // being recorded concurrently may be mutually inconsistent, which
+        // the API documents.
+        let count = self.count.load(Ordering::Relaxed);
+        let min = self.min_ns.load(Ordering::Relaxed);
+        HistogramSnapshot {
+            name,
+            count,
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            min_ns: if count == 0 || min == u64::MAX {
+                0
+            } else {
+                min
+            },
+            // ORDERING: Relaxed — same snapshot semantics as above.
+            max_ns: self.max_ns.load(Ordering::Relaxed),
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+        }
     }
 
     fn zero(&self) {
@@ -184,231 +174,65 @@ impl HistogramSnapshot {
     }
 }
 
-/// A metrics registry: fixed-capacity slot arrays with lock-free
-/// CAS-claimed registration.
-///
-/// Most code talks to the process-wide instance through the free functions
-/// ([`counter`], [`histogram`], the snapshots, [`reset`]). Dedicated
-/// instances from [`Registry::with_capacity`] exist for tests — in
-/// particular the `ringo-check` schedule-exploration tests, which claim
-/// slots on a fresh registry per explored schedule so the CAS protocol is
-/// exercised from its empty state every time.
-pub struct Registry {
-    counters: Box<[Counter]>,
-    hists: Box<[Histogram]>,
-    /// Lookups that found no free slot and fell through to another name's
-    /// (kept across [`Registry::reset`]: the merged names stay merged).
-    overflow: VAtomicU64,
+static COUNTERS: Mutex<BTreeMap<&'static str, &'static Counter>> = Mutex::new(BTreeMap::new());
+static HISTOGRAMS: Mutex<BTreeMap<&'static str, &'static Histogram>> = Mutex::new(BTreeMap::new());
+
+/// The map behind `m`; a panic elsewhere leaves every handle whole.
+fn lock<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl Registry {
-    /// Creates an empty registry with the given slot counts (minimum 1
-    /// each).
-    pub fn with_capacity(counters: usize, hists: usize) -> Self {
-        Self {
-            counters: (0..counters.max(1)).map(|_| Counter::new()).collect(),
-            hists: (0..hists.max(1)).map(|_| Histogram::new()).collect(),
-            overflow: VAtomicU64::new(0),
-        }
-    }
-
-    /// The counter registered under `name` in this registry, claiming a
-    /// slot on first use.
-    pub fn counter(&self, name: &'static str) -> &Counter {
-        lookup(&self.counters, |c| &c.name, name, &self.overflow)
-    }
-
-    /// The histogram registered under `name` in this registry, claiming a
-    /// slot on first use.
-    pub fn histogram(&self, name: &'static str) -> &Histogram {
-        lookup(&self.hists, |h| &h.name, name, &self.overflow)
-    }
-
-    /// How many lookups found the registry full and merged their name
-    /// into another name's slot.
-    pub fn overflow(&self) -> u64 {
-        // ORDERING: Relaxed — metric snapshot, no consistency promised.
-        self.overflow.load(Ordering::Relaxed)
-    }
-
-    /// All registered counters of this instance, sorted by name.
-    pub fn counters_snapshot(&self) -> Vec<CounterSnapshot> {
-        let mut out: Vec<CounterSnapshot> = self
-            .counters
-            .iter()
-            .filter_map(|c| {
-                slot_name(&c.name).map(|name| CounterSnapshot {
-                    name,
-                    value: c.get(),
-                })
-            })
-            .collect();
-        out.sort_by_key(|c| c.name);
-        out
-    }
-
-    /// All registered histograms of this instance, sorted by name.
-    pub fn histograms_snapshot(&self) -> Vec<HistogramSnapshot> {
-        let mut out: Vec<HistogramSnapshot> = self
-            .hists
-            .iter()
-            .filter_map(|h| {
-                let name = slot_name(&h.name)?;
-                // ORDERING: Relaxed — metrics snapshot; fields of a
-                // histogram being recorded concurrently may be mutually
-                // inconsistent, which the API documents.
-                let count = h.count.load(Ordering::Relaxed);
-                let min = h.min_ns.load(Ordering::Relaxed);
-                Some(HistogramSnapshot {
-                    name,
-                    count,
-                    sum_ns: h.sum_ns.load(Ordering::Relaxed),
-                    min_ns: if count == 0 || min == u64::MAX {
-                        0
-                    } else {
-                        min
-                    },
-                    // ORDERING: Relaxed — same snapshot semantics as above.
-                    max_ns: h.max_ns.load(Ordering::Relaxed),
-                    buckets: std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed)),
-                })
-            })
-            .collect();
-        out.sort_by_key(|h| h.name);
-        out
-    }
-
-    /// Zeroes all values of this instance while keeping registered names.
-    pub fn reset(&self) {
-        // ORDERING: Relaxed — see `Histogram::zero`.
-        for c in self.counters.iter() {
-            c.value.store(0, Ordering::Relaxed);
-        }
-        for h in self.hists.iter() {
-            h.zero();
-        }
-    }
-}
-
-impl Drop for Registry {
-    fn drop(&mut self) {
-        // Reclaim the leaked name boxes of claimed slots. The global
-        // instance never drops; this matters for per-test instances, which
-        // would otherwise leak one box per claim per schedule explored.
-        for p in self
-            .counters
-            .iter_mut()
-            .map(|c| c.name.get_mut())
-            .chain(self.hists.iter_mut().map(|h| h.name.get_mut()))
-        {
-            if !p.is_null() {
-                // SAFETY: non-null name pointers come exclusively from
-                // `Box::leak` in `lookup`, are never freed elsewhere, and
-                // `&mut self` proves no reader can observe them again.
-                drop(unsafe { Box::from_raw(*p) });
-                *p = std::ptr::null_mut();
-            }
-        }
-    }
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry::with_capacity(MAX_COUNTERS, MAX_HISTS))
-}
-
-/// FNV-1a, good enough to spread a handful of static names.
-fn hash(name: &str) -> usize {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h as usize
-}
-
-/// Claims-or-finds the slot for `name` in a probe sequence over `slots`,
-/// keyed by each slot's published name pointer. Lock-free: the only write
-/// is a one-time CAS per slot (plus a count in `overflow` when full).
-fn lookup<'a, T>(
-    slots: &'a [T],
-    name_of: impl Fn(&T) -> &VAtomicPtr<&'static str>,
-    name: &'static str,
-    overflow: &VAtomicU64,
-) -> &'a T {
-    let start = hash(name) % slots.len();
-    for off in 0..slots.len() {
-        let slot = &slots[(start + off) % slots.len()];
-        let name_cell = name_of(slot);
-        let mut cur = name_cell.load(Ordering::Acquire);
-        if cur.is_null() {
-            let leaked: *mut &'static str = Box::leak(Box::new(name));
-            match name_cell.compare_exchange(
-                std::ptr::null_mut(),
-                leaked,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return slot,
-                Err(winner) => {
-                    // Lost the race; free our candidate and inspect the
-                    // winner's name below.
-                    // SAFETY: `leaked` came from Box::leak above and was
-                    // never published.
-                    drop(unsafe { Box::from_raw(leaked) });
-                    cur = winner;
-                }
-            }
-        }
-        // SAFETY: published pointers come exclusively from Box::leak and
-        // are never freed.
-        if unsafe { *cur } == name {
-            return slot;
-        }
-    }
-    // Registry full: merge into the probe start, and count it.
-    // ORDERING: Relaxed — independent monotonic tally.
-    overflow.fetch_add(1, Ordering::Relaxed);
-    &slots[start]
-}
-
-/// The counter registered under `name` in the global registry, creating it
-/// on first use.
+/// The counter registered under `name`, creating it on first use.
 pub fn counter(name: &'static str) -> &'static Counter {
-    registry().counter(name)
+    lock(&COUNTERS).entry(name).or_insert_with(|| {
+        Box::leak(Box::new(Counter {
+            value: AtomicU64::new(0),
+        }))
+    })
 }
 
-/// The histogram registered under `name` in the global registry, creating
-/// it on first use.
+/// The histogram registered under `name`, creating it on first use.
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    registry().histogram(name)
+    lock(&HISTOGRAMS).entry(name).or_insert_with(|| {
+        Box::leak(Box::new(Histogram {
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+            count: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
+            min_ns: AtomicU64::new(u64::MAX),
+            max_ns: AtomicU64::new(0),
+        }))
+    })
 }
 
-fn slot_name(p: &VAtomicPtr<&'static str>) -> Option<&'static str> {
-    let p = p.load(Ordering::Acquire);
-    // SAFETY: see `lookup` — published pointers are leaked boxes.
-    (!p.is_null()).then(|| unsafe { *p })
-}
-
-/// [`Registry::overflow`] of the global registry.
-pub(crate) fn overflow() -> u64 {
-    registry().overflow()
-}
-
-/// All registered counters of the global registry, sorted by name.
+/// All registered counters, sorted by name.
 pub fn counters_snapshot() -> Vec<CounterSnapshot> {
-    registry().counters_snapshot()
+    lock(&COUNTERS)
+        .iter()
+        .map(|(&name, c)| CounterSnapshot {
+            name,
+            value: c.get(),
+        })
+        .collect()
 }
 
-/// All registered histograms of the global registry, sorted by name.
+/// All registered histograms, sorted by name.
 pub fn histograms_snapshot() -> Vec<HistogramSnapshot> {
-    registry().histograms_snapshot()
+    lock(&HISTOGRAMS)
+        .iter()
+        .map(|(&name, h)| h.snapshot(name))
+        .collect()
 }
 
-/// Zeroes all values of the global registry while keeping registered names
+/// Zeroes every counter and histogram while keeping registered names
 /// (see [`crate::reset`]).
 pub fn reset() {
-    registry().reset()
+    for c in lock(&COUNTERS).values() {
+        // ORDERING: Relaxed — see `Histogram::zero`.
+        c.value.store(0, Ordering::Relaxed);
+    }
+    for h in lock(&HISTOGRAMS).values() {
+        h.zero();
+    }
 }
 
 #[cfg(test)]
@@ -452,27 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn same_name_resolves_to_same_slot() {
+    fn same_name_resolves_to_same_handle() {
         let a = counter("test.registry_same") as *const Counter;
         let b = counter("test.registry_same") as *const Counter;
         assert_eq!(a, b);
         let ha = histogram("test.registry_hist") as *const Histogram;
         let hb = histogram("test.registry_hist") as *const Histogram;
         assert_eq!(ha, hb);
-    }
-
-    #[test]
-    fn full_registry_counts_each_fall_through() {
-        let r = Registry::with_capacity(2, 2);
-        r.counter("test.overflow_a").add(1);
-        r.counter("test.overflow_b").add(1);
-        assert_eq!(r.overflow(), 0, "two names fit two slots");
-        r.counter("test.overflow_c").add(1);
-        assert_eq!(r.overflow(), 1);
-        // The third name's value landed on another name's slot.
-        let total: u64 = r.counters_snapshot().iter().map(|c| c.value).sum();
-        assert_eq!(total, 3);
-        assert_eq!(r.counters_snapshot().len(), 2);
     }
 
     #[test]

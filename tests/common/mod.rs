@@ -5,18 +5,17 @@
 #![allow(dead_code)]
 
 use ringo::algo::Components;
-use ringo::trace::{self, EventKind, TimelineEvent};
+use ringo::trace::{self, TimelineEvent};
 use ringo::{DirectedGraph, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The completed spans of the flight recorder: the `End` events of every
+/// The completed spans of the flight recorder: the events of every
 /// thread timeline, in completion (`seq`) order — what the JSON dump's
 /// `events` array lists.
 pub fn end_events() -> Vec<TimelineEvent> {
     let mut out: Vec<TimelineEvent> = trace::timelines_snapshot()
         .into_iter()
         .flat_map(|tl| tl.events)
-        .filter(|e| e.kind == EventKind::End)
         .collect();
     out.sort_by_key(|e| e.seq);
     out

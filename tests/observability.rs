@@ -32,7 +32,7 @@ fn pool_fed_counters_lose_no_updates() {
     trace::reset();
 
     // Hammer one counter from every pool worker: 8 chunks x 50k adds. The
-    // final value must be exact — the registry is lock-free, not racy.
+    // final value must be exact — an add is one atomic RMW, not racy.
     let per_chunk = 50_000u64;
     let c = trace::counter("test.pool_adds");
     ringo::concurrent::parallel_for(8, 8, |_, range| {
@@ -80,7 +80,7 @@ fn span_nesting_is_recorded_in_events() {
     assert!(seq_of("test.inner") < seq_of("test.outer"));
 }
 
-/// The JSON dump's `events` array is the timelines' `End` events: same
+/// The JSON dump's `events` array is the timelines' completed spans: same
 /// count, names and span ids, in `seq` order.
 #[test]
 fn json_events_are_the_timelines_end_events() {
@@ -155,11 +155,6 @@ fn json_events_are_the_timelines_end_events() {
             "tid {tid} has no named thread entry"
         );
     }
-    let overflow = doc
-        .get("counters")
-        .and_then(|c| c.get("trace.registry.overflow"))
-        .and_then(JsonValue::as_u64);
-    assert_eq!(overflow, Some(0), "the global registry has room");
 }
 
 #[test]
