@@ -214,9 +214,11 @@ impl Masks {
 
 /// Sorts the pairs `(a[i], b[i])` in full lexicographic order without
 /// ever materializing them — the sort the conversion pipeline runs
-/// straight off a table's two edge columns. With `canonical`, row `i`
-/// is packed once as `(min, max)` of its two ids: an undirected edge's
-/// one key, whichever way round the row named it.
+/// straight off a table's two edge columns. Each column may be read
+/// through a selection of its own (`sels`): row `i` of `a` is then
+/// `a[sels[0][i]]`, so a view's columns are sorted where they lie. With
+/// `canonical`, row `i` is packed once as `(min, max)` of its two ids: an
+/// undirected edge's one key, whichever way round the row named it.
 ///
 /// A mask probe finds each component's varying-bit span (bits above it
 /// are constant across the input — node ids in practice occupy a narrow
@@ -233,18 +235,26 @@ impl Masks {
 ///
 /// # Panics
 /// Panics if the columns differ in length.
-pub fn radix_sort_columns(a: &[i64], b: &[i64], canonical: bool, threads: usize) -> SortedPairs {
-    assert_eq!(a.len(), b.len(), "edge columns must have equal length");
-    let len = a.len();
-    let mut sp = ringo_trace::span!("sort.radix.pairs");
-    sp.rows_in(len);
+pub fn radix_sort_columns(
+    a: &[i64],
+    b: &[i64],
+    sels: [Option<&[u32]>; 2],
+    canonical: bool,
+    threads: usize,
+) -> SortedPairs {
     // The columns; each attempt packs them with the codec of its spans.
     let pairs = PairKeys {
         a,
         b,
+        sels,
         canonical,
         codec: PairCodec::new(0, 0, 0, 0),
     };
+    let len = pairs.len();
+    let b_len = sels[1].map_or(b.len(), <[u32]>::len);
+    assert_eq!(len, b_len, "edge columns must have equal length");
+    let mut sp = ringo_trace::span!("sort.radix.pairs");
+    sp.rows_in(len);
 
     // Short inputs (and ones whose bucket counts would overflow the u32
     // histograms) pack with exact masks and finish with one std sort.
@@ -290,7 +300,7 @@ fn sort_pairs<W: Word>(
     sorted: bool,
     threads: usize,
 ) -> Result<(Vec<W>, PairCodec), Masks> {
-    let len = pairs.a.len();
+    let len = pairs.len();
     let (bits_a, bits_b) = seen.spans();
     if short {
         let codec = PairCodec::new(bits_a, bits_b, seen.a_and, seen.b_and);
@@ -341,16 +351,24 @@ fn sort_pairs<W: Word>(
 struct PairKeys<'a> {
     a: &'a [i64],
     b: &'a [i64],
+    /// Each column's selection: its row `i` is `col[sel[i]]`.
+    sels: [Option<&'a [u32]>; 2],
     canonical: bool,
     codec: PairCodec,
 }
 
 impl PairKeys<'_> {
-    /// The pair row `i` sorts as: `(a[i], b[i])`, or when `canonical` the
-    /// smaller id first.
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.sels[0].map_or(self.a.len(), <[u32]>::len)
+    }
+
+    /// The pair row `i` sorts as: `(a[i], b[i])` through the columns'
+    /// selections, or when `canonical` the smaller id first.
     #[inline(always)]
     fn pair(&self, i: usize) -> (i64, i64) {
-        let (s, d) = (self.a[i], self.b[i]);
+        let at = |sel: Option<&[u32]>| sel.map_or(i, |s| s[i] as usize);
+        let (s, d) = (self.a[at(self.sels[0])], self.b[at(self.sels[1])]);
         match self.canonical {
             true => (s.min(d), s.max(d)),
             false => (s, d),
@@ -497,6 +515,11 @@ pub enum SortColumn<'a> {
     Int(&'a [i64]),
     /// Ordered by [`f64::total_cmp`].
     Float(&'a [f64]),
+    /// An `Int` column read through its own selection: its row `j` is
+    /// `v[sel[j]]`.
+    IntAt(&'a [i64], &'a [u32]),
+    /// A `Float` column read through its own selection.
+    FloatAt(&'a [f64], &'a [u32]),
 }
 
 impl SortColumn<'_> {
@@ -504,20 +527,39 @@ impl SortColumn<'_> {
         match self {
             Self::Int(v) => v.len(),
             Self::Float(v) => v.len(),
+            Self::IntAt(_, s) | Self::FloatAt(_, s) => s.len(),
         }
     }
 
     /// Calls `f(j, key)` for every position `j` of `rows` with the
-    /// order-preserving key of the row there (`sel[j]`, or `j` itself):
-    /// one typed loop per column type and kind of selection.
+    /// order-preserving key of the row there (`sel[j]`, or `j` itself).
     #[inline(always)]
-    fn each_word(&self, rows: Range<usize>, sel: Option<&[u32]>, mut f: impl FnMut(usize, u64)) {
-        match (self, sel) {
-            (Self::Int(v), None) => rows.for_each(|j| f(j, i64_key(v[j]))),
-            (Self::Int(v), Some(s)) => rows.for_each(|j| f(j, i64_key(v[s[j] as usize]))),
-            (Self::Float(v), None) => rows.for_each(|j| f(j, f64_key(v[j]))),
-            (Self::Float(v), Some(s)) => rows.for_each(|j| f(j, f64_key(v[s[j] as usize]))),
+    fn each_word(&self, rows: Range<usize>, sel: Option<&[u32]>, f: impl FnMut(usize, u64)) {
+        match *self {
+            Self::Int(v) => words(rows, sel, None, |i| i64_key(v[i]), f),
+            Self::Float(v) => words(rows, sel, None, |i| f64_key(v[i]), f),
+            Self::IntAt(v, own) => words(rows, sel, Some(own), |i| i64_key(v[i]), f),
+            Self::FloatAt(v, own) => words(rows, sel, Some(own), |i| f64_key(v[i]), f),
         }
+    }
+}
+
+/// Calls `f(j, key(i))` for every position `j` of `rows`, `i` the row
+/// there: `j` read through `sel`, then through the column's own
+/// selection `own`. One typed loop per kind of selection.
+#[inline(always)]
+fn words(
+    rows: Range<usize>,
+    sel: Option<&[u32]>,
+    own: Option<&[u32]>,
+    key: impl Fn(usize) -> u64,
+    mut f: impl FnMut(usize, u64),
+) {
+    match (sel, own) {
+        (None, None) => rows.for_each(|j| f(j, key(j))),
+        (Some(s), None) => rows.for_each(|j| f(j, key(s[j] as usize))),
+        (None, Some(o)) => rows.for_each(|j| f(j, key(o[j] as usize))),
+        (Some(s), Some(o)) => rows.for_each(|j| f(j, key(o[s[j] as usize] as usize))),
     }
 }
 
@@ -837,20 +879,21 @@ mod tests {
                 let mut expect: Vec<(i64, i64)> =
                     a.iter().copied().zip(b.iter().copied()).map(row).collect();
                 expect.sort_unstable();
-                let got: Vec<(i64, i64)> = match radix_sort_columns(&a, &b, canonical, threads) {
-                    SortedPairs::U64(keys, codec) => {
-                        assert!(narrow, "mixed signs cannot fit a u64");
-                        keys.iter()
-                            .map(|&k| (codec.first(k), codec.second(k)))
-                            .collect()
-                    }
-                    SortedPairs::U128(keys, codec) => {
-                        assert!(!narrow, "narrow ids must fit a u64");
-                        keys.iter()
-                            .map(|&k| (codec.first(k), codec.second(k)))
-                            .collect()
-                    }
-                };
+                let got: Vec<(i64, i64)> =
+                    match radix_sort_columns(&a, &b, [None, None], canonical, threads) {
+                        SortedPairs::U64(keys, codec) => {
+                            assert!(narrow, "mixed signs cannot fit a u64");
+                            keys.iter()
+                                .map(|&k| (codec.first(k), codec.second(k)))
+                                .collect()
+                        }
+                        SortedPairs::U128(keys, codec) => {
+                            assert!(!narrow, "narrow ids must fit a u64");
+                            keys.iter()
+                                .map(|&k| (codec.first(k), codec.second(k)))
+                                .collect()
+                        }
+                    };
                 assert_eq!(
                     got, expect,
                     "threads={threads} narrow={narrow} canonical={canonical}"
@@ -937,6 +980,73 @@ mod tests {
         assert_eq!(sorted_rows(&cols, true, Some(&sel), 2).0, vec![4, 2, 0]);
     }
 
+    /// Columns read through selections of their own sort as their
+    /// gathered rows would: the pair sort, and the row sort in every word,
+    /// with and without a selection of the rows sorted.
+    #[test]
+    fn columns_read_through_their_own_selections() {
+        let mut rng = Rng64::new(41);
+        for len in [100usize, SEQ_THRESHOLD + 1000] {
+            let a: Vec<i64> = (0..len).map(|_| rng.range_i64(0..50)).collect();
+            let b: Vec<i64> = (0..len).map(|_| rng.u64() as i64).collect();
+            let c: Vec<i64> = (0..len).map(|_| rng.u64() as i64).collect();
+            let f: Vec<f64> = (0..len).map(|i| (i % 7) as f64 - 3.5).collect();
+            let mut pick = || -> Vec<u32> { (0..len).map(|_| rng.below(len) as u32).collect() };
+            let (sa, sb, sc, sf, outer) = (pick(), pick(), pick(), pick(), pick());
+            let through =
+                |v: &[i64], s: &[u32]| -> Vec<i64> { s.iter().map(|&i| v[i as usize]).collect() };
+            let (ga, gb, gc) = (through(&a, &sa), through(&b, &sb), through(&c, &sc));
+            let gf: Vec<f64> = sf.iter().map(|&i| f[i as usize]).collect();
+            let pairs = |sorted: SortedPairs| -> Vec<(i64, i64)> {
+                match sorted {
+                    SortedPairs::U64(k, c) => {
+                        k.iter().map(|&k| (c.first(k), c.second(k))).collect()
+                    }
+                    SortedPairs::U128(k, c) => {
+                        k.iter().map(|&k| (c.first(k), c.second(k))).collect()
+                    }
+                }
+            };
+            for threads in [1usize, 2] {
+                for canonical in [false, true] {
+                    let got =
+                        radix_sort_columns(&a, &b, [Some(&sa), Some(&sb)], canonical, threads);
+                    let want = radix_sort_columns(&ga, &gb, [None, None], canonical, threads);
+                    assert_eq!(pairs(got), pairs(want), "len={len} threads={threads}");
+                }
+                for (picked, gathered, word) in [
+                    (
+                        vec![SortColumn::IntAt(&a, &sa)],
+                        vec![SortColumn::Int(&ga)],
+                        "u64",
+                    ),
+                    (
+                        vec![SortColumn::IntAt(&a, &sa), SortColumn::IntAt(&b, &sb)],
+                        vec![SortColumn::Int(&ga), SortColumn::Int(&gb)],
+                        "u128",
+                    ),
+                    (
+                        vec![SortColumn::IntAt(&b, &sb), SortColumn::IntAt(&c, &sc)],
+                        vec![SortColumn::Int(&gb), SortColumn::Int(&gc)],
+                        "chained",
+                    ),
+                    (
+                        vec![SortColumn::FloatAt(&f, &sf)],
+                        vec![SortColumn::Float(&gf)],
+                        "",
+                    ),
+                ] {
+                    for (sel, ctx) in [(None, "all rows"), (Some(&outer[..]), "a selection")] {
+                        let ctx = format!("len={len} threads={threads} {word}, {ctx}");
+                        let got = sorted_rows(&picked, true, sel, threads);
+                        assert_eq!(got, sorted_rows(&gathered, true, sel, threads), "{ctx}");
+                        assert!(word.is_empty() || got.1 == word, "{ctx}: {}", got.1);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn by_key_is_stable() {
         // Heavy ties in every word: rows with equal keys must keep their
@@ -960,7 +1070,7 @@ mod tests {
                 expect.sort_by_key(|&i| {
                     let key = |c: &SortColumn<'_>| match c {
                         SortColumn::Int(v) => v[i],
-                        SortColumn::Float(_) => unreachable!(),
+                        _ => unreachable!(),
                     };
                     cols.iter().map(key).collect::<Vec<_>>()
                 });

@@ -52,7 +52,7 @@ use ringo_graph::{
     new_slab, DirectedGraph, DirectedTopology, Graph, NodeId, Rank, UndirectedGraph,
     WeightedDigraph,
 };
-use ringo_table::{ColumnData, ColumnType, Schema, StringPool, Table, TableError};
+use ringo_table::{ColumnData, ColumnRef, ColumnType, Schema, StringPool, Table, TableError};
 use std::sync::Arc;
 
 /// Result alias reusing the table error type (conversions validate column
@@ -94,8 +94,7 @@ pub fn table_to_graph_threads(
 ) -> Result<DirectedGraph> {
     let mut sp = ringo_trace::span!("convert.table_to_graph");
     sp.rows_in(t.n_rows());
-    let src = t.int_col(src_col)?;
-    let dst = t.int_col(dst_col)?;
+    let (src, dst) = id_columns(t, src_col, dst_col)?;
 
     // The `(src, dst)` keys are the out-rows; the in-rows are their
     // transpose, so the keys go as soon as the out-slab is written.
@@ -126,8 +125,7 @@ pub fn table_to_undirected_threads(
 ) -> Result<UndirectedGraph> {
     let mut sp = ringo_trace::span!("convert.table_to_undirected");
     sp.rows_in(t.n_rows());
-    let src = t.int_col(src_col)?;
-    let dst = t.int_col(dst_col)?;
+    let (src, dst) = id_columns(t, src_col, dst_col)?;
 
     // One `(min, max)` key an edge: node `k`'s run is its forward
     // neighbours (itself too, for a loop), and the transpose adds the
@@ -143,11 +141,28 @@ pub fn table_to_undirected_threads(
     Ok(g)
 }
 
+/// The two `Int` id columns of `t`, each as the table's rows read it: a
+/// view's columns are read through their selections, not gathered.
+fn id_columns<'a>(
+    t: &'a Table,
+    src_col: &str,
+    dst_col: &str,
+) -> Result<(ColumnRef<'a>, ColumnRef<'a>)> {
+    let id_col = |name| t.column_ref(name, ColumnType::Int);
+    Ok((id_col(src_col)?, id_col(dst_col)?))
+}
+
 /// The pairs `(a[i], b[i])` sorted ([`radix_sort_columns`]; `(min, max)`
 /// when `canonical`), each once: a repeated row is one edge, so the
 /// passes after hold no repeats.
-fn sorted_edges(a: &[NodeId], b: &[NodeId], canonical: bool, threads: usize) -> SortedPairs {
-    let mut sorted = radix_sort_columns(a, b, canonical, threads);
+fn sorted_edges(
+    a: ColumnRef<'_>,
+    b: ColumnRef<'_>,
+    canonical: bool,
+    threads: usize,
+) -> SortedPairs {
+    let (ids_a, ids_b) = (a.data.as_int(), b.data.as_int());
+    let mut sorted = radix_sort_columns(ids_a, ids_b, [a.sel, b.sel], canonical, threads);
     match &mut sorted {
         SortedPairs::U64(keys, _) => {
             keys.dedup();
@@ -520,9 +535,10 @@ pub fn table_to_weighted_graph_threads(
         )));
     }
     let g = table_to_graph_threads(t, src_col, dst_col, threads)?;
-    let (src, dst) = (t.int_col(src_col)?, t.int_col(dst_col)?);
-    let rows = src.iter().zip(dst).enumerate();
-    let g = WeightedDigraph::from_out_weights(g, rows.map(|(row, (&s, &d))| (s, d, weight(row))));
+    let (src, dst) = id_columns(t, src_col, dst_col)?;
+    let (ids_s, ids_d) = (src.data.as_int(), dst.data.as_int());
+    let edge = |row| (ids_s[src.at(row)], ids_d[dst.at(row)], weight(row));
+    let g = WeightedDigraph::from_out_weights(g, (0..t.n_rows()).map(edge));
     sp.rows_out(g.edge_count());
     Ok(g)
 }

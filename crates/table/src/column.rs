@@ -96,17 +96,6 @@ impl ColumnData {
         }
     }
 
-    /// The rows at positions `keep`, in that order — a `u32` selection
-    /// vector, the form the lazy executor threads between operators —
-    /// filled on `threads` workers of the pool.
-    pub fn gather_sel(&self, keep: &[u32], threads: usize) -> Self {
-        match self {
-            Self::Int(v) => Self::Int(gather(keep, |i| v[i], threads)),
-            Self::Float(v) => Self::Float(gather(keep, |i| v[i], threads)),
-            Self::Str(v) => Self::Str(gather(keep, |i| v[i], threads)),
-        }
-    }
-
     /// Appends row `i` of `src` to this column. Both columns must share a
     /// type; string symbols are copied verbatim (caller aligns pools).
     pub fn push_from(&mut self, src: &ColumnData, i: usize) {
@@ -119,9 +108,43 @@ impl ColumnData {
     }
 }
 
+/// One column as a table's rows read it: the source vector, whole, and
+/// the selection that picks the rows from it ([`crate::Table::column_ref`]).
+/// Every kernel reads a column through this, so reading a view gathers
+/// nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnRef<'a> {
+    /// The source vector, whole.
+    pub data: &'a ColumnData,
+    /// Row `i` is `data`'s row `sel[i]`; `None` when it is row `i`.
+    pub sel: Option<&'a [u32]>,
+}
+
+impl ColumnRef<'_> {
+    /// The position in `data` of row `row`.
+    #[inline]
+    pub fn at(&self, row: usize) -> usize {
+        match self.sel {
+            None => row,
+            Some(s) => s[row] as usize,
+        }
+    }
+
+    /// The rows at positions `rows`, in that order, filled on `threads`
+    /// workers of the pool.
+    pub(crate) fn gather(&self, rows: &[u32], threads: usize) -> ColumnData {
+        let at = |i: usize| self.at(i);
+        match self.data {
+            ColumnData::Int(v) => ColumnData::Int(gather(rows, |i| v[at(i)], threads)),
+            ColumnData::Float(v) => ColumnData::Float(gather(rows, |i| v[at(i)], threads)),
+            ColumnData::Str(v) => ColumnData::Str(gather(rows, |i| v[at(i)], threads)),
+        }
+    }
+}
+
 /// `value(i)` for each position `i` in `keep`, in order, filled on the
-/// pool — every gather of a table's rows: a view's columns, a join's
-/// output, stored row ids.
+/// pool — every gather of a table's rows: a view's columns, a group's
+/// keys, stored row ids.
 pub(crate) fn gather<T: Copy + Default + Send>(
     keep: &[u32],
     value: impl Fn(usize) -> T + Sync,
@@ -151,14 +174,24 @@ mod tests {
 
     #[test]
     fn gather_preserves_order() {
-        let c = ColumnData::Int(vec![10, 20, 30, 40]);
-        let g = c.gather_sel(&[3, 0, 2], 1);
+        let data = ColumnData::Int(vec![10, 20, 30, 40]);
+        let c = ColumnRef {
+            data: &data,
+            sel: None,
+        };
+        let g = c.gather(&[3, 0, 2], 1);
         assert_eq!(g.as_int(), &[40, 10, 30]);
         // Four chunks on the pool, filled in order.
         let keep: Vec<u32> = (0..10_000).map(|i| 3 - i % 4).collect();
-        let g = c.gather_sel(&keep, 4);
+        let g = c.gather(&keep, 4);
         let want = keep.iter().map(|&i| 10 * (i as i64 + 1));
         assert!(g.as_int().iter().copied().eq(want));
+        // Through a selection: row `i` is the vector's row `sel[i]`.
+        let picked = ColumnRef {
+            data: &data,
+            sel: Some(&[2, 2, 0]),
+        };
+        assert_eq!(picked.gather(&[1, 2], 1).as_int(), &[30, 10]);
     }
 
     #[test]

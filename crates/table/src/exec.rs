@@ -1,13 +1,13 @@
 //! Chain executor with late materialization.
 //!
-//! Folds a lazy query's [`Step`]s over a table *view* — shared columns
-//! plus a selection vector of surviving row positions — calling the view
-//! kernels the eager verbs call. Select narrows the selection, Project
-//! drops columns, OrderBy permutes the selection; only Join, GroupBy and
-//! NextK (whose outputs are genuinely new tables) materialize mid-chain,
-//! and the final view is gathered into the output table exactly once, at
-//! collect time: an N-step select/project chain touches full column data
-//! once, not N times.
+//! Folds a lazy query's [`Step`]s over a table *view* — shared columns,
+//! each read through a selection of surviving row positions — calling
+//! the view kernels the eager verbs call. Select narrows the selections,
+//! Project drops columns, OrderBy permutes them, Join and NextK read
+//! their inputs through their position lists; only GroupBy (whose output
+//! is a genuinely new table) materializes mid-chain, and the final view
+//! is gathered into the output table exactly once, at collect time: an
+//! N-step chain touches full column data once, not N times.
 //!
 //! Each step records a `plan.<op>` trace span; the single gather records
 //! the `table.gather` span, so one `table.gather` per `collect()` is
@@ -99,7 +99,7 @@ pub fn execute(steps: &[Step], tables: &[&Table]) -> Result<Executed> {
     let mut table = fold(steps, tables, &mut stats)?;
     let started = std::time::Instant::now();
     // The single gather of the whole chain: a view's rows, once.
-    let gathers = u32::from(table.sel().is_some());
+    let gathers = u32::from(table.is_view());
     if gathers > 0 {
         let mut sp = ringo_trace::span!("table.gather");
         sp.rows_in(table.n_rows());
@@ -119,7 +119,7 @@ pub fn execute(steps: &[Step], tables: &[&Table]) -> Result<Executed> {
 /// the eager verb chain would report. Returns the (empty) result, whose
 /// schema is the query's. The steps record their spans, with zero rows.
 pub fn validate(steps: &[Step], tables: &[&Table]) -> Result<Table> {
-    let empty: Vec<Table> = tables.iter().map(|t| t.with_sel(Vec::new())).collect();
+    let empty: Vec<Table> = tables.iter().map(|t| t.view_rows(Vec::new())).collect();
     fold(steps, &empty.iter().collect::<Vec<_>>(), &mut Vec::new())
 }
 
@@ -155,7 +155,7 @@ fn run(step: &Step, frame: Table, tables: &[&Table], stats: &mut Vec<NodeStat>) 
             let (sel, mstats) = frame.select_sel_stats(predicate)?;
             sp.rows_out(sel.len());
             let stat = NodeStat::with_morsels("select", sel.len() as u64, mstats);
-            (frame.with_sel(sel), stat)
+            (frame.view_rows(sel), stat)
         }
         Step::Project(cols) => {
             let mut sp = ringo_trace::span!("plan.project");
@@ -201,7 +201,7 @@ fn run(step: &Step, frame: Table, tables: &[&Table], stats: &mut Vec<NodeStat>) 
             let scols: Vec<&str> = cols.iter().map(String::as_str).collect();
             let sel = frame.order_perm_sel(&scols, *ascending)?;
             let stat = NodeStat::new("order", sel.len() as u64);
-            (frame.with_sel(sel), stat)
+            (frame.view_rows(sel), stat)
         }
         Step::NextK {
             group_col,

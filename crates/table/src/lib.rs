@@ -9,8 +9,9 @@
 //!
 //! * **Column-based store** ([`Table`]): graph-related workloads iterate
 //!   over whole columns, so each column is one contiguous vector, shared
-//!   between tables until one edits it; a selection is a view of the
-//!   columns it filtered. Supported types ([`ColumnType`]): 64-bit
+//!   between tables until one edits it; a selection, a sort or a join is
+//!   a view: each column read through the positions of the rows it
+//!   keeps ([`ColumnRef`]). Supported types ([`ColumnType`]): 64-bit
 //!   integers, 64-bit floats, and interned strings ([`StringPool`]).
 //! * **Persistent row identifiers**: every row carries an identifier that
 //!   survives filtering, grouping and sorting, enabling "fine-grained data
@@ -39,7 +40,7 @@ mod schema;
 mod strings;
 mod table;
 
-pub use column::ColumnData;
+pub use column::{ColumnData, ColumnRef};
 pub use error::TableError;
 pub use io::{load_dsv, load_dsv_threads, load_tsv, save_tsv};
 pub use ops::group::AggOp;

@@ -53,7 +53,7 @@ impl Table {
     pub fn top_k(&self, cols: &[&str], k: usize, ascending: bool) -> Result<Table> {
         let idx = self.col_indices(cols)?;
         let cmp = |&a: &u32, &b: &u32| self.cmp_rows(&idx, ascending, a, b);
-        row_count_u32(self.row_ids.len())?;
+        row_count_u32(self.n_rows())?;
         let mut perm = self.unsorted_perm();
         let k = k.min(perm.len());
         if k > 0 {
@@ -61,7 +61,7 @@ impl Table {
         }
         perm.truncate(k);
         perm.sort_by(cmp);
-        Ok(self.with_sel(perm))
+        Ok(self.view_rows(perm))
     }
 }
 

@@ -21,12 +21,10 @@ impl Table {
         let (groups, _) = self.group_by_sel(&[col], None, AggOp::Count, "count")?;
         // Two stable passes: values ascending (strings by text), then
         // counts descending, which keeps the value order among ties.
-        let by_value = groups.with_sel(groups.order_perm_sel(&[col], true)?);
+        let by_value = groups.view_rows(groups.order_perm_sel(&[col], true)?);
         let order = by_value.order_perm_sel(&[groups.schema.name(1)], false)?;
-        let cols = groups
-            .cols
-            .iter()
-            .map(|c| Arc::new(c.gather_sel(&order, self.threads)));
+        let cols =
+            (0..by_value.n_cols()).map(|c| Arc::new(by_value.col(c).gather(&order, self.threads)));
         let schema = groups.schema.clone();
         Table::from_shared(schema, cols.collect(), groups.pool.clone(), self.threads)
     }

@@ -5,7 +5,7 @@
 //! grouping" (paper §2.3) possible by tagging each row with its group id
 //! instead of materializing per-group tables.
 
-use crate::{ColumnData, Result, Schema, Table, TableError};
+use crate::{ColumnData, ColumnRef, Result, Schema, Table, TableError};
 use ringo_concurrent::hash_table::hash_words;
 use ringo_concurrent::{
     morsel_rows, parallel_map, parallel_map_morsels_traced, KeyInterner, MorselStats,
@@ -65,8 +65,9 @@ impl Table {
 
     /// Group-and-aggregate kernel shared by the eager verb and the lazy
     /// executor: [`Table::group_by`] with the morsel dispatch stats, over
-    /// a view's rows through its selection (groups keep first-appearance
-    /// order, as if the view had been materialized first).
+    /// the table's rows, each column read through its selection (groups
+    /// keep first-appearance order, as if a view had been materialized
+    /// first).
     ///
     /// Two parallel passes (DESIGN.md, "Group-by"): each morsel encodes
     /// its keys and radix-partitions them, with `sel` position and value,
@@ -84,16 +85,15 @@ impl Table {
     ) -> Result<(Table, MorselStats)> {
         let gidx = self.col_indices(group_cols)?;
         let n = self.n_rows();
-        let row_at = |i: usize| self.base_row(i);
-        let src: Option<&ColumnData> = match (agg_col, op) {
+        let src: Option<ColumnRef<'_>> = match (agg_col, op) {
             (None, AggOp::Count) => None,
             (None, _) => {
                 return Err(TableError::InvalidArgument(
                     "aggregate column required for non-count aggregates".into(),
                 ))
             }
-            (Some(name), _) => match &*self.cols[self.schema.index_of(name)?] {
-                ColumnData::Str(_) => {
+            (Some(name), _) => match self.col(self.schema.index_of(name)?) {
+                col if matches!(col.data, ColumnData::Str(_)) => {
                     return Err(TableError::TypeMismatch {
                         column: name.to_string(),
                         expected: "int or float",
@@ -103,7 +103,7 @@ impl Table {
                 col => Some(col),
             },
         };
-        let int_src = matches!(src, Some(ColumnData::Int(_)));
+        let int_src = matches!(src.map(|c| c.data), Some(ColumnData::Int(_)));
 
         /// Per-group accumulator: `i` for Int sum/min/max/mean, `f` for
         /// Float ones, `mean`/`m2` for Welford Var/Std.
@@ -119,11 +119,13 @@ impl Table {
         // whatever the column holds.
         let float_fold = matches!(op, AggOp::Var | AggOp::Std);
         let bits_of = |row: usize| -> u64 {
-            match src {
-                Some(ColumnData::Int(v)) if float_fold => (v[row] as f64).to_bits(),
-                Some(ColumnData::Int(v)) => v[row] as u64,
-                Some(ColumnData::Float(v)) => v[row].to_bits(),
-                _ => 0,
+            let Some(col) = src else { return 0 };
+            let at = col.at(row);
+            match col.data {
+                ColumnData::Int(v) if float_fold => (v[at] as f64).to_bits(),
+                ColumnData::Int(v) => v[at] as u64,
+                ColumnData::Float(v) => v[at].to_bits(),
+                ColumnData::Str(_) => 0,
             }
         };
         // Folds a value into a group's (initially default) accumulator;
@@ -175,8 +177,9 @@ impl Table {
         let shift = (64 - parts.trailing_zeros()) % 64;
 
         /// One morsel's rows, stably regrouped by partition: partition `p`
-        /// owns `offsets[p]..offsets[p + 1]` of `pos` (ascending positions
-        /// in `sel`), `vals` (empty for a bare count) and, × `width`, `keys`.
+        /// owns `offsets[p]..offsets[p + 1]` of `pos` (ascending row
+        /// positions), `vals` (empty for a bare count) and, × `width`,
+        /// `keys`.
         struct Scattered {
             keys: Vec<u64>,
             vals: Vec<u64>,
@@ -186,7 +189,7 @@ impl Table {
         let (scattered, stats) =
             parallel_map_morsels_traced("plan.morsel.group", n, self.threads, |_, range| {
                 let mut words = Vec::new();
-                enc.encode(range.len(), |j| row_at(range.start + j), &mut words);
+                enc.encode(range.len(), |j| range.start + j, &mut words);
                 let part: Vec<u8> = words
                     .chunks_exact(width)
                     .map(|key| ((hash_words(key) >> shift) as usize & (parts - 1)) as u8)
@@ -209,7 +212,7 @@ impl Table {
                     pos[at] = (range.start + j) as u32;
                     keys[at * width..(at + 1) * width].copy_from_slice(key);
                     if aggregates {
-                        vals[at] = bits_of(row_at(range.start + j));
+                        vals[at] = bits_of(range.start + j);
                     }
                 }
                 Scattered {
@@ -220,8 +223,8 @@ impl Table {
                 }
             });
 
-        /// Groups in first-appearance order: first row's position in
-        /// `sel`, row count, accumulator (columnar: a count touches 8 B).
+        /// Groups in first-appearance order: first row's position, row
+        /// count, accumulator (columnar: a count touches 8 B).
         #[derive(Default)]
         struct Groups {
             first_pos: Vec<u32>,
@@ -263,7 +266,7 @@ impl Table {
         }
 
         // Ordering groups by first position is the order in which a
-        // sequential scan over `sel` would have met each key. First
+        // sequential scan over the rows would have met each key. First
         // positions are distinct and below `n`, so a group's place is the
         // rank of its first position among them: a bitmap of the
         // positions, popcounts summed per word, one word lookup a group.
@@ -283,15 +286,13 @@ impl Table {
             order[(before[w] + below.count_ones()) as usize] = g as u32;
         }
         let ordered = || order.iter().map(|&g| g as usize);
-        let rep: Vec<u32> = ordered()
-            .map(|g| row_at(all.first_pos[g] as usize) as u32)
-            .collect();
+        let rep: Vec<u32> = ordered().map(|g| all.first_pos[g]).collect();
 
         let mut schema = Schema::default();
         let mut cols = Vec::new();
         for &i in &gidx {
             schema.push_unique(self.schema.name(i), self.schema.column_type(i));
-            cols.push(Arc::new(self.cols[i].gather_sel(&rep, self.threads)));
+            cols.push(Arc::new(self.col(i).gather(&rep, self.threads)));
         }
         let float_result =
             op != AggOp::Count && (matches!(op, AggOp::Mean | AggOp::Var | AggOp::Std) || !int_src);

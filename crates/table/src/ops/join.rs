@@ -5,11 +5,15 @@
 //! column (the smaller table) — its rows laid out by key hash in flat
 //! arrays, no allocation per key — and probe with the larger side in
 //! parallel, each worker emitting private match lists — the
-//! contention-free pattern used throughout Ringo's engine.
+//! contention-free pattern used throughout Ringo's engine. The new table
+//! object is a view: its columns read the inputs' vectors through the
+//! join's left and right positions, so a join gathers no column.
 
-use crate::table::row_count_u32;
-use crate::{ColumnData, ColumnType, Result, StringPool, Table, TableError};
+use crate::column::gather;
+use crate::table::{row_count_u32, Col, Compose};
+use crate::{ColumnData, ColumnRef, ColumnType, Result, StringPool, Table, TableError};
 use ringo_concurrent::hash_table::hash_i64;
+use ringo_concurrent::parallel::parallel_for_each_chunk_mut;
 use ringo_concurrent::{
     morsel_bounds, parallel_for, parallel_for_morsels_traced, parallel_map,
     parallel_map_morsels_traced, ConcurrentBitset, DisjointSlice, MorselStats,
@@ -21,7 +25,9 @@ impl Table {
     /// Joins `self` with `other` on `self.left_col == other.right_col`,
     /// producing a new table whose columns are all of `self`'s followed by
     /// all of `other`'s (name clashes suffixed `-1`, `-2`, ... as in the
-    /// paper's §4.1 demo). Key columns must both be `Int` or both `Str`.
+    /// paper's §4.1 demo), with fresh row ids. Key columns must both be
+    /// `Int` or both `Str`. The output is a view of the inputs' columns
+    /// through the matched positions, 4 B a row a side.
     ///
     /// # Errors
     /// Unknown or mismatched key columns.
@@ -46,8 +52,10 @@ pub(crate) fn equi_join(
     ri: usize,
 ) -> Result<(Table, MorselStats)> {
     let (left_rows, right_rows, stats) = join_pairs_sel_stats(left, right, li, ri)?;
-    let out = materialize_join(left, right, left_rows, right_rows, Some((li, ri)))?;
-    Ok((out, stats))
+    Ok((
+        join_view(left, right, left_rows, right_rows, Some((li, ri))),
+        stats,
+    ))
 }
 
 /// Minimum build-side rows before the partitioned parallel build kicks in;
@@ -57,13 +65,13 @@ const PARALLEL_BUILD_MIN_ROWS: usize = 4096;
 
 /// The key columns of a join's build and probe sides, build side first:
 /// how a row's key hashes and whether a build row's key equals a probe
-/// row's. Rows are positions in the columns, so a view's rows are read
-/// through their selection and nothing is gathered. The hash is keyed for
+/// row's. Rows are positions of the tables' rows, each key read through
+/// its column's selection, so nothing is gathered. The hash is keyed for
 /// each index, as std's hash maps are: keys come from files, and keys
 /// built to share a bucket under a fixed hash would make every probe
 /// compare against the whole bucket.
 struct Keys<'a> {
-    cols: [&'a ColumnData; 2],
+    cols: [ColumnRef<'a>; 2],
     pools: [&'a StringPool; 2],
     /// `Str` keys of two pools, hashed (SipHash) and compared by text;
     /// `Int` keys and the symbols of one pool are mixed with `seed` and
@@ -77,8 +85,8 @@ impl<'a> Keys<'a> {
     /// The keys `left[li] == right[ri]`, `left` the build side; `Err`
     /// unless both columns are `Int` or both `Str`, naming `right`'s.
     fn new(left: &'a Table, li: usize, right: &'a Table, ri: usize) -> Result<Self> {
-        let cols = [&*left.cols[li], &*right.cols[ri]];
-        match cols.map(ColumnData::column_type) {
+        let cols = [left.col(li), right.col(ri)];
+        match cols.map(|c| c.data.column_type()) {
             [ColumnType::Float, ColumnType::Float] => Err(TableError::InvalidArgument(
                 "join keys must be int or str columns (use sim_join for floats)".into(),
             )),
@@ -110,10 +118,12 @@ impl<'a> Keys<'a> {
     /// (`side` 1); equal keys hash alike on either side.
     #[inline]
     fn hash(&self, side: usize, row: usize) -> u64 {
-        match self.cols[side] {
-            ColumnData::Int(k) => hash_i64(k[row] ^ self.seed),
-            ColumnData::Str(k) if self.text => self.state.hash_one(self.pools[side].get(k[row])),
-            ColumnData::Str(k) => hash_i64(i64::from(k[row]) ^ self.seed),
+        let col = self.cols[side];
+        let at = col.at(row);
+        match col.data {
+            ColumnData::Int(k) => hash_i64(k[at] ^ self.seed),
+            ColumnData::Str(k) if self.text => self.state.hash_one(self.pools[side].get(k[at])),
+            ColumnData::Str(k) => hash_i64(i64::from(k[at]) ^ self.seed),
             ColumnData::Float(_) => unreachable!("float keys are rejected"),
         }
     }
@@ -121,8 +131,9 @@ impl<'a> Keys<'a> {
     /// Whether build row `b` and probe row `p` hold equal keys.
     #[inline]
     fn equal(&self, b: u32, p: usize) -> bool {
-        let b = b as usize;
-        match self.cols {
+        let [bc, pc] = self.cols;
+        let (b, p) = (bc.at(b as usize), pc.at(p));
+        match [bc.data, pc.data] {
             [ColumnData::Int(bk), ColumnData::Int(pk)] => bk[b] == pk[p],
             [ColumnData::Str(bk), ColumnData::Str(pk)] if self.text => {
                 self.pools[0].get(bk[b]) == self.pools[1].get(pk[p])
@@ -135,7 +146,7 @@ impl<'a> Keys<'a> {
 
 /// A hash index of a join's build rows. The rows are radix-partitioned by
 /// the top bits of their key hash; within a partition they are laid out
-/// by bucket — the low hash bits, 2^⌈log₂ rows⌉ buckets — in selection
+/// by bucket — the low hash bits, 2^⌈log₂ rows⌉ buckets — in row
 /// order, with a `u32` offset per bucket: 4 B a build row and 4–8 B of
 /// offsets, in two allocations a partition, whatever the keys.
 struct JoinIndex<'a> {
@@ -146,7 +157,7 @@ struct JoinIndex<'a> {
 }
 
 /// One partition of a [`JoinIndex`]: bucket `b`'s build rows (positions
-/// in the build column) are `rows[offs[b]..offs[b + 1]]`.
+/// of the build side's rows) are `rows[offs[b]..offs[b + 1]]`.
 struct Buckets {
     offs: Vec<u32>,
     rows: Vec<u32>,
@@ -155,12 +166,25 @@ struct Buckets {
 impl<'a> JoinIndex<'a> {
     /// Indexes the rows of `build`, the build side of `keys`. A large one
     /// is first scattered stably by partition, then each partition is
-    /// bucketed in parallel; each bucket keeps selection order, so the
+    /// bucketed in parallel; each bucket keeps row order, so the
     /// index answers probes as one partition would, at any thread count.
     fn build(keys: Keys<'a>, build: &Table) -> Self {
         let (n, threads) = (build.n_rows(), build.threads);
-        let row = |i: usize| build.base_row(i);
-        let hash = |r: usize| keys.hash(0, r);
+        // Text keys across two pools are hashed (SipHash) once a build
+        // row, not in each of the passes below.
+        let mut text = Vec::new();
+        if keys.text {
+            text = vec![0u64; n];
+            parallel_for_each_chunk_mut(&mut text, threads, |_, start, chunk| {
+                for (j, h) in chunk.iter_mut().enumerate() {
+                    *h = keys.hash(0, start + j);
+                }
+            });
+        }
+        let hash = |r: usize| match keys.text {
+            true => text[r],
+            false => keys.hash(0, r),
+        };
         let parts = if threads <= 1 || n < PARALLEL_BUILD_MIN_ROWS {
             1
         } else {
@@ -172,13 +196,13 @@ impl<'a> JoinIndex<'a> {
         let shift = (64 - parts.trailing_zeros()) % 64;
         let mask = parts as u64 - 1;
         let parts = if parts == 1 {
-            vec![Buckets::new((0..n).map(row), n, hash)]
+            vec![Buckets::new(0..n, n, hash)]
         } else {
-            let part_of = |i: usize| ((hash(row(i)) >> shift) & mask) as usize;
+            let part_of = |i: usize| ((hash(i) >> shift) & mask) as usize;
             let (scatter, offsets) = partition_build_positions(n, threads, parts, &part_of);
             let bucket = |p: usize| {
                 let slice = &scatter[offsets[p]..offsets[p + 1]];
-                Buckets::new(slice.iter().map(|&i| row(i as usize)), slice.len(), hash)
+                Buckets::new(slice.iter().map(|&i| i as usize), slice.len(), hash)
             };
             let parts: Vec<Vec<_>> = parallel_map(parts, threads, |r| r.map(bucket).collect());
             parts.into_iter().flatten().collect()
@@ -191,7 +215,7 @@ impl<'a> JoinIndex<'a> {
         }
     }
 
-    /// The build rows whose keys equal probe row `p`'s, in selection order.
+    /// The build rows whose keys equal probe row `p`'s, in row order.
     #[inline]
     fn matches(&self, p: usize) -> impl Iterator<Item = u32> + '_ {
         let h = self.keys.hash(1, p);
@@ -203,7 +227,7 @@ impl<'a> JoinIndex<'a> {
 }
 
 impl Buckets {
-    /// Counts then fills: `len` build rows, in selection order, bucketed
+    /// Counts then fills: `len` build rows, in row order, bucketed
     /// by the low bits of `hash(row)`. The fill runs in that order, so each
     /// bucket keeps it.
     fn new(
@@ -233,12 +257,11 @@ impl Buckets {
 }
 
 /// Probe kernel shared by the eager verb and the lazy executor: the left
-/// and the right positions (in the tables' columns, so a view's rows are
-/// read through its selection) of the pairs with `left[li] == right[ri]`.
+/// and the right row positions of the pairs with `left[li] == right[ri]`.
 /// Indexes the side with fewer rows ([`JoinIndex`]) and probes with the
 /// other in morsels, each writing two position lists of its own,
-/// concatenated once: pairs come out in probe-selection order, each probe
-/// row's matches in build-selection order, at any thread count. The
+/// concatenated once: pairs come out in probe row order, each probe
+/// row's matches in build row order, at any thread count. The
 /// [`MorselStats`] describe the probe dispatch.
 pub(crate) fn join_pairs_sel_stats(
     left: &Table,
@@ -248,8 +271,8 @@ pub(crate) fn join_pairs_sel_stats(
 ) -> Result<(Vec<u32>, Vec<u32>, MorselStats)> {
     let keys = Keys::new(left, li, right, ri)?;
     // Build and probe positions are emitted as `u32`.
-    row_count_u32(left.row_ids.len())?;
-    row_count_u32(right.row_ids.len())?;
+    row_count_u32(left.n_rows())?;
+    row_count_u32(right.n_rows())?;
     // Probe with the larger effective side.
     let left_is_build = left.n_rows() <= right.n_rows();
     let (build, probe, keys) = if left_is_build {
@@ -264,7 +287,7 @@ pub(crate) fn join_pairs_sel_stats(
         probe.threads,
         |_, range| {
             let (mut ps, mut bs) = (Vec::new(), Vec::new());
-            for p in range.map(|i| probe.base_row(i)) {
+            for p in range {
                 for b in index.matches(p) {
                     ps.push(p as u32);
                     bs.push(b);
@@ -285,7 +308,7 @@ pub(crate) fn join_pairs_sel_stats(
 /// Positions of `left`'s rows (`0..left.n_rows()`) that have a match in
 /// `right` on `left[left_col] == right[right_col]` when `matched`, or that
 /// have none otherwise, ascending: the index is built over `right`'s
-/// selection, and the probe marks the rows it keeps in a bitmap, read
+/// rows, and the probe marks the rows it keeps in a bitmap, read
 /// into a list of exactly their number. The errors are [`Table::join`]'s.
 pub(crate) fn rows_with_match(
     left: &Table,
@@ -298,11 +321,11 @@ pub(crate) fn rows_with_match(
     let ri = right.schema.index_of(right_col)?;
     let keys = Keys::new(left, li, right, ri)?.swapped();
     let n = row_count_u32(left.n_rows())?;
-    row_count_u32(right.row_ids.len())?;
+    row_count_u32(right.n_rows())?;
     let index = JoinIndex::build(keys, right);
     let kept = ConcurrentBitset::new(n as usize);
     parallel_for(n as usize, left.threads, |_, range| {
-        for i in range.filter(|&i| index.matches(left.base_row(i)).next().is_some() == matched) {
+        for i in range.filter(|&i| index.matches(i).next().is_some() == matched) {
             kept.set(i);
         }
     });
@@ -311,9 +334,9 @@ pub(crate) fn rows_with_match(
     Ok(rows)
 }
 
-/// Stable radix scatter of build positions: returns build-side selection
+/// Stable radix scatter of build positions: returns build-side row
 /// positions (`0..bn`) grouped by partition, each partition's run keeping
-/// ascending position (= selection) order, plus per-partition offsets.
+/// ascending position order, plus per-partition offsets.
 /// Two morsel-driven passes — per-(morsel, partition) histogram, then
 /// exact scatter through disjoint cursors — mirror the select kernel's
 /// count-then-fill discipline.
@@ -361,69 +384,65 @@ fn partition_build_positions(
     });
     (scatter, offsets)
 }
-/// Builds the output table of a join given matched positions in the two
-/// tables' columns: all of `left`'s columns, then all of `right`'s, later
-/// name clashes suffixed `-1`, `-2`, ... by [`crate::Schema::push_unique`].
-/// The output shares `left`'s pool; the right side's strings enter it
-/// once per distinct symbol, and not at all when the pool is shared.
+/// The output of a join given the row positions of its pairs in the two
+/// tables: all of `left`'s columns, then all of `right`'s, later name
+/// clashes suffixed `-1`, `-2`, ... by [`crate::Schema::push_unique`]. It
+/// is a view with fresh row ids: each left column reads its source vector
+/// through its selection composed with `left_rows`, each right one with
+/// `right_rows`, so a side read through one selection keeps 4 B a row.
+/// The output shares `left`'s pool; when `right`'s pool is another, its
+/// `Str` columns are gathered and their strings enter the output's pool
+/// once per distinct symbol.
 ///
 /// `equal` names a left and a right column that hold the same value on
 /// every output row — an equi-join's keys, `next_k`'s group column; the
-/// right one is then stored as the left one's vector, shared (equal text
-/// is one symbol of the output's pool). The right side's other columns
-/// are gathered first and its positions dropped, then the left side's,
-/// so one position vector at most stands beside the output.
-pub(crate) fn materialize_join(
+/// right one is then the left one, read through the left selection.
+pub(crate) fn join_view(
     left: &Table,
     right: &Table,
     left_rows: Vec<u32>,
     right_rows: Vec<u32>,
     equal: Option<(usize, usize)>,
-) -> Result<Table> {
+) -> Table {
     debug_assert_eq!(left_rows.len(), right_rows.len());
-    let threads = left.threads;
-    let shared = |c: usize| equal.is_some_and(|(_, ri)| ri == c);
-    let mut right_cols: Vec<ColumnData> = (right.cols.iter().enumerate())
-        .filter(|&(c, _)| !shared(c))
-        .map(|(_, col)| col.gather_sel(&right_rows, threads))
-        .collect();
-    drop(right_rows);
-    let mut cols: Vec<Arc<ColumnData>> = Vec::with_capacity(left.n_cols() + right.n_cols());
-    for c in 0..left.n_cols() {
-        cols.push(match left.first_of(c) {
-            e if e < c => cols[e].clone(),
-            _ => Arc::new(left.cols[c].gather_sel(&left_rows, threads)),
-        });
+    let (n, threads) = (left_rows.len(), left.threads);
+    let side = |t: &Table, rows| {
+        t.cols_through(&mut Compose::new(
+            rows,
+            t.cols.iter().map(|c| c.sel.as_ref()),
+            threads,
+        ))
+    };
+    let mut cols = side(left, left_rows);
+    let mut right_cols = side(right, right_rows);
+    if let Some((li, ri)) = equal {
+        right_cols[ri] = cols[li].clone();
     }
-    drop(left_rows);
     let mut pool = left.pool.clone();
     if !Arc::ptr_eq(&pool, &right.pool) {
-        let mut right_strs: Vec<&mut Vec<u32>> = (right_cols.iter_mut())
-            .filter_map(|col| match col {
-                ColumnData::Str(syms) => Some(syms),
-                _ => None,
-            })
-            .collect();
-        let met: Vec<&[u32]> = right_strs.iter().map(|s| s.as_slice()).collect();
+        let shared = |c: usize| equal.is_some_and(|(_, ri)| ri == c);
+        let mut strs: Vec<(usize, Vec<u32>)> = Vec::new();
+        for (c, col) in right_cols.iter().enumerate() {
+            if let (false, ColumnData::Str(syms), Some(sel)) = (shared(c), &*col.data, &col.sel) {
+                strs.push((c, gather(sel, |i| syms[i], threads)));
+            }
+        }
+        let met: Vec<&[u32]> = strs.iter().map(|(_, syms)| syms.as_slice()).collect();
         let remap = right.pool.per_symbol(&met, |text, _| {
             u64::from(Arc::make_mut(&mut pool).intern(text))
         });
-        for sym in right_strs.iter_mut().flat_map(|s| s.iter_mut()) {
-            *sym = remap[*sym as usize] as u32;
+        for (c, mut syms) in strs {
+            syms.iter_mut()
+                .for_each(|sym| *sym = remap[*sym as usize] as u32);
+            right_cols[c] = Col::new(Arc::new(ColumnData::Str(syms)), None);
         }
     }
-    let mut right_cols = right_cols.into_iter().map(Arc::new);
-    for c in 0..right.n_cols() {
-        match equal {
-            Some((li, _)) if shared(c) => cols.push(cols[li].clone()),
-            _ => cols.extend(right_cols.next()),
-        }
-    }
+    cols.extend(right_cols);
     let mut schema = crate::Schema::default();
     for (name, ty) in left.schema.iter().chain(right.schema.iter()) {
         schema.push_unique(name, ty);
     }
-    Table::from_shared(schema, cols, pool, threads)
+    Table::from_cols(schema, cols, n, pool, threads)
 }
 
 #[cfg(test)]

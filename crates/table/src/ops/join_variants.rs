@@ -3,7 +3,7 @@
 //! on the right — the idioms graph workflows use to restrict an edge
 //! table to "known users" (semi) or "everyone except bots" (anti).
 
-use super::join::{join_pairs_sel_stats, materialize_join, rows_with_match};
+use super::join::{join_pairs_sel_stats, join_view, rows_with_match};
 use crate::{ColumnData, Result, Table};
 use ringo_concurrent::{parallel_for, ConcurrentBitset};
 use std::sync::Arc;
@@ -17,22 +17,23 @@ impl Table {
         let li = self.schema.index_of(left_col)?;
         let ri = other.schema.index_of(right_col)?;
         let (left_rows, right_rows, _) = join_pairs_sel_stats(self, other, li, ri)?;
-        // The left rows some pair holds, as positions in the columns.
-        let matched = ConcurrentBitset::new(self.cols[li].len());
+        // The left rows some pair holds.
+        let matched = ConcurrentBitset::new(self.n_rows());
         parallel_for(left_rows.len(), self.threads, |_, range| {
             for &row in &left_rows[range] {
                 matched.set(row as usize);
             }
         });
-        let mut out = materialize_join(self, other, left_rows, right_rows, Some((li, ri)))?;
-        // Append the others, in selection order, with default right cells.
+        let mut out = join_view(self, other, left_rows, right_rows, Some((li, ri)));
+        out.materialize();
+        // Append the others, in row order, with default right cells.
         let left_width = self.n_cols();
-        let rows = (0..self.n_rows()).map(|i| self.base_row(i));
-        for row in rows.filter(|&row| !matched.get(row)) {
+        for row in (0..self.n_rows()).filter(|&row| !matched.get(row)) {
             for (i, col) in out.cols.iter_mut().enumerate() {
-                let col = Arc::make_mut(col);
+                let col = Arc::make_mut(&mut col.data);
                 if i < left_width {
-                    col.push_from(&self.cols[i], row);
+                    let src = self.col(i);
+                    col.push_from(src.data, src.at(row));
                 } else {
                     match col {
                         ColumnData::Int(v) => v.push(0),

@@ -6,8 +6,8 @@
 //! `k` successors — the canonical way to turn an event log into edges that
 //! follow temporal order.
 
-use crate::ops::join::materialize_join;
-use crate::{Result, Table, TableError};
+use crate::ops::join::join_view;
+use crate::{ColumnData, Result, Table, TableError};
 
 impl Table {
     /// Joins each row to its next `k` successors in `order_col` order,
@@ -26,9 +26,9 @@ impl Table {
     }
 
     /// [`Table::next_k`] for the eager verb and the lazy executor: the
-    /// `(predecessor, successor)` pairs of a view's rows, read through its
-    /// selection, joined. A pair never leaves its group, so the group
-    /// column's two copies share one vector.
+    /// `(predecessor, successor)` pairs of the table's rows, each column
+    /// read through its selection, joined. A pair never leaves its group,
+    /// so the group column's two copies are one column.
     pub(crate) fn next_k_join(
         &self,
         group_col: Option<&str>,
@@ -50,15 +50,13 @@ impl Table {
             Some(g) => Some(self.schema.index_of(g)?),
             None => None,
         };
-        let same_group = |a: usize, b: usize| -> bool {
-            match gidx {
-                None => true,
-                Some(c) => match &*self.cols[c] {
-                    crate::ColumnData::Int(v) => v[a] == v[b],
-                    crate::ColumnData::Float(v) => v[a].to_bits() == v[b].to_bits(),
-                    crate::ColumnData::Str(v) => v[a] == v[b],
-                },
-            }
+        let group = gidx.map(|c| self.col(c));
+        let same_group = |a: usize, b: usize| {
+            group.is_none_or(|c| match c.data {
+                ColumnData::Int(v) => v[c.at(a)] == v[c.at(b)],
+                ColumnData::Float(v) => v[c.at(a)].to_bits() == v[c.at(b)].to_bits(),
+                ColumnData::Str(v) => v[c.at(a)] == v[c.at(b)],
+            })
         };
 
         let mut left_rows = Vec::new();
@@ -73,14 +71,19 @@ impl Table {
             }
         }
         drop(perm);
-        materialize_join(self, self, left_rows, right_rows, gidx.map(|g| (g, g)))
+        Ok(join_view(
+            self,
+            self,
+            left_rows,
+            right_rows,
+            gidx.map(|g| (g, g)),
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{ColumnType, Schema, Table, Value};
-    use std::sync::Arc;
 
     fn events() -> Table {
         let schema = Schema::new([
@@ -164,7 +167,7 @@ mod tests {
         t.map_float("user", "fuser", |u| u * 0.5).unwrap();
         t.add_str_column("tag", &["p", "q", "p", "p", "q"]).unwrap();
         let j = t.next_k(Some("user"), "ts", 2).unwrap();
-        assert!(Arc::ptr_eq(&j.cols[0], &j.cols[5]));
+        assert!(j.cols[0].same(&j.cols[5]));
         assert_eq!(j.int_col("user").unwrap(), &[1, 1, 1, 2]);
         assert_eq!(j.int_col("ts").unwrap(), &[10, 10, 20, 5]);
         assert_eq!(j.int_col("ts-1").unwrap(), &[20, 30, 30, 6]);
@@ -176,10 +179,10 @@ mod tests {
             let j = t.next_k(Some(group), "ts", 1).unwrap();
             let g = t.schema().index_of(group).unwrap();
             assert_eq!(j.n_rows(), pairs, "{group}");
-            assert!(Arc::ptr_eq(&j.cols[g], &j.cols[t.n_cols() + g]), "{group}");
+            assert!(j.cols[g].same(&j.cols[t.n_cols() + g]), "{group}");
         }
         let ungrouped = t.next_k(None, "ts", 1).unwrap();
-        assert!(!Arc::ptr_eq(&ungrouped.cols[0], &ungrouped.cols[5]));
+        assert!(!ungrouped.cols[0].same(&ungrouped.cols[5]));
     }
 
     #[test]

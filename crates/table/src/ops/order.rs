@@ -19,24 +19,26 @@ impl Table {
     }
 
     /// The table's rows sorted by columns `idx` in packed words
-    /// ([`radix_sort_rows`]), read through a view's selection; `None`
+    /// ([`radix_sort_rows`]), each read through its selection; `None`
     /// when a column is `Str`.
     fn sort_numeric(&self, idx: &[usize], ascending: bool) -> Option<SortedRows> {
         let cols: Option<Vec<SortColumn<'_>>> = idx
             .iter()
-            .map(|&c| match &*self.cols[c] {
-                ColumnData::Int(v) => Some(SortColumn::Int(v)),
-                ColumnData::Float(v) => Some(SortColumn::Float(v)),
-                ColumnData::Str(_) => None,
+            .map(|&c| match (self.col(c).data, self.col(c).sel) {
+                (ColumnData::Int(v), None) => Some(SortColumn::Int(v)),
+                (ColumnData::Int(v), Some(s)) => Some(SortColumn::IntAt(v, s)),
+                (ColumnData::Float(v), None) => Some(SortColumn::Float(v)),
+                (ColumnData::Float(v), Some(s)) => Some(SortColumn::FloatAt(v, s)),
+                (ColumnData::Str(_), _) => None,
             })
             .collect();
-        Some(radix_sort_rows(&cols?, ascending, self.sel(), self.threads))
+        Some(radix_sort_rows(&cols?, ascending, None, self.threads))
     }
 
     /// Permutation kernel of `order_by` (the eager verb and the lazy
-    /// step), `next_k` and `value_counts`: the positions in the columns
-    /// of the table's rows, sorted by `cols`, ties broken by the next
-    /// column, then by row order (stable). No rows are materialized.
+    /// step), `next_k` and `value_counts`: the positions of the table's
+    /// rows, sorted by `cols`, ties broken by the next column, then by
+    /// row order (stable). No rows are materialized.
     ///
     /// Numeric sort columns (`Int` or `Float`) are sorted as packed words
     /// ([`Table::sort_numeric`]) and the positions read back off the
@@ -45,29 +47,25 @@ impl Table {
     /// takes a stable comparison sort.
     pub(crate) fn order_perm_sel(&self, cols: &[&str], ascending: bool) -> Result<Vec<u32>> {
         let idx = self.sort_indices(cols)?;
-        row_count_u32(self.row_ids.len())?;
+        row_count_u32(self.n_rows())?;
         if idx.is_empty() {
             return Ok(self.unsorted_perm());
         }
-        let row = |at: usize| self.base_row(at) as u32;
         Ok(match self.sort_numeric(&idx, ascending) {
             Some(SortedRows::U64(keys, codec)) => {
-                keys.iter().map(|&k| row(codec.position(k))).collect()
+                keys.iter().map(|&k| codec.position(k) as u32).collect()
             }
             Some(SortedRows::U128(keys, codec)) => {
-                keys.iter().map(|&k| row(codec.position(k))).collect()
+                keys.iter().map(|&k| codec.position(k) as u32).collect()
             }
             Some(SortedRows::Chained(rows)) => rows,
             None => self.order_perm_cmp(&idx, ascending),
         })
     }
 
-    /// The positions in the columns of the table's rows, in row order.
+    /// The positions of the table's rows, in row order.
     pub(crate) fn unsorted_perm(&self) -> Vec<u32> {
-        match self.sel() {
-            Some(s) => s.to_vec(),
-            None => (0..self.n_rows() as u32).collect(),
-        }
+        (0..self.n_rows() as u32).collect()
     }
 
     /// [`Table::order_perm_sel`] by stable comparison, for sort columns
@@ -78,15 +76,18 @@ impl Table {
         perm
     }
 
-    /// The rows at positions `a` and `b` of the columns compared by the
-    /// columns `idx` in turn, or `b` and `a` when descending.
+    /// The rows at positions `a` and `b` compared by the columns `idx` in
+    /// turn, or `b` and `a` when descending.
     pub(crate) fn cmp_rows(&self, idx: &[usize], ascending: bool, a: u32, b: u32) -> Ordering {
         let (a, b) = if ascending { (a, b) } else { (b, a) };
-        let (a, b) = (a as usize, b as usize);
-        let by = |&c: &usize| match &*self.cols[c] {
-            ColumnData::Int(v) => v[a].cmp(&v[b]),
-            ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-            ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
+        let by = |&c: &usize| {
+            let col = self.col(c);
+            let (a, b) = (col.at(a as usize), col.at(b as usize));
+            match col.data {
+                ColumnData::Int(v) => v[a].cmp(&v[b]),
+                ColumnData::Float(v) => v[a].total_cmp(&v[b]),
+                ColumnData::Str(v) => self.pool.get(v[a]).cmp(self.pool.get(v[b])),
+            }
         };
         idx.iter()
             .map(by)
@@ -98,15 +99,16 @@ impl Table {
     /// next column). Floats use IEEE total order, so NaNs sort after all
     /// numbers. Row ids travel with their rows. The sort is stable.
     ///
-    /// The sorted table is a view: the columns it had, shared, and the
-    /// permutation (`Table::order_perm_sel`, 4 B a row) — the lazy
+    /// The sorted table is a view: the columns it had, shared, each read
+    /// through its selection composed with the permutation
+    /// (`Table::order_perm_sel`, 4 B a row a selection) — the lazy
     /// `OrderBy` step's result. A column borrowed whole is gathered then,
     /// once; a `&mut` verb that edits columns materializes the view.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {
         let mut sp = ringo_trace::span!("table.order");
         sp.rows_in(self.n_rows());
         sp.rows_out(self.n_rows());
-        *self = self.with_sel(self.order_perm_sel(cols, ascending)?);
+        *self = self.view_rows(self.order_perm_sel(cols, ascending)?);
         Ok(())
     }
 

@@ -1,5 +1,6 @@
 //! Projection and column/row addition.
 
+use crate::table::Col;
 use crate::{ColumnData, Result, Table, TableError};
 use std::sync::Arc;
 
@@ -52,7 +53,7 @@ impl Table {
             })
         });
         for (i, dst) in self.cols.iter_mut().enumerate() {
-            match (Arc::make_mut(dst), other.column(i), &remap) {
+            match (Arc::make_mut(&mut dst.data), other.column(i), &remap) {
                 (ColumnData::Int(d), ColumnData::Int(s), _) => d.extend_from_slice(s),
                 (ColumnData::Float(d), ColumnData::Float(s), _) => d.extend_from_slice(s),
                 (ColumnData::Str(d), ColumnData::Str(s), None) => d.extend_from_slice(s),
@@ -73,7 +74,7 @@ impl Table {
         self.check_new_column(name, data.len())?;
         self.materialize();
         self.schema.push_unique(name, data.column_type());
-        self.cols.push(Arc::new(data));
+        self.cols.push(Col::new(Arc::new(data), None));
         Ok(())
     }
 

@@ -9,18 +9,20 @@
 //! rows at a time into a flat buffer — no per-row allocation anywhere.
 
 use crate::table::row_count_u32;
-use crate::{ColumnData, Result, Table};
+use crate::{ColumnData, ColumnRef, Result, Table};
 use ringo_concurrent::{morsel_rows, parallel_map, KeyInterner};
 use std::sync::Arc;
 
-/// The key word of `row` in `col`; a non-empty `foreign` maps symbols.
+/// The key word of row `row` of `col`, read through its selection; a
+/// non-empty `foreign` maps symbols.
 #[inline]
-fn word(col: &ColumnData, foreign: &[u64], row: usize) -> u64 {
-    match col {
-        ColumnData::Int(v) => v[row] as u64,
-        ColumnData::Float(v) => v[row].to_bits(),
-        ColumnData::Str(v) if foreign.is_empty() => u64::from(v[row]),
-        ColumnData::Str(v) => foreign[v[row] as usize],
+fn word(col: &ColumnRef<'_>, foreign: &[u64], row: usize) -> u64 {
+    let at = col.at(row);
+    match col.data {
+        ColumnData::Int(v) => v[at] as u64,
+        ColumnData::Float(v) => v[at].to_bits(),
+        ColumnData::Str(v) if foreign.is_empty() => u64::from(v[at]),
+        ColumnData::Str(v) => foreign[v[at] as usize],
     }
 }
 
@@ -30,9 +32,7 @@ type Span = (u64, u64);
 
 /// Writes the keys of rows into a flat word buffer.
 pub(crate) struct KeyEncoder<'a> {
-    cols: Vec<&'a ColumnData>,
-    /// The table's view selection: key `i` is the row at `sel[i]`.
-    sel: Option<&'a [u32]>,
+    cols: Vec<ColumnRef<'a>>,
     /// Symbol → word table when the keys are compared with another
     /// table's ([`Table::symbol_words`]); empty for the table's own.
     foreign: Vec<u64>,
@@ -46,18 +46,12 @@ impl<'a> KeyEncoder<'a> {
     /// column. Fails when row positions would not fit the `u32` ids
     /// handed out.
     fn unpacked(table: &'a Table, idx: &[usize], foreign: Vec<u64>) -> Result<Self> {
-        row_count_u32(table.row_ids.len())?;
+        row_count_u32(table.n_rows())?;
         Ok(Self {
-            cols: idx.iter().map(|&c| &*table.cols[c]).collect(),
-            sel: table.sel(),
+            cols: idx.iter().map(|&c| table.col(c)).collect(),
             foreign,
             pack: Vec::new(),
         })
-    }
-
-    /// The position in the columns of key `i`.
-    fn row(&self, i: usize) -> usize {
-        self.sel.map_or(i, |s| s[i] as usize)
     }
 
     /// Per-column spans over the `n` rows of the table. Single-column
@@ -67,10 +61,10 @@ impl<'a> KeyEncoder<'a> {
             return Vec::new();
         }
         let parts = parallel_map(n, threads, |range| {
-            let span_of = |col: &&ColumnData| {
+            let span_of = |col: &ColumnRef<'_>| {
                 range
                     .clone()
-                    .map(|i| word(col, &self.foreign, self.row(i)))
+                    .map(|i| word(col, &self.foreign, i))
                     .fold((0, !0), |(or, and), w| (or | w, and & w))
             };
             self.cols.iter().map(span_of).collect::<Vec<Span>>()
@@ -116,9 +110,9 @@ impl<'a> KeyEncoder<'a> {
         }
     }
 
-    /// Fills `out` with the keys of the rows at column positions
-    /// `row_of(0..n)`, `width()` words per key, column by column so each
-    /// pass is one typed loop.
+    /// Fills `out` with the keys of the rows at positions `row_of(0..n)`,
+    /// `width()` words per key, column by column so each pass is one
+    /// loop.
     pub(crate) fn encode(&self, n: usize, row_of: impl Fn(usize) -> usize, out: &mut Vec<u64>) {
         let width = self.width();
         out.clear();
@@ -148,7 +142,7 @@ impl<'a> KeyEncoder<'a> {
         let mut words = Vec::new();
         for start in (0..n).step_by(block) {
             let range = start..(start + block).min(n);
-            self.encode(range.len(), |j| self.row(start + j), &mut words);
+            self.encode(range.len(), |j| start + j, &mut words);
             for (row, key) in range.zip(words.chunks_exact(width)) {
                 f(row, key);
             }
@@ -197,7 +191,7 @@ impl Table {
         }
         let strs: Vec<&[u32]> = idx
             .iter()
-            .filter_map(|&c| match &*other.cols[c] {
+            .filter_map(|&c| match other.col(c).data {
                 ColumnData::Str(syms) => Some(syms.as_slice()),
                 _ => None,
             })
@@ -263,7 +257,7 @@ mod tests {
         assert_eq!(k.iter().collect::<std::collections::HashSet<_>>().len(), 3);
         // A view narrows the probe: rows 0 and 2 are constant.
         assert_eq!(
-            t.with_sel(vec![0, 2]).key_encoder(&[0, 1]).unwrap().pack,
+            t.view_rows(vec![0, 2]).key_encoder(&[0, 1]).unwrap().pack,
             vec![(0, 0); 2]
         );
 

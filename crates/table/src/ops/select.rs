@@ -7,7 +7,7 @@
 //! and concatenate (threads share nothing, mirroring Ringo's
 //! contention-free OpenMP loops).
 
-use crate::{ColumnData, Result, Table, TableError};
+use crate::{ColumnRef, ColumnType, Result, Table};
 use ringo_concurrent::{
     morsel_bounds, parallel_for_morsels_traced, parallel_map, parallel_map_morsels_traced,
     DisjointSlice, MorselStats,
@@ -153,40 +153,37 @@ impl Predicate {
     }
 }
 
-/// Predicate with column indices resolved and string constants mapped to
-/// pool symbols, cheap to evaluate per row.
-enum Compiled {
-    Int(usize, Cmp, i64),
-    Float(usize, Cmp, f64),
-    IntIn(usize, std::collections::HashSet<i64>),
+/// Predicate with each column resolved to its values and the selection
+/// its rows are read through, and string constants mapped to pool
+/// symbols, cheap to evaluate per row.
+enum Compiled<'a> {
+    Int(ColumnRef<'a>, Cmp, i64),
+    Float(ColumnRef<'a>, Cmp, f64),
+    IntIn(ColumnRef<'a>, std::collections::HashSet<i64>),
     /// Fast path: string equality against an interned symbol
     /// (`None` = the constant is not in the pool, so `Eq` never matches).
-    StrEqSym(usize, Option<u32>, bool),
+    StrEqSym(ColumnRef<'a>, Option<u32>, bool),
     /// Slow path: lexicographic comparison of the resolved string.
-    StrOrd(usize, Cmp, String),
-    And(Box<Compiled>, Box<Compiled>),
-    Or(Box<Compiled>, Box<Compiled>),
-    Not(Box<Compiled>),
+    StrOrd(ColumnRef<'a>, Cmp, String),
+    And(Box<Compiled<'a>>, Box<Compiled<'a>>),
+    Or(Box<Compiled<'a>>, Box<Compiled<'a>>),
+    Not(Box<Compiled<'a>>),
     True,
 }
 
-impl Compiled {
+impl Compiled<'_> {
     #[inline]
-    /// The predicate on the row at position `row` of `t`'s columns.
+    /// The predicate on the row at position `row` of `t`.
     fn eval(&self, t: &Table, row: usize) -> bool {
         match self {
-            Self::Int(c, cmp, v) => cmp.eval(t.cols[*c].as_int()[row], *v),
-            Self::Float(c, cmp, v) => cmp.eval(t.cols[*c].as_float()[row], *v),
-            Self::IntIn(c, set) => set.contains(&t.cols[*c].as_int()[row]),
+            Self::Int(c, cmp, v) => cmp.eval(c.data.as_int()[c.at(row)], *v),
+            Self::Float(c, cmp, v) => cmp.eval(c.data.as_float()[c.at(row)], *v),
+            Self::IntIn(c, set) => set.contains(&c.data.as_int()[c.at(row)]),
             Self::StrEqSym(c, sym, negate) => {
-                let hit = match sym {
-                    Some(s) => t.cols[*c].as_str_syms()[row] == *s,
-                    None => false,
-                };
-                hit != *negate
+                (Some(c.data.as_str_syms()[c.at(row)]) == *sym) != *negate
             }
             Self::StrOrd(c, cmp, v) => {
-                let s = t.pool.get(t.cols[*c].as_str_syms()[row]);
+                let s = t.pool.get(c.data.as_str_syms()[c.at(row)]);
                 cmp.eval(s, v.as_str())
             }
             Self::And(a, b) => a.eval(t, row) && b.eval(t, row),
@@ -197,39 +194,25 @@ impl Compiled {
     }
 }
 
-fn compile(pred: &Predicate, t: &Table) -> Result<Compiled> {
+fn compile<'a>(pred: &Predicate, t: &'a Table) -> Result<Compiled<'a>> {
     Ok(match pred {
         Predicate::Int { column, cmp, value } => {
-            let i = t.schema.index_of(column)?;
-            if !matches!(*t.cols[i], ColumnData::Int(_)) {
-                return Err(type_err(t, i, "int"));
-            }
-            Compiled::Int(i, *cmp, *value)
+            Compiled::Int(t.column_ref(column, ColumnType::Int)?, *cmp, *value)
         }
         Predicate::Float { column, cmp, value } => {
-            let i = t.schema.index_of(column)?;
-            if !matches!(*t.cols[i], ColumnData::Float(_)) {
-                return Err(type_err(t, i, "float"));
-            }
-            Compiled::Float(i, *cmp, *value)
+            Compiled::Float(t.column_ref(column, ColumnType::Float)?, *cmp, *value)
         }
         Predicate::Str { column, cmp, value } => {
-            let i = t.schema.index_of(column)?;
-            if !matches!(*t.cols[i], ColumnData::Str(_)) {
-                return Err(type_err(t, i, "str"));
-            }
+            let c = t.column_ref(column, ColumnType::Str)?;
             match cmp {
-                Cmp::Eq => Compiled::StrEqSym(i, t.pool.lookup(value), false),
-                Cmp::Ne => Compiled::StrEqSym(i, t.pool.lookup(value), true),
-                other => Compiled::StrOrd(i, *other, value.clone()),
+                Cmp::Eq => Compiled::StrEqSym(c, t.pool.lookup(value), false),
+                Cmp::Ne => Compiled::StrEqSym(c, t.pool.lookup(value), true),
+                other => Compiled::StrOrd(c, *other, value.clone()),
             }
         }
         Predicate::IntIn { column, values } => {
-            let i = t.schema.index_of(column)?;
-            if !matches!(*t.cols[i], ColumnData::Int(_)) {
-                return Err(type_err(t, i, "int"));
-            }
-            Compiled::IntIn(i, values.iter().copied().collect())
+            let c = t.column_ref(column, ColumnType::Int)?;
+            Compiled::IntIn(c, values.iter().copied().collect())
         }
         Predicate::And(a, b) => Compiled::And(Box::new(compile(a, t)?), Box::new(compile(b, t)?)),
         Predicate::Or(a, b) => Compiled::Or(Box::new(compile(a, t)?), Box::new(compile(b, t)?)),
@@ -238,18 +221,10 @@ fn compile(pred: &Predicate, t: &Table) -> Result<Compiled> {
     })
 }
 
-fn type_err(t: &Table, col: usize, expected: &'static str) -> TableError {
-    TableError::TypeMismatch {
-        column: t.schema.name(col).to_string(),
-        expected,
-        actual: t.cols[col].column_type().name(),
-    }
-}
-
 impl Table {
     /// Selection-vector kernel shared by the eager verbs and the lazy
-    /// executor: the positions in the columns of the rows matching
-    /// `pred`, in row order — a view's next selection.
+    /// executor: the positions of the rows matching `pred`, in row order
+    /// — composed with each selection, a view's next selections.
     ///
     /// See [`Table::select_sel_stats`] for the kernel; this wrapper drops
     /// the morsel dispatch stats.
@@ -276,7 +251,7 @@ impl Table {
             parallel_map_morsels_traced("plan.morsel.select", n, self.threads, |_, range| {
                 let mut c = 0usize;
                 for i in range {
-                    if compiled.eval(self, self.base_row(i)) {
+                    if compiled.eval(self, i) {
                         c += 1;
                     }
                 }
@@ -300,13 +275,12 @@ impl Table {
                 debug_assert_eq!(range.start, bounds[morsel]);
                 let mut cursor = offsets[morsel];
                 for i in range {
-                    let row = self.base_row(i);
-                    if compiled.eval(self, row) {
+                    if compiled.eval(self, i) {
                         // SAFETY: morsel `morsel` writes only
                         // `offsets[morsel]..offsets[morsel] + counts[morsel]`,
                         // and those windows are disjoint by construction of the
                         // prefix sums over identical morsel bounds.
-                        unsafe { out.write(cursor, row as u32) };
+                        unsafe { out.write(cursor, i as u32) };
                         cursor += 1;
                     }
                 }
@@ -317,23 +291,16 @@ impl Table {
     /// Positions of all rows matching `pred`, computed in parallel.
     pub fn select_rows(&self, pred: &Predicate) -> Result<Vec<usize>> {
         let hits = self.select_sel(pred)?;
-        let Some(sel) = self.sel() else {
-            return Ok(hits.into_iter().map(|r| r as usize).collect());
-        };
-        // `hits` are the entries of `sel` that match, in order.
-        let mut hits = hits.iter().peekable();
-        Ok((0..sel.len())
-            .filter(|&i| hits.next_if_eq(&&sel[i]).is_some())
-            .collect())
+        Ok(hits.into_iter().map(|r| r as usize).collect())
     }
 
     /// Returns the rows matching `pred`, row ids preserved, as a view: the
-    /// columns are shared with `self`, and the rows kept are positions
-    /// into them.
+    /// columns are shared with `self`, each read through its selection
+    /// composed with the positions of the rows kept.
     pub fn select(&self, pred: &Predicate) -> Result<Table> {
         let mut sp = ringo_trace::span!("table.select");
         sp.rows_in(self.n_rows());
-        let out = self.with_sel(self.select_sel(pred)?);
+        let out = self.view_rows(self.select_sel(pred)?);
         sp.rows_out(out.n_rows());
         Ok(out)
     }
@@ -344,7 +311,7 @@ impl Table {
     pub fn select_in_place(&mut self, pred: &Predicate) -> Result<usize> {
         let mut sp = ringo_trace::span!("table.select_in_place");
         sp.rows_in(self.n_rows());
-        *self = self.with_sel(self.select_sel(pred)?);
+        *self = self.view_rows(self.select_sel(pred)?);
         sp.rows_out(self.n_rows());
         Ok(self.n_rows())
     }
@@ -354,9 +321,7 @@ impl Table {
         let compiled = compile(pred, self)?;
         let compiled = &compiled;
         let counts = parallel_map(self.n_rows(), self.threads, |range| {
-            range
-                .filter(|&i| compiled.eval(self, self.base_row(i)))
-                .count()
+            range.filter(|&i| compiled.eval(self, i)).count()
         });
         Ok(counts.iter().sum())
     }

@@ -6,7 +6,7 @@
 //! when more coordinates are given, filter the banded candidates by full
 //! Euclidean distance.
 
-use crate::ops::join::materialize_join;
+use crate::ops::join::join_view;
 use crate::{Result, Table, TableError};
 
 impl Table {
@@ -83,9 +83,7 @@ impl Table {
                 j += 1;
             }
         }
-        self.to_base(&mut left_rows);
-        other.to_base(&mut right_rows);
-        let out = materialize_join(self, other, left_rows, right_rows, None)?;
+        let out = join_view(self, other, left_rows, right_rows, None);
         sp.rows_out(out.n_rows());
         Ok(out)
     }

@@ -1,6 +1,6 @@
 //! The core [`Table`] object.
 
-use crate::column::gather;
+use crate::column::{gather, ColumnRef};
 use crate::{ColumnData, ColumnType, Result, Schema, StringPool, TableError};
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -125,10 +125,12 @@ impl From<&str> for Value {
 ///
 /// Columns and the string pool are shared: a clone, a projection or a
 /// selection copies pointers, and an edit copies only what is shared. A
-/// selected table is a *view* — its base's columns plus the positions of
-/// the rows it keeps — so it pins the whole of its base's columns until it
-/// is dropped or edited. Borrowing a whole column of a view gathers that
-/// column once and keeps it.
+/// selected, sorted or joined table is a *view*: each column is a shared
+/// source vector read through a selection — the positions of the rows it
+/// keeps; a join's left columns through its left positions, its right
+/// ones through its right positions — so it pins the whole of its source
+/// vectors until it is dropped or edited. Borrowing a whole column of a
+/// view gathers that column once and keeps it.
 ///
 /// ```
 /// use ringo_table::{Cmp, ColumnType, Predicate, Schema, Table, Value};
@@ -150,22 +152,115 @@ impl From<&str> for Value {
 #[derive(Clone, Debug)]
 pub struct Table {
     pub(crate) schema: Schema,
-    /// The columns, whole: a view's rows are positions into them.
-    pub(crate) cols: Vec<Arc<ColumnData>>,
-    /// The ids of the rows of `cols`, shared like them.
+    /// The columns, each a source vector read through its selection.
+    pub(crate) cols: Vec<Col>,
+    /// The rows' ids, read through `ids_sel`, shared like the columns.
     pub(crate) row_ids: Arc<RowIds>,
+    /// Row `i`'s id is `row_ids[ids_sel[i]]`; `None` when it is
+    /// `row_ids[i]`.
+    ids_sel: Option<Sel>,
     pub(crate) next_row_id: u64,
     pub(crate) pool: Arc<StringPool>,
     pub(crate) threads: usize,
-    view: Option<View>,
 }
 
-/// A view's rows — positions into the table's columns, in order — and
-/// each column gathered through them the first time it is borrowed whole.
+/// Positions into a source vector, one a row, shared by every column (and
+/// the row ids) read through them.
+pub(crate) type Sel = Arc<Vec<u32>>;
+
+/// One column of a table: a source vector, whole, the selection its rows
+/// are read through (`None`: row `i` is the vector's row `i`), and the
+/// rows gathered through it the first time the column is borrowed whole.
 #[derive(Clone, Debug)]
-struct View {
-    sel: Arc<Vec<u32>>,
-    gathered: Vec<OnceLock<Arc<ColumnData>>>,
+pub(crate) struct Col {
+    pub(crate) data: Arc<ColumnData>,
+    pub(crate) sel: Option<Sel>,
+    gathered: OnceLock<Arc<ColumnData>>,
+}
+
+impl Col {
+    pub(crate) fn new(data: Arc<ColumnData>, sel: Option<Sel>) -> Self {
+        Self {
+            data,
+            sel,
+            gathered: OnceLock::new(),
+        }
+    }
+
+    /// The column as its rows read it.
+    pub(crate) fn get(&self) -> ColumnRef<'_> {
+        ColumnRef {
+            data: &self.data,
+            sel: self.sel.as_deref().map(Vec::as_slice),
+        }
+    }
+
+    /// The rows in a vector of their own: the source vector of a whole
+    /// column, else the rows gathered through the selection, once.
+    fn whole(&self, threads: usize) -> &Arc<ColumnData> {
+        match &self.sel {
+            None => &self.data,
+            Some(sel) => self.gathered.get_or_init(|| {
+                let whole = ColumnRef {
+                    data: &self.data,
+                    sel: None,
+                };
+                Arc::new(whole.gather(sel, threads))
+            }),
+        }
+    }
+
+    /// Whether `other` reads the same vector through the same selection:
+    /// a join's key pair.
+    pub(crate) fn same(&self, other: &Col) -> bool {
+        let sel = |c: &Col| c.sel.as_ref().map(Arc::as_ptr);
+        Arc::ptr_eq(&self.data, &other.data) && sel(self) == sel(other)
+    }
+}
+
+/// Selections composed with `rows`, positions of a table's rows: a reader
+/// without a selection reads `rows` itself, and each distinct selection
+/// `s` becomes `s[rows[i]]`, composed once. When every reader shares one
+/// selection, `rows` is composed in place.
+pub(crate) struct Compose {
+    rows: Sel,
+    done: Vec<(*const Vec<u32>, Sel)>,
+    threads: usize,
+}
+
+impl Compose {
+    /// Composes for the readers whose selections are `sels`.
+    pub(crate) fn new<'a>(
+        mut rows: Vec<u32>,
+        mut sels: impl Iterator<Item = Option<&'a Sel>>,
+        threads: usize,
+    ) -> Self {
+        let first = sels.next().flatten();
+        let one = first.filter(|f| sels.all(|s| s.is_some_and(|s| Arc::ptr_eq(s, f))));
+        if let Some(s) = one {
+            rows.iter_mut().for_each(|r| *r = s[*r as usize]);
+        }
+        let rows = Arc::new(rows);
+        let done = one.map(|s| (Arc::as_ptr(s), rows.clone())).into_iter();
+        Self {
+            done: done.collect(),
+            rows,
+            threads,
+        }
+    }
+
+    /// The selection a reader of `sel` reads the composed rows through.
+    pub(crate) fn through(&mut self, sel: Option<&Sel>) -> Sel {
+        let Some(s) = sel else {
+            return self.rows.clone();
+        };
+        if let Some((_, done)) = self.done.iter().find(|(p, _)| *p == Arc::as_ptr(s)) {
+            return done.clone();
+        }
+        let composed = Arc::new(gather(&self.rows, |r| s[r], self.threads));
+        self.done.push((Arc::as_ptr(s), composed.clone()));
+        composed
+    }
 }
 
 impl Table {
@@ -215,15 +310,28 @@ impl Table {
                 )));
             }
         }
-        Ok(Self {
+        let cols = cols.into_iter().map(|c| Col::new(c, None)).collect();
+        Ok(Self::from_cols(schema, cols, n_rows, pool, threads))
+    }
+
+    /// A table of `n_rows` rows, each column read through its own
+    /// selection, with fresh row ids: a join's output.
+    pub(crate) fn from_cols(
+        schema: Schema,
+        cols: Vec<Col>,
+        n_rows: usize,
+        pool: Arc<StringPool>,
+        threads: usize,
+    ) -> Self {
+        Self {
             schema,
             cols,
             row_ids: Arc::new(RowIds::Fresh(n_rows)),
+            ids_sel: None,
             next_row_id: n_rows as u64,
             pool,
             threads,
-            view: None,
-        })
+        }
     }
 
     /// Convenience constructor: a single-column integer table, as used by
@@ -242,7 +350,9 @@ impl Table {
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.sel().map_or(self.row_ids.len(), <[u32]>::len)
+        self.ids_sel
+            .as_ref()
+            .map_or(self.row_ids.len(), |s| s.len())
     }
 
     /// Number of columns.
@@ -266,82 +376,74 @@ impl Table {
         self.threads = threads.max(1);
     }
 
-    /// A view's rows as positions into its columns; `None` when the table
-    /// holds every row of its columns. Kernels read through it.
-    pub(crate) fn sel(&self) -> Option<&[u32]> {
-        self.view.as_ref().map(|v| v.sel.as_slice())
+    /// Column `c` as the table's rows read it. Kernels read through it.
+    pub(crate) fn col(&self, c: usize) -> ColumnRef<'_> {
+        self.cols[c].get()
     }
 
-    /// The position in the columns of the row at position `row`.
-    pub(crate) fn base_row(&self, row: usize) -> usize {
-        self.sel().map_or(row, |s| s[row] as usize)
+    /// Whether a column or the row ids are read through a selection.
+    pub(crate) fn is_view(&self) -> bool {
+        self.ids_sel.is_some() || self.cols.iter().any(|c| c.sel.is_some())
     }
 
-    /// Maps positions of this table's rows to positions in its columns.
-    pub(crate) fn to_base(&self, rows: &mut [u32]) {
-        if let Some(sel) = self.sel() {
-            rows.iter_mut().for_each(|r| *r = sel[*r as usize]);
-        }
-    }
-
-    /// A view of the rows of this table's columns at positions `sel`.
-    pub(crate) fn with_sel(&self, sel: Vec<u32>) -> Table {
-        let gathered = self.cols.iter().map(|_| OnceLock::new()).collect();
-        let sel = Arc::new(sel);
+    /// A view of this table's rows at positions `rows`, in that order:
+    /// each selection composed with `rows`, so never a view of a view.
+    pub(crate) fn view_rows(&self, rows: Vec<u32>) -> Table {
+        let sels = self.cols.iter().map(|c| c.sel.as_ref());
+        let mut compose = Compose::new(rows, sels.chain([self.ids_sel.as_ref()]), self.threads);
         Table {
-            view: Some(View { sel, gathered }),
+            cols: self.cols_through(&mut compose),
+            ids_sel: Some(compose.through(self.ids_sel.as_ref())),
             schema: self.schema.clone(),
-            cols: self.cols.clone(),
             row_ids: self.row_ids.clone(),
             pool: self.pool.clone(),
             ..*self
         }
     }
 
-    /// A view of this table's rows at positions `rows`, in that order —
-    /// over the same columns, so never a view of a view.
-    pub(crate) fn view_rows(&self, mut rows: Vec<u32>) -> Table {
-        self.to_base(&mut rows);
-        self.with_sel(rows)
+    /// The columns, each read through its selection as `compose`
+    /// composes it.
+    pub(crate) fn cols_through(&self, compose: &mut Compose) -> Vec<Col> {
+        let through = |c: &Col| Col::new(c.data.clone(), Some(compose.through(c.sel.as_ref())));
+        self.cols.iter().map(through).collect()
     }
 
     /// Gathers a view's rows into columns of their own, one column at a
-    /// time; the ids become stored ids. Columns that share one vector (a
-    /// join's key pair) share one gathered vector. A `&mut` verb that
-    /// edits columns or appends rows calls this first.
+    /// time; ids read through a selection become stored ids. Columns that
+    /// share one vector (a join's key pair) share one gathered vector. A
+    /// `&mut` verb that edits columns or appends rows calls this first.
     pub(crate) fn materialize(&mut self) {
-        let Some(View { sel, gathered }) = self.view.take() else {
-            return;
-        };
         let first: Vec<usize> = (0..self.cols.len()).map(|c| self.first_of(c)).collect();
-        for (c, got) in gathered.into_iter().enumerate() {
-            self.cols[c] = match first[c] {
-                e if e < c => self.cols[e].clone(),
-                _ => got
-                    .into_inner()
-                    .unwrap_or_else(|| Arc::new(self.cols[c].gather_sel(&sel, self.threads))),
-            };
+        for (c, e) in first.into_iter().enumerate() {
+            if e < c {
+                self.cols[c] = self.cols[e].clone();
+            } else if self.cols[c].sel.is_some() {
+                let data = self.cols[c].whole(self.threads).clone();
+                self.cols[c] = Col::new(data, None);
+            }
         }
-        self.row_ids = Arc::new(self.row_ids.gather(&sel, self.threads));
+        if let Some(sel) = self.ids_sel.take() {
+            self.row_ids = Arc::new(self.row_ids.gather(&sel, self.threads));
+        }
     }
 
-    /// The first column that shares column `c`'s vector: `c` itself
-    /// unless an earlier column holds the same `Arc` (a join's key pair).
+    /// The first column that reads column `c`'s vector through its
+    /// selection: `c` itself unless an earlier column does (a join's key
+    /// pair).
     pub(crate) fn first_of(&self, c: usize) -> usize {
         let col = &self.cols[c];
-        (0..c)
-            .find(|&e| Arc::ptr_eq(&self.cols[e], col))
-            .unwrap_or(c)
+        (0..c).find(|&e| self.cols[e].same(col)).unwrap_or(c)
     }
 
     /// Persistent id of the row at position `row`; panics past the end.
     pub fn row_id(&self, row: usize) -> u64 {
-        self.row_ids.get(self.base_row(row))
+        let at = self.ids_sel.as_ref().map_or(row, |s| s[row] as usize);
+        self.row_ids.get(at)
     }
 
     /// All row ids in positional order (allocated if none are stored).
     pub fn row_ids(&self) -> Cow<'_, [u64]> {
-        match (&*self.row_ids, self.sel()) {
+        match (&*self.row_ids, &self.ids_sel) {
             (RowIds::Kept(ids), None) => Cow::Borrowed(ids),
             (ids, Some(sel)) => Cow::Owned(sel.iter().map(|&r| ids.get(r as usize)).collect()),
             (RowIds::Fresh(n), None) => Cow::Owned((0..*n as u64).collect()),
@@ -368,7 +470,7 @@ impl Table {
         }
         self.materialize();
         for (col, v) in self.cols.iter_mut().zip(values) {
-            match (Arc::make_mut(col), v) {
+            match (Arc::make_mut(&mut col.data), v) {
                 (ColumnData::Int(c), Value::Int(x)) => c.push(*x),
                 (ColumnData::Float(c), Value::Float(x)) => c.push(*x),
                 (ColumnData::Str(c), Value::Str(s)) => {
@@ -390,23 +492,23 @@ impl Table {
 
     /// Reads the cell at (`row`, column `name`).
     pub fn get(&self, row: usize, name: &str) -> Result<Value> {
-        let c = self.schema.index_of(name)?;
+        let col = self.col(self.schema.index_of(name)?);
         if row >= self.n_rows() {
             return Err(TableError::InvalidArgument(format!("no row {row}")));
         }
-        let row = self.base_row(row);
-        Ok(match &*self.cols[c] {
+        let row = col.at(row);
+        Ok(match col.data {
             ColumnData::Int(v) => Value::Int(v[row]),
             ColumnData::Float(v) => Value::Float(v[row]),
             ColumnData::Str(v) => Value::Str(self.pool.get(v[row]).to_string()),
         })
     }
 
-    /// The column `name`, whole, if it has type `expected`.
-    fn typed_col(&self, name: &str, expected: ColumnType) -> Result<&ColumnData> {
+    /// The index of column `name`, if it has type `expected`.
+    fn typed_index(&self, name: &str, expected: ColumnType) -> Result<usize> {
         let i = self.schema.index_of(name)?;
         match self.schema.column_type(i) {
-            ty if ty == expected => Ok(self.column(i)),
+            ty if ty == expected => Ok(i),
             other => Err(TableError::TypeMismatch {
                 column: name.to_string(),
                 expected: expected.name(),
@@ -415,22 +517,35 @@ impl Table {
         }
     }
 
+    /// Column `name` as the table's rows read it, if it has type
+    /// `expected`: its source vector and the selection that picks the
+    /// rows. Reading a view through it gathers nothing.
+    pub fn column_ref(&self, name: &str, expected: ColumnType) -> Result<ColumnRef<'_>> {
+        Ok(self.col(self.typed_index(name, expected)?))
+    }
+
     /// Borrows an integer column by name.
     pub fn int_col(&self, name: &str) -> Result<&[i64]> {
-        Ok(self.typed_col(name, ColumnType::Int)?.as_int())
+        Ok(self
+            .column(self.typed_index(name, ColumnType::Int)?)
+            .as_int())
     }
 
     /// Borrows a float column by name.
     pub fn float_col(&self, name: &str) -> Result<&[f64]> {
-        Ok(self.typed_col(name, ColumnType::Float)?.as_float())
+        Ok(self
+            .column(self.typed_index(name, ColumnType::Float)?)
+            .as_float())
     }
 
     /// A numeric column by name as a row → `f64` reader: an int column's
-    /// values widened, a float column's as they are.
+    /// values widened, a float column's as they are, read through the
+    /// column's selection.
     pub fn numeric_col(&self, name: &str) -> Result<Box<dyn Fn(usize) -> f64 + Sync + '_>> {
-        match self.column(self.schema.index_of(name)?) {
-            ColumnData::Int(v) => Ok(Box::new(move |row| v[row] as f64)),
-            ColumnData::Float(v) => Ok(Box::new(move |row| v[row])),
+        let col = self.col(self.schema.index_of(name)?);
+        match col.data {
+            ColumnData::Int(v) => Ok(Box::new(move |row| v[col.at(row)] as f64)),
+            ColumnData::Float(v) => Ok(Box::new(move |row| v[col.at(row)])),
             ColumnData::Str(_) => Err(TableError::TypeMismatch {
                 column: name.to_string(),
                 expected: "int or float",
@@ -442,7 +557,9 @@ impl Table {
     /// Borrows a string column as pool symbols (resolve with
     /// [`Table::str_value`]).
     pub fn str_sym_col(&self, name: &str) -> Result<&[u32]> {
-        Ok(self.typed_col(name, ColumnType::Str)?.as_str_syms())
+        Ok(self
+            .column(self.typed_index(name, ColumnType::Str)?)
+            .as_str_syms())
     }
 
     /// Resolves a string symbol from this table's pool.
@@ -464,11 +581,7 @@ impl Table {
     /// view the first borrow gathers the column's rows on the pool, once,
     /// and once for two columns that share a vector.
     pub fn column(&self, i: usize) -> &ColumnData {
-        match &self.view {
-            None => &self.cols[i],
-            Some(v) => v.gathered[self.first_of(i)]
-                .get_or_init(|| Arc::new(self.cols[i].gather_sel(&v.sel, self.threads))),
-        }
+        self.cols[self.first_of(i)].whole(self.threads)
     }
 
     /// Renames a column.
@@ -477,38 +590,44 @@ impl Table {
     }
 
     /// Approximate heap footprint in bytes: every byte the table keeps
-    /// alive, shared with other tables or not — its columns (a view's base
-    /// columns, whole), stored row ids and the string pool, and a view's
-    /// selection and the columns it gathered. A vector two columns share
-    /// counts once. This is the paper's Table 2 "In-memory Table Size".
+    /// alive, shared with other tables or not — its columns (a view's
+    /// source vectors, whole), stored row ids and the string pool, and a
+    /// view's selections and the columns it gathered. A vector or a
+    /// selection that several columns share counts once. This is the
+    /// paper's Table 2 "In-memory Table Size".
     pub fn mem_size(&self) -> usize {
-        let gathered = self.view.iter().flat_map(|v| &v.gathered);
-        let (mut seen, mut cols) = (Vec::new(), 0);
-        for c in self.cols.iter().chain(gathered.filter_map(OnceLock::get)) {
-            if !seen.contains(&Arc::as_ptr(c)) {
-                seen.push(Arc::as_ptr(c));
-                cols += c.mem_size();
+        let (mut seen, mut bytes) = (Vec::new(), 0);
+        let mut count = |ptr: *const (), size: usize| {
+            if !seen.contains(&ptr) {
+                seen.push(ptr);
+                bytes += size;
+            }
+        };
+        for col in &self.cols {
+            let gathered = col.gathered.get().into_iter();
+            for data in gathered.chain([&col.data]) {
+                count(Arc::as_ptr(data).cast(), data.mem_size());
             }
         }
-        let sel = self.view.as_ref().map_or(0, |v| v.sel.capacity() * 4);
-        cols + sel + self.row_ids.mem_size() + self.pool.mem_size()
+        let sels = self.cols.iter().map(|c| &c.sel).chain([&self.ids_sel]);
+        for sel in sels.flatten() {
+            count(Arc::as_ptr(sel).cast(), sel.capacity() * 4);
+        }
+        bytes + self.row_ids.mem_size() + self.pool.mem_size()
     }
 
     /// The columns `idx`, in that order, under `schema`: pointer copies,
     /// a view's gathered columns included.
     pub(crate) fn with_columns(&self, schema: Schema, idx: &[usize]) -> Table {
-        let view = self.view.as_ref().map(|v| View {
-            sel: v.sel.clone(),
-            gathered: idx
-                .iter()
-                .map(|&i| v.gathered[self.first_of(i)].clone())
-                .collect(),
-        });
+        let col = |i: usize| Col {
+            gathered: self.cols[self.first_of(i)].gathered.clone(),
+            ..self.cols[i].clone()
+        };
         Table {
-            view,
             schema,
-            cols: idx.iter().map(|&i| self.cols[i].clone()).collect(),
+            cols: idx.iter().map(|&i| col(i)).collect(),
             row_ids: self.row_ids.clone(),
+            ids_sel: self.ids_sel.clone(),
             pool: self.pool.clone(),
             ..*self
         }
@@ -650,32 +769,36 @@ mod tests {
         assert_eq!(t.n_rows(), 3);
     }
 
-    /// A join stores its key once: the pair is one vector, counted once,
-    /// gathered once by a view's borrows and shared by a materialized view.
+    /// A join stores its key once: the pair is one column, read through
+    /// the left positions, counted once, gathered once by a view's borrows
+    /// and shared by a materialized view.
     #[test]
     fn a_shared_key_pair_counts_once_and_stays_shared() {
         let left = Table::from_int_column("k", (0..100).map(|i| i % 10).collect());
         let right = Table::from_int_column("k", (0..10).rev().collect());
         let j = left.join(&right, "k", "k").unwrap();
-        assert!(Arc::ptr_eq(&j.cols[0], &j.cols[1]));
+        assert!(j.cols[0].same(&j.cols[1]));
         let pool = j.pool.mem_size();
-        assert_eq!(j.mem_size(), 100 * 8 + pool, "one 100-row vector");
+        // The left vector and the left positions: no column reads the
+        // right positions, so none are kept.
+        assert_eq!(j.mem_size(), 100 * 8 + 100 * 4 + pool, "one 100-row vector");
 
         let half: Vec<u32> = (0..50).rev().collect();
         let view = j.view_rows(half.clone());
-        assert_eq!(view.mem_size(), 100 * 8 + 50 * 4 + pool);
+        // The pair's positions composed once, and the ids' selection.
+        assert_eq!(view.mem_size(), 100 * 8 + 2 * 50 * 4 + pool);
         assert!(std::ptr::eq(view.column(1), view.column(0)), "one gather");
-        assert_eq!(view.mem_size(), 100 * 8 + 50 * 4 + 50 * 8 + pool);
+        assert_eq!(view.mem_size(), 100 * 8 + 2 * 50 * 4 + 50 * 8 + pool);
         let flipped = view.project(&["k-1", "k"]).unwrap();
         assert!(std::ptr::eq(flipped.column(0), view.column(0)));
 
         let want: Vec<i64> = half
             .iter()
-            .map(|&r| j.cols[0].as_int()[r as usize])
+            .map(|&r| j.int_col("k").unwrap()[r as usize])
             .collect();
         for mut t in [view, j.view_rows(half)] {
             t.materialize();
-            assert!(Arc::ptr_eq(&t.cols[0], &t.cols[1]));
+            assert!(t.cols[0].same(&t.cols[1]));
             assert_eq!(t.int_col("k-1").unwrap(), want);
             assert_eq!(t.mem_size(), 50 * 8 + 50 * 8 + pool, "the pair and the ids");
         }

@@ -28,6 +28,7 @@
 //! calls, only ever `try_lock`s and reports a busy recorder rather than
 //! wait on it.
 
+use crate::Histogram;
 use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -98,9 +99,24 @@ struct Recorder {
     /// Completed spans recorded since the last [`reset`], dropped ones
     /// included.
     recorded: u64,
+    /// The histogram of each span name this thread has ended, so a span's
+    /// drop takes the registry's shared lock only on a name's first end.
+    hists: Vec<(&'static str, &'static Histogram)>,
 }
 
 impl Recorder {
+    /// The histogram registered under `name`, from this thread's cache.
+    fn histogram(&mut self, name: &'static str) -> &'static Histogram {
+        match self.hists.iter().find(|(n, _)| std::ptr::eq(*n, name)) {
+            Some(&(_, h)) => h,
+            None => {
+                let h = crate::histogram(name);
+                self.hists.push((name, h));
+                h
+            }
+        }
+    }
+
     /// Each step keeps `ring.len() <= recorded`, so a guard recovered
     /// from a poisoned lock still reads a whole recorder.
     fn push(&mut self, ev: TimelineEvent) {
@@ -191,6 +207,7 @@ fn register() -> Arc<ThreadBuffer> {
             open: Vec::new(),
             ring: VecDeque::with_capacity(EVENTS_PER_THREAD),
             recorded: 0,
+            hists: Vec::new(),
         }),
     });
     threads().push(Arc::clone(&buf));
@@ -229,7 +246,7 @@ pub(crate) fn begin_span(name: &'static str) -> SpanToken {
 }
 
 /// Pops the span off the open-span stack, records it as completed, and
-/// returns its wall time in nanoseconds.
+/// records its wall time in the histogram of its name.
 pub(crate) fn end_span(
     name: &'static str,
     token: SpanToken,
@@ -237,7 +254,7 @@ pub(crate) fn end_span(
     rows_out: u64,
     mem_delta: i64,
     mem_peak_delta: u64,
-) -> u64 {
+) {
     let t_ns = epoch_ns();
     // ORDERING: Relaxed — completion order only needs unique, per-thread
     // monotonic values; cross-thread order is reconstructed from
@@ -262,8 +279,9 @@ pub(crate) fn end_span(
             mem_delta,
             mem_peak_delta,
         });
+        r.histogram(name)
+            .record(t_ns.saturating_sub(token.start_ns));
     });
-    t_ns.saturating_sub(token.start_ns)
 }
 
 /// Drains every registered thread's ring. Timelines are ordered by
@@ -404,6 +422,7 @@ mod tests {
             open: Vec::new(),
             ring: VecDeque::new(),
             recorded: 0,
+            hists: Vec::new(),
         };
         let n = EVENTS_PER_THREAD as u64 + 10;
         (0..n).for_each(|i| r.push(raw(i)));
@@ -412,6 +431,35 @@ mod tests {
         // Oldest-first completion order, newest retained.
         assert_eq!(r.ring.front().map(|e| e.span_id), Some(10));
         assert_eq!(r.ring.back().map(|e| e.span_id), Some(n - 1));
+    }
+
+    /// Each thread looks a name's histogram up in the registry once and
+    /// keeps the handle: spans of one name ended on four threads land in
+    /// one histogram, every one counted.
+    #[test]
+    fn spans_of_one_name_on_four_threads_count_in_one_histogram() {
+        let _l = crate::test_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        const PER_THREAD: u64 = 2500;
+        let handles: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..PER_THREAD).for_each(|_| drop(crate::span!("test.one_name")));
+                        with_recorder(|r| r.histogram("test.one_name") as *const _ as usize)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let registered = crate::histogram("test.one_name") as *const _ as usize;
+        assert!(handles.iter().all(|&h| h == registered), "one histogram");
+        let hists = crate::histograms_snapshot();
+        let named: Vec<_> = hists.iter().filter(|h| h.name == "test.one_name").collect();
+        assert_eq!(named.len(), 1);
+        assert_eq!(named[0].count, 4 * PER_THREAD, "every span counted");
+        crate::set_enabled(false);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! in the calling thread's flight recorder.
 
 use crate::events::{self, SpanToken};
-use crate::{histogram, mem};
+use crate::mem;
 
 /// An RAII measurement of one named operation.
 ///
@@ -82,7 +82,7 @@ impl Drop for Span {
 /// Out-of-line slow path: only runs for enabled spans.
 #[cold]
 fn finish(s: ActiveSpan) {
-    let wall_ns = events::end_span(
+    events::end_span(
         s.name,
         s.token,
         s.rows_in,
@@ -90,7 +90,6 @@ fn finish(s: ActiveSpan) {
         mem::current_bytes() as i64 - s.mem_start as i64,
         mem::peak_bytes().saturating_sub(s.peak_start) as u64,
     );
-    histogram(s.name).record(wall_ns);
 }
 
 #[cfg(test)]

@@ -44,8 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = q.collect()?;
     println!("select.select.project: {} rows", out.n_rows());
 
-    // Collect 2: join followed by a pending select — one gather over the
-    // join output.
+    // Collect 2: join followed by a pending select. The join returns a
+    // view (its left and right positions) and the select composes with
+    // it: one gather, at collect, of the rows the select kept.
     let out = ringo
         .query(&t)
         .select(&p1)

@@ -64,7 +64,7 @@ fn check_paths(edges: &[Edge], packs: bool, symmetric_packs: bool, what: &str) {
     let mut table = edges_to_table(edges);
     let (src, dst) = (table.int_col("src").unwrap(), table.int_col("dst").unwrap());
     for (canonical, want) in [(false, packs), (true, symmetric_packs)] {
-        let narrow = match radix_sort_columns(src, dst, canonical, 2) {
+        let narrow = match radix_sort_columns(src, dst, [None, None], canonical, 2) {
             SortedPairs::U64(..) => true,
             SortedPairs::U128(..) => false,
         };

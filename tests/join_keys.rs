@@ -16,7 +16,7 @@
 //! joined table as it was.
 
 use ringo::table::ColumnData;
-use ringo::{Cmp, ColumnType, Predicate, Ringo, Schema, Table, Value};
+use ringo::{AggOp, Cmp, ColumnType, Predicate, Ringo, Schema, Table, Value};
 use ringo_rng::Rng64;
 use std::collections::HashMap;
 
@@ -468,5 +468,192 @@ fn empty_sides_join_to_nothing() {
                 assert_ordered(&l, &r, &ctx);
             }
         }
+    }
+}
+
+/// `t`'s rows, in order, are `want`'s, and its row ids `want`'s ids.
+fn expect(t: &Table, want: &[(u64, Vec<Value>)], ctx: &str) {
+    let rows: Vec<Vec<Value>> = want.iter().map(|(_, r)| r.clone()).collect();
+    assert_eq!(rows_of(t), rows, "{ctx}: rows, in order");
+    let ids: Vec<u64> = want.iter().map(|(id, _)| *id).collect();
+    assert_eq!(*t.row_ids(), ids[..], "{ctx}: row ids");
+}
+
+/// The `Int` value of `row`'s column `c`.
+fn int_at(row: &[Value], c: usize) -> i64 {
+    match row[c] {
+        Value::Int(x) => x,
+        ref v => panic!("{v:?} is not an int"),
+    }
+}
+
+/// A join's output is a view: each column reads its input's vector
+/// through the join's left or right positions. Verbs on it, a join of it,
+/// a join of sorted inputs and `to_graph` on it read the rows the model
+/// gives, in the join's own order, with ids `0..n` — `Int` and `Str`
+/// keys, one pool and two (a right side with its own pool), views on
+/// either side, at threads 1, 2 and 4.
+#[test]
+fn verbs_on_a_join_view_match_the_model() {
+    for case in 0..CASES {
+        let rng = &mut Rng64::new(0x7669_6577 ^ case);
+        let threads = [1usize, 2, 4][case as usize % 3];
+        let ringo = Ringo::with_threads(threads);
+        let ty = [ColumnType::Int, ColumnType::Str][rng.below(2)];
+        let large = case % 8 == 0;
+        let n = |rng: &mut Rng64| {
+            if large {
+                9000 + rng.below(3000)
+            } else {
+                rng.below(40)
+            }
+        };
+        let range = if large { 6000 } else { 1 + rng.below(12) };
+        let shared = rng.bool();
+        let [left, right] = if shared {
+            let n = n(rng);
+            one_pool(rng, ty, n, range, threads)
+        } else {
+            let sizes = [n(rng), n(rng)];
+            own_pools(rng, ty, sizes, range, threads)
+        };
+        let ctx = format!(
+            "case {case}, {ty:?} keys, threads {threads}, {} x {} rows, one pool {shared}",
+            left.rows.len(),
+            right.rows.len()
+        );
+        let j = left.table.join(&right.table, left.key, right.key).unwrap();
+        let rows: Vec<(u64, Vec<Value>)> = (0..).zip(model(&left, &right)).collect();
+        expect(&j, &rows, &format!("{ctx}: the join"));
+        let (a, k) = (
+            j.schema().index_of("a").unwrap(),
+            j.schema().index_of("k").unwrap(),
+        );
+
+        // A view of the join: select, order, head, project.
+        let kept = rows.iter().filter(|(_, r)| int_at(r, a) >= 20).cloned();
+        let select = j.select(&Predicate::int("a", Cmp::Ge, 20)).unwrap();
+        expect(
+            &select,
+            &kept.collect::<Vec<_>>(),
+            &format!("{ctx}: select"),
+        );
+        let mut sorted = rows.clone();
+        sorted.sort_by_key(|(_, r)| std::cmp::Reverse(int_at(r, a)));
+        let ordered = j.ordered_by(&["a"], false).unwrap();
+        expect(&ordered, &sorted, &format!("{ctx}: order_by"));
+        expect(
+            &ordered.head(7).unwrap(),
+            &sorted[..sorted.len().min(7)],
+            &format!("{ctx}: head of the sorted join"),
+        );
+        let kk = j.schema().index_of("k-1").unwrap();
+        let projected: Vec<_> = (rows.iter())
+            .map(|(id, r)| (*id, vec![r[kk].clone(), r[a].clone()]))
+            .collect();
+        let project = ordered.project(&["k-1", "a"]).unwrap();
+        expect(
+            &j.project(&["k-1", "a"]).unwrap(),
+            &projected,
+            &format!("{ctx}: project"),
+        );
+        assert_eq!(
+            project.n_rows(),
+            rows.len(),
+            "{ctx}: project of the sorted join"
+        );
+
+        // unique, group_by and semi_join on the key, in first-appearance
+        // order.
+        let mut firsts: Vec<(u64, Vec<Value>)> = Vec::new();
+        let mut counts: Vec<(Value, i64)> = Vec::new();
+        for (id, r) in &rows {
+            match counts.iter_mut().find(|(key, _)| *key == r[k]) {
+                Some((_, c)) => *c += 1,
+                None => {
+                    firsts.push((*id, r.clone()));
+                    counts.push((r[k].clone(), 1));
+                }
+            }
+        }
+        expect(
+            &j.unique(&["k"]).unwrap(),
+            &firsts,
+            &format!("{ctx}: unique"),
+        );
+        let groups = j.group_by(&["k"], None, AggOp::Count, "n").unwrap();
+        let grouped: Vec<_> = (0..)
+            .zip(
+                counts
+                    .iter()
+                    .map(|(key, c)| vec![key.clone(), Value::Int(*c)]),
+            )
+            .collect();
+        expect(&groups, &grouped, &format!("{ctx}: group_by"));
+        let half: Vec<Value> = counts
+            .iter()
+            .step_by(2)
+            .map(|(key, _)| key.clone())
+            .collect();
+        let keys = build(
+            Schema::new([("k", ty)]),
+            &half.iter().map(|v| vec![v.clone()]).collect::<Vec<_>>(),
+            threads,
+        );
+        let semi: Vec<_> = rows
+            .iter()
+            .filter(|(_, r)| half.contains(&r[k]))
+            .cloned()
+            .collect();
+        expect(
+            &j.semi_join(&keys, "k", "k").unwrap(),
+            &semi,
+            &format!("{ctx}: semi_join"),
+        );
+
+        // A join of the join, and a join of a sorted input.
+        let joined = Side {
+            table: j.clone(),
+            rows: rows.iter().map(|(_, r)| r.clone()).collect(),
+            key: "k",
+        };
+        let again = j.join(&right.table, "k", right.key).unwrap();
+        let want: Vec<_> = (0..).zip(model(&joined, &right)).collect();
+        expect(&again, &want, &format!("{ctx}: a join of the join"));
+        let mut by_a: Vec<Vec<Value>> = left.rows.clone();
+        let la = left.table.schema().index_of("a").unwrap();
+        by_a.sort_by_key(|r| int_at(r, la));
+        let sorted_left = Side {
+            table: left.table.ordered_by(&["a"], true).unwrap(),
+            rows: by_a,
+            key: left.key,
+        };
+        let of_sorted = (sorted_left.table)
+            .join(&right.table, left.key, right.key)
+            .unwrap();
+        let want: Vec<_> = (0..).zip(model(&sorted_left, &right)).collect();
+        expect(
+            &of_sorted,
+            &want,
+            &format!("{ctx}: a join of a sorted input"),
+        );
+
+        // `to_graph` on the join reads its two columns through their
+        // positions: the graph of its rows, as a copy of them gives.
+        let copy = Table::from_parts(
+            j.schema().clone(),
+            (0..j.n_cols()).map(|c| j.column(c).clone()).collect(),
+            j.pool().clone(),
+        )
+        .unwrap();
+        let dst = if ty == ColumnType::Int { "k-1" } else { "a" };
+        let edges = |t: &Table| {
+            let g = ringo.to_graph(t, "a", dst).unwrap();
+            let e = ringo.to_edge_table(&g);
+            let (s, d) = (e.int_col("src").unwrap(), e.int_col("dst").unwrap());
+            s.iter().copied().zip(d.iter().copied()).collect::<Vec<_>>()
+        };
+        let fresh = left.table.join(&right.table, left.key, right.key).unwrap();
+        assert_eq!(edges(&fresh), edges(&copy), "{ctx}: to_graph");
     }
 }

@@ -1,12 +1,12 @@
 //! Allocation account of `tw_relational`'s two largest verbs.
 //!
 //! `join_rest` joins an edge table `(src, dst)` with a one-column table
-//! of most of its `src` values. Every output row's two keys are equal, so
-//! the output stores the key once: its right key column is the left key
-//! column's vector. The join gathers the right side's other columns
-//! first (here none), drops the right positions, then gathers the left
-//! columns, so beside the input it peaks at one position vector and the
-//! left columns' output, and holds 0 B for the right key column.
+//! of most of its `src` values. The output is a view: the left columns
+//! read through the join's left positions, the right ones through its
+//! right positions. Every output row's two keys are equal, so the right
+//! key column is the left key column, read through the left positions;
+//! no right column is left to read the right positions, so they are
+//! dropped, and the output holds 4 B a row.
 //! `order_by` on a clone of the edge table is a permutation of the
 //! original's columns: the sort holds its packed keys and the
 //! permutation, 12 B a row.
@@ -61,23 +61,24 @@ fn a_join_stores_its_key_once() {
     let held = current_bytes() - live;
     let out = j.n_rows();
     assert!(out > N * 8 / 10, "{out} rows joined");
-    assert!(std::ptr::eq(j.column(0), j.column(2)), "one key vector");
 
-    // `src` and `dst` gathered (16 B a row); nothing for `key`.
+    // The left positions (4 B a row): `src` and `dst` read through them,
+    // `key` as `src`, and no column reads the right positions.
     assert!(
-        (16 * out..16 * out + 4096).contains(&held),
-        "the join output holds {held} B: two gathered columns are {} B",
-        16 * out
+        (4 * out..4 * out + 4096).contains(&held),
+        "the join output holds {held} B: its left positions are {} B",
+        4 * out
     );
-    // The left positions (4 B a row) beside the left columns' output
-    // (16).
-    let bound = 20 * out + (1 << 20);
+    // The probe's two position lists (8 B a row), one of them copied
+    // into one vector (4), beside the small index.
+    let bound = 12 * out + (1 << 20);
     assert!(
         peak <= bound,
         "the join peaked {peak} B above its input, {:.2} B an output row",
         peak as f64 / out as f64
     );
-    assert_eq!(j.mem_size(), 16 * out + j.pool().mem_size());
+    assert_eq!(j.mem_size(), 16 * N + 4 * out + j.pool().mem_size());
+    assert!(std::ptr::eq(j.column(0), j.column(2)), "one key vector");
 }
 
 #[test]

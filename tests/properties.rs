@@ -148,16 +148,17 @@ fn radix_sort_columns_matches_std() {
                 .collect();
             expect.sort_unstable();
             for threads in [1usize, 2, 4] {
-                let ours: Vec<(i64, i64)> = match radix_sort_columns(&a, &b, canonical, threads) {
-                    SortedPairs::U64(keys, codec) => keys
-                        .iter()
-                        .map(|&k| (codec.first(k), codec.second(k)))
-                        .collect(),
-                    SortedPairs::U128(keys, codec) => keys
-                        .iter()
-                        .map(|&k| (codec.first(k), codec.second(k)))
-                        .collect(),
-                };
+                let ours: Vec<(i64, i64)> =
+                    match radix_sort_columns(&a, &b, [None, None], canonical, threads) {
+                        SortedPairs::U64(keys, codec) => keys
+                            .iter()
+                            .map(|&k| (codec.first(k), codec.second(k)))
+                            .collect(),
+                        SortedPairs::U128(keys, codec) => keys
+                            .iter()
+                            .map(|&k| (codec.first(k), codec.second(k)))
+                            .collect(),
+                    };
                 assert_eq!(
                     ours, expect,
                     "len={len} span={span} full={full} canonical={canonical} threads={threads}"

@@ -841,3 +841,86 @@ fn a_select_of_a_view_reads_the_base_it_pins() {
     assert_eq!(view.int_col("k").unwrap(), &[50, 51, 52]);
     assert_eq!(view.get(2, "s").unwrap(), Value::from("s52"));
 }
+
+/// `left_join`, `next_k` and `sim_join` of a join's output — a view whose
+/// columns read two inputs through two position lists, the right one
+/// with a pool of its own — against the same verbs on its materialized
+/// copy and the row model, ids included, at threads 1, 2 and 4.
+#[test]
+fn left_join_next_k_and_sim_join_of_a_join_view_match_the_model() {
+    for case in 0..24u64 {
+        let rng = &mut Rng64::new(0x6c6e_736a ^ case);
+        let threads = [1usize, 2, 4][case as usize % 3];
+        let n = if case % 6 == 0 {
+            3000 + rng.below(2000)
+        } else {
+            rng.below(40)
+        };
+        let mut ctx = format!("case {case}, threads {threads}, {n} rows:");
+        let (t, m) = start(rng, n, threads, &mut ctx);
+        let d = partner(rng, &dim_schema(), &[], threads);
+        let want = join_rows(&m.values(), &d.rows, m.col("k"), 0);
+        let j = t.join(&d.view, "k", "k").unwrap();
+        let jm = Model::adopt(&j, &want, &ctx);
+        let ids = fresh_ids(want.len());
+        assert_eq!(*j.row_ids(), ids[..], "{ctx}: a join's ids are fresh");
+        let jc = materialized(&j);
+        check(&j, &jc, &jm, &format!("{ctx} join"));
+
+        // `left_join`: every pair, then each row without one, padded.
+        let e = partner(rng, &dim_schema(), &[], threads);
+        let mut want = join_rows(&jm.values(), &e.rows, jm.col("k"), 0);
+        for row in jm.values() {
+            if !e.rows.iter().any(|r| r[0] == row[jm.col("k")]) {
+                want.push(row.into_iter().chain([Value::Int(0), "".into()]).collect());
+            }
+        }
+        let (lv, lc) = (
+            j.left_join(&e.view, "k", "k").unwrap(),
+            jc.left_join(&e.copy, "k", "k").unwrap(),
+        );
+        let lm = Model::adopt(&lv, &want, &format!("{ctx} left_join"));
+        let ids = fresh_ids(want.len());
+        assert_eq!(*lv.row_ids(), ids[..], "{ctx}: left_join's ids");
+        check(&lv, &materialized(&lc), &lm, &format!("{ctx} left_join"));
+
+        // `next_k` within each `k`, by `v`: the model's stable sort.
+        let (k, v) = (jm.col("k"), jm.col("v"));
+        let mut sorted = jm.clone();
+        sorted.sort(&[k, v], true);
+        let rows = sorted.values();
+        let mut want = Vec::new();
+        for i in 0..rows.len() {
+            for r in rows[i + 1..rows.len().min(i + 3)].iter() {
+                if r[k] == rows[i][k] {
+                    want.push(rows[i].iter().chain(r).cloned().collect());
+                }
+            }
+        }
+        let nm = Model::fresh(joined_schema(&jm.schema, &jm.schema), want);
+        let (nv, nc) = (
+            j.next_k(Some("k"), "v", 2).unwrap(),
+            jc.next_k(Some("k"), "v", 2).unwrap(),
+        );
+        check(&nv, &materialized(&nc), &nm, &format!("{ctx} next_k"));
+
+        // `sim_join` on `k` within 0.5: the equi-join, in its own order.
+        let want = join_rows(&jm.values(), &e.rows, k, 0);
+        let (sv, sc) = (
+            j.sim_join(&e.view, &["k"], &["k"], 0.5).unwrap(),
+            jc.sim_join(&e.copy, &["k"], &["k"], 0.5).unwrap(),
+        );
+        let sm = Model::adopt(&sv, &want, &format!("{ctx} sim_join"));
+        assert_eq!(
+            *sv.row_ids(),
+            fresh_ids(want.len())[..],
+            "{ctx}: sim_join's ids"
+        );
+        check(&sv, &materialized(&sc), &sm, &format!("{ctx} sim_join"));
+    }
+}
+
+/// The ids of `n` rows a verb numbers from 0: a join's output.
+fn fresh_ids(n: usize) -> Vec<u64> {
+    (0..n as u64).collect()
+}
