@@ -9,26 +9,25 @@
 //! array would touch, which is why direction-optimizing BFS keeps its
 //! bottom-up frontier here.
 //!
-//! The claim protocol (two setters of the same bit, setters of distinct
-//! bits in one word) has deterministic-schedule coverage in
-//! `crates/check/tests/model_bitset.rs`.
+//! The claim protocol (every setter of one bit, setters of distinct bits
+//! in one word) is tested on real pool threads in
+//! `tests::parallel_claims_are_unique`.
 //!
 //! [`set`]: ConcurrentBitset::set
 
-use crate::sync::VAtomicU64;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed-capacity bitset with atomic bit claims. See the module docs.
 #[derive(Debug, Default)]
 pub struct ConcurrentBitset {
-    words: Vec<VAtomicU64>,
+    words: Vec<AtomicU64>,
     bits: usize,
 }
 
 impl ConcurrentBitset {
     /// A bitset of `bits` zeroed bits.
     pub fn new(bits: usize) -> Self {
-        let words = (0..bits.div_ceil(64)).map(|_| VAtomicU64::new(0)).collect();
+        let words = (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         Self { words, bits }
     }
 
@@ -89,6 +88,7 @@ impl ConcurrentBitset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn set_claims_exactly_once() {
@@ -135,5 +135,38 @@ mod tests {
         .sum();
         assert_eq!(wins, bits);
         assert_eq!(b.count_ones(), bits);
+
+        // One word: every executor claims all 64 bits, each in its own
+        // order (stride `2t + 1` is odd, so a permutation), so the same bit
+        // and distinct bits of the word race at once. Each round has one
+        // winner a bit, and the winners partition the word. `workers`
+        // chunks on `workers + 1` executors: a chunk waiting at the barrier
+        // holds its executor, so each chunk runs on its own and they start
+        // claiming together.
+        for workers in [2, 4] {
+            let pool = crate::Pool::with_workers(workers);
+            let start = Barrier::new(workers);
+            for round in 0..1000 {
+                let b = ConcurrentBitset::new(64);
+                let winners: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
+                pool.run(workers, &|t| {
+                    start.wait();
+                    for k in 0..64 {
+                        let bit = (t * 17 + k * (2 * t + 1)) % 64;
+                        if b.set(bit) {
+                            winners[bit].fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+                for (bit, w) in winners.iter().enumerate() {
+                    let w = w.load(Ordering::Relaxed);
+                    assert_eq!(
+                        w, 1,
+                        "bit {bit}: {w} winners, {workers} workers, round {round}"
+                    );
+                }
+                assert_eq!(b.count_ones(), 64);
+            }
+        }
     }
 }

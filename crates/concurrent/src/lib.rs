@@ -35,7 +35,6 @@ pub mod hash_table;
 pub mod parallel;
 pub mod pool;
 pub mod radix;
-pub mod sync;
 
 pub use bitset::ConcurrentBitset;
 pub use hash_table::{IntHashTable, KeyInterner};

@@ -29,9 +29,8 @@
 //!
 //! [`num_threads`]: crate::parallel::num_threads
 
-use crate::sync::{VAtomicU64, VAtomicUsize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -104,12 +103,12 @@ struct Shared {
     queue: Mutex<Vec<Arc<Job>>>,
     /// Signals workers that the queue gained a job with unclaimed chunks.
     work_cv: Condvar,
-    jobs_dispatched: VAtomicU64,
-    chunks_executed: VAtomicU64,
-    busy_nanos: VAtomicU64,
+    jobs_dispatched: AtomicU64,
+    chunks_executed: AtomicU64,
+    busy_nanos: AtomicU64,
     /// Executors (workers and dispatching threads) currently engaged in
     /// chunk bodies of some job — the pool's busy/idle instrumentation.
-    busy_workers: VAtomicUsize,
+    busy_workers: AtomicUsize,
 }
 
 /// Observability snapshot of a [`Pool`], taken with [`Pool::stats`].
@@ -150,10 +149,10 @@ impl Pool {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Vec::new()),
             work_cv: Condvar::new(),
-            jobs_dispatched: VAtomicU64::new(0),
-            chunks_executed: VAtomicU64::new(0),
-            busy_nanos: VAtomicU64::new(0),
-            busy_workers: VAtomicUsize::new(0),
+            jobs_dispatched: AtomicU64::new(0),
+            chunks_executed: AtomicU64::new(0),
+            busy_nanos: AtomicU64::new(0),
+            busy_workers: AtomicUsize::new(0),
         });
         for i in 0..workers {
             let shared = Arc::clone(&shared);
@@ -344,7 +343,7 @@ fn execute_chunks(shared: &Shared, job: &Job) {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
     use std::thread::ThreadId;
 
     #[test]
@@ -359,29 +358,37 @@ mod tests {
 
     #[test]
     fn repeated_jobs_reuse_the_same_workers() {
-        let pool = Pool::with_workers(3);
-        let before = pool.stats();
-        let ids: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-        for _ in 0..50 {
-            pool.run(6, &|_| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-                // A little work so multiple executors get a chance to run.
-                std::hint::black_box((0..500).sum::<u64>());
-            });
+        // The statistics counters are relaxed `fetch_add`s from every
+        // executor at once: the deltas must sum exactly at every pool size,
+        // and the busy gauge must be back at 0 once the jobs return. Each
+        // job has one chunk an executor, held at a barrier until all have
+        // started, so the executors update the counters together.
+        const JOBS: usize = 500;
+        for workers in [1, 2, 4] {
+            let chunks = workers + 1;
+            let pool = Pool::with_workers(workers);
+            let start = Barrier::new(chunks);
+            let before = pool.stats();
+            let ids: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+            for _ in 0..JOBS {
+                pool.run(chunks, &|_| {
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                    start.wait();
+                });
+            }
+            let after = pool.stats();
+            assert_eq!(after.workers, before.workers, "no workers created per call");
+            assert_eq!(after.jobs_dispatched - before.jobs_dispatched, JOBS as u64);
+            assert_eq!(
+                after.chunks_executed - before.chunks_executed,
+                (JOBS * chunks) as u64
+            );
+            assert_eq!(after.busy_workers, 0, "gauge after {workers} workers");
+            // Executors are exactly the resident workers plus this test
+            // thread: the jobs never spawned a fresh OS thread.
+            assert_eq!(ids.lock().unwrap().len(), chunks, "executor threads");
+            assert!(after.busy > before.busy, "busy time accumulates");
         }
-        let after = pool.stats();
-        assert_eq!(after.workers, before.workers, "no workers created per call");
-        assert_eq!(after.jobs_dispatched - before.jobs_dispatched, 50);
-        assert_eq!(after.chunks_executed - before.chunks_executed, 300);
-        // Executors are only the 3 resident workers plus this test thread:
-        // 50 calls never spawned a fresh OS thread.
-        let distinct = ids.lock().unwrap().len();
-        assert!(
-            distinct <= pool.workers() + 1,
-            "expected at most {} executor threads, saw {distinct}",
-            pool.workers() + 1
-        );
-        assert!(after.busy > before.busy, "busy time accumulates");
     }
 
     #[test]

@@ -143,21 +143,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "bench driver aborts loudly",
     ),
     ("crates/bench/src/lib.rs", "bench fixtures abort loudly"),
-    // Checker internals: a violated invariant inside the scheduler or the
-    // memory model is a checker bug; it must panic so the schedule fails
-    // loudly rather than report a wrong verdict.
-    (
-        "crates/check/src/memory.rs",
-        "checker invariants panic loudly",
-    ),
-    (
-        "crates/check/src/sched.rs",
-        "checker invariants panic loudly",
-    ),
-    (
-        "crates/check/src/vthread.rs",
-        "checker invariants panic loudly",
-    ),
     // Lock-free/parallel kernels: occupied-slot and just-inserted expects
     // in the sequential table, chunk-fill expects in parallel_map, and
     // the pool's lock/spawn failures which are fatal by design.
@@ -219,8 +204,8 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
 ];
 
 /// Where `thread::spawn` / `thread::Builder` may appear: the worker
-/// pool and the checker's virtual-thread runtime.
-const THREAD_SPAWN_ALLOW: &[&str] = &["crates/concurrent/src/pool.rs", "crates/check/"];
+/// pool.
+const THREAD_SPAWN_ALLOW: &[&str] = &["crates/concurrent/src/pool.rs"];
 
 /// Metric names recorded from more than one call site on purpose.
 const SHARED_METRIC_ALLOW: &[(&str, &str)] = &[
@@ -251,22 +236,6 @@ const SYNTHETIC_METRICS: &[(&str, &str)] = &[
 /// listed here, if an entry is no longer read anywhere, or if README's
 /// knob table omits an entry.
 const KNOB_INVENTORY: &[(&str, &str)] = &[
-    (
-        "RINGO_CHECK_PCT_DEPTH",
-        "concurrency checker: PCT strategy change points",
-    ),
-    (
-        "RINGO_CHECK_SCHEDULES",
-        "concurrency checker: schedules explored per strategy",
-    ),
-    (
-        "RINGO_CHECK_SEED",
-        "concurrency checker: replay one exact interleaving",
-    ),
-    (
-        "RINGO_CHECK_STRATEGY",
-        "concurrency checker: restrict exploration strategies",
-    ),
     (
         "RINGO_LJ_SCALE",
         "benchmark fixtures: LiveJournal-shaped dataset scale",

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | `unsafe-safety-comment`   | every `unsafe` token carries `// SAFETY:` / `# Safety` |
 //! | `relaxed-ordering-comment`| every `Ordering::Relaxed` carries `// ORDERING:` |
-//! | `thread-confinement`      | `thread::spawn`/`Builder` only in the pool/checker |
+//! | `thread-confinement`      | `thread::spawn`/`Builder` only in the worker pool |
 //! | `unwrap-audit`            | `.unwrap()`/`.expect(` only in audited files |
 //! | `dropped-guard`           | no `let _ = span!(…)` / bare `span!(…);` statements |
 //! | `metric-registry`         | span/counter names are dotted, unique, and CI-checked |

@@ -8,7 +8,7 @@
 //! `RINGO_<NAME>` occurrence counts as a knob reference, which covers
 //! direct `std::env::var("RINGO_X")` reads as well as knob names routed
 //! through helpers (`env_knob("RINGO_MORSEL_ROWS", …)`) and knob names
-//! printed in replay hints (`"replay with: RINGO_CHECK_SEED=…"`). An
+//! printed in messages (`"ignoring invalid RINGO_THREADS…"`). An
 //! all-underscore tail (`RINGO________`, binary-magic padding) is not a
 //! knob.
 //!

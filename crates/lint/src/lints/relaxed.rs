@@ -3,10 +3,10 @@
 //! synchronization edge is required.
 //!
 //! Stronger orderings are self-documenting (they claim an edge);
-//! `Relaxed` claims the *absence* of one, which is exactly the claim the
-//! deterministic checker in `crates/check` exists to test — so the
-//! source must say why it believes it. Token-aware: `Ordering::Relaxed`
-//! inside strings, comments, or `#[cfg(test)]` code is ignored.
+//! `Relaxed` claims the *absence* of one, which no test can prove by
+//! running it — so the source must say why it believes it. Token-aware:
+//! `Ordering::Relaxed` inside strings, comments, or `#[cfg(test)]` code
+//! is ignored.
 
 use crate::config::Config;
 use crate::diag::Finding;

@@ -1,7 +1,6 @@
 //! `thread-confinement`: ad-hoc thread creation is forbidden outside
-//! the worker pool and the checker's virtual-thread runtime. Everything
-//! else must go through the pool so work is bounded by its worker count
-//! and observable in pool stats.
+//! the worker pool. Everything else must go through the pool so work
+//! is bounded by its worker count and observable in pool stats.
 //!
 //! Token-aware re-implementation of PR 4's rule 3: matches the
 //! significant-token sequences `thread :: spawn` and
@@ -53,7 +52,7 @@ impl Lint for ThreadConfinement {
                     self.name(),
                     file,
                     ti,
-                    "ad-hoc thread creation outside the worker pool and ringo-check \
+                    "ad-hoc thread creation outside the worker pool \
                      (route work through ringo_concurrent::pool so it is bounded and \
                      observable)",
                 ));

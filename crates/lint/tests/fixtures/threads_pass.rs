@@ -1,5 +1,5 @@
 //! Pass control: identical spawn — the test config allowlists this file,
-//! the way the real config allowlists the pool and the checker.
+//! the way the real config allowlists the pool.
 
 use std::thread;
 

@@ -9,8 +9,8 @@
 //!   (or a `# Safety` doc heading) within the lookback window;
 //! * `relaxed-ordering-comment` — every `Ordering::Relaxed` carries
 //!   `// ORDERING:` explaining why no synchronization edge is needed;
-//! * `thread-confinement` — `thread::spawn`/`Builder` only in the pool
-//!   and the checker;
+//! * `thread-confinement` — `thread::spawn`/`Builder` only in the
+//!   worker pool;
 //! * `unwrap-audit` — `.unwrap()`/`.expect(` only in audited files;
 //! * `dropped-guard` — no span guards destroyed on the spot;
 //! * `metric-registry` — span/counter names dotted, unique per call
@@ -73,7 +73,7 @@ fn relaxed_orderings_are_justified() {
 }
 
 #[test]
-fn thread_spawn_only_in_pool_and_checker() {
+fn thread_spawn_only_in_pool() {
     assert_clean("thread-confinement");
 }
 
