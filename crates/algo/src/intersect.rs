@@ -1,6 +1,8 @@
-//! The one sorted-set intersection every neighbourhood kernel shares
-//! (triangles, clustering, k-truss, similarity). Inputs are strictly
-//! ascending lists — in the kernels, rows of neighbour slots.
+//! The one sorted-set intersection of the kernels that intersect rows
+//! pair by pair: k-truss and similarity. Triangles and clustering probe
+//! one row against many, so they mark it in a bitmap instead
+//! (`triangles.rs`). Inputs are strictly ascending lists — in the
+//! kernels, rows of neighbour slots.
 //!
 //! Lists of comparable length are merged with two pointers that advance
 //! without a data-dependent branch. When one list is [`GALLOP_RATIO`]
@@ -9,9 +11,9 @@
 //! O(short · log(long / short)) rather than O(short + long), so a hub's
 //! list is not re-walked once per low-degree neighbour.
 
-/// Where the search overtakes the merge, measured (DESIGN.md,
-/// "Triangles": they tie at 4×, the search is 1.4× ahead at 8×). A
-/// constant of the algorithm, not a knob.
+/// Where the search overtakes the merge, measured when triangles still
+/// intersected (DESIGN.md, "Triangles": they tie at 4×, the search is
+/// 1.4× ahead at 8×). A constant of the algorithm, not a knob.
 const GALLOP_RATIO: usize = 4;
 
 /// Number of values present in both lists.

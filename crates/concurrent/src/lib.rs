@@ -40,8 +40,9 @@ pub use bitset::ConcurrentBitset;
 pub use hash_table::{IntHashTable, KeyInterner};
 pub use parallel::{
     morsel_bounds, morsel_rows, num_threads, parallel_for, parallel_for_dynamic,
-    parallel_for_morsels, parallel_for_morsels_traced, parallel_map, parallel_map_morsels,
-    parallel_map_morsels_traced, DisjointSlice, MorselStats, DEFAULT_MORSEL_ROWS,
+    parallel_for_dynamic_with, parallel_for_morsels, parallel_for_morsels_traced, parallel_map,
+    parallel_map_morsels, parallel_map_morsels_traced, DisjointSlice, MorselStats,
+    DEFAULT_MORSEL_ROWS,
 };
 pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{

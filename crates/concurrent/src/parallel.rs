@@ -17,6 +17,7 @@
 
 use crate::pool::Pool;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Default worker count: `RINGO_THREADS` if set and positive, otherwise the
 /// machine's available parallelism.
@@ -344,18 +345,69 @@ where
 ///
 /// `threads` only chooses between the sequential loop (`<= 1`) and the
 /// pool: there is no chunking for it to size, so any larger value runs on
-/// every pool worker.
+/// every pool worker. The stateless case of [`parallel_for_dynamic_with`].
 pub fn parallel_for_dynamic<F>(items: usize, threads: usize, body: F)
 where
     F: Fn(usize) + Sync,
 {
+    parallel_for_dynamic_with(items, threads, || (), |(), i| body(i));
+}
+
+/// [`parallel_for_dynamic`] with scratch state per executor: each item
+/// runs as `body(&mut state, i)` on a state that `init` built, and that
+/// no other item uses at the same time. A state outlives its item and is
+/// handed to a later one, so a kernel that needs a buffer the size of
+/// its input allocates it once per executor, not once per item. `body`
+/// must leave the state fit for whatever item comes next.
+///
+/// States are built only when every built one is in use, so `init` runs
+/// at most once per executor that ran concurrently: once in the
+/// sequential loop, at most the pool's workers plus the calling thread on
+/// the pool. Which state serves which item varies from run to run; a
+/// result that must not depend on the thread count must not depend on
+/// the state either.
+///
+/// ```
+/// use ringo_concurrent::parallel_for_dynamic_with;
+/// use std::sync::atomic::{AtomicU64, Ordering};
+///
+/// let sum = AtomicU64::new(0);
+/// parallel_for_dynamic_with(
+///     100,
+///     4,
+///     || Vec::with_capacity(10),
+///     |digits: &mut Vec<u64>, i| {
+///         digits.extend((0..10).map(|d| (i * 10 + d) as u64));
+///         sum.fetch_add(digits.drain(..).sum(), Ordering::Relaxed);
+///     },
+/// );
+/// assert_eq!(sum.into_inner(), 1000 * 999 / 2);
+/// ```
+pub fn parallel_for_dynamic_with<S, I, F>(items: usize, threads: usize, init: I, body: F)
+where
+    S: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
+{
     if threads <= 1 || items <= 1 {
-        for i in 0..items {
-            body(i);
+        if items > 0 {
+            let mut state = init();
+            (0..items).for_each(|i| body(&mut state, i));
         }
         return;
     }
-    Pool::global().run(items, &|i| body(i));
+    let pool = Pool::global();
+    // The states between items. An item pops one, or builds one if all
+    // are in use, and pushes it back: at most one per executor, and the
+    // pool's claim counter stays the one that hands out items.
+    let idle = Mutex::new(Vec::with_capacity(pool.workers() + 1));
+    let lock = || idle.lock().expect("idle executor states poisoned");
+    pool.run(items, &|i| {
+        let popped = lock().pop();
+        let mut state = popped.unwrap_or_else(&init);
+        body(&mut state, i);
+        lock().push(state);
+    });
 }
 
 /// Applies `body(chunk_index, chunk_start, chunk)` to disjoint mutable
@@ -557,6 +609,37 @@ mod tests {
         assert_eq!(after.workers, before.workers, "pool size is constant");
         assert!(after.jobs_dispatched - before.jobs_dispatched >= 200);
         assert!(after.chunks_executed - before.chunks_executed >= 200);
+    }
+
+    #[test]
+    fn dynamic_with_runs_every_item_once_on_at_most_one_state_an_executor() {
+        let executors = Pool::global().workers() + 1;
+        for threads in [1, 2, 4] {
+            let items = 1_000;
+            let hits: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
+            let inits = AtomicUsize::new(0);
+            parallel_for_dynamic_with(
+                items,
+                threads,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                },
+                |(), i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            let inits = inits.into_inner();
+            if threads == 1 {
+                assert_eq!(inits, 1, "one state in the sequential loop");
+            } else {
+                assert!(
+                    (1..=executors).contains(&inits),
+                    "{inits} states for {executors} executors at {threads} threads"
+                );
+            }
+        }
+        parallel_for_dynamic_with(0, 4, || panic!("no item, no state"), |(), _| {});
     }
 
     #[test]

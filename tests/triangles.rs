@@ -130,18 +130,44 @@ fn seeded_rmat_with_self_loops() {
 #[test]
 fn either_id_order_is_counted_alike() {
     // R-MAT gives its hubs the small ids; negating every id gives them
-    // the large ones, the expensive order for counting at the largest id.
+    // the large ones, and a multiplicative hash scatters them among the
+    // rest (the biggest, id 0, stays 0: the middle of the hashed ids).
+    // The counting corner is the largest slot, so each order puts the
+    // hubs' rows on a different side of it.
     let edges = rmat(&RmatConfig {
         scale: 8,
         edges: 3_000,
         seed: 9,
         ..Default::default()
     });
-    let mirrored: Vec<_> = edges.iter().map(|&(a, b)| (-a, -b)).collect();
+    let relabelled =
+        |f: fn(NodeId) -> NodeId| -> Vec<_> { edges.iter().map(|&(a, b)| (f(a), f(b))).collect() };
+    let total = check(&from_edges(&edges), "rmat");
     assert_eq!(
-        check(&from_edges(&edges), "rmat"),
-        check(&from_edges(&mirrored), "mirrored rmat")
+        check(&from_edges(&relabelled(|id| -id)), "mirrored rmat"),
+        total
     );
+    let hashed = relabelled(|id| id.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64));
+    assert_eq!(check(&from_edges(&hashed), "hashed rmat"), total);
+}
+
+#[test]
+fn vacant_slots_at_word_boundaries_and_a_looped_hub() {
+    // More than two 64-slot words of the kernels' bitmap, with slots
+    // vacated on both sides of the first two word boundaries, and a
+    // self-loop on the biggest hub.
+    let mut g = rmat_graph(8, 3_000, 11);
+    assert!(g.n_slots() > 128);
+    for slot in [62, 63, 64, 65, 127, 128] {
+        let id = g.slot_id(slot).expect("every slot is live before");
+        assert!(g.del_node(id));
+    }
+    let hub = g
+        .node_ids()
+        .max_by_key(|&id| g.degree(id))
+        .expect("nodes survive");
+    g.add_edge(hub, hub);
+    assert!(check(&g, "holes at word boundaries, looped hub") > 0);
 }
 
 #[test]
