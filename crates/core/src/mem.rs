@@ -2,8 +2,9 @@
 //!
 //! The implementation moved to [`ringo_trace::mem`] so that every engine
 //! crate (tables, conversions, algorithms) can attribute allocator deltas
-//! to its spans; this module re-exports it unchanged for existing users
-//! such as the `footprint` benchmark binary:
+//! to its spans; this module re-exports it unchanged for users of the
+//! facade such as `bench_e2e`, which installs it to read each session's
+//! peak heap:
 //!
 //! ```ignore
 //! #[global_allocator]

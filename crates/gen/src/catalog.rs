@@ -49,18 +49,6 @@ impl SizeBucket {
         }
     }
 
-    /// Row label as printed in Table 1.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Under100K => "<0.1M",
-            Self::To1M => "0.1M - 1M",
-            Self::To10M => "1M - 10M",
-            Self::To100M => "10M - 100M",
-            Self::To1B => "100M - 1B",
-            Self::Over1B => ">1B",
-        }
-    }
-
     /// All buckets in Table 1 order.
     pub fn all() -> [Self; 6] {
         [

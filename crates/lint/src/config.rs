@@ -128,21 +128,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "crates/algo/src/traversal.rs",
         "invariant expects in kernel loops",
     ),
-    // Benchmark drivers and fixtures: setup failures (I/O, column lookups)
-    // abort the run loudly by design — a benchmark must not limp on.
-    (
-        "crates/bench/src/bin/all_tables.rs",
-        "bench driver aborts loudly",
-    ),
-    (
-        "crates/bench/src/bin/table4.rs",
-        "bench driver aborts loudly",
-    ),
-    (
-        "crates/bench/src/bin/table5.rs",
-        "bench driver aborts loudly",
-    ),
-    ("crates/bench/src/lib.rs", "bench fixtures abort loudly"),
     // Lock-free/parallel kernels: occupied-slot and just-inserted expects
     // in the sequential table, chunk-fill expects in parallel_map, and
     // the pool's lock/spawn failures which are fatal by design.
@@ -237,10 +222,6 @@ const SYNTHETIC_METRICS: &[(&str, &str)] = &[
 /// knob table omits an entry.
 const KNOB_INVENTORY: &[(&str, &str)] = &[
     (
-        "RINGO_LJ_SCALE",
-        "benchmark fixtures: LiveJournal-shaped dataset scale",
-    ),
-    (
         "RINGO_MORSEL_ROWS",
         "parallel executor: rows per morsel (read once per process)",
     ),
@@ -248,10 +229,6 @@ const KNOB_INVENTORY: &[(&str, &str)] = &[
     (
         "RINGO_TRACE_JSON",
         "trace: record spans and counters, JSON dump path at exit",
-    ),
-    (
-        "RINGO_TW_SCALE",
-        "benchmark fixtures: Twitter-shaped dataset scale",
     ),
 ];
 

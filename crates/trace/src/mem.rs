@@ -3,9 +3,9 @@
 //! The paper reports that 10 PageRank iterations on Twitter2010 ran within
 //! 18.3GB and triangle counting within 22.6GB — "less than twice the size
 //! of the graph object itself". [`TrackingAllocator`] wraps the system
-//! allocator with current/peak byte counters so the `footprint` benchmark
-//! binary can reproduce that measurement, and so spans can attribute
-//! allocator deltas to individual operations:
+//! allocator with current/peak byte counters so `tests/footprint.rs` can
+//! assert that bound, and so spans can attribute allocator deltas to
+//! individual operations:
 //!
 //! ```ignore
 //! #[global_allocator]
