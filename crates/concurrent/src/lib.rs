@@ -46,6 +46,6 @@ pub use parallel::{
 };
 pub use pool::{pool_stats, Pool, PoolStats};
 pub use radix::{
-    f64_key, i64_key, radix_sort_columns, radix_sort_rows, PairCodec, RowCodec, SortColumn,
-    SortedPairs, SortedRows,
+    decode_rows, f64_key, i64_key, radix_sort_columns, radix_sort_rows, PairCodec, RowCodec,
+    SortColumn, SortedColumn, SortedPairs, SortedRows,
 };

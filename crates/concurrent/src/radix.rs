@@ -23,7 +23,8 @@
 //! fit 128. The row sort ([`radix_sort_rows`]) packs `(sort
 //! columns…, row position)`: the position makes every word distinct, so
 //! the unstable bucket sorts yield the stable order, and the caller reads
-//! positions (and `Int` columns) back off the sorted words. Rows wider
+//! positions back off the sorted words — off `u64` words, with every sort
+//! column decoded whole in the same pass ([`decode_rows`]). Rows wider
 //! than 128 bits — two or more full-range columns beside the position —
 //! sort in chained passes of the same core, least significant column
 //! group first, each pass ordering the previous pass's output.
@@ -531,6 +532,10 @@ impl SortColumn<'_> {
         }
     }
 
+    fn is_float(&self) -> bool {
+        matches!(self, Self::Float(_) | Self::FloatAt(..))
+    }
+
     /// Calls `f(j, key)` for every position `j` of `rows` with the
     /// order-preserving key of the row there (`sel[j]`, or `j` itself).
     #[inline(always)]
@@ -564,11 +569,39 @@ fn words(
 }
 
 /// Where one sort column sits in a row word: `mask` over its varying
-/// bits, moved up by `shift`.
+/// bits, moved up by `shift`; `high` holds the bits above them, which
+/// every row's (complemented) key shares.
 #[derive(Clone, Copy, Debug)]
 struct Field {
     shift: u32,
     mask: u64,
+    high: u64,
+}
+
+impl Field {
+    /// The column's order-preserving key ([`i64_key`] / [`f64_key`]) off
+    /// word `w` of a layout that complements keys by `flip`: its varying
+    /// bits, the bits every row shares above them, then `flip` undone.
+    #[inline(always)]
+    fn key<W: Word>(&self, w: W, flip: u64) -> u64 {
+        ((w.shr(self.shift).low() & self.mask) | self.high) ^ flip
+    }
+}
+
+/// The inverse of [`i64_key`].
+#[inline(always)]
+fn i64_of_key(key: u64) -> i64 {
+    (key ^ (1u64 << 63)) as i64
+}
+
+/// The inverse of [`f64_key`], bit for bit: NaN payloads and zero signs
+/// come back as they went in.
+#[inline(always)]
+fn f64_of_key(key: u64) -> f64 {
+    // `f64_key` flips the magnitude bits of negatives and keeps the sign,
+    // so the sign read back says whether to flip them again.
+    let b = i64_of_key(key);
+    f64::from_bits((b ^ ((((b >> 63) as u64) >> 1) as i64)) as u64)
 }
 
 /// Unpacks the words [`radix_sort_rows`] sorted: `(columns…, position)`,
@@ -599,6 +632,7 @@ impl RowCodec {
                     // ever moves a zero mask.
                     shift: bits as u32,
                     mask,
+                    high: (and ^ flip) & !mask,
                 };
                 bits += width;
                 field
@@ -618,6 +652,18 @@ impl RowCodec {
     #[inline(always)]
     pub fn position<W: Word>(&self, key: W) -> usize {
         (key.low() & self.pos_mask) as usize
+    }
+
+    /// Sort column `c` of the row `key` holds, an `Int` column: its
+    /// value, exactly.
+    pub fn int<W: Word>(&self, c: usize, key: W) -> i64 {
+        i64_of_key(self.fields[c].key(key, self.flip))
+    }
+
+    /// Sort column `c` of the row `key` holds, a `Float` column: its
+    /// value, bit for bit.
+    pub fn float<W: Word>(&self, c: usize, key: W) -> f64 {
+        f64_of_key(self.fields[c].key(key, self.flip))
     }
 }
 
@@ -779,6 +825,122 @@ fn sort_chained(
         end = start;
     }
     order.unwrap_or_default()
+}
+
+/// A sort column decoded off the words [`radix_sort_rows`] sorted: its
+/// values, in sorted order.
+#[derive(Debug, PartialEq)]
+pub enum SortedColumn {
+    /// An `Int` column's values.
+    Int(Vec<i64>),
+    /// A `Float` column's values, bit for bit.
+    Float(Vec<f64>),
+}
+
+/// Where the decode writes one sort column after the first.
+enum Decoding {
+    Int(Field, DisjointSlice<i64>),
+    Float(Field, DisjointSlice<f64>),
+}
+
+/// The row positions read off `u64` words that [`radix_sort_rows`] sorted
+/// by `cols` under `codec` (all positions below `u32::MAX`), and every
+/// column of `cols` decoded off the same words, in one parallel pass.
+/// With `cols` empty the words give positions only. The first column
+/// takes over the words' own buffer: each word is rewritten in place as
+/// its value, once every other column has read it, so the decode
+/// allocates the positions and the columns after the first, no more.
+pub fn decode_rows(
+    mut words: Vec<u64>,
+    codec: &RowCodec,
+    cols: &[SortColumn<'_>],
+    threads: usize,
+) -> (Vec<u32>, Vec<SortedColumn>) {
+    const BLOCK: usize = 4096;
+    let n = words.len();
+    let flip = codec.flip;
+    let mut positions = vec![0u32; n];
+    let mut rest: Vec<SortedColumn> = cols
+        .iter()
+        .skip(1)
+        .map(|c| {
+            if c.is_float() {
+                SortedColumn::Float(vec![0.0; n])
+            } else {
+                SortedColumn::Int(vec![0; n])
+            }
+        })
+        .collect();
+    {
+        let outs: Vec<Decoding> = rest
+            .iter_mut()
+            .zip(codec.fields.iter().skip(1))
+            .map(|(col, &field)| match col {
+                SortedColumn::Int(v) => Decoding::Int(field, DisjointSlice::new(v)),
+                SortedColumn::Float(v) => Decoding::Float(field, DisjointSlice::new(v)),
+            })
+            .collect();
+        let first = cols.first().map(|c| (codec.fields[0], c.is_float()));
+        let (pos_cell, words_cell) = (
+            DisjointSlice::new(&mut positions),
+            DisjointSlice::new(&mut words),
+        );
+        parallel_for(n, threads, |_, range| {
+            for lo in range.clone().step_by(BLOCK) {
+                let hi = range.end.min(lo + BLOCK);
+                // SAFETY: chunks are disjoint ranges of `0..n`, and so are
+                // the blocks of one chunk; every window below is `lo..hi`.
+                let block = unsafe { words_cell.slice_mut(lo, hi) };
+                // SAFETY: as above.
+                let pos = unsafe { pos_cell.slice_mut(lo, hi) };
+                for (p, &w) in pos.iter_mut().zip(block.iter()) {
+                    *p = codec.position(w) as u32;
+                }
+                for out in &outs {
+                    match out {
+                        Decoding::Int(f, cell) => {
+                            // SAFETY: as above.
+                            let out = unsafe { cell.slice_mut(lo, hi) };
+                            for (o, &w) in out.iter_mut().zip(block.iter()) {
+                                *o = i64_of_key(f.key(w, flip));
+                            }
+                        }
+                        Decoding::Float(f, cell) => {
+                            // SAFETY: as above.
+                            let out = unsafe { cell.slice_mut(lo, hi) };
+                            for (o, &w) in out.iter_mut().zip(block.iter()) {
+                                *o = f64_of_key(f.key(w, flip));
+                            }
+                        }
+                    }
+                }
+                match first {
+                    Some((f, false)) => {
+                        for w in block.iter_mut() {
+                            *w = i64_of_key(f.key(*w, flip)) as u64;
+                        }
+                    }
+                    Some((f, true)) => {
+                        for w in block.iter_mut() {
+                            *w = f64_of_key(f.key(*w, flip)).to_bits();
+                        }
+                    }
+                    None => {}
+                }
+            }
+        });
+    }
+    // Each word already holds its value's bits: the standard library
+    // collects a same-size map of a vector's own items into its buffer,
+    // and the identity map compiles to nothing (the tests pin the buffer).
+    let first = cols.first().map(|c| {
+        if c.is_float() {
+            SortedColumn::Float(words.into_iter().map(f64::from_bits).collect())
+        } else {
+            SortedColumn::Int(words.into_iter().map(|w| w as i64).collect())
+        }
+    });
+    (positions, first.into_iter().chain(rest).collect())
 }
 
 #[cfg(test)]
@@ -945,6 +1107,178 @@ mod tests {
                     assert_eq!(decoded, expect, "{ctx}");
                 }
             }
+        }
+    }
+
+    /// Asserts every word of `keys` decodes, column by column, to the
+    /// value of the row it holds, bit for bit.
+    fn each_word_decodes<W: Word>(
+        keys: &[W],
+        codec: &RowCodec,
+        cols: &[SortColumn<'_>],
+        ctx: &str,
+    ) {
+        for &k in keys {
+            let row = codec.position(k);
+            for (c, col) in cols.iter().enumerate() {
+                let (got, want) = match *col {
+                    SortColumn::Int(v) => (codec.int(c, k) as u64, v[row] as u64),
+                    SortColumn::Float(v) => (codec.float(c, k).to_bits(), v[row].to_bits()),
+                    _ => unreachable!("whole columns only"),
+                };
+                assert_eq!(got, want, "{ctx}: column {c} of row {row}");
+            }
+        }
+    }
+
+    /// Sorts `cols` and checks the decode of every sorted word, and on
+    /// `u64` words [`decode_rows`] too, with and without columns. Returns
+    /// the word the rows were sorted in.
+    fn check_decode(
+        cols: &[SortColumn<'_>],
+        ascending: bool,
+        threads: usize,
+        ctx: &str,
+    ) -> &'static str {
+        let (keys, codec) = match radix_sort_rows(cols, ascending, None, threads) {
+            SortedRows::U64(keys, codec) => (keys, codec),
+            SortedRows::U128(keys, codec) => {
+                each_word_decodes(&keys, &codec, cols, ctx);
+                return "u128";
+            }
+            SortedRows::Chained(_) => return "chained",
+        };
+        each_word_decodes(&keys, &codec, cols, ctx);
+        let positions: Vec<u32> = keys.iter().map(|&k| codec.position(k) as u32).collect();
+        let words = keys.clone();
+        let buffer = words.as_ptr().cast::<u8>();
+        let (perm, decoded) = decode_rows(words, &codec, cols, threads);
+        assert_eq!(perm, positions, "{ctx}: positions");
+        assert_eq!(decoded.len(), cols.len(), "{ctx}: one vector a column");
+        for (c, (col, got)) in cols.iter().zip(&decoded).enumerate() {
+            let bits: Vec<u64> = match (col, got) {
+                (SortColumn::Int(_), SortedColumn::Int(v)) => v.iter().map(|&x| x as u64).collect(),
+                (SortColumn::Float(_), SortedColumn::Float(v)) => {
+                    v.iter().map(|x| x.to_bits()).collect()
+                }
+                _ => panic!("{ctx}: column {c} decoded as the wrong type"),
+            };
+            let want: Vec<u64> = positions
+                .iter()
+                .map(|&row| match *col {
+                    SortColumn::Int(v) => v[row as usize] as u64,
+                    SortColumn::Float(v) => v[row as usize].to_bits(),
+                    _ => unreachable!("whole columns only"),
+                })
+                .collect();
+            assert_eq!(bits, want, "{ctx}: decode_rows column {c}");
+        }
+        let first = decoded.first().map(|c| match c {
+            SortedColumn::Int(v) => v.as_ptr().cast::<u8>(),
+            SortedColumn::Float(v) => v.as_ptr().cast(),
+        });
+        assert_eq!(
+            first,
+            Some(buffer),
+            "{ctx}: the first column is the words' buffer"
+        );
+        assert_eq!(
+            decode_rows(keys, &codec, &[], threads),
+            (positions, Vec::new()),
+            "{ctx}: positions alone"
+        );
+        "u64"
+    }
+
+    /// Every sorted word decodes to its row's key in every column — `Int`
+    /// columns at `i64::MIN` / `MAX`, constant (zero-width) columns,
+    /// `Float` columns with ±0.0, ±inf and NaNs of both signs and several
+    /// payloads — in `u64` and `u128` words, ascending and descending, on
+    /// the sequential and the partition path.
+    #[test]
+    fn sorted_words_decode_to_their_rows_keys() {
+        let neg = |x: f64| f64::from_bits(x.to_bits() | (1 << 63));
+        let nan = |payload: u64| f64::from_bits(f64::NAN.to_bits() | payload);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            nan(0),
+            neg(nan(0)),
+            nan(1),
+            neg(nan(0xBEEF)),
+            nan(0x7_FFFF_FFFF_FFFF),
+            neg(nan(0x4_0000_0000_0001)),
+            1.5,
+            -1.5,
+            f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+        ];
+        let extremes = [i64::MIN, i64::MAX, 0, -1, 1];
+        for len in [100usize, SEQ_THRESHOLD + 1000] {
+            let mut rng = Rng64::new(len as u64 + 7);
+            let mut ulps = || rng.below(1000) as u64;
+            let top: Vec<i64> = (0..len).map(|_| i64::MAX - ulps() as i64).collect();
+            let bottom: Vec<i64> = (0..len).map(|_| i64::MIN + ulps() as i64).collect();
+            let one = 1.0f64.to_bits();
+            let narrow: Vec<f64> = (0..len).map(|_| f64::from_bits(one + ulps())).collect();
+            let negative: Vec<f64> = narrow.iter().map(|&x| -x).collect();
+            let (min, max) = (vec![i64::MIN; len], vec![i64::MAX; len]);
+            let (const_nan, neg_zero) = (vec![neg(nan(0xBEEF)); len], vec![-0.0; len]);
+            let wide: Vec<i64> = (0..len).map(|_| extremes[rng.below(5)]).collect();
+            let special: Vec<f64> = (0..len).map(|_| specials[rng.below(14)]).collect();
+            for (cols, word) in [
+                (
+                    vec![
+                        SortColumn::Int(&top),
+                        SortColumn::Int(&min),
+                        SortColumn::Float(&const_nan),
+                    ],
+                    "u64",
+                ),
+                (
+                    vec![
+                        SortColumn::Float(&negative),
+                        SortColumn::Int(&bottom),
+                        SortColumn::Int(&max),
+                        SortColumn::Float(&neg_zero),
+                    ],
+                    "u64",
+                ),
+                (
+                    vec![SortColumn::Int(&wide), SortColumn::Float(&narrow)],
+                    "u128",
+                ),
+                (
+                    vec![SortColumn::Float(&special), SortColumn::Int(&top)],
+                    "u128",
+                ),
+            ] {
+                for (ascending, threads) in [(true, 1), (false, 1), (true, 2), (false, 2)] {
+                    let ctx = format!("len={len} {word} asc={ascending} threads={threads}");
+                    assert_eq!(check_decode(&cols, ascending, threads, &ctx), word, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_inverses_are_exact() {
+        for x in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX] {
+            assert_eq!(i64_of_key(i64_key(x)), x);
+        }
+        for bits in [
+            0u64,
+            1 << 63,
+            f64::NAN.to_bits() | 0xBEEF,
+            f64::NAN.to_bits() | (1 << 63) | 1,
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            u64::MAX,
+            1,
+        ] {
+            assert_eq!(f64_of_key(f64_key(f64::from_bits(bits))).to_bits(), bits);
         }
     }
 

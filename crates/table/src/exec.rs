@@ -3,11 +3,12 @@
 //! Folds a lazy query's [`Step`]s over a table *view* — shared columns,
 //! each read through a selection of surviving row positions — calling
 //! the view kernels the eager verbs call. Select narrows the selections,
-//! Project drops columns, OrderBy permutes them, Join and NextK read
-//! their inputs through their position lists; only GroupBy (whose output
-//! is a genuinely new table) materializes mid-chain, and the final view
-//! is gathered into the output table exactly once, at collect time: an
-//! N-step chain touches full column data once, not N times.
+//! Project drops columns, OrderBy permutes them (its sort columns come
+//! back whole when it decodes them off its sorted words), Join and NextK
+//! read their inputs through their position lists; only GroupBy (whose
+//! output is a genuinely new table) materializes mid-chain, and the final
+//! view is gathered into the output table exactly once, at collect time:
+//! an N-step chain touches full column data once, not N times.
 //!
 //! Each step records a `plan.<op>` trace span; the single gather records
 //! the `table.gather` span, so one `table.gather` per `collect()` is
@@ -199,9 +200,9 @@ fn run(step: &Step, frame: Table, tables: &[&Table], stats: &mut Vec<NodeStat>) 
             sp.rows_in(frame.n_rows());
             sp.rows_out(frame.n_rows());
             let scols: Vec<&str> = cols.iter().map(String::as_str).collect();
-            let sel = frame.order_perm_sel(&scols, *ascending)?;
-            let stat = NodeStat::new("order", sel.len() as u64);
-            (frame.view_rows(sel), stat)
+            let out = frame.sorted_view(&scols, *ascending)?;
+            let stat = NodeStat::new("order", out.n_rows() as u64);
+            (out, stat)
         }
         Step::NextK {
             group_col,

@@ -293,16 +293,33 @@ pub(crate) fn join_pairs_sel_stats(
                     bs.push(b);
                 }
             }
+            // Held until every morsel is probed: 4 B a pair a side, not
+            // the up to 8 the lists grew to.
+            ps.shrink_to_fit();
+            bs.shrink_to_fit();
             (ps, bs)
         },
     );
     drop(index);
-    // Each side's morsel lists are freed once copied.
-    let concat = |lists: Vec<Vec<u32>>| lists.concat();
     let (ps, bs) = morsels.into_iter().unzip();
-    let (ps, bs) = (concat(ps), concat(bs));
+    let (ps, bs) = (drain(ps), drain(bs));
     let (l, r) = if left_is_build { (bs, ps) } else { (ps, bs) };
     Ok((l, r, stats))
+}
+
+/// One side's per-morsel position lists as one list, in order. The first
+/// list grows by each next one and frees it once copied, so the side is
+/// never held twice, as a copy into a list of the whole side's size
+/// would hold it.
+fn drain(lists: Vec<Vec<u32>>) -> Vec<u32> {
+    let mut lists = lists.into_iter();
+    let mut out = lists.next().unwrap_or_default();
+    for list in lists {
+        out.reserve_exact(list.len());
+        out.extend_from_slice(&list);
+    }
+    out.shrink_to_fit();
+    out
 }
 
 /// Positions of `left`'s rows (`0..left.n_rows()`) that have a match in

@@ -2,15 +2,22 @@
 
 use crate::table::row_count_u32;
 use crate::{ColumnData, Result, Table};
-use ringo_concurrent::{radix_sort_rows, SortColumn, SortedRows};
+use ringo_concurrent::{decode_rows, radix_sort_rows, SortColumn, SortedColumn, SortedRows};
 use std::cmp::Ordering;
+use std::sync::Arc;
+
+/// What an ordering returns: the positions of the sorted rows, and the
+/// sort columns it decoded, each `(column, its rows in sorted order)`.
+type Ordered = (Vec<u32>, Vec<(usize, Arc<ColumnData>)>);
 
 impl Table {
     /// Indices of the sort columns `cols`, each once: a column named
-    /// again can only tie where it already tied.
+    /// again — or a column that reads another's vector through the same
+    /// selection, a join's key pair — can only tie where it already tied.
     fn sort_indices(&self, cols: &[&str]) -> Result<Vec<usize>> {
         let mut idx = Vec::with_capacity(cols.len());
         for c in self.col_indices(cols)? {
+            let c = self.first_of(c);
             if !idx.contains(&c) {
                 idx.push(c);
             }
@@ -18,11 +25,30 @@ impl Table {
         Ok(idx)
     }
 
-    /// The table's rows sorted by columns `idx` in packed words
-    /// ([`radix_sort_rows`]), each read through its selection; `None`
-    /// when a column is `Str`.
-    fn sort_numeric(&self, idx: &[usize], ascending: bool) -> Option<SortedRows> {
-        let cols: Option<Vec<SortColumn<'_>>> = idx
+    /// The ordering kernel of `order_by` (the eager verbs and the lazy
+    /// step), `next_k` and `value_counts`: the positions of the table's
+    /// rows sorted by `cols`, ties broken by the next column, then by row
+    /// order (stable), and — when `decode` and the sort ran in `u64`
+    /// words — each sort column whole, in sorted order, decoded off the
+    /// sorted words in the pass that reads the positions
+    /// ([`decode_rows`]).
+    ///
+    /// Numeric sort columns (`Int` or `Float`, each read through its
+    /// selection) are sorted as packed words ([`radix_sort_rows`]); floats
+    /// map through the IEEE-754 total-order key, so NaNs land exactly
+    /// where `total_cmp` puts them. The other tiers give positions only:
+    /// `u128` words have no buffer of a column's size to decode into,
+    /// chained passes return rows, not words, and any `Str` column takes a
+    /// stable comparison sort, which makes no words. Each ordering counts
+    /// its tier (`table.order.u64` / `.u128` / `.chained` / `.compare`)
+    /// and the columns it decoded (`table.order.decoded`).
+    fn ordering(&self, cols: &[&str], ascending: bool, decode: bool) -> Result<Ordered> {
+        let idx = self.sort_indices(cols)?;
+        row_count_u32(self.n_rows())?;
+        if idx.is_empty() {
+            return Ok((self.unsorted_perm(), Vec::new()));
+        }
+        let keys: Option<Vec<SortColumn<'_>>> = idx
             .iter()
             .map(|&c| match (self.col(c).data, self.col(c).sel) {
                 (ColumnData::Int(v), None) => Some(SortColumn::Int(v)),
@@ -32,35 +58,50 @@ impl Table {
                 (ColumnData::Str(_), _) => None,
             })
             .collect();
-        Some(radix_sort_rows(&cols?, ascending, None, self.threads))
+        let Some(keys) = keys else {
+            ringo_trace::counter("table.order.compare").add(1);
+            return Ok((self.order_perm_cmp(&idx, ascending), Vec::new()));
+        };
+        let ordered = match radix_sort_rows(&keys, ascending, None, self.threads) {
+            SortedRows::U64(words, codec) => {
+                ringo_trace::counter("table.order.u64").add(1);
+                let decoding = if decode { &keys[..] } else { &[] };
+                let (perm, decoded) = decode_rows(words, &codec, decoding, self.threads);
+                ringo_trace::counter("table.order.decoded").add(decoded.len() as u64);
+                let whole = decoded.into_iter().map(|c| {
+                    Arc::new(match c {
+                        SortedColumn::Int(v) => ColumnData::Int(v),
+                        SortedColumn::Float(v) => ColumnData::Float(v),
+                    })
+                });
+                (perm, idx.into_iter().zip(whole).collect())
+            }
+            SortedRows::U128(words, codec) => {
+                ringo_trace::counter("table.order.u128").add(1);
+                let perm = words.iter().map(|&k| codec.position(k) as u32);
+                (perm.collect(), Vec::new())
+            }
+            SortedRows::Chained(rows) => {
+                ringo_trace::counter("table.order.chained").add(1);
+                (rows, Vec::new())
+            }
+        };
+        Ok(ordered)
     }
 
-    /// Permutation kernel of `order_by` (the eager verb and the lazy
-    /// step), `next_k` and `value_counts`: the positions of the table's
-    /// rows, sorted by `cols`, ties broken by the next column, then by
-    /// row order (stable). No rows are materialized.
-    ///
-    /// Numeric sort columns (`Int` or `Float`) are sorted as packed words
-    /// ([`Table::sort_numeric`]) and the positions read back off the
-    /// sorted words; floats map through the IEEE-754 total-order key, so
-    /// NaNs land exactly where `total_cmp` puts them. Any `Str` column
-    /// takes a stable comparison sort.
+    /// The positions of the table's rows sorted by `cols` (see
+    /// [`Table::ordering`]): what `next_k` and `value_counts` read.
     pub(crate) fn order_perm_sel(&self, cols: &[&str], ascending: bool) -> Result<Vec<u32>> {
-        let idx = self.sort_indices(cols)?;
-        row_count_u32(self.n_rows())?;
-        if idx.is_empty() {
-            return Ok(self.unsorted_perm());
-        }
-        Ok(match self.sort_numeric(&idx, ascending) {
-            Some(SortedRows::U64(keys, codec)) => {
-                keys.iter().map(|&k| codec.position(k) as u32).collect()
-            }
-            Some(SortedRows::U128(keys, codec)) => {
-                keys.iter().map(|&k| codec.position(k) as u32).collect()
-            }
-            Some(SortedRows::Chained(rows)) => rows,
-            None => self.order_perm_cmp(&idx, ascending),
-        })
+        Ok(self.ordering(cols, ascending, false)?.0)
+    }
+
+    /// The table's rows sorted by `cols`: the eager verbs' and the lazy
+    /// `OrderBy` step's result. The sort columns come back whole when the
+    /// ordering decoded them ([`Table::ordering`]); every other column
+    /// and the row ids are read through the permutation.
+    pub(crate) fn sorted_view(&self, cols: &[&str], ascending: bool) -> Result<Table> {
+        let (perm, whole) = self.ordering(cols, ascending, true)?;
+        Ok(self.view_rows_with(perm, whole))
     }
 
     /// The positions of the table's rows, in row order.
@@ -99,24 +140,27 @@ impl Table {
     /// next column). Floats use IEEE total order, so NaNs sort after all
     /// numbers. Row ids travel with their rows. The sort is stable.
     ///
-    /// The sorted table is a view: the columns it had, shared, each read
-    /// through its selection composed with the permutation
-    /// (`Table::order_perm_sel`, 4 B a row a selection) — the lazy
-    /// `OrderBy` step's result. A column borrowed whole is gathered then,
-    /// once; a `&mut` verb that edits columns materializes the view.
+    /// The sorted table keeps its numeric sort columns in sort order, as
+    /// a column store's sorted projection does: when the sort packs a row
+    /// into a `u64` word, each sort column comes back whole, decoded off
+    /// the sorted words — the first in the words' own buffer — and
+    /// borrowing it copies nothing. Every other column, and a sort column
+    /// whose rows needed a wider word, chained passes or a `Str` key, is
+    /// the column it had, shared, read through its selection composed
+    /// with the permutation (4 B a row a selection) and gathered the
+    /// first time it is borrowed whole. The lazy `OrderBy` step returns
+    /// the same table; a `&mut` verb that edits columns materializes it.
     pub fn order_by(&mut self, cols: &[&str], ascending: bool) -> Result<()> {
-        let mut sp = ringo_trace::span!("table.order");
-        sp.rows_in(self.n_rows());
-        sp.rows_out(self.n_rows());
-        *self = self.view_rows(self.order_perm_sel(cols, ascending)?);
+        *self = self.ordered_by(cols, ascending)?;
         Ok(())
     }
 
     /// Returns a sorted copy; see [`Table::order_by`].
     pub fn ordered_by(&self, cols: &[&str], ascending: bool) -> Result<Table> {
-        let mut out = self.clone();
-        out.order_by(cols, ascending)?;
-        Ok(out)
+        let mut sp = ringo_trace::span!("table.order");
+        sp.rows_in(self.n_rows());
+        sp.rows_out(self.n_rows());
+        self.sorted_view(cols, ascending)
     }
 }
 

@@ -389,10 +389,33 @@ impl Table {
     /// A view of this table's rows at positions `rows`, in that order:
     /// each selection composed with `rows`, so never a view of a view.
     pub(crate) fn view_rows(&self, rows: Vec<u32>) -> Table {
-        let sels = self.cols.iter().map(|c| c.sel.as_ref());
+        self.view_rows_with(rows, Vec::new())
+    }
+
+    /// [`Table::view_rows`], except that each `(c, data)` of `whole` is
+    /// column `c`'s rows at `rows`, already in a vector of their own:
+    /// column `c`, and any column that reads its vector through its
+    /// selection, is that vector, whole, and composes nothing.
+    pub(crate) fn view_rows_with(
+        &self,
+        rows: Vec<u32>,
+        whole: Vec<(usize, Arc<ColumnData>)>,
+    ) -> Table {
+        let whole: Vec<Option<&Arc<ColumnData>>> = (0..self.cols.len())
+            .map(|c| {
+                let e = self.first_of(c);
+                whole.iter().find(|(w, _)| *w == e).map(|(_, data)| data)
+            })
+            .collect();
+        let through = self.cols.iter().zip(&whole).filter(|(_, w)| w.is_none());
+        let sels = through.map(|(c, _)| c.sel.as_ref());
         let mut compose = Compose::new(rows, sels.chain([self.ids_sel.as_ref()]), self.threads);
+        let cols = self.cols.iter().zip(whole).map(|(c, w)| match w {
+            Some(data) => Col::new(data.clone(), None),
+            None => Col::new(c.data.clone(), Some(compose.through(c.sel.as_ref()))),
+        });
         Table {
-            cols: self.cols_through(&mut compose),
+            cols: cols.collect(),
             ids_sel: Some(compose.through(self.ids_sel.as_ref())),
             schema: self.schema.clone(),
             row_ids: self.row_ids.clone(),

@@ -6,7 +6,9 @@
 //! `collect()`s each end in a pending selection/projection, so the
 //! dumped trace must contain `plan.*` spans and a `table.gather`
 //! histogram with count == 3 — a regression that sneaks a second gather
-//! into the executor (or stops gathering lazily at all) fails CI. The
+//! into the executor (or stops gathering lazily at all) fails CI — and
+//! the third's sort must decode its sort columns off its sorted words
+//! (counter `table.order.decoded`). The
 //! fourth collect ends in a group-by, whose output is already owned
 //! (gathers=0); under `RINGO_THREADS>1` it also pins the `plan.morsel.*`
 //! dispatch spans. `explain` reads no rows and gathers nothing.
@@ -55,12 +57,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect()?;
     println!("select.join.select: {} rows", out.n_rows());
 
-    // Collect 3: order + project — the sort is a selection-vector
-    // permutation, gathered once.
+    // Collect 3: order + project. The select leaves `bucket` constant and
+    // `id` under 2^20, so each row packs into a `u64` word beside its
+    // position, and the sort hands back both columns decoded off the
+    // sorted words, whole; the row ids are still read through the
+    // permutation, so the collect gathers once. (A sort by `w` alone
+    // would not decode: its float keys vary in 57 bits, which with the
+    // 14 bits of a position need a `u128` word.)
     let out = ringo
         .query(&t)
         .select(&p2)
-        .order_by(&["w"], false)
+        .order_by(&["bucket", "id"], false)
         .project(&["id"])
         .collect()?;
     println!("select.order.project: {} rows", out.n_rows());

@@ -7,9 +7,10 @@
 //! key column is the left key column, read through the left positions;
 //! no right column is left to read the right positions, so they are
 //! dropped, and the output holds 4 B a row.
-//! `order_by` on a clone of the edge table is a permutation of the
-//! original's columns: the sort holds its packed keys and the
-//! permutation, 12 B a row.
+//! `order_by` on a clone of the edge table decodes its two sort columns
+//! off the sorted words — the first in the words' own buffer — beside the
+//! permutation, 20 B a row, and keeps them: borrowing them copies
+//! nothing.
 //!
 //! `so_session`'s join indexes a view of questions, each on a key of its
 //! own, and probes it with a larger view of answers. The index lays the
@@ -95,17 +96,18 @@ fn sorting_a_clone_holds_keys_and_a_permutation() {
     let peak = peak_bytes() - live;
     let held = current_bytes() - live;
 
-    // The packed keys (8 B a row) and the permutation read off them (4).
-    let bound = 12 * N + (1 << 16);
+    // The packed words (8 B a row, then `src`), the permutation read off
+    // them (4) and `dst` decoded beside it (8).
+    let bound = 20 * N + (1 << 16);
     assert!(
         peak <= bound,
         "clone and order_by peaked {peak} B above the input, {:.2} B a row",
         peak as f64 / N as f64
     );
     assert!(
-        (4 * N..4 * N + 4096).contains(&held),
-        "the sorted clone holds {held} B: its permutation is {} B",
-        4 * N
+        (20 * N..20 * N + 4096).contains(&held),
+        "the sorted clone holds {held} B: its permutation and two sort columns are {} B",
+        20 * N
     );
     let (src, dst) = (
         sorted.int_col("src").unwrap(),
@@ -113,10 +115,7 @@ fn sorting_a_clone_holds_keys_and_a_permutation() {
     );
     assert!((1..N).all(|i| (src[i - 1], dst[i - 1]) <= (src[i], dst[i])));
     let borrowed = current_bytes() - live;
-    assert!(
-        (20 * N..20 * N + 4096).contains(&borrowed),
-        "after two borrows the sorted clone holds {borrowed} B"
-    );
+    assert_eq!(borrowed, held, "the two borrows copy nothing");
 }
 
 /// `N` posts, about 36% of them questions (`kind` 0) and the rest answers

@@ -4,9 +4,10 @@
 //! left columns through the join's left positions, its right ones through
 //! its right positions, 4 B a row a side, composed with each input's own
 //! selection. So what a join keeps is its two position lists. Beside
-//! them it builds the hash index over the smaller side and, while the
-//! probe's per-morsel lists are joined into one list a side, holds one
-//! side's lists twice (4 B a pair). `to_graph` reads the output's two id
+//! them it builds the hash index over the smaller side; the probe's
+//! per-morsel lists are joined into one list a side by growing the first
+//! and freeing each once it is copied, so no side is held twice.
+//! `to_graph` reads the output's two id
 //! columns through their positions, so it gathers no column, and an
 //! `so_session`-shaped chain — select, select, join, `to_graph` — keeps
 //! 8 B a joined row above its inputs.
@@ -79,10 +80,11 @@ fn a_join_keeps_its_position_lists_and_builds_only_the_index() {
         held as f64 / pairs as f64
     );
     // The index: 4 B a build row laid out by bucket, 4–8 B of bucket
-    // offsets and the partition scatter (4); then one side's morsel lists
-    // copied into one list (4 B a pair).
+    // offsets and the partition scatter (4), beside the probe's morsel
+    // lists, 8 B a pair; the lists joined into one a side never hold a
+    // side twice.
     let index = 16 * build.n_rows();
-    let bound = held + 4 * pairs + index + SLACK;
+    let bound = held + index + SLACK;
     assert!(
         peak <= bound,
         "the join peaked {peak} B above its inputs, bound {bound} ({:.2} B a pair)",
@@ -94,6 +96,41 @@ fn a_join_keeps_its_position_lists_and_builds_only_the_index() {
     let (bs, bs1) = (j.int_col("b").unwrap(), j.int_col("b-1").unwrap());
     let keys = t.int_col("k").unwrap();
     assert!((0..pairs).all(|r| keys[bs[r] as usize] == ks[r] && keys[bs1[r] as usize] == ks[r]));
+}
+
+/// A join with many pairs a build row, so its pairs, not its index, set
+/// its peak: the probe's morsel lists (8 B a pair) are joined into one
+/// list a side by growing the first and freeing each once copied, so the
+/// join peaks at its two lists and one morsel's, never one side twice
+/// (4 B a pair more).
+#[test]
+fn a_join_of_many_pairs_a_build_row_never_holds_a_side_twice() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let t = table();
+    let mut build = Table::from_int_column("key", (0..1_000).collect());
+    // A right column beside the key keeps the right positions.
+    build.add_int_column("w", (0..1_000).collect()).unwrap();
+    // The first call registers spans and counters, which the process keeps.
+    drop(t.join(&build, "side", "key").unwrap());
+
+    let live = current_bytes();
+    reset_peak();
+    let j = t.join(&build, "side", "key").unwrap();
+    let (peak, held) = (peak_bytes() - live, current_bytes() - live);
+    let pairs = j.n_rows();
+    assert_eq!(pairs, N, "every row matches one key");
+    assert!(
+        (8 * pairs..8 * pairs + SLACK).contains(&held),
+        "the join keeps {held} B for {pairs} pairs"
+    );
+    // One morsel's two lists, in flight while the sides are joined.
+    let morsel = 8 * ringo::concurrent::DEFAULT_MORSEL_ROWS;
+    let bound = held + morsel + SLACK;
+    assert!(
+        peak <= bound,
+        "the join peaked {peak} B above its inputs, bound {bound} ({:.2} B a pair)",
+        peak as f64 / pairs as f64
+    );
 }
 
 /// `to_graph` on `view`'s columns `src` and `dst` peaks and keeps as on

@@ -10,7 +10,11 @@
 //! (`order_by`, `ordered_by`, a lazy `select → order_by → collect`,
 //! `next_k`, `value_counts`). Every case says which word it is meant for
 //! and asserts the sorter agrees, so a case for a wider word cannot
-//! quietly fit a narrower one.
+//! quietly fit a narrower one. From `u64` words the sorted table's sort
+//! columns are decoded off the sorted words, whole, so borrowing them
+//! adds nothing to the table; from any other tier they are read through
+//! the permutation, and the first borrow gathers them. `next_k` and
+//! `value_counts` read positions only.
 
 use ringo::concurrent::radix::SEQ_THRESHOLD;
 use ringo::concurrent::{radix_sort_rows, SortColumn, SortedRows};
@@ -151,6 +155,27 @@ fn tier(keys: &[Key], ascending: bool, sel: Option<&[u32]>) -> Tier {
     }
 }
 
+/// Asserts the sort columns of `sorted` are whole (decoded off `u64`
+/// words) when `decoded`, and read through the permutation otherwise:
+/// borrowing them whole adds nothing to the table, or gathers them.
+fn assert_whole(sorted: &Table, keys: &[Key], decoded: bool, ctx: &str) {
+    let before = sorted.mem_size();
+    for (c, key) in keys.iter().enumerate() {
+        let rows = match key {
+            Key::Int(_) => sorted.int_col(&name(c)).unwrap().len(),
+            Key::Float(_) => sorted.float_col(&name(c)).unwrap().len(),
+        };
+        assert_eq!(rows, sorted.n_rows(), "{ctx}: column k{c}");
+    }
+    let gathered = sorted.mem_size() - before;
+    let n = sorted.n_rows();
+    assert_eq!(
+        gathered == 0,
+        decoded || n == 0,
+        "{ctx}: borrowing the sort columns of {n} rows gathered {gathered} B"
+    );
+}
+
 /// Every verb that orders rows, both directions, threads 1, 2 and 4,
 /// against the oracle. `word` is the word the case is built for.
 fn check(what: &str, keys: &[Key], word: Tier) {
@@ -174,9 +199,11 @@ fn check(what: &str, keys: &[Key], word: Tier) {
 
             let mut eager = t.clone();
             eager.order_by(&names, ascending).unwrap();
+            assert_whole(&eager, keys, word == U64, &format!("{ctx}: order_by"));
             assert_rows(&eager, keys, &want, &format!("{ctx}: order_by"));
 
             let copy = t.ordered_by(&names, ascending).unwrap();
+            assert_whole(&copy, keys, word == U64, &format!("{ctx}: ordered_by"));
             assert_rows(&copy, keys, &want, &format!("{ctx}: ordered_by"));
             assert_rows(
                 &t,
@@ -557,6 +584,7 @@ fn a_column_named_twice_counts_once_and_no_column_is_a_no_op() {
     let want = oracle(&keys, true, (0..LONG).collect());
     let mut t = table_of(&keys, 2);
     t.order_by(&["k0", "k0", "k0"], true).unwrap();
+    assert_whole(&t, &keys, true, "k0 three times");
     assert_rows(&t, &keys, &want, "k0 three times");
 
     let before = table_of(&keys, 2);

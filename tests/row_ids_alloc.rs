@@ -3,8 +3,9 @@
 //! A table built from whole columns stores no row ids: a row's id is its
 //! position. So building one allocates nothing for ids, a clone shares
 //! the columns and copies nothing a row, and sorting a clone holds the
-//! sort keys and the permutation, a view that shares the ids with the
-//! original — never 8 B a row of ids, copied or made.
+//! sort column, decoded in place in the sorted words, and the
+//! permutation, which reads the ids it shares with the original — never
+//! 8 B a row of ids, copied or made.
 //!
 //! Kept in its own test binary so nothing else moves the process-global
 //! allocation counters mid-measurement.
@@ -90,12 +91,13 @@ fn sorting_a_clone_holds_its_permutation_and_no_ids() {
     let kept = current_bytes() - live;
     assert!(
         (12 * N..12 * N + 4096).contains(&kept),
-        "ordered_by kept {kept} B: the permutation and the one column borrowed are {} B",
+        "ordered_by kept {kept} B: the permutation and the one sort column are {} B",
         12 * N
     );
 
-    // Keys (8 B a row) and the permutation (4): 12 B a row, plus the
-    // sorter's counters; a clone that copied ids would add 8.
+    // The words (8 B a row, then the sort column) and the permutation
+    // (4): 12 B a row, plus the sorter's counters; a clone that copied
+    // ids would add 8.
     let bound = 12 * N + (1 << 16);
     assert!(
         peak <= bound,

@@ -10,8 +10,12 @@
 //! with stored ids and from views whose base was dropped before they were
 //! read. After every verb it checks schemas, row ids, cells and whole
 //! columns of both against each other and against a model that keeps one
-//! `(id, values)` record a row.
+//! `(id, values)` record a row, float cells bit for bit. Sort-first chains
+//! over 6-row tables of NaNs, ±0.0 and `i64::MIN`/`MAX` cover every
+//! ordering tier, among them sorts that hand back their sort columns
+//! decoded off their sorted words.
 
+use ringo::concurrent::{radix_sort_rows, SortColumn, SortedRows};
 use ringo::{AggOp, Cmp, ColumnType, Predicate, Ringo, Schema, Table, Value};
 use ringo_rng::Rng64;
 use std::collections::{HashMap, HashSet};
@@ -134,8 +138,29 @@ fn materialized(t: &Table) -> Table {
     c
 }
 
+/// A cell as its bits, so NaN payloads and zero signs compare.
+#[derive(Debug, PartialEq, Eq)]
+enum Bits {
+    Int(i64),
+    Float(u64),
+    Str(String),
+}
+
+fn bits(v: &Value) -> Bits {
+    match v {
+        Value::Int(x) => Bits::Int(*x),
+        Value::Float(x) => Bits::Float(x.to_bits()),
+        Value::Str(s) => Bits::Str(s.clone()),
+    }
+}
+
+fn all_bits(values: &[Value]) -> Vec<Bits> {
+    values.iter().map(bits).collect()
+}
+
 /// Schema, ids, cells and whole columns of the view form `v` and the
-/// materialized form `c` agree with each other and with the model.
+/// materialized form `c` agree with each other and with the model, float
+/// cells bit for bit.
 fn check(v: &Table, c: &Table, m: &Model, ctx: &str) {
     let ids: Vec<u64> = m.rows.iter().map(|(id, _)| *id).collect();
     for (t, form) in [(v, "view"), (c, "copy")] {
@@ -144,10 +169,11 @@ fn check(v: &Table, c: &Table, m: &Model, ctx: &str) {
         assert_eq!(*t.row_ids(), ids[..], "{ctx}: row ids");
         for (row, (id, values)) in m.rows.iter().enumerate() {
             assert_eq!(t.row_id(row), *id, "{ctx}: row_id({row})");
-            assert_eq!(&cells(t, row), values, "{ctx}: cells of row {row}");
+            let got = all_bits(&cells(t, row));
+            assert_eq!(got, all_bits(values), "{ctx}: cells of row {row}");
         }
         for (c, (name, ty)) in m.schema.iter().enumerate() {
-            let want: Vec<&Value> = m.rows.iter().map(|(_, v)| &v[c]).collect();
+            let want: Vec<Bits> = m.rows.iter().map(|(_, v)| bits(&v[c])).collect();
             let got: Vec<Value> = match ty {
                 ColumnType::Int => t.int_col(name).unwrap().iter().map(|&x| x.into()).collect(),
                 ColumnType::Float => t
@@ -161,7 +187,7 @@ fn check(v: &Table, c: &Table, m: &Model, ctx: &str) {
                     syms.iter().map(|&s| t.str_value(s).into()).collect()
                 }
             };
-            assert_eq!(got.iter().collect::<Vec<_>>(), want, "{ctx}: column {name}");
+            assert_eq!(all_bits(&got), want, "{ctx}: column {name}");
         }
         assert!(t.get(t.n_rows(), "k").is_err(), "{ctx}: get past the end");
     }
@@ -923,4 +949,220 @@ fn left_join_next_k_and_sim_join_of_a_join_view_match_the_model() {
 /// The ids of `n` rows a verb numbers from 0: a join's output.
 fn fresh_ids(n: usize) -> Vec<u64> {
     (0..n as u64).collect()
+}
+
+/// A 6-row table of the values a sort key gets wrong first: `k` spans
+/// `i64::MIN` to `i64::MAX`, `f` holds NaNs of both signs and payloads,
+/// ±0.0 and −inf, `v` is narrow, `s` a string, and `z`, `n` and `m` are
+/// constant −0.0, a NaN payload and `i64::MIN`.
+fn specials(threads: usize) -> (Table, Model) {
+    let nan = |payload: u64| f64::from_bits(f64::NAN.to_bits() | payload);
+    let schema = Schema::new([
+        ("k", ColumnType::Int),
+        ("f", ColumnType::Float),
+        ("v", ColumnType::Int),
+        ("s", ColumnType::Str),
+        ("z", ColumnType::Float),
+        ("n", ColumnType::Float),
+        ("m", ColumnType::Int),
+    ]);
+    let rows: Vec<Vec<Value>> = [
+        (i64::MAX, nan(0), 2, "b"),
+        (3, -0.0, 0, "a"),
+        (i64::MIN, 0.0, 1, "b"),
+        (3, -nan(0xBEEF), 2, "c"),
+        (0, 1.5, 0, "a"),
+        (-1, f64::NEG_INFINITY, 1, "b"),
+    ]
+    .into_iter()
+    .map(|(k, f, v, s)| {
+        let (z, n) = (Value::Float(-0.0), Value::Float(nan(0x5EED)));
+        vec![
+            k.into(),
+            f.into(),
+            v.into(),
+            s.into(),
+            z,
+            n,
+            i64::MIN.into(),
+        ]
+    })
+    .collect();
+    (build(&schema, &rows, threads), Model::fresh(schema, rows))
+}
+
+/// What follows `order_by` in a sort-first chain.
+#[derive(Clone, Copy, Debug)]
+enum Then {
+    Nothing,
+    /// A select on the first sort column.
+    Select,
+    /// A join on `v` with a 3-row table, which the sorted table probes.
+    Join,
+    /// `next_k(None, "v", 1)`.
+    NextK,
+    /// `group_by(v)`, counting.
+    Group,
+}
+
+/// `order_by(cols)` on `input` (rows `m`) then `then`, eagerly and as a
+/// lazy plan, against the model.
+fn sort_first(input: &Table, m: &Model, cols: &[&str], ascending: bool, then: Then, ctx: &str) {
+    let ringo = Ringo::with_threads(input.threads());
+    let idx: Vec<usize> = cols.iter().map(|c| m.col(c)).collect();
+    let mut want = m.clone();
+    want.sort(&idx, ascending);
+    let mut eager = input.clone();
+    eager.order_by(cols, ascending).unwrap();
+    check(
+        &eager,
+        &materialized(&eager),
+        &want,
+        &format!("{ctx}: order_by"),
+    );
+    let query = ringo.query(input).order_by(cols, ascending);
+    let dim_rows = [(2, "x"), (0, "y"), (2, "z")].map(|(k, w)| vec![Value::Int(k), w.into()]);
+    let dim = build(&dim_schema(), &dim_rows, input.threads());
+    let (eager, query) = match then {
+        Then::Nothing => (eager, query),
+        Then::Select => {
+            let c = want.col(cols[0]);
+            let (pred, keep): (Predicate, fn(&Value) -> bool) = match want.schema.column_type(c) {
+                ColumnType::Int => (
+                    Predicate::int(cols[0], Cmp::Ge, 1),
+                    |v| matches!(v, Value::Int(x) if *x >= 1),
+                ),
+                ColumnType::Float => (
+                    Predicate::float(cols[0], Cmp::Ge, 0.0),
+                    |v| matches!(v, Value::Float(x) if *x >= 0.0),
+                ),
+                ColumnType::Str => (Predicate::str_eq(cols[0], "b"), |v| *v == Value::from("b")),
+            };
+            want.rows.retain(|(_, r)| keep(&r[c]));
+            (eager.select(&pred).unwrap(), query.select(&pred))
+        }
+        Then::Join => {
+            let rows = join_rows(&want.values(), &dim_rows, want.col("v"), 0);
+            let schema = joined_schema(&want.schema, &dim_schema());
+            want = Model::fresh(schema, rows);
+            (
+                eager.join(&dim, "v", "k").unwrap(),
+                query.join(&dim, "v", "k"),
+            )
+        }
+        Then::NextK => {
+            let mut by_v = want.clone();
+            by_v.sort(&[want.col("v")], true);
+            let rows = by_v.values();
+            let pairs = rows
+                .windows(2)
+                .map(|w| w[0].iter().chain(&w[1]).cloned().collect());
+            want = Model::fresh(joined_schema(&want.schema, &want.schema), pairs.collect());
+            (
+                eager.next_k(None, "v", 1).unwrap(),
+                query.next_k(None, "v", 1),
+            )
+        }
+        Then::Group => {
+            let v = want.col("v");
+            let mut groups: Vec<(Value, i64)> = Vec::new();
+            for (_, r) in &want.rows {
+                match groups.iter_mut().find(|(g, _)| *g == r[v]) {
+                    Some((_, n)) => *n += 1,
+                    None => groups.push((r[v].clone(), 1)),
+                }
+            }
+            let schema = Schema::new([("v", ColumnType::Int), ("n", ColumnType::Int)]);
+            let rows = groups.into_iter().map(|(g, n)| vec![g, Value::Int(n)]);
+            want = Model::fresh(schema, rows.collect());
+            let group = |t: &Table| t.group_by(&["v"], None, AggOp::Count, "n").unwrap();
+            (
+                group(&eager),
+                query.group_by(&["v"], None, AggOp::Count, "n"),
+            )
+        }
+    };
+    let lazy = query.collect().unwrap();
+    check(
+        &eager,
+        &materialized(&eager),
+        &want,
+        &format!("{ctx} {then:?}: eager"),
+    );
+    check(
+        &lazy,
+        &materialized(&lazy),
+        &want,
+        &format!("{ctx} {then:?}: lazy"),
+    );
+}
+
+/// The tier `order_by(cols)` sorts `t`'s rows in: the word the packed
+/// sort uses, or the comparison sort for a `Str` key.
+fn word(t: &Table, cols: &[&str]) -> &'static str {
+    let mut names: Vec<&str> = Vec::new();
+    for c in cols {
+        if !names.contains(c) {
+            names.push(c);
+        }
+    }
+    let sort_column = |name: &&str| match t.schema().column_type(t.schema().index_of(name).unwrap())
+    {
+        ColumnType::Int => Some(SortColumn::Int(t.int_col(name).unwrap())),
+        ColumnType::Float => Some(SortColumn::Float(t.float_col(name).unwrap())),
+        ColumnType::Str => None,
+    };
+    let Some(sort_cols) = names.iter().map(sort_column).collect::<Option<Vec<_>>>() else {
+        return "compare";
+    };
+    match radix_sort_rows(&sort_cols, true, None, 1) {
+        SortedRows::U64(..) => "u64",
+        SortedRows::U128(..) => "u128",
+        SortedRows::Chained(_) => "chained",
+    }
+}
+
+/// Sort-first chains of 6-row tables against the row model: `order_by`
+/// then a select on a sort column, a join, `next_k`, a group-by or
+/// nothing, every column borrowed whole after each, eager and lazy alike,
+/// at threads 1 and 2. The sort keys cover every tier: narrow `Int`
+/// columns and constant `Float` / `Int` columns in `u64` words (decoded
+/// whole off them), `i64::MIN`/`MAX` and NaN / ±0.0 keys in `u128`
+/// words, two full-range keys in chained passes and a `Str` key in the
+/// comparison sort; a column named twice; the table or a view of it.
+#[test]
+fn sort_first_chains_match_the_model() {
+    let keys: [(&[&str], &str); 8] = [
+        (&["v"], "u64"),
+        (&["v", "z"], "u64"),
+        (&["n", "v", "m"], "u64"),
+        (&["v", "v"], "u64"),
+        (&["k"], "u128"),
+        (&["f"], "u128"),
+        (&["k", "f"], "chained"),
+        (&["s", "v"], "compare"),
+    ];
+    for threads in [1usize, 2] {
+        let (base, m) = specials(threads);
+        let mut view_model = m.clone();
+        view_model.rows.retain(|(_, r)| r[0] != Value::Int(0));
+        let view = base.select(&Predicate::int("k", Cmp::Ne, 0)).unwrap();
+        for (input, m, form) in [(&base, &m, "table"), (&view, &view_model, "view")] {
+            for (cols, tier) in keys {
+                assert_eq!(word(input, cols), tier, "{form} {cols:?}");
+                for ascending in [true, false] {
+                    for then in [
+                        Then::Nothing,
+                        Then::Select,
+                        Then::Join,
+                        Then::NextK,
+                        Then::Group,
+                    ] {
+                        let ctx = format!("threads {threads}, {form}, {cols:?} asc={ascending}");
+                        sort_first(input, m, cols, ascending, then, &ctx);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -4,8 +4,9 @@
 //! view: the shared columns plus 4 B a kept row. So a select allocates
 //! its selection and little else, a clone copies pointers, a join of two
 //! views reads them through their selections without gathering either,
-//! and sorting a clone is a permutation of the original's columns — never
-//! a copy of the input.
+//! and sorting a clone never copies the input: its sort columns come back
+//! decoded off the sorted words, its other columns are read through the
+//! permutation.
 //!
 //! Kept in its own test binary so nothing else moves the process-global
 //! allocation counters mid-measurement.
@@ -144,19 +145,26 @@ fn sorting_a_clone_copies_no_input() {
     let copied = current_bytes() - live;
     sorted.order_by(&["a", "b"], true).unwrap();
     let peak = peak_bytes() - live;
+    let before = current_bytes();
     let (a, b) = (sorted.int_col("a").unwrap(), sorted.int_col("b").unwrap());
+    assert_eq!(
+        current_bytes(),
+        before,
+        "borrowing the sort columns whole allocates nothing"
+    );
     assert!((1..N).all(|i| (a[i - 1], b[i - 1]) <= (a[i], b[i])));
 
     assert!(copied < 4096, "the clone copied {copied} B");
-    // Beside the original's columns: the packed keys (8 B a row) and the
-    // permutation read off them (4).
-    let bound = 12 * N + (1 << 16);
+    // Beside the original's columns: the packed words (8 B a row, then
+    // the first sort column), the permutation read off them (4) and the
+    // second sort column decoded beside it (8).
+    let bound = 20 * N + (1 << 16);
     assert!(
         peak <= bound,
         "clone and order_by peaked {peak} B above the input, {:.2} B a row",
         peak as f64 / N as f64
     );
-    // The permutation and the two columns borrowed; no ids.
+    // The permutation and the two sort columns; no ids.
     let held = current_bytes() - live;
     assert!(
         (20 * N..20 * N + 4096).contains(&held),
