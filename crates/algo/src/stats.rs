@@ -3,7 +3,9 @@
 use crate::bfs::{bfs_distances, Direction};
 use ringo_graph::{DirectedTopology, NodeId};
 
-/// Histogram of out-degrees as sorted `(degree, node_count)` pairs.
+/// Histogram of node degrees as sorted `(degree, node_count)` pairs. A
+/// node's degree is the length of its out-row (`Out`), of its in-row
+/// (`In`) or of both added (`Both`).
 pub fn degree_histogram<G: DirectedTopology>(g: &G, dir: Direction) -> Vec<(usize, usize)> {
     let mut counts: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
     for s in 0..g.n_slots() {
@@ -100,65 +102,6 @@ pub fn effective_diameter<G: DirectedTopology>(
     (hist.len() - 1) as f64
 }
 
-/// Reciprocity of a directed graph: the fraction of directed edges whose
-/// reverse edge also exists (self-loops count as reciprocated). 0 for an
-/// edgeless graph.
-pub fn reciprocity<G: DirectedTopology>(g: &G) -> f64 {
-    let mut total = 0usize;
-    let mut mutual = 0usize;
-    for s in 0..g.n_slots() {
-        let ins = g.in_row(s);
-        for v in g.out_row(s) {
-            total += 1;
-            // u -> v is mutual when v -> u exists, i.e. v in in(u).
-            if ins.binary_search(v).is_ok() {
-                mutual += 1;
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        mutual as f64 / total as f64
-    }
-}
-
-/// Degree assortativity (Pearson correlation between the total degrees of
-/// edge endpoints, over directed edges). Positive: hubs link to hubs;
-/// negative: hubs link to the periphery (typical of social/web graphs).
-/// Returns 0 when undefined (fewer than 2 edges or zero variance).
-pub fn degree_assortativity<G: DirectedTopology>(g: &G) -> f64 {
-    let deg = |slot: usize| (g.out_row(slot).len() + g.in_row(slot).len()) as f64;
-    let mut n = 0f64;
-    let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0f64, 0f64, 0f64, 0f64, 0f64);
-    for s in 0..g.n_slots() {
-        if g.slot_id(s).is_none() {
-            continue;
-        }
-        let x = deg(s);
-        for &v in g.out_row(s) {
-            let y = deg(v as usize);
-            n += 1.0;
-            sx += x;
-            sy += y;
-            sxx += x * x;
-            syy += y * y;
-            sxy += x * y;
-        }
-    }
-    if n < 2.0 {
-        return 0.0;
-    }
-    let cov = sxy / n - (sx / n) * (sy / n);
-    let vx = sxx / n - (sx / n) * (sx / n);
-    let vy = syy / n - (sy / n) * (sy / n);
-    if vx <= 0.0 || vy <= 0.0 {
-        0.0
-    } else {
-        cov / (vx * vy).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,65 +194,6 @@ mod tests {
             1,
             "2 is in the lower slot"
         );
-    }
-
-    #[test]
-    fn reciprocity_counts_mutual_pairs() {
-        let mut g = DirectedGraph::new();
-        g.add_edge(1, 2);
-        g.add_edge(2, 1); // mutual pair: 2 reciprocated edges
-        g.add_edge(2, 3); // one-way
-        assert!((reciprocity(&g) - 2.0 / 3.0).abs() < 1e-12);
-        g.add_edge(4, 4); // self-loop reciprocates itself
-        assert!((reciprocity(&g) - 3.0 / 4.0).abs() < 1e-12);
-        assert_eq!(reciprocity(&DirectedGraph::new()), 0.0);
-    }
-
-    #[test]
-    fn assortativity_sign_matches_structure() {
-        // Two cliques of different sizes: every edge joins equal-degree
-        // endpoints, but degree varies across edges → fully assortative.
-        let mut cliques = DirectedGraph::new();
-        for a in 0..3i64 {
-            for b in 0..3 {
-                if a != b {
-                    cliques.add_edge(a, b);
-                }
-            }
-        }
-        for a in 10..16i64 {
-            for b in 10..16 {
-                if a != b {
-                    cliques.add_edge(a, b);
-                }
-            }
-        }
-        assert!(degree_assortativity(&cliques) > 0.99);
-
-        // Two disjoint uniform cycles: every endpoint has equal degree →
-        // zero variance, defined as 0.
-        let mut cycles = DirectedGraph::new();
-        for i in 0..5i64 {
-            cycles.add_edge(i, (i + 1) % 5);
-            cycles.add_edge(10 + i, 10 + (i + 1) % 5);
-        }
-        assert_eq!(degree_assortativity(&cycles), 0.0);
-
-        // Core-periphery vs assorted: a clique whose members also chain
-        // to degree-1 pendants is disassortative on the pendant edges.
-        let mut mixed = DirectedGraph::new();
-        for a in 0..4i64 {
-            for b in 0..4 {
-                if a != b {
-                    mixed.add_edge(a, b);
-                }
-            }
-        }
-        for a in 0..4i64 {
-            mixed.add_edge(a, 100 + a);
-            mixed.add_edge(100 + a, a);
-        }
-        assert!(degree_assortativity(&mixed) < 0.0);
     }
 
     #[test]

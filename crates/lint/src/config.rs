@@ -38,10 +38,6 @@ pub struct Config {
     /// it exactly matches the knobs read by library code and that every
     /// entry appears in README's knob table.
     pub knob_inventory: Vec<(String, String)>,
-    /// `Release`-side atomic writes allowed to have no `Acquire`-side
-    /// partner in their crate: `("crate-dir::field", reason)` — e.g.
-    /// when the acquire side lives in another crate or behind a fence.
-    pub release_pair_allow: Vec<(String, String)>,
     /// Files excluded from the literal-scanning lints (the config
     /// itself, which must name every knob and shared metric).
     pub scan_exempt: Vec<String>,
@@ -58,7 +54,6 @@ impl Config {
             shared_metric_allow: Vec::new(),
             synthetic_metrics: Vec::new(),
             knob_inventory: Vec::new(),
-            release_pair_allow: Vec::new(),
             scan_exempt: Vec::new(),
         }
     }
@@ -79,7 +74,6 @@ impl Config {
             shared_metric_allow: own(SHARED_METRIC_ALLOW),
             synthetic_metrics: own(SYNTHETIC_METRICS),
             knob_inventory: own(KNOB_INVENTORY),
-            release_pair_allow: own(RELEASE_PAIR_ALLOW),
             scan_exempt: vec!["crates/lint/src/config.rs".to_owned()],
         }
     }
@@ -101,23 +95,7 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
         "invariant expects in kernel loops",
     ),
     (
-        "crates/algo/src/connectivity.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
         "crates/algo/src/frontier.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/independent.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/ktruss.rs",
-        "invariant expects in kernel loops",
-    ),
-    (
-        "crates/algo/src/random_walk.rs",
         "invariant expects in kernel loops",
     ),
     (
@@ -231,6 +209,3 @@ const KNOB_INVENTORY: &[(&str, &str)] = &[
         "trace: record spans and counters, JSON dump path at exit",
     ),
 ];
-
-/// `Release` writes allowed to go unpaired within their crate.
-const RELEASE_PAIR_ALLOW: &[(&str, &str)] = &[];

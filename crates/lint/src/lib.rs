@@ -4,10 +4,10 @@
 //! The PR 4 tier-1 gate (`tests/static_gate.rs`) was a line-based
 //! tripwire: fast, but foolable by strings and comments, and blind to
 //! the bug classes that actually bite an observability-heavy concurrent
-//! codebase — a `span!` guard dropped on the spot, a `Release` store
-//! with no `Acquire` partner, an undocumented `RINGO_*` knob. This crate
-//! replaces it with a real (std-only, hermetic) lexer + token-tree
-//! analyzer and a catalog of project-specific lints:
+//! codebase — a `span!` guard dropped on the spot, an undocumented
+//! `RINGO_*` knob. This crate replaces it with a real (std-only,
+//! hermetic) lexer + token-tree analyzer and a catalog of
+//! project-specific lints:
 //!
 //! | lint | what it enforces |
 //! |---|---|
@@ -18,7 +18,6 @@
 //! | `dropped-guard`           | no `let _ = span!(…)` / bare `span!(…);` statements |
 //! | `metric-registry`         | span/counter names are dotted, unique, and CI-checked |
 //! | `env-knob-registry`       | every `RINGO_*` knob is inventoried and in README |
-//! | `ordering-pairing`        | `Release` writes have an `Acquire`-side partner in-crate |
 //! | `hot-alloc`               | no alloc idioms inside `// LINT: hot` functions |
 //!
 //! All allowlists live in [`config::Config`] and are **shrink-only**:

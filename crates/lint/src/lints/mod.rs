@@ -13,7 +13,6 @@ pub mod dropped_guard;
 pub mod env_knob;
 pub mod hot_alloc;
 pub mod metrics;
-pub mod ordering_pair;
 pub mod relaxed;
 pub mod safety;
 pub mod threads;
@@ -37,7 +36,6 @@ pub fn all_lints() -> Vec<Box<dyn Lint>> {
         Box::new(dropped_guard::DroppedGuard),
         Box::new(metrics::MetricRegistry),
         Box::new(env_knob::EnvKnobRegistry),
-        Box::new(ordering_pair::OrderingPairing),
         Box::new(hot_alloc::HotAlloc),
     ]
 }
@@ -49,14 +47,6 @@ pub fn run_all(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
         lint.check(ws, cfg, &mut out);
     }
     out
-}
-
-/// The crate a library file belongs to: the directory name under
-/// `crates/`, or `ringo` for the facade's own `src/`.
-pub(crate) fn crate_of(rel: &str) -> &str {
-    rel.strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("ringo")
 }
 
 /// Emits a finding at token `ti` of `file`.

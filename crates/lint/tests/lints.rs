@@ -292,41 +292,6 @@ fn env_knob_ignores_magic_padding_tails() {
     assert!(f.is_empty(), "magic padding is not a knob: {f:?}");
 }
 
-// ------------------------------------------------------ ordering-pairing
-
-#[test]
-fn ordering_pair_trips_on_unconsumed_release() {
-    let ws = lib_ws(include_str!("fixtures/ordering_pair_trip.rs"));
-    let f = findings_of(&ws, &Config::empty(), "ordering-pairing");
-    assert_eq!(f.len(), 1, "unpaired Release store must trip: {f:?}");
-    assert!(f[0].message.contains("`ready`"));
-}
-
-#[test]
-fn ordering_pair_passes_with_acquire_partner() {
-    let ws = lib_ws(include_str!("fixtures/ordering_pair_pass.rs"));
-    let f = findings_of(&ws, &Config::empty(), "ordering-pairing");
-    assert!(f.is_empty(), "paired Release/Acquire must pass: {f:?}");
-}
-
-#[test]
-fn ordering_pair_allowlist_suppresses_and_goes_stale() {
-    let mut cfg = Config::empty();
-    cfg.release_pair_allow.push((
-        "fixture::ready".to_owned(),
-        "partner in another crate".to_owned(),
-    ));
-    // Suppresses the unpaired store…
-    let ws = lib_ws(include_str!("fixtures/ordering_pair_trip.rs"));
-    let f = findings_of(&ws, &cfg, "ordering-pairing");
-    assert!(f.is_empty(), "allowlisted field must be suppressed: {f:?}");
-    // …and goes stale once the pair exists in-crate.
-    let ws = lib_ws(include_str!("fixtures/ordering_pair_pass.rs"));
-    let f = findings_of(&ws, &cfg, "ordering-pairing");
-    assert_eq!(f.len(), 1, "entry suppressing nothing must be stale: {f:?}");
-    assert!(f[0].message.contains("stale release-pair"));
-}
-
 // ------------------------------------------------------------- hot-alloc
 
 #[test]

@@ -4,13 +4,12 @@
 
 use ringo::algo::{
     approx_diameter, betweenness_centrality, bfs_distances, closeness_centrality,
-    clustering_coefficient, cut_structure, degree_assortativity, degree_histogram, dfs_order,
-    dijkstra_weighted, eigenvector_centrality, has_cycle, pagerank, pagerank_weighted,
-    personalized_pagerank, random_walk, reciprocity, sssp_dijkstra, topological_sort, triad_census,
-    weakly_connected_components, Direction, PageRankConfig, WalkRng,
+    clustering_coefficient, degree_histogram, dfs_order, dijkstra_weighted, eigenvector_centrality,
+    has_cycle, pagerank, pagerank_weighted, personalized_pagerank, sssp_dijkstra, topological_sort,
+    triad_census, Direction, PageRankConfig,
 };
 use ringo::gen::{edges_to_table, RmatConfig};
-use ringo::{DirectedGraph, Ringo, UndirectedGraph};
+use ringo::{DirectedGraph, Ringo};
 
 fn rmat_graph(scale: u32, edges: usize, seed: u64) -> DirectedGraph {
     let e = ringo::gen::rmat(&RmatConfig {
@@ -127,52 +126,8 @@ fn topological_sort_exists_iff_no_cycle() {
 }
 
 #[test]
-fn cut_structure_matches_component_splitting() {
-    let ringo = Ringo::with_threads(1);
-    let table = ringo.generate_lj_like(0.003, 13);
-    let u = ringo.to_undirected_graph(&table, "src", "dst").unwrap();
-    let base = {
-        let e = ringo.to_graph(&table, "src", "dst").unwrap();
-        weakly_connected_components(&e).n_components()
-    };
-    let cuts = cut_structure(&u);
-    // Removing any reported bridge must split a component; removing a
-    // random non-bridge edge must not.
-    if let Some(&(a, b)) = cuts.bridges.first() {
-        let mut cut = u.clone();
-        cut.del_edge(a, b);
-        let parts: Vec<(i64, Vec<i64>)> = cut
-            .node_ids()
-            .map(|id| (id, cut.nbrs(id).collect()))
-            .collect();
-        let rebuilt = UndirectedGraph::from_parts(parts);
-        // Count undirected components via repeated BFS.
-        let mut seen: std::collections::HashSet<i64> = std::collections::HashSet::new();
-        let mut comps = 0;
-        for id in rebuilt.node_ids() {
-            if seen.insert(id) {
-                comps += 1;
-                let mut stack = vec![id];
-                while let Some(v) = stack.pop() {
-                    for n in rebuilt.nbrs(v) {
-                        if seen.insert(n) {
-                            stack.push(n);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(comps > base, "bridge removal must split: {comps} vs {base}");
-    }
-}
-
-#[test]
 fn structural_statistics_are_in_valid_ranges() {
     let g = rmat_graph(10, 10_000, 51);
-    let r = reciprocity(&g);
-    assert!((0.0..=1.0).contains(&r));
-    let a = degree_assortativity(&g);
-    assert!((-1.0..=1.0).contains(&a));
     let h = degree_histogram(&g, Direction::Both);
     let nodes: usize = h.iter().map(|(_, c)| c).sum();
     assert_eq!(nodes, g.node_count());
@@ -206,19 +161,6 @@ fn centralities_agree_on_an_obvious_center() {
     let hub_closeness = closeness_centrality(&g, 0, Direction::Out);
     let rim_closeness = closeness_centrality(&g, 1, Direction::Out);
     assert!(hub_closeness > rim_closeness);
-}
-
-#[test]
-fn random_walks_stay_on_edges_at_scale() {
-    let g = rmat_graph(9, 3_000, 61);
-    let src = g.node_ids().next().unwrap();
-    let mut rng = WalkRng::new(5);
-    for _ in 0..20 {
-        let path = random_walk(&g, src, 30, &mut rng);
-        for w in path.windows(2) {
-            assert!(g.has_edge(w[0], w[1]), "walk leaves the graph");
-        }
-    }
 }
 
 #[test]

@@ -14,14 +14,12 @@
 
 use ringo::algo::HitsScores;
 use ringo::algo::{
-    adamic_adar, approx_diameter, betweenness_centrality, betweenness_centrality_sampled,
-    bfs_order, closeness_centrality, common_neighbors, core_numbers, count_triangles,
-    cut_structure, degree_centrality, degree_histogram, dfs_order, dijkstra_weighted,
-    eigenvector_centrality, greedy_coloring, hits, is_bipartite, jaccard_similarity, k_core,
-    label_propagation, maximal_independent_set, maximal_matching, node_clustering, node_triangles,
-    pagerank, pagerank_weighted, personalized_pagerank, random_walk, reachable_from, reciprocity,
+    approx_diameter, betweenness_centrality, betweenness_centrality_sampled, bfs_order,
+    closeness_centrality, core_numbers, count_triangles, degree_centrality, degree_histogram,
+    dfs_order, dijkstra_weighted, eigenvector_centrality, hits, k_core, label_propagation,
+    node_clustering, node_triangles, pagerank, pagerank_weighted, personalized_pagerank,
     sssp_dijkstra, sssp_unweighted, strongly_connected_components, topological_sort, triad_census,
-    truss_numbers, weakly_connected_components, Components, FrontierEngine, WalkRng,
+    weakly_connected_components, Components, FrontierEngine,
 };
 use ringo::gen::{edges_to_table, rmat, RmatConfig};
 use ringo::graph::DirectedTopology;
@@ -456,42 +454,6 @@ fn betweenness_oracle(out: &Adj) -> BTreeMap<NodeId, f64> {
     bc
 }
 
-/// Truss number of every non-loop edge by the definition: the largest `k`
-/// whose `k`-truss (edges in at least `k - 2` triangles of it, removed
-/// until none is short) keeps the edge.
-fn truss_oracle(m: &Model) -> BTreeMap<Edge, u32> {
-    let all: BTreeSet<Edge> = m.edges.iter().copied().filter(|(a, b)| a != b).collect();
-    let mut truss: BTreeMap<Edge, u32> = all.iter().map(|&e| (e, 2)).collect();
-    for k in 3.. {
-        let mut left = all.clone();
-        loop {
-            let mut adj = Adj::new();
-            for &(a, b) in &left {
-                adj.entry(a).or_default().insert(b);
-                adj.entry(b).or_default().insert(a);
-            }
-            let short: Vec<Edge> = left
-                .iter()
-                .copied()
-                .filter(|(a, b)| (adj[a].intersection(&adj[b]).count() as u32) < k - 2)
-                .collect();
-            if short.is_empty() {
-                break;
-            }
-            for e in &short {
-                left.remove(e);
-            }
-        }
-        if left.is_empty() {
-            return truss;
-        }
-        for &e in &left {
-            truss.insert(e, k);
-        }
-    }
-    unreachable!("the loop ends once no edge is left")
-}
-
 /// Everything checked on one case.
 fn check(case: &Case) {
     let ctx = &case.name;
@@ -725,20 +687,6 @@ fn check(case: &Case) {
             assert_eq!(c, adj[&v].len() as f64 / denom, "{ctx}");
         }
     }
-    let mutual = case
-        .dm
-        .edges
-        .iter()
-        .filter(|(a, b)| case.dm.edges.contains(&(*b, *a)))
-        .count();
-    assert!(
-        close(
-            reciprocity(g),
-            mutual as f64 / case.dm.edges.len().max(1) as f64,
-            1e-12
-        ),
-        "{ctx}: reciprocity"
-    );
     let diameter = out
         .keys()
         .map(|&v| bfs(&both, v).into_values().max().unwrap_or(0))
@@ -772,105 +720,11 @@ fn check(case: &Case) {
             assert_eq!(nbrs, expect, "{ctx}: {k}-core row of {v}");
         }
     }
-    let truss = truss_oracle(&case.um);
-    let got = truss_numbers(u);
-    assert_eq!(got.len(), truss.len(), "{ctx}");
-    for (e, t) in truss {
-        assert_eq!(got.get(&e), Some(&t), "{ctx}: truss of {e:?}");
-    }
-    let cuts = cut_structure(u);
-    let base = components(&und).len();
-    let without = |drop_node: Option<NodeId>, drop_edge: Option<Edge>| {
-        let mut m = case.um.clone();
-        drop_node.inspect(|&v| m.del_node(v));
-        drop_edge.inspect(|&(a, b)| m.del_edge(a, b));
-        components(&m.adj(Direction::Out)).len()
-    };
-    let bridges: Vec<Edge> = case
-        .um
-        .edges
-        .iter()
-        .copied()
-        .filter(|&(a, b)| a != b && without(None, Some((a, b))) > base)
-        .collect();
-    assert_eq!(cuts.bridges, bridges, "{ctx}: bridges");
-    let points: Vec<NodeId> = und
-        .keys()
-        .copied()
-        .filter(|&v| without(Some(v), None) > base)
-        .collect();
-    assert_eq!(
-        cuts.articulation_points, points,
-        "{ctx}: articulation points"
-    );
-    let reach: Vec<NodeId> = bfs(&und, src).into_keys().collect();
-    assert_eq!(reachable_from(u, src), reach, "{ctx}");
-    // Two-colourable exactly when a breadth-first colouring holds.
-    let mut side: BTreeMap<NodeId, bool> = BTreeMap::new();
-    let mut bipartite = true;
-    for &s in und.keys() {
-        if side.contains_key(&s) {
-            continue;
-        }
-        for (v, d) in bfs(&und, s) {
-            side.insert(v, d % 2 == 1);
-        }
-    }
-    for &(a, b) in &case.um.edges {
-        bipartite &= side[&a] != side[&b];
-    }
-    assert_eq!(is_bipartite(u), bipartite, "{ctx}: bipartite");
-    let ids: Vec<NodeId> = und.keys().copied().collect();
-    for (i, &a) in ids.iter().enumerate().step_by(3) {
-        let b = ids[(i * 7 + 1) % ids.len()];
-        let common: BTreeSet<NodeId> = und[&a].intersection(&und[&b]).copied().collect();
-        let shared = common.iter().filter(|&&x| x != a && x != b).count();
-        assert_eq!(common_neighbors(u, a, b), shared, "{ctx}");
-        let union = und[&a].union(&und[&b]).count();
-        let jac = if union == 0 {
-            0.0
-        } else {
-            common.len() as f64 / union as f64
-        };
-        assert!(close(jaccard_similarity(u, a, b), jac, 1e-12), "{ctx}");
-        let aa: f64 = common
-            .iter()
-            .filter(|&&x| x != a && x != b)
-            .map(|x| 1.0 / (und[x].len() as f64).ln())
-            .sum();
-        assert!(close(adamic_adar(u, a, b), aa, 1e-12), "{ctx}");
-    }
-    let set = maximal_independent_set(u);
-    for &v in &set {
-        assert!(
-            !und[&v].iter().any(|w| set.contains(w)),
-            "{ctx}: independent"
-        );
-    }
-    for (&v, nbrs) in &und {
-        assert!(set.contains(&v) || nbrs.contains(&v) || nbrs.iter().any(|w| set.contains(w)));
-    }
-    let colour = greedy_coloring(u);
-    let looped = |v: &NodeId| und[v].contains(v);
-    for (a, b) in case
-        .um
-        .edges
-        .iter()
-        .filter(|(a, b)| !looped(a) && !looped(b))
-    {
-        assert_ne!(colour.get(*a), colour.get(*b), "{ctx}: proper colouring");
-    }
-    let mut matched = BTreeSet::new();
-    for (a, b) in maximal_matching(u) {
-        assert!(case.um.edges.contains(&(a, b)) && matched.insert(a) && matched.insert(b));
-    }
     let communities = label_propagation(u, 20, 7);
     let comps = components(&und);
     for part in partition(&communities) {
         assert!(comps.iter().any(|c| part.is_subset(c)), "{ctx}: community");
     }
-    let walk = random_walk(g, src, 30, &mut WalkRng::new(3));
-    assert!(walk.windows(2).all(|w| out[&w[0]].contains(&w[1])), "{ctx}");
     let mut census = [0u64; 16];
     let tri_ids: Vec<NodeId> = case.dm.nodes.iter().copied().collect();
     if tri_ids.len() <= 70 {

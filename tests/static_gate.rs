@@ -17,8 +17,6 @@
 //!   site, and cross-checked against the names CI asserts;
 //! * `env-knob-registry` — every `RINGO_*` knob inventoried and in
 //!   README's knob table;
-//! * `ordering-pairing` — `Release` writes have an `Acquire`-side
-//!   partner in-crate;
 //! * `hot-alloc` — no allocation idioms inside `// LINT: hot` kernels.
 //!
 //! Being token-aware buys exactness the line scan lacked: `unsafe` in a
@@ -100,11 +98,6 @@ fn env_knobs_are_inventoried_and_documented() {
 }
 
 #[test]
-fn release_stores_have_acquire_partners() {
-    assert_clean("ordering-pairing");
-}
-
-#[test]
 fn hot_kernels_do_not_allocate_per_element() {
     assert_clean("hot-alloc");
 }
@@ -134,7 +127,6 @@ fn full_lint_run_is_clean_and_catalog_is_complete() {
         "dropped-guard",
         "metric-registry",
         "env-knob-registry",
-        "ordering-pairing",
         "hot-alloc",
     ] {
         assert!(
